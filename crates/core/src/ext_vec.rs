@@ -26,7 +26,7 @@ use pdm::{BlockId, Result, SharedDevice};
 
 use crate::budget::MemBudget;
 use crate::record::Record;
-use crate::stream::{ExtVecReader, ExtVecWriter};
+use crate::stream::{ExtVecCursor, ExtVecReader, ExtVecWriter};
 
 /// A typed external array of records on a block device.
 pub struct ExtVec<R: Record> {
@@ -333,6 +333,15 @@ impl<R: Record> ExtVec<R> {
     /// forecaster-chosen order.
     pub fn reader_forecast(&self, start: u64, cap: usize) -> ExtVecReader<'_, R> {
         ExtVecReader::with_forecast(self, start, cap)
+    }
+
+    /// Turn the array into an owning sequential reader — a reader that can
+    /// be stored in operator state, [`rewind`](ExtVecCursor::rewind), and
+    /// give the array back with [`into_inner`](ExtVecCursor::into_inner).
+    /// Demand reads only until
+    /// [`set_read_ahead`](ExtVecCursor::set_read_ahead) says otherwise.
+    pub fn into_cursor(self) -> ExtVecCursor<R> {
+        ExtVecCursor::new(self, 0)
     }
 
     /// Load the whole array into memory.  **Test/verification helper** — it

@@ -22,7 +22,9 @@
 //! * [`ExtVec`] — a typed external array (sequence of device blocks) with
 //!   block-granular access; the universal currency between algorithms.
 //! * [`ExtVecReader`] / [`ExtVecWriter`] — buffered sequential streams over
-//!   external arrays, each holding exactly one block of memory.
+//!   external arrays, each holding exactly one block of memory;
+//!   [`ExtVecCursor`] is the same reader owning its array (rewindable, for
+//!   operator state).
 //! * [`MemBudget`] — explicit accounting of the `M` records an algorithm is
 //!   allowed to hold; sorts charge their buffers against it so the model is
 //!   enforced, not assumed.
@@ -60,7 +62,7 @@ pub use budget::{BudgetGuard, MemBudget};
 pub use config::EmConfig;
 pub use ext_vec::ExtVec;
 pub use record::Record;
-pub use stream::{ExtVecReader, ExtVecWriter, IoWaitSink};
+pub use stream::{BlockReader, ExtVecCursor, ExtVecReader, ExtVecWriter, IoWaitSink};
 
 // Re-export the substrate so dependents need only one import path.
 pub use pdm;

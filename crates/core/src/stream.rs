@@ -18,7 +18,13 @@
 //! Overlap never changes *which* transfers happen — a prefetched block is
 //! exactly the read the reader was about to issue — so block-transfer counts
 //! are identical to the synchronous path.
+//!
+//! There is one reader implementation, [`BlockReader`], generic over how it
+//! holds its array: [`ExtVecReader`] borrows it, [`ExtVecCursor`] owns it
+//! (and can therefore live inside an operator's state across calls, rewind,
+//! and hand the array back to be freed).
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -273,12 +279,17 @@ impl<R: Record> ExtVecWriter<R> {
 /// Streaming reader: buffers one block, refilling as it advances.
 ///
 /// Costs `⌈N/B⌉` read I/Os to consume `N` records.  With read-ahead (see
-/// [`ExtVec::reader_prefetch`](crate::ExtVec::reader_prefetch)) the same
-/// reads are merely *submitted early*; a reader dropped before exhausting
-/// the array records any unconsumed in-flight blocks as
+/// [`ExtVec::reader_prefetch`](crate::ExtVec::reader_prefetch) and
+/// [`set_read_ahead`](Self::set_read_ahead)) the same reads are merely
+/// *submitted early*; a reader dropped (or rewound) before exhausting the
+/// array records any unconsumed in-flight blocks as
 /// [`prefetch_wasted`](pdm::IoSnapshot::prefetch_wasted).
-pub struct ExtVecReader<'a, R: Record> {
-    vec: &'a ExtVec<R>,
+///
+/// `V` is how the reader holds its array — use the aliases: the borrowing
+/// [`ExtVecReader`] or the owning [`ExtVecCursor`].  Both are this one
+/// implementation, monomorphized.
+pub struct BlockReader<V: Borrow<ExtVec<R>>, R: Record> {
+    vec: V,
     buf: Vec<R>,
     pos: usize,
     consumed: u64,
@@ -300,12 +311,40 @@ pub struct ExtVecReader<'a, R: Record> {
     _reserve: Option<BudgetGuard>,
 }
 
-impl<'a, R: Record> ExtVecReader<'a, R> {
-    pub(crate) fn new(vec: &'a ExtVec<R>, start: u64) -> Self {
-        assert!(start <= vec.len(), "start beyond end");
+/// The array behind a reader's handle, borrowing only that field (so the
+/// record buffer beside it stays mutably borrowable).
+#[inline(always)]
+fn arr<V: Borrow<ExtVec<R>>, R: Record>(vec: &V) -> &ExtVec<R> {
+    vec.borrow()
+}
+
+/// Sequential reader borrowing its array — what
+/// [`ExtVec::reader`](crate::ExtVec::reader) and its siblings return.
+pub type ExtVecReader<'a, R> = BlockReader<&'a ExtVec<R>, R>;
+
+/// Sequential reader *owning* its array
+/// ([`ExtVec::into_cursor`](crate::ExtVec::into_cursor)): the restartable
+/// read path for operator state that must outlive one call.
+/// [`rewind`](BlockReader::rewind) restarts the scan (paying the reads
+/// again — that re-read *is* a block-nested loop's cost) and
+/// [`into_inner`](BlockReader::into_inner) hands the array back to be freed.
+pub type ExtVecCursor<R> = BlockReader<ExtVec<R>, R>;
+
+impl<R: Record> ExtVecCursor<R> {
+    /// Stop reading and take the array back (any read-ahead still in flight
+    /// is recorded as wasted).
+    pub fn into_inner(mut self) -> ExtVec<R> {
+        let empty = ExtVec::new(arr(&self.vec).device().clone());
+        std::mem::replace(&mut self.vec, empty)
+    }
+}
+
+impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
+    pub(crate) fn new(vec: V, start: u64) -> Self {
+        assert!(start <= arr(&vec).len(), "start beyond end");
         // The buffer starts empty; `fill` lazily loads the block that
         // `consumed` points into on first access.
-        ExtVecReader {
+        BlockReader {
             vec,
             buf: Vec::new(),
             pos: 0,
@@ -320,17 +359,10 @@ impl<'a, R: Record> ExtVecReader<'a, R> {
         }
     }
 
-    pub(crate) fn with_prefetch(
-        vec: &'a ExtVec<R>,
-        start: u64,
-        depth: usize,
-        budget: &Arc<MemBudget>,
-    ) -> Self {
+    pub(crate) fn with_prefetch(vec: V, start: u64, depth: usize, budget: &Arc<MemBudget>) -> Self {
         let mut r = Self::new(vec, start);
-        let (granted, reserve) = charge_overlap(budget, depth, vec.per_block());
-        r.depth = granted;
-        r._reserve = reserve;
-        r.next_fetch = (start / vec.per_block() as u64) as usize;
+        r.set_read_ahead(depth, budget);
+        r.next_fetch = (start / arr(&r.vec).per_block() as u64) as usize;
         // Prime the pipeline immediately so the first `fill` already
         // overlaps with whatever the caller does before consuming.  A reader
         // with nothing left must not submit reads the synchronous path never
@@ -341,21 +373,51 @@ impl<'a, R: Record> ExtVecReader<'a, R> {
         r
     }
 
+    /// Switch this reader to keep up to `depth` blocks of read-ahead in
+    /// flight from its next block boundary on, charging the buffers against
+    /// `budget` (the depth degrades to what fits, possibly 0; a previous
+    /// charge is released first).  Nothing is submitted here — the first
+    /// `fill` after the switch submits the block it needs together with its
+    /// successors — so a reader that is switched but never pulled costs no
+    /// transfer the plain reader would not make.
+    pub fn set_read_ahead(&mut self, depth: usize, budget: &Arc<MemBudget>) {
+        self._reserve = None;
+        let (granted, reserve) = charge_overlap(budget, depth, arr(&self.vec).per_block());
+        self.depth = granted;
+        self._reserve = reserve;
+    }
+
+    /// Restart from the first record.  Read-ahead still in flight is
+    /// abandoned (and recorded as wasted); a reader rewound at the end of
+    /// its array has none.
+    pub fn rewind(&mut self) {
+        self.abandon_pending();
+        self.buf.clear();
+        self.pos = 0;
+        self.consumed = 0;
+        self.next_fetch = 0;
+    }
+
+    /// The array being read.
+    pub fn source(&self) -> &ExtVec<R> {
+        arr(&self.vec)
+    }
+
     /// Externally managed (forecast-mode) reader: read-ahead capacity `cap`,
     /// but nothing is ever submitted except through
     /// [`prefetch_one`](Self::prefetch_one).  No budget is charged — the
     /// managing forecaster owns the shared pool charge.
-    pub(crate) fn with_forecast(vec: &'a ExtVec<R>, start: u64, cap: usize) -> Self {
+    pub(crate) fn with_forecast(vec: V, start: u64, cap: usize) -> Self {
         let mut r = Self::new(vec, start);
         r.depth = cap;
         r.managed = true;
-        r.next_fetch = (start / vec.per_block() as u64) as usize;
+        r.next_fetch = (start / arr(&r.vec).per_block() as u64) as usize;
         r
     }
 
     /// Records not yet returned.
     pub fn remaining(&self) -> u64 {
-        self.vec.len() - self.consumed
+        arr(&self.vec).len() - self.consumed
     }
 
     /// The read-ahead depth actually granted by the budget.
@@ -376,15 +438,15 @@ impl<'a, R: Record> ExtVecReader<'a, R> {
 
     /// True if sequential blocks remain that have not been submitted yet.
     pub fn has_unfetched(&self) -> bool {
-        self.next_fetch < self.vec.num_blocks()
+        self.next_fetch < arr(&self.vec).num_blocks()
     }
 
     /// Leading key of the next block this reader would prefetch — the
     /// forecast datum of Vitter's merge sort.  `None` once every block has
     /// been submitted, or if the array carries no block-head metadata.
     pub fn next_fetch_head(&self) -> Option<&R> {
-        if self.next_fetch < self.vec.num_blocks() {
-            self.vec.block_head(self.next_fetch)
+        if self.next_fetch < arr(&self.vec).num_blocks() {
+            arr(&self.vec).block_head(self.next_fetch)
         } else {
             None
         }
@@ -397,10 +459,10 @@ impl<'a, R: Record> ExtVecReader<'a, R> {
     ///
     /// [`next_fetch_head`]: Self::next_fetch_head
     pub fn next_fetch_lane(&self) -> Option<usize> {
-        if self.next_fetch < self.vec.num_blocks() {
-            self.vec
+        if self.next_fetch < arr(&self.vec).num_blocks() {
+            arr(&self.vec)
                 .device()
-                .lane_of(self.vec.block_id(self.next_fetch))
+                .lane_of(arr(&self.vec).block_id(self.next_fetch))
         } else {
             None
         }
@@ -414,10 +476,9 @@ impl<'a, R: Record> ExtVecReader<'a, R> {
             return;
         }
         for (bi, _) in &self.pending {
-            let lane = self
-                .vec
+            let lane = arr(&self.vec)
                 .device()
-                .lane_of(self.vec.block_id(*bi))
+                .lane_of(arr(&self.vec).block_id(*bi))
                 .unwrap_or(0);
             counts[lane % counts.len()] += 1;
         }
@@ -432,16 +493,16 @@ impl<'a, R: Record> ExtVecReader<'a, R> {
         if !self.managed
             || self.depth == 0
             || self.pending.len() >= self.depth
-            || self.next_fetch >= self.vec.num_blocks()
+            || self.next_fetch >= arr(&self.vec).num_blocks()
         {
             return false;
         }
         let buf = self
             .spare
             .pop()
-            .unwrap_or_else(|| vec![0u8; self.vec.device().block_size()].into_boxed_slice());
-        let id = self.vec.block_id(self.next_fetch);
-        let device = self.vec.device();
+            .unwrap_or_else(|| vec![0u8; arr(&self.vec).device().block_size()].into_boxed_slice());
+        let id = arr(&self.vec).block_id(self.next_fetch);
+        let device = arr(&self.vec).device();
         let ticket = device.submit_read(id, buf);
         let stats = device.stats();
         stats.record_prefetch();
@@ -453,22 +514,26 @@ impl<'a, R: Record> ExtVecReader<'a, R> {
 
     /// Look at the next record without consuming it.  Costs an I/O only at
     /// block boundaries.
+    #[inline]
     pub fn peek(&mut self) -> Result<Option<&R>> {
-        if self.remaining() == 0 {
-            return Ok(None);
-        }
         if self.pos >= self.buf.len() {
+            if self.remaining() == 0 {
+                return Ok(None);
+            }
             self.fill()?;
         }
         Ok(Some(&self.buf[self.pos]))
     }
 
     /// Consume and return the next record.
+    #[inline]
     pub fn try_next(&mut self) -> Result<Option<R>> {
-        if self.remaining() == 0 {
-            return Ok(None);
-        }
+        // The buffer holds only live records (a partial last block decodes
+        // short), so the end of the array is checked at block boundaries.
         if self.pos >= self.buf.len() {
+            if self.remaining() == 0 {
+                return Ok(None);
+            }
             self.fill()?;
         }
         let r = self.buf[self.pos].clone();
@@ -483,43 +548,66 @@ impl<'a, R: Record> ExtVecReader<'a, R> {
         if self.depth == 0 || self.managed {
             return;
         }
-        let nblocks = self.vec.num_blocks();
+        let nblocks = arr(&self.vec).num_blocks();
         while self.pending.len() < self.depth && self.next_fetch < nblocks {
-            let buf = self
-                .spare
-                .pop()
-                .unwrap_or_else(|| vec![0u8; self.vec.device().block_size()].into_boxed_slice());
-            let ticket = self
-                .vec
+            let buf = self.spare.pop().unwrap_or_else(|| {
+                vec![0u8; arr(&self.vec).device().block_size()].into_boxed_slice()
+            });
+            let ticket = arr(&self.vec)
                 .device()
-                .submit_read(self.vec.block_id(self.next_fetch), buf);
-            self.vec.device().stats().record_prefetch();
+                .submit_read(arr(&self.vec).block_id(self.next_fetch), buf);
+            arr(&self.vec).device().stats().record_prefetch();
             self.pending.push_back((self.next_fetch, ticket));
             self.next_fetch += 1;
         }
     }
 
+    /// Forget the in-flight prefetches.  They still execute (and count) on
+    /// the device even though nobody will consume them; make that
+    /// observable.
+    fn abandon_pending(&mut self) {
+        if !self.pending.is_empty() {
+            arr(&self.vec)
+                .device()
+                .stats()
+                .record_prefetch_wasted(self.pending.len() as u64);
+            self.pending.clear();
+        }
+    }
+
+    /// The block-boundary slow path, kept out of line so `try_next` / `peek`
+    /// stay small enough to inline into merge loops.
+    #[inline(never)]
     fn fill(&mut self) -> Result<()> {
         // `consumed` points at the record we need; load its block.
-        let per = self.vec.per_block() as u64;
+        let per = arr(&self.vec).per_block() as u64;
         let bi = (self.consumed / per) as usize;
         self.pos = (self.consumed % per) as usize;
-        if self.depth > 0 {
+        // (Blocks still in flight from before a switch down to depth 0 are
+        // consumed, not re-read.)
+        if self.depth > 0 || !self.pending.is_empty() {
+            if self.pending.is_empty() && !self.managed {
+                // Nothing in flight: read-ahead was switched on after
+                // construction, or the reader was rewound.  Submit the
+                // needed block together with its successors, so even the
+                // first read of the stream keeps every lane busy.
+                self.next_fetch = bi;
+                self.top_up();
+            }
             if matches!(self.pending.front(), Some(&(front_bi, _)) if front_bi == bi) {
                 if let Some((_, ticket)) = self.pending.pop_front() {
                     let bytes = timed(&self.wait_sink, || ticket.wait())?;
-                    self.vec.decode_block(bi, &bytes, &mut self.buf);
-                    let stats = self.vec.device().stats();
+                    arr(&self.vec).decode_block(bi, &bytes, &mut self.buf);
+                    let stats = arr(&self.vec).device().stats();
                     stats.record_prefetch_hit();
                     if self.managed {
                         // The forecaster predicted this block and had it in
                         // flight when demanded.  Its buffer returns to the
                         // shared pool by being dropped (per-reader spare
                         // hoards would let total buffers exceed the pool).
-                        let lane = self
-                            .vec
+                        let lane = arr(&self.vec)
                             .device()
-                            .lane_of(self.vec.block_id(bi))
+                            .lane_of(arr(&self.vec).block_id(bi))
                             .unwrap_or(0);
                         stats.record_forecast_hit(lane);
                     } else {
@@ -530,37 +618,28 @@ impl<'a, R: Record> ExtVecReader<'a, R> {
                 }
             }
             // The needed block is not at the head of the pipeline (possible
-            // only for a freshly constructed reader whose budget granted
-            // depth 0 mid-stream, for a forecast-mode reader the forecaster
-            // has not fed yet, or after `pending` was drained at the
-            // array's end): read on demand and realign the pipeline.
+            // only for a forecast-mode reader the forecaster has not fed
+            // yet): read on demand and realign the pipeline.
             self.next_fetch = self.next_fetch.max(bi + 1);
             timed(&self.wait_sink, || {
-                self.vec.read_block_into(bi, &mut self.buf)
+                arr(&self.vec).read_block_into(bi, &mut self.buf)
             })?;
             self.top_up();
             return Ok(());
         }
         timed(&self.wait_sink, || {
-            self.vec.read_block_into(bi, &mut self.buf)
+            arr(&self.vec).read_block_into(bi, &mut self.buf)
         })
     }
 }
 
-impl<R: Record> Drop for ExtVecReader<'_, R> {
+impl<V: Borrow<ExtVec<R>>, R: Record> Drop for BlockReader<V, R> {
     fn drop(&mut self) {
-        // In-flight prefetches still execute (and count) on the device even
-        // though nobody will consume them; make that observable.
-        if !self.pending.is_empty() {
-            self.vec
-                .device()
-                .stats()
-                .record_prefetch_wasted(self.pending.len() as u64);
-        }
+        self.abandon_pending();
     }
 }
 
-impl<R: Record> Iterator for ExtVecReader<'_, R> {
+impl<V: Borrow<ExtVec<R>>, R: Record> Iterator for BlockReader<V, R> {
     type Item = R;
 
     /// Iterator convenience; panics on device error (which, for a correctly
@@ -727,6 +806,58 @@ mod overlap_tests {
         // (blocks 1..=4), none of which were consumed.
         assert_eq!(snap.prefetched(), 5);
         assert_eq!(snap.prefetch_wasted(), 4);
+    }
+
+    #[test]
+    fn cursor_reads_ahead_lazily_rewinds_and_returns_its_array() {
+        let device = dev();
+        let v = ExtVec::from_slice(device.clone(), &(0u64..100).collect::<Vec<_>>()).unwrap();
+        let budget = MemBudget::new(24);
+        let before = device.stats().snapshot();
+        let mut c = v.into_cursor();
+        c.set_read_ahead(3, &budget);
+        assert_eq!(c.prefetch_depth(), 3);
+        assert_eq!(budget.used(), 24);
+        let since = |s: &pdm::IoSnapshot| device.stats().snapshot().since(s);
+        assert_eq!(since(&before).total(), 0, "switching submits nothing");
+        // Two full passes: the second re-reads every block (a rewind at the
+        // end of the array abandons nothing).
+        for pass in 1..=2u64 {
+            let got: Vec<u64> = std::iter::from_fn(|| c.try_next().unwrap()).collect();
+            assert_eq!(got, (0..100).collect::<Vec<_>>());
+            let delta = since(&before);
+            assert_eq!(delta.reads(), 13 * pass);
+            assert_eq!(delta.prefetched(), 13 * pass, "first block included");
+            assert_eq!(delta.prefetch_hits(), 13 * pass);
+            assert_eq!(delta.prefetch_wasted(), 0);
+            c.rewind();
+        }
+        // A rewind mid-stream abandons what is in flight, observably.
+        assert_eq!(c.try_next().unwrap(), Some(0));
+        c.rewind();
+        assert_eq!(since(&before).prefetch_wasted(), 3);
+        assert_eq!(c.try_next().unwrap(), Some(0));
+        c.into_inner().free().unwrap();
+        assert_eq!(device.allocated_blocks(), 0);
+        assert_eq!(budget.used(), 0, "reserve released with the cursor");
+    }
+
+    #[test]
+    fn switching_read_ahead_off_midstream_consumes_what_is_in_flight() {
+        let device = dev();
+        let v = ExtVec::from_slice(device.clone(), &(0u64..100).collect::<Vec<_>>()).unwrap();
+        let budget = MemBudget::new(64);
+        let before = device.stats().snapshot();
+        let mut r = v.reader_prefetch(3, &budget);
+        assert_eq!(r.try_next().unwrap(), Some(0));
+        r.set_read_ahead(0, &budget);
+        assert_eq!(budget.used(), 0);
+        let rest: Vec<u64> = std::iter::from_fn(|| r.try_next().unwrap()).collect();
+        assert_eq!(rest, (1..100).collect::<Vec<_>>());
+        drop(r);
+        let delta = device.stats().snapshot().since(&before);
+        assert_eq!(delta.reads(), 13, "no block read twice");
+        assert_eq!(delta.prefetch_wasted(), 0);
     }
 
     #[test]

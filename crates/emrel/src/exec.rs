@@ -27,6 +27,17 @@
 //!   run-formation plus one final streamed merge.  Both skip the sort
 //!   entirely when the input already carries the requested [`Order`].
 //!
+//! **The drain rule** makes the pipeline's device-touching ends obey the
+//! overlap depths of [`ExecConfig`]: a consumer that will pull its child *to
+//! exhaustion* says so with [`QueryExec::drain_hint`], pure pipes forward
+//! the hint, and a [`ScanExec`] answers by reading ahead; operators that may
+//! stop early ([`LimitExec`], [`MergeJoinExec`], [`FilteringJoinExec`])
+//! swallow it, so no block is ever fetched that the synchronous pipeline
+//! would not have read and every transfer count is identical with overlap
+//! on or off.  In the other direction [`QueryExec::overlap`] reports the
+//! configured depths up the tree, which is how [`collect`] — whose
+//! signature carries no configuration — sizes its write-behind.
+//!
 //! Sort operators borrow their final-stage runs from the sorting routine's
 //! frame (see [`SortedStream`]), so pipelines containing sorts are composed
 //! in continuation-passing style: each sort driver hands the downstream
@@ -40,8 +51,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use em_core::{BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, MemBudget, Record};
-use emsort::{merge_sort_streaming, SortConfig, SortedStream, SortingWriter};
-use pdm::{Result, SharedDevice};
+use emsort::{merge_sort_streaming, OverlapConfig, SortConfig, SortedStream, SortingWriter};
+use pdm::{PdmError, Result, SharedDevice};
 
 /// Identifier of a sort key as declared by the query author.
 ///
@@ -95,6 +106,23 @@ pub trait QueryExec {
         }
         Ok(out.len())
     }
+
+    /// The consumer's promise to pull this stream **to exhaustion**, with
+    /// the per-disk overlap depths it runs at.  A leaf may then read ahead:
+    /// every prefetched block is one the consumer is certain to ask for.
+    /// Operators that pull a child exactly as far as they are pulled
+    /// themselves forward the hint to it; operators that may stop pulling a
+    /// child early must not.  Purely advisory — ignoring it (the default)
+    /// is always correct, and it never changes which transfers happen.
+    fn drain_hint(&mut self, _overlap: OverlapConfig) {}
+
+    /// The per-disk overlap depths configured for this stream's producers
+    /// ([`OverlapConfig::off`] when nothing below carries an
+    /// [`ExecConfig`]) — what a consumer without a configuration of its
+    /// own, like [`collect`], runs at.
+    fn overlap(&self) -> OverlapConfig {
+        OverlapConfig::off()
+    }
 }
 
 impl<T: QueryExec + ?Sized> QueryExec for &mut T {
@@ -107,12 +135,30 @@ impl<T: QueryExec + ?Sized> QueryExec for &mut T {
     fn order(&self) -> Order {
         (**self).order()
     }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        (**self).drain_hint(overlap)
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        (**self).overlap()
+    }
 }
 
 /// Leaf operator: stream a base relation.  `O(Scan(N))` reads, no writes.
+///
+/// The reads are on demand until a consumer promises to drain the scan
+/// ([`drain_hint`](QueryExec::drain_hint)); from its next block on the scan
+/// then keeps `read_ahead` blocks in flight per disk, charged to a budget of
+/// exactly those buffers — declared headroom beyond the operators' `M`.
+/// Same reads, submitted early.
 pub struct ScanExec<'a, R: Record> {
     reader: ExtVecReader<'a, R>,
     order: Order,
+    /// The drain hint's depths; off until a consumer promises to drain.
+    overlap: OverlapConfig,
+    /// Holds exactly the read-ahead buffers the hint declared.
+    budget: Option<Arc<MemBudget>>,
 }
 
 impl<'a, R: Record> ScanExec<'a, R> {
@@ -129,7 +175,16 @@ impl<'a, R: Record> ScanExec<'a, R> {
         ScanExec {
             reader: input.reader(),
             order,
+            overlap: OverlapConfig::off(),
+            budget: None,
         }
+    }
+
+    /// The scan's read-ahead accounting — `None` until a consumer promised
+    /// to drain it, then a budget whose capacity is exactly the declared
+    /// `read_ahead` blocks per disk.
+    pub fn budget(&self) -> Option<&Arc<MemBudget>> {
+        self.budget.as_ref()
     }
 }
 
@@ -142,6 +197,22 @@ impl<R: Record> QueryExec for ScanExec<'_, R> {
 
     fn order(&self) -> Order {
         self.order
+    }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        if overlap == self.overlap {
+            return;
+        }
+        let input = self.reader.source();
+        let blocks = overlap.for_lanes(input.device().stream_lanes()).read_ahead;
+        let budget = MemBudget::new(blocks * input.per_block());
+        self.reader.set_read_ahead(blocks, &budget);
+        self.budget = Some(budget);
+        self.overlap = overlap;
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.overlap
     }
 }
 
@@ -181,6 +252,14 @@ where
 
     fn order(&self) -> Order {
         self.child.order()
+    }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        self.child.drain_hint(overlap)
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.child.overlap()
     }
 }
 
@@ -233,9 +312,21 @@ where
     fn order(&self) -> Order {
         self.order
     }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        self.child.drain_hint(overlap)
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.child.overlap()
+    }
 }
 
 /// Cut the stream off after `n` records.  Preserves order.
+///
+/// Stops pulling its child early, so it does **not** forward
+/// [`drain_hint`](QueryExec::drain_hint): a scan under a limit reads on
+/// demand, and no block beyond the cut is ever fetched.
 pub struct LimitExec<S> {
     child: S,
     remaining: u64,
@@ -269,6 +360,10 @@ impl<S: QueryExec> QueryExec for LimitExec<S> {
 
     fn order(&self) -> Order {
         self.child.order()
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.child.overlap()
     }
 }
 
@@ -310,6 +405,14 @@ where
 
     fn order(&self) -> Order {
         self.child.order()
+    }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        self.child.drain_hint(overlap)
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.child.overlap()
     }
 }
 
@@ -404,6 +507,14 @@ where
     fn order(&self) -> Order {
         self.out_order
     }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        self.child.drain_hint(overlap)
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.child.overlap()
+    }
 }
 
 /// Sort-merge equi-join over two streams sorted on the join key: the left
@@ -411,6 +522,9 @@ where
 /// and charged against a [`MemBudget`] (a group larger than `M` is a model
 /// violation and panics, the standard sort-merge-join assumption).  Output
 /// follows the left stream's order.
+///
+/// The join ends when its left side does, leaving the right side partly
+/// read, so it does **not** forward [`drain_hint`](QueryExec::drain_hint).
 pub struct MergeJoinExec<LS, RS, K, KL, KR, MK, O>
 where
     LS: QueryExec,
@@ -528,6 +642,10 @@ where
     fn order(&self) -> Order {
         self.left.order()
     }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.left.overlap()
+    }
 }
 
 /// Which records a [`FilteringJoinExec`] keeps.
@@ -543,6 +661,8 @@ pub enum FilterJoinKind {
 /// Semi-/anti-join over two streams sorted on the join key: emits the left
 /// records whose key does (semi) or does not (anti) appear on the right.
 /// Needs no group buffering — one right record of look-ahead suffices.
+/// Like [`MergeJoinExec`] it may leave its right side partly read and does
+/// not forward [`drain_hint`](QueryExec::drain_hint).
 pub struct FilteringJoinExec<LS, RS, K, KL, KR>
 where
     LS: QueryExec,
@@ -620,6 +740,10 @@ where
     fn order(&self) -> Order {
         self.left.order()
     }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.left.overlap()
+    }
 }
 
 /// The planner's small-side join: absorb the entire build stream into an
@@ -653,9 +777,12 @@ where
     MK: FnMut(&PS::Item, &BR) -> O,
 {
     /// Drain `build` into an in-memory table keyed by `key_b`, charging its
-    /// record count against a fresh budget of `mem_records` (exceeding it is
-    /// a model-violation panic — the planner's feasibility check exists to
-    /// prevent ever getting there).  `probe` then streams past the table.
+    /// record count against a fresh budget of `mem_records`.  A build side
+    /// that does not fit is [`PdmError::MemoryExceeded`] (the planner prices
+    /// it at ∞; the operator refuses rather than silently exceed `M`).
+    /// `probe` then streams past the table, and is drained exactly when the
+    /// join is — so the join forwards
+    /// [`drain_hint`](QueryExec::drain_hint) to it.
     pub fn build(
         build: &mut dyn QueryExec<Item = BR>,
         probe: PS,
@@ -668,8 +795,14 @@ where
         let mut table: BTreeMap<K, Vec<BR>> = BTreeMap::new();
         let mut n = 0usize;
         while let Some(b) = build.try_next()? {
-            table.entry(key_b(&b)).or_default().push(b);
             n += 1;
+            if n > mem_records {
+                return Err(PdmError::MemoryExceeded {
+                    needed: n,
+                    available: mem_records,
+                });
+            }
+            table.entry(key_b(&b)).or_default().push(b);
         }
         let charge = budget.charge(n);
         Ok(TinyBuildJoinExec {
@@ -721,6 +854,14 @@ where
 
     fn order(&self) -> Order {
         self.probe.order()
+    }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        self.probe.drain_hint(overlap)
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.probe.overlap()
     }
 }
 
@@ -836,6 +977,14 @@ where
     fn order(&self) -> Order {
         self.out_order
     }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        self.child.drain_hint(overlap)
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.child.overlap()
+    }
 }
 
 /// Adapter presenting a borrowed [`SortedStream`] — the fused final merge
@@ -843,6 +992,7 @@ where
 pub struct SortStreamExec<'s, 'a, R: Record, F> {
     inner: &'s mut SortedStream<'a, R, F>,
     order: Order,
+    overlap: OverlapConfig,
 }
 
 impl<'s, 'a, R, F> SortStreamExec<'s, 'a, R, F>
@@ -852,7 +1002,18 @@ where
 {
     /// Wrap `inner`, declaring the key it is sorted by.
     pub fn new(inner: &'s mut SortedStream<'a, R, F>, order: Order) -> Self {
-        SortStreamExec { inner, order }
+        SortStreamExec {
+            inner,
+            order,
+            overlap: OverlapConfig::off(),
+        }
+    }
+
+    /// Builder: the overlap depths of the sort that produced `inner`,
+    /// reported upward by [`overlap`](QueryExec::overlap).
+    pub fn with_overlap(mut self, overlap: OverlapConfig) -> Self {
+        self.overlap = overlap;
+        self
     }
 }
 
@@ -870,10 +1031,21 @@ where
     fn order(&self) -> Order {
         self.order
     }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.overlap
+    }
 }
 
 /// Execution parameters of one query: the sort configuration plus the
 /// pipeline-fusion switch.
+///
+/// `sort.overlap` governs **every** device-touching step of the pipeline,
+/// not only its sorts and hash partitions: operators built from this
+/// configuration pass its per-disk depths down to the scans they drain
+/// ([`QueryExec::drain_hint`]) and report them up to the sink
+/// ([`QueryExec::overlap`]), so leaves read ahead and [`collect`] writes
+/// behind at the same depths.  Transfer counts do not depend on it.
 ///
 /// With `fusion` on (the default) operator boundaries stream: sorts run as
 /// run-formation plus one final streamed merge, and pipes hand records
@@ -884,7 +1056,8 @@ where
 /// way; only transfer counts differ.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
-    /// Sort parameters (memory budget `M`, kernel, overlap, …).
+    /// Sort parameters (memory budget `M`, kernel, …) and the overlap depths
+    /// of the whole pipeline.
     pub sort: SortConfig,
     /// Stream operator boundaries (true) or materialize each one (false).
     pub fusion: bool,
@@ -946,7 +1119,7 @@ where
     }
     let sc = cfg.sort_config();
     merge_sort_streaming(input, &sc, less, |s| {
-        consume(&mut SortStreamExec::new(s, Order::Key(key)))
+        consume(&mut SortStreamExec::new(s, Order::Key(key)).with_overlap(sc.overlap))
     })
 }
 
@@ -973,10 +1146,13 @@ where
     }
     let sc = cfg.sort_config();
     let mut w = SortingWriter::new(device.clone(), &sc, less);
+    child.drain_hint(sc.overlap);
     while let Some(r) = child.try_next()? {
         w.push(r)?;
     }
-    w.finish_streaming(|s| consume(&mut SortStreamExec::new(s, Order::Key(key))))
+    w.finish_streaming(|s| {
+        consume(&mut SortStreamExec::new(s, Order::Key(key)).with_overlap(sc.overlap))
+    })
 }
 
 /// An operator boundary that fuses to nothing: with [`ExecConfig::fusion`]
@@ -997,11 +1173,8 @@ where
         return consume(child);
     }
     let order = child.order();
-    let mut w: ExtVecWriter<R> = ExtVecWriter::new(device.clone());
-    while let Some(r) = child.try_next()? {
-        w.push(r)?;
-    }
-    let v = w.finish()?;
+    let overlap = cfg.sort.overlap;
+    let v = drain_into(child, device, overlap, &sink_budget::<R>(device, overlap))?;
     let out = {
         let mut scan = ScanExec::with_order(&v, order);
         consume(&mut scan)?
@@ -1012,11 +1185,38 @@ where
 
 /// Drain `exec` into a new external array on `device` — the root sink of a
 /// pipeline.  Costs one write per output block.
+///
+/// The sink runs at the overlap depths its root operator reports
+/// ([`QueryExec::overlap`]): it promises the pipeline a full drain at those
+/// depths and retires its own output blocks by write-behind.
 pub fn collect<R: Record>(
     exec: &mut dyn QueryExec<Item = R>,
     device: &SharedDevice,
 ) -> Result<ExtVec<R>> {
-    let mut w: ExtVecWriter<R> = ExtVecWriter::new(device.clone());
+    let overlap = exec.overlap();
+    drain_into(exec, device, overlap, &sink_budget::<R>(device, overlap))
+}
+
+/// What a sink of `R` records on `device` declares at `overlap`: a budget of
+/// exactly its `write_behind` blocks per disk — headroom beyond the
+/// operators' `M`, like a scan's read-ahead.
+fn sink_budget<R: Record>(device: &SharedDevice, overlap: OverlapConfig) -> Arc<MemBudget> {
+    let blocks = overlap.for_lanes(device.stream_lanes()).write_behind;
+    MemBudget::new(blocks * ExtVec::<R>::per_block_on(device))
+}
+
+/// The materializing sink behind [`collect`] and the fusion-off
+/// [`pipe_boundary`]: tell `exec` it will be drained at `overlap`, then
+/// write every record out, writing behind as deep as `budget` has room for.
+fn drain_into<R: Record>(
+    exec: &mut dyn QueryExec<Item = R>,
+    device: &SharedDevice,
+    overlap: OverlapConfig,
+    budget: &Arc<MemBudget>,
+) -> Result<ExtVec<R>> {
+    let depth = budget.available() / ExtVec::<R>::per_block_on(device);
+    let mut w: ExtVecWriter<R> = ExtVecWriter::with_write_behind(device.clone(), depth, budget);
+    exec.drain_hint(overlap);
     while let Some(r) = exec.try_next()? {
         w.push(r)?;
     }
@@ -1027,9 +1227,162 @@ pub fn collect<R: Record>(
 mod tests {
     use super::*;
     use em_core::EmConfig;
+    use pdm::{DiskArray, IoMode, Placement};
 
     fn device() -> SharedDevice {
         EmConfig::new(256, 16).ram_disk()
+    }
+
+    /// Two overlapped disks, 256-byte blocks, consecutive blocks on
+    /// alternating disks.
+    fn array() -> SharedDevice {
+        DiskArray::new_ram_with(2, 256, Placement::Independent, IoMode::Overlapped)
+    }
+
+    #[test]
+    fn scan_and_sink_charge_exactly_their_declared_headroom() {
+        let d = array();
+        let v = ExtVec::from_slice(d.clone(), &(0u64..2000).collect::<Vec<_>>()).unwrap();
+        let (b, lanes) = (v.per_block(), d.stream_lanes());
+        let overlap = OverlapConfig {
+            read_ahead: 2,
+            write_behind: 3,
+        };
+        let before = d.stats().snapshot();
+        let mut scan = ScanExec::new(&v);
+        assert!(scan.budget().is_none(), "no hint, no read-ahead");
+        let sink = sink_budget::<u64>(&d, overlap);
+        let out = drain_into(&mut scan, &d, overlap, &sink).unwrap();
+        assert_eq!(scan.overlap(), overlap, "the sink's hint reached the leaf");
+        let leaf = scan.budget().expect("hinted");
+        assert_eq!(leaf.capacity(), 2 * lanes * b);
+        assert_eq!(leaf.high_water(), 2 * lanes * b);
+        assert_eq!(sink.capacity(), 3 * lanes * b);
+        assert_eq!(sink.high_water(), 3 * lanes * b);
+        assert_eq!(sink.used(), 0, "released when the sink finished");
+        let ios = d.stats().snapshot().since(&before);
+        assert_eq!(ios.reads(), v.num_blocks() as u64);
+        assert_eq!(ios.writes(), out.num_blocks() as u64);
+        assert_eq!(ios.prefetched(), ios.reads(), "every read was issued ahead");
+        assert_eq!(ios.prefetch_wasted(), 0);
+        assert_eq!(out.to_vec().unwrap(), v.to_vec().unwrap());
+    }
+
+    #[test]
+    fn early_stopping_operators_swallow_the_drain_hint() {
+        let d = array();
+        let v = ExtVec::from_slice(d.clone(), &(0u64..640).map(|i| (i, i)).collect::<Vec<_>>())
+            .unwrap();
+        let few = ExtVec::from_slice(d.clone(), &[(3u64, 0u64), (5, 0)]).unwrap();
+        let cfg =
+            ExecConfig::from_sort(SortConfig::new(256).with_overlap(OverlapConfig::symmetric(2)))
+                .with_fusion(false);
+        // Each pipeline is drained by the fusion-off materializer at depth
+        // 2 and must read exactly the blocks its synchronous twin reads.
+        type Pipeline<'a> = Box<dyn Fn(&ExecConfig) -> Result<Vec<(u64, u64)>> + 'a>;
+        let drained = |root: &mut dyn QueryExec<Item = (u64, u64)>, cfg: &ExecConfig| {
+            pipe_boundary(root, &d, cfg, |s| {
+                let mut got = Vec::new();
+                while let Some(r) = s.try_next()? {
+                    got.push(r);
+                }
+                Ok(got)
+            })
+        };
+        // (name, stops reading `v` early, pipeline)
+        let pipelines: Vec<(&str, bool, Pipeline)> = vec![
+            (
+                "limit over a scan",
+                true,
+                Box::new(|cfg| drained(&mut LimitExec::new(ScanExec::new(&v), 20), cfg)),
+            ),
+            (
+                "merge join whose left side ends first",
+                true,
+                Box::new(|cfg| {
+                    let mut j = MergeJoinExec::new(
+                        ScanExec::with_order(&few, Order::Key(1)),
+                        ScanExec::with_order(&v, Order::Key(1)),
+                        |l: &(u64, u64)| l.0,
+                        |r: &(u64, u64)| r.0,
+                        |l: &(u64, u64), r: &(u64, u64)| (l.0, r.1),
+                        64,
+                    );
+                    drained(&mut j, cfg)
+                }),
+            ),
+            (
+                // The join outlives its right side: the left drains on.
+                "merge join whose right side ends first",
+                false,
+                Box::new(|cfg| {
+                    let mut j = MergeJoinExec::new(
+                        ScanExec::with_order(&v, Order::Key(1)),
+                        ScanExec::with_order(&few, Order::Key(1)),
+                        |l: &(u64, u64)| l.0,
+                        |r: &(u64, u64)| r.0,
+                        |l: &(u64, u64), r: &(u64, u64)| (l.0, r.1),
+                        64,
+                    );
+                    drained(&mut j, cfg)
+                }),
+            ),
+            (
+                "semi-join against a short right side",
+                true,
+                Box::new(|cfg| {
+                    let mut j = FilteringJoinExec::new(
+                        ScanExec::with_order(&few, Order::Key(1)),
+                        ScanExec::with_order(&v, Order::Key(1)),
+                        |l: &(u64, u64)| l.0,
+                        |r: &(u64, u64)| r.0,
+                        FilterJoinKind::Semi,
+                    );
+                    drained(&mut j, cfg)
+                }),
+            ),
+        ];
+        let sync =
+            ExecConfig::from_sort(cfg.sort.with_overlap(OverlapConfig::off())).with_fusion(false);
+        for (name, stops_early, run) in &pipelines {
+            let t0 = d.stats().snapshot();
+            let expect = run(&sync).unwrap();
+            let t1 = d.stats().snapshot();
+            let got = run(&cfg).unwrap();
+            let (a, b) = (t1.since(&t0), d.stats().snapshot().since(&t1));
+            assert_eq!(got, expect, "{name}");
+            assert_eq!((b.reads(), b.writes()), (a.reads(), a.writes()), "{name}");
+            assert_eq!(b.prefetch_wasted(), 0, "{name}");
+            assert_eq!(b.reads() < v.num_blocks() as u64, *stops_early, "{name}");
+        }
+    }
+
+    #[test]
+    fn tiny_build_over_budget_is_a_typed_error() {
+        let d = device();
+        let build = ExtVec::from_slice(d.clone(), &(0u64..300).map(|k| (k, k)).collect::<Vec<_>>())
+            .unwrap();
+        let probe = ExtVec::from_slice(d.clone(), &[(1u64, 1u64)]).unwrap();
+        let allocated = d.allocated_blocks();
+        let mut bscan = ScanExec::new(&build);
+        #[allow(clippy::type_complexity)]
+        let j: Result<TinyBuildJoinExec<_, u64, (u64, u64), _, _, (u64, u64)>> =
+            TinyBuildJoinExec::build(
+                &mut bscan,
+                ScanExec::new(&probe),
+                |b| b.0,
+                |p: &(u64, u64)| p.0,
+                |p, b| (p.0, b.1),
+                256,
+            );
+        match j.err().expect("a build side over M must not build") {
+            e @ PdmError::MemoryExceeded { needed, available } => {
+                assert_eq!((needed, available), (257, 256));
+                assert!(!e.is_transient());
+            }
+            other => panic!("expected MemoryExceeded, got {other}"),
+        }
+        assert_eq!(d.allocated_blocks(), allocated);
     }
 
     #[test]

@@ -23,6 +23,13 @@
 //! function of the records' level-0 key hashes and arrival order, so
 //! `em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios}` replay
 //! the exact transfer counts — zero-slack, like the sort operators.
+//!
+//! Overlap never enters those decisions.  Each operator's [`MemBudget`] is
+//! `M` plus `(read_ahead + F·write_behind)·B` of declared headroom; the
+//! partition writers, the partition readers and — once the operator itself
+//! has been promised a full drain ([`QueryExec::drain_hint`]) — the
+//! [`ExtVecCursor`]s it reads across calls all draw their queues from that
+//! headroom, never from `M`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
@@ -30,60 +37,29 @@ use std::sync::Arc;
 
 use em_core::bounds::HASH_MAX_LEVELS;
 use em_core::hash::level_bucket;
-use em_core::{BudgetGuard, ExtVec, MemBudget, Record};
+use em_core::{BudgetGuard, ExtVec, ExtVecCursor, MemBudget, Record};
 use emhash::partition::{KeyHasher, PartitionPass};
 use emsort::{merge_sort_by, OverlapConfig};
-use pdm::{Result, SharedDevice};
+use pdm::{PdmError, Result, SharedDevice};
 
 use crate::exec::{ExecConfig, Order, QueryExec};
 
-/// Sequential block-at-a-time cursor over an owned [`ExtVec`] — the
-/// restartable read path the pair-at-a-time join states need (a borrowed
-/// reader cannot live across `try_next` calls).  One block of records is
-/// buffered; [`rewind`](Self::rewind) restarts the scan, paying the reads
-/// again (that re-read *is* the block-nested-loop cost).
-struct VecCursor<R: Record> {
+/// Open `vec` for reading across `try_next` calls.  A drained operator
+/// reads it ahead at `overlap`'s per-disk depth out of `budget`'s headroom
+/// (every block will be consumed); otherwise the cursor reads on demand, so
+/// a consumer that stops early never leaves a fetched block behind.
+fn open_cursor<R: Record>(
     vec: ExtVec<R>,
-    bi: usize,
-    buf: Vec<R>,
-    at: usize,
-}
-
-impl<R: Record> VecCursor<R> {
-    fn new(vec: ExtVec<R>) -> Self {
-        VecCursor {
-            vec,
-            bi: 0,
-            buf: Vec::new(),
-            at: 0,
-        }
+    drained: bool,
+    overlap: OverlapConfig,
+    budget: &Arc<MemBudget>,
+) -> ExtVecCursor<R> {
+    let lanes = vec.device().stream_lanes();
+    let mut cursor = vec.into_cursor();
+    if drained {
+        cursor.set_read_ahead(overlap.for_lanes(lanes).read_ahead, budget);
     }
-
-    fn next(&mut self) -> Result<Option<R>> {
-        loop {
-            if self.at < self.buf.len() {
-                let r = self.buf[self.at].clone();
-                self.at += 1;
-                return Ok(Some(r));
-            }
-            if self.bi >= self.vec.num_blocks() {
-                return Ok(None);
-            }
-            self.vec.read_block_into(self.bi, &mut self.buf)?;
-            self.bi += 1;
-            self.at = 0;
-        }
-    }
-
-    fn rewind(&mut self) {
-        self.bi = 0;
-        self.at = 0;
-        self.buf.clear();
-    }
-
-    fn free(self) -> Result<()> {
-        self.vec.free()
-    }
+    cursor
 }
 
 /// Hybrid hash aggregation: group `child` by an extracted key with a
@@ -128,8 +104,10 @@ where
     queue: Vec<(ExtVec<R>, usize, bool)>,
     /// Active sort-fallback stream: the sorted partition plus one record
     /// of look-ahead for the group boundary.
-    fb: Option<VecCursor<R>>,
+    fb: Option<ExtVecCursor<R>>,
     fb_pending: Option<R>,
+    /// The consumer promised to drain this operator.
+    drained: bool,
     _k: PhantomData<K>,
 }
 
@@ -145,8 +123,9 @@ where
 {
     /// Drain `child` through the hybrid level-0 pass (absorbing what fits,
     /// spilling the rest `fan_out` ways on `device`), ready to emit.
-    /// `cfg.sort` supplies the memory budget `M`, the overlap depths, and
-    /// the skew fallback's sort parameters.
+    /// `cfg.sort` supplies the memory budget `M`, the overlap depths (handed
+    /// on to `child` with the promise to drain it), and the skew fallback's
+    /// sort parameters.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         child: &mut dyn QueryExec<Item = R>,
@@ -187,8 +166,10 @@ where
             queue: Vec::new(),
             fb: None,
             fb_pending: None,
+            drained: false,
             _k: PhantomData,
         };
+        child.drain_hint(cfg.sort.overlap);
         let cap = m - (fan_out + 1) * b;
         let mut table: BTreeMap<K, (Acc, u64)> = BTreeMap::new();
         let mut fed = 0u64;
@@ -210,6 +191,13 @@ where
         this.enqueue_children(children, 1, fed)?;
         this.emit_table(table);
         Ok(this)
+    }
+
+    /// The operator's memory accounting: capacity `M + (read_ahead +
+    /// F·write_behind)·B`, with [`high_water`](MemBudget::high_water) the
+    /// most it ever held — the number a memory audit reads.
+    pub fn budget(&self) -> &Arc<MemBudget> {
+        &self.budget
     }
 
     /// The hybrid routing step shared by every pass level: fold if the key
@@ -288,7 +276,12 @@ where
             let kf = &self.key;
             let sorted = merge_sort_by(&part, &self.cfg.sort, move |a, b| kf(a) < kf(b))?;
             part.free()?;
-            self.fb = Some(VecCursor::new(sorted));
+            self.fb = Some(open_cursor(
+                sorted,
+                self.drained,
+                self.cfg.sort.overlap,
+                &self.budget,
+            ));
             self.fb_pending = None;
             return Ok(());
         }
@@ -325,10 +318,10 @@ where
         };
         let first = match self.fb_pending.take() {
             Some(r) => r,
-            None => match cur.next()? {
+            None => match cur.try_next()? {
                 Some(r) => r,
                 None => {
-                    self.fb.take().unwrap().free()?;
+                    self.fb.take().unwrap().into_inner().free()?;
                     return Ok(None);
                 }
             },
@@ -339,7 +332,7 @@ where
         let mut n = 1u64;
         loop {
             let cur = self.fb.as_mut().unwrap();
-            match cur.next()? {
+            match cur.try_next()? {
                 Some(r) if (self.key)(&r) == k => {
                     (self.fold)(&mut acc, &r);
                     n += 1;
@@ -386,6 +379,14 @@ where
 
     fn order(&self) -> Order {
         Order::Unordered
+    }
+
+    fn drain_hint(&mut self, _overlap: OverlapConfig) {
+        self.drained = true;
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.cfg.sort.overlap
     }
 }
 
@@ -448,6 +449,14 @@ where
     fn order(&self) -> Order {
         Order::Unordered
     }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        self.inner.drain_hint(overlap)
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.inner.overlap()
+    }
 }
 
 /// One `(build, probe)` partition pair being consumed by chunked
@@ -456,8 +465,8 @@ where
 /// per chunk.  A pair whose build side fits is one chunk — the plain
 /// "read the build into a table, stream the probe" resident case.
 struct PairLoop<K, BR: Record, PR: Record> {
-    bcur: VecCursor<BR>,
-    pcur: VecCursor<PR>,
+    bcur: ExtVecCursor<BR>,
+    pcur: ExtVecCursor<PR>,
     table: BTreeMap<K, Vec<BR>>,
     chunk: usize,
     loaded: bool,
@@ -473,7 +482,8 @@ struct PairLoop<K, BR: Record, PR: Record> {
 /// in-memory table charged to the budget; bucket-0 probe records match
 /// against it in-stream.  The planner prices a hybrid whose bucket 0
 /// exceeds `M − (F+1)·(B_build + B_probe)` at **∞**; executing one anyway
-/// is a model violation and panics.
+/// is a model violation and [`build`](Self::build) returns
+/// [`PdmError::MemoryExceeded`].
 ///
 /// Probe records whose build bucket is empty are dropped before spilling
 /// (they can match nothing).  Oversized pairs re-partition pairwise at the
@@ -509,6 +519,8 @@ where
     probe_pass: Option<PartitionPass<PS::Item>>,
     probe_charge: Option<BudgetGuard>,
     probing: bool,
+    /// The consumer promised to drain this operator.
+    drained: bool,
     /// Pending `(build, probe, level, fed)` pairs, popped LIFO in
     /// bucket-DFS order; `fed` is the build-record count of the pass that
     /// produced the pair (the no-shrink skew test).
@@ -531,7 +543,13 @@ where
     /// Drain `build` into `fan_out` level-0 partitions on `device` (bucket
     /// 0 resident when `hybrid`), ready to stream `probe` past them.
     /// `make(b, p)` is emitted for every key-equal pair; `cfg.sort`
-    /// supplies `M` and the overlap depths.
+    /// supplies `M` and the overlap depths (handed on to `build` with the
+    /// promise to drain it; `probe` is drained only as far as the join is,
+    /// so it gets the hint when the join does).
+    ///
+    /// A hybrid whose bucket 0 outgrows its `M − (F+1)·(B_build + B_probe)`
+    /// residency is [`PdmError::MemoryExceeded`]; the partitions spilled so
+    /// far are freed before returning.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         build: &mut dyn QueryExec<Item = BR>,
@@ -561,6 +579,7 @@ where
         let mut hasher = KeyHasher::new();
         let mut resident_recs: Vec<BR> = Vec::new();
         let mut total = 0u64;
+        build.drain_hint(overlap);
         let parts = {
             let mut pass = PartitionPass::new(device, fan_out, 0, overlap, &budget);
             let _charge = budget.charge((fan_out + 1) * b_build);
@@ -568,13 +587,16 @@ where
                 total += 1;
                 let h0 = hasher.hash(&key_b(&r));
                 if hybrid && level_bucket(h0, 0, fan_out) == 0 {
+                    if resident_recs.len() == resident_cap {
+                        for part in pass.finish()? {
+                            part.free()?;
+                        }
+                        return Err(PdmError::MemoryExceeded {
+                            needed: resident_cap + 1,
+                            available: resident_cap,
+                        });
+                    }
                     resident_recs.push(r);
-                    assert!(
-                        resident_recs.len() <= resident_cap,
-                        "hybrid hash join build residue exceeds memory \
-                         ({} > {resident_cap} records) — the planner prices this regime at ∞",
-                        resident_recs.len()
-                    );
                 } else {
                     pass.push(h0, r)?;
                 }
@@ -611,10 +633,19 @@ where
             probe_pass: Some(probe_pass),
             probe_charge: Some(probe_charge),
             probing: true,
+            drained: false,
             pairs: Vec::new(),
             pair: None,
             out: VecDeque::new(),
         })
+    }
+
+    /// The operator's memory accounting: capacity `M + (read_ahead +
+    /// F·write_behind)·(B_build + B_probe)`, with
+    /// [`high_water`](MemBudget::high_water) the most it ever held — the
+    /// number a memory audit reads.
+    pub fn budget(&self) -> &Arc<MemBudget> {
+        &self.budget
     }
 
     /// Route one probe record, or — on exhaustion — close the probe pass
@@ -685,8 +716,8 @@ where
                 .budget
                 .charge(chunk.min(bn as usize) + self.b_build + self.b_probe);
             self.pair = Some(PairLoop {
-                bcur: VecCursor::new(bv),
-                pcur: VecCursor::new(pv),
+                bcur: open_cursor(bv, self.drained, self.overlap, &self.budget),
+                pcur: open_cursor(pv, self.drained, self.overlap, &self.budget),
                 table: BTreeMap::new(),
                 chunk,
                 loaded: false,
@@ -748,7 +779,7 @@ where
                 pair.table.clear();
                 let mut n = 0usize;
                 while n < pair.chunk {
-                    match pair.bcur.next()? {
+                    match pair.bcur.try_next()? {
                         Some(r) => {
                             let k = (self.key_b)(&r);
                             pair.table.entry(k).or_default().push(r);
@@ -759,15 +790,15 @@ where
                 }
                 if n == 0 {
                     let done = self.pair.take().unwrap();
-                    done.bcur.free()?;
-                    done.pcur.free()?;
+                    done.bcur.into_inner().free()?;
+                    done.pcur.into_inner().free()?;
                     return Ok(());
                 }
                 pair.pcur.rewind();
                 pair.loaded = true;
             }
             loop {
-                match pair.pcur.next()? {
+                match pair.pcur.try_next()? {
                     Some(p) => {
                         let k = (self.key_p)(&p);
                         if let Some(ms) = pair.table.get(&k) {
@@ -825,6 +856,15 @@ where
 
     fn order(&self) -> Order {
         Order::Unordered
+    }
+
+    fn drain_hint(&mut self, _overlap: OverlapConfig) {
+        self.drained = true;
+        self.probe.drain_hint(self.overlap);
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.overlap
     }
 }
 
@@ -1099,27 +1139,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "build residue exceeds memory")]
-    fn infeasible_hybrid_panics_as_model_violation() {
+    fn infeasible_hybrid_is_a_typed_error_and_frees_its_spills() {
         // M = 8 blocks leaves a zero-record hybrid residency budget, so the
-        // first bucket-0 build record is already a model violation.
+        // first bucket-0 build record is already a model violation.  It
+        // arrives after 600 records of another bucket have spilled.
         let cfg = EmConfig::new(256, 8);
         let d = cfg.ram_disk();
         let m = cfg.mem_records::<(u64, u64)>();
-        // All-equal build keys land every record in hybrid bucket 0 only if
-        // the shared key routes there; force it by trying keys until one
-        // does (level_bucket(·, 0, F) is deterministic).
-        let key = (0..u64::MAX)
-            .find(|&k| level_bucket(key_hash(k), 0, 3) == 0)
-            .unwrap();
-        let build: Vec<(u64, u64)> = (0..2000).map(|i| (key, i)).collect();
+        // level_bucket(·, 0, F) is deterministic: search for one key that
+        // routes to hybrid bucket 0 and one that does not.
+        let routes_to_0 = |k: &u64| level_bucket(key_hash(*k), 0, 3) == 0;
+        let resident_key = (0..u64::MAX).find(routes_to_0).unwrap();
+        let spilled_key = (0..u64::MAX).find(|k| !routes_to_0(k)).unwrap();
+        let build: Vec<(u64, u64)> = (0..600)
+            .map(|i| (spilled_key, i))
+            .chain((0..10).map(|i| (resident_key, i)))
+            .collect();
         let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
-        let pv = ExtVec::from_slice(d.clone(), &[(key, 1u64)]).unwrap();
+        let pv = ExtVec::from_slice(d.clone(), &[(resident_key, 1u64)]).unwrap();
         let ecfg = ExecConfig::new(m);
+        let allocated = d.allocated_blocks();
         let mut bscan = ScanExec::new(&bv);
         let pscan = ScanExec::new(&pv);
         #[allow(clippy::type_complexity)]
-        let _j: Result<HashJoinExec<_, u64, (u64, u64), _, _, _, (u64, u64, u64)>> =
+        let j: Result<HashJoinExec<_, u64, (u64, u64), _, _, _, (u64, u64, u64)>> =
             HashJoinExec::build(
                 &mut bscan,
                 pscan,
@@ -1131,38 +1174,13 @@ mod tests {
                 |r: &(u64, u64)| r.0,
                 |b, p| (b.0, b.1, p.1),
             );
-    }
-
-    #[test]
-    fn overlap_leaves_hash_join_transfers_unchanged() {
-        let mut totals = Vec::new();
-        for depth in [0usize, 4] {
-            let (d, m) = device(16);
-            let build = pairs(2000, 5000, 0xABCD_EF13);
-            let probe = pairs(6000, 5000, 0x1357_9BD1);
-            let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
-            let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
-            let mut cfg = ExecConfig::new(m);
-            cfg.sort.overlap = emsort::OverlapConfig::symmetric(depth);
-            let before = d.stats().snapshot();
-            let mut bscan = ScanExec::new(&bv);
-            let pscan = ScanExec::new(&pv);
-            let mut j: HashJoinExec<_, u64, (u64, u64), _, _, _, (u64, u64, u64)> =
-                HashJoinExec::build(
-                    &mut bscan,
-                    pscan,
-                    &d,
-                    &cfg,
-                    4,
-                    false,
-                    |r: &(u64, u64)| r.0,
-                    |r: &(u64, u64)| r.0,
-                    |b, p| (b.0, b.1, p.1),
-                )
-                .unwrap();
-            collect(&mut j, &d).unwrap();
-            totals.push(d.stats().snapshot().since(&before).total());
+        match j.err().expect("an infeasible hybrid must not build") {
+            e @ PdmError::MemoryExceeded { needed, available } => {
+                assert_eq!((needed, available), (1, 0));
+                assert!(!e.is_transient());
+            }
+            other => panic!("expected MemoryExceeded, got {other}"),
         }
-        assert_eq!(totals[0], totals[1]);
+        assert_eq!(d.allocated_blocks(), allocated, "spilled partitions freed");
     }
 }

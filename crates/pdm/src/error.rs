@@ -42,6 +42,16 @@ pub enum PdmError {
         /// The error returned by the final attempt.
         last: Box<PdmError>,
     },
+    /// An operator was asked to hold more records in internal memory than
+    /// its budget `M` allows — a model violation by the caller's plan (the
+    /// planner prices such plans at ∞), reported instead of silently
+    /// exceeding `M`.
+    MemoryExceeded {
+        /// Records the operator would have had to keep resident.
+        needed: usize,
+        /// Records its memory budget had room for.
+        available: usize,
+    },
 }
 
 impl PdmError {
@@ -80,6 +90,12 @@ impl fmt::Display for PdmError {
                 write!(
                     f,
                     "disk {disk} block {block}: giving up after {attempts} attempts: {last}"
+                )
+            }
+            PdmError::MemoryExceeded { needed, available } => {
+                write!(
+                    f,
+                    "memory budget exceeded: {needed} records needed, {available} available"
                 )
             }
         }
@@ -132,6 +148,13 @@ mod tests {
                     block: 64,
                 },
                 "record size 128 exceeds device block size 64",
+            ),
+            (
+                PdmError::MemoryExceeded {
+                    needed: 300,
+                    available: 256,
+                },
+                "memory budget exceeded: 300 records needed, 256 available",
             ),
         ];
         for (err, expect) in cases {
