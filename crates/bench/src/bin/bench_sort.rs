@@ -1,35 +1,24 @@
-//! Wall-clock benchmark: the modern-PDM engine variants raced against the
-//! incumbent across placement, I/O mode, and disk count.
+//! Wall-clock benchmark: the sort engine across placement, I/O mode, and
+//! disk count.
 //!
 //! For each `D ∈ {1, 2, 4}` this sorts the same data on a `D`-disk file
-//! array through every cell of **variant × placement × mode**:
-//!
-//! * `incumbent` — PR 4's engine (load-sort runs, loser-tree merge,
-//!   forecasting prefetch) on both `striped` and `independent` placement;
-//! * `srm` — the incumbent engine on [`Placement::Srm`]: each stream's start
-//!   lane chosen by a seeded hash instead of the fixed `r mod D` stagger
-//!   (Barve–Grove–Vitter simple randomized merging);
-//! * `randomized_cycling` — the incumbent engine on
-//!   [`Placement::RandomizedCycling`]: each stream walks its own seeded
-//!   permutation of the lanes (Vitter–Hutchinson);
-//! * `guided` — independent placement with [`MergeKernel::Guided`]: merge
-//!   prefetches planned once from the guide sequence (Hagerup's Guidesort)
-//!   instead of per-pump forecasting;
-//! * `ram_efficient` — independent placement with
-//!   [`RunFormation::RamEfficient`]: runs formed by sorting each arriving
-//!   block and loser-tree merging the pieces (Arge–Thorup), hiding the
-//!   run-formation CPU under the read stream.
+//! array through every cell of **placement × mode**: `striped`,
+//! `independent` (stream `r` starts on lane `r mod D`) and
+//! `randomized_cycling` (each stream walks its own seeded permutation of the
+//! lanes, Vitter–Hutchinson), each synchronous and overlapped.  The engine
+//! variants this binary used to race (SRM placement, guided prefetch,
+//! RAM-efficient run formation, the heap kernel) were removed once the race
+//! was settled; EXPERIMENTS.md F19 keeps its table.
 //!
 //! Every cell of one `D` sorts identical data and must produce
-//! byte-identical output (checksummed and asserted).  All B-block placements
-//! (everything but `striped`) must move exactly the same transfer counts —
-//! lane choice, prefetch schedule, and run-formation order are pure
-//! placement/scheduling — and every cell must match the closed-form
-//! `Sort(N)` prediction (`em_core::bounds::merge_sort_ios`) at its logical
-//! block size.  Striping merges with logical blocks of `D·B`, so the fan-in
-//! drops from `Θ(M/B)` to `Θ(M/(DB))` and extra merge passes appear
-//! (experiment F17); the B-block cells at D ∈ {2, 4} must finish in a single
-//! merge pass with exactly the D=1 transfer counts.
+//! byte-identical output (checksummed and asserted).  The two B-block
+//! placements must move exactly the same transfer counts — lane choice is
+//! pure placement — and every cell must match the closed-form `Sort(N)`
+//! prediction (`em_core::bounds::merge_sort_ios`) at its logical block size.
+//! Striping merges with logical blocks of `D·B`, so the fan-in drops from
+//! `Θ(M/B)` to `Θ(M/(DB))` and extra merge passes appear (experiment F17);
+//! the B-block cells at D ∈ {2, 4} must finish in a single merge pass with
+//! exactly the D=1 transfer counts.
 //!
 //! Each member disk carries a simulated per-transfer **service time**
 //! ([`DiskArray::new_file_with_service`]): benchmark files this small live
@@ -41,13 +30,12 @@
 //! once, and overlapped I/O hides device time behind the merge kernel.
 //!
 //! Methodology: every configuration runs one discarded **warmup** pass
-//! (which doubles as the merge-kernel cross-check — the binary-heap kernel
-//! must move exactly the blocks the variant's own kernel does), then the
-//! median wall time of `TRIALS` measured passes is reported, along with the
-//! per-phase breakdown (run formation vs. merge, CPU vs. I/O wait) and the
-//! forecast counters — split per lane — of the median trial.  Results go to
-//! stdout as a markdown table and to `BENCH_sort.json`
-//! (`schema_version` 2: rows carry a `variant` field).
+//! (checked for order and checksummed), then the median wall time of
+//! `TRIALS` measured passes is reported, along with the per-phase breakdown
+//! (run formation vs. merge, CPU vs. I/O wait) and the forecast counters —
+//! split per lane — of the median trial.  Results go to stdout as a markdown
+//! table and to `BENCH_sort.json` (`schema_version` 3: rows no longer carry
+//! a `variant` field).
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_sort [-- N] [-- --smoke]
@@ -56,17 +44,16 @@
 //! `--smoke` runs a small-N, fewer-trial variant that checks every
 //! count/content invariant (including the single-pass regression guard) —
 //! the CI configuration.  It writes BENCH_sort.json too, so CI can archive
-//! the bench trajectory as a workflow artifact.  The wall-clock race guard
-//! (the D=4 winner among the new variants must beat the incumbent at
-//! equal-or-fewer transfers) runs on full invocations only, where the
-//! simulated service time dominates timing noise.
+//! the bench trajectory as a workflow artifact.  The wall-clock guard
+//! (independent beats striped wherever striping pays an extra pass) runs on
+//! full invocations only, where the simulated service time dominates timing
+//! noise.
 
 use std::time::Instant;
 
+use em_core::hash::fnv1a_words as fnv1a;
 use em_core::{bounds, ExtVec};
-use emsort::{
-    merge_sort, merge_sort_with_metrics, MergeKernel, OverlapConfig, RunFormation, SortConfig,
-};
+use emsort::{merge_sort, merge_sort_with_metrics, OverlapConfig, SortConfig};
 use pdm::{DiskArray, IoMode, Placement, SharedDevice};
 use rand::prelude::*;
 
@@ -86,71 +73,21 @@ const SERVICE_US: u64 = 400;
 const TRIALS: usize = 5;
 const SMOKE_TRIALS: usize = 3;
 const SMOKE_N: u64 = 300_000;
-/// Seeds for the randomized placements: fixed so every invocation lays
-/// blocks out identically (the placements are seeded-deterministic).
-const SRM_SEED: u64 = 0x5EED_0001;
+/// Seed of the randomized placement: fixed so every invocation lays blocks
+/// out identically (the placement is seeded-deterministic).
 const CYCLING_SEED: u64 = 0x5EED_0002;
-/// BENCH_sort.json schema: 2 added the top-level `schema_version` and the
-/// per-row `variant` field (version 1 rows carry neither).
-const SCHEMA_VERSION: u32 = 2;
+/// BENCH_sort.json schema: 2 added the top-level `schema_version` and a
+/// per-row `variant` field; 3 dropped `variant` with the variants.
+const SCHEMA_VERSION: u32 = 3;
 
-/// One engine variant of the race (see the module docs).
-#[derive(Clone, Copy, PartialEq)]
-enum Variant {
-    Incumbent,
-    Srm,
-    Cycling,
-    Guided,
-    RamEfficient,
-}
-
-impl Variant {
-    fn label(self) -> &'static str {
-        match self {
-            Variant::Incumbent => "incumbent",
-            Variant::Srm => "srm",
-            Variant::Cycling => "randomized_cycling",
-            Variant::Guided => "guided",
-            Variant::RamEfficient => "ram_efficient",
-        }
-    }
-
-    /// The merge kernel the measured trials run.
-    fn kernel(self) -> MergeKernel {
-        match self {
-            Variant::Guided => MergeKernel::Guided,
-            _ => MergeKernel::LoserTree,
-        }
-    }
-
-    fn run_formation(self) -> RunFormation {
-        match self {
-            Variant::RamEfficient => RunFormation::RamEfficient,
-            _ => RunFormation::LoadSort,
-        }
-    }
-}
-
-/// The variant × placement cells of one (D, mode) slice.  The placement
-/// variants *are* their placement; the engine variants run on independent
-/// placement (the PR 4 winner) so the race isolates one change per cell.
-fn cells() -> Vec<(Variant, Placement)> {
-    vec![
-        (Variant::Incumbent, Placement::Striped),
-        (Variant::Incumbent, Placement::Independent),
-        (Variant::Srm, Placement::Srm { seed: SRM_SEED }),
-        (
-            Variant::Cycling,
-            Placement::RandomizedCycling { seed: CYCLING_SEED },
-        ),
-        (Variant::Guided, Placement::Independent),
-        (Variant::RamEfficient, Placement::Independent),
-    ]
-}
+const PLACEMENTS: [Placement; 3] = [
+    Placement::Striped,
+    Placement::Independent,
+    Placement::RandomizedCycling { seed: CYCLING_SEED },
+];
 
 struct RunResult {
     d: usize,
-    variant: &'static str,
     placement: &'static str,
     mode: &'static str,
     /// Fan-in of the merge at this placement's logical block size.
@@ -184,23 +121,13 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     p
 }
 
-use em_core::hash::fnv1a_words as fnv1a;
-
-fn run_one(
-    d: usize,
-    variant: Variant,
-    placement: Placement,
-    mode: IoMode,
-    n: u64,
-    trials: usize,
-) -> RunResult {
+fn run_one(d: usize, placement: Placement, mode: IoMode, n: u64, trials: usize) -> RunResult {
     let label = match mode {
         IoMode::Synchronous => "sync",
         IoMode::Overlapped => "overlapped",
     };
     let pl_label = placement.label();
-    let v_label = variant.label();
-    let dir = tmpdir(&format!("{v_label}-{pl_label}-{label}-d{d}"));
+    let dir = tmpdir(&format!("{pl_label}-{label}-d{d}"));
     let arr = DiskArray::new_file_with_service(
         &dir,
         d,
@@ -212,8 +139,8 @@ fn run_one(
     .expect("create disk array");
     let device = arr.clone() as SharedDevice;
 
-    // Same seed per D regardless of variant/placement/mode: every cell of
-    // one D sorts identical data.
+    // Same seed per D regardless of placement/mode: every cell of one D
+    // sorts identical data.
     let mut rng = StdRng::seed_from_u64(n ^ d as u64);
     let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
     let input = ExtVec::from_slice(device.clone(), &data).expect("write input");
@@ -222,17 +149,13 @@ fn run_one(
         IoMode::Synchronous => OverlapConfig::off(),
         IoMode::Overlapped => OverlapConfig::symmetric(DEPTH),
     };
-    let cfg = SortConfig::new(MEM_RECORDS)
-        .with_overlap(overlap)
-        .with_run_formation(variant.run_formation());
+    let cfg = SortConfig::new(MEM_RECORDS).with_overlap(overlap);
     let fan_in = cfg.effective_fan_in(input.per_block());
 
-    // Warmup pass (cold caches; discarded from timing).  It runs the
-    // binary-heap kernel so the timed trials below can be checked against
-    // it: the kernel is pure compute and must not move a single I/O.
+    // Warmup pass (cold caches; discarded from timing), checked in full.
     let before = device.stats().snapshot();
-    let out = merge_sort(&input, &cfg.with_merge_kernel(MergeKernel::Heap)).expect("warmup sort");
-    let heap_delta = device.stats().snapshot().since(&before);
+    let out = merge_sort(&input, &cfg).expect("warmup sort");
+    let warm_delta = device.stats().snapshot().since(&before);
     assert_eq!(out.len(), n);
     let v = out.to_vec().expect("read output");
     assert!(v.windows(2).all(|w| w[0] <= w[1]), "output not sorted");
@@ -240,28 +163,24 @@ fn run_one(
     drop(v);
     out.free().expect("free warmup output");
 
-    // Measured trials: identical input, the variant's own kernel, per-phase
-    // metrics.  Counts must repeat exactly — the pipeline is deterministic.
+    // Measured trials: identical input, per-phase metrics.  Counts must
+    // repeat exactly — the pipeline is deterministic.
     let mut measured = Vec::with_capacity(trials);
     for trial in 0..trials {
         let before = device.stats().snapshot();
         let start = Instant::now();
-        let (out, metrics) = merge_sort_with_metrics(
-            &input,
-            &cfg.with_merge_kernel(variant.kernel()),
-            |a: &u64, b: &u64| a < b,
-        )
-        .expect("sort");
+        let (out, metrics) =
+            merge_sort_with_metrics(&input, &cfg, |a: &u64, b: &u64| a < b).expect("sort");
         let secs = start.elapsed().as_secs_f64();
         let delta = device.stats().snapshot().since(&before);
         assert_eq!(out.len(), n);
         out.free().expect("free output");
         assert_eq!(
-            (heap_delta.reads(), heap_delta.writes()),
+            (warm_delta.reads(), warm_delta.writes()),
             (delta.reads(), delta.writes()),
-            "D={d} {v_label} {pl_label} {label} trial {trial}: kernel or trial changed the transfer counts"
+            "D={d} {pl_label} {label} trial {trial}: transfer counts changed between passes"
         );
-        assert_eq!(heap_delta.parallel_time(), delta.parallel_time());
+        assert_eq!(warm_delta.parallel_time(), delta.parallel_time());
         measured.push((secs, metrics, delta));
     }
     // Median by wall time.
@@ -276,7 +195,6 @@ fn run_one(
 
     RunResult {
         d,
-        variant: v_label,
         placement: pl_label,
         mode: label,
         fan_in,
@@ -302,21 +220,15 @@ fn run_one(
     }
 }
 
-fn join_u64(v: &[u64]) -> String {
+fn join_u64(v: &[u64], sep: &str) -> String {
     v.iter()
         .map(|x| x.to_string())
         .collect::<Vec<_>>()
-        .join("/")
+        .join(sep)
 }
 
 fn json_u64_array(v: &[u64]) -> String {
-    format!(
-        "[{}]",
-        v.iter()
-            .map(|x| x.to_string())
-            .collect::<Vec<_>>()
-            .join(", ")
-    )
+    format!("[{}]", join_u64(v, ", "))
 }
 
 fn main() {
@@ -332,7 +244,7 @@ fn main() {
     let n = n_arg.unwrap_or(if smoke { SMOKE_N } else { 2_000_000 });
     let trials = if smoke { SMOKE_TRIALS } else { TRIALS };
 
-    println!("# External sort: engine variants × placement × I/O mode");
+    println!("# External sort: placement × I/O mode × D");
     println!(
         "\nN = {n} u64 records, M = {MEM_RECORDS} records, physical block = {PHYS_BLOCK} B, \
          overlap depth = {DEPTH}, device service time = {SERVICE_US} µs/transfer, \
@@ -341,171 +253,100 @@ fn main() {
 
     let mut results: Vec<RunResult> = Vec::new();
     for d in [1usize, 2, 4] {
-        for (variant, placement) in cells() {
-            let sync = run_one(d, variant, placement, IoMode::Synchronous, n, trials);
-            let over = run_one(d, variant, placement, IoMode::Overlapped, n, trials);
+        for placement in PLACEMENTS {
+            let sync = run_one(d, placement, IoMode::Synchronous, n, trials);
+            let over = run_one(d, placement, IoMode::Overlapped, n, trials);
             // The hard invariant of the scheduler: mode never changes the
             // model counts, only when the transfers run.
             assert_eq!(
-                (sync.reads, sync.writes),
-                (over.reads, over.writes),
-                "I/O counts diverged between modes at D={d} {} {}",
-                sync.variant,
+                (sync.reads, sync.writes, sync.parallel_time),
+                (over.reads, over.writes, over.parallel_time),
+                "I/O counts or parallel time diverged between modes at D={d} {}",
                 sync.placement
-            );
-            assert_eq!(
-                sync.parallel_time, over.parallel_time,
-                "parallel time diverged at D={d} {} {}",
-                sync.variant, sync.placement
             );
             assert!(
                 over.forecast_hits > 0,
-                "scheduled prefetch inactive in overlapped run at D={d} {} {}",
-                sync.variant,
+                "forecasting inactive in overlapped run at D={d} {}",
                 sync.placement
             );
             results.push(sync);
             results.push(over);
         }
     }
+    let cell = |d: usize, placement: &str, mode: &str| {
+        results
+            .iter()
+            .find(|r| r.d == d && r.placement == placement && r.mode == mode)
+            .expect("cell present")
+    };
 
-    // Byte-identity across the matrix: every cell of one D sorted the same
-    // records, so every cell must produce the identical output — placement,
-    // kernel, prefetch schedule, and run formation are content-neutral.
-    for d in [1usize, 2, 4] {
-        let mut iter = results.iter().filter(|r| r.d == d);
-        let first = iter.next().expect("at least one cell per D");
-        for r in iter {
-            assert_eq!(
-                r.checksum, first.checksum,
-                "D={d} {} {} {}: output differs from {} {} {}",
-                r.variant, r.placement, r.mode, first.variant, first.placement, first.mode
-            );
-        }
-    }
-
-    // Transfer equality: all B-block cells (everything but striped) of one
-    // (D, mode) must move exactly the incumbent independent counts — lane
-    // choice (srm / cycling), guide scheduling, and RAM-efficient run
-    // formation are pure placement/scheduling.
-    for d in [1usize, 2, 4] {
-        for mode in ["sync", "overlapped"] {
-            let base = results
-                .iter()
-                .find(|r| {
-                    r.d == d
-                        && r.variant == "incumbent"
-                        && r.placement == "independent"
-                        && r.mode == mode
-                })
-                .expect("incumbent independent run present");
-            for r in results
-                .iter()
-                .filter(|r| r.d == d && r.mode == mode && r.placement != "striped")
-            {
-                assert_eq!(
-                    (r.reads, r.writes),
-                    (base.reads, base.writes),
-                    "D={d} {mode} {} {}: transfer counts differ from the incumbent",
-                    r.variant,
-                    r.placement
-                );
-            }
-        }
-    }
-
-    // Closed-form Sort(N) check: member-disk transfers must match
-    // 2·⌈N/B_logical⌉·passes at each cell's logical block size (× D under
-    // striping, whose logical transfers occupy all members).  Partial runs
-    // and partial blocks add slack; stay within 10%.
     for r in &results {
+        let at = format!("D={} {} {}", r.d, r.placement, r.mode);
+        // Byte-identity across the matrix: every cell of one D sorted the
+        // same records — placement and mode are content-neutral.
+        assert_eq!(
+            r.checksum,
+            cell(r.d, "striped", "sync").checksum,
+            "{at}: output differs from the striped sync cell"
+        );
+        // Closed-form Sort(N) check: member-disk transfers must match
+        // 2·⌈N/B_logical⌉·passes at the cell's logical block size (× D under
+        // striping, whose logical transfers occupy all members).  Partial
+        // runs and partial blocks add slack; stay within 10%.
         let phys_records = PHYS_BLOCK / 8;
-        let (b_logical, members) = if r.placement == "striped" {
-            (r.d * phys_records, r.d as f64)
-        } else {
+        let b_block = r.placement != "striped";
+        let (b_logical, members) = if b_block {
             (phys_records, 1.0)
+        } else {
+            (r.d * phys_records, r.d as f64)
         };
         let predicted = bounds::merge_sort_ios(n, MEM_RECORDS, b_logical, r.fan_in) * members;
         let measured = (r.reads + r.writes) as f64;
         assert!(
             (measured - predicted).abs() / predicted < 0.10,
-            "D={} {} {} {}: measured {measured} transfers vs predicted {predicted}",
-            r.d,
-            r.variant,
-            r.placement,
-            r.mode
+            "{at}: measured {measured} transfers vs predicted {predicted}"
         );
-    }
-
-    // Regression guard — the PR 4 bound-level claim, now for every B-block
-    // placement: the logical block stays at B, so the merge fan-in stays
-    // Θ(M/B) at any D and the sort must finish in ONE merge pass with
-    // exactly the transfer counts of the single-disk run.  Striping, with
-    // its D·B logical block, cannot do this once D·B shrinks the fan-in
-    // enough.
-    let indep_d1 = results
-        .iter()
-        .find(|r| {
-            r.d == 1
-                && r.variant == "incumbent"
-                && r.placement == "independent"
-                && r.mode == "overlapped"
-        })
-        .expect("D=1 incumbent independent overlapped run");
-    for r in results
-        .iter()
-        .filter(|r| r.d > 1 && r.placement != "striped")
-    {
-        assert_eq!(
-            r.merge_passes, 1,
-            "{} {} D={} {}: expected a single merge pass, got {}",
-            r.variant, r.placement, r.d, r.mode, r.merge_passes
-        );
+        if !b_block {
+            continue;
+        }
+        // Transfer equality, and the full-fan-in regression guard: the
+        // logical block stays at B, so the merge fan-in stays Θ(M/B) at any
+        // D and every B-block cell must move exactly the transfers of the
+        // single-disk independent run — which lane serves a block is pure
+        // placement — in ONE merge pass.  Striping, with its D·B logical
+        // block, cannot do this once D·B shrinks the fan-in enough.
+        let base = cell(1, "independent", r.mode);
         assert_eq!(
             (r.reads, r.writes),
-            (indep_d1.reads, indep_d1.writes),
-            "{} {} D={} {}: transfer counts differ from the D=1 run",
-            r.variant,
-            r.placement,
-            r.d,
-            r.mode
+            (base.reads, base.writes),
+            "{at}: transfer counts differ from the D=1 independent run"
         );
+        if r.d > 1 {
+            assert_eq!(r.merge_passes, 1, "{at}: expected a single merge pass");
+        }
+        // Per-lane forecast accounting must be live on every multi-disk
+        // B-block overlapped run: each lane issues and hits.
+        if r.d > 1 && r.mode == "overlapped" {
+            assert!(
+                r.forecast_issued_by_lane.iter().all(|&c| c > 0)
+                    && r.forecast_hits_by_lane.iter().all(|&c| c > 0),
+                "{at}: a lane saw no forecast prefetches or hits: {:?} / {:?}",
+                r.forecast_issued_by_lane,
+                r.forecast_hits_by_lane
+            );
+        }
     }
-    // Per-lane forecast accounting must be live on every multi-disk B-block
-    // overlapped run: each lane issues and hits, whichever scheduler
-    // (forecaster or guide) plans the prefetches.
-    for r in results
-        .iter()
-        .filter(|r| r.d > 1 && r.placement != "striped" && r.mode == "overlapped")
-    {
-        assert!(
-            r.forecast_issued_by_lane.iter().all(|&c| c > 0),
-            "D={} {} {}: a lane saw no scheduled prefetches: {:?}",
-            r.d,
-            r.variant,
-            r.placement,
-            r.forecast_issued_by_lane
-        );
-        assert!(
-            r.forecast_hits_by_lane.iter().all(|&c| c > 0),
-            "D={} {} {}: a lane saw no prefetch hits: {:?}",
-            r.d,
-            r.variant,
-            r.placement,
-            r.forecast_hits_by_lane
-        );
-    }
-    println!("| D | variant | placement | mode | fan-in | wall (s) | runform (s) | merge (s) | io-wait (s) | passes | reads | writes | prefetched | hits | fc issued | fc hits | fc issued/lane | depth hwm/lane | speedup |");
-    println!("|---|---------|-----------|------|--------|----------|-------------|-----------|-------------|--------|-------|--------|------------|------|-----------|---------|----------------|----------------|---------|");
+
+    println!("| D | placement | mode | fan-in | wall (s) | runform (s) | merge (s) | io-wait (s) | passes | reads | writes | prefetched | hits | fc issued | fc hits | fc issued/lane | depth hwm/lane | speedup |");
+    println!("|---|-----------|------|--------|----------|-------------|-----------|-------------|--------|-------|--------|------------|------|-----------|---------|----------------|----------------|---------|");
     let mut json_rows = Vec::new();
     for pair in results.chunks(2) {
         let sync = &pair[0];
         for r in pair {
             let speedup = sync.secs / r.secs;
             println!(
-                "| {} | {} | {} | {} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}x |",
+                "| {} | {} | {} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}x |",
                 r.d,
-                r.variant,
                 r.placement,
                 r.mode,
                 r.fan_in,
@@ -520,12 +361,12 @@ fn main() {
                 r.prefetch_hits,
                 r.forecast_issued,
                 r.forecast_hits,
-                join_u64(&r.forecast_issued_by_lane),
-                join_u64(&r.queue_depth_hwm_by_lane),
+                join_u64(&r.forecast_issued_by_lane, "/"),
+                join_u64(&r.queue_depth_hwm_by_lane, "/"),
                 speedup
             );
             json_rows.push(format!(
-                "    {{\"d\": {}, \"variant\": \"{}\", \"placement\": \"{}\", \"mode\": \"{}\", \
+                "    {{\"d\": {}, \"placement\": \"{}\", \"mode\": \"{}\", \
                  \"fan_in\": {}, \
                  \"wall_seconds\": {:.6}, \"reads\": {}, \
                  \"writes\": {}, \"parallel_time\": {}, \"max_queue_depth\": {}, \
@@ -537,7 +378,6 @@ fn main() {
                  \"merge_io_wait_seconds\": {:.6}, \"merge_passes\": {}, \"trials\": {}, \
                  \"speedup_vs_sync\": {:.4}}}",
                 r.d,
-                r.variant,
                 r.placement,
                 r.mode,
                 r.fan_in,
@@ -565,7 +405,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"benchmark\": \"sort_variant_x_placement_x_io_mode\",\n  \
+        "{{\n  \"benchmark\": \"sort_placement_x_io_mode\",\n  \
          \"schema_version\": {SCHEMA_VERSION},\n  \"n\": {n},\n  \
          \"mem_records\": {MEM_RECORDS},\n  \"physical_block_bytes\": {PHYS_BLOCK},\n  \
          \"overlap_depth\": {DEPTH},\n  \
@@ -576,95 +416,34 @@ fn main() {
     std::fs::write("BENCH_sort.json", &json).expect("write BENCH_sort.json");
     println!("\nwrote BENCH_sort.json");
 
-    // The headline comparisons at D=4, both overlapped: the PR 4 story
-    // (striped vs. independent) and the PR 6 race (new variants vs. the
-    // incumbent).
-    let striped4 = results
-        .iter()
-        .find(|r| r.d == 4 && r.placement == "striped" && r.mode == "overlapped")
-        .unwrap();
-    let indep4 = results
-        .iter()
-        .find(|r| {
-            r.d == 4
-                && r.variant == "incumbent"
-                && r.placement == "independent"
-                && r.mode == "overlapped"
-        })
-        .unwrap();
-    println!(
-        "\nD=4 overlapped: striped {:.3}s ({} passes, {} reads) vs independent {:.3}s ({} pass, {} reads) — {:.2}x",
-        striped4.secs,
-        striped4.merge_passes,
-        striped4.reads,
-        indep4.secs,
-        indep4.merge_passes,
-        indep4.reads,
-        striped4.secs / indep4.secs
-    );
-    let winner = results
-        .iter()
-        .filter(|r| r.d == 4 && r.mode == "overlapped" && r.variant != "incumbent")
-        .min_by(|a, b| a.secs.partial_cmp(&b.secs).expect("finite times"))
-        .expect("new-variant runs present");
-    println!(
-        "D=4 overlapped race: best new variant `{}` {:.3}s vs incumbent independent {:.3}s — {:.2}x",
-        winner.variant,
-        winner.secs,
-        indep4.secs,
-        indep4.secs / winner.secs
-    );
-
-    if !smoke {
-        // Wall-clock payoffs (full runs only; at smoke N the simulated
+    // The headline comparison, overlapped: what striping's D·B logical
+    // block costs against B-block placement at full fan-in.
+    for d in [2usize, 4] {
+        let striped = cell(d, "striped", "overlapped");
+        let indep = cell(d, "independent", "overlapped");
+        println!(
+            "D={d} overlapped: striped {:.3}s ({} passes, {} reads) vs independent {:.3}s ({} pass, {} reads) — {:.2}x",
+            striped.secs,
+            striped.merge_passes,
+            striped.reads,
+            indep.secs,
+            indep.merge_passes,
+            indep.reads,
+            striped.secs / indep.secs
+        );
+        // Wall-clock payoff (full runs only; at smoke N the simulated
         // service floor is too small for timing to be signal).  Checked
         // last, after the table and BENCH_sort.json are out, so a failure
-        // still leaves the full breakdown for diagnosis.
-        //
-        // 1. The PR 4 claim: erasing the extra striped merge pass must show
-        //    up as real time at D > 1 wherever striping actually pays that
-        //    pass.
-        for d in [2usize, 4] {
-            let striped = results
-                .iter()
-                .find(|r| r.d == d && r.placement == "striped" && r.mode == "overlapped")
-                .unwrap();
-            let indep = results
-                .iter()
-                .find(|r| {
-                    r.d == d
-                        && r.variant == "incumbent"
-                        && r.placement == "independent"
-                        && r.mode == "overlapped"
-                })
-                .unwrap();
-            if striped.merge_passes > indep.merge_passes {
-                assert!(
-                    indep.secs < striped.secs,
-                    "independent D={d} ({:.3}s) did not beat striped ({:.3}s)",
-                    indep.secs,
-                    striped.secs
-                );
-            }
+        // still leaves the full breakdown for diagnosis: erasing the extra
+        // striped merge pass must show up as real time wherever striping
+        // actually pays that pass.
+        if !smoke && striped.merge_passes > indep.merge_passes {
+            assert!(
+                indep.secs < striped.secs,
+                "independent D={d} ({:.3}s) did not beat striped ({:.3}s)",
+                indep.secs,
+                striped.secs
+            );
         }
-        // 2. The PR 6 race guard: at D=4 overlapped, the best new variant
-        //    must beat the incumbent (independent + staggered) on median
-        //    wall time at equal-or-fewer transfers.
-        assert!(
-            winner.reads + winner.writes <= indep4.reads + indep4.writes,
-            "D=4 winner `{}` moved more transfers ({} + {}) than the incumbent ({} + {})",
-            winner.variant,
-            winner.reads,
-            winner.writes,
-            indep4.reads,
-            indep4.writes
-        );
-        assert!(
-            winner.secs < indep4.secs,
-            "no new variant beat the incumbent at D=4: best `{}` {:.3}s vs {:.3}s",
-            winner.variant,
-            winner.secs,
-            indep4.secs
-        );
     }
 }

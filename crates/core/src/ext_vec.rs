@@ -332,7 +332,7 @@ impl<R: Record> ExtVec<R> {
     /// [`reader`](Self::reader), merely submitted early and in
     /// forecaster-chosen order.
     pub fn reader_forecast(&self, start: u64, cap: usize) -> ExtVecReader<'_, R> {
-        ExtVecReader::with_forecast(self, start, cap)
+        ExtVecReader::managed(self, start, cap)
     }
 
     /// Turn the array into an owning sequential reader — a reader that can

@@ -407,7 +407,7 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
     /// but nothing is ever submitted except through
     /// [`prefetch_one`](Self::prefetch_one).  No budget is charged — the
     /// managing forecaster owns the shared pool charge.
-    pub(crate) fn with_forecast(vec: V, start: u64, cap: usize) -> Self {
+    pub(crate) fn managed(vec: V, start: u64, cap: usize) -> Self {
         let mut r = Self::new(vec, start);
         r.depth = cap;
         r.managed = true;

@@ -23,7 +23,7 @@ pub struct EulerTour {
     /// All `2(N−1)` arcs, sorted by `(src, dst)`; the arc's id is its index.
     pub arcs: ExtVec<(u64, u64)>,
     /// `(arc_id, successor_arc_id)` sorted by arc id; the final arc of the
-    /// tour has successor [`NIL`].
+    /// tour has successor `NIL`.
     pub succ: ExtVec<(u64, u64)>,
     /// Arc id where the tour starts (the root's first out-arc).
     pub head: u64,

@@ -54,10 +54,9 @@ pub use time_forward::time_forward;
 ///
 /// Graph algorithms issue many sorts per round (symmetrize, hook, join,
 /// relabel, …), each taking the same [`SortConfig`].  `GraphConfig` is the
-/// single place where the memory budget, per-disk overlap depth, and
-/// forecasting policy for all of them are chosen, so benchmarks and tests
-/// can switch a whole graph computation between synchronous and overlapped
-/// I/O with one call.
+/// single place where the memory budget and per-disk overlap depth for all
+/// of them are chosen, so benchmarks and tests can switch a whole graph
+/// computation between synchronous and overlapped I/O with one call.
 ///
 /// ```
 /// use emgraph::GraphConfig;
@@ -73,8 +72,6 @@ pub struct GraphConfig {
     pub mem_records: usize,
     /// Read-ahead/write-behind depth in blocks per disk; 0 = synchronous.
     pub overlap_depth: usize,
-    /// Forecasting-driven prefetch during merge passes.
-    pub forecast: bool,
     /// Pipeline fusion: stream each sort's final merge pass straight into
     /// the consuming scan (the default).  `false` re-materializes every
     /// sorted intermediate — the pre-fusion cost, kept for A/B benchmarks.
@@ -82,31 +79,23 @@ pub struct GraphConfig {
 }
 
 impl GraphConfig {
-    /// Synchronous-I/O rounds: overlap off, forecasting on.
+    /// Synchronous-I/O rounds: overlap off.
     pub fn sync(mem_records: usize) -> Self {
         GraphConfig {
             mem_records,
             overlap_depth: 0,
-            forecast: true,
             fusion: true,
         }
     }
 
     /// Overlapped rounds: `depth` blocks of read-ahead and write-behind per
-    /// disk, forecasting on.
+    /// disk.
     pub fn overlapped(mem_records: usize, depth: usize) -> Self {
         GraphConfig {
             mem_records,
             overlap_depth: depth,
-            forecast: true,
             fusion: true,
         }
-    }
-
-    /// Toggle forecasting-driven prefetch.
-    pub fn with_forecast(mut self, forecast: bool) -> Self {
-        self.forecast = forecast;
-        self
     }
 
     /// Toggle pipeline fusion (see [`GraphConfig::fusion`]).
@@ -124,7 +113,6 @@ impl GraphConfig {
         };
         SortConfig::new(self.mem_records)
             .with_overlap(overlap)
-            .with_forecast(self.forecast)
             .with_fusion(self.fusion)
     }
 }

@@ -26,7 +26,7 @@ use pdm::Result;
 pub const NIL: u64 = u64::MAX;
 
 /// Rank the list `succ` (pairs `(node, successor)`, sorted by node id, tail
-/// successor = [`NIL`]) from `head` with unit weights: the head gets rank 0,
+/// successor = `NIL`) from `head` with unit weights: the head gets rank 0,
 /// its successor 1, and so on.  Returns `(node, rank)` sorted by node id.
 pub fn list_rank(
     succ: &ExtVec<(u64, u64)>,

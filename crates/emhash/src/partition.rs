@@ -30,9 +30,8 @@
 //!   its parent pass spilled — a duplicate-heavy key, or a 64-bit hash
 //!   collision) is **skewed**: remixing cannot split equal hashes, so the
 //!   consumer falls back to the sort path instead of burning passes;
-//! * [`HASH_MAX_LEVELS`](em_core::bounds::HASH_MAX_LEVELS) recursion levels
-//!   is a backstop for adversarially slow shrinkage, with the same sort
-//!   fallback.
+//! * [`HASH_MAX_LEVELS`] recursion levels is a backstop for adversarially
+//!   slow shrinkage, with the same sort fallback.
 
 use std::sync::Arc;
 
@@ -161,9 +160,8 @@ pub enum Partitioned<R: Record> {
     /// At most `mem_records` records: the consumer can load it and finish
     /// in memory.  The array is the consumer's to free.
     Resident(ExtVec<R>),
-    /// Stopped shrinking (equal-hash skew) or hit
-    /// [`HASH_MAX_LEVELS`](em_core::bounds::HASH_MAX_LEVELS): hashing
-    /// cannot split it further — consume it by the sort path.
+    /// Stopped shrinking (equal-hash skew) or hit [`HASH_MAX_LEVELS`]:
+    /// hashing cannot split it further — consume it by the sort path.
     Skewed(ExtVec<R>),
 }
 

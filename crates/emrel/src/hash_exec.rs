@@ -488,7 +488,7 @@ struct PairLoop<K, BR: Record, PR: Record> {
 /// Probe records whose build bucket is empty are dropped before spilling
 /// (they can match nothing).  Oversized pairs re-partition pairwise at the
 /// next remix level; a build partition that stopped shrinking (equal keys)
-/// or hit [`HASH_MAX_LEVELS`] is consumed by [`PairLoop`]'s block-nested
+/// or hit [`HASH_MAX_LEVELS`] is consumed by `PairLoop`'s block-nested
 /// rounds — never priced better than the resident case, and immune to the
 /// over-`M` key group that would panic the sort-merge path.
 pub struct HashJoinExec<PS, K, BR, KB, KP, MK, O>

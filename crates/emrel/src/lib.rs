@@ -5,12 +5,12 @@
 //! crate assembles the workspace's sorting machinery into the classic
 //! operator set twice over:
 //!
-//! * **A Volcano-style pull engine** ([`exec`] module, re-exported here):
+//! * **A Volcano-style pull engine** (`exec` module, re-exported here):
 //!   composable [`QueryExec`] operators (Scan / Filter / Project / Sort via
 //!   [`sort_scan`] / [`sort_pipe`] / SortMergeJoin / GroupBy / Distinct /
 //!   TopK / Limit) carrying sort-order metadata, fused so no operator
 //!   boundary materializes an intermediate that is consumed once.
-//! * **A PDM cost-based planner** ([`plan`] module): logical [`PlanExpr`]
+//! * **A PDM cost-based planner** (`plan` module): logical [`PlanExpr`]
 //!   trees priced in exact predicted block transfers from
 //!   [`em_core::bounds`], orderedness-aware (a Sort over already-sorted
 //!   input costs zero), with [`choose`] picking join order / strategy /
@@ -26,7 +26,7 @@
 //!   - [`distinct`] — duplicate elimination.
 //!   - [`filter_map_scan`] — one-pass selection/projection (`O(Scan(N))`).
 //!   - [`top_k_by`] — the k smallest records in one scan.
-//!   - [`concat`] — bag union (`O(Scan)`).
+//!   - [`concat()`] — bag union (`O(Scan)`).
 //!
 //! Keys are extracted by closures and compared in memory; outputs are new
 //! external arrays on the input's device.

@@ -9,9 +9,13 @@
 //! and its relatives:
 //!
 //! * [`merge_sort`] / [`merge_sort_by`] — run formation followed by
-//!   `Θ(M/B)`-way merging; run formation is either *load–sort–store* (runs of
-//!   exactly `M` records) or *replacement selection* (runs averaging `2M` on
-//!   random input) — an ablation the experiments measure.
+//!   `Θ(M/B)`-way merging with forecasting; run formation is either
+//!   *load–sort–store* (runs of exactly `M` records) or *replacement
+//!   selection* (runs averaging `2M` on random input) — an ablation the
+//!   experiments measure, and the one engine choice that is kept because it
+//!   changes run counts and transfers.  [`merge_sort_streaming`] and
+//!   [`SortingWriter`] are the same engine with the final merge handed to
+//!   the consumer, or the runs formed straight from a producer.
 //! * [`distribution_sort`] / [`distribution_sort_by`] — the dual approach:
 //!   sample pivots, partition into `Θ(M/B)` buckets, recurse.
 //! * [`permute_naive`] / [`permute_by_sort`] — both sides of the permutation
@@ -28,7 +32,7 @@
 //! exceeding the declared memory is a panic, not a silent cheat.
 //!
 //! Multi-disk behaviour needs no extra code: running any of these on a
-//! striped [`pdm::DiskArray`](em_core::pdm::DiskArray) models disk striping
+//! striped [`pdm::DiskArray`] models disk striping
 //! (block size `D·B`, fan-in `M/(DB)`), while running them on an independent
 //! array spreads each run's blocks round-robin so the parallel I/O time
 //! approaches `total/D` — the comparison of experiment F5.
@@ -39,7 +43,6 @@
 mod bmmc;
 mod distribution;
 mod forecast;
-mod guidesort;
 mod heap;
 mod losertree;
 mod merge;
@@ -51,9 +54,8 @@ mod transpose;
 pub use bmmc::{bit_reversal, bmmc_permute, perfect_shuffle, BmmcMatrix};
 pub use distribution::{distribution_sort, distribution_sort_by};
 pub use merge::{
-    merge_runs_by, merge_runs_streaming, merge_runs_with, merge_sort, merge_sort_by,
-    merge_sort_streaming, merge_sort_with_metrics, sort_into, SortMetrics, SortedStream,
-    SortingWriter,
+    merge_runs_streaming, merge_runs_with, merge_sort, merge_sort_by, merge_sort_streaming,
+    merge_sort_with_metrics, SortMetrics, SortedStream, SortingWriter,
 };
 pub use permute::{invert_permutation, permute_by_sort, permute_naive};
 pub use runs::{form_runs, RunFormation};
@@ -64,7 +66,7 @@ pub use transpose::{transpose_blocked, transpose_naive};
 ///
 /// With nonzero depths, run formation and merging keep that many extra
 /// blocks in flight per stream (issued via asynchronous device tickets), so
-/// on an overlapped [`pdm::DiskArray`](em_core::pdm::DiskArray) the disks
+/// on an overlapped [`pdm::DiskArray`] the disks
 /// work while the CPU merges.  The overlap buffers are charged against the
 /// sort's [`em_core::MemBudget`] *in addition to* the `M` records of
 /// [`SortConfig::mem_records`] — they are pipeline slack, not working
@@ -138,35 +140,6 @@ fn env_overlap() -> OverlapConfig {
     })
 }
 
-/// Which kernel drives the k-way merge.
-///
-/// Every kernel produces *identical* output (ties always resolve toward the
-/// lower run index) and performs identical I/O.  The comparison kernels
-/// differ in comparisons per record: the binary heap pays up to `2·log₂ k`,
-/// the loser tree exactly `⌈log₂ k⌉` — less on duplicate-heavy data thanks
-/// to its block-drain fast path.  [`Guided`](MergeKernel::Guided)
-/// additionally swaps the merge's prefetch *scheduler*: instead of
-/// forecasting (re-deriving the most urgent block dynamically each pump) it
-/// walks a guide sequence computed once from the runs' block heads, à la
-/// Hagerup's Guidesort — see the `guidesort` module documentation.  The
-/// enum exists so experiments can A/B them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MergeKernel {
-    /// Loser tree for `k ≥ 3`, binary heap below (where a tree has no edge).
-    #[default]
-    Auto,
-    /// Always the binary heap (one `replace_min` sift per record).
-    Heap,
-    /// Always the loser tree.
-    LoserTree,
-    /// The [`Auto`](MergeKernel::Auto) comparison kernel, with block
-    /// prefetches planned by a static guide sequence instead of dynamic
-    /// forecasting.  Takes effect when read-ahead is on and the runs carry
-    /// block-head metadata (the same preconditions as forecasting);
-    /// otherwise identical to `Auto`.  Overrides [`SortConfig::forecast`].
-    Guided,
-}
-
 /// Parameters of one external sort.
 #[derive(Debug, Clone, Copy)]
 pub struct SortConfig {
@@ -180,24 +153,13 @@ pub struct SortConfig {
     /// Read-ahead / write-behind depths (defaults to `EMSORT_OVERLAP`, which
     /// itself defaults to off).
     pub overlap: OverlapConfig,
-    /// Comparison kernel for the merge phase.
-    pub kernel: MergeKernel,
-    /// Worker threads for the in-memory sort of run formation; `0` = the
-    /// machine's available parallelism (capped at 8), `1` = sequential.
-    /// Never changes run contents or I/O counts — wall-clock only.
-    pub run_threads: usize,
-    /// Schedule merge read-ahead by block leading keys (Vitter's
-    /// forecasting) instead of uniform per-run depth.  Only takes effect
-    /// when `overlap.read_ahead > 0`; transfer counts are identical either
-    /// way.
-    pub forecast: bool,
     /// Fuse the final merge pass into the consumer in
-    /// [`merge_sort_streaming`](crate::merge_sort_streaming) /
-    /// [`sort_into`](crate::sort_into) (the default).  When disabled those
-    /// entry points materialize the sorted output and stream it back as a
-    /// plain scan — the pre-fusion "sort, write, re-read" cost, kept as an
-    /// A/B baseline for benchmarks.  Record sequences are identical either
-    /// way; only the transfer counts differ.
+    /// [`merge_sort_streaming`] and
+    /// [`SortingWriter`] (the default).  When disabled
+    /// those entry points materialize the sorted output and stream it back
+    /// as a plain scan — the pre-fusion "sort, write, re-read" cost, kept as
+    /// an A/B baseline for benchmarks.  Record sequences are identical
+    /// either way; only the transfer counts differ.
     pub fusion: bool,
 }
 
@@ -210,9 +172,6 @@ impl SortConfig {
             fan_in: None,
             run_formation: RunFormation::LoadSort,
             overlap: env_overlap(),
-            kernel: MergeKernel::Auto,
-            run_threads: 0,
-            forecast: true,
             fusion: true,
         }
     }
@@ -235,43 +194,11 @@ impl SortConfig {
         self
     }
 
-    /// Builder: select the merge comparison kernel.
-    pub fn with_merge_kernel(mut self, kernel: MergeKernel) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Builder: set the run-formation worker-thread count (`0` = auto).
-    pub fn with_run_threads(mut self, threads: usize) -> Self {
-        self.run_threads = threads;
-        self
-    }
-
-    /// Builder: enable or disable forecasting-driven merge prefetch.
-    pub fn with_forecast(mut self, forecast: bool) -> Self {
-        self.forecast = forecast;
-        self
-    }
-
     /// Builder: enable or disable pipeline fusion in the streaming sort
     /// entry points (see [`SortConfig::fusion`]).
     pub fn with_fusion(mut self, fusion: bool) -> Self {
         self.fusion = fusion;
         self
-    }
-
-    /// Worker threads run formation actually uses: the explicit value, or —
-    /// when `run_threads` is 0 — the machine's available parallelism capped
-    /// at 8.
-    pub fn effective_run_threads(&self) -> usize {
-        if self.run_threads != 0 {
-            self.run_threads
-        } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .min(8)
-        }
     }
 
     /// The fan-in actually used for a record type with `per_block` records

@@ -12,13 +12,13 @@
 //! which matches the lower bound — the headline result the experiment
 //! harness (F1/F2) verifies against [`em_core::bounds::merge_sort_ios`].
 //!
-//! The compute side of the merge is a [loser tree](crate::losertree) —
-//! `⌈log₂ k⌉` comparisons per record with a block-drain fast path — with a
-//! binary-heap kernel kept for tiny fan-ins and A/B experiments
-//! ([`MergeKernel`]).  The I/O side is schedule by *forecasting*
+//! There is one merge: [`SortedStream`], a [loser tree](crate::losertree)
+//! over the runs' readers — `⌈log₂ k⌉` comparisons per record with a
+//! block-drain fast path — whose I/O side is scheduled by *forecasting*
 //! ([`crate::forecast`]): each run's block-head keys decide which run's next
-//! block is prefetched first.  Neither choice changes which transfers
-//! happen — only when, and how much CPU sits between them.
+//! block is prefetched first.  A materialized merge is that stream drained
+//! into a write-behind writer; every sort entry point runs its passes
+//! through the same `merge_down` loop.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -29,11 +29,9 @@ use em_core::{BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, IoWaitSink, MemBu
 use pdm::{Result, SharedDevice};
 
 use crate::forecast::Forecaster;
-use crate::guidesort::GuideScheduler;
-use crate::heap::MinHeap;
 use crate::losertree::LoserTree;
-use crate::runs::{form_runs_impl, write_sorted_chunk};
-use crate::{MergeKernel, OverlapConfig, SortConfig};
+use crate::runs::{form_runs_impl, run_threads, write_sorted_chunk};
+use crate::{OverlapConfig, SortConfig};
 
 /// Sort `input` into a new external array on the same device, using natural
 /// ordering.  See [`merge_sort_by`].
@@ -118,20 +116,7 @@ where
         return Ok((ExtVec::new(input.device().clone()), metrics));
     }
     let k = cfg.effective_fan_in(input.per_block());
-    let ov = cfg.overlap;
-    // Overlap headroom beyond M: read-ahead for each of the k input runs
-    // plus write-behind for the one output stream — the writer's depth is
-    // per disk, so on an independent array it scales by the lane count to
-    // keep every disk's queue fed.  Fan-in and run sizes are computed from
-    // `mem_records` alone, so counts match the sync pipeline.
-    let lanes = input.device().stream_lanes();
-    let wb = (ov.write_behind * lanes).max(if ov.read_ahead > 0 && cfg.forecast {
-        k * ov.read_ahead
-    } else {
-        0
-    });
-    let reserve = (k * ov.read_ahead + wb) * input.per_block();
-    let budget = MemBudget::new(cfg.mem_records + reserve);
+    let budget = merge_budget(cfg, k, input.per_block(), input.device().stream_lanes());
 
     let nanos_of = |sink: &Option<IoWaitSink>| {
         sink.as_ref()
@@ -154,30 +139,15 @@ where
 
     let merge_wait: Option<IoWaitSink> = timed.then(IoWaitSink::default);
     let t1 = Instant::now();
-    let mut merged_streams = 0usize;
-    while queue.len() > 1 {
-        let take = k.min(queue.len());
-        let group: Vec<ExtVec<R>> = queue.drain(..take).collect();
-        // Stagger each merge output's start lane the way run formation
-        // staggers runs: in a multi-pass merge these streams are next-pass
-        // runs, and unstaggered equal-length runs all place block j on the
-        // same disk (see `BlockDevice::direct_next_stream`).
-        group[0].device().direct_next_stream(merged_streams);
-        merged_streams += 1;
-        let merged = merge_runs_inner(
-            &group,
-            &budget,
-            ov,
-            cfg.kernel,
-            cfg.forecast,
-            merge_wait.as_ref(),
-            less,
-        )?;
-        for run in group {
-            run.free()?;
-        }
-        queue.push_back(merged);
-    }
+    merge_down(
+        &mut queue,
+        k,
+        1,
+        &budget,
+        cfg.overlap,
+        merge_wait.as_ref(),
+        less,
+    )?;
     metrics.merge_secs = t1.elapsed().as_secs_f64();
     metrics.merge_io_wait_secs = nanos_of(&merge_wait);
     // Nonempty input always leaves exactly one run; degrade to an empty
@@ -188,40 +158,65 @@ where
     }
 }
 
-/// Merge already-sorted `runs` into one sorted array, charging
-/// `(k+1)·B` records against `budget`.
-///
-/// Exposed because other crates reuse single merges (e.g. merging delta runs
-/// in graph pipelines).  Costs one read of every input block and one write
-/// of every output block.  Runs synchronously with the default kernel; use
-/// [`merge_runs_with`] to choose overlap, kernel, and forecasting.
-pub fn merge_runs_by<R, F>(
-    runs: &[ExtVec<R>],
+/// The merge phase's budget: `M`, plus overlap headroom for read-ahead on
+/// each of the `k` input runs and write-behind on the one output stream.
+/// The writer's depth is per disk, so on an independent array it scales by
+/// `lanes` to keep every disk's queue fed, and it is at least the
+/// forecaster's pool (see [`merge_materialized`]).  Fan-in and run sizes are
+/// computed from `mem_records` alone, so counts match the sync pipeline.
+fn merge_budget(cfg: &SortConfig, k: usize, per_block: usize, lanes: usize) -> Arc<MemBudget> {
+    let ov = cfg.overlap;
+    let write_behind = (ov.write_behind * lanes).max(k * ov.read_ahead);
+    MemBudget::new(cfg.mem_records + (k * ov.read_ahead + write_behind) * per_block)
+}
+
+/// Merge passes: replace the front `k` runs of `queue` (fewer on the last
+/// group) by their merge, pushed to the back, until at most `until` runs
+/// remain.  `until = 1` sorts completely; `until = k` stops where one final
+/// `≤ k`-way merge is left for a [`SortedStream`] — the same groups, in the
+/// same order, as the first passes of the complete sort, so the transfers
+/// agree block for block.
+fn merge_down<R, F>(
+    queue: &mut VecDeque<ExtVec<R>>,
+    k: usize,
+    until: usize,
     budget: &Arc<MemBudget>,
+    ov: OverlapConfig,
+    io_wait: Option<&IoWaitSink>,
     less: F,
-) -> Result<ExtVec<R>>
+) -> Result<()>
 where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
-    merge_runs_inner(
-        runs,
-        budget,
-        OverlapConfig::off(),
-        MergeKernel::Auto,
-        false,
-        None,
-        less,
-    )
+    let mut merged_streams = 0usize;
+    while queue.len() > until {
+        let take = k.min(queue.len());
+        let group: Vec<ExtVec<R>> = queue.drain(..take).collect();
+        // Stagger each merge output's start lane the way run formation
+        // staggers runs: in a multi-pass merge these streams are next-pass
+        // runs, and unstaggered equal-length runs all place block j on the
+        // same disk (see `BlockDevice::direct_next_stream`).
+        group[0].device().direct_next_stream(merged_streams);
+        merged_streams += 1;
+        let merged = merge_materialized(&group, budget, ov, io_wait, less)?;
+        for run in group {
+            run.free()?;
+        }
+        queue.push_back(merged);
+    }
+    Ok(())
 }
 
-/// One k-way merge under `cfg`'s overlap, kernel, and forecasting choices.
+/// One k-way merge of already-sorted `runs` into one sorted array under
+/// `cfg`'s overlap depths.
 ///
-/// Charges `(k+1)·B` records against `budget`, plus (when overlap is on)
-/// whatever read-ahead pool the budget's headroom allows.  Like every
-/// overlap feature in this workspace, kernel and forecasting choices move
-/// wall-clock time only: the transfers performed are identical for every
-/// combination.
+/// Exposed because other crates reuse single merges (e.g. merging delta runs
+/// in graph pipelines).  Charges `(k+1)·B` records against `budget`, plus
+/// (when overlap is on) whatever read-ahead pool the budget's headroom
+/// allows.  Costs one read of every input block and one write of every
+/// output block; like every overlap feature in this workspace, the depths
+/// move wall-clock time only.
 pub fn merge_runs_with<R, F>(
     runs: &[ExtVec<R>],
     budget: &Arc<MemBudget>,
@@ -232,96 +227,17 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
-    merge_runs_inner(
-        runs,
-        budget,
-        cfg.overlap,
-        cfg.kernel,
-        cfg.forecast,
-        None,
-        less,
-    )
+    merge_materialized(runs, budget, cfg.overlap, None, less)
 }
 
-/// The merge's prefetch scheduler: dynamic forecasting or a static guide
-/// sequence ([`MergeKernel::Guided`]).  Both drive the same shared pool of
-/// externally managed readers; they differ only in how the next block to
-/// submit is chosen, never in which blocks are read.
-enum Prefetcher {
-    Forecast(Forecaster),
-    Guide(GuideScheduler),
-}
-
-impl Prefetcher {
-    /// Build the scheduler `kernel` and `forecast` call for, or `None` when
-    /// prefetch scheduling cannot apply (no read-ahead, fewer than two runs,
-    /// or missing block-head metadata).
-    fn build<R, F>(
-        parts: &[(&ExtVec<R>, u64)],
-        budget: &Arc<MemBudget>,
-        ov: OverlapConfig,
-        kernel: MergeKernel,
-        forecast: bool,
-        less: F,
-    ) -> Option<Self>
-    where
-        R: Record,
-        F: Fn(&R, &R) -> bool + Copy,
-    {
-        let k = parts.len();
-        let guided = kernel == MergeKernel::Guided;
-        let eligible =
-            ov.read_ahead > 0 && k >= 2 && parts.iter().all(|(r, _)| r.has_block_heads());
-        if !eligible || (!forecast && !guided) {
-            return None;
-        }
-        let b = parts.first().map_or(1, |(r, _)| r.per_block());
-        Some(if guided {
-            Prefetcher::Guide(GuideScheduler::new(budget, parts, ov.read_ahead, less))
-        } else {
-            let device = parts[0].0.device();
-            Prefetcher::Forecast(Forecaster::new(budget, k, ov.read_ahead, b, device.lanes()))
-        })
-    }
-
-    /// Blocks the scheduler's pool may keep in flight.
-    fn pool(&self) -> usize {
-        match self {
-            Prefetcher::Forecast(fc) => fc.pool(),
-            Prefetcher::Guide(g) => g.pool(),
-        }
-    }
-
-    /// Top the pool up (scheduler-specific submission order).
-    fn pump<R, F>(&self, readers: &mut [ExtVecReader<'_, R>], less: F)
-    where
-        R: Record,
-        F: Fn(&R, &R) -> bool + Copy,
-    {
-        match self {
-            Prefetcher::Forecast(fc) => fc.pump(readers, less),
-            Prefetcher::Guide(g) => g.pump(readers),
-        }
-    }
-}
-
-/// One k-way merge with optional read-ahead on each run and write-behind on
-/// the output.  The overlap buffers come from `budget` headroom via
+/// The materialized merge: a [`SortedStream`] over `runs` drained into a
+/// write-behind writer.  The overlap buffers come from `budget` headroom via
 /// `try_charge`, so a tight budget silently degrades to the synchronous
 /// merge; the transfers performed are identical either way.
-///
-/// With `forecast` on (and read-ahead requested, and block-head metadata
-/// present on every run), the per-run read-ahead buffers become one shared
-/// pool scheduled by a [`Forecaster`]: the run whose next block has the
-/// smallest leading key gets the next buffer.  With the
-/// [`Guided`](MergeKernel::Guided) kernel the pool is instead scheduled by a
-/// precomputed [`GuideScheduler`] sequence.
-fn merge_runs_inner<R, F>(
+fn merge_materialized<R, F>(
     runs: &[ExtVec<R>],
     budget: &Arc<MemBudget>,
     ov: OverlapConfig,
-    kernel: MergeKernel,
-    forecast: bool,
     io_wait: Option<&IoWaitSink>,
     less: F,
 ) -> Result<ExtVec<R>>
@@ -331,31 +247,8 @@ where
 {
     assert!(!runs.is_empty(), "nothing to merge");
     let device = runs[0].device().clone();
-    let b = runs[0].per_block();
-    let k = runs.len();
-    let _charge = budget.charge((k + 1) * b);
-
     let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
-    let fc = Prefetcher::build(&parts, budget, ov, kernel, forecast, less);
-
-    let mut readers: Vec<ExtVecReader<R>> = match &fc {
-        Some(fc) => runs
-            .iter()
-            .map(|r| r.reader_forecast(0, fc.pool()))
-            .collect(),
-        None => runs
-            .iter()
-            .map(|r| r.reader_at_prefetch(0, ov.read_ahead, budget))
-            .collect(),
-    };
-    if let Some(sink) = io_wait {
-        for rd in &mut readers {
-            rd.set_io_wait_sink(sink.clone());
-        }
-    }
-    if let Some(fc) = &fc {
-        fc.pump(&mut readers, less);
-    }
+    let mut stream = SortedStream::build(&parts, budget, ov, io_wait, less)?;
 
     // Write-behind depth is per disk: the output stream round-robins its
     // blocks across an independent array's lanes, so its queue deepens by
@@ -366,132 +259,46 @@ where
     // latency — mirroring the pool gives the writer exactly enough slack to
     // ride it out.  Like the pool itself this is budget headroom via
     // `try_charge`; it degrades gracefully and never changes a transfer.
-    let wb = (ov.write_behind * device.stream_lanes()).max(fc.as_ref().map_or(0, |f| f.pool()));
+    let pool = stream.fc.as_ref().map_or(0, Forecaster::pool);
+    let wb = (ov.write_behind * device.stream_lanes()).max(pool);
     let mut w = ExtVecWriter::with_write_behind(device, wb, budget);
     if let Some(sink) = io_wait {
         w.set_io_wait_sink(sink.clone());
     }
-
-    // Loser tree wins from k = 3 up (at k ≤ 2 the tree is the comparison).
-    let use_tree = match kernel {
-        MergeKernel::LoserTree => true,
-        MergeKernel::Heap => false,
-        MergeKernel::Auto | MergeKernel::Guided => k >= 3,
-    };
-
-    // Re-pump the forecaster roughly once per emitted block; exact cadence
-    // is irrelevant for correctness (a missed pump is just a demand read).
-    let mut since_pump = 0usize;
-    macro_rules! tick {
-        () => {
-            since_pump += 1;
-            if since_pump >= b {
-                since_pump = 0;
-                if let Some(fc) = &fc {
-                    fc.pump(&mut readers, less);
-                }
-            }
-        };
-    }
-
-    if use_tree {
-        let keys: Vec<Option<R>> = readers
-            .iter_mut()
-            .map(|rd| rd.try_next())
-            .collect::<Result<_>>()?;
-        let mut lt = LoserTree::new(keys, less);
-        while let Some(wi) = lt.winner() {
-            // Clone the challenger key so the tree is free to mutate while
-            // we drain against it (one O(1) clone per winner switch).
-            let challenger = lt.challenger().map(|(ci, ck)| (ci, ck.clone()));
-            match challenger {
-                None => {
-                    // Sole surviving run: stream it straight to the writer.
-                    w.push(lt.replace_winner(None))?;
-                    while let Some(r) = readers[wi].try_next()? {
-                        w.push(r)?;
-                        tick!();
-                    }
-                }
-                Some((ci, ck)) => {
-                    // Drain run `wi` with one comparison per record until a
-                    // record loses to the challenger (then one tree pass).
-                    loop {
-                        match readers[wi].try_next()? {
-                            Some(n) => {
-                                let still_wins = if wi < ci {
-                                    !less(&ck, &n)
-                                } else {
-                                    less(&n, &ck)
-                                };
-                                if still_wins {
-                                    w.push(lt.swap_winner(n))?;
-                                } else {
-                                    w.push(lt.replace_winner(Some(n)))?;
-                                    break;
-                                }
-                            }
-                            None => {
-                                w.push(lt.replace_winner(None))?;
-                                break;
-                            }
-                        }
-                        tick!();
-                    }
-                }
-            }
-        }
-    } else {
-        // Heap of (record, reader index); ties broken by reader index so the
-        // merge is stable across runs — the same order the loser tree
-        // produces, which the kernel-equivalence tests assert.
-        let mut heap: MinHeap<(R, usize), _> =
-            MinHeap::with_capacity(k, move |a: &(R, usize), b: &(R, usize)| {
-                less(&a.0, &b.0) || (!less(&b.0, &a.0) && a.1 < b.1)
-            });
-        for (i, rd) in readers.iter_mut().enumerate() {
-            if let Some(r) = rd.try_next()? {
-                heap.push((r, i));
-            }
-        }
-        while let Some(e) = heap.peek() {
-            let i = e.1;
-            let rec = match readers[i].try_next()? {
-                Some(next) => heap.replace_min((next, i)).0,
-                // `peek` just succeeded, so `pop` cannot miss; stop cleanly
-                // rather than panic if it ever does.
-                None => match heap.pop() {
-                    Some(e) => e.0,
-                    None => break,
-                },
-            };
-            w.push(rec)?;
-            tick!();
-        }
+    while let Some(r) = stream.try_next()? {
+        w.push(r)?;
     }
     w.finish()
 }
 
-/// Pull-mode view of one k-way merge: the final pass of
-/// [`merge_sort_streaming`] (or an explicit [`merge_runs_streaming`]) handed
-/// to the consumer closure.
+/// Pull-mode view of one k-way merge — the merge itself.  A materialized
+/// merge drains it into a writer; [`merge_sort_streaming`] (or an explicit
+/// [`merge_runs_streaming`]) hands the final pass to the consumer closure
+/// instead.
 ///
 /// [`try_next`](Self::try_next) yields the merged records in sorted order,
 /// one at a time, without ever writing them to disk — the fusion that saves
 /// the materialized output's write pass and the consumer's re-read pass
-/// (`2·⌈N/B⌉` transfers per sort whose output is scanned once).  The merge
-/// kernel (loser tree or heap), forecasting-driven read-ahead, and per-disk
-/// overlap all work exactly as in the materialized merge, so the record
-/// *sequence* is identical to [`merge_sort_by`]'s output and the input-side
-/// transfers are unchanged.
+/// (`2·⌈N/B⌉` transfers per sort whose output is scanned once).  Ties
+/// resolve toward the lower run index, so merging stably sorted runs yields
+/// the stable sort of their concatenation.
+///
+/// Read-ahead is one shared pool scheduled by a `Forecaster` — the run
+/// whose next block has the smallest leading key gets the next buffer —
+/// whenever read-ahead is requested, at least two runs merge, and every run
+/// carries block-head metadata; otherwise each run reads ahead on its own.
 ///
 /// The stream borrows the final-stage runs, which live in the sorting
 /// function's frame; that is why the consumer is a closure rather than the
 /// stream being returned.
 pub struct SortedStream<'a, R: Record, F> {
     readers: Vec<ExtVecReader<'a, R>>,
-    fc: Option<Prefetcher>,
-    kernel: StreamKernel<R, F>,
+    fc: Option<Forecaster>,
+    lt: LoserTree<R, F>,
+    /// Cached challenger for the current winner (inner `None`: a sole
+    /// surviving run has none).  `swap_winner` keeps the cache (the tree is
+    /// untouched); any `replace_winner` resets it to the outer `None`.
+    challenger: Option<Option<(usize, R)>>,
     less: F,
     /// Records since the last forecaster pump (cadence: once per block).
     since_pump: usize,
@@ -500,80 +307,26 @@ pub struct SortedStream<'a, R: Record, F> {
     _charge: BudgetGuard,
 }
 
-enum StreamKernel<R, F> {
-    Tree {
-        lt: LoserTree<R, F>,
-        /// Cached challenger for the current winner: `swap_winner` keeps it
-        /// valid (the tree is untouched); any `replace_winner` invalidates.
-        cached: Option<(usize, R)>,
-        cache_valid: bool,
-    },
-    /// `(record, run index)` min-heap, ties toward the lower run index —
-    /// stored as a raw sift vector so no comparator closure needs boxing.
-    Heap(Vec<(R, usize)>),
-}
-
-/// Heap order for the streaming heap kernel: by record under `less`, ties
-/// broken by run index — the same stable-across-runs order the loser tree
-/// produces.
-fn hless<R, F: Fn(&R, &R) -> bool>(less: F, a: &(R, usize), b: &(R, usize)) -> bool {
-    less(&a.0, &b.0) || (!less(&b.0, &a.0) && a.1 < b.1)
-}
-
-fn hsift_up<R, F: Fn(&R, &R) -> bool + Copy>(items: &mut [(R, usize)], mut i: usize, less: F) {
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if hless(less, &items[i], &items[parent]) {
-            items.swap(i, parent);
-            i = parent;
-        } else {
-            break;
-        }
-    }
-}
-
-fn hsift_down<R, F: Fn(&R, &R) -> bool + Copy>(items: &mut [(R, usize)], less: F) {
-    let n = items.len();
-    let mut i = 0;
-    loop {
-        let (l, r) = (2 * i + 1, 2 * i + 2);
-        let mut smallest = i;
-        if l < n && hless(less, &items[l], &items[smallest]) {
-            smallest = l;
-        }
-        if r < n && hless(less, &items[r], &items[smallest]) {
-            smallest = r;
-        }
-        if smallest == i {
-            break;
-        }
-        items.swap(i, smallest);
-        i = smallest;
-    }
-}
-
 impl<'a, R, F> SortedStream<'a, R, F>
 where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
-    /// Build a stream over `(run, start offset)` pairs — the same reader,
-    /// forecaster, and kernel setup as [`merge_runs_inner`], minus the
-    /// output writer.  Charges `(k+1)·B` records against `budget` (the +1
-    /// stands in for the consumer's working block, mirroring the
-    /// materialized merge's accounting).
+    /// Build a stream over `(run, start offset)` pairs.  Charges `(k+1)·B`
+    /// records against `budget`: one block per run, plus the output block
+    /// of a materialized merge or the consumer's working block.
     fn build(
         parts: &[(&'a ExtVec<R>, u64)],
         budget: &Arc<MemBudget>,
         ov: OverlapConfig,
-        kernel: MergeKernel,
-        forecast: bool,
+        io_wait: Option<&IoWaitSink>,
         less: F,
     ) -> Result<Self> {
         let k = parts.len();
         let b = parts.first().map_or(1, |(r, _)| r.per_block());
         let charge = budget.charge((k + 1) * b);
-        let fc = Prefetcher::build(parts, budget, ov, kernel, forecast, less);
+        let fc = (ov.read_ahead > 0 && k >= 2 && parts.iter().all(|(r, _)| r.has_block_heads()))
+            .then(|| Forecaster::new(budget, k, ov.read_ahead, b, parts[0].0.device().lanes()));
         let mut readers: Vec<ExtVecReader<'a, R>> = match &fc {
             Some(fc) => parts
                 .iter()
@@ -584,42 +337,27 @@ where
                 .map(|(r, s)| r.reader_at_prefetch(*s, ov.read_ahead, budget))
                 .collect(),
         };
+        if let Some(sink) = io_wait {
+            for rd in &mut readers {
+                rd.set_io_wait_sink(sink.clone());
+            }
+        }
         if let Some(fc) = &fc {
             fc.pump(&mut readers, less);
         }
-        // Same kernel choice as the materialized merge; k = 0 (empty input)
-        // degenerates to an empty heap, which the loser tree cannot model.
-        let use_tree = k >= 1
-            && match kernel {
-                MergeKernel::LoserTree => true,
-                MergeKernel::Heap => false,
-                MergeKernel::Auto | MergeKernel::Guided => k >= 3,
-            };
-        let kernel = if use_tree {
-            let keys: Vec<Option<R>> = readers
-                .iter_mut()
-                .map(|rd| rd.try_next())
-                .collect::<Result<_>>()?;
-            StreamKernel::Tree {
-                lt: LoserTree::new(keys, less),
-                cached: None,
-                cache_valid: false,
-            }
-        } else {
-            let mut items: Vec<(R, usize)> = Vec::with_capacity(k);
-            for (i, rd) in readers.iter_mut().enumerate() {
-                if let Some(r) = rd.try_next()? {
-                    items.push((r, i));
-                    let at = items.len() - 1;
-                    hsift_up(&mut items, at, less);
-                }
-            }
-            StreamKernel::Heap(items)
-        };
+        let mut keys: Vec<Option<R>> = readers
+            .iter_mut()
+            .map(|rd| rd.try_next())
+            .collect::<Result<_>>()?;
+        if keys.is_empty() {
+            // The empty merge is a tournament over one exhausted run.
+            keys.push(None);
+        }
         Ok(SortedStream {
             readers,
             fc,
-            kernel,
+            lt: LoserTree::new(keys, less),
+            challenger: None,
             less,
             since_pump: 0,
             per_block: b.max(1),
@@ -648,72 +386,43 @@ where
 
     fn next_inner(&mut self) -> Result<Option<R>> {
         let less = self.less;
-        let rec = match &mut self.kernel {
-            StreamKernel::Tree {
-                lt,
-                cached,
-                cache_valid,
-            } => {
-                let Some(wi) = lt.winner() else {
-                    return Ok(None);
-                };
-                if !*cache_valid {
-                    *cached = lt.challenger().map(|(ci, ck)| (ci, ck.clone()));
-                    *cache_valid = true;
-                }
-                match self.readers[wi].try_next()? {
-                    Some(n) => match cached {
-                        // Same drain rule as the materialized loop: while the
-                        // refill still beats the cached challenger the winner
-                        // leaf is swapped in place, no tree pass needed.
-                        Some((ci, ck)) => {
-                            let still_wins = if wi < *ci {
-                                !less(ck, &n)
-                            } else {
-                                less(&n, ck)
-                            };
-                            if still_wins {
-                                lt.swap_winner(n)
-                            } else {
-                                *cache_valid = false;
-                                lt.replace_winner(Some(n))
-                            }
-                        }
-                        None => lt.swap_winner(n),
-                    },
-                    None => {
-                        *cache_valid = false;
-                        lt.replace_winner(None)
+        let Some(wi) = self.lt.winner() else {
+            return Ok(None);
+        };
+        // Clone the challenger key so the tree is free to mutate while the
+        // winner drains against it (one O(1) clone per switch).
+        let challenger = self
+            .challenger
+            .get_or_insert_with(|| self.lt.challenger().map(|(ci, ck)| (ci, ck.clone())));
+        let rec = match self.readers[wi].try_next()? {
+            Some(n) => match challenger {
+                // Drain run `wi` with one comparison per record: while the
+                // refill still beats the challenger the winner leaf is
+                // swapped in place, no tree pass needed.
+                Some((ci, ck)) => {
+                    let still_wins = if wi < *ci {
+                        !less(ck, &n)
+                    } else {
+                        less(&n, ck)
+                    };
+                    if still_wins {
+                        self.lt.swap_winner(n)
+                    } else {
+                        self.challenger = None;
+                        self.lt.replace_winner(Some(n))
                     }
                 }
-            }
-            StreamKernel::Heap(items) => {
-                let Some(top) = items.first() else {
-                    return Ok(None);
-                };
-                let i = top.1;
-                match self.readers[i].try_next()? {
-                    Some(next) => {
-                        let old = std::mem::replace(&mut items[0], (next, i));
-                        hsift_down(items, less);
-                        old.0
-                    }
-                    None => {
-                        let last = items.len() - 1;
-                        items.swap(0, last);
-                        // `first` just succeeded, so `pop` cannot miss; end
-                        // the stream cleanly rather than panic if it does.
-                        let Some(old) = items.pop() else {
-                            return Ok(None);
-                        };
-                        if !items.is_empty() {
-                            hsift_down(items, less);
-                        }
-                        old.0
-                    }
-                }
+                // Sole surviving run: it streams straight through.
+                None => self.lt.swap_winner(n),
+            },
+            None => {
+                self.challenger = None;
+                self.lt.replace_winner(None)
             }
         };
+        // Re-pump the forecaster roughly once per emitted block; exact
+        // cadence is irrelevant for correctness (a missed pump is just a
+        // demand read).
         self.since_pump += 1;
         if self.since_pump >= self.per_block {
             self.since_pump = 0;
@@ -723,6 +432,29 @@ where
         }
         Ok(Some(rec))
     }
+}
+
+/// Hand `consume` the merge of `runs` as a pull stream, then free the runs.
+fn stream_runs<R, F, T, C>(
+    runs: Vec<ExtVec<R>>,
+    budget: &Arc<MemBudget>,
+    ov: OverlapConfig,
+    less: F,
+    consume: C,
+) -> Result<T>
+where
+    R: Record,
+    F: Fn(&R, &R) -> bool + Copy,
+    C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
+{
+    let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
+    let mut stream = SortedStream::build(&parts, budget, ov, None, less)?;
+    let out = consume(&mut stream)?;
+    drop(stream);
+    for run in runs {
+        run.free()?;
+    }
+    Ok(out)
 }
 
 /// Sort `input` and hand the *final merge pass* to `consume` as a pull
@@ -738,12 +470,12 @@ where
 /// count exceeds the fan-in `k`) still materialize, exactly as in
 /// [`merge_sort_by`]; only the last pass fuses.
 ///
-/// Kernel choice, forecasting, and per-disk overlap apply to the streamed
-/// pass unchanged, so the record sequence is identical to the materialized
-/// sort's output for every configuration.  Setting
-/// [`SortConfig::fusion`] to `false` turns fusion off: the sort
-/// materializes and the stream degrades to a plain scan of the output —
-/// the exact pre-fusion cost, kept as an A/B baseline for benchmarks.
+/// Forecasting and per-disk overlap apply to the streamed pass unchanged,
+/// so the record sequence is identical to the materialized sort's output
+/// for every configuration.  Setting [`SortConfig::fusion`] to `false`
+/// turns fusion off: the sort materializes and the stream degrades to a
+/// plain scan of the output — the exact pre-fusion cost, kept as an A/B
+/// baseline for benchmarks.
 ///
 /// ```
 /// use em_core::{EmConfig, ExtVec};
@@ -778,13 +510,10 @@ where
     F: Fn(&R, &R) -> bool + Copy + Send,
     C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
 {
-    let k = cfg.effective_fan_in(input.per_block());
     let ov = cfg.overlap;
     if input.is_empty() {
         let budget = MemBudget::new(cfg.mem_records);
-        let parts: Vec<(&ExtVec<R>, u64)> = Vec::new();
-        let mut stream = SortedStream::build(&parts, &budget, ov, cfg.kernel, cfg.forecast, less)?;
-        return consume(&mut stream);
+        return stream_runs(Vec::new(), &budget, ov, less, consume);
     }
     if !cfg.fusion {
         // A/B baseline (`SortConfig::fusion = false`): materialize the sort
@@ -792,70 +521,15 @@ where
         // "write the result, re-read it" cost through the same call site.
         let sorted = merge_sort_by(input, cfg, less)?;
         let budget = MemBudget::new(cfg.mem_records);
-        let parts: Vec<(&ExtVec<R>, u64)> = vec![(&sorted, 0)];
-        let mut stream = SortedStream::build(&parts, &budget, ov, cfg.kernel, cfg.forecast, less)?;
-        let out = consume(&mut stream)?;
-        drop(stream);
-        sorted.free()?;
-        return Ok(out);
+        return stream_runs(vec![sorted], &budget, ov, less, consume);
     }
-    // Identical budget/reserve arithmetic to `merge_sort_impl`: fan-in and
-    // run sizes come from `mem_records` alone, so every transfer before the
-    // final pass matches the materialized sort block for block.
-    let lanes = input.device().stream_lanes();
-    let wb = (ov.write_behind * lanes).max(if ov.read_ahead > 0 && cfg.forecast {
-        k * ov.read_ahead
-    } else {
-        0
-    });
-    let reserve = (k * ov.read_ahead + wb) * input.per_block();
-    let budget = MemBudget::new(cfg.mem_records + reserve);
-
+    let k = cfg.effective_fan_in(input.per_block());
+    let budget = merge_budget(cfg, k, input.per_block(), input.device().stream_lanes());
     let mut queue: VecDeque<ExtVec<R>> = form_runs_impl(input, cfg, less, None)?.into();
-
-    // Materialize intermediate passes until one final ≤ k-way merge remains:
-    // those outputs are re-merged later (scanned more than once in spirit),
-    // so streaming them would buy nothing — fusion only ever applies to the
-    // last pass.  Grouping matches `merge_sort_impl`, which drains the same
-    // queue front-to-back in groups of k, so the transfers agree exactly.
-    let mut merged_streams = 0usize;
-    while queue.len() > k {
-        let group: Vec<ExtVec<R>> = queue.drain(..k).collect();
-        group[0].device().direct_next_stream(merged_streams);
-        merged_streams += 1;
-        let merged = merge_runs_inner(&group, &budget, ov, cfg.kernel, cfg.forecast, None, less)?;
-        for run in group {
-            run.free()?;
-        }
-        queue.push_back(merged);
-    }
-
-    let final_runs: Vec<ExtVec<R>> = queue.into();
-    let parts: Vec<(&ExtVec<R>, u64)> = final_runs.iter().map(|r| (r, 0)).collect();
-    let mut stream = SortedStream::build(&parts, &budget, ov, cfg.kernel, cfg.forecast, less)?;
-    let out = consume(&mut stream)?;
-    drop(stream);
-    for run in final_runs {
-        run.free()?;
-    }
-    Ok(out)
-}
-
-/// Push-style wrapper over [`merge_sort_streaming`]: calls `each` once per
-/// record in sorted order.  Same cost model — one output-write plus one
-/// re-read pass saved versus sort-then-scan whenever the final stage merges.
-pub fn sort_into<R, F, E>(input: &ExtVec<R>, cfg: &SortConfig, less: F, mut each: E) -> Result<()>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy + Send,
-    E: FnMut(R) -> Result<()>,
-{
-    merge_sort_streaming(input, cfg, less, |stream| {
-        while let Some(r) = stream.try_next()? {
-            each(r)?;
-        }
-        Ok(())
-    })
+    // Intermediate outputs are re-merged later, so streaming them would buy
+    // nothing — fusion only ever applies to the last pass.
+    merge_down(&mut queue, k, k, &budget, ov, None, less)?;
+    stream_runs(queue.into(), &budget, ov, less, consume)
 }
 
 /// Producer-side pipeline fusion: a sink that forms sorted runs *directly*
@@ -875,8 +549,8 @@ where
 /// [`SortingWriter::finish_sorted`] materializes the result instead, for
 /// callers that keep the sorted array; only the producer side fuses then.
 ///
-/// Chunk boundaries, in-memory sorting, merge grouping, and kernel all
-/// match [`merge_sort_by`] with [`RunFormation::LoadSort`](crate::RunFormation)
+/// Chunk boundaries, in-memory sorting and merge grouping all match
+/// [`merge_sort_by`] with [`RunFormation::LoadSort`](crate::RunFormation)
 /// over the same push sequence, so the record sequence — including the
 /// order of ties under a partial key — is identical to the unfused
 /// pipeline's.  With [`SortConfig::fusion`] disabled the writer *becomes*
@@ -925,9 +599,9 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy + Send,
 {
-    /// A sink sorting into `device` under `cfg`'s budget, overlap, kernel,
-    /// and forecasting.  `cfg.run_formation` is ignored: records arrive by
-    /// push, so runs are load-sorted chunks by construction.
+    /// A sink sorting into `device` under `cfg`'s budget and overlap.
+    /// `cfg.run_formation` is ignored: records arrive by push, so runs are
+    /// load-sorted chunks by construction.
     pub fn new(device: SharedDevice, cfg: &SortConfig, less: F) -> Self {
         let cfg = SortConfig {
             run_formation: crate::RunFormation::LoadSort,
@@ -1050,12 +724,7 @@ where
         self.device.direct_next_stream(self.runs.len());
         let mut w =
             ExtVecWriter::with_write_behind(self.device.clone(), ov.write_behind, &self.budget);
-        write_sorted_chunk(
-            &mut self.buf,
-            self.cfg.effective_run_threads(),
-            self.less,
-            &mut w,
-        )?;
+        write_sorted_chunk(&mut self.buf, run_threads(), self.less, &mut w)?;
         self.runs.push(w.finish()?);
         Ok(())
     }
@@ -1072,18 +741,29 @@ where
         Ok(sorted)
     }
 
-    /// Merge-phase budget: identical reserve arithmetic to
+    /// Spill the last chunk and merge the runs down to one — or, with
+    /// `leave_final_merge`, to the `≤ k` that one last merge can stream —
+    /// under the same fan-in, budget and pass structure as
     /// [`merge_sort_by`], so transfers agree block for block.
-    fn merge_budget(&self, k: usize) -> Arc<MemBudget> {
+    fn merge_spilled(
+        &mut self,
+        leave_final_merge: bool,
+    ) -> Result<(Vec<ExtVec<R>>, Arc<MemBudget>)> {
+        self.flush_run()?;
         let per_block = (self.device.block_size() / R::BYTES).max(1);
-        let ov = self.cfg.overlap;
-        let lanes = self.device.stream_lanes();
-        let wb = (ov.write_behind * lanes).max(if ov.read_ahead > 0 && self.cfg.forecast {
-            k * ov.read_ahead
-        } else {
-            0
-        });
-        MemBudget::new(self.cfg.mem_records + (k * ov.read_ahead + wb) * per_block)
+        let k = self.cfg.effective_fan_in(per_block);
+        let budget = merge_budget(&self.cfg, k, per_block, self.device.stream_lanes());
+        let mut queue: VecDeque<ExtVec<R>> = std::mem::take(&mut self.runs).into();
+        merge_down(
+            &mut queue,
+            k,
+            if leave_final_merge { k } else { 1 },
+            &budget,
+            self.cfg.overlap,
+            None,
+            self.less,
+        )?;
+        Ok((queue.into(), budget))
     }
 
     /// Merge the spilled runs down and hand the final `≤ k`-way merge to
@@ -1092,66 +772,13 @@ where
     where
         C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
     {
-        if !self.cfg.fusion {
+        let (runs, budget) = if self.cfg.fusion {
+            self.merge_spilled(true)?
+        } else {
             let sorted = self.finish_baseline()?;
-            let budget = MemBudget::new(self.cfg.mem_records);
-            let parts: Vec<(&ExtVec<R>, u64)> = vec![(&sorted, 0)];
-            let mut stream = SortedStream::build(
-                &parts,
-                &budget,
-                self.cfg.overlap,
-                self.cfg.kernel,
-                self.cfg.forecast,
-                self.less,
-            )?;
-            let out = consume(&mut stream)?;
-            drop(stream);
-            sorted.free()?;
-            return Ok(out);
-        }
-        self.flush_run()?;
-        let per_block = (self.device.block_size() / R::BYTES).max(1);
-        let k = self.cfg.effective_fan_in(per_block);
-        let ov = self.cfg.overlap;
-        let budget = self.merge_budget(k);
-        // Intermediate passes materialize with the same front-to-back
-        // grouping as `merge_sort_streaming`; only the last pass fuses.
-        let mut queue: VecDeque<ExtVec<R>> = std::mem::take(&mut self.runs).into();
-        let mut merged_streams = 0usize;
-        while queue.len() > k {
-            let group: Vec<ExtVec<R>> = queue.drain(..k).collect();
-            group[0].device().direct_next_stream(merged_streams);
-            merged_streams += 1;
-            let merged = merge_runs_inner(
-                &group,
-                &budget,
-                ov,
-                self.cfg.kernel,
-                self.cfg.forecast,
-                None,
-                self.less,
-            )?;
-            for run in group {
-                run.free()?;
-            }
-            queue.push_back(merged);
-        }
-        let final_runs: Vec<ExtVec<R>> = queue.into();
-        let parts: Vec<(&ExtVec<R>, u64)> = final_runs.iter().map(|r| (r, 0)).collect();
-        let mut stream = SortedStream::build(
-            &parts,
-            &budget,
-            ov,
-            self.cfg.kernel,
-            self.cfg.forecast,
-            self.less,
-        )?;
-        let out = consume(&mut stream)?;
-        drop(stream);
-        for run in final_runs {
-            run.free()?;
-        }
-        Ok(out)
+            (vec![sorted], MemBudget::new(self.cfg.mem_records))
+        };
+        stream_runs(runs, &budget, self.cfg.overlap, self.less, consume)
     }
 
     /// Merge the spilled runs into one materialized sorted array — producer
@@ -1160,38 +787,10 @@ where
         if !self.cfg.fusion {
             return self.finish_baseline();
         }
-        self.flush_run()?;
-        let per_block = (self.device.block_size() / R::BYTES).max(1);
-        let k = self.cfg.effective_fan_in(per_block);
-        let ov = self.cfg.overlap;
-        let budget = self.merge_budget(k);
-        // Same pass structure as `merge_sort_by`: merge groups of k until
-        // one array remains.
-        let mut queue: VecDeque<ExtVec<R>> = std::mem::take(&mut self.runs).into();
-        let mut merged_streams = 0usize;
-        while queue.len() > 1 {
-            let take = k.min(queue.len());
-            let group: Vec<ExtVec<R>> = queue.drain(..take).collect();
-            group[0].device().direct_next_stream(merged_streams);
-            merged_streams += 1;
-            let merged = merge_runs_inner(
-                &group,
-                &budget,
-                ov,
-                self.cfg.kernel,
-                self.cfg.forecast,
-                None,
-                self.less,
-            )?;
-            for run in group {
-                run.free()?;
-            }
-            queue.push_back(merged);
-        }
-        match queue.pop_front() {
-            Some(sorted) => Ok(sorted),
-            None => Ok(ExtVec::new(self.device.clone())),
-        }
+        let (mut runs, _) = self.merge_spilled(false)?;
+        Ok(runs
+            .pop()
+            .unwrap_or_else(|| ExtVec::new(self.device.clone())))
     }
 }
 
@@ -1202,10 +801,9 @@ where
 ///
 /// `parts` pairs each run with the record offset to start merging from, so a
 /// partially-consumed run joins the merge at its current position.  Charges
-/// `(k+1)·B` records against `budget`; kernel, forecasting, and overlap
-/// follow `cfg` exactly as in [`merge_runs_with`], and reading the streamed
-/// records costs one read of every remaining input block and **zero**
-/// writes.
+/// `(k+1)·B` records against `budget`; forecasting and overlap follow `cfg`
+/// exactly as in [`merge_runs_with`], and reading the streamed records costs
+/// one read of every remaining input block and **zero** writes.
 pub fn merge_runs_streaming<R, F, T, C>(
     parts: &[(&ExtVec<R>, u64)],
     budget: &Arc<MemBudget>,
@@ -1218,8 +816,7 @@ where
     F: Fn(&R, &R) -> bool + Copy,
     C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
 {
-    let mut stream =
-        SortedStream::build(parts, budget, cfg.overlap, cfg.kernel, cfg.forecast, less)?;
+    let mut stream = SortedStream::build(parts, budget, cfg.overlap, None, less)?;
     consume(&mut stream)
 }
 
@@ -1382,57 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn kernels_produce_identical_output_and_counts() {
-        let device = device_b8();
-        let (input, mut data) = random_input(&device, 6000, 9);
-        data.sort_unstable();
-        let mut baseline: Option<(Vec<u64>, u64, u64)> = None;
-        for kernel in [
-            MergeKernel::Heap,
-            MergeKernel::LoserTree,
-            MergeKernel::Auto,
-            MergeKernel::Guided,
-        ] {
-            let before = device.stats().snapshot();
-            let out = merge_sort(&input, &SortConfig::new(64).with_merge_kernel(kernel)).unwrap();
-            let d = device.stats().snapshot().since(&before);
-            let got = (out.to_vec().unwrap(), d.reads(), d.writes());
-            assert_eq!(got.0, data, "{kernel:?} output");
-            match &baseline {
-                None => baseline = Some(got),
-                Some(b) => {
-                    assert_eq!(&got.1, &b.1, "{kernel:?} reads");
-                    assert_eq!(&got.2, &b.2, "{kernel:?} writes");
-                }
-            }
-            out.free().unwrap();
-        }
-    }
-
-    #[test]
-    fn stability_identical_across_kernels() {
-        // Key-only comparator on (key, payload) pairs: equal keys must come
-        // out in identical (run-index) order from both kernels.
-        let device = EmConfig::new(64, 8).ram_disk();
-        let mut rng = StdRng::seed_from_u64(10);
-        let data: Vec<(u64, u64)> = (0..2000u64).map(|i| (rng.gen_range(0..8u64), i)).collect();
-        let input = ExtVec::from_slice(device, &data).unwrap();
-        let heap = merge_sort_by(
-            &input,
-            &SortConfig::new(64).with_merge_kernel(MergeKernel::Heap),
-            |a, b| a.0 < b.0,
-        )
-        .unwrap();
-        let tree = merge_sort_by(
-            &input,
-            &SortConfig::new(64).with_merge_kernel(MergeKernel::LoserTree),
-            |a, b| a.0 < b.0,
-        )
-        .unwrap();
-        assert_eq!(heap.to_vec().unwrap(), tree.to_vec().unwrap());
-    }
-
-    #[test]
     fn forecast_counters_light_up_with_overlap() {
         let device = device_b8();
         let (input, mut data) = random_input(&device, 4000, 11);
@@ -1452,114 +998,6 @@ mod tests {
             "every forecast block is consumed"
         );
         assert_eq!(d.prefetch_wasted(), 0);
-    }
-
-    #[test]
-    fn forecast_off_still_sorts_with_identical_counts() {
-        let device = device_b8();
-        let (input, mut data) = random_input(&device, 4000, 12);
-        let base = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(2));
-        let before = device.stats().snapshot();
-        let with_fc = merge_sort(&input, &base).unwrap();
-        let mid = device.stats().snapshot();
-        let without = merge_sort(&input, &base.with_forecast(false)).unwrap();
-        let after = device.stats().snapshot();
-        data.sort_unstable();
-        assert_eq!(with_fc.to_vec().unwrap(), data);
-        assert_eq!(without.to_vec().unwrap(), data);
-        let (d1, d2) = (mid.since(&before), after.since(&mid));
-        assert_eq!(d1.reads(), d2.reads());
-        assert_eq!(d1.writes(), d2.writes());
-        assert_eq!(d2.forecast_issued(), 0, "forecast off issues nothing");
-    }
-
-    #[test]
-    fn guided_kernel_matches_forecasting_with_identical_counts() {
-        // With overlap on, Guided swaps the forecaster for the static guide
-        // sequence: same records, same transfer counts, prefetch counters
-        // light up, and the guide never over-fetches.
-        let device = device_b8();
-        let (input, mut data) = random_input(&device, 6000, 14);
-        data.sort_unstable();
-        let base = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(2));
-        let before = device.stats().snapshot();
-        let auto = merge_sort(&input, &base).unwrap();
-        let mid = device.stats().snapshot();
-        let guided = merge_sort(&input, &base.with_merge_kernel(MergeKernel::Guided)).unwrap();
-        let after = device.stats().snapshot();
-        assert_eq!(auto.to_vec().unwrap(), data);
-        assert_eq!(guided.to_vec().unwrap(), data);
-        let (d_auto, d_guided) = (mid.since(&before), after.since(&mid));
-        assert_eq!(d_auto.reads(), d_guided.reads(), "guided reads");
-        assert_eq!(d_auto.writes(), d_guided.writes(), "guided writes");
-        assert!(
-            d_guided.forecast_issued() > 0,
-            "the guide should drive the merge prefetches"
-        );
-        assert_eq!(
-            d_guided.prefetch_wasted(),
-            0,
-            "the guide never over-fetches"
-        );
-    }
-
-    #[test]
-    fn guided_overrides_forecast_flag() {
-        // forecast=false normally disables scheduled prefetch; Guided plans
-        // from the guide regardless, with identical transfer counts.
-        let device = device_b8();
-        let (input, mut data) = random_input(&device, 4000, 15);
-        data.sort_unstable();
-        let cfg = SortConfig::new(64)
-            .with_overlap(OverlapConfig::symmetric(2))
-            .with_forecast(false)
-            .with_merge_kernel(MergeKernel::Guided);
-        let before = device.stats().snapshot();
-        let out = merge_sort(&input, &cfg).unwrap();
-        let d = device.stats().snapshot().since(&before);
-        assert_eq!(out.to_vec().unwrap(), data);
-        assert!(
-            d.forecast_issued() > 0,
-            "guide plans despite forecast=false"
-        );
-        assert_eq!(d.prefetch_wasted(), 0);
-    }
-
-    #[test]
-    fn guided_stability_matches_other_kernels() {
-        // Key-only comparator on (key, payload) pairs: the guided merge must
-        // resolve ties exactly as the forecasting kernels do.
-        let device = EmConfig::new(64, 8).ram_disk();
-        let mut rng = StdRng::seed_from_u64(16);
-        let data: Vec<(u64, u64)> = (0..2000u64).map(|i| (rng.gen_range(0..8u64), i)).collect();
-        let input = ExtVec::from_slice(device, &data).unwrap();
-        let base = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(2));
-        let auto = merge_sort_by(&input, &base, |a, b| a.0 < b.0).unwrap();
-        let guided = merge_sort_by(
-            &input,
-            &base.with_merge_kernel(MergeKernel::Guided),
-            |a, b| a.0 < b.0,
-        )
-        .unwrap();
-        assert_eq!(auto.to_vec().unwrap(), guided.to_vec().unwrap());
-    }
-
-    #[test]
-    fn ram_efficient_full_sort_matches_load_sort() {
-        let device = device_b8();
-        let (input, mut data) = random_input(&device, 6000, 17);
-        data.sort_unstable();
-        let base = SortConfig::new(64).with_run_threads(1);
-        let before = device.stats().snapshot();
-        let ls = merge_sort(&input, &base).unwrap();
-        let mid = device.stats().snapshot();
-        let re = merge_sort(&input, &base.with_run_formation(RunFormation::RamEfficient)).unwrap();
-        let after = device.stats().snapshot();
-        assert_eq!(ls.to_vec().unwrap(), data);
-        assert_eq!(re.to_vec().unwrap(), data);
-        let (d_ls, d_re) = (mid.since(&before), after.since(&mid));
-        assert_eq!(d_ls.reads(), d_re.reads(), "RamEfficient reads");
-        assert_eq!(d_ls.writes(), d_re.writes(), "RamEfficient writes");
     }
 
     #[test]
@@ -1592,16 +1030,8 @@ mod tests {
         let device = device_b8();
         let (input, mut data) = random_input(&device, 6000, 41);
         data.sort_unstable();
-        for kernel in [
-            MergeKernel::Heap,
-            MergeKernel::LoserTree,
-            MergeKernel::Auto,
-            MergeKernel::Guided,
-        ] {
-            let cfg = SortConfig::new(64).with_merge_kernel(kernel);
-            let got = merge_sort_streaming(&input, &cfg, |a, b| a < b, drain).unwrap();
-            assert_eq!(got, data, "{kernel:?}");
-        }
+        let got = merge_sort_streaming(&input, &SortConfig::new(64), |a, b| a < b, drain).unwrap();
+        assert_eq!(got, data);
     }
 
     #[test]
@@ -1888,25 +1318,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_into_pushes_sorted_order() {
-        let device = device_b8();
-        let (input, mut data) = random_input(&device, 3000, 45);
-        data.sort_unstable();
-        let mut out = Vec::new();
-        sort_into(
-            &input,
-            &SortConfig::new(64),
-            |a, b| a < b,
-            |r| {
-                out.push(r);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(out, data);
-    }
-
-    #[test]
     fn merge_runs_streaming_with_offsets() {
         let device = device_b8();
         let a = ExtVec::from_slice(device.clone(), &(0u64..50).collect::<Vec<_>>()).unwrap();
@@ -1914,11 +1325,15 @@ mod tests {
         let budget = MemBudget::new(256);
         // Start run `a` at offset 30: only 30..50 takes part.
         let parts = [(&a, 30u64), (&b, 0u64)];
-        let got = merge_runs_streaming(&parts, &budget, &SortConfig::new(64), |x, y| x < y, drain)
-            .unwrap();
         let mut expect: Vec<u64> = (30u64..50).chain(25..75).collect();
         expect.sort_unstable();
-        assert_eq!(got, expect);
+        // Depth 2 enters the runs mid-way through the forecaster as well.
+        for depth in [0, 2] {
+            let cfg = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(depth));
+            let got = merge_runs_streaming(&parts, &budget, &cfg, |x, y| x < y, drain).unwrap();
+            assert_eq!(got, expect, "depth {depth}");
+        }
+        assert!(device.stats().snapshot().forecast_issued() > 0);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   (Knuth's snow-plough argument), halving the number of runs and sometimes
 //!   saving an entire merge pass — the ablation of experiment F1.
 //!
-//! Load–sort–store additionally parallelizes the in-memory sort across
-//! [`SortConfig::run_threads`] scoped worker threads: the `M`-record chunk is
+//! Load–sort–store additionally parallelizes the in-memory sort across the
+//! machine's cores (scoped worker threads): the `M`-record chunk is
 //! split into contiguous pieces, each piece is stably sorted on its own
 //! thread, and the pieces are merged straight into the run writer with a
 //! piece-index tie-break.  Because the pieces are contiguous and the merge is
@@ -22,10 +22,10 @@
 //! `sort_by` — thread count changes wall-clock time only, never run contents
 //! or I/O counts (the equivalence tests below assert exactly this).
 
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 
 use em_core::{ExtVec, ExtVecWriter, IoWaitSink, MemBudget, Record};
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 use crate::heap::MinHeap;
 use crate::losertree::LoserTree;
@@ -43,19 +43,6 @@ pub enum RunFormation {
     LoadSort,
     /// Selection heap with run tagging: runs average `2M` on random input.
     ReplacementSelection,
-    /// RAM-efficient load–sort–store in the spirit of Arge & Thorup: each
-    /// `B`-record block is handed to a [`SortConfig::run_threads`]-wide
-    /// sorter pool the moment its reads land (so sort CPU hides under the
-    /// input stream's read-ahead *and* spreads across cores), then the
-    /// `M/B` sorted blocks are loser-tree-merged *streaming* into the run
-    /// writer — the
-    /// first output block is in flight after `O(B log(M/B))` comparisons
-    /// instead of after the full `O(M log M)` monolithic sort, so
-    /// write-behind overlaps the remaining merge CPU.  Runs are
-    /// byte-identical to [`LoadSort`] (stable block sorts + stable
-    /// block-index tie-break = the stable full sort) and I/O counts are
-    /// unchanged; only the CPU/I/O overlap profile differs.
-    RamEfficient,
 }
 
 /// Produce sorted runs from `input` under `cfg`'s memory budget.
@@ -65,6 +52,10 @@ pub enum RunFormation {
 /// of the input.  Costs one read and one write of every block
 /// (`2·⌈N/B⌉` I/Os) — with or without overlap; `cfg.overlap` only changes
 /// *when* transfers are issued, never how many.
+///
+/// Memory too small for the strategy — under two blocks for load–sort–store,
+/// under four for replacement selection — is
+/// [`PdmError::MemoryExceeded`], returned before anything is allocated.
 pub fn form_runs<R, F>(input: &ExtVec<R>, cfg: &SortConfig, less: F) -> Result<Vec<ExtVec<R>>>
 where
     R: Record,
@@ -83,6 +74,17 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy + Send,
 {
+    let min_blocks = match cfg.run_formation {
+        RunFormation::LoadSort => 2,
+        // Selection heap plus one block each for the reader and the writer.
+        RunFormation::ReplacementSelection => 4,
+    };
+    if cfg.mem_records < min_blocks * input.per_block() {
+        return Err(PdmError::MemoryExceeded {
+            needed: min_blocks * input.per_block(),
+            available: cfg.mem_records,
+        });
+    }
     // Overlap depths are per disk: on an independent-placement array the
     // one input stream and one output stream each deepen their queues by the
     // lane count, so every member disk keeps `read_ahead`/`write_behind`
@@ -95,17 +97,19 @@ where
     let budget = MemBudget::new(cfg.mem_records + reserve);
     match cfg.run_formation {
         RunFormation::LoadSort => {
-            let threads = cfg.effective_run_threads();
-            load_sort_runs(input, &budget, cfg.mem_records, ov, threads, io_wait, less)
+            load_sort_runs(input, &budget, cfg.mem_records, ov, io_wait, less)
         }
         RunFormation::ReplacementSelection => {
             replacement_selection_runs(input, &budget, cfg.mem_records, ov, io_wait, less)
         }
-        RunFormation::RamEfficient => {
-            let threads = cfg.effective_run_threads();
-            ram_efficient_runs(input, &budget, cfg.mem_records, ov, threads, io_wait, less)
-        }
     }
+}
+
+/// Worker threads for the in-memory sort of a load-sorted chunk: the
+/// machine's available parallelism, capped at 8.  Never changes run contents
+/// or I/O counts — wall-clock only.
+pub(crate) fn run_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
 }
 
 fn load_sort_runs<R, F>(
@@ -113,7 +117,6 @@ fn load_sort_runs<R, F>(
     budget: &Arc<MemBudget>,
     m: usize,
     ov: OverlapConfig,
-    threads: usize,
     io_wait: Option<&IoWaitSink>,
     less: F,
 ) -> Result<Vec<ExtVec<R>>>
@@ -121,11 +124,8 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy + Send,
 {
-    assert!(
-        m >= 2 * input.per_block(),
-        "memory must hold at least two blocks"
-    );
     let _charge = budget.charge(m);
+    let threads = run_threads();
     let mut runs = Vec::new();
     let mut chunk: Vec<R> = Vec::with_capacity(m);
     let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
@@ -225,132 +225,6 @@ where
     Ok(())
 }
 
-/// [`RunFormation::RamEfficient`]: hand each block to a sorter pool as its
-/// reads land, then stream an `M/B`-way loser-tree merge of the sorted
-/// blocks into the run writer.  See the enum variant's documentation for why
-/// the runs come out byte-identical to [`RunFormation::LoadSort`].
-fn ram_efficient_runs<R, F>(
-    input: &ExtVec<R>,
-    budget: &Arc<MemBudget>,
-    m: usize,
-    ov: OverlapConfig,
-    threads: usize,
-    io_wait: Option<&IoWaitSink>,
-    less: F,
-) -> Result<Vec<ExtVec<R>>>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy + Send,
-{
-    let b = input.per_block();
-    assert!(m >= 2 * b, "memory must hold at least two blocks");
-    let _charge = budget.charge(m);
-    // More sorters than blocks per chunk would just idle.
-    let t = threads.clamp(1, m.div_ceil(b));
-    let mut runs = Vec::new();
-    let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
-    if let Some(sink) = io_wait {
-        reader.set_io_wait_sink(sink.clone());
-    }
-    loop {
-        // Read the chunk as B-record blocks and farm each completed block to
-        // a sorter worker the moment its reads land: the reader's prefetch
-        // keeps the next block's transfer in flight while the pool keeps the
-        // sort CPU off the read path entirely.  The blocks in flight always
-        // belong to the current chunk, so resident records stay within M.
-        let (work_tx, work_rx) = mpsc::channel::<(usize, Vec<R>)>();
-        let (done_tx, done_rx) = mpsc::channel::<(usize, Vec<R>)>();
-        let work_rx = Mutex::new(work_rx);
-        let n_blocks = std::thread::scope(|s| {
-            for _ in 0..t {
-                let done = done_tx.clone();
-                let work = &work_rx;
-                s.spawn(move || loop {
-                    // The lock is held only across `recv` — the sort itself
-                    // runs unlocked, so workers sort concurrently.
-                    let job = match work.lock() {
-                        Ok(rx) => rx.recv(),
-                        Err(_) => return,
-                    };
-                    let Ok((idx, mut block)) = job else { return };
-                    block.sort_by(|x, y| cmp_from_less(less, x, y));
-                    if done.send((idx, block)).is_err() {
-                        return;
-                    }
-                });
-            }
-            drop(done_tx);
-            let mut sent = 0usize;
-            let mut block: Vec<R> = Vec::with_capacity(b);
-            let mut total = 0usize;
-            while total < m {
-                match reader.try_next() {
-                    Ok(Some(r)) => {
-                        block.push(r);
-                        total += 1;
-                        if block.len() == b {
-                            let full = std::mem::replace(&mut block, Vec::with_capacity(b));
-                            let _ = work_tx.send((sent, full));
-                            sent += 1;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(e) => {
-                        drop(work_tx);
-                        return Err(e);
-                    }
-                }
-            }
-            if !block.is_empty() {
-                let _ = work_tx.send((sent, block));
-                sent += 1;
-            }
-            drop(work_tx);
-            Ok(sent)
-        })?;
-        if n_blocks == 0 {
-            break;
-        }
-        // Every sender is gone once the scope joins, so the done channel
-        // holds exactly this chunk's sorted blocks (in completion order).
-        let mut sorted: Vec<(usize, Vec<R>)> = done_rx.try_iter().collect();
-        sorted.sort_unstable_by_key(|&(idx, _)| idx);
-        let mut blocks: Vec<Vec<R>> = sorted.into_iter().map(|(_, blk)| blk).collect();
-        input.device().direct_next_stream(runs.len());
-        let mut w =
-            ExtVecWriter::with_write_behind(input.device().clone(), ov.write_behind, budget);
-        if let Some(sink) = io_wait {
-            w.set_io_wait_sink(sink.clone());
-        }
-        merge_sorted_blocks(&mut blocks, less, &mut w)?;
-        runs.push(w.finish()?);
-    }
-    Ok(runs)
-}
-
-/// Loser-tree-merge independently sorted blocks straight into the writer,
-/// ties resolving toward the lower block index — the same stability argument
-/// as [`merge_sorted_pieces`], so the output is exactly the stable full sort
-/// of the chunk the blocks were read from.
-fn merge_sorted_blocks<R, F>(blocks: &mut [Vec<R>], less: F, w: &mut ExtVecWriter<R>) -> Result<()>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy,
-{
-    let mut cursors = vec![1usize; blocks.len()];
-    let keys: Vec<Option<R>> = blocks.iter().map(|blk| blk.first().cloned()).collect();
-    let mut lt = LoserTree::new(keys, less);
-    while let Some(wi) = lt.winner() {
-        let next = blocks[wi].get(cursors[wi]).cloned();
-        cursors[wi] += 1;
-        w.push(lt.replace_winner(next))?;
-    }
-    for blk in blocks.iter_mut() {
-        blk.clear();
-    }
-    Ok(())
-}
-
 fn replacement_selection_runs<R, F>(
     input: &ExtVec<R>,
     budget: &Arc<MemBudget>,
@@ -364,10 +238,6 @@ where
     F: Fn(&R, &R) -> bool + Copy,
 {
     let b = input.per_block();
-    assert!(
-        m >= 4 * b,
-        "replacement selection needs at least 4 blocks of memory"
-    );
     // Heap gets M − 2B records; one block each for the input reader and the
     // run writer.
     let heap_cap = m - 2 * b;
@@ -575,11 +445,7 @@ mod tests {
     fn empty_input_no_runs() {
         let cfg = EmConfig::new(64, 8);
         let input: ExtVec<u64> = ExtVec::new(cfg.ram_disk());
-        for rf in [
-            RunFormation::LoadSort,
-            RunFormation::ReplacementSelection,
-            RunFormation::RamEfficient,
-        ] {
+        for rf in [RunFormation::LoadSort, RunFormation::ReplacementSelection] {
             let runs = form_runs(
                 &input,
                 &SortConfig::new(64).with_run_formation(rf),
@@ -591,52 +457,10 @@ mod tests {
     }
 
     #[test]
-    fn ram_efficient_runs_byte_identical_to_load_sort() {
-        let cfg = EmConfig::new(64, 8);
-        let device = cfg.ram_disk();
-        let mut rng = StdRng::seed_from_u64(99);
-        // Heavy duplication: any instability in the block merge would
-        // reorder the (key, position) pairs and fail the equality.
-        let data: Vec<(u64, u64)> = (0..5_000u64)
-            .map(|i| (rng.gen_range(0..32u64), i))
-            .collect();
-        let input = ExtVec::from_slice(device.clone(), &data).unwrap();
-        let base = SortConfig::new(256).with_run_threads(1);
-        let before = device.stats().snapshot();
-        let ls = form_runs(&input, &base, |a: &(u64, u64), b| a.0 < b.0).unwrap();
-        let mid = device.stats().snapshot();
-        let re = form_runs(
-            &input,
-            &base.with_run_formation(RunFormation::RamEfficient),
-            |a: &(u64, u64), b| a.0 < b.0,
-        )
-        .unwrap();
-        let after = device.stats().snapshot();
-        let (d_ls, d_re) = (mid.since(&before), after.since(&mid));
-        assert_eq!(d_ls.reads(), d_re.reads());
-        assert_eq!(d_ls.writes(), d_re.writes());
-        assert_eq!(ls.len(), re.len());
-        for (a, b) in ls.iter().zip(&re) {
-            assert_eq!(
-                a.to_vec().unwrap(),
-                b.to_vec().unwrap(),
-                "RAM-efficient run differs from load-sort"
-            );
-        }
-        for r in ls.into_iter().chain(re) {
-            r.free().unwrap();
-        }
-    }
-
-    #[test]
     fn run_formation_io_is_two_scans() {
         let (input, _) = setup(512);
         let device = input.device().clone();
-        for rf in [
-            RunFormation::LoadSort,
-            RunFormation::ReplacementSelection,
-            RunFormation::RamEfficient,
-        ] {
+        for rf in [RunFormation::LoadSort, RunFormation::ReplacementSelection] {
             let before = device.stats().snapshot();
             let runs = form_runs(
                 &input,
@@ -657,11 +481,7 @@ mod tests {
     fn overlap_changes_neither_runs_nor_io_counts() {
         let (input, _) = setup(512);
         let device = input.device().clone();
-        for rf in [
-            RunFormation::LoadSort,
-            RunFormation::ReplacementSelection,
-            RunFormation::RamEfficient,
-        ] {
+        for rf in [RunFormation::LoadSort, RunFormation::ReplacementSelection] {
             let base = SortConfig::new(64).with_run_formation(rf);
             let sync_cfg = base.with_overlap(OverlapConfig::off());
             let ov_cfg = base.with_overlap(OverlapConfig::symmetric(2));
@@ -697,44 +517,65 @@ mod tests {
 
     #[test]
     fn parallel_run_formation_is_byte_identical_to_sequential() {
-        // M = 16 Ki records → chunks large enough to engage the scoped
-        // worker threads; the written runs and I/O counts must not move.
-        let cfg = EmConfig::new(64, 8);
-        let device = cfg.ram_disk();
+        // A 16 Ki-record chunk is large enough to engage the scoped worker
+        // threads; the written run and its I/O count must not move.
+        let device = EmConfig::new(64, 8).ram_disk();
         let mut rng = StdRng::seed_from_u64(77);
         // Narrow key range → massive duplication, so any instability in the
         // piece merge would reorder records and fail the equality below.
-        let data: Vec<(u64, u64)> = (0..40_000u64)
+        let data: Vec<(u64, u64)> = (0..16 * 1024u64)
             .map(|i| (rng.gen_range(0..64u64), i))
             .collect();
-        let input = ExtVec::from_slice(device.clone(), &data).unwrap();
-        let m = 16 * 1024;
-        let base = SortConfig::new(m);
-        let before = device.stats().snapshot();
-        let seq = form_runs(&input, &base.with_run_threads(1), |a: &(u64, u64), b| {
-            a.0 < b.0
-        })
-        .unwrap();
-        let mid = device.stats().snapshot();
-        let par = form_runs(&input, &base.with_run_threads(4), |a: &(u64, u64), b| {
-            a.0 < b.0
-        })
-        .unwrap();
-        let after = device.stats().snapshot();
-        let (d_seq, d_par) = (mid.since(&before), after.since(&mid));
-        assert_eq!(d_seq.reads(), d_par.reads());
-        assert_eq!(d_seq.writes(), d_par.writes());
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(&par) {
-            assert_eq!(
-                a.to_vec().unwrap(),
-                b.to_vec().unwrap(),
-                "parallel run differs"
-            );
+        let write_with = |threads: usize| {
+            let before = device.stats().snapshot();
+            let mut w = ExtVecWriter::new(device.clone());
+            write_sorted_chunk(&mut data.clone(), threads, |a, b| a.0 < b.0, &mut w).unwrap();
+            let run = w.finish().unwrap();
+            let writes = device.stats().snapshot().since(&before).writes();
+            (run.to_vec().unwrap(), writes)
+        };
+        let (seq, seq_writes) = write_with(1);
+        let (par, par_writes) = write_with(4);
+        assert_eq!(seq, par, "parallel run differs");
+        assert_eq!(seq_writes, par_writes);
+        let mut expect = data.clone();
+        expect.sort_by_key(|r| r.0);
+        assert_eq!(seq, expect);
+    }
+
+    /// `m` records are one short of what `rf` needs: `form_runs` and
+    /// `merge_sort_by` must say so, and leave the device untouched.
+    fn assert_memory_exceeded(rf: RunFormation, m: usize, needed: usize) {
+        let (input, _) = setup(100); // B = 8 records
+        let device = input.device().clone();
+        let blocks = device.allocated_blocks();
+        let cfg = SortConfig::new(m).with_run_formation(rf);
+        let errs = [
+            form_runs(&input, &cfg, |a, b| a < b).map(|_| ()),
+            crate::merge_sort_by(&input, &cfg, |a, b| a < b).map(|_| ()),
+        ];
+        for err in errs {
+            match err {
+                Err(PdmError::MemoryExceeded {
+                    needed: n,
+                    available,
+                }) => assert_eq!((n, available), (needed, m)),
+                other => panic!("expected MemoryExceeded, got {other:?}"),
+            }
         }
-        for r in seq.into_iter().chain(par) {
-            r.free().unwrap();
-        }
+        assert_eq!(device.allocated_blocks(), blocks);
+        let enough = SortConfig::new(needed).with_run_formation(rf);
+        assert!(form_runs(&input, &enough, |a, b| a < b).is_ok());
+    }
+
+    #[test]
+    fn load_sort_below_two_blocks_is_an_error_not_a_panic() {
+        assert_memory_exceeded(RunFormation::LoadSort, 15, 16);
+    }
+
+    #[test]
+    fn replacement_selection_below_four_blocks_is_an_error_not_a_panic() {
+        assert_memory_exceeded(RunFormation::ReplacementSelection, 31, 32);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //!
 //! The survey's online and batched dictionary structures:
 //!
-//! * [`BTree`] — an external B+-tree over a bounded
-//!   [`pdm::BufferPool`](em_core::pdm::BufferPool); lookups, inserts and
-//!   deletes touch `Θ(log_B N)` blocks, matching the `Search(N)` bound
+//! * [`BTree`] — an external B+-tree over a bounded [`pdm::BufferPool`];
+//!   lookups, inserts and deletes touch `Θ(log_B N)` blocks, matching the `Search(N)` bound
 //!   (experiment T2).  Supports bulk loading from sorted input and range
 //!   scans along the leaf chain.
 //! * [`BufferTree`] — Arge's batched dictionary: every internal node carries

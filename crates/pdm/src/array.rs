@@ -40,7 +40,7 @@ use crate::stats::IoStats;
 /// How logical blocks map onto the member disks.
 ///
 /// [`Striped`](Placement::Striped) is the one placement with a different
-/// *geometry* (logical block size `D·B`).  The other three share the
+/// *geometry* (logical block size `D·B`).  The other two share the
 /// independent-disk geometry — block size `B`, one block on one disk — and
 /// differ only in the *lane policy* the allocation cursor follows when a
 /// writer announces a new sequential stream via
@@ -48,17 +48,13 @@ use crate::stats::IoStats;
 ///
 /// * [`Independent`](Placement::Independent): stream `r` starts on lane
 ///   `r mod D` and advances round-robin — PR 4's deterministic stagger.
-/// * [`Srm`](Placement::Srm): stream `r` starts on lane `hash(seed, r) mod D`
-///   and advances round-robin — the randomized striping of Barve, Grove &
-///   Vitter's Simple Randomized Mergesort, made reproducible by deriving the
-///   start lane from a caller-chosen seed.
 /// * [`RandomizedCycling`](Placement::RandomizedCycling): stream `r` follows
 ///   its own pseudorandom *permutation* of the lanes, cycled — randomized
 ///   cycling à la Vitter–Hutchinson, where consecutive blocks of one stream
 ///   visit the disks in a per-stream random order rather than a rotation of
 ///   the same global order.
 ///
-/// All three lane policies are pure placement: the transfer counts of any
+/// Both lane policies are pure placement: the transfer counts of any
 /// algorithm are identical across them, and because the lane choice is a
 /// deterministic function of `(seed, stream index)`, a sort's block layout
 /// reproduces exactly across repeated executions.
@@ -71,13 +67,6 @@ pub enum Placement {
     /// blocks are spread round-robin unless placed explicitly with
     /// [`DiskArray::allocate_on`].
     Independent,
-    /// Independent-disk geometry with SRM stream placement: each sequential
-    /// stream starts on a lane derived from `(seed, stream index)`, then
-    /// advances round-robin.
-    Srm {
-        /// Seed decorrelating the per-stream start lanes.
-        seed: u64,
-    },
     /// Independent-disk geometry with randomized-cycling stream placement:
     /// each sequential stream cycles its own seeded pseudorandom permutation
     /// of the lanes.
@@ -98,7 +87,6 @@ impl Placement {
         match self {
             Placement::Striped => "striped",
             Placement::Independent => "independent",
-            Placement::Srm { .. } => "srm",
             Placement::RandomizedCycling { .. } => "randomized_cycling",
         }
     }
@@ -695,7 +683,7 @@ impl BlockDevice for DiskArray {
             1
         } else {
             // Consecutive allocations visit every disk once per D blocks
-            // under all three lane policies: a sequential stream reaches
+            // under both lane policies: a sequential stream reaches
             // full D-parallelism at queue depth ≥ D.
             self.disks.len()
         }
@@ -711,7 +699,6 @@ impl BlockDevice for DiskArray {
     }
 
     fn direct_next_stream(&self, stream: usize) {
-        let d = self.disks.len();
         match self.placement {
             // Striped placement has no per-lane cursor to direct — every
             // logical block spans all D disks.
@@ -719,13 +706,7 @@ impl BlockDevice for DiskArray {
             Placement::Independent => {
                 let mut cur = self.cursor.lock();
                 cur.reset_identity();
-                cur.pos = stream % d;
-            }
-            Placement::Srm { seed } => {
-                let mut cur = self.cursor.lock();
-                cur.reset_identity();
-                cur.pos = (mix64(seed ^ (stream as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    % d as u64) as usize;
+                cur.pos = stream % self.disks.len();
             }
             Placement::RandomizedCycling { seed } => {
                 self.cursor.lock().install_permutation(mix64(
@@ -824,23 +805,17 @@ mod tests {
 
     #[test]
     fn lane_policies_share_independent_geometry() {
-        for placement in [
-            Placement::Srm { seed: 7 },
-            Placement::RandomizedCycling { seed: 7 },
-        ] {
-            let arr = DiskArray::new_ram(4, 8, placement);
-            assert_eq!(arr.block_size(), 8, "{placement:?}");
-            assert_eq!(arr.stream_lanes(), 4, "{placement:?}");
-            let id = arr.allocate_on(2).unwrap();
-            assert_eq!(arr.disk_of(id), 2, "{placement:?}");
-        }
+        let arr = DiskArray::new_ram(4, 8, Placement::RandomizedCycling { seed: 7 });
+        assert_eq!(arr.block_size(), 8);
+        assert_eq!(arr.stream_lanes(), 4);
+        let id = arr.allocate_on(2).unwrap();
+        assert_eq!(arr.disk_of(id), 2);
     }
 
     #[test]
     fn lane_policies_are_deterministic_per_stream() {
         for placement in [
             Placement::Independent,
-            Placement::Srm { seed: 42 },
             Placement::RandomizedCycling { seed: 42 },
         ] {
             let a = stream_lanes_trace(&DiskArray::new_ram(4, 8, placement), 8, 8);
@@ -854,12 +829,11 @@ mod tests {
 
     #[test]
     fn every_stream_visits_each_lane_once_per_d_blocks() {
-        // All three lane policies are rotations or permutations of the lanes:
+        // Both lane policies are rotations or permutations of the lanes:
         // any window of D consecutive blocks of one stream covers all D disks,
         // which is what keeps sequential streams perfectly balanced.
         for placement in [
             Placement::Independent,
-            Placement::Srm { seed: 3 },
             Placement::RandomizedCycling { seed: 3 },
         ] {
             let d = 4;
@@ -876,31 +850,20 @@ mod tests {
     }
 
     #[test]
-    fn srm_decorrelates_stream_start_lanes() {
-        // The deterministic stagger starts stream r on lane r mod D; SRM must
-        // pick start lanes that are *not* that rotation (for this seed) and
-        // must differ between seeds.
-        let starts = |placement| -> Vec<usize> {
-            stream_lanes_trace(&DiskArray::new_ram(4, 8, placement), 16, 1)
+    fn independent_staggers_stream_start_lanes() {
+        // The deterministic stagger starts stream r on lane r mod D, which is
+        // what lets a k-way merge's first reads hit all D disks at once.
+        let starts: Vec<usize> =
+            stream_lanes_trace(&DiskArray::new_ram(4, 8, Placement::Independent), 16, 1)
                 .into_iter()
                 .map(|lanes| lanes[0])
-                .collect()
-        };
-        let stagger = starts(Placement::Independent);
-        assert_eq!(stagger, (0..16).map(|r| r % 4).collect::<Vec<_>>());
-        let srm_a = starts(Placement::Srm { seed: 1 });
-        let srm_b = starts(Placement::Srm { seed: 2 });
-        assert_ne!(srm_a, stagger, "seed 1 should not reproduce the stagger");
-        assert_ne!(srm_a, srm_b, "different seeds give different placements");
-        // Still spread out: with 16 streams on 4 lanes every lane is used.
-        for lane in 0..4 {
-            assert!(srm_a.contains(&lane), "lane {lane} never a start lane");
-        }
+                .collect();
+        assert_eq!(starts, (0..16).map(|r| r % 4).collect::<Vec<_>>());
     }
 
     #[test]
     fn randomized_cycling_uses_distinct_per_stream_orders() {
-        // Unlike Independent/Srm (all streams share one rotation, shifted),
+        // Unlike Independent (all streams share one rotation, shifted),
         // randomized cycling gives streams genuinely different lane *orders*.
         let traces = stream_lanes_trace(
             &DiskArray::new_ram(4, 8, Placement::RandomizedCycling { seed: 9 }),

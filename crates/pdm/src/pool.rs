@@ -168,8 +168,9 @@ impl BufferPool {
     /// Write back every dirty frame (frames stay resident).
     ///
     /// Dirty frames are submitted to the device as asynchronous writes first
-    /// and waited on together, so on an overlapped [`DiskArray`]
-    /// (crate::DiskArray) a flush drives all member disks concurrently.
+    /// and waited on together, so on an overlapped
+    /// [`DiskArray`](crate::DiskArray) a flush drives all member disks
+    /// concurrently.
     pub fn flush(&self) -> Result<()> {
         let mut inner = self.inner.lock();
         Self::drain_all_inflight(&mut inner)?;

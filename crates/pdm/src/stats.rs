@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 /// Per-disk read/write counters.
 ///
-/// Cloning the `Arc<IoStats>` shares the counters; a [`DiskArray`]
-/// (crate::DiskArray) gives each member disk its own lane so that *parallel
-/// I/O time* — `max` over disks of that disk's transfers — can be computed,
-/// which is the cost measure of the Parallel Disk Model.
+/// Cloning the `Arc<IoStats>` shares the counters; a
+/// [`DiskArray`](crate::DiskArray) gives each member disk its own lane so
+/// that *parallel I/O time* — `max` over disks of that disk's transfers — can
+/// be computed, which is the cost measure of the Parallel Disk Model.
 #[derive(Debug)]
 pub struct IoStats {
     reads: Vec<AtomicU64>,

@@ -175,7 +175,7 @@ struct WalState {
 }
 
 /// A write-ahead journal wrapping a [`BlockDevice`]; see the
-/// [module docs](self) for the protocol.
+/// `wal` module docs for the protocol.
 ///
 /// The journal itself implements [`BlockDevice`], so buffer pools, trees and
 /// stream writers run on top of it unchanged; the additional surface is the
@@ -358,7 +358,7 @@ impl Journal {
         }
     }
 
-    /// Commit the current epoch; see the [module docs](self) for the five
+    /// Commit the current epoch; see the `wal` module docs for the five
     /// steps.  After `Ok(())` every write since the previous checkpoint has
     /// reached its home block and the deferred frees have executed.  On a
     /// passthrough journal this is a no-op.

@@ -117,7 +117,7 @@ fn placement_from(tag: u8) -> Placement {
     match tag % 3 {
         0 => Placement::Independent,
         1 => Placement::Striped,
-        _ => Placement::Srm { seed: 7 },
+        _ => Placement::RandomizedCycling { seed: 7 },
     }
 }
 

@@ -29,7 +29,7 @@ use emrel::{
     GroupByExec, HashDistinctExec, HashGroupByExec, HashJoinExec, KeyStats, MergeJoinExec, Order,
     PlanExpr, ProjectExec, QueryExec, ScanExec, TinyBuildJoinExec,
 };
-use emsort::{MergeKernel, OverlapConfig, RunFormation, SortConfig, SortingWriter};
+use emsort::{OverlapConfig, RunFormation, SortConfig, SortingWriter};
 use pdm::{DiskArray, FaultPlan, IoMode, Placement, RetryPolicy, SharedDevice};
 use proptest::prelude::*;
 
@@ -147,7 +147,7 @@ fn mk_plans(d: usize, seed: u64, transient_permille: u64, fail_attempts: u32) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Q1-lite across kernel × placement × mode × D: fused engine, baseline
+    /// Q1-lite across placement × mode × D: fused engine, baseline
     /// engine, and hand-rolled pipeline all agree with the reference, every
     /// measured transfer count equals its prediction exactly, and fusion
     /// saves exactly the predicted boundary round trips.
@@ -177,70 +177,67 @@ proptest! {
             // transfer per logical block.
             let stripe = if placement.is_striped() { d as u64 } else { 1 };
 
-            for kernel in [MergeKernel::Auto, MergeKernel::LoserTree, MergeKernel::Guided] {
-                let sc = SortConfig::new(m)
-                    .with_run_formation(RunFormation::LoadSort)
-                    .with_overlap(OverlapConfig::symmetric(depth))
-                    .with_merge_kernel(kernel);
-                let device = DiskArray::new_ram_with(d, 64, placement, mode) as SharedDevice;
-                let input = ExtVec::from_slice(device.clone(), &data).unwrap();
+            let sc = SortConfig::new(m)
+                .with_run_formation(RunFormation::LoadSort)
+                .with_overlap(OverlapConfig::symmetric(depth));
+            let device = DiskArray::new_ram_with(d, 64, placement, mode) as SharedDevice;
+            let input = ExtVec::from_slice(device.clone(), &data).unwrap();
 
-                let env = CostEnv::new(device.block_size(), m).with_stripe(stripe);
-                let plan = PlanExpr::scan(data.len() as u64, ROW_BYTES, Order::Unordered)
-                    .filter(f_cnt)
-                    .sort(KEY)
-                    .group_by(KEY, GRP_BYTES, g_cnt, Order::Key(KEY));
-                let pred_fused = predict_with_sink(&plan, &env.with_fusion(true));
-                let pred_base = predict_with_sink(&plan, &env.with_fusion(false));
+            let env = CostEnv::new(device.block_size(), m).with_stripe(stripe);
+            let plan = PlanExpr::scan(data.len() as u64, ROW_BYTES, Order::Unordered)
+                .filter(f_cnt)
+                .sort(KEY)
+                .group_by(KEY, GRP_BYTES, g_cnt, Order::Key(KEY));
+            let pred_fused = predict_with_sink(&plan, &env.with_fusion(true));
+            let pred_base = predict_with_sink(&plan, &env.with_fusion(false));
 
-                let cfg = ExecConfig::from_sort(sc);
+            let cfg = ExecConfig::from_sort(sc);
 
-                let before = device.stats().snapshot();
-                let out = run_q1(&device, &input, &cfg.with_fusion(true)).unwrap();
-                let m_fused = device.stats().snapshot().since(&before);
-                prop_assert_eq!(&out.to_vec().unwrap(), &expect,
-                    "{:?} {:?} fused output wrong", placement, kernel);
-                out.free().unwrap();
+            let before = device.stats().snapshot();
+            let out = run_q1(&device, &input, &cfg.with_fusion(true)).unwrap();
+            let m_fused = device.stats().snapshot().since(&before);
+            prop_assert_eq!(&out.to_vec().unwrap(), &expect,
+                "{:?} fused output wrong", placement);
+            out.free().unwrap();
 
-                let before = device.stats().snapshot();
-                let out = run_q1(&device, &input, &cfg.with_fusion(false)).unwrap();
-                let m_base = device.stats().snapshot().since(&before);
-                prop_assert_eq!(&out.to_vec().unwrap(), &expect,
-                    "{:?} {:?} baseline output wrong", placement, kernel);
-                out.free().unwrap();
+            let before = device.stats().snapshot();
+            let out = run_q1(&device, &input, &cfg.with_fusion(false)).unwrap();
+            let m_base = device.stats().snapshot().since(&before);
+            prop_assert_eq!(&out.to_vec().unwrap(), &expect,
+                "{:?} baseline output wrong", placement);
+            out.free().unwrap();
 
-                let before = device.stats().snapshot();
-                let out = run_q1_handrolled(&device, &input, &cfg.with_fusion(true).sort_config())
-                    .unwrap();
-                let m_hand = device.stats().snapshot().since(&before);
-                prop_assert_eq!(&out.to_vec().unwrap(), &expect,
-                    "{:?} {:?} hand-rolled output wrong", placement, kernel);
-                out.free().unwrap();
+            let before = device.stats().snapshot();
+            let out = run_q1_handrolled(&device, &input, &cfg.with_fusion(true).sort_config())
+                .unwrap();
+            let m_hand = device.stats().snapshot().since(&before);
+            prop_assert_eq!(&out.to_vec().unwrap(), &expect,
+                "{:?} hand-rolled output wrong", placement);
+            out.free().unwrap();
 
-                // The model is exact in both modes — no slack with exact
-                // cardinalities.
-                prop_assert_eq!(m_fused.total(), pred_fused as u64,
-                    "{:?} {:?} d={} fused measured != predicted", placement, kernel, d);
-                prop_assert_eq!(m_base.total(), pred_base as u64,
-                    "{:?} {:?} d={} baseline measured != predicted", placement, kernel, d);
+            // The model is exact in both modes — no slack with exact
+            // cardinalities.
+            prop_assert_eq!(m_fused.total(), pred_fused as u64,
+                "{:?} d={} fused measured != predicted", placement, d);
+            prop_assert_eq!(m_base.total(), pred_base as u64,
+                "{:?} d={} baseline measured != predicted", placement, d);
 
-                // The engine's fused pipeline is *exactly* the hand-rolled
-                // one — the abstraction costs zero transfers.
-                prop_assert_eq!(m_fused.total(), m_hand.total(),
-                    "{:?} {:?} engine must cost exactly the hand-rolled pipeline",
-                    placement, kernel);
+            // The engine's fused pipeline is *exactly* the hand-rolled
+            // one — the abstraction costs zero transfers.
+            prop_assert_eq!(m_fused.total(), m_hand.total(),
+                "{:?} engine must cost exactly the hand-rolled pipeline",
+                placement);
 
-                // Fusion deletes one write+re-read round trip of the filter
-                // output at the sort boundary, and a second at the final
-                // merge whenever run formation leaves something to merge.
-                let bl_f = env.blocks(f_cnt, ROW_BYTES);
-                let boundaries = if bounds::initial_runs(f_cnt, m) > 1 { 2 } else { 1 };
-                prop_assert_eq!(m_base.total() - m_fused.total(), 2 * bl_f * boundaries,
-                    "{:?} {:?} fusion must save exactly the boundary round trips",
-                    placement, kernel);
+            // Fusion deletes one write+re-read round trip of the filter
+            // output at the sort boundary, and a second at the final
+            // merge whenever run formation leaves something to merge.
+            let bl_f = env.blocks(f_cnt, ROW_BYTES);
+            let boundaries = if bounds::initial_runs(f_cnt, m) > 1 { 2 } else { 1 };
+            prop_assert_eq!(m_base.total() - m_fused.total(), 2 * bl_f * boundaries,
+                "{:?} fusion must save exactly the boundary round trips",
+                placement);
 
-                input.free().unwrap();
-            }
+            input.free().unwrap();
         }
     }
 }
@@ -439,13 +436,13 @@ proptest! {
         seed in any::<u64>(),
         permille in 0usize..=120,
         attempts in 0usize..=3,
-        pl_sel in 0usize..3,
+        cycling in any::<bool>(),
         fusion in any::<bool>(),
     ) {
-        let placement = match pl_sel {
-            0 => Placement::Independent,
-            1 => Placement::Srm { seed: 51 },
-            _ => Placement::RandomizedCycling { seed: 52 },
+        let placement = if cycling {
+            Placement::RandomizedCycling { seed: 52 }
+        } else {
+            Placement::Independent
         };
         let plans = mk_plans(2, seed, permille as u64, 2);
         let retry = if attempts > 0 {

@@ -4,9 +4,8 @@
 //! The contract under test:
 //!
 //! * **Same sequence.**  `merge_sort_streaming` must deliver exactly the
-//!   sequence `merge_sort_by` materializes, across merge kernels
-//!   (heap / loser tree / auto), forecasting on and off, and both disk
-//!   placements.
+//!   sequence `merge_sort_by` materializes, across overlap depths and
+//!   disk placements.
 //! * **Exact savings.**  Draining the stream must cost exactly
 //!   `2·⌈N/B⌉` fewer block transfers than the materialized sort plus one
 //!   consumer scan — one output-write pass and one re-read pass — whenever
@@ -20,9 +19,7 @@
 use std::time::Duration;
 
 use em_core::ExtVec;
-use emsort::{
-    merge_sort_by, merge_sort_streaming, MergeKernel, OverlapConfig, RunFormation, SortConfig,
-};
+use emsort::{merge_sort_by, merge_sort_streaming, OverlapConfig, RunFormation, SortConfig};
 use pdm::{DiskArray, FaultPlan, IoMode, PdmError, Placement, RetryPolicy, SharedDevice};
 use proptest::prelude::*;
 
@@ -58,7 +55,6 @@ proptest! {
     fn streaming_matches_materialized_minus_saved_passes(
         data in prop::collection::vec(any::<u64>(), 0..3000),
         depth in 0usize..=2,
-        forecast in any::<bool>(),
     ) {
         let mut expect = data.clone();
         expect.sort_unstable();
@@ -66,7 +62,6 @@ proptest! {
         for placement in [
             Placement::Striped,
             Placement::Independent,
-            Placement::Srm { seed: 41 },
             Placement::RandomizedCycling { seed: 42 },
         ] {
             // The logical block is D·B records under striping, B under
@@ -75,69 +70,60 @@ proptest! {
             // LoadSort chunks exactly `m` records per run, so the run count
             // — and with it the predicted savings — is ⌈N/m⌉ by design.
             let m = 8 * b;
-            for kernel in [
-                MergeKernel::Heap,
-                MergeKernel::LoserTree,
-                MergeKernel::Auto,
-                MergeKernel::Guided,
-            ] {
-                let cfg = SortConfig::new(m)
-                    .with_run_formation(RunFormation::LoadSort)
-                    .with_overlap(OverlapConfig::symmetric(depth))
-                    .with_forecast(forecast)
-                    .with_merge_kernel(kernel);
-                let device =
-                    DiskArray::new_ram_with(2, 64, placement, IoMode::Overlapped) as SharedDevice;
-                let input = ExtVec::from_slice(device.clone(), &data).unwrap();
+            let cfg = SortConfig::new(m)
+                .with_run_formation(RunFormation::LoadSort)
+                .with_overlap(OverlapConfig::symmetric(depth));
+            let device =
+                DiskArray::new_ram_with(2, 64, placement, IoMode::Overlapped) as SharedDevice;
+            let input = ExtVec::from_slice(device.clone(), &data).unwrap();
 
-                // Materialized sort plus one consumer scan of the output,
-                // with the scan metered separately: the output-write pass
-                // fusion skips moves exactly the blocks this scan re-reads
-                // (`⌈N/B⌉` in device-transfer units, which on a striped
-                // array are per-member-disk, not logical-block, counts).
-                let before = device.stats().snapshot();
-                let sorted = merge_sort_by(&input, &cfg, |a, b| a < b).unwrap();
-                let mid = device.stats().snapshot();
-                let mut mat = Vec::new();
-                {
-                    let mut r = sorted.reader();
-                    while let Some(x) = r.try_next().unwrap() {
-                        mat.push(x);
-                    }
+            // Materialized sort plus one consumer scan of the output,
+            // with the scan metered separately: the output-write pass
+            // fusion skips moves exactly the blocks this scan re-reads
+            // (`⌈N/B⌉` in device-transfer units, which on a striped
+            // array are per-member-disk, not logical-block, counts).
+            let before = device.stats().snapshot();
+            let sorted = merge_sort_by(&input, &cfg, |a, b| a < b).unwrap();
+            let mid = device.stats().snapshot();
+            let mut mat = Vec::new();
+            {
+                let mut r = sorted.reader();
+                while let Some(x) = r.try_next().unwrap() {
+                    mat.push(x);
                 }
-                let d_mat = device.stats().snapshot().since(&before);
-                let d_scan = device.stats().snapshot().since(&mid);
-                prop_assert_eq!(d_scan.writes(), 0,
-                    "{:?} {:?} consumer scan must be read-only", placement, kernel);
-                sorted.free().unwrap();
-
-                // Fused sort: the consumer drains the final merge directly.
-                let before = device.stats().snapshot();
-                let streamed =
-                    merge_sort_streaming(&input, &cfg, |a, b| a < b, drain).unwrap();
-                let d_str = device.stats().snapshot().since(&before);
-
-                prop_assert_eq!(&mat, &expect,
-                    "{:?} {:?} materialized output wrong", placement, kernel);
-                prop_assert_eq!(&streamed, &expect,
-                    "{:?} {:?} streamed output wrong", placement, kernel);
-
-                // ⌈N/m⌉ runs: ≥ 2 runs ⇒ the final stage merges and fusion
-                // saves the output write + re-read; ≤ 1 run ⇒ the stream is
-                // a plain scan of the run and saves nothing.
-                let saved = if data.len() > m { d_scan.reads() } else { 0 };
-                prop_assert_eq!(d_str.writes() + saved, d_mat.writes(),
-                    "{:?} {:?} fusion must skip exactly the output-write pass",
-                    placement, kernel);
-                prop_assert_eq!(d_str.reads() + saved, d_mat.reads(),
-                    "{:?} {:?} fusion must skip exactly the re-read pass",
-                    placement, kernel);
-                prop_assert_eq!(d_str.total() + 2 * saved, d_mat.total(),
-                    "{:?} {:?} fusion must save exactly 2·⌈N/B⌉ transfers",
-                    placement, kernel);
-
-                input.free().unwrap();
             }
+            let d_mat = device.stats().snapshot().since(&before);
+            let d_scan = device.stats().snapshot().since(&mid);
+            prop_assert_eq!(d_scan.writes(), 0,
+                "{:?} consumer scan must be read-only", placement);
+            sorted.free().unwrap();
+
+            // Fused sort: the consumer drains the final merge directly.
+            let before = device.stats().snapshot();
+            let streamed =
+                merge_sort_streaming(&input, &cfg, |a, b| a < b, drain).unwrap();
+            let d_str = device.stats().snapshot().since(&before);
+
+            prop_assert_eq!(&mat, &expect,
+                "{:?} materialized output wrong", placement);
+            prop_assert_eq!(&streamed, &expect,
+                "{:?} streamed output wrong", placement);
+
+            // ⌈N/m⌉ runs: ≥ 2 runs ⇒ the final stage merges and fusion
+            // saves the output write + re-read; ≤ 1 run ⇒ the stream is
+            // a plain scan of the run and saves nothing.
+            let saved = if data.len() > m { d_scan.reads() } else { 0 };
+            prop_assert_eq!(d_str.writes() + saved, d_mat.writes(),
+                "{:?} fusion must skip exactly the output-write pass",
+                placement);
+            prop_assert_eq!(d_str.reads() + saved, d_mat.reads(),
+                "{:?} fusion must skip exactly the re-read pass",
+                placement);
+            prop_assert_eq!(d_str.total() + 2 * saved, d_mat.total(),
+                "{:?} fusion must save exactly 2·⌈N/B⌉ transfers",
+                placement);
+
+            input.free().unwrap();
         }
     }
 }
@@ -155,16 +141,15 @@ proptest! {
         seed in any::<u64>(),
         permille in 0usize..=120,
         attempts in 0usize..=3,
-        pl_sel in 0usize..3,
-        variant in 0usize..3,
+        cycling in any::<bool>(),
     ) {
         let mut expect = data.clone();
         expect.sort_unstable();
 
-        let placement = match pl_sel {
-            0 => Placement::Independent,
-            1 => Placement::Srm { seed: 51 },
-            _ => Placement::RandomizedCycling { seed: 52 },
+        let placement = if cycling {
+            Placement::RandomizedCycling { seed: 52 }
+        } else {
+            Placement::Independent
         };
         let plans = mk_plans(2, seed, permille as u64, 2);
         let retry = if attempts > 0 {
@@ -175,12 +160,7 @@ proptest! {
         let device = DiskArray::new_ram_faulty(
             2, 64, placement, IoMode::Synchronous, &plans, retry,
         ) as SharedDevice;
-        // The new engine variants must fail just as cleanly as the incumbent.
-        let cfg = match variant {
-            0 => SortConfig::new(128),
-            1 => SortConfig::new(128).with_merge_kernel(MergeKernel::Guided),
-            _ => SortConfig::new(128).with_run_formation(RunFormation::RamEfficient),
-        };
+        let cfg = SortConfig::new(128);
         let run = ExtVec::from_slice(device.clone(), &data)
             .and_then(|input| merge_sort_streaming(&input, &cfg, |a, b| a < b, drain));
         // A clean failure is acceptable under uncured faults; only an `Ok`
