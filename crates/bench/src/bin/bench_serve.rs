@@ -27,12 +27,20 @@
 //!   with cured transient faults (`FaultPlan` + `RetryPolicy`): p99 may
 //!   inflate only boundedly, and zero acknowledged writes may be lost.
 //!
+//! * **Crash recovery** (`--crash`): the journaled shard swept over kill
+//!   points at three (D, placement) cells — zero lost acks at every one —
+//!   and the **journal ledger**: one write tape run unjournaled and
+//!   journaled on identical media, the journal's cost read off as exact
+//!   counts by category.
+//!
 //! Perf guards run on the full benchmark only — they are scale-dependent
 //! and `--smoke` is CI-sized.  Correctness guards (zero lost acks,
-//! deterministic final state under a fixed seed, cured faults) run always.
+//! deterministic final state under a fixed seed, cured faults) and the
+//! ledger's count guards (journaled ≤ 2.0× unjournaled transfers; no apply
+//! transfer without a shadowed write) run always.
 //!
 //! ```text
-//! cargo run --release -p bench --bin bench_serve [-- --smoke]
+//! cargo run --release -p bench --bin bench_serve [-- --smoke] [--crash]
 //! ```
 //!
 //! Results go to stdout as markdown tables and to `BENCH_serve.json`.
@@ -659,15 +667,39 @@ fn run_fault_pair(s: &Sizing) -> (FaultRun, FaultRun) {
 
 // ----------------------------------------------------- crash recovery cell
 
-/// Rounds × ops of the deterministic journaled-shard crash workload.
-const CRASH_ROUNDS: u64 = 8;
-const CRASH_OPS_PER_ROUND: u64 = 8;
-const CRASH_KEYS: u64 = 48;
-/// Shard sizing for the crash cells (small threshold forces compactions
-/// into the sweep).
+/// A deterministic journaled-shard write tape: rounds of puts and deletes,
+/// one `flush_batch` and one `maybe_compact` per round.
+struct CrashTape {
+    rounds: u64,
+    ops_per_round: u64,
+    keys: u64,
+    compact_threshold: usize,
+}
+
+/// The crash sweeps' tape: short, with a small threshold that forces
+/// compactions into the sweep.
+const SWEEP_TAPE: CrashTape = CrashTape {
+    rounds: 8,
+    ops_per_round: 8,
+    keys: 48,
+    compact_threshold: 16,
+};
+/// The journal ledger's tape: batches the size a server flushes and an
+/// overlay that grows to hundreds of keys between its compactions, so a
+/// checkpoint that costs more than its epoch changed shows in the ratio.
+/// (On the sweeps' tape the two header writes of each of 12 checkpoints
+/// alone exceed the 24 transfers of the unjournaled run.)
+const LEDGER_TAPE: CrashTape = CrashTape {
+    rounds: 64,
+    ops_per_round: 32,
+    keys: 4096,
+    compact_threshold: 512,
+};
+/// Shard sizing for the crash cells.
 const CRASH_POOL_FRAMES: usize = 16;
 const CRASH_ABSORBER_MEM: usize = 2_048;
-const CRASH_COMPACT_THRESHOLD: usize = 16;
+/// The ledger's guard: journaled transfers over unjournaled transfers.
+const LEDGER_MAX_RATIO: f64 = 2.0;
 
 /// The surviving physical medium of one crash cell.
 struct CrashMedium {
@@ -732,15 +764,16 @@ impl CrashMedium {
 /// acked-plus-in-flight models; returns Err on crash.
 fn crash_script(
     shard: &mut Shard<u64, u64>,
+    tape: &CrashTape,
     acked: &mut BTreeMap<u64, Option<u64>>,
     pending: &mut BTreeMap<u64, Option<u64>>,
     acks_delivered: &mut u64,
 ) -> pdm::Result<()> {
     let mut op_id = 0u64;
-    for round in 0..CRASH_ROUNDS {
-        for i in 0..CRASH_OPS_PER_ROUND {
+    for round in 0..tape.rounds {
+        for i in 0..tape.ops_per_round {
             let x = 0x5EED_u64.wrapping_add(round * 131 + i * 17);
-            let key = x % CRASH_KEYS;
+            let key = x % tape.keys;
             let op = (!x.is_multiple_of(5)).then_some(x);
             shard.enqueue(1, op_id, key, op);
             pending.insert(key, op);
@@ -760,6 +793,7 @@ fn crash_script(
 /// `(crashed, acked_writes)`; panics if any acked write was lost or the
 /// recovered state is not exactly one checkpoint.
 fn crash_point(d: usize, placement: Placement, k: u64) -> (bool, u64, u64) {
+    let tape = &SWEEP_TAPE;
     let m = CrashMedium::new(d, placement);
     let headers = m.format();
     let mut acked: BTreeMap<u64, Option<u64>> = BTreeMap::new();
@@ -771,9 +805,9 @@ fn crash_point(d: usize, placement: Placement, k: u64) -> (bool, u64, u64) {
             j,
             CRASH_POOL_FRAMES,
             CRASH_ABSORBER_MEM,
-            CRASH_COMPACT_THRESHOLD,
+            tape.compact_threshold,
         ) {
-            crashed = crash_script(&mut s, &mut acked, &mut pending, &mut acks).is_err();
+            crashed = crash_script(&mut s, tape, &mut acked, &mut pending, &mut acks).is_err();
             // The crashed instance's destructor would free blocks the
             // recovered shard owns; leak it like the process it models.
             std::mem::forget(s);
@@ -784,11 +818,11 @@ fn crash_point(d: usize, placement: Placement, k: u64) -> (bool, u64, u64) {
         j,
         CRASH_POOL_FRAMES,
         CRASH_ABSORBER_MEM,
-        CRASH_COMPACT_THRESHOLD,
+        tape.compact_threshold,
     )
     .expect("shard recovery");
     s.check_invariants().expect("recovered shard consistent");
-    let recovered: BTreeMap<u64, u64> = (0..CRASH_KEYS)
+    let recovered: BTreeMap<u64, u64> = (0..tape.keys)
         .filter_map(|key| s.get(1, &key).expect("recovered get").map(|v| (key, v)))
         .collect();
     let live = |mdl: &BTreeMap<u64, Option<u64>>| -> BTreeMap<u64, u64> {
@@ -845,11 +879,21 @@ struct OverheadCell {
     wal: WalOverhead,
 }
 
-/// Run the crash workload unjournaled and journaled on identical D = 1 RAM
+impl OverheadCell {
+    /// Journaled transfers over unjournaled transfers of the same tape.
+    fn ratio(&self) -> f64 {
+        (self.journaled_reads + self.journaled_writes) as f64
+            / (self.unjournaled_reads + self.unjournaled_writes) as f64
+    }
+}
+
+/// Run the ledger tape unjournaled and journaled on identical D = 1 RAM
 /// media and report the exact transfer counts.  Both runs are repeated to
 /// assert the counts are deterministic — the journal's cost is an exact
-/// number, not a distribution.
+/// number, not a distribution — and the journaled run is held to the
+/// ledger's guards.
 fn journal_overhead_cell() -> OverheadCell {
+    let tape = &LEDGER_TAPE;
     let unjournaled = || -> (u64, u64) {
         let m = CrashMedium::new(1, Placement::Independent);
         let dev = m.bare();
@@ -857,11 +901,11 @@ fn journal_overhead_cell() -> OverheadCell {
             dev,
             CRASH_POOL_FRAMES,
             CRASH_ABSORBER_MEM,
-            CRASH_COMPACT_THRESHOLD,
+            tape.compact_threshold,
         )
         .expect("unjournaled shard");
         let (mut a, mut p, mut n) = (BTreeMap::new(), BTreeMap::new(), 0);
-        crash_script(&mut s, &mut a, &mut p, &mut n).expect("unjournaled run");
+        crash_script(&mut s, tape, &mut a, &mut p, &mut n).expect("unjournaled run");
         let snap = m.stats.snapshot();
         (snap.reads(), snap.writes())
     };
@@ -872,11 +916,11 @@ fn journal_overhead_cell() -> OverheadCell {
             j.clone(),
             CRASH_POOL_FRAMES,
             CRASH_ABSORBER_MEM,
-            CRASH_COMPACT_THRESHOLD,
+            tape.compact_threshold,
         )
         .expect("journaled shard");
         let (mut a, mut p, mut n) = (BTreeMap::new(), BTreeMap::new(), 0);
-        crash_script(&mut s, &mut a, &mut p, &mut n).expect("journaled run");
+        crash_script(&mut s, tape, &mut a, &mut p, &mut n).expect("journaled run");
         let snap = m.stats.snapshot();
         (snap.reads(), snap.writes(), j.overhead())
     };
@@ -894,13 +938,32 @@ fn journal_overhead_cell() -> OverheadCell {
         (jr2, jw2, &wal2),
         "journaled transfer counts must be deterministic"
     );
-    OverheadCell {
+    // A checkpoint costs what its epoch changed.  A tape that rewrote no
+    // committed block (no shadow) has nothing to copy home; and all told the
+    // journal may not double the tape's transfers.
+    if wal.shadow_writes == 0 {
+        assert_eq!(
+            wal.apply_reads + wal.apply_writes,
+            0,
+            "journal ledger: apply transfers on a tape that rewrote no committed block"
+        );
+    }
+    let cell = OverheadCell {
         unjournaled_reads: ur,
         unjournaled_writes: uw,
         journaled_reads: jr,
         journaled_writes: jw,
         wal,
-    }
+    };
+    assert!(
+        cell.ratio() <= LEDGER_MAX_RATIO,
+        "journal ledger: journaled {} / unjournaled {} transfers = {:.2} \
+         (> {LEDGER_MAX_RATIO})",
+        jr + jw,
+        ur + uw,
+        cell.ratio()
+    );
+    cell
 }
 
 // ------------------------------------------------------------------- main
@@ -1096,7 +1159,10 @@ fn main() {
         }
 
         let oc = journal_overhead_cell();
-        println!("\n| journal overhead (same workload, D=1) | reads | writes |");
+        println!(
+            "\n| journal overhead ({} rounds x {} ops, D=1) | reads | writes |",
+            LEDGER_TAPE.rounds, LEDGER_TAPE.ops_per_round
+        );
         println!("|---------------------------------------|-------|--------|");
         println!(
             "| unjournaled | {} | {} |",
@@ -1109,13 +1175,14 @@ fn main() {
         println!(
             "\njournal breakdown: {} shadow writes (replace bare writes), \
              {} chain + {} header + {} apply-read + {} apply-write transfers \
-             over {} checkpoints",
+             over {} checkpoints; journaled/unjournaled = {:.2} (<= {LEDGER_MAX_RATIO})",
             oc.wal.shadow_writes,
             oc.wal.chain_writes,
             oc.wal.header_writes,
             oc.wal.apply_reads,
             oc.wal.apply_writes,
-            oc.wal.checkpoints
+            oc.wal.checkpoints,
+            oc.ratio()
         );
         overhead = Some(oc);
     }
@@ -1164,11 +1231,15 @@ fn main() {
     let overhead_json = match &overhead {
         None => "null".to_string(),
         Some(oc) => format!(
-            "{{\"unjournaled_reads\": {}, \"unjournaled_writes\": {}, \
+            "{{\"rounds\": {}, \"ops_per_round\": {}, \"compact_threshold\": {}, \
+             \"unjournaled_reads\": {}, \"unjournaled_writes\": {}, \
              \"journaled_reads\": {}, \"journaled_writes\": {}, \
              \"shadow_writes\": {}, \"chain_writes\": {}, \"chain_reads\": {}, \
              \"header_writes\": {}, \"header_reads\": {}, \"apply_reads\": {}, \
              \"apply_writes\": {}, \"checkpoints\": {}, \"added_transfers\": {}}}",
+            LEDGER_TAPE.rounds,
+            LEDGER_TAPE.ops_per_round,
+            LEDGER_TAPE.compact_threshold,
             oc.unjournaled_reads,
             oc.unjournaled_writes,
             oc.journaled_reads,

@@ -113,6 +113,7 @@ fn variant_name(e: &pdm::PdmError) -> &'static str {
     match e {
         pdm::PdmError::Io(_) => "Io",
         pdm::PdmError::RetriesExhausted { .. } => "RetriesExhausted",
+        pdm::PdmError::Corrupt(_) => "Corrupt",
         _ => "other",
     }
 }

@@ -393,7 +393,7 @@ impl<R: Record> ExtVec<R> {
     /// manifest.
     pub fn from_manifest(device: SharedDevice, bytes: &[u8]) -> Result<Self> {
         fn corrupt() -> pdm::PdmError {
-            pdm::PdmError::Io(std::io::Error::other("malformed ExtVec manifest"))
+            pdm::PdmError::Corrupt("malformed ExtVec manifest".into())
         }
         fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
             let end = pos.checked_add(8).ok_or_else(corrupt)?;

@@ -673,7 +673,7 @@ where
     /// malformed manifest.
     pub fn reattach(device: SharedDevice, cfg: &SortConfig, less: F, bytes: &[u8]) -> Result<Self> {
         fn corrupt() -> pdm::PdmError {
-            pdm::PdmError::Io(std::io::Error::other("malformed SortingWriter manifest"))
+            pdm::PdmError::Corrupt("malformed SortingWriter manifest".into())
         }
         let mut w = Self::new(device.clone(), cfg, less);
         let mut pos = 0usize;

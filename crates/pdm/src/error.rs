@@ -52,12 +52,18 @@ pub enum PdmError {
         /// Records its memory budget had room for.
         available: usize,
     },
+    /// Persisted bytes — a journal header, chain or redo record, or a
+    /// structure's recovery manifest — do not parse or fail their checksum.
+    /// Unlike [`Io`](Self::Io) this is a fact about what the medium holds,
+    /// not about one transfer: reading it again returns the same bytes.
+    Corrupt(String),
 }
 
 impl PdmError {
     /// True for errors that a bounded retry may cure: device-level I/O
     /// failures.  Contract violations (`InvalidBlock`, `SizeMismatch`, …)
-    /// are never transient — retrying them would only repeat the bug.
+    /// and corrupt persisted state are never transient — retrying them
+    /// would only repeat the bug, or re-read the same bad bytes.
     pub fn is_transient(&self) -> bool {
         matches!(self, PdmError::Io(_))
     }
@@ -98,6 +104,7 @@ impl fmt::Display for PdmError {
                     "memory budget exceeded: {needed} records needed, {available} available"
                 )
             }
+            PdmError::Corrupt(what) => write!(f, "corrupt persisted state: {what}"),
         }
     }
 }
@@ -156,6 +163,10 @@ mod tests {
                 },
                 "memory budget exceeded: 300 records needed, 256 available",
             ),
+            (
+                PdmError::Corrupt("journal: record fails its checksum".into()),
+                "corrupt persisted state: journal: record fails its checksum",
+            ),
         ];
         for (err, expect) in cases {
             assert_eq!(err.to_string(), expect);
@@ -194,6 +205,8 @@ mod tests {
             block: 8
         }
         .is_transient());
+        // Corruption is what the medium holds; a retry reads it again.
+        assert!(!PdmError::Corrupt("torn manifest".into()).is_transient());
         // An exhausted retry is final: retrying the wrapper would be a bug.
         assert!(!PdmError::RetriesExhausted {
             disk: 0,

@@ -3,40 +3,58 @@
 //! The fault substrate ([`FaultDisk`](crate::FaultDisk)) made device
 //! misbehaviour *detectable*; this module makes it *survivable*.  A
 //! [`Journal`] wraps any [`BlockDevice`] and turns the wrapped device into a
-//! transactional store: between checkpoints every write is redirected to a
-//! private *shadow block*, so the "home" blocks that the last checkpoint
-//! committed are never touched mid-epoch.  A crash — power loss, a torn
-//! write the caller could not repair, a dead machine — therefore leaves the
-//! last checkpoint's state fully intact on the medium, and recovery either
-//! *rewinds* to it (crash before commit) or *redoes* the committed shadow
-//! set on top of it (crash after commit, before the apply finished).  This
-//! is the trail/checkpoint discipline of Vitter's survey adapted to blocks:
-//! checkpointing makes online structures restartable, and the write-ahead
-//! rule (log the redo record before moving a home block) makes the apply
-//! idempotent from any interruption point.
+//! transactional store: between checkpoints every write to a block the last
+//! checkpoint committed is redirected to a private *shadow block*, so the
+//! committed "home" blocks are never touched mid-epoch.  A crash — power
+//! loss, a torn write the caller could not repair, a dead machine — therefore
+//! leaves the last checkpoint's state fully intact on the medium, and
+//! recovery either *rewinds* to it (crash before commit) or *redoes* the
+//! committed shadow set on top of it (crash after commit, before the apply
+//! finished).  This is the trail/checkpoint discipline of Vitter's survey
+//! adapted to blocks: checkpointing makes online structures restartable, and
+//! the write-ahead rule (log the redo record before moving a home block)
+//! makes the apply idempotent from any interruption point.
 //!
 //! ## Protocol
 //!
-//! During an **epoch** (the span between checkpoints):
+//! During an **epoch** (the span between checkpoints) a block is either
+//! *committed* — it existed at the last checkpoint — or *born this epoch*:
+//! handed out by this journal's `allocate` since then.  Nothing the last
+//! checkpoint committed can reference a born-this-epoch block (its id was
+//! free at that checkpoint, and committed blocks freed since are only
+//! released *after* the next commit, so the allocator cannot hand out an id
+//! the committed state still uses).  That is the **born-this-epoch rule**:
+//! such a block needs no shadow, because a rewind cannot see it.
 //!
-//! * `write_block(home)` allocates (once per home) a shadow block, writes the
-//!   payload there, and remembers `home → (shadow, checksum)` in memory.
-//!   Rewrites reuse the same shadow.  One transfer — exactly what the bare
-//!   device would have cost.
+//! * `allocate` passes through and remembers the id as born this epoch
+//!   (forgotten at the next checkpoint; nothing is born after `recover`
+//!   until the reopened journal allocates).  Blocks allocated in an epoch
+//!   that ends in a rewind are leaked (bounded by the epoch's footprint);
+//!   the simulation's media are free-list allocators, so a leak costs
+//!   capacity, never correctness.
+//! * `write_block(id)` of a born-this-epoch block goes **straight home**: no
+//!   shadow, no redo entry, nothing to apply.  A rewind leaves the bytes in a
+//!   block no recovered structure points at — the allocation leak above,
+//!   with a payload.  The checkpoint's `barrier()` orders every such write
+//!   before the commit header, so a *committed* epoch never references a
+//!   born block whose write was lost.
+//! * `write_block(home)` of a committed block allocates (once per home) a
+//!   shadow block, writes the payload there, and remembers
+//!   `home → (shadow, checksum)` in memory.  Rewrites reuse the same shadow.
+//!   One transfer either way — exactly what the bare device would have cost.
 //! * `read_block(home)` of a pending block is redirected to its shadow; other
 //!   reads pass through.  One transfer either way.
-//! * `free(home)` is **deferred** to the end of the next checkpoint: the
-//!   block being freed is part of the state a rewind must restore.
-//! * `allocate` passes straight through.  Blocks allocated in an epoch that
-//!   ends in a rewind are leaked (bounded by the epoch's footprint); the
-//!   simulation's media are free-list allocators, so a leak costs capacity,
-//!   never correctness.
+//! * `free(id)` of a born-this-epoch block releases it **at once** (its id
+//!   may be born again in the same epoch).  `free(home)` of a committed
+//!   block is **deferred** to the end of the next checkpoint: the block
+//!   being freed is part of the state a rewind must restore.
 //!
 //! [`checkpoint`](Journal::checkpoint) then makes the epoch durable:
 //!
 //! 1. **Chain**: the redo record — every `(home, shadow, payload checksum)`
-//!    plus all named [manifests](Journal::set_manifest) — is serialized into
-//!    freshly allocated, checksummed *chain blocks*, linked head-to-tail.
+//!    of a rewritten committed block, plus all named
+//!    [manifests](Journal::set_manifest) — is serialized into freshly
+//!    allocated, checksummed *chain blocks*, linked head-to-tail.
 //! 2. **Commit**: a header block is written with state `COMMITTED`, an odd
 //!    sequence number, and the chain head.  This single block write is the
 //!    commit point.
@@ -63,7 +81,10 @@
 //! checkpoints.  The checkpoint overhead — chain writes, two header writes,
 //! one read + one write per pending block for the apply — is tracked exactly
 //! in [`WalOverhead`], so benchmarks can assert `journaled = bare + overhead`
-//! to the transfer.  A [`passthrough`](Journal::passthrough) journal forwards
+//! to the transfer.  Per checkpoint that is
+//! `2 + O(rewritten committed blocks + manifest bytes / B)` transfers: what
+//! the epoch allocated and filled costs nothing extra, however much it was.
+//! A [`passthrough`](Journal::passthrough) journal forwards
 //! everything and makes `checkpoint` a no-op, for call sites that want one
 //! code path with journaling switched off.
 //!
@@ -72,7 +93,7 @@
 //! cursor, not the home block's lane; totals are preserved but per-lane
 //! attribution of a journaled workload can differ from the bare run.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -111,7 +132,7 @@ fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
 }
 
 fn corrupt(what: &str) -> PdmError {
-    PdmError::Io(std::io::Error::other(format!("journal: {what}")))
+    PdmError::Corrupt(format!("journal: {what}"))
 }
 
 /// Exact transfer overhead a [`Journal`] has added on top of the wrapped
@@ -163,6 +184,10 @@ struct WalState {
     /// Homes written this epoch, ordered by id (deterministic chain/apply
     /// order).
     pending: BTreeMap<BlockId, PendingEntry>,
+    /// Blocks allocated through the journal this epoch.  No committed state
+    /// can reference them, so their writes go straight home and their frees
+    /// happen at once; cleared by every checkpoint, empty after recovery.
+    fresh: BTreeSet<BlockId>,
     /// Frees deferred until the epoch commits; on rewind they never happen,
     /// which is what keeps the pre-epoch structures intact.
     deferred_frees: Vec<BlockId>,
@@ -205,6 +230,7 @@ impl Journal {
     fn empty_state() -> WalState {
         WalState {
             pending: BTreeMap::new(),
+            fresh: BTreeSet::new(),
             deferred_frees: Vec::new(),
             manifests: BTreeMap::new(),
             seq: 0,
@@ -407,6 +433,7 @@ impl Journal {
             self.inner.free(id)?;
         }
         st.pending.clear();
+        st.fresh.clear();
         st.committed_chain = chain;
         st.seq = commit_seq + 1;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -587,7 +614,11 @@ impl BlockDevice for Journal {
     }
 
     fn allocate(&self) -> Result<BlockId> {
-        self.inner.allocate()
+        let id = self.inner.allocate()?;
+        if self.headers.is_some() {
+            self.state.lock().fresh.insert(id);
+        }
+        Ok(id)
     }
 
     fn free(&self, id: BlockId) -> Result<()> {
@@ -595,6 +626,10 @@ impl BlockDevice for Journal {
             return self.inner.free(id);
         }
         let mut st = self.state.lock();
+        if st.fresh.remove(&id) {
+            // Born and freed inside one epoch: no checkpoint ever saw it.
+            return self.inner.free(id);
+        }
         if let Some(entry) = st.pending.remove(&id) {
             // The shadow was never committed; nobody can reach it anymore.
             self.inner.free(entry.shadow)?;
@@ -623,8 +658,8 @@ impl BlockDevice for Journal {
         if self.headers.is_none() {
             return self.inner.write_block(id, buf);
         }
-        let shadow = self.redirect_write(id, buf)?;
-        self.inner.write_block(shadow, buf)
+        let target = self.redirect_write(id, buf)?;
+        self.inner.write_block(target, buf)
     }
 
     fn stats(&self) -> Arc<IoStats> {
@@ -668,7 +703,7 @@ impl BlockDevice for Journal {
             return self.inner.submit_write(id, buf);
         }
         match self.redirect_write(id, &buf) {
-            Ok(shadow) => self.inner.submit_write(shadow, buf),
+            Ok(target) => self.inner.submit_write(target, buf),
             Err(e) => IoTicket::ready(Err(e)),
         }
     }
@@ -679,10 +714,14 @@ impl BlockDevice for Journal {
 }
 
 impl Journal {
-    /// Register a write to home `id`: get-or-allocate its shadow, update the
-    /// payload checksum, and return the shadow to write to.
+    /// Where a write to `id` must land.  A block born this epoch is its own
+    /// target; a committed home gets (or keeps) its shadow, whose payload
+    /// checksum is updated.
     fn redirect_write(&self, id: BlockId, buf: &[u8]) -> Result<BlockId> {
         let mut st = self.state.lock();
+        if st.fresh.contains(&id) {
+            return Ok(id);
+        }
         let shadow = match st.pending.get_mut(&id) {
             Some(entry) => {
                 entry.checksum = fnv1a(buf);
@@ -735,12 +774,20 @@ mod tests {
         assert_eq!(ram.allocated_blocks(), 0);
     }
 
-    #[test]
-    fn epoch_writes_are_redirected_and_cost_one_transfer_each() {
+    /// A journal with `n` zeroed blocks the last checkpoint committed.
+    fn with_committed(n: usize) -> (Arc<RamDisk>, Arc<Journal>, Vec<BlockId>) {
         let ram = RamDisk::new(BS);
         let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+        let ids = (0..n).map(|_| j.allocate().unwrap()).collect();
+        j.checkpoint().unwrap();
+        (ram, j, ids)
+    }
+
+    #[test]
+    fn epoch_writes_are_redirected_and_cost_one_transfer_each() {
+        let (ram, j, ids) = with_committed(1);
+        let id = ids[0];
         let before = j.stats().snapshot();
-        let id = j.allocate().unwrap();
         j.write_block(id, &block(1)).unwrap();
         j.write_block(id, &block(2)).unwrap();
         let mut out = block(0);
@@ -754,14 +801,13 @@ mod tests {
         ram.read_block(id, &mut home).unwrap();
         assert_eq!(home, block(0), "home untouched before checkpoint");
         assert_eq!(j.pending_blocks(), 1);
+        assert_eq!(j.overhead().shadow_writes, 2);
     }
 
     #[test]
     fn checkpoint_applies_with_exact_overhead() {
-        let ram = RamDisk::new(BS);
-        let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
-        let a = j.allocate().unwrap();
-        let b = j.allocate().unwrap();
+        let (ram, j, ids) = with_committed(2);
+        let (a, b) = (ids[0], ids[1]);
         j.write_block(a, &block(0xAA)).unwrap();
         j.write_block(b, &block(0xBB)).unwrap();
         let before = j.overhead();
@@ -780,6 +826,47 @@ mod tests {
         ram.read_block(b, &mut out).unwrap();
         assert_eq!(out, block(0xBB));
         assert_eq!(j.pending_blocks(), 0);
+    }
+
+    #[test]
+    fn born_this_epoch_blocks_skip_shadow_chain_and_apply() {
+        let ram = RamDisk::new(BS);
+        let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+        let before = j.overhead();
+        let allocated = ram.allocated_blocks();
+        let (a, b, c) = (
+            j.allocate().unwrap(),
+            j.allocate().unwrap(),
+            j.allocate().unwrap(),
+        );
+        j.write_block(a, &block(0xAA)).unwrap();
+        j.write_block(a, &block(0xAB)).unwrap();
+        j.submit_write(b, block(0xBB).into_boxed_slice())
+            .wait()
+            .unwrap();
+        j.write_block(c, &block(0xCC)).unwrap();
+        // Straight home: the medium already holds the bytes, nothing pends.
+        let mut out = block(0);
+        ram.read_block(a, &mut out).unwrap();
+        assert_eq!(out, block(0xAB));
+        assert_eq!(j.pending_blocks(), 0);
+        assert_eq!(ram.allocated_blocks(), allocated + 3, "no shadow blocks");
+        // Freed at once, not at the checkpoint.
+        j.free(c).unwrap();
+        assert_eq!(ram.allocated_blocks(), allocated + 2);
+        j.checkpoint().unwrap();
+        let d = j.overhead();
+        assert_eq!(d.shadow_writes, before.shadow_writes);
+        assert_eq!(d.apply_reads + d.apply_writes, 0);
+        assert_eq!(d.chain_writes, before.chain_writes, "empty redo record");
+        assert_eq!(d.header_writes - before.header_writes, 2);
+        // The checkpoint made them committed homes: the next write shadows.
+        j.write_block(a, &block(0xA0)).unwrap();
+        assert_eq!(j.pending_blocks(), 1);
+        ram.read_block(a, &mut out).unwrap();
+        assert_eq!(out, block(0xAB), "home untouched before checkpoint");
+        j.read_block(b, &mut out).unwrap();
+        assert_eq!(out, block(0xBB));
     }
 
     #[test]

@@ -517,3 +517,113 @@ fn shard_dense_crash_sweep_striped() {
         "sweep of {total} transfers barely crashed — widen it"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Scenario 5: the raw journal — every block lifetime in every epoch
+// ---------------------------------------------------------------------------
+
+/// The structures above allocate what they write inside one epoch, so their
+/// sweeps mostly exercise the journal's born-this-epoch path.  This script
+/// keeps the redo path under the same sweep: every epoch rewrites a committed
+/// home (shadow → chain → commit → apply), writes and frees a block born in
+/// the epoch (straight home, freed at once), and replaces a committed block
+/// by a born one (deferred free).  The manifest names the two live blocks
+/// and the epoch; both must hold exactly that epoch's payload.
+///
+/// Returns whether the run crashed and how many home blocks the reboot redid.
+fn journal_lifetimes_crash_run(m: &Medium, k: u64) -> (bool, u64) {
+    const EPOCHS: u64 = 6;
+    let bs = m.bare().block_size();
+    let payload = |epoch: u64, tag: u8| -> Vec<u8> {
+        let mut b = vec![tag; bs];
+        b[..8].copy_from_slice(&epoch.to_le_bytes());
+        b
+    };
+    let slots = |home: BlockId, side: BlockId, epoch: u64| -> Vec<u8> {
+        [home, side, epoch]
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .collect()
+    };
+    // First boot on the pristine medium commits epoch 0.
+    let j0 = Journal::format(m.bare()).expect("formatting a pristine medium cannot fail");
+    let headers = j0.header_blocks().expect("formatted journal has headers");
+    let home = j0.allocate().expect("allocate home");
+    let side0 = j0.allocate().expect("allocate side");
+    j0.write_block(home, &payload(0, b'h')).expect("write home");
+    j0.write_block(side0, &payload(0, b's'))
+        .expect("write side");
+    j0.set_manifest("slots", slots(home, side0, 0));
+    j0.checkpoint().expect("first checkpoint");
+    drop(j0);
+
+    let mut acked = 0u64;
+    let mut crashed = true;
+    if let Ok(j) = Journal::recover(m.crashy(k), headers) {
+        let result: Result<()> = (|| {
+            let mut side = side0;
+            for epoch in 1..=EPOCHS {
+                j.write_block(home, &payload(epoch, b'h'))?;
+                let scratch = j.allocate()?;
+                j.write_block(scratch, &payload(epoch, b'x'))?;
+                j.free(scratch)?;
+                let next = j.allocate()?;
+                j.write_block(next, &payload(epoch, b's'))?;
+                j.free(side)?;
+                side = next;
+                j.set_manifest("slots", slots(home, side, epoch));
+                j.checkpoint()?;
+                acked = epoch;
+            }
+            Ok(())
+        })();
+        crashed = result.is_err();
+    }
+
+    let j1 = Journal::recover(m.bare(), headers).expect("first recovery must succeed");
+    let redone = j1.overhead().apply_writes;
+    drop(j1);
+    let j = m.reboot_twice(headers, "slots");
+    assert_eq!(
+        j.overhead().apply_writes,
+        0,
+        "crash at {k}: a finished recovery left nothing to redo"
+    );
+    let s = j.manifest("slots").expect("slots manifest");
+    let word = |i: usize| u64::from_le_bytes(s[i * 8..(i + 1) * 8].try_into().unwrap());
+    let (r_home, r_side, epoch) = (word(0), word(1), word(2));
+    assert_eq!(r_home, home);
+    assert!(
+        epoch == acked || epoch == acked + 1,
+        "crash at {k}: recovered epoch {epoch}, last acked {acked}"
+    );
+    let mut buf = vec![0u8; bs];
+    j.read_block(r_home, &mut buf).expect("read home");
+    assert_eq!(buf, payload(epoch, b'h'), "crash at {k}: home is torn");
+    j.read_block(r_side, &mut buf).expect("read side");
+    assert_eq!(buf, payload(epoch, b's'), "crash at {k}: side is torn");
+    (crashed, redone)
+}
+
+/// Crash at *every* transfer of the scripted run.
+#[test]
+fn journal_block_lifetimes_dense_crash_sweep() {
+    let clean = Medium::new(2, Placement::Independent);
+    let (crashed, redone) = journal_lifetimes_crash_run(&clean, u64::MAX);
+    assert!(!crashed, "fault-free run must complete");
+    assert_eq!(redone, 0, "a clean shutdown leaves nothing to redo");
+    let total = clean.total_transfers();
+    let (mut mid_run, mut redos) = (0, 0);
+    for k in 0..total {
+        let m = Medium::new(2, Placement::Independent);
+        let (crashed, redone) = journal_lifetimes_crash_run(&m, k);
+        mid_run += u64::from(crashed);
+        redos += u64::from(redone > 0);
+    }
+    assert!(mid_run > 20, "sweep of {total} transfers barely crashed");
+    assert!(
+        redos >= 1,
+        "no crash point fell between a commit and its clean header: the \
+         redo path went untested"
+    );
+}
