@@ -10,12 +10,15 @@
 //!
 //! * [`Shard`] — one partition of the dictionary: an [`emtree::BTree`]
 //!   (authoritative, point-read path through a [`pdm::BufferPool`]) paired
-//!   with an [`emtree::BufferTree`] write absorber and an in-memory delta
-//!   map mirroring every op absorbed since the last compaction.  Writes cost
-//!   the buffer tree's amortized `O((1/B)·log_{M/B})`; a periodic compaction
-//!   drains the absorber in key order into
-//!   [`BTree::apply_sorted_batch`](emtree::BTree::apply_sorted_batch) — one
-//!   streaming `O((N+Δ)/B)` rebuild — so reads never pay a flush.
+//!   with an [`emtree::BufferTree`] write absorber and an in-memory,
+//!   key-ordered delta map holding the latest op per key since the last
+//!   compaction.  Writes cost the buffer tree's amortized
+//!   `O((1/B)·log_{M/B})`; a periodic compaction feeds the delta — which,
+//!   with the batch empty, *is* the absorber's latest-op-per-key view — to
+//!   [`BTree::apply_sorted_batch`](emtree::BTree::apply_sorted_batch), one
+//!   streaming rebuild that reads each old node once and writes each new
+//!   node once, and frees the absorber without reading it.  Reads never pay
+//!   a flush; only crash recovery reads the absorber.
 //! * [`Server`] — the concurrent request batcher: one bounded MPSC ingest
 //!   queue and drain thread per shard.  The drain thread coalesces
 //!   puts/deletes into batches flushed on *size or deadline* (throughput

@@ -3,10 +3,19 @@
 //! A [`Shard`] pairs the authoritative B+-tree (point reads in
 //! `O(log_B N)` through a [`BufferPool`]) with a buffer-tree *write
 //! absorber* (amortized `O((1/B)·log_{M/B}(N/B))` per update) and an
-//! in-memory *delta map* that mirrors every operation accepted since the
-//! last compaction.  The delta map is what makes reads-your-writes cheap:
-//! a get consults it before the tree, so neither reads nor writes ever
-//! force the absorber to flush (the `BufferTree::get` path would).
+//! in-memory, key-ordered *delta map* holding the latest operation per key
+//! accepted since the last compaction.  The delta map is what makes
+//! reads-your-writes cheap: a get consults it before the tree, so neither
+//! reads nor writes ever force the absorber to flush (the
+//! `BufferTree::get` path would).
+//!
+//! The invariant the rest stands on: **with the batch empty, the delta is
+//! exactly the absorber's latest-op-per-key view.**  The two are therefore
+//! never read for the same purpose: compaction consumes the delta (in
+//! memory, in key order) and merely frees the absorber's blocks; only
+//! [`Shard::recover`] reads the absorber, to rebuild the delta a crash
+//! lost.  The absorber is the shard's durable log, not a stage its data
+//! passes through.
 //!
 //! Multi-tenancy is by key prefix: the stored key is `(tenant, key)`, so
 //! one physical tree serves every tenant of the shard and per-tenant range
@@ -14,12 +23,11 @@
 //! records* `(value, TOMBSTONE)` rather than buffer-tree deletes — the
 //! buffer tree's leaf-apply discards a delete whose key is absent from its
 //! own leaves, which is correct for a self-contained dictionary but would
-//! lose deletions destined for the B+-tree.  Compaction streams the
-//! absorber's sorted state into [`BTree::apply_sorted_batch`], translating
-//! marks back into upserts/erases, then resets absorber and delta.
+//! lose deletions destined for the B+-tree.  Compaction feeds the delta, in
+//! key order, to [`BTree::apply_sorted_batch`] — puts as upserts, deletes as
+//! erases — then resets absorber and delta.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,13 +71,14 @@ struct PendingOp<K, V> {
 /// Single-threaded by design — the [`Server`](crate::Server) gives each
 /// shard its own drain thread and lane-pinned device, so shards never
 /// contend on locks or on each other's disk queues.
-pub struct Shard<K: Record + Ord + Eq + Hash, V: Record> {
+pub struct Shard<K: Record + Ord, V: Record> {
     pool: Arc<BufferPool>,
     tree: BTree<Ik<K>, V>,
     absorber: BufferTree<Ik<K>, (V, u8)>,
     /// Every op since the last compaction (absorbed *or* still in-flight in
-    /// `batch`): `Some(v)` put, `None` delete.  Read-your-writes overlay.
-    delta: HashMap<Ik<K>, Option<V>>,
+    /// `batch`): `Some(v)` put, `None` delete.  Read-your-writes overlay
+    /// and, being ordered, compaction's input.
+    delta: BTreeMap<Ik<K>, Option<V>>,
     /// Ops accepted but not yet absorbed (the open batch).
     batch: Vec<PendingOp<K, V>>,
     batch_opened: Option<Instant>,
@@ -85,7 +94,7 @@ pub struct Shard<K: Record + Ord + Eq + Hash, V: Record> {
 
 impl<K, V> Shard<K, V>
 where
-    K: Record + Ord + Eq + Hash,
+    K: Record + Ord,
     V: Record,
 {
     /// Build a shard on `device` with a `pool_frames`-frame read pool, an
@@ -136,7 +145,7 @@ where
             pool,
             tree,
             absorber,
-            delta: HashMap::new(),
+            delta: BTreeMap::new(),
             batch: Vec::new(),
             batch_opened: None,
             compact_threshold: compact_threshold.max(1),
@@ -190,11 +199,7 @@ where
             Self::absorber_budget(&device, absorber_mem),
             &am,
         )?;
-        let delta = absorber
-            .scan()?
-            .into_iter()
-            .map(|(ik, (v, dead))| (ik, (dead == 0).then_some(v)))
-            .collect();
+        let delta = Self::absorbed_view(&absorber)?;
         Ok(Shard {
             pool,
             tree,
@@ -205,6 +210,15 @@ where
             compact_threshold: compact_threshold.max(1),
             journal: Some(journal),
         })
+    }
+
+    /// The absorber's latest op per key, read back without changing it —
+    /// what the delta is whenever the batch is empty.
+    fn absorbed_view(absorber: &BufferTree<Ik<K>, (V, u8)>) -> Result<BTreeMap<Ik<K>, Option<V>>> {
+        let view = absorber.scan()?.into_iter();
+        Ok(view
+            .map(|(ik, (v, dead))| (ik, (dead == 0).then_some(v)))
+            .collect())
     }
 
     /// The read pool (hit/miss counters feed the serving hit-rate metric).
@@ -332,10 +346,7 @@ where
         let lo_ik = (tenant, lo.clone());
         let hi_ik = (tenant, hi.clone());
         let mut merged: BTreeMap<Ik<K>, V> = self.tree.range(&lo_ik, &hi_ik)?.into_iter().collect();
-        for (ik, op) in &self.delta {
-            if *ik < lo_ik || *ik > hi_ik {
-                continue;
-            }
+        for (ik, op) in self.delta.range(&lo_ik..=&hi_ik) {
             match op {
                 Some(v) => {
                     merged.insert(ik.clone(), v.clone());
@@ -365,13 +376,15 @@ where
         }
     }
 
-    /// Drain the absorber into the B+-tree in one streaming pass.
+    /// Merge everything accepted since the last compaction into the B+-tree
+    /// in one streaming pass.
     ///
-    /// The absorber's sorted dump is strictly increasing in key (it resolves
-    /// duplicates internally), so it feeds `apply_sorted_batch` directly:
-    /// marked live records become upserts, tombstones become erases, and the
-    /// tree's leaf level is rebuilt in `O((N+Δ)/B)` transfers instead of
-    /// `Δ·O(log_B N)` point updates.
+    /// The delta is the absorber's latest-op-per-key view, in memory and in
+    /// key order, so it feeds `apply_sorted_batch` directly: puts become
+    /// upserts, deletes become erases, and the tree is rebuilt at its floor
+    /// — each old node read once, each new node written once, `O((N+Δ)/B)`
+    /// transfers instead of `Δ·O(log_B N)` point updates.  The absorber is
+    /// neither flushed nor read: its blocks are freed, which costs nothing.
     pub fn compact(&mut self) -> Result<()> {
         assert!(
             self.batch.is_empty(),
@@ -380,19 +393,14 @@ where
         if self.delta.is_empty() {
             return Ok(());
         }
-        let ext = self.absorber.to_sorted_ext_vec()?;
-        let ops = ext.to_vec()?;
-        ext.free()?;
-        self.tree.apply_sorted_batch(
-            ops.into_iter()
-                .map(|(ik, (v, dead))| (ik, (dead == 0).then_some(v))),
-        )?;
+        self.tree
+            .apply_sorted_batch(self.delta.iter().map(|(ik, op)| (ik.clone(), op.clone())))?;
         self.absorber.clear()?;
         self.delta.clear();
-        // On a journaled shard the rebuild must commit atomically: the old
-        // tree's freed leaves are deferred inside the journal until this
-        // checkpoint, so a crash mid-compaction rewinds to the intact
-        // pre-compaction state.
+        // On a journaled shard the rebuild must commit atomically: the frees
+        // of the old tree's nodes and of the absorber's blocks are deferred
+        // inside the journal until this checkpoint, so a crash mid-compaction
+        // rewinds to the intact pre-compaction state, absorber untouched.
         if self.journal.is_some() {
             self.checkpoint()?;
         }
@@ -551,8 +559,8 @@ mod tests {
         // so it gets the same two-candidate audit: the delta as of the last
         // checkpoint that returned, or as the checkpoint in flight at the
         // crash would have left it.
-        let mut delta_acked = HashMap::new();
-        let mut delta_in_flight = HashMap::new();
+        let mut delta_acked = BTreeMap::new();
+        let mut delta_in_flight = BTreeMap::new();
         let mut crashed = true;
         if let Ok(j) = Journal::recover(faulty as SharedDevice, headers) {
             if let Ok(mut s) = Shard::<u64, u64>::recover(j, 16, 256, 16) {
@@ -573,7 +581,7 @@ mod tests {
                         acked = pending.clone();
                         delta_acked = s.delta.clone();
                         if s.wants_compact() {
-                            delta_in_flight = HashMap::new();
+                            delta_in_flight = BTreeMap::new();
                         }
                         s.maybe_compact()?;
                         delta_acked = s.delta.clone();
@@ -628,6 +636,151 @@ mod tests {
         assert!(
             mid_run_recoveries > 0,
             "sweep never crashed after an acked batch — widen it"
+        );
+    }
+
+    #[test]
+    fn compaction_never_touches_the_absorber() {
+        let mut s = ram_shard(usize::MAX);
+        let dev = s.pool.device().clone();
+        // A tree from a first compaction, then a second overlay above it.
+        for round in 0..2u64 {
+            for i in 0..600u64 {
+                let key = (i * 7 + round * 3) % 900;
+                s.enqueue(1, i, key, (i % 6 != 0).then_some(key + round));
+                if i % 32 == 31 {
+                    s.flush_batch(|_, _| {}).unwrap();
+                }
+            }
+            s.flush_batch(|_, _| {}).unwrap();
+            if round == 0 {
+                s.compact().unwrap();
+            }
+        }
+        // No old node may still be waiting to be written for the first time.
+        s.pool.flush().unwrap();
+        let old_nodes = s.tree.node_count().unwrap();
+        assert!(old_nodes > 16, "old tree must exceed the pool");
+        assert!(
+            dev.allocated_blocks() > old_nodes,
+            "the absorber must hold blocks for the test to mean anything"
+        );
+        let looked_up = |s: &Shard<u64, u64>| s.pool.stats().hits() + s.pool.stats().misses();
+        let (io, lookups, misses, writebacks) = (
+            dev.stats().snapshot(),
+            looked_up(&s),
+            s.pool.stats().misses(),
+            s.pool.stats().writebacks(),
+        );
+        s.compact().unwrap();
+        s.pool.flush().unwrap();
+        let d = dev.stats().snapshot_delta(&io);
+        // Each old node was looked at once, and nothing but a tree node
+        // missing from the pool was read …
+        assert_eq!(looked_up(&s) - lookups, old_nodes);
+        assert_eq!(d.reads(), s.pool.stats().misses() - misses);
+        // … each new node was written once, and nothing else was written …
+        let new_nodes = s.tree.node_count().unwrap();
+        assert_eq!(d.writes(), new_nodes);
+        assert_eq!(d.writes(), s.pool.stats().writebacks() - writebacks);
+        // … and the absorber's blocks were only freed.
+        assert_eq!(dev.allocated_blocks(), new_nodes);
+        s.check_invariants().unwrap();
+    }
+
+    /// Play batches `from..` of a seeded 2 000-op put/overwrite/delete tape
+    /// (25 ops a batch, a compaction whenever 300 keys are pending).  Before
+    /// each compaction the overlay must equal the absorber's own view, after
+    /// it the shard must equal the model.  On a device error returns the
+    /// index of the batch in flight, which is safe to replay: an op's effect
+    /// depends only on its position in the tape.
+    fn play_tape(
+        s: &mut Shard<u64, u64>,
+        model: &mut BTreeMap<u64, u64>,
+        from: u64,
+    ) -> std::result::Result<u32, u64> {
+        let mut compactions = 0;
+        for batch in from..80 {
+            for i in batch * 25..(batch + 1) * 25 {
+                let x = em_core::hash::fnv1a(&i.to_le_bytes());
+                let key = x % 1_000;
+                let op = (x >> 32) % 10 < 7;
+                s.enqueue(0, i, key, op.then_some(i));
+                match op {
+                    true => model.insert(key, i),
+                    false => model.remove(&key),
+                };
+            }
+            s.flush_batch(|_, _| {}).map_err(|_| batch)?;
+            if !s.wants_compact() {
+                continue;
+            }
+            let absorbed = Shard::absorbed_view(&s.absorber).map_err(|_| batch)?;
+            assert_eq!(s.delta, absorbed, "batch {batch}: overlay != absorber view");
+            s.compact().map_err(|_| batch)?;
+            compactions += 1;
+            let all = s.range(0, &0, &u64::MAX).map_err(|_| batch)?;
+            assert!(
+                all.iter().copied().eq(model.iter().map(|(&k, &v)| (k, v))),
+                "batch {batch}: shard != model after compaction"
+            );
+        }
+        Ok(compactions)
+    }
+
+    #[test]
+    fn overlay_equals_absorber_view_before_every_compaction() {
+        let dev: SharedDevice = DiskArray::new_ram(1, 512, Placement::Independent);
+        let mut s: Shard<u64, u64> = Shard::new(dev, 16, 256, 300).unwrap();
+        let compactions = play_tape(&mut s, &mut BTreeMap::new(), 0).unwrap();
+        assert!(compactions >= 4, "only {compactions} compactions");
+        s.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn overlay_equals_absorber_view_on_a_recovered_shard() {
+        use pdm::{BlockDevice, CrashSwitch, FaultDisk, FaultPlan, Journal, RamDisk};
+        // Returns the batch the tape was resumed from after the crash, if it
+        // crashed, and the transfers the medium saw.
+        let run = |kill_after: u64| -> (Option<u64>, u64) {
+            let ram = RamDisk::new(512);
+            let j0 = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+            let headers = j0.header_blocks().unwrap();
+            drop(j0);
+            let faulty = FaultDisk::wrap(
+                Arc::clone(&ram) as SharedDevice,
+                FaultPlan::new(0).with_crash(CrashSwitch::after(kill_after)),
+            );
+            let mut model = BTreeMap::new();
+            let j = Journal::recover(faulty as SharedDevice, headers).unwrap();
+            let mut s = Shard::<u64, u64>::recover(j, 16, 256, 300).unwrap();
+            let Err(in_flight) = play_tape(&mut s, &mut model, 0) else {
+                return (None, ram.stats().snapshot().total());
+            };
+            // The crashed instance's Drop would free blocks the recovered
+            // shard owns; leak it like the process it models.
+            std::mem::forget(s);
+            let j = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+            let mut s = Shard::<u64, u64>::recover(j, 16, 256, 300).unwrap();
+            let compactions = play_tape(&mut s, &mut model, in_flight).unwrap();
+            assert!(
+                compactions >= 1,
+                "kill at {kill_after}: nothing left to compact"
+            );
+            s.check_invariants().unwrap();
+            (Some(in_flight), ram.stats().snapshot().total())
+        };
+        let (None, total) = run(u64::MAX) else {
+            panic!("fault-free run crashed");
+        };
+        // Six kill points spread over the tape, each with an overlay pending
+        // (crashes inside a compaction are `crashy_run`'s sweep).
+        let resumed: Vec<u64> = (1..=6)
+            .map(|i| run(total * i / 8).0.expect("kill point inside the run"))
+            .collect();
+        assert!(
+            resumed.windows(2).all(|w| w[0] < w[1]) && resumed[0] > 0,
+            "kill points did not spread over the tape: {resumed:?}"
         );
     }
 
