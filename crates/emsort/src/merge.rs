@@ -13,8 +13,9 @@
 //! harness (F1/F2) verifies against [`em_core::bounds::merge_sort_ios`].
 //!
 //! There is one merge: [`SortedStream`], a [loser tree](crate::losertree)
-//! over the runs' readers — `⌈log₂ k⌉` comparisons per record with a
-//! block-drain fast path — whose I/O side is scheduled by *forecasting*
+//! over the runs' readers — `⌈log₂ k⌉` comparisons per record when the
+//! winner changes run, one per record while a run keeps winning — whose I/O
+//! side is scheduled by *forecasting*
 //! ([`crate::forecast`]): each run's block-head keys decide which run's next
 //! block is prefetched first.  A materialized merge is that stream drained
 //! into a write-behind writer; every sort entry point runs its passes
@@ -283,6 +284,12 @@ where
 /// resolve toward the lower run index, so merging stably sorted runs yields
 /// the stable sort of their concatenation.
 ///
+/// Each record costs one reader pull and one step of the tournament: a
+/// branch-free replay of `⌈log₂ k⌉` single-`less` matches when the winner
+/// has just changed run (almost every record of unsorted input), and one
+/// `less` call against the runner-up with no tree pass from the second
+/// consecutive record of a run on (presorted or clustered input).
+///
 /// Read-ahead is one shared pool scheduled by a `Forecaster` — the run
 /// whose next block has the smallest leading key gets the next buffer —
 /// whenever read-ahead is requested, at least two runs merge, and every run
@@ -294,11 +301,11 @@ where
 pub struct SortedStream<'a, R: Record, F> {
     readers: Vec<ExtVecReader<'a, R>>,
     fc: Option<Forecaster>,
+    /// The tournament over the readers' current records.  It also owns the
+    /// drain state: whether the winner's run is on a streak, and the
+    /// challenger bound cached for it (see [`LoserTree::advance`]).
     lt: LoserTree<R, F>,
-    /// Cached challenger for the current winner (inner `None`: a sole
-    /// surviving run has none).  `swap_winner` keeps the cache (the tree is
-    /// untouched); any `replace_winner` resets it to the outer `None`.
-    challenger: Option<Option<(usize, R)>>,
+    /// The tree's comparator again, for the forecaster pump.
     less: F,
     /// Records since the last forecaster pump (cadence: once per block).
     since_pump: usize,
@@ -357,7 +364,6 @@ where
             readers,
             fc,
             lt: LoserTree::new(keys, less),
-            challenger: None,
             less,
             since_pump: 0,
             per_block: b.max(1),
@@ -389,37 +395,9 @@ where
         let Some(wi) = self.lt.winner() else {
             return Ok(None);
         };
-        // Clone the challenger key so the tree is free to mutate while the
-        // winner drains against it (one O(1) clone per switch).
-        let challenger = self
-            .challenger
-            .get_or_insert_with(|| self.lt.challenger().map(|(ci, ck)| (ci, ck.clone())));
-        let rec = match self.readers[wi].try_next()? {
-            Some(n) => match challenger {
-                // Drain run `wi` with one comparison per record: while the
-                // refill still beats the challenger the winner leaf is
-                // swapped in place, no tree pass needed.
-                Some((ci, ck)) => {
-                    let still_wins = if wi < *ci {
-                        !less(ck, &n)
-                    } else {
-                        less(&n, ck)
-                    };
-                    if still_wins {
-                        self.lt.swap_winner(n)
-                    } else {
-                        self.challenger = None;
-                        self.lt.replace_winner(Some(n))
-                    }
-                }
-                // Sole surviving run: it streams straight through.
-                None => self.lt.swap_winner(n),
-            },
-            None => {
-                self.challenger = None;
-                self.lt.replace_winner(None)
-            }
-        };
+        // One record leaves, the winner's run refills its leaf.
+        let next = self.readers[wi].try_next()?;
+        let rec = self.lt.advance(next);
         // Re-pump the forecaster roughly once per emitted block; exact
         // cadence is irrelevant for correctness (a missed pump is just a
         // demand read).
@@ -1349,6 +1327,23 @@ mod tests {
         let budget = MemBudget::new(64 + 4 * 2 * 8 + 2 * 8);
         let out = merge_runs_with(&runs, &budget, &cfg, |a, b| a < b).unwrap();
         assert_eq!(out.to_vec().unwrap(), (0..400).collect::<Vec<u64>>());
+    }
+
+    /// The merge's CPU floor as a count: `less` calls per merged record.
+    #[test]
+    fn sorted_stream_comparator_calls_per_record() {
+        let device = device_b8();
+        // Synchronous reads: the forecaster orders block heads with the same
+        // comparator, which is I/O scheduling, not merging.
+        let cfg = SortConfig::new(512).with_overlap(OverlapConfig::symmetric(0));
+        crate::losertree::assert_comparator_calls_per_record(|runs, less| {
+            let runs: Vec<ExtVec<u64>> = runs
+                .iter()
+                .map(|r| ExtVec::from_slice(device.clone(), r).unwrap())
+                .collect();
+            let parts: Vec<(&ExtVec<u64>, u64)> = runs.iter().map(|r| (r, 0)).collect();
+            merge_runs_streaming(&parts, &MemBudget::new(512), &cfg, less, drain).unwrap()
+        });
     }
 }
 

@@ -195,7 +195,9 @@ where
 /// `chunk` straight into the writer — no scratch buffer, so memory stays at
 /// the chunk's records (plus one in-tree key per piece).  Ties resolve
 /// toward the lower piece index, so stably-sorted contiguous pieces merge
-/// into exactly the stable full sort of `chunk`.
+/// into exactly the stable full sort of `chunk`.  It is the same step as
+/// [`SortedStream`](crate::SortedStream)'s, so an already-sorted chunk
+/// merges at one comparison per record.
 fn merge_sorted_pieces<R, F>(
     chunk: &mut Vec<R>,
     piece_len: usize,
@@ -219,7 +221,7 @@ where
     while let Some(wi) = lt.winner() {
         let next = (cursors[wi] < ends[wi]).then(|| chunk[cursors[wi]].clone());
         cursors[wi] += 1;
-        w.push(lt.replace_winner(next))?;
+        w.push(lt.advance(next))?;
     }
     chunk.clear();
     Ok(())
@@ -586,5 +588,17 @@ mod tests {
             let v = r.to_vec().unwrap();
             assert!(v.windows(2).all(|w| w[0] >= w[1]));
         }
+    }
+
+    /// Run formation's piece merge is the same loop: same ceilings on `less`
+    /// calls per record as `SortedStream`'s.
+    #[test]
+    fn piece_merge_comparator_calls_per_record() {
+        let device = EmConfig::new(64, 8).ram_disk();
+        crate::losertree::assert_comparator_calls_per_record(|pieces, less| {
+            let mut w = ExtVecWriter::new(device.clone());
+            merge_sorted_pieces(&mut pieces.concat(), pieces[0].len(), less, &mut w).unwrap();
+            w.finish().unwrap().to_vec().unwrap()
+        });
     }
 }

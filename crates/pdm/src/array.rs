@@ -153,6 +153,8 @@ pub struct DiskArray {
     physical_block: usize,
     stats: Arc<IoStats>,
     /// Lane policy state for the independent geometries; see [`Placement`].
+    /// A striped array has no lane policy and holds this lock across
+    /// `allocate` and `free` instead, to keep its member disks in lockstep.
     cursor: Mutex<AllocCursor>,
     /// Present in overlapped mode.  When set, *every* transfer — including
     /// the synchronous `read_block`/`write_block` entry points — is routed
@@ -503,7 +505,10 @@ impl BlockDevice for DiskArray {
     fn allocate(&self) -> Result<BlockId> {
         if self.placement.is_striped() {
             // Keep member disks in lockstep: the logical id is the common
-            // physical id on every disk.
+            // physical id on every disk.  That holds only while every disk
+            // sees the same sequence of allocations and frees, so concurrent
+            // callers take turns (striping has no cursor; its lock is free).
+            let _lockstep = self.cursor.lock();
             let first = self.disks[0].allocate()?;
             for disk in &self.disks[1..] {
                 let id = disk.allocate()?;
@@ -518,6 +523,7 @@ impl BlockDevice for DiskArray {
 
     fn free(&self, id: BlockId) -> Result<()> {
         if self.placement.is_striped() {
+            let _lockstep = self.cursor.lock();
             for disk in &self.disks {
                 disk.free(id)?;
             }
@@ -743,6 +749,31 @@ mod tests {
         for d in 0..3 {
             assert_eq!(snap.reads_on(d), 1);
             assert_eq!(snap.writes_on(d), 1);
+        }
+    }
+
+    #[test]
+    fn striped_allocate_and_free_stay_in_lockstep_across_threads() {
+        let arr = DiskArray::new_ram(4, 8, Placement::Striped);
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u8 {
+                let (arr, barrier) = (&arr, &barrier);
+                s.spawn(move || {
+                    let data = [t; 32];
+                    barrier.wait();
+                    for _ in 0..2_000 {
+                        let id = arr.allocate().unwrap();
+                        // A striped write lands on every member disk, so it
+                        // fails unless all four hold `id`.
+                        arr.write_block(id, &data).unwrap();
+                        arr.free(id).unwrap();
+                    }
+                });
+            }
+        });
+        for (d, disk) in arr.disks.iter().enumerate() {
+            assert_eq!(disk.allocated_blocks(), 0, "disk {d}");
         }
     }
 
