@@ -29,10 +29,13 @@
 //!   [`pdm::LaneView`], so one shard's flush never serializes a neighbour's
 //!   reads, and per-shard transfers are attributable per lane through
 //!   [`pdm::IoStats::snapshot_delta`].
-//! * [`HotCache`] — the per-tenant hot-key read path: a record-budgeted LRU
-//!   in front of each shard whose admission control is a shared per-tenant
-//!   [`em_core::MemBudget`], so one tenant's scan cannot evict another
-//!   tenant's working set.
+//! * [`HotCache`] — the per-tenant hot-key read path: a record-budgeted
+//!   two-segment LRU in front of each shard (a missed record is admitted on
+//!   probation, a second reference protects it, eviction takes probation
+//!   first — so one-off keys displace each other and not the hot set) whose
+//!   admission control is a shared per-tenant [`em_core::MemBudget`], so one
+//!   tenant's scan cannot evict another tenant's working set.  It keeps
+//!   nothing about a key that is not resident.
 //!
 //! Determinism: shard routing is a seeded FNV-1a over the encoded
 //! `(tenant, key)` record, every queue drain is FIFO per shard, and all

@@ -22,7 +22,7 @@
 //! one shard's compaction never queues behind a neighbour's reads.
 
 use std::hash::Hash;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -119,7 +119,8 @@ impl ServeConfig {
 }
 
 enum Msg<K, V> {
-    Req(Request<K, V>),
+    /// A request and when `submit` took it, for the queue-wait total.
+    Req(Request<K, V>, Instant),
     /// Flush the open batch, then reply.  An error string is reported if the
     /// worker has fail-stopped.
     Barrier(SyncSender<Option<String>>),
@@ -162,7 +163,7 @@ where
     ) -> Result<Self> {
         assert!(cfg.shards > 0, "need at least one shard");
         assert!(cfg.tenants > 0, "need at least one tenant");
-        let stats = Arc::new(ServeStats::new());
+        let stats = Arc::new(ServeStats::new(cfg.shards));
         let first_error = Arc::new(Mutex::new(None));
         let budgets: Vec<Arc<MemBudget>> = (0..cfg.tenants)
             .map(|_| MemBudget::new(cfg.cache_records.max(1)))
@@ -182,6 +183,7 @@ where
             let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
             senders.push(tx);
             let worker = ShardWorker {
+                id: s,
                 shard,
                 rx,
                 sink: sink.clone(),
@@ -230,7 +232,7 @@ where
         };
         let s = shard_of_key(req.tenant, key, self.cfg.shards);
         self.senders[s]
-            .send(Msg::Req(req))
+            .send(Msg::Req(req, Instant::now()))
             .map_err(|_| self.current_error("shard worker gone"))
     }
 
@@ -356,6 +358,8 @@ impl<K: Record + Ord + Eq + Hash, V: Record> Drop for Server<K, V> {
 }
 
 struct ShardWorker<K: Record + Ord + Eq + Hash, V: Record> {
+    /// Index of this worker's idle timer in [`ServeStats`].
+    id: usize,
     shard: Shard<K, V>,
     rx: Receiver<Msg<K, V>>,
     sink: Arc<dyn CompletionSink<V>>,
@@ -378,15 +382,34 @@ where
         // shortens the wait to exactly its remaining time.
         const IDLE: Duration = Duration::from_millis(25);
         loop {
-            let wait = match self.shard.batch_opened_at() {
-                Some(t0) if self.shard.batch_len() > 0 => {
-                    let deadline = t0 + self.cfg.batch_deadline;
-                    deadline.saturating_duration_since(Instant::now())
+            // A worker with work queued is not idle and reads the clock
+            // once a message; one that has to block reads it on both sides
+            // of the wait and calls the difference idle.
+            let (msg, dequeued) = match self.rx.try_recv() {
+                Ok(msg) => (Ok(msg), Instant::now()),
+                Err(TryRecvError::Disconnected) => {
+                    (Err(RecvTimeoutError::Disconnected), Instant::now())
                 }
-                _ => IDLE,
+                Err(TryRecvError::Empty) => {
+                    let blocked = Instant::now();
+                    let wait = match self.shard.batch_opened_at() {
+                        Some(t0) if self.shard.batch_len() > 0 => {
+                            (t0 + self.cfg.batch_deadline).saturating_duration_since(blocked)
+                        }
+                        _ => IDLE,
+                    };
+                    let msg = self.rx.recv_timeout(wait);
+                    let woke = Instant::now();
+                    self.stats.record_idle(self.id, woke - blocked);
+                    (msg, woke)
+                }
             };
-            match self.rx.recv_timeout(wait) {
-                Ok(Msg::Req(req)) => self.handle_req(req),
+            match msg {
+                Ok(Msg::Req(req, submitted)) => {
+                    self.stats
+                        .record_queue_wait(dequeued.saturating_duration_since(submitted));
+                    self.handle_req(req, dequeued);
+                }
                 Ok(Msg::Barrier(reply)) => {
                     self.flush_open_batch();
                     let _ = reply.send(self.failed.clone());
@@ -440,7 +463,19 @@ where
         }
     }
 
-    fn handle_req(&mut self, req: Request<K, V>) {
+    /// Run `f` on `tenant`'s cache and publish the segment moves it made.
+    fn with_cache<R>(&mut self, tenant: u32, f: impl FnOnce(&mut HotCache<K, V>) -> R) -> R {
+        let cache = &mut self.caches[tenant as usize];
+        let (promotions, demotions) = (cache.promotions(), cache.demotions());
+        let r = f(cache);
+        self.stats.record_cache_moves(
+            cache.promotions() - promotions,
+            cache.demotions() - demotions,
+        );
+        r
+    }
+
+    fn handle_req(&mut self, req: Request<K, V>, dequeued: Instant) {
         if self.failed.is_some() {
             // Fail-stop: never ack what we cannot absorb.  Producers keep
             // their queue slots; the error surfaces via barrier/shutdown.
@@ -462,16 +497,18 @@ where
             }
             ReqKind::Get(k) => {
                 self.stats.record_get();
-                if let Some(v) = self.caches[tenant as usize].get(&k) {
+                if let Some(v) = self.with_cache(tenant, |c| c.get(&k)) {
                     self.stats.record_cache_hit();
                     self.sink.got(tenant, op_id, Some(v));
                     return;
                 }
                 self.stats.record_cache_miss();
-                match self.shard.get(tenant, &k) {
+                let found = self.shard.get(tenant, &k);
+                self.stats.record_tree_time(dequeued.elapsed());
+                match found {
                     Ok(found) => {
                         if let Some(v) = &found {
-                            if !self.caches[tenant as usize].insert(k, v.clone()) {
+                            if !self.with_cache(tenant, |c| c.insert(k, v.clone())) {
                                 self.stats.record_cache_rejected();
                             }
                         }
@@ -485,7 +522,7 @@ where
 
     fn write(&mut self, tenant: u32, op_id: u64, k: K, op: Option<V>) {
         // A stale cached value must never outlive the write that changed it.
-        self.caches[tenant as usize].invalidate(&k);
+        self.with_cache(tenant, |c| c.invalidate(&k));
         if self.cfg.batched {
             self.shard.enqueue(tenant, op_id, k, op);
             if self.shard.batch_len() >= self.cfg.batch_max {
@@ -722,6 +759,35 @@ mod tests {
         .unwrap();
         srv.barrier().unwrap();
         assert_eq!(srv.stats().cache_hits(), hits_before, "stale entry gone");
+        srv.shutdown().unwrap();
+    }
+
+    #[test]
+    fn idle_and_queue_wait_are_accounted() {
+        let cfg = ServeConfig::new(1, 1);
+        let srv: Server<u64, u64> = Server::new(ram_array(1), cfg, Arc::new(NullSink)).unwrap();
+        // Nothing submitted: the worker's first wait runs out its idle poll.
+        let t0 = Instant::now();
+        while srv.stats().idle_ns(0).1 == 0 {
+            assert!(t0.elapsed() < Duration::from_secs(5), "idle poll hung");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(srv.stats().idle_ns(0).0 >= 20_000_000, "one 25 ms poll");
+        assert_eq!(srv.stats().queue_wait_ns(), (0, 0));
+        srv.submit(Request {
+            tenant: 0,
+            op_id: 1,
+            kind: ReqKind::Get(7),
+        })
+        .unwrap();
+        srv.barrier().unwrap();
+        // The get woke a blocked worker and, the cache being empty, went
+        // on to the tree; the barrier is a control message and waits
+        // unaccounted.
+        let (queued_ns, queued) = srv.stats().queue_wait_ns();
+        assert_eq!(queued, 1);
+        assert!(queued_ns > 0);
+        assert_eq!(srv.stats().tree_ns().1, 1);
         srv.shutdown().unwrap();
     }
 

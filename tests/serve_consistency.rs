@@ -8,7 +8,9 @@
 //! delta overlay doing its job.  The properties below check that claim
 //! across shard counts × disk counts × placement × batched/unbatched mode,
 //! and that every acknowledged write survives into the final state both
-//! before and after forced compaction.
+//! before and after forced compaction.  A last test shrinks the hot cache
+//! to four and to eight records, so that its two segments promote, demote
+//! and evict within a few ops, and checks that no get is answered stale.
 
 use emserve::{CompletionSink, ReqKind, Request, ServeConfig, Server};
 use pdm::{DiskArray, Placement};
@@ -254,4 +256,57 @@ fn replay_is_deterministic() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "two replays of one tape diverged");
+}
+
+/// No stale read through either segment of the hot cache.  A seeded put /
+/// delete / get tape runs at `cache_records = 4`, where every resident key
+/// may be protected and eviction has to reach into that segment, and at 8,
+/// where protected overflows and demotes; both promote and evict within a
+/// few ops, and every get must still match the model — opening with a key
+/// whose cached copy sits in *protected* when the overwrite, and then the
+/// delete, arrive.
+#[test]
+fn no_stale_read_through_either_cache_segment() {
+    // Get twice: the miss admits on probation, the hit promotes.
+    let mut tape: Vec<TapeOp> = vec![
+        (0, 3, 0, 10),
+        (0, 3, 6, 0),
+        (0, 3, 6, 0),
+        (0, 3, 0, 20), // overwrite under a protected copy
+        (0, 3, 6, 0),
+        (0, 3, 6, 0),
+        (0, 3, 4, 0), // delete under a protected copy
+        (0, 3, 6, 0),
+    ];
+    // Then 20 % puts, 10 % deletes, 70 % gets over 16 keys, the smaller of
+    // two draws so that a few keys are asked for again and again.
+    tape.extend((0..3_000u64).map(|i| {
+        let r = i.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let key = (r >> 40 & 0xf).min(r >> 48 & 0xf);
+        let sel = [0, 0, 4, 6, 6, 6, 6, 6, 6, 6][(r >> 33) as usize % 10];
+        (0, key, sel, r | 1)
+    }));
+
+    for cache_records in [4, 8] {
+        let array = DiskArray::new_ram(1, 512, Placement::Independent);
+        let sink = RecordingSink::new();
+        let mut cfg = small_config(1, true, 4);
+        cfg.cache_records = cache_records;
+        let srv: Server<u64, u64> = Server::new(array, cfg, sink.clone()).unwrap();
+        let (reference, expect_gots, writes) = drive(&srv, &tape);
+        srv.barrier().unwrap();
+
+        assert_eq!(sink.acks(), writes);
+        assert_eq!(sink.gots_in_order(), expect_gots);
+        assert_eq!(
+            srv.range(0, 0, u64::MAX).unwrap(),
+            tenant_slice(&reference, 0)
+        );
+        let stats = srv.stats();
+        assert!(stats.cache_hits() > 0 && stats.cache_misses() > 0);
+        assert!(stats.cache_promotions() > 0, "no get hit on probation");
+        // ⌈4/5 · 4⌉ = 4: a four-record cache never has to demote.
+        assert_eq!(stats.cache_demotions() > 0, cache_records == 8);
+        srv.shutdown().unwrap();
+    }
 }
