@@ -28,6 +28,7 @@ use pdm::{BlockId, BufferPool, Result};
 use em_core::hash::hash_bytes;
 
 pub mod partition;
+pub mod table;
 
 /// An extendible hash table mapping fixed-size keys to fixed-size values.
 ///

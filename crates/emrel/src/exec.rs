@@ -757,6 +757,8 @@ where
     PS: QueryExec,
 {
     probe: PS,
+    /// Stays an ordered map: `K: Ord` is this operator's whole key bound,
+    /// and the hashed `emhash::table` would need `K: Record` to hash it.
     table: BTreeMap<K, Vec<BR>>,
     key_p: KP,
     make: MK,

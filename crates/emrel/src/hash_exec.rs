@@ -24,6 +24,13 @@
 //! `em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios}` replay
 //! the exact transfer counts — zero-slack, like the sort operators.
 //!
+//! The in-memory step is hashed too: every resident table is an
+//! [`emhash::table`] keyed by the level-0 hash the partitioner needs
+//! anyway, so a record costs one hash and an `O(1)` probe, and keys are
+//! compared for order only when a finished table is emitted.  Capacities
+//! and [`MemBudget`] charges are counted in records, as the cost replay
+//! counts them; the tables' slot arrays are uncharged index overhead.
+//!
 //! Overlap never enters those decisions.  Each operator's [`MemBudget`] is
 //! `M` plus `(read_ahead + F·write_behind)·B` of declared headroom; the
 //! partition writers, the partition readers and — once the operator itself
@@ -31,7 +38,7 @@
 //! [`ExtVecCursor`]s it reads across calls all draw their queues from that
 //! headroom, never from `M`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -39,6 +46,7 @@ use em_core::bounds::HASH_MAX_LEVELS;
 use em_core::hash::level_bucket;
 use em_core::{BudgetGuard, ExtVec, ExtVecCursor, MemBudget, Record};
 use emhash::partition::{KeyHasher, PartitionPass};
+use emhash::table::{ResidentMultimap, ResidentTable};
 use emsort::{merge_sort_by, OverlapConfig};
 use pdm::{PdmError, Result, SharedDevice};
 
@@ -68,11 +76,12 @@ fn open_cursor<R: Record>(
 /// groups come out in key order, spilled partitions in recursion order.
 ///
 /// Schedule (mirrored exactly by `hash_group_exact_ios`):
-/// * level 0: a table of up to `M − (F+1)·B` distinct keys absorbs in
-///   arrival order; records with resident keys fold in memory, the rest
-///   spill to `F` hash buckets through per-lane write-behind writers;
-/// * a partition of ≤ `M − B` records is read once and aggregated with a
-///   full in-memory table;
+/// * level 0: a [`ResidentTable`] of up to `M − (F+1)·B` distinct keys
+///   absorbs in arrival order; records with resident keys fold in memory,
+///   the rest spill to `F` hash buckets through per-lane write-behind
+///   writers — each record's key is hashed once, for both;
+/// * a partition of ≤ `M − B` records is read once and aggregated in a
+///   [`ResidentTable`] of its own;
 /// * a larger partition re-passes at the next remix level (fresh absorb
 ///   table, fresh buckets);
 /// * a partition that did not shrink — one bucket got every record its
@@ -171,7 +180,7 @@ where
         };
         child.drain_hint(cfg.sort.overlap);
         let cap = m - (fan_out + 1) * b;
-        let mut table: BTreeMap<K, (Acc, u64)> = BTreeMap::new();
+        let mut table = ResidentTable::new();
         let mut fed = 0u64;
         let children = {
             let mut pass = PartitionPass::new(
@@ -202,27 +211,27 @@ where
 
     /// The hybrid routing step shared by every pass level: fold if the key
     /// is resident, admit it if the table still has room, spill otherwise.
+    /// The key is hashed once; the table lookup and the spill both use it.
     fn absorb_or_spill(
         &mut self,
-        table: &mut BTreeMap<K, (Acc, u64)>,
+        table: &mut ResidentTable<K, (Acc, u64)>,
         pass: &mut PartitionPass<R>,
         cap: usize,
         r: R,
     ) -> Result<()> {
         let k = (self.key)(&r);
-        if let Some((acc, n)) = table.get_mut(&k) {
+        let h0 = self.hasher.hash(&k);
+        if let Some((acc, n)) = table.get_mut(h0, &k) {
             (self.fold)(acc, &r);
             *n += 1;
-            return Ok(());
-        }
-        if table.len() < cap {
-            let mut acc = self.init.clone();
-            (self.fold)(&mut acc, &r);
-            table.insert(k, (acc, 1));
+        } else if table.len() < cap {
+            let (acc, n) = table.get_or_insert_with(h0, k, || (self.init.clone(), 0));
+            (self.fold)(acc, &r);
+            *n += 1;
         } else {
-            let h0 = self.hasher.hash(&k);
             pass.push(h0, r)?;
         }
+        debug_assert!(table.len() <= cap, "absorbed past the charged records");
         Ok(())
     }
 
@@ -241,8 +250,10 @@ where
         Ok(())
     }
 
-    fn emit_table(&mut self, table: BTreeMap<K, (Acc, u64)>) {
-        for (k, (acc, n)) in table {
+    /// Emit a finished table's groups in key order — the one place the
+    /// operator compares keys.
+    fn emit_table(&mut self, table: ResidentTable<K, (Acc, u64)>) {
+        for (k, (acc, n)) in table.into_sorted() {
             self.ready.push_back((self.fin)(k, acc, n));
         }
     }
@@ -256,11 +267,12 @@ where
         if len as usize <= self.m - self.b {
             let budget = self.budget.clone();
             let _charge = budget.charge(len as usize + self.b);
-            let mut table: BTreeMap<K, (Acc, u64)> = BTreeMap::new();
+            let mut table = ResidentTable::new();
             let mut reader = part.reader_at_prefetch(0, ov.read_ahead, &budget);
             while let Some(r) = reader.try_next()? {
                 let k = (self.key)(&r);
-                let (acc, n) = table.entry(k).or_insert_with(|| (self.init.clone(), 0));
+                let h0 = self.hasher.hash(&k);
+                let (acc, n) = table.get_or_insert_with(h0, k, || (self.init.clone(), 0));
                 (self.fold)(acc, &r);
                 *n += 1;
             }
@@ -286,7 +298,7 @@ where
             return Ok(());
         }
         let cap = self.m - (self.fan_out + 1) * self.b;
-        let mut table: BTreeMap<K, (Acc, u64)> = BTreeMap::new();
+        let mut table = ResidentTable::new();
         let children = {
             let budget = self.budget.clone();
             let mut pass = PartitionPass::new(
@@ -434,6 +446,11 @@ where
             )?,
         })
     }
+
+    /// The operator's memory accounting — see [`HashGroupByExec::budget`].
+    pub fn budget(&self) -> &Arc<MemBudget> {
+        self.inner.budget()
+    }
 }
 
 impl<R> QueryExec for HashDistinctExec<R>
@@ -460,14 +477,15 @@ where
 }
 
 /// One `(build, probe)` partition pair being consumed by chunked
-/// block-nested loop: build records load into an in-memory table
-/// `chunk = M − B_build − B_probe` at a time, the probe side re-scans once
-/// per chunk.  A pair whose build side fits is one chunk — the plain
-/// "read the build into a table, stream the probe" resident case.
+/// block-nested loop: build records load into a hashed multimap (one
+/// arena, per-key chains in arrival order) `chunk = M − B_build − B_probe`
+/// at a time, the probe side re-scans once per chunk.  A pair whose build
+/// side fits is one chunk — the plain "read the build into a table, stream
+/// the probe" resident case.
 struct PairLoop<K, BR: Record, PR: Record> {
     bcur: ExtVecCursor<BR>,
     pcur: ExtVecCursor<PR>,
-    table: BTreeMap<K, Vec<BR>>,
+    table: ResidentMultimap<K, BR>,
     chunk: usize,
     loaded: bool,
     _charge: BudgetGuard,
@@ -511,7 +529,7 @@ where
     hasher: KeyHasher,
     budget: Arc<MemBudget>,
     /// Hybrid bucket-0 build records (empty when not hybrid).
-    resident: BTreeMap<K, Vec<BR>>,
+    resident: ResidentMultimap<K, BR>,
     resident_charge: Option<BudgetGuard>,
     build_parts: Option<Vec<ExtVec<BR>>>,
     build_counts: Vec<u64>,
@@ -577,7 +595,7 @@ where
         let budget = MemBudget::new(m + reserve);
         let resident_cap = m - (fan_out + 1) * both;
         let mut hasher = KeyHasher::new();
-        let mut resident_recs: Vec<BR> = Vec::new();
+        let mut resident = ResidentMultimap::new();
         let mut total = 0u64;
         build.drain_hint(overlap);
         let parts = {
@@ -585,9 +603,10 @@ where
             let _charge = budget.charge((fan_out + 1) * b_build);
             while let Some(r) = build.try_next()? {
                 total += 1;
-                let h0 = hasher.hash(&key_b(&r));
+                let k = key_b(&r);
+                let h0 = hasher.hash(&k);
                 if hybrid && level_bucket(h0, 0, fan_out) == 0 {
-                    if resident_recs.len() == resident_cap {
+                    if resident.len() == resident_cap {
                         for part in pass.finish()? {
                             part.free()?;
                         }
@@ -596,18 +615,18 @@ where
                             available: resident_cap,
                         });
                     }
-                    resident_recs.push(r);
+                    resident.insert(h0, k, r);
                 } else {
                     pass.push(h0, r)?;
                 }
             }
             pass.finish()?
         };
-        let resident_charge = hybrid.then(|| budget.charge(resident_recs.len()));
-        let mut resident: BTreeMap<K, Vec<BR>> = BTreeMap::new();
-        for r in resident_recs {
-            resident.entry(key_b(&r)).or_default().push(r);
-        }
+        debug_assert!(
+            resident.len() <= resident_cap,
+            "bucket 0 outgrew its residency"
+        );
+        let resident_charge = hybrid.then(|| budget.charge(resident.len()));
         let build_counts: Vec<u64> = parts.iter().map(|p| p.len()).collect();
         let probe_pass = PartitionPass::new(device, fan_out, 0, overlap, &budget);
         let probe_charge = budget.charge((fan_out + 1) * b_probe);
@@ -657,10 +676,8 @@ where
                 let h0 = self.hasher.hash(&k);
                 let i = level_bucket(h0, 0, self.fan_out);
                 if self.hybrid && i == 0 {
-                    if let Some(ms) = self.resident.get(&k) {
-                        for b in ms {
-                            self.out.push_back((self.make)(b, &r));
-                        }
+                    for b in self.resident.get(h0, &k) {
+                        self.out.push_back((self.make)(b, &r));
                     }
                 } else if self.build_counts[i] > 0 {
                     self.probe_pass.as_mut().unwrap().push(h0, r)?;
@@ -672,7 +689,7 @@ where
             None => {
                 let probe_parts = self.probe_pass.take().unwrap().finish()?;
                 drop(self.probe_charge.take());
-                self.resident = BTreeMap::new();
+                self.resident = ResidentMultimap::new();
                 drop(self.resident_charge.take());
                 let build_parts = self.build_parts.take().unwrap();
                 let spill_from = usize::from(self.hybrid);
@@ -718,7 +735,7 @@ where
             self.pair = Some(PairLoop {
                 bcur: open_cursor(bv, self.drained, self.overlap, &self.budget),
                 pcur: open_cursor(pv, self.drained, self.overlap, &self.budget),
-                table: BTreeMap::new(),
+                table: ResidentMultimap::new(),
                 chunk,
                 loaded: false,
                 _charge: charge,
@@ -777,18 +794,16 @@ where
             };
             if !pair.loaded {
                 pair.table.clear();
-                let mut n = 0usize;
-                while n < pair.chunk {
-                    match pair.bcur.try_next()? {
-                        Some(r) => {
-                            let k = (self.key_b)(&r);
-                            pair.table.entry(k).or_default().push(r);
-                            n += 1;
-                        }
-                        None => break,
-                    }
+                while pair.table.len() < pair.chunk {
+                    let Some(r) = pair.bcur.try_next()? else {
+                        break;
+                    };
+                    let k = (self.key_b)(&r);
+                    let h0 = self.hasher.hash(&k);
+                    pair.table.insert(h0, k, r);
                 }
-                if n == 0 {
+                debug_assert!(pair.table.len() <= pair.chunk, "chunk past its charge");
+                if pair.table.is_empty() {
                     let done = self.pair.take().unwrap();
                     done.bcur.into_inner().free()?;
                     done.pcur.into_inner().free()?;
@@ -801,10 +816,13 @@ where
                 match pair.pcur.try_next()? {
                     Some(p) => {
                         let k = (self.key_p)(&p);
-                        if let Some(ms) = pair.table.get(&k) {
-                            for b in ms {
-                                self.out.push_back((self.make)(b, &p));
-                            }
+                        let h0 = self.hasher.hash(&k);
+                        let mut matched = false;
+                        for b in pair.table.get(h0, &k) {
+                            self.out.push_back((self.make)(b, &p));
+                            matched = true;
+                        }
+                        if matched {
                             return Ok(());
                         }
                     }
@@ -840,11 +858,8 @@ where
                 continue;
             }
             if self.pair.is_some() {
+                // Returns with output queued or with the pair finished.
                 self.drive_pair()?;
-                if self.out.is_empty() && self.pair.is_some() {
-                    // drive_pair only returns with output or completion
-                    continue;
-                }
                 continue;
             }
             let Some((bv, pv, level, fed)) = self.pairs.pop() else {
@@ -874,6 +889,9 @@ mod tests {
     use crate::exec::{collect, ScanExec};
     use em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios};
     use em_core::EmConfig;
+    use std::cell::Cell;
+    use std::cmp::Ordering;
+    use std::collections::BTreeMap;
 
     fn key_hash(k: u64) -> u64 {
         em_core::hash::hash_bytes(&k.to_le_bytes())
@@ -1136,6 +1154,250 @@ mod tests {
             + hash_join_exact_ios(&bh, &ph, m, b, b, 3, false) as u64
             + out.num_blocks() as u64;
         assert_eq!(delta.total(), predicted);
+    }
+
+    /// FNV-1a over the encoded records of `out`, in emission order.
+    fn checksum<O: Record>(out: &ExtVec<O>) -> u64 {
+        let rows = out.to_vec().unwrap();
+        let mut bytes = vec![0u8; rows.len() * O::BYTES];
+        for (r, at) in rows.iter().zip(bytes.chunks_mut(O::BYTES)) {
+            r.write_to(at);
+        }
+        em_core::hash::fnv1a(&bytes)
+    }
+
+    /// `(output checksum, transfers)` of a sum-and-count group-by (or, with
+    /// `distinct`, a whole-record dedup) of `data`.
+    fn pin_group(mem_blocks: usize, fan: usize, data: &[(u64, u64)], distinct: bool) -> (u64, u64) {
+        let (d, m) = device(mem_blocks);
+        let v = ExtVec::from_slice(d.clone(), data).unwrap();
+        let cfg = ExecConfig::new(m);
+        let before = d.stats().snapshot();
+        let mut scan = ScanExec::new(&v);
+        let sum = if distinct {
+            let mut dx = HashDistinctExec::build(&mut scan, &d, &cfg, fan).unwrap();
+            checksum(&collect(&mut dx, &d).unwrap())
+        } else {
+            let mut g = HashGroupByExec::build(
+                &mut scan,
+                &d,
+                &cfg,
+                fan,
+                |r: &(u64, u64)| r.0,
+                0u64,
+                |acc, r| *acc += r.1,
+                |k, acc, n| (k, acc, n),
+            )
+            .unwrap();
+            checksum(&collect(&mut g, &d).unwrap())
+        };
+        (sum, d.stats().snapshot().since(&before).total())
+    }
+
+    /// `(output checksum, transfers)` of `build ⋈ probe` on the first field.
+    fn pin_join(
+        mem_blocks: usize,
+        fan: usize,
+        hybrid: bool,
+        build: &[(u64, u64)],
+        probe: &[(u64, u64)],
+    ) -> (u64, u64) {
+        let (d, m) = device(mem_blocks);
+        let bv = ExtVec::from_slice(d.clone(), build).unwrap();
+        let pv = ExtVec::from_slice(d.clone(), probe).unwrap();
+        let cfg = ExecConfig::new(m);
+        let before = d.stats().snapshot();
+        let mut bscan = ScanExec::new(&bv);
+        let mut j: HashJoinExec<_, u64, (u64, u64), _, _, _, (u64, u64, u64)> =
+            HashJoinExec::build(
+                &mut bscan,
+                ScanExec::new(&pv),
+                &d,
+                &cfg,
+                fan,
+                hybrid,
+                |b: &(u64, u64)| b.0,
+                |p: &(u64, u64)| p.0,
+                |b, p| (b.0, b.1, p.1),
+            )
+            .unwrap();
+        let sum = checksum(&collect(&mut j, &d).unwrap());
+        (sum, d.stats().snapshot().since(&before).total())
+    }
+
+    #[test]
+    fn outputs_and_transfers_are_pinned_to_the_ordered_map_operators() {
+        // Recorded at the last commit whose in-memory tables were
+        // `BTreeMap`s: the hashed tables must emit the same records in the
+        // same order (resident groups by key, matches in probe order ×
+        // build-arrival order) on the same absorb/spill/recurse schedule.
+        let skew: Vec<(u64, u64)> = (0..3000).map(|i| (7, i)).collect();
+        let few: Vec<(u64, u64)> = pairs(5000, 40, 0xDEAD_BEF1)
+            .into_iter()
+            .map(|(k, x)| (k, x % 5))
+            .collect();
+        // 400 keys: chains of several build records a key.
+        let (dup_b, dup_p) = (pairs(1500, 400, 0xABCD_EF12), pairs(4000, 400, 0x1357_9BDF));
+        // 5 000 keys: multi-level grace at M = 256, a resident bucket 0 at
+        // M = 1 024.
+        let (wide_b, wide_p) = (
+            pairs(2000, 5000, 0xABCD_EF13),
+            pairs(6000, 5000, 0x1357_9BD1),
+        );
+        // One key on both sides: block-nested rounds over the pair.
+        let one_b: Vec<(u64, u64)> = (0..500).map(|i| (3, i)).collect();
+        let one_p: Vec<(u64, u64)> = (0..300).map(|i| (3, i + 1000)).collect();
+        let got = [
+            // multi-level: 6 000 rows over 3 000 keys at M = 256 re-pass
+            pin_group(16, 4, &pairs(6000, 3000, 0x1234_5679), false),
+            pin_group(16, 6, &pairs(9000, 900, 0x1234_5679), false),
+            // all-equal keys, zero-key absorb table: the sort fallback
+            pin_group(4, 3, &skew, false),
+            pin_group(16, 4, &few, true),
+            pin_join(16, 4, false, &dup_b, &dup_p),
+            pin_join(64, 4, true, &dup_b, &dup_p),
+            pin_join(16, 4, false, &wide_b, &wide_p),
+            pin_join(64, 4, true, &wide_b, &wide_p),
+            pin_join(8, 3, false, &one_b, &one_p),
+        ];
+        let pinned: [(u64, u64); 9] = [
+            (0x8A3D_05D3_19FE_8781, 1965),
+            (0x2E41_82B8_CBD5_17E5, 1641),
+            (0x7F8B_DCC2_0F05_CF7B, 2310),
+            (0x4F9E_1AA4_C8D0_1B25, 399),
+            (0x64A6_0581_07C2_CF73, 4754),
+            (0xB0ED_7315_C22A_CA9F, 3848),
+            (0xBFA4_F654_2A50_538A, 3020),
+            (0x4B5D_84A2_BBA8_EC16, 1754),
+            (0xDC24_3B7C_0DE5_AF65, 30248),
+        ];
+        assert_eq!(got, pinned, "(checksum, transfers) per case: {got:#X?}");
+    }
+
+    thread_local! {
+        static CMPS: Cell<u64> = const { Cell::new(0) };
+        static EQS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// A `u64` key that counts its comparisons (per test thread).
+    #[derive(Clone, Debug)]
+    struct Counted(u64);
+
+    impl Record for Counted {
+        const BYTES: usize = 8;
+        fn write_to(&self, buf: &mut [u8]) {
+            self.0.write_to(buf)
+        }
+        fn read_from(buf: &[u8]) -> Self {
+            Counted(u64::read_from(buf))
+        }
+    }
+    impl PartialEq for Counted {
+        fn eq(&self, other: &Self) -> bool {
+            EQS.with(|c| c.set(c.get() + 1));
+            self.0 == other.0
+        }
+    }
+    impl Eq for Counted {}
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Counted {
+        fn cmp(&self, other: &Self) -> Ordering {
+            CMPS.with(|c| c.set(c.get() + 1));
+            self.0.cmp(&other.0)
+        }
+    }
+
+    /// `(Ord::cmp calls, == calls)` of a counted-key sum group-by of `data`.
+    fn group_comparisons(mem_blocks: usize, fan: usize, data: &[(u64, u64)]) -> (u64, u64) {
+        let (d, m) = device(mem_blocks);
+        let v = ExtVec::from_slice(d.clone(), data).unwrap();
+        let cfg = ExecConfig::new(m);
+        let (cmps, eqs) = (CMPS.with(Cell::get), EQS.with(Cell::get));
+        let mut scan = ScanExec::new(&v);
+        let mut g = HashGroupByExec::build(
+            &mut scan,
+            &d,
+            &cfg,
+            fan,
+            |r: &(u64, u64)| Counted(r.0),
+            0u64,
+            |acc, r| *acc += r.1,
+            |k: Counted, acc, n| (k.0, acc, n),
+        )
+        .unwrap();
+        let out = collect(&mut g, &d).unwrap();
+        let keys: std::collections::BTreeSet<u64> = data.iter().map(|r| r.0).collect();
+        assert_eq!(out.len(), keys.len() as u64);
+        (CMPS.with(Cell::get) - cmps, EQS.with(Cell::get) - eqs)
+    }
+
+    #[test]
+    fn comparator_calls_do_not_scale_with_rows() {
+        // All 150 keys fit the 176-key absorb table: ordering is paid once,
+        // by `emit_table`'s sort.  Four times the rows over the same keys
+        // in the same first-arrival order costs the same comparisons, and
+        // `==` runs once per fold (the stored hash matched), never to admit.
+        let once = pairs(2000, 150, 0x9E37_79B9);
+        let four: Vec<(u64, u64)> = once.iter().cycle().take(8000).copied().collect();
+        let (cmps_1, eqs_1) = group_comparisons(16, 4, &once);
+        let (cmps_4, eqs_4) = group_comparisons(16, 4, &four);
+        assert!(
+            cmps_1 > 0 && cmps_1 <= 150 * 16,
+            "{cmps_1} for a 150-key sort"
+        );
+        assert_eq!(cmps_4, cmps_1, "rows were ordered, not just groups");
+        assert_eq!((eqs_1, eqs_4), (2000 - 150, 8000 - 150));
+        // Spilling and re-partitioning (600 keys, M = 256): every key is
+        // still sorted once, in whichever table it ended up resident — far
+        // under one comparison a row, where a search tree pays ≈ 7.
+        let (cmps, eqs) = group_comparisons(16, 4, &pairs(20_000, 600, 0x1234_5679));
+        assert!(cmps <= 600 * 16, "{cmps} comparisons for 600 groups");
+        assert!(eqs <= 2 * 20_000, "{eqs} `==` calls for 20 000 rows");
+    }
+
+    #[test]
+    fn hash_join_never_orders_its_keys() {
+        // Build, probe, re-partition and pair loops: zero `Ord::cmp`, and
+        // at most one `==` per record (a chain append or a probe hit).
+        for (hybrid, mem_blocks) in [(false, 16), (true, 64)] {
+            let (d, m) = device(mem_blocks);
+            let build = pairs(2000, 700, 0xABCD_EF13);
+            let probe = pairs(6000, 900, 0x1357_9BD1);
+            let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
+            let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
+            let cfg = ExecConfig::new(m);
+            let (cmps, eqs) = (CMPS.with(Cell::get), EQS.with(Cell::get));
+            let mut bscan = ScanExec::new(&bv);
+            let mut j: HashJoinExec<_, Counted, (u64, u64), _, _, _, (u64, u64, u64)> =
+                HashJoinExec::build(
+                    &mut bscan,
+                    ScanExec::new(&pv),
+                    &d,
+                    &cfg,
+                    4,
+                    hybrid,
+                    |b: &(u64, u64)| Counted(b.0),
+                    |p: &(u64, u64)| Counted(p.0),
+                    |b, p| (b.0, b.1, p.1),
+                )
+                .unwrap();
+            let out = collect(&mut j, &d).unwrap();
+            let matches = probe
+                .iter()
+                .map(|p| build.iter().filter(|b| b.0 == p.0).count() as u64)
+                .sum::<u64>();
+            assert_eq!(out.len(), matches, "hybrid={hybrid}");
+            assert_eq!(CMPS.with(Cell::get) - cmps, 0, "hybrid={hybrid}");
+            let eqs = EQS.with(Cell::get) - eqs;
+            assert!(
+                eqs <= 8000,
+                "hybrid={hybrid}: {eqs} `==` calls for 8 000 records"
+            );
+        }
     }
 
     #[test]

@@ -538,6 +538,9 @@ proptest! {
                 .unwrap();
                 let out = collect(&mut g, &device).unwrap();
                 let ios = device.stats().snapshot().since(&before);
+                prop_assert!(g.budget().high_water() <= g.budget().capacity(),
+                    "{:?} d={} skew={} hash group held {} of {} records",
+                    placement, d, skew, g.budget().high_water(), g.budget().capacity());
                 let got = out.to_vec().unwrap();
                 out.free().unwrap();
                 (ios, got)
@@ -574,6 +577,9 @@ proptest! {
                     HashDistinctExec::build(&mut proj, &device, &cfg_d, fan_out).unwrap();
                 let out = collect(&mut dist, &device).unwrap();
                 let ios = device.stats().snapshot().since(&before);
+                prop_assert!(dist.budget().high_water() <= dist.budget().capacity(),
+                    "{:?} d={} skew={} distinct held {} of {} records",
+                    placement, d, skew, dist.budget().high_water(), dist.budget().capacity());
                 let got = out.to_vec().unwrap();
                 out.free().unwrap();
                 (ios, got)
@@ -694,6 +700,9 @@ proptest! {
                 .unwrap();
                 let out = collect(&mut join, &device).unwrap();
                 let ios = device.stats().snapshot().since(&before);
+                prop_assert!(join.budget().high_water() <= join.budget().capacity(),
+                    "{:?} d={} hybrid={} join held {} of {} records",
+                    placement, d, hybrid, join.budget().high_water(), join.budget().capacity());
                 let got = out.to_vec().unwrap();
                 out.free().unwrap();
                 (ios, got)
