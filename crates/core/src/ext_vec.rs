@@ -26,7 +26,7 @@ use pdm::{BlockId, Result, SharedDevice};
 
 use crate::budget::MemBudget;
 use crate::record::Record;
-use crate::stream::{ExtVecCursor, ExtVecReader, ExtVecWriter};
+use crate::stream::{encode_block, ExtVecCursor, ExtVecReader, ExtVecWriter};
 
 /// A typed external array of records on a block device.
 pub struct ExtVec<R: Record> {
@@ -61,9 +61,7 @@ impl<R: Record> ExtVec<R> {
     /// Build from an in-memory slice (streams through a one-block writer).
     pub fn from_slice(device: SharedDevice, records: &[R]) -> Result<Self> {
         let mut w = ExtVecWriter::new(device);
-        for r in records {
-            w.push(r.clone())?;
-        }
+        w.extend_from_slice(records)?;
         w.finish()
     }
 
@@ -147,17 +145,17 @@ impl<R: Record> ExtVec<R> {
     }
 
     /// (internal) Decode the raw bytes of block `bi` into `out` (cleared
-    /// first).  Used by the prefetching reader, which obtains the bytes from
-    /// an asynchronous read ticket instead of [`read_block_into`].
-    ///
-    /// [`read_block_into`]: Self::read_block_into
+    /// first) — the one decode loop, whether the bytes came from
+    /// [`read_block_into`](Self::read_block_into)'s synchronous read or from
+    /// the prefetching reader's asynchronous ticket.
     pub(crate) fn decode_block(&self, bi: usize, bytes: &[u8], out: &mut Vec<R>) {
         let count = self.records_in_block(bi);
         out.clear();
-        out.reserve(count);
-        for i in 0..count {
-            out.push(R::read_from(&bytes[i * R::BYTES..(i + 1) * R::BYTES]));
-        }
+        out.extend(
+            bytes[..count * R::BYTES]
+                .chunks_exact(R::BYTES)
+                .map(R::read_from),
+        );
     }
 
     /// Records stored in block index `bi` (the last block may be partial).
@@ -204,14 +202,9 @@ impl<R: Record> ExtVec<R> {
     /// Read the records of block `bi` into `out` (cleared first).
     /// Costs one I/O.
     pub fn read_block_into(&self, bi: usize, out: &mut Vec<R>) -> Result<()> {
-        let count = self.records_in_block(bi);
         let mut buf = self.block_buf();
         self.device.read_block(self.blocks[bi], &mut buf)?;
-        out.clear();
-        out.reserve(count);
-        for i in 0..count {
-            out.push(R::read_from(&buf[i * R::BYTES..(i + 1) * R::BYTES]));
-        }
+        self.decode_block(bi, &buf, out);
         Ok(())
     }
 
@@ -224,9 +217,7 @@ impl<R: Record> ExtVec<R> {
             "wrong record count for block {bi}"
         );
         let mut buf = self.block_buf();
-        for (i, r) in records.iter().enumerate() {
-            r.write_to(&mut buf[i * R::BYTES..(i + 1) * R::BYTES]);
-        }
+        encode_block(records, &mut buf);
         self.device.write_block(self.blocks[bi], &buf)
     }
 

@@ -59,13 +59,12 @@ fn timed<T>(sink: &Option<IoWaitSink>, f: impl FnOnce() -> T) -> T {
 
 /// Encode `records` into `out`, zeroing the tail of a partial block so the
 /// encoding is deterministic.
-fn encode_block<R: Record>(records: &[R], out: &mut [u8]) {
-    for (i, r) in records.iter().enumerate() {
-        r.write_to(&mut out[i * R::BYTES..(i + 1) * R::BYTES]);
+pub(crate) fn encode_block<R: Record>(records: &[R], out: &mut [u8]) {
+    let (live, tail) = out.split_at_mut(records.len() * R::BYTES);
+    for (r, at) in records.iter().zip(live.chunks_exact_mut(R::BYTES)) {
+        r.write_to(at);
     }
-    for b in out[records.len() * R::BYTES..].iter_mut() {
-        *b = 0;
-    }
+    tail.fill(0);
 }
 
 /// Charge `depth` blocks of `per_block` records against `budget`, degrading
@@ -199,6 +198,31 @@ impl<R: Record> ExtVecWriter<R> {
         self.len += 1;
         if self.buf.len() == self.per_block {
             self.flush_buf()?;
+        }
+        Ok(())
+    }
+
+    /// Append `records` in order — [`push`](Self::push) for a slice already
+    /// in hand, moved a block at a time: the same blocks flushed at the same
+    /// points, the same metadata-follows-data and retry-in-place behaviour.
+    ///
+    /// An `Err` means a block flush failed; [`len`](Self::len) says how many
+    /// of `records` were accepted before it (the rest were not), and the
+    /// next `push`, `extend_from_slice` or [`finish`](Self::finish) retries
+    /// the flush in place.
+    pub fn extend_from_slice(&mut self, mut records: &[R]) -> Result<()> {
+        while !records.is_empty() {
+            if self.buf.len() >= self.per_block {
+                // A previous flush failed; retry it before accepting more.
+                self.flush_buf()?;
+            }
+            let take = (self.per_block - self.buf.len()).min(records.len());
+            self.buf.extend_from_slice(&records[..take]);
+            self.len += take as u64;
+            records = &records[take..];
+            if self.buf.len() == self.per_block {
+                self.flush_buf()?;
+            }
         }
         Ok(())
     }
@@ -540,6 +564,31 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         self.pos += 1;
         self.consumed += 1;
         Ok(Some(r))
+    }
+
+    /// Consume up to `max` records, appending them to `out`; returns how many
+    /// (fewer than `max` only at the end of the array).  This is
+    /// [`try_next`](Self::try_next) in a loop, moved a block at a time: what
+    /// is left of the buffered block, then whole blocks through the same
+    /// block-boundary path — the same reads in the same order, with the same
+    /// read-ahead top-ups.  On `Err`, the records read before the failed
+    /// block are in `out` and consumed.
+    pub fn read_into(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
+        let mut taken = 0;
+        while taken < max {
+            if self.pos >= self.buf.len() {
+                if self.remaining() == 0 {
+                    break;
+                }
+                self.fill()?;
+            }
+            let take = (self.buf.len() - self.pos).min(max - taken);
+            out.extend_from_slice(&self.buf[self.pos..self.pos + take]);
+            self.pos += take;
+            self.consumed += take as u64;
+            taken += take;
+        }
+        Ok(taken)
     }
 
     /// Keep `depth` sequential blocks in flight.  (No-op in forecast mode,
@@ -997,6 +1046,137 @@ mod overlap_tests {
     }
 }
 
+/// The bulk moves are the per-record calls, a block at a time: same records,
+/// same blocks, same transfers, same read-ahead.
+#[cfg(test)]
+mod bulk_move_tests {
+    use super::*;
+    use crate::EmConfig;
+
+    fn dev() -> SharedDevice {
+        EmConfig::new(64, 8).ram_disk() // 8 u64s per block
+    }
+
+    /// Everything from `start` on, pulled `max` records a call (`None`: one
+    /// `try_next` a record) at read-ahead `depth`, and the I/O it cost.
+    fn pull(
+        v: &ExtVec<u64>,
+        start: u64,
+        depth: usize,
+        max: Option<usize>,
+    ) -> (Vec<u64>, pdm::IoSnapshot) {
+        let budget = MemBudget::new(64);
+        let before = v.device().stats().snapshot();
+        let mut r = v.reader_at_prefetch(start, depth, &budget);
+        assert_eq!(r.prefetch_depth(), depth);
+        let mut out = Vec::new();
+        match max {
+            None => out.extend(std::iter::from_fn(|| r.try_next().unwrap())),
+            Some(max) => loop {
+                let want = max.min(r.remaining() as usize);
+                assert_eq!(r.read_into(&mut out, max).unwrap(), want);
+                if want == 0 {
+                    break;
+                }
+            },
+        }
+        drop(r);
+        (out, v.device().stats().snapshot().since(&before))
+    }
+
+    #[test]
+    fn read_into_is_try_next_a_block_at_a_time() {
+        // 30 records: three full blocks and a partial last one of 6.
+        let v = ExtVec::from_slice(dev(), &(0u64..30).collect::<Vec<_>>()).unwrap();
+        for depth in [0, 2] {
+            // From the start, inside a block, on a boundary, at the end.
+            for start in [0, 13, 16, 30] {
+                let (expect, one_by_one) = pull(&v, start, depth, None);
+                assert_eq!(expect, (start..30).collect::<Vec<_>>());
+                // Below, equal to and above a block.
+                for max in [3, 8, 20] {
+                    let (got, bulk) = pull(&v, start, depth, Some(max));
+                    let case = format!("start {start}, depth {depth}, max {max}");
+                    assert_eq!(got, expect, "{case}");
+                    assert_eq!(bulk.reads(), one_by_one.reads(), "{case}");
+                    assert_eq!(bulk.prefetched(), one_by_one.prefetched(), "{case}");
+                    assert_eq!(bulk.prefetch_hits(), one_by_one.prefetch_hits(), "{case}");
+                    assert_eq!(bulk.prefetch_wasted(), 0, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn read_into_of_nothing_reads_nothing() {
+        let device = dev();
+        let v = ExtVec::from_slice(device.clone(), &(0u64..20).collect::<Vec<_>>()).unwrap();
+        let before = device.stats().snapshot();
+        let mut r = v.reader();
+        let mut out = vec![99];
+        assert_eq!(r.read_into(&mut out, 0).unwrap(), 0);
+        assert_eq!(device.stats().snapshot().since(&before).reads(), 0);
+        assert_eq!(r.remaining(), 20);
+        // It appends; and it interleaves with `try_next` mid-block.
+        assert_eq!(r.try_next().unwrap(), Some(0));
+        assert_eq!(r.read_into(&mut out, 10).unwrap(), 10);
+        assert_eq!(out, [99, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(r.try_next().unwrap(), Some(11));
+        // Exhaustion: a short count, then zero, and nothing more is read.
+        assert_eq!(r.read_into(&mut out, 100).unwrap(), 8);
+        assert_eq!(r.read_into(&mut out, 100).unwrap(), 0);
+        assert_eq!(out.len(), 19);
+        assert_eq!(device.stats().snapshot().since(&before).reads(), 3);
+    }
+
+    /// 100 records written with `push` alone, or with slices of every shape
+    /// mixed in, at write-behind `depth`: the array and the writes it cost.
+    fn write(depth: usize, bulk: bool) -> (ExtVec<u64>, u64) {
+        let device = dev();
+        let budget = MemBudget::new(64);
+        let data: Vec<u64> = (0..100).map(|i| i * 7).collect();
+        let mut w = ExtVecWriter::with_write_behind(device.clone(), depth, &budget);
+        assert_eq!(w.write_behind_depth(), depth);
+        if bulk {
+            // After a push: inside a block, across several, empty, exactly
+            // to a boundary, exactly one block, and a partial tail.
+            w.push(data[0]).unwrap();
+            let mut at = 1;
+            for len in [2, 20, 0, 9, 8, 60] {
+                w.extend_from_slice(&data[at..at + len]).unwrap();
+                at += len;
+                assert_eq!(w.len(), at as u64);
+            }
+        } else {
+            for &x in &data {
+                w.push(x).unwrap();
+            }
+        }
+        let v = w.finish().unwrap();
+        (v, device.stats().snapshot().writes())
+    }
+
+    #[test]
+    fn extend_from_slice_writes_what_pushes_write() {
+        for depth in [0, 2] {
+            let (pushed, push_writes) = write(depth, false);
+            let (mixed, mixed_writes) = write(depth, true);
+            assert_eq!(mixed.len(), pushed.len());
+            assert_eq!(mixed.num_blocks(), pushed.num_blocks());
+            assert_eq!(mixed_writes, push_writes);
+            assert_eq!(mixed_writes, 13);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for bi in 0..pushed.num_blocks() {
+                mixed.read_block_into(bi, &mut a).unwrap();
+                pushed.read_block_into(bi, &mut b).unwrap();
+                assert_eq!(a, b, "block {bi}, depth {depth}");
+                assert_eq!(mixed.block_head(bi), pushed.block_head(bi));
+                assert_eq!(mixed.block_head(bi), Some(&a[0]));
+            }
+        }
+    }
+}
+
 /// Regression tests for the metadata-before-data crash window: the writer
 /// must never describe a block (id + head) before the device has confirmed
 /// it written, and a failed flush must be repairable in place.
@@ -1037,5 +1217,27 @@ mod fault_ordering_tests {
         let snap = stats.snapshot();
         assert_eq!(snap.writes(), 4, "2 torn attempts + 2 repairs, all counted");
         assert_eq!(snap.faults_injected(), 2);
+    }
+
+    #[test]
+    fn failed_flush_inside_a_slice_says_how_much_was_accepted() {
+        let ram = RamDisk::new(64); // 8 u64s per block
+        let device = FaultDisk::wrap(
+            Arc::clone(&ram) as SharedDevice,
+            FaultPlan::new(3).with_torn_writes_verified(1000),
+        );
+        let data: Vec<u64> = (0..16).map(|i| i * 5 + 1).collect();
+        let mut w = ExtVecWriter::new(Arc::clone(&device) as SharedDevice);
+        // Each block's first write tears: the slice stops at the block that
+        // failed, and the caller resumes from `len()`.
+        assert!(w.extend_from_slice(&data).is_err());
+        assert_eq!(w.len(), 8, "the first block was accepted, nothing after it");
+        assert!(w.extend_from_slice(&data[8..]).is_err());
+        assert_eq!(w.len(), 16);
+        let v = w.finish().unwrap(); // retries the second block's torn flush
+        assert_eq!(v.to_vec().unwrap(), data);
+        assert_eq!(v.block_head(1), Some(&data[8]));
+        assert_eq!(ram.allocated_blocks(), 2, "retries repair in place");
+        assert_eq!(device.stats().snapshot().writes(), 4);
     }
 }

@@ -221,10 +221,13 @@ where
         // array IS the leaf.  We cannot move out of a borrow, so stream it
         // into a fresh array only in this degenerate case.
         let mut w = ExtVecWriter::with_write_behind(input.device().clone(), 0, &budget);
-        let _charge = budget.charge(2 * b);
+        // Reader, copy and writer buffers (fan_out ≥ 2 guarantees M ≥ 3B).
+        let _charge = budget.charge(3 * b);
         let mut reader = input.reader_at_prefetch(0, 0, &budget);
-        while let Some(r) = reader.try_next()? {
-            w.push(r)?;
+        let mut block = Vec::with_capacity(b);
+        while reader.read_into(&mut block, b)? > 0 {
+            w.extend_from_slice(&block)?;
+            block.clear();
         }
         out.push(Partitioned::Resident(w.finish()?));
         return Ok(out);

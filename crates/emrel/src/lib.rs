@@ -103,10 +103,13 @@ where
 pub fn concat<R: Record>(inputs: &[&ExtVec<R>]) -> Result<ExtVec<R>> {
     assert!(!inputs.is_empty(), "concat of nothing");
     let mut out: ExtVecWriter<R> = ExtVecWriter::new(inputs[0].device().clone());
+    let b = out.per_block();
+    let mut block = Vec::with_capacity(b);
     for v in inputs {
         let mut r = v.reader();
-        while let Some(rec) = r.try_next()? {
-            out.push(rec)?;
+        while r.read_into(&mut block, b)? > 0 {
+            out.extend_from_slice(&block)?;
+            block.clear();
         }
     }
     out.finish()

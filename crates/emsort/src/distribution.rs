@@ -111,10 +111,7 @@ where
     let _charge = ctx.budget.charge(bucket.len() as usize);
     let mut records = bucket.to_vec()?;
     records.sort_by(|x, y| cmp_from_less(less, x, y));
-    for r in records {
-        out.push(r)?;
-    }
-    Ok(())
+    out.extend_from_slice(&records)
 }
 
 /// Open zones and equal zones produced by one partition level.
@@ -241,11 +238,15 @@ where
     for zone in open {
         sort_owned(zone, out, ctx, less, depth)?;
         if let Some(eq) = equal_iter.next() {
-            // Records equivalent to the pivot need no further sorting.
-            let _charge = ctx.budget.charge(2 * eq.per_block());
+            // Records equivalent to the pivot need no further sorting: copy
+            // them a block at a time (reader, copy and writer buffers).
+            let b = eq.per_block();
+            let _charge = ctx.budget.charge(3 * b);
             let mut reader = eq.reader_at_prefetch(0, ctx.cfg.overlap.read_ahead, &ctx.budget);
-            while let Some(r) = reader.try_next()? {
-                out.push(r)?;
+            let mut block = Vec::with_capacity(b);
+            while reader.read_into(&mut block, b)? > 0 {
+                out.extend_from_slice(&block)?;
+                block.clear();
             }
             drop(reader);
             eq.free()?;

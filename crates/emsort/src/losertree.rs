@@ -9,9 +9,8 @@
 //! replacement-selection tape sorts (Knuth Vol. 3, §5.4.1) and of every
 //! serious external merge implementation since.
 //!
-//! Three properties matter for the merge loops built on it
-//! ([`crate::merge::SortedStream`] and run formation's in-memory piece
-//! merge):
+//! Three properties matter for the merge loop built on it
+//! ([`crate::merge::SortedStream`]):
 //!
 //! * **One `less` call per match, ties to the lower run index.**  Leaves are
 //!   identified with run indices, and a match between runs `i < j` is decided

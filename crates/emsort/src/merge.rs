@@ -31,7 +31,7 @@ use pdm::{Result, SharedDevice};
 
 use crate::forecast::Forecaster;
 use crate::losertree::LoserTree;
-use crate::runs::{form_runs_impl, run_threads, write_sorted_chunk};
+use crate::runs::{form_runs_impl, write_sorted_chunk};
 use crate::{OverlapConfig, SortConfig};
 
 /// Sort `input` into a new external array on the same device, using natural
@@ -702,7 +702,7 @@ where
         self.device.direct_next_stream(self.runs.len());
         let mut w =
             ExtVecWriter::with_write_behind(self.device.clone(), ov.write_behind, &self.budget);
-        write_sorted_chunk(&mut self.buf, run_threads(), self.less, &mut w)?;
+        write_sorted_chunk(&mut self.buf, self.less, &mut w)?;
         self.runs.push(w.finish()?);
         Ok(())
     }

@@ -13,14 +13,18 @@
 //!   (Knuth's snow-plough argument), halving the number of runs and sometimes
 //!   saving an entire merge pass — the ablation of experiment F1.
 //!
-//! Load–sort–store additionally parallelizes the in-memory sort across the
-//! machine's cores (scoped worker threads): the `M`-record chunk is
-//! split into contiguous pieces, each piece is stably sorted on its own
-//! thread, and the pieces are merged straight into the run writer with a
-//! piece-index tie-break.  Because the pieces are contiguous and the merge is
-//! stable, the written run is **byte-identical** to the sequential
-//! `sort_by` — thread count changes wall-clock time only, never run contents
-//! or I/O counts (the equivalence tests below assert exactly this).
+//! Load–sort–store is two block moves around one sort: the load is filled
+//! from the input reader a block at a time
+//! ([`BlockReader::read_into`](em_core::BlockReader::read_into)), sorted with
+//! one stable `sort_by`, and drained into the run writer a block at a time
+//! ([`ExtVecWriter::extend_from_slice`]).  One thread, on purpose: a stable
+//! sort of a 16 Ki-record load costs ≈ 16 ns a record, so sorting two halves
+//! in parallel can save at most half of that, and what it needs — a pair of
+//! worker spawns per load and a sequential merge of the sorted pieces into
+//! the writer — was measured to cost more than it saves at every load size
+//! the benchmark uses (DESIGN.md §3).  The stable sort's `n/2`-record
+//! scratch is not charged against `M` (it never was: the parallel pieces
+//! allocated the same between them).
 
 use std::sync::Arc;
 
@@ -28,12 +32,7 @@ use em_core::{ExtVec, ExtVecWriter, IoWaitSink, MemBudget, Record};
 use pdm::{PdmError, Result};
 
 use crate::heap::MinHeap;
-use crate::losertree::LoserTree;
 use crate::{OverlapConfig, SortConfig};
-
-/// Pieces smaller than this sort faster than a thread spawn costs; chunks
-/// below `2·MIN_PIECE` records stay sequential.
-const MIN_PIECE: usize = 4096;
 
 /// Strategy for the run-formation pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,13 +104,6 @@ where
     }
 }
 
-/// Worker threads for the in-memory sort of a load-sorted chunk: the
-/// machine's available parallelism, capped at 8.  Never changes run contents
-/// or I/O counts — wall-clock only.
-pub(crate) fn run_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
-}
-
 fn load_sort_runs<R, F>(
     input: &ExtVec<R>,
     budget: &Arc<MemBudget>,
@@ -122,27 +114,16 @@ fn load_sort_runs<R, F>(
 ) -> Result<Vec<ExtVec<R>>>
 where
     R: Record,
-    F: Fn(&R, &R) -> bool + Copy + Send,
+    F: Fn(&R, &R) -> bool + Copy,
 {
     let _charge = budget.charge(m);
-    let threads = run_threads();
     let mut runs = Vec::new();
-    let mut chunk: Vec<R> = Vec::with_capacity(m);
+    let mut chunk: Vec<R> = Vec::with_capacity(m.min(input.len() as usize));
     let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
     if let Some(sink) = io_wait {
         reader.set_io_wait_sink(sink.clone());
     }
-    loop {
-        chunk.clear();
-        while chunk.len() < m {
-            match reader.try_next()? {
-                Some(r) => chunk.push(r),
-                None => break,
-            }
-        }
-        if chunk.is_empty() {
-            break;
-        }
+    while reader.read_into(&mut chunk, m)? > 0 {
         // Stagger each run's start lane so runs of exactly M/B blocks don't
         // all place block j on the same disk (see BlockDevice docs).
         input.device().direct_next_stream(runs.len());
@@ -151,56 +132,17 @@ where
         if let Some(sink) = io_wait {
             w.set_io_wait_sink(sink.clone());
         }
-        write_sorted_chunk(&mut chunk, threads, less, &mut w)?;
+        write_sorted_chunk(&mut chunk, less, &mut w)?;
         runs.push(w.finish()?);
     }
     Ok(runs)
 }
 
-/// Sort `chunk` and push it to `w`, using up to `threads` scoped workers.
-///
-/// The parallel path splits the chunk into contiguous pieces, stably sorts
-/// each piece on its own thread, and merges the pieces into the writer with
-/// a [`LoserTree`] whose ties resolve toward the lower piece index.  Equal
-/// records therefore leave in original-position order — exactly the
-/// sequential stable `sort_by` output.
+/// Stably sort `chunk`, append it to `w` and leave it empty — the whole
+/// in-memory half of load–sort–store, shared by [`form_runs`] and
+/// [`SortingWriter`](crate::SortingWriter)'s spills.
 pub(crate) fn write_sorted_chunk<R, F>(
     chunk: &mut Vec<R>,
-    threads: usize,
-    less: F,
-    w: &mut ExtVecWriter<R>,
-) -> Result<()>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy + Send,
-{
-    let t = threads.min(chunk.len() / MIN_PIECE);
-    if t <= 1 {
-        chunk.sort_by(|a, b| cmp_from_less(less, a, b));
-        for r in chunk.drain(..) {
-            w.push(r)?;
-        }
-        return Ok(());
-    }
-    let piece_len = chunk.len().div_ceil(t);
-    std::thread::scope(|s| {
-        for piece in chunk.chunks_mut(piece_len) {
-            s.spawn(move || piece.sort_by(|a, b| cmp_from_less(less, a, b)));
-        }
-    });
-    merge_sorted_pieces(chunk, piece_len, less, w)
-}
-
-/// Loser-tree-merge the contiguous sorted `piece_len`-record pieces of
-/// `chunk` straight into the writer — no scratch buffer, so memory stays at
-/// the chunk's records (plus one in-tree key per piece).  Ties resolve
-/// toward the lower piece index, so stably-sorted contiguous pieces merge
-/// into exactly the stable full sort of `chunk`.  It is the same step as
-/// [`SortedStream`](crate::SortedStream)'s, so an already-sorted chunk
-/// merges at one comparison per record.
-fn merge_sorted_pieces<R, F>(
-    chunk: &mut Vec<R>,
-    piece_len: usize,
     less: F,
     w: &mut ExtVecWriter<R>,
 ) -> Result<()>
@@ -208,21 +150,8 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
-    let t = chunk.len().div_ceil(piece_len);
-    let starts: Vec<usize> = (0..t).map(|i| i * piece_len).collect();
-    let ends: Vec<usize> = (0..t)
-        .map(|i| ((i + 1) * piece_len).min(chunk.len()))
-        .collect();
-    let mut cursors: Vec<usize> = starts.iter().map(|&s| s + 1).collect();
-    let keys: Vec<Option<R>> = (0..t)
-        .map(|i| (starts[i] < ends[i]).then(|| chunk[starts[i]].clone()))
-        .collect();
-    let mut lt = LoserTree::new(keys, less);
-    while let Some(wi) = lt.winner() {
-        let next = (cursors[wi] < ends[wi]).then(|| chunk[cursors[wi]].clone());
-        cursors[wi] += 1;
-        w.push(lt.advance(next))?;
-    }
+    chunk.sort_by(|a, b| cmp_from_less(less, a, b));
+    w.extend_from_slice(chunk)?;
     chunk.clear();
     Ok(())
 }
@@ -517,32 +446,50 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the encoded records of `runs`, in run order.
+    fn checksum(runs: &[ExtVec<(u64, u64)>]) -> u64 {
+        let mut bytes = Vec::new();
+        for run in runs {
+            for r in run.to_vec().unwrap() {
+                bytes.extend_from_slice(&r.0.to_le_bytes());
+                bytes.extend_from_slice(&r.1.to_le_bytes());
+            }
+        }
+        em_core::hash::fnv1a(&bytes)
+    }
+
+    /// Runs and sorted output recorded from the commit that still sorted a
+    /// 16 Ki-record load as two scoped-thread pieces and merged them through
+    /// the loser tree.  64 distinct keys over 40 Ki records: any instability
+    /// in what replaced it reorders records and moves a checksum.
     #[test]
-    fn parallel_run_formation_is_byte_identical_to_sequential() {
-        // A 16 Ki-record chunk is large enough to engage the scoped worker
-        // threads; the written run and its I/O count must not move.
-        let device = EmConfig::new(64, 8).ram_disk();
-        let mut rng = StdRng::seed_from_u64(77);
-        // Narrow key range → massive duplication, so any instability in the
-        // piece merge would reorder records and fail the equality below.
-        let data: Vec<(u64, u64)> = (0..16 * 1024u64)
-            .map(|i| (rng.gen_range(0..64u64), i))
+    fn runs_and_transfers_are_pinned_to_the_piece_merge_era() {
+        let device = EmConfig::new(512, 8).ram_disk(); // B = 32 records
+        let tape: Vec<(u64, u64)> = (0..40 * 1024u64)
+            .map(|i| (em_core::hash::splitmix(i ^ 0x5EED) % 64, i))
             .collect();
-        let write_with = |threads: usize| {
-            let before = device.stats().snapshot();
-            let mut w = ExtVecWriter::new(device.clone());
-            write_sorted_chunk(&mut data.clone(), threads, |a, b| a.0 < b.0, &mut w).unwrap();
-            let run = w.finish().unwrap();
-            let writes = device.stats().snapshot().since(&before).writes();
-            (run.to_vec().unwrap(), writes)
-        };
-        let (seq, seq_writes) = write_with(1);
-        let (par, par_writes) = write_with(4);
-        assert_eq!(seq, par, "parallel run differs");
-        assert_eq!(seq_writes, par_writes);
-        let mut expect = data.clone();
-        expect.sort_by_key(|r| r.0);
-        assert_eq!(seq, expect);
+        let cfg = SortConfig::new(16 * 1024);
+        let less = |a: &(u64, u64), b: &(u64, u64)| a.0 < b.0;
+        let input = ExtVec::from_slice(device.clone(), &tape).unwrap();
+
+        let before = device.stats().snapshot();
+        let runs = form_runs(&input, &cfg, less).unwrap();
+        let formed = device.stats().snapshot().since(&before);
+        let lens: Vec<u64> = runs.iter().map(|r| r.len()).collect();
+        assert_eq!(lens, [16 * 1024, 16 * 1024, 8 * 1024]);
+        assert!(runs.iter().all(|r| r.has_block_heads()));
+        assert_eq!(checksum(&runs), 0xc623_655b_f635_550f);
+        assert_eq!((formed.reads(), formed.writes()), (1280, 1280));
+
+        let before = device.stats().snapshot();
+        let mut w = crate::SortingWriter::new(device.clone(), &cfg, less);
+        for r in &tape {
+            w.push(*r).unwrap();
+        }
+        let sorted = w.finish_sorted().unwrap();
+        let merged = device.stats().snapshot().since(&before);
+        assert_eq!(checksum(&[sorted]), 0xc238_00a0_6d2a_a1ab);
+        assert_eq!((merged.reads(), merged.writes()), (1280, 2560));
     }
 
     /// `m` records are one short of what `rf` needs: `form_runs` and
@@ -590,15 +537,39 @@ mod tests {
         }
     }
 
-    /// Run formation's piece merge is the same loop: same ceilings on `less`
-    /// calls per record as `SortedStream`'s.
+    /// `less` calls per record through `write_sorted_chunk`: one stable sort
+    /// (each of its comparisons is at most two `less` calls) and nothing
+    /// else — no second pass over the sorted load compares anything.
     #[test]
-    fn piece_merge_comparator_calls_per_record() {
+    fn sorted_chunk_comparator_calls_per_record() {
         let device = EmConfig::new(64, 8).ram_disk();
-        crate::losertree::assert_comparator_calls_per_record(|pieces, less| {
+        let n = 16 * 1024u64;
+        let mut rng = StdRng::seed_from_u64(19);
+        let shapes: [(&str, Vec<u64>, f64); 3] = [
+            // 2·⌈log₂ n⌉: a merge sort's comparisons, both ways round.
+            ("random", (0..n).map(|_| rng.gen()).collect(), 28.0),
+            // One run-detection comparison per record, two calls each.
+            ("presorted", (0..n).collect(), 2.1),
+            ("reverse-sorted", (0..n).rev().collect(), 2.1),
+        ];
+        for (shape, load, ceiling) in shapes {
+            let mut expect = load.clone();
+            expect.sort_unstable();
+            let calls = std::cell::Cell::new(0u64);
+            let less = |a: &u64, b: &u64| {
+                calls.set(calls.get() + 1);
+                a < b
+            };
+            let mut chunk = load;
             let mut w = ExtVecWriter::new(device.clone());
-            merge_sorted_pieces(&mut pieces.concat(), pieces[0].len(), less, &mut w).unwrap();
-            w.finish().unwrap().to_vec().unwrap()
-        });
+            write_sorted_chunk(&mut chunk, less, &mut w).unwrap();
+            assert!(chunk.is_empty(), "{shape}: the load is left empty");
+            assert_eq!(w.finish().unwrap().to_vec().unwrap(), expect, "{shape}");
+            let per_record = calls.get() as f64 / n as f64;
+            assert!(
+                per_record <= ceiling,
+                "{shape}: {per_record:.3} `less` calls per record, ceiling {ceiling}"
+            );
+        }
     }
 }

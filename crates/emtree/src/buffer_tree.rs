@@ -406,9 +406,7 @@ impl<K: Record + Ord, V: Record> BufferTree<K, V> {
                 for leaf in leaves {
                     for bi in 0..leaf.num_blocks() {
                         leaf.read_block_into(bi, &mut buf)?;
-                        for rec in buf.drain(..) {
-                            w.push(rec)?;
-                        }
+                        w.extend_from_slice(&buf)?;
                     }
                 }
             }

@@ -209,9 +209,7 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
             sorted.push(r);
         }
         let mut w = ExtVecWriter::new(self.device.clone());
-        for r in sorted {
-            w.push(r)?;
-        }
+        w.extend_from_slice(&sorted)?;
         self.runs.push(Run::new(w.finish()?));
         if self.runs.len() >= self.max_runs {
             self.merge_all_runs()?;

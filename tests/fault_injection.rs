@@ -17,11 +17,12 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
-use em_core::ExtVec;
+use em_core::{ExtVec, ExtVecWriter};
 use emsort::{merge_sort_by, OverlapConfig, SortConfig};
 use emtree::{BTree, ExtQueue, ExtStack};
 use pdm::{
-    BufferPool, DiskArray, EvictionPolicy, FaultPlan, IoMode, Placement, RetryPolicy, SharedDevice,
+    BlockDevice, BufferPool, DiskArray, EvictionPolicy, FaultDisk, FaultPlan, IoMode, Placement,
+    RamDisk, RetryPolicy, SharedDevice,
 };
 use proptest::prelude::*;
 
@@ -324,4 +325,45 @@ fn dead_lane_surfaces_retries_exhausted_not_a_hang() {
         Err(other) => panic!("expected RetriesExhausted, got {other}"),
         Ok(_) => panic!("write to a dead lane cannot succeed"),
     }
+}
+
+/// One transient write failure in the middle of a bulk append, with no retry
+/// layer underneath: `extend_from_slice` stops at the block that failed and
+/// `len()` says how much it took; `finish` retries the flush in place, and
+/// the array is the fault-free one, block for block.
+#[test]
+fn bulk_append_survives_one_transient_write_failure() {
+    let data: Vec<u64> = (0..16).map(|i| i * 11 + 3).collect(); // two blocks of 8
+    let clean = ExtVec::from_slice(RamDisk::new(64) as SharedDevice, &data).unwrap();
+
+    let ram = RamDisk::new(64);
+    // Seed 9 afflicts, of the two blocks written, only the second (and no
+    // read): exactly one fault, asserted below.
+    let device = FaultDisk::wrap(
+        ram.clone() as SharedDevice,
+        FaultPlan::new(9).with_transient(300, 1),
+    );
+    let mut w = ExtVecWriter::new(device.clone() as SharedDevice);
+    w.push(data[0]).unwrap();
+    assert!(w.extend_from_slice(&data[1..]).is_err());
+    assert_eq!(
+        w.len(),
+        16,
+        "every record was accepted before the flush failed"
+    );
+    let v = w.finish().unwrap();
+
+    assert_eq!(v.to_vec().unwrap(), data);
+    assert_eq!(v.num_blocks(), clean.num_blocks());
+    for bi in 0..v.num_blocks() {
+        assert_eq!(v.block_head(bi), clean.block_head(bi));
+    }
+    assert_eq!(ram.allocated_blocks(), 2, "the retry reused its block");
+    let snap = device.stats().snapshot();
+    assert_eq!(snap.faults_injected(), 1);
+    assert_eq!(
+        snap.writes(),
+        2,
+        "a transient failure never touches the device"
+    );
 }
