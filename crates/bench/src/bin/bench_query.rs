@@ -1,13 +1,12 @@
 //! Transfer-count and wall-clock benchmark for the Volcano query engine:
-//! predicted vs measured cost per plan cell, fused vs materialized
-//! boundaries, and the planner's choice, under synchronous and overlapped
-//! I/O at `D ∈ {1, 4}`.
+//! predicted vs measured cost per plan cell and the planner's choice, under
+//! synchronous and overlapped I/O at `D ∈ {1, 4}`.
 //!
 //! Three TPC-H-flavoured queries over generated relations, each racing the
 //! sort-based operators against their hash duals:
 //!
 //! * **Q1-lite** — the classic aggregate over a selection, as
-//!   `GroupBy(Sort(Filter(Scan)))` at {fused, materialized} and as
+//!   `GroupBy(Sort(Filter(Scan)))` and as
 //!   `HashGroupBy(Filter(Scan))` — the group keys fit the hybrid table, so
 //!   the hash aggregate never touches the disk and wins outright.
 //! * **Q3-lite** — `GroupBy(Join(Filter(Scan orders), Scan lineitem))` with
@@ -29,9 +28,8 @@
 //! streams' key hashes) and is fed exact cardinalities, so the documented
 //! slack is **zero**: predicted must equal measured, and the run asserts
 //! exactly that.  Further guards: identical canonicalized outputs across
-//! every cell of a query, fusion saving exactly its predicted boundary
-//! round trips, I/O mode never changing a count, and each regime's planner
-//! choice being the measured-cheapest feasible plan.
+//! every cell of a query, I/O mode never changing a count, and each
+//! regime's planner choice being the measured-cheapest feasible plan.
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_query [-- --smoke]
@@ -49,7 +47,7 @@ use emrel::{
     GroupByExec, HashGroupByExec, HashJoinExec, KeyStats, MergeJoinExec, Order, PlanExpr,
     ProjectExec, QueryExec, ScanExec, TinyBuildJoinExec,
 };
-use emsort::OverlapConfig;
+use emsort::{OverlapConfig, SortConfig};
 use pdm::{DiskArray, IoMode, Placement, SharedDevice};
 
 /// Bytes per physical block (one member disk's transfer unit).
@@ -133,14 +131,12 @@ fn device_for(tag: &str, d: usize, mode: IoMode) -> (SharedDevice, std::path::Pa
     (arr as SharedDevice, dir)
 }
 
-fn exec_config(mode: IoMode, fusion: bool, mem_records: usize) -> ExecConfig {
+fn exec_config(mode: IoMode, mem_records: usize) -> ExecConfig {
     let overlap = match mode {
         IoMode::Synchronous => OverlapConfig::off(),
         IoMode::Overlapped => OverlapConfig::symmetric(DEPTH),
     };
-    let mut cfg = ExecConfig::new(mem_records).with_fusion(fusion);
-    cfg.sort = cfg.sort.with_overlap(overlap);
-    cfg
+    ExecConfig::from_sort(SortConfig::new(mem_records).with_overlap(overlap))
 }
 
 /// The level-0 hash the executors use for `u64` keys — the planner's
@@ -320,7 +316,7 @@ fn main() {
         (FULL_ROWS, FULL_ORDERS, TRIALS)
     };
 
-    println!("# Query engine: predicted vs measured transfers, fused vs materialized");
+    println!("# Query engine: predicted vs measured transfers");
     println!(
         "\nQ1 rows = {rows_n}, Q3 orders = {orders_n}, M = {MEM_RECORDS} records, \
          physical block = {PHYS_BLOCK} B, independent placement, overlap depth = {DEPTH}, \
@@ -401,37 +397,32 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for d in [1usize, 4] {
         for mode in [IoMode::Synchronous, IoMode::Overlapped] {
-            for fusion in [false, true] {
-                let predicted = predict_with_sink(&q1_plan, &env.with_fusion(fusion)) as u64;
-                let variant = if fusion { "fused" } else { "materialized" };
-                let cfg = exec_config(mode, fusion, MEM_RECORDS);
-                let rows = &q1_rows;
-                cells.push(run_cell(
-                    Spec {
-                        query: "q1",
-                        variant: variant.to_string(),
-                        strategy: "sort",
-                        d,
-                        mode,
-                        predicted,
-                        trials,
-                    },
-                    move |device: &SharedDevice| {
-                        ExtVec::from_slice(device.clone(), rows).expect("load")
-                    },
-                    move |input, device| {
-                        let scan = ScanExec::new(input);
-                        let mut filt = FilterExec::new(scan, keep);
-                        sort_pipe(&mut filt, device, &cfg, KEY, less, |s| {
-                            group_collect(s, device)
-                        })
-                        .expect("q1")
-                    },
-                ));
-            }
-            let predicted = predict_with_sink(&q1_hash_plan, &env) as u64;
-            let cfg = exec_config(mode, true, MEM_RECORDS);
+            let predicted = predict_with_sink(&q1_plan, &env) as u64;
+            let cfg = exec_config(mode, MEM_RECORDS);
             let rows = &q1_rows;
+            cells.push(run_cell(
+                Spec {
+                    query: "q1",
+                    variant: "fused".to_string(),
+                    strategy: "sort",
+                    d,
+                    mode,
+                    predicted,
+                    trials,
+                },
+                move |device: &SharedDevice| {
+                    ExtVec::from_slice(device.clone(), rows).expect("load")
+                },
+                move |input, device| {
+                    let scan = ScanExec::new(input);
+                    let mut filt = FilterExec::new(scan, keep);
+                    sort_pipe(&mut filt, device, &cfg, KEY, less, |s| {
+                        group_collect(s, device)
+                    })
+                    .expect("q1")
+                },
+            ));
+            let predicted = predict_with_sink(&q1_hash_plan, &env) as u64;
             cells.push(run_cell(
                 Spec {
                     query: "q1",
@@ -565,7 +556,7 @@ fn main() {
                 if !pred.is_finite() {
                     continue;
                 }
-                let cfg = exec_config(mode, true, MEM_RECORDS);
+                let cfg = exec_config(mode, MEM_RECORDS);
                 let (orders, lineitem) = (&orders, &lineitem);
                 cells.push(run_cell(
                     Spec {
@@ -724,7 +715,7 @@ fn main() {
                 if !pred.is_finite() {
                     continue;
                 }
-                let cfg = exec_config(mode, true, m_q3u);
+                let cfg = exec_config(mode, m_q3u);
                 let (orders_u, lineitem) = (&orders_u, &lineitem);
                 cells.push(run_cell(
                     Spec {
@@ -865,28 +856,7 @@ fn main() {
             );
         }
     }
-    // 3. Fusion saves exactly the predicted boundary round trips on Q1.
-    for d in [1usize, 4] {
-        for mode in ["sync", "overlapped"] {
-            let get = |variant: &str| {
-                cells
-                    .iter()
-                    .find(|c| c.query == "q1" && c.variant == variant && c.d == d && c.mode == mode)
-                    .expect("cell present")
-            };
-            let (mat, fus) = (get("materialized"), get("fused"));
-            assert!(
-                fus.total() < mat.total(),
-                "q1 d={d} {mode}: fused not cheaper than materialized"
-            );
-            assert_eq!(
-                mat.total() - fus.total(),
-                mat.predicted - fus.predicted,
-                "q1 d={d} {mode}: fusion saving diverges from the model"
-            );
-        }
-    }
-    // 4. I/O mode moves wall time only, never a transfer count.
+    // 3. I/O mode moves wall time only, never a transfer count.
     for c in &cells {
         let twin = cells
             .iter()
@@ -903,7 +873,7 @@ fn main() {
             c.d
         );
     }
-    // 5. The planner's Q3 choice is the measured-cheapest feasible plan.
+    // 4. The planner's Q3 choice is the measured-cheapest feasible plan.
     for d in [1usize, 4] {
         for mode in ["sync", "overlapped"] {
             let q3: Vec<&Cell> = cells
@@ -926,7 +896,7 @@ fn main() {
             }
         }
     }
-    // 6. The unsorted regime's planner choice (grace) is measured-cheapest,
+    // 5. The unsorted regime's planner choice (grace) is measured-cheapest,
     //    and the hash join's advantage over merge-join-with-sorts is ≥ 1.5×.
     let mut q3u_ratio = f64::INFINITY;
     for d in [1usize, 4] {
@@ -955,7 +925,7 @@ fn main() {
             );
         }
     }
-    // 7. Partition counters attribute the hash work: the grace joins spill,
+    // 6. Partition counters attribute the hash work: the grace joins spill,
     //    while Q1's fully-resident hash aggregate never touches the disk.
     for c in &cells {
         match (c.query, c.strategy) {
@@ -987,7 +957,7 @@ fn main() {
     }
     println!(
         "guards passed: predicted == measured in all {} cells, outputs identical, \
-         fusion saves exactly the modeled boundaries, planner choices `{}` (clustered) \
+         planner choices `{}` (clustered) \
          and `{}` (shuffled, {q3u_ratio:.2}x over sort-merge) are measured-cheapest",
         cells.len(),
         plan_names[best],

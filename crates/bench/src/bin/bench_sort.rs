@@ -31,11 +31,11 @@
 //!
 //! Methodology: every configuration runs one discarded **warmup** pass
 //! (checked for order and checksummed), then the median wall time of
-//! `TRIALS` measured passes is reported, along with the per-phase breakdown
-//! (run formation vs. merge, CPU vs. I/O wait) and the forecast counters —
-//! split per lane — of the median trial.  Results go to stdout as a markdown
-//! table and to `BENCH_sort.json` (`schema_version` 3: rows no longer carry
-//! a `variant` field).
+//! `TRIALS` measured passes is reported, along with the forecast counters —
+//! split per lane — of the median trial; the per-phase split is `embench
+//! trace --workload sort_io|sort_cpu`'s to report.  Results go to stdout as
+//! a markdown table and to `BENCH_sort.json` (`schema_version` 4: rows no
+//! longer carry the five per-phase fields).
 //!
 //! ```text
 //! cargo run --release -p bench --bin bench_sort [-- N] [-- --smoke]
@@ -53,7 +53,7 @@ use std::time::Instant;
 
 use em_core::hash::fnv1a_words as fnv1a;
 use em_core::{bounds, ExtVec};
-use emsort::{merge_sort, merge_sort_with_metrics, OverlapConfig, SortConfig};
+use emsort::{merge_sort, OverlapConfig, SortConfig};
 use pdm::{DiskArray, IoMode, Placement, SharedDevice};
 use rand::prelude::*;
 
@@ -77,8 +77,9 @@ const SMOKE_N: u64 = 300_000;
 /// out identically (the placement is seeded-deterministic).
 const CYCLING_SEED: u64 = 0x5EED_0002;
 /// BENCH_sort.json schema: 2 added the top-level `schema_version` and a
-/// per-row `variant` field; 3 dropped `variant` with the variants.
-const SCHEMA_VERSION: u32 = 3;
+/// per-row `variant` field; 3 dropped `variant` with the variants; 4 dropped
+/// the per-phase seconds and `merge_passes` with the sort's metrics fork.
+const SCHEMA_VERSION: u32 = 4;
 
 const PLACEMENTS: [Placement; 3] = [
     Placement::Striped,
@@ -105,11 +106,6 @@ struct RunResult {
     forecast_hits: u64,
     forecast_issued_by_lane: Vec<u64>,
     forecast_hits_by_lane: Vec<u64>,
-    run_formation_secs: f64,
-    run_formation_io_wait_secs: f64,
-    merge_secs: f64,
-    merge_io_wait_secs: f64,
-    merge_passes: u32,
     trials: usize,
     /// FNV-1a over the sorted output — byte-identity across cells.
     checksum: u64,
@@ -163,14 +159,13 @@ fn run_one(d: usize, placement: Placement, mode: IoMode, n: u64, trials: usize) 
     drop(v);
     out.free().expect("free warmup output");
 
-    // Measured trials: identical input, per-phase metrics.  Counts must
-    // repeat exactly — the pipeline is deterministic.
+    // Measured trials: identical input.  Counts must repeat exactly — the
+    // pipeline is deterministic.
     let mut measured = Vec::with_capacity(trials);
     for trial in 0..trials {
         let before = device.stats().snapshot();
         let start = Instant::now();
-        let (out, metrics) =
-            merge_sort_with_metrics(&input, &cfg, |a: &u64, b: &u64| a < b).expect("sort");
+        let out = merge_sort(&input, &cfg).expect("sort");
         let secs = start.elapsed().as_secs_f64();
         let delta = device.stats().snapshot().since(&before);
         assert_eq!(out.len(), n);
@@ -181,11 +176,11 @@ fn run_one(d: usize, placement: Placement, mode: IoMode, n: u64, trials: usize) 
             "D={d} {pl_label} {label} trial {trial}: transfer counts changed between passes"
         );
         assert_eq!(warm_delta.parallel_time(), delta.parallel_time());
-        measured.push((secs, metrics, delta));
+        measured.push((secs, delta));
     }
     // Median by wall time.
     measured.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
-    let (secs, metrics, delta) = &measured[trials / 2];
+    let (secs, delta) = &measured[trials / 2];
 
     let snap = device.stats().snapshot();
     drop(input);
@@ -210,11 +205,6 @@ fn run_one(d: usize, placement: Placement, mode: IoMode, n: u64, trials: usize) 
         forecast_hits: delta.forecast_hits(),
         forecast_issued_by_lane: (0..d).map(|i| delta.forecast_issued_on(i)).collect(),
         forecast_hits_by_lane: (0..d).map(|i| delta.forecast_hits_on(i)).collect(),
-        run_formation_secs: metrics.run_formation_secs,
-        run_formation_io_wait_secs: metrics.run_formation_io_wait_secs,
-        merge_secs: metrics.merge_secs,
-        merge_io_wait_secs: metrics.merge_io_wait_secs,
-        merge_passes: metrics.merge_passes,
         trials,
         checksum,
     }
@@ -273,6 +263,9 @@ fn main() {
             results.push(over);
         }
     }
+    // Merge levels of a cell, ⌈log_k ⌈N/M⌉⌉ at its fan-in (the bound counts
+    // run formation as a pass too).
+    let passes = |r: &RunResult| bounds::merge_passes(n, MEM_RECORDS, r.fan_in) - 1;
     let cell = |d: usize, placement: &str, mode: &str| {
         results
             .iter()
@@ -322,7 +315,7 @@ fn main() {
             "{at}: transfer counts differ from the D=1 independent run"
         );
         if r.d > 1 {
-            assert_eq!(r.merge_passes, 1, "{at}: expected a single merge pass");
+            assert_eq!(passes(r), 1, "{at}: expected a single merge pass");
         }
         // Per-lane forecast accounting must be live on every multi-disk
         // B-block overlapped run: each lane issues and hits.
@@ -337,24 +330,20 @@ fn main() {
         }
     }
 
-    println!("| D | placement | mode | fan-in | wall (s) | runform (s) | merge (s) | io-wait (s) | passes | reads | writes | prefetched | hits | fc issued | fc hits | fc issued/lane | depth hwm/lane | speedup |");
-    println!("|---|-----------|------|--------|----------|-------------|-----------|-------------|--------|-------|--------|------------|------|-----------|---------|----------------|----------------|---------|");
+    println!("| D | placement | mode | fan-in | wall (s) | reads | writes | prefetched | hits | fc issued | fc hits | fc issued/lane | depth hwm/lane | speedup |");
+    println!("|---|-----------|------|--------|----------|-------|--------|------------|------|-----------|---------|----------------|----------------|---------|");
     let mut json_rows = Vec::new();
     for pair in results.chunks(2) {
         let sync = &pair[0];
         for r in pair {
             let speedup = sync.secs / r.secs;
             println!(
-                "| {} | {} | {} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}x |",
+                "| {} | {} | {} | {} | {:.3} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}x |",
                 r.d,
                 r.placement,
                 r.mode,
                 r.fan_in,
                 r.secs,
-                r.run_formation_secs,
-                r.merge_secs,
-                r.run_formation_io_wait_secs + r.merge_io_wait_secs,
-                r.merge_passes,
                 r.reads,
                 r.writes,
                 r.prefetched,
@@ -373,9 +362,7 @@ fn main() {
                  \"queue_depth_hwm_by_lane\": {}, \
                  \"prefetched\": {}, \"prefetch_hits\": {}, \"forecast_issued\": {}, \
                  \"forecast_hits\": {}, \"forecast_issued_by_lane\": {}, \
-                 \"forecast_hits_by_lane\": {}, \"run_formation_seconds\": {:.6}, \
-                 \"run_formation_io_wait_seconds\": {:.6}, \"merge_seconds\": {:.6}, \
-                 \"merge_io_wait_seconds\": {:.6}, \"merge_passes\": {}, \"trials\": {}, \
+                 \"forecast_hits_by_lane\": {}, \"trials\": {}, \
                  \"speedup_vs_sync\": {:.4}}}",
                 r.d,
                 r.placement,
@@ -393,11 +380,6 @@ fn main() {
                 r.forecast_hits,
                 json_u64_array(&r.forecast_issued_by_lane),
                 json_u64_array(&r.forecast_hits_by_lane),
-                r.run_formation_secs,
-                r.run_formation_io_wait_secs,
-                r.merge_secs,
-                r.merge_io_wait_secs,
-                r.merge_passes,
                 r.trials,
                 speedup
             ));
@@ -424,10 +406,10 @@ fn main() {
         println!(
             "D={d} overlapped: striped {:.3}s ({} passes, {} reads) vs independent {:.3}s ({} pass, {} reads) — {:.2}x",
             striped.secs,
-            striped.merge_passes,
+            passes(striped),
             striped.reads,
             indep.secs,
-            indep.merge_passes,
+            passes(indep),
             indep.reads,
             striped.secs / indep.secs
         );
@@ -437,7 +419,7 @@ fn main() {
         // still leaves the full breakdown for diagnosis: erasing the extra
         // striped merge pass must show up as real time wherever striping
         // actually pays that pass.
-        if !smoke && striped.merge_passes > indep.merge_passes {
+        if !smoke && passes(striped) > passes(indep) {
             assert!(
                 indep.secs < striped.secs,
                 "independent D={d} ({:.3}s) did not beat striped ({:.3}s)",

@@ -3,7 +3,7 @@
 //! Regenerates every table and figure of the survey's exposition as measured
 //! numbers from the instrumented simulator.  I/O counts are deterministic,
 //! so these are exact tables rather than noisy timings; wall-clock
-//! measurements live in `benches/wall_time.rs` (experiment T3).
+//! measurements are `embench`'s (the `benchmark/` workspace).
 //!
 //! Run everything:
 //!

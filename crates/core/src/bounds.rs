@@ -79,13 +79,6 @@ pub fn merge_sort_ios(n: u64, m: usize, b: usize, fan_in: usize) -> f64 {
     2.0 * scan(n, b) * merge_passes(n, m, fan_in) as f64
 }
 
-/// Initial runs formed by load–sort–store run formation: `⌈N/M⌉` runs of
-/// exactly `M` records each (the last possibly partial).  Zero for an empty
-/// input.
-pub fn initial_runs(n: u64, m: usize) -> u64 {
-    (n as f64 / m as f64).ceil() as u64
-}
-
 /// The load–sort–store run queue, as record counts: `⌈N/M⌉ − 1` full runs
 /// plus the remainder.
 fn run_queue(n: u64, m: usize) -> std::collections::VecDeque<u64> {

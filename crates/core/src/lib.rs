@@ -62,7 +62,7 @@ pub use budget::{BudgetGuard, MemBudget};
 pub use config::EmConfig;
 pub use ext_vec::ExtVec;
 pub use record::Record;
-pub use stream::{BlockReader, ExtVecCursor, ExtVecReader, ExtVecWriter, IoWaitSink};
+pub use stream::{BlockReader, ExtVecCursor, ExtVecReader, ExtVecWriter};
 
 // Re-export the substrate so dependents need only one import path.
 pub use pdm;

@@ -26,36 +26,13 @@
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use pdm::{BlockId, IoTicket, Result, SharedDevice};
 
 use crate::budget::{BudgetGuard, MemBudget};
 use crate::ext_vec::ExtVec;
 use crate::record::Record;
-
-/// Shared nanosecond accumulator for time spent blocked on device I/O.
-///
-/// Attach one to any number of readers/writers with their
-/// `set_io_wait_sink`; every synchronous transfer and every
-/// [`IoTicket::wait`] they perform adds its duration, letting a caller split
-/// a phase's wall time into CPU work vs. I/O wait.
-pub type IoWaitSink = Arc<AtomicU64>;
-
-/// Run `f`, adding its duration to `sink` (when one is attached).
-fn timed<T>(sink: &Option<IoWaitSink>, f: impl FnOnce() -> T) -> T {
-    match sink {
-        None => f(),
-        Some(s) => {
-            let t0 = Instant::now();
-            let out = f();
-            s.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            out
-        }
-    }
-}
 
 /// Encode `records` into `out`, zeroing the tail of a partial block so the
 /// encoding is deterministic.
@@ -115,8 +92,6 @@ pub struct ExtVecWriter<R: Record> {
     /// Block allocated for a synchronous flush that failed; reused by the
     /// retry so the rewrite repairs the torn block in place.
     retry_block: Option<BlockId>,
-    /// Accumulates time spent blocked on device transfers.
-    wait_sink: Option<IoWaitSink>,
     /// Budget charge covering the write-behind buffers.
     _reserve: Option<BudgetGuard>,
 }
@@ -138,7 +113,6 @@ impl<R: Record> ExtVecWriter<R> {
             spare: Vec::new(),
             heads: Vec::new(),
             retry_block: None,
-            wait_sink: None,
             _reserve: None,
         }
     }
@@ -176,12 +150,6 @@ impl<R: Record> ExtVecWriter<R> {
     /// The write-behind depth actually granted by the budget.
     pub fn write_behind_depth(&self) -> usize {
         self.depth
-    }
-
-    /// Attach an [`IoWaitSink`]; subsequent blocking transfers (including
-    /// the waits inside [`finish`](Self::finish)) add their duration to it.
-    pub fn set_io_wait_sink(&mut self, sink: IoWaitSink) {
-        self.wait_sink = Some(sink);
     }
 
     /// Append one record, flushing a full buffer to a fresh block.
@@ -252,7 +220,7 @@ impl<R: Record> ExtVecWriter<R> {
             .inflight
             .pop_front()
             .expect("retire_oldest on an empty pipeline");
-        let buf = timed(&self.wait_sink, || ticket.wait())?;
+        let buf = ticket.wait()?;
         self.heads.push(head);
         self.blocks.push(id);
         Ok(buf)
@@ -267,9 +235,7 @@ impl<R: Record> ExtVecWriter<R> {
                 None => self.device.allocate()?,
             };
             encode_block(&self.buf, &mut self.byte_buf);
-            if let Err(e) = timed(&self.wait_sink, || {
-                self.device.write_block(id, &self.byte_buf)
-            }) {
+            if let Err(e) = self.device.write_block(id, &self.byte_buf) {
                 self.retry_block = Some(id);
                 return Err(e);
             }
@@ -329,8 +295,6 @@ pub struct BlockReader<V: Borrow<ExtVec<R>>, R: Record> {
     /// a forecaster calls [`prefetch_one`](Self::prefetch_one) instead, and
     /// its buffers belong to the forecaster's shared pool.
     managed: bool,
-    /// Accumulates time spent blocked on device transfers.
-    wait_sink: Option<IoWaitSink>,
     /// Budget charge covering the read-ahead buffers.
     _reserve: Option<BudgetGuard>,
 }
@@ -378,7 +342,6 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
             next_fetch: 0,
             spare: Vec::new(),
             managed: false,
-            wait_sink: None,
             _reserve: None,
         }
     }
@@ -447,12 +410,6 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
     /// The read-ahead depth actually granted by the budget.
     pub fn prefetch_depth(&self) -> usize {
         self.depth
-    }
-
-    /// Attach an [`IoWaitSink`]; subsequent blocking transfers add their
-    /// duration to it.
-    pub fn set_io_wait_sink(&mut self, sink: IoWaitSink) {
-        self.wait_sink = Some(sink);
     }
 
     /// Prefetches currently in flight (or complete but unconsumed).
@@ -645,7 +602,7 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
             }
             if matches!(self.pending.front(), Some(&(front_bi, _)) if front_bi == bi) {
                 if let Some((_, ticket)) = self.pending.pop_front() {
-                    let bytes = timed(&self.wait_sink, || ticket.wait())?;
+                    let bytes = ticket.wait()?;
                     arr(&self.vec).decode_block(bi, &bytes, &mut self.buf);
                     let stats = arr(&self.vec).device().stats();
                     stats.record_prefetch_hit();
@@ -670,15 +627,11 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
             // only for a forecast-mode reader the forecaster has not fed
             // yet): read on demand and realign the pipeline.
             self.next_fetch = self.next_fetch.max(bi + 1);
-            timed(&self.wait_sink, || {
-                arr(&self.vec).read_block_into(bi, &mut self.buf)
-            })?;
+            arr(&self.vec).read_block_into(bi, &mut self.buf)?;
             self.top_up();
             return Ok(());
         }
-        timed(&self.wait_sink, || {
-            arr(&self.vec).read_block_into(bi, &mut self.buf)
-        })
+        arr(&self.vec).read_block_into(bi, &mut self.buf)
     }
 }
 
@@ -995,27 +948,6 @@ mod overlap_tests {
             "both forecast blocks were consumed"
         );
         assert_eq!(delta.prefetch_wasted(), 0);
-    }
-
-    #[test]
-    fn io_wait_sink_accumulates_on_blocking_transfers() {
-        use std::sync::atomic::Ordering;
-        let device = dev();
-        let sink: IoWaitSink = Arc::new(AtomicU64::new(0));
-        let mut w = ExtVecWriter::new(device.clone());
-        w.set_io_wait_sink(Arc::clone(&sink));
-        for i in 0..40u64 {
-            w.push(i).unwrap();
-        }
-        let v = w.finish().unwrap();
-        let wrote = sink.load(Ordering::Relaxed);
-        let mut r = v.reader();
-        r.set_io_wait_sink(Arc::clone(&sink));
-        let _: Vec<u64> = std::iter::from_fn(|| r.try_next().unwrap()).collect();
-        assert!(
-            sink.load(Ordering::Relaxed) >= wrote,
-            "reader adds to the same sink"
-        );
     }
 
     #[test]

@@ -28,8 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use emsort::{OverlapConfig, SortConfig};
-
 mod bfs;
 mod cc;
 mod euler;
@@ -50,77 +48,11 @@ pub use mst::minimum_spanning_forest;
 pub use sssp::sssp;
 pub use time_forward::time_forward;
 
-/// One knob for every sort inside a graph round.
-///
-/// Graph algorithms issue many sorts per round (symmetrize, hook, join,
-/// relabel, …), each taking the same [`SortConfig`].  `GraphConfig` is the
-/// single place where the memory budget and per-disk overlap depth for all
-/// of them are chosen, so benchmarks and tests can switch a whole graph
-/// computation between synchronous and overlapped I/O with one call.
-///
-/// ```
-/// use emgraph::GraphConfig;
-///
-/// let sync = GraphConfig::sync(4096).sort_config();
-/// let over = GraphConfig::overlapped(4096, 2).sort_config();
-/// assert!(!sync.overlap.enabled());
-/// assert!(over.overlap.enabled());
-/// ```
-#[derive(Debug, Clone)]
-pub struct GraphConfig {
-    /// Internal-memory budget, in records, for each sort in the round.
-    pub mem_records: usize,
-    /// Read-ahead/write-behind depth in blocks per disk; 0 = synchronous.
-    pub overlap_depth: usize,
-    /// Pipeline fusion: stream each sort's final merge pass straight into
-    /// the consuming scan (the default).  `false` re-materializes every
-    /// sorted intermediate — the pre-fusion cost, kept for A/B benchmarks.
-    pub fusion: bool,
-}
-
-impl GraphConfig {
-    /// Synchronous-I/O rounds: overlap off.
-    pub fn sync(mem_records: usize) -> Self {
-        GraphConfig {
-            mem_records,
-            overlap_depth: 0,
-            fusion: true,
-        }
-    }
-
-    /// Overlapped rounds: `depth` blocks of read-ahead and write-behind per
-    /// disk.
-    pub fn overlapped(mem_records: usize, depth: usize) -> Self {
-        GraphConfig {
-            mem_records,
-            overlap_depth: depth,
-            fusion: true,
-        }
-    }
-
-    /// Toggle pipeline fusion (see [`GraphConfig::fusion`]).
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
-        self
-    }
-
-    /// The [`SortConfig`] every sort inside the graph round runs with.
-    pub fn sort_config(&self) -> SortConfig {
-        let overlap = if self.overlap_depth == 0 {
-            OverlapConfig::off()
-        } else {
-            OverlapConfig::symmetric(self.overlap_depth)
-        };
-        SortConfig::new(self.mem_records)
-            .with_overlap(overlap)
-            .with_fusion(self.fusion)
-    }
-}
-
 #[cfg(test)]
-mod graph_config_tests {
+mod overlap_tests {
     use super::*;
     use em_core::EmConfig;
+    use emsort::{OverlapConfig, SortConfig};
 
     #[test]
     fn overlapped_rounds_match_sync_results() {
@@ -129,7 +61,7 @@ mod graph_config_tests {
         let n = 1200u64;
         let sync_dev = EmConfig::new(256, 16).ram_disk();
         let g = gen::random_connected_graph(sync_dev.clone(), n, 2000, 31).unwrap();
-        let sync_cfg = GraphConfig::sync(512).sort_config();
+        let sync_cfg = SortConfig::new(512).with_overlap(OverlapConfig::off());
         let want_bfs = bfs_mr(&g, n, 0, &sync_cfg).unwrap().to_vec().unwrap();
         let want_cc = connected_components(&g, n, &sync_cfg)
             .unwrap()
@@ -140,7 +72,7 @@ mod graph_config_tests {
             pdm::DiskArray::new_ram_with(4, 256, pdm::Placement::Striped, pdm::IoMode::Overlapped)
                 as pdm::SharedDevice;
         let g2 = gen::random_connected_graph(dev, n, 2000, 31).unwrap();
-        let over_cfg = GraphConfig::overlapped(512, 2).sort_config();
+        let over_cfg = SortConfig::new(512).with_overlap(OverlapConfig::symmetric(2));
         assert_eq!(
             bfs_mr(&g2, n, 0, &over_cfg).unwrap().to_vec().unwrap(),
             want_bfs

@@ -2,8 +2,7 @@
 //!
 //! The classical iterator ("Volcano") execution model, specialized to the
 //! PDM: every operator implements [`QueryExec`] — pull one record with
-//! [`try_next`](QueryExec::try_next) (or a block with
-//! [`next_block`](QueryExec::next_block)) and report the sort order of the
+//! [`try_next`](QueryExec::try_next) and report the sort order of the
 //! stream with [`order`](QueryExec::order).  Operators compose into
 //! pipelines that never materialize an intermediate that is consumed once:
 //!
@@ -41,11 +40,7 @@
 //! Sort operators borrow their final-stage runs from the sorting routine's
 //! frame (see [`SortedStream`]), so pipelines containing sorts are composed
 //! in continuation-passing style: each sort driver hands the downstream
-//! plan a `&mut dyn QueryExec` rather than returning an iterator.  The
-//! [`ExecConfig::fusion`] switch routes the *same* composition through the
-//! materialize-everything baseline — every operator boundary writes an
-//! [`ExtVec`] and re-reads it — for A/B cost comparisons; record sequences
-//! are identical either way.
+//! plan a `&mut dyn QueryExec` rather than returning an iterator.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -80,9 +75,8 @@ impl Order {
 }
 
 /// A pull-based query operator — the Volcano iterator protocol shaped like
-/// [`SortedStream`]: `try_next` pulls one record, `next_block` pulls up to
-/// a block's worth, and `order` reports the stream's sort order so
-/// downstream sorts can be elided.
+/// [`SortedStream`]: `try_next` pulls one record and `order` reports the
+/// stream's sort order so downstream sorts can be elided.
 pub trait QueryExec {
     /// The record type this operator produces.
     type Item: Record;
@@ -93,19 +87,6 @@ pub trait QueryExec {
 
     /// The sort order of the records this stream delivers.
     fn order(&self) -> Order;
-
-    /// Pull up to `max` records into `out` (cleared first); returns how
-    /// many arrived.  Zero means the stream is drained.
-    fn next_block(&mut self, out: &mut Vec<Self::Item>, max: usize) -> Result<usize> {
-        out.clear();
-        while out.len() < max {
-            match self.try_next()? {
-                Some(r) => out.push(r),
-                None => break,
-            }
-        }
-        Ok(out.len())
-    }
 
     /// The consumer's promise to pull this stream **to exhaustion**, with
     /// the per-disk overlap depths it runs at.  A leaf may then read ahead:
@@ -1039,8 +1020,8 @@ where
     }
 }
 
-/// Execution parameters of one query: the sort configuration plus the
-/// pipeline-fusion switch.
+/// Execution parameters of one query: the sort configuration every sort
+/// and hash partition of the pipeline runs under.
 ///
 /// `sort.overlap` governs **every** device-touching step of the pipeline,
 /// not only its sorts and hash partitions: operators built from this
@@ -1048,53 +1029,22 @@ where
 /// ([`QueryExec::drain_hint`]) and report them up to the sink
 /// ([`QueryExec::overlap`]), so leaves read ahead and [`collect`] writes
 /// behind at the same depths.  Transfer counts do not depend on it.
-///
-/// With `fusion` on (the default) operator boundaries stream: sorts run as
-/// run-formation plus one final streamed merge, and pipes hand records
-/// straight through.  With `fusion` off the engine becomes the
-/// materialize-everything baseline — every operator boundary writes its
-/// output to an [`ExtVec`] and the consumer re-reads it — the pre-fusion
-/// cost kept for A/B benchmarks.  Record sequences are identical either
-/// way; only transfer counts differ.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
-    /// Sort parameters (memory budget `M`, kernel, …) and the overlap depths
-    /// of the whole pipeline.
+    /// Sort parameters (memory budget `M`, fan-in, run formation) and the
+    /// overlap depths of the whole pipeline.
     pub sort: SortConfig,
-    /// Stream operator boundaries (true) or materialize each one (false).
-    pub fusion: bool,
 }
 
 impl ExecConfig {
-    /// A fused configuration with the given sort memory budget.
+    /// A configuration with the given sort memory budget.
     pub fn new(mem_records: usize) -> Self {
-        ExecConfig {
-            sort: SortConfig::new(mem_records),
-            fusion: true,
-        }
+        ExecConfig::from_sort(SortConfig::new(mem_records))
     }
 
-    /// Adopt an existing [`SortConfig`], inheriting its fusion flag.
+    /// Adopt an existing [`SortConfig`].
     pub fn from_sort(sort: SortConfig) -> Self {
-        ExecConfig {
-            fusion: sort.fusion,
-            sort,
-        }
-    }
-
-    /// Builder: set both the engine's and the sorts' fusion flag.
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
-        self.sort.fusion = fusion;
-        self
-    }
-
-    /// The sort configuration with its fusion flag aligned to the engine's.
-    pub fn sort_config(&self) -> SortConfig {
-        SortConfig {
-            fusion: self.fusion,
-            ..self.sort
-        }
+        ExecConfig { sort }
     }
 }
 
@@ -1119,9 +1069,8 @@ where
         let mut scan = ScanExec::with_order(input, input_order);
         return consume(&mut scan);
     }
-    let sc = cfg.sort_config();
-    merge_sort_streaming(input, &sc, less, |s| {
-        consume(&mut SortStreamExec::new(s, Order::Key(key)).with_overlap(sc.overlap))
+    merge_sort_streaming(input, &cfg.sort, less, |s| {
+        consume(&mut SortStreamExec::new(s, Order::Key(key)).with_overlap(cfg.sort.overlap))
     })
 }
 
@@ -1129,8 +1078,7 @@ where
 /// — [`SortingWriter`] under the hood, so the records spill directly as
 /// sorted runs (the unsorted intermediate never exists) and the final merge
 /// streams into the continuation.  When the child already carries `key`'s
-/// order the sort is elided; in the materialize-everything baseline the
-/// elided boundary still materializes (see [`pipe_boundary`]).
+/// order the sort is elided: `consume` receives `child` itself.
 pub fn sort_pipe<R, F, T>(
     child: &mut dyn QueryExec<Item = R>,
     device: &SharedDevice,
@@ -1144,45 +1092,16 @@ where
     F: Fn(&R, &R) -> bool + Copy + Send,
 {
     if child.order().matches(key) {
-        return pipe_boundary(child, device, cfg, consume);
+        return consume(child);
     }
-    let sc = cfg.sort_config();
-    let mut w = SortingWriter::new(device.clone(), &sc, less);
-    child.drain_hint(sc.overlap);
+    let mut w = SortingWriter::new(device.clone(), &cfg.sort, less);
+    child.drain_hint(cfg.sort.overlap);
     while let Some(r) = child.try_next()? {
         w.push(r)?;
     }
     w.finish_streaming(|s| {
-        consume(&mut SortStreamExec::new(s, Order::Key(key)).with_overlap(sc.overlap))
+        consume(&mut SortStreamExec::new(s, Order::Key(key)).with_overlap(cfg.sort.overlap))
     })
-}
-
-/// An operator boundary that fuses to nothing: with [`ExecConfig::fusion`]
-/// on, `consume` receives `child` directly; with fusion off the child is
-/// materialized into an [`ExtVec`] (freed afterwards) and `consume`
-/// receives a scan of it — the 2·⌈N/B⌉ transfers the fused pipeline
-/// deletes at every once-consumed boundary.
-pub fn pipe_boundary<R, T>(
-    child: &mut dyn QueryExec<Item = R>,
-    device: &SharedDevice,
-    cfg: &ExecConfig,
-    consume: impl FnOnce(&mut dyn QueryExec<Item = R>) -> Result<T>,
-) -> Result<T>
-where
-    R: Record,
-{
-    if cfg.fusion {
-        return consume(child);
-    }
-    let order = child.order();
-    let overlap = cfg.sort.overlap;
-    let v = drain_into(child, device, overlap, &sink_budget::<R>(device, overlap))?;
-    let out = {
-        let mut scan = ScanExec::with_order(&v, order);
-        consume(&mut scan)?
-    };
-    v.free()?;
-    Ok(out)
 }
 
 /// Drain `exec` into a new external array on `device` — the root sink of a
@@ -1207,9 +1126,9 @@ fn sink_budget<R: Record>(device: &SharedDevice, overlap: OverlapConfig) -> Arc<
     MemBudget::new(blocks * ExtVec::<R>::per_block_on(device))
 }
 
-/// The materializing sink behind [`collect`] and the fusion-off
-/// [`pipe_boundary`]: tell `exec` it will be drained at `overlap`, then
-/// write every record out, writing behind as deep as `budget` has room for.
+/// The materializing sink behind [`collect`]: tell `exec` it will be
+/// drained at `overlap`, then write every record out, writing behind as deep
+/// as `budget` has room for.
 fn drain_into<R: Record>(
     exec: &mut dyn QueryExec<Item = R>,
     device: &SharedDevice,
@@ -1276,32 +1195,26 @@ mod tests {
         let v = ExtVec::from_slice(d.clone(), &(0u64..640).map(|i| (i, i)).collect::<Vec<_>>())
             .unwrap();
         let few = ExtVec::from_slice(d.clone(), &[(3u64, 0u64), (5, 0)]).unwrap();
-        let cfg =
-            ExecConfig::from_sort(SortConfig::new(256).with_overlap(OverlapConfig::symmetric(2)))
-                .with_fusion(false);
-        // Each pipeline is drained by the fusion-off materializer at depth
-        // 2 and must read exactly the blocks its synchronous twin reads.
-        type Pipeline<'a> = Box<dyn Fn(&ExecConfig) -> Result<Vec<(u64, u64)>> + 'a>;
-        let drained = |root: &mut dyn QueryExec<Item = (u64, u64)>, cfg: &ExecConfig| {
-            pipe_boundary(root, &d, cfg, |s| {
-                let mut got = Vec::new();
-                while let Some(r) = s.try_next()? {
-                    got.push(r);
-                }
-                Ok(got)
-            })
+        // Each pipeline is drained by the sink at depth 2 and must read
+        // exactly the blocks its synchronous twin reads.
+        type Pipeline<'a> = Box<dyn Fn(OverlapConfig) -> Result<Vec<(u64, u64)>> + 'a>;
+        let drained = |root: &mut dyn QueryExec<Item = (u64, u64)>, overlap: OverlapConfig| {
+            let out = drain_into(root, &d, overlap, &sink_budget::<(u64, u64)>(&d, overlap))?;
+            let got = out.to_vec()?;
+            out.free()?;
+            Ok(got)
         };
         // (name, stops reading `v` early, pipeline)
         let pipelines: Vec<(&str, bool, Pipeline)> = vec![
             (
                 "limit over a scan",
                 true,
-                Box::new(|cfg| drained(&mut LimitExec::new(ScanExec::new(&v), 20), cfg)),
+                Box::new(|ov| drained(&mut LimitExec::new(ScanExec::new(&v), 20), ov)),
             ),
             (
                 "merge join whose left side ends first",
                 true,
-                Box::new(|cfg| {
+                Box::new(|ov| {
                     let mut j = MergeJoinExec::new(
                         ScanExec::with_order(&few, Order::Key(1)),
                         ScanExec::with_order(&v, Order::Key(1)),
@@ -1310,14 +1223,14 @@ mod tests {
                         |l: &(u64, u64), r: &(u64, u64)| (l.0, r.1),
                         64,
                     );
-                    drained(&mut j, cfg)
+                    drained(&mut j, ov)
                 }),
             ),
             (
                 // The join outlives its right side: the left drains on.
                 "merge join whose right side ends first",
                 false,
-                Box::new(|cfg| {
+                Box::new(|ov| {
                     let mut j = MergeJoinExec::new(
                         ScanExec::with_order(&v, Order::Key(1)),
                         ScanExec::with_order(&few, Order::Key(1)),
@@ -1326,13 +1239,13 @@ mod tests {
                         |l: &(u64, u64), r: &(u64, u64)| (l.0, r.1),
                         64,
                     );
-                    drained(&mut j, cfg)
+                    drained(&mut j, ov)
                 }),
             ),
             (
                 "semi-join against a short right side",
                 true,
-                Box::new(|cfg| {
+                Box::new(|ov| {
                     let mut j = FilteringJoinExec::new(
                         ScanExec::with_order(&few, Order::Key(1)),
                         ScanExec::with_order(&v, Order::Key(1)),
@@ -1340,17 +1253,15 @@ mod tests {
                         |r: &(u64, u64)| r.0,
                         FilterJoinKind::Semi,
                     );
-                    drained(&mut j, cfg)
+                    drained(&mut j, ov)
                 }),
             ),
         ];
-        let sync =
-            ExecConfig::from_sort(cfg.sort.with_overlap(OverlapConfig::off())).with_fusion(false);
         for (name, stops_early, run) in &pipelines {
             let t0 = d.stats().snapshot();
-            let expect = run(&sync).unwrap();
+            let expect = run(OverlapConfig::off()).unwrap();
             let t1 = d.stats().snapshot();
-            let got = run(&cfg).unwrap();
+            let got = run(OverlapConfig::symmetric(2)).unwrap();
             let (a, b) = (t1.since(&t0), d.stats().snapshot().since(&t1));
             assert_eq!(got, expect, "{name}");
             assert_eq!((b.reads(), b.writes()), (a.reads(), a.writes()), "{name}");
@@ -1399,19 +1310,6 @@ mod tests {
         let mut lim = LimitExec::new(proj, 3);
         let out = collect(&mut lim, &d).unwrap();
         assert_eq!(out.to_vec().unwrap(), vec![0, 20, 40]);
-    }
-
-    #[test]
-    fn next_block_pulls_in_chunks() {
-        let d = device();
-        let v = ExtVec::from_slice(d, &(0u64..10).collect::<Vec<_>>()).unwrap();
-        let mut scan = ScanExec::new(&v);
-        let mut buf = Vec::new();
-        assert_eq!(scan.next_block(&mut buf, 4).unwrap(), 4);
-        assert_eq!(buf, vec![0, 1, 2, 3]);
-        assert_eq!(scan.next_block(&mut buf, 100).unwrap(), 6);
-        assert_eq!(buf, vec![4, 5, 6, 7, 8, 9]);
-        assert_eq!(scan.next_block(&mut buf, 4).unwrap(), 0);
     }
 
     #[test]

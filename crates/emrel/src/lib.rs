@@ -39,9 +39,9 @@ mod hash_exec;
 mod plan;
 
 pub use exec::{
-    collect, pipe_boundary, sort_pipe, sort_scan, DistinctExec, ExecConfig, FilterExec,
-    FilterJoinKind, FilteringJoinExec, GroupByExec, KeyId, LimitExec, MergeJoinExec, Order,
-    ProjectExec, QueryExec, ScanExec, SortStreamExec, TinyBuildJoinExec, TopKExec,
+    collect, sort_pipe, sort_scan, DistinctExec, ExecConfig, FilterExec, FilterJoinKind,
+    FilteringJoinExec, GroupByExec, KeyId, LimitExec, MergeJoinExec, Order, ProjectExec, QueryExec,
+    ScanExec, SortStreamExec, TinyBuildJoinExec, TopKExec,
 };
 pub use hash_exec::{HashDistinctExec, HashGroupByExec, HashJoinExec};
 pub use plan::{

@@ -4,13 +4,12 @@
 //! executors in [`exec`](crate::exec); [`predict`] prices it in *device
 //! block transfers* using the survey's closed-form bounds
 //! ([`em_core::bounds`]), and [`choose`] picks the cheapest of several
-//! candidate trees — join order, join strategy, sort placement, fused vs
-//! materialized — by minimum predicted transfers.
+//! candidate trees — join order, join strategy, sort placement — by minimum
+//! predicted transfers.
 //!
 //! The model is deliberately exact rather than asymptotic: sorts are priced
 //! by replaying the engine's actual merge schedule
-//! ([`em_core::bounds::merge_sort_streamed_ios`] /
-//! [`merge_sort_exact_ios`](em_core::bounds::merge_sort_exact_ios)), and
+//! ([`em_core::bounds::merge_sort_streamed_ios`]), and
 //! orderedness propagates through the tree so a [`Sort`](PlanExpr::Sort)
 //! over input already ordered on its key prices at **zero extra transfers**
 //! (and a merge join whose inputs are clustered on the join key skips both
@@ -22,18 +21,10 @@
 //! ## What a prediction covers
 //!
 //! Costs are end-to-end for *producing the node's output as a stream*:
-//! every base-table read, every sort pass, and — in fusion-off mode — the
-//! materialize-and-re-read of each operator boundary that the fused engine
-//! deletes.  Draining the root into an output relation adds one write pass
-//! over the result ([`predict_with_sink`]).  Two node flags drive boundary
-//! accounting:
-//!
-//! * `base` — the stream is a direct scan of a materialized relation, so a
-//!   sort above it reads the relation itself (run formation *is* the scan)
-//!   and an elided sort above it costs nothing even unfused.
-//! * `free` — the stream already ends at a materialized read in fusion-off
-//!   mode (scans, sort outputs, pipes over either), so a consumer needs no
-//!   further boundary materialization.
+//! every base-table read, every sort pass and every hash-partition spill;
+//! operator boundaries stream, so they cost nothing.  Draining the root
+//! into an output relation adds one write pass over the result
+//! ([`predict_with_sink`]).
 //!
 //! The cardinality fields (`out_records`) are the caller's estimates;
 //! record widths (`rec_bytes`) must match the executed record types for
@@ -64,9 +55,6 @@ pub struct CostEnv {
     /// independent-placement array (whose stats count logical transfers),
     /// `D` for a striped array (whose stats count per-member transfers).
     pub stripe: u64,
-    /// Price the fused engine (true) or the materialize-every-boundary
-    /// baseline (false) — mirrors [`ExecConfig::fusion`](crate::ExecConfig).
-    pub fusion: bool,
 }
 
 impl CostEnv {
@@ -76,19 +64,12 @@ impl CostEnv {
             block_bytes,
             mem_records,
             stripe: 1,
-            fusion: true,
         }
     }
 
     /// Builder: set the per-logical-block transfer multiplier.
     pub fn with_stripe(mut self, stripe: u64) -> Self {
         self.stripe = stripe;
-        self
-    }
-
-    /// Builder: price fused or materialized execution.
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
         self
     }
 
@@ -443,10 +424,6 @@ pub struct Prediction {
     pub rec_bytes: usize,
     /// Output stream order.
     pub order: Order,
-    /// Output is a direct scan of a materialized relation.
-    pub base: bool,
-    /// Output needs no boundary materialization in fusion-off mode.
-    pub free: bool,
 }
 
 impl Prediction {
@@ -476,14 +453,11 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             out_records: *records,
             rec_bytes: *rec_bytes,
             order: *order,
-            base: true,
-            free: true,
         },
         PlanExpr::Filter { input, out_records } => {
             let p = predict(input, env);
             Prediction {
                 out_records: (*out_records).min(p.out_records),
-                base: false,
                 ..p
             }
         }
@@ -496,7 +470,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             Prediction {
                 rec_bytes: *rec_bytes,
                 order: *order,
-                base: false,
                 ..p
             }
         }
@@ -504,57 +477,32 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             let p = predict(input, env);
             Prediction {
                 out_records: (*n).min(p.out_records),
-                base: false,
                 ..p
             }
         }
         PlanExpr::Sort { input, key } => {
             let p = predict(input, env);
-            let n = p.out_records;
-            let bl = env.blocks(n, p.rec_bytes) as f64;
             let transfers = if p.order.matches(*key) {
-                // Elided sort: free when fused or when the stream already
-                // ends at a materialized read; otherwise the baseline still
-                // materializes the boundary (`pipe_boundary`).
-                if env.fusion || p.free {
-                    p.transfers
-                } else {
-                    p.transfers + 2.0 * bl
-                }
+                // Elided sort: the consumer receives the child itself.
+                p.transfers
             } else {
+                // Run formation + intermediate merges + a final read the
+                // consumer drains.  The streamed total includes one
+                // input-read pass; a base input's scan cost *is* that pass,
+                // and a computed input's producer replaces it
+                // (`SortingWriter` takes records straight from memory) —
+                // either way one pass of the sum is already accounted.
+                let n = p.out_records;
                 let per_block = env.per_block(p.rec_bytes);
                 let k = env.fan_in(p.rec_bytes);
-                if env.fusion {
-                    // Fused: run formation + intermediate merges + a final
-                    // read the consumer drains.  The streamed total includes
-                    // one input-read pass; a base input's scan cost *is*
-                    // that pass, and a computed input's producer replaces it
-                    // (`SortingWriter` takes records straight from memory) —
-                    // either way one `bl` of the sum is already accounted.
-                    let streamed = bounds::merge_sort_streamed_ios(n, env.mem_records, per_block, k)
-                        as f64
-                        * env.stripe as f64;
-                    p.transfers + streamed - bl
-                } else {
-                    // Baseline: `merge_sort_by` + re-read of its output.
-                    // Over a base input the sort's own first pass re-reads
-                    // the relation the scan node priced, and the output
-                    // re-read is the same `bl` — the two cancel.  Over a
-                    // computed stream add the unsorted spill + re-read.
-                    let mat = bounds::merge_sort_exact_ios(n, env.mem_records, per_block, k) as f64
-                        * env.stripe as f64;
-                    if p.base {
-                        p.transfers + mat
-                    } else {
-                        p.transfers + mat + 2.0 * bl
-                    }
-                }
+                let streamed = bounds::merge_sort_streamed_ios(n, env.mem_records, per_block, k)
+                    as f64
+                    * env.stripe as f64;
+                p.transfers + streamed - env.blocks(n, p.rec_bytes) as f64
             };
             Prediction {
                 transfers,
                 order: Order::Key(*key),
-                base: p.base && p.order.matches(*key),
-                free: true,
                 ..p
             }
         }
@@ -572,8 +520,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 out_records: *out_records,
                 rec_bytes: *rec_bytes,
                 order: Order::Key(*key),
-                base: false,
-                free: false,
             };
             if l.order.matches(*key) && r.order.matches(*key) {
                 out
@@ -594,8 +540,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 out_records: *out_records,
                 rec_bytes: *rec_bytes,
                 order: p.order,
-                base: false,
-                free: false,
             };
             if b.out_records as usize <= env.mem_records {
                 out
@@ -611,18 +555,11 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             order,
         } => {
             let p = predict(input, env);
-            let boundary = if env.fusion || p.free {
-                0.0
-            } else {
-                2.0 * env.blocks(p.out_records, p.rec_bytes) as f64
-            };
             let out = Prediction {
-                transfers: p.transfers + boundary,
+                transfers: p.transfers,
                 out_records: *out_records,
                 rec_bytes: *rec_bytes,
                 order: *order,
-                base: false,
-                free: p.free,
             };
             if p.order.matches(*key) {
                 out
@@ -636,16 +573,8 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             out_records,
         } => {
             let p = predict(input, env);
-            let boundary = if env.fusion || p.free {
-                0.0
-            } else {
-                2.0 * env.blocks(p.out_records, p.rec_bytes) as f64
-            };
             let out = Prediction {
-                transfers: p.transfers + boundary,
                 out_records: (*out_records).min(p.out_records),
-                base: false,
-                free: p.free,
                 ..p
             };
             if p.order.matches(*key) {
@@ -672,11 +601,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 PlanExpr::HashGroupBy { rec_bytes, .. } => *rec_bytes,
                 _ => p.rec_bytes,
             };
-            let boundary = if env.fusion || p.free {
-                0.0
-            } else {
-                2.0 * env.blocks(p.out_records, p.rec_bytes) as f64
-            };
             let per_block = env.per_block(p.rec_bytes);
             let own = bounds::hash_group_exact_ios(
                 hashes,
@@ -687,12 +611,10 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             ) as f64
                 * env.stripe as f64;
             let out = Prediction {
-                transfers: p.transfers + boundary + own,
+                transfers: p.transfers + own,
                 out_records: (*out_records).min(p.out_records),
                 rec_bytes: out_bytes,
                 order: Order::Unordered,
-                base: false,
-                free: false,
             };
             if *fan_out >= 2 && (*fan_out + 1) * per_block <= env.mem_records {
                 out
@@ -712,13 +634,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
         } => {
             let b = predict(build, env);
             let p = predict(probe, env);
-            let boundary = |c: &Prediction| {
-                if env.fusion || c.free {
-                    0.0
-                } else {
-                    2.0 * env.blocks(c.out_records, c.rec_bytes) as f64
-                }
-            };
             let bpb = env.per_block(b.rec_bytes);
             let ppb = env.per_block(p.rec_bytes);
             // `hash_join_exact_ios` is already ∞ when the hybrid resident
@@ -733,12 +648,10 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 *hybrid,
             ) * env.stripe as f64;
             let out = Prediction {
-                transfers: b.transfers + p.transfers + boundary(&b) + boundary(&p) + own,
+                transfers: b.transfers + p.transfers + own,
                 out_records: *out_records,
                 rec_bytes: *rec_bytes,
                 order: Order::Unordered,
-                base: false,
-                free: false,
             };
             if *fan_out >= 2 && (*fan_out + 1) * (bpb + ppb) <= env.mem_records {
                 out
@@ -749,11 +662,8 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
         PlanExpr::TopK { input, key, k } => {
             let p = predict(input, env);
             let out = Prediction {
-                transfers: p.transfers,
                 out_records: (*k).min(p.out_records),
                 order: Order::Key(*key),
-                base: false,
-                free: false,
                 ..p
             };
             if *k as usize <= env.mem_records {
@@ -816,7 +726,6 @@ mod tests {
     fn scan_prices_one_pass() {
         let p = predict(&PlanExpr::scan(100, REC, Order::Unordered), &env());
         assert_eq!(p.transfers, 13.0);
-        assert!(p.base && p.free);
     }
 
     #[test]
@@ -829,20 +738,29 @@ mod tests {
             predict(&PlanExpr::scan(1000, REC, Order::Key(1)), &e).transfers
         );
         assert!(predict(&unsorted, &e).transfers > predict(&sorted, &e).transfers);
+        // The same over a computed stream: a projection that already
+        // carries the key costs exactly its input.
+        let computed = PlanExpr::scan(1000, REC, Order::Unordered).project(16, Order::Key(1));
+        assert_eq!(
+            predict(&computed.clone().sort(1), &e).transfers,
+            predict(&computed, &e).transfers
+        );
     }
 
     #[test]
-    fn fused_sort_saves_exactly_one_round_trip_of_the_output() {
-        // p ≥ 2 passes: fused skips the final write and its re-read relative
-        // to baseline's materialize + re-read... which for a base input is
-        // `2·bl` less in total (see module docs).
+    fn sort_saves_exactly_one_round_trip_of_the_output() {
+        // A sort over a base relation is the streamed schedule, which skips
+        // the final write and its re-read: `2·bl` less than the materialized
+        // sort followed by a scan of its output.
         let e = env();
         let n = 10_000u64;
         let bl = e.blocks(n, REC) as f64;
+        let k = e.fan_in(REC);
         let plan = PlanExpr::scan(n, REC, Order::Unordered).sort(1);
-        let fused = predict(&plan, &e.with_fusion(true)).transfers;
-        let baseline = predict(&plan, &e.with_fusion(false)).transfers;
-        assert_eq!(baseline - fused, 2.0 * bl);
+        let sort = predict(&plan, &e).transfers;
+        assert_eq!(sort, bounds::merge_sort_streamed_ios(n, 64, 8, k) as f64);
+        let sort_then_scan = bounds::merge_sort_exact_ios(n, 64, 8, k) as f64 + bl;
+        assert_eq!(sort_then_scan - sort, 2.0 * bl);
     }
 
     #[test]
@@ -915,15 +833,13 @@ mod tests {
             scan().sort(1).group_by(1, REC, keys, Order::Key(1)),
             scan().hash_group_by(hashes, 4, REC, keys),
         ];
-        for e in [e.with_fusion(true), e.with_fusion(false)] {
-            let choice = choose(&cands, &e);
-            assert_eq!(
-                choice.best,
-                Some(1),
-                "hash should win: {:?}",
-                choice.predicted
-            );
-        }
+        let choice = choose(&cands, &e);
+        assert_eq!(
+            choice.best,
+            Some(1),
+            "hash should win: {:?}",
+            choice.predicted
+        );
     }
 
     #[test]
@@ -991,15 +907,13 @@ mod tests {
             probe().sort(1).merge_join(build().sort(1), 1, 16, out),
             probe().hash_join(build(), bh, ph, 15, false, 16, out),
         ];
-        for e in [e.with_fusion(true), e.with_fusion(false)] {
-            let choice = choose(&cands, &e);
-            assert_eq!(
-                choice.best,
-                Some(1),
-                "grace should win: {:?}",
-                choice.predicted
-            );
-        }
+        let choice = choose(&cands, &e);
+        assert_eq!(
+            choice.best,
+            Some(1),
+            "grace should win: {:?}",
+            choice.predicted
+        );
     }
 
     #[test]
@@ -1076,32 +990,18 @@ mod tests {
     }
 
     #[test]
-    fn group_by_boundary_priced_only_when_needed() {
+    fn group_by_costs_exactly_its_input() {
         let e = env();
-        // GroupBy over a sort output: free in both modes (the baseline sort
-        // already ends at a materialized read).
-        let over_sort = PlanExpr::scan(1000, REC, Order::Unordered)
-            .sort(1)
-            .group_by(1, REC, 10, Order::Key(1));
-        let f = predict(&over_sort, &e.with_fusion(true));
-        let b = predict(&over_sort, &e.with_fusion(false));
-        let sort_only = PlanExpr::scan(1000, REC, Order::Unordered).sort(1);
-        assert_eq!(
-            b.transfers - f.transfers,
-            predict(&sort_only, &e.with_fusion(false)).transfers
-                - predict(&sort_only, &e.with_fusion(true)).transfers
-        );
-        // GroupBy over a join output (not `free`): fusion-off adds exactly
-        // the 2·⌈J/B⌉ boundary.
         let join = PlanExpr::scan(1000, REC, Order::Key(1)).merge_join(
             PlanExpr::scan(64, REC, Order::Key(1)),
             1,
             REC,
             1000,
         );
-        let gj = join.clone().group_by(1, REC, 10, Order::Key(1));
-        let f = predict(&gj, &e.with_fusion(true));
-        let b = predict(&gj, &e.with_fusion(false));
-        assert_eq!(b.transfers - f.transfers, 2.0 * e.blocks(1000, REC) as f64);
+        let grouped = join.clone().group_by(1, REC, 10, Order::Key(1));
+        assert_eq!(
+            predict(&grouped, &e).transfers,
+            predict(&join, &e).transfers
+        );
     }
 }

@@ -55,7 +55,7 @@ pub use bmmc::{bit_reversal, bmmc_permute, perfect_shuffle, BmmcMatrix};
 pub use distribution::{distribution_sort, distribution_sort_by};
 pub use merge::{
     merge_runs_streaming, merge_runs_with, merge_sort, merge_sort_by, merge_sort_streaming,
-    merge_sort_with_metrics, SortMetrics, SortedStream, SortingWriter,
+    SortedStream, SortingWriter,
 };
 pub use permute::{invert_permutation, permute_by_sort, permute_naive};
 pub use runs::{form_runs, RunFormation};
@@ -153,14 +153,6 @@ pub struct SortConfig {
     /// Read-ahead / write-behind depths (defaults to `EMSORT_OVERLAP`, which
     /// itself defaults to off).
     pub overlap: OverlapConfig,
-    /// Fuse the final merge pass into the consumer in
-    /// [`merge_sort_streaming`] and
-    /// [`SortingWriter`] (the default).  When disabled
-    /// those entry points materialize the sorted output and stream it back
-    /// as a plain scan — the pre-fusion "sort, write, re-read" cost, kept as
-    /// an A/B baseline for benchmarks.  Record sequences are identical
-    /// either way; only the transfer counts differ.
-    pub fusion: bool,
 }
 
 impl SortConfig {
@@ -172,7 +164,6 @@ impl SortConfig {
             fan_in: None,
             run_formation: RunFormation::LoadSort,
             overlap: env_overlap(),
-            fusion: true,
         }
     }
 
@@ -194,23 +185,13 @@ impl SortConfig {
         self
     }
 
-    /// Builder: enable or disable pipeline fusion in the streaming sort
-    /// entry points (see [`SortConfig::fusion`]).
-    pub fn with_fusion(mut self, fusion: bool) -> Self {
-        self.fusion = fusion;
-        self
-    }
-
     /// The fan-in actually used for a record type with `per_block` records
     /// per block: the override if given, else `M/B − 1` (one block per input
     /// run plus one output block), clamped to at least 2.
     pub fn effective_fan_in(&self, per_block: usize) -> usize {
         let max = (self.mem_records / per_block).saturating_sub(1).max(2);
         match self.fan_in {
-            Some(k) => {
-                assert!(k >= 2, "fan-in must be at least 2");
-                k.min(max)
-            }
+            Some(k) => k.clamp(2, max),
             None => max,
         }
     }

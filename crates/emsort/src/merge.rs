@@ -22,16 +22,14 @@
 //! through the same `merge_down` loop.
 
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
-use em_core::{BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, IoWaitSink, MemBudget, Record};
+use em_core::{BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, MemBudget, Record};
 use pdm::{Result, SharedDevice};
 
 use crate::forecast::Forecaster;
 use crate::losertree::LoserTree;
-use crate::runs::{form_runs_impl, write_sorted_chunk};
+use crate::runs::{form_runs, write_sorted_chunk};
 use crate::{OverlapConfig, SortConfig};
 
 /// Sort `input` into a new external array on the same device, using natural
@@ -61,109 +59,25 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy + Send,
 {
-    merge_sort_impl(input, cfg, less, false).map(|(out, _)| out)
-}
-
-/// Wall-clock and I/O-wait breakdown of one sort, phase by phase.
-///
-/// `*_secs` are wall-clock; `*_io_wait_secs` are the portions of those spent
-/// blocked on device transfers (everything else is CPU: sorting chunks,
-/// running the merge kernel).  A sort is compute-bound in a phase when its
-/// I/O wait is a small fraction of its wall time — the regime distinction
-/// discussed in `DESIGN.md`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SortMetrics {
-    /// Wall-clock seconds spent forming initial runs.
-    pub run_formation_secs: f64,
-    /// Seconds of `run_formation_secs` spent blocked on transfers.
-    pub run_formation_io_wait_secs: f64,
-    /// Wall-clock seconds spent in merge passes.
-    pub merge_secs: f64,
-    /// Seconds of `merge_secs` spent blocked on transfers.
-    pub merge_io_wait_secs: f64,
-    /// Number of merge levels (times the data is rewritten after run
-    /// formation); 0 when run formation already yields a single run.
-    pub merge_passes: u32,
-}
-
-/// [`merge_sort_by`] plus a per-phase [`SortMetrics`] breakdown.
-///
-/// The instrumentation wraps every blocking device wait in a timestamp pair;
-/// the sort itself is bit-identical to the unmetered one.
-pub fn merge_sort_with_metrics<R, F>(
-    input: &ExtVec<R>,
-    cfg: &SortConfig,
-    less: F,
-) -> Result<(ExtVec<R>, SortMetrics)>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy + Send,
-{
-    merge_sort_impl(input, cfg, less, true)
-}
-
-fn merge_sort_impl<R, F>(
-    input: &ExtVec<R>,
-    cfg: &SortConfig,
-    less: F,
-    timed: bool,
-) -> Result<(ExtVec<R>, SortMetrics)>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy + Send,
-{
-    let mut metrics = SortMetrics::default();
     if input.is_empty() {
-        return Ok((ExtVec::new(input.device().clone()), metrics));
+        return Ok(ExtVec::new(input.device().clone()));
     }
     let k = cfg.effective_fan_in(input.per_block());
     let budget = merge_budget(cfg, k, input.per_block(), input.device().stream_lanes());
-
-    let nanos_of = |sink: &Option<IoWaitSink>| {
-        sink.as_ref()
-            .map_or(0.0, |s| s.load(Ordering::Relaxed) as f64 / 1e9)
-    };
-
-    let run_wait: Option<IoWaitSink> = timed.then(IoWaitSink::default);
-    let t0 = Instant::now();
-    let mut queue: VecDeque<ExtVec<R>> =
-        form_runs_impl(input, cfg, less, run_wait.as_ref())?.into();
-    metrics.run_formation_secs = t0.elapsed().as_secs_f64();
-    metrics.run_formation_io_wait_secs = nanos_of(&run_wait);
-
-    // Merge levels: ⌈log_k(initial runs)⌉.
-    let mut remaining = queue.len();
-    while remaining > 1 {
-        remaining = remaining.div_ceil(k);
-        metrics.merge_passes += 1;
-    }
-
-    let merge_wait: Option<IoWaitSink> = timed.then(IoWaitSink::default);
-    let t1 = Instant::now();
-    merge_down(
-        &mut queue,
-        k,
-        1,
-        &budget,
-        cfg.overlap,
-        merge_wait.as_ref(),
-        less,
-    )?;
-    metrics.merge_secs = t1.elapsed().as_secs_f64();
-    metrics.merge_io_wait_secs = nanos_of(&merge_wait);
+    let mut queue: VecDeque<ExtVec<R>> = form_runs(input, cfg, less)?.into();
+    merge_down(&mut queue, k, 1, &budget, cfg, less)?;
     // Nonempty input always leaves exactly one run; degrade to an empty
     // result rather than panic if that invariant ever breaks.
-    match queue.pop_front() {
-        Some(out) => Ok((out, metrics)),
-        None => Ok((ExtVec::new(input.device().clone()), metrics)),
-    }
+    Ok(queue
+        .pop_front()
+        .unwrap_or_else(|| ExtVec::new(input.device().clone())))
 }
 
 /// The merge phase's budget: `M`, plus overlap headroom for read-ahead on
 /// each of the `k` input runs and write-behind on the one output stream.
 /// The writer's depth is per disk, so on an independent array it scales by
 /// `lanes` to keep every disk's queue fed, and it is at least the
-/// forecaster's pool (see [`merge_materialized`]).  Fan-in and run sizes are
+/// forecaster's pool (see [`merge_runs_with`]).  Fan-in and run sizes are
 /// computed from `mem_records` alone, so counts match the sync pipeline.
 fn merge_budget(cfg: &SortConfig, k: usize, per_block: usize, lanes: usize) -> Arc<MemBudget> {
     let ov = cfg.overlap;
@@ -182,8 +96,7 @@ fn merge_down<R, F>(
     k: usize,
     until: usize,
     budget: &Arc<MemBudget>,
-    ov: OverlapConfig,
-    io_wait: Option<&IoWaitSink>,
+    cfg: &SortConfig,
     less: F,
 ) -> Result<()>
 where
@@ -200,7 +113,7 @@ where
         // same disk (see `BlockDevice::direct_next_stream`).
         group[0].device().direct_next_stream(merged_streams);
         merged_streams += 1;
-        let merged = merge_materialized(&group, budget, ov, io_wait, less)?;
+        let merged = merge_runs_with(&group, budget, cfg, less)?;
         for run in group {
             run.free()?;
         }
@@ -218,6 +131,11 @@ where
 /// allows.  Costs one read of every input block and one write of every
 /// output block; like every overlap feature in this workspace, the depths
 /// move wall-clock time only.
+///
+/// This is the materialized merge: a [`SortedStream`] over `runs` drained
+/// into a write-behind writer.  The overlap buffers come from `budget`
+/// headroom via `try_charge`, so a tight budget silently degrades to the
+/// synchronous merge; the transfers performed are identical either way.
 pub fn merge_runs_with<R, F>(
     runs: &[ExtVec<R>],
     budget: &Arc<MemBudget>,
@@ -228,28 +146,11 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
-    merge_materialized(runs, budget, cfg.overlap, None, less)
-}
-
-/// The materialized merge: a [`SortedStream`] over `runs` drained into a
-/// write-behind writer.  The overlap buffers come from `budget` headroom via
-/// `try_charge`, so a tight budget silently degrades to the synchronous
-/// merge; the transfers performed are identical either way.
-fn merge_materialized<R, F>(
-    runs: &[ExtVec<R>],
-    budget: &Arc<MemBudget>,
-    ov: OverlapConfig,
-    io_wait: Option<&IoWaitSink>,
-    less: F,
-) -> Result<ExtVec<R>>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy,
-{
     assert!(!runs.is_empty(), "nothing to merge");
+    let ov = cfg.overlap;
     let device = runs[0].device().clone();
     let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
-    let mut stream = SortedStream::build(&parts, budget, ov, io_wait, less)?;
+    let mut stream = SortedStream::build(&parts, budget, ov, less)?;
 
     // Write-behind depth is per disk: the output stream round-robins its
     // blocks across an independent array's lanes, so its queue deepens by
@@ -263,9 +164,6 @@ where
     let pool = stream.fc.as_ref().map_or(0, Forecaster::pool);
     let wb = (ov.write_behind * device.stream_lanes()).max(pool);
     let mut w = ExtVecWriter::with_write_behind(device, wb, budget);
-    if let Some(sink) = io_wait {
-        w.set_io_wait_sink(sink.clone());
-    }
     while let Some(r) = stream.try_next()? {
         w.push(r)?;
     }
@@ -326,7 +224,6 @@ where
         parts: &[(&'a ExtVec<R>, u64)],
         budget: &Arc<MemBudget>,
         ov: OverlapConfig,
-        io_wait: Option<&IoWaitSink>,
         less: F,
     ) -> Result<Self> {
         let k = parts.len();
@@ -344,11 +241,6 @@ where
                 .map(|(r, s)| r.reader_at_prefetch(*s, ov.read_ahead, budget))
                 .collect(),
         };
-        if let Some(sink) = io_wait {
-            for rd in &mut readers {
-                rd.set_io_wait_sink(sink.clone());
-            }
-        }
         if let Some(fc) = &fc {
             fc.pump(&mut readers, less);
         }
@@ -416,7 +308,7 @@ where
 fn stream_runs<R, F, T, C>(
     runs: Vec<ExtVec<R>>,
     budget: &Arc<MemBudget>,
-    ov: OverlapConfig,
+    cfg: &SortConfig,
     less: F,
     consume: C,
 ) -> Result<T>
@@ -426,9 +318,7 @@ where
     C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
 {
     let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
-    let mut stream = SortedStream::build(&parts, budget, ov, None, less)?;
-    let out = consume(&mut stream)?;
-    drop(stream);
+    let out = merge_runs_streaming(&parts, budget, cfg, less, consume)?;
     for run in runs {
         run.free()?;
     }
@@ -450,10 +340,7 @@ where
 ///
 /// Forecasting and per-disk overlap apply to the streamed pass unchanged,
 /// so the record sequence is identical to the materialized sort's output
-/// for every configuration.  Setting [`SortConfig::fusion`] to `false`
-/// turns fusion off: the sort materializes and the stream degrades to a
-/// plain scan of the output — the exact pre-fusion cost, kept as an A/B
-/// baseline for benchmarks.
+/// for every configuration.
 ///
 /// ```
 /// use em_core::{EmConfig, ExtVec};
@@ -488,26 +375,16 @@ where
     F: Fn(&R, &R) -> bool + Copy + Send,
     C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
 {
-    let ov = cfg.overlap;
     if input.is_empty() {
-        let budget = MemBudget::new(cfg.mem_records);
-        return stream_runs(Vec::new(), &budget, ov, less, consume);
-    }
-    if !cfg.fusion {
-        // A/B baseline (`SortConfig::fusion = false`): materialize the sort
-        // and stream the output back as a plain scan — the pre-fusion
-        // "write the result, re-read it" cost through the same call site.
-        let sorted = merge_sort_by(input, cfg, less)?;
-        let budget = MemBudget::new(cfg.mem_records);
-        return stream_runs(vec![sorted], &budget, ov, less, consume);
+        return merge_runs_streaming(&[], &MemBudget::new(cfg.mem_records), cfg, less, consume);
     }
     let k = cfg.effective_fan_in(input.per_block());
     let budget = merge_budget(cfg, k, input.per_block(), input.device().stream_lanes());
-    let mut queue: VecDeque<ExtVec<R>> = form_runs_impl(input, cfg, less, None)?.into();
+    let mut queue: VecDeque<ExtVec<R>> = form_runs(input, cfg, less)?.into();
     // Intermediate outputs are re-merged later, so streaming them would buy
     // nothing — fusion only ever applies to the last pass.
-    merge_down(&mut queue, k, k, &budget, ov, None, less)?;
-    stream_runs(queue.into(), &budget, ov, less, consume)
+    merge_down(&mut queue, k, k, &budget, cfg, less)?;
+    stream_runs(queue.into(), &budget, cfg, less, consume)
 }
 
 /// Producer-side pipeline fusion: a sink that forms sorted runs *directly*
@@ -531,8 +408,7 @@ where
 /// [`merge_sort_by`] with [`RunFormation::LoadSort`](crate::RunFormation)
 /// over the same push sequence, so the record sequence — including the
 /// order of ties under a partial key — is identical to the unfused
-/// pipeline's.  With [`SortConfig::fusion`] disabled the writer *becomes*
-/// that pipeline (materialize, sort, scan), as an A/B baseline.
+/// pipeline's.
 ///
 /// ```
 /// use em_core::EmConfig;
@@ -561,15 +437,10 @@ pub struct SortingWriter<R: Record, F> {
     less: F,
     buf: Vec<R>,
     runs: Vec<ExtVec<R>>,
-    /// Fusion-off baseline: records pass through unsorted, exactly as the
-    /// pre-fusion pipeline wrote them.
-    unsorted: Option<ExtVecWriter<R>>,
     budget: Arc<MemBudget>,
     /// Holds the chunk's `M` records against `budget` for the writer's
     /// lifetime, mirroring run formation's charge.
     _charge: BudgetGuard,
-    /// Total records accepted by [`push`](Self::push), fused or not.
-    pushed: u64,
 }
 
 impl<R, F> SortingWriter<R, F>
@@ -596,18 +467,9 @@ where
             less,
             buf: Vec::new(),
             runs: Vec::new(),
-            unsorted: None,
             budget,
             _charge: charge,
-            pushed: 0,
         }
-    }
-
-    /// Total records accepted so far, spilled or still in memory — the
-    /// producer-side record count a pipeline operator reports without
-    /// keeping its own tally.  Identical in fused and baseline modes.
-    pub fn pushed_records(&self) -> u64 {
-        self.pushed
     }
 
     /// Runs spilled to the device so far.  Increases by one each time
@@ -631,8 +493,7 @@ where
     /// `pdm::Journal::set_manifest`).  Costs no I/O.  Only the durable runs
     /// are captured: the in-memory chunk is what a crash loses, and
     /// [`spilled_records`](Self::spilled_records) tells the producer where
-    /// to resume.  Fusion-off baseline writers have no run state and yield
-    /// an empty manifest.
+    /// to resume.
     pub fn manifest_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&(self.runs.len() as u64).to_le_bytes());
@@ -672,20 +533,12 @@ where
         if pos != bytes.len() {
             return Err(corrupt());
         }
-        w.pushed = w.spilled_records();
         Ok(w)
     }
 
     /// Add a record; sorts and spills the in-memory chunk as a run when it
     /// reaches `M` records.
     pub fn push(&mut self, r: R) -> Result<()> {
-        self.pushed += 1;
-        if !self.cfg.fusion {
-            return self
-                .unsorted
-                .get_or_insert_with(|| ExtVecWriter::new(self.device.clone()))
-                .push(r);
-        }
         self.buf.push(r);
         if self.buf.len() >= self.cfg.mem_records {
             self.flush_run()?;
@@ -707,18 +560,6 @@ where
         Ok(())
     }
 
-    /// Fusion-off baseline: finish the unsorted array and sort it the
-    /// pre-fusion way.  Returns the materialized sorted array.
-    fn finish_baseline(&mut self) -> Result<ExtVec<R>> {
-        let unsorted = match self.unsorted.take() {
-            Some(w) => w.finish()?,
-            None => ExtVec::new(self.device.clone()),
-        };
-        let sorted = merge_sort_by(&unsorted, &self.cfg, self.less)?;
-        unsorted.free()?;
-        Ok(sorted)
-    }
-
     /// Spill the last chunk and merge the runs down to one — or, with
     /// `leave_final_merge`, to the `≤ k` that one last merge can stream —
     /// under the same fan-in, budget and pass structure as
@@ -737,8 +578,7 @@ where
             k,
             if leave_final_merge { k } else { 1 },
             &budget,
-            self.cfg.overlap,
-            None,
+            &self.cfg,
             self.less,
         )?;
         Ok((queue.into(), budget))
@@ -750,21 +590,13 @@ where
     where
         C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
     {
-        let (runs, budget) = if self.cfg.fusion {
-            self.merge_spilled(true)?
-        } else {
-            let sorted = self.finish_baseline()?;
-            (vec![sorted], MemBudget::new(self.cfg.mem_records))
-        };
-        stream_runs(runs, &budget, self.cfg.overlap, self.less, consume)
+        let (runs, budget) = self.merge_spilled(true)?;
+        stream_runs(runs, &budget, &self.cfg, self.less, consume)
     }
 
     /// Merge the spilled runs into one materialized sorted array — producer
     /// fusion only, for callers that keep the result.
     pub fn finish_sorted(mut self) -> Result<ExtVec<R>> {
-        if !self.cfg.fusion {
-            return self.finish_baseline();
-        }
         let (mut runs, _) = self.merge_spilled(false)?;
         Ok(runs
             .pop()
@@ -794,7 +626,7 @@ where
     F: Fn(&R, &R) -> bool + Copy,
     C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
 {
-    let mut stream = SortedStream::build(parts, budget, cfg.overlap, None, less)?;
+    let mut stream = SortedStream::build(parts, budget, cfg.overlap, less)?;
     consume(&mut stream)
 }
 
@@ -926,6 +758,22 @@ mod tests {
     }
 
     #[test]
+    fn fan_in_override_below_two_is_clamped_to_binary_merging() {
+        let device = device_b8();
+        let (input, mut data) = random_input(&device, 2000, 9);
+        data.sort_unstable();
+        for k in [0, 1] {
+            let cfg = SortConfig::new(64).with_fan_in(k);
+            assert_eq!(cfg.effective_fan_in(8), 2);
+            assert_eq!(merge_sort(&input, &cfg).unwrap().to_vec().unwrap(), data);
+        }
+        // Overrides of 2 and up are taken as given, up to M/B − 1.
+        for (k, want) in [(2, 2), (5, 5), (7, 7), (8, 7), (100, 7)] {
+            assert_eq!(SortConfig::new(64).with_fan_in(k).effective_fan_in(8), want);
+        }
+    }
+
+    #[test]
     fn intermediate_runs_are_freed() {
         let device = device_b8();
         let (input, _) = random_input(&device, 4096, 7);
@@ -976,21 +824,6 @@ mod tests {
             "every forecast block is consumed"
         );
         assert_eq!(d.prefetch_wasted(), 0);
-    }
-
-    #[test]
-    fn metrics_report_phases() {
-        let device = device_b8();
-        let (input, mut data) = random_input(&device, 5000, 13);
-        let (out, m) = merge_sort_with_metrics(&input, &SortConfig::new(64), |a, b| a < b).unwrap();
-        data.sort_unstable();
-        assert_eq!(out.to_vec().unwrap(), data);
-        assert!(m.run_formation_secs > 0.0);
-        assert!(m.merge_secs > 0.0);
-        assert!(m.merge_passes >= 1, "5000 records at M=64 need merging");
-        assert!(m.run_formation_io_wait_secs >= 0.0 && m.merge_io_wait_secs >= 0.0);
-        assert!(m.run_formation_io_wait_secs <= m.run_formation_secs);
-        assert!(m.merge_io_wait_secs <= m.merge_secs);
     }
 
     fn drain<R: Record, F: Fn(&R, &R) -> bool + Copy>(
@@ -1046,35 +879,6 @@ mod tests {
     }
 
     #[test]
-    fn fusion_off_costs_exactly_sort_then_scan() {
-        let device = device_b8();
-        let (input, mut expect) = random_input(&device, 6000, 45);
-        expect.sort_unstable();
-        let cfg = SortConfig::new(64);
-        // Materialized sort + consumer scan, by hand.
-        let before = device.stats().snapshot();
-        let sorted = merge_sort(&input, &cfg).unwrap();
-        {
-            let mut r = sorted.reader();
-            while r.try_next().unwrap().is_some() {}
-        }
-        let d_mat = device.stats().snapshot().since(&before);
-        sorted.free().unwrap();
-        // The same call site with fusion disabled must pay the same bill.
-        let before = device.stats().snapshot();
-        let got =
-            merge_sort_streaming(&input, &cfg.with_fusion(false), |a, b| a < b, drain).unwrap();
-        let d_off = device.stats().snapshot().since(&before);
-        assert_eq!(got, expect);
-        assert_eq!(d_off.reads(), d_mat.reads(), "fusion-off reads must match");
-        assert_eq!(
-            d_off.writes(),
-            d_mat.writes(),
-            "fusion-off writes must match"
-        );
-    }
-
-    #[test]
     fn sorting_writer_matches_unfused_pipeline_tie_order() {
         // Key-only comparator over (key, seq) pairs: the fused writer must
         // order ties exactly as the materialize-then-sort pipeline does.
@@ -1084,13 +888,12 @@ mod tests {
         let less = |a: &(u64, u64), b: &(u64, u64)| a.0 < b.0;
         let cfg = SortConfig::new(64);
         let mut fused = SortingWriter::new(device.clone(), &cfg, less);
-        let mut unfused = SortingWriter::new(device.clone(), &cfg.with_fusion(false), less);
         for &r in &data {
             fused.push(r).unwrap();
-            unfused.push(r).unwrap();
         }
         let a = fused.finish_sorted().unwrap();
-        let b = unfused.finish_sorted().unwrap();
+        let unsorted = ExtVec::from_slice(device.clone(), &data).unwrap();
+        let b = merge_sort_by(&unsorted, &cfg, less).unwrap();
         assert_eq!(a.to_vec().unwrap(), b.to_vec().unwrap());
         a.free().unwrap();
         b.free().unwrap();
@@ -1147,46 +950,6 @@ mod tests {
             d_sort.reads(),
             "fused reads must be the sort's minus the unsorted re-read"
         );
-    }
-
-    #[test]
-    fn sorting_writer_fusion_off_is_the_exact_baseline() {
-        let device = device_b8();
-        let mut rng = StdRng::seed_from_u64(48);
-        let data: Vec<u64> = (0..6000u64).map(|_| rng.gen()).collect();
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        let cfg = SortConfig::new(64);
-        // Hand-rolled pre-fusion pipeline cost.
-        let before = device.stats().snapshot();
-        let mut w = ExtVecWriter::new(device.clone());
-        for &r in &data {
-            w.push(r).unwrap();
-        }
-        let unsorted = w.finish().unwrap();
-        let sorted = merge_sort(&unsorted, &cfg).unwrap();
-        {
-            let mut r = sorted.reader();
-            while r.try_next().unwrap().is_some() {}
-        }
-        let d_hand = device.stats().snapshot().since(&before);
-        sorted.free().unwrap();
-        unsorted.free().unwrap();
-        // SortingWriter with fusion off must pay the same bill.
-        let before = device.stats().snapshot();
-        let mut sw = SortingWriter::new(
-            device.clone(),
-            &cfg.with_fusion(false),
-            |a: &u64, b: &u64| a < b,
-        );
-        for &r in &data {
-            sw.push(r).unwrap();
-        }
-        let got = sw.finish_streaming(drain).unwrap();
-        let d_off = device.stats().snapshot().since(&before);
-        assert_eq!(got, expect);
-        assert_eq!(d_off.reads(), d_hand.reads());
-        assert_eq!(d_off.writes(), d_hand.writes());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use em_core::{ExtVec, ExtVecWriter, IoWaitSink, MemBudget, Record};
+use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
 use pdm::{PdmError, Result};
 
 use crate::heap::MinHeap;
@@ -60,19 +60,6 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy + Send,
 {
-    form_runs_impl(input, cfg, less, None)
-}
-
-pub(crate) fn form_runs_impl<R, F>(
-    input: &ExtVec<R>,
-    cfg: &SortConfig,
-    less: F,
-    io_wait: Option<&IoWaitSink>,
-) -> Result<Vec<ExtVec<R>>>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy + Send,
-{
     let min_blocks = match cfg.run_formation {
         RunFormation::LoadSort => 2,
         // Selection heap plus one block each for the reader and the writer.
@@ -95,11 +82,9 @@ where
     let reserve = (ov.read_ahead + ov.write_behind) * input.per_block();
     let budget = MemBudget::new(cfg.mem_records + reserve);
     match cfg.run_formation {
-        RunFormation::LoadSort => {
-            load_sort_runs(input, &budget, cfg.mem_records, ov, io_wait, less)
-        }
+        RunFormation::LoadSort => load_sort_runs(input, &budget, cfg.mem_records, ov, less),
         RunFormation::ReplacementSelection => {
-            replacement_selection_runs(input, &budget, cfg.mem_records, ov, io_wait, less)
+            replacement_selection_runs(input, &budget, cfg.mem_records, ov, less)
         }
     }
 }
@@ -109,7 +94,6 @@ fn load_sort_runs<R, F>(
     budget: &Arc<MemBudget>,
     m: usize,
     ov: OverlapConfig,
-    io_wait: Option<&IoWaitSink>,
     less: F,
 ) -> Result<Vec<ExtVec<R>>>
 where
@@ -120,18 +104,12 @@ where
     let mut runs = Vec::new();
     let mut chunk: Vec<R> = Vec::with_capacity(m.min(input.len() as usize));
     let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
-    if let Some(sink) = io_wait {
-        reader.set_io_wait_sink(sink.clone());
-    }
     while reader.read_into(&mut chunk, m)? > 0 {
         // Stagger each run's start lane so runs of exactly M/B blocks don't
         // all place block j on the same disk (see BlockDevice docs).
         input.device().direct_next_stream(runs.len());
         let mut w =
             ExtVecWriter::with_write_behind(input.device().clone(), ov.write_behind, budget);
-        if let Some(sink) = io_wait {
-            w.set_io_wait_sink(sink.clone());
-        }
         write_sorted_chunk(&mut chunk, less, &mut w)?;
         runs.push(w.finish()?);
     }
@@ -161,7 +139,6 @@ fn replacement_selection_runs<R, F>(
     budget: &Arc<MemBudget>,
     m: usize,
     ov: OverlapConfig,
-    io_wait: Option<&IoWaitSink>,
     less: F,
 ) -> Result<Vec<ExtVec<R>>>
 where
@@ -182,9 +159,6 @@ where
         });
 
     let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
-    if let Some(sink) = io_wait {
-        reader.set_io_wait_sink(sink.clone());
-    }
     while heap.len() < heap_cap {
         match reader.try_next()? {
             Some(r) => heap.push((0, r)),
@@ -201,9 +175,6 @@ where
     input.device().direct_next_stream(runs.len());
     let mut writer =
         ExtVecWriter::with_write_behind(input.device().clone(), ov.write_behind, budget);
-    if let Some(sink) = io_wait {
-        writer.set_io_wait_sink(sink.clone());
-    }
     let mut last_emitted: Option<R> = None;
     while let Some((run_id, out)) = heap.peek().map(|e| (e.0, e.1.clone())) {
         if run_id != current_run {
@@ -216,9 +187,6 @@ where
             input.device().direct_next_stream(runs.len());
             writer =
                 ExtVecWriter::with_write_behind(input.device().clone(), ov.write_behind, budget);
-            if let Some(sink) = io_wait {
-                writer.set_io_wait_sink(sink.clone());
-            }
             current_run = run_id;
             last_emitted = None;
         }

@@ -1,9 +1,10 @@
 //! A file-backed block device.
 //!
 //! `FileDisk` stores blocks in a single backing file at offset
-//! `id * block_size`.  It is used by the wall-time benchmarks (experiment T3)
-//! to ground the I/O-count results in real time measurements; the model-level
-//! behaviour (counting, allocation) is identical to [`RamDisk`](crate::RamDisk).
+//! `id * block_size`.  It is used by the wall-time benchmarks (`embench`,
+//! `bench_sort`) to ground the I/O-count results in real time measurements;
+//! the model-level behaviour (counting, allocation) is identical to
+//! [`RamDisk`](crate::RamDisk).
 //!
 //! Transfers use *positioned* I/O (`pread`/`pwrite` via
 //! [`std::os::unix::fs::FileExt`]): each call carries its own offset instead

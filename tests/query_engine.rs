@@ -3,15 +3,14 @@
 //!
 //! The contract under test:
 //!
-//! * **Same answers.**  A fused pipeline, the materialize-every-boundary
-//!   baseline, a hand-rolled `SortingWriter` pipeline, and a naive in-memory
-//!   reference must all produce byte-identical output, across merge kernels,
-//!   disk placements, disk counts, I/O modes, and overlap depths.
+//! * **Same answers.**  The engine's pipeline, a hand-rolled
+//!   `SortingWriter` pipeline, and a naive in-memory reference must all
+//!   produce byte-identical output, across disk placements, disk counts,
+//!   I/O modes, and overlap depths.
 //! * **Exact costs.**  The planner's [`predict_with_sink`] must match the
-//!   measured device-transfer count *exactly* in both fusion modes — the
-//!   model replays the engine's actual merge schedule, so with exact
-//!   cardinalities there is no slack — and fusion must save exactly the
-//!   `2·⌈N/B⌉` round trips of each deleted boundary.
+//!   measured device-transfer count *exactly* — the model replays the
+//!   engine's actual merge schedule, so with exact cardinalities there is
+//!   no slack — and the engine must cost exactly the hand-rolled pipeline.
 //! * **Honest planning.**  Over a join query with genuinely different
 //!   strategies (merge join vs in-memory build side, sort placement), the
 //!   plan [`choose`] picks must be the measured-cheapest feasible plan, and
@@ -23,7 +22,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use em_core::{bounds, EmConfig, ExtVec, ExtVecWriter};
+use em_core::{EmConfig, ExtVec, ExtVecWriter};
 use emrel::{
     choose, collect, predict_with_sink, sort_pipe, sort_scan, CostEnv, ExecConfig, FilterExec,
     GroupByExec, HashDistinctExec, HashGroupByExec, HashJoinExec, KeyStats, MergeJoinExec, Order,
@@ -67,8 +66,7 @@ fn q1_reference(data: &[Row]) -> Vec<Grp> {
     out
 }
 
-/// Q1-lite through the engine: `GroupBy(Sort(Filter(Scan)))` into a sink,
-/// fused or materialized per `cfg.fusion`.
+/// Q1-lite through the engine: `GroupBy(Sort(Filter(Scan)))` into a sink.
 fn run_q1(
     device: &SharedDevice,
     input: &ExtVec<Row>,
@@ -147,10 +145,9 @@ fn mk_plans(d: usize, seed: u64, transient_permille: u64, fail_attempts: u32) ->
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Q1-lite across placement × mode × D: fused engine, baseline
-    /// engine, and hand-rolled pipeline all agree with the reference, every
-    /// measured transfer count equals its prediction exactly, and fusion
-    /// saves exactly the predicted boundary round trips.
+    /// Q1-lite across placement × mode × D: the engine and the hand-rolled
+    /// pipeline agree with the reference and with each other's transfer
+    /// count, which equals its prediction exactly.
     #[test]
     fn q1_pipeline_matches_reference_and_cost_model(
         data in prop::collection::vec((0u64..48, any::<u64>()), 0..1600),
@@ -188,53 +185,32 @@ proptest! {
                 .filter(f_cnt)
                 .sort(KEY)
                 .group_by(KEY, GRP_BYTES, g_cnt, Order::Key(KEY));
-            let pred_fused = predict_with_sink(&plan, &env.with_fusion(true));
-            let pred_base = predict_with_sink(&plan, &env.with_fusion(false));
+            let pred_fused = predict_with_sink(&plan, &env);
 
             let cfg = ExecConfig::from_sort(sc);
 
             let before = device.stats().snapshot();
-            let out = run_q1(&device, &input, &cfg.with_fusion(true)).unwrap();
+            let out = run_q1(&device, &input, &cfg).unwrap();
             let m_fused = device.stats().snapshot().since(&before);
             prop_assert_eq!(&out.to_vec().unwrap(), &expect,
                 "{:?} fused output wrong", placement);
             out.free().unwrap();
 
             let before = device.stats().snapshot();
-            let out = run_q1(&device, &input, &cfg.with_fusion(false)).unwrap();
-            let m_base = device.stats().snapshot().since(&before);
-            prop_assert_eq!(&out.to_vec().unwrap(), &expect,
-                "{:?} baseline output wrong", placement);
-            out.free().unwrap();
-
-            let before = device.stats().snapshot();
-            let out = run_q1_handrolled(&device, &input, &cfg.with_fusion(true).sort_config())
-                .unwrap();
+            let out = run_q1_handrolled(&device, &input, &cfg.sort).unwrap();
             let m_hand = device.stats().snapshot().since(&before);
             prop_assert_eq!(&out.to_vec().unwrap(), &expect,
                 "{:?} hand-rolled output wrong", placement);
             out.free().unwrap();
 
-            // The model is exact in both modes — no slack with exact
-            // cardinalities.
+            // The model is exact — no slack with exact cardinalities.
             prop_assert_eq!(m_fused.total(), pred_fused as u64,
                 "{:?} d={} fused measured != predicted", placement, d);
-            prop_assert_eq!(m_base.total(), pred_base as u64,
-                "{:?} d={} baseline measured != predicted", placement, d);
 
             // The engine's fused pipeline is *exactly* the hand-rolled
             // one — the abstraction costs zero transfers.
             prop_assert_eq!(m_fused.total(), m_hand.total(),
                 "{:?} engine must cost exactly the hand-rolled pipeline",
-                placement);
-
-            // Fusion deletes one write+re-read round trip of the filter
-            // output at the sort boundary, and a second at the final
-            // merge whenever run formation leaves something to merge.
-            let bl_f = env.blocks(f_cnt, ROW_BYTES);
-            let boundaries = if bounds::initial_runs(f_cnt, m) > 1 { 2 } else { 1 };
-            prop_assert_eq!(m_base.total() - m_fused.total(), 2 * bl_f * boundaries,
-                "{:?} fusion must save exactly the boundary round trips",
                 placement);
 
             input.free().unwrap();
@@ -427,9 +403,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Arbitrary transient fault plans, possibly beyond the retry budget:
-    /// the full engine pipeline (both fusion modes) either completes with
-    /// the correct answer or returns a clean error — never a panic, never
-    /// silently wrong output.
+    /// the full engine pipeline either completes with the correct answer or
+    /// returns a clean error — never a panic, never silently wrong output.
     #[test]
     fn faulty_device_pipeline_completes_or_errs_cleanly(
         data in prop::collection::vec((0u64..48, any::<u64>()), 0..600),
@@ -437,7 +412,6 @@ proptest! {
         permille in 0usize..=120,
         attempts in 0usize..=3,
         cycling in any::<bool>(),
-        fusion in any::<bool>(),
     ) {
         let placement = if cycling {
             Placement::RandomizedCycling { seed: 52 }
@@ -453,7 +427,7 @@ proptest! {
         let device = DiskArray::new_ram_faulty(
             2, 64, placement, IoMode::Synchronous, &plans, retry,
         ) as SharedDevice;
-        let cfg = ExecConfig::new(32).with_fusion(fusion);
+        let cfg = ExecConfig::new(32);
         let run = ExtVec::from_slice(device.clone(), &data)
             .and_then(|input| run_q1(&device, &input, &cfg))
             .and_then(|out| out.to_vec());
