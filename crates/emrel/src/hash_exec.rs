@@ -943,7 +943,8 @@ mod tests {
 
     #[test]
     fn hash_group_transfers_match_replay_exactly() {
-        for (n, keys, fan) in [(6000u64, 3000u64, 4usize), (9000, 900, 6)] {
+        // The third tape's 100 groups all fit the hybrid table.
+        for (n, keys, fan) in [(6000u64, 3000u64, 4usize), (9000, 900, 6), (6000, 100, 4)] {
             let (d, m) = device(16);
             let data = pairs(n, keys, 0x1234_5679);
             let v = ExtVec::from_slice(d.clone(), &data).unwrap();
@@ -970,6 +971,11 @@ mod tests {
                 + hash_group_exact_ios(&hashes, m, b, fan, fan_in)
                 + out.num_blocks() as u64;
             assert_eq!(delta.total(), predicted, "n={n} keys={keys} fan={fan}");
+            // A fully resident aggregate never touches the disk, and the
+            // partition counters say so.
+            let spills = (delta.partition_passes(), delta.partition_spilled_blocks());
+            let resident = keys as usize <= m - (fan + 1) * b;
+            assert_eq!(spills == (0, 0), resident, "n={n} keys={keys}: {spills:?}");
         }
     }
 

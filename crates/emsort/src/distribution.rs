@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
-use pdm::Result;
+use pdm::{PdmError, Result};
 use rand::prelude::*;
 
 use crate::runs::cmp_from_less;
@@ -46,6 +46,12 @@ pub fn distribution_sort<R: Record + Ord>(
 /// byte-identical to the synchronous pipeline.  On an independent-placement
 /// [`DiskArray`](pdm::DiskArray), bucket blocks round-robin across lanes as
 /// they are allocated, so zone writes stay D-parallel.
+///
+/// An input larger than `M` is partitioned, and partitioning needs six
+/// blocks of memory (the reader's block and the five zone writers of a
+/// two-pivot split): with fewer the sort returns
+/// [`PdmError::MemoryExceeded`] before anything is written.  An input that
+/// fits in `M` never partitions and sorts at any budget.
 pub fn distribution_sort_by<R, F>(input: &ExtVec<R>, cfg: &SortConfig, less: F) -> Result<ExtVec<R>>
 where
     R: Record,
@@ -131,10 +137,12 @@ where
     let m = ctx.cfg.mem_records;
     let b = bucket.per_block();
     let m_blocks = m / b;
-    assert!(
-        m_blocks >= 6,
-        "distribution sort needs at least 6 blocks of memory"
-    );
+    if m_blocks < 6 {
+        return Err(PdmError::MemoryExceeded {
+            needed: 6 * b,
+            available: m,
+        });
+    }
     // 2P+1 zone writers + 1 reader block must fit in M.
     let p = ctx
         .cfg
@@ -313,6 +321,25 @@ mod tests {
     fn duplicate_heavy_terminates() {
         let mut rng = StdRng::seed_from_u64(12);
         check_sort((0..4000).map(|_| rng.gen_range(0..3)).collect(), 64);
+    }
+
+    /// Five blocks of memory cannot partition: a typed error, nothing
+    /// allocated — and no error at all for an input that fits and so never
+    /// partitions.
+    #[test]
+    fn partitioning_with_under_six_blocks_is_memory_exceeded() {
+        let device = device_b8();
+        let input = ExtVec::from_slice(device.clone(), &(0..100).collect::<Vec<u64>>()).unwrap();
+        let blocks = device.allocated_blocks();
+        match distribution_sort(&input, &SortConfig::new(5 * 8)).map(|_| ()) {
+            Err(PdmError::MemoryExceeded { needed, available }) => {
+                assert_eq!((needed, available), (48, 40));
+            }
+            other => panic!("expected MemoryExceeded, got {other:?}"),
+        }
+        assert_eq!(device.allocated_blocks(), blocks);
+        assert!(distribution_sort(&input, &SortConfig::new(6 * 8)).is_ok());
+        check_sort((0..40).rev().collect(), 5 * 8);
     }
 
     #[test]

@@ -1222,6 +1222,16 @@ mod multi_disk_tests {
                 dov.forecast_issued() > 0,
                 "{placement:?}: forecasting active"
             );
+            // Independent placement forecasts per lane: every disk issues
+            // forecast prefetches and every disk's are consumed.
+            let lanes = if placement.is_striped() { 0 } else { d };
+            for lane in 0..lanes {
+                let (issued, hits) = (dov.forecast_issued_on(lane), dov.forecast_hits_on(lane));
+                assert!(
+                    issued > 0 && hits > 0,
+                    "lane {lane}: {issued} forecast prefetches issued, {hits} hit"
+                );
+            }
         }
     }
 

@@ -345,7 +345,7 @@ mod tests {
             popped += 1;
             if popped < 5000 {
                 for _ in 0..2 {
-                    pq.push(x + 1 + rng.gen_range(0..50)).unwrap();
+                    pq.push(x + 1 + rng.gen_range(0..50u64)).unwrap();
                 }
             }
         }

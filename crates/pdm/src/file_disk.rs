@@ -1,9 +1,9 @@
 //! A file-backed block device.
 //!
 //! `FileDisk` stores blocks in a single backing file at offset
-//! `id * block_size`.  It is used by the wall-time benchmarks (`embench`,
-//! `bench_sort`) to ground the I/O-count results in real time measurements;
-//! the model-level behaviour (counting, allocation) is identical to
+//! `id * block_size`.  It is used by the wall-time benchmark (`embench`) to
+//! ground the I/O-count results in real time measurements; the model-level
+//! behaviour (counting, allocation) is identical to
 //! [`RamDisk`](crate::RamDisk).
 //!
 //! Transfers use *positioned* I/O (`pread`/`pwrite` via

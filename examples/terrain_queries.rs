@@ -42,9 +42,9 @@ fn main() {
             Rect {
                 id,
                 x1: x,
-                x2: x + rng.gen_range(100..20_000),
+                x2: x + rng.gen_range(100..20_000i64),
                 y1: y,
-                y2: y + rng.gen_range(100..20_000),
+                y2: y + rng.gen_range(100..20_000i64),
             }
         })
         .collect();
@@ -71,7 +71,7 @@ fn main() {
                 id,
                 y: rng.gen_range(-span..span),
                 x1: x,
-                x2: x + rng.gen_range(1000..100_000),
+                x2: x + rng.gen_range(1000..100_000i64),
             }
         })
         .collect();
@@ -82,7 +82,7 @@ fn main() {
                 id,
                 x: rng.gen_range(-span..span),
                 y1: y,
-                y2: y + rng.gen_range(1000..100_000),
+                y2: y + rng.gen_range(1000..100_000i64),
             }
         })
         .collect();

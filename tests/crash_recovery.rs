@@ -15,6 +15,9 @@
 //!   the whole run (proptest) and stepped densely (deterministic sweeps), so
 //!   every phase — epoch writes, chain writes, the commit header, redo
 //!   application — gets hit.
+//! * **Durability costs exactly the journal's own transfers.**  The same
+//!   write tape run unjournaled and journaled on identical media differs by
+//!   [`Journal::overhead`] and by nothing else — counts, so they are pinned.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,7 +27,7 @@ use emsort::{SortConfig, SortingWriter};
 use emtree::{BTree, BufferTree};
 use pdm::{
     BlockDevice, BlockId, BufferPool, CrashSwitch, DiskArray, EvictionPolicy, FaultDisk, FaultPlan,
-    IoMode, IoStats, Journal, Placement, RamDisk, Result, RetryPolicy, SharedDevice,
+    IoMode, IoStats, Journal, Placement, RamDisk, Result, RetryPolicy, SharedDevice, WalOverhead,
 };
 use proptest::prelude::*;
 
@@ -40,9 +43,13 @@ struct Medium {
 
 impl Medium {
     fn new(d: usize, placement: Placement) -> Self {
-        let stats = IoStats::new(d, BS);
+        Self::with_block_bytes(d, placement, BS)
+    }
+
+    fn with_block_bytes(d: usize, placement: Placement, bs: usize) -> Self {
+        let stats = IoStats::new(d, bs);
         let rams = (0..d)
-            .map(|i| Arc::new(RamDisk::with_stats(BS, Arc::clone(&stats), i)))
+            .map(|i| Arc::new(RamDisk::with_stats(bs, Arc::clone(&stats), i)))
             .collect();
         Medium {
             rams,
@@ -626,4 +633,81 @@ fn journal_block_lifetimes_dense_crash_sweep() {
         "no crash point fell between a commit and its clean header: the \
          redo path went untested"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Scenario 6: what the journal costs — one tape, unjournaled and journaled
+// ---------------------------------------------------------------------------
+
+/// The ledger tape on a fresh D = 1 medium of 1 KiB blocks: 64 rounds of 32
+/// puts and deletes over 4 096 keys, one `flush_batch` and one
+/// `maybe_compact` per round — batches the size a server flushes, and (at
+/// `compact_threshold` 512) an overlay of hundreds of keys between
+/// compactions, so a checkpoint that cost more than its epoch changed would
+/// show.  The unjournaled twin flushes its pool wherever the journaled shard
+/// checkpoints — after every batch and after every compaction — so the two
+/// runs differ by the journal's own transfers and nothing else.  Returns the
+/// medium's lifetime `(reads, writes)` and the journal's account of itself.
+fn ledger_run(journaled: bool) -> ((u64, u64), WalOverhead) {
+    let m = Medium::with_block_bytes(1, Placement::Independent, 1024);
+    let journal = journaled.then(|| Journal::format(m.bare()).expect("format journal"));
+    let mut s: Shard<u64, u64> = match &journal {
+        Some(j) => Shard::with_journal(Arc::clone(j), 16, 2048, 512),
+        None => Shard::new(m.bare(), 16, 2048, 512),
+    }
+    .expect("fresh shard");
+    let mut op_id = 0u64;
+    for round in 0..64u64 {
+        for i in 0..32u64 {
+            let x = 0x5EED_u64.wrapping_add(round * 131 + i * 17);
+            s.enqueue(1, op_id, x % 4096, (!x.is_multiple_of(5)).then_some(x));
+            op_id += 1;
+        }
+        s.flush_batch(|_, _| {}).expect("flush");
+        if !journaled {
+            s.pool().flush().expect("twin's batch checkpoint");
+        }
+        if s.maybe_compact().expect("compact") && !journaled {
+            s.pool().flush().expect("twin's compaction checkpoint");
+        }
+    }
+    let snap = m.stats.snapshot();
+    let wal = journal.map_or_else(WalOverhead::default, |j| j.overhead());
+    ((snap.reads(), snap.writes()), wal)
+}
+
+/// The constants are what the serving benchmark bin printed for this ledger
+/// at d92b4d1, the last commit that had it (EXPERIMENTS.md F21).
+#[test]
+fn journal_costs_exactly_its_own_transfers() {
+    let ((ur, uw), _) = ledger_run(false);
+    let ((jr, jw), wal) = ledger_run(true);
+    // Counts, not a distribution.
+    assert_eq!((ur, uw), ledger_run(false).0, "unjournaled run moved");
+    assert_eq!(((jr, jw), wal), ledger_run(true), "journaled run moved");
+
+    assert_eq!(
+        (jr + jw) - (ur + uw),
+        wal.total(),
+        "journaled {jr} r / {jw} w - unjournaled {ur} r / {uw} w is not the journal's own {wal:?}"
+    );
+    assert!(
+        wal.total() as f64 <= 4.0 * wal.checkpoints as f64,
+        "more than its two header writes and the manifests' chain blocks per checkpoint: {wal:?}"
+    );
+    // A tape that rewrote no committed block has nothing to copy home.
+    if wal.shadow_writes == 0 {
+        assert_eq!(wal.apply_reads + wal.apply_writes, 0, "{wal:?}");
+    }
+
+    assert_eq!((ur, uw), (62, 174));
+    assert_eq!((jr, jw), (62, 399));
+    // 225 journal transfers, 3.31 per checkpoint.
+    let pinned = WalOverhead {
+        chain_writes: 88,
+        header_writes: 137,
+        checkpoints: 68,
+        ..WalOverhead::default()
+    };
+    assert_eq!(wal, pinned);
 }

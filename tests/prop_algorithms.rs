@@ -13,6 +13,24 @@ fn machine() -> impl Strategy<Value = EmConfig> {
     (6u32..=9, 6usize..=32).prop_map(|(bexp, m)| EmConfig::new(1 << bexp, m))
 }
 
+/// The shape `machine()` steers around: `EmConfig { block_bytes: 64,
+/// mem_blocks: 4 }` under 3.9 k duplicate-heavy keys.  Four blocks cannot
+/// partition (the sort needs six), and the caller is told so rather than
+/// panicked at from inside the recursion.
+#[test]
+fn distribution_sort_with_four_blocks_of_memory_is_a_typed_error() {
+    let cfg = EmConfig::new(64, 4);
+    let (b, m) = (8, cfg.mem_records::<u64>());
+    let data: Vec<u64> = (0..3900u64).map(|i| i * 37 % 64).collect();
+    let input = ExtVec::from_slice(cfg.ram_disk(), &data).unwrap();
+    match distribution_sort(&input, &SortConfig::new(m)).map(|_| ()) {
+        Err(pdm::PdmError::MemoryExceeded { needed, available }) => {
+            assert_eq!((needed, available), (6 * b, 4 * b));
+        }
+        other => panic!("expected MemoryExceeded, got {other:?}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -213,6 +213,11 @@ proptest! {
                 "{:?} engine must cost exactly the hand-rolled pipeline",
                 placement);
 
+            // The partition counters attribute hash work to hash plans only.
+            prop_assert_eq!(
+                (m_fused.partition_passes(), m_fused.partition_spilled_blocks()), (0, 0),
+                "{:?} d={} a sort-based plan must not partition", placement, d);
+
             input.free().unwrap();
         }
     }

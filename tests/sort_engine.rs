@@ -15,7 +15,8 @@
 //! randomized cycling} × D ∈ {1, 2, 4} × overlap depth ∈ {0, 1, 2, 3} ×
 //! run formation ∈ {load-sort, replacement selection}.  Overlap depth is
 //! pure scheduling and lane choice is pure placement: reads and writes must
-//! agree exactly across depths, and across the two B-block placements.
+//! agree exactly across depths, across the two B-block placements, and — for
+//! complete sorts on those, whose logical block stays `B` — across `D`.
 
 use std::collections::VecDeque;
 
@@ -193,7 +194,14 @@ proptest! {
                         let k = cfg.effective_fan_in(b);
                         let input = ExtVec::from_slice(device.clone(), &data).unwrap();
                         let at = format!("{placement:?} D={d} {rf:?} depth={depth}");
-                        let row = format!("{} D={d} {rf:?}", geometry(placement));
+                        // The B-block logical block does not grow with D, so
+                        // neither does anything the sort moves: one row for
+                        // every D.  A striped block is D·B: one row per D.
+                        let row = if placement.is_striped() {
+                            format!("striped D={d} {rf:?}")
+                        } else {
+                            format!("b-block {rf:?}")
+                        };
 
                         // The runs the engine merges, read back.
                         let (runs, counts) =
