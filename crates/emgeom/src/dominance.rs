@@ -20,6 +20,7 @@ use em_core::{ExtVec, ExtVecWriter, Record};
 use emsort::{merge_sort_by, SortConfig};
 use pdm::Result;
 
+use crate::sweep::{distribution_sweep, event_sorter, Answers, Level, Sweep};
 use crate::Point;
 
 /// Sweep event: point deposit or query, ordered by `(y, kind)` with points
@@ -62,140 +63,70 @@ pub fn dominance_count(
     queries: &ExtVec<Point>,
     cfg: &SortConfig,
 ) -> Result<ExtVec<(u64, u64)>> {
-    let device = points.device().clone();
-    let mut w: ExtVecWriter<Event> = ExtVecWriter::new(device.clone());
-    {
-        let mut r = points.reader();
+    let mut events = event_sorter::<Dominance>(points.device().clone(), cfg);
+    for (kind, input) in [(0, points), (1, queries)] {
+        let mut r = input.reader();
         while let Some(p) = r.try_next()? {
-            w.push(Event {
+            events.push(Event {
                 y: p.y,
-                kind: 0,
+                kind,
                 id: p.id,
                 x: p.x,
                 acc: 0,
             })?;
         }
-        let mut r = queries.reader();
-        while let Some(q) = r.try_next()? {
-            w.push(Event {
-                y: q.y,
-                kind: 1,
-                id: q.id,
-                x: q.x,
-                acc: 0,
-            })?;
-        }
     }
-    let unsorted = w.finish()?;
-    let events = merge_sort_by(&unsorted, cfg, |p, q| (p.y, p.kind) < (q.y, q.kind))?;
-    unsorted.free()?;
-
-    let mut out: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device);
-    sweep(events, cfg, &mut out, 0)?;
-    let unsorted = out.finish()?;
+    // The answers accumulate beside the sweep's own `M` records, so through
+    // a one-block writer — sorted by query id only once the sweep is done.
+    let unsorted = distribution_sweep::<Dominance>(events, cfg)?;
     let sorted = merge_sort_by(&unsorted, cfg, |a, b| a.0 < b.0)?;
     unsorted.free()?;
     Ok(sorted)
 }
 
-fn sweep(
-    events: ExtVec<Event>,
-    cfg: &SortConfig,
-    out: &mut ExtVecWriter<(u64, u64)>,
-    depth: u32,
-) -> Result<()> {
-    assert!(depth < 64, "distribution sweep failed to make progress");
-    let device = events.device().clone();
-    let n = events.len() as usize;
+/// A point bumps its slab's counter; a query adds up the counters of every
+/// slab strictly to its left.  Both recurse into their own slab.
+struct Dominance;
 
-    if n <= cfg.mem_records {
-        solve_in_memory(&events, out)?;
-        return events.free();
-    }
-    let per_block = events.per_block();
-    let m_blocks = (cfg.mem_records / per_block).max(6);
-    let k = (m_blocks - 2).clamp(2, 64);
-    let pivots = sample_pivots(&events, k - 1)?;
-    if pivots.is_empty() {
-        solve_in_memory(&events, out)?;
-        return events.free();
-    }
-    let nslabs = pivots.len() + 1;
-    let slab_of = |x: i64| pivots.partition_point(|&p| p <= x);
+impl Sweep for Dominance {
+    type Event = Event;
+    /// Points deposited in the slab so far.
+    type Slab = u64;
 
-    let mut down: Vec<ExtVecWriter<Event>> = (0..nslabs)
-        .map(|_| ExtVecWriter::new(device.clone()))
-        .collect();
-    let mut counters = vec![0u64; nslabs];
-    {
-        let mut r = events.reader();
-        while let Some(mut e) = r.try_next()? {
-            let s = slab_of(e.x);
-            if e.kind == 0 {
-                counters[s] += 1;
-            } else {
-                // Slabs strictly left of s hold only points with smaller x
-                // (and smaller y, since they were swept earlier).
-                e.acc += counters[..s].iter().sum::<u64>();
-            }
-            down[s].push(e)?;
-        }
+    fn order(e: &Event) -> (i64, u8) {
+        (e.y, e.kind)
     }
-    events.free()?;
-    for w in down {
-        let sub = w.finish()?;
-        if sub.is_empty() {
-            sub.free()?;
-        } else {
-            sweep(sub, cfg, out, depth + 1)?;
-        }
-    }
-    Ok(())
-}
 
-fn solve_in_memory(events: &ExtVec<Event>, out: &mut ExtVecWriter<(u64, u64)>) -> Result<()> {
-    let all = events.to_vec()?;
-    // Events are y-sorted; count points with x ≤ qx among those already
-    // swept.  A sorted Vec with binary search keeps this O(n log n).
-    let mut xs: Vec<i64> = Vec::new();
-    for e in all {
+    fn sample_xs(e: &Event, xs: &mut Vec<i64>) {
+        xs.push(e.x);
+    }
+
+    fn visit(mut e: Event, level: &mut Level<Self>, _: &mut Answers) -> Result<()> {
+        let s = level.slab_of(e.x);
         if e.kind == 0 {
-            let pos = xs.partition_point(|&x| x <= e.x);
-            xs.insert(pos, e.x);
+            level.state[s] += 1;
         } else {
-            let below = xs.partition_point(|&x| x <= e.x) as u64;
-            out.push((e.id, e.acc + below))?;
+            // Slabs strictly left of s hold only points with smaller x
+            // (and smaller y, since they were swept earlier).
+            e.acc += level.state[..s].iter().sum::<u64>();
         }
+        level.down[s].push(e)
     }
-    Ok(())
-}
 
-fn sample_pivots(events: &ExtVec<Event>, want: usize) -> Result<Vec<i64>> {
-    let n = events.len() as usize;
-    let stride = (n / (8 * want.max(1))).max(1);
-    let mut xs: Vec<i64> = Vec::new();
-    let mut r = events.reader();
-    let mut i = 0usize;
-    while let Some(e) = r.try_next()? {
-        if i.is_multiple_of(stride) {
-            xs.push(e.x);
+    fn solve_in_memory(events: Vec<Event>, out: &mut Answers) -> Result<()> {
+        // Events are y-sorted; count points with x ≤ qx among those already
+        // swept.  A sorted Vec with binary search keeps this O(n log n).
+        let mut xs: Vec<i64> = Vec::new();
+        for e in events {
+            let below = xs.partition_point(|&x| x <= e.x);
+            if e.kind == 0 {
+                xs.insert(below, e.x);
+            } else {
+                out.push((e.id, e.acc + below as u64))?;
+            }
         }
-        i += 1;
+        Ok(())
     }
-    xs.sort_unstable();
-    xs.dedup();
-    if xs.len() <= 1 {
-        return Ok(Vec::new());
-    }
-    let mut pivots = Vec::with_capacity(want);
-    for j in 1..=want {
-        let idx = j * xs.len() / (want + 1);
-        let cand = xs[idx.min(xs.len() - 1)];
-        if pivots.last() != Some(&cand) {
-            pivots.push(cand);
-        }
-    }
-    Ok(pivots)
 }
 
 /// Baseline: block-nested loops — quadratic I/Os and comparisons.

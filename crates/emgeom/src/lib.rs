@@ -10,7 +10,9 @@
 //! I/Os = O(Sort(N) + Z/B)          (Z = answers reported)
 //! ```
 //!
-//! Two classic instances are implemented (experiment F12):
+//! One driver owns the technique — event sort, in-memory base case, pivot
+//! sampling, slabs, recursion — and three instances plug their events into
+//! it (experiment F12):
 //!
 //! * [`segment_intersections`] — all intersections between axis-parallel
 //!   (horizontal × vertical) line segments, the survey's canonical example.
@@ -19,7 +21,7 @@
 //! * [`dominance_count`] — batched 2-D dominance *counting* (pure
 //!   `O(Sort(N+Q))`: counting is output-insensitive).
 //!
-//! Both ship a quadratic-scan baseline (`*_naive`) used by the tests and
+//! Each ships a quadratic-scan baseline (`*_naive`) used by the tests and
 //! the experiment harness.
 
 #![forbid(unsafe_code)]
@@ -28,6 +30,7 @@
 mod dominance;
 mod range_report;
 mod segments;
+mod sweep;
 
 pub use dominance::{dominance_count, dominance_count_naive};
 pub use range_report::{batched_range_reporting, batched_range_reporting_naive, Point, Rect};

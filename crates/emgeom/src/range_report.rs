@@ -9,8 +9,10 @@
 //! slab horizontally and its y-interval covers the sweep line).
 
 use em_core::{AppendBuffer, ExtVec, ExtVecWriter, Record};
-use emsort::{merge_sort_by, SortConfig};
+use emsort::SortConfig;
 use pdm::Result;
+
+use crate::sweep::{distribution_sweep, event_sorter, report_live, Answers, Level, Sweep};
 
 /// A point with an identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,204 +118,93 @@ pub fn batched_range_reporting(
     rects: &ExtVec<Rect>,
     cfg: &SortConfig,
 ) -> Result<ExtVec<(u64, u64)>> {
-    let device = points.device().clone();
-    let mut w: ExtVecWriter<Event> = ExtVecWriter::new(device.clone());
-    {
-        let mut r = rects.reader();
-        while let Some(q) = r.try_next()? {
-            assert!(q.x1 <= q.x2 && q.y1 <= q.y2, "malformed rectangle");
-            w.push(Event {
-                y: q.y1,
-                kind: 0,
-                id: q.id,
-                a: q.x1,
-                b: q.x2,
-                c: q.y2,
-            })?;
-        }
-        let mut r = points.reader();
-        while let Some(p) = r.try_next()? {
-            w.push(Event {
-                y: p.y,
-                kind: 1,
-                id: p.id,
-                a: p.x,
-                b: 0,
-                c: 0,
-            })?;
-        }
+    let mut events = event_sorter::<RangeReport>(points.device().clone(), cfg);
+    let mut r = rects.reader();
+    while let Some(q) = r.try_next()? {
+        assert!(q.x1 <= q.x2 && q.y1 <= q.y2, "malformed rectangle");
+        events.push(Event {
+            y: q.y1,
+            kind: 0,
+            id: q.id,
+            a: q.x1,
+            b: q.x2,
+            c: q.y2,
+        })?;
     }
-    let unsorted = w.finish()?;
-    let events = merge_sort_by(&unsorted, cfg, |p, q| (p.y, p.kind) < (q.y, q.kind))?;
-    unsorted.free()?;
-
-    let mut out: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device);
-    sweep(events, cfg, &mut out, 0)?;
-    out.finish()
+    let mut r = points.reader();
+    while let Some(p) = r.try_next()? {
+        events.push(Event {
+            y: p.y,
+            kind: 1,
+            id: p.id,
+            a: p.x,
+            b: 0,
+            c: 0,
+        })?;
+    }
+    distribution_sweep::<RangeReport>(events, cfg)
 }
 
-fn sweep(
-    events: ExtVec<Event>,
-    cfg: &SortConfig,
-    out: &mut ExtVecWriter<(u64, u64)>,
-    depth: u32,
-) -> Result<()> {
-    assert!(depth < 64, "distribution sweep failed to make progress");
-    let device = events.device().clone();
-    let n = events.len() as usize;
+/// A rectangle activates in every slab it spans and recurses, clipped, into
+/// the (at most two) it does not; a point reports against its slab's active
+/// list and recurses.
+struct RangeReport;
 
-    if n <= cfg.mem_records {
-        solve_in_memory(&events, out)?;
-        return events.free();
+impl Sweep for RangeReport {
+    type Event = Event;
+    /// Active rectangles: `(rect id, y_top)`.
+    type Slab = AppendBuffer<(u64, i64)>;
+
+    fn order(e: &Event) -> (i64, u8) {
+        (e.y, e.kind)
     }
 
-    let per_block = events.per_block();
-    let m_blocks = (cfg.mem_records / per_block).max(6);
-    let k = ((m_blocks - 2) / 2).clamp(2, 64);
-    let pivots = sample_pivots(&events, k - 1)?;
-    if pivots.is_empty() {
-        solve_in_memory(&events, out)?;
-        return events.free();
-    }
-    let nslabs = pivots.len() + 1;
-    let slab_of = |x: i64| pivots.partition_point(|&p| p <= x);
-    let slab_lo = |i: usize| if i == 0 { i64::MIN } else { pivots[i - 1] };
-    let slab_hi = |i: usize| {
-        if i == nslabs - 1 {
-            i64::MAX
-        } else {
-            pivots[i] - 1
-        }
-    };
-
-    let mut down: Vec<ExtVecWriter<Event>> = (0..nslabs)
-        .map(|_| ExtVecWriter::new(device.clone()))
-        .collect();
-    // Active rectangles per slab: (rect id, y_top).
-    let mut active: Vec<AppendBuffer<(u64, i64)>> = (0..nslabs)
-        .map(|_| AppendBuffer::new(device.clone()))
-        .collect();
-
-    {
-        let mut r = events.reader();
-        while let Some(e) = r.try_next()? {
-            if e.kind == 0 {
-                // Rectangle: active in fully spanned slabs; stubs recurse.
-                let (x1, x2) = (e.a, e.b);
-                let s1 = slab_of(x1);
-                let s2 = slab_of(x2);
-                for s in s1..=s2 {
-                    let full = x1 <= slab_lo(s) && slab_hi(s) <= x2;
-                    if full {
-                        active[s].push((e.id, e.c))?;
-                    } else {
-                        let cx1 = x1.max(slab_lo(s));
-                        let cx2 = x2.min(slab_hi(s));
-                        if cx1 <= cx2 {
-                            down[s].push(Event {
-                                a: cx1,
-                                b: cx2,
-                                ..e
-                            })?;
-                        }
-                    }
-                }
-            } else {
-                // Point: report against its slab's active list, recurse.
-                let s = slab_of(e.a);
-                let p_id = e.id;
-                let y = e.y;
-                let mut push_err: Option<pdm::PdmError> = None;
-                active[s].retain(|&(r_id, y_top)| {
-                    if y_top >= y {
-                        if push_err.is_none() {
-                            if let Err(err) = out.push((r_id, p_id)) {
-                                push_err = Some(err);
-                            }
-                        }
-                        true
-                    } else {
-                        false
-                    }
-                })?;
-                if let Some(err) = push_err {
-                    return Err(err);
-                }
-                down[s].push(e)?;
-            }
-        }
-    }
-    events.free()?;
-    for buf in &mut active {
-        buf.clear()?;
-    }
-    drop(active);
-    for w in down {
-        let sub = w.finish()?;
-        // A sub-problem with only points or only rectangles reports nothing.
-        if sub.is_empty() {
-            sub.free()?;
-        } else {
-            sweep(sub, cfg, out, depth + 1)?;
-        }
-    }
-    Ok(())
-}
-
-fn solve_in_memory(events: &ExtVec<Event>, out: &mut ExtVecWriter<(u64, u64)>) -> Result<()> {
-    use std::collections::BTreeMap;
-    let all = events.to_vec()?;
-    // Active rectangles keyed by (x1, id) → (x2, y2).
-    let mut active: BTreeMap<(i64, u64), (i64, i64)> = BTreeMap::new();
-    for e in all {
+    fn sample_xs(e: &Event, xs: &mut Vec<i64>) {
+        xs.push(e.a);
         if e.kind == 0 {
-            active.insert((e.a, e.id), (e.b, e.c));
-        } else {
-            let mut dead = Vec::new();
-            for (&(x1, r_id), &(x2, y2)) in active.range(..=(e.a, u64::MAX)) {
-                if y2 < e.y {
-                    dead.push((x1, r_id));
-                } else if x2 >= e.a {
-                    out.push((r_id, e.id))?;
+            xs.push(e.b);
+        }
+    }
+
+    fn visit(e: Event, level: &mut Level<Self>, out: &mut Answers) -> Result<()> {
+        if e.kind == 1 {
+            let s = level.slab_of(e.a);
+            report_live(&mut level.state[s], e.y, out, |r_id| (r_id, e.id))?;
+            // The rectangle stubs clipped into this slab are matched below.
+            return level.down[s].push(e);
+        }
+        for s in level.slab_of(e.a)..=level.slab_of(e.b) {
+            match level.clip(s, e.a, e.b) {
+                None => level.state[s].push((e.id, e.c))?,
+                Some((a, b)) => level.down[s].push(Event { a, b, ..e })?,
+            }
+        }
+        Ok(())
+    }
+
+    fn solve_in_memory(events: Vec<Event>, out: &mut Answers) -> Result<()> {
+        use std::collections::BTreeMap;
+        // Active rectangles keyed by (x1, id) → (x2, y2).
+        let mut active: BTreeMap<(i64, u64), (i64, i64)> = BTreeMap::new();
+        for e in events {
+            if e.kind == 0 {
+                active.insert((e.a, e.id), (e.b, e.c));
+            } else {
+                let mut dead = Vec::new();
+                for (&(x1, r_id), &(x2, y2)) in active.range(..=(e.a, u64::MAX)) {
+                    if y2 < e.y {
+                        dead.push((x1, r_id));
+                    } else if x2 >= e.a {
+                        out.push((r_id, e.id))?;
+                    }
+                }
+                for key in dead {
+                    active.remove(&key);
                 }
             }
-            for key in dead {
-                active.remove(&key);
-            }
         }
+        Ok(())
     }
-    Ok(())
-}
-
-fn sample_pivots(events: &ExtVec<Event>, want: usize) -> Result<Vec<i64>> {
-    let n = events.len() as usize;
-    let stride = (n / (8 * want.max(1))).max(1);
-    let mut xs: Vec<i64> = Vec::new();
-    let mut r = events.reader();
-    let mut i = 0usize;
-    while let Some(e) = r.try_next()? {
-        if i.is_multiple_of(stride) {
-            xs.push(e.a);
-            if e.kind == 0 {
-                xs.push(e.b);
-            }
-        }
-        i += 1;
-    }
-    xs.sort_unstable();
-    xs.dedup();
-    if xs.len() <= 1 {
-        return Ok(Vec::new());
-    }
-    let mut pivots = Vec::with_capacity(want);
-    for j in 1..=want {
-        let idx = j * xs.len() / (want + 1);
-        let cand = xs[idx.min(xs.len() - 1)];
-        if pivots.last() != Some(&cand) {
-            pivots.push(cand);
-        }
-    }
-    Ok(pivots)
 }
 
 /// Baseline: block-nested-loop containment join — quadratic I/Os.

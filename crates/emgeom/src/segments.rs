@@ -15,9 +15,10 @@
 //! permanently deletes a dead (passed) vertical.
 
 use em_core::{AppendBuffer, ExtVec, ExtVecWriter, Record};
+use emsort::SortConfig;
 use pdm::Result;
 
-use emsort::{merge_sort_by, SortConfig};
+use crate::sweep::{distribution_sweep, event_sorter, report_live, Answers, Level, Sweep};
 
 /// A horizontal segment `[x1, x2] × {y}` (inclusive endpoints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,214 +112,92 @@ pub fn segment_intersections(
     vs: &ExtVec<VSeg>,
     cfg: &SortConfig,
 ) -> Result<ExtVec<(u64, u64)>> {
-    let device = hs.device().clone();
-    // Build the event stream.
-    let mut w: ExtVecWriter<Event> = ExtVecWriter::new(device.clone());
-    {
-        let mut r = vs.reader();
-        while let Some(v) = r.try_next()? {
-            assert!(v.y1 <= v.y2, "vertical segment with y1 > y2");
-            w.push(Event {
-                y: v.y1,
-                kind: 0,
-                id: v.id,
-                a: v.x,
-                b: v.y2,
-            })?;
-        }
-        let mut r = hs.reader();
-        while let Some(h) = r.try_next()? {
-            assert!(h.x1 <= h.x2, "horizontal segment with x1 > x2");
-            w.push(Event {
-                y: h.y,
-                kind: 1,
-                id: h.id,
-                a: h.x1,
-                b: h.x2,
-            })?;
-        }
+    let mut events = event_sorter::<Segments>(hs.device().clone(), cfg);
+    let mut r = vs.reader();
+    while let Some(v) = r.try_next()? {
+        assert!(v.y1 <= v.y2, "vertical segment with y1 > y2");
+        events.push(Event {
+            y: v.y1,
+            kind: 0,
+            id: v.id,
+            a: v.x,
+            b: v.y2,
+        })?;
     }
-    let unsorted = w.finish()?;
-    let events = merge_sort_by(&unsorted, cfg, |p, q| (p.y, p.kind) < (q.y, q.kind))?;
-    unsorted.free()?;
-
-    let mut out: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device);
-    sweep(events, cfg, &mut out, 0)?;
-    out.finish()
+    let mut r = hs.reader();
+    while let Some(h) = r.try_next()? {
+        assert!(h.x1 <= h.x2, "horizontal segment with x1 > x2");
+        events.push(Event {
+            y: h.y,
+            kind: 1,
+            id: h.id,
+            a: h.x1,
+            b: h.x2,
+        })?;
+    }
+    distribution_sweep::<Segments>(events, cfg)
 }
 
-/// Recursive distribution sweep over a y-sorted event stream (consumed).
-fn sweep(
-    events: ExtVec<Event>,
-    cfg: &SortConfig,
-    out: &mut ExtVecWriter<(u64, u64)>,
-    depth: u32,
-) -> Result<()> {
-    assert!(depth < 64, "distribution sweep failed to make progress");
-    let device = events.device().clone();
-    let n = events.len() as usize;
+/// Verticals activate in their slab; a horizontal reports against every
+/// slab it spans and recurses, clipped, into the (at most two) it does not.
+struct Segments;
 
-    if n <= cfg.mem_records {
-        solve_in_memory(&events, out)?;
-        return events.free();
+impl Sweep for Segments {
+    type Event = Event;
+    /// Active verticals: `(vertical id, y_top)`.
+    type Slab = AppendBuffer<(u64, i64)>;
+
+    fn order(e: &Event) -> (i64, u8) {
+        (e.y, e.kind)
     }
 
-    // Slab boundaries from the vertical/horizontal x coordinates present.
-    let per_block = events.per_block();
-    let m_blocks = (cfg.mem_records / per_block).max(6);
-    let k = ((m_blocks - 2) / 2).clamp(2, 64);
-    let pivots = sample_pivots(&events, k - 1)?;
-    if pivots.is_empty() {
-        // Degenerate x-distribution: fall back to the in-memory solver in
-        // chunks is impossible without slabs, so solve directly (documented
-        // limitation: needs the degenerate instance to fit in memory).
-        solve_in_memory(&events, out)?;
-        return events.free();
-    }
-    // slab(i) = [bounds[i], bounds[i+1]) with virtual ±∞ at the ends.
-    let nslabs = pivots.len() + 1;
-    let slab_of = |x: i64| pivots.partition_point(|&p| p <= x);
-    let slab_lo = |i: usize| if i == 0 { i64::MIN } else { pivots[i - 1] };
-    let slab_hi = |i: usize| {
-        if i == nslabs - 1 {
-            i64::MAX
-        } else {
-            pivots[i] - 1
+    fn sample_xs(e: &Event, xs: &mut Vec<i64>) {
+        xs.push(e.a);
+        if e.kind == 1 {
+            xs.push(e.b);
         }
-    };
+    }
 
-    let mut down: Vec<ExtVecWriter<Event>> = (0..nslabs)
-        .map(|_| ExtVecWriter::new(device.clone()))
-        .collect();
-    // Active verticals per slab: (vertical id, y_top).
-    let mut active: Vec<AppendBuffer<(u64, i64)>> = (0..nslabs)
-        .map(|_| AppendBuffer::new(device.clone()))
-        .collect();
+    fn visit(e: Event, level: &mut Level<Self>, out: &mut Answers) -> Result<()> {
+        if e.kind == 0 {
+            let s = level.slab_of(e.a);
+            level.state[s].push((e.id, e.b))?;
+            return level.down[s].push(e);
+        }
+        for s in level.slab_of(e.a)..=level.slab_of(e.b) {
+            match level.clip(s, e.a, e.b) {
+                // Spanned completely: every live vertical here intersects.
+                None => report_live(&mut level.state[s], e.y, out, |v_id| (e.id, v_id))?,
+                Some((a, b)) => level.down[s].push(Event { a, b, ..e })?,
+            }
+        }
+        Ok(())
+    }
 
-    {
-        let mut r = events.reader();
-        while let Some(e) = r.try_next()? {
+    /// Classic plane sweep with a balanced tree.
+    fn solve_in_memory(events: Vec<Event>, out: &mut Answers) -> Result<()> {
+        use std::collections::BTreeMap;
+        // Active verticals keyed by (x, id) → y_top.
+        let mut active: BTreeMap<(i64, u64), i64> = BTreeMap::new();
+        for e in events {
             if e.kind == 0 {
-                // Vertical: active here, and recursed into its slab.
-                let s = slab_of(e.a);
-                active[s].push((e.id, e.b))?;
-                down[s].push(e)?;
+                active.insert((e.a, e.id), e.b);
             } else {
-                let (x1, x2) = (e.a, e.b);
-                let s1 = slab_of(x1);
-                let s2 = slab_of(x2);
-                for s in s1..=s2 {
-                    let full = x1 <= slab_lo(s) && slab_hi(s) <= x2;
-                    if full {
-                        // Every live vertical here intersects; dead ones die.
-                        let h_id = e.id;
-                        let y = e.y;
-                        let mut push_err: Option<pdm::PdmError> = None;
-                        active[s].retain(|&(v_id, y_top)| {
-                            if y_top >= y {
-                                // Live ⇒ intersects (h spans the whole slab).
-                                if push_err.is_none() {
-                                    if let Err(err) = out.push((h_id, v_id)) {
-                                        push_err = Some(err);
-                                    }
-                                }
-                                true
-                            } else {
-                                false
-                            }
-                        })?;
-                        if let Some(err) = push_err {
-                            return Err(err);
-                        }
+                let mut dead = Vec::new();
+                for (&(x, v_id), &y_top) in active.range((e.a, 0)..=(e.b, u64::MAX)) {
+                    if y_top >= e.y {
+                        out.push((e.id, v_id))?;
                     } else {
-                        // Clip the stub to this slab and recurse.
-                        let cx1 = x1.max(slab_lo(s));
-                        let cx2 = x2.min(slab_hi(s));
-                        if cx1 <= cx2 {
-                            down[s].push(Event {
-                                a: cx1,
-                                b: cx2,
-                                ..e
-                            })?;
-                        }
+                        dead.push((x, v_id));
                     }
                 }
-            }
-        }
-    }
-    events.free()?;
-    for buf in &mut active {
-        buf.clear()?;
-    }
-    drop(active);
-    for w in down {
-        let sub = w.finish()?;
-        if sub.is_empty() {
-            sub.free()?;
-        } else {
-            sweep(sub, cfg, out, depth + 1)?;
-        }
-    }
-    Ok(())
-}
-
-/// In-memory base case: classic plane sweep with a balanced tree.
-fn solve_in_memory(events: &ExtVec<Event>, out: &mut ExtVecWriter<(u64, u64)>) -> Result<()> {
-    use std::collections::BTreeMap;
-    let all = events.to_vec()?;
-    // Active verticals keyed by (x, id) → y_top.
-    let mut active: BTreeMap<(i64, u64), i64> = BTreeMap::new();
-    for e in all {
-        if e.kind == 0 {
-            active.insert((e.a, e.id), e.b);
-        } else {
-            let mut dead = Vec::new();
-            for (&(x, v_id), &y_top) in active.range((e.a, 0)..=(e.b, u64::MAX)) {
-                if y_top >= e.y {
-                    out.push((e.id, v_id))?;
-                } else {
-                    dead.push((x, v_id));
+                for key in dead {
+                    active.remove(&key);
                 }
             }
-            for key in dead {
-                active.remove(&key);
-            }
         }
+        Ok(())
     }
-    Ok(())
-}
-
-/// Evenly-spaced distinct x pivots sampled from a scan of the events.
-fn sample_pivots(events: &ExtVec<Event>, want: usize) -> Result<Vec<i64>> {
-    // Systematic sample: every ⌈n/(8·want)⌉-th x coordinate.
-    let n = events.len() as usize;
-    let stride = (n / (8 * want.max(1))).max(1);
-    let mut xs: Vec<i64> = Vec::new();
-    let mut r = events.reader();
-    let mut i = 0usize;
-    while let Some(e) = r.try_next()? {
-        if i.is_multiple_of(stride) {
-            xs.push(e.a);
-            if e.kind == 1 {
-                xs.push(e.b);
-            }
-        }
-        i += 1;
-    }
-    xs.sort_unstable();
-    xs.dedup();
-    if xs.len() <= 1 {
-        return Ok(Vec::new());
-    }
-    let mut pivots = Vec::with_capacity(want);
-    for j in 1..=want {
-        let idx = j * xs.len() / (want + 1);
-        let cand = xs[idx.min(xs.len() - 1)];
-        if pivots.last() != Some(&cand) {
-            pivots.push(cand);
-        }
-    }
-    Ok(pivots)
 }
 
 /// Baseline: block-nested-loop join of the two segment sets —

@@ -15,9 +15,10 @@
 //! implementation does exactly that as its base case).
 
 use em_core::{ExtVec, ExtVecWriter};
-use emsort::{merge_sort_streaming, SortConfig, SortingWriter};
+use emsort::{SortConfig, SortingWriter};
 use pdm::Result;
 
+use crate::contract::{compress, relabel, through, Labels, ROOT};
 use crate::util::join_left_stream;
 
 /// Component label of every vertex of the undirected graph `edges` (dense
@@ -81,85 +82,29 @@ pub fn connected_components(
         }
         let mut hooks_w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
         arcs_w.finish_streaming(|r| {
-            let mut group: Option<(u64, u64)> = None; // (src, min_dst)
+            let mut cur_src = u64::MAX;
             while let Some((src, dst)) = r.try_next()? {
-                match &mut group {
-                    Some((gsrc, min_dst)) if *gsrc == src => {
-                        *min_dst = (*min_dst).min(dst);
+                // Arcs sort by (src, dst): a group's first is its minimum.
+                if src != cur_src {
+                    cur_src = src;
+                    if dst < src {
+                        hooks_w.push((src, dst))?;
                     }
-                    _ => {
-                        if let Some((gsrc, min_dst)) = group {
-                            if min_dst < gsrc {
-                                hooks_w.push((gsrc, min_dst))?;
-                            }
-                        }
-                        group = Some((src, dst));
-                    }
-                }
-            }
-            if let Some((gsrc, min_dst)) = group {
-                if min_dst < gsrc {
-                    hooks_w.push((gsrc, min_dst))?;
                 }
             }
             Ok(())
         })?;
         let hooks = hooks_w.finish()?; // sorted by src, src strictly decreases to parent
 
-        // Compress the parent forest by pointer doubling.
+        // Contract: flatten the parent forest, then rewrite labels and
+        // edges through it (duplicate label pairs collapse to one edge).
         let parents = compress(hooks, cfg)?;
-
-        // Rewrite labels and edges through the parent map.
         labels = apply_map(labels, &parents, cfg)?;
-        cur_edges = relabel_edges(cur_edges, &parents, cfg)?;
+        cur_edges = relabel(cur_edges, &parents, cfg)?;
         parents.free()?;
     }
     cur_edges.free()?;
     Ok(labels)
-}
-
-/// Pointer-double the parent map `(x, p)` (sorted by x, `p < x`) until every
-/// entry points at a root.  `O(Sort(P) · log depth)` I/Os.
-fn compress(mut parents: ExtVec<(u64, u64)>, cfg: &SortConfig) -> Result<ExtVec<(u64, u64)>> {
-    loop {
-        // new_p(x) = p(p(x)), where unmapped values are roots.
-        // Build (p, x) sorted by p, join with parents (keyed by x); the
-        // swapped pairs flow straight into the sort, and its final merge
-        // streams straight into the join.
-        let device = parents.device().clone();
-        let mut swapped_w: SortingWriter<(u64, u64), _> =
-            SortingWriter::new(device.clone(), cfg, |a: &(u64, u64), b| a.0 < b.0);
-        {
-            let mut r = parents.reader();
-            while let Some((x, p)) = r.try_next()? {
-                swapped_w.push((p, x))?;
-            }
-        }
-        let joined = swapped_w.finish_streaming(|s| {
-            join_left_stream(s, &parents, u64::MAX) // (p, x, pp | MAX)
-        })?;
-        let mut changed = false;
-        let next = {
-            let mut w: SortingWriter<(u64, u64), _> =
-                SortingWriter::new(device.clone(), cfg, |a: &(u64, u64), b| a.0 < b.0);
-            let mut r = joined.reader();
-            while let Some((p, x, pp)) = r.try_next()? {
-                if pp == u64::MAX {
-                    w.push((x, p))?; // p is a root
-                } else {
-                    changed = true;
-                    w.push((x, pp))?;
-                }
-            }
-            w.finish_sorted()?
-        };
-        joined.free()?;
-        parents.free()?;
-        parents = next;
-        if !changed {
-            return Ok(parents);
-        }
-    }
 }
 
 /// Rewrite the label column of `(vertex, label)` through the parent map
@@ -181,15 +126,13 @@ fn apply_map(
         }
     }
     labels.free()?;
-    let joined = by_label_w.finish_streaming(|s| {
-        join_left_stream(s, parents, u64::MAX) // (label, vertex, parent | MAX)
-    })?;
+    let joined = by_label_w.finish_streaming(|s| join_left_stream(s, |r| r.0, parents, ROOT))?;
     let remapped = {
         let mut w: SortingWriter<(u64, u64), _> =
             SortingWriter::new(device.clone(), cfg, |a: &(u64, u64), b| a.0 < b.0);
         let mut r = joined.reader();
-        while let Some((l, v, p)) = r.try_next()? {
-            w.push((v, if p == u64::MAX { l } else { p }))?;
+        while let Some(((l, v), p)) = r.try_next()? {
+            w.push((v, through(l, p)))?;
         }
         w.finish_sorted()?
     };
@@ -197,96 +140,14 @@ fn apply_map(
     Ok(remapped)
 }
 
-/// Rewrite both endpoints of the label-graph edges through the parent map,
-/// dropping self-edges and duplicates.  Consumes `edges`.
-fn relabel_edges(
-    edges: ExtVec<(u64, u64)>,
-    parents: &ExtVec<(u64, u64)>,
-    cfg: &SortConfig,
-) -> Result<ExtVec<(u64, u64)>> {
-    let device = edges.device().clone();
-    // Map the first endpoint: the sort by `a` streams into the join.
-    let ja = merge_sort_streaming(
-        &edges,
-        cfg,
-        |x, y| x.0 < y.0,
-        |s| {
-            join_left_stream(s, parents, u64::MAX) // (a, b, pa | MAX)
-        },
-    )?;
-    edges.free()?;
-    // Map the second endpoint: rewritten pairs feed the sort directly and
-    // the sorted sequence streams straight into the join.
-    let mut half_w: SortingWriter<(u64, u64), _> =
-        SortingWriter::new(device.clone(), cfg, |x: &(u64, u64), y| x.0 < y.0);
-    {
-        let mut r = ja.reader();
-        while let Some((a, b, pa)) = r.try_next()? {
-            let a2 = if pa == u64::MAX { a } else { pa };
-            half_w.push((b, a2))?; // keyed by b for the second join
-        }
-    }
-    ja.free()?;
-    let jb = half_w.finish_streaming(|s| {
-        join_left_stream(s, parents, u64::MAX) // (b, a2, pb | MAX)
-    })?;
-    // Sort + dedup with both ends fused: normalized edges feed the sort as
-    // they are produced, and the final merge streams into the dedup scan.
-    let mut full_w: SortingWriter<(u64, u64), _> =
-        SortingWriter::new(device.clone(), cfg, |x, y| x < y);
-    {
-        let mut r = jb.reader();
-        while let Some((b, a2, pb)) = r.try_next()? {
-            let b2 = if pb == u64::MAX { b } else { pb };
-            if a2 != b2 {
-                full_w.push((a2.min(b2), a2.max(b2)))?;
-            }
-        }
-    }
-    jb.free()?;
-    let deduped = full_w.finish_streaming(|r| {
-        let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
-        let mut last: Option<(u64, u64)> = None;
-        while let Some(e) = r.try_next()? {
-            if last != Some(e) {
-                w.push(e)?;
-                last = Some(e);
-            }
-        }
-        w.finish()
-    })?;
-    Ok(deduped)
-}
-
 /// In-memory union-find base case; returns a `(label, root)` map for every
 /// label that appears in `edges`, sorted by label.
 fn in_memory_components(edges: &ExtVec<(u64, u64)>) -> Result<ExtVec<(u64, u64)>> {
-    let pairs = edges.to_vec()?;
-    let mut parent: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    fn find(parent: &mut std::collections::HashMap<u64, u64>, x: u64) -> u64 {
-        let p = *parent.entry(x).or_insert(x);
-        if p == x {
-            return x;
-        }
-        let root = find(parent, p);
-        parent.insert(x, root);
-        root
+    let mut labels = Labels::default();
+    for (a, b) in edges.to_vec()? {
+        labels.union(a, b);
     }
-    for (a, b) in pairs {
-        let ra = find(&mut parent, a);
-        let rb = find(&mut parent, b);
-        if ra != rb {
-            let (lo, hi) = (ra.min(rb), ra.max(rb));
-            parent.insert(hi, lo);
-        }
-    }
-    let keys: Vec<u64> = parent.keys().copied().collect();
-    let mut out: Vec<(u64, u64)> = keys
-        .into_iter()
-        .map(|k| (k, find(&mut parent, k)))
-        .collect();
-    out.sort_unstable();
-    ExtVec::from_slice(edges.device().clone(), &out)
+    ExtVec::from_slice(edges.device().clone(), &labels.into_parents())
 }
 
 #[cfg(test)]

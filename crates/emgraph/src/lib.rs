@@ -18,6 +18,9 @@
 //!   `O(V + Sort(E))` I/Os versus the naive `Ω(E)` (experiment F10).
 //! * [`connected_components`] — hook-and-contract (Borůvka-style) labeling
 //!   in `O(Sort(E) · log(V))` I/Os (experiment F11).
+//! * [`minimum_spanning_forest`] — external Borůvka over the same
+//!   contraction step (pointer doubling + edge relabeling, written once for
+//!   both): `O(Sort(E) · log(V))` I/Os (experiment F11a).
 //! * [`gen`] — deterministic workload generators (lists, trees, random
 //!   graphs, grids) shared by tests, examples and benches.
 //!
@@ -30,6 +33,7 @@
 
 mod bfs;
 mod cc;
+mod contract;
 mod euler;
 pub mod gen;
 mod list_ranking;

@@ -20,9 +20,10 @@
 //! the root.
 
 use em_core::{ExtVec, ExtVecWriter};
-use emsort::{merge_sort_by, merge_sort_streaming, SortConfig};
+use emsort::{merge_sort_streaming, SortConfig, SortingWriter};
 use pdm::Result;
 
+use crate::contract::{compress, relabel, Labels, ROOT};
 use crate::util::join_left_stream;
 
 /// Compute a minimum spanning forest of the undirected weighted graph
@@ -49,7 +50,9 @@ pub fn minimum_spanning_forest(
         }
         w.finish()?
     };
-    // Chosen original-edge ids accumulate here.
+    // Chosen original-edge ids accumulate here across the rounds, beside
+    // whichever sort a round is running — so as a plain one-block writer,
+    // not as a second `M`-record sorting sink.
     let mut chosen: ExtVecWriter<u64> = ExtVecWriter::new(device.clone());
 
     for round in 0.. {
@@ -67,23 +70,24 @@ pub fn minimum_spanning_forest(
             break;
         }
 
-        // Minimum incident edge per label: arcs sorted by (label, w, id).
-        // The sorted arcs are consumed once by the grouped scan, so the
-        // sort's final merge streams straight into it.
-        let arcs = {
-            let mut w: ExtVecWriter<(u64, u64, u64, u64)> = ExtVecWriter::new(device.clone());
+        // Minimum incident edge per label: the doubled arcs feed the sort
+        // by (label, w, id) as they are produced, and the grouped scan reads
+        // the sorted arcs off the final merge.  The first arc of each source
+        // group is its minimum edge: hook + choose.
+        let mut arcs_w = SortingWriter::new(
+            device.clone(),
+            cfg,
+            |x: &(u64, u64, u64, u64), y: &(u64, u64, u64, u64)| (x.0, x.2, x.3) < (y.0, y.2, y.3),
+        );
+        {
             let mut r = work.reader();
             while let Some((a, b, wt, id)) = r.try_next()? {
-                w.push((a, b, wt, id))?;
-                w.push((b, a, wt, id))?;
+                arcs_w.push((a, b, wt, id))?;
+                arcs_w.push((b, a, wt, id))?;
             }
-            w.finish()?
-        };
-        // First arc of each source group is its minimum edge: hook + choose.
+        }
         let mut hooks_w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone()); // (label, parent)
-        let arc_less =
-            |x: &(u64, u64, u64, u64), y: &(u64, u64, u64, u64)| (x.0, x.2, x.3) < (y.0, y.2, y.3);
-        merge_sort_streaming(&arcs, cfg, arc_less, |r| {
+        arcs_w.finish_streaming(|r| {
             let mut cur_src = u64::MAX;
             while let Some((src, dst, _wt, id)) = r.try_next()? {
                 if src != cur_src {
@@ -94,17 +98,13 @@ pub fn minimum_spanning_forest(
             }
             Ok(())
         })?;
-        arcs.free()?;
         let hooks = hooks_w.finish()?; // sorted by label (group order)
 
-        // Break 2-cycles (mutual selections): if parent(parent(x)) == x,
-        // the smaller label becomes a root.
-        let parents = break_two_cycles(hooks, cfg)?;
-        let parents = compress(parents, cfg)?;
-
-        // Relabel edges through the parent map; drop self-loops and keep,
-        // per label pair, only the minimum edge (pruning parallels keeps
-        // the working set small without affecting the forest).
+        // Contract exactly as connected components does, once the mutual
+        // selections are broken.  Relabelling keeps, per label pair, only
+        // the lightest edge: pruning parallels keeps the working set small
+        // without affecting the forest.
+        let parents = compress(break_two_cycles(hooks, cfg)?, cfg)?;
         work = relabel(work, &parents, cfg)?;
         parents.free()?;
     }
@@ -143,171 +143,33 @@ pub fn minimum_spanning_forest(
 }
 
 /// Remove one side of every mutual (x ⇄ p) selection, keeping the smaller
-/// label as a root.
+/// label as a root.  Returns the surviving hooks sorted by `x`.
 fn break_two_cycles(hooks: ExtVec<(u64, u64)>, cfg: &SortConfig) -> Result<ExtVec<(u64, u64)>> {
     let device = hooks.device().clone();
-    // joined: (p, x, pp|MAX) with pp = parent(p); the sorted probe side
-    // streams straight off the final merge pass into the join.
-    let swapped = {
-        let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
+    let by_key = |a: &(u64, u64), b: &(u64, u64)| a.0 < b.0;
+    // joined: ((p, x), pp | ROOT) with pp = parent(p).
+    let mut swapped_w = SortingWriter::new(device.clone(), cfg, by_key);
+    {
         let mut r = hooks.reader();
         while let Some((x, p)) = r.try_next()? {
-            w.push((p, x))?;
+            swapped_w.push((p, x))?;
         }
-        w.finish()?
-    };
-    let joined = merge_sort_streaming(
-        &swapped,
-        cfg,
-        |a, b| a.0 < b.0,
-        |s| join_left_stream(s, &hooks, u64::MAX),
-    )?;
-    swapped.free()?;
-    let filtered = {
-        let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device);
+    }
+    let joined = swapped_w.finish_streaming(|s| join_left_stream(s, |r| r.0, &hooks, ROOT))?;
+    hooks.free()?;
+    let mut kept_w = SortingWriter::new(device, cfg, by_key);
+    {
         let mut r = joined.reader();
-        while let Some((p, x, pp)) = r.try_next()? {
+        while let Some(((p, x), pp)) = r.try_next()? {
             // Entry represents hook x → p.  Drop it iff p → x too and
             // x < p (x becomes the root of the merged pair).
             if !(pp == x && x < p) {
-                w.push((x, p))?;
+                kept_w.push((x, p))?;
             }
-        }
-        let unsorted = w.finish()?;
-        let sorted = merge_sort_by(&unsorted, cfg, |a, b| a.0 < b.0)?;
-        unsorted.free()?;
-        sorted
-    };
-    joined.free()?;
-    hooks.free()?;
-    Ok(filtered)
-}
-
-/// Pointer-double a parent map until every entry points at a root
-/// (duplicated from `cc` with ownership tweaks; both are `O(Sort·log)`).
-fn compress(mut parents: ExtVec<(u64, u64)>, cfg: &SortConfig) -> Result<ExtVec<(u64, u64)>> {
-    loop {
-        let device = parents.device().clone();
-        let swapped = {
-            let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
-            let mut r = parents.reader();
-            while let Some((x, p)) = r.try_next()? {
-                w.push((p, x))?;
-            }
-            w.finish()?
-        };
-        // The sorted probe side streams straight into the join.
-        let joined = merge_sort_streaming(
-            &swapped,
-            cfg,
-            |a, b| a.0 < b.0,
-            |s| join_left_stream(s, &parents, u64::MAX),
-        )?;
-        swapped.free()?;
-        let mut changed = false;
-        let next = {
-            let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device);
-            let mut r = joined.reader();
-            while let Some((p, x, pp)) = r.try_next()? {
-                if pp == u64::MAX {
-                    w.push((x, p))?;
-                } else {
-                    changed = true;
-                    w.push((x, pp))?;
-                }
-            }
-            let unsorted = w.finish()?;
-            let sorted = merge_sort_by(&unsorted, cfg, |a, b| a.0 < b.0)?;
-            unsorted.free()?;
-            sorted
-        };
-        joined.free()?;
-        parents.free()?;
-        parents = next;
-        if !changed {
-            return Ok(parents);
         }
     }
-}
-
-/// Rewrite both endpoints of the working edges through the parent map,
-/// dropping self-loops and keeping only the lightest edge per label pair.
-fn relabel(
-    work: ExtVec<(u64, u64, u64, u64)>,
-    parents: &ExtVec<(u64, u64)>,
-    cfg: &SortConfig,
-) -> Result<ExtVec<(u64, u64, u64, u64)>> {
-    let device = work.device().clone();
-    // Join on endpoint a: records keyed (a, (b, w, id)); the sorted probe
-    // side streams straight into the join.
-    let keyed_a = {
-        let mut w: ExtVecWriter<(u64, (u64, u64, u64))> = ExtVecWriter::new(device.clone());
-        let mut r = work.reader();
-        while let Some((a, b, wt, id)) = r.try_next()? {
-            w.push((a, (b, wt, id)))?;
-        }
-        w.finish()?
-    };
-    work.free()?;
-    let ja = merge_sort_streaming(
-        &keyed_a,
-        cfg,
-        |x, y| x.0 < y.0,
-        |s| {
-            join_left_stream(s, parents, u64::MAX) // (a, (b,w,id), pa|MAX)
-        },
-    )?;
-    keyed_a.free()?;
-    let keyed_b = {
-        let mut w: ExtVecWriter<(u64, (u64, u64, u64))> = ExtVecWriter::new(device.clone());
-        let mut r = ja.reader();
-        while let Some((a, (b, wt, id), pa)) = r.try_next()? {
-            let a2 = if pa == u64::MAX { a } else { pa };
-            w.push((b, (a2, wt, id)))?;
-        }
-        w.finish()?
-    };
-    ja.free()?;
-    let jb = merge_sort_streaming(
-        &keyed_b,
-        cfg,
-        |x, y| x.0 < y.0,
-        |s| join_left_stream(s, parents, u64::MAX),
-    )?;
-    keyed_b.free()?;
-    let relabeled = {
-        let mut w: ExtVecWriter<(u64, u64, u64, u64)> = ExtVecWriter::new(device.clone());
-        let mut r = jb.reader();
-        while let Some((b, (a2, wt, id), pb)) = r.try_next()? {
-            let b2 = if pb == u64::MAX { b } else { pb };
-            if a2 != b2 {
-                w.push((a2.min(b2), a2.max(b2), wt, id))?;
-            }
-        }
-        w.finish()?
-    };
-    jb.free()?;
-    // Keep only the lightest edge per label pair: sort + prune fused.
-    let pruned = merge_sort_streaming(
-        &relabeled,
-        cfg,
-        |x: &(u64, u64, u64, u64), y: &(u64, u64, u64, u64)| {
-            (x.0, x.1, x.2, x.3) < (y.0, y.1, y.2, y.3)
-        },
-        |r| {
-            let mut w: ExtVecWriter<(u64, u64, u64, u64)> = ExtVecWriter::new(device);
-            let mut cur: Option<(u64, u64)> = None;
-            while let Some(e) = r.try_next()? {
-                if cur != Some((e.0, e.1)) {
-                    cur = Some((e.0, e.1));
-                    w.push(e)?;
-                }
-            }
-            w.finish()
-        },
-    )?;
-    relabeled.free()?;
-    Ok(pruned)
+    joined.free()?;
+    kept_w.finish_sorted()
 }
 
 /// In-memory Kruskal on the contracted edge set; returns chosen original
@@ -315,25 +177,9 @@ fn relabel(
 fn in_memory_msf(work: &ExtVec<(u64, u64, u64, u64)>) -> Result<Vec<u64>> {
     let mut es = work.to_vec()?;
     es.sort_unstable_by_key(|&(_, _, w, id)| (w, id));
-    let mut parent: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
-    fn find(p: &mut std::collections::HashMap<u64, u64>, x: u64) -> u64 {
-        let q = *p.entry(x).or_insert(x);
-        if q == x {
-            return x;
-        }
-        let r = find(p, q);
-        p.insert(x, r);
-        r
-    }
-    let mut out = Vec::new();
-    for (a, b, _w, id) in es {
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-        if ra != rb {
-            parent.insert(ra.max(rb), ra.min(rb));
-            out.push(id);
-        }
-    }
-    Ok(out)
+    let mut labels = Labels::default();
+    es.retain(|&(a, b, _, _)| labels.union(a, b));
+    Ok(es.into_iter().map(|(_, _, _, id)| id).collect())
 }
 
 #[cfg(test)]

@@ -1,86 +1,40 @@
-//! Merge-join helpers over sorted external arrays.
+//! The merge-join every contraction step is built from.
 //!
 //! Every algorithm in this crate is assembled from sorts (delegated to
-//! `emsort`) plus the streaming joins below.  All joins consume their inputs
-//! with one-block readers and emit with a one-block writer, so each costs
-//! `O(scan)` I/Os.
+//! `emsort`) plus streaming joins.  The join below consumes a sort's final
+//! merge as its probe side and reads the other side with a one-block reader,
+//! so it costs `O(scan)` I/Os.
 
 use em_core::{ExtVec, ExtVecWriter, Record};
 use emsort::SortedStream;
 use pdm::Result;
 
-/// Inner-join two arrays sorted by their `u64` key (`.0`): for every pair of
-/// records `a = (k, x)` and `b = (k, y)` with equal keys, emit `(k, x, y)`.
-///
-/// `b`'s keys must be unique (it is the "dimension" side); `a` may repeat
-/// keys.  Keys of `a` absent from `b` are dropped.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn join_unique<X: Record, Y: Record>(
-    a: &ExtVec<(u64, X)>,
-    b: &ExtVec<(u64, Y)>,
-) -> Result<ExtVec<(u64, X, Y)>> {
-    let mut out: ExtVecWriter<(u64, X, Y)> = ExtVecWriter::new(a.device().clone());
-    let mut ra = a.reader();
-    let mut rb = b.reader();
-    let mut cur_b: Option<(u64, Y)> = rb.try_next()?;
-    while let Some((k, x)) = ra.try_next()? {
-        while cur_b.as_ref().is_some_and(|(bk, _)| *bk < k) {
-            cur_b = rb.try_next()?;
-        }
-        if let Some((bk, y)) = &cur_b {
-            if *bk == k {
-                out.push((k, x, y.clone()))?;
-            }
-        }
-    }
-    out.finish()
-}
-
-/// Left-outer variant of [`join_unique`]: keys of `a` with no match in `b`
-/// emit `(k, x, default)`.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn join_left<X: Record, Y: Record>(
-    a: &ExtVec<(u64, X)>,
+/// Left-outer merge-join of the stream `a`, sorted by `key`, against `b`,
+/// sorted by its unique `u64` key (`.0`): every record of `a` is emitted
+/// once, paired with the value `b` holds for its key, or with `default` when
+/// `b` has no such key.  `a` arrives straight off a sort's final merge pass
+/// instead of being materialized first, so the join costs one read of `b`
+/// and one write of the result.
+pub(crate) fn join_left_stream<A: Record, Y: Record, F>(
+    a: &mut SortedStream<'_, A, F>,
+    key: impl Fn(&A) -> u64,
     b: &ExtVec<(u64, Y)>,
     default: Y,
-) -> Result<ExtVec<(u64, X, Y)>> {
-    let mut out: ExtVecWriter<(u64, X, Y)> = ExtVecWriter::new(a.device().clone());
-    let mut ra = a.reader();
-    let mut rb = b.reader();
-    let mut cur_b: Option<(u64, Y)> = rb.try_next()?;
-    while let Some((k, x)) = ra.try_next()? {
-        while cur_b.as_ref().is_some_and(|(bk, _)| *bk < k) {
-            cur_b = rb.try_next()?;
-        }
-        match &cur_b {
-            Some((bk, y)) if *bk == k => out.push((k, x, y.clone()))?,
-            _ => out.push((k, x, default.clone()))?,
-        }
-    }
-    out.finish()
-}
-
-/// [`join_left`] with the probe side delivered as a [`SortedStream`]: `a`
-/// arrives straight off a sort's final merge pass instead of being
-/// materialized first, saving the probe side's write + re-read scans.
-pub(crate) fn join_left_stream<X: Record, Y: Record, F>(
-    a: &mut SortedStream<'_, (u64, X), F>,
-    b: &ExtVec<(u64, Y)>,
-    default: Y,
-) -> Result<ExtVec<(u64, X, Y)>>
+) -> Result<ExtVec<(A, Y)>>
 where
-    F: Fn(&(u64, X), &(u64, X)) -> bool + Copy,
+    F: Fn(&A, &A) -> bool + Copy,
 {
-    let mut out: ExtVecWriter<(u64, X, Y)> = ExtVecWriter::new(b.device().clone());
+    let mut out: ExtVecWriter<(A, Y)> = ExtVecWriter::new(b.device().clone());
     let mut rb = b.reader();
     let mut cur_b: Option<(u64, Y)> = rb.try_next()?;
-    while let Some((k, x)) = a.try_next()? {
+    while let Some(rec) = a.try_next()? {
+        let k = key(&rec);
         while cur_b.as_ref().is_some_and(|(bk, _)| *bk < k) {
             cur_b = rb.try_next()?;
         }
         match &cur_b {
-            Some((bk, y)) if *bk == k => out.push((k, x, y.clone()))?,
-            _ => out.push((k, x, default.clone()))?,
+            Some((bk, y)) if *bk == k => out.push((rec, y.clone()))?,
+            _ => out.push((rec, default.clone()))?,
         }
     }
     out.finish()
@@ -90,46 +44,47 @@ where
 mod tests {
     use super::*;
     use em_core::EmConfig;
+    use emsort::{merge_sort_streaming, SortConfig};
     use pdm::SharedDevice;
 
     fn device() -> SharedDevice {
         EmConfig::new(128, 8).ram_disk()
     }
 
-    #[test]
-    fn join_unique_basic() {
-        let d = device();
-        let a = ExtVec::from_slice(d.clone(), &[(1u64, 10u64), (2, 20), (2, 21), (5, 50)]).unwrap();
-        let b = ExtVec::from_slice(d, &[(1u64, 100u64), (2, 200), (3, 300)]).unwrap();
-        let j = join_unique(&a, &b).unwrap();
-        assert_eq!(
-            j.to_vec().unwrap(),
-            vec![(1, 10, 100), (2, 20, 200), (2, 21, 200)]
-        );
+    fn join(a: &ExtVec<(u64, u64)>, b: &ExtVec<(u64, u64)>) -> Vec<((u64, u64), u64)> {
+        let joined = merge_sort_streaming(
+            a,
+            &SortConfig::new(64),
+            |x, y| x.0 < y.0,
+            |s| join_left_stream(s, |r| r.0, b, u64::MAX),
+        )
+        .unwrap();
+        joined.to_vec().unwrap()
     }
 
     #[test]
     fn join_left_fills_default() {
         let d = device();
-        let a = ExtVec::from_slice(d.clone(), &[(1u64, 10u64), (4, 40)]).unwrap();
-        let b = ExtVec::from_slice(d, &[(1u64, 100u64)]).unwrap();
-        let j = join_left(&a, &b, u64::MAX).unwrap();
-        assert_eq!(j.to_vec().unwrap(), vec![(1, 10, 100), (4, 40, u64::MAX)]);
+        let a = ExtVec::from_slice(d.clone(), &[(4u64, 40u64), (2, 20), (1, 10), (2, 21)]).unwrap();
+        let b = ExtVec::from_slice(d, &[(1u64, 100u64), (2, 200), (3, 300)]).unwrap();
+        assert_eq!(
+            join(&a, &b),
+            vec![
+                ((1, 10), 100),
+                ((2, 20), 200),
+                ((2, 21), 200),
+                ((4, 40), u64::MAX)
+            ]
+        );
     }
 
     #[test]
     fn join_empty_sides() {
         let d = device();
-        let a: ExtVec<(u64, u64)> = ExtVec::new(d.clone());
-        let b = ExtVec::from_slice(d.clone(), &[(1u64, 1u64)]).unwrap();
-        assert!(join_unique(&a, &b).unwrap().is_empty());
-        let a2 = ExtVec::from_slice(d.clone(), &[(1u64, 1u64)]).unwrap();
-        let b2: ExtVec<(u64, u64)> = ExtVec::new(d);
-        assert!(join_unique(&a2, &b2).unwrap().is_empty());
-        assert_eq!(
-            join_left(&a2, &b2, 9u64).unwrap().to_vec().unwrap(),
-            vec![(1, 1, 9)]
-        );
+        let none: ExtVec<(u64, u64)> = ExtVec::new(d.clone());
+        let one = ExtVec::from_slice(d, &[(1u64, 1u64)]).unwrap();
+        assert!(join(&none, &one).is_empty());
+        assert_eq!(join(&one, &none), vec![((1, 1), u64::MAX)]);
     }
 
     #[test]
@@ -138,12 +93,21 @@ mod tests {
         let a_data: Vec<(u64, u64)> = (0..1000u64).map(|i| (i, i)).collect();
         let a = ExtVec::from_slice(d.clone(), &a_data).unwrap();
         let b = ExtVec::from_slice(d.clone(), &a_data).unwrap();
+        // One run (M ≥ N), so the sort itself is one read of `a` + one run
+        // written and re-read by the streamed merge: 3 × 125 blocks.
+        let cfg = SortConfig::new(1024);
         let before = d.stats().snapshot();
-        let j = join_unique(&a, &b).unwrap();
+        let j = merge_sort_streaming(
+            &a,
+            &cfg,
+            |x, y| x.0 < y.0,
+            |s| join_left_stream(s, |r| r.0, &b, u64::MAX),
+        )
+        .unwrap();
         let ios = d.stats().snapshot().since(&before).total();
         assert_eq!(j.len(), 1000);
-        // reads: a (125 blocks of 8 pairs) + b (125) ; writes: 1000 triples
-        // at 5/block = 200 → well under 3 scans.
-        assert!(ios <= 460, "join cost {ios}");
+        // The join adds one read of b (125 blocks of 8 pairs) and one write
+        // of 1000 triples at 5 per block (200) — nothing per record.
+        assert!(ios <= 3 * 125 + 125 + 200, "sort + join cost {ios}");
     }
 }

@@ -96,8 +96,6 @@ pub struct ServeConfig {
     pub absorber_mem: usize,
     /// Per-tenant hot-cache budget (records, shared across shards).
     pub cache_records: usize,
-    /// `true` = absorber batching; `false` = write-through to the B+-tree.
-    pub batched: bool,
 }
 
 impl ServeConfig {
@@ -113,7 +111,6 @@ impl ServeConfig {
             pool_frames: 64,
             absorber_mem: 4096,
             cache_records: 1024,
-            batched: true,
         }
     }
 }
@@ -523,23 +520,9 @@ where
     fn write(&mut self, tenant: u32, op_id: u64, k: K, op: Option<V>) {
         // A stale cached value must never outlive the write that changed it.
         self.with_cache(tenant, |c| c.invalidate(&k));
-        if self.cfg.batched {
-            self.shard.enqueue(tenant, op_id, k, op);
-            if self.shard.batch_len() >= self.cfg.batch_max {
-                self.flush_open_batch();
-            }
-        } else {
-            let res = match op {
-                Some(v) => self.shard.put_direct(tenant, k, v),
-                None => self.shard.delete_direct(tenant, k),
-            };
-            match res {
-                Ok(()) => {
-                    self.sink.acked_write(tenant, op_id);
-                    self.stats.record_acked_write();
-                }
-                Err(e) => self.fail(e),
-            }
+        self.shard.enqueue(tenant, op_id, k, op);
+        if self.shard.batch_len() >= self.cfg.batch_max {
+            self.flush_open_batch();
         }
     }
 
@@ -681,37 +664,34 @@ mod tests {
 
     #[test]
     fn range_merges_across_shards_and_modes_agree() {
-        for batched in [false, true] {
-            let mut cfg = ServeConfig::new(3, 1);
-            cfg.batched = batched;
-            cfg.batch_max = 4;
-            let srv: Server<u64, u64> = Server::new(ram_array(3), cfg, Arc::new(NullSink)).unwrap();
-            for k in 0..50u64 {
-                srv.submit(Request {
-                    tenant: 0,
-                    op_id: k,
-                    kind: ReqKind::Put(k, k + 1),
-                })
-                .unwrap();
-            }
-            for k in (0..50u64).step_by(3) {
-                srv.submit(Request {
-                    tenant: 0,
-                    op_id: 100 + k,
-                    kind: ReqKind::Delete(k),
-                })
-                .unwrap();
-            }
-            let got = srv.range(0, 10, 20).unwrap();
-            let want: Vec<(u64, u64)> = (10..=20)
-                .filter(|k| k % 3 != 0)
-                .map(|k| (k, k + 1))
-                .collect();
-            assert_eq!(got, want, "batched={batched}");
-            srv.compact_all().unwrap();
-            assert_eq!(srv.range(0, 10, 20).unwrap(), want, "post-compact");
-            srv.shutdown().unwrap();
+        let mut cfg = ServeConfig::new(3, 1);
+        cfg.batch_max = 4;
+        let srv: Server<u64, u64> = Server::new(ram_array(3), cfg, Arc::new(NullSink)).unwrap();
+        for k in 0..50u64 {
+            srv.submit(Request {
+                tenant: 0,
+                op_id: k,
+                kind: ReqKind::Put(k, k + 1),
+            })
+            .unwrap();
         }
+        for k in (0..50u64).step_by(3) {
+            srv.submit(Request {
+                tenant: 0,
+                op_id: 100 + k,
+                kind: ReqKind::Delete(k),
+            })
+            .unwrap();
+        }
+        let got = srv.range(0, 10, 20).unwrap();
+        let want: Vec<(u64, u64)> = (10..=20)
+            .filter(|k| k % 3 != 0)
+            .map(|k| (k, k + 1))
+            .collect();
+        assert_eq!(got, want);
+        srv.compact_all().unwrap();
+        assert_eq!(srv.range(0, 10, 20).unwrap(), want, "post-compact");
+        srv.shutdown().unwrap();
     }
 
     #[test]

@@ -241,7 +241,7 @@ where
         self.batch_opened
     }
 
-    /// Queue a write into the open batch (batched path).  Visible to reads
+    /// Queue a write into the open batch.  Visible to reads
     /// immediately via the delta; acknowledged only once flushed.
     pub fn enqueue(&mut self, tenant: u32, op_id: u64, key: K, op: Option<V>) {
         let ik = (tenant, key);
@@ -312,18 +312,6 @@ where
         journal.set_manifest("btree", bm);
         journal.set_manifest("absorber", self.absorber.manifest_bytes());
         journal.checkpoint()
-    }
-
-    /// Write-through put (unbatched path): straight into the B+-tree.
-    pub fn put_direct(&mut self, tenant: u32, key: K, value: V) -> Result<()> {
-        self.tree.insert((tenant, key), value)?;
-        Ok(())
-    }
-
-    /// Write-through delete (unbatched path).
-    pub fn delete_direct(&mut self, tenant: u32, key: K) -> Result<()> {
-        self.tree.remove(&(tenant, key))?;
-        Ok(())
     }
 
     /// Point lookup: delta overlay first (read-your-writes, including the
@@ -818,17 +806,5 @@ mod tests {
         assert_eq!(wal.checkpoints, 40);
         assert_eq!(wal.shadow_writes, 0);
         assert_eq!(wal.apply_reads + wal.apply_writes, 0);
-    }
-
-    #[test]
-    fn direct_path_bypasses_the_absorber() {
-        let mut s = ram_shard(1_000_000);
-        s.put_direct(3, 1, 11).unwrap();
-        s.put_direct(3, 2, 22).unwrap();
-        s.delete_direct(3, 1).unwrap();
-        assert_eq!(s.pending(), 0);
-        assert_eq!(s.get(3, &1).unwrap(), None);
-        assert_eq!(s.get(3, &2).unwrap(), Some(22));
-        assert_eq!(s.tree_len(), 1);
     }
 }

@@ -12,17 +12,8 @@ pub(crate) struct MinHeap<T, F> {
 }
 
 impl<T, F: FnMut(&T, &T) -> bool> MinHeap<T, F> {
-    /// Create an empty heap; `less(a, b)` must return true iff `a` orders
-    /// strictly before `b`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn new(less: F) -> Self {
-        MinHeap {
-            items: Vec::new(),
-            less,
-        }
-    }
-
-    /// Create with pre-reserved capacity.
+    /// Create an empty heap with pre-reserved capacity; `less(a, b)` must
+    /// return true iff `a` orders strictly before `b`.
     pub fn with_capacity(cap: usize, less: F) -> Self {
         MinHeap {
             items: Vec::with_capacity(cap),
@@ -108,7 +99,7 @@ mod tests {
 
     #[test]
     fn drains_in_order() {
-        let mut h = MinHeap::new(|a: &i32, b: &i32| a < b);
+        let mut h = MinHeap::with_capacity(0, |a: &i32, b: &i32| a < b);
         for x in [5, 1, 4, 1, 3, 9, 2, 6] {
             h.push(x);
         }
@@ -121,7 +112,7 @@ mod tests {
 
     #[test]
     fn custom_comparator_reverses() {
-        let mut h = MinHeap::new(|a: &i32, b: &i32| a > b); // max-heap
+        let mut h = MinHeap::with_capacity(0, |a: &i32, b: &i32| a > b); // max-heap
         for x in [3, 7, 1] {
             h.push(x);
         }
@@ -133,7 +124,7 @@ mod tests {
 
     #[test]
     fn replace_min_keeps_heap_property() {
-        let mut h = MinHeap::new(|a: &i32, b: &i32| a < b);
+        let mut h = MinHeap::with_capacity(0, |a: &i32, b: &i32| a < b);
         for x in [4, 8, 6] {
             h.push(x);
         }
@@ -161,7 +152,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "replace_min on empty heap")]
     fn replace_min_empty_panics() {
-        let mut h = MinHeap::new(|a: &i32, b: &i32| a < b);
+        let mut h = MinHeap::with_capacity(0, |a: &i32, b: &i32| a < b);
         h.replace_min(1);
     }
 }

@@ -245,36 +245,7 @@ impl DiskArray {
     }
 
     /// Create an array of `d` file-backed disks under `dir` (one file per
-    /// disk — the real parallel-disk layout) with physical block size
-    /// `physical_block` bytes, executing transfers synchronously.
-    pub fn new_file(
-        dir: &std::path::Path,
-        d: usize,
-        physical_block: usize,
-        placement: Placement,
-    ) -> Result<Arc<Self>> {
-        Self::new_file_with(dir, d, physical_block, placement, IoMode::Synchronous)
-    }
-
-    /// Create an array of `d` file-backed disks with an explicit [`IoMode`].
-    pub fn new_file_with(
-        dir: &std::path::Path,
-        d: usize,
-        physical_block: usize,
-        placement: Placement,
-        mode: IoMode,
-    ) -> Result<Arc<Self>> {
-        Self::new_file_with_service(
-            dir,
-            d,
-            physical_block,
-            placement,
-            mode,
-            std::time::Duration::ZERO,
-        )
-    }
-
-    /// Create an array of `d` file-backed disks whose every block transfer
+    /// disk — the real parallel-disk layout) whose every block transfer
     /// additionally occupies its disk for `service` of wall-clock time.
     ///
     /// This is the wall-clock grounding of the PDM cost model: with the OS
@@ -314,46 +285,6 @@ impl DiskArray {
             stats,
             mode,
             RetryPolicy::none(),
-        )))
-    }
-
-    /// Create an array of `d` file-backed disks under `dir`, each wrapped in
-    /// a [`FaultDisk`] executing `plans[lane]`, with transient errors
-    /// retried under `retry`.  The file-backed twin of
-    /// [`new_ram_faulty`](Self::new_ram_faulty).
-    pub fn new_file_faulty(
-        dir: &std::path::Path,
-        d: usize,
-        physical_block: usize,
-        placement: Placement,
-        mode: IoMode,
-        plans: &[FaultPlan],
-        retry: RetryPolicy,
-    ) -> Result<Arc<Self>> {
-        assert!(d >= 1, "need at least one disk");
-        assert!(physical_block > 0);
-        assert_eq!(plans.len(), d, "one fault plan per member disk");
-        std::fs::create_dir_all(dir)?;
-        let stats = IoStats::new(d, physical_block);
-        let mut disks: Vec<Arc<dyn BlockDevice>> = Vec::with_capacity(d);
-        for (lane, plan) in plans.iter().enumerate() {
-            let path = dir.join(format!("disk{lane}.bin"));
-            let file = Arc::new(FileDisk::create_with_stats(
-                path,
-                physical_block,
-                Arc::clone(&stats),
-                lane,
-                std::time::Duration::ZERO,
-            )?) as Arc<dyn BlockDevice>;
-            disks.push(FaultDisk::wrap(file, plan.clone()) as Arc<dyn BlockDevice>);
-        }
-        Ok(Arc::new(Self::assemble(
-            disks,
-            placement,
-            physical_block,
-            stats,
-            mode,
-            retry,
         )))
     }
 
@@ -1130,16 +1061,24 @@ mod fault_tests {
         let plans: Vec<FaultPlan> = (0..2)
             .map(|i| FaultPlan::new(50 + i as u64).with_transient(500, 1))
             .collect();
-        let arr = DiskArray::new_file_faulty(
-            &dir,
-            2,
-            16,
+        std::fs::create_dir_all(&dir).unwrap();
+        let stats = IoStats::new(2, 16);
+        let disks = plans
+            .iter()
+            .enumerate()
+            .map(|(lane, plan)| {
+                let path = dir.join(format!("disk{lane}.bin"));
+                let zero = std::time::Duration::ZERO;
+                let file = FileDisk::create_with_stats(path, 16, Arc::clone(&stats), lane, zero);
+                FaultDisk::wrap(Arc::new(file.unwrap()), plan.clone()) as Arc<dyn BlockDevice>
+            })
+            .collect();
+        let arr = DiskArray::from_devices(
+            disks,
             Placement::Independent,
             IoMode::Synchronous,
-            &plans,
             RetryPolicy::new(3, std::time::Duration::ZERO),
-        )
-        .unwrap();
+        );
         let out = workload(&arr, 10).unwrap();
         assert_eq!(out.len(), 10);
         for (i, block) in out.iter().enumerate() {
@@ -1159,10 +1098,20 @@ mod file_array_tests {
         p
     }
 
+    fn file_array(
+        dir: &std::path::Path,
+        d: usize,
+        placement: Placement,
+        mode: IoMode,
+    ) -> Arc<DiskArray> {
+        let zero = std::time::Duration::ZERO;
+        DiskArray::new_file_with_service(dir, d, 16, placement, mode, zero).unwrap()
+    }
+
     #[test]
     fn file_backed_striped_round_trip() {
         let dir = tmpdir("striped");
-        let arr = DiskArray::new_file(&dir, 3, 16, Placement::Striped).unwrap();
+        let arr = file_array(&dir, 3, Placement::Striped, IoMode::Synchronous);
         assert_eq!(arr.block_size(), 48);
         let id = arr.allocate().unwrap();
         let data: Vec<u8> = (0..48).collect();
@@ -1182,7 +1131,7 @@ mod file_array_tests {
     #[test]
     fn file_backed_independent_round_trip() {
         let dir = tmpdir("indep");
-        let arr = DiskArray::new_file(&dir, 2, 16, Placement::Independent).unwrap();
+        let arr = file_array(&dir, 2, Placement::Independent, IoMode::Synchronous);
         let a = arr.allocate().unwrap();
         let b = arr.allocate().unwrap();
         assert_ne!(arr.disk_of(a), arr.disk_of(b));
@@ -1199,8 +1148,7 @@ mod file_array_tests {
     #[test]
     fn file_backed_overlapped_round_trip() {
         let dir = tmpdir("overlapped");
-        let arr =
-            DiskArray::new_file_with(&dir, 2, 16, Placement::Striped, IoMode::Overlapped).unwrap();
+        let arr = file_array(&dir, 2, Placement::Striped, IoMode::Overlapped);
         let id = arr.allocate().unwrap();
         let data: Vec<u8> = (0..32).collect();
         arr.write_block(id, &data).unwrap();

@@ -87,4 +87,4 @@ pub use pool::{BufferPool, EvictionPolicy, FrameGuard, FrameGuardMut, PoolStats}
 pub use ram_disk::RamDisk;
 pub use sched::{IoMode, IoScheduler, IoTicket, RetryPolicy};
 pub use stats::{IoSnapshot, IoStats};
-pub use wal::{Journal, RecoverableDisk, WalOverhead};
+pub use wal::{Journal, WalOverhead};

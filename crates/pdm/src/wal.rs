@@ -84,9 +84,6 @@
 //! to the transfer.  Per checkpoint that is
 //! `2 + O(rewritten committed blocks + manifest bytes / B)` transfers: what
 //! the epoch allocated and filled costs nothing extra, however much it was.
-//! A [`passthrough`](Journal::passthrough) journal forwards
-//! everything and makes `checkpoint` a no-op, for call sites that want one
-//! code path with journaling switched off.
 //!
 //! Shadow and chain blocks are allocated through the wrapped device's normal
 //! allocator, so on a multi-disk array their *lane* follows the allocation
@@ -208,8 +205,8 @@ struct WalState {
 /// [`set_manifest`](Self::set_manifest), [`recover`](Self::recover).
 pub struct Journal {
     inner: SharedDevice,
-    /// `[clean slot, committed slot]`; `None` in passthrough mode.
-    headers: Option<[BlockId; 2]>,
+    /// `[clean slot, committed slot]`.
+    headers: [BlockId; 2],
     state: Mutex<WalState>,
     shadow_writes: AtomicU64,
     chain_writes: AtomicU64,
@@ -220,11 +217,6 @@ pub struct Journal {
     apply_writes: AtomicU64,
     checkpoints: AtomicU64,
 }
-
-/// The "recoverable disk" face of the journal: the same object, named for
-/// what it looks like from above — a [`BlockDevice`] whose contents survive
-/// crashes at last-checkpoint granularity.
-pub type RecoverableDisk = Journal;
 
 impl Journal {
     fn empty_state() -> WalState {
@@ -238,7 +230,7 @@ impl Journal {
         }
     }
 
-    fn bare(inner: SharedDevice, headers: Option<[BlockId; 2]>) -> Journal {
+    fn bare(inner: SharedDevice, headers: [BlockId; 2]) -> Journal {
         Journal {
             inner,
             headers,
@@ -268,18 +260,10 @@ impl Journal {
         );
         let h0 = inner.allocate()?;
         let h1 = inner.allocate()?;
-        let j = Self::bare(inner, Some([h0, h1]));
+        let j = Self::bare(inner, [h0, h1]);
         j.write_header(h0, 0, STATE_CLEAN, NONE)?;
         // Slot 1 stays zeroed (invalid) until the first commit.
         Ok(Arc::new(j))
-    }
-
-    /// A disabled journal: every operation forwards to `inner`,
-    /// [`checkpoint`](Self::checkpoint) is a free no-op, manifests live in
-    /// memory only.  Zero transfer overhead — the bare-device counts are
-    /// untouched.
-    pub fn passthrough(inner: SharedDevice) -> Arc<Journal> {
-        Arc::new(Self::bare(inner, None))
     }
 
     /// Reopen a journal after a crash, given the surviving medium and the
@@ -294,7 +278,7 @@ impl Journal {
     /// wrote.  Manifests stored at the recovered checkpoint are available
     /// through [`manifest`](Self::manifest).
     pub fn recover(inner: SharedDevice, headers: [BlockId; 2]) -> Result<Arc<Journal>> {
-        let j = Self::bare(inner, Some(headers));
+        let j = Self::bare(inner, headers);
         let newest = {
             let a = j.read_header(headers[0])?;
             let b = j.read_header(headers[1])?;
@@ -334,16 +318,11 @@ impl Journal {
         Ok(Arc::new(j))
     }
 
-    /// The two header block ids, or `None` for a passthrough journal.  Keep
-    /// these: they are what [`recover`](Self::recover) needs after a crash.
+    /// The two header block ids — always `Some`; the `Option` dates from a
+    /// journal that could be switched off.  Keep these: they are what
+    /// [`recover`](Self::recover) needs after a crash.
     pub fn header_blocks(&self) -> Option<[BlockId; 2]> {
-        self.headers
-    }
-
-    /// Whether this journal actually journals (false for
-    /// [`passthrough`](Self::passthrough)).
-    pub fn is_enabled(&self) -> bool {
-        self.headers.is_some()
+        Some(self.headers)
     }
 
     /// The wrapped device.
@@ -386,8 +365,7 @@ impl Journal {
 
     /// Commit the current epoch; see the `wal` module docs for the five
     /// steps.  After `Ok(())` every write since the previous checkpoint has
-    /// reached its home block and the deferred frees have executed.  On a
-    /// passthrough journal this is a no-op.
+    /// reached its home block and the deferred frees have executed.
     ///
     /// The caller must have completed (waited on) its own submitted writes
     /// first — a buffer pool flush, a stream writer finish.  As a safety
@@ -395,9 +373,6 @@ impl Journal {
     /// first, so a lost write-behind fails the checkpoint instead of being
     /// committed around.
     pub fn checkpoint(&self) -> Result<()> {
-        let Some(headers) = self.headers else {
-            return Ok(());
-        };
         self.inner.barrier()?;
         let mut st = self.state.lock();
         let entries: Vec<(BlockId, BlockId, u64)> = st
@@ -411,7 +386,7 @@ impl Journal {
         let commit_seq = st.seq + 1;
         debug_assert_eq!(commit_seq % 2, 1, "commit sequence numbers are odd");
         // The commit point: one header write.
-        self.write_header(headers[1], commit_seq, STATE_COMMITTED, chain_head)?;
+        self.write_header(self.headers[1], commit_seq, STATE_COMMITTED, chain_head)?;
         // Apply shadows onto homes.
         let bs = self.inner.block_size();
         let mut buf = vec![0u8; bs];
@@ -421,7 +396,7 @@ impl Journal {
             self.inner.write_block(home, &buf)?;
             self.apply_writes.fetch_add(1, Ordering::Relaxed);
         }
-        self.write_header(headers[0], commit_seq + 1, STATE_CLEAN, chain_head)?;
+        self.write_header(self.headers[0], commit_seq + 1, STATE_CLEAN, chain_head)?;
         // Retire: the epoch is durable, nothing can rewind past it anymore.
         for id in std::mem::take(&mut st.committed_chain) {
             self.inner.free(id)?;
@@ -615,16 +590,11 @@ impl BlockDevice for Journal {
 
     fn allocate(&self) -> Result<BlockId> {
         let id = self.inner.allocate()?;
-        if self.headers.is_some() {
-            self.state.lock().fresh.insert(id);
-        }
+        self.state.lock().fresh.insert(id);
         Ok(id)
     }
 
     fn free(&self, id: BlockId) -> Result<()> {
-        if self.headers.is_none() {
-            return self.inner.free(id);
-        }
         let mut st = self.state.lock();
         if st.fresh.remove(&id) {
             // Born and freed inside one epoch: no checkpoint ever saw it.
@@ -641,23 +611,10 @@ impl BlockDevice for Journal {
     }
 
     fn read_block(&self, id: BlockId, buf: &mut [u8]) -> Result<()> {
-        let target = match self.headers {
-            None => id,
-            Some(_) => self
-                .state
-                .lock()
-                .pending
-                .get(&id)
-                .map(|e| e.shadow)
-                .unwrap_or(id),
-        };
-        self.inner.read_block(target, buf)
+        self.inner.read_block(self.read_target(id), buf)
     }
 
     fn write_block(&self, id: BlockId, buf: &[u8]) -> Result<()> {
-        if self.headers.is_none() {
-            return self.inner.write_block(id, buf);
-        }
         let target = self.redirect_write(id, buf)?;
         self.inner.write_block(target, buf)
     }
@@ -685,23 +642,10 @@ impl BlockDevice for Journal {
     }
 
     fn submit_read(&self, id: BlockId, buf: Box<[u8]>) -> IoTicket {
-        let target = match self.headers {
-            None => id,
-            Some(_) => self
-                .state
-                .lock()
-                .pending
-                .get(&id)
-                .map(|e| e.shadow)
-                .unwrap_or(id),
-        };
-        self.inner.submit_read(target, buf)
+        self.inner.submit_read(self.read_target(id), buf)
     }
 
     fn submit_write(&self, id: BlockId, buf: Box<[u8]>) -> IoTicket {
-        if self.headers.is_none() {
-            return self.inner.submit_write(id, buf);
-        }
         match self.redirect_write(id, &buf) {
             Ok(target) => self.inner.submit_write(target, buf),
             Err(e) => IoTicket::ready(Err(e)),
@@ -714,6 +658,12 @@ impl BlockDevice for Journal {
 }
 
 impl Journal {
+    /// Where `id`'s current contents live: its shadow while a write to it is
+    /// pending, else the block itself.
+    fn read_target(&self, id: BlockId) -> BlockId {
+        self.state.lock().pending.get(&id).map_or(id, |e| e.shadow)
+    }
+
     /// Where a write to `id` must land.  A block born this epoch is its own
     /// target; a committed home gets (or keeps) its shadow, whose payload
     /// checksum is updated.
@@ -754,24 +704,6 @@ mod tests {
 
     fn block(fill: u8) -> Vec<u8> {
         vec![fill; BS]
-    }
-
-    #[test]
-    fn passthrough_is_transparent() {
-        let ram = RamDisk::new(BS);
-        let j = Journal::passthrough(Arc::clone(&ram) as SharedDevice);
-        assert!(!j.is_enabled());
-        let id = j.allocate().unwrap();
-        j.write_block(id, &block(7)).unwrap();
-        let mut out = block(0);
-        j.read_block(id, &mut out).unwrap();
-        assert_eq!(out, block(7));
-        j.checkpoint().unwrap();
-        let snap = j.stats().snapshot();
-        assert_eq!(snap.total(), 2, "no journal transfers at all");
-        assert_eq!(j.overhead().total(), 0);
-        j.free(id).unwrap();
-        assert_eq!(ram.allocated_blocks(), 0);
     }
 
     /// A journal with `n` zeroed blocks the last checkpoint committed.

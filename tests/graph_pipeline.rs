@@ -1,8 +1,14 @@
 //! Cross-crate graph pipeline: the same structural facts computed through
 //! independent algorithm stacks must agree.
 
-use em_core::{EmConfig, ExtVec};
-use emgraph::{bfs_mr, connected_components, gen, list_rank, time_forward, tree_depths};
+use em_core::{EmConfig, ExtVec, Record};
+use emgeom::{
+    batched_range_reporting, dominance_count, segment_intersections, HSeg, Point, Rect, VSeg,
+};
+use emgraph::{
+    bfs_mr, connected_components, gen, list_rank, minimum_spanning_forest, time_forward,
+    tree_depths,
+};
 use emsort::{OverlapConfig, SortConfig};
 use pdm::{DiskArray, IoMode, Placement, SharedDevice};
 
@@ -62,6 +68,27 @@ fn components_count_matches_forest_structure() {
     assert_eq!(distinct.len() as u64, k);
     // Labels are the component minima: exactly the multiples of n_each.
     assert_eq!(distinct, (0..k).map(|c| c * n_each).collect::<Vec<_>>());
+
+    // The two users of the shared contraction agree with each other: the
+    // MSF of the same graph has V − components edges, and those edges alone
+    // connect exactly what the whole graph connects.
+    let weighted: Vec<(u64, u64, u64)> = g
+        .to_vec()
+        .unwrap()
+        .into_iter()
+        .enumerate()
+        .map(|(i, (a, b))| (a, b, (i as u64 * 7919) % 1009))
+        .collect();
+    let weighted = ExtVec::from_slice(device.clone(), &weighted).unwrap();
+    let forest = minimum_spanning_forest(&weighted, k * n_each, &sc)
+        .unwrap()
+        .to_vec()
+        .unwrap();
+    assert_eq!(forest.len() as u64, k * n_each - k);
+    let forest_edges: Vec<(u64, u64)> = forest.iter().map(|&(a, b, _)| (a, b)).collect();
+    let forest_edges = ExtVec::from_slice(device, &forest_edges).unwrap();
+    let forest_labels = connected_components(&forest_edges, k * n_each, &sc).unwrap();
+    assert_eq!(forest_labels.to_vec().unwrap(), labels);
 }
 
 #[test]
@@ -89,30 +116,35 @@ fn time_forward_computes_bfs_layers_on_a_dag() {
 /// One algorithm's output and the `(reads, writes)` it cost.
 type Round = (Vec<(u64, u64)>, (u64, u64));
 
-/// BFS, connected components and list ranking, each measured, on a `d`-disk
+/// BFS, connected components, list ranking and a minimum spanning forest,
+/// then the three distribution sweeps, each measured, on a `d`-disk
 /// independent-placement array.  The inputs are built by arithmetic — a ring
-/// plus LCG chords, and a strided list — so the counts depend on no
-/// generator crate.  `M` is about a twentieth of the symmetrized arc list,
-/// so the sorts inside a round really merge.
-fn graph_rounds(d: usize, mode: IoMode, overlap: OverlapConfig) -> [Round; 3] {
+/// plus LCG chords, a strided list, LCG coordinates — so the counts depend
+/// on no generator crate.  `M` is about a twentieth of the symmetrized arc
+/// list and a sixth of each sweep's events, so the sorts inside a round
+/// really merge and every sweep really distributes.
+fn graph_rounds(d: usize, mode: IoMode, overlap: OverlapConfig) -> [Round; 7] {
     const V: u64 = 1200;
     const LIST: u64 = 3001;
+    const SPAN: u64 = 4096;
     let device: SharedDevice = DiskArray::new_ram_with(d, 256, Placement::Independent, mode);
     let sc = SortConfig::new(512).with_overlap(overlap);
 
-    let mut edges: Vec<(u64, u64)> = (0..V).map(|i| (i, (i + 1) % V)).collect();
     let mut x = 12345u64;
-    let mut lcg = || {
+    let mut lcg = |modulus: u64| {
         x = (x * 1_103_515_245 + 12_345) % (1 << 31);
-        (x >> 8) % V
+        (x >> 8) % modulus
     };
+    let mut edges: Vec<(u64, u64)> = (0..V).map(|i| (i, (i + 1) % V)).collect();
     for _ in 0..3 * V {
-        let (a, b) = (lcg(), lcg());
+        let (a, b) = (lcg(V), lcg(V));
         if a != b {
             edges.push((a, b));
         }
     }
     let g = ExtVec::from_slice(device.clone(), &edges).unwrap();
+    let weighted: Vec<(u64, u64, u64)> = edges.iter().map(|&(a, b)| (a, b, lcg(997))).collect();
+    let weighted = ExtVec::from_slice(device.clone(), &weighted).unwrap();
 
     // The list visits node `p · 7 mod LIST` at position p (7 ∤ 3001), so
     // successors are scattered over the id-sorted array.
@@ -121,16 +153,66 @@ fn graph_rounds(d: usize, mode: IoMode, overlap: OverlapConfig) -> [Round; 3] {
     succ.sort_unstable();
     let list = ExtVec::from_slice(device.clone(), &succ).unwrap();
 
-    let measure = |run: &dyn Fn() -> ExtVec<(u64, u64)>| {
+    // Segments and rectangles reach up to an eighth of the span, so some
+    // cross several slabs and some only stick into one.
+    let mut coord = |modulus: u64| lcg(modulus) as i64;
+    let (mut hs, mut vs, mut pts, mut rects) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for id in 0..1500 {
+        let (x1, y1) = (coord(SPAN), coord(SPAN));
+        hs.push(HSeg {
+            id,
+            y: coord(SPAN),
+            x1,
+            x2: x1 + coord(SPAN / 8),
+        });
+        vs.push(VSeg {
+            id,
+            x: coord(SPAN),
+            y1,
+            y2: y1 + coord(SPAN / 8),
+        });
+        let (x, y) = (coord(SPAN), coord(SPAN));
+        pts.push(Point { id, x, y });
+    }
+    for id in 0..500 {
+        let (x1, y1) = (coord(SPAN), coord(SPAN));
+        rects.push(Rect {
+            id,
+            x1,
+            x2: x1 + coord(SPAN / 8),
+            y1,
+            y2: y1 + coord(SPAN / 8),
+        });
+    }
+    let hs = ExtVec::from_slice(device.clone(), &hs).unwrap();
+    let vs = ExtVec::from_slice(device.clone(), &vs).unwrap();
+    let pts = ExtVec::from_slice(device.clone(), &pts).unwrap();
+    let rects = ExtVec::from_slice(device.clone(), &rects).unwrap();
+
+    fn measure<R: Record>(
+        device: &SharedDevice,
+        run: impl FnOnce() -> ExtVec<R>,
+    ) -> (Vec<R>, (u64, u64)) {
         let before = device.stats().snapshot();
         let out = run();
         let delta = device.stats().snapshot().since(&before);
         (out.to_vec().unwrap(), (delta.reads(), delta.writes()))
-    };
+    }
+    let (forest, forest_cost) = measure(&device, || {
+        minimum_spanning_forest(&weighted, V, &sc).unwrap()
+    });
+    // Endpoints folded into one word so the forest fits a `Round`.
+    let forest = forest.iter().map(|&(a, b, w)| (a * V + b, w)).collect();
     [
-        measure(&|| bfs_mr(&g, V, 0, &sc).unwrap()),
-        measure(&|| connected_components(&g, V, &sc).unwrap()),
-        measure(&|| list_rank(&list, 0, &sc).unwrap()),
+        measure(&device, || bfs_mr(&g, V, 0, &sc).unwrap()),
+        measure(&device, || connected_components(&g, V, &sc).unwrap()),
+        measure(&device, || list_rank(&list, 0, &sc).unwrap()),
+        (forest, forest_cost),
+        measure(&device, || segment_intersections(&hs, &vs, &sc).unwrap()),
+        measure(&device, || {
+            batched_range_reporting(&pts, &rects, &sc).unwrap()
+        }),
+        measure(&device, || dominance_count(&pts, &pts, &sc).unwrap()),
     ]
 }
 
@@ -142,11 +224,24 @@ fn graph_rounds_keep_their_counts_across_io_modes() {
         let over = graph_rounds(d, IoMode::Overlapped, OverlapConfig::symmetric(2));
         assert_eq!(sync, over, "D = {d}");
         if d == 1 {
-            // `(reads, writes)` recorded at c73cee2, before the
-            // materialize-everything baselines were deleted: a sorted
-            // intermediate that is written and re-read again moves these.
+            // `(reads, writes)`: a sorted intermediate that is written and
+            // re-read again moves these.  The first three were recorded at
+            // c73cee2, before the materialize-everything baselines were
+            // deleted; the last four when MSF moved onto the contraction CC
+            // uses and the sweeps onto one driver with a fused prologue.
             let counts = sync.map(|(_, c)| c);
-            assert_eq!(counts, [(4961, 1768), (5836, 5025), (7460, 6409)]);
+            assert_eq!(
+                counts,
+                [
+                    (4961, 1768),
+                    (5836, 5025),
+                    (7460, 6409),
+                    (14988, 12455),
+                    (2288, 1996),
+                    (1653, 1249),
+                    (2233, 1598),
+                ]
+            );
         }
     }
 }

@@ -6,7 +6,7 @@
 //! map would hold at that point — including gets that land while the write
 //! is still in an open (unflushed) batch, which is the read-your-writes
 //! delta overlay doing its job.  The properties below check that claim
-//! across shard counts × disk counts × placement × batched/unbatched mode,
+//! across shard counts × disk counts × placement × batch size (down to one op),
 //! and that every acknowledged write survives into the final state both
 //! before and after forced compaction.  A last test shrinks the hot cache
 //! to four and to eight records, so that its two segments promote, demote
@@ -101,9 +101,8 @@ fn tenant_slice(reference: &BTreeMap<(u32, u64), u64>, tenant: u32) -> Vec<(u64,
         .collect()
 }
 
-fn small_config(shards: usize, batched: bool, batch_max: usize) -> ServeConfig {
+fn small_config(shards: usize, batch_max: usize) -> ServeConfig {
     let mut cfg = ServeConfig::new(shards, 2);
-    cfg.batched = batched;
     cfg.batch_max = batch_max;
     // Long deadline: flushes happen on size (or barrier), so small batches
     // genuinely sit open and gets must be answered from the delta overlay.
@@ -119,14 +118,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Concurrent ingest ≡ sequential reference, across shard counts ×
-    /// disk counts × placement × batched/unbatched, with compaction forced
+    /// disk counts × placement × batch size (1 = flush per op), with compaction forced
     /// at the end to prove acked writes survive the absorber→tree move.
     #[test]
     fn ingest_matches_sequential_reference(
         shards in 1usize..=4,
         disks in 1usize..=4,
         striped in any::<bool>(),
-        batched in any::<bool>(),
         batch_max in 1usize..=16,
         tape in prop::collection::vec(
             (0u32..2, 0u64..48, 0u8..10, 1u64..1_000_000),
@@ -141,7 +139,7 @@ proptest! {
         let array = DiskArray::new_ram(disks, 512, placement);
         let sink = RecordingSink::new();
         let srv: Server<u64, u64> =
-            Server::new(array, small_config(shards, batched, batch_max), sink.clone()).unwrap();
+            Server::new(array, small_config(shards, batch_max), sink.clone()).unwrap();
 
         let (reference, expect_gots, writes) = drive(&srv, &tape);
         srv.barrier().unwrap();
@@ -192,7 +190,7 @@ proptest! {
     ) {
         let array = DiskArray::new_ram(2, 512, Placement::Independent);
         let sink = RecordingSink::new();
-        let mut cfg = small_config(shards, true, batch_max);
+        let mut cfg = small_config(shards, batch_max);
         cfg.compact_threshold = 8; // compact aggressively mid-stream too
         let srv: Server<u64, u64> = Server::new(array, cfg, sink.clone()).unwrap();
 
@@ -245,8 +243,7 @@ fn replay_is_deterministic() {
     let run = || {
         let array = DiskArray::new_ram(2, 512, Placement::Independent);
         let sink = RecordingSink::new();
-        let srv: Server<u64, u64> =
-            Server::new(array, small_config(3, true, 16), sink.clone()).unwrap();
+        let srv: Server<u64, u64> = Server::new(array, small_config(3, 16), sink.clone()).unwrap();
         drive(&srv, &tape);
         srv.barrier().unwrap();
         let state = srv.range(0, 0, u64::MAX).unwrap();
@@ -290,7 +287,7 @@ fn no_stale_read_through_either_cache_segment() {
     for cache_records in [4, 8] {
         let array = DiskArray::new_ram(1, 512, Placement::Independent);
         let sink = RecordingSink::new();
-        let mut cfg = small_config(1, true, 4);
+        let mut cfg = small_config(1, 4);
         cfg.cache_records = cache_records;
         let srv: Server<u64, u64> = Server::new(array, cfg, sink.clone()).unwrap();
         let (reference, expect_gots, writes) = drive(&srv, &tape);
