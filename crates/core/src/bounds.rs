@@ -15,6 +15,8 @@
 //! Transpose  = (N/B) · log_m min(M, p, q, N/M)          (p×q matrix, N = pq)
 //! ```
 
+use pdm::hash::KeyFilter;
+
 /// `Scan(N) = ⌈N/B⌉` — touch every record once.
 pub fn scan(n: u64, b: usize) -> f64 {
     (n as f64 / b as f64).ceil()
@@ -295,20 +297,31 @@ fn group_fallback(len: u64, m: usize, b: usize, fan_in: usize) -> u64 {
     merge_sort_exact_ios(len, m, b, fan_in) + blocks(len, b)
 }
 
-/// Exact transfer count of `emrel`'s Grace / hybrid hash join
-/// (`HashJoinExec`), excluding the children's stream costs and the sink
-/// write.  `b_build` / `b_probe` are records-per-block of the two inputs
-/// (their record sizes may differ), `fan_in_*` the fallback sorts' fan-ins.
+/// Exact transfer count of `emrel`'s hash join (`HashJoinExec`), excluding
+/// the children's stream costs and the sink write.  `b_build` / `b_probe`
+/// are records-per-block of the two inputs (their record sizes may differ)
+/// and `build_rec_bytes` the build record's width, which sizes the
+/// build-key filter.
 ///
 /// Replayed schedule, identical to the executor:
-/// * level 0 partitions the build side `F` ways; with `hybrid`, bucket 0
-///   is kept resident (never spilled) — if it exceeds the residency budget
-///   `M − (F+1)·(B_build + B_probe)` the regime is infeasible and the cost
-///   is **∞** (the planner then never picks it; the executor panics on the
-///   model violation);
-/// * the probe side partitions with the same salts; probe records whose
-///   build bucket is empty are dropped unspilled, and hybrid bucket-0
-///   probes match against the resident table in-stream;
+/// * the join may hold `R = M − (F+1)·max(B_build, B_probe)` records across
+///   the build → probe boundary.  A build side of ≤ `R` records is never
+///   spilled: the probe side is matched against it in-stream and the
+///   join's own transfers are **zero**;
+/// * a larger build side is partitioned `F` ways at level 0, all of it (the
+///   records held so far are flushed in arrival order).  With `hybrid`,
+///   bucket 0 is kept resident (never spilled) — if it exceeds its
+///   residency `M − (F+1)·(B_build + B_probe)` the regime is infeasible and
+///   the cost is **∞** (the planner then never picks it; the executor
+///   returns `PdmError::MemoryExceeded`);
+/// * every spilled build key is recorded in a [`KeyFilter`] over the
+///   residency the held records gave up (`R` records' bytes, less hybrid
+///   bucket 0's share);
+/// * the probe side partitions with the same salts; hybrid bucket-0 probes
+///   match against the resident table in-stream, and a probe record whose
+///   build bucket is empty or whose key hash the filter rejects is dropped
+///   unspilled — the filter's false positives are spilled, and counted
+///   here, like any other record;
 /// * a pair whose build partition is ≤ `M − B_build − B_probe` records is
 ///   consumed directly: read the build into a table, stream the probe;
 /// * an oversized pair is re-partitioned pairwise at the next level; a
@@ -326,107 +339,105 @@ pub fn hash_join_exact_ios(
     m: usize,
     b_build: usize,
     b_probe: usize,
+    build_rec_bytes: usize,
     fan_out: usize,
     hybrid: bool,
 ) -> f64 {
-    let bn = build_hashes.len() as u64;
-    let mut bbuckets: Vec<Vec<u64>> = vec![Vec::new(); fan_out];
+    let residency = m.saturating_sub((fan_out + 1) * b_build.max(b_probe));
+    if build_hashes.len() <= residency {
+        return 0.0;
+    }
+    // Hybrid bucket 0 keeps its share of the residency; the filter gets
+    // the rest.
+    let cap = if hybrid {
+        m.saturating_sub((fan_out + 1) * (b_build + b_probe))
+    } else {
+        0
+    };
+    let mut filter = KeyFilter::with_bytes((residency - cap) * build_rec_bytes);
+    let mut bucket0 = 0;
     for &h in build_hashes {
-        bbuckets[pdm::hash::level_bucket(h, 0, fan_out)].push(h);
-    }
-    if hybrid {
-        let resident = m.saturating_sub((fan_out + 1) * (b_build + b_probe));
-        if bbuckets[0].len() > resident {
-            return f64::INFINITY;
+        if hybrid && pdm::hash::level_bucket(h, 0, fan_out) == 0 {
+            bucket0 += 1;
+        } else {
+            filter.insert(h);
         }
     }
-    let mut pbuckets: Vec<Vec<u64>> = vec![Vec::new(); fan_out];
-    for &h in probe_hashes {
-        let i = pdm::hash::level_bucket(h, 0, fan_out);
-        if !bbuckets[i].is_empty() {
-            pbuckets[i].push(h); // build-empty probes are dropped unspilled
-        }
+    if bucket0 > cap {
+        return f64::INFINITY;
     }
-    let mut t = 0u64;
-    let spill_from = usize::from(hybrid); // hybrid keeps pair 0 in memory
-    for i in spill_from..fan_out {
-        if !bbuckets[i].is_empty() {
-            t += blocks(bbuckets[i].len() as u64, b_build);
-        }
-        if !pbuckets[i].is_empty() {
-            t += blocks(pbuckets[i].len() as u64, b_probe);
-        }
-        t += hash_join_pair(
-            &bbuckets[i],
-            &pbuckets[i],
-            bn,
-            1,
-            m,
-            b_build,
-            b_probe,
-            fan_out,
-        );
-    }
-    t as f64
+    let geometry = JoinGeometry {
+        chunk: m.saturating_sub(b_build + b_probe) as u64,
+        b_build,
+        b_probe,
+        fan_out,
+    };
+    geometry.pass(build_hashes, probe_hashes, 0, Some((&filter, hybrid))) as f64
 }
 
-/// Consume one (build, probe) partition pair starting at `level`; `fed` is
-/// the build-side record count of the pass that produced the pair (the
-/// no-shrink skew test).
-#[allow(clippy::too_many_arguments)]
-fn hash_join_pair(
-    bh: &[u64],
-    ph: &[u64],
-    fed: u64,
-    level: usize,
-    m: usize,
+/// What every level of a hash join's partition recursion shares.
+struct JoinGeometry {
+    /// Build records a pair loop holds at a time: `M − B_build − B_probe`.
+    chunk: u64,
     b_build: usize,
     b_probe: usize,
     fan_out: usize,
-) -> u64 {
-    if bh.is_empty() || ph.is_empty() {
-        return 0; // no matches possible: both sides freed unread
-    }
-    let (bn, pn) = (bh.len() as u64, ph.len() as u64);
-    let chunk = m.saturating_sub(b_build + b_probe) as u64;
-    if bn <= chunk {
-        return blocks(bn, b_build) + blocks(pn, b_probe); // build table + probe stream
-    }
-    if bn == fed || level >= HASH_MAX_LEVELS {
-        // Block-nested loop: build read once in chunks, probe per chunk.
-        return blocks(bn, b_build) + bn.div_ceil(chunk.max(1)) * blocks(pn, b_probe);
-    }
-    let mut t = blocks(bn, b_build) + blocks(pn, b_probe); // read both for the re-pass
-    let mut bkids: Vec<Vec<u64>> = vec![Vec::new(); fan_out];
-    for &h in bh {
-        bkids[pdm::hash::level_bucket(h, level, fan_out)].push(h);
-    }
-    let mut pkids: Vec<Vec<u64>> = vec![Vec::new(); fan_out];
-    for &h in ph {
-        let i = pdm::hash::level_bucket(h, level, fan_out);
-        if !bkids[i].is_empty() {
-            pkids[i].push(h);
+}
+
+impl JoinGeometry {
+    /// Transfers of one pairwise partition pass at `level` — both sides'
+    /// spill writes — and of consuming every pair it produced.  `top` is
+    /// the level-0 pass's build-key filter and whether bucket 0 stays
+    /// resident; deeper passes have neither.
+    fn pass(&self, bh: &[u64], ph: &[u64], level: usize, top: Option<(&KeyFilter, bool)>) -> u64 {
+        let fed = bh.len() as u64;
+        let bucket = |h| pdm::hash::level_bucket(h, level, self.fan_out);
+        let mut bkids: Vec<Vec<u64>> = vec![Vec::new(); self.fan_out];
+        for &h in bh {
+            bkids[bucket(h)].push(h);
         }
-    }
-    for i in 0..fan_out {
-        if !bkids[i].is_empty() {
-            t += blocks(bkids[i].len() as u64, b_build);
+        // Only a pair that will be re-partitioned needs its probe hashes;
+        // every other pair is priced from its probe count.
+        let splits = |bn: u64| bn > self.chunk && bn != fed && level + 1 < HASH_MAX_LEVELS;
+        let mut pcounts = vec![0u64; self.fan_out];
+        let mut pkids: Vec<Vec<u64>> = vec![Vec::new(); self.fan_out];
+        for &h in ph {
+            // Dropped unspilled, for it can match nothing: a key the filter
+            // never saw (asked first — it turns most probes away for less
+            // than the bucket's division costs), or an empty build bucket.
+            if top.is_some_and(|(filter, _)| !filter.may_contain(h)) {
+                continue;
+            }
+            let i = bucket(h);
+            if bkids[i].is_empty() {
+                continue;
+            }
+            pcounts[i] += 1;
+            if splits(bkids[i].len() as u64) {
+                pkids[i].push(h);
+            }
         }
-        if !pkids[i].is_empty() {
-            t += blocks(pkids[i].len() as u64, b_probe);
+        let resident = usize::from(top.is_some_and(|(_, hybrid)| hybrid));
+        let mut t = 0;
+        for i in resident..self.fan_out {
+            let (bn, pn) = (bkids[i].len() as u64, pcounts[i]);
+            let (bblocks, pblocks) = (blocks(bn, self.b_build), blocks(pn, self.b_probe));
+            t += bblocks + pblocks; // spill writes
+            if bn == 0 || pn == 0 {
+                continue; // no matches possible: both sides freed unread
+            }
+            t += bblocks; // the build side is read exactly once, whichever way
+            t += if bn <= self.chunk {
+                pblocks // build table + probe stream
+            } else if splits(bn) {
+                pblocks + self.pass(&bkids[i], &pkids[i], level + 1, None)
+            } else {
+                // Block-nested loop: one probe scan per build chunk.
+                bn.div_ceil(self.chunk.max(1)) * pblocks
+            };
         }
-        t += hash_join_pair(
-            &bkids[i],
-            &pkids[i],
-            bn,
-            level + 1,
-            m,
-            b_build,
-            b_probe,
-            fan_out,
-        );
+        t
     }
-    t
 }
 
 /// Merge `queue` front-to-back in groups of `min(k, len)` while
@@ -537,14 +548,63 @@ mod tests {
 
     #[test]
     fn hash_join_empty_sides() {
-        // Empty build: every probe record is dropped unspilled.
+        // Empty build: nothing to hold or spill, no probe record matches.
         assert_eq!(
-            hash_join_exact_ios(&[], &[1, 2, 3], 64, 8, 8, 4, false),
+            hash_join_exact_ios(&[], &[1, 2, 3], 64, 8, 8, 16, 4, false),
             0.0
         );
-        // Empty probe: the build bucket was already spilled (one block),
-        // then the pair is freed unread.
-        assert_eq!(hash_join_exact_ios(&[1], &[], 64, 8, 8, 4, false), 1.0);
+        // The residency is 64 − (4+1)·8 = 24 records: a build side that
+        // fits it is held and never spilled, whatever probes it.
+        let h = |i: u64| pdm::hash::hash_bytes(&i.to_le_bytes());
+        let build: Vec<u64> = (0..25).map(h).collect();
+        let probe: Vec<u64> = (0..900).map(h).collect();
+        for hybrid in [false, true] {
+            let cost = hash_join_exact_ios(&build[..24], &probe, 64, 8, 8, 16, 4, hybrid);
+            assert_eq!(cost, 0.0);
+        }
+        // One more and all 25 spill; with an empty probe side that is the
+        // whole cost — the pairs are freed unread.
+        let mut counts = [0u64; 4];
+        for &h in &build {
+            counts[pdm::hash::level_bucket(h, 0, 4)] += 1;
+        }
+        let spill: u64 = counts.iter().map(|&c| blocks(c, 8)).sum();
+        assert_eq!(
+            hash_join_exact_ios(&build, &[], 64, 8, 8, 16, 4, false),
+            spill as f64
+        );
+    }
+
+    #[test]
+    fn hash_join_filter_stops_unmatched_probes() {
+        // 160 build keys overflow the 24-record residency, whose 384 bytes
+        // make a 2 048-bit filter.  Of 10 000 probes of foreign keys only
+        // the filter's false positives are written, and each pair reads
+        // back what its bucket got.
+        let h = |i: u64| pdm::hash::hash_bytes(&i.to_le_bytes());
+        let build: Vec<u64> = (0..160).map(h).collect();
+        let probe: Vec<u64> = (1000..11_000).map(h).collect();
+        let mut filter = KeyFilter::with_bytes(24 * 16);
+        assert_eq!(filter.bits(), 2048);
+        build.iter().for_each(|&h| filter.insert(h));
+        let (mut bcounts, mut passed) = ([0u64; 4], [0u64; 4]);
+        for &h in &build {
+            bcounts[pdm::hash::level_bucket(h, 0, 4)] += 1;
+        }
+        for &h in probe.iter().filter(|&&h| filter.may_contain(h)) {
+            passed[pdm::hash::level_bucket(h, 0, 4)] += 1;
+        }
+        let lies: u64 = passed.iter().sum();
+        assert!(lies > 0 && lies < 1000, "{lies} of 10 000 passed");
+        // Every build bucket (≈ 40 records) is one chunk of 64 − 16.
+        assert!(bcounts.iter().all(|&c| c > 0 && c <= 48));
+        let expect: u64 = (0..4)
+            .map(|i| 2 * (blocks(bcounts[i], 8) + blocks(passed[i], 8)))
+            .sum();
+        assert_eq!(
+            hash_join_exact_ios(&build, &probe, 64, 8, 8, 16, 4, false),
+            expect as f64
+        );
     }
 
     #[test]
@@ -555,7 +615,7 @@ mod tests {
             .find(|&h| pdm::hash::level_bucket(h, 0, 4) == 0)
             .unwrap();
         let build = vec![h; 500];
-        let cost = hash_join_exact_ios(&build, &[h], 64, 8, 8, 4, true);
+        let cost = hash_join_exact_ios(&build, &[h], 64, 8, 8, 16, 4, true);
         assert!(cost.is_infinite());
     }
 

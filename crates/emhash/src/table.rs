@@ -256,6 +256,13 @@ impl<K: Eq, R> ResidentMultimap<K, R> {
             Some(record)
         })
     }
+
+    /// Consume the multimap, yielding every record in arrival order across
+    /// all keys — what a caller that must give the records up (a build
+    /// side that stopped fitting) replays into its spill.
+    pub fn into_records(self) -> impl Iterator<Item = R> {
+        self.arena.into_iter().map(|(record, _)| record)
+    }
 }
 
 #[cfg(test)]
@@ -355,6 +362,8 @@ mod tests {
             assert_eq!(&got, want, "key {k}");
         }
         assert_eq!(m.get(h(999), &999).count(), 0);
+        // The drain ignores the chains: global arrival order.
+        assert!(m.into_records().map(|r| r.1).eq(0..4000));
     }
 
     #[test]

@@ -13,14 +13,21 @@
 //!   distinct keys in arrival order (records with resident keys fold for
 //!   free, the classic hybrid trick), everything else spills to its
 //!   level-0 bucket and is aggregated per partition.
-//! * [`HashJoinExec`] — Grace hash join with an optional hybrid bucket 0
-//!   kept resident on the build side.  Oversized partition pairs
-//!   re-partition pairwise; a build partition that stops shrinking (equal
-//!   keys — no hash *or* sort-merge could handle it within `M`) falls back
-//!   to a block-nested-loop round over just that pair.
+//! * [`HashJoinExec`] — a hash join that spills lazily: a build side of up
+//!   to `M − (F+1)·max(B_build, B_probe)` records is held in memory and
+//!   the probe side matched against it in-stream, at zero transfers of the
+//!   join's own.  Only the record that overflows that residency turns it
+//!   into a Grace join (optionally hybrid: bucket 0 stays resident), and
+//!   the memory the held records vacate becomes a build-key filter
+//!   ([`KeyFilter`]) that stops unmatched probe records at the partition
+//!   writers.  Oversized partition pairs re-partition pairwise; a build
+//!   partition that stops shrinking (equal keys — no hash *or* sort-merge
+//!   could handle it within `M`) falls back to a block-nested-loop round
+//!   over just that pair.
 //!
-//! Every schedule decision (absorb, spill, recurse, fall back) is a pure
-//! function of the records' level-0 key hashes and arrival order, so
+//! Every schedule decision (hold, absorb, spill, filter, recurse, fall
+//! back) is a pure function of the records' level-0 key hashes and arrival
+//! order — the filter's bit positions included — so
 //! `em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios}` replay
 //! the exact transfer counts — zero-slack, like the sort operators.
 //!
@@ -29,7 +36,8 @@
 //! anyway, so a record costs one hash and an `O(1)` probe, and keys are
 //! compared for order only when a finished table is emitted.  Capacities
 //! and [`MemBudget`] charges are counted in records, as the cost replay
-//! counts them; the tables' slot arrays are uncharged index overhead.
+//! counts them (the join's filter is charged the records whose bytes it
+//! occupies); the tables' slot arrays are uncharged index overhead.
 //!
 //! Overlap never enters those decisions.  Each operator's [`MemBudget`] is
 //! `M` plus `(read_ahead + F·write_behind)·B` of declared headroom; the
@@ -43,7 +51,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use em_core::bounds::HASH_MAX_LEVELS;
-use em_core::hash::level_bucket;
+use em_core::hash::{level_bucket, KeyFilter};
 use em_core::{BudgetGuard, ExtVec, ExtVecCursor, MemBudget, Record};
 use emhash::partition::{KeyHasher, PartitionPass};
 use emhash::table::{ResidentMultimap, ResidentTable};
@@ -68,6 +76,14 @@ fn open_cursor<R: Record>(
         cursor.set_read_ahead(overlap.for_lanes(lanes).read_ahead, budget);
     }
     cursor
+}
+
+/// Best-effort release of the arrays an operator dropped before it was
+/// drained still owns; a `Drop` has nowhere to report a failed free.
+fn free_all<R: Record>(vecs: impl IntoIterator<Item = ExtVec<R>>) {
+    for vec in vecs {
+        let _ = vec.free();
+    }
 }
 
 /// Hybrid hash aggregation: group `child` by an extracted key with a
@@ -359,6 +375,19 @@ where
     }
 }
 
+/// An aggregation dropped undrained (under a `LimitExec`, say) frees the
+/// spilled partitions it never consumed.
+impl<R, K, KF, Acc, FoldF, FinF, O> Drop for HashGroupByExec<R, K, KF, Acc, FoldF, FinF, O>
+where
+    R: Record,
+    K: Ord,
+{
+    fn drop(&mut self) {
+        free_all(self.queue.drain(..).map(|(part, ..)| part));
+        free_all(self.fb.take().map(ExtVecCursor::into_inner));
+    }
+}
+
 impl<R, K, KF, Acc, FoldF, FinF, O> QueryExec for HashGroupByExec<R, K, KF, Acc, FoldF, FinF, O>
 where
     R: Record,
@@ -491,24 +520,50 @@ struct PairLoop<K, BR: Record, PR: Record> {
     _charge: BudgetGuard,
 }
 
-/// Grace / hybrid hash join: equi-join an unsorted build stream against an
-/// unsorted probe stream by co-partitioning both sides on the join key's
-/// hash.  Blocking on the build side ([`build`](Self::build) drains it);
-/// the probe side streams.  Output is [`Order::Unordered`].
+/// A build side that outgrew the residency: its level-0 partitions, the
+/// filter over the keys in them, and the probe pass filling up beside them.
+struct Spilled<BR: Record, PR: Record> {
+    build_parts: Vec<ExtVec<BR>>,
+    filter: KeyFilter,
+    probe_pass: PartitionPass<PR>,
+    _probe_buffers: BudgetGuard,
+}
+
+/// Hash equi-join of an unsorted build stream against an unsorted probe
+/// stream that writes only what it must.  Blocking on the build side
+/// ([`build`](Self::build) drains it); the probe side streams.  Output is
+/// [`Order::Unordered`].
 ///
-/// With `hybrid`, build bucket 0 skips the spill entirely and lives in an
-/// in-memory table charged to the budget; bucket-0 probe records match
-/// against it in-stream.  The planner prices a hybrid whose bucket 0
-/// exceeds `M − (F+1)·(B_build + B_probe)` at **∞**; executing one anyway
-/// is a model violation and [`build`](Self::build) returns
-/// [`PdmError::MemoryExceeded`].
+/// **One residency, used one of two ways.**  `R = M − (F+1)·max(B_build,
+/// B_probe)` records is what the join may hold across the build → probe
+/// boundary (the two sides' partition buffers are never live together).
+/// While the build stream has produced ≤ `R` records they are *held*; if it
+/// ends there, nothing is ever partitioned, every probe record is matched
+/// in-stream against the held table, and the join's own transfers are zero
+/// — the survey's `Scan(N) + Output(Z)` for a build side that fits.
 ///
-/// Probe records whose build bucket is empty are dropped before spilling
-/// (they can match nothing).  Oversized pairs re-partition pairwise at the
-/// next remix level; a build partition that stopped shrinking (equal keys)
-/// or hit [`HASH_MAX_LEVELS`] is consumed by `PairLoop`'s block-nested
-/// rounds — never priced better than the resident case, and immune to the
-/// over-`M` key group that would panic the sort-merge path.
+/// The record that overflows `R` turns the join into a Grace join: the held
+/// records are flushed in arrival order into `F` level-0 partitions (so
+/// the spill is the same whether or not anything was held first), and the
+/// residency they gave up becomes a [`KeyFilter`] over every spilled build
+/// key.  A probe record the filter rejects — or whose build bucket is empty
+/// — can match nothing and is dropped before it costs a partition write; a
+/// false positive costs the spill every probe record used to.
+///
+/// With `hybrid`, build bucket 0 of an overflowed build side skips the
+/// spill and stays in memory (the filter gets the residency less bucket
+/// 0's share); bucket-0 probe records match against it in-stream.  The
+/// planner prices a hybrid whose bucket 0 exceeds `M − (F+1)·(B_build +
+/// B_probe)` at **∞**; executing one anyway is a model violation and
+/// [`build`](Self::build) returns [`PdmError::MemoryExceeded`].
+///
+/// Oversized pairs re-partition pairwise at the next remix level; a build
+/// partition that stopped shrinking (equal keys) or hit
+/// [`HASH_MAX_LEVELS`] is consumed by `PairLoop`'s block-nested rounds —
+/// never priced better than the resident case, and immune to the over-`M`
+/// key group that would panic the sort-merge path.
+///
+/// Dropping the operator undrained frees whatever it still has on disk.
 pub struct HashJoinExec<PS, K, BR, KB, KP, MK, O>
 where
     PS: QueryExec,
@@ -528,14 +583,15 @@ where
     hybrid: bool,
     hasher: KeyHasher,
     budget: Arc<MemBudget>,
-    /// Hybrid bucket-0 build records (empty when not hybrid).
+    /// Build records matched in-stream: all of them while the build side
+    /// fits the residency, hybrid bucket 0 once it has spilled.
     resident: ResidentMultimap<K, BR>,
-    resident_charge: Option<BudgetGuard>,
-    build_parts: Option<Vec<ExtVec<BR>>>,
-    build_counts: Vec<u64>,
+    /// The residency `R`, charged from the first build record to the last
+    /// probe record — held records, then the filter and hybrid bucket 0.
+    residency: Option<BudgetGuard>,
+    /// `None` while the whole build side is resident.
+    spilled: Option<Spilled<BR, PS::Item>>,
     build_total: u64,
-    probe_pass: Option<PartitionPass<PS::Item>>,
-    probe_charge: Option<BudgetGuard>,
     probing: bool,
     /// The consumer promised to drain this operator.
     drained: bool,
@@ -558,16 +614,17 @@ where
     KP: Fn(&PS::Item) -> K,
     MK: FnMut(&BR, &PS::Item) -> O,
 {
-    /// Drain `build` into `fan_out` level-0 partitions on `device` (bucket
-    /// 0 resident when `hybrid`), ready to stream `probe` past them.
+    /// Drain `build`, holding it in memory while it fits the residency and
+    /// spilling all of it `fan_out` ways on `device` once it does not
+    /// (bucket 0 resident when `hybrid`), ready to stream `probe` past it.
     /// `make(b, p)` is emitted for every key-equal pair; `cfg.sort`
     /// supplies `M` and the overlap depths (handed on to `build` with the
     /// promise to drain it; `probe` is drained only as far as the join is,
     /// so it gets the hint when the join does).
     ///
-    /// A hybrid whose bucket 0 outgrows its `M − (F+1)·(B_build + B_probe)`
-    /// residency is [`PdmError::MemoryExceeded`]; the partitions spilled so
-    /// far are freed before returning.
+    /// A spilled hybrid whose bucket 0 outgrows its `M − (F+1)·(B_build +
+    /// B_probe)` share is [`PdmError::MemoryExceeded`]; the partitions
+    /// spilled so far are freed before returning.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         build: &mut dyn QueryExec<Item = BR>,
@@ -593,43 +650,69 @@ where
         let ov = overlap.for_lanes(device.stream_lanes());
         let reserve = (ov.read_ahead + fan_out * ov.write_behind) * both;
         let budget = MemBudget::new(m + reserve);
-        let resident_cap = m - (fan_out + 1) * both;
+        let residency = m - (fan_out + 1) * b_build.max(b_probe);
+        let bucket0_cap = if hybrid { m - (fan_out + 1) * both } else { 0 };
+        let residency_charge = budget.charge(residency);
         let mut hasher = KeyHasher::new();
         let mut resident = ResidentMultimap::new();
+        // The level-0 pass, its filter and its writers' buffers — opened by
+        // the first record the residency cannot hold.
+        let mut spill: Option<(PartitionPass<BR>, KeyFilter, BudgetGuard)> = None;
         let mut total = 0u64;
         build.drain_hint(overlap);
-        let parts = {
-            let mut pass = PartitionPass::new(device, fan_out, 0, overlap, &budget);
-            let _charge = budget.charge((fan_out + 1) * b_build);
-            while let Some(r) = build.try_next()? {
-                total += 1;
+        while let Some(r) = build.try_next()? {
+            total += 1;
+            if spill.is_none() && resident.len() < residency {
+                let k = key_b(&r);
+                resident.insert(hasher.hash(&k), k, r);
+                continue;
+            }
+            // Overflow: the held records go first, in arrival order, so the
+            // partitions are those of a join that never held anything.
+            let held = spill
+                .is_none()
+                .then(|| std::mem::take(&mut resident).into_records());
+            let (pass, filter, _) = spill.get_or_insert_with(|| {
+                (
+                    PartitionPass::new(device, fan_out, 0, overlap, &budget),
+                    KeyFilter::with_bytes((residency - bucket0_cap) * BR::BYTES),
+                    budget.charge((fan_out + 1) * b_build),
+                )
+            });
+            for r in held.into_iter().flatten().chain([r]) {
                 let k = key_b(&r);
                 let h0 = hasher.hash(&k);
                 if hybrid && level_bucket(h0, 0, fan_out) == 0 {
-                    if resident.len() == resident_cap {
+                    if resident.len() == bucket0_cap {
+                        let (pass, ..) = spill.take().expect("opened above");
                         for part in pass.finish()? {
                             part.free()?;
                         }
                         return Err(PdmError::MemoryExceeded {
-                            needed: resident_cap + 1,
-                            available: resident_cap,
+                            needed: bucket0_cap + 1,
+                            available: bucket0_cap,
                         });
                     }
                     resident.insert(h0, k, r);
                 } else {
+                    filter.insert(h0);
                     pass.push(h0, r)?;
                 }
             }
-            pass.finish()?
+        }
+        let spilled = match spill {
+            Some((pass, filter, build_buffers)) => {
+                let build_parts = pass.finish()?;
+                drop(build_buffers); // never charged beside the probe pass's
+                Some(Spilled {
+                    build_parts,
+                    filter,
+                    probe_pass: PartitionPass::new(device, fan_out, 0, overlap, &budget),
+                    _probe_buffers: budget.charge((fan_out + 1) * b_probe),
+                })
+            }
+            None => None,
         };
-        debug_assert!(
-            resident.len() <= resident_cap,
-            "bucket 0 outgrew its residency"
-        );
-        let resident_charge = hybrid.then(|| budget.charge(resident.len()));
-        let build_counts: Vec<u64> = parts.iter().map(|p| p.len()).collect();
-        let probe_pass = PartitionPass::new(device, fan_out, 0, overlap, &budget);
-        let probe_charge = budget.charge((fan_out + 1) * b_probe);
         Ok(HashJoinExec {
             probe,
             key_b,
@@ -645,12 +728,9 @@ where
             hasher,
             budget,
             resident,
-            resident_charge,
-            build_parts: Some(parts),
-            build_counts,
+            residency: Some(residency_charge),
+            spilled,
             build_total: total,
-            probe_pass: Some(probe_pass),
-            probe_charge: Some(probe_charge),
             probing: true,
             drained: false,
             pairs: Vec::new(),
@@ -670,44 +750,46 @@ where
     /// Route one probe record, or — on exhaustion — close the probe pass
     /// and stage the spilled pairs.
     fn step_probe(&mut self) -> Result<()> {
-        match self.probe.try_next()? {
-            Some(r) => {
-                let k = (self.key_p)(&r);
-                let h0 = self.hasher.hash(&k);
-                let i = level_bucket(h0, 0, self.fan_out);
-                if self.hybrid && i == 0 {
-                    for b in self.resident.get(h0, &k) {
-                        self.out.push_back((self.make)(b, &r));
-                    }
-                } else if self.build_counts[i] > 0 {
-                    self.probe_pass.as_mut().unwrap().push(h0, r)?;
+        let Some(r) = self.probe.try_next()? else {
+            self.probing = false;
+            self.resident = ResidentMultimap::new();
+            drop(self.residency.take());
+            let Some(spilled) = self.spilled.take() else {
+                return Ok(()); // the build side never left memory
+            };
+            let probe_parts = spilled.probe_pass.finish()?;
+            let spill_from = usize::from(self.hybrid);
+            for (i, (bv, pv)) in spilled.build_parts.into_iter().zip(probe_parts).enumerate() {
+                if i < spill_from || bv.is_empty() {
+                    bv.free()?;
+                    pv.free()?; // nothing was spilled for it either
+                } else {
+                    self.pairs.push((bv, pv, 1, self.build_total));
                 }
-                // A probe record with an empty build bucket matches nothing
-                // and is dropped before it costs a spill write.
-                Ok(())
             }
-            None => {
-                let probe_parts = self.probe_pass.take().unwrap().finish()?;
-                drop(self.probe_charge.take());
-                self.resident = ResidentMultimap::new();
-                drop(self.resident_charge.take());
-                let build_parts = self.build_parts.take().unwrap();
-                let spill_from = usize::from(self.hybrid);
-                let mut staged = Vec::new();
-                for (i, (bv, pv)) in build_parts.into_iter().zip(probe_parts).enumerate() {
-                    if i < spill_from || bv.is_empty() {
-                        bv.free()?;
-                        pv.free()?; // nothing was spilled for it either
-                    } else {
-                        staged.push((bv, pv, 1, self.build_total));
-                    }
+            self.pairs.reverse(); // LIFO queue → bucket order
+            return Ok(());
+        };
+        let k = (self.key_p)(&r);
+        let h0 = self.hasher.hash(&k);
+        let bucket = |h0| level_bucket(h0, 0, self.fan_out);
+        let spilled = match self.spilled.as_mut() {
+            Some(spilled) if !(self.hybrid && bucket(h0) == 0) => spilled,
+            _ => {
+                for b in self.resident.get(h0, &k) {
+                    self.out.push_back((self.make)(b, &r));
                 }
-                staged.reverse(); // LIFO queue → bucket order
-                self.pairs = staged;
-                self.probing = false;
-                Ok(())
+                return Ok(());
             }
+        };
+        // A probe record whose key the filter never saw, or whose build
+        // bucket is empty, matches nothing and is dropped before it costs a
+        // spill write.  The filter is asked first: it turns most unmatched
+        // records away for less than the bucket's division costs.
+        if spilled.filter.may_contain(h0) && !spilled.build_parts[bucket(h0)].is_empty() {
+            spilled.probe_pass.push(h0, r)?;
         }
+        Ok(())
     }
 
     /// Start consuming one pair: free it if either side is empty, open a
@@ -836,6 +918,30 @@ where
     }
 }
 
+/// A join dropped undrained frees every partition it still owns, on either
+/// side, at any level.
+impl<PS, K, BR, KB, KP, MK, O> Drop for HashJoinExec<PS, K, BR, KB, KP, MK, O>
+where
+    PS: QueryExec,
+    BR: Record,
+    K: Ord,
+{
+    fn drop(&mut self) {
+        if let Some(spilled) = self.spilled.take() {
+            free_all(spilled.build_parts);
+            free_all(spilled.probe_pass.finish().unwrap_or_default());
+        }
+        for (bv, pv, ..) in self.pairs.drain(..) {
+            free_all([bv]);
+            free_all([pv]);
+        }
+        if let Some(pair) = self.pair.take() {
+            free_all([pair.bcur.into_inner()]);
+            free_all([pair.pcur.into_inner()]);
+        }
+    }
+}
+
 impl<PS, K, BR, KB, KP, MK, O> QueryExec for HashJoinExec<PS, K, BR, KB, KP, MK, O>
 where
     PS: QueryExec,
@@ -886,7 +992,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{collect, ScanExec};
+    use crate::exec::{collect, LimitExec, ScanExec};
     use em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios};
     use em_core::EmConfig;
     use std::cell::Cell;
@@ -1091,7 +1197,7 @@ mod tests {
             let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
             let cfg = ExecConfig::new(m);
             let b = bv.per_block();
-            let replay = hash_join_exact_ios(&bh, &ph, m, b, b, 4, hybrid);
+            let replay = hash_join_exact_ios(&bh, &ph, m, b, b, 16, 4, hybrid);
             assert!(replay.is_finite(), "hybrid={hybrid} must be feasible here");
             let before = d.stats().snapshot();
             let mut bscan = ScanExec::new(&bv);
@@ -1157,9 +1263,245 @@ mod tests {
         assert_eq!(out.len(), 500 * 300);
         let predicted = bv.num_blocks() as u64
             + pv.num_blocks() as u64
-            + hash_join_exact_ios(&bh, &ph, m, b, b, 3, false) as u64
+            + hash_join_exact_ios(&bh, &ph, m, b, b, 16, 3, false) as u64
             + out.num_blocks() as u64;
         assert_eq!(delta.total(), predicted);
+    }
+
+    type Pair = (u64, u64);
+    type Triple = (u64, u64, u64);
+    type PairJoin<'a> = HashJoinExec<
+        ScanExec<'a, Pair>,
+        u64,
+        Pair,
+        fn(&Pair) -> u64,
+        fn(&Pair) -> u64,
+        fn(&Pair, &Pair) -> Triple,
+        Triple,
+    >;
+
+    /// `bv ⋈ pv` on the first field, built but not yet drained.
+    fn join_on_first<'a>(
+        d: &SharedDevice,
+        cfg: &ExecConfig,
+        fan: usize,
+        hybrid: bool,
+        bv: &ExtVec<Pair>,
+        pv: &'a ExtVec<Pair>,
+    ) -> Result<PairJoin<'a>> {
+        fn first(r: &Pair) -> u64 {
+            r.0
+        }
+        fn triple(b: &Pair, p: &Pair) -> Triple {
+            (b.0, b.1, p.1)
+        }
+        HashJoinExec::build(
+            &mut ScanExec::new(bv),
+            ScanExec::new(pv),
+            d,
+            cfg,
+            fan,
+            hybrid,
+            first as fn(&Pair) -> u64,
+            first as fn(&Pair) -> u64,
+            triple as fn(&Pair, &Pair) -> Triple,
+        )
+    }
+
+    #[test]
+    fn build_side_spills_only_once_it_stops_fitting() {
+        // M = 1 024, F = 4, B = 16: the residency is 1 024 − 5·16 = 944.
+        let (residency, fan) = (944, 4);
+        let all = pairs(residency + 1, 5000, 0xABCD_EF13);
+        let probe = pairs(6000, 5000, 0x1357_9BD1);
+        for hybrid in [false, true] {
+            // Exactly R build records: held, matched in-stream, and the
+            // join itself moves nothing.
+            let (d, m) = device(64);
+            let cfg = ExecConfig::new(m);
+            let build = &all[..residency as usize];
+            let bv = ExtVec::from_slice(d.clone(), build).unwrap();
+            let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
+            let before = d.stats().snapshot();
+            let mut j = join_on_first(&d, &cfg, fan, hybrid, &bv, &pv).unwrap();
+            let out = collect(&mut j, &d).unwrap();
+            let delta = d.stats().snapshot().since(&before);
+            assert_eq!(
+                delta.total(),
+                (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64,
+                "hybrid={hybrid}: scan both inputs, write the output"
+            );
+            let spills = (delta.partition_passes(), delta.partition_spilled_blocks());
+            assert_eq!(spills, (0, 0), "hybrid={hybrid}");
+            assert_eq!(j.budget().high_water(), residency as usize);
+            let mut got = out.to_vec().unwrap();
+            got.sort_unstable();
+            let mut by_key: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+            for b in build {
+                by_key.entry(b.0).or_default().push(b.1);
+            }
+            let mut expect: Vec<Triple> = probe
+                .iter()
+                .flat_map(|p| {
+                    by_key
+                        .get(&p.0)
+                        .into_iter()
+                        .flatten()
+                        .map(|&x| (p.0, x, p.1))
+                })
+                .collect();
+            expect.sort_unstable();
+            assert_eq!(got, expect, "hybrid={hybrid}");
+
+            // One record more: every build record is partitioned, exactly
+            // as a plain level-0 pass over the arrival order writes them
+            // (hybrid: less bucket 0, which stays in memory).
+            let bv = ExtVec::from_slice(d.clone(), &all).unwrap();
+            let bh: Vec<u64> = all.iter().map(|r| key_hash(r.0)).collect();
+            let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
+            let before = d.stats().snapshot();
+            let mut j = join_on_first(&d, &cfg, fan, hybrid, &bv, &pv).unwrap();
+            let comparing = d.stats().snapshot();
+            let mut pass = PartitionPass::new(&d, fan, 0, OverlapConfig::off(), j.budget());
+            for (r, &h0) in all.iter().zip(&bh) {
+                pass.push(h0, *r).unwrap();
+            }
+            let plain = pass.finish().unwrap();
+            let spilled = j.spilled.as_ref().expect("R + 1 records overflow");
+            for (i, (mine, plain)) in spilled.build_parts.iter().zip(&plain).enumerate() {
+                if hybrid && i == 0 {
+                    assert!(mine.is_empty());
+                    assert_eq!(j.resident.len() as u64, plain.len());
+                } else {
+                    assert_eq!(
+                        mine.to_vec().unwrap(),
+                        plain.to_vec().unwrap(),
+                        "bucket {i}"
+                    );
+                }
+            }
+            free_all(plain);
+            let compared = d.stats().snapshot().since(&comparing).total();
+            let out = collect(&mut j, &d).unwrap();
+            let delta = d.stats().snapshot().since(&before);
+            let replay = hash_join_exact_ios(&bh, &ph, m, 16, 16, 16, fan, hybrid);
+            assert_eq!(
+                delta.total() - compared,
+                (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64 + replay as u64,
+                "hybrid={hybrid}"
+            );
+        }
+    }
+
+    #[test]
+    fn unmatched_probe_records_stop_at_the_filter() {
+        // 2 000 even build keys overflow the 944-record residency, whose
+        // bytes make a 2¹⁶-bit filter; 6 000 odd probe keys match nothing.
+        // Only the filter's false positives may reach the partition
+        // writers, and the replay knows which.
+        let (d, m) = device(64);
+        let build: Vec<Pair> = (0..2000).map(|i| (2 * i, i)).collect();
+        let probe: Vec<Pair> = (0..6000).map(|i| (2 * i + 1, i)).collect();
+        let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
+        let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
+        let bh: Vec<u64> = build.iter().map(|r| key_hash(r.0)).collect();
+        let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
+        let mut filter = KeyFilter::with_bytes(944 * 16);
+        assert_eq!(filter.bits(), 1 << 16);
+        bh.iter().for_each(|&h| filter.insert(h));
+        let (mut built, mut lies) = ([0u64; 4], [0u64; 4]);
+        for &h in &bh {
+            built[level_bucket(h, 0, 4)] += 1;
+        }
+        for &h in ph.iter().filter(|&&h| filter.may_contain(h)) {
+            lies[level_bucket(h, 0, 4)] += 1;
+        }
+        let false_positives: u64 = lies.iter().sum();
+        assert!(
+            (1..60).contains(&false_positives),
+            "{false_positives} of 6 000 (expected ≈ 0.4 %)"
+        );
+        let before = d.stats().snapshot();
+        let mut j = join_on_first(&d, &ExecConfig::new(m), 4, false, &bv, &pv).unwrap();
+        let out = collect(&mut j, &d).unwrap();
+        let delta = d.stats().snapshot().since(&before);
+        assert!(out.is_empty());
+        let spilled: u64 = built.iter().chain(&lies).map(|n| n.div_ceil(16)).sum();
+        assert_eq!(delta.partition_spilled_blocks(), spilled);
+        assert_eq!(
+            delta.total(),
+            (bv.num_blocks() + pv.num_blocks()) as u64
+                + hash_join_exact_ios(&bh, &ph, m, 16, 16, 16, 4, false) as u64
+        );
+    }
+
+    /// `cfg` at memory `m`, with and without overlap queues.
+    fn sync_and_overlapped(m: usize) -> [ExecConfig; 2] {
+        let overlapped = emsort::SortConfig::new(m).with_overlap(OverlapConfig::symmetric(2));
+        [ExecConfig::new(m), ExecConfig::from_sort(overlapped)]
+    }
+
+    #[test]
+    fn join_dropped_under_a_limit_frees_its_partitions() {
+        // Grace: the first match comes out of a pair loop, with the other
+        // pairs still queued.  Hybrid: it comes out of resident bucket 0
+        // mid-probe, with the probe pass still open.
+        for (hybrid, mem_blocks) in [(false, 16), (true, 64)] {
+            let (d, m) = device(mem_blocks);
+            let bv = ExtVec::from_slice(d.clone(), &pairs(2000, 700, 0xABCD_EF13)).unwrap();
+            let pv = ExtVec::from_slice(d.clone(), &pairs(4000, 900, 0x1357_9BD1)).unwrap();
+            let allocated = d.allocated_blocks();
+            for cfg in sync_and_overlapped(m) {
+                let j = join_on_first(&d, &cfg, 3, hybrid, &bv, &pv).unwrap();
+                let mut limit = LimitExec::new(j, 5);
+                let out = collect(&mut limit, &d).unwrap();
+                assert_eq!(out.len(), 5);
+                out.free().unwrap();
+                assert!(d.allocated_blocks() > allocated, "hybrid={hybrid}");
+                drop(limit);
+                assert_eq!(d.allocated_blocks(), allocated, "hybrid={hybrid}");
+            }
+        }
+    }
+
+    #[test]
+    fn group_by_dropped_under_a_limit_frees_its_partitions() {
+        // The first tape leaves spilled partitions queued behind the
+        // absorb table's groups; the second (two keys of one level-0
+        // bucket, no absorb table at M = 4 blocks) is mid-way through a
+        // sort fallback's sorted partition when the limit cuts it off.
+        let same_bucket: Vec<u64> = (0..u64::MAX)
+            .filter(|&k| level_bucket(key_hash(k), 0, 3) == 0)
+            .take(2)
+            .collect();
+        let skew: Vec<Pair> = (0..3000)
+            .map(|i| (same_bucket[i as usize % 2], i))
+            .collect();
+        for (mem_blocks, fan, data) in [(16, 4, pairs(6000, 3000, 0x1234_5679)), (4, 3, skew)] {
+            let (d, m) = device(mem_blocks);
+            let v = ExtVec::from_slice(d.clone(), &data).unwrap();
+            let allocated = d.allocated_blocks();
+            for cfg in sync_and_overlapped(m) {
+                let g = HashGroupByExec::build(
+                    &mut ScanExec::new(&v),
+                    &d,
+                    &cfg,
+                    fan,
+                    |r: &Pair| r.0,
+                    0u64,
+                    |acc, r| *acc += r.1,
+                    |k, acc, n| (k, acc, n),
+                )
+                .unwrap();
+                let mut limit = LimitExec::new(g, 1);
+                let out = collect(&mut limit, &d).unwrap();
+                assert_eq!(out.len(), 1);
+                out.free().unwrap();
+                assert!(d.allocated_blocks() > allocated, "M = {mem_blocks} blocks");
+                drop(limit);
+                assert_eq!(d.allocated_blocks(), allocated, "M = {mem_blocks} blocks");
+            }
+        }
     }
 
     /// FNV-1a over the encoded records of `out`, in emission order.
@@ -1211,32 +1553,22 @@ mod tests {
         let (d, m) = device(mem_blocks);
         let bv = ExtVec::from_slice(d.clone(), build).unwrap();
         let pv = ExtVec::from_slice(d.clone(), probe).unwrap();
-        let cfg = ExecConfig::new(m);
         let before = d.stats().snapshot();
-        let mut bscan = ScanExec::new(&bv);
-        let mut j: HashJoinExec<_, u64, (u64, u64), _, _, _, (u64, u64, u64)> =
-            HashJoinExec::build(
-                &mut bscan,
-                ScanExec::new(&pv),
-                &d,
-                &cfg,
-                fan,
-                hybrid,
-                |b: &(u64, u64)| b.0,
-                |p: &(u64, u64)| p.0,
-                |b, p| (b.0, b.1, p.1),
-            )
-            .unwrap();
+        let mut j = join_on_first(&d, &ExecConfig::new(m), fan, hybrid, &bv, &pv).unwrap();
         let sum = checksum(&collect(&mut j, &d).unwrap());
         (sum, d.stats().snapshot().since(&before).total())
     }
 
     #[test]
     fn outputs_and_transfers_are_pinned_to_the_ordered_map_operators() {
-        // Recorded at the last commit whose in-memory tables were
+        // Checksums recorded at the last commit whose in-memory tables were
         // `BTreeMap`s: the hashed tables must emit the same records in the
         // same order (resident groups by key, matches in probe order ×
         // build-arrival order) on the same absorb/spill/recurse schedule.
+        // Every join here overflows its residency, so the build-key filter
+        // changed no output and no order — only how many unmatched probe
+        // records the four multi-key joins write and read back (they were
+        // 4 754, 3 848, 3 020 and 1 754 transfers before it).
         let skew: Vec<(u64, u64)> = (0..3000).map(|i| (7, i)).collect();
         let few: Vec<(u64, u64)> = pairs(5000, 40, 0xDEAD_BEF1)
             .into_iter()
@@ -1271,10 +1603,10 @@ mod tests {
             (0x2E41_82B8_CBD5_17E5, 1641),
             (0x7F8B_DCC2_0F05_CF7B, 2310),
             (0x4F9E_1AA4_C8D0_1B25, 399),
-            (0x64A6_0581_07C2_CF73, 4754),
-            (0xB0ED_7315_C22A_CA9F, 3848),
-            (0xBFA4_F654_2A50_538A, 3020),
-            (0x4B5D_84A2_BBA8_EC16, 1754),
+            (0x64A6_0581_07C2_CF73, 4744),
+            (0xB0ED_7315_C22A_CA9F, 3844),
+            (0xBFA4_F654_2A50_538A, 2068),
+            (0x4B5D_84A2_BBA8_EC16, 1398),
             (0xDC24_3B7C_0DE5_AF65, 30248),
         ];
         assert_eq!(got, pinned, "(checksum, transfers) per case: {got:#X?}");

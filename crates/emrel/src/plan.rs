@@ -213,16 +213,18 @@ pub enum PlanExpr {
         /// Estimated distinct count.
         out_records: u64,
     },
-    /// Grace / hybrid hash equi-join ([`HashJoinExec`](crate::HashJoinExec))
-    /// — neither side need be sorted, output unordered.  Priced by
-    /// [`em_core::bounds::hash_join_exact_ios`], which already returns ∞
-    /// when `hybrid` and bucket 0 of the build side overflows the resident
-    /// table; additionally infeasible unless `(fan_out + 1)` block pairs fit
-    /// in memory.
+    /// Hash equi-join ([`HashJoinExec`](crate::HashJoinExec)) — neither
+    /// side need be sorted, output unordered.  Priced by
+    /// [`em_core::bounds::hash_join_exact_ios`]: zero transfers of its own
+    /// while the build side fits the join's residency, otherwise the exact
+    /// cost of the filtered Grace join it falls into — ∞ when `hybrid` and
+    /// bucket 0 of a spilled build side overflows its resident share.
+    /// Additionally infeasible unless `(fan_out + 1)` block pairs fit in
+    /// memory.
     HashJoin {
-        /// Build input, partitioned first.
+        /// Build input, drained first: held if it fits, else partitioned.
         build: Box<PlanExpr>,
-        /// Probe input, streamed against each build partition.
+        /// Probe input, streamed against the build side or its partitions.
         probe: Box<PlanExpr>,
         /// Arrival-ordered level-0 hashes of the build side's join keys.
         build_hashes: KeyStats,
@@ -367,8 +369,9 @@ impl PlanExpr {
         }
     }
 
-    /// Grace/hybrid hash join with `build` partitioned first and `self` as
-    /// the probe side (mirroring [`tiny_join`](PlanExpr::tiny_join)).
+    /// Hash join with `build` drained first (held, or partitioned once it
+    /// stops fitting) and `self` as the probe side (mirroring
+    /// [`tiny_join`](PlanExpr::tiny_join)).
     #[allow(clippy::too_many_arguments)]
     pub fn hash_join(
         self,
@@ -644,6 +647,7 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 env.mem_records,
                 bpb,
                 ppb,
+                b.rec_bytes,
                 *fan_out,
                 *hybrid,
             ) * env.stripe as f64;

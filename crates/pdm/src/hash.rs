@@ -86,9 +86,91 @@ pub fn level_bucket(h0: u64, level: usize, fan_out: usize) -> usize {
     (mixed % fan_out as u64) as usize
 }
 
+/// A one-pass summary of a set of keys with one-sided error: a key that was
+/// [`insert`](Self::insert)ed always [`may_contain`](Self::may_contain); one
+/// that was not is rejected except with the false-positive rate of a
+/// two-position Bloom filter.  `emrel`'s hash join records the build keys it
+/// spills here and drops probe records the filter rejects before they cost a
+/// partition write.
+///
+/// Like [`level_bucket`], both bit positions come from the key's level-0
+/// hash (one [`splitmix`] of it, halved), so the join's cost replay
+/// (`em_core::bounds::hash_join_exact_ios`) rebuilds the identical filter
+/// from the level-0 hashes alone and predicts every false positive.
+pub struct KeyFilter {
+    /// Zero words (accept everything) or a power-of-two number of them.
+    words: Vec<u64>,
+}
+
+impl KeyFilter {
+    /// The largest power-of-two number of bits that fits `bytes` bytes; a
+    /// budget under one word leaves a filter that accepts every key.
+    pub fn with_bytes(bytes: usize) -> Self {
+        let words = match bytes / 8 {
+            0 => 0,
+            w => 1 << w.ilog2(),
+        };
+        KeyFilter {
+            words: vec![0; words],
+        }
+    }
+
+    /// Number of bits (zero or a power of two).
+    pub fn bits(&self) -> usize {
+        self.words.len() * 64
+    }
+
+    /// The two bit positions of the key with level-0 hash `h0`.
+    #[inline]
+    fn positions(&self, h0: u64) -> [usize; 2] {
+        let mask = self.bits() - 1;
+        let x = splitmix(h0 ^ 0xD6E8_FEB8_6659_FD93);
+        [x as usize & mask, (x >> 32) as usize & mask]
+    }
+
+    /// Record the key with level-0 hash `h0`.
+    #[inline]
+    pub fn insert(&mut self, h0: u64) {
+        if self.words.is_empty() {
+            return;
+        }
+        for p in self.positions(h0) {
+            self.words[p / 64] |= 1 << (p % 64);
+        }
+    }
+
+    /// False only if no key with level-0 hash `h0` was inserted.
+    #[inline]
+    pub fn may_contain(&self, h0: u64) -> bool {
+        self.words.is_empty()
+            || self
+                .positions(h0)
+                .iter()
+                .all(|p| self.words[p / 64] & (1 << (p % 64)) != 0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn key_filter_never_misses_and_rarely_lies() {
+        // 1 000 keys in 2¹⁵ bits: two positions a key, ≈ 6 % of the bits
+        // set, so a foreign key passes with probability ≈ 0.06² = 0.35 %.
+        let mut f = KeyFilter::with_bytes(5000);
+        assert_eq!(f.bits(), 1 << 15, "rounded down to a power of two");
+        let h = |k: u64| hash_bytes(&k.to_le_bytes());
+        assert!(!f.may_contain(h(0)), "an empty filter rejects");
+        (0..1000).for_each(|k| f.insert(h(k)));
+        assert!((0..1000).all(|k| f.may_contain(h(k))));
+        let lies = (1000..101_000).filter(|&k| f.may_contain(h(k))).count();
+        assert!(lies < 700, "{lies} false positives in 100 000");
+        // No room for a word: accept everything rather than reject a key.
+        let mut none = KeyFilter::with_bytes(7);
+        none.insert(h(1));
+        assert!(none.bits() == 0 && none.may_contain(h(2)));
+    }
 
     #[test]
     fn fnv1a_matches_reference_vectors() {

@@ -574,20 +574,25 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Grace/hybrid hash join over shuffled inputs across placement × mode ×
-    /// D, at a budget small enough that level-0 build buckets overflow the
-    /// pair loop and must re-partition: the output must match the
-    /// nested-loop reference as a multiset, measured must equal predicted
-    /// exactly, and a hybrid whose resident bucket cannot fit must be
-    /// *priced* infeasible — the executor treats running such a plan as a
+    /// Hash join over shuffled inputs across placement × mode × D, at a
+    /// budget of eight blocks, so the cases land in every regime: a build
+    /// side that fits the five-block residency and is never partitioned, a
+    /// filtered Grace join, level-0 build buckets that overflow the pair
+    /// loop and re-partition, a `heavy` key whose partition stops shrinking
+    /// and falls back to block-nested rounds, and hybrid.  The output must
+    /// match the nested-loop reference as a multiset, measured must equal
+    /// predicted exactly, the operator must stay inside `M` plus its
+    /// declared headroom, and a hybrid whose resident bucket cannot fit must
+    /// be *priced* infeasible — the executor treats running such a plan as a
     /// model violation, so an ∞ prediction is the planner refusing to go
     /// there.
     #[test]
     fn hash_join_matches_reference_and_cost_model(
         line_counts in prop::collection::vec(0usize..5, 8..120),
         sel in 0u64..=100,
+        heavy in 0u64..=60,
         seed in any::<u64>(),
         sync in any::<bool>(),
         depth in 0usize..=2,
@@ -597,7 +602,11 @@ proptest! {
         let keep_order = move |k: u64| {
             (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % 101 < sel
         };
-        let mut orders: Vec<Row> = (0..n_orders).map(|k| (k, k.wrapping_mul(7))).collect();
+        // Order 0 (kept whenever anything is) appears `1 + heavy` times.
+        let copies = move |k: u64| if k == 0 { 1 + heavy } else { 1 };
+        let mut orders: Vec<Row> = (0..n_orders)
+            .flat_map(|k| (0..copies(k)).map(move |c| (k, k.wrapping_mul(7) + c)))
+            .collect();
         shuffle(&mut orders, seed ^ 0xA5);
         let mut lineitem: Vec<Row> = Vec::new();
         for (k, &c) in line_counts.iter().enumerate() {
@@ -606,16 +615,14 @@ proptest! {
             }
         }
         shuffle(&mut lineitem, seed);
-        let f_cnt = (0..n_orders).filter(|&k| keep_order(k)).count() as u64;
-        let j_cnt: u64 = line_counts
+        let f_cnt = orders.iter().filter(|r| keep_order(r.0)).count() as u64;
+        let mut expect: Vec<Row> = lineitem
             .iter()
-            .enumerate()
-            .filter(|(k, _)| keep_order(*k as u64))
-            .map(|(_, &c)| c as u64)
-            .sum();
-        let mut expect: Vec<Row> =
-            lineitem.iter().filter(|r| keep_order(r.0)).copied().collect();
+            .filter(|r| keep_order(r.0))
+            .flat_map(|r| (0..copies(r.0)).map(|_| *r))
+            .collect();
         expect.sort_unstable();
+        let j_cnt = expect.len() as u64;
         let mode = if sync { IoMode::Synchronous } else { IoMode::Overlapped };
         let fan_out = 2usize;
 
@@ -623,7 +630,9 @@ proptest! {
             let rows_per_block = if placement.is_striped() { d * 4 } else { 4 };
             // Eight blocks of memory: the grace pair loop gets a six-block
             // chunk, so builds past ~24·D records recurse at least once.
-            let m = 8 * rows_per_block;
+            // Hybrid gets sixteen, or no build side would both overflow the
+            // residency and keep half of itself in bucket 0's share.
+            let m = if hybrid { 16 } else { 8 } * rows_per_block;
             let stripe = if placement.is_striped() { d as u64 } else { 1 };
             let sc = SortConfig::new(m).with_overlap(OverlapConfig::symmetric(depth));
             let cfg = ExecConfig::from_sort(sc);
@@ -642,7 +651,8 @@ proptest! {
             let ph: KeyStats = Arc::new(lineitem.iter().map(|r| key_hash(r.0)).collect());
             let plan = PlanExpr::scan(lineitem.len() as u64, ROW_BYTES, Order::Unordered)
                 .hash_join(
-                    PlanExpr::scan(n_orders, ROW_BYTES, Order::Unordered).filter(f_cnt),
+                    PlanExpr::scan(orders.len() as u64, ROW_BYTES, Order::Unordered)
+                        .filter(f_cnt),
                     bh,
                     ph,
                     fan_out,
@@ -691,9 +701,13 @@ proptest! {
                 placement, d, hybrid);
             prop_assert_eq!(ios.total(), pred as u64,
                 "{:?} d={} hybrid={} join measured != predicted", placement, d, hybrid);
-            prop_assert!(j_cnt == 0 || ios.partition_passes() >= 1 || hybrid,
-                "{:?} d={} a non-hybrid grace join over live input must partition",
-                placement, d);
+            // Nothing is partitioned if and only if the build side fit the
+            // residency `M − (F+1)·B`.
+            let spills = (ios.partition_passes(), ios.partition_spilled_blocks());
+            let residency = (m - (fan_out + 1) * rows_per_block) as u64;
+            prop_assert_eq!(spills == (0, 0), f_cnt <= residency,
+                "{:?} d={} hybrid={} build of {} vs residency {}: {:?}",
+                placement, d, hybrid, f_cnt, residency, spills);
 
             o_vec.free().unwrap();
             l_vec.free().unwrap();

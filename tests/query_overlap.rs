@@ -169,7 +169,7 @@ fn run_case(case: &str, device: &SharedDevice, overlap: OverlapConfig) -> Outcom
             let c = cfg(m, overlap);
             let bh: Vec<u64> = build.iter().map(|r| key_hash(r.0)).collect();
             let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
-            let replay = hash_join_exact_ios(&bh, &ph, m, B, B, fan, hybrid);
+            let replay = hash_join_exact_ios(&bh, &ph, m, B, B, 16, fan, hybrid);
             assert!(replay.is_finite(), "{case} must be feasible here");
             let replay = (bv.num_blocks() + pv.num_blocks()) as u64 + replay as u64;
             outcome(
