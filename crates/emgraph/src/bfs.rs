@@ -15,8 +15,10 @@
 //! `Θ(1)` I/Os per *edge* (experiment F10).
 
 use em_core::{ExtVec, ExtVecWriter};
-use emsort::{merge_sort_by, SortConfig, SortingWriter};
+use emsort::{SortConfig, SortingWriter};
 use pdm::Result;
+
+use crate::util::clustered_adjacency;
 
 /// Munagala–Ranade BFS over the undirected graph `edges` (vertex ids dense
 /// in `0..n`).  Returns `(vertex, distance)` for every vertex reachable from
@@ -31,57 +33,8 @@ pub fn bfs_mr(
     let device = edges.device().clone();
 
     // Preprocess: clustered adjacency (arcs sorted by (src, dst)) plus a
-    // dense offset table (start, degree) indexed by vertex.  The symmetrized
-    // arcs feed the sort directly — no unsorted materialization.
-    let adj = {
-        let mut w: SortingWriter<(u64, u64), _> =
-            SortingWriter::new(device.clone(), cfg, |a, b| a < b);
-        let mut r = edges.reader();
-        while let Some((u, v)) = r.try_next()? {
-            assert!(u < n && v < n, "vertex id out of range");
-            w.push((u, v))?;
-            w.push((v, u))?;
-        }
-        w.finish_sorted()?
-    };
-    let offsets: ExtVec<(u64, u64)> = {
-        // (start, degree) for vertex v at index v.
-        let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
-        let mut r = adj.reader();
-        let mut pos = 0u64;
-        let mut next_vertex = 0u64;
-        let mut cur: Option<(u64, u64)> = None; // (vertex, start)
-        while let Some((src, _)) = r.try_next()? {
-            match &cur {
-                Some((v, _)) if *v == src => {}
-                _ => {
-                    if let Some((v, start)) = cur {
-                        while next_vertex < v {
-                            w.push((0, 0))?;
-                            next_vertex += 1;
-                        }
-                        w.push((start, pos - start))?;
-                        next_vertex += 1;
-                    }
-                    cur = Some((src, pos));
-                }
-            }
-            pos += 1;
-        }
-        if let Some((v, start)) = cur {
-            while next_vertex < v {
-                w.push((0, 0))?;
-                next_vertex += 1;
-            }
-            w.push((start, pos - start))?;
-            next_vertex += 1;
-        }
-        while next_vertex < n {
-            w.push((0, 0))?;
-            next_vertex += 1;
-        }
-        w.finish()?
-    };
+    // dense offset table (start, degree) indexed by vertex.
+    let (adj, offsets) = clustered_adjacency(edges, n, cfg, |(u, v)| [(u, v), (v, u)], |a| *a)?;
 
     // Levels append in discovery order; the sink sorts them by vertex id
     // without ever materializing the unsorted sequence.
@@ -187,7 +140,9 @@ pub fn bfs_naive(
     let mut dist = vec![u64::MAX; n as usize];
     dist[source as usize] = 0;
     let mut queue = std::collections::VecDeque::from([source]);
-    let mut out: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(edges.device().clone());
+    // Discovery order goes straight into a sorting sink: the walk holds one
+    // block, so the unsorted visit list is never written.
+    let mut out = SortingWriter::new(edges.device().clone(), cfg, |a: &(u64, u64), b| a.0 < b.0);
     while let Some(u) = queue.pop_front() {
         out.push((u, dist[u as usize]))?;
         for &pos in &incidence[u as usize] {
@@ -199,10 +154,7 @@ pub fn bfs_naive(
             }
         }
     }
-    let unsorted = out.finish()?;
-    let sorted = merge_sort_by(&unsorted, cfg, |a, b| a.0 < b.0)?;
-    unsorted.free()?;
-    Ok(sorted)
+    out.finish_sorted()
 }
 
 #[cfg(test)]

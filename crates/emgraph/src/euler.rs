@@ -13,7 +13,7 @@
 //! which is the whole point: no per-edge pointer chasing.
 
 use em_core::{ExtVec, ExtVecWriter};
-use emsort::{merge_sort_by, merge_sort_streaming, SortConfig};
+use emsort::{merge_sort_by, merge_sort_streaming, SortConfig, SortingWriter};
 use pdm::Result;
 
 use crate::list_ranking::{list_rank, list_rank_weighted, NIL};
@@ -44,18 +44,16 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
     assert!(!edges.is_empty(), "tree must have at least one edge");
 
     // 1. Symmetrize and sort: arcs ordered by (src, dst); id = position.
+    //    The symmetrizing scan feeds the sort directly.
     let arcs = {
-        let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
+        let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64), b| a < b);
         let mut r = edges.reader();
         while let Some((u, v)) = r.try_next()? {
             assert_ne!(u, v, "self loop in tree");
             w.push((u, v))?;
             w.push((v, u))?;
         }
-        let unsorted = w.finish()?;
-        let sorted = merge_sort_by(&unsorted, cfg, |a, b| a < b)?;
-        unsorted.free()?;
-        sorted
+        w.finish_sorted()?
     };
 
     // 2. Per source group, link the circular order: the successor of arc
@@ -64,7 +62,9 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
     //    Also note the root's first out-arc (the tour head).
     let mut head: Option<u64> = None;
     let rel = {
-        let mut w: ExtVecWriter<(u64, u64, u64)> = ExtVecWriter::new(device.clone());
+        let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64, u64), b| {
+            (a.0, a.1) < (b.0, b.1)
+        });
         let mut r = arcs.reader();
         let mut idx = 0u64;
         let mut group: Option<(u64, u64, u64)> = None; // (src, first_arc_id, prev_dst)
@@ -93,32 +93,26 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
         if let Some((gsrc, first_id, prev_dst)) = group {
             w.push((prev_dst, gsrc, first_id))?;
         }
-        w.finish()?
+        w
     };
     let head = head.expect("root has no incident edge");
 
     // 3. Zip: `rel` sorted by (x, v) runs parallel to `arcs` sorted by
     //    (src, dst); position i in `arcs` is arc id i.  Break the cycle at
-    //    the arc whose successor is the head.  The sorted relation is
-    //    consumed once, so the sort's final merge streams into the zip.
-    let succ = merge_sort_streaming(
-        &rel,
-        cfg,
-        |a, b| (a.0, a.1) < (b.0, b.1),
-        |rr| {
-            let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
-            let mut ra = arcs.reader();
-            let mut idx = 0u64;
-            while let Some((src, dst)) = ra.try_next()? {
-                let (x, v, next) = rr.try_next()?.expect("one relation record per arc");
-                debug_assert_eq!((x, v), (src, dst), "relation misaligned with arcs");
-                w.push((idx, if next == head { NIL } else { next }))?;
-                idx += 1;
-            }
-            w.finish()
-        },
-    )?;
-    rel.free()?;
+    //    the arc whose successor is the head.  The relation is produced by
+    //    one scan and consumed by one, so both ends of its sort are fused.
+    let succ = rel.finish_streaming(|rr| {
+        let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
+        let mut ra = arcs.reader();
+        let mut idx = 0u64;
+        while let Some((src, dst)) = ra.try_next()? {
+            let (x, v, next) = rr.try_next()?.expect("one relation record per arc");
+            debug_assert_eq!((x, v), (src, dst), "relation misaligned with arcs");
+            w.push((idx, if next == head { NIL } else { next }))?;
+            idx += 1;
+        }
+        w.finish()
+    })?;
 
     Ok(EulerTour { arcs, succ, head })
 }
@@ -141,9 +135,11 @@ pub fn tree_depths(
     let unit_ranks = list_rank(&tour.succ, tour.head, cfg)?; // (arc_id, position), sorted by arc id
 
     // Pair twin arcs by normalized endpoints to classify direction:
-    // records (min, max, dst, arc_id, position), sorted by (min, max).
+    // records (min, max, position, arc_id), sorted by (min, max, position).
     let tagged = {
-        let mut w: ExtVecWriter<(u64, u64, u64, u64)> = ExtVecWriter::new(device.clone());
+        let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64, u64, u64), b| {
+            (a.0, a.1, a.2) < (b.0, b.1, b.2)
+        });
         // arcs and unit_ranks are both in arc-id order; zip them.
         let mut ra = tour.arcs.reader();
         let mut rr = unit_ranks.reader();
@@ -155,19 +151,17 @@ pub fn tree_depths(
             w.push((lo, hi, pos, idx))?;
             idx += 1;
         }
-        w.finish()?
+        w
     };
     unit_ranks.free()?;
 
     // Each consecutive pair in sorted `tagged` shares (lo, hi): the arc with
     // the smaller position is the forward (descending) arc.  Emit per-arc
-    // weights and remember the forward arc's destination vertex.  The sorted
-    // pairs are consumed once, so the final merge streams into the scan.
+    // weights and remember the forward arc's destination vertex.  The pairs
+    // are produced by one scan and consumed by one: both ends fused.
     let mut weights_w: ExtVecWriter<(u64, i64)> = ExtVecWriter::new(device.clone()); // (arc_id, ±1)
     let mut fwd_w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone()); // (forward_arc_id, child vertex)
-    let tagged_less =
-        |a: &(u64, u64, u64, u64), b: &(u64, u64, u64, u64)| (a.0, a.1, a.2) < (b.0, b.1, b.2);
-    merge_sort_streaming(&tagged, cfg, tagged_less, |rt| {
+    tagged.finish_streaming(|rt| {
         while let Some(first) = rt.try_next()? {
             let second = rt.try_next()?.expect("arcs come in twin pairs");
             debug_assert_eq!(
@@ -190,7 +184,6 @@ pub fn tree_depths(
         }
         Ok(())
     })?;
-    tagged.free()?;
     let weights = weights_w.finish()?;
     let fwd = fwd_w.finish()?;
 

@@ -19,7 +19,8 @@
 use std::collections::HashMap;
 
 use em_core::{ExtVec, ExtVecWriter};
-use emsort::{merge_sort_by, merge_sort_streaming, SortConfig};
+use emsort::{merge_sort_by, merge_sort_streaming, SortConfig, SortingWriter};
+use pdm::hash::splitmix;
 use pdm::Result;
 
 /// "No successor" sentinel for list tails.
@@ -96,17 +97,17 @@ fn rank_rec(
         return ExtVec::from_slice(device, &ranks);
     }
 
-    // Predecessor pairs (succ, node): sorted by target and consumed once by
-    // the removal scan, so the sort's final merge streams straight into it.
+    // Predecessor pairs (succ, node), sorted by target: produced by one scan
+    // and consumed once by the removal scan, so both ends of the sort fuse.
     let preds = {
-        let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
+        let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64), b| a.0 < b.0);
         let mut r = nodes.reader();
         while let Some((id, s, _)) = r.try_next()? {
             if s != NIL {
                 w.push((s, id))?;
             }
         }
-        w.finish()?
+        w
     };
 
     // Decide removals and emit splices / saves / survivors.
@@ -114,36 +115,29 @@ fn rank_rec(
     let mut saved: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone()); // (pred, removed)
     let mut survivors: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(device.clone());
     let mut removed_count = 0u64;
-    merge_sort_streaming(
-        &preds,
-        cfg,
-        |a, b| a.0 < b.0,
-        |rp| {
-            let mut rn = nodes.reader();
-            let mut cur_pred: Option<(u64, u64)> = rp.try_next()?;
-            while let Some((id, s, w)) = rn.try_next()? {
-                while cur_pred.is_some_and(|(t, _)| t < id) {
-                    cur_pred = rp.try_next()?;
-                }
-                let pred = match cur_pred {
-                    Some((t, p)) if t == id => Some(p),
-                    _ => None,
-                };
-                let removable =
-                    id != head && coin(level, id) && pred.is_some_and(|p| !coin(level, p));
-                if removable {
-                    let p = pred.expect("removable implies pred");
-                    splices.push((p, s, w))?;
-                    saved.push((p, id))?;
-                    removed_count += 1;
-                } else {
-                    survivors.push((id, s, w))?;
-                }
+    preds.finish_streaming(|rp| {
+        let mut rn = nodes.reader();
+        let mut cur_pred: Option<(u64, u64)> = rp.try_next()?;
+        while let Some((id, s, w)) = rn.try_next()? {
+            while cur_pred.is_some_and(|(t, _)| t < id) {
+                cur_pred = rp.try_next()?;
             }
-            Ok(())
-        },
-    )?;
-    preds.free()?;
+            let pred = match cur_pred {
+                Some((t, p)) if t == id => Some(p),
+                _ => None,
+            };
+            let removable = id != head && coin(level, id) && pred.is_some_and(|p| !coin(level, p));
+            if removable {
+                let p = pred.expect("removable implies pred");
+                splices.push((p, s, w))?;
+                saved.push((p, id))?;
+                removed_count += 1;
+            } else {
+                survivors.push((id, s, w))?;
+            }
+        }
+        Ok(())
+    })?;
     let splices = splices.finish()?;
     let saved = saved.finish()?;
     let survivors = survivors.finish()?;
@@ -234,8 +228,9 @@ pub fn list_rank_naive(
     head: u64,
     cfg: &SortConfig,
 ) -> Result<ExtVec<(u64, u64)>> {
-    let device = succ.device().clone();
-    let mut out: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device);
+    // The chase holds one block, so its visit order goes straight into the
+    // sort by node id.
+    let mut out = SortingWriter::new(succ.device().clone(), cfg, |a: &(u64, u64), b| a.0 < b.0);
     let mut cur = head;
     let mut rank = 0u64;
     while cur != NIL {
@@ -246,19 +241,12 @@ pub fn list_rank_naive(
         cur = s;
         assert!(rank <= succ.len(), "cycle detected");
     }
-    let unsorted = out.finish()?;
-    let sorted = merge_sort_by(&unsorted, cfg, |a, b| a.0 < b.0)?;
-    unsorted.free()?;
-    Ok(sorted)
+    out.finish_sorted()
 }
 
-/// Deterministic per-(level, id) coin flip (splitmix64 finalizer).
+/// Deterministic per-(level, id) coin flip.
 fn coin(level: u64, id: u64) -> bool {
-    let mut z = id ^ level.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z = z ^ (z >> 31);
-    z & 1 == 1
+    splitmix(id ^ level.rotate_left(32) ^ 0x9E37_79B9_7F4A_7C15) & 1 == 1
 }
 
 #[cfg(test)]

@@ -22,6 +22,8 @@ use emsort::{merge_sort_by, SortConfig};
 use emtree::ExtPriorityQueue;
 use pdm::Result;
 
+use crate::util::clustered_adjacency;
+
 /// Shortest-path distances from `source` in the undirected, non-negatively
 /// weighted graph `edges` (`(u, v, w)`, dense vertex ids `0..n`).  Returns
 /// `(vertex, distance)` for every reachable vertex, sorted by vertex id.
@@ -34,58 +36,15 @@ pub fn sssp(
     assert!(source < n);
     let device = edges.device().clone();
 
-    // Clustered adjacency: arcs (src, dst, w) sorted by src, plus a dense
-    // (start, degree) offset table.
-    let adj = {
-        let mut w: ExtVecWriter<(u64, u64, u64)> = ExtVecWriter::new(device.clone());
-        let mut r = edges.reader();
-        while let Some((u, v, wt)) = r.try_next()? {
-            assert!(u < n && v < n, "vertex id out of range");
-            w.push((u, v, wt))?;
-            w.push((v, u, wt))?;
-        }
-        let unsorted = w.finish()?;
-        let sorted = merge_sort_by(&unsorted, cfg, |a, b| (a.0, a.1) < (b.0, b.1))?;
-        unsorted.free()?;
-        sorted
-    };
-    let offsets: ExtVec<(u64, u64)> = {
-        let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
-        let mut r = adj.reader();
-        let mut pos = 0u64;
-        let mut next_vertex = 0u64;
-        let mut cur: Option<(u64, u64)> = None;
-        while let Some((src, _, _)) = r.try_next()? {
-            match &cur {
-                Some((v, _)) if *v == src => {}
-                _ => {
-                    if let Some((v, start)) = cur {
-                        while next_vertex < v {
-                            w.push((0, 0))?;
-                            next_vertex += 1;
-                        }
-                        w.push((start, pos - start))?;
-                        next_vertex += 1;
-                    }
-                    cur = Some((src, pos));
-                }
-            }
-            pos += 1;
-        }
-        if let Some((v, start)) = cur {
-            while next_vertex < v {
-                w.push((0, 0))?;
-                next_vertex += 1;
-            }
-            w.push((start, pos - start))?;
-            next_vertex += 1;
-        }
-        while next_vertex < n {
-            w.push((0, 0))?;
-            next_vertex += 1;
-        }
-        w.finish()?
-    };
+    // Clustered adjacency: arcs (src, dst, w) sorted by (src, dst), plus a
+    // dense (start, degree) offset table.
+    let (adj, offsets) = clustered_adjacency(
+        edges,
+        n,
+        cfg,
+        |(u, v, w)| [(u, v, w), (v, u, w)],
+        |a| (a.0, a.1),
+    )?;
 
     // Dijkstra with lazy deletion.
     let mut settled = vec![false; n as usize]; // the semi-external bitmap

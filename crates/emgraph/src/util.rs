@@ -1,4 +1,5 @@
-//! The merge-join every contraction step is built from.
+//! The merge-join every contraction step is built from, and the clustered
+//! adjacency both traversals walk.
 //!
 //! Every algorithm in this crate is assembled from sorts (delegated to
 //! `emsort`) plus streaming joins.  The join below consumes a sort's final
@@ -6,8 +7,50 @@
 //! so it costs `O(scan)` I/Os.
 
 use em_core::{ExtVec, ExtVecWriter, Record};
-use emsort::SortedStream;
+use emsort::{SortConfig, SortedStream, SortingWriter};
 use pdm::Result;
+
+/// Vertex `v`'s slice of a clustered arc array, as `(start, degree)` at
+/// index `v`.
+type Offsets = ExtVec<(u64, u64)>;
+
+/// The clustered adjacency of the undirected graph `edges` on vertices
+/// `0..n`: both arcs of every edge (`arcs_of`) sorted by `ends` — an arc's
+/// `(src, dst)` — plus their [`Offsets`].  The symmetrized arcs feed the sort
+/// directly, so the unsorted arc list is never written.
+pub(crate) fn clustered_adjacency<E: Record, A: Record>(
+    edges: &ExtVec<E>,
+    n: u64,
+    cfg: &SortConfig,
+    arcs_of: impl Fn(E) -> [A; 2],
+    ends: impl Fn(&A) -> (u64, u64) + Copy + Send,
+) -> Result<(ExtVec<A>, Offsets)> {
+    let device = edges.device().clone();
+    let mut arcs = SortingWriter::new(device.clone(), cfg, move |a: &A, b: &A| ends(a) < ends(b));
+    let mut r = edges.reader();
+    while let Some(e) = r.try_next()? {
+        for arc in arcs_of(e) {
+            assert!(ends(&arc).0 < n, "vertex id out of range");
+            arcs.push(arc)?;
+        }
+    }
+    let adj = arcs.finish_sorted()?;
+
+    let mut offsets: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device);
+    let mut r = adj.reader();
+    let mut next = r.try_next()?;
+    let mut pos = 0u64;
+    for v in 0..n {
+        let start = pos;
+        while next.as_ref().is_some_and(|arc| ends(arc).0 == v) {
+            pos += 1;
+            next = r.try_next()?;
+        }
+        offsets.push((start, pos - start))?;
+    }
+    drop(r);
+    Ok((adj, offsets.finish()?))
+}
 
 /// Left-outer merge-join of the stream `a`, sorted by `key`, against `b`,
 /// sorted by its unique `u64` key (`.0`): every record of `a` is emitted

@@ -21,10 +21,11 @@
 //! [`bit_reversal`] builds the `A` for the FFT's bit-reversal step;
 //! [`perfect_shuffle`] the cyclic address rotation.
 
-use em_core::{ExtVec, ExtVecWriter, Record};
+use em_core::{ExtVec, Record};
 use pdm::Result;
 
-use crate::{merge_sort_by, SortConfig};
+use crate::permute::place_by_destination;
+use crate::SortConfig;
 
 /// An affine address map over GF(2): `target = A·source ⊕ c`, for addresses
 /// of `bits` bits.  Row `i` of `A` is stored as a u64 mask of source bits.
@@ -113,32 +114,18 @@ pub fn bmmc_permute<R: Record>(
 ) -> Result<ExtVec<R>> {
     let n = input.len();
     assert_eq!(n, 1u64 << matrix.bits(), "input length must be 2^bits");
-    let device = input.device().clone();
-    // Tag with computed targets (no materialized destination vector).
-    let mut w: ExtVecWriter<(u64, R)> = ExtVecWriter::new(device.clone());
-    {
-        let mut r = input.reader();
-        let mut i = 0u64;
-        while let Some(rec) = r.try_next()? {
-            w.push((matrix.apply(i), rec))?;
-            i += 1;
-        }
-    }
-    let tagged = w.finish()?;
-    let pair_cfg = SortConfig {
-        mem_records: (cfg.mem_records * R::BYTES / (u64::BYTES + R::BYTES)).max(1),
-        ..*cfg
-    };
-    let sorted = merge_sort_by(&tagged, &pair_cfg, |a, b| a.0 < b.0)?;
-    tagged.free()?;
-    let mut out: ExtVecWriter<R> = ExtVecWriter::new(device);
-    let mut r = sorted.reader();
-    while let Some((_, rec)) = r.try_next()? {
-        out.push(rec)?;
-    }
-    drop(r);
-    sorted.free()?;
-    out.finish()
+    // Targets are computed as the scan goes (no materialized destination
+    // vector).
+    let mut reader = input.reader();
+    let mut i = 0u64;
+    place_by_destination(input.device().clone(), cfg, || {
+        let Some(rec) = reader.try_next()? else {
+            return Ok(None);
+        };
+        let target = matrix.apply(i);
+        i += 1;
+        Ok(Some((target, rec)))
+    })
 }
 
 #[cfg(test)]

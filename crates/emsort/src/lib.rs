@@ -27,6 +27,11 @@
 //!   "tall-memory" regime) and falls back to sort-based transposition
 //!   (`O(Sort(N))`) below it.
 //!
+//!   Everything sort-based in these three bullets ([`invert_permutation`]
+//!   too) is one scan feeding one private tag → sort → strip in `permute`:
+//!   `(destination, record)` pairs go straight into a [`SortingWriter`] and
+//!   the tags come off its final merge as the output is written.
+//!
 //! Every entry point takes a [`SortConfig`] carrying the memory budget `M`
 //! (in records); buffers are charged against an [`em_core::MemBudget`] so
 //! exceeding the declared memory is a panic, not a silent cheat.

@@ -16,10 +16,11 @@
 //! [`transpose_naive`] writes each record to its target position one at a
 //! time (`Θ(N)` I/Os) — the baseline of experiment F4.
 
-use em_core::{ExtVec, ExtVecWriter, Record};
+use em_core::{ExtVec, Record};
 use pdm::Result;
 
-use crate::{merge_sort_by, SortConfig};
+use crate::permute::place_by_destination;
+use crate::SortConfig;
 
 /// Transpose a `p × q` row-major matrix one record at a time: a sequential
 /// scan plus `2N` random I/Os.
@@ -102,32 +103,16 @@ fn transpose_by_sort<R: Record>(
     q: u64,
     cfg: &SortConfig,
 ) -> Result<ExtVec<R>> {
-    let device = input.device().clone();
-    let mut w: ExtVecWriter<(u64, R)> = ExtVecWriter::new(device.clone());
-    {
-        let mut reader = input.reader();
-        let mut idx = 0u64;
-        while let Some(rec) = reader.try_next()? {
-            let (r, c) = (idx / q, idx % q);
-            w.push((c * p + r, rec))?;
-            idx += 1;
-        }
-    }
-    let tagged = w.finish()?;
-    let pair_cfg = SortConfig {
-        mem_records: (cfg.mem_records * R::BYTES / (u64::BYTES + R::BYTES)).max(1),
-        ..*cfg
-    };
-    let sorted = merge_sort_by(&tagged, &pair_cfg, |a, b| a.0 < b.0)?;
-    tagged.free()?;
-    let mut out: ExtVecWriter<R> = ExtVecWriter::new(device);
-    let mut reader = sorted.reader();
-    while let Some((_, rec)) = reader.try_next()? {
-        out.push(rec)?;
-    }
-    drop(reader);
-    sorted.free()?;
-    out.finish()
+    let mut reader = input.reader();
+    let mut idx = 0u64;
+    place_by_destination(input.device().clone(), cfg, || {
+        let Some(rec) = reader.try_next()? else {
+            return Ok(None);
+        };
+        let (r, c) = (idx / q, idx % q);
+        idx += 1;
+        Ok(Some((c * p + r, rec)))
+    })
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@
 #![warn(missing_docs)]
 
 use em_core::{ExtVec, ExtVecWriter};
-use emsort::{merge_sort_by, SortConfig};
+use emsort::{merge_sort_by, merge_sort_streaming, SortConfig, SortingWriter};
 use pdm::Result;
 
 /// Rank sentinel for "past the end of the text".
@@ -57,48 +57,41 @@ pub fn suffix_array(text: &ExtVec<u8>, cfg: &SortConfig) -> Result<ExtVec<u64>> 
     loop {
         // Build (pos, r_pos, r_pos+h) triples by zipping `ranks` with a
         // copy of itself shifted h positions left; both streams are in
-        // position order, so this is a single parallel scan.
-        let triples: ExtVec<(u64, u64, u64)> = {
-            let mut w = ExtVecWriter::new(device.clone());
-            let mut cur = ranks.reader();
-            let mut ahead = ranks.reader_at(h.min(n));
-            while let Some((pos, r1)) = cur.try_next()? {
-                let r2 = match ahead.try_next()? {
-                    Some((_, r)) => r,
-                    None => NONE, // suffix shorter than h+…: sorts first via key order below
-                };
-                w.push((pos, r1, r2))?;
-            }
-            w.finish()?
-        };
-
+        // position order, so this is a single parallel scan, and it feeds
+        // the sort directly.
+        //
         // Sort by the composite key (r1, r2); NONE (absent) must order
         // *before* any real rank because a shorter string is a prefix and
         // therefore smaller — map NONE to 0 (real ranks start at 1).
         let key = |t: &(u64, u64, u64)| (t.1, if t.2 == NONE { 0 } else { t.2 });
-        let by_key = merge_sort_by(&triples, cfg, move |a, b| key(a) < key(b))?;
-        triples.free()?;
+        let mut triples = SortingWriter::new(device.clone(), cfg, move |a, b| key(a) < key(b));
+        {
+            let mut cur = ranks.reader();
+            let mut ahead = ranks.reader_at(h.min(n));
+            while let Some((pos, r1)) = cur.try_next()? {
+                // A suffix shorter than h has no second half.
+                let r2 = ahead.try_next()?.map_or(NONE, |(_, r)| r);
+                triples.push((pos, r1, r2))?;
+            }
+        }
+        ranks.free()?;
 
-        // Assign new ranks by scanning groups of equal keys.
-        let distinct;
-        let reranked: ExtVec<(u64, u64)> = {
+        // Assign new ranks by scanning groups of equal keys as the sort's
+        // final merge delivers them.
+        let mut distinct = 0u64;
+        let reranked: ExtVec<(u64, u64)> = triples.finish_streaming(|by_key| {
             let mut w = ExtVecWriter::new(device.clone());
-            let mut r = by_key.reader();
             let mut last_key: Option<(u64, u64)> = None;
-            let mut rank = 0u64;
-            while let Some(t) = r.try_next()? {
+            while let Some(t) = by_key.try_next()? {
                 let k = key(&t);
                 if last_key != Some(k) {
-                    rank += 1;
+                    distinct += 1;
                     last_key = Some(k);
                 }
-                w.push((t.0, rank))?;
+                w.push((t.0, distinct))?;
             }
-            distinct = rank;
-            w.finish()?
-        };
-        by_key.free()?;
-        ranks.free()?;
+            w.finish()
+        })?;
         // Back to position order for the next round.
         ranks = merge_sort_by(&reranked, cfg, |a, b| a.0 < b.0)?;
         reranked.free()?;
@@ -109,17 +102,22 @@ pub fn suffix_array(text: &ExtVec<u8>, cfg: &SortConfig) -> Result<ExtVec<u64>> 
         h *= 2;
     }
 
-    // SA = positions sorted by final rank.
-    let by_rank = merge_sort_by(&ranks, cfg, |a, b| a.1 < b.1)?;
+    // SA = positions sorted by final rank; the ranks come off the final
+    // merge as the positions are written.
+    let sa = merge_sort_streaming(
+        &ranks,
+        cfg,
+        |a, b| a.1 < b.1,
+        |by_rank| {
+            let mut w: ExtVecWriter<u64> = ExtVecWriter::new(device);
+            while let Some((pos, _)) = by_rank.try_next()? {
+                w.push(pos)?;
+            }
+            w.finish()
+        },
+    )?;
     ranks.free()?;
-    let mut w: ExtVecWriter<u64> = ExtVecWriter::new(device);
-    let mut r = by_rank.reader();
-    while let Some((pos, _)) = r.try_next()? {
-        w.push(pos)?;
-    }
-    drop(r);
-    by_rank.free()?;
-    w.finish()
+    Ok(sa)
 }
 
 /// Compare `pattern` against the suffix starting at `pos` (prefix order):
@@ -310,8 +308,8 @@ mod tests {
         let ios = d.stats().snapshot().since(&before).total();
         assert_eq!(sa.len() as usize, n);
         // With a 26-letter alphabet ranks are distinct after ~4 rounds;
-        // each round is a few sorts of N pairs/triples.
-        assert!(ios < 30_000, "suffix array construction used {ios} I/Os");
+        // each round is two sorts, of N triples and of N pairs.
+        assert_eq!(ios, 13_548);
     }
 
     #[test]

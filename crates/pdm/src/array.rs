@@ -92,13 +92,10 @@ impl Placement {
     }
 }
 
-/// SplitMix64 finalizer: decorrelates `(seed, stream)` pairs into lane
+/// One SplitMix64 step: decorrelates `(seed, stream)` pairs into lane
 /// choices and permutation seeds.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn mix64(z: u64) -> u64 {
+    crate::hash::splitmix(z.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// The allocation cursor of an independent-geometry array: the lane sequence

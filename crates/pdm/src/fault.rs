@@ -71,11 +71,8 @@ const CTR_TRANSIENT_READ: u8 = 0;
 const CTR_TRANSIENT_WRITE: u8 = 1;
 const CTR_TORN: u8 = 2;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+fn splitmix64(x: u64) -> u64 {
+    crate::hash::splitmix(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 /// The bytes a torn write leaves on the medium: first half bit-flipped,

@@ -6,7 +6,7 @@ use emgeom::{
     batched_range_reporting, dominance_count, segment_intersections, HSeg, Point, Rect, VSeg,
 };
 use emgraph::{
-    bfs_mr, connected_components, gen, list_rank, minimum_spanning_forest, time_forward,
+    bfs_mr, connected_components, gen, list_rank, minimum_spanning_forest, sssp, time_forward,
     tree_depths,
 };
 use emsort::{OverlapConfig, SortConfig};
@@ -117,13 +117,14 @@ fn time_forward_computes_bfs_layers_on_a_dag() {
 type Round = (Vec<(u64, u64)>, (u64, u64));
 
 /// BFS, connected components, list ranking and a minimum spanning forest,
-/// then the three distribution sweeps, each measured, on a `d`-disk
+/// then the three distribution sweeps, then shortest paths over the weighted
+/// graph and Euler-tour depths of a tree, each measured, on a `d`-disk
 /// independent-placement array.  The inputs are built by arithmetic — a ring
 /// plus LCG chords, a strided list, LCG coordinates — so the counts depend
 /// on no generator crate.  `M` is about a twentieth of the symmetrized arc
 /// list and a sixth of each sweep's events, so the sorts inside a round
 /// really merge and every sweep really distributes.
-fn graph_rounds(d: usize, mode: IoMode, overlap: OverlapConfig) -> [Round; 7] {
+fn graph_rounds(d: usize, mode: IoMode, overlap: OverlapConfig) -> [Round; 9] {
     const V: u64 = 1200;
     const LIST: u64 = 3001;
     const SPAN: u64 = 4096;
@@ -189,6 +190,11 @@ fn graph_rounds(d: usize, mode: IoMode, overlap: OverlapConfig) -> [Round; 7] {
     let pts = ExtVec::from_slice(device.clone(), &pts).unwrap();
     let rects = ExtVec::from_slice(device.clone(), &rects).unwrap();
 
+    // Vertex v hangs under an LCG-chosen earlier vertex: depth ≈ ln V, every
+    // fan-out from leaf to hub.
+    let tree: Vec<(u64, u64)> = (1..V).map(|v| (lcg(v), v)).collect();
+    let tree = ExtVec::from_slice(device.clone(), &tree).unwrap();
+
     fn measure<R: Record>(
         device: &SharedDevice,
         run: impl FnOnce() -> ExtVec<R>,
@@ -213,6 +219,8 @@ fn graph_rounds(d: usize, mode: IoMode, overlap: OverlapConfig) -> [Round; 7] {
             batched_range_reporting(&pts, &rects, &sc).unwrap()
         }),
         measure(&device, || dominance_count(&pts, &pts, &sc).unwrap()),
+        measure(&device, || sssp(&weighted, V, 0, &sc).unwrap()),
+        measure(&device, || tree_depths(&tree, 0, &sc).unwrap()),
     ]
 }
 
@@ -225,21 +233,31 @@ fn graph_rounds_keep_their_counts_across_io_modes() {
         assert_eq!(sync, over, "D = {d}");
         if d == 1 {
             // `(reads, writes)`: a sorted intermediate that is written and
-            // re-read again moves these.  The first three were recorded at
+            // re-read again moves these.  BFS and CC were recorded at
             // c73cee2, before the materialize-everything baselines were
-            // deleted; the last four when MSF moved onto the contraction CC
-            // uses and the sweeps onto one driver with a fused prologue.
+            // deleted; MSF and the sweeps when MSF moved onto the contraction
+            // CC uses and the sweeps onto one driver with a fused prologue.
+            // The three rounds with a scan-fed sort inside, at 3e88fd5 (each
+            // such stream written unsorted, then sorted) and now (the scan
+            // feeds the sort):
+            //
+            //   list_rank     (7460, 6409)    → (6803, 5752)    `preds`
+            //   sssp          (7249, 3669)    → (6290, 2710)    the arc list
+            //   tree_depths   (14128, 11940)  → (12446, 10258)  arcs, `rel`,
+            //                                   `tagged`, and list ranking's `preds`
             let counts = sync.map(|(_, c)| c);
             assert_eq!(
                 counts,
                 [
                     (4961, 1768),
                     (5836, 5025),
-                    (7460, 6409),
+                    (6803, 5752),
                     (14988, 12455),
                     (2288, 1996),
                     (1653, 1249),
                     (2233, 1598),
+                    (6290, 2710),
+                    (12446, 10258),
                 ]
             );
         }
