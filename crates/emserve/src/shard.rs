@@ -795,7 +795,9 @@ mod tests {
         // A serialized overlay would be 1 280 × 21 bytes = 27 chain blocks by
         // now.  What is left is the absorber's manifest — 8 bytes per buffer
         // block and, once the root buffer has emptied into leaves (round
-        // 32), some 70 per leaf of 36 records: 1–2 blocks before, 3–4 after.
+        // 32), some 70 per leaf of 36 records.  Its first 976 bytes ride in
+        // the header block, so it overflows into 0–1 chain blocks before
+        // and 2–3 after.
         assert!(
             chain[39] <= chain[1] + 2,
             "chain blocks per checkpoint grew with the overlay: {chain:?}"

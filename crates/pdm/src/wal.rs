@@ -53,37 +53,50 @@
 //!
 //! 1. **Chain**: the redo record — every `(home, shadow, payload checksum)`
 //!    of a rewritten committed block, plus all named
-//!    [manifests](Journal::set_manifest) — is serialized into freshly
-//!    allocated, checksummed *chain blocks*, linked head-to-tail.
-//! 2. **Commit**: a header block is written with state `COMMITTED`, an odd
-//!    sequence number, and the chain head.  This single block write is the
-//!    commit point.
+//!    [manifests](Journal::set_manifest) — is serialized.  Its first
+//!    `B − 48` bytes ride *inline* in the header block written next; only
+//!    the remainder goes into freshly allocated, checksummed *chain blocks*,
+//!    written back to front so each block's link is final.
+//! 2. **Commit**: a header block is written with the next sequence number,
+//!    the chain head and the inline bytes.  This single block write is the
+//!    commit point.  An epoch that rewrote no committed block has nothing to
+//!    redo, so its header already says `CLEAN` and the checkpoint skips to
+//!    step 5; otherwise it says `COMMITTED`.
 //! 3. **Apply**: each shadow is copied onto its home block.
-//! 4. **Clean**: the other header block is written with state `CLEAN` and the
-//!    next (even) sequence number, still referencing the chain (recovery
-//!    reads the manifests from it).
+//! 4. **Clean**: a second header, `CLEAN` with the next sequence number, is
+//!    written with the same chain head and inline bytes (recovery reads the
+//!    manifests from them).
 //! 5. **Retire**: the previous checkpoint's chain, the applied shadows and
 //!    all deferred frees are released.
 //!
-//! The two header blocks ping-pong: odd sequence numbers (`COMMITTED`) live
-//! in one slot, even (`CLEAN`) in the other, so a torn header write can only
-//! corrupt the *newer* header and recovery falls back to the older one.
-//! [`Journal::recover`] reads both headers, picks the newest valid one, and
-//! either rewinds (state `CLEAN`: in-memory pending set is simply gone, homes
-//! are consistent) or redoes the apply (state `COMMITTED`: every shadow is
-//! verified against its checksum and copied home again — idempotent, so a
-//! crash *during recovery* is recovered by recovering again).
+//! Every header write goes to whichever of the two header slots does *not*
+//! hold the newest header, so a torn header write can only corrupt the
+//! header being written, and recovery falls back to the one before it —
+//! whose chain is still allocated, because a chain is retired only after the
+//! next header has landed.  A header is 48 fixed bytes (magic, sequence
+//! number, state, chain head, inline length, checksum) followed by the
+//! inline bytes, and the checksum covers both: a header whose tail did not
+//! land is rejected like one whose fields did not.  [`Journal::recover`]
+//! reads both headers, picks the newest valid one, and either rewinds (state
+//! `CLEAN`: in-memory pending set is simply gone, homes are consistent) or
+//! redoes the apply (state `COMMITTED`: every shadow is verified against its
+//! checksum and copied home again, then `CLEAN` goes to the other slot —
+//! idempotent, so a crash *during recovery* is recovered by recovering
+//! again).
 //!
 //! ## Cost accounting
 //!
 //! Mid-epoch operations cost exactly what the bare device costs, so an
 //! algorithm's transfer counts are unchanged by journaling until it
-//! checkpoints.  The checkpoint overhead — chain writes, two header writes,
-//! one read + one write per pending block for the apply — is tracked exactly
-//! in [`WalOverhead`], so benchmarks can assert `journaled = bare + overhead`
-//! to the transfer.  Per checkpoint that is
-//! `2 + O(rewritten committed blocks + manifest bytes / B)` transfers: what
-//! the epoch allocated and filled costs nothing extra, however much it was.
+//! checkpoints.  The checkpoint overhead — chain writes, one header write
+//! plus a second when something was applied, one read + one write per
+//! pending block for the apply — is tracked exactly in [`WalOverhead`], so
+//! benchmarks can assert `journaled = bare + overhead` to the transfer.  For
+//! a redo record of `r` bytes holding `p` pending blocks, a checkpoint costs
+//! `1 + [p > 0] + ⌈(r − (B − 48))⁺ / (B − 16)⌉ + 2p` transfers: what the
+//! epoch allocated and filled costs nothing extra, however much it was, and
+//! an epoch that only allocated commits in one write once its manifests fit
+//! the header block.
 //!
 //! Shadow and chain blocks are allocated through the wrapped device's normal
 //! allocator, so on a multi-disk array their *lane* follows the allocation
@@ -103,14 +116,19 @@ use crate::hash::fnv1a;
 use crate::sched::IoTicket;
 use crate::stats::IoStats;
 
-/// Journal header magic ("external-memory WAL, format 1").
-const MAGIC: u64 = 0x454D_5741_4C31_0001;
+/// Journal header magic ("external-memory WAL, format 2": record inline).
+const MAGIC: u64 = 0x454D_5741_4C31_0002;
 /// Null block pointer in headers and chain links.
 const NONE: u64 = u64::MAX;
 const STATE_CLEAN: u64 = 0;
 const STATE_COMMITTED: u64 = 1;
-/// Bytes of a serialized header: magic, seq, state, chain head, checksum.
-const HEADER_BYTES: usize = 40;
+/// Bytes of a header's fixed part: magic, seq, state, chain head, inline
+/// length, checksum.  The redo record's first `B − HEADER_BYTES` bytes
+/// follow it in the same block.  Also the smallest block a journal accepts,
+/// which leaves a chain block 32 bytes of payload.
+const HEADER_BYTES: usize = 48;
+/// Offset of the header checksum, the last fixed field.
+const SUM_AT: usize = 40;
 /// Per-chain-block overhead: next pointer + chunk length.
 const CHAIN_OVERHEAD: usize = 16;
 
@@ -145,7 +163,9 @@ pub struct WalOverhead {
     pub chain_writes: u64,
     /// Chain block reads during recovery.
     pub chain_reads: u64,
-    /// Header block writes (format, commit, clean, recovery).
+    /// Header block writes: one at format, one per checkpoint, a second per
+    /// checkpoint that applied redo entries, one per recovery that redid
+    /// an apply.
     pub header_writes: u64,
     /// Header block reads during recovery.
     pub header_reads: u64,
@@ -190,10 +210,22 @@ struct WalState {
     deferred_frees: Vec<BlockId>,
     /// Named recovery manifests, persisted in the chain at each checkpoint.
     manifests: BTreeMap<String, Vec<u8>>,
-    /// Sequence number of the newest header written (even = clean).
+    /// Sequence number of the newest header written.
     seq: u64,
+    /// Slot (0 or 1) holding the newest header; the next header write goes
+    /// to the other one.
+    newest: usize,
     /// Chain blocks of the last committed checkpoint; retired by the next.
     committed_chain: Vec<BlockId>,
+}
+
+/// One valid header slot, as [`Journal::recover`] reads it.
+struct Header {
+    seq: u64,
+    state: u64,
+    chain_head: u64,
+    /// The redo record's first bytes, carried in the header block itself.
+    inline: Vec<u8>,
 }
 
 /// A write-ahead journal wrapping a [`BlockDevice`]; see the
@@ -205,7 +237,7 @@ struct WalState {
 /// [`set_manifest`](Self::set_manifest), [`recover`](Self::recover).
 pub struct Journal {
     inner: SharedDevice,
-    /// `[clean slot, committed slot]`.
+    /// The two header slots; [`WalState::newest`] says which is current.
     headers: [BlockId; 2],
     state: Mutex<WalState>,
     shadow_writes: AtomicU64,
@@ -226,12 +258,23 @@ impl Journal {
             deferred_frees: Vec::new(),
             manifests: BTreeMap::new(),
             seq: 0,
+            // So that `format`'s header lands in slot 0.
+            newest: 1,
             committed_chain: Vec::new(),
         }
     }
 
-    fn bare(inner: SharedDevice, headers: [BlockId; 2]) -> Journal {
-        Journal {
+    /// A journal over `inner` with nothing read or written yet; errs if a
+    /// block cannot hold a header's fixed part.
+    fn bare(inner: SharedDevice, headers: [BlockId; 2]) -> Result<Journal> {
+        let block = inner.block_size();
+        if block < HEADER_BYTES {
+            return Err(PdmError::RecordTooLarge {
+                record: HEADER_BYTES,
+                block,
+            });
+        }
+        Ok(Journal {
             inner,
             headers,
             state: Mutex::new(Self::empty_state()),
@@ -243,7 +286,7 @@ impl Journal {
             apply_reads: AtomicU64::new(0),
             apply_writes: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
-        }
+        })
     }
 
     /// Initialize a fresh journal on `inner`: allocates the two header
@@ -253,15 +296,15 @@ impl Journal {
     /// journal's only root of trust — a later [`recover`](Self::recover)
     /// needs exactly them.  On a fresh device they are the first two
     /// allocations, hence deterministic.
+    ///
+    /// # Errors
+    ///
+    /// [`PdmError::RecordTooLarge`] if a block of `inner` is smaller than a
+    /// header's 48-byte fixed part; otherwise whatever the device returns.
     pub fn format(inner: SharedDevice) -> Result<Arc<Journal>> {
-        assert!(
-            inner.block_size() >= HEADER_BYTES.max(CHAIN_OVERHEAD + 8),
-            "journal needs blocks of at least {HEADER_BYTES} bytes"
-        );
-        let h0 = inner.allocate()?;
-        let h1 = inner.allocate()?;
-        let j = Self::bare(inner, [h0, h1]);
-        j.write_header(h0, 0, STATE_CLEAN, NONE)?;
+        let mut j = Self::bare(inner, [NONE; 2])?;
+        j.headers = [j.inner.allocate()?, j.inner.allocate()?];
+        j.write_header(&mut j.state.lock(), STATE_CLEAN, NONE, &[])?;
         // Slot 1 stays zeroed (invalid) until the first commit.
         Ok(Arc::new(j))
     }
@@ -273,25 +316,26 @@ impl Journal {
     /// (newest is `CLEAN`: nothing to do — the uncommitted epoch's shadows
     /// are simply never looked at) or redoes the committed apply (newest is
     /// `COMMITTED`: every shadow is checksum-verified and copied onto its
-    /// home, then a `CLEAN` header is written).  Running recovery twice is
-    /// idempotent: the second run finds the `CLEAN` header the first one
-    /// wrote.  Manifests stored at the recovered checkpoint are available
-    /// through [`manifest`](Self::manifest).
+    /// home, then a `CLEAN` header is written to the other slot).  Running
+    /// recovery twice is idempotent: the second run finds the `CLEAN` header
+    /// the first one wrote.  Manifests stored at the recovered checkpoint
+    /// are available through [`manifest`](Self::manifest).
     pub fn recover(inner: SharedDevice, headers: [BlockId; 2]) -> Result<Arc<Journal>> {
-        let j = Self::bare(inner, headers);
-        let newest = {
-            let a = j.read_header(headers[0])?;
-            let b = j.read_header(headers[1])?;
-            match (a, b) {
-                (Some(x), Some(y)) => Some(if x.0 >= y.0 { x } else { y }),
-                (x, y) => x.or(y),
-            }
-        };
-        let Some((seq, state, chain_head)) = newest else {
+        let j = Self::bare(inner, headers)?;
+        let slots = [j.read_header(headers[0])?, j.read_header(headers[1])?];
+        let Some((newest, header)) = slots
+            .into_iter()
+            .enumerate()
+            .filter_map(|(slot, h)| Some((slot, h?)))
+            .max_by_key(|(_, h)| h.seq)
+        else {
             return Err(corrupt("no valid header — not a formatted journal"));
         };
-        let (entries, manifests, chain) = j.read_record(chain_head)?;
-        if state == STATE_COMMITTED {
+        let (entries, manifests, chain) = j.read_record(&header.inline, header.chain_head)?;
+        let mut st = j.state.lock();
+        st.seq = header.seq;
+        st.newest = newest;
+        if header.state == STATE_COMMITTED {
             // Redo the interrupted apply, verifying every shadow payload.
             let bs = j.inner.block_size();
             let mut buf = vec![0u8; bs];
@@ -304,17 +348,11 @@ impl Journal {
                 j.inner.write_block(home, &buf)?;
                 j.apply_writes.fetch_add(1, Ordering::Relaxed);
             }
-            j.write_header(headers[0], seq + 1, STATE_CLEAN, chain_head)?;
-            let mut st = j.state.lock();
-            st.seq = seq + 1;
-            st.manifests = manifests;
-            st.committed_chain = chain;
-        } else {
-            let mut st = j.state.lock();
-            st.seq = seq;
-            st.manifests = manifests;
-            st.committed_chain = chain;
+            j.write_header(&mut st, STATE_CLEAN, header.chain_head, &header.inline)?;
         }
+        st.manifests = manifests;
+        st.committed_chain = chain;
+        drop(st);
         Ok(Arc::new(j))
     }
 
@@ -381,22 +419,26 @@ impl Journal {
             .map(|(&home, e)| (home, e.shadow, e.checksum))
             .collect();
         let record = build_record(&entries, &st.manifests);
-        let chain = self.write_chain(&record)?;
-        let chain_head = chain.first().copied().unwrap_or(NONE);
-        let commit_seq = st.seq + 1;
-        debug_assert_eq!(commit_seq % 2, 1, "commit sequence numbers are odd");
-        // The commit point: one header write.
-        self.write_header(self.headers[1], commit_seq, STATE_COMMITTED, chain_head)?;
-        // Apply shadows onto homes.
         let bs = self.inner.block_size();
-        let mut buf = vec![0u8; bs];
-        for &(home, shadow, _) in &entries {
-            self.inner.read_block(shadow, &mut buf)?;
-            self.apply_reads.fetch_add(1, Ordering::Relaxed);
-            self.inner.write_block(home, &buf)?;
-            self.apply_writes.fetch_add(1, Ordering::Relaxed);
+        let (inline, overflow) = record.split_at(record.len().min(bs - HEADER_BYTES));
+        let chain = self.write_chain(overflow)?;
+        let chain_head = chain.first().copied().unwrap_or(NONE);
+        if entries.is_empty() {
+            // Nothing to redo: the commit point is already clean.
+            self.write_header(&mut st, STATE_CLEAN, chain_head, inline)?;
+        } else {
+            // The commit point: one header write.
+            self.write_header(&mut st, STATE_COMMITTED, chain_head, inline)?;
+            // Apply shadows onto homes.
+            let mut buf = vec![0u8; bs];
+            for &(home, shadow, _) in &entries {
+                self.inner.read_block(shadow, &mut buf)?;
+                self.apply_reads.fetch_add(1, Ordering::Relaxed);
+                self.inner.write_block(home, &buf)?;
+                self.apply_writes.fetch_add(1, Ordering::Relaxed);
+            }
+            self.write_header(&mut st, STATE_CLEAN, chain_head, inline)?;
         }
-        self.write_header(self.headers[0], commit_seq + 1, STATE_CLEAN, chain_head)?;
         // Retire: the epoch is durable, nothing can rewind past it anymore.
         for id in std::mem::take(&mut st.committed_chain) {
             self.inner.free(id)?;
@@ -410,29 +452,40 @@ impl Journal {
         st.pending.clear();
         st.fresh.clear();
         st.committed_chain = chain;
-        st.seq = commit_seq + 1;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    fn write_header(&self, id: BlockId, seq: u64, state: u64, chain_head: u64) -> Result<()> {
+    /// Write the next header — sequence `st.seq + 1`, into the slot that
+    /// does not hold the newest header — and make it the newest once it has
+    /// landed.  `inline` is the redo record's head (at most `B − 48` bytes).
+    fn write_header(
+        &self,
+        st: &mut WalState,
+        state: u64,
+        chain_head: u64,
+        inline: &[u8],
+    ) -> Result<()> {
+        let (slot, seq) = (1 - st.newest, st.seq + 1);
         let mut buf = vec![0u8; self.inner.block_size()];
-        let mut fields = Vec::with_capacity(HEADER_BYTES);
-        put_u64(&mut fields, MAGIC);
-        put_u64(&mut fields, seq);
-        put_u64(&mut fields, state);
-        put_u64(&mut fields, chain_head);
-        let sum = fnv1a(&fields);
-        put_u64(&mut fields, sum);
-        buf[..HEADER_BYTES].copy_from_slice(&fields);
-        self.inner.write_block(id, &buf)?;
+        let fields = [MAGIC, seq, state, chain_head, inline.len() as u64];
+        for (word, v) in buf.chunks_exact_mut(8).zip(fields) {
+            word.copy_from_slice(&v.to_le_bytes());
+        }
+        let end = HEADER_BYTES + inline.len();
+        buf[HEADER_BYTES..end].copy_from_slice(inline);
+        // The checksum covers every other fixed field and the inline bytes.
+        let sum = fnv1a(&buf[..end]);
+        buf[SUM_AT..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
+        self.inner.write_block(self.headers[slot], &buf)?;
         self.header_writes.fetch_add(1, Ordering::Relaxed);
+        (st.newest, st.seq) = (slot, seq);
         Ok(())
     }
 
     /// Read one header slot; `None` if it does not parse as a valid header
-    /// (zeroed, torn, or foreign bytes).
-    fn read_header(&self, id: BlockId) -> Result<Option<(u64, u64, u64)>> {
+    /// (zeroed, torn, damaged inline bytes, or foreign bytes).
+    fn read_header(&self, id: BlockId) -> Result<Option<Header>> {
         let mut buf = vec![0u8; self.inner.block_size()];
         self.inner.read_block(id, &mut buf)?;
         self.header_reads.fetch_add(1, Ordering::Relaxed);
@@ -441,23 +494,34 @@ impl Journal {
         let seq = get_u64(&buf, &mut pos)?;
         let state = get_u64(&buf, &mut pos)?;
         let chain_head = get_u64(&buf, &mut pos)?;
+        let inline_len = get_u64(&buf, &mut pos)?;
         let sum = get_u64(&buf, &mut pos)?;
-        if magic != MAGIC || fnv1a(&buf[..HEADER_BYTES - 8]) != sum {
+        let Some(end) = usize::try_from(inline_len)
+            .ok()
+            .and_then(|n| n.checked_add(HEADER_BYTES))
+            .filter(|&end| end <= buf.len())
+        else {
+            return Ok(None);
+        };
+        buf[SUM_AT..HEADER_BYTES].fill(0);
+        if magic != MAGIC || fnv1a(&buf[..end]) != sum {
             return Ok(None);
         }
-        Ok(Some((seq, state, chain_head)))
+        Ok(Some(Header {
+            seq,
+            state,
+            chain_head,
+            inline: buf[HEADER_BYTES..end].to_vec(),
+        }))
     }
 
-    /// Serialize `record` into freshly allocated chain blocks, written
-    /// back-to-front so each block's `next` pointer is final.  Returns the
-    /// blocks head-first; an empty record writes no blocks.
-    fn write_chain(&self, record: &[u8]) -> Result<Vec<BlockId>> {
-        if record.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// Serialize what of the record overflows the header into freshly
+    /// allocated chain blocks, written back-to-front so each block's `next`
+    /// pointer is final.  Returns the blocks head-first; no overflow writes
+    /// no blocks.
+    fn write_chain(&self, overflow: &[u8]) -> Result<Vec<BlockId>> {
         let bs = self.inner.block_size();
-        let cap = bs - CHAIN_OVERHEAD;
-        let chunks: Vec<&[u8]> = record.chunks(cap).collect();
+        let chunks: Vec<&[u8]> = overflow.chunks(bs - CHAIN_OVERHEAD).collect();
         let ids: Vec<BlockId> = (0..chunks.len())
             .map(|_| self.inner.allocate())
             .collect::<Result<_>>()?;
@@ -473,18 +537,20 @@ impl Journal {
         Ok(ids)
     }
 
-    /// Read and parse the chain starting at `head` (`NONE` = empty record).
-    /// Returns the redo entries, the manifests, and the chain block ids.
+    /// Read and parse the record a header carries: its `inline` head, then
+    /// the chain starting at `head` (`NONE` = no overflow).  Returns the redo
+    /// entries, the manifests, and the chain block ids.
     #[allow(clippy::type_complexity)]
     fn read_record(
         &self,
+        inline: &[u8],
         head: u64,
     ) -> Result<(
         Vec<(BlockId, BlockId, u64)>,
         BTreeMap<String, Vec<u8>>,
         Vec<BlockId>,
     )> {
-        let mut bytes = Vec::new();
+        let mut bytes = inline.to_vec();
         let mut ids = Vec::new();
         let bs = self.inner.block_size();
         let mut next = head;
@@ -749,7 +815,8 @@ mod tests {
         assert_eq!(d.header_writes - before.header_writes, 2);
         assert_eq!(d.apply_reads - before.apply_reads, 2);
         assert_eq!(d.apply_writes - before.apply_writes, 2);
-        // Record: 8 + 2*24 + 8 + 8 = 72 bytes over 48-byte chunks = 2 blocks.
+        // Record: 8 + 2*24 + 8 + 8 = 72 bytes, 16 inline and 56 over
+        // 48-byte chunks = 2 blocks.
         assert_eq!(d.chain_writes - before.chain_writes, 2);
         // Homes now hold the payloads.
         let mut out = block(0);
@@ -791,7 +858,11 @@ mod tests {
         assert_eq!(d.shadow_writes, before.shadow_writes);
         assert_eq!(d.apply_reads + d.apply_writes, 0);
         assert_eq!(d.chain_writes, before.chain_writes, "empty redo record");
-        assert_eq!(d.header_writes - before.header_writes, 2);
+        assert_eq!(
+            d.header_writes - before.header_writes,
+            1,
+            "nothing to clean"
+        );
         // The checkpoint made them committed homes: the next write shadows.
         j.write_block(a, &block(0xA0)).unwrap();
         assert_eq!(j.pending_blocks(), 1);
@@ -870,6 +941,145 @@ mod tests {
         let mut out = block(0);
         r.read_block(id, &mut out).unwrap();
         assert_eq!(out, block(1), "rewound to the committed payload");
+    }
+
+    /// Manifests that make the redo record exactly `len` bytes next to
+    /// `entries` redo entries (`len == 0`: no manifest at all).
+    fn manifests_of_record(len: usize, entries: usize) -> BTreeMap<String, Vec<u8>> {
+        let mut manifests = BTreeMap::new();
+        if len > 0 {
+            // Entry count, entries, manifest count, name length, "m", data
+            // length, checksum.
+            let fixed = 8 + 24 * entries + 8 + 8 + 1 + 8 + 8;
+            manifests.insert("m".to_string(), vec![0x5A; len - fixed]);
+        }
+        let dummy: Vec<_> = (0..entries as u64).map(|i| (i, i, i)).collect();
+        assert_eq!(build_record(&dummy, &manifests).len(), len);
+        manifests
+    }
+
+    #[test]
+    fn record_fills_the_header_before_it_spills_into_the_chain() {
+        const B: usize = 256;
+        let (inline, chunk) = (B - HEADER_BYTES, B - CHAIN_OVERHEAD);
+        for (len, chain_blocks) in [
+            (0, 0),
+            (inline, 0),
+            (inline + 1, 1),
+            (inline + chunk + 1, 2),
+        ] {
+            let ram = RamDisk::new(B);
+            let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+            let headers = j.header_blocks().unwrap();
+            let home = j.allocate().unwrap();
+            // An entry-free checkpoint (`home` is born in it), then — where
+            // the record has room for a redo entry — one that applies a
+            // rewrite of `home`.
+            let pendings: &[u64] = if len == 0 { &[0] } else { &[0, 1] };
+            for &pending in pendings {
+                let manifests = manifests_of_record(len, pending as usize);
+                for (name, data) in &manifests {
+                    j.set_manifest(name, data.clone());
+                }
+                j.write_block(home, &vec![pending as u8; B]).unwrap();
+                let before = j.overhead();
+                j.checkpoint().unwrap();
+                let d = j.overhead();
+                let what = format!("{len}-byte record, {pending} redo entries");
+                assert_eq!(d.chain_writes - before.chain_writes, chain_blocks, "{what}");
+                assert_eq!(
+                    d.header_writes - before.header_writes,
+                    1 + pending,
+                    "{what}"
+                );
+                assert_eq!(d.apply_writes - before.apply_writes, pending, "{what}");
+                let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+                assert_eq!(r.manifest("m"), manifests.get("m").cloned(), "{what}");
+                assert_eq!(r.overhead().chain_reads, chain_blocks, "{what}");
+                let mut out = vec![0u8; B];
+                r.read_block(home, &mut out).unwrap();
+                assert_eq!(out, vec![pending as u8; B], "{what}");
+            }
+        }
+    }
+
+    /// A medium where checkpoint 1 (manifest `m` = `old`: 16 bytes inline,
+    /// one chain block) completed and checkpoint 2 (`m` = `new`, one redo
+    /// entry) crashed right after its `COMMITTED` header landed — before the
+    /// apply, so checkpoint 1's chain is still allocated.  Returns the
+    /// surviving medium, the header slots and the rewritten block.
+    fn crashed_after_commit(old: &[u8], new: &[u8]) -> (Arc<RamDisk>, [BlockId; 2], BlockId) {
+        let run = |crash_after: u64| {
+            let ram = RamDisk::new(BS);
+            let plan = FaultPlan::new(0).with_crash_after(crash_after);
+            let dev = FaultDisk::wrap(Arc::clone(&ram) as SharedDevice, plan);
+            let j = Journal::format(dev as SharedDevice).unwrap();
+            let id = j.allocate().unwrap();
+            let script = || -> Result<()> {
+                j.write_block(id, &block(1))?;
+                j.set_manifest("m", old.to_vec());
+                j.checkpoint()?;
+                j.write_block(id, &block(2))?;
+                j.set_manifest("m", new.to_vec());
+                j.checkpoint()
+            };
+            let crashed = script().is_err();
+            (ram, j.header_blocks().unwrap(), id, crashed)
+        };
+        let (clean, ..) = run(u64::MAX);
+        // Checkpoint 2 ends with apply read, apply write, clean header.
+        let (ram, headers, id, crashed) = run(clean.stats().snapshot().total() - 3);
+        assert!(crashed);
+        (ram, headers, id)
+    }
+
+    #[test]
+    fn a_header_with_a_damaged_tail_falls_back_to_the_previous_checkpoint() {
+        let (old, new) = (b"old-root".to_vec(), b"new-root".to_vec());
+        // Intact, the newest header is the commit, and recovery redoes it.
+        let (ram, headers, id) = crashed_after_commit(&old, &new);
+        let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+        assert_eq!(r.manifest("m"), Some(new.clone()));
+        assert_eq!(r.overhead().apply_writes, 1);
+        let mut out = block(0);
+        r.read_block(id, &mut out).unwrap();
+        assert_eq!(out, block(2));
+
+        // Format wrote slot 0, checkpoint 1 slot 1, checkpoint 2's commit
+        // slot 0.  Damage only its inline bytes; the fixed 48 stay intact.
+        let (ram, headers, id) = crashed_after_commit(&old, &new);
+        let mut header = block(0);
+        ram.read_block(headers[0], &mut header).unwrap();
+        assert_eq!(header[16..24], STATE_COMMITTED.to_le_bytes(), "state field");
+        header[HEADER_BYTES..].fill(0xEE);
+        ram.write_block(headers[0], &header).unwrap();
+        let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+        assert_eq!(r.manifest("m"), Some(old), "rewound to checkpoint 1");
+        let wal = r.overhead();
+        assert_eq!((wal.chain_reads, wal.apply_writes), (1, 0), "{wal:?}");
+        r.read_block(id, &mut out).unwrap();
+        assert_eq!(out, block(1));
+    }
+
+    #[test]
+    fn format_rejects_a_block_smaller_than_the_header() {
+        let ram = RamDisk::new(HEADER_BYTES - 1);
+        let Err(err) = Journal::format(Arc::clone(&ram) as SharedDevice) else {
+            panic!("a {}-byte block cannot hold a header", HEADER_BYTES - 1);
+        };
+        assert!(
+            matches!(err, PdmError::RecordTooLarge { record: HEADER_BYTES, block } if block == HEADER_BYTES - 1),
+            "{err}"
+        );
+        assert_eq!(ram.allocated_blocks(), 0, "nothing allocated");
+        // The smallest block accepted: no inline room, the record is chained.
+        let ram = RamDisk::new(HEADER_BYTES);
+        let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+        let headers = j.header_blocks().unwrap();
+        j.set_manifest("m", vec![7; 40]);
+        j.checkpoint().unwrap();
+        let r = Journal::recover(ram as SharedDevice, headers).unwrap();
+        assert_eq!(r.manifest("m"), Some(vec![7; 40]));
     }
 
     /// Run a scripted workload through a journal on a crashing device,
