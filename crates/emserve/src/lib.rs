@@ -1,30 +1,29 @@
 //! # `emserve` — a sharded multi-tenant KV serving layer
 //!
-//! The survey's headline amortized bound — buffer-tree updates at
-//! `O((1/B)·log_{M/B}(N/B))` I/Os per operation versus `Θ(log_B N)` for a
-//! naive B-tree — only pays off if a serving layer actually *absorbs* point
-//! operations into batches.  This crate is that layer: it turns the
+//! A B-tree pays `Θ(log_B N)` I/Os per point update; the survey's batched
+//! structures pay a fraction of an I/O, but only if a serving layer actually
+//! *batches* point operations.  This crate is that layer: it turns the
 //! workspace's algorithmic structures into an online system.
 //!
 //! Three pieces:
 //!
 //! * [`Shard`] — one partition of the dictionary: an [`emtree::BTree`]
 //!   (authoritative, point-read path through a [`pdm::BufferPool`]) paired
-//!   with an [`emtree::BufferTree`] write absorber and an in-memory,
-//!   key-ordered delta map holding the latest op per key since the last
-//!   compaction.  Writes cost the buffer tree's amortized
-//!   `O((1/B)·log_{M/B})`; a periodic compaction feeds the delta — which,
-//!   with the batch empty, *is* the absorber's latest-op-per-key view — to
+//!   with an append-only op log and an in-memory, key-ordered delta map
+//!   holding the latest op per key since the last compaction.  Nothing
+//!   queries the log, so a write costs its `Scan(N)` share, `R/B` of a
+//!   block write; a periodic compaction feeds the delta — which, with the
+//!   batch empty, *is* the log's latest-op-per-key view — to
 //!   [`BTree::apply_sorted_batch`](emtree::BTree::apply_sorted_batch), one
 //!   streaming rebuild that reads each old node once and writes each new
-//!   node once, and frees the absorber without reading it.  Reads never pay
-//!   a flush; only crash recovery reads the absorber.
+//!   node once, and frees the log without reading it.  Only crash recovery
+//!   reads the log.
 //! * [`Server`] — the concurrent request batcher: one bounded MPSC ingest
 //!   queue and drain thread per shard.  The drain thread coalesces
 //!   puts/deletes into batches flushed on *size or deadline* (throughput
 //!   batching never unbounded-delays an ack), serves gets read-your-writes
 //!   consistently by consulting the in-flight delta before the tree, and
-//!   acknowledges a write only after the absorber holds it.  Shards are
+//!   acknowledges a write only after the op log holds it.  Shards are
 //!   pinned to distinct lanes of an independent-disk array via
 //!   [`pdm::LaneView`], so one shard's flush never serializes a neighbour's
 //!   reads, and per-shard transfers are attributable per lane through
@@ -46,6 +45,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod oplog;
 mod server;
 mod shard;
 mod stats;

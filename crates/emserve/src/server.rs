@@ -3,16 +3,17 @@
 //! One bounded MPSC ingest queue and one drain thread per shard.  Producers
 //! route requests by deterministic hash ([`shard_of_key`]) and block when a
 //! shard's queue is full (bounded memory, natural backpressure).  Each drain
-//! thread coalesces puts/deletes into absorber batches flushed on *size or
-//! deadline* — so a saturated shard amortizes absorber I/O over
-//! `batch_max` ops, while a trickle still acks within `batch_deadline` —
-//! and serves gets with read-your-writes consistency by consulting the
-//! shard's delta overlay (which includes the open batch) before the tree.
+//! thread coalesces puts/deletes into batches appended to the shard's op
+//! log on *size or deadline* — so a saturated shard amortizes the log's
+//! block writes and the flush's barrier over `batch_max` ops, while a
+//! trickle still acks within `batch_deadline` — and serves gets with
+//! read-your-writes consistency by consulting the shard's delta overlay
+//! (which includes the open batch) before the tree.
 //!
 //! Durability contract: a write is acknowledged through the
-//! [`CompletionSink`] only after the absorber holds it.  On a device error
+//! [`CompletionSink`] only after the op log holds it.  On a device error
 //! the worker *fail-stops*: it records the first error, stops accepting
-//! data operations (never acking anything it could not absorb), but keeps
+//! data operations (never acking anything it could not log), but keeps
 //! answering control messages so producers and `barrier()` callers cannot
 //! deadlock.  The error surfaces from the next control call.
 //!
@@ -60,7 +61,7 @@ pub struct Request<K, V> {
 /// Where completions go.  Implementations must be cheap and non-blocking —
 /// they run on shard drain threads.
 pub trait CompletionSink<V>: Send + Sync + 'static {
-    /// `op_id`'s write is durable in its shard's absorber.
+    /// `op_id`'s write is durable in its shard's op log.
     fn acked_write(&self, tenant: u32, op_id: u64);
     /// `op_id`'s get resolved to `value`.
     fn got(&self, tenant: u32, op_id: u64, value: Option<V>);
@@ -88,12 +89,11 @@ pub struct ServeConfig {
     pub batch_max: usize,
     /// Flush the open batch once its first op has waited this long.
     pub batch_deadline: Duration,
-    /// Compact a shard once its delta holds this many distinct keys.
+    /// Compact a shard once its delta holds this many distinct keys, or its
+    /// op log this many records a later op on the same key superseded.
     pub compact_threshold: usize,
     /// Frames in each shard's read buffer pool.
     pub pool_frames: usize,
-    /// In-memory record budget of each shard's buffer-tree absorber.
-    pub absorber_mem: usize,
     /// Per-tenant hot-cache budget (records, shared across shards).
     pub cache_records: usize,
 }
@@ -109,7 +109,6 @@ impl ServeConfig {
             batch_deadline: Duration::from_millis(2),
             compact_threshold: 8192,
             pool_frames: 64,
-            absorber_mem: 4096,
             cache_records: 1024,
         }
     }
@@ -153,13 +152,22 @@ where
     /// When the array uses independent placement, shard `s` is pinned to
     /// lane `s % D` through [`LaneView`]; striped arrays pass through
     /// unchanged (every shard shares the stripe).
+    ///
+    /// # Errors
+    ///
+    /// [`PdmError::InvalidRequest`] if `cfg` asks for no shards or no
+    /// tenants; otherwise whatever building a shard or its thread returns.
     pub fn new(
         array: Arc<DiskArray>,
         cfg: ServeConfig,
         sink: Arc<dyn CompletionSink<V>>,
     ) -> Result<Self> {
-        assert!(cfg.shards > 0, "need at least one shard");
-        assert!(cfg.tenants > 0, "need at least one tenant");
+        if cfg.shards == 0 || cfg.tenants == 0 {
+            return Err(PdmError::InvalidRequest(format!(
+                "a server needs a shard and a tenant (shards = {}, tenants = {})",
+                cfg.shards, cfg.tenants
+            )));
+        }
         let stats = Arc::new(ServeStats::new(cfg.shards));
         let first_error = Arc::new(Mutex::new(None));
         let budgets: Vec<Arc<MemBudget>> = (0..cfg.tenants)
@@ -170,12 +178,7 @@ where
         let mut pools = Vec::with_capacity(cfg.shards);
         for s in 0..cfg.shards {
             let device = LaneView::pin(array.clone(), s);
-            let shard: Shard<K, V> = Shard::new(
-                device,
-                cfg.pool_frames,
-                cfg.absorber_mem,
-                cfg.compact_threshold,
-            )?;
+            let shard: Shard<K, V> = Shard::new(device, cfg.pool_frames, 0, cfg.compact_threshold)?;
             pools.push(shard.pool().clone());
             let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
             senders.push(tx);
@@ -196,8 +199,7 @@ where
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("emserve-shard-{s}"))
-                    .spawn(move || worker.run())
-                    .expect("spawn shard worker"),
+                    .spawn(move || worker.run())?,
             );
         }
         Ok(Server {
@@ -217,13 +219,19 @@ where
     }
 
     /// Enqueue a request, blocking while the target shard's queue is full.
+    ///
+    /// # Errors
+    ///
+    /// [`PdmError::InvalidRequest`] if `req.tenant` is not below
+    /// `ServeConfig::tenants` (nothing is enqueued); otherwise an error once
+    /// the shard's worker has gone.
     pub fn submit(&self, req: Request<K, V>) -> Result<()> {
-        assert!(
-            (req.tenant as usize) < self.cfg.tenants,
-            "tenant {} out of range (tenants = {})",
-            req.tenant,
-            self.cfg.tenants
-        );
+        if req.tenant as usize >= self.cfg.tenants {
+            return Err(PdmError::InvalidRequest(format!(
+                "tenant {} out of range (tenants = {})",
+                req.tenant, self.cfg.tenants
+            )));
+        }
         let key = match &req.kind {
             ReqKind::Put(k, _) | ReqKind::Delete(k) | ReqKind::Get(k) => k,
         };
@@ -239,7 +247,7 @@ where
         self.control(|reply| Msg::Barrier(reply))
     }
 
-    /// Barrier, then force an absorber→tree compaction on every shard.
+    /// Barrier, then force a log→tree compaction on every shard.
     pub fn compact_all(&self) -> Result<()> {
         self.control(|reply| Msg::Compact(reply))
     }
@@ -474,7 +482,7 @@ where
 
     fn handle_req(&mut self, req: Request<K, V>, dequeued: Instant) {
         if self.failed.is_some() {
-            // Fail-stop: never ack what we cannot absorb.  Producers keep
+            // Fail-stop: never ack what we cannot log.  Producers keep
             // their queue slots; the error surfaces via barrier/shutdown.
             return;
         }
@@ -612,7 +620,6 @@ mod tests {
         let mut cfg = ServeConfig::new(4, 2);
         cfg.batch_max = 8;
         cfg.compact_threshold = 16;
-        cfg.absorber_mem = 256;
         cfg.pool_frames = 16;
         let srv: Server<u64, u64> = Server::new(ram_array(4), cfg, sink.clone()).unwrap();
         for i in 0..200u64 {
@@ -768,6 +775,31 @@ mod tests {
         assert_eq!(queued, 1);
         assert!(queued_ns > 0);
         assert_eq!(srv.stats().tree_ns().1, 1);
+        srv.shutdown().unwrap();
+    }
+
+    #[test]
+    fn bad_configs_and_foreign_tenants_are_typed_errors() {
+        let invalid = |r: Result<()>| matches!(r, Err(PdmError::InvalidRequest(_)));
+        for (shards, tenants) in [(0, 1), (1, 0)] {
+            let cfg = ServeConfig::new(shards, tenants);
+            let srv = Server::<u64, u64>::new(ram_array(1), cfg, Arc::new(NullSink));
+            assert!(
+                invalid(srv.map(|_| ())),
+                "{shards} shards, {tenants} tenants"
+            );
+        }
+        let srv: Server<u64, u64> =
+            Server::new(ram_array(1), ServeConfig::new(1, 2), Arc::new(NullSink)).unwrap();
+        let put = |tenant| Request {
+            tenant,
+            op_id: 0,
+            kind: ReqKind::Put(1, 1),
+        };
+        assert!(invalid(srv.submit(put(2))));
+        // The server is unharmed and still serves the tenants it has.
+        srv.submit(put(1)).unwrap();
+        assert_eq!(srv.range(1, 0, 9).unwrap(), vec![(1, 1)]);
         srv.shutdown().unwrap();
     }
 

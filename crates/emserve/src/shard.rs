@@ -1,45 +1,40 @@
 //! One partition of the serving dictionary.
 //!
 //! A [`Shard`] pairs the authoritative B+-tree (point reads in
-//! `O(log_B N)` through a [`BufferPool`]) with a buffer-tree *write
-//! absorber* (amortized `O((1/B)·log_{M/B}(N/B))` per update) and an
-//! in-memory, key-ordered *delta map* holding the latest operation per key
-//! accepted since the last compaction.  The delta map is what makes
-//! reads-your-writes cheap: a get consults it before the tree, so neither
-//! reads nor writes ever force the absorber to flush (the
-//! `BufferTree::get` path would).
+//! `O(log_B N)` through a [`BufferPool`]) with an append-only *op log*
+//! (`Scan(N)`: one block write per `B/R` ops) and an in-memory,
+//! key-ordered *delta map* holding the latest operation per key accepted
+//! since the last compaction.  The delta map is what makes reads-your-writes
+//! cheap: a get consults it before the tree, and nothing ever reads the log
+//! to answer a query.
 //!
 //! The invariant the rest stands on: **with the batch empty, the delta is
-//! exactly the absorber's latest-op-per-key view.**  The two are therefore
-//! never read for the same purpose: compaction consumes the delta (in
-//! memory, in key order) and merely frees the absorber's blocks; only
-//! [`Shard::recover`] reads the absorber, to rebuild the delta a crash
-//! lost.  The absorber is the shard's durable log, not a stage its data
-//! passes through.
+//! exactly the log's latest-op-per-key view.**  The two are therefore never
+//! read for the same purpose: compaction consumes the delta (in memory, in
+//! key order) and merely frees the log's blocks; only [`Shard::recover`]
+//! reads the log, to rebuild the delta a crash lost.  The log is the shard's
+//! durable record of accepted writes, not a stage its data passes through.
 //!
 //! Multi-tenancy is by key prefix: the stored key is `(tenant, key)`, so
 //! one physical tree serves every tenant of the shard and per-tenant range
-//! scans are contiguous.  Deletes are stored in the absorber as *marked
-//! records* `(value, TOMBSTONE)` rather than buffer-tree deletes — the
-//! buffer tree's leaf-apply discards a delete whose key is absent from its
-//! own leaves, which is correct for a self-contained dictionary but would
-//! lose deletions destined for the B+-tree.  Compaction feeds the delta, in
-//! key order, to [`BTree::apply_sorted_batch`] — puts as upserts, deletes as
-//! erases — then resets absorber and delta.
+//! scans are contiguous.  A delete is logged as a tombstone record, and
+//! compaction feeds the delta, in key order, to
+//! [`BTree::apply_sorted_batch`] — puts as upserts, deletes as erases —
+//! then resets log and delta.  It runs once the delta holds
+//! `compact_threshold` keys, or once the log holds `compact_threshold`
+//! records that a later op on the same key superseded, so an overwrite
+//! stream on a few hot keys cannot grow the log past about twice the
+//! threshold.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use em_core::Record;
-use emtree::{BTree, BufferTree};
+use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy, Journal, PdmError, Result, SharedDevice};
 
-/// Marked-record tombstone flag (0 = live, 1 = deleted).
-const TOMBSTONE: u8 = 1;
-
-/// Internal key: tenant id then user key, so tenant ranges are contiguous.
-type Ik<K> = (u32, K);
+use crate::oplog::{Ik, Latest, OpLog};
 
 /// Deterministic FNV-1a routing of `(tenant, key)` onto `shards` partitions.
 ///
@@ -49,15 +44,20 @@ type Ik<K> = (u32, K);
 /// ([`em_core::hash::fnv1a`]) gives the same routing on every run and every
 /// platform; routing is persisted-state-affecting, so the golden test below
 /// pins the exact placements.
+///
+/// # Panics
+///
+/// If `shards` is 0 (the remainder by zero); [`Server::new`](crate::Server::new)
+/// rejects such a config before routing anything.
 pub fn shard_of_key<K: Record>(tenant: u32, key: &K, shards: usize) -> usize {
-    assert!(shards > 0, "need at least one shard");
+    debug_assert!(shards > 0, "need at least one shard");
     let mut buf = vec![0u8; 4 + K::BYTES];
     buf[..4].copy_from_slice(&tenant.to_le_bytes());
     key.write_to(&mut buf[4..]);
     (em_core::hash::fnv1a(&buf) % shards as u64) as usize
 }
 
-/// A pending write destined for the absorber: who to ack, and what to apply.
+/// A pending write destined for the log: who to ack, and what to apply.
 struct PendingOp<K, V> {
     tenant: u32,
     op_id: u64,
@@ -66,7 +66,7 @@ struct PendingOp<K, V> {
     op: Option<V>,
 }
 
-/// One partition of the dictionary: B+-tree + buffer-tree absorber + delta.
+/// One partition of the dictionary: B+-tree + op log + delta.
 ///
 /// Single-threaded by design — the [`Server`](crate::Server) gives each
 /// shard its own drain thread and lane-pinned device, so shards never
@@ -74,20 +74,20 @@ struct PendingOp<K, V> {
 pub struct Shard<K: Record + Ord, V: Record> {
     pool: Arc<BufferPool>,
     tree: BTree<Ik<K>, V>,
-    absorber: BufferTree<Ik<K>, (V, u8)>,
-    /// Every op since the last compaction (absorbed *or* still in-flight in
+    log: OpLog<K, V>,
+    /// Every op since the last compaction (logged *or* still in-flight in
     /// `batch`): `Some(v)` put, `None` delete.  Read-your-writes overlay
     /// and, being ordered, compaction's input.
-    delta: BTreeMap<Ik<K>, Option<V>>,
-    /// Ops accepted but not yet absorbed (the open batch).
+    delta: Latest<K, V>,
+    /// Ops accepted but not yet logged (the open batch).
     batch: Vec<PendingOp<K, V>>,
     batch_opened: Option<Instant>,
     compact_threshold: usize,
     /// Crash-recovery journal, when the shard runs on a
     /// [`Journal`]-wrapped device.  Every batch flush and compaction
-    /// commits a checkpoint (tree triple + absorber manifests) before any
-    /// op is acknowledged, so acked writes survive a crash.  The delta is
-    /// not checkpointed: with the batch empty it is exactly the absorber's
+    /// commits a checkpoint (tree triple + log manifest) before any op is
+    /// acknowledged, so acked writes survive a crash.  The delta is not
+    /// checkpointed: with the batch empty it is exactly the log's
     /// latest-op-per-key view, which [`recover`](Self::recover) reads back.
     journal: Option<Arc<Journal>>,
 }
@@ -97,16 +97,22 @@ where
     K: Record + Ord,
     V: Record,
 {
-    /// Build a shard on `device` with a `pool_frames`-frame read pool, an
-    /// `absorber_mem`-record buffer-tree budget, and compaction once the
-    /// delta holds `compact_threshold` distinct keys.
+    /// Build a shard on `device` with a `pool_frames`-frame read pool and
+    /// compaction once the delta holds `compact_threshold` distinct keys
+    /// (or the log that many superseded records).
+    ///
+    /// `_absorber_mem` is ignored.  It sized the buffer-tree absorber the op
+    /// log replaced, and stays so that callers written against that
+    /// signature keep compiling; the log holds one block of records in
+    /// memory whatever it is.  The same holds for
+    /// [`with_journal`](Self::with_journal) and [`recover`](Self::recover).
     pub fn new(
         device: SharedDevice,
         pool_frames: usize,
-        absorber_mem: usize,
+        _absorber_mem: usize,
         compact_threshold: usize,
     ) -> Result<Self> {
-        Self::build(device, None, pool_frames, absorber_mem, compact_threshold)
+        Self::build(device, None, pool_frames, compact_threshold)
     }
 
     /// Build a journaled shard: all shard storage lives behind `journal`
@@ -117,34 +123,26 @@ where
     pub fn with_journal(
         journal: Arc<Journal>,
         pool_frames: usize,
-        absorber_mem: usize,
+        _absorber_mem: usize,
         compact_threshold: usize,
     ) -> Result<Self> {
         let device: SharedDevice = Arc::clone(&journal) as SharedDevice;
-        Self::build(
-            device,
-            Some(journal),
-            pool_frames,
-            absorber_mem,
-            compact_threshold,
-        )
+        Self::build(device, Some(journal), pool_frames, compact_threshold)
     }
 
     fn build(
         device: SharedDevice,
         journal: Option<Arc<Journal>>,
         pool_frames: usize,
-        absorber_mem: usize,
         compact_threshold: usize,
     ) -> Result<Self> {
         let pool = BufferPool::new(device.clone(), pool_frames, EvictionPolicy::Lru);
         let tree = BTree::new(pool.clone())?;
-        let budget = Self::absorber_budget(&device, absorber_mem);
-        let absorber = BufferTree::new(device, budget);
+        let log = OpLog::new(device)?;
         Ok(Shard {
             pool,
             tree,
-            absorber,
+            log,
             delta: BTreeMap::new(),
             batch: Vec::new(),
             batch_opened: None,
@@ -153,32 +151,24 @@ where
         })
     }
 
-    /// The absorber needs at least 32 blocks' worth of event records
-    /// ((ts, (tenant, key), (value, mark)) tuples); round the budget up
-    /// rather than aborting on small configs.
-    fn absorber_budget(device: &SharedDevice, absorber_mem: usize) -> usize {
-        let ev_bytes = 8 + (4 + K::BYTES) + (V::BYTES + 1);
-        let ev_per_block = (device.block_size() / ev_bytes).max(1);
-        absorber_mem.max(32 * ev_per_block)
-    }
-
     /// Rebuild a shard from `journal`'s last committed checkpoint (obtained
     /// via `pdm::Journal::recover` over the surviving medium).  A journal
     /// with no shard checkpoint yet (crash before the first flush) yields a
     /// fresh empty shard.  Un-checkpointed work — including a batch whose
     /// flush never committed — is rewound; none of it was ever acked.
     ///
-    /// The delta overlay is rebuilt from the recovered absorber by one
-    /// read-only [`BufferTree::scan`]: `O(absorber blocks)` reads paid once
-    /// here, instead of `O(δ/B)` chain writes at every flush.
+    /// The delta overlay is rebuilt by replaying the recovered log, newest
+    /// op first: its tail from the checkpoint manifest, then one read per
+    /// log block, walking the chain back from the newest.  Paid once here,
+    /// instead of `O(δ/B)` chain writes at every flush.
     pub fn recover(
         journal: Arc<Journal>,
         pool_frames: usize,
-        absorber_mem: usize,
+        _absorber_mem: usize,
         compact_threshold: usize,
     ) -> Result<Self> {
         let Some(bm) = journal.manifest("btree") else {
-            return Self::with_journal(journal, pool_frames, absorber_mem, compact_threshold);
+            return Self::with_journal(journal, pool_frames, 0, compact_threshold);
         };
         let corrupt = || PdmError::Corrupt("malformed shard checkpoint".into());
         if bm.len() != 24 {
@@ -193,32 +183,18 @@ where
         let device: SharedDevice = Arc::clone(&journal) as SharedDevice;
         let pool = BufferPool::new(device.clone(), pool_frames, EvictionPolicy::Lru);
         let tree = BTree::reattach(pool.clone(), root, height, len);
-        let am = journal.manifest("absorber").ok_or_else(corrupt)?;
-        let absorber = BufferTree::reattach(
-            device.clone(),
-            Self::absorber_budget(&device, absorber_mem),
-            &am,
-        )?;
-        let delta = Self::absorbed_view(&absorber)?;
+        let lm = journal.manifest("log").ok_or_else(corrupt)?;
+        let (log, delta) = OpLog::reattach(device, &lm)?;
         Ok(Shard {
             pool,
             tree,
-            absorber,
+            log,
             delta,
             batch: Vec::new(),
             batch_opened: None,
             compact_threshold: compact_threshold.max(1),
             journal: Some(journal),
         })
-    }
-
-    /// The absorber's latest op per key, read back without changing it —
-    /// what the delta is whenever the batch is empty.
-    fn absorbed_view(absorber: &BufferTree<Ik<K>, (V, u8)>) -> Result<BTreeMap<Ik<K>, Option<V>>> {
-        let view = absorber.scan()?.into_iter();
-        Ok(view
-            .map(|(ik, (v, dead))| (ik, (dead == 0).then_some(v)))
-            .collect())
     }
 
     /// The read pool (hit/miss counters feed the serving hit-rate metric).
@@ -257,7 +233,7 @@ where
         });
     }
 
-    /// Flush the open batch into the absorber, acknowledging each op through
+    /// Append the open batch to the log, acknowledging each op through
     /// `ack(tenant, op_id)` *after* it is durable.  Returns the number of
     /// ops flushed.  Does not compact — see [`Shard::maybe_compact`].
     ///
@@ -267,18 +243,20 @@ where
     /// acked op.  On an unjournaled shard a device
     /// [`barrier`](pdm::BlockDevice::barrier) runs first, so a write-behind
     /// failure surfaces as this batch's error instead of being acked around.
+    ///
+    /// Cost: the log blocks the batch fills, `⌊(tail + n)/per_block⌋`
+    /// writes, plus the checkpoint — on a journal, one header write, which
+    /// carries the log's tail when it fits the header's `B − 48` inline
+    /// bytes beside the record's 104 bytes of framing: up to 41 of the 47
+    /// records a tail can hold at `B` = 1 KiB, and one chain block above
+    /// that.  No reads.
     pub fn flush_batch(&mut self, mut ack: impl FnMut(u32, u64)) -> Result<usize> {
         let batch = std::mem::take(&mut self.batch);
         self.batch_opened = None;
         let n = batch.len();
         let mut acks = Vec::with_capacity(n);
         for p in batch {
-            match p.op {
-                Some(v) => self.absorber.insert(p.key, (v, 0))?,
-                None => self
-                    .absorber
-                    .insert(p.key, (Self::zero_value(), TOMBSTONE))?,
-            }
+            self.log.append(&p.key, &p.op)?;
             acks.push((p.tenant, p.op_id));
         }
         if n > 0 {
@@ -291,13 +269,13 @@ where
     }
 
     /// Make all accepted state durable.  With a journal: flush the read
-    /// pool's dirty frames, record the tree and absorber manifests, and
-    /// commit a checkpoint.  Without one: a device barrier, surfacing any
-    /// dropped write-behind error (no extra transfers).
+    /// pool's dirty frames, record the tree and log manifests, and commit a
+    /// checkpoint.  Without one: a device barrier, surfacing any dropped
+    /// write-behind error (no extra transfers).
     ///
     /// Only ever runs with the batch empty: the overlay is not written, it
-    /// is re-derived from the absorber, so an op still in the batch would
-    /// be committed nowhere.
+    /// is re-derived from the log, so an op still in the batch would be
+    /// committed nowhere.
     fn checkpoint(&mut self) -> Result<()> {
         debug_assert!(self.batch.is_empty(), "checkpoint over an open batch");
         let Some(journal) = &self.journal else {
@@ -310,7 +288,7 @@ where
         bm.extend_from_slice(&u64::from(self.tree.height()).to_le_bytes());
         bm.extend_from_slice(&self.tree.len().to_le_bytes());
         journal.set_manifest("btree", bm);
-        journal.set_manifest("absorber", self.absorber.manifest_bytes());
+        journal.set_manifest("log", self.log.manifest_bytes());
         journal.checkpoint()
     }
 
@@ -347,11 +325,13 @@ where
         Ok(merged.into_iter().map(|((_, k), v)| (k, v)).collect())
     }
 
-    /// True when the delta has grown past the compaction threshold.
-    /// Only meaningful between batches (the open batch must be flushed
-    /// first so the absorber and delta agree).
+    /// True when the delta has reached the compaction threshold, or the log
+    /// holds that many records a later op on the same key superseded.  Only
+    /// meaningful between batches (the open batch must be flushed first so
+    /// the log and delta agree).
     pub fn wants_compact(&self) -> bool {
-        self.batch.is_empty() && self.delta.len() >= self.compact_threshold
+        let superseded = self.log.len().saturating_sub(self.delta.len());
+        self.batch.is_empty() && self.delta.len().max(superseded) >= self.compact_threshold
     }
 
     /// Compact if [`Shard::wants_compact`]; returns whether it ran.
@@ -367,28 +347,35 @@ where
     /// Merge everything accepted since the last compaction into the B+-tree
     /// in one streaming pass.
     ///
-    /// The delta is the absorber's latest-op-per-key view, in memory and in
-    /// key order, so it feeds `apply_sorted_batch` directly: puts become
+    /// The delta is the log's latest-op-per-key view, in memory and in key
+    /// order, so it feeds `apply_sorted_batch` directly: puts become
     /// upserts, deletes become erases, and the tree is rebuilt at its floor
     /// — each old node read once, each new node written once, `O((N+Δ)/B)`
-    /// transfers instead of `Δ·O(log_B N)` point updates.  The absorber is
-    /// neither flushed nor read: its blocks are freed, which costs nothing.
+    /// transfers instead of `Δ·O(log_B N)` point updates.  The log is not
+    /// read: its blocks are freed, which costs nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`PdmError::InvalidRequest`] while a batch is open: its ops are in
+    /// the delta but not in the log, so compacting would apply writes that
+    /// were never made durable.  Flush it first.
     pub fn compact(&mut self) -> Result<()> {
-        assert!(
-            self.batch.is_empty(),
-            "flush the open batch before compacting"
-        );
+        if !self.batch.is_empty() {
+            return Err(PdmError::InvalidRequest(
+                "flush the open batch before compacting".into(),
+            ));
+        }
         if self.delta.is_empty() {
             return Ok(());
         }
         self.tree
             .apply_sorted_batch(self.delta.iter().map(|(ik, op)| (ik.clone(), op.clone())))?;
-        self.absorber.clear()?;
+        self.log.clear()?;
         self.delta.clear();
         // On a journaled shard the rebuild must commit atomically: the frees
-        // of the old tree's nodes and of the absorber's blocks are deferred
-        // inside the journal until this checkpoint, so a crash mid-compaction
-        // rewinds to the intact pre-compaction state, absorber untouched.
+        // of the old tree's nodes and of the log's blocks are deferred inside
+        // the journal until this checkpoint, so a crash mid-compaction
+        // rewinds to the intact pre-compaction state, log untouched.
         if self.journal.is_some() {
             self.checkpoint()?;
         }
@@ -403,11 +390,6 @@ where
     /// Structural self-check of the underlying B+-tree.
     pub fn check_invariants(&self) -> Result<()> {
         self.tree.check_invariants()
-    }
-
-    /// The all-zero-bytes value used to pad tombstone marks.
-    fn zero_value() -> V {
-        V::read_from(&vec![0u8; V::BYTES])
     }
 }
 
@@ -465,10 +447,13 @@ mod tests {
         s.flush_batch(|t, id| acks.push((t, id))).unwrap();
         assert_eq!(acks, vec![(1, 0), (1, 1)]);
         assert_eq!(s.get(1, &10).unwrap(), Some(100));
-        // Delete of an absorbed key, then compaction: stays gone.
+        // Delete of a logged key, then compaction: stays gone.
         s.enqueue(1, 2, 10, None);
         s.enqueue(1, 3, 12, Some(120));
         assert_eq!(s.get(1, &10).unwrap(), None);
+        // A compaction over the open batch is refused and changes nothing.
+        assert!(matches!(s.compact(), Err(PdmError::InvalidRequest(_))));
+        assert_eq!((s.batch_len(), s.tree_len()), (2, 0));
         s.flush_batch(|_, _| {}).unwrap();
         assert!(s.wants_compact());
         assert!(s.maybe_compact().unwrap());
@@ -488,9 +473,8 @@ mod tests {
         s.flush_batch(|_, _| {}).unwrap();
         s.maybe_compact().unwrap();
         assert_eq!(s.tree_len(), 1);
-        // Delete it through the absorber path; the marked record must reach
-        // apply_sorted_batch as an erase (a raw BufferTree delete would be
-        // dropped because the absorber's own leaves never held the key).
+        // Delete it through the log; the tombstone must reach
+        // apply_sorted_batch as an erase of a key only the tree holds.
         s.enqueue(7, 1, 5, None);
         s.flush_batch(|_, _| {}).unwrap();
         s.maybe_compact().unwrap();
@@ -543,7 +527,7 @@ mod tests {
         // state must equal one of the two — never a mix.
         let mut acked: BTreeMap<u64, Option<u64>> = BTreeMap::new();
         let mut pending: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-        // The overlay is not checkpointed but re-derived from the absorber,
+        // The overlay is not checkpointed but re-derived from the log,
         // so it gets the same two-candidate audit: the delta as of the last
         // checkpoint that returned, or as the checkpoint in flight at the
         // crash would have left it.
@@ -600,8 +584,8 @@ mod tests {
         );
         assert!(
             s2.delta == delta_acked || s2.delta == delta_in_flight,
-            "crash at {k}: the overlay derived from the recovered absorber is \
-             not the delta of either checkpoint"
+            "crash at {k}: the overlay derived from the recovered log is not \
+             the delta of either checkpoint"
         );
         s2.check_invariants().unwrap();
         (acked, crashed, stats.snapshot().total())
@@ -628,7 +612,7 @@ mod tests {
     }
 
     #[test]
-    fn compaction_never_touches_the_absorber() {
+    fn compaction_never_touches_the_log() {
         let mut s = ram_shard(usize::MAX);
         let dev = s.pool.device().clone();
         // A tree from a first compaction, then a second overlay above it.
@@ -651,7 +635,7 @@ mod tests {
         assert!(old_nodes > 16, "old tree must exceed the pool");
         assert!(
             dev.allocated_blocks() > old_nodes,
-            "the absorber must hold blocks for the test to mean anything"
+            "the log must hold blocks for the test to mean anything"
         );
         let looked_up = |s: &Shard<u64, u64>| s.pool.stats().hits() + s.pool.stats().misses();
         let (io, lookups, misses, writebacks) = (
@@ -671,24 +655,28 @@ mod tests {
         let new_nodes = s.tree.node_count().unwrap();
         assert_eq!(d.writes(), new_nodes);
         assert_eq!(d.writes(), s.pool.stats().writebacks() - writebacks);
-        // … and the absorber's blocks were only freed.
+        // … and the log's blocks were only freed.
         assert_eq!(dev.allocated_blocks(), new_nodes);
         s.check_invariants().unwrap();
     }
 
-    /// Play batches `from..` of a seeded 2 000-op put/overwrite/delete tape
-    /// (25 ops a batch, a compaction whenever 300 keys are pending).  Before
-    /// each compaction the overlay must equal the absorber's own view, after
-    /// it the shard must equal the model.  On a device error returns the
-    /// index of the batch in flight, which is safe to replay: an op's effect
-    /// depends only on its position in the tape.
+    /// Batches in [`play_tape`]'s tape.
+    const TAPE_BATCHES: u64 = 80;
+
+    /// Play `batches` of a seeded 2 000-op put/overwrite/delete tape (25 ops
+    /// a batch, a compaction whenever 300 keys are pending).  Before each
+    /// compaction the overlay must equal the log's own view, after it the
+    /// shard must equal the model.  On a device error returns the index of
+    /// the batch in flight, which is safe to replay: an op's effect depends
+    /// only on its position in the tape.  (The two tests that play it keep
+    /// the names they had when the log was a buffer-tree absorber.)
     fn play_tape(
         s: &mut Shard<u64, u64>,
         model: &mut BTreeMap<u64, u64>,
-        from: u64,
+        batches: std::ops::Range<u64>,
     ) -> std::result::Result<u32, u64> {
         let mut compactions = 0;
-        for batch in from..80 {
+        for batch in batches {
             for i in batch * 25..(batch + 1) * 25 {
                 let x = em_core::hash::fnv1a(&i.to_le_bytes());
                 let key = x % 1_000;
@@ -703,8 +691,8 @@ mod tests {
             if !s.wants_compact() {
                 continue;
             }
-            let absorbed = Shard::absorbed_view(&s.absorber).map_err(|_| batch)?;
-            assert_eq!(s.delta, absorbed, "batch {batch}: overlay != absorber view");
+            let logged = s.log.latest_per_key().map_err(|_| batch)?;
+            assert_eq!(s.delta, logged, "batch {batch}: overlay != log view");
             s.compact().map_err(|_| batch)?;
             compactions += 1;
             let all = s.range(0, &0, &u64::MAX).map_err(|_| batch)?;
@@ -720,7 +708,7 @@ mod tests {
     fn overlay_equals_absorber_view_before_every_compaction() {
         let dev: SharedDevice = DiskArray::new_ram(1, 512, Placement::Independent);
         let mut s: Shard<u64, u64> = Shard::new(dev, 16, 256, 300).unwrap();
-        let compactions = play_tape(&mut s, &mut BTreeMap::new(), 0).unwrap();
+        let compactions = play_tape(&mut s, &mut BTreeMap::new(), 0..TAPE_BATCHES).unwrap();
         assert!(compactions >= 4, "only {compactions} compactions");
         s.check_invariants().unwrap();
     }
@@ -728,13 +716,20 @@ mod tests {
     #[test]
     fn overlay_equals_absorber_view_on_a_recovered_shard() {
         use pdm::{BlockDevice, CrashSwitch, FaultDisk, FaultPlan, Journal, RamDisk};
-        // Returns the batch the tape was resumed from after the crash, if it
-        // crashed, and the transfers the medium saw.
-        let run = |kill_after: u64| -> (Option<u64>, u64) {
+        // A formatted medium, its header pair, and the transfers formatting
+        // took (which no crash switch sees).
+        let medium = || {
             let ram = RamDisk::new(512);
             let j0 = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
             let headers = j0.header_blocks().unwrap();
             drop(j0);
+            let formatted = ram.stats().snapshot().total();
+            (ram, headers, formatted)
+        };
+        // Returns the batch the tape was resumed from after the crash, if it
+        // crashed.
+        let run = |kill_after: u64| -> Option<u64> {
+            let (ram, headers, _) = medium();
             let faulty = FaultDisk::wrap(
                 Arc::clone(&ram) as SharedDevice,
                 FaultPlan::new(0).with_crash(CrashSwitch::after(kill_after)),
@@ -742,71 +737,207 @@ mod tests {
             let mut model = BTreeMap::new();
             let j = Journal::recover(faulty as SharedDevice, headers).unwrap();
             let mut s = Shard::<u64, u64>::recover(j, 16, 256, 300).unwrap();
-            let Err(in_flight) = play_tape(&mut s, &mut model, 0) else {
-                return (None, ram.stats().snapshot().total());
+            let Err(in_flight) = play_tape(&mut s, &mut model, 0..TAPE_BATCHES) else {
+                return None;
             };
             // The crashed instance's Drop would free blocks the recovered
             // shard owns; leak it like the process it models.
             std::mem::forget(s);
             let j = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
             let mut s = Shard::<u64, u64>::recover(j, 16, 256, 300).unwrap();
-            let compactions = play_tape(&mut s, &mut model, in_flight).unwrap();
+            let compactions = play_tape(&mut s, &mut model, in_flight..TAPE_BATCHES).unwrap();
             assert!(
                 compactions >= 1,
                 "kill at {kill_after}: nothing left to compact"
             );
             s.check_invariants().unwrap();
-            (Some(in_flight), ram.stats().snapshot().total())
+            Some(in_flight)
         };
-        let (None, total) = run(u64::MAX) else {
-            panic!("fault-free run crashed");
-        };
-        // Six kill points spread over the tape, each with an overlay pending
-        // (crashes inside a compaction are `crashy_run`'s sweep).
-        let resumed: Vec<u64> = (1..=6)
-            .map(|i| run(total * i / 8).0.expect("kill point inside the run"))
+        assert_eq!(run(u64::MAX), None, "fault-free run crashed");
+        // The fault-free run once more, a batch at a time: the transfers the
+        // switch would have counted by the end of each batch, and whether
+        // the batch compacted.
+        let (ram, headers, formatted) = medium();
+        let j = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+        let mut s = Shard::<u64, u64>::recover(j, 16, 256, 300).unwrap();
+        let mut model = BTreeMap::new();
+        let done: Vec<(u64, bool)> = (0..TAPE_BATCHES)
+            .map(|b| {
+                let compacted = play_tape(&mut s, &mut model, b..b + 1).unwrap() > 0;
+                (ram.stats().snapshot().total() - formatted, compacted)
+            })
             .collect();
+        // Six kill points spread over the tape, each inside a batch whose
+        // predecessor left an overlay pending — at the batch's first, second,
+        // … transfer, so the crash hits its log writes, its commit header
+        // or its compaction.
+        let batches: Vec<u64> = (1..=6)
+            .map(|i| (i * 10..).find(|&b| !done[b as usize - 1].1).unwrap())
+            .collect();
+        let resumed: Vec<u64> = batches
+            .iter()
+            .zip(0u64..)
+            .map(|(&b, i)| {
+                let (start, end) = (done[b as usize - 1].0, done[b as usize].0);
+                run(start + i % (end - start)).expect("kill point inside the run")
+            })
+            .collect();
+        assert_eq!(resumed, batches, "each crash resumes the batch it hit");
         assert!(
             resumed.windows(2).all(|w| w[0] < w[1]) && resumed[0] > 0,
             "kill points did not spread over the tape: {resumed:?}"
         );
     }
 
+    /// Log records a 1 KiB block holds: (1 024 − 8-byte link) / 21 bytes.
+    const PER_BLOCK: u64 = 48;
+
     #[test]
     fn checkpoint_cost_does_not_grow_with_the_overlay() {
-        use pdm::{Journal, RamDisk};
-        // The benchmark's geometry: 1 KiB blocks, 4 096-event absorber,
-        // compaction out of reach, insert-only, so the overlay only grows.
+        use pdm::{BlockDevice, Journal, RamDisk};
+        // The benchmark's geometry: 1 KiB blocks, 32-op batches, compaction
+        // out of reach, insert-only, so the overlay only grows.
         let ram = RamDisk::new(1024);
-        let journal = Journal::format(ram as SharedDevice).unwrap();
+        let journal = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
         let mut s: Shard<u64, u64> =
             Shard::with_journal(Arc::clone(&journal), 16, 4096, usize::MAX).unwrap();
-        let mut chain = Vec::new();
         for round in 0..40u64 {
+            let tail = s.log.len() as u64 % PER_BLOCK;
             for i in 0..32u64 {
                 let key = round * 32 + i;
                 s.enqueue(0, key, key, Some(key));
             }
-            let before = journal.overhead().chain_writes;
+            let (io, wal) = (ram.stats().snapshot(), journal.overhead());
             s.flush_batch(|_, _| {}).unwrap();
-            chain.push(journal.overhead().chain_writes - before);
+            let d = ram.stats().snapshot().since(&io);
+            let now = journal.overhead();
+            // One header, which carries the log's tail of 0, 16 or 32
+            // records (≤ 104 + 672 of its 976 inline bytes), plus the log
+            // blocks the batch filled — and, at the first checkpoint, the
+            // empty tree's root leaf.  Nothing is read, nothing chained,
+            // nothing shadowed: a log block is born in the epoch that
+            // writes it.
+            let root = u64::from(round == 0);
+            assert_eq!(
+                (d.reads(), d.writes()),
+                (0, 1 + (tail + 32) / PER_BLOCK + root),
+                "round {round}"
+            );
+            assert_eq!(
+                (
+                    now.header_writes - wal.header_writes,
+                    now.chain_writes - wal.chain_writes,
+                    now.shadow_writes - wal.shadow_writes,
+                ),
+                (1, 0, 0),
+                "round {round}"
+            );
         }
+        // A serialized overlay would be 1 280 × 21 bytes = 27 chain blocks
+        // by now; the log's manifest is 16 bytes and its tail.
         assert_eq!(s.pending(), 40 * 32);
-        // A serialized overlay would be 1 280 × 21 bytes = 27 chain blocks by
-        // now.  What is left is the absorber's manifest — 8 bytes per buffer
-        // block and, once the root buffer has emptied into leaves (round
-        // 32), some 70 per leaf of 36 records.  Its first 976 bytes ride in
-        // the header block, so it overflows into 0–1 chain blocks before
-        // and 2–3 after.
-        assert!(
-            chain[39] <= chain[1] + 2,
-            "chain blocks per checkpoint grew with the overlay: {chain:?}"
-        );
-        // Every block the tape wrote was born in the epoch that wrote it
-        // (the absorber stages a whole block before it appends one).
         let wal = journal.overhead();
         assert_eq!(wal.checkpoints, 40);
-        assert_eq!(wal.shadow_writes, 0);
         assert_eq!(wal.apply_reads + wal.apply_writes, 0);
+    }
+
+    #[test]
+    fn a_tail_past_41_records_spills_one_chain_block() {
+        use pdm::{Journal, RamDisk};
+        // At B = 1 KiB the header's 976 inline bytes hold the record's 104
+        // bytes of framing and a tail of 41 records (965 bytes), not 42.
+        let journal = Journal::format(RamDisk::new(1024) as SharedDevice).unwrap();
+        let mut s: Shard<u64, u64> =
+            Shard::with_journal(Arc::clone(&journal), 16, 4096, usize::MAX).unwrap();
+        let mut key = 0u64;
+        // Flush sizes, and the tail each leaves: 41, 42, 47, then a full
+        // block written and an empty tail.
+        for (n, chain) in [(41, 0), (1, 1), (5, 1), (1, 0)] {
+            for _ in 0..n {
+                s.enqueue(0, key, key, Some(key));
+                key += 1;
+            }
+            let before = journal.overhead();
+            s.flush_batch(|_, _| {}).unwrap();
+            let now = journal.overhead();
+            assert_eq!(
+                (
+                    now.header_writes - before.header_writes,
+                    now.chain_writes - before.chain_writes
+                ),
+                (1, chain),
+                "tail of {} records",
+                s.log.len() as u64 % PER_BLOCK
+            );
+        }
+    }
+
+    #[test]
+    fn crash_after_commit_recovers_ops_that_lived_only_in_the_inline_tail() {
+        use pdm::{BlockDevice, Journal, RamDisk};
+        let ram = RamDisk::new(1024);
+        let journal = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+        let headers = journal.header_blocks().unwrap();
+        let mut s: Shard<u64, u64> = Shard::with_journal(journal, 16, 4096, usize::MAX).unwrap();
+        // Two batches of 32 over 40 keys: ops 0..48 fill one log block, ops
+        // 48..64 overwrite keys 8..24 (op 50 deletes key 10) and exist on
+        // the medium only inside the last commit header.
+        let mut model = BTreeMap::new();
+        for i in 0..64u64 {
+            let op = (i != 50).then_some(i);
+            s.enqueue(0, i, i % 40, op);
+            model.insert((0, i % 40), op);
+            if i % 32 == 31 {
+                s.flush_batch(|_, _| {}).unwrap();
+            }
+        }
+        assert_eq!(s.delta, model);
+        // The crash: flush_batch returned, so its header has landed; the
+        // process dies without running a destructor.
+        std::mem::forget(s);
+        let journal = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+        let before = ram.stats().snapshot();
+        let s = Shard::<u64, u64>::recover(journal, 16, 4096, usize::MAX).unwrap();
+        let d = ram.stats().snapshot().since(&before);
+        assert_eq!((d.reads(), d.writes()), (1, 0), "one log block read back");
+        assert_eq!(s.log.len(), 64);
+        assert_eq!(s.delta, model);
+        assert_eq!(
+            s.get(0, &8).unwrap(),
+            Some(48),
+            "an overwrite from the tail"
+        );
+        assert_eq!(s.get(0, &10).unwrap(), None, "a delete from the tail");
+        assert_eq!(s.get(0, &24).unwrap(), Some(24), "untouched by the tail");
+    }
+
+    #[test]
+    fn hot_key_overwrites_compact_on_the_log_slack() {
+        // 10 000 overwrites of 4 keys never bring the delta near its 64-key
+        // threshold; the log's slack of as many superseded records is what
+        // compacts them, and bounds it.
+        const THRESHOLD: usize = 64;
+        const SLACK: usize = THRESHOLD;
+        let dev: SharedDevice = DiskArray::new_ram(1, 512, Placement::Independent);
+        let mut s: Shard<u64, u64> = Shard::new(dev, 16, 256, THRESHOLD).unwrap();
+        let mut model = BTreeMap::new();
+        let (mut longest, mut compactions) = (0, 0);
+        for i in 0..10_000u64 {
+            s.enqueue(0, i, i % 4, Some(i));
+            model.insert(i % 4, i);
+            if i % 16 == 15 {
+                s.flush_batch(|_, _| {}).unwrap();
+                longest = longest.max(s.log.len());
+                assert!(s.pending() <= 4);
+                compactions += usize::from(s.maybe_compact().unwrap());
+            }
+        }
+        assert!(longest <= THRESHOLD + SLACK, "log grew to {longest}");
+        // The 5th flush of 16 leaves 80 records, 76 of them superseded: one
+        // compaction every 5 of the 625 flushes.
+        assert_eq!((longest, compactions), (80, 625 / 5));
+        let all = s.range(0, &0, &u64::MAX).unwrap();
+        assert!(all.into_iter().eq(model));
+        s.check_invariants().unwrap();
     }
 }

@@ -25,7 +25,6 @@
 //! which lookups and ordered iteration are exact.  Timestamps resolve
 //! insert/delete races: the latest event for a key wins.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
@@ -311,43 +310,6 @@ impl<K: Record + Ord, V: Record> BufferTree<K, V> {
         let mut w = ExtVecWriter::new(self.device.clone());
         self.emit_leaves(self.root, &mut w)?;
         w.finish()
-    }
-
-    /// The map as [`to_sorted_ext_vec`](Self::to_sorted_ext_vec) would emit
-    /// it, computed **read-only**: leaf records, then every staged and
-    /// buffered event replayed over them in timestamp order.  Timestamps are
-    /// tree-wide and a flush moves a whole buffer down, so a newer event for
-    /// a key never rests below an older one — replaying by timestamp alone
-    /// is the latest-op-per-key view.  One read per buffer and leaf block, no
-    /// flush, no write, structure (and
-    /// [`manifest_bytes`](Self::manifest_bytes)) unchanged.  The whole view
-    /// is held in internal memory: this is for callers that keep such a view
-    /// anyway (a serving shard rebuilding its overlay after a crash), not a
-    /// substitute for the streamed dump.
-    pub fn scan(&self) -> Result<BTreeMap<K, V>> {
-        let mut view = BTreeMap::new();
-        let mut events = self.staging.clone();
-        let mut buf = Vec::new();
-        for node in &self.nodes {
-            events.extend(node.buffer.load()?);
-            if let NodeKind::Bottom { leaves } = &node.kind {
-                for leaf in leaves {
-                    for bi in 0..leaf.num_blocks() {
-                        leaf.read_block_into(bi, &mut buf)?;
-                        view.extend(buf.drain(..));
-                    }
-                }
-            }
-        }
-        events.sort_by_key(|e| e.0);
-        for e in events {
-            if is_delete(&e) {
-                view.remove(&e.1);
-            } else {
-                view.insert(e.1, e.2);
-            }
-        }
-        Ok(view)
     }
 
     /// All pairs with `lo ≤ key ≤ hi` in key order.  Forces a full flush,
@@ -954,6 +916,7 @@ mod tests {
     use super::*;
     use em_core::{bounds, EmConfig};
     use rand::prelude::*;
+    use std::collections::BTreeMap;
 
     fn device() -> SharedDevice {
         EmConfig::new(64, 64).ram_disk() // small blocks force deep trees
@@ -1146,36 +1109,6 @@ mod tests {
         // Corruption is an error, not a panic.
         assert!(BufferTree::<u64, u64>::reattach(device.clone(), 1024, &bytes[..9]).is_err());
         assert!(BufferTree::<u64, u64>::reattach(device, 1024, &[0u8; 48]).is_err());
-    }
-
-    #[test]
-    fn scan_is_the_sorted_dump_without_a_flush_or_a_write() {
-        let device = device();
-        let mut t: BufferTree<u64, u64> = BufferTree::new(device.clone(), 512);
-        let mut rng = StdRng::seed_from_u64(63);
-        // Enough to grow the tree, so events rest at every level: in
-        // leaves, in inner and bottom node buffers, and in staging.
-        for i in 0..6_001u64 {
-            let k = rng.gen_range(0..1500u64);
-            if i % 4 == 3 {
-                t.delete(k).unwrap();
-            } else {
-                t.insert(k, i).unwrap();
-            }
-        }
-        assert!(t.height() >= 2 && t.leaf_len() > 0);
-        assert!(!t.staging.is_empty(), "an event is still staged");
-        let buffered: usize = t.nodes.iter().map(|n| n.buffer.len()).sum();
-        assert!(buffered > 0, "events still rest in node buffers");
-        let manifest = t.manifest_bytes();
-        let before = device.stats().snapshot();
-        let view = t.scan().unwrap();
-        let d = device.stats().snapshot().since(&before);
-        assert_eq!(d.writes(), 0, "the scan is read-only");
-        assert!(d.reads() > 0);
-        assert_eq!(t.manifest_bytes(), manifest, "structure untouched");
-        let dump = t.to_sorted_ext_vec().unwrap().to_vec().unwrap();
-        assert_eq!(view.into_iter().collect::<Vec<_>>(), dump);
     }
 
     #[test]

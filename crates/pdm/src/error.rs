@@ -57,6 +57,10 @@ pub enum PdmError {
     /// Unlike [`Io`](Self::Io) this is a fact about what the medium holds,
     /// not about one transfer: reading it again returns the same bytes.
     Corrupt(String),
+    /// The caller asked for something the API's contract rules out — a
+    /// server with no shards, a tenant it does not host, a compaction over
+    /// an open batch.  Nothing was changed; the request is the bug.
+    InvalidRequest(String),
 }
 
 impl PdmError {
@@ -105,6 +109,7 @@ impl fmt::Display for PdmError {
                 )
             }
             PdmError::Corrupt(what) => write!(f, "corrupt persisted state: {what}"),
+            PdmError::InvalidRequest(what) => write!(f, "invalid request: {what}"),
         }
     }
 }
@@ -167,6 +172,10 @@ mod tests {
                 PdmError::Corrupt("journal: record fails its checksum".into()),
                 "corrupt persisted state: journal: record fails its checksum",
             ),
+            (
+                PdmError::InvalidRequest("tenant 3 out of range".into()),
+                "invalid request: tenant 3 out of range",
+            ),
         ];
         for (err, expect) in cases {
             assert_eq!(err.to_string(), expect);
@@ -207,6 +216,7 @@ mod tests {
         .is_transient());
         // Corruption is what the medium holds; a retry reads it again.
         assert!(!PdmError::Corrupt("torn manifest".into()).is_transient());
+        assert!(!PdmError::InvalidRequest("no shards".into()).is_transient());
         // An exhausted retry is final: retrying the wrapper would be a bug.
         assert!(!PdmError::RetriesExhausted {
             disk: 0,

@@ -8,7 +8,9 @@
 //! delta overlay doing its job.  The properties below check that claim
 //! across shard counts × disk counts × placement × batch size (down to one op),
 //! and that every acknowledged write survives into the final state both
-//! before and after forced compaction.  A last test shrinks the hot cache
+//! before and after forced compaction.  A state-machine test then drives
+//! every call of the surface, ranges and compactions included, against a
+//! `BTreeMap` model.  A last test shrinks the hot cache
 //! to four and to eight records, so that its two segments promote, demote
 //! and evict within a few ops, and checks that no get is answered stale.
 
@@ -109,7 +111,6 @@ fn small_config(shards: usize, batch_max: usize) -> ServeConfig {
     cfg.batch_deadline = Duration::from_millis(250);
     cfg.compact_threshold = 64;
     cfg.pool_frames = 16;
-    cfg.absorber_mem = 512;
     cfg.cache_records = 32;
     cfg
 }
@@ -119,7 +120,7 @@ proptest! {
 
     /// Concurrent ingest ≡ sequential reference, across shard counts ×
     /// disk counts × placement × batch size (1 = flush per op), with compaction forced
-    /// at the end to prove acked writes survive the absorber→tree move.
+    /// at the end to prove acked writes survive the log→tree move.
     #[test]
     fn ingest_matches_sequential_reference(
         shards in 1usize..=4,
@@ -224,6 +225,82 @@ proptest! {
         };
         want_final.sort_unstable();
         prop_assert_eq!(srv.range(0, 0, u64::MAX).unwrap(), want_final);
+        srv.shutdown().unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A seeded state machine over the whole `Server` surface: put, delete,
+    /// get, range and `compact_all` interleaved across two tenants at one
+    /// and at three shards, against a `BTreeMap` model.  A range or a
+    /// compaction is a synchronous call, so each range answer is checked
+    /// the moment it returns; gets complete through the sink and are
+    /// checked, each against the model as of its submission, at the end.
+    /// `compact_threshold = 16` lets new keys and overwrites trigger
+    /// compactions of their own between the forced ones.
+    #[test]
+    fn server_agrees_with_a_btreemap_model_at_every_step(
+        three_shards in any::<bool>(),
+        steps in prop::collection::vec(
+            (0u8..10, 0u32..2, 0u64..32, 0u64..1_000_000),
+            1..300,
+        ),
+    ) {
+        let shards = if three_shards { 3 } else { 1 };
+        let array = DiskArray::new_ram(shards, 512, Placement::Independent);
+        let sink = RecordingSink::new();
+        let mut cfg = small_config(shards, 4);
+        cfg.compact_threshold = 16;
+        let srv: Server<u64, u64> = Server::new(array, cfg, sink.clone()).unwrap();
+
+        let mut model: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+        let mut expect_gots = Vec::new();
+        let mut writes = 0u64;
+        for (i, &(sel, tenant, key, val)) in steps.iter().enumerate() {
+            let op_id = i as u64;
+            let kind = match sel {
+                0..=3 => {
+                    model.insert((tenant, key), val);
+                    ReqKind::Put(key, val)
+                }
+                4 | 5 => {
+                    model.remove(&(tenant, key));
+                    ReqKind::Delete(key)
+                }
+                6 | 7 => {
+                    expect_gots.push((op_id, model.get(&(tenant, key)).copied()));
+                    ReqKind::Get(key)
+                }
+                8 => {
+                    let (lo, hi) = (key.min(val % 32), key.max(val % 32));
+                    let want: Vec<(u64, u64)> = model
+                        .range((tenant, lo)..=(tenant, hi))
+                        .map(|(&(_, k), &v)| (k, v))
+                        .collect();
+                    prop_assert_eq!(srv.range(tenant, lo, hi).unwrap(), want, "step {}", i);
+                    continue;
+                }
+                _ => {
+                    srv.compact_all().unwrap();
+                    continue;
+                }
+            };
+            writes += u64::from(sel < 6);
+            srv.submit(Request { tenant, op_id, kind }).unwrap();
+        }
+        srv.barrier().unwrap();
+        prop_assert_eq!(sink.acks(), writes);
+        prop_assert_eq!(sink.gots_in_order(), expect_gots);
+        for tenant in 0..2u32 {
+            prop_assert_eq!(
+                srv.range(tenant, 0, u64::MAX).unwrap(),
+                tenant_slice(&model, tenant),
+                "tenant {} at the end",
+                tenant
+            );
+        }
         srv.shutdown().unwrap();
     }
 }
