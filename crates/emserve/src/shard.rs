@@ -660,6 +660,30 @@ mod tests {
         s.check_invariants().unwrap();
     }
 
+    /// A compaction rebuilds the tree packed: `⌈n/leaf_cap⌉` leaves, then
+    /// `⌈c/(internal_cap + 1)⌉` internal nodes over each level of `c`.
+    #[test]
+    fn a_compaction_packs_the_tree_to_its_floor() {
+        let mut s = ram_shard(usize::MAX);
+        let (lc, ic) = (s.tree.leaf_capacity(), s.tree.internal_capacity());
+        for round in 0..2u64 {
+            for i in 0..1_000u64 {
+                let key = (i * 13 + round * 5) % 1_500;
+                s.enqueue(1, i, key, (i % 4 != 0).then_some(i));
+            }
+            s.flush_batch(|_, _| {}).unwrap();
+            s.compact().unwrap();
+            let mut level = s.tree_len().div_ceil(lc as u64);
+            let mut nodes = level;
+            while level > 1 {
+                level = level.div_ceil(ic as u64 + 1);
+                nodes += level;
+            }
+            assert_eq!(s.tree.node_count().unwrap(), nodes, "round {round}");
+            s.check_invariants().unwrap();
+        }
+    }
+
     /// Batches in [`play_tape`]'s tape.
     const TAPE_BATCHES: u64 = 80;
 

@@ -19,7 +19,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use em_core::Record;
-use pdm::{BlockId, BufferPool, FrameGuardMut, Result};
+use pdm::{BlockId, BufferPool, FrameGuardMut, PdmError, Result};
 
 const NO_NEXT: u64 = u64::MAX;
 
@@ -79,14 +79,16 @@ struct OldNodes<K, V> {
 /// Left-to-right leaf construction shared by [`BTree::bulk_load`] and
 /// [`BTree::apply_sorted_batch`].
 ///
-/// The leaf completed last is *held* — its entries in memory, its freshly
-/// allocated frame pinned — until its successor's block id is known, so each
-/// leaf is encoded once, with its final `next` pointer, and an underfull
-/// tail merges into the held entries instead of a node read back.  Two
-/// frames are pinned at most: the held leaf's and, while the two are being
-/// linked, its successor's.
+/// Every leaf is packed to `leaf_cap` pairs: the serving shard changes its
+/// tree only through rebuilds, so slack left for point inserts would be
+/// paid for by every rebuild and never used.  The leaf completed last is
+/// *held* — its entries in memory, its freshly allocated frame pinned —
+/// until its successor's block id is known, so each leaf is encoded once,
+/// with its final `next` pointer, and an underfull tail evens out with the
+/// held entries instead of a node read back.  Two frames are pinned at
+/// most: the held leaf's and, while the two are being linked, its
+/// successor's.
 struct LeafFill<K, V> {
-    fill: usize,
     current: Vec<(K, V)>,
     held: Option<(FrameGuardMut, Vec<(K, V)>)>,
     /// `(first key, block id)` of every completed leaf, the held one included.
@@ -95,20 +97,35 @@ struct LeafFill<K, V> {
 }
 
 impl<K: Record + Ord, V: Record> LeafFill<K, V> {
-    fn new(tree: &BTree<K, V>) -> Self {
-        LeafFill {
-            fill: tree.leaf_fill(),
+    /// Pack the pairs `next` yields into a chain of new leaves and return
+    /// the leaves with the pair count.  If `next` or the device fails, every
+    /// block allocated so far is freed before the error is returned.
+    fn build(
+        tree: &BTree<K, V>,
+        mut next: impl FnMut() -> Result<Option<(K, V)>>,
+    ) -> Result<(Vec<(K, BlockId)>, u64)> {
+        let mut fill = LeafFill {
             current: Vec::new(),
             held: None,
             leaves: Vec::new(),
             count: 0,
+        };
+        let filled = (|| {
+            while let Some(pair) = next()? {
+                fill.push(tree, pair)?;
+            }
+            Ok(())
+        })();
+        match filled {
+            Ok(()) => fill.finish(tree),
+            Err(e) => fill.abandon(tree).and(Err(e)),
         }
     }
 
     fn push(&mut self, tree: &BTree<K, V>, pair: (K, V)) -> Result<()> {
         self.current.push(pair);
         self.count += 1;
-        if self.current.len() == self.fill {
+        if self.current.len() == tree.leaf_cap {
             let full = std::mem::take(&mut self.current);
             self.complete(tree, full)?;
         }
@@ -131,24 +148,21 @@ impl<K: Record + Ord, V: Record> LeafFill<K, V> {
     }
 
     /// Close the chain and return the leaves with the pair count.  A final
-    /// partial leaf that would be underfull first merges with or steals from
-    /// the held one.
+    /// partial leaf that would be underfull evens out with the held one.
     ///
     /// The bound used here must match [`BTree::check_invariants`] and the
-    /// `remove` rebalance threshold (`⌈cap/2⌉ − 1`): using the looser
-    /// construction-fill bound left tail leaves that a subsequent remove
-    /// would treat as already rebalanced while the checker rejects them.
+    /// `remove` rebalance threshold (`⌈cap/2⌉ − 1`): a looser bound leaves
+    /// tail leaves that a subsequent remove would treat as already
+    /// rebalanced while the checker rejects them.
     fn finish(mut self, tree: &BTree<K, V>) -> Result<(Vec<(K, BlockId)>, u64)> {
         let mut tail = std::mem::take(&mut self.current);
         let min_leaf = tree.leaf_cap.div_ceil(2).max(1) - 1;
-        if tail.len() < min_leaf {
+        if !tail.is_empty() && tail.len() < min_leaf {
             if let Some((_, prev)) = &mut self.held {
-                // One merged leaf if the tail fits; otherwise split evenly,
-                // both halves at least ⌊(cap+1)/2⌋ ≥ min_leaf.
+                // The held leaf is full, so the two split evenly, both
+                // halves at least ⌊(cap+1)/2⌋ ≥ min_leaf.
                 prev.append(&mut tail);
-                if prev.len() > tree.leaf_cap {
-                    tail = prev.split_off(prev.len() / 2);
-                }
+                tail = prev.split_off(prev.len() / 2);
             }
         }
         if !tail.is_empty() {
@@ -164,6 +178,38 @@ impl<K: Record + Ord, V: Record> LeafFill<K, V> {
             );
         }
         Ok((self.leaves, self.count))
+    }
+
+    /// Free every leaf built so far, the held one's frame unpinned first.
+    fn abandon(mut self, tree: &BTree<K, V>) -> Result<()> {
+        self.held = None;
+        for (_, id) in self.leaves {
+            tree.free_node(id)?;
+        }
+        Ok(())
+    }
+}
+
+/// Pull `(key, item)` pairs from `items`, failing with
+/// [`PdmError::InvalidRequest`] at the first key that is not above its
+/// predecessor; `what` names the caller in the message.
+fn strictly_increasing<K: Ord + Clone, T>(
+    what: &'static str,
+    items: impl IntoIterator<Item = (K, T)>,
+) -> impl FnMut() -> Result<Option<(K, T)>> {
+    let mut items = items.into_iter();
+    let mut last: Option<K> = None;
+    move || {
+        let Some((k, item)) = items.next() else {
+            return Ok(None);
+        };
+        if last.as_ref().is_some_and(|prev| prev >= &k) {
+            return Err(PdmError::InvalidRequest(format!(
+                "{what} input must be strictly increasing by key"
+            )));
+        }
+        last = Some(k.clone());
+        Ok(Some((k, item)))
     }
 }
 
@@ -230,6 +276,11 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     /// Maximum entries per leaf (the effective `B` of this tree).
     pub fn leaf_capacity(&self) -> usize {
         self.leaf_cap
+    }
+
+    /// Maximum routing keys per internal node (its fan-out is one more).
+    pub fn internal_capacity(&self) -> usize {
+        self.internal_cap
     }
 
     /// Number of nodes (one block each); test and bench support.  Reads the
@@ -689,26 +740,20 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     }
 
     /// Build a tree from key-sorted pairs, writing each block exactly once
-    /// (`⌈N/fill⌉` leaves plus the internal levels, no reads) — far cheaper
-    /// than `N` inserts.
+    /// and reading none: `⌈N/leaf_cap⌉` full leaves, then
+    /// `⌈c/(internal_cap + 1)⌉` full internal nodes over each level of `c`
+    /// children — far cheaper than `N` inserts, and the least height the
+    /// capacities allow.
     ///
-    /// # Panics
-    /// If the input is not strictly increasing by key.
+    /// # Errors
+    /// [`PdmError::InvalidRequest`] if the input is not strictly increasing
+    /// by key; the blocks built before the bad key are freed.
     pub fn bulk_load<I>(pool: Arc<BufferPool>, sorted: I) -> Result<Self>
     where
         I: IntoIterator<Item = (K, V)>,
     {
         let mut tree = Self::reattach(pool, NO_NEXT, 1, 0);
-        let mut fill = LeafFill::new(&tree);
-        let mut last_key: Option<K> = None;
-        for (k, v) in sorted {
-            if let Some(prev) = &last_key {
-                assert!(prev < &k, "bulk_load input must be strictly increasing");
-            }
-            last_key = Some(k.clone());
-            fill.push(&tree, (k, v))?;
-        }
-        let (leaves, count) = fill.finish(&tree)?;
+        let (leaves, count) = LeafFill::build(&tree, strictly_increasing("bulk_load", sorted))?;
         tree.install_built_leaves(leaves, count)?;
         Ok(tree)
     }
@@ -725,46 +770,32 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     /// A delete of an absent key is a no-op.  Returns the number of live
     /// pairs after the merge (also the new [`len`](Self::len)).
     ///
-    /// # Panics
-    /// If the batch is not strictly increasing by key.
+    /// # Errors
+    /// [`PdmError::InvalidRequest`] if the batch is not strictly increasing
+    /// by key.  The new nodes built so far are freed and the tree is left as
+    /// it was.
     pub fn apply_sorted_batch<I>(&mut self, ops: I) -> Result<u64>
     where
         I: IntoIterator<Item = (K, Option<V>)>,
     {
-        let mut ops = ops.into_iter();
-        let mut last_op_key: Option<K> = None;
-        let mut pull_op = move || {
-            let n = ops.next();
-            if let Some((k, _)) = &n {
-                if let Some(prev) = &last_op_key {
-                    assert!(
-                        prev < k,
-                        "apply_sorted_batch input must be strictly increasing"
-                    );
-                }
-                last_op_key = Some(k.clone());
-            }
-            n
-        };
-
+        let mut pull_op = strictly_increasing("apply_sorted_batch", ops);
         let mut old = OldNodes {
             path: Vec::new(),
             leaf: Vec::new().into_iter(),
             visited: Vec::new(),
         };
         self.open_old_node(&mut old, self.root)?;
-        let mut fill = LeafFill::new(self);
         let mut old_pending = self.next_old_pair(&mut old)?;
-        let mut op_pending = pull_op();
-        loop {
+        let mut op_pending = pull_op()?;
+        let merged = || loop {
             let emit = match (old_pending.take(), op_pending.take()) {
-                (None, None) => break,
+                (None, None) => return Ok(None),
                 (Some(o), None) => {
                     old_pending = self.next_old_pair(&mut old)?;
                     Some(o)
                 }
                 (None, Some((k, mv))) => {
-                    op_pending = pull_op();
+                    op_pending = pull_op()?;
                     mv.map(|v| (k, v))
                 }
                 (Some((ok, ov)), Some((pk, pv))) => match ok.cmp(&pk) {
@@ -775,23 +806,24 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
                     }
                     std::cmp::Ordering::Greater => {
                         old_pending = Some((ok, ov));
-                        op_pending = pull_op();
+                        op_pending = pull_op()?;
                         pv.map(|v| (pk, v))
                     }
                     std::cmp::Ordering::Equal => {
                         // The op overrides (upsert) or erases (delete) the
                         // old pair.
                         old_pending = self.next_old_pair(&mut old)?;
-                        op_pending = pull_op();
+                        op_pending = pull_op()?;
                         pv.map(|v| (pk, v))
                     }
                 },
             };
-            if let Some(pair) = emit {
-                fill.push(self, pair)?;
+            if emit.is_some() {
+                return Ok(emit);
             }
-        }
-        let (leaves, count) = fill.finish(self)?;
+        };
+        // On an error no old node has been freed yet: the tree is intact.
+        let (leaves, count) = LeafFill::build(self, merged)?;
         // The walk has been drained, so it has listed the whole old tree.
         for id in old.visited {
             self.free_node(id)?;
@@ -832,14 +864,14 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
         }
     }
 
-    /// Target leaf occupancy for bulk construction (~3/4 full, so post-build
-    /// inserts don't split immediately).
-    fn leaf_fill(&self) -> usize {
-        self.leaf_cap.max(2) - self.leaf_cap / 4
-    }
-
     /// Build the internal levels above the chained `leaves` and install the
     /// result as this tree's contents.
+    ///
+    /// Each level is packed like the leaves: every node takes
+    /// `internal_cap + 1` children, and a last node that would hold fewer
+    /// than `remove`'s `internal_cap / 2` keys evens out with the one before
+    /// it.  A level over `c` children is thus `⌈c/(internal_cap + 1)⌉`
+    /// nodes.
     fn install_built_leaves(&mut self, leaves: Vec<(K, BlockId)>, count: u64) -> Result<()> {
         if leaves.is_empty() {
             self.root = self.alloc_node(&Node::Leaf {
@@ -852,23 +884,29 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
         }
         let mut level: Vec<(K, BlockId)> = leaves;
         let mut height = 1;
-        let group = self.internal_cap / 2 + 1; // children per internal node (~half full)
+        let fan_out = self.internal_cap + 1;
+        let min_children = self.internal_cap / 2 + 1;
         while level.len() > 1 {
-            let mut next_level = Vec::with_capacity(level.len() / group + 1);
-            let mut i = 0;
-            while i < level.len() {
-                let mut take = group.min(level.len() - i);
-                // Never leave a single orphan child for the next group.
-                if level.len() - i - take == 1 {
-                    take -= 1;
+            let mut sizes = vec![fan_out; level.len() / fan_out];
+            match level.len() % fan_out {
+                0 => {}
+                // Both halves get at least ⌊(fan_out + 1)/2⌋ ≥ min_children.
+                tail if tail < min_children && !sizes.is_empty() => {
+                    let both = fan_out + tail;
+                    sizes.pop();
+                    sizes.extend([both / 2, both - both / 2]);
                 }
-                let slice = &level[i..i + take];
+                tail => sizes.push(tail),
+            }
+            let mut next_level = Vec::with_capacity(sizes.len());
+            let mut rest = level.as_slice();
+            for take in sizes {
+                let (slice, after) = rest.split_at(take);
+                rest = after;
                 let keys: Vec<K> = slice[1..].iter().map(|(k, _)| k.clone()).collect();
                 let children: Vec<BlockId> = slice.iter().map(|(_, id)| *id).collect();
-                let first = slice[0].0.clone();
                 let id = self.alloc_node(&Node::Internal { keys, children })?;
-                next_level.push((first, id));
-                i += take;
+                next_level.push((slice[0].0.clone(), id));
             }
             level = next_level;
             height += 1;
@@ -923,6 +961,13 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
             }
             Node::Internal { keys, children } => {
                 assert!(!keys.is_empty() || id == self.root, "empty internal node");
+                if id != self.root {
+                    assert!(
+                        keys.len() >= self.internal_cap / 2,
+                        "underfull internal node: {} keys",
+                        keys.len()
+                    );
+                }
                 assert_eq!(children.len(), keys.len() + 1);
                 assert!(
                     keys.windows(2).all(|w| w[0] < w[1]),
@@ -1164,9 +1209,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn bulk_load_rejects_unsorted() {
-        let _ = BTree::<u64, u64>::bulk_load(pool(128, 8), vec![(2, 0), (1, 0)]);
+    fn bulk_load_of_unsorted_input_is_a_typed_error_that_frees_its_blocks() {
+        let p = pool(128, 8);
+        // Enough pairs before the bad key that leaves have been built.
+        let pairs = (0..100u64).chain([50]).map(|k| (k, k));
+        let err = BTree::<u64, u64>::bulk_load(p.clone(), pairs).err();
+        assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+        assert_eq!(p.device().allocated_blocks(), 0);
     }
 
     #[test]
@@ -1236,7 +1285,7 @@ mod tests {
 
     /// Regression: the bulk builder used to close the leaf chain with a tail
     /// leaf below the `⌈cap/2⌉ − 1` occupancy bound whenever a delete-heavy
-    /// batch shrank the live set to `fill + small remainder`, which
+    /// batch shrank the live set to whole leaves plus a small remainder, which
     /// `check_invariants` (and the remove rebalancer) reject.
     #[test]
     fn apply_sorted_batch_never_leaves_an_underfull_tail_leaf() {
@@ -1263,10 +1312,86 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn apply_sorted_batch_rejects_unsorted() {
-        let mut t: BTree<u64, u64> = BTree::new(pool(128, 8)).unwrap();
-        let _ = t.apply_sorted_batch(vec![(2, Some(0)), (1, Some(0))]);
+    fn apply_sorted_batch_of_unsorted_input_is_a_typed_error_that_leaves_the_tree() {
+        let pairs: Vec<(u64, u64)> = (0..300u64).map(|k| (k * 2, k)).collect();
+        let mut t = BTree::bulk_load(pool(128, 8), pairs.iter().cloned()).unwrap();
+        let allocated = t.pool().device().allocated_blocks();
+        // Upserts and deletes interleaved with the old pairs, then a key
+        // below its predecessor.
+        let ops = (0..400u64)
+            .map(|k| (k, (k % 3 != 0).then_some(k)))
+            .chain([(7, None)]);
+        let err = t.apply_sorted_batch(ops).err();
+        assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+        assert_eq!(t.pool().device().allocated_blocks(), allocated);
+        assert_eq!(t.len(), 300);
+        t.check_invariants().unwrap();
+        assert_eq!(t.range(&0, &u64::MAX).unwrap(), pairs);
+        // Still a working tree.
+        t.apply_sorted_batch([(1, Some(1))]).unwrap();
+        assert_eq!(t.get(&1).unwrap(), Some(1));
+    }
+
+    /// Nodes and height of a packed tree over `n` pairs: `⌈n/leaf_cap⌉`
+    /// leaves, then `⌈c/(internal_cap + 1)⌉` nodes over each level of `c`.
+    fn packed_shape(n: u64, leaf_cap: usize, internal_cap: usize) -> (u64, u32) {
+        let mut level = n.div_ceil(leaf_cap as u64).max(1);
+        let (mut nodes, mut height) = (level, 1);
+        while level > 1 {
+            level = level.div_ceil(internal_cap as u64 + 1);
+            nodes += level;
+            height += 1;
+        }
+        (nodes, height)
+    }
+
+    /// The least height at which `leaf_cap · (internal_cap + 1)^(h−1)`
+    /// pairs fit.
+    fn min_height(n: u64, leaf_cap: usize, internal_cap: usize) -> u32 {
+        let (mut fits, mut height) = (leaf_cap as u64, 1);
+        while fits < n {
+            fits *= internal_cap as u64 + 1;
+            height += 1;
+        }
+        height
+    }
+
+    /// Every level's tail remainder at a 128 B block (7 pairs a leaf,
+    /// 8 children an internal node): the leaf tail cycles through 0..7 and
+    /// the leaf count through 1..=72, so both internal levels see every
+    /// last-node size.  Built both ways, then drained with the invariants
+    /// checked after each removal.
+    #[test]
+    fn packed_builds_keep_every_node_above_removes_bound() {
+        let mut rng = StdRng::seed_from_u64(27);
+        for leaves in 1..=72u64 {
+            let n = (leaves - 1) * 7 + 1 + leaves % 7;
+            let bulk = BTree::bulk_load(pool(128, 16), (0..n).map(|k| (k * 2, k))).unwrap();
+            let mut applied = BTree::bulk_load(pool(128, 16), (0..n).map(|k| (k * 2, k))).unwrap();
+            // Erase every old pair and insert as many between them.
+            applied
+                .apply_sorted_batch((0..2 * n).map(|k| (k, (k % 2 == 1).then_some(k / 2))))
+                .unwrap();
+            for mut t in [bulk, applied] {
+                assert_eq!(t.len(), n);
+                let shape = packed_shape(n, t.leaf_capacity(), t.internal_capacity());
+                assert_eq!((t.node_count().unwrap(), t.height()), shape, "n = {n}");
+                t.check_invariants()
+                    .unwrap_or_else(|e| panic!("n = {n}: {e}"));
+                let mut keys: Vec<u64> = t
+                    .range(&0, &u64::MAX)
+                    .unwrap()
+                    .iter()
+                    .map(|p| p.0)
+                    .collect();
+                keys.shuffle(&mut rng);
+                for k in keys {
+                    assert!(t.remove(&k).unwrap().is_some());
+                    t.check_invariants().unwrap();
+                }
+                assert!(t.is_empty());
+            }
+        }
     }
 
     /// A rebuild's floor, met exactly: every old node read once, every new
@@ -1306,10 +1431,15 @@ mod tests {
             t.pool().flush().unwrap();
             let d = device.stats().snapshot_delta(&before);
             assert_eq!(d.reads(), 0, "{frames} frames");
-            // Leaf cap = (128-11)/16 = 7, ~3/4 fill → 667 leaves; the
-            // half-full internal levels add ~25%.
             assert_eq!(d.writes(), t.node_count().unwrap(), "{frames} frames");
             assert_eq!(device.allocated_blocks(), d.writes(), "no block but a node");
+            // Caps of 7 pairs and 7 keys: 572 leaves, then 72 + 9 + 2 + 1
+            // internal nodes, five levels where 7 · 8⁴ ≥ 4 000 > 7 · 8³.
+            let (lc, ic) = (t.leaf_capacity(), t.internal_capacity());
+            assert_eq!((lc, ic), (7, 7));
+            assert_eq!((d.writes(), t.height()), packed_shape(4000, lc, ic));
+            assert_eq!((d.writes(), t.height()), (656, 5));
+            assert_eq!(t.height(), min_height(4000, lc, ic));
         }
     }
 
@@ -1319,8 +1449,8 @@ mod tests {
         let device = p.device().clone();
         let t = BTree::bulk_load(p, (0..50_000u64).map(|k| (k, k))).unwrap();
         let height = t.height();
-        // B_effective = 7..8 → height ≈ log_7(50_000 / 5) ≈ 5.
-        assert!((4..=8).contains(&height), "height {height}");
+        // 7 pairs a leaf, 8 children a node: 7 143 leaves under 5 levels.
+        assert_eq!(height, 6);
         let mut rng = StdRng::seed_from_u64(44);
         let mut worst = 0;
         for _ in 0..50 {

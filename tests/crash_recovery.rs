@@ -686,12 +686,14 @@ fn ledger_run(journaled: bool) -> ((u64, u64), WalOverhead) {
 /// inline bytes, so the journal is exactly one header per checkpoint
 /// (EXPERIMENTS.md F21).
 ///
-/// The pins: 62 reads, all of them the 4 compactions' old tree nodes
-/// (nothing reads the log); 158 unjournaled writes, 40 op-log blocks of 48
-/// records (each compaction drops the log's tail unwritten) and 118 new
-/// tree nodes.
-/// They were 62 r / 174 w and 62 r / 267 w while the shard's writes went
-/// through a buffer tree, whose manifest overflowed into 24 chain blocks.
+/// The pins: 44 reads, all of them the 4 compactions' old tree nodes
+/// (nothing reads the log); 129 unjournaled writes, 40 op-log blocks of 48
+/// records (each compaction drops the log's tail unwritten) and 89 new
+/// tree nodes, every one packed full.
+/// They were 62 r / 158 w while bulk-built leaves were ¾ full and internal
+/// nodes half full, and 62 r / 174 w and 62 r / 267 w while the shard's
+/// writes went through a buffer tree, whose manifest overflowed into 24
+/// chain blocks.
 #[test]
 fn journal_costs_exactly_its_own_transfers() {
     let ((ur, uw), _) = ledger_run(false);
@@ -714,8 +716,8 @@ fn journal_costs_exactly_its_own_transfers() {
         assert_eq!(wal.apply_reads + wal.apply_writes, 0, "{wal:?}");
     }
 
-    assert_eq!((ur, uw), (62, 158));
-    assert_eq!((jr, jw), (62, 227));
+    assert_eq!((ur, uw), (44, 129));
+    assert_eq!((jr, jw), (44, 198));
     // 69 journal transfers: format's header and one per checkpoint.
     let pinned = WalOverhead {
         header_writes: 69,
