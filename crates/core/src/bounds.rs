@@ -297,6 +297,16 @@ fn group_fallback(len: u64, m: usize, b: usize, fan_in: usize) -> u64 {
     merge_sort_exact_ios(len, m, b, fan_in) + blocks(len, b)
 }
 
+/// The residency `R = M − (F+1)·max(B_build, B_probe)` of `emrel`'s hash
+/// join: the build records it may hold across the build → probe boundary
+/// (the two sides' partition buffers are never live together).  A build
+/// side of at most `R` records is never spilled, and the join's output then
+/// keeps the probe's order.  The executor, [`hash_join_exact_ios`] and the
+/// planner's order rule all read it here.
+pub fn hash_join_residency(m: usize, b_build: usize, b_probe: usize, fan_out: usize) -> usize {
+    m.saturating_sub((fan_out + 1) * b_build.max(b_probe))
+}
+
 /// Exact transfer count of `emrel`'s hash join (`HashJoinExec`), excluding
 /// the children's stream costs and the sink write.  `b_build` / `b_probe`
 /// are records-per-block of the two inputs (their record sizes may differ)
@@ -304,8 +314,8 @@ fn group_fallback(len: u64, m: usize, b: usize, fan_in: usize) -> u64 {
 /// build-key filter.
 ///
 /// Replayed schedule, identical to the executor:
-/// * the join may hold `R = M − (F+1)·max(B_build, B_probe)` records across
-///   the build → probe boundary.  A build side of ≤ `R` records is never
+/// * the join may hold [`hash_join_residency`] `R` records across the
+///   build → probe boundary.  A build side of ≤ `R` records is never
 ///   spilled: the probe side is matched against it in-stream and the
 ///   join's own transfers are **zero**;
 /// * a larger build side is partitioned `F` ways at level 0, all of it (the
@@ -343,7 +353,7 @@ pub fn hash_join_exact_ios(
     fan_out: usize,
     hybrid: bool,
 ) -> f64 {
-    let residency = m.saturating_sub((fan_out + 1) * b_build.max(b_probe));
+    let residency = hash_join_residency(m, b_build, b_probe, fan_out);
     if build_hashes.len() <= residency {
         return 0.0;
     }

@@ -15,9 +15,11 @@
 //! * [`MergeJoinExec`] / [`FilteringJoinExec`] — sort-merge equi-/semi-/
 //!   anti-join over two key-sorted streams; the current right key group is
 //!   buffered in memory and charged to a [`MemBudget`].
-//! * [`TinyBuildJoinExec`] — the planner's alternative join: when one side
-//!   fits in `M` records it is absorbed into an in-memory table and the
-//!   other side streams past *unsorted* — no sort on either side.
+//! * The in-memory join is [`HashJoinExec`](crate::HashJoinExec), the only
+//!   one: a build side that fits its residency is held in memory and the
+//!   probe side streams past it *unsorted* — no sort on either side — and
+//!   the output keeps the probe's order while the build side stays
+//!   resident.
 //! * [`TopKExec`] — selection heap of `k` records over one pass.
 //! * Sort — not a struct but the continuation-passing drivers
 //!   [`sort_scan`] / [`sort_pipe`]: under the hood they are
@@ -42,12 +44,11 @@
 //! in continuation-passing style: each sort driver hands the downstream
 //! plan a `&mut dyn QueryExec` rather than returning an iterator.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use em_core::{BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, MemBudget, Record};
 use emsort::{merge_sort_streaming, OverlapConfig, SortConfig, SortedStream, SortingWriter};
-use pdm::{PdmError, Result, SharedDevice};
+use pdm::{Result, SharedDevice};
 
 /// Identifier of a sort key as declared by the query author.
 ///
@@ -727,127 +728,6 @@ where
     }
 }
 
-/// The planner's small-side join: absorb the entire build stream into an
-/// in-memory table (feasible only when it fits in `M` records — the cost
-/// model checks before choosing this operator), then stream the probe side
-/// past it with **no sort on either side**.  Output follows the probe
-/// stream's order, so a probe relation clustered on the join key feeds a
-/// downstream group-by for free.
-pub struct TinyBuildJoinExec<PS, K, BR, KP, MK, O>
-where
-    PS: QueryExec,
-{
-    probe: PS,
-    /// Stays an ordered map: `K: Ord` is this operator's whole key bound,
-    /// and the hashed `emhash::table` would need `K: Record` to hash it.
-    table: BTreeMap<K, Vec<BR>>,
-    key_p: KP,
-    make: MK,
-    cur: Option<PS::Item>,
-    cur_at: usize,
-    primed: bool,
-    _table_charge: BudgetGuard,
-    _out: std::marker::PhantomData<O>,
-}
-
-impl<PS, K, BR, KP, MK, O> TinyBuildJoinExec<PS, K, BR, KP, MK, O>
-where
-    PS: QueryExec,
-    BR: Record,
-    O: Record,
-    K: Ord,
-    KP: Fn(&PS::Item) -> K,
-    MK: FnMut(&PS::Item, &BR) -> O,
-{
-    /// Drain `build` into an in-memory table keyed by `key_b`, charging its
-    /// record count against a fresh budget of `mem_records`.  A build side
-    /// that does not fit is [`PdmError::MemoryExceeded`] (the planner prices
-    /// it at ∞; the operator refuses rather than silently exceed `M`).
-    /// `probe` then streams past the table, and is drained exactly when the
-    /// join is — so the join forwards
-    /// [`drain_hint`](QueryExec::drain_hint) to it.
-    pub fn build(
-        build: &mut dyn QueryExec<Item = BR>,
-        probe: PS,
-        key_b: impl Fn(&BR) -> K,
-        key_p: KP,
-        make: MK,
-        mem_records: usize,
-    ) -> Result<Self> {
-        let budget = MemBudget::new(mem_records);
-        let mut table: BTreeMap<K, Vec<BR>> = BTreeMap::new();
-        let mut n = 0usize;
-        while let Some(b) = build.try_next()? {
-            n += 1;
-            if n > mem_records {
-                return Err(PdmError::MemoryExceeded {
-                    needed: n,
-                    available: mem_records,
-                });
-            }
-            table.entry(key_b(&b)).or_default().push(b);
-        }
-        let charge = budget.charge(n);
-        Ok(TinyBuildJoinExec {
-            probe,
-            table,
-            key_p,
-            make,
-            cur: None,
-            cur_at: 0,
-            primed: false,
-            _table_charge: charge,
-            _out: std::marker::PhantomData,
-        })
-    }
-}
-
-impl<PS, K, BR, KP, MK, O> QueryExec for TinyBuildJoinExec<PS, K, BR, KP, MK, O>
-where
-    PS: QueryExec,
-    BR: Record,
-    O: Record,
-    K: Ord,
-    KP: Fn(&PS::Item) -> K,
-    MK: FnMut(&PS::Item, &BR) -> O,
-{
-    type Item = O;
-
-    fn try_next(&mut self) -> Result<Option<O>> {
-        if !self.primed {
-            self.cur = self.probe.try_next()?;
-            self.primed = true;
-        }
-        loop {
-            let Some(p) = self.cur.as_ref() else {
-                return Ok(None);
-            };
-            let kp = (self.key_p)(p);
-            if let Some(matches) = self.table.get(&kp) {
-                if self.cur_at < matches.len() {
-                    let o = (self.make)(p, &matches[self.cur_at]);
-                    self.cur_at += 1;
-                    return Ok(Some(o));
-                }
-            }
-            self.cur = self.probe.try_next()?;
-            self.cur_at = 0;
-        }
-    }
-
-    fn order(&self) -> Order {
-        self.probe.order()
-    }
-
-    fn drain_hint(&mut self, overlap: OverlapConfig) {
-        self.probe.drain_hint(overlap)
-    }
-
-    fn overlap(&self) -> OverlapConfig {
-        self.probe.overlap()
-    }
-}
-
 /// The `k` smallest records by an extracted key, emitted in key order — a
 /// selection heap over one pass of the child.  Blocking: the child is
 /// drained on the first [`try_next`](QueryExec::try_next).  Ties break
@@ -1271,34 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_build_over_budget_is_a_typed_error() {
-        let d = device();
-        let build = ExtVec::from_slice(d.clone(), &(0u64..300).map(|k| (k, k)).collect::<Vec<_>>())
-            .unwrap();
-        let probe = ExtVec::from_slice(d.clone(), &[(1u64, 1u64)]).unwrap();
-        let allocated = d.allocated_blocks();
-        let mut bscan = ScanExec::new(&build);
-        #[allow(clippy::type_complexity)]
-        let j: Result<TinyBuildJoinExec<_, u64, (u64, u64), _, _, (u64, u64)>> =
-            TinyBuildJoinExec::build(
-                &mut bscan,
-                ScanExec::new(&probe),
-                |b| b.0,
-                |p: &(u64, u64)| p.0,
-                |p, b| (p.0, b.1),
-                256,
-            );
-        match j.err().expect("a build side over M must not build") {
-            e @ PdmError::MemoryExceeded { needed, available } => {
-                assert_eq!((needed, available), (257, 256));
-                assert!(!e.is_transient());
-            }
-            other => panic!("expected MemoryExceeded, got {other}"),
-        }
-        assert_eq!(d.allocated_blocks(), allocated);
-    }
-
-    #[test]
     fn scan_filter_project_limit() {
         let d = device();
         let v = ExtVec::from_slice(d.clone(), &(0u64..100).collect::<Vec<_>>()).unwrap();
@@ -1365,39 +1217,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(got, (0u64..500).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn tiny_build_join_preserves_probe_order() {
-        let d = device();
-        let probe = ExtVec::from_slice(
-            d.clone(),
-            &(0u64..200).map(|i| (i / 2, i)).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let build = ExtVec::from_slice(
-            d.clone(),
-            &(0u64..50).map(|k| (k, k * 100)).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let mut bscan = ScanExec::new(&build);
-        let pscan = ScanExec::with_order(&probe, Order::Key(3));
-        let mut join: TinyBuildJoinExec<_, u64, (u64, u64), _, _, (u64, u64, u64)> =
-            TinyBuildJoinExec::build(
-                &mut bscan,
-                pscan,
-                |b| b.0,
-                |p| p.0,
-                |p, b| (p.0, p.1, b.1),
-                256,
-            )
-            .unwrap();
-        assert_eq!(join.order(), Order::Key(3));
-        let out = collect(&mut join, &d).unwrap().to_vec().unwrap();
-        // Keys ≥ 50 have no build match and drop out.
-        assert_eq!(out.len(), 100);
-        assert!(out.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert!(out.iter().all(|&(k, _, v)| v == k * 100));
     }
 
     #[test]

@@ -3,10 +3,12 @@
 //! The hash duals of the engine's sort-based operators, built on
 //! [`emhash::partition`]: instead of ordering the input so equal keys
 //! become adjacent, they *co-locate* equal keys by recursive hash
-//! partitioning and finish each resident partition in memory.  Neither
-//! operator guarantees an output order ([`Order::Unordered`]), which is
-//! exactly the trade the planner prices: a hash operator wins when nothing
-//! downstream wants the sort it skipped.
+//! partitioning and finish each resident partition in memory.  The
+//! aggregates guarantee no output order ([`Order::Unordered`]), nor does a
+//! join whose build side spilled, which is exactly the trade the planner
+//! prices: a hash operator wins when nothing downstream wants the sort it
+//! skipped.  The join is also the engine's only in-memory join: while its
+//! build side stays resident, its output keeps the probe's order.
 //!
 //! * [`HashGroupByExec`] / [`HashDistinctExec`] — *hybrid* hash
 //!   aggregation: an in-memory table absorbs the first `M − (F+1)·B`
@@ -50,7 +52,7 @@ use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use em_core::bounds::HASH_MAX_LEVELS;
+use em_core::bounds::{hash_join_residency, HASH_MAX_LEVELS};
 use em_core::hash::{level_bucket, KeyFilter};
 use em_core::{BudgetGuard, ExtVec, ExtVecCursor, MemBudget, Record};
 use emhash::partition::{KeyHasher, PartitionPass};
@@ -76,6 +78,19 @@ fn open_cursor<R: Record>(
         cursor.set_read_ahead(overlap.for_lanes(lanes).read_ahead, budget);
     }
     cursor
+}
+
+/// [`PdmError::InvalidRequest`] unless `fan_out ≥ 2` and `fan_out + 1`
+/// partition buffers of `block_records` records each fit in `m` — the
+/// geometry the planner prices at ∞.
+fn check_fan_out(fan_out: usize, block_records: usize, m: usize) -> Result<()> {
+    let needed = (fan_out + 1) * block_records;
+    if fan_out < 2 || needed > m {
+        return Err(PdmError::InvalidRequest(format!(
+            "fan-out {fan_out} must be ≥ 2 and needs {needed} records of memory, have {m}"
+        )));
+    }
+    Ok(())
 }
 
 /// Best-effort release of the arrays an operator dropped before it was
@@ -151,6 +166,9 @@ where
     /// `cfg.sort` supplies the memory budget `M`, the overlap depths (handed
     /// on to `child` with the promise to drain it), and the skew fallback's
     /// sort parameters.
+    ///
+    /// [`PdmError::InvalidRequest`], before anything is read or allocated,
+    /// unless `fan_out ≥ 2` and `(fan_out + 1)·B ≤ M`.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         child: &mut dyn QueryExec<Item = R>,
@@ -164,11 +182,7 @@ where
     ) -> Result<Self> {
         let b = ExtVec::<R>::per_block_on(device);
         let m = cfg.sort.mem_records;
-        assert!(
-            fan_out >= 2 && (fan_out + 1) * b <= m,
-            "fan-out {fan_out} needs {} records of memory, have {m}",
-            (fan_out + 1) * b
-        );
+        check_fan_out(fan_out, b, m)?;
         let ov = cfg.sort.overlap.for_lanes(device.stream_lanes());
         // Overlap queues are headroom beyond M: sizing decisions above came
         // from the configured M alone, so the partition tree — and with it
@@ -529,18 +543,23 @@ struct Spilled<BR: Record, PR: Record> {
     _probe_buffers: BudgetGuard,
 }
 
-/// Hash equi-join of an unsorted build stream against an unsorted probe
-/// stream that writes only what it must.  Blocking on the build side
-/// ([`build`](Self::build) drains it); the probe side streams.  Output is
-/// [`Order::Unordered`].
+/// Hash equi-join of an unsorted build stream against a probe stream that
+/// writes only what it must — the engine's one in-memory join as well as
+/// its Grace join.  Blocking on the build side ([`build`](Self::build)
+/// drains it); the probe side streams.
 ///
-/// **One residency, used one of two ways.**  `R = M − (F+1)·max(B_build,
-/// B_probe)` records is what the join may hold across the build → probe
-/// boundary (the two sides' partition buffers are never live together).
-/// While the build stream has produced ≤ `R` records they are *held*; if it
-/// ends there, nothing is ever partitioned, every probe record is matched
-/// in-stream against the held table, and the join's own transfers are zero
-/// — the survey's `Scan(N) + Output(Z)` for a build side that fits.
+/// **One residency, used one of two ways.**  `R` =
+/// [`hash_join_residency`] `= M − (F+1)·max(B_build, B_probe)` records is
+/// what the join may hold across the build → probe boundary (the two
+/// sides' partition buffers are never live together).  While the build
+/// stream has produced ≤ `R` records they are *held*; if it ends there,
+/// nothing is ever partitioned, every probe record is matched in-stream
+/// against the held table, and the join's own transfers are zero — the
+/// survey's `Scan(N) + Output(Z)` for a build side that fits.  Its output
+/// then keeps the probe's order (probe order × build-arrival order), and
+/// [`order`](QueryExec::order) reports the probe's; a build side that
+/// spilled reports [`Order::Unordered`].  The answer is fixed once `build`
+/// returns and never changes mid-stream.
 ///
 /// The record that overflows `R` turns the join into a Grace join: the held
 /// records are flushed in arrival order into `F` level-0 partitions (so
@@ -591,6 +610,7 @@ where
     residency: Option<BudgetGuard>,
     /// `None` while the whole build side is resident.
     spilled: Option<Spilled<BR, PS::Item>>,
+    /// Build records drained by `build`; ≤ the residency iff none spilled.
     build_total: u64,
     probing: bool,
     /// The consumer promised to drain this operator.
@@ -622,7 +642,9 @@ where
     /// promise to drain it; `probe` is drained only as far as the join is,
     /// so it gets the hint when the join does).
     ///
-    /// A spilled hybrid whose bucket 0 outgrows its `M − (F+1)·(B_build +
+    /// [`PdmError::InvalidRequest`], before anything is read or allocated,
+    /// unless `fan_out ≥ 2` and `(fan_out + 1)·(B_build + B_probe) ≤ M`.  A
+    /// spilled hybrid whose bucket 0 outgrows its `M − (F+1)·(B_build +
     /// B_probe)` share is [`PdmError::MemoryExceeded`]; the partitions
     /// spilled so far are freed before returning.
     #[allow(clippy::too_many_arguments)]
@@ -641,16 +663,12 @@ where
         let b_probe = ExtVec::<PS::Item>::per_block_on(device);
         let m = cfg.sort.mem_records;
         let both = b_build + b_probe;
-        assert!(
-            fan_out >= 2 && (fan_out + 1) * both <= m,
-            "fan-out {fan_out} needs {} records of memory, have {m}",
-            (fan_out + 1) * both
-        );
+        check_fan_out(fan_out, both, m)?;
         let overlap = cfg.sort.overlap;
         let ov = overlap.for_lanes(device.stream_lanes());
         let reserve = (ov.read_ahead + fan_out * ov.write_behind) * both;
         let budget = MemBudget::new(m + reserve);
-        let residency = m - (fan_out + 1) * b_build.max(b_probe);
+        let residency = hash_join_residency(m, b_build, b_probe, fan_out);
         let bucket0_cap = if hybrid { m - (fan_out + 1) * both } else { 0 };
         let residency_charge = budget.charge(residency);
         let mut hasher = KeyHasher::new();
@@ -975,8 +993,16 @@ where
         }
     }
 
+    /// The probe's order while the build side stays resident, else
+    /// unordered — read from the build count, which `build` fixed, so the
+    /// answer is the same before the first pull and after exhaustion.
     fn order(&self) -> Order {
-        Order::Unordered
+        let residency = hash_join_residency(self.m, self.b_build, self.b_probe, self.fan_out);
+        if self.build_total <= residency as u64 {
+            self.probe.order()
+        } else {
+            Order::Unordered
+        }
     }
 
     fn drain_hint(&mut self, _overlap: OverlapConfig) {
@@ -992,7 +1018,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{collect, LimitExec, ScanExec};
+    use crate::exec::{collect, sort_pipe, LimitExec, ScanExec};
     use em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios};
     use em_core::EmConfig;
     use std::cell::Cell;
@@ -1280,14 +1306,14 @@ mod tests {
         Triple,
     >;
 
-    /// `bv ⋈ pv` on the first field, built but not yet drained.
+    /// `bv ⋈ probe` on the first field, built but not yet drained.
     fn join_on_first<'a>(
         d: &SharedDevice,
         cfg: &ExecConfig,
         fan: usize,
         hybrid: bool,
         bv: &ExtVec<Pair>,
-        pv: &'a ExtVec<Pair>,
+        probe: ScanExec<'a, Pair>,
     ) -> Result<PairJoin<'a>> {
         fn first(r: &Pair) -> u64 {
             r.0
@@ -1297,7 +1323,7 @@ mod tests {
         }
         HashJoinExec::build(
             &mut ScanExec::new(bv),
-            ScanExec::new(pv),
+            probe,
             d,
             cfg,
             fan,
@@ -1323,7 +1349,7 @@ mod tests {
             let bv = ExtVec::from_slice(d.clone(), build).unwrap();
             let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
             let before = d.stats().snapshot();
-            let mut j = join_on_first(&d, &cfg, fan, hybrid, &bv, &pv).unwrap();
+            let mut j = join_on_first(&d, &cfg, fan, hybrid, &bv, ScanExec::new(&pv)).unwrap();
             let out = collect(&mut j, &d).unwrap();
             let delta = d.stats().snapshot().since(&before);
             assert_eq!(
@@ -1360,7 +1386,7 @@ mod tests {
             let bh: Vec<u64> = all.iter().map(|r| key_hash(r.0)).collect();
             let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
             let before = d.stats().snapshot();
-            let mut j = join_on_first(&d, &cfg, fan, hybrid, &bv, &pv).unwrap();
+            let mut j = join_on_first(&d, &cfg, fan, hybrid, &bv, ScanExec::new(&pv)).unwrap();
             let comparing = d.stats().snapshot();
             let mut pass = PartitionPass::new(&d, fan, 0, OverlapConfig::off(), j.budget());
             for (r, &h0) in all.iter().zip(&bh) {
@@ -1394,6 +1420,94 @@ mod tests {
     }
 
     #[test]
+    fn probe_order_is_fixed_at_build_time() {
+        // M = 256, F = 4, B = 16: R = 176.  The probe is ordered on key 3.
+        let (d, m) = device(16);
+        let cfg = ExecConfig::new(m);
+        let residency = hash_join_residency(m, 16, 16, 4);
+        assert_eq!(residency, 176);
+        let probe: Vec<Pair> = (0..200).map(|i| (i / 2, i)).collect();
+        let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
+
+        // 100 build rows, two per key for keys 0..50: held.  Output is
+        // probe order × build-arrival order, and a sort by key 3 is free.
+        let build: Vec<Pair> = (0..100).map(|i| (i % 50, i)).collect();
+        let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
+        let before = d.stats().snapshot();
+        let mut j = join_on_first(
+            &d,
+            &cfg,
+            4,
+            false,
+            &bv,
+            ScanExec::with_order(&pv, Order::Key(3)),
+        )
+        .unwrap();
+        assert_eq!(j.order(), Order::Key(3), "before the first pull");
+        let out = sort_pipe(&mut j, &d, &cfg, 3, |a, b| a.0 < b.0, |s| collect(s, &d)).unwrap();
+        assert_eq!(j.order(), Order::Key(3), "after exhaustion");
+        let ios = d.stats().snapshot().since(&before);
+        assert_eq!(
+            ios.total(),
+            (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64,
+            "two scans and the output: the sort was elided"
+        );
+        let nested_loop: Vec<Triple> = probe
+            .iter()
+            .flat_map(|p| build.iter().filter(|b| b.0 == p.0).map(|b| (b.0, b.1, p.1)))
+            .collect();
+        assert_eq!(out.to_vec().unwrap(), nested_loop);
+
+        // R + 1 build rows: spilled, unordered throughout.
+        let build: Vec<Pair> = (0..residency as u64 + 1).map(|i| (i % 50, i)).collect();
+        let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
+        let mut j = join_on_first(
+            &d,
+            &cfg,
+            4,
+            false,
+            &bv,
+            ScanExec::with_order(&pv, Order::Key(3)),
+        )
+        .unwrap();
+        assert!(j.spilled.is_some());
+        assert_eq!(j.order(), Order::Unordered, "before the first pull");
+        collect(&mut j, &d).unwrap();
+        assert_eq!(j.order(), Order::Unordered, "after exhaustion");
+    }
+
+    #[test]
+    fn fan_out_over_memory_is_a_typed_error() {
+        // M = 64 with 16 rows a block: the join's F = 2 needs 3·32 = 96
+        // records, the group-by's F = 4 needs 5·16 = 80, and F = 1 is
+        // never a partition.
+        let (d, m) = device(4);
+        let cfg = ExecConfig::new(m);
+        let v = ExtVec::from_slice(d.clone(), &pairs(100, 10, 0x9E37_79B9)).unwrap();
+        let allocated = d.allocated_blocks();
+        for fan in [1, 2] {
+            let err = join_on_first(&d, &cfg, fan, false, &v, ScanExec::new(&v)).err();
+            assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+            assert_eq!(d.allocated_blocks(), allocated);
+        }
+        for fan in [1, 4] {
+            let err = HashGroupByExec::build(
+                &mut ScanExec::new(&v),
+                &d,
+                &cfg,
+                fan,
+                |r: &Pair| r.0,
+                0u64,
+                |acc, r| *acc += r.1,
+                |k, acc, n| (k, acc, n),
+            )
+            .err();
+            assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+            assert_eq!(d.allocated_blocks(), allocated);
+        }
+    }
+
+    #[test]
     fn unmatched_probe_records_stop_at_the_filter() {
         // 2 000 even build keys overflow the 944-record residency, whose
         // bytes make a 2¹⁶-bit filter; 6 000 odd probe keys match nothing.
@@ -1422,7 +1536,8 @@ mod tests {
             "{false_positives} of 6 000 (expected ≈ 0.4 %)"
         );
         let before = d.stats().snapshot();
-        let mut j = join_on_first(&d, &ExecConfig::new(m), 4, false, &bv, &pv).unwrap();
+        let mut j =
+            join_on_first(&d, &ExecConfig::new(m), 4, false, &bv, ScanExec::new(&pv)).unwrap();
         let out = collect(&mut j, &d).unwrap();
         let delta = d.stats().snapshot().since(&before);
         assert!(out.is_empty());
@@ -1452,7 +1567,7 @@ mod tests {
             let pv = ExtVec::from_slice(d.clone(), &pairs(4000, 900, 0x1357_9BD1)).unwrap();
             let allocated = d.allocated_blocks();
             for cfg in sync_and_overlapped(m) {
-                let j = join_on_first(&d, &cfg, 3, hybrid, &bv, &pv).unwrap();
+                let j = join_on_first(&d, &cfg, 3, hybrid, &bv, ScanExec::new(&pv)).unwrap();
                 let mut limit = LimitExec::new(j, 5);
                 let out = collect(&mut limit, &d).unwrap();
                 assert_eq!(out.len(), 5);
@@ -1554,7 +1669,15 @@ mod tests {
         let bv = ExtVec::from_slice(d.clone(), build).unwrap();
         let pv = ExtVec::from_slice(d.clone(), probe).unwrap();
         let before = d.stats().snapshot();
-        let mut j = join_on_first(&d, &ExecConfig::new(m), fan, hybrid, &bv, &pv).unwrap();
+        let mut j = join_on_first(
+            &d,
+            &ExecConfig::new(m),
+            fan,
+            hybrid,
+            &bv,
+            ScanExec::new(&pv),
+        )
+        .unwrap();
         let sum = checksum(&collect(&mut j, &d).unwrap());
         (sum, d.stats().snapshot().since(&before).total())
     }

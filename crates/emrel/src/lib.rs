@@ -8,8 +8,12 @@
 //! * **A Volcano-style pull engine** (`exec` module, re-exported here):
 //!   composable [`QueryExec`] operators (Scan / Filter / Project / Sort via
 //!   [`sort_scan`] / [`sort_pipe`] / SortMergeJoin / GroupBy / Distinct /
-//!   TopK / Limit) carrying sort-order metadata, fused so no operator
-//!   boundary materializes an intermediate that is consumed once.
+//!   TopK / Limit, and the hash side: [`HashGroupByExec`] /
+//!   [`HashDistinctExec`] / [`HashJoinExec`]) carrying sort-order
+//!   metadata, fused so no operator boundary materializes an intermediate
+//!   that is consumed once.  [`HashJoinExec`] is the only in-memory join:
+//!   while its build side stays resident, its output keeps the probe's
+//!   order.
 //! * **A PDM cost-based planner** (`plan` module): logical [`PlanExpr`]
 //!   trees priced in exact predicted block transfers from
 //!   [`em_core::bounds`], orderedness-aware (a Sort over already-sorted
@@ -41,7 +45,7 @@ mod plan;
 pub use exec::{
     collect, sort_pipe, sort_scan, DistinctExec, ExecConfig, FilterExec, FilterJoinKind,
     FilteringJoinExec, GroupByExec, KeyId, LimitExec, MergeJoinExec, Order, ProjectExec, QueryExec,
-    ScanExec, SortStreamExec, TinyBuildJoinExec, TopKExec,
+    ScanExec, SortStreamExec, TopKExec,
 };
 pub use hash_exec::{HashDistinctExec, HashGroupByExec, HashJoinExec};
 pub use plan::{
@@ -50,7 +54,7 @@ pub use plan::{
 
 use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
 use emsort::{merge_sort_by, SortConfig};
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 /// The sort key id the free functions tag their single sort with; callers
 /// of the free API never observe it.
@@ -100,9 +104,13 @@ where
 }
 
 /// Bag union: concatenate relations in order.  `O(Scan(ΣN))` I/Os.
+/// [`PdmError::InvalidRequest`] when `inputs` is empty: there is no device
+/// to put the result on.
 pub fn concat<R: Record>(inputs: &[&ExtVec<R>]) -> Result<ExtVec<R>> {
-    assert!(!inputs.is_empty(), "concat of nothing");
-    let mut out: ExtVecWriter<R> = ExtVecWriter::new(inputs[0].device().clone());
+    let Some(first) = inputs.first() else {
+        return Err(PdmError::InvalidRequest("concat of nothing".into()));
+    };
+    let mut out: ExtVecWriter<R> = ExtVecWriter::new(first.device().clone());
     let b = out.per_block();
     let mut block = Vec::with_capacity(b);
     for v in inputs {
@@ -328,6 +336,15 @@ mod tests {
         let c = ExtVec::from_slice(d, &[4u64, 5]).unwrap();
         let all = concat(&[&a, &b, &c]).unwrap();
         assert_eq!(all.to_vec().unwrap(), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn concat_of_nothing_is_a_typed_error() {
+        let d = device();
+        let allocated = d.allocated_blocks();
+        let err = concat::<u64>(&[]).err();
+        assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+        assert_eq!(d.allocated_blocks(), allocated);
     }
 
     #[test]

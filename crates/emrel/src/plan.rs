@@ -146,19 +146,6 @@ pub enum PlanExpr {
         /// Estimated join cardinality.
         out_records: u64,
     },
-    /// In-memory build-side join ([`TinyBuildJoinExec`](crate::TinyBuildJoinExec));
-    /// infeasible unless the build side fits in `M` records.  Neither side
-    /// is sorted; output follows the probe input's order.
-    TinyJoin {
-        /// Build input, absorbed into memory.
-        build: Box<PlanExpr>,
-        /// Probe input, streamed.
-        probe: Box<PlanExpr>,
-        /// Output record width in bytes.
-        rec_bytes: usize,
-        /// Estimated join cardinality.
-        out_records: u64,
-    },
     /// Streaming group-by; infeasible unless the input is ordered on `key`.
     GroupBy {
         /// Input plan.
@@ -213,14 +200,16 @@ pub enum PlanExpr {
         /// Estimated distinct count.
         out_records: u64,
     },
-    /// Hash equi-join ([`HashJoinExec`](crate::HashJoinExec)) — neither
-    /// side need be sorted, output unordered.  Priced by
-    /// [`em_core::bounds::hash_join_exact_ios`]: zero transfers of its own
-    /// while the build side fits the join's residency, otherwise the exact
-    /// cost of the filtered Grace join it falls into — ∞ when `hybrid` and
-    /// bucket 0 of a spilled build side overflows its resident share.
-    /// Additionally infeasible unless `(fan_out + 1)` block pairs fit in
-    /// memory.
+    /// Hash equi-join ([`HashJoinExec`](crate::HashJoinExec)), the one
+    /// in-memory join — neither side need be sorted.  While the build side
+    /// fits the join's residency
+    /// ([`em_core::bounds::hash_join_residency`]) it costs zero transfers of
+    /// its own and the output keeps the probe's order; otherwise the output
+    /// is unordered and priced at the exact cost of the filtered Grace join
+    /// it falls into ([`em_core::bounds::hash_join_exact_ios`]) — ∞ when
+    /// `hybrid` and bucket 0 of a spilled build side overflows its resident
+    /// share.  Additionally infeasible unless `(fan_out + 1)` block pairs
+    /// fit in memory.
     HashJoin {
         /// Build input, drained first: held if it fits, else partitioned.
         build: Box<PlanExpr>,
@@ -311,17 +300,6 @@ impl PlanExpr {
         }
     }
 
-    /// Join with `build` absorbed into memory and `self` as the streamed
-    /// probe side.
-    pub fn tiny_join(self, build: PlanExpr, rec_bytes: usize, out_records: u64) -> Self {
-        PlanExpr::TinyJoin {
-            build: Box::new(build),
-            probe: Box::new(self),
-            rec_bytes,
-            out_records,
-        }
-    }
-
     /// Wrap in a streaming group-by on `key`.
     pub fn group_by(self, key: KeyId, rec_bytes: usize, out_records: u64, order: Order) -> Self {
         PlanExpr::GroupBy {
@@ -370,8 +348,8 @@ impl PlanExpr {
     }
 
     /// Hash join with `build` drained first (held, or partitioned once it
-    /// stops fitting) and `self` as the probe side (mirroring
-    /// [`tiny_join`](PlanExpr::tiny_join)).
+    /// stops fitting) and `self` as the streamed probe side, whose order
+    /// the output keeps while the build side is held.
     #[allow(clippy::too_many_arguments)]
     pub fn hash_join(
         self,
@@ -419,7 +397,8 @@ impl PlanExpr {
 pub struct Prediction {
     /// Predicted device transfers to stream this subtree's output once —
     /// [`f64::INFINITY`] when the plan is infeasible (order contract
-    /// violated, build side over budget, heap over budget).
+    /// violated, hash buffers or a hybrid bucket 0 over budget, heap over
+    /// budget).
     pub transfers: f64,
     /// Estimated output cardinality.
     pub out_records: u64,
@@ -530,26 +509,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 out.infeasible()
             }
         }
-        PlanExpr::TinyJoin {
-            build,
-            probe,
-            rec_bytes,
-            out_records,
-        } => {
-            let b = predict(build, env);
-            let p = predict(probe, env);
-            let out = Prediction {
-                transfers: b.transfers + p.transfers,
-                out_records: *out_records,
-                rec_bytes: *rec_bytes,
-                order: p.order,
-            };
-            if b.out_records as usize <= env.mem_records {
-                out
-            } else {
-                out.infeasible()
-            }
-        }
         PlanExpr::GroupBy {
             input,
             key,
@@ -651,11 +610,14 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 *fan_out,
                 *hybrid,
             ) * env.stripe as f64;
+            // A held build side is matched in-stream: probe order survives.
+            let held = build_hashes.len()
+                <= bounds::hash_join_residency(env.mem_records, bpb, ppb, *fan_out);
             let out = Prediction {
                 transfers: b.transfers + p.transfers + own,
                 out_records: *out_records,
                 rec_bytes: *rec_bytes,
-                order: Order::Unordered,
+                order: if held { p.order } else { Order::Unordered },
             };
             if *fan_out >= 2 && (*fan_out + 1) * (bpb + ppb) <= env.mem_records {
                 out
@@ -779,15 +741,47 @@ mod tests {
     }
 
     #[test]
-    fn tiny_join_feasible_only_within_memory() {
-        let e = env(); // M = 64 records
-        let probe = PlanExpr::scan(1000, REC, Order::Unordered);
-        let small = probe
-            .clone()
-            .tiny_join(PlanExpr::scan(64, REC, Order::Unordered), 16, 1000);
-        let big = probe.tiny_join(PlanExpr::scan(65, REC, Order::Unordered), 16, 1000);
-        assert!(predict(&small, &e).feasible());
-        assert!(!predict(&big, &e).feasible());
+    fn hash_join_keeps_the_probe_order_only_while_resident() {
+        let e = env(); // M = 64 records, 8 per block
+        let fan = 2; // (F+1)·(B_build + B_probe) = 48 ≤ M
+        let r = bounds::hash_join_residency(64, 8, 8, fan) as u64;
+        assert_eq!(r, 40);
+        let ph = cycle_hashes(1000, 500);
+        let join = |n: u64| {
+            PlanExpr::scan(1000, REC, Order::Key(1)).hash_join(
+                PlanExpr::scan(n, REC, Order::Unordered),
+                cycle_hashes(n, n),
+                ph.clone(),
+                fan,
+                false,
+                16,
+                1000,
+            )
+        };
+        let scans = |n: u64| (e.blocks(1000, REC) + e.blocks(n, REC)) as f64;
+        // Exactly R build records: held, so the probe's order survives and
+        // the join costs its two scans.
+        let held = predict(&join(r), &e);
+        assert_eq!(held.order, Order::Key(1));
+        assert_eq!(held.transfers, scans(r));
+        // R + 1: spilled, unordered, priced at the exact Grace cost.
+        let grace = bounds::hash_join_exact_ios(
+            &cycle_hashes(r + 1, r + 1),
+            &ph,
+            64,
+            8,
+            8,
+            REC,
+            fan,
+            false,
+        );
+        assert!(grace > 0.0);
+        let spilled = predict(&join(r + 1), &e);
+        assert_eq!(spilled.order, Order::Unordered);
+        assert_eq!(spilled.transfers, scans(r + 1) + grace);
+        // A sort by the probe's key above the join is elided only when held.
+        assert_eq!(predict(&join(r).sort(1), &e).transfers, held.transfers);
+        assert!(predict(&join(r + 1).sort(1), &e).transfers > spilled.transfers);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   engine's actual merge schedule, so with exact cardinalities there is
 //!   no slack — and the engine must cost exactly the hand-rolled pipeline.
 //! * **Honest planning.**  Over a join query with genuinely different
-//!   strategies (merge join vs in-memory build side, sort placement), the
-//!   plan [`choose`] picks must be the measured-cheapest feasible plan, and
-//!   every feasible candidate's measured cost must equal its prediction.
+//!   strategies (merge join vs the hash join holding one side in memory,
+//!   sort placement), the plan [`choose`] picks must be the
+//!   measured-cheapest feasible plan, and every feasible candidate's
+//!   measured cost must equal its prediction.
 //! * **Clean failure.**  A pipeline over a faulty device either completes
 //!   with the correct answer or surfaces a clean `Err` — never a panic,
 //!   never silently wrong output.
@@ -22,11 +23,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use em_core::{EmConfig, ExtVec, ExtVecWriter};
+use em_core::{bounds, EmConfig, ExtVec, ExtVecWriter};
 use emrel::{
     choose, collect, predict_with_sink, sort_pipe, sort_scan, CostEnv, ExecConfig, FilterExec,
     GroupByExec, HashDistinctExec, HashGroupByExec, HashJoinExec, KeyStats, MergeJoinExec, Order,
-    PlanExpr, ProjectExec, QueryExec, ScanExec, TinyBuildJoinExec,
+    PlanExpr, ProjectExec, QueryExec, ScanExec,
 };
 use emsort::{OverlapConfig, RunFormation, SortConfig, SortingWriter};
 use pdm::{DiskArray, FaultPlan, IoMode, Placement, RetryPolicy, SharedDevice};
@@ -239,11 +240,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Q3-lite (filter orders ⋈ lineitem, then aggregate per order): three
-    /// genuinely different strategies — merge join with one real sort,
-    /// in-memory build side with a late sort, and in-memory lineitem with no
-    /// sort at all.  Every feasible plan must measure exactly its prediction,
-    /// all must agree on the answer, and the planner's choice must be the
-    /// measured-cheapest.
+    /// genuinely different strategies — merge join with one real sort, the
+    /// hash join holding the filtered orders with a late sort, and the hash
+    /// join holding all of lineitem with no sort at all.  Every feasible
+    /// plan must measure exactly its prediction, all must agree on the
+    /// answer, and the planner's choice must be the measured-cheapest.
     #[test]
     fn planner_choice_is_measured_cheapest(
         line_counts in prop::collection::vec(0usize..5, 8..80),
@@ -268,7 +269,8 @@ proptest! {
         }
         shuffle(&mut lineitem, seed);
 
-        // Exact cardinalities for the model, and the reference answer.
+        // Exact cardinalities and key hashes for the model, and the
+        // reference answer.
         let f_cnt = (0..n_orders as u64).filter(|&k| keep_order(k)).count() as u64;
         let j_cnt: u64 = line_counts
             .iter()
@@ -285,9 +287,18 @@ proptest! {
             })
             .collect();
         let g_cnt = expect.len() as u64;
+        let o_hashes: KeyStats = Arc::new(
+            (0..n_orders as u64).filter(|&k| keep_order(k)).map(key_hash).collect(),
+        );
+        let l_hashes: KeyStats = Arc::new(lineitem.iter().map(|r| key_hash(r.0)).collect());
 
+        // 16 rows/block, M = 128: the hash join's fan-out 2 fits
+        // (3·(16 + 16) ≤ 128) and holds R = 128 − 3·16 = 80 build records —
+        // every filtered orders side (< 80 rows), and lineitem only when
+        // it is that small.
         let device = EmConfig::new(256, 16).ram_disk();
-        let m = 64usize; // 16 rows/block ⇒ fan-in 3, merge exactly in budget
+        let (m, fan_out) = (128usize, 2usize);
+        let residency = bounds::hash_join_residency(m, 16, 16, fan_out);
         let env = CostEnv::new(256, m);
         let cfg = ExecConfig::new(m);
 
@@ -301,21 +312,27 @@ proptest! {
                 .sort(KEY)
                 .merge_join(scan_l().sort(KEY), KEY, ROW_BYTES, j_cnt)
                 .group_by(KEY, GRP_BYTES, g_cnt, Order::Key(KEY)),
-            // 1: absorb the filtered orders into memory, stream lineitem
-            // past unsorted, sort the join output.
+            // 1: hold the filtered orders, stream lineitem past unsorted,
+            // sort the join output.
             scan_l()
-                .tiny_join(scan_o().filter(f_cnt), ROW_BYTES, j_cnt)
+                .hash_join(scan_o().filter(f_cnt), o_hashes.clone(), l_hashes.clone(),
+                    fan_out, false, ROW_BYTES, j_cnt)
                 .sort(KEY)
                 .group_by(KEY, GRP_BYTES, g_cnt, Order::Key(KEY)),
-            // 2: absorb all of lineitem (feasible only when it fits in M);
-            // probing with clustered orders needs no sort anywhere.
+            // 2: hold all of lineitem; probing with clustered orders keeps
+            // their order, so no sort anywhere.  A lineitem over R spills,
+            // the join is unordered, and the group-by above it infeasible.
             scan_o()
                 .filter(f_cnt)
-                .tiny_join(scan_l(), ROW_BYTES, j_cnt)
+                .hash_join(scan_l(), l_hashes.clone(), o_hashes.clone(),
+                    fan_out, false, ROW_BYTES, j_cnt)
                 .group_by(KEY, GRP_BYTES, g_cnt, Order::Key(KEY)),
         ];
         let choice = choose(&candidates, &env);
         prop_assert!(choice.best.is_some(), "plan 0 is always feasible");
+        prop_assert!(choice.predicted[1].is_finite(), "the filtered orders always fit R");
+        prop_assert_eq!(choice.predicted[2].is_finite(), lineitem.len() <= residency,
+            "plan 2 is feasible exactly when lineitem is held");
 
         let o_vec = ExtVec::from_slice(device.clone(), &orders).unwrap();
         let l_vec = ExtVec::from_slice(device.clone(), &lineitem).unwrap();
@@ -357,12 +374,11 @@ proptest! {
                         |r: &Row| keep_order(r.0),
                     );
                     let probe = ScanExec::new(&l_vec);
-                    let mut join: TinyBuildJoinExec<_, u64, Row, _, _, Row> =
-                        TinyBuildJoinExec::build(
-                            &mut build, probe, |b: &Row| b.0, |p: &Row| p.0,
-                            |p: &Row, _b: &Row| (p.0, p.1), m,
-                        )
-                        .unwrap();
+                    let mut join = HashJoinExec::build(
+                        &mut build, probe, &device, &cfg, fan_out, false,
+                        |b: &Row| b.0, |p: &Row| p.0, |_b: &Row, p: &Row| (p.0, p.1),
+                    )
+                    .unwrap();
                     sort_pipe(&mut join, &device, &cfg, KEY, less, |s| group(s, &device))
                         .unwrap()
                 }
@@ -372,20 +388,27 @@ proptest! {
                         ScanExec::with_order(&o_vec, Order::Key(KEY)),
                         |r: &Row| keep_order(r.0),
                     );
-                    let mut join: TinyBuildJoinExec<_, u64, Row, _, _, Row> =
-                        TinyBuildJoinExec::build(
-                            &mut build, probe, |b: &Row| b.0, |p: &Row| p.0,
-                            |p: &Row, b: &Row| (p.0, b.1), m,
-                        )
-                        .unwrap();
+                    let mut join = HashJoinExec::build(
+                        &mut build, probe, &device, &cfg, fan_out, false,
+                        |b: &Row| b.0, |p: &Row| p.0, |b: &Row, p: &Row| (p.0, b.1),
+                    )
+                    .unwrap();
+                    prop_assert_eq!(join.order(), Order::Key(KEY), "lineitem is held");
                     group(&mut join, &device).unwrap()
                 }
             };
             let ios = device.stats().snapshot().since(&before);
             prop_assert_eq!(&out.to_vec().unwrap(), &expect, "plan {} output wrong", i);
+            let out_blocks = out.num_blocks();
             out.free().unwrap();
             prop_assert_eq!(ios.total(), *pred as u64,
                 "plan {} measured != predicted", i);
+            if i == 2 {
+                // Two scans and the output: no sort, no spill.
+                let scans = o_vec.num_blocks() + l_vec.num_blocks();
+                prop_assert_eq!(ios.total(), (scans + out_blocks) as u64,
+                    "the clustered plan costs its scans and its output");
+            }
             measured[i] = Some(ios.total());
         }
 

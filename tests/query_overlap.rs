@@ -1,8 +1,8 @@
 //! The drain rule, end to end: overlap in the query engine is pure
 //! scheduling.
 //!
-//! * **Invariance matrix.**  Every hash operator, the tiny-build join, the
-//!   skew tape that takes the sort fallback, and the two sort-based
+//! * **Invariance matrix.**  Every hash operator, the in-memory hash join
+//!   under a group-by, the skew tape that takes the sort fallback, and the two sort-based
 //!   candidates run over `D ∈ {1, 2, 4}` × {synchronous, overlapped} ×
 //!   depth ∈ {0, 1, 2}: output byte-identical to the depth-0 run, reads and
 //!   writes equal, not one prefetched block wasted, and the
@@ -19,7 +19,6 @@ use em_core::ExtVec;
 use emrel::{
     collect, sort_pipe, sort_scan, ExecConfig, FilterExec, GroupByExec, HashDistinctExec,
     HashGroupByExec, HashJoinExec, MergeJoinExec, Order, ProjectExec, QueryExec, ScanExec,
-    TinyBuildJoinExec,
 };
 use emsort::{OverlapConfig, SortConfig};
 use pdm::{DiskArray, IoMode, IoSnapshot, Placement, SharedDevice};
@@ -113,7 +112,7 @@ const CASES: [&str; 8] = [
     "hash distinct",
     "grace join",
     "hybrid join",
-    "tiny-build join under a hash group-by",
+    "in-memory hash join under a hash group-by",
     "skew tape (sort fallback)",
     "sort group-by",
     "sort-merge join",
@@ -192,25 +191,40 @@ fn run_case(case: &str, device: &SharedDevice, overlap: OverlapConfig) -> Outcom
                 grp_words,
             )
         }
-        "tiny-build join under a hash group-by" => {
+        "in-memory hash join under a hash group-by" => {
+            // Fan-out 2 leaves the join R = 256 − 3·16 = 208 ≥ 200 build
+            // rows, so it holds them and streams the facts past in their
+            // own order; the group-by above spills at fan-out 4.
             let dims: Vec<Row> = (0..200u64).map(|k| (k, k * 100)).collect();
             let facts = rows(4000, 400, 0x9E37_79B9);
             let (bv, pv, m, fan) = (load(&dims), load(&facts), 16 * B, 4);
             let c = cfg(m, overlap);
+            let bh: Vec<u64> = dims.iter().map(|r| key_hash(r.0)).collect();
+            let ph: Vec<u64> = facts.iter().map(|r| key_hash(r.0)).collect();
+            assert_eq!(hash_join_exact_ios(&bh, &ph, m, B, B, 16, 2, false), 0.0);
+            let joined: Vec<u64> = facts
+                .iter()
+                .filter(|r| r.0 < 200)
+                .map(|r| key_hash(r.0))
+                .collect();
+            let replay = (bv.num_blocks() + pv.num_blocks()) as u64
+                + hash_group_exact_ios(&joined, m, B, fan, c.sort.effective_fan_in(B));
             outcome(
                 device,
                 || {
                     let mut bscan = ScanExec::new(&bv);
-                    let mut j: TinyBuildJoinExec<_, u64, Row, _, _, Row> =
-                        TinyBuildJoinExec::build(
-                            &mut bscan,
-                            ScanExec::new(&pv),
-                            |b| b.0,
-                            |p: &Row| p.0,
-                            |p, b| (p.0, p.1.wrapping_add(b.1)),
-                            m,
-                        )?;
-                    Ok((sum_groups(&mut j, device, &c, fan)?, None))
+                    let mut j = HashJoinExec::build(
+                        &mut bscan,
+                        ScanExec::new(&pv),
+                        device,
+                        &c,
+                        2,
+                        false,
+                        |b: &Row| b.0,
+                        |p: &Row| p.0,
+                        |b: &Row, p: &Row| (p.0, p.1.wrapping_add(b.1)),
+                    )?;
+                    Ok((sum_groups(&mut j, device, &c, fan)?, Some(replay)))
                 },
                 grp_words,
             )
