@@ -99,42 +99,130 @@ fn blocks(records: u64, b: usize) -> u64 {
     records.div_ceil(b as u64)
 }
 
-/// Exact transfer count of a *materialized* `k`-way external merge sort
-/// (`merge_sort_by`): read the input, write `⌈N/M⌉` runs, then merge
-/// front-to-back in groups of `k` until one run remains — the final merge's
-/// output write included.  A single initial run is returned as the output
-/// directly (no merge).  Exact for load–sort–store run formation, including
-/// partial merge passes and per-run block rounding.
-pub fn merge_sort_exact_ios(n: u64, m: usize, b: usize, fan_in: usize) -> u64 {
-    if n == 0 {
+/// How many records of a load–sort–store sort's last memory load stay in
+/// memory for the final merge instead of being written as a run — the
+/// *resident tail*.  `loads` memory loads form, the last of `last` records.
+///
+/// The final merge charges one block per disk run plus one output block,
+/// so with `r` disk runs the tail may hold `M − (r+1)·B` records.  The last
+/// load keeps all of itself if that fits beside the `loads − 1` runs before
+/// it; otherwise its sorted prefix spills as one more run and the tail is
+/// `M − (r+2)·B` counted over the earlier runs.  Zero — every load written,
+/// the sort's schedule unchanged — when that leaves nothing, when the loads
+/// would not fit one merge of `fan_in` (a multi-pass sort keeps its merge
+/// groups, and with them its order of ties), and for a `materialized` sort
+/// of one load, whose single run is its output without any merge.
+///
+/// The sort engine (`emsort`) and the replays below all read it here.
+pub fn resident_tail(
+    loads: u64,
+    last: usize,
+    m: usize,
+    b: usize,
+    fan_in: usize,
+    materialized: bool,
+) -> usize {
+    if loads == 0 || loads > fan_in as u64 || (materialized && loads == 1) {
         return 0;
     }
+    let room = |disk_runs: u64| m.saturating_sub((disk_runs as usize + 1) * b);
+    if last <= room(loads - 1) {
+        last
+    } else {
+        room(loads)
+    }
+}
+
+/// The record counts of the runs a load–sort–store sort of `n` records
+/// writes, in order, and the records of its last load it keeps resident
+/// ([`resident_tail`]).  A sort of a stored input (`short_first`) takes its
+/// short load first whenever a tail stays, so that the last load is a full
+/// `M`; a `SortingWriter` loads in push order, short load last.
+fn load_sort_runs(
+    n: u64,
+    m: usize,
+    b: usize,
+    fan_in: usize,
+    materialized: bool,
+    short_first: bool,
+) -> (std::collections::VecDeque<u64>, u64) {
     let mut q = run_queue(n, m);
-    let mut t = scan(n, b) as u64; // read input during run formation
-    t += q.iter().map(|&r| blocks(r, b)).sum::<u64>(); // write runs
-    t += simulate_full_merge(&mut q, fan_in, b, |len| len > 1);
-    t
+    let last = match q.back() {
+        Some(_) if short_first => n.min(m as u64),
+        Some(&last) => last,
+        None => 0,
+    };
+    let tail = resident_tail(q.len() as u64, last as usize, m, b, fan_in, materialized) as u64;
+    if tail > 0 {
+        if short_first {
+            q.rotate_right(1);
+        }
+        q.pop_back();
+        if last > tail {
+            q.push_back(last - tail);
+        }
+    }
+    (q, tail)
+}
+
+/// A load–sort–store sort's transfers after its input is read: the runs
+/// written, then either one merge of the `≤ k` disk runs and the resident
+/// tail, or — with no tail — merges front-to-back in groups of `k` until
+/// one run (`materialized`) or one final `≤ k`-way stream is left.  The
+/// stream reads its runs once and writes nothing; a materialized merge
+/// writes its output, and a single run is the output as it stands.
+fn load_sort_ios(
+    n: u64,
+    m: usize,
+    b: usize,
+    fan_in: usize,
+    materialized: bool,
+    short_first: bool,
+) -> u64 {
+    let (mut q, tail) = load_sort_runs(n, m, b, fan_in, materialized, short_first);
+    let run_blocks = |q: &std::collections::VecDeque<u64>| q.iter().map(|&r| blocks(r, b)).sum();
+    let written: u64 = run_blocks(&q);
+    let output = if materialized { blocks(n, b) } else { 0 };
+    if tail > 0 {
+        return written + run_blocks(&q) + output;
+    }
+    if materialized {
+        return written + simulate_full_merge(&mut q, fan_in, b, |len| len > 1);
+    }
+    let merged = simulate_full_merge(&mut q, fan_in, b, |len| len > fan_in.max(2));
+    written + merged + run_blocks(&q)
+}
+
+/// Exact transfer count of a *materialized* `k`-way external merge sort
+/// (`merge_sort_by`): read the input, write the runs, merge them to one —
+/// the final merge's output write included.  When the disk runs fit one
+/// merge, the last load's resident tail ([`resident_tail`]) is never
+/// written nor re-read; otherwise the runs merge front-to-back in groups of
+/// `k`.  A single initial run is returned as the output directly (no
+/// merge).  Exact for load–sort–store run formation, including partial
+/// merge passes and per-run block rounding.
+pub fn merge_sort_exact_ios(n: u64, m: usize, b: usize, fan_in: usize) -> u64 {
+    scan(n, b) as u64 + load_sort_ios(n, m, b, fan_in, true, true)
 }
 
 /// Exact transfer count of a *fused* streaming merge sort
-/// (`merge_sort_streaming` / a drained `SortingWriter`, input read
-/// included): read the input, write the runs, merge front-to-back in groups
-/// of `k` while more than `k` runs remain, then *read* the final `≤ k` runs
-/// once as the consumer drains the fused last merge — no output write.
-/// The fused sort therefore costs exactly `⌈N/B⌉` less than
-/// [`merge_sort_exact_ios`] whenever at least one merge happens, and
-/// `⌈N/B⌉` *more* when a single run forms (the materialized sort returns
-/// the run directly; the stream must read it back).
+/// (`merge_sort_streaming`, input read included): read the input, write the
+/// runs, merge front-to-back in groups of `k` while more than `k` runs
+/// remain, then *read* the final `≤ k` runs once as the consumer drains the
+/// fused last merge — no output write.  The resident tail of the last load
+/// ([`resident_tail`]) is neither written nor read, so an input of at most
+/// `M − B` records costs its read alone.
 pub fn merge_sort_streamed_ios(n: u64, m: usize, b: usize, fan_in: usize) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    let mut q = run_queue(n, m);
-    let mut t = scan(n, b) as u64;
-    t += q.iter().map(|&r| blocks(r, b)).sum::<u64>();
-    t += simulate_full_merge(&mut q, fan_in, b, |len| len > fan_in.max(2));
-    t += q.iter().map(|&r| blocks(r, b)).sum::<u64>(); // final fused read
-    t
+    scan(n, b) as u64 + load_sort_ios(n, m, b, fan_in, false, true)
+}
+
+/// Exact transfer count of a `SortingWriter` fed `n` records and drained
+/// through `finish_streaming`: the pushed records cost nothing, so this is
+/// [`merge_sort_streamed_ios`] without the input read — except that the
+/// writer loads in push order, its short load last, so that load is the
+/// one whose tail may stay resident.
+pub fn sorting_writer_streamed_ios(n: u64, m: usize, b: usize, fan_in: usize) -> u64 {
+    load_sort_ios(n, m, b, fan_in, false, false)
 }
 
 /// Recursion-depth backstop shared by the hash partitioner

@@ -469,18 +469,22 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 p.transfers
             } else {
                 // Run formation + intermediate merges + a final read the
-                // consumer drains.  The streamed total includes one
-                // input-read pass; a base input's scan cost *is* that pass,
-                // and a computed input's producer replaces it
-                // (`SortingWriter` takes records straight from memory) —
-                // either way one pass of the sum is already accounted.
+                // consumer drains.  A base input is sorted where it is
+                // stored (`sort_scan`): its scan cost *is* the streamed
+                // sort's input read.  A computed input is pushed into a
+                // `SortingWriter` (`sort_pipe`), which reads nothing and
+                // loads in arrival order.
                 let n = p.out_records;
-                let per_block = env.per_block(p.rec_bytes);
+                let (m, per_block) = (env.mem_records, env.per_block(p.rec_bytes));
                 let k = env.fan_in(p.rec_bytes);
-                let streamed = bounds::merge_sort_streamed_ios(n, env.mem_records, per_block, k)
-                    as f64
-                    * env.stripe as f64;
-                p.transfers + streamed - env.blocks(n, p.rec_bytes) as f64
+                let sort = match **input {
+                    PlanExpr::Scan { .. } => {
+                        bounds::merge_sort_streamed_ios(n, m, per_block, k)
+                            - n.div_ceil(per_block as u64)
+                    }
+                    _ => bounds::sorting_writer_streamed_ios(n, m, per_block, k),
+                };
+                p.transfers + (sort * env.stripe) as f64
             };
             Prediction {
                 transfers,

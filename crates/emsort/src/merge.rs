@@ -11,6 +11,11 @@
 //!
 //! which matches the lower bound — the headline result the experiment
 //! harness (F1/F2) verifies against [`em_core::bounds::merge_sort_ios`].
+//! When the runs fit one merge, the sorted tail of the last memory load is
+//! not written at all: it joins the final merge from memory, in the room
+//! the merge's `(k+1)·B` leaves in `M`, so one-pass sorts come in under that
+//! formula ([`em_core::bounds::resident_tail`]; the exact replays are
+//! [`em_core::bounds::merge_sort_exact_ios`] and its siblings).
 //!
 //! There is one merge: [`SortedStream`], a [loser tree](crate::losertree)
 //! over the runs' readers — `⌈log₂ k⌉` comparisons per record when the
@@ -24,13 +29,13 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use em_core::{BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, MemBudget, Record};
-use pdm::{Result, SharedDevice};
+use em_core::{bounds, BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, MemBudget, Record};
+use pdm::{PdmError, Result, SharedDevice};
 
 use crate::forecast::Forecaster;
 use crate::losertree::LoserTree;
-use crate::runs::{form_runs, write_sorted_chunk};
-use crate::{OverlapConfig, SortConfig};
+use crate::runs::{check_memory, form_runs_keeping, spill_sorted};
+use crate::{OverlapConfig, RunFormation, SortConfig};
 
 /// Sort `input` into a new external array on the same device, using natural
 /// ordering.  See [`merge_sort_by`].
@@ -54,6 +59,13 @@ pub fn merge_sort<R: Record + Ord>(input: &ExtVec<R>, cfg: &SortConfig) -> Resul
 ///
 /// Intermediate runs are freed as they are consumed, so peak disk usage is
 /// `≈ 2N/B` blocks beyond the input.  The input itself is left untouched.
+/// When the runs fit one merge, the sorted tail of the last memory load is
+/// merged from memory instead of being written and read back
+/// ([`bounds::resident_tail`]).
+///
+/// Memory under what run formation needs, or — when more than one load
+/// forms — under the `(k+1)·B` records one merge charges, is
+/// [`PdmError::MemoryExceeded`], returned before anything is written.
 pub fn merge_sort_by<R, F>(input: &ExtVec<R>, cfg: &SortConfig, less: F) -> Result<ExtVec<R>>
 where
     R: Record,
@@ -62,15 +74,124 @@ where
     if input.is_empty() {
         return Ok(ExtVec::new(input.device().clone()));
     }
-    let k = cfg.effective_fan_in(input.per_block());
-    let budget = merge_budget(cfg, k, input.per_block(), input.device().stream_lanes());
-    let mut queue: VecDeque<ExtVec<R>> = form_runs(input, cfg, less)?.into();
-    merge_down(&mut queue, k, 1, &budget, cfg, less)?;
-    // Nonempty input always leaves exactly one run; degrade to an empty
-    // result rather than panic if that invariant ever breaks.
-    Ok(queue
-        .pop_front()
-        .unwrap_or_else(|| ExtVec::new(input.device().clone())))
+    form(input, cfg, true, less)?.into_sorted(cfg, less)
+}
+
+/// Run formation for a complete sort of the nonempty `input`: the memory
+/// check, then load–sort–store keeping the resident tail a `materialized`
+/// (or streamed) sort of `N` records can hold.
+fn form<R, F>(input: &ExtVec<R>, cfg: &SortConfig, materialized: bool, less: F) -> Result<Formed<R>>
+where
+    R: Record,
+    F: Fn(&R, &R) -> bool + Copy + Send,
+{
+    let (n, m, b) = (input.len(), cfg.mem_records, input.per_block());
+    check_memory(cfg, b, n > m as u64)?;
+    let keep = match cfg.run_formation {
+        // A stored input loads its short load first: the last is min(N, M).
+        RunFormation::LoadSort => bounds::resident_tail(
+            n.div_ceil(m as u64),
+            n.min(m as u64) as usize,
+            m,
+            b,
+            cfg.effective_fan_in(b),
+            materialized,
+        ),
+        RunFormation::ReplacementSelection => 0,
+    };
+    let (runs, tail) = form_runs_keeping(input, cfg, keep, less)?;
+    Ok(Formed::new(runs, tail, input.device().clone(), b, cfg))
+}
+
+/// A sort between run formation and its merges: its runs on disk, in order,
+/// and the sorted tail of its last memory load still in memory — empty
+/// unless [`bounds::resident_tail`] kept one, which happens only when the
+/// disk runs fit one merge.  The tail's records sort after every disk run's
+/// equal keys: it is the merge's highest-index leaf.
+struct Formed<R: Record> {
+    runs: VecDeque<ExtVec<R>>,
+    tail: Vec<R>,
+    device: SharedDevice,
+    per_block: usize,
+    k: usize,
+    /// Every merge's budget: `M` plus the overlap slack.
+    budget: Arc<MemBudget>,
+}
+
+impl<R: Record> Formed<R> {
+    fn new(
+        runs: Vec<ExtVec<R>>,
+        tail: Vec<R>,
+        device: SharedDevice,
+        per_block: usize,
+        cfg: &SortConfig,
+    ) -> Self {
+        let k = cfg.effective_fan_in(per_block);
+        let budget = merge_budget(cfg, k, per_block, device.stream_lanes());
+        Formed {
+            runs: runs.into(),
+            tail,
+            device,
+            per_block,
+            k,
+            budget,
+        }
+    }
+
+    /// Merge everything into one materialized array: down to one run, or —
+    /// with a tail — the `≤ k` disk runs and the tail in one merge, its
+    /// output staggered as the first merge of `merge_down` would be.
+    fn into_sorted<F>(mut self, cfg: &SortConfig, less: F) -> Result<ExtVec<R>>
+    where
+        F: Fn(&R, &R) -> bool + Copy,
+    {
+        let budget = &self.budget;
+        if self.tail.is_empty() {
+            merge_down(&mut self.runs, self.k, 1, budget, cfg, less)?;
+            // Nonempty input always leaves exactly one run; degrade to an
+            // empty result rather than panic if that invariant ever breaks.
+            return Ok(self
+                .runs
+                .pop_front()
+                .unwrap_or_else(|| ExtVec::new(self.device.clone())));
+        }
+        self.device.direct_next_stream(0);
+        let runs: Vec<ExtVec<R>> = self.runs.into();
+        let out = materialize(
+            &runs,
+            self.tail,
+            &self.device,
+            self.per_block,
+            budget,
+            cfg,
+            less,
+        )?;
+        for run in runs {
+            run.free()?;
+        }
+        Ok(out)
+    }
+
+    /// Merge down to the `≤ k` runs one last merge can stream, hand that
+    /// merge — tail included — to `consume`, then free the runs.
+    fn stream<F, T, C>(mut self, cfg: &SortConfig, less: F, consume: C) -> Result<T>
+    where
+        F: Fn(&R, &R) -> bool + Copy,
+        C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
+    {
+        let budget = &self.budget;
+        merge_down(&mut self.runs, self.k, self.k, budget, cfg, less)?;
+        let runs: Vec<ExtVec<R>> = self.runs.into();
+        let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
+        let mut stream =
+            SortedStream::build(&parts, self.tail, self.per_block, budget, cfg.overlap, less)?;
+        let out = consume(&mut stream)?;
+        drop(stream);
+        for run in runs {
+            run.free()?;
+        }
+        Ok(out)
+    }
 }
 
 /// The merge phase's budget: `M`, plus overlap headroom for read-ahead on
@@ -136,6 +257,9 @@ where
 /// into a write-behind writer.  The overlap buffers come from `budget`
 /// headroom via `try_charge`, so a tight budget silently degrades to the
 /// synchronous merge; the transfers performed are identical either way.
+///
+/// No runs at all is [`PdmError::InvalidRequest`]: there is no device to
+/// put the output on.
 pub fn merge_runs_with<R, F>(
     runs: &[ExtVec<R>],
     budget: &Arc<MemBudget>,
@@ -146,11 +270,40 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
-    assert!(!runs.is_empty(), "nothing to merge");
+    let Some(first) = runs.first() else {
+        return Err(PdmError::InvalidRequest(
+            "merge_runs_with: no runs to merge".into(),
+        ));
+    };
+    materialize(
+        runs,
+        Vec::new(),
+        first.device(),
+        first.per_block(),
+        budget,
+        cfg,
+        less,
+    )
+}
+
+/// Drain the merge of `runs` and the resident `tail` into a new array on
+/// `device` — the body of [`merge_runs_with`], and a sort's last merge.
+fn materialize<R, F>(
+    runs: &[ExtVec<R>],
+    tail: Vec<R>,
+    device: &SharedDevice,
+    per_block: usize,
+    budget: &Arc<MemBudget>,
+    cfg: &SortConfig,
+    less: F,
+) -> Result<ExtVec<R>>
+where
+    R: Record,
+    F: Fn(&R, &R) -> bool + Copy,
+{
     let ov = cfg.overlap;
-    let device = runs[0].device().clone();
     let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
-    let mut stream = SortedStream::build(&parts, budget, ov, less)?;
+    let mut stream = SortedStream::build(&parts, tail, per_block, budget, ov, less)?;
 
     // Write-behind depth is per disk: the output stream round-robins its
     // blocks across an independent array's lanes, so its queue deepens by
@@ -163,7 +316,7 @@ where
     // `try_charge`; it degrades gracefully and never changes a transfer.
     let pool = stream.fc.as_ref().map_or(0, Forecaster::pool);
     let wb = (ov.write_behind * device.stream_lanes()).max(pool);
-    let mut w = ExtVecWriter::with_write_behind(device, wb, budget);
+    let mut w = ExtVecWriter::with_write_behind(device.clone(), wb, budget);
     while let Some(r) = stream.try_next()? {
         w.push(r)?;
     }
@@ -193,11 +346,18 @@ where
 /// whenever read-ahead is requested, at least two runs merge, and every run
 /// carries block-head metadata; otherwise each run reads ahead on its own.
 ///
+/// A complete sort's final merge may also hold the sorted tail of its last
+/// memory load ([`bounds::resident_tail`]): one more leaf, after every run,
+/// fed from memory.  It is not a reader and the forecaster never sees it.
+///
 /// The stream borrows the final-stage runs, which live in the sorting
 /// function's frame; that is why the consumer is a closure rather than the
 /// stream being returned.
 pub struct SortedStream<'a, R: Record, F> {
     readers: Vec<ExtVecReader<'a, R>>,
+    /// The resident tail's records not yet in the tree; its leaf is
+    /// `readers.len()`.
+    resident: std::vec::IntoIter<R>,
     fc: Option<Forecaster>,
     /// The tournament over the readers' current records.  It also owns the
     /// drain state: whether the winner's run is on a streak, and the
@@ -217,18 +377,21 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
-    /// Build a stream over `(run, start offset)` pairs.  Charges `(k+1)·B`
-    /// records against `budget`: one block per run, plus the output block
-    /// of a materialized merge or the consumer's working block.
+    /// Build a stream over `(run, start offset)` pairs and the sorted
+    /// `resident` records, at `b` records a block.  Charges `(k+1)·B` plus
+    /// the resident records against `budget`: one block per run, plus the
+    /// output block of a materialized merge or the consumer's working
+    /// block.
     fn build(
         parts: &[(&'a ExtVec<R>, u64)],
+        resident: Vec<R>,
+        b: usize,
         budget: &Arc<MemBudget>,
         ov: OverlapConfig,
         less: F,
     ) -> Result<Self> {
         let k = parts.len();
-        let b = parts.first().map_or(1, |(r, _)| r.per_block());
-        let charge = budget.charge((k + 1) * b);
+        let charge = budget.charge((k + 1) * b + resident.len());
         let fc = (ov.read_ahead > 0 && k >= 2 && parts.iter().all(|(r, _)| r.has_block_heads()))
             .then(|| Forecaster::new(budget, k, ov.read_ahead, b, parts[0].0.device().lanes()));
         let mut readers: Vec<ExtVecReader<'a, R>> = match &fc {
@@ -248,12 +411,15 @@ where
             .iter_mut()
             .map(|rd| rd.try_next())
             .collect::<Result<_>>()?;
-        if keys.is_empty() {
-            // The empty merge is a tournament over one exhausted run.
-            keys.push(None);
+        let mut resident = resident.into_iter();
+        if resident.len() > 0 || keys.is_empty() {
+            // The resident leaf; an empty merge is a tournament over one
+            // exhausted run.
+            keys.push(resident.next());
         }
         Ok(SortedStream {
             readers,
+            resident,
             fc,
             lt: LoserTree::new(keys, less),
             less,
@@ -288,7 +454,10 @@ where
             return Ok(None);
         };
         // One record leaves, the winner's run refills its leaf.
-        let next = self.readers[wi].try_next()?;
+        let next = match self.readers.get_mut(wi) {
+            Some(reader) => reader.try_next()?,
+            None => self.resident.next(),
+        };
         let rec = self.lt.advance(next);
         // Re-pump the forecaster roughly once per emitted block; exact
         // cadence is irrelevant for correctness (a missed pump is just a
@@ -304,27 +473,6 @@ where
     }
 }
 
-/// Hand `consume` the merge of `runs` as a pull stream, then free the runs.
-fn stream_runs<R, F, T, C>(
-    runs: Vec<ExtVec<R>>,
-    budget: &Arc<MemBudget>,
-    cfg: &SortConfig,
-    less: F,
-    consume: C,
-) -> Result<T>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy,
-    C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
-{
-    let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
-    let out = merge_runs_streaming(&parts, budget, cfg, less, consume)?;
-    for run in runs {
-        run.free()?;
-    }
-    Ok(out)
-}
-
 /// Sort `input` and hand the *final merge pass* to `consume` as a pull
 /// stream instead of writing an output array — pipeline fusion in the PODS
 /// 1998 cost model.
@@ -332,11 +480,12 @@ where
 /// Versus [`merge_sort_by`] followed by a scan of the result, this saves
 /// exactly one output-write pass plus one re-read pass (`2·⌈N/B⌉` transfers)
 /// whenever the final stage actually merges (two or more runs reach it).
-/// When run formation already yields a single run the savings are zero — the
-/// stream then re-reads that run, costing the same scan the consumer would
-/// have paid — but never negative.  Intermediate merge passes (when the run
-/// count exceeds the fan-in `k`) still materialize, exactly as in
-/// [`merge_sort_by`]; only the last pass fuses.
+/// An input that fits one load is streamed from memory: at most `M − B`
+/// records are never written, and a larger one writes and re-reads only
+/// the prefix its resident tail cannot hold ([`bounds::resident_tail`]).
+/// Intermediate merge passes (when the run count exceeds the fan-in `k`)
+/// still materialize, exactly as in [`merge_sort_by`]; only the last pass
+/// fuses.
 ///
 /// Forecasting and per-disk overlap apply to the streamed pass unchanged,
 /// so the record sequence is identical to the materialized sort's output
@@ -378,13 +527,9 @@ where
     if input.is_empty() {
         return merge_runs_streaming(&[], &MemBudget::new(cfg.mem_records), cfg, less, consume);
     }
-    let k = cfg.effective_fan_in(input.per_block());
-    let budget = merge_budget(cfg, k, input.per_block(), input.device().stream_lanes());
-    let mut queue: VecDeque<ExtVec<R>> = form_runs(input, cfg, less)?.into();
     // Intermediate outputs are re-merged later, so streaming them would buy
     // nothing — fusion only ever applies to the last pass.
-    merge_down(&mut queue, k, k, &budget, cfg, less)?;
-    stream_runs(queue.into(), &budget, cfg, less, consume)
+    form(input, cfg, false, less)?.stream(cfg, less, consume)
 }
 
 /// Producer-side pipeline fusion: a sink that forms sorted runs *directly*
@@ -404,11 +549,19 @@ where
 /// [`SortingWriter::finish_sorted`] materializes the result instead, for
 /// callers that keep the sorted array; only the producer side fuses then.
 ///
-/// Chunk boundaries, in-memory sorting and merge grouping all match
-/// [`merge_sort_by`] with [`RunFormation::LoadSort`](crate::RunFormation)
-/// over the same push sequence, so the record sequence — including the
-/// order of ties under a partial key — is identical to the unfused
-/// pipeline's.
+/// The record sequence — including the order of ties under a partial key —
+/// is identical to the unfused pipeline's [`merge_sort_by`], the stable
+/// sort of the push sequence whenever the loads fit one merge.  Chunks are
+/// taken in push order (the
+/// writer cannot know `N` up front, so its short chunk comes last, where
+/// [`merge_sort_by`] loads it first); a chunk is spilled when the next
+/// record arrives, so the last one is always still in memory at `finish_*`,
+/// and when the spilled runs fit one merge its sorted tail is merged from
+/// memory ([`bounds::resident_tail`]).
+///
+/// Memory too small to merge — under the `(k+1)·B` records one merge
+/// charges — is [`PdmError::MemoryExceeded`] from the [`push`](Self::push)
+/// that would spill the first run, before anything is written.
 ///
 /// ```
 /// use em_core::EmConfig;
@@ -473,8 +626,8 @@ where
     }
 
     /// Runs spilled to the device so far.  Increases by one each time
-    /// [`push`](Self::push) crosses an `M`-record chunk boundary — the
-    /// moment a recovery-minded producer should checkpoint (see
+    /// [`push`](Self::push) takes a record past a full `M`-record chunk —
+    /// the moment a recovery-minded producer should checkpoint (see
     /// [`manifest_bytes`](Self::manifest_bytes)).
     pub fn runs_spilled(&self) -> usize {
         self.runs.len()
@@ -536,52 +689,57 @@ where
         Ok(w)
     }
 
-    /// Add a record; sorts and spills the in-memory chunk as a run when it
-    /// reaches `M` records.
+    /// Add a record; the in-memory chunk, once it holds `M` records, is
+    /// sorted and spilled as a run when the next record arrives.
     pub fn push(&mut self, r: R) -> Result<()> {
-        self.buf.push(r);
         if self.buf.len() >= self.cfg.mem_records {
-            self.flush_run()?;
+            // More than one load: the sort will merge.
+            check_memory(&self.cfg, self.per_block(), true)?;
+            self.spill(0)?;
         }
+        self.buf.push(r);
         Ok(())
     }
 
-    fn flush_run(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
+    fn per_block(&self) -> usize {
+        (self.device.block_size() / R::BYTES).max(1)
+    }
+
+    /// Sort the chunk and spill all of it but its last `keep` records.
+    fn spill(&mut self, keep: usize) -> Result<()> {
         let ov = self.cfg.overlap.for_lanes(self.device.stream_lanes());
-        // Stagger run start lanes exactly as load-sort run formation does.
-        self.device.direct_next_stream(self.runs.len());
-        let mut w =
-            ExtVecWriter::with_write_behind(self.device.clone(), ov.write_behind, &self.budget);
-        write_sorted_chunk(&mut self.buf, self.less, &mut w)?;
-        self.runs.push(w.finish()?);
-        Ok(())
+        spill_sorted(
+            &mut self.buf,
+            keep,
+            self.less,
+            &self.device,
+            ov.write_behind,
+            &self.budget,
+            &mut self.runs,
+        )
     }
 
-    /// Spill the last chunk and merge the runs down to one — or, with
-    /// `leave_final_merge`, to the `≤ k` that one last merge can stream —
-    /// under the same fan-in, budget and pass structure as
-    /// [`merge_sort_by`], so transfers agree block for block.
-    fn merge_spilled(
-        &mut self,
-        leave_final_merge: bool,
-    ) -> Result<(Vec<ExtVec<R>>, Arc<MemBudget>)> {
-        self.flush_run()?;
-        let per_block = (self.device.block_size() / R::BYTES).max(1);
-        let k = self.cfg.effective_fan_in(per_block);
-        let budget = merge_budget(&self.cfg, k, per_block, self.device.stream_lanes());
-        let mut queue: VecDeque<ExtVec<R>> = std::mem::take(&mut self.runs).into();
-        merge_down(
-            &mut queue,
-            k,
-            if leave_final_merge { k } else { 1 },
-            &budget,
+    /// Spill the last chunk but the resident tail a `materialized` (or
+    /// streamed) sort of these runs can hold.
+    fn formed(&mut self, materialized: bool) -> Result<Formed<R>> {
+        let per_block = self.per_block();
+        let loads = self.runs.len() as u64 + u64::from(!self.buf.is_empty());
+        let keep = bounds::resident_tail(
+            loads,
+            self.buf.len(),
+            self.cfg.mem_records,
+            per_block,
+            self.cfg.effective_fan_in(per_block),
+            materialized,
+        );
+        self.spill(keep)?;
+        Ok(Formed::new(
+            std::mem::take(&mut self.runs),
+            std::mem::take(&mut self.buf),
+            self.device.clone(),
+            per_block,
             &self.cfg,
-            self.less,
-        )?;
-        Ok((queue.into(), budget))
+        ))
     }
 
     /// Merge the spilled runs down and hand the final `≤ k`-way merge to
@@ -590,17 +748,13 @@ where
     where
         C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
     {
-        let (runs, budget) = self.merge_spilled(true)?;
-        stream_runs(runs, &budget, &self.cfg, self.less, consume)
+        self.formed(false)?.stream(&self.cfg, self.less, consume)
     }
 
     /// Merge the spilled runs into one materialized sorted array — producer
     /// fusion only, for callers that keep the result.
     pub fn finish_sorted(mut self) -> Result<ExtVec<R>> {
-        let (mut runs, _) = self.merge_spilled(false)?;
-        Ok(runs
-            .pop()
-            .unwrap_or_else(|| ExtVec::new(self.device.clone())))
+        self.formed(true)?.into_sorted(&self.cfg, self.less)
     }
 }
 
@@ -626,7 +780,8 @@ where
     F: Fn(&R, &R) -> bool + Copy,
     C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
 {
-    let mut stream = SortedStream::build(parts, budget, cfg.overlap, less)?;
+    let b = parts.first().map_or(1, |(r, _)| r.per_block());
+    let mut stream = SortedStream::build(parts, Vec::new(), b, budget, cfg.overlap, less)?;
     consume(&mut stream)
 }
 
@@ -1090,6 +1245,42 @@ mod tests {
         let budget = MemBudget::new(64 + 4 * 2 * 8 + 2 * 8);
         let out = merge_runs_with(&runs, &budget, &cfg, |a, b| a < b).unwrap();
         assert_eq!(out.to_vec().unwrap(), (0..400).collect::<Vec<u64>>());
+    }
+
+    /// The final merge holds the resident tail beside one block per disk
+    /// run and one for the output or the consumer: `tail + (r+1)·B ≤ M`.
+    /// 300 records at `M` = 64, `B` = 8 form five loads; the last keeps 16
+    /// records and spills a 48-record prefix, so the merge fills `M`
+    /// exactly.  Overlap adds only its own slack on top.
+    #[test]
+    fn the_resident_tail_is_charged_to_the_merge_budget() {
+        let device = device_b8();
+        let less = |a: &u64, b: &u64| a < b;
+        let (input, mut data) = random_input(&device, 300, 48);
+        data.sort_unstable();
+        for depth in [0, 2] {
+            let cfg = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(depth));
+            for materialized in [true, false] {
+                let formed = form(&input, &cfg, materialized, less).unwrap();
+                let (r, tail) = (formed.runs.len(), formed.tail.len());
+                assert_eq!((r, tail), (5, 16), "depth {depth}");
+                let budget = formed.budget.clone();
+                let got = if materialized {
+                    let out = formed.into_sorted(&cfg, less).unwrap();
+                    out.to_vec().unwrap()
+                } else {
+                    formed.stream(&cfg, less, drain).unwrap()
+                };
+                assert_eq!(got, data);
+                let held = tail + (r + 1) * 8;
+                assert_eq!(held, 64);
+                let hw = budget.high_water();
+                assert!(held <= hw && hw <= budget.capacity(), "depth {depth}: {hw}");
+                if depth == 0 {
+                    assert_eq!((hw, budget.capacity()), (64, 64));
+                }
+            }
+        }
     }
 
     /// The merge's CPU floor as a count: `less` calls per merged record.

@@ -227,8 +227,7 @@ mod tests {
 
         let (b_pair, m_pair) = (b / 2, m / 2);
         let scan = bounds::scan(n, b) as u64;
-        let pair_sort = bounds::merge_sort_streamed_ios(n, m_pair, b_pair, m_pair / b_pair - 1)
-            - bounds::scan(n, b_pair) as u64;
+        let pair_sort = bounds::sorting_writer_streamed_ios(n, m_pair, b_pair, m_pair / b_pair - 1);
         let bill = |inputs_read: u64, run: &dyn Fn() -> ExtVec<u64>| {
             let before = device.stats().snapshot();
             run();

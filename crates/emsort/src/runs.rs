@@ -5,7 +5,11 @@
 //! experiments can compare them:
 //!
 //! * **Load–sort–store** — fill memory (`M` records), sort internally, write
-//!   out; produces `⌈N/M⌉` runs of exactly `M` records (except the last).
+//!   out; produces `⌈N/M⌉` runs of exactly `M` records (except the short
+//!   one).  A sort that merges its own runs in one pass keeps the tail of
+//!   its last load in memory for that merge instead of writing it
+//!   ([`em_core::bounds::resident_tail`]); it then takes the short load
+//!   first, so the load that stays is a full `M`.
 //! * **Replacement selection** — keep an `M`-record selection heap; each
 //!   emitted record is replaced by a fresh input record, which joins the
 //!   current run if it can still be emitted in order, or is earmarked for the
@@ -29,7 +33,7 @@
 use std::sync::Arc;
 
 use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
-use pdm::{PdmError, Result};
+use pdm::{PdmError, Result, SharedDevice};
 
 use crate::heap::MinHeap;
 use crate::{OverlapConfig, SortConfig};
@@ -60,17 +64,50 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy + Send,
 {
+    check_memory(cfg, input.per_block(), false)?;
+    Ok(form_runs_keeping(input, cfg, 0, less)?.0)
+}
+
+/// `cfg.mem_records` against what a sort needs at `b` records a block: two
+/// blocks for load–sort–store run formation, four for replacement
+/// selection (the selection heap plus one block each for the reader and
+/// the writer), and — when the sort `merges` — the `(k+1)·B` one `k`-way
+/// merge charges.  [`PdmError::MemoryExceeded`] names the larger need; the
+/// callers return it before they allocate anything.
+pub(crate) fn check_memory(cfg: &SortConfig, b: usize, merges: bool) -> Result<()> {
     let min_blocks = match cfg.run_formation {
         RunFormation::LoadSort => 2,
-        // Selection heap plus one block each for the reader and the writer.
         RunFormation::ReplacementSelection => 4,
     };
-    if cfg.mem_records < min_blocks * input.per_block() {
+    let mut needed = min_blocks * b;
+    if merges {
+        needed = needed.max((cfg.effective_fan_in(b) + 1) * b);
+    }
+    if cfg.mem_records < needed {
         return Err(PdmError::MemoryExceeded {
-            needed: min_blocks * input.per_block(),
+            needed,
             available: cfg.mem_records,
         });
     }
+    Ok(())
+}
+
+/// [`form_runs`] for a sort that merges its own runs: under load–sort–store
+/// the sorted last `keep` records of the last load stay in memory and come
+/// back beside the runs instead of being written ([`em_core::bounds::resident_tail`]
+/// sizes them).  With `keep > 0` the short load is taken first, so the last
+/// load is a full `M` (or the whole input).  Replacement selection never
+/// keeps a tail.  The caller has checked the memory.
+pub(crate) fn form_runs_keeping<R, F>(
+    input: &ExtVec<R>,
+    cfg: &SortConfig,
+    keep: usize,
+    less: F,
+) -> Result<(Vec<ExtVec<R>>, Vec<R>)>
+where
+    R: Record,
+    F: Fn(&R, &R) -> bool + Copy + Send,
+{
     // Overlap depths are per disk: on an independent-placement array the
     // one input stream and one output stream each deepen their queues by the
     // lane count, so every member disk keeps `read_ahead`/`write_behind`
@@ -82,10 +119,11 @@ where
     let reserve = (ov.read_ahead + ov.write_behind) * input.per_block();
     let budget = MemBudget::new(cfg.mem_records + reserve);
     match cfg.run_formation {
-        RunFormation::LoadSort => load_sort_runs(input, &budget, cfg.mem_records, ov, less),
-        RunFormation::ReplacementSelection => {
-            replacement_selection_runs(input, &budget, cfg.mem_records, ov, less)
-        }
+        RunFormation::LoadSort => load_sort_runs(input, &budget, cfg.mem_records, ov, keep, less),
+        RunFormation::ReplacementSelection => Ok((
+            replacement_selection_runs(input, &budget, cfg.mem_records, ov, less)?,
+            Vec::new(),
+        )),
     }
 }
 
@@ -94,43 +132,70 @@ fn load_sort_runs<R, F>(
     budget: &Arc<MemBudget>,
     m: usize,
     ov: OverlapConfig,
+    keep: usize,
     less: F,
-) -> Result<Vec<ExtVec<R>>>
+) -> Result<(Vec<ExtVec<R>>, Vec<R>)>
 where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
     let _charge = budget.charge(m);
     let mut runs = Vec::new();
-    let mut chunk: Vec<R> = Vec::with_capacity(m.min(input.len() as usize));
+    let mut left = input.len();
+    let mut chunk: Vec<R> = Vec::with_capacity(m.min(left as usize));
     let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
-    while reader.read_into(&mut chunk, m)? > 0 {
-        // Stagger each run's start lane so runs of exactly M/B blocks don't
-        // all place block j on the same disk (see BlockDevice docs).
-        input.device().direct_next_stream(runs.len());
-        let mut w =
-            ExtVecWriter::with_write_behind(input.device().clone(), ov.write_behind, budget);
-        write_sorted_chunk(&mut chunk, less, &mut w)?;
-        runs.push(w.finish()?);
+    // The short load goes first when a tail stays, so the load that keeps
+    // it is a full M.
+    let mut load = match keep {
+        0 => m,
+        _ => ((left - 1) % m as u64) as usize + 1,
+    };
+    while reader.read_into(&mut chunk, load)? > 0 {
+        left -= chunk.len() as u64;
+        let kept = if left == 0 { keep } else { 0 };
+        spill_sorted(
+            &mut chunk,
+            kept,
+            less,
+            input.device(),
+            ov.write_behind,
+            budget,
+            &mut runs,
+        )?;
+        load = m;
     }
-    Ok(runs)
+    Ok((runs, chunk))
 }
 
-/// Stably sort `chunk`, append it to `w` and leave it empty — the whole
-/// in-memory half of load–sort–store, shared by [`form_runs`] and
-/// [`SortingWriter`](crate::SortingWriter)'s spills.
-pub(crate) fn write_sorted_chunk<R, F>(
+/// Stably sort `chunk` and write all of it but its last `keep` records as
+/// the next run of `runs`, leaving those `keep` in `chunk` — the in-memory
+/// half of load–sort–store, shared by [`form_runs`] and
+/// [`SortingWriter`](crate::SortingWriter)'s spills.  Nothing is written
+/// when `keep` covers the chunk.  Each run's start lane is staggered by its
+/// index, so runs of exactly `M/B` blocks do not all place block `j` on the
+/// same disk (see `BlockDevice::direct_next_stream`).
+pub(crate) fn spill_sorted<R, F>(
     chunk: &mut Vec<R>,
+    keep: usize,
     less: F,
-    w: &mut ExtVecWriter<R>,
+    device: &SharedDevice,
+    write_behind: usize,
+    budget: &Arc<MemBudget>,
+    runs: &mut Vec<ExtVec<R>>,
 ) -> Result<()>
 where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
     chunk.sort_by(|a, b| cmp_from_less(less, a, b));
-    w.extend_from_slice(chunk)?;
-    chunk.clear();
+    let spill = chunk.len().saturating_sub(keep);
+    if spill > 0 {
+        device.direct_next_stream(runs.len());
+        let mut w = ExtVecWriter::with_write_behind(device.clone(), write_behind, budget);
+        w.extend_from_slice(&chunk[..spill])?;
+        runs.push(w.finish()?);
+    }
+    chunk.drain(..spill);
     Ok(())
 }
 
@@ -457,21 +522,27 @@ mod tests {
         let sorted = w.finish_sorted().unwrap();
         let merged = device.stats().snapshot().since(&before);
         assert_eq!(checksum(&[sorted]), 0xc238_00a0_6d2a_a1ab);
-        assert_eq!((merged.reads(), merged.writes()), (1280, 2560));
+        // Two spilled runs of 512 blocks, written and read; the last chunk's
+        // 256 blocks stay resident for the merge, which writes all 1 280.
+        assert_eq!((merged.reads(), merged.writes()), (1024, 2304));
     }
 
-    /// `m` records are one short of what `rf` needs: `form_runs` and
-    /// `merge_sort_by` must say so, and leave the device untouched.
-    fn assert_memory_exceeded(rf: RunFormation, m: usize, needed: usize) {
+    /// `m` records are short of what `rf` needs: `form_runs` must say it
+    /// needs `form` records, `merge_sort_by` — whose 100 records merge —
+    /// `sort`, and both leave the device untouched.
+    fn assert_memory_exceeded(rf: RunFormation, m: usize, form: usize, sort: usize) {
         let (input, _) = setup(100); // B = 8 records
         let device = input.device().clone();
         let blocks = device.allocated_blocks();
         let cfg = SortConfig::new(m).with_run_formation(rf);
         let errs = [
-            form_runs(&input, &cfg, |a, b| a < b).map(|_| ()),
-            crate::merge_sort_by(&input, &cfg, |a, b| a < b).map(|_| ()),
+            (form, form_runs(&input, &cfg, |a, b| a < b).map(|_| ())),
+            (
+                sort,
+                crate::merge_sort_by(&input, &cfg, |a, b| a < b).map(|_| ()),
+            ),
         ];
-        for err in errs {
+        for (needed, err) in errs {
             match err {
                 Err(PdmError::MemoryExceeded {
                     needed: n,
@@ -481,18 +552,21 @@ mod tests {
             }
         }
         assert_eq!(device.allocated_blocks(), blocks);
-        let enough = SortConfig::new(needed).with_run_formation(rf);
+        let enough = SortConfig::new(form).with_run_formation(rf);
         assert!(form_runs(&input, &enough, |a, b| a < b).is_ok());
+        let enough = SortConfig::new(sort).with_run_formation(rf);
+        assert!(crate::merge_sort_by(&input, &enough, |a, b| a < b).is_ok());
     }
 
     #[test]
     fn load_sort_below_two_blocks_is_an_error_not_a_panic() {
-        assert_memory_exceeded(RunFormation::LoadSort, 15, 16);
+        // Forming runs needs two blocks, merging them three.
+        assert_memory_exceeded(RunFormation::LoadSort, 15, 16, 24);
     }
 
     #[test]
     fn replacement_selection_below_four_blocks_is_an_error_not_a_panic() {
-        assert_memory_exceeded(RunFormation::ReplacementSelection, 31, 32);
+        assert_memory_exceeded(RunFormation::ReplacementSelection, 31, 32, 32);
     }
 
     #[test]
@@ -505,7 +579,7 @@ mod tests {
         }
     }
 
-    /// `less` calls per record through `write_sorted_chunk`: one stable sort
+    /// `less` calls per record through `spill_sorted`: one stable sort
     /// (each of its comparisons is at most two `less` calls) and nothing
     /// else — no second pass over the sorted load compares anything.
     #[test]
@@ -529,10 +603,11 @@ mod tests {
                 a < b
             };
             let mut chunk = load;
-            let mut w = ExtVecWriter::new(device.clone());
-            write_sorted_chunk(&mut chunk, less, &mut w).unwrap();
+            let mut runs = Vec::new();
+            let budget = MemBudget::new(0);
+            spill_sorted(&mut chunk, 0, less, &device, 0, &budget, &mut runs).unwrap();
             assert!(chunk.is_empty(), "{shape}: the load is left empty");
-            assert_eq!(w.finish().unwrap().to_vec().unwrap(), expect, "{shape}");
+            assert_eq!(runs[0].to_vec().unwrap(), expect, "{shape}");
             let per_record = calls.get() as f64 / n as f64;
             assert!(
                 per_record <= ceiling,

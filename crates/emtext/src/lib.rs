@@ -308,8 +308,9 @@ mod tests {
         let ios = d.stats().snapshot().since(&before).total();
         assert_eq!(sa.len() as usize, n);
         // With a 26-letter alphabet ranks are distinct after ~4 rounds;
-        // each round is two sorts, of N triples and of N pairs.
-        assert_eq!(ios, 13_548);
+        // each round is two sorts, of N triples and of N pairs.  (13 548
+        // while every sort wrote its last load's resident tail.)
+        assert_eq!(ios, 13_040);
     }
 
     #[test]

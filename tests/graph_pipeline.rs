@@ -245,19 +245,26 @@ fn graph_rounds_keep_their_counts_across_io_modes() {
             //   sssp          (7249, 3669)    → (6290, 2710)    the arc list
             //   tree_depths   (14128, 11940)  → (12446, 10258)  arcs, `rel`,
             //                                   `tagged`, and list ranking's `preds`
+            //
+            // Every round then moved down once more when a sort whose runs
+            // fit one merge stopped writing its last load's resident tail:
+            // BFS (4961, 1768), CC (5836, 5025), list_rank (6803, 5752),
+            // MSF (14988, 12455), segments (2288, 1996), range reporting
+            // (1653, 1249), dominance (2233, 1598), sssp (6290, 2710),
+            // tree_depths (12446, 10258) before.
             let counts = sync.map(|(_, c)| c);
             assert_eq!(
                 counts,
                 [
-                    (4961, 1768),
-                    (5836, 5025),
-                    (6803, 5752),
-                    (14988, 12455),
-                    (2288, 1996),
-                    (1653, 1249),
-                    (2233, 1598),
-                    (6290, 2710),
-                    (12446, 10258),
+                    (4909, 1716),
+                    (5637, 4826),
+                    (6129, 5078),
+                    (14239, 11706),
+                    (2225, 1933),
+                    (1575, 1171),
+                    (2142, 1507),
+                    (6231, 2651),
+                    (11099, 8911),
                 ]
             );
         }

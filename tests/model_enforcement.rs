@@ -2,7 +2,7 @@
 //! memory is a loud failure, and algorithms stay within their budgets.
 
 use em_core::{EmConfig, ExtVec, MemBudget};
-use emsort::{merge_sort, SortConfig};
+use emsort::{merge_sort, merge_sort_streaming, SortConfig, SortingWriter};
 use pdm::{BufferPool, EvictionPolicy, PdmError};
 use rand::prelude::*;
 
@@ -26,6 +26,55 @@ fn sorts_respect_their_declared_budget() {
     let input = ExtVec::from_slice(device, &data).unwrap();
     let out = merge_sort(&input, &SortConfig::new(m)).unwrap();
     assert_eq!(out.len(), 50_000);
+}
+
+/// Two blocks form runs but cannot merge them: one merge charges `3B`.
+/// Every sort of more than one load says so before it writes a block, and
+/// one load still sorts in two blocks.
+#[test]
+fn two_blocks_of_memory_cannot_merge_and_say_so_before_writing() {
+    let cfg = EmConfig::new(128, 16);
+    let device = cfg.ram_disk();
+    let b = cfg.block_records::<u64>();
+    let sort_cfg = SortConfig::new(2 * b);
+    let data: Vec<u64> = (0..5 * b as u64).rev().collect();
+    let input = ExtVec::from_slice(device.clone(), &data).unwrap();
+    let blocks = device.allocated_blocks();
+    let before = device.stats().snapshot();
+    let exceeded = |r: pdm::Result<()>| match r {
+        Err(PdmError::MemoryExceeded { needed, available }) => {
+            assert_eq!((needed, available), (3 * b, 2 * b));
+        }
+        other => panic!("expected MemoryExceeded, got {other:?}"),
+    };
+    exceeded(merge_sort(&input, &sort_cfg).map(|_| ()));
+    exceeded(merge_sort_streaming(
+        &input,
+        &sort_cfg,
+        |a, b| a < b,
+        |_| Ok(()),
+    ));
+    let mut w = SortingWriter::new(device.clone(), &sort_cfg, |a: &u64, b: &u64| a < b);
+    exceeded(data.iter().try_for_each(|&x| w.push(x)));
+    assert_eq!(w.runs_spilled(), 0);
+    drop(w);
+    let d = device.stats().snapshot().since(&before);
+    assert_eq!(d.writes(), 0, "nothing is written before the error");
+    assert_eq!(device.allocated_blocks(), blocks);
+
+    // One load never merges: two blocks are enough.
+    let one = ExtVec::from_slice(device.clone(), &data[..2 * b]).unwrap();
+    let mut expect = data[..2 * b].to_vec();
+    expect.sort_unstable();
+    assert_eq!(
+        merge_sort(&one, &sort_cfg).unwrap().to_vec().unwrap(),
+        expect
+    );
+    let mut w = SortingWriter::new(device, &sort_cfg, |a: &u64, b: &u64| a < b);
+    for &x in &data[..2 * b] {
+        w.push(x).unwrap();
+    }
+    assert_eq!(w.finish_sorted().unwrap().to_vec().unwrap(), expect);
 }
 
 #[test]

@@ -17,15 +17,20 @@
 //! pure scheduling and lane choice is pure placement: reads and writes must
 //! agree exactly across depths, across the two B-block placements, and — for
 //! complete sorts on those, whose logical block stays `B` — across `D`.
+//!
+//! What a sort moves is pinned separately, on an `(N, M, B)` grid: every
+//! entry point costs exactly its replay in `em_core::bounds`, never more
+//! than the schedule that wrote every load (kept below as its own oracle),
+//! and never less than the sorting bound.
 
 use std::collections::VecDeque;
 
-use em_core::{ExtVec, MemBudget};
+use em_core::{bounds, ExtVec, MemBudget};
 use emsort::{
     distribution_sort_by, form_runs, merge_runs_streaming, merge_runs_with, merge_sort_by,
     merge_sort_streaming, OverlapConfig, RunFormation, SortConfig, SortedStream, SortingWriter,
 };
-use pdm::{DiskArray, IoMode, Placement, SharedDevice};
+use pdm::{DiskArray, IoMode, PdmError, Placement, SharedDevice};
 use proptest::prelude::*;
 
 type Rec = (u64, u64);
@@ -332,4 +337,158 @@ fn tiny_fan_ins_and_empty_inputs() {
             assert_eq!(device.allocated_blocks(), blocks, "empty sorts leak {at}");
         }
     }
+}
+
+/// The schedule before the last load's tail stayed resident, replayed: every
+/// load written as a run, the short one last, then merged front to back in
+/// groups of `k` — to one run (`materialized`; a single run is its own
+/// output) or to the `≤ k` a final streamed merge reads once.  Input read
+/// included.
+fn every_load_written_ios(n: u64, m: usize, b: usize, k: usize, materialized: bool) -> u64 {
+    let blocks = |r: u64| r.div_ceil(b as u64);
+    let mut queue: VecDeque<u64> = (0..n.div_ceil(m as u64))
+        .map(|i| (n - i * m as u64).min(m as u64))
+        .collect();
+    let mut t = blocks(n) + queue.iter().map(|&r| blocks(r)).sum::<u64>();
+    let until = if materialized { 1 } else { k };
+    while queue.len() > until {
+        let group: Vec<u64> = queue.drain(..k.min(queue.len())).collect();
+        t += group.iter().map(|&r| blocks(r)).sum::<u64>();
+        let merged = group.iter().sum();
+        t += blocks(merged);
+        queue.push_back(merged);
+    }
+    if !materialized {
+        t += queue.iter().map(|&r| blocks(r)).sum::<u64>();
+    }
+    t
+}
+
+/// True when every load must be written: the loads take more than one
+/// merge pass of `k`, or the last of them, `last` records, can neither stay
+/// whole beside the runs before it nor split around one more run — `M` has
+/// no block to spare beside the disk runs' `(r+1)·B`.
+fn no_spare_memory(loads: u64, last: usize, m: usize, b: usize, k: usize) -> bool {
+    let room = |disk_runs: u64| m as i64 - (disk_runs as i64 + 1) * b as i64;
+    loads > k as u64 || (last as i64 > room(loads.saturating_sub(1)) && room(loads) <= 0)
+}
+
+/// Every entry point, over `B` ∈ {4, 8} × `M` from two to sixteen blocks
+/// (one not a block multiple) × `N` around each load boundary, one-pass and
+/// multi-pass: the output is the replayed schedule's; the transfers equal the
+/// entry point's replay, never exceed the every-load-written schedule and
+/// equal it exactly where no memory is spare; and they are never under
+/// `Sort(N)` — a `SortingWriter`'s pushed records counted as one scan.
+#[test]
+fn a_resident_tail_only_ever_saves_transfers() {
+    for b in [4usize, 8] {
+        let device = DiskArray::new_ram_with(1, 16 * b, Placement::Independent, IoMode::Synchronous)
+            as SharedDevice;
+        for m in [2 * b, 3 * b, 5 * b, 8 * b + 3, 16 * b] {
+            let cfg = SortConfig::new(m).with_overlap(OverlapConfig::off());
+            let k = cfg.effective_fan_in(b);
+            let sizes = [0, 1, b - 1, m - b, m - b + 1, m, m + 1, 2 * m, 3 * m - 1];
+            let more = [k * m, k * m + 1, (k + 2) * m + b];
+            for n in sizes.into_iter().chain(more) {
+                if m < 3 * b && n > m {
+                    continue; // two blocks cannot merge (model_enforcement)
+                }
+                let data: Vec<Rec> = (0..n as u64).map(|i| ((i * 7919) % 5, i)).collect();
+                let loads: Vec<Vec<Rec>> = data
+                    .chunks(m)
+                    .map(|c| stable_merge(&[c.to_vec()]))
+                    .collect();
+                let expect = sort_model(loads, k);
+                let input = ExtVec::from_slice(device.clone(), &data).unwrap();
+                let n = n as u64;
+                let loads = n.div_ceil(m as u64);
+                let at = format!("N={n} M={m} B={b}");
+                let total = |counts: (u64, u64)| counts.0 + counts.1;
+                let theta = bounds::sort(n, m, b);
+                let scan = n.div_ceil(b as u64);
+
+                let (out, counts) = metered(&device, || merge_sort_by(&input, &cfg, LESS).unwrap());
+                assert_eq!(out.to_vec().unwrap(), expect, "merge_sort_by {at}");
+                out.free().unwrap();
+                let old = every_load_written_ios(n, m, b, k, true);
+                assert_eq!(
+                    total(counts),
+                    bounds::merge_sort_exact_ios(n, m, b, k),
+                    "{at}"
+                );
+                assert!(total(counts) <= old, "merge_sort_by {at}");
+                if loads < 2 || no_spare_memory(loads, m, m, b, k) {
+                    assert_eq!(total(counts), old, "merge_sort_by {at}");
+                }
+                assert!(total(counts) as f64 >= theta, "merge_sort_by {at}");
+
+                let (got, counts) = metered(&device, || {
+                    merge_sort_streaming(&input, &cfg, LESS, drain).unwrap()
+                });
+                assert_eq!(got, expect, "merge_sort_streaming {at}");
+                let old = every_load_written_ios(n, m, b, k, false);
+                assert_eq!(
+                    total(counts),
+                    bounds::merge_sort_streamed_ios(n, m, b, k),
+                    "{at}"
+                );
+                assert!(total(counts) <= old, "merge_sort_streaming {at}");
+                if no_spare_memory(loads, n.min(m as u64) as usize, m, b, k) {
+                    assert_eq!(total(counts), old, "merge_sort_streaming {at}");
+                }
+                assert!(total(counts) as f64 >= theta, "merge_sort_streaming {at}");
+                input.free().unwrap();
+
+                // The writer loads in push order: its short load is last.
+                let last = (n - loads.saturating_sub(1) * m as u64) as usize;
+                let push_all = || {
+                    let mut w = SortingWriter::new(device.clone(), &cfg, LESS);
+                    for &r in &data {
+                        w.push(r).unwrap();
+                    }
+                    w
+                };
+                let (out, counts) = metered(&device, || push_all().finish_sorted().unwrap());
+                assert_eq!(out.to_vec().unwrap(), expect, "finish_sorted {at}");
+                out.free().unwrap();
+                let old = every_load_written_ios(n, m, b, k, true) - scan;
+                assert!(total(counts) <= old, "finish_sorted {at}");
+                if loads < 2 || no_spare_memory(loads, last, m, b, k) {
+                    assert_eq!(total(counts), old, "finish_sorted {at}");
+                }
+                assert!((total(counts) + scan) as f64 >= theta, "finish_sorted {at}");
+
+                let (got, counts) =
+                    metered(&device, || push_all().finish_streaming(drain).unwrap());
+                assert_eq!(got, expect, "finish_streaming {at}");
+                let old = every_load_written_ios(n, m, b, k, false) - scan;
+                assert_eq!(
+                    total(counts),
+                    bounds::sorting_writer_streamed_ios(n, m, b, k),
+                    "{at}"
+                );
+                assert!(total(counts) <= old, "finish_streaming {at}");
+                if no_spare_memory(loads, last, m, b, k) {
+                    assert_eq!(total(counts), old, "finish_streaming {at}");
+                }
+                assert!(
+                    (total(counts) + scan) as f64 >= theta,
+                    "finish_streaming {at}"
+                );
+            }
+        }
+    }
+}
+
+/// `merge_runs_with` over no runs has nowhere to put its output: a typed
+/// error, not a panic.
+#[test]
+fn merging_no_runs_is_a_typed_error() {
+    let cfg = SortConfig::new(64);
+    let budget = MemBudget::new(64);
+    match merge_runs_with::<Rec, _>(&[], &budget, &cfg, LESS).map(|out| out.len()) {
+        Err(PdmError::InvalidRequest(_)) => {}
+        other => panic!("expected InvalidRequest, got {other:?}"),
+    }
+    assert_eq!(budget.high_water(), 0);
 }

@@ -9,8 +9,10 @@
 //! * **Exact savings.**  Draining the stream must cost exactly
 //!   `2·⌈N/B⌉` fewer block transfers than the materialized sort plus one
 //!   consumer scan — one output-write pass and one re-read pass — whenever
-//!   run formation produces two or more runs (so the final stage actually
-//!   merges), and exactly the same transfers when a single run forms.
+//!   the input takes two or more memory loads (so the final stage actually
+//!   merges).  An input of one load is streamed from memory: it costs its
+//!   read plus a write and a re-read of only the prefix its resident tail
+//!   cannot hold.
 //! * **Clean failure.**  Faults injected under the fused path must surface
 //!   as a clean `Err` through the consumer closure — with an enabled retry
 //!   policy that runs dry, specifically [`PdmError::RetriesExhausted`] —
@@ -18,7 +20,7 @@
 
 use std::time::Duration;
 
-use em_core::ExtVec;
+use em_core::{bounds, ExtVec};
 use emsort::{merge_sort_by, merge_sort_streaming, OverlapConfig, RunFormation, SortConfig};
 use pdm::{DiskArray, FaultPlan, IoMode, PdmError, Placement, RetryPolicy, SharedDevice};
 use proptest::prelude::*;
@@ -50,7 +52,8 @@ proptest! {
 
     /// Streaming must yield the materialized sequence with transfer counts
     /// exactly `2·⌈N/B⌉` below "sort + consumer scan" when the final stage
-    /// merges, and exactly equal when a single run forms.
+    /// merges, and only the resident tail's spilled prefix beyond the input
+    /// read when a single load forms.
     #[test]
     fn streaming_matches_materialized_minus_saved_passes(
         data in prop::collection::vec(any::<u64>(), 0..3000),
@@ -109,10 +112,22 @@ proptest! {
             prop_assert_eq!(&streamed, &expect,
                 "{:?} streamed output wrong", placement);
 
-            // ⌈N/m⌉ runs: ≥ 2 runs ⇒ the final stage merges and fusion
-            // saves the output write + re-read; ≤ 1 run ⇒ the stream is
-            // a plain scan of the run and saves nothing.
-            let saved = if data.len() > m { d_scan.reads() } else { 0 };
+            if data.len() <= m {
+                // One load: the stream writes and re-reads only what its
+                // resident tail cannot hold — nothing up to M − B records.
+                let k = cfg.effective_fan_in(b);
+                let tail = bounds::resident_tail(1, data.len(), m, b, k, false);
+                let unit = if placement.is_striped() { 2 } else { 1 };
+                let spilled = unit * (data.len() - tail).div_ceil(b) as u64;
+                prop_assert_eq!(d_str.writes(), spilled, "{:?} one load", placement);
+                prop_assert_eq!(d_str.reads(), d_scan.reads() + spilled,
+                    "{:?} one load reads its input and its spilled prefix", placement);
+                input.free().unwrap();
+                continue;
+            }
+            // ≥ 2 loads: both sorts write and read the same runs, and
+            // fusion saves the output write + re-read.
+            let saved = d_scan.reads();
             prop_assert_eq!(d_str.writes() + saved, d_mat.writes(),
                 "{:?} fusion must skip exactly the output-write pass",
                 placement);
