@@ -548,6 +548,31 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         Ok(taken)
     }
 
+    /// The buffered block's records not yet consumed, loading the next
+    /// block first when they are spent — the read [`try_next`](Self::try_next)
+    /// would make there, with the same read-ahead top-up.  Empty only at the
+    /// end of the array.  Pairs with [`consume`](Self::consume), for callers
+    /// that take records a slice at a time.
+    #[inline]
+    pub fn buffered(&mut self) -> Result<&[R]> {
+        if self.pos >= self.buf.len() {
+            if self.remaining() == 0 {
+                return Ok(&[]);
+            }
+            self.fill()?;
+        }
+        Ok(&self.buf[self.pos..])
+    }
+
+    /// Consume the first `n` records of the [`buffered`](Self::buffered)
+    /// slice (at most all of it: a larger `n` is clamped).  Costs no I/O.
+    #[inline]
+    pub fn consume(&mut self, n: usize) {
+        let n = n.min(self.buf.len().saturating_sub(self.pos));
+        self.pos += n;
+        self.consumed += n as u64;
+    }
+
     /// Keep `depth` sequential blocks in flight.  (No-op in forecast mode,
     /// where the managing forecaster decides when to submit.)
     fn top_up(&mut self) {
@@ -1034,6 +1059,44 @@ mod bulk_move_tests {
                     assert_eq!(bulk.prefetched(), one_by_one.prefetched(), "{case}");
                     assert_eq!(bulk.prefetch_hits(), one_by_one.prefetch_hits(), "{case}");
                     assert_eq!(bulk.prefetch_wasted(), 0, "{case}");
+                }
+            }
+        }
+    }
+
+    /// `buffered` + `consume` is `try_next` a slice at a time: the slice is
+    /// the rest of one block, never past it, and pulling it in any step
+    /// moves the same reads and read-ahead.
+    #[test]
+    fn buffered_slices_are_try_next_a_block_at_a_time() {
+        let v = ExtVec::from_slice(dev(), &(0u64..30).collect::<Vec<_>>()).unwrap();
+        for depth in [0, 2] {
+            for start in [0, 13, 16, 30] {
+                let (expect, one_by_one) = pull(&v, start, depth, None);
+                for step in [1, 3, 8, 100] {
+                    let case = format!("start {start}, depth {depth}, step {step}");
+                    let budget = MemBudget::new(64);
+                    let before = v.device().stats().snapshot();
+                    let mut r = v.reader_at_prefetch(start, depth, &budget);
+                    let mut got = Vec::new();
+                    loop {
+                        let slice = r.buffered().unwrap();
+                        let at = start + got.len() as u64;
+                        let block_end = ((at / 8 + 1) * 8).min(30);
+                        assert_eq!(slice.len() as u64, block_end - at.min(block_end), "{case}");
+                        if slice.is_empty() {
+                            break;
+                        }
+                        got.extend_from_slice(&slice[..step.min(slice.len())]);
+                        r.consume(step);
+                    }
+                    drop(r);
+                    let io = v.device().stats().snapshot().since(&before);
+                    assert_eq!(got, expect, "{case}");
+                    assert_eq!(io.reads(), one_by_one.reads(), "{case}");
+                    assert_eq!(io.prefetched(), one_by_one.prefetched(), "{case}");
+                    assert_eq!(io.prefetch_hits(), one_by_one.prefetch_hits(), "{case}");
+                    assert_eq!(io.prefetch_wasted(), 0, "{case}");
                 }
             }
         }

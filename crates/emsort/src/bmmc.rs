@@ -22,7 +22,7 @@
 //! [`perfect_shuffle`] the cyclic address rotation.
 
 use em_core::{ExtVec, Record};
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 use crate::permute::place_by_destination;
 use crate::SortConfig;
@@ -106,14 +106,20 @@ pub fn perfect_shuffle(bits: u32) -> BmmcMatrix {
 }
 
 /// Apply a BMMC permutation to an array of exactly `2^bits` records:
-/// `out[A·i ⊕ c] = input[i]`.  `O(Sort(N))` I/Os.
+/// `out[A·i ⊕ c] = input[i]`.  `O(Sort(N))` I/Os.  Any other length is
+/// [`PdmError::InvalidRequest`], before anything is allocated.
 pub fn bmmc_permute<R: Record>(
     input: &ExtVec<R>,
     matrix: &BmmcMatrix,
     cfg: &SortConfig,
 ) -> Result<ExtVec<R>> {
     let n = input.len();
-    assert_eq!(n, 1u64 << matrix.bits(), "input length must be 2^bits");
+    if 1u64.checked_shl(matrix.bits()) != Some(n) {
+        return Err(PdmError::InvalidRequest(format!(
+            "bmmc_permute: {n} records for a {}-bit address map",
+            matrix.bits()
+        )));
+    }
     // Targets are computed as the scan goes (no materialized destination
     // vector).
     let mut reader = input.reader();
@@ -219,10 +225,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "2^bits")]
-    fn wrong_length_rejected() {
+    fn wrong_length_is_a_typed_error() {
         let d = device();
-        let v = ExtVec::from_slice(d, &[1u64, 2, 3]).unwrap();
-        let _ = bmmc_permute(&v, &BmmcMatrix::identity(2), &SortConfig::new(64));
+        let v = ExtVec::from_slice(d.clone(), &[1u64, 2, 3]).unwrap();
+        let blocks = d.allocated_blocks();
+        for bits in [2, 64] {
+            let got = bmmc_permute(&v, &BmmcMatrix::identity(bits), &SortConfig::new(64));
+            assert!(
+                matches!(got.map(|out| out.len()), Err(PdmError::InvalidRequest(_))),
+                "{bits} bits"
+            );
+        }
+        assert_eq!(d.allocated_blocks(), blocks);
     }
 }

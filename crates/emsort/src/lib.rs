@@ -49,7 +49,6 @@ mod bmmc;
 mod distribution;
 mod forecast;
 mod heap;
-mod losertree;
 mod merge;
 mod permute;
 mod runs;

@@ -17,23 +17,26 @@
 //! formula ([`em_core::bounds::resident_tail`]; the exact replays are
 //! [`em_core::bounds::merge_sort_exact_ios`] and its siblings).
 //!
-//! There is one merge: [`SortedStream`], a [loser tree](crate::losertree)
-//! over the runs' readers — `⌈log₂ k⌉` comparisons per record when the
-//! winner changes run, one per record while a run keeps winning — whose I/O
-//! side is scheduled by *forecasting*
+//! There is one merge: [`SortedStream`], which takes the merge a *batch* at
+//! a time.  The records already buffered in memory bound what can be emitted
+//! without another read: every run offers a window of its buffered block,
+//! the smallest window end is the batch's splitter, and every record at or
+//! below it — a few short sorted pieces — is merged by a branch-free
+//! two-way merge, `≈ ⌈log₂ k⌉` comparisons a record with no tournament
+//! replayed per record.  Its I/O side is scheduled by *forecasting*
 //! ([`crate::forecast`]): each run's block-head keys decide which run's next
 //! block is prefetched first.  A materialized merge is that stream drained
-//! into a write-behind writer; every sort entry point runs its passes
-//! through the same `merge_down` loop.
+//! into a write-behind writer a batch at a time; every sort entry point runs
+//! its passes through the same `merge_down` loop.
 
 use std::collections::VecDeque;
+use std::hint::select_unpredictable;
 use std::sync::Arc;
 
 use em_core::{bounds, BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, MemBudget, Record};
 use pdm::{PdmError, Result, SharedDevice};
 
 use crate::forecast::Forecaster;
-use crate::losertree::LoserTree;
 use crate::runs::{check_memory, form_runs_keeping, spill_sorted};
 use crate::{OverlapConfig, RunFormation, SortConfig};
 
@@ -317,8 +320,8 @@ where
     let pool = stream.fc.as_ref().map_or(0, Forecaster::pool);
     let wb = (ov.write_behind * device.stream_lanes()).max(pool);
     let mut w = ExtVecWriter::with_write_behind(device.clone(), wb, budget);
-    while let Some(r) = stream.try_next()? {
-        w.push(r)?;
+    while let Some(batch) = stream.next_batch()? {
+        w.extend_from_slice(batch)?;
     }
     w.finish()
 }
@@ -335,41 +338,127 @@ where
 /// resolve toward the lower run index, so merging stably sorted runs yields
 /// the stable sort of their concatenation.
 ///
-/// Each record costs one reader pull and one step of the tournament: a
-/// branch-free replay of `⌈log₂ k⌉` single-`less` matches when the winner
-/// has just changed run (almost every record of unsorted input), and one
-/// `less` call against the runner-up with no tree pass from the second
-/// consecutive record of a run on (presorted or clustered input).
+/// Records are handed out of a *batch*: the next stretch of that stable
+/// merge, taken from what is already in memory.  A batch holds at most
+/// `cap = max(B, (k+1)·B/4)` records.
+///
+/// * Every live source — each run's reader, then the resident tail — offers
+///   a *window*: the next `w = 1 + ⌊(cap − 1)/live⌋` records of its buffered
+///   block, never past the block's end.
+/// * The *splitter* `s` is the smallest window end in `(key, source)` order.
+///   `s`'s source gives its whole window; every other source gives the
+///   records of its window that precede `s` in that order, one search
+///   oriented by whether its index is below `s`'s.  Its window end follows
+///   `s`, so it gives fewer than `w`, and the batch stays within `cap`.
+/// * The pieces, laid out in source order, are merged pairwise and bottom
+///   up by a stable, branch-free two-way merge.
+/// * `s`'s source then *gallops*: while the batch has room, it gives the
+///   records that precede every record another source has left — the
+///   streak of presorted input, a batch at a time.  They follow every
+///   piece, so they are appended, not merged.
+///
+/// Every record taken precedes every record left behind, so each batch is
+/// exactly the next stretch of the stable merge.  A batch costs `live − 1`
+/// comparisons for the splitter, one galloping search per other source,
+/// the gallop's check (one comparison unless it pays), and about `⌈log₂ p⌉`
+/// comparisons a record to merge `p` nonempty pieces.  A source whose
+/// buffered block is spent reads its next block before the next splitter
+/// is computed — the read a record-at-a-time merge makes when that block's
+/// last record leaves, made no earlier — so a drained stream reads every
+/// block once and a stream dropped early reads no more than that merge.
 ///
 /// Read-ahead is one shared pool scheduled by a `Forecaster` — the run
 /// whose next block has the smallest leading key gets the next buffer —
 /// whenever read-ahead is requested, at least two runs merge, and every run
 /// carries block-head metadata; otherwise each run reads ahead on its own.
+/// The pool is pumped once per `B` records emitted.
 ///
 /// A complete sort's final merge may also hold the sorted tail of its last
-/// memory load ([`bounds::resident_tail`]): one more leaf, after every run,
-/// fed from memory.  It is not a reader and the forecaster never sees it.
+/// memory load ([`bounds::resident_tail`]): one more source, after every
+/// run, read from memory `B` records at a time.  It is not a reader and the
+/// forecaster never sees it.
+///
+/// The stream charges its budget `(k+1)·B` plus the resident records.  The
+/// batch and its merge scratch, `cap` records each, are allocated once per
+/// stream and not charged: at most half the charge from `k = 3` on, like
+/// run formation's sort scratch of half a load.
 ///
 /// The stream borrows the final-stage runs, which live in the sorting
 /// function's frame; that is why the consumer is a closure rather than the
 /// stream being returned.
 pub struct SortedStream<'a, R: Record, F> {
-    readers: Vec<ExtVecReader<'a, R>>,
-    /// The resident tail's records not yet in the tree; its leaf is
-    /// `readers.len()`.
-    resident: std::vec::IntoIter<R>,
+    src: Sources<'a, R>,
+    /// The sources with records left, in index order, with their windows.
+    live: Vec<Window<R>>,
+    /// The most records a batch holds: `max(B, (k+1)·B/4)`.
+    cap: usize,
+    /// The length the windows were cut at: `1 + ⌊(cap − 1)/live⌋`.
+    w: usize,
     fc: Option<Forecaster>,
-    /// The tournament over the readers' current records.  It also owns the
-    /// drain state: whether the winner's run is on a streak, and the
-    /// challenger bound cached for it (see [`LoserTree::advance`]).
-    lt: LoserTree<R, F>,
-    /// The tree's comparator again, for the forecaster pump.
     less: F,
-    /// Records since the last forecaster pump (cadence: once per block).
+    /// Records batched since the last forecaster pump (cadence: once per
+    /// block).
     since_pump: usize,
-    per_block: usize,
-    peeked: Option<R>,
+    /// The batch is `bufs[cur][..len]`, its records from `at` on not yet
+    /// handed out; the other buffer is the merge's scratch.
+    bufs: [Vec<R>; 2],
+    cur: usize,
+    len: usize,
+    at: usize,
+    /// Where each piece of the batch being merged ends.
+    ends: Vec<usize>,
     _charge: BudgetGuard,
+}
+
+/// A live source's window: how many of its buffered records it holds and
+/// the last of them.  It stands across batches until the source gives a
+/// record (`stale`) or the window length changes.
+struct Window<R> {
+    src: usize,
+    len: usize,
+    end: R,
+    stale: bool,
+}
+
+/// A merge's inputs in tie order: the runs' readers, then the resident tail,
+/// read from memory `B` records at a time as if it were one more run.
+struct Sources<'a, R: Record> {
+    readers: Vec<ExtVecReader<'a, R>>,
+    tail: Vec<R>,
+    /// The tail's records before this one are consumed.
+    tail_at: usize,
+    per_block: usize,
+}
+
+impl<R: Record> Sources<'_, R> {
+    /// Source `i`'s buffered records, loading a run's next block when its
+    /// last one is spent (see `BlockReader::buffered`).  Empty only once the
+    /// source is drained.
+    fn view(&mut self, i: usize) -> Result<&[R]> {
+        match self.readers.get_mut(i) {
+            Some(rd) => rd.buffered(),
+            None => {
+                let end = self.tail.len().min(self.tail_at + self.per_block);
+                Ok(&self.tail[self.tail_at..end])
+            }
+        }
+    }
+
+    /// Consume the first `n` records of source `i`'s [`view`](Self::view).
+    fn consume(&mut self, i: usize, n: usize) {
+        match self.readers.get_mut(i) {
+            Some(rd) => rd.consume(n),
+            None => self.tail_at += n,
+        }
+    }
+
+    /// Whether source `i` has no records left.
+    fn drained(&self, i: usize) -> bool {
+        match self.readers.get(i) {
+            Some(rd) => rd.remaining() == 0,
+            None => self.tail_at == self.tail.len(),
+        }
+    }
 }
 
 impl<'a, R, F> SortedStream<'a, R, F>
@@ -378,10 +467,10 @@ where
     F: Fn(&R, &R) -> bool + Copy,
 {
     /// Build a stream over `(run, start offset)` pairs and the sorted
-    /// `resident` records, at `b` records a block.  Charges `(k+1)·B` plus
-    /// the resident records against `budget`: one block per run, plus the
-    /// output block of a materialized merge or the consumer's working
-    /// block.
+    /// `resident` records, at `b` records a block, and read each run's first
+    /// block.  Charges `(k+1)·B` plus the resident records against `budget`:
+    /// one block per run, plus the output block of a materialized merge or
+    /// the consumer's working block.
     fn build(
         parts: &[(&'a ExtVec<R>, u64)],
         resident: Vec<R>,
@@ -394,7 +483,7 @@ where
         let charge = budget.charge((k + 1) * b + resident.len());
         let fc = (ov.read_ahead > 0 && k >= 2 && parts.iter().all(|(r, _)| r.has_block_heads()))
             .then(|| Forecaster::new(budget, k, ov.read_ahead, b, parts[0].0.device().lanes()));
-        let mut readers: Vec<ExtVecReader<'a, R>> = match &fc {
+        let readers: Vec<ExtVecReader<'a, R>> = match &fc {
             Some(fc) => parts
                 .iter()
                 .map(|(r, s)| r.reader_forecast(*s, fc.pool()))
@@ -404,28 +493,43 @@ where
                 .map(|(r, s)| r.reader_at_prefetch(*s, ov.read_ahead, budget))
                 .collect(),
         };
+        let per_block = b.max(1);
+        let cap = per_block.max((k + 1) * per_block / 4);
+        let mut src = Sources {
+            readers,
+            tail: resident,
+            tail_at: 0,
+            per_block,
+        };
         if let Some(fc) = &fc {
-            fc.pump(&mut readers, less);
+            fc.pump(&mut src.readers, less);
         }
-        let mut keys: Vec<Option<R>> = readers
-            .iter_mut()
-            .map(|rd| rd.try_next())
-            .collect::<Result<_>>()?;
-        let mut resident = resident.into_iter();
-        if resident.len() > 0 || keys.is_empty() {
-            // The resident leaf; an empty merge is a tournament over one
-            // exhausted run.
-            keys.push(resident.next());
+        // Each window stands at its source's head until the first batch
+        // cuts it.
+        let mut live = Vec::with_capacity(k + 1);
+        for i in 0..=k {
+            if let Some(head) = src.view(i)?.first() {
+                live.push(Window {
+                    src: i,
+                    len: 1,
+                    end: head.clone(),
+                    stale: true,
+                });
+            }
         }
         Ok(SortedStream {
-            readers,
-            resident,
+            src,
+            live,
+            cap,
+            w: 0,
             fc,
-            lt: LoserTree::new(keys, less),
             less,
             since_pump: 0,
-            per_block: b.max(1),
-            peeked: None,
+            bufs: [Vec::with_capacity(cap), Vec::with_capacity(cap)],
+            cur: 0,
+            len: 0,
+            at: 0,
+            ends: Vec::with_capacity(k + 1),
             _charge: charge,
         })
     }
@@ -434,43 +538,225 @@ where
     /// Any device error (e.g. [`pdm::PdmError::RetriesExhausted`]) from the
     /// underlying run readers propagates here.
     pub fn try_next(&mut self) -> Result<Option<R>> {
-        if let Some(r) = self.peeked.take() {
-            return Ok(Some(r));
+        if self.at == self.len && !self.take_batch()? {
+            return Ok(None);
         }
-        self.next_inner()
+        let r = self.bufs[self.cur][self.at].clone();
+        self.at += 1;
+        Ok(Some(r))
     }
 
     /// Peek at the next record without consuming it.
     pub fn peek(&mut self) -> Result<Option<&R>> {
-        if self.peeked.is_none() {
-            self.peeked = self.next_inner()?;
+        if self.at == self.len && !self.take_batch()? {
+            return Ok(None);
         }
-        Ok(self.peeked.as_ref())
+        Ok(self.bufs[self.cur].get(self.at))
     }
 
-    fn next_inner(&mut self) -> Result<Option<R>> {
-        let less = self.less;
-        let Some(wi) = self.lt.winner() else {
+    /// Every record of the current batch not yet handed out — or of the next
+    /// batch, if none is left — at once; `None` once the merge is drained.
+    fn next_batch(&mut self) -> Result<Option<&[R]>> {
+        if self.at == self.len && !self.take_batch()? {
             return Ok(None);
-        };
-        // One record leaves, the winner's run refills its leaf.
-        let next = match self.readers.get_mut(wi) {
-            Some(reader) => reader.try_next()?,
-            None => self.resident.next(),
-        };
-        let rec = self.lt.advance(next);
-        // Re-pump the forecaster roughly once per emitted block; exact
-        // cadence is irrelevant for correctness (a missed pump is just a
-        // demand read).
-        self.since_pump += 1;
-        if self.since_pump >= self.per_block {
+        }
+        let from = std::mem::replace(&mut self.at, self.len);
+        Ok(Some(&self.bufs[self.cur][from..self.len]))
+    }
+
+    /// Take and merge the next batch; `false` once every source is drained.
+    fn take_batch(&mut self) -> Result<bool> {
+        let less = self.less;
+        let b = self.src.per_block;
+        self.since_pump += self.len;
+        (self.len, self.at) = (0, 0);
+        if self.live.is_empty() {
+            return Ok(false);
+        }
+        let cap = self.cap;
+        let w = 1 + (cap - 1) / self.live.len();
+        let recut = std::mem::replace(&mut self.w, w) != w;
+
+        // Cut the windows that moved, reading the next block of a source
+        // whose block is spent.
+        for win in self.live.iter_mut().filter(|win| win.stale || recut) {
+            let view = self.src.view(win.src)?;
+            win.len = w.min(view.len());
+            win.end = view[win.len - 1].clone();
+            win.stale = false;
+        }
+        if self.since_pump >= b {
+            // The refills above freed pool buffers.  A missed pump is only a
+            // demand read, so the cadence is not exact.
             self.since_pump = 0;
             if let Some(fc) = &self.fc {
-                fc.pump(&mut self.readers, less);
+                fc.pump(&mut self.src.readers, less);
             }
         }
-        Ok(Some(rec))
+
+        // The splitter: the smallest window end.  Sources come in index
+        // order, so a later end precedes only when strictly smaller.
+        let mut split = &self.live[0];
+        for win in &self.live[1..] {
+            if less(&win.end, &split.end) {
+                split = win;
+            }
+        }
+        let (si, s) = (split.src, split.end.clone());
+
+        // Every source's prefix up to the splitter, laid out in source
+        // order.  Another source's window ends past the splitter, so its
+        // prefix lies below that end.
+        let batch = &mut self.bufs[0];
+        batch.clear();
+        self.ends.clear();
+        let mut gallop = false;
+        let mut drained = false;
+        for win in self.live.iter_mut() {
+            let view = self.src.view(win.src)?;
+            let p = if win.src == si {
+                gallop = view.len() > win.len;
+                win.len
+            } else {
+                let below = &view[..win.len - 1];
+                prefix_len(below, |x| precedes(less, x, win.src, &s, si))
+            };
+            if p > 0 {
+                batch.extend_from_slice(&view[..p]);
+                self.src.consume(win.src, p);
+                self.ends.push(batch.len());
+                win.stale = true;
+                drained |= self.src.drained(win.src);
+            }
+        }
+        let in_pieces = batch.len();
+        if gallop && in_pieces < cap {
+            // Every record after the splitter in its own source exceeds every
+            // piece, so a gallop is appended after the merge, not merged.
+            let more = self.gallop(si, cap - in_pieces)?;
+            self.bufs[0].extend_from_slice(&self.src.view(si)?[..more]);
+            self.src.consume(si, more);
+            drained |= self.src.drained(si);
+        }
+        if drained {
+            let src = &self.src;
+            self.live.retain(|win| !src.drained(win.src));
+        }
+
+        let [batch, scratch] = &mut self.bufs;
+        if scratch.len() < batch.len() {
+            scratch.extend_from_slice(&batch[scratch.len()..]);
+        }
+        self.len = batch.len();
+        self.cur = merge_pieces(&mut self.bufs, &mut self.ends, less);
+        if self.cur == 1 {
+            let [batch, merged_into] = &mut self.bufs;
+            merged_into[in_pieces..self.len].clone_from_slice(&batch[in_pieces..]);
+        }
+        Ok(true)
     }
+
+    /// How many of source `si`'s next buffered records, at most `room`, the
+    /// batch takes after the splitter: those that precede every record
+    /// another source has left.  Its next record is checked against the
+    /// others' heads one at a time, so on unsorted input — where it seldom
+    /// passes — this costs a comparison or two, not one per source.
+    fn gallop(&mut self, si: usize, room: usize) -> Result<usize> {
+        let less = self.less;
+        let x = self.src.view(si)?[0].clone();
+        let mut head: Option<(usize, R)> = None;
+        for win in self.live.iter().filter(|win| win.src != si) {
+            let Some(next) = self.src.view(win.src)?.first() else {
+                continue;
+            };
+            if !precedes(less, &x, si, next, win.src) {
+                return Ok(0);
+            }
+            if head.as_ref().is_none_or(|(_, h)| less(next, h)) {
+                head = Some((win.src, next.clone()));
+            }
+        }
+        let view = self.src.view(si)?;
+        let rest = &view[1..room.min(view.len())];
+        Ok(1 + match &head {
+            Some((hi, h)) => prefix_len(rest, |y| precedes(less, y, si, h, *hi)),
+            None => rest.len(),
+        })
+    }
+}
+
+/// Whether record `a` of source `i` comes before record `b` of source
+/// `j ≠ i` in the merge: one `less` call, ties to the lower source.
+#[inline]
+fn precedes<R, F: Fn(&R, &R) -> bool>(less: F, a: &R, i: usize, b: &R, j: usize) -> bool {
+    if i < j {
+        !less(b, a)
+    } else {
+        less(a, b)
+    }
+}
+
+/// How many records at the front of `v` satisfy `pred`, which holds on a
+/// prefix: doubling from the front, then bisecting — one call when the first
+/// record fails, `≈ 2·log₂ n` for a prefix of `n`.
+fn prefix_len<R>(v: &[R], pred: impl Fn(&R) -> bool) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= v.len() && pred(&v[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    let hi = (lo + step - 1).min(v.len());
+    lo + v[lo..hi].partition_point(pred)
+}
+
+/// Merge the sorted pieces of `bufs[0]` that end at `ends`, pairwise and
+/// left to right, a level at a time, between the two buffers (`bufs[1]` is
+/// at least as long); returns the buffer that holds the result.  The left
+/// piece wins ties, so pieces laid out in source order merge stably.
+fn merge_pieces<R: Clone, F: Fn(&R, &R) -> bool + Copy>(
+    bufs: &mut [Vec<R>; 2],
+    ends: &mut Vec<usize>,
+    less: F,
+) -> usize {
+    let mut cur = 0;
+    while ends.len() > 1 {
+        let [a, b] = &mut *bufs;
+        let (from, to) = if cur == 0 { (a, b) } else { (b, a) };
+        let mut start = 0;
+        let pairs = ends.len().div_ceil(2);
+        for pair in 0..pairs {
+            let mid = ends[2 * pair];
+            let end = ends.get(2 * pair + 1).copied().unwrap_or(mid);
+            merge_two(
+                &from[start..mid],
+                &from[mid..end],
+                &mut to[start..end],
+                less,
+            );
+            ends[pair] = end;
+            start = end;
+        }
+        ends.truncate(pairs);
+        cur ^= 1;
+    }
+    cur
+}
+
+/// Merge sorted `a` and `b` into `out`, exactly as long as both, stably:
+/// `a`'s record goes first unless `b`'s is strictly smaller.  No branch
+/// depends on the data: the record moved is a select, and each side's
+/// cursor advances by the comparison's outcome.
+fn merge_two<R: Clone, F: Fn(&R, &R) -> bool>(a: &[R], b: &[R], out: &mut [R], less: F) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let take_b = less(&b[j], &a[i]);
+        out[i + j] = select_unpredictable(take_b, &b[j], &a[i]).clone();
+        i += usize::from(!take_b);
+        j += usize::from(take_b);
+    }
+    let mid = a.len() + j;
+    out[i + j..mid].clone_from_slice(&a[i..]);
+    out[mid..].clone_from_slice(&b[j..]);
 }
 
 /// Sort `input` and hand the *final merge pass* to `consume` as a pull
@@ -673,7 +959,7 @@ where
             let end = pos.checked_add(8).ok_or_else(corrupt)?;
             let chunk = bytes.get(*pos..end).ok_or_else(corrupt)?;
             *pos = end;
-            Ok(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
+            Ok(u64::from_le_bytes(chunk.try_into().map_err(|_| corrupt())?))
         };
         let n_runs = take_u64(&mut pos)? as usize;
         for _ in 0..n_runs {
@@ -755,6 +1041,12 @@ where
     /// fusion only, for callers that keep the result.
     pub fn finish_sorted(mut self) -> Result<ExtVec<R>> {
         self.formed(true)?.into_sorted(&self.cfg, self.less)
+    }
+
+    /// Give up on the sort: free every spilled run (the in-memory chunk goes
+    /// with the writer).
+    pub(crate) fn discard(self) -> Result<()> {
+        self.runs.into_iter().try_for_each(ExtVec::free)
     }
 }
 
@@ -1283,21 +1575,176 @@ mod tests {
         }
     }
 
-    /// The merge's CPU floor as a count: `less` calls per merged record.
+    /// Merge in-memory `runs` through a `SortedStream` over `b`-record
+    /// blocks.  Reads are synchronous: the forecaster orders block heads
+    /// with the same comparator, which is I/O scheduling, not merging.
+    fn merge_with<T, F>(runs: &[Vec<T>], b: usize, less: F) -> Vec<T>
+    where
+        T: Record,
+        F: Fn(&T, &T) -> bool + Copy,
+    {
+        let device = EmConfig::new(b * T::BYTES, 4).ram_disk();
+        let cfg = SortConfig::new(4 * b).with_overlap(OverlapConfig::off());
+        let runs: Vec<ExtVec<T>> = runs
+            .iter()
+            .map(|r| ExtVec::from_slice(device.clone(), r).unwrap())
+            .collect();
+        let parts: Vec<(&ExtVec<T>, u64)> = runs.iter().map(|r| (r, 0)).collect();
+        let budget = MemBudget::new((runs.len() + 1) * b);
+        merge_runs_streaming(&parts, &budget, &cfg, less, drain).unwrap()
+    }
+
+    /// [`merge_with`] at one-record windows, a few records a window and
+    /// whole-run windows, which must agree.
+    fn merge_all<T, F>(runs: &[Vec<T>], less: F) -> Vec<T>
+    where
+        T: Record + PartialEq + std::fmt::Debug,
+        F: Fn(&T, &T) -> bool + Copy,
+    {
+        let out = merge_with(runs, 2, less);
+        for b in [8, 64] {
+            assert_eq!(merge_with(runs, b, less), out, "B = {b}");
+        }
+        out
+    }
+
+    /// The output of [`merge_with`] and the `less` calls it cost per record.
+    fn merge_counting(runs: &[Vec<u64>], b: usize) -> (Vec<u64>, f64) {
+        let calls = std::cell::Cell::new(0u64);
+        let out = merge_with(runs, b, |x: &u64, y: &u64| {
+            calls.set(calls.get() + 1);
+            x < y
+        });
+        let per_record = calls.get() as f64 / out.len().max(1) as f64;
+        (out, per_record)
+    }
+
+    fn ascending(a: &u32, b: &u32) -> bool {
+        a < b
+    }
+
+    #[test]
+    fn k1_single_run_drains_in_order() {
+        assert_eq!(merge_all(&[vec![1, 2, 3]], ascending), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn k2_interleaves() {
+        let runs = [vec![1, 4, 6], vec![2, 3, 5]];
+        assert_eq!(merge_all(&runs, ascending), vec![1, 2, 3, 4, 5, 6]);
+    }
+
+    #[test]
+    fn empty_runs_are_skipped() {
+        let runs = [vec![], vec![2, 4], vec![], vec![1, 3]];
+        assert_eq!(merge_all(&runs, ascending), vec![1, 2, 3, 4]);
+        assert!(merge_all(&[vec![], vec![]], ascending).is_empty());
+    }
+
+    #[test]
+    fn descending_comparator() {
+        let runs = [vec![9u32, 5, 1], vec![8, 4, 2]];
+        assert_eq!(merge_all(&runs, |a, b| a > b), vec![9, 8, 5, 4, 2, 1]);
+    }
+
+    /// All-equal keys: the stable merge is all of run 0's records, then run
+    /// 1's, and so on — a lower run keeps every tie until it is drained,
+    /// across the splitter, the partitions and the gallop.
+    #[test]
+    fn duplicate_heavy_ties_resolve_by_run_index() {
+        for k in [1u64, 2, 3, 7, 31, 32, 33] {
+            let runs: Vec<Vec<(u64, u64)>> = (0..k).map(|run| vec![(7, run); 3]).collect();
+            let tags: Vec<u64> = merge_all(&runs, |a, b| a.0 < b.0)
+                .into_iter()
+                .map(|r| r.1)
+                .collect();
+            let expect: Vec<u64> = (0..k).flat_map(|run| [run; 3]).collect();
+            assert_eq!(tags, expect, "k = {k}");
+        }
+    }
+
+    #[test]
+    fn random_runs_match_sorted_reference() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for trial in 0..50 {
+            let k: usize = rng.gen_range(1..10);
+            let runs: Vec<Vec<u32>> = (0..k)
+                .map(|_| {
+                    let len = rng.gen_range(0..40);
+                    let mut v: Vec<u32> = (0..len).map(|_| rng.gen_range(0..100)).collect();
+                    v.sort_unstable();
+                    v
+                })
+                .collect();
+            let mut expect = runs.concat();
+            expect.sort_unstable();
+            assert_eq!(merge_all(&runs, ascending), expect, "trial {trial}");
+        }
+    }
+
+    /// Pin the merge's comparator count — `less` calls per merged record —
+    /// at `b` records a block on the three inputs that matter, each against
+    /// its ceiling: 31 random runs, 31 disjoint presorted runs (one source
+    /// holds every batch's records), and two interleaved runs (every record
+    /// changes run).
+    fn assert_comparator_calls_per_record(b: usize, ceilings: [f64; 3]) {
+        let mut rng = StdRng::seed_from_u64(16);
+        let len = (64 << 10) / 31;
+        let random = (0..31)
+            .map(|_| {
+                let mut run: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
+                run.sort_unstable();
+                run
+            })
+            .collect();
+        let disjoint = (0..31u64)
+            .map(|i| (0..len as u64).map(|j| i * len as u64 + j).collect())
+            .collect();
+        let interleaved = (0..2u64)
+            .map(|i| (0..32u64 << 10).map(|j| 2 * j + i).collect())
+            .collect();
+        let shapes: [(&str, Vec<Vec<u64>>); 3] = [
+            ("31 random runs", random),
+            ("31 disjoint presorted runs", disjoint),
+            ("2 interleaved runs", interleaved),
+        ];
+        for ((shape, runs), ceiling) in shapes.into_iter().zip(ceilings) {
+            let mut expect = runs.concat();
+            expect.sort_unstable();
+            let (out, per_record) = merge_counting(&runs, b);
+            assert_eq!(out, expect, "{shape}");
+            assert!(
+                per_record <= ceiling,
+                "B = {b}, {shape}: {per_record:.3} `less` calls per record, ceiling {ceiling}"
+            );
+        }
+    }
+
+    /// The merge's CPU floor as a count, at `sort_cpu`'s shape: `B` = 512,
+    /// 31 runs, so `cap` = 4 096 and windows of 133 records, cut at their
+    /// block's end — a batch takes ≈ 470 records.  A record costs the
+    /// `⌈log₂ 31⌉` = 5 merge levels (a little less: a two-way merge stops
+    /// comparing when one side runs out) plus `2·(live − 1)` splitter and
+    /// search calls per batch; measured 5.25.  A presorted source gallops
+    /// through its block (0.14); two interleaved runs are one two-way merge
+    /// (1.02).
     #[test]
     fn sorted_stream_comparator_calls_per_record() {
-        let device = device_b8();
-        // Synchronous reads: the forecaster orders block heads with the same
-        // comparator, which is I/O scheduling, not merging.
-        let cfg = SortConfig::new(512).with_overlap(OverlapConfig::symmetric(0));
-        crate::losertree::assert_comparator_calls_per_record(|runs, less| {
-            let runs: Vec<ExtVec<u64>> = runs
-                .iter()
-                .map(|r| ExtVec::from_slice(device.clone(), r).unwrap())
-                .collect();
-            let parts: Vec<(&ExtVec<u64>, u64)> = runs.iter().map(|r| (r, 0)).collect();
-            merge_runs_streaming(&parts, &MemBudget::new(512), &cfg, less, drain).unwrap()
-        });
+        assert_comparator_calls_per_record(512, [6.0, 1.1, 2.0]);
+    }
+
+    /// The short-block regime, `k ≈ B`: at `B` = 8 with 31 runs, `cap` = 64
+    /// and windows of 3 records are mostly cut shorter by their block's end,
+    /// so a batch takes about 7 records for the same `≈ 2·(live − 1)` = 60
+    /// splitter and search calls: ≈ 60/7 + the merge's ≈ 2 levels, 10.8 a
+    /// record on random runs.  A presorted source's gallop checks and bounds
+    /// itself against every other head, `2·(live − 1)` more per block of 8:
+    /// 7.3 as `live` falls from 31 to 1.  Two interleaved runs: 1.44.  The
+    /// ceilings are these measured counts; the batch merge pays CPU here,
+    /// never transfers.
+    #[test]
+    fn comparator_calls_per_record_at_tiny_blocks() {
+        assert_comparator_calls_per_record(8, [10.9, 7.4, 1.44]);
     }
 }
 

@@ -21,7 +21,7 @@
 //! intermediate merges, and `⌈N/B⌉` output writes.
 
 use em_core::{ExtVec, ExtVecWriter, Record};
-use pdm::{Result, SharedDevice};
+use pdm::{PdmError, Result, SharedDevice};
 
 use crate::{SortConfig, SortingWriter};
 
@@ -30,17 +30,20 @@ use crate::{SortConfig, SortingWriter};
 /// `dest` must have the same length as `input` and hold a permutation of
 /// `0..N`; `out[dest[i]] = input[i]`.  Costs `2·⌈N/B⌉` sequential reads plus
 /// `2N` random I/Os (read-modify-write per record).
+///
+/// Lengths that differ are [`PdmError::InvalidRequest`] before anything is
+/// allocated; so is a destination `≥ N`, found mid-scan, after the output
+/// is freed.
 pub fn permute_naive<R: Record>(input: &ExtVec<R>, dest: &ExtVec<u64>) -> Result<ExtVec<R>> {
-    assert_eq!(
-        input.len(),
-        dest.len(),
-        "destination vector length mismatch"
-    );
+    check_lengths(input, dest)?;
     let out = ExtVec::with_len(input.device().clone(), input.len())?;
     let mut records = input.reader();
     let mut dests = dest.reader();
     while let (Some(r), Some(d)) = (records.try_next()?, dests.try_next()?) {
-        assert!(d < input.len(), "destination {d} out of range");
+        if d >= input.len() {
+            out.free()?;
+            return Err(out_of_range(d, input.len()));
+        }
         out.set(d, &r)?;
     }
     Ok(out)
@@ -52,25 +55,43 @@ pub fn permute_naive<R: Record>(input: &ExtVec<R>, dest: &ExtVec<u64>) -> Result
 /// `cfg.mem_records` is interpreted in records of `R`; the internal pair
 /// records are bigger, so the pair-sort budget is scaled down to keep the
 /// byte budget identical.
+///
+/// Lengths that differ are [`PdmError::InvalidRequest`] before anything is
+/// allocated; so is a destination `≥ N`, found mid-scan, after the runs
+/// spilled so far are freed.
 pub fn permute_by_sort<R: Record>(
     input: &ExtVec<R>,
     dest: &ExtVec<u64>,
     cfg: &SortConfig,
 ) -> Result<ExtVec<R>> {
-    assert_eq!(
-        input.len(),
-        dest.len(),
-        "destination vector length mismatch"
-    );
+    check_lengths(input, dest)?;
     let mut records = input.reader();
     let mut dests = dest.reader();
     place_by_destination(input.device().clone(), cfg, || {
         let (Some(r), Some(d)) = (records.try_next()?, dests.try_next()?) else {
             return Ok(None);
         };
-        assert!(d < input.len(), "destination {d} out of range");
+        if d >= input.len() {
+            return Err(out_of_range(d, input.len()));
+        }
         Ok(Some((d, r)))
     })
+}
+
+/// One destination per record, or [`PdmError::InvalidRequest`].
+fn check_lengths<R: Record>(input: &ExtVec<R>, dest: &ExtVec<u64>) -> Result<()> {
+    if input.len() == dest.len() {
+        return Ok(());
+    }
+    Err(PdmError::InvalidRequest(format!(
+        "permute: {} destinations for {} records",
+        dest.len(),
+        input.len()
+    )))
+}
+
+fn out_of_range(d: u64, n: u64) -> PdmError {
+    PdmError::InvalidRequest(format!("permute: destination {d} is not below {n}"))
 }
 
 /// Compute the inverse permutation: `inv[perm[i]] = i`, in `Θ(Sort(N))`
@@ -93,7 +114,8 @@ pub fn invert_permutation(perm: &ExtVec<u64>, cfg: &SortConfig) -> Result<ExtVec
 /// The one tag → sort → strip: pull `(destination, record)` pairs from
 /// `next_tagged` until it returns `None`, sort them by destination in a
 /// [`SortingWriter`] whose budget is `cfg`'s bytes counted in pairs, and
-/// write the records as the final merge delivers them.
+/// write the records as the final merge delivers them.  An error from
+/// `next_tagged` frees the runs spilled so far before it is returned.
 pub(crate) fn place_by_destination<R: Record>(
     device: SharedDevice,
     cfg: &SortConfig,
@@ -104,8 +126,15 @@ pub(crate) fn place_by_destination<R: Record>(
         ..*cfg
     };
     let mut tagged = SortingWriter::new(device.clone(), &pair_cfg, |a: &(u64, R), b| a.0 < b.0);
-    while let Some(pair) = next_tagged()? {
-        tagged.push(pair)?;
+    loop {
+        match next_tagged() {
+            Ok(Some(pair)) => tagged.push(pair)?,
+            Ok(None) => break,
+            Err(e) => {
+                tagged.discard()?;
+                return Err(e);
+            }
+        }
     }
     tagged.finish_streaming(|sorted| {
         let mut out: ExtVecWriter<R> = ExtVecWriter::new(device);
@@ -259,13 +288,32 @@ mod tests {
         }
     }
 
+    /// Lengths that differ fail before anything is allocated; a destination
+    /// out of range, placed late enough that the sort has spilled runs,
+    /// fails having freed everything either method wrote.
     #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mismatched_lengths_panic() {
+    fn mismatched_or_out_of_range_destinations_are_typed_errors() {
         let device = device_b8();
-        let input = ExtVec::from_slice(device.clone(), &[1u64, 2, 3]).unwrap();
-        let dest = ExtVec::from_slice(device, &[0u64, 1]).unwrap();
-        let _ = permute_naive(&input, &dest);
+        let n = 500u64;
+        let data: Vec<u64> = (0..n).collect();
+        let input = ExtVec::from_slice(device.clone(), &data).unwrap();
+        let short = ExtVec::from_slice(device.clone(), &data[1..]).unwrap();
+        let mut bad = random_perm(n, 26);
+        bad[450] = n;
+        let bad = ExtVec::from_slice(device.clone(), &bad).unwrap();
+        let cfg = SortConfig::new(64);
+        let blocks = device.allocated_blocks();
+        for (dest, what) in [(&short, "lengths"), (&bad, "destination")] {
+            let naive = permute_naive(&input, dest).map(|out| out.len());
+            let sorted = permute_by_sort(&input, dest, &cfg).map(|out| out.len());
+            for got in [naive, sorted] {
+                assert!(
+                    matches!(got, Err(PdmError::InvalidRequest(_))),
+                    "{what}: {got:?}"
+                );
+                assert_eq!(device.allocated_blocks(), blocks, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! guarantees progress on duplicate-heavy inputs.
 
 use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
-use pdm::Result;
+use pdm::{PdmError, Result};
 use rand::prelude::*;
 
 use crate::runs::cmp_from_less;
@@ -20,17 +20,19 @@ pub fn select<R: Record + Ord>(input: &ExtVec<R>, k: u64, cfg: &SortConfig) -> R
     select_by(input, k, cfg, |a, b| a < b)
 }
 
-/// Return the `k`-th smallest record by a strict-less predicate.
+/// Return the `k`-th smallest record by a strict-less predicate.  A rank
+/// `k ≥ N` is [`PdmError::InvalidRequest`], before anything is allocated.
 pub fn select_by<R, F>(input: &ExtVec<R>, k: u64, cfg: &SortConfig, less: F) -> Result<R>
 where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
-    assert!(
-        k < input.len(),
-        "selection index {k} out of range (len {})",
-        input.len()
-    );
+    if k >= input.len() {
+        return Err(PdmError::InvalidRequest(format!(
+            "select: rank {k} of {} records",
+            input.len()
+        )));
+    }
     let budget = MemBudget::new(cfg.mem_records);
     let mut rng = StdRng::seed_from_u64(0x005E_1EC7);
 
@@ -117,9 +119,10 @@ where
     }
 }
 
-/// Convenience: the median (lower median for even lengths).
+/// Convenience: the median (lower median for even lengths); of no records,
+/// [`PdmError::InvalidRequest`].
 pub fn median<R: Record + Ord>(input: &ExtVec<R>, cfg: &SortConfig) -> Result<R> {
-    select(input, (input.len() - 1) / 2, cfg)
+    select(input, input.len().saturating_sub(1) / 2, cfg)
 }
 
 #[cfg(test)]
@@ -233,10 +236,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_rank_panics() {
+    fn out_of_range_rank_is_a_typed_error() {
         let d = device();
-        let input = ExtVec::from_slice(d, &[1u64, 2, 3]).unwrap();
-        let _ = select(&input, 3, &SortConfig::new(64));
+        let input = ExtVec::from_slice(d.clone(), &[1u64, 2, 3]).unwrap();
+        let empty: ExtVec<u64> = ExtVec::new(d.clone());
+        let blocks = d.allocated_blocks();
+        let cfg = SortConfig::new(64);
+        for got in [select(&input, 3, &cfg), median(&empty, &cfg)] {
+            assert!(matches!(got, Err(PdmError::InvalidRequest(_))), "{got:?}");
+        }
+        assert_eq!(d.allocated_blocks(), blocks);
     }
 }

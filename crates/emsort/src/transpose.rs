@@ -17,15 +17,16 @@
 //! time (`Θ(N)` I/Os) — the baseline of experiment F4.
 
 use em_core::{ExtVec, Record};
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 use crate::permute::place_by_destination;
 use crate::SortConfig;
 
 /// Transpose a `p × q` row-major matrix one record at a time: a sequential
-/// scan plus `2N` random I/Os.
+/// scan plus `2N` random I/Os.  A shape that is not `input`'s length is
+/// [`PdmError::InvalidRequest`], before anything is allocated.
 pub fn transpose_naive<R: Record>(input: &ExtVec<R>, p: u64, q: u64) -> Result<ExtVec<R>> {
-    assert_eq!(input.len(), p * q, "matrix shape mismatch");
+    check_shape(input, p, q)?;
     let out = ExtVec::with_len(input.device().clone(), input.len())?;
     let mut reader = input.reader();
     let mut idx = 0u64;
@@ -41,14 +42,15 @@ pub fn transpose_naive<R: Record>(input: &ExtVec<R>, p: u64, q: u64) -> Result<E
 ///
 /// Uses square-tile transposition (`O(N/B)` I/Os) when `M ≥ 4B²` and both
 /// dimensions exceed `B`; otherwise sorts `(target, record)` pairs
-/// (`O(Sort(N))` I/Os).
+/// (`O(Sort(N))` I/Os).  A shape that is not `input`'s length is
+/// [`PdmError::InvalidRequest`], before anything is allocated.
 pub fn transpose_blocked<R: Record>(
     input: &ExtVec<R>,
     p: u64,
     q: u64,
     cfg: &SortConfig,
 ) -> Result<ExtVec<R>> {
-    assert_eq!(input.len(), p * q, "matrix shape mismatch");
+    check_shape(input, p, q)?;
     let b = input.per_block() as u64;
     let m = cfg.mem_records as u64;
     let tile = (((m / 2) as f64).sqrt() as u64).max(1);
@@ -57,6 +59,17 @@ pub fn transpose_blocked<R: Record>(
     } else {
         transpose_by_sort(input, p, q, cfg)
     }
+}
+
+/// `p·q` records, or [`PdmError::InvalidRequest`].
+fn check_shape<R: Record>(input: &ExtVec<R>, p: u64, q: u64) -> Result<()> {
+    if p.checked_mul(q) == Some(input.len()) {
+        return Ok(());
+    }
+    Err(PdmError::InvalidRequest(format!(
+        "transpose: a {p} × {q} matrix is not {} records",
+        input.len()
+    )))
 }
 
 fn transpose_tiled<R: Record>(
@@ -226,10 +239,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "matrix shape mismatch")]
-    fn shape_mismatch_panics() {
+    fn shape_mismatch_is_a_typed_error() {
         let device = EmConfig::new(64, 8).ram_disk();
-        let input = ExtVec::from_slice(device, &[1u64, 2, 3]).unwrap();
-        let _ = transpose_naive(&input, 2, 2);
+        let input = ExtVec::from_slice(device.clone(), &[1u64, 2, 3]).unwrap();
+        let blocks = device.allocated_blocks();
+        for (p, q) in [(2, 2), (1 << 32, 1 << 32)] {
+            let naive = transpose_naive(&input, p, q).map(|out| out.len());
+            let blocked =
+                transpose_blocked(&input, p, q, &SortConfig::new(64)).map(|out| out.len());
+            for got in [naive, blocked] {
+                assert!(
+                    matches!(got, Err(PdmError::InvalidRequest(_))),
+                    "{p} × {q}: {got:?}"
+                );
+            }
+        }
+        assert_eq!(device.allocated_blocks(), blocks);
     }
 }

@@ -25,7 +25,7 @@
 
 use std::collections::VecDeque;
 
-use em_core::{bounds, ExtVec, MemBudget};
+use em_core::{bounds, ExtVec, ExtVecWriter, MemBudget};
 use emsort::{
     distribution_sort_by, form_runs, merge_runs_streaming, merge_runs_with, merge_sort_by,
     merge_sort_streaming, OverlapConfig, RunFormation, SortConfig, SortedStream, SortingWriter,
@@ -477,6 +477,260 @@ fn a_resident_tail_only_ever_saves_transfers() {
                 );
             }
         }
+    }
+}
+
+/// `Scan(N)` as a lower bound, on the grid above: no stream moves fewer than
+/// `⌈N/B⌉` blocks for `N` records — a writer pushed a record or a slice at a
+/// time, a reader pulled a record, a block or a buffered slice at a time —
+/// and a drained merge reads at least its runs' records: all `N` of the
+/// runs `form_runs` writes, and all but the resident tail of a streamed
+/// sort's (beside the input scan).  Fewer would be an accounting bug.
+#[test]
+fn no_stream_moves_fewer_blocks_than_a_scan() {
+    for b in [4usize, 8] {
+        let device = device_of(b, 0);
+        for m in [3 * b, 5 * b, 8 * b + 3, 16 * b] {
+            let cfg = SortConfig::new(m).with_overlap(OverlapConfig::off());
+            let k = cfg.effective_fan_in(b);
+            for n in [0, 1, b - 1, m - b, m, m + 1, 2 * m, 3 * m - 1, k * m + 1] {
+                let data: Vec<Rec> = (0..n as u64).map(|i| ((i * 7919) % 5, i)).collect();
+                let n = n as u64;
+                let at = format!("N={n} M={m} B={b}");
+                let scan = |records: u64| bounds::scan(records, b) as u64;
+
+                let (pushed, (_, writes)) = metered(&device, || {
+                    let mut w = ExtVecWriter::new(device.clone());
+                    data.iter().for_each(|&r| w.push(r).unwrap());
+                    w.finish().unwrap()
+                });
+                assert!(writes >= scan(n), "push {at}");
+                let (extended, (_, writes)) = metered(&device, || {
+                    let mut w = ExtVecWriter::new(device.clone());
+                    w.extend_from_slice(&data).unwrap();
+                    w.finish().unwrap()
+                });
+                assert!(writes >= scan(n), "extend_from_slice {at}");
+
+                let (got, (reads, _)) = metered(&device, || pushed.to_vec().unwrap());
+                assert_eq!(got, data, "{at}");
+                assert!(reads >= scan(n), "reader {at}");
+                let (got, (reads, _)) = metered(&device, || {
+                    let (mut r, mut out) = (extended.reader(), Vec::new());
+                    while r.read_into(&mut out, b + 1).unwrap() > 0 {}
+                    out
+                });
+                assert_eq!(got, data, "{at}");
+                assert!(reads >= scan(n), "read_into {at}");
+                let (taken, (reads, _)) = metered(&device, || {
+                    let (mut r, mut taken) = (extended.reader(), 0);
+                    loop {
+                        let len = r.buffered().unwrap().len();
+                        if len == 0 {
+                            break taken;
+                        }
+                        r.consume(len);
+                        taken += len as u64;
+                    }
+                });
+                assert_eq!(taken, n, "{at}");
+                assert!(reads >= scan(n), "buffered {at}");
+                pushed.free().unwrap();
+                extended.free().unwrap();
+
+                let input = ExtVec::from_slice(device.clone(), &data).unwrap();
+                let runs = form_runs(&input, &cfg, LESS).unwrap();
+                let parts: Vec<(&ExtVec<Rec>, u64)> = runs.iter().map(|r| (r, 0)).collect();
+                let budget = MemBudget::new((runs.len() + 1) * b);
+                let (_, (reads, _)) = metered(&device, || {
+                    merge_runs_streaming(&parts, &budget, &cfg, LESS, drain).unwrap()
+                });
+                assert!(reads >= scan(n), "merge_runs_streaming {at}");
+                runs.into_iter().for_each(|r| r.free().unwrap());
+
+                let loads = n.div_ceil(m as u64);
+                let tail = bounds::resident_tail(loads, n.min(m as u64) as usize, m, b, k, false);
+                let (_, (reads, _)) = metered(&device, || {
+                    merge_sort_streaming(&input, &cfg, LESS, drain).unwrap()
+                });
+                assert!(
+                    reads >= scan(n) + scan(n - tail as u64),
+                    "merge_sort_streaming {at}: tail {tail}"
+                );
+                input.free().unwrap();
+            }
+        }
+    }
+}
+
+/// Runs of a few blocks each whose equal keys straddle block boundaries:
+/// each key repeats `≈ 2B/3` times, every run shares the key range, and the
+/// lengths leave partial last blocks.  The payload names the run and the
+/// record's index in it.
+fn straddling_run(run: usize, b: usize) -> Vec<Rec> {
+    let len = (run % 3 + 1) * b + (run * 5) % b;
+    (0..len as u64)
+        .map(|j| (j * 3 / (2 * b as u64), (run as u64) << 32 | j))
+        .collect()
+}
+
+/// A one-lane array of `B`-record blocks, synchronous at depth 0.
+fn device_of(b: usize, depth: usize) -> SharedDevice {
+    let mode = if depth == 0 {
+        IoMode::Synchronous
+    } else {
+        IoMode::Overlapped
+    };
+    DiskArray::new_ram_with(1, 16 * b, Placement::Independent, mode)
+}
+
+/// The batch merge's edge cases: `k` ∈ {1, 2, 3, 31, 32, 33} runs × `B` ∈
+/// {8, 64, 512} records × depth {0, 2}.  A merge of straddling runs is the
+/// stable-sort oracle's, reads every run block once and — materialized —
+/// writes every output block once.  Complete sorts of 1, 2, 30, 31 and 32
+/// loads keep `B + B/2` records of the last load resident, so their final
+/// merge has 1 or 2, 3, 31, 32 and 33 sources, the tail's equal keys
+/// straddling its own block boundary: output is the stable sort, transfers
+/// are the exact replay's, and every block a run writes is read once.
+#[test]
+fn the_batch_merge_over_every_fan_in_and_block_shape() {
+    for b in [8usize, 64, 512] {
+        for depth in [0, 2] {
+            let device = device_of(b, depth);
+            let ov = OverlapConfig::symmetric(depth);
+            for k in [1usize, 2, 3, 31, 32, 33] {
+                let at = format!("k={k} B={b} depth={depth}");
+                let runs_data: Vec<Vec<Rec>> = (0..k).map(|r| straddling_run(r, b)).collect();
+                let expect = stable_merge(&runs_data);
+                let run_blocks: u64 = runs_data.iter().map(|r| r.len().div_ceil(b) as u64).sum();
+                let out_blocks = expect.len().div_ceil(b) as u64;
+                let runs: Vec<ExtVec<Rec>> = runs_data
+                    .iter()
+                    .map(|r| ExtVec::from_slice(device.clone(), r).unwrap())
+                    .collect();
+                let cfg = SortConfig::new((k + 1) * b).with_overlap(ov);
+                let budget = MemBudget::new((k + 1) * b * (1 + 2 * depth));
+                let (out, counts) = metered(&device, || {
+                    merge_runs_with(&runs, &budget, &cfg, LESS).unwrap()
+                });
+                assert_eq!(out.to_vec().unwrap(), expect, "merge_runs_with {at}");
+                assert_eq!(counts, (run_blocks, out_blocks), "merge_runs_with {at}");
+                out.free().unwrap();
+                let parts: Vec<(&ExtVec<Rec>, u64)> = runs.iter().map(|r| (r, 0)).collect();
+                let (got, counts) = metered(&device, || {
+                    merge_runs_streaming(&parts, &budget, &cfg, LESS, drain).unwrap()
+                });
+                assert_eq!(got, expect, "merge_runs_streaming {at}");
+                assert_eq!(counts, (run_blocks, 0), "merge_runs_streaming {at}");
+                runs.into_iter().for_each(|r| r.free().unwrap());
+            }
+
+            for loads in [1u64, 2, 30, 31, 32] {
+                let m = (loads as usize + 2) * b + b / 2;
+                let cfg = SortConfig::new(m).with_overlap(ov);
+                let fan_in = cfg.effective_fan_in(b);
+                let sizes = if loads == 1 {
+                    vec![m - b, m]
+                } else {
+                    vec![(loads as usize - 1) * m + m / 3]
+                };
+                for n in sizes {
+                    let at = format!("loads={loads} N={n} M={m} B={b} depth={depth}");
+                    let data: Vec<Rec> = (0..n as u64).map(|i| ((i * 7919) % 5, i)).collect();
+                    let expect = stable_merge(std::slice::from_ref(&data));
+                    let input = ExtVec::from_slice(device.clone(), &data).unwrap();
+                    let (n, scan) = (n as u64, n.div_ceil(b) as u64);
+
+                    let (out, (reads, writes)) =
+                        metered(&device, || merge_sort_by(&input, &cfg, LESS).unwrap());
+                    assert_eq!(out.to_vec().unwrap(), expect, "merge_sort_by {at}");
+                    out.free().unwrap();
+                    let exact = bounds::merge_sort_exact_ios(n, m, b, fan_in);
+                    assert_eq!(reads + writes, exact, "merge_sort_by {at}");
+                    // Beside the input read and the output write.
+                    assert_eq!(reads - scan, writes - scan, "merge_sort_by {at}");
+
+                    let (got, (reads, writes)) = metered(&device, || {
+                        merge_sort_streaming(&input, &cfg, LESS, drain).unwrap()
+                    });
+                    assert_eq!(got, expect, "merge_sort_streaming {at}");
+                    let exact = bounds::merge_sort_streamed_ios(n, m, b, fan_in);
+                    assert_eq!(reads + writes, exact, "merge_sort_streaming {at}");
+                    assert_eq!(reads - scan, writes, "merge_sort_streaming {at}");
+                    input.free().unwrap();
+                }
+            }
+        }
+    }
+}
+
+/// Where a record-at-a-time merge of runs of lengths `lens` reads a block
+/// once it has read every run's first: the output positions of the records
+/// whose departure refills their run — each block's last record but the
+/// run's last.  Payloads are [`straddling_run`]'s.
+fn refill_points(order: &[Rec], lens: &[usize], b: usize) -> Vec<usize> {
+    let ends_a_block = |&(_, p): &Rec| {
+        let (run, j) = ((p >> 32) as usize, (p & 0xffff_ffff) as usize);
+        (j + 1) % b == 0 && j + 1 < lens[run]
+    };
+    (0..order.len())
+        .filter(|&at| ends_a_block(&order[at]))
+        .collect()
+}
+
+/// Dropped after its first batch, or just before any record whose
+/// departure makes a record-at-a-time merge read a block, a merge stream
+/// has read no block that merge would not have read by then; and drained
+/// under forecasting it wastes no prefetch.
+#[test]
+fn a_stream_dropped_early_reads_no_more_than_a_per_record_merge() {
+    let (b, k) = (64, 31);
+    let runs_data: Vec<Vec<Rec>> = (0..k).map(|r| straddling_run(r, b)).collect();
+    let lens: Vec<usize> = runs_data.iter().map(Vec::len).collect();
+    let expect = stable_merge(&runs_data);
+    let refills = refill_points(&expect, &lens, b);
+    for depth in [0, 2] {
+        let device = device_of(b, depth);
+        let runs: Vec<ExtVec<Rec>> = runs_data
+            .iter()
+            .map(|r| ExtVec::from_slice(device.clone(), r).unwrap())
+            .collect();
+        let parts: Vec<(&ExtVec<Rec>, u64)> = runs.iter().map(|r| (r, 0)).collect();
+        let cfg = SortConfig::new((k + 1) * b).with_overlap(OverlapConfig::symmetric(depth));
+        let budget = MemBudget::new((k + 1) * b * (1 + 2 * depth));
+        let stops: Vec<usize> = if depth == 0 {
+            [1].into_iter().chain(refills.iter().copied()).collect()
+        } else {
+            vec![expect.len()]
+        };
+        for stop in stops {
+            let before = device.stats().snapshot();
+            let got = merge_runs_streaming(&parts, &budget, &cfg, LESS, |s| {
+                let mut out = Vec::new();
+                while out.len() < stop {
+                    match s.try_next()? {
+                        Some(r) => out.push(r),
+                        None => break,
+                    }
+                }
+                Ok(out)
+            })
+            .unwrap();
+            let io = device.stats().snapshot().since(&before);
+            assert_eq!(got, expect[..stop], "depth {depth}, stop {stop}");
+            if depth == 0 {
+                let per_record = (k + refills.partition_point(|&at| at < stop)) as u64;
+                assert!(
+                    io.reads() <= per_record,
+                    "stop {stop}: {} > {per_record}",
+                    io.reads()
+                );
+            } else {
+                assert_eq!(io.prefetch_wasted(), 0, "drained at depth {depth}");
+                assert!(io.forecast_issued() > 0);
+            }
+        }
+        runs.into_iter().for_each(|r| r.free().unwrap());
     }
 }
 

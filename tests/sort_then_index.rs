@@ -1,7 +1,7 @@
 //! Cross-crate pipeline: generate → external sort → B-tree bulk load →
 //! range scans, with every stage verified against an in-memory reference.
 
-use em_core::{EmConfig, ExtVec};
+use em_core::{bounds, EmConfig, ExtVec, Record};
 use emsort::{distribution_sort, merge_sort, RunFormation, SortConfig};
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy};
@@ -50,6 +50,48 @@ fn sort_index_scan_pipeline() {
         let got = tree.range(&lo, &hi).unwrap();
         let expect: Vec<(u64, u64)> = model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
         assert_eq!(got, expect, "range [{lo}, {hi}]");
+    }
+}
+
+/// `Search(N)` as a lower bound: on an `(N, M, B)` grid, keys sorted under
+/// `M` and bulk-loaded into a B-tree, every point lookup through a cold pool
+/// — present key or absent — reads at least `⌈log_B N⌉` blocks, `B` the
+/// `(key, value)` pairs a block holds.  Fewer would be an accounting bug.
+#[test]
+fn cold_lookups_read_at_least_a_search_path() {
+    for block_bytes in [128usize, 512] {
+        let b = block_bytes / <(u64, u64)>::BYTES;
+        for mem_blocks in [4, 16] {
+            let cfg = EmConfig::new(block_bytes, mem_blocks);
+            let device = cfg.ram_disk();
+            let sort_cfg = SortConfig::new(cfg.mem_records::<u64>());
+            for n in [1u64, b as u64, (b * b) as u64 + 1, 5_000] {
+                let mut keys: Vec<u64> = (0..n).map(|i| i * 3 + 1).collect();
+                keys.shuffle(&mut StdRng::seed_from_u64(n));
+                let input = ExtVec::from_slice(device.clone(), &keys).unwrap();
+                let sorted = merge_sort(&input, &sort_cfg).unwrap();
+                let pool = BufferPool::new(device.clone(), 16, EvictionPolicy::Lru);
+                let tree: BTree<u64, u64> =
+                    BTree::bulk_load(pool, sorted.reader().map(|k| (k, k))).unwrap();
+                tree.pool().flush().unwrap();
+                let floor = bounds::search(n, b);
+                for probe in [0, 1, n / 2 * 3 + 1, n * 3, n * 3 + 1] {
+                    let cold = BufferPool::new(device.clone(), 4, EvictionPolicy::Lru);
+                    let cold = BTree::<u64, u64>::reattach(cold, tree.root(), tree.height(), n);
+                    let before = device.stats().snapshot();
+                    let got = cold.get(&probe).unwrap();
+                    let reads = device.stats().snapshot().since(&before).reads();
+                    assert_eq!(got, (probe % 3 == 1 && probe < 3 * n).then_some(probe));
+                    let at = format!("N={n} M={} B={b} key {probe}", sort_cfg.mem_records);
+                    assert!(
+                        reads as f64 >= floor,
+                        "{at}: {reads} reads, Search(N) = {floor}"
+                    );
+                }
+                sorted.free().unwrap();
+                input.free().unwrap();
+            }
+        }
     }
 }
 
