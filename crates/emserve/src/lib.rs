@@ -17,7 +17,9 @@
 //!   [`BTree::apply_sorted_batch`](emtree::BTree::apply_sorted_batch), one
 //!   streaming rebuild that reads each old node once and writes each new
 //!   node once, and frees the log without reading it.  Only crash recovery
-//!   reads the log.
+//!   reads the log.  The rebuild also refreshes an in-memory key filter
+//!   over the tree, so a get of a key neither the delta nor the tree holds
+//!   reads no block except on a false positive.
 //! * [`Server`] — the concurrent request batcher: one bounded MPSC ingest
 //!   queue and drain thread per shard.  The drain thread coalesces
 //!   puts/deletes into batches flushed on *size or deadline* (throughput

@@ -25,11 +25,21 @@
 //! records that a later op on the same key superseded, so an overwrite
 //! stream on a few hot keys cannot grow the log past about twice the
 //! threshold.
+//!
+//! Beside the tree sits a *key filter* ([`KeyFilter`], two bytes a key),
+//! rebuilt by every compaction from the keys it writes.  Between
+//! compactions the shard never changes its tree, so the filter has no false
+//! negatives; a key written since is answered by the delta before the
+//! filter is asked.  A get of a key neither holds therefore costs no
+//! transfer, except on a false positive.  The filter is memory only: a
+//! fresh or recovered shard has none until its next compaction, and reads
+//! the tree for every get the delta does not answer.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use em_core::hash::{hash_bytes, KeyFilter};
 use em_core::Record;
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy, Journal, PdmError, Result, SharedDevice};
@@ -51,10 +61,22 @@ use crate::oplog::{Ik, Latest, OpLog};
 /// rejects such a config before routing anything.
 pub fn shard_of_key<K: Record>(tenant: u32, key: &K, shards: usize) -> usize {
     debug_assert!(shards > 0, "need at least one shard");
+    (em_core::hash::fnv1a(&record_bytes(tenant, key)) % shards as u64) as usize
+}
+
+/// The encoded `(tenant, key)` record: what routing hashes with FNV-1a and
+/// the shard's key filter with [`hash_bytes`]: two unrelated hash families,
+/// so the shard a key routes to says nothing about its filter bits.
+fn record_bytes<K: Record>(tenant: u32, key: &K) -> Vec<u8> {
     let mut buf = vec![0u8; 4 + K::BYTES];
     buf[..4].copy_from_slice(&tenant.to_le_bytes());
     key.write_to(&mut buf[4..]);
-    (em_core::hash::fnv1a(&buf) % shards as u64) as usize
+    buf
+}
+
+/// The hash a shard's key filter records and tests `(tenant, key)` by.
+fn filter_hash<K: Record>(tenant: u32, key: &K) -> u64 {
+    hash_bytes(&record_bytes(tenant, key))
 }
 
 /// A pending write destined for the log: who to ack, and what to apply.
@@ -74,6 +96,11 @@ struct PendingOp<K, V> {
 pub struct Shard<K: Record + Ord, V: Record> {
     pool: Arc<BufferPool>,
     tree: BTree<Ik<K>, V>,
+    /// Membership summary of `tree`'s keys, built from the keys the last
+    /// compaction wrote and consulted by [`get`](Self::get) before the
+    /// tree.  `None` until this instance's first compaction.  In memory
+    /// only, and charged to no budget, like `delta`.
+    filter: Option<KeyFilter>,
     log: OpLog<K, V>,
     /// Every op since the last compaction (logged *or* still in-flight in
     /// `batch`): `Some(v)` put, `None` delete.  Read-your-writes overlay
@@ -142,6 +169,7 @@ where
         Ok(Shard {
             pool,
             tree,
+            filter: None,
             log,
             delta: BTreeMap::new(),
             batch: Vec::new(),
@@ -188,6 +216,7 @@ where
         Ok(Shard {
             pool,
             tree,
+            filter: None,
             log,
             delta,
             batch: Vec::new(),
@@ -292,13 +321,29 @@ where
         journal.checkpoint()
     }
 
-    /// Point lookup: delta overlay first (read-your-writes, including the
-    /// open batch), then the B+-tree through the pool.
+    /// Point lookup: the delta overlay first (read-your-writes, including
+    /// the open batch), then the key filter, then the B+-tree through the
+    /// pool.
+    ///
+    /// Cost: no transfer when the delta answers or the filter rejects the
+    /// key, else the tree's `Search(N)` (≤ `height` reads, fewer with the
+    /// upper levels pooled).  A key the tree holds always passes the filter;
+    /// one it does not hold passes only as a false positive, at 8–16 bits a
+    /// key about 1.4–4.9 % of the time, so an absent key costs that share of
+    /// `Search(N)`.  Before the first compaction there is no filter and
+    /// every lookup the delta does not answer reads the tree.
     pub fn get(&self, tenant: u32, key: &K) -> Result<Option<V>> {
         let ik = (tenant, key.clone());
         match self.delta.get(&ik) {
             Some(Some(v)) => Ok(Some(v.clone())),
             Some(None) => Ok(None),
+            None if self
+                .filter
+                .as_ref()
+                .is_some_and(|f| !f.may_contain(filter_hash(tenant, key))) =>
+            {
+                Ok(None)
+            }
             None => self.tree.get(&ik),
         }
     }
@@ -354,6 +399,11 @@ where
     /// transfers instead of `Δ·O(log_B N)` point updates.  The log is not
     /// read: its blocks are freed, which costs nothing.
     ///
+    /// The key filter is rebuilt from the keys the rebuild writes, at two
+    /// bytes per key the new tree can hold (the old tree's plus the delta's
+    /// puts), and replaces the old one only once the rebuild succeeded: a
+    /// failed compaction leaves the old tree, and the old filter covers it.
+    ///
     /// # Errors
     ///
     /// [`PdmError::InvalidRequest`] while a batch is open: its ops are in
@@ -368,8 +418,13 @@ where
         if self.delta.is_empty() {
             return Ok(());
         }
-        self.tree
-            .apply_sorted_batch(self.delta.iter().map(|(ik, op)| (ik.clone(), op.clone())))?;
+        let puts = self.delta.values().filter(|op| op.is_some()).count();
+        let mut filter = KeyFilter::with_bytes(2 * (self.tree.len() as usize + puts));
+        self.tree.apply_sorted_batch(
+            self.delta.iter().map(|(ik, op)| (ik.clone(), op.clone())),
+            |(tenant, key)| filter.insert(filter_hash(*tenant, key)),
+        )?;
+        self.filter = Some(filter);
         self.log.clear()?;
         self.delta.clear();
         // On a journaled shard the rebuild must commit atomically: the frees
@@ -962,6 +1017,277 @@ mod tests {
         assert_eq!((longest, compactions), (80, 625 / 5));
         let all = s.range(0, &0, &u64::MAX).unwrap();
         assert!(all.into_iter().eq(model));
+        s.check_invariants().unwrap();
+    }
+
+    /// Pool lookups (hits + misses) and device reads of `gets` on `s`.
+    fn get_ledger(s: &Shard<u64, u64>, keys: impl IntoIterator<Item = u64>) -> (u64, u64) {
+        let stats = s.pool.stats();
+        let lookups = || stats.hits() + stats.misses();
+        let (before, io) = (lookups(), s.pool.device().stats().snapshot());
+        for k in keys {
+            s.get(0, &k).unwrap();
+        }
+        let reads = s.pool.device().stats().snapshot().since(&io).reads();
+        (lookups() - before, reads)
+    }
+
+    /// How many of `keys` tenant 0's key filter lets through to the tree.
+    fn passes(s: &Shard<u64, u64>, keys: impl IntoIterator<Item = u64>) -> usize {
+        let filter = s.filter.as_ref().expect("a compacted shard has a filter");
+        keys.into_iter()
+            .filter(|k| filter.may_contain(filter_hash(0, k)))
+            .count()
+    }
+
+    #[test]
+    fn gets_agree_with_a_model_across_compactions_and_a_recovery() {
+        use pdm::{Journal, RamDisk};
+        use rand::prelude::*;
+        // Writes draw keys from 0..1 000 and gets from 0..2 000, so at
+        // least half the gets ask for a key the shard does not hold.
+        const KEYS: u64 = 1_000;
+        let ram = RamDisk::new(512);
+        let journal = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+        let headers = journal.header_blocks().unwrap();
+        let mut s: Shard<u64, u64> = Shard::with_journal(journal, 16, 0, 200).unwrap();
+        let mut model = BTreeMap::new();
+        let mut rng = StdRng::seed_from_u64(31);
+        let (mut compactions, mut gets, mut absent) = ([0usize; 2], 0, 0);
+        for round in 0..120u64 {
+            if round == 60 {
+                // A crash after an acked flush; the recovered shard starts
+                // without a filter.
+                std::mem::forget(s);
+                let j = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+                s = Shard::recover(j, 16, 0, 200).unwrap();
+                assert!(s.filter.is_none());
+            }
+            for i in 0..20 {
+                let key = rng.gen_range(0..KEYS);
+                let op = rng.gen_bool(0.7).then_some(round * 100 + i);
+                s.enqueue(0, round * 100 + i, key, op);
+                match op {
+                    Some(v) => model.insert(key, v),
+                    None => model.remove(&key),
+                };
+            }
+            s.flush_batch(|_, _| {}).unwrap();
+            compactions[usize::from(round >= 60)] += usize::from(s.maybe_compact().unwrap());
+            for _ in 0..20 {
+                let key = rng.gen_range(0..2 * KEYS);
+                let want = model.get(&key).copied();
+                absent += usize::from(want.is_none());
+                gets += 1;
+                assert_eq!(s.get(0, &key).unwrap(), want, "round {round}, key {key}");
+            }
+        }
+        assert!(
+            2 * absent >= gets,
+            "{absent} of {gets} gets were of absent keys"
+        );
+        assert!(
+            compactions[0] >= 3 && compactions[1] >= 3,
+            "{compactions:?}"
+        );
+        s.check_invariants().unwrap();
+    }
+
+    /// 5 000 even keys compacted into a tree of 25 pairs a leaf and 26
+    /// children a node at `B` = 512: 200 leaves, 8 internal nodes and a
+    /// root.  The key filter is 8 KiB, 13 bits a key.
+    fn compacted_evens() -> Shard<u64, u64> {
+        let mut s = ram_shard(usize::MAX);
+        for k in 0..5_000u64 {
+            s.enqueue(0, k, 2 * k, Some(k));
+        }
+        s.flush_batch(|_, _| {}).unwrap();
+        s.compact().unwrap();
+        assert_eq!(
+            (s.tree.height(), s.filter.as_ref().unwrap().bits()),
+            (3, 1 << 16)
+        );
+        s
+    }
+
+    #[test]
+    fn a_get_of_an_absent_key_reads_the_tree_only_on_a_false_positive() {
+        let s = compacted_evens();
+        let spread = |i: u64| 2 * (i * 37 % 5_000);
+        // Present keys first, from the pool state the compaction left: each
+        // descends the tree, and reads what it read without a filter.
+        let (lookups, reads) = get_ledger(&s, (0..1_000).map(spread));
+        assert_eq!((lookups, reads), (3_000, 1_059));
+        // Absent keys between them: only the filter's false positives
+        // descend, three lookups each.  Without the filter every one did:
+        // 3 000 lookups and 1 060 reads.
+        let absent = || (0..1_000).map(|i| spread(i) + 1);
+        let false_positives = passes(&s, absent());
+        assert_eq!(false_positives, 23);
+        let (lookups, reads) = get_ledger(&s, absent());
+        assert_eq!((lookups, reads), (3 * false_positives as u64, 32));
+        assert!(absent().all(|k| s.get(0, &k).unwrap().is_none()));
+    }
+
+    #[test]
+    fn a_recovered_shard_reads_the_tree_for_absent_keys_until_it_compacts() {
+        use pdm::{Journal, RamDisk};
+        let ram = RamDisk::new(512);
+        let journal = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+        let headers = journal.header_blocks().unwrap();
+        let mut s: Shard<u64, u64> = Shard::with_journal(journal, 16, 0, usize::MAX).unwrap();
+        for k in 0..2_000u64 {
+            s.enqueue(0, k, 2 * k, Some(k));
+        }
+        s.flush_batch(|_, _| {}).unwrap();
+        s.compact().unwrap();
+        let height = u64::from(s.tree.height());
+        let absent = || (0..500u64).map(|i| 2 * i * 4 + 1);
+        let descents = |s: &Shard<u64, u64>| get_ledger(s, absent()).0 / height;
+        let false_positives = passes(&s, absent()) as u64;
+        assert_eq!(descents(&s), false_positives);
+        std::mem::forget(s);
+        let j = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+        let mut s = Shard::<u64, u64>::recover(j, 16, 0, usize::MAX).unwrap();
+        // No filter yet: every absent key descends the tree, twice over.
+        assert_eq!(descents(&s), 500);
+        assert_eq!(descents(&s), 500);
+        // The next compaction, of a single put, brings the filter back: at
+        // 8 bits a key over 2 001 keys, 20 of the 500 pass it.
+        s.enqueue(0, 0, 3, Some(3));
+        s.flush_batch(|_, _| {}).unwrap();
+        s.compact().unwrap();
+        assert_eq!(passes(&s, absent()), 20);
+        assert_eq!(descents(&s), 20);
+        assert!(absent().all(|k| s.get(0, &k).unwrap().is_none()));
+    }
+
+    #[test]
+    fn a_compaction_failed_by_the_device_keeps_the_old_filter() {
+        use pdm::{BlockDevice, CrashSwitch, FaultDisk, FaultPlan, RamDisk};
+        // Keys ≡ 0 mod 3 in the tree, then keys ≡ 1 mod 3 in the delta, and
+        // a second compaction on a device that crashes after `kill`
+        // transfers.  Returns the shard, that compaction's result and the
+        // transfers before and after it.
+        let run = |kill: u64| -> (Shard<u64, u64>, Result<()>, u64, u64) {
+            let ram = RamDisk::new(512);
+            let faulty = FaultDisk::wrap(
+                Arc::clone(&ram) as SharedDevice,
+                FaultPlan::new(0).with_crash(CrashSwitch::after(kill)),
+            );
+            let mut s: Shard<u64, u64> = Shard::new(faulty, 16, 0, usize::MAX).unwrap();
+            for k in 0..3_000u64 {
+                s.enqueue(0, k, 3 * k, Some(k));
+            }
+            s.flush_batch(|_, _| {}).unwrap();
+            s.compact().unwrap();
+            for k in 0..1_500u64 {
+                s.enqueue(0, k, 3 * k + 1, Some(k));
+            }
+            s.flush_batch(|_, _| {}).unwrap();
+            let before = ram.stats().snapshot().total();
+            let compacted = s.compact();
+            (s, compacted, before, ram.stats().snapshot().total())
+        };
+        let (_, compacted, before, after) = run(u64::MAX);
+        compacted.unwrap();
+        // Crash halfway through the rebuild.
+        let (s, compacted, ..) = run((before + after) / 2);
+        assert!(matches!(compacted, Err(PdmError::Io(_))), "{compacted:?}");
+        // The old tree is on a dead device: a get may fail, but a key the
+        // tree or the delta holds is never answered "absent".
+        let held = (0..3_000u64).map(|k| (3 * k, k));
+        let (mut found, mut failed) = (0, 0);
+        for (key, v) in held.chain((0..1_500).map(|k| (3 * k + 1, k))) {
+            match s.get(0, &key) {
+                Ok(got) => {
+                    assert_eq!(got, Some(v), "key {key}");
+                    found += 1;
+                }
+                Err(_) => failed += 1,
+            }
+        }
+        assert!(
+            found >= 1_500 && failed > 0,
+            "{found} found, {failed} failed"
+        );
+        assert!((0..3_000u64).all(|k| !matches!(s.get(0, &(3 * k + 2)), Ok(Some(_)))));
+    }
+
+    /// A `u64` key whose order flips while [`REVERSED`] is set, so a delta
+    /// built in one order reaches `apply_sorted_batch` unsorted in the other.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Flip(u64);
+
+    thread_local! {
+        static REVERSED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    impl Ord for Flip {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            let ord = self.0.cmp(&other.0);
+            if REVERSED.get() {
+                ord.reverse()
+            } else {
+                ord
+            }
+        }
+    }
+
+    impl PartialOrd for Flip {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Record for Flip {
+        const BYTES: usize = 8;
+        fn write_to(&self, buf: &mut [u8]) {
+            self.0.write_to(buf)
+        }
+        fn read_from(buf: &[u8]) -> Self {
+            Flip(u64::read_from(buf))
+        }
+    }
+
+    #[test]
+    fn a_compaction_refused_for_an_unsorted_batch_keeps_the_old_filter() {
+        let dev: SharedDevice = DiskArray::new_ram(1, 512, Placement::Independent);
+        let mut s: Shard<Flip, u64> = Shard::new(dev, 16, 0, usize::MAX).unwrap();
+        for k in 0..1_000u64 {
+            s.enqueue(0, k, Flip(2 * k), Some(k));
+        }
+        s.flush_batch(|_, _| {}).unwrap();
+        s.compact().unwrap();
+        for k in 0..100u64 {
+            s.enqueue(0, k, Flip(2 * k + 1), Some(k));
+        }
+        s.flush_batch(|_, _| {}).unwrap();
+        // Reversed, the delta's second key is below its first: the rebuild
+        // has written one key when it refuses the batch.
+        REVERSED.set(true);
+        let compacted = s.compact();
+        REVERSED.set(false);
+        assert!(
+            matches!(compacted, Err(PdmError::InvalidRequest(_))),
+            "{compacted:?}"
+        );
+        for k in 0..1_000u64 {
+            assert_eq!(
+                s.get(0, &Flip(2 * k)).unwrap(),
+                Some(k),
+                "tree key {}",
+                2 * k
+            );
+        }
+        for k in 0..100u64 {
+            assert_eq!(s.get(0, &Flip(2 * k + 1)).unwrap(), Some(k));
+        }
+        assert!((100..1_000u64).all(|k| s.get(0, &Flip(2 * k + 1)).unwrap().is_none()));
+        // The tree is the old one, and the next compaction succeeds.
+        assert_eq!(s.tree_len(), 1_000);
+        s.compact().unwrap();
+        assert_eq!(s.tree_len(), 1_100);
         s.check_invariants().unwrap();
     }
 }

@@ -213,6 +213,12 @@ fn strictly_increasing<K: Ord + Clone, T>(
     }
 }
 
+/// What [`BTree::check_invariants`] returns for a broken `invariant` found
+/// at node `id`.
+fn corrupt(invariant: &str, id: BlockId) -> PdmError {
+    PdmError::Corrupt(format!("B-tree node {id}: {invariant}"))
+}
+
 impl<K: Record + Ord, V: Record> BTree<K, V> {
     /// Create an empty tree whose nodes are cached by `pool`.
     pub fn new(pool: Arc<BufferPool>) -> Result<Self> {
@@ -770,11 +776,16 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     /// A delete of an absent key is a no-op.  Returns the number of live
     /// pairs after the merge (also the new [`len`](Self::len)).
     ///
+    /// `kept` sees every key the new tree holds, once each, in key order, as
+    /// it is written: a caller can summarize the rebuilt tree in memory
+    /// without reading it back.  On an error it has seen a prefix of the
+    /// keys of a tree that was never installed.
+    ///
     /// # Errors
     /// [`PdmError::InvalidRequest`] if the batch is not strictly increasing
     /// by key.  The new nodes built so far are freed and the tree is left as
     /// it was.
-    pub fn apply_sorted_batch<I>(&mut self, ops: I) -> Result<u64>
+    pub fn apply_sorted_batch<I>(&mut self, ops: I, mut kept: impl FnMut(&K)) -> Result<u64>
     where
         I: IntoIterator<Item = (K, Option<V>)>,
     {
@@ -818,7 +829,8 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
                     }
                 },
             };
-            if emit.is_some() {
+            if let Some((k, _)) = &emit {
+                kept(k);
                 return Ok(emit);
             }
         };
@@ -919,15 +931,18 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
 
     /// Verify structural invariants (sorted keys, occupancy, leaf chain,
     /// uniform depth); test support.  Costs a full tree scan.
+    ///
+    /// # Errors
+    /// [`PdmError::Corrupt`] naming the first invariant found broken and
+    /// the node it was found at; a device error as the read returns it.
     pub fn check_invariants(&self) -> Result<()> {
         let mut leaf_depths = Vec::new();
         self.check_rec(self.root, 1, None, None, &mut leaf_depths)?;
-        assert!(
-            leaf_depths.windows(2).all(|w| w[0] == w[1]),
-            "leaves at differing depths"
-        );
-        if let Some(&d) = leaf_depths.first() {
-            assert_eq!(d, self.height, "height mismatch");
+        if leaf_depths.windows(2).any(|w| w[0] != w[1]) {
+            return Err(corrupt("leaves at differing depths", self.root));
+        }
+        if leaf_depths.first().is_some_and(|&d| d != self.height) {
+            return Err(corrupt("height differs from the leaves' depth", self.root));
         }
         Ok(())
     }
@@ -942,37 +957,31 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     ) -> Result<u64> {
         match self.read_node(id)? {
             Node::Leaf { entries, .. } => {
-                assert!(
-                    entries.windows(2).all(|w| w[0].0 < w[1].0),
-                    "leaf keys unsorted"
-                );
-                for (k, _) in &entries {
-                    assert!(lo.is_none_or(|l| l <= k), "key below subtree range");
-                    assert!(hi.is_none_or(|h| k < h), "key above subtree range");
+                if entries.windows(2).any(|w| w[0].0 >= w[1].0) {
+                    return Err(corrupt("leaf keys unsorted", id));
                 }
-                if id != self.root {
-                    assert!(
-                        entries.len() >= self.leaf_cap.div_ceil(2).max(1).saturating_sub(1),
-                        "underfull leaf"
-                    );
+                let in_range = |k: &K| lo.is_none_or(|l| l <= k) && hi.is_none_or(|h| k < h);
+                if !entries.iter().all(|(k, _)| in_range(k)) {
+                    return Err(corrupt("leaf key outside its subtree's range", id));
+                }
+                let min_leaf = self.leaf_cap.div_ceil(2).max(1).saturating_sub(1);
+                if id != self.root && entries.len() < min_leaf {
+                    return Err(corrupt("underfull leaf", id));
                 }
                 leaf_depths.push(depth);
                 Ok(entries.len() as u64)
             }
             Node::Internal { keys, children } => {
-                assert!(!keys.is_empty() || id == self.root, "empty internal node");
-                if id != self.root {
-                    assert!(
-                        keys.len() >= self.internal_cap / 2,
-                        "underfull internal node: {} keys",
-                        keys.len()
-                    );
+                // `internal_cap ≥ 4`, so an empty node is underfull too.
+                if id != self.root && keys.len() < self.internal_cap / 2 {
+                    return Err(corrupt("underfull internal node", id));
                 }
-                assert_eq!(children.len(), keys.len() + 1);
-                assert!(
-                    keys.windows(2).all(|w| w[0] < w[1]),
-                    "internal keys unsorted"
-                );
+                if children.len() != keys.len() + 1 {
+                    return Err(corrupt("internal node's children are not keys + 1", id));
+                }
+                if keys.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(corrupt("internal keys unsorted", id));
+                }
                 let mut total = 0;
                 for (i, child) in children.iter().enumerate() {
                     let clo = if i == 0 { lo } else { Some(&keys[i - 1]) };
@@ -1244,10 +1253,15 @@ mod tests {
                 }
             }
         }
+        let mut kept = Vec::new();
         let n = t
-            .apply_sorted_batch(batch.iter().map(|(&k, &v)| (k, v)))
+            .apply_sorted_batch(batch.iter().map(|(&k, &v)| (k, v)), |&k| kept.push(k))
             .unwrap();
         assert_eq!(n as usize, model.len());
+        assert!(
+            kept.into_iter().eq(model.keys().copied()),
+            "each kept key once, in order"
+        );
         assert_eq!(t.len() as usize, model.len());
         t.check_invariants().unwrap();
         let expect: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
@@ -1261,11 +1275,11 @@ mod tests {
     fn apply_sorted_batch_edge_cases() {
         // Empty tree, empty batch.
         let mut t: BTree<u64, u64> = BTree::new(pool(128, 8)).unwrap();
-        assert_eq!(t.apply_sorted_batch(std::iter::empty()).unwrap(), 0);
+        assert_eq!(t.apply_sorted_batch(std::iter::empty(), |_| {}).unwrap(), 0);
         assert!(t.is_empty());
         // Batch into an empty tree behaves like a bulk load.
         assert_eq!(
-            t.apply_sorted_batch((0..100u64).map(|k| (k, Some(k))))
+            t.apply_sorted_batch((0..100u64).map(|k| (k, Some(k))), |_| {})
                 .unwrap(),
             100
         );
@@ -1273,7 +1287,7 @@ mod tests {
         assert_eq!(t.get(&42).unwrap(), Some(42));
         // Deleting everything collapses back to an empty, usable tree.
         assert_eq!(
-            t.apply_sorted_batch((0..100u64).map(|k| (k, None)))
+            t.apply_sorted_batch((0..100u64).map(|k| (k, None)), |_| {})
                 .unwrap(),
             0
         );
@@ -1293,9 +1307,9 @@ mod tests {
             let mut t: BTree<u64, u64> = BTree::new(pool(256, 8)).unwrap();
             // Load three leaves' worth, then delete down to `live` keys so
             // every possible tail-leaf remainder is exercised.
-            t.apply_sorted_batch((0..120u64).map(|k| (k, Some(k))))
+            t.apply_sorted_batch((0..120u64).map(|k| (k, Some(k))), |_| {})
                 .unwrap();
-            t.apply_sorted_batch((live..120u64).map(|k| (k, None)))
+            t.apply_sorted_batch((live..120u64).map(|k| (k, None)), |_| {})
                 .unwrap();
             assert_eq!(t.len(), live);
             t.check_invariants()
@@ -1321,15 +1335,71 @@ mod tests {
         let ops = (0..400u64)
             .map(|k| (k, (k % 3 != 0).then_some(k)))
             .chain([(7, None)]);
-        let err = t.apply_sorted_batch(ops).err();
+        let err = t.apply_sorted_batch(ops, |_| {}).err();
         assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
         assert_eq!(t.pool().device().allocated_blocks(), allocated);
         assert_eq!(t.len(), 300);
         t.check_invariants().unwrap();
         assert_eq!(t.range(&0, &u64::MAX).unwrap(), pairs);
         // Still a working tree.
-        t.apply_sorted_batch([(1, Some(1))]).unwrap();
+        t.apply_sorted_batch([(1, Some(1))], |_| {}).unwrap();
         assert_eq!(t.get(&1).unwrap(), Some(1));
+    }
+
+    /// A packed tree over 500 pairs at 128 B blocks: four levels, so the
+    /// root's first child is an internal node.
+    fn four_levels() -> BTree<u64, u64> {
+        let t = BTree::bulk_load(pool(128, 16), (0..500u64).map(|k| (k, k))).unwrap();
+        assert_eq!(t.height(), 4);
+        t
+    }
+
+    /// `check_invariants` on a tree with one node overwritten: the error
+    /// names the invariant and the node.
+    fn corrupt_message(t: &BTree<u64, u64>, id: BlockId, node: Node<u64, u64>) -> String {
+        t.check_invariants().unwrap();
+        t.write_node(id, &node).unwrap();
+        match t.check_invariants() {
+            Err(PdmError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("node {id}:")), "{msg}");
+                msg
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_unsorted_leaf_is_reported_as_corrupt() {
+        let t = four_levels();
+        let mut id = t.root();
+        while let Node::Internal { children, .. } = t.read_node(id).unwrap() {
+            id = children[0];
+        }
+        let Node::Leaf { next, mut entries } = t.read_node(id).unwrap() else {
+            unreachable!("the descent ends at a leaf")
+        };
+        entries.reverse();
+        let msg = corrupt_message(&t, id, Node::Leaf { next, entries });
+        assert!(msg.ends_with("leaf keys unsorted"), "{msg}");
+    }
+
+    #[test]
+    fn an_underfull_internal_node_is_reported_as_corrupt() {
+        let t = four_levels();
+        let Node::Internal { children: top, .. } = t.read_node(t.root()).unwrap() else {
+            unreachable!("a four-level root is internal")
+        };
+        let id = top[0];
+        let Node::Internal { keys, children } = t.read_node(id).unwrap() else {
+            unreachable!("the root's children are internal at four levels")
+        };
+        // One key of the seven packed there, below `remove`'s bound of 3.
+        let node = Node::Internal {
+            keys: keys[..1].to_vec(),
+            children: children[..2].to_vec(),
+        };
+        let msg = corrupt_message(&t, id, node);
+        assert!(msg.ends_with("underfull internal node"), "{msg}");
     }
 
     /// Nodes and height of a packed tree over `n` pairs: `⌈n/leaf_cap⌉`
@@ -1370,7 +1440,10 @@ mod tests {
             let mut applied = BTree::bulk_load(pool(128, 16), (0..n).map(|k| (k * 2, k))).unwrap();
             // Erase every old pair and insert as many between them.
             applied
-                .apply_sorted_batch((0..2 * n).map(|k| (k, (k % 2 == 1).then_some(k / 2))))
+                .apply_sorted_batch(
+                    (0..2 * n).map(|k| (k, (k % 2 == 1).then_some(k / 2))),
+                    |_| {},
+                )
                 .unwrap();
             for mut t in [bulk, applied] {
                 assert_eq!(t.len(), n);
@@ -1410,7 +1483,7 @@ mod tests {
             let mut t: BTree<u64, u64> =
                 BTree::reattach(cold, built.root(), built.height(), built.len());
             let before = device.stats().snapshot();
-            t.apply_sorted_batch((0..n).map(|k| (k * 2 + 1, Some(k))))
+            t.apply_sorted_batch((0..n).map(|k| (k * 2 + 1, Some(k))), |_| {})
                 .unwrap();
             t.pool().flush().unwrap();
             let d = device.stats().snapshot_delta(&before);

@@ -185,7 +185,7 @@ fn btree_crash_run(m: &Medium, k: u64, batches: &[Vec<(u64, Option<u64>)>]) -> b
             for (key, op) in batch {
                 pending.insert(*key, *op);
             }
-            tree.apply_sorted_batch(batch.iter().cloned())?;
+            tree.apply_sorted_batch(batch.iter().cloned(), |_| {})?;
             checkpoint_tree(j, &tree)?;
             *acked = pending.clone();
         }

@@ -172,6 +172,14 @@ fn all_four_dictionaries_converge() {
         assert_eq!(eh.get(&k).unwrap(), want);
         assert_eq!(shard.get(0, &k).unwrap(), want);
     }
+    // Keys the tape never wrote, after the shard's compaction: its key filter
+    // answers most of them without the tree, and every answer is absent.
+    for k in 3_000..4_000u64 {
+        assert_eq!(bt.get(&k).unwrap(), None);
+        assert_eq!(bft.get(&k).unwrap(), None);
+        assert_eq!(eh.get(&k).unwrap(), None);
+        assert_eq!(shard.get(0, &k).unwrap(), None, "key {k}");
+    }
 }
 
 /// The serving shard must reach the same final state when every device in
