@@ -289,10 +289,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
             return;
         };
         let (protected, older, newer) = (moved.protected, moved.older, moved.newer);
-        *self
-            .index
-            .get_mut(&moved.key)
-            .expect("resident node is indexed") = i;
+        self.index.insert(moved.key.clone(), i);
         self.splice(protected, older, newer, i, i);
     }
 

@@ -7,19 +7,22 @@
 //!
 //! Three pieces:
 //!
-//! * [`Shard`] — one partition of the dictionary: an [`emtree::BTree`]
-//!   (authoritative, point-read path through a [`pdm::BufferPool`]) paired
-//!   with an append-only op log and an in-memory, key-ordered delta map
-//!   holding the latest op per key since the last compaction.  Nothing
-//!   queries the log, so a write costs its `Scan(N)` share, `R/B` of a
-//!   block write; a periodic compaction feeds the delta — which, with the
-//!   batch empty, *is* the log's latest-op-per-key view — to
+//! * [`Shard`] — one partition of the dictionary: an [`emtree::BTree`] per
+//!   tenant (authoritative, point-read path through the shard's
+//!   [`pdm::BufferPool`]; an entry is the user's record, with no tenant
+//!   prefix) paired with an append-only op log and an in-memory,
+//!   key-ordered delta map holding the latest op per `(tenant, key)` since
+//!   the last compaction.  Nothing queries the log, so a write costs its
+//!   `Scan(N)` share, `R/B` of a block write; a periodic compaction feeds
+//!   each tenant's run of the delta — which, with the batch empty, *is* the
+//!   log's latest-op-per-key view — to that tenant's
 //!   [`BTree::apply_sorted_batch`](emtree::BTree::apply_sorted_batch), one
 //!   streaming rebuild that reads each old node once and writes each new
-//!   node once, and frees the log without reading it.  Only crash recovery
-//!   reads the log.  The rebuild also refreshes an in-memory key filter
-//!   over the tree, so a get of a key neither the delta nor the tree holds
-//!   reads no block except on a false positive.
+//!   node once, leaves the trees of tenants the delta does not touch alone,
+//!   and frees the log without reading it.  Only crash recovery reads the
+//!   log.  Each rebuild also refreshes an in-memory key filter over its
+//!   tree, so a get of a key neither the delta nor the tree holds reads no
+//!   block except on a false positive.
 //! * [`Server`] — the concurrent request batcher: one bounded MPSC ingest
 //!   queue and drain thread per shard.  The drain thread coalesces
 //!   puts/deletes into batches flushed on *size or deadline* (throughput

@@ -1,7 +1,7 @@
 //! The shard's op log: every accepted write, in arrival order.
 //!
 //! Nobody queries it.  Reads go to the shard's delta overlay and the B+-tree,
-//! compaction feeds the tree from the delta and frees the log unread, and
+//! compaction feeds the trees from the delta and frees the log unread, and
 //! only [`Shard::recover`](crate::Shard::recover) reads it back, to rebuild a
 //! delta a crash lost.  A log read only at recovery has the survey's
 //! `Scan(N)` floor: `⌈N·R/B⌉` block writes for `N` ops of `R` bytes, holding
@@ -13,7 +13,7 @@
 //! [`Journal`](pdm::Journal) it is born in the epoch that writes it and goes
 //! straight home, with no shadow; it is never rewritten.  The tail instead
 //! rides in the [manifest](OpLog::manifest_bytes) — newest block, block
-//! count, tail bytes — which a checkpoint stores next to the tree's, so a
+//! count, tail bytes — which a checkpoint stores next to the trees', so a
 //! flush of `n` ops into a tail of `t` records costs `⌊(t + n)/per_block⌋`
 //! block writes and no reads.
 
@@ -129,7 +129,9 @@ impl<K: Record + Ord, V: Record> OpLog<K, V> {
 
     /// Reopen the log a [manifest](Self::manifest_bytes) describes, with
     /// its latest op per key.  One read per block, no write; a malformed
-    /// manifest or chain is [`PdmError::Corrupt`].
+    /// manifest (shorter than its two words, or a tail that is not a whole
+    /// number of records short of a block) or chain is
+    /// [`PdmError::Corrupt`].
     pub(crate) fn reattach(device: SharedDevice, bytes: &[u8]) -> Result<(Self, Latest<K, V>)> {
         let corrupt = || PdmError::Corrupt("malformed op-log manifest".into());
         let mut log = Self::new(device)?;
@@ -137,8 +139,7 @@ impl<K: Record + Ord, V: Record> OpLog<K, V> {
         if tail.len() % Self::RECORD != 0 || tail.len() / Self::RECORD >= log.per_block {
             return Err(corrupt());
         }
-        let word = |i: usize| u64::from_le_bytes(fixed[i * 8..][..8].try_into().expect("8 bytes"));
-        let (head, count) = (word(0), word(1));
+        let (head, count) = <(BlockId, u64)>::read_from(fixed);
         if count > log.device.allocated_blocks() {
             return Err(corrupt());
         }
@@ -177,7 +178,7 @@ impl<K: Record + Ord, V: Record> OpLog<K, V> {
             self.device.read_block(next, &mut buf)?;
             blocks.push(next);
             replay(&buf[LINK..][..self.per_block * Self::RECORD]);
-            next = u64::from_le_bytes(buf[..LINK].try_into().expect("8 bytes"));
+            next = BlockId::read_from(&buf[..LINK]);
         }
         if next != NONE {
             return Err(PdmError::Corrupt("op-log chain runs past its count".into()));

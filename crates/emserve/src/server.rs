@@ -24,7 +24,7 @@
 
 use std::hash::Hash;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -139,6 +139,9 @@ pub struct Server<K: Record + Ord + Eq + Hash, V: Record> {
     senders: Vec<SyncSender<Msg<K, V>>>,
     workers: Vec<JoinHandle<()>>,
     pools: Vec<Arc<BufferPool>>,
+    /// The first error any worker hit.  Only ever assigned whole, so a lock
+    /// poisoned by a panicking holder still guards a valid value, and every
+    /// access takes it with `PoisonError::into_inner`.
     first_error: Arc<Mutex<Option<String>>>,
 }
 
@@ -334,7 +337,12 @@ where
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-        match self.first_error.lock().expect("error slot").take() {
+        match self
+            .first_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+        {
             Some(e) => Err(PdmError::Io(std::io::Error::other(e))),
             None => Ok(()),
         }
@@ -344,7 +352,7 @@ where
         let msg = self
             .first_error
             .lock()
-            .expect("error slot")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
             .unwrap_or_else(|| fallback.to_string());
         PdmError::Io(std::io::Error::other(msg))
@@ -569,7 +577,10 @@ where
         if self.failed.is_none() {
             self.failed = Some(msg.clone());
         }
-        let mut slot = self.first_error.lock().expect("error slot");
+        let mut slot = self
+            .first_error
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if slot.is_none() {
             *slot = Some(msg);
         }

@@ -15,26 +15,36 @@
 //! reads the log, to rebuild the delta a crash lost.  The log is the shard's
 //! durable record of accepted writes, not a stage its data passes through.
 //!
-//! Multi-tenancy is by key prefix: the stored key is `(tenant, key)`, so
-//! one physical tree serves every tenant of the shard and per-tenant range
-//! scans are contiguous.  A delete is logged as a tombstone record, and
-//! compaction feeds the delta, in key order, to
+//! Multi-tenancy is one tree per tenant: a tree entry is the user's own
+//! `(key, value)` record, with no tenant prefix repeated in every entry, so
+//! a block holds as many records as a single-tenant tree's would.  The log
+//! and the delta keep `(tenant, key)`, ordered by tenant first.  A delete
+//! is logged as a tombstone record, and compaction feeds each tenant's run
+//! of the delta, in key order, to that tenant's
 //! [`BTree::apply_sorted_batch`] — puts as upserts, deletes as erases —
-//! then resets log and delta.  It runs once the delta holds
-//! `compact_threshold` keys, or once the log holds `compact_threshold`
-//! records that a later op on the same key superseded, so an overwrite
-//! stream on a few hot keys cannot grow the log past about twice the
-//! threshold.
+//! then resets log and delta.  A tenant the delta does not touch is neither
+//! read nor rewritten, and a tenant's tree is created by the first
+//! compaction that puts a key of it, through the same call.  Compaction
+//! runs once the delta holds `compact_threshold` keys, or once the log
+//! holds `compact_threshold` records that a later op on the same key
+//! superseded, so an overwrite stream on a few hot keys cannot grow the log
+//! past about twice the threshold.
 //!
-//! Beside the tree sits a *key filter* ([`KeyFilter`], two bytes a key),
-//! rebuilt by every compaction from the keys it writes.  Between
-//! compactions the shard never changes its tree, so the filter has no false
-//! negatives; a key written since is answered by the delta before the
+//! Beside each tree sits a *key filter* ([`KeyFilter`], two bytes a key),
+//! rebuilt by every compaction of that tree from the keys it writes.
+//! Between compactions the shard never changes a tree, so its filter has no
+//! false negatives; a key written since is answered by the delta before the
 //! filter is asked.  A get of a key neither holds therefore costs no
-//! transfer, except on a false positive.  The filter is memory only: a
-//! fresh or recovered shard has none until its next compaction, and reads
-//! the tree for every get the delta does not answer.
+//! transfer, except on a false positive, and a get for a tenant with no
+//! tree costs none at all.  Filters are memory only: a recovered tree has
+//! none until its next compaction, and reads the tree for every get the
+//! delta does not answer.
+//!
+//! A journaled shard's checkpoint records its trees as one
+//! `(tenant u32, root u64, height u64, len u64)` entry of 28 bytes each, in
+//! tenant order ([`TREE_ENTRY`]).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -79,6 +89,43 @@ fn filter_hash<K: Record>(tenant: u32, key: &K) -> u64 {
     hash_bytes(&record_bytes(tenant, key))
 }
 
+/// One tree's checkpoint entry: tenant, root, height, len.
+type TreeEntry = (u32, u64, u64, u64);
+
+/// Bytes of a [`TreeEntry`]: 28.
+const TREE_ENTRY: usize = <TreeEntry as Record>::BYTES;
+
+/// One tenant's B+-tree and the key filter over it.
+struct TenantTree<K: Record + Ord, V: Record> {
+    tree: BTree<K, V>,
+    /// Membership summary of `tree`'s keys, built from the keys its last
+    /// compaction wrote and consulted by [`Shard::get`] before the tree.
+    /// `None` for a tree this instance has not compacted yet.  In memory
+    /// only, and charged to no budget, like the delta.
+    filter: Option<KeyFilter>,
+}
+
+/// Parse a checkpoint's tree manifest into `(tenant, root, height, len)`
+/// entries.  A length that is not a whole number of entries, a height that
+/// does not fit `u32`, or tenants not strictly increasing (one listed twice)
+/// is [`PdmError::Corrupt`].
+fn parse_trees(bytes: &[u8]) -> Result<Vec<(u32, u64, u32, u64)>> {
+    let corrupt = || PdmError::Corrupt("malformed shard tree manifest".into());
+    if !bytes.len().is_multiple_of(TREE_ENTRY) {
+        return Err(corrupt());
+    }
+    let mut entries: Vec<(u32, u64, u32, u64)> = Vec::with_capacity(bytes.len() / TREE_ENTRY);
+    for chunk in bytes.chunks_exact(TREE_ENTRY) {
+        let (tenant, root, height, len) = TreeEntry::read_from(chunk);
+        let height = u32::try_from(height).map_err(|_| corrupt())?;
+        if entries.last().is_some_and(|&(prev, ..)| prev >= tenant) {
+            return Err(corrupt());
+        }
+        entries.push((tenant, root, height, len));
+    }
+    Ok(entries)
+}
+
 /// A pending write destined for the log: who to ack, and what to apply.
 struct PendingOp<K, V> {
     tenant: u32,
@@ -88,19 +135,16 @@ struct PendingOp<K, V> {
     op: Option<V>,
 }
 
-/// One partition of the dictionary: B+-tree + op log + delta.
+/// One partition of the dictionary: a B+-tree per tenant + op log + delta.
 ///
 /// Single-threaded by design — the [`Server`](crate::Server) gives each
 /// shard its own drain thread and lane-pinned device, so shards never
 /// contend on locks or on each other's disk queues.
 pub struct Shard<K: Record + Ord, V: Record> {
+    /// Read pool every tenant's tree shares.
     pool: Arc<BufferPool>,
-    tree: BTree<Ik<K>, V>,
-    /// Membership summary of `tree`'s keys, built from the keys the last
-    /// compaction wrote and consulted by [`get`](Self::get) before the
-    /// tree.  `None` until this instance's first compaction.  In memory
-    /// only, and charged to no budget, like `delta`.
-    filter: Option<KeyFilter>,
+    /// Each tenant's tree, once a compaction has put a key of it.
+    trees: BTreeMap<u32, TenantTree<K, V>>,
     log: OpLog<K, V>,
     /// Every op since the last compaction (logged *or* still in-flight in
     /// `batch`): `Some(v)` put, `None` delete.  Read-your-writes overlay
@@ -112,7 +156,7 @@ pub struct Shard<K: Record + Ord, V: Record> {
     compact_threshold: usize,
     /// Crash-recovery journal, when the shard runs on a
     /// [`Journal`]-wrapped device.  Every batch flush and compaction
-    /// commits a checkpoint (tree triple + log manifest) before any op is
+    /// commits a checkpoint (tree entries + log manifest) before any op is
     /// acknowledged, so acked writes survive a crash.  The delta is not
     /// checkpointed: with the batch empty it is exactly the log's
     /// latest-op-per-key view, which [`recover`](Self::recover) reads back.
@@ -164,12 +208,10 @@ where
         compact_threshold: usize,
     ) -> Result<Self> {
         let pool = BufferPool::new(device.clone(), pool_frames, EvictionPolicy::Lru);
-        let tree = BTree::new(pool.clone())?;
         let log = OpLog::new(device)?;
         Ok(Shard {
             pool,
-            tree,
-            filter: None,
+            trees: BTreeMap::new(),
             log,
             delta: BTreeMap::new(),
             batch: Vec::new(),
@@ -185,10 +227,18 @@ where
     /// fresh empty shard.  Un-checkpointed work — including a batch whose
     /// flush never committed — is rewound; none of it was ever acked.
     ///
-    /// The delta overlay is rebuilt by replaying the recovered log, newest
-    /// op first: its tail from the checkpoint manifest, then one read per
-    /// log block, walking the chain back from the newest.  Paid once here,
-    /// instead of `O(δ/B)` chain writes at every flush.
+    /// Each tenant's tree is reattached from its checkpoint entry, with no
+    /// I/O and no key filter.  The delta overlay is rebuilt by replaying
+    /// the recovered log, newest op first: its tail from the checkpoint
+    /// manifest, then one read per log block, walking the chain back from
+    /// the newest.  Paid once here, instead of `O(δ/B)` chain writes at
+    /// every flush.
+    ///
+    /// # Errors
+    ///
+    /// [`PdmError::Corrupt`] for a malformed checkpoint: a tree manifest
+    /// that is not a whole number of entries or lists a tenant twice, or a
+    /// missing or malformed log manifest.
     pub fn recover(
         journal: Arc<Journal>,
         pool_frames: usize,
@@ -198,25 +248,22 @@ where
         let Some(bm) = journal.manifest("btree") else {
             return Self::with_journal(journal, pool_frames, 0, compact_threshold);
         };
-        let corrupt = || PdmError::Corrupt("malformed shard checkpoint".into());
-        if bm.len() != 24 {
-            return Err(corrupt());
-        }
-        let word = |i: usize| u64::from_le_bytes(bm[i * 8..(i + 1) * 8].try_into().expect("8"));
-        let (root, height, len) = (
-            word(0),
-            u32::try_from(word(1)).map_err(|_| corrupt())?,
-            word(2),
-        );
         let device: SharedDevice = Arc::clone(&journal) as SharedDevice;
         let pool = BufferPool::new(device.clone(), pool_frames, EvictionPolicy::Lru);
-        let tree = BTree::reattach(pool.clone(), root, height, len);
-        let lm = journal.manifest("log").ok_or_else(corrupt)?;
+        let trees = parse_trees(&bm)?
+            .into_iter()
+            .map(|(tenant, root, height, len)| {
+                let tree = BTree::reattach(pool.clone(), root, height, len);
+                (tenant, TenantTree { tree, filter: None })
+            })
+            .collect();
+        let lm = journal
+            .manifest("log")
+            .ok_or_else(|| PdmError::Corrupt("shard checkpoint has no op-log manifest".into()))?;
         let (log, delta) = OpLog::reattach(device, &lm)?;
         Ok(Shard {
             pool,
-            tree,
-            filter: None,
+            trees,
             log,
             delta,
             batch: Vec::new(),
@@ -276,8 +323,10 @@ where
     /// Cost: the log blocks the batch fills, `⌊(tail + n)/per_block⌋`
     /// writes, plus the checkpoint — on a journal, one header write, which
     /// carries the log's tail when it fits the header's `B − 48` inline
-    /// bytes beside the record's 104 bytes of framing: up to 41 of the 47
-    /// records a tail can hold at `B` = 1 KiB, and one chain block above
+    /// bytes beside the record's 80 bytes of framing and 28 bytes per tree:
+    /// at `B` = 1 KiB a shard with `T` tenant trees keeps
+    /// `⌊(896 − 28·T)/21⌋` of the 47 records a tail can hold inline (41 at
+    /// one tree, 40 at two, 32 at eight), and writes one chain block above
     /// that.  No reads.
     pub fn flush_batch(&mut self, mut ack: impl FnMut(u32, u64)) -> Result<usize> {
         let batch = std::mem::take(&mut self.batch);
@@ -298,9 +347,10 @@ where
     }
 
     /// Make all accepted state durable.  With a journal: flush the read
-    /// pool's dirty frames, record the tree and log manifests, and commit a
-    /// checkpoint.  Without one: a device barrier, surfacing any dropped
-    /// write-behind error (no extra transfers).
+    /// pool's dirty frames, record one [`TreeEntry`] per tree in tenant
+    /// order and the log manifest, and commit a checkpoint.  Without one: a
+    /// device barrier, surfacing any dropped write-behind error (no extra
+    /// transfers).
     ///
     /// Only ever runs with the batch empty: the overlay is not written, it
     /// is re-derived from the log, so an op still in the batch would be
@@ -312,62 +362,66 @@ where
         };
         let journal = Arc::clone(journal);
         self.pool.flush()?;
-        let mut bm = Vec::with_capacity(24);
-        bm.extend_from_slice(&self.tree.root().to_le_bytes());
-        bm.extend_from_slice(&u64::from(self.tree.height()).to_le_bytes());
-        bm.extend_from_slice(&self.tree.len().to_le_bytes());
+        let mut bm = vec![0u8; self.trees.len() * TREE_ENTRY];
+        for ((&tenant, t), entry) in self.trees.iter().zip(bm.chunks_exact_mut(TREE_ENTRY)) {
+            let tree = &t.tree;
+            (tenant, tree.root(), u64::from(tree.height()), tree.len()).write_to(entry);
+        }
         journal.set_manifest("btree", bm);
         journal.set_manifest("log", self.log.manifest_bytes());
         journal.checkpoint()
     }
 
     /// Point lookup: the delta overlay first (read-your-writes, including
-    /// the open batch), then the key filter, then the B+-tree through the
-    /// pool.
+    /// the open batch), then the tenant's key filter, then the tenant's
+    /// B+-tree through the pool.
     ///
-    /// Cost: no transfer when the delta answers or the filter rejects the
-    /// key, else the tree's `Search(N)` (≤ `height` reads, fewer with the
-    /// upper levels pooled).  A key the tree holds always passes the filter;
-    /// one it does not hold passes only as a false positive, at 8–16 bits a
-    /// key about 1.4–4.9 % of the time, so an absent key costs that share of
-    /// `Search(N)`.  Before the first compaction there is no filter and
-    /// every lookup the delta does not answer reads the tree.
+    /// Cost: no transfer when the delta answers, the tenant has no tree, or
+    /// the filter rejects the key, else the tree's `Search(N)` (≤ `height`
+    /// reads, fewer with the upper levels pooled).  A key the tree holds
+    /// always passes the filter; one it does not hold passes only as a
+    /// false positive, at 8–16 bits a key about 1.4–4.9 % of the time, so an
+    /// absent key costs that share of `Search(N)`.  A recovered tree has no
+    /// filter until its next compaction, and every lookup the delta does
+    /// not answer reads it.
     pub fn get(&self, tenant: u32, key: &K) -> Result<Option<V>> {
-        let ik = (tenant, key.clone());
-        match self.delta.get(&ik) {
-            Some(Some(v)) => Ok(Some(v.clone())),
-            Some(None) => Ok(None),
-            None if self
-                .filter
-                .as_ref()
-                .is_some_and(|f| !f.may_contain(filter_hash(tenant, key))) =>
-            {
-                Ok(None)
-            }
-            None => self.tree.get(&ik),
+        match self.delta.get(&(tenant, key.clone())) {
+            Some(op) => Ok(op.clone()),
+            None => match self.trees.get(&tenant) {
+                Some(t)
+                    if t.filter
+                        .as_ref()
+                        .is_none_or(|f| f.may_contain(filter_hash(tenant, key))) =>
+                {
+                    t.tree.get(key)
+                }
+                _ => Ok(None),
+            },
         }
     }
 
-    /// Tenant-scoped range scan over `[lo, hi]`, merging the tree's view
+    /// Tenant-scoped range scan over `[lo, hi]`, merging the tenant's tree
     /// with the delta overlay (deletes hide tree records, puts override).
     pub fn range(&self, tenant: u32, lo: &K, hi: &K) -> Result<Vec<(K, V)>> {
         if lo > hi {
             return Ok(Vec::new());
         }
-        let lo_ik = (tenant, lo.clone());
-        let hi_ik = (tenant, hi.clone());
-        let mut merged: BTreeMap<Ik<K>, V> = self.tree.range(&lo_ik, &hi_ik)?.into_iter().collect();
-        for (ik, op) in self.delta.range(&lo_ik..=&hi_ik) {
+        let mut merged: BTreeMap<K, V> = match self.trees.get(&tenant) {
+            Some(t) => t.tree.range(lo, hi)?.into_iter().collect(),
+            None => BTreeMap::new(),
+        };
+        let (lo_ik, hi_ik) = ((tenant, lo.clone()), (tenant, hi.clone()));
+        for ((_, k), op) in self.delta.range(&lo_ik..=&hi_ik) {
             match op {
                 Some(v) => {
-                    merged.insert(ik.clone(), v.clone());
+                    merged.insert(k.clone(), v.clone());
                 }
                 None => {
-                    merged.remove(ik);
+                    merged.remove(k);
                 }
             }
         }
-        Ok(merged.into_iter().map(|((_, k), v)| (k, v)).collect())
+        Ok(merged.into_iter().collect())
     }
 
     /// True when the delta has reached the compaction threshold, or the log
@@ -389,20 +443,28 @@ where
         }
     }
 
-    /// Merge everything accepted since the last compaction into the B+-tree
-    /// in one streaming pass.
+    /// Merge everything accepted since the last compaction into the tenants'
+    /// B+-trees, one streaming pass per tenant the delta touches.
     ///
-    /// The delta is the log's latest-op-per-key view, in memory and in key
-    /// order, so it feeds `apply_sorted_batch` directly: puts become
-    /// upserts, deletes become erases, and the tree is rebuilt at its floor
-    /// — each old node read once, each new node written once, `O((N+Δ)/B)`
-    /// transfers instead of `Δ·O(log_B N)` point updates.  The log is not
-    /// read: its blocks are freed, which costs nothing.
+    /// The delta is the log's latest-op-per-key view, in memory and ordered
+    /// by tenant, then key, so each tenant's run of it feeds that tenant's
+    /// `apply_sorted_batch` directly: puts become upserts, deletes become
+    /// erases, and the tree is rebuilt at its floor — each old node read
+    /// once, each new node written once, `O((N+Δ)/B)` transfers instead of
+    /// `Δ·O(log_B N)` point updates.  A tenant the delta does not touch is
+    /// neither read nor rewritten.  A tenant with no tree gets an empty one,
+    /// which the same call rebuilds, unless its run holds deletes only.  The
+    /// log is not read: its blocks are freed, which costs nothing.
     ///
-    /// The key filter is rebuilt from the keys the rebuild writes, at two
-    /// bytes per key the new tree can hold (the old tree's plus the delta's
-    /// puts), and replaces the old one only once the rebuild succeeded: a
-    /// failed compaction leaves the old tree, and the old filter covers it.
+    /// Each tenant's key filter is rebuilt from the keys its rebuild writes,
+    /// at two bytes per key the new tree can hold (the old tree's plus the
+    /// run's puts), and replaces the old one only once that rebuild
+    /// succeeded.  A failure stops the compaction: tenants already rebuilt
+    /// keep their new trees and filters, the failed one its old tree and
+    /// filter (or the empty tree it was given), and the delta and log stay
+    /// whole, so reads stay exact and the next compaction re-applies the
+    /// delta, which is idempotent.  On a journal the compaction is one
+    /// epoch, so a crash rewinds every tenant together.
     ///
     /// # Errors
     ///
@@ -418,33 +480,63 @@ where
         if self.delta.is_empty() {
             return Ok(());
         }
-        let puts = self.delta.values().filter(|op| op.is_some()).count();
-        let mut filter = KeyFilter::with_bytes(2 * (self.tree.len() as usize + puts));
-        self.tree.apply_sorted_batch(
-            self.delta.iter().map(|(ik, op)| (ik.clone(), op.clone())),
-            |(tenant, key)| filter.insert(filter_hash(*tenant, key)),
-        )?;
-        self.filter = Some(filter);
+        // (tenant, ops, puts) per tenant the delta touches, in delta order.
+        let mut runs: Vec<(u32, usize, usize)> = Vec::new();
+        for ((tenant, _), op) in &self.delta {
+            match runs.last_mut() {
+                Some((t, ops, puts)) if t == tenant => {
+                    *ops += 1;
+                    *puts += usize::from(op.is_some());
+                }
+                _ => runs.push((*tenant, 1, usize::from(op.is_some()))),
+            }
+        }
+        let mut ops = self
+            .delta
+            .iter()
+            .map(|((_, k), op)| (k.clone(), op.clone()));
+        for (tenant, n, puts) in runs {
+            let run = ops.by_ref().take(n);
+            let t = match self.trees.entry(tenant) {
+                Entry::Occupied(t) => t.into_mut(),
+                Entry::Vacant(_) if puts == 0 => {
+                    run.for_each(drop);
+                    continue;
+                }
+                Entry::Vacant(slot) => slot.insert(TenantTree {
+                    tree: BTree::new(self.pool.clone())?,
+                    filter: None,
+                }),
+            };
+            let mut filter = KeyFilter::with_bytes(2 * (t.tree.len() as usize + puts));
+            t.tree
+                .apply_sorted_batch(run, |key| filter.insert(filter_hash(tenant, key)))?;
+            t.filter = Some(filter);
+        }
         self.log.clear()?;
         self.delta.clear();
-        // On a journaled shard the rebuild must commit atomically: the frees
-        // of the old tree's nodes and of the log's blocks are deferred inside
+        // On a journaled shard the rebuilds must commit atomically: the frees
+        // of the old trees' nodes and of the log's blocks are deferred inside
         // the journal until this checkpoint, so a crash mid-compaction
-        // rewinds to the intact pre-compaction state, log untouched.
+        // rewinds every tenant to the intact pre-compaction state, log
+        // untouched.
         if self.journal.is_some() {
             self.checkpoint()?;
         }
         Ok(())
     }
 
-    /// Records in the authoritative tree (excludes pending delta ops).
+    /// Records in the authoritative trees, summed over tenants (excludes
+    /// pending delta ops).
     pub fn tree_len(&self) -> u64 {
-        self.tree.len()
+        self.trees.values().map(|t| t.tree.len()).sum()
     }
 
-    /// Structural self-check of the underlying B+-tree.
+    /// Structural self-check of every tenant's B+-tree.
     pub fn check_invariants(&self) -> Result<()> {
-        self.tree.check_invariants()
+        self.trees
+            .values()
+            .try_for_each(|t| t.tree.check_invariants())
     }
 }
 
@@ -456,6 +548,21 @@ mod tests {
     fn ram_shard(compact_threshold: usize) -> Shard<u64, u64> {
         let dev: SharedDevice = DiskArray::new_ram(1, 512, Placement::Independent);
         Shard::new(dev, 16, 256, compact_threshold).unwrap()
+    }
+
+    impl<K: Record + Ord, V: Record> Shard<K, V> {
+        /// `tenant`'s tree and filter; the tenant must have a tree.
+        fn tree_of(&self, tenant: u32) -> &TenantTree<K, V> {
+            &self.trees[&tenant]
+        }
+
+        /// `(tenant, len)` of every tree, in tenant order.
+        fn tree_lens(&self) -> Vec<(u32, u64)> {
+            self.trees
+                .iter()
+                .map(|(&t, tt)| (t, tt.tree.len()))
+                .collect()
+        }
     }
 
     #[test]
@@ -555,12 +662,37 @@ mod tests {
         let t1 = s.range(1, &2, &4).unwrap();
         assert_eq!(t1, vec![(2, 20), (4, 999)]);
         assert_eq!(s.range(1, &9, &3).unwrap(), Vec::new());
+        // Compacted into a tree per tenant, the same answers; a tenant with
+        // no tree answers from the delta alone.
+        s.flush_batch(|_, _| {}).unwrap();
+        s.compact().unwrap();
+        assert_eq!(s.tree_lens(), [(1, 9), (2, 10)]);
+        assert_eq!(s.range(1, &2, &4).unwrap(), vec![(2, 20), (4, 999)]);
+        assert_eq!(s.range(2, &8, &20).unwrap(), vec![(8, 8000), (9, 9000)]);
+        s.enqueue(3, 300, 5, Some(5));
+        assert_eq!(s.range(3, &0, &9).unwrap(), vec![(5, 5)]);
+        assert_eq!(
+            (s.get(3, &5).unwrap(), s.get(4, &5).unwrap()),
+            (Some(5), None)
+        );
     }
 
+    /// The tenant [`crashy_run`] writes `key` under.
+    fn crashy_tenant(key: u64) -> u32 {
+        (key % 3) as u32
+    }
+
+    /// What [`crashy_run`] returns: the model of *acked* state, whether the
+    /// run crashed, the total transfers performed, and the recovered
+    /// shard's `(tenant, len)` per tree.
+    type CrashyRun = (BTreeMap<u64, Option<u64>>, bool, u64, Vec<(u32, u64)>);
+
     /// One scripted journaled-shard run on a device that crashes after `k`
-    /// transfers.  Returns the model of *acked* state, whether the run
-    /// crashed, and the total transfers performed.
-    fn crashy_run(k: u64) -> (BTreeMap<u64, Option<u64>>, bool, u64) {
+    /// transfers.  Keys spread over three tenants ([`crashy_tenant`]); the
+    /// second half of the run deletes every key of tenant 2, so its tree is
+    /// deleted to empty and the manifest lists three trees, one of them
+    /// empty, by the end.
+    fn crashy_run(k: u64) -> CrashyRun {
         use pdm::{CrashSwitch, FaultDisk, FaultPlan, IoStats, Journal, RamDisk};
         const KEYS: u64 = 40;
         let bs = 512;
@@ -596,8 +728,10 @@ mod tests {
                     for round in 0..10u64 {
                         for i in 0..8u64 {
                             let key = (round * 8 + i) % KEYS;
-                            let op = ((round + i) % 5 != 0).then_some(key * 10 + round);
-                            s.enqueue(1, op_id, key, op);
+                            let tenant = crashy_tenant(key);
+                            let put = (round + i) % 5 != 0 && (tenant != 2 || round < 5);
+                            let op = put.then_some(key * 10 + round);
+                            s.enqueue(tenant, op_id, key, op);
                             pending.insert(key, op);
                             op_id += 1;
                         }
@@ -625,7 +759,7 @@ mod tests {
         let j2 = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
         let s2 = Shard::<u64, u64>::recover(j2, 16, 256, 16).unwrap();
         let recovered: BTreeMap<u64, Option<u64>> = (0..KEYS)
-            .map(|key| (key, s2.get(1, &key).unwrap()))
+            .map(|key| (key, s2.get(crashy_tenant(key), &key).unwrap()))
             .collect();
         let flat = |m: &BTreeMap<u64, Option<u64>>| -> BTreeMap<u64, Option<u64>> {
             (0..KEYS)
@@ -643,19 +777,28 @@ mod tests {
              the delta of either checkpoint"
         );
         s2.check_invariants().unwrap();
-        (acked, crashed, stats.snapshot().total())
+        (acked, crashed, stats.snapshot().total(), s2.tree_lens())
     }
 
     #[test]
     fn journaled_shard_acked_writes_survive_any_crash_point() {
-        let (model, crashed, total) = crashy_run(u64::MAX);
+        let (model, crashed, total, trees) = crashy_run(u64::MAX);
         assert!(!crashed);
         assert_eq!(model.len(), 40, "fault-free run touched every key");
+        // Three trees come back from the last checkpoint, tenant 2's empty.
+        let live = |t: u32| {
+            let held = model
+                .iter()
+                .filter(|&(&k, v)| crashy_tenant(k) == t && v.is_some());
+            held.count() as u64
+        };
+        assert_eq!(trees, [(0, live(0)), (1, live(1)), (2, 0)]);
+        assert!(live(0) > 0 && live(1) > 0);
         // Sweep ~30 crash points across the whole run.
         let step = (total / 30).max(1);
         let mut mid_run_recoveries = 0;
         for k in (0..total).step_by(step as usize) {
-            let (model, crashed, _) = crashy_run(k);
+            let (model, crashed, ..) = crashy_run(k);
             if crashed && !model.is_empty() {
                 mid_run_recoveries += 1;
             }
@@ -686,7 +829,7 @@ mod tests {
         }
         // No old node may still be waiting to be written for the first time.
         s.pool.flush().unwrap();
-        let old_nodes = s.tree.node_count().unwrap();
+        let old_nodes = s.tree_of(1).tree.node_count().unwrap();
         assert!(old_nodes > 16, "old tree must exceed the pool");
         assert!(
             dev.allocated_blocks() > old_nodes,
@@ -707,7 +850,7 @@ mod tests {
         assert_eq!(looked_up(&s) - lookups, old_nodes);
         assert_eq!(d.reads(), s.pool.stats().misses() - misses);
         // … each new node was written once, and nothing else was written …
-        let new_nodes = s.tree.node_count().unwrap();
+        let new_nodes = s.tree_of(1).tree.node_count().unwrap();
         assert_eq!(d.writes(), new_nodes);
         assert_eq!(d.writes(), s.pool.stats().writebacks() - writebacks);
         // … and the log's blocks were only freed.
@@ -716,11 +859,12 @@ mod tests {
     }
 
     /// A compaction rebuilds the tree packed: `⌈n/leaf_cap⌉` leaves, then
-    /// `⌈c/(internal_cap + 1)⌉` internal nodes over each level of `c`.
+    /// `⌈c/(internal_cap + 1)⌉` internal nodes over each level of `c`.  A
+    /// tree entry is the user's 16-byte record, so at `B` = 512 a leaf
+    /// holds `⌊501/16⌋` = 31 pairs and an internal node 31 keys.
     #[test]
     fn a_compaction_packs_the_tree_to_its_floor() {
         let mut s = ram_shard(usize::MAX);
-        let (lc, ic) = (s.tree.leaf_capacity(), s.tree.internal_capacity());
         for round in 0..2u64 {
             for i in 0..1_000u64 {
                 let key = (i * 13 + round * 5) % 1_500;
@@ -728,15 +872,66 @@ mod tests {
             }
             s.flush_batch(|_, _| {}).unwrap();
             s.compact().unwrap();
+            let tree = &s.tree_of(1).tree;
+            let (lc, ic) = (tree.leaf_capacity(), tree.internal_capacity());
+            assert_eq!((lc, ic), (31, 31));
             let mut level = s.tree_len().div_ceil(lc as u64);
             let mut nodes = level;
             while level > 1 {
                 level = level.div_ceil(ic as u64 + 1);
                 nodes += level;
             }
-            assert_eq!(s.tree.node_count().unwrap(), nodes, "round {round}");
+            assert_eq!(tree.node_count().unwrap(), nodes, "round {round}");
             s.check_invariants().unwrap();
         }
+    }
+
+    #[test]
+    fn a_compaction_rewrites_only_the_tenants_its_delta_touches() {
+        let mut s = ram_shard(usize::MAX);
+        let dev = s.pool.device().clone();
+        // Two tenants' trees, each larger than the pool …
+        for tenant in [1, 2] {
+            for k in 0..1_000u64 {
+                s.enqueue(tenant, k, k, Some(k));
+            }
+        }
+        s.flush_batch(|_, _| {}).unwrap();
+        s.compact().unwrap();
+        // … and a delta that touches tenant 1 only: 30 of its keys deleted,
+        // 120 overwritten, 120 added.
+        for k in 0..300u64 {
+            s.enqueue(1, k, 700 + 2 * k, (k % 5 != 0).then_some(k));
+        }
+        s.flush_batch(|_, _| {}).unwrap();
+        s.pool.flush().unwrap();
+        let nodes = |s: &Shard<u64, u64>, t: u32| s.tree_of(t).tree.node_count().unwrap();
+        let (old_nodes, untouched) = (nodes(&s, 1), nodes(&s, 2));
+        assert!(
+            old_nodes > 16 && untouched > 16,
+            "trees must exceed the pool"
+        );
+        let root = s.tree_of(2).tree.root();
+        let looked_up = |s: &Shard<u64, u64>| s.pool.stats().hits() + s.pool.stats().misses();
+        let (io, lookups, misses) = (
+            dev.stats().snapshot(),
+            looked_up(&s),
+            s.pool.stats().misses(),
+        );
+        s.compact().unwrap();
+        s.pool.flush().unwrap();
+        let d = dev.stats().snapshot_delta(&io);
+        // Tenant 1's old nodes were each looked at once, and only they were
+        // read; only its new nodes were written.
+        assert_eq!(looked_up(&s) - lookups, old_nodes);
+        assert_eq!(d.reads(), s.pool.stats().misses() - misses);
+        let new_nodes = nodes(&s, 1);
+        assert_eq!(d.writes(), new_nodes);
+        // Tenant 2's tree is where it was, and the device holds the two trees.
+        assert_eq!(s.tree_of(2).tree.root(), root);
+        assert_eq!(dev.allocated_blocks(), new_nodes + untouched);
+        assert_eq!(s.tree_lens(), [(1, 1_090), (2, 1_000)]);
+        s.check_invariants().unwrap();
     }
 
     /// Batches in [`play_tape`]'s tape.
@@ -891,15 +1086,14 @@ mod tests {
             let d = ram.stats().snapshot().since(&io);
             let now = journal.overhead();
             // One header, which carries the log's tail of 0, 16 or 32
-            // records (≤ 104 + 672 of its 976 inline bytes), plus the log
-            // blocks the batch filled — and, at the first checkpoint, the
-            // empty tree's root leaf.  Nothing is read, nothing chained,
-            // nothing shadowed: a log block is born in the epoch that
-            // writes it.
-            let root = u64::from(round == 0);
+            // records (≤ 80 + 672 of its 976 inline bytes: no tree yet),
+            // plus the log blocks the batch filled.  Nothing is read,
+            // nothing chained, nothing shadowed: a log block is born in the
+            // epoch that writes it, and a shard that has never compacted
+            // has no tree to write.
             assert_eq!(
                 (d.reads(), d.writes()),
-                (0, 1 + (tail + 32) / PER_BLOCK + root),
+                (0, 1 + (tail + 32) / PER_BLOCK),
                 "round {round}"
             );
             assert_eq!(
@@ -920,18 +1114,29 @@ mod tests {
         assert_eq!(wal.apply_reads + wal.apply_writes, 0);
     }
 
-    #[test]
-    fn a_tail_past_41_records_spills_one_chain_block() {
+    /// On a journaled shard holding `trees` tenant trees at `B` = 1 KiB, a
+    /// tail of `inline` records rides in the commit header and one more
+    /// spills one chain block: the header's 976 inline bytes hold the
+    /// record's 80 bytes of framing, 28 bytes a tree and
+    /// `⌊(896 − 28·trees)/21⌋` log records.
+    fn assert_tail_spills_past(trees: u32, inline: u64) {
         use pdm::{Journal, RamDisk};
-        // At B = 1 KiB the header's 976 inline bytes hold the record's 104
-        // bytes of framing and a tail of 41 records (965 bytes), not 42.
         let journal = Journal::format(RamDisk::new(1024) as SharedDevice).unwrap();
         let mut s: Shard<u64, u64> =
             Shard::with_journal(Arc::clone(&journal), 16, 4096, usize::MAX).unwrap();
+        for tenant in 0..trees {
+            s.enqueue(tenant, 0, 0, Some(0));
+        }
+        s.flush_batch(|_, _| {}).unwrap();
+        s.compact().unwrap();
+        assert_eq!(
+            journal.manifest("btree").unwrap().len(),
+            28 * trees as usize
+        );
         let mut key = 0u64;
-        // Flush sizes, and the tail each leaves: 41, 42, 47, then a full
-        // block written and an empty tail.
-        for (n, chain) in [(41, 0), (1, 1), (5, 1), (1, 0)] {
+        // Flush sizes, and the tail each leaves: `inline`, one more, 47,
+        // then a full block written and an empty tail.
+        for (n, chain) in [(inline, 0), (1, 1), (PER_BLOCK - 2 - inline, 1), (1, 0)] {
             for _ in 0..n {
                 s.enqueue(0, key, key, Some(key));
                 key += 1;
@@ -945,10 +1150,60 @@ mod tests {
                     now.chain_writes - before.chain_writes
                 ),
                 (1, chain),
-                "tail of {} records",
+                "{trees} trees, tail of {} records",
                 s.log.len() as u64 % PER_BLOCK
             );
         }
+    }
+
+    #[test]
+    fn a_tail_past_41_records_spills_one_chain_block() {
+        assert_tail_spills_past(1, 41);
+    }
+
+    /// Each tree's manifest entry takes 28 bytes from the tail's share.
+    #[test]
+    fn with_two_trees_a_tail_past_40_records_spills_one_chain_block() {
+        assert_tail_spills_past(2, 40);
+    }
+
+    #[test]
+    fn a_malformed_tree_manifest_is_corrupt_not_a_panic() {
+        use pdm::{Journal, RamDisk};
+        let journal = Journal::format(RamDisk::new(1024) as SharedDevice).unwrap();
+        let mut s: Shard<u64, u64> =
+            Shard::with_journal(Arc::clone(&journal), 16, 0, usize::MAX).unwrap();
+        for tenant in [2, 5, 9] {
+            s.enqueue(tenant, 0, 7, Some(u64::from(tenant)));
+        }
+        s.flush_batch(|_, _| {}).unwrap();
+        s.compact().unwrap();
+        let good = journal.manifest("btree").unwrap();
+        assert_eq!(good.len(), 3 * 28);
+        // Recovering over the live journal: the compacted log owns no block.
+        let recover = |bytes: &[u8]| {
+            journal.set_manifest("btree", bytes.to_vec());
+            Shard::<u64, u64>::recover(Arc::clone(&journal), 16, 0, usize::MAX)
+        };
+        let again = recover(&good).unwrap();
+        assert_eq!(again.tree_lens(), [(2, 1), (5, 1), (9, 1)]);
+        assert_eq!(again.get(5, &7).unwrap(), Some(5));
+        let entry = |i: usize| &good[i * 28..(i + 1) * 28];
+        let twice = [entry(0), entry(1), entry(1)].concat();
+        let unordered = [entry(1), entry(0), entry(2)].concat();
+        let mut tall = good.clone();
+        tall[16..20].fill(0xFF); // the high half of the first height
+        for bad in [
+            &good[..27],
+            &good[..good.len() - 1],
+            &twice,
+            &unordered,
+            &tall,
+        ] {
+            let got = recover(bad);
+            assert!(matches!(got, Err(PdmError::Corrupt(_))), "{:?}", got.err());
+        }
+        assert_eq!(recover(&[]).unwrap().tree_lens(), []);
     }
 
     #[test]
@@ -1034,7 +1289,11 @@ mod tests {
 
     /// How many of `keys` tenant 0's key filter lets through to the tree.
     fn passes(s: &Shard<u64, u64>, keys: impl IntoIterator<Item = u64>) -> usize {
-        let filter = s.filter.as_ref().expect("a compacted shard has a filter");
+        let filter = s
+            .tree_of(0)
+            .filter
+            .as_ref()
+            .expect("a compacted tree has a filter");
         keys.into_iter()
             .filter(|k| filter.may_contain(filter_hash(0, k)))
             .count()
@@ -1061,7 +1320,7 @@ mod tests {
                 std::mem::forget(s);
                 let j = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
                 s = Shard::recover(j, 16, 0, 200).unwrap();
-                assert!(s.filter.is_none());
+                assert!(s.tree_of(0).filter.is_none());
             }
             for i in 0..20 {
                 let key = rng.gen_range(0..KEYS);
@@ -1093,8 +1352,8 @@ mod tests {
         s.check_invariants().unwrap();
     }
 
-    /// 5 000 even keys compacted into a tree of 25 pairs a leaf and 26
-    /// children a node at `B` = 512: 200 leaves, 8 internal nodes and a
+    /// 5 000 even keys compacted into a tree of 31 pairs a leaf and 32
+    /// children a node at `B` = 512: 162 leaves, 6 internal nodes and a
     /// root.  The key filter is 8 KiB, 13 bits a key.
     fn compacted_evens() -> Shard<u64, u64> {
         let mut s = ram_shard(usize::MAX);
@@ -1103,8 +1362,9 @@ mod tests {
         }
         s.flush_batch(|_, _| {}).unwrap();
         s.compact().unwrap();
+        let t = s.tree_of(0);
         assert_eq!(
-            (s.tree.height(), s.filter.as_ref().unwrap().bits()),
+            (t.tree.height(), t.filter.as_ref().unwrap().bits()),
             (3, 1 << 16)
         );
         s
@@ -1117,15 +1377,15 @@ mod tests {
         // Present keys first, from the pool state the compaction left: each
         // descends the tree, and reads what it read without a filter.
         let (lookups, reads) = get_ledger(&s, (0..1_000).map(spread));
-        assert_eq!((lookups, reads), (3_000, 1_059));
+        assert_eq!((lookups, reads), (3_000, 1_043));
         // Absent keys between them: only the filter's false positives
         // descend, three lookups each.  Without the filter every one did:
-        // 3 000 lookups and 1 060 reads.
+        // 3 000 lookups and 1 044 reads.
         let absent = || (0..1_000).map(|i| spread(i) + 1);
         let false_positives = passes(&s, absent());
         assert_eq!(false_positives, 23);
         let (lookups, reads) = get_ledger(&s, absent());
-        assert_eq!((lookups, reads), (3 * false_positives as u64, 32));
+        assert_eq!((lookups, reads), (3 * false_positives as u64, 29));
         assert!(absent().all(|k| s.get(0, &k).unwrap().is_none()));
     }
 
@@ -1141,7 +1401,7 @@ mod tests {
         }
         s.flush_batch(|_, _| {}).unwrap();
         s.compact().unwrap();
-        let height = u64::from(s.tree.height());
+        let height = u64::from(s.tree_of(0).tree.height());
         let absent = || (0..500u64).map(|i| 2 * i * 4 + 1);
         let descents = |s: &Shard<u64, u64>| get_ledger(s, absent()).0 / height;
         let false_positives = passes(&s, absent()) as u64;
@@ -1255,16 +1515,19 @@ mod tests {
         let dev: SharedDevice = DiskArray::new_ram(1, 512, Placement::Independent);
         let mut s: Shard<Flip, u64> = Shard::new(dev, 16, 0, usize::MAX).unwrap();
         for k in 0..1_000u64 {
-            s.enqueue(0, k, Flip(2 * k), Some(k));
+            s.enqueue(1, k, Flip(2 * k), Some(k));
         }
         s.flush_batch(|_, _| {}).unwrap();
         s.compact().unwrap();
+        // Tenant 0's one put comes first in the delta, then tenant 1's run.
+        s.enqueue(0, 0, Flip(7), Some(7));
         for k in 0..100u64 {
-            s.enqueue(0, k, Flip(2 * k + 1), Some(k));
+            s.enqueue(1, k, Flip(2 * k + 1), Some(k));
         }
         s.flush_batch(|_, _| {}).unwrap();
-        // Reversed, the delta's second key is below its first: the rebuild
-        // has written one key when it refuses the batch.
+        // Reversed, tenant 1's second key is below its first: tenant 0 is
+        // rebuilt, and tenant 1's rebuild has written one key when it
+        // refuses the batch.
         REVERSED.set(true);
         let compacted = s.compact();
         REVERSED.set(false);
@@ -1272,22 +1535,25 @@ mod tests {
             matches!(compacted, Err(PdmError::InvalidRequest(_))),
             "{compacted:?}"
         );
+        assert_eq!(s.tree_lens(), [(0, 1), (1, 1_000)]);
+        assert!(s.tree_of(0).filter.is_some());
+        assert_eq!(s.get(0, &Flip(7)).unwrap(), Some(7));
         for k in 0..1_000u64 {
             assert_eq!(
-                s.get(0, &Flip(2 * k)).unwrap(),
+                s.get(1, &Flip(2 * k)).unwrap(),
                 Some(k),
                 "tree key {}",
                 2 * k
             );
         }
         for k in 0..100u64 {
-            assert_eq!(s.get(0, &Flip(2 * k + 1)).unwrap(), Some(k));
+            assert_eq!(s.get(1, &Flip(2 * k + 1)).unwrap(), Some(k));
         }
-        assert!((100..1_000u64).all(|k| s.get(0, &Flip(2 * k + 1)).unwrap().is_none()));
-        // The tree is the old one, and the next compaction succeeds.
-        assert_eq!(s.tree_len(), 1_000);
+        assert!((100..1_000u64).all(|k| s.get(1, &Flip(2 * k + 1)).unwrap().is_none()));
+        // Tenant 1's tree is the old one, and the next compaction succeeds,
+        // applying tenant 0's put a second time to the same effect.
         s.compact().unwrap();
-        assert_eq!(s.tree_len(), 1_100);
+        assert_eq!(s.tree_lens(), [(0, 1), (1, 1_100)]);
         s.check_invariants().unwrap();
     }
 }

@@ -681,19 +681,21 @@ fn ledger_run(journaled: bool) -> ((u64, u64), WalOverhead) {
 /// (one header, a second only after an apply, the chain blocks the record
 /// overflows the header into, the apply); `format` adds one header.  This
 /// tape allocates every block it writes, so `p = 0` throughout, and the
-/// shard's manifests — the tree's 24 bytes and the op log's 16 plus a tail
-/// of at most 32 records, 104 + 672 bytes in all — fit the header's 976
-/// inline bytes, so the journal is exactly one header per checkpoint
-/// (EXPERIMENTS.md F21).
+/// shard's manifests — its one tenant tree's 28-byte entry and the op log's
+/// 16 bytes plus a tail of at most 32 records, 108 + 672 bytes in all — fit
+/// the header's 976 inline bytes, so the journal is exactly one header per
+/// checkpoint (EXPERIMENTS.md F21).
 ///
-/// The pins: 44 reads, all of them the 4 compactions' old tree nodes
-/// (nothing reads the log); 129 unjournaled writes, 40 op-log blocks of 48
-/// records (each compaction drops the log's tail unwritten) and 89 new
-/// tree nodes, every one packed full.
-/// They were 62 r / 158 w while bulk-built leaves were ¾ full and internal
-/// nodes half full, and 62 r / 174 w and 62 r / 267 w while the shard's
-/// writes went through a buffer tree, whose manifest overflowed into 24
-/// chain blocks.
+/// The pins: 34 reads, all of them compactions reading the old tree's nodes
+/// (nothing reads the log); 112 unjournaled writes, 40 op-log blocks of 48
+/// records (each compaction drops the log's tail unwritten) and 72 new tree
+/// nodes, every one packed full of 16-byte records (63 a leaf).  The tree
+/// is created by the first compaction, so no empty root leaf is written.
+/// They were 44 r / 129 w while one tree held every tenant under a 20-byte
+/// `(tenant, key)` entry, 62 r / 158 w while bulk-built leaves were ¾ full
+/// and internal nodes half full, and 62 r / 174 w and 62 r / 267 w while
+/// the shard's writes went through a buffer tree, whose manifest overflowed
+/// into 24 chain blocks.
 #[test]
 fn journal_costs_exactly_its_own_transfers() {
     let ((ur, uw), _) = ledger_run(false);
@@ -716,8 +718,8 @@ fn journal_costs_exactly_its_own_transfers() {
         assert_eq!(wal.apply_reads + wal.apply_writes, 0, "{wal:?}");
     }
 
-    assert_eq!((ur, uw), (44, 129));
-    assert_eq!((jr, jw), (44, 198));
+    assert_eq!((ur, uw), (34, 112));
+    assert_eq!((jr, jw), (34, 181));
     // 69 journal transfers: format's header and one per checkpoint.
     let pinned = WalOverhead {
         header_writes: 69,

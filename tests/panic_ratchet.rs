@@ -41,10 +41,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("emhash/src/partition.rs", 2),
     ("emhash/src/table.rs", 2),
     ("emrel/src/hash_exec.rs", 4),
-    ("emserve/src/cache.rs", 1),
-    ("emserve/src/oplog.rs", 1),
-    ("emserve/src/server.rs", 3),
-    ("emserve/src/shard.rs", 1),
     ("emsort/src/bmmc.rs", 2),
     ("emsort/src/distribution.rs", 1),
     ("emsort/src/heap.rs", 1),
