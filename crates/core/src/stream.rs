@@ -417,11 +417,6 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         self.pending.len()
     }
 
-    /// True if sequential blocks remain that have not been submitted yet.
-    pub fn has_unfetched(&self) -> bool {
-        self.next_fetch < arr(&self.vec).num_blocks()
-    }
-
     /// Leading key of the next block this reader would prefetch — the
     /// forecast datum of Vitter's merge sort.  `None` once every block has
     /// been submitted, or if the array carries no block-head metadata.
@@ -482,12 +477,9 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
             .spare
             .pop()
             .unwrap_or_else(|| vec![0u8; arr(&self.vec).device().block_size()].into_boxed_slice());
-        let id = arr(&self.vec).block_id(self.next_fetch);
         let device = arr(&self.vec).device();
-        let ticket = device.submit_read(id, buf);
-        let stats = device.stats();
-        stats.record_prefetch();
-        stats.record_forecast_issued(device.lane_of(id).unwrap_or(0));
+        let ticket = device.submit_read(arr(&self.vec).block_id(self.next_fetch), buf);
+        device.stats().record_prefetch();
         self.pending.push_back((self.next_fetch, ticket));
         self.next_fetch += 1;
         true
@@ -629,19 +621,11 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
                 if let Some((_, ticket)) = self.pending.pop_front() {
                     let bytes = ticket.wait()?;
                     arr(&self.vec).decode_block(bi, &bytes, &mut self.buf);
-                    let stats = arr(&self.vec).device().stats();
-                    stats.record_prefetch_hit();
-                    if self.managed {
-                        // The forecaster predicted this block and had it in
-                        // flight when demanded.  Its buffer returns to the
-                        // shared pool by being dropped (per-reader spare
-                        // hoards would let total buffers exceed the pool).
-                        let lane = arr(&self.vec)
-                            .device()
-                            .lane_of(arr(&self.vec).block_id(bi))
-                            .unwrap_or(0);
-                        stats.record_forecast_hit(lane);
-                    } else {
+                    arr(&self.vec).device().stats().record_prefetch_hit();
+                    // A forecast-mode buffer returns to the forecaster's
+                    // shared pool by being dropped (per-reader spare hoards
+                    // would let total buffers exceed the pool).
+                    if !self.managed {
                         self.spare.push(bytes);
                     }
                     self.top_up();
@@ -966,9 +950,8 @@ mod overlap_tests {
             "forecast mode must not change read counts"
         );
         assert_eq!(delta.prefetched(), 2);
-        assert_eq!(delta.forecast_issued(), 2);
         assert_eq!(
-            delta.forecast_hits(),
+            delta.prefetch_hits(),
             2,
             "both forecast blocks were consumed"
         );

@@ -107,11 +107,6 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
         self.doublings
     }
 
-    /// Maximum entries per bucket (the effective `B`).
-    pub fn bucket_capacity(&self) -> usize {
-        self.bucket_cap
-    }
-
     /// Average bucket occupancy over capacity (diagnostics; scans directory
     /// metadata only).
     pub fn load_factor(&self) -> f64 {

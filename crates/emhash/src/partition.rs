@@ -39,7 +39,7 @@ use em_core::bounds::HASH_MAX_LEVELS;
 use em_core::hash::level_bucket;
 use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
 use emsort::OverlapConfig;
-use pdm::{Result, SharedDevice};
+use pdm::{PdmError, Result, SharedDevice};
 
 /// Hashes record keys through one reusable scratch buffer.
 ///
@@ -77,9 +77,7 @@ impl KeyHasher {
 /// the configured `M`, never the budget's overlap headroom.
 pub struct PartitionPass<R: Record> {
     writers: Vec<ExtVecWriter<R>>,
-    counts: Vec<u64>,
     level: usize,
-    device: SharedDevice,
 }
 
 impl<R: Record> PartitionPass<R> {
@@ -88,7 +86,7 @@ impl<R: Record> PartitionPass<R> {
     /// Announces `level` as the device's next block stream (lane
     /// staggering) and configures per-writer write-behind of
     /// `overlap.for_lanes(device.stream_lanes())` blocks, charged to
-    /// `budget`.
+    /// `budget`.  `fan_out` must be ≥ 2; callers check it first.
     pub fn new(
         device: &SharedDevice,
         fan_out: usize,
@@ -96,18 +94,13 @@ impl<R: Record> PartitionPass<R> {
         overlap: OverlapConfig,
         budget: &Arc<MemBudget>,
     ) -> Self {
-        assert!(fan_out >= 2, "hash partitioning needs fan-out >= 2");
+        debug_assert!(fan_out >= 2, "hash partitioning needs fan-out >= 2");
         let ov = overlap.for_lanes(device.stream_lanes());
         device.direct_next_stream(level);
         let writers = (0..fan_out)
             .map(|_| ExtVecWriter::with_write_behind(device.clone(), ov.write_behind, budget))
             .collect();
-        PartitionPass {
-            writers,
-            counts: vec![0; fan_out],
-            level,
-            device: device.clone(),
-        }
+        PartitionPass { writers, level }
     }
 
     /// The recursion level this pass spills at.
@@ -120,38 +113,17 @@ impl<R: Record> PartitionPass<R> {
         self.writers.len()
     }
 
-    /// Records routed into each bucket so far.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Route one record to the bucket its level-0 hash selects at this
     /// pass's level.
     #[inline]
     pub fn push(&mut self, h0: u64, r: R) -> Result<()> {
         let bi = level_bucket(h0, self.level, self.writers.len());
-        self.counts[bi] += 1;
         self.writers[bi].push(r)
     }
 
     /// Close every writer and return the spill partitions, bucket order.
-    ///
-    /// Bumps the device's `partition_passes` / `partition_spilled_blocks`
-    /// counters (a pass that spilled nothing is not counted — hybrid
-    /// operators open a pass they may never need).
     pub fn finish(self) -> Result<Vec<ExtVec<R>>> {
-        let spilled_any = self.counts.iter().any(|&c| c > 0);
-        let parts = self
-            .writers
-            .into_iter()
-            .map(|w| w.finish())
-            .collect::<Result<Vec<_>>>()?;
-        if spilled_any {
-            let stats = self.device.stats();
-            stats.record_partition_pass();
-            stats.record_partition_spill(parts.iter().map(|p| p.num_blocks() as u64).sum());
-        }
-        Ok(parts)
+        self.writers.into_iter().map(|w| w.finish()).collect()
     }
 }
 
@@ -192,6 +164,9 @@ impl<R: Record> Partitioned<R> {
 /// The recursion reads each spilled record once and writes it once per
 /// level it passes through — exactly what
 /// `em_core::bounds::hash_partition_exact_ios` replays.
+///
+/// [`PdmError::InvalidRequest`], before anything is allocated, unless
+/// `fan_out ≥ 2` and `fan_out + 1` blocks fit in `mem_records`.
 pub fn partition_to_fit<R, H>(
     input: &ExtVec<R>,
     hash: H,
@@ -205,11 +180,12 @@ where
 {
     let b = input.per_block();
     let m_blocks = mem_records / b.max(1);
-    assert!(
-        fan_out >= 2 && fan_out < m_blocks,
-        "fan-out {fan_out} needs {} blocks of memory, have {m_blocks}",
-        fan_out + 1
-    );
+    if fan_out < 2 || fan_out >= m_blocks {
+        return Err(PdmError::InvalidRequest(format!(
+            "fan-out {fan_out} must be ≥ 2 and needs {} blocks of memory, have {m_blocks}",
+            fan_out + 1
+        )));
+    }
     let ov = overlap.for_lanes(input.device().stream_lanes());
     // One reader + fan_out writers are live per pass; passes never overlap.
     let reserve = (ov.read_ahead + fan_out * ov.write_behind) * b;
@@ -338,6 +314,7 @@ mod tests {
         let leaves = partition_to_fit(&v, hash_u64, m, 4, OverlapConfig::off()).unwrap();
         let delta = device.stats().snapshot().since(&before);
         let mut got = Vec::new();
+        let mut leaf_blocks = 0;
         for leaf in &leaves {
             assert!(
                 matches!(leaf, Partitioned::Resident(_)),
@@ -345,13 +322,14 @@ mod tests {
             );
             assert!(leaf.records().len() as usize <= m);
             got.extend(leaf.records().to_vec().unwrap());
+            leaf_blocks += leaf.records().num_blocks() as u64;
         }
         let mut want: Vec<u64> = v.to_vec().unwrap();
         got.sort_unstable();
         want.sort_unstable();
         assert_eq!(got, want);
-        assert!(delta.partition_passes() >= 1);
-        assert!(delta.partition_spilled_blocks() > 0);
+        // The leaves are spills, and so were the levels above them.
+        assert!(delta.writes() > leaf_blocks, "more than one level spilled");
     }
 
     #[test]
@@ -368,7 +346,20 @@ mod tests {
         assert!(matches!(leaves[0], Partitioned::Skewed(_)));
         assert_eq!(leaves[0].records().len(), 500);
         // One pass proved the skew; no further levels were burned.
-        assert_eq!(delta.partition_passes(), 1);
+        assert_eq!(delta.reads(), v.num_blocks() as u64);
+        assert_eq!(delta.writes(), leaves[0].records().num_blocks() as u64);
+    }
+
+    #[test]
+    fn partition_to_fit_rejects_a_fan_out_memory_cannot_hold() {
+        // 8 blocks of memory: fan-out 7 needs all 8, fan-out 8 needs 9.
+        let (device, v, m) = setup(2000, 8);
+        let allocated = device.allocated_blocks();
+        for fan in [1, 8] {
+            let err = partition_to_fit(&v, hash_u64, m, fan, OverlapConfig::off()).err();
+            assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+            assert_eq!(device.allocated_blocks(), allocated);
+        }
     }
 
     #[test]
@@ -398,7 +389,7 @@ mod tests {
                 partition_to_fit(&v, hash_u64, m, 4, OverlapConfig::symmetric(depth)).unwrap();
             let delta = device.stats().snapshot().since(&before);
             let leaf_lens: Vec<u64> = leaves.iter().map(|l| l.records().len()).collect();
-            shapes.push((leaf_lens, delta.total(), delta.partition_spilled_blocks()));
+            shapes.push((leaf_lens, delta.total(), delta.writes()));
         }
         assert_eq!(shapes[0], shapes[1]);
     }

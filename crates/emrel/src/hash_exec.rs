@@ -1103,11 +1103,10 @@ mod tests {
                 + hash_group_exact_ios(&hashes, m, b, fan, fan_in)
                 + out.num_blocks() as u64;
             assert_eq!(delta.total(), predicted, "n={n} keys={keys} fan={fan}");
-            // A fully resident aggregate never touches the disk, and the
-            // partition counters say so.
-            let spills = (delta.partition_passes(), delta.partition_spilled_blocks());
+            // A fully resident aggregate writes only its output.
             let resident = keys as usize <= m - (fan + 1) * b;
-            assert_eq!(spills == (0, 0), resident, "n={n} keys={keys}: {spills:?}");
+            let only_output = delta.writes() == out.num_blocks() as u64;
+            assert_eq!(only_output, resident, "n={n} keys={keys}");
         }
     }
 
@@ -1144,7 +1143,7 @@ mod tests {
             out.to_vec().unwrap(),
             vec![(7, (0..3000u64).sum::<u64>(), 3000)]
         );
-        assert_eq!(delta.partition_passes(), 1, "skew detected after one pass");
+        assert!(delta.writes() > out.num_blocks() as u64, "the tape spilled");
         let predicted = v.num_blocks() as u64 + hash_group_exact_ios(&hashes, m, b, 3, fan_in) + 1; // one output block for the single group
         assert_eq!(delta.total(), predicted);
     }
@@ -1248,7 +1247,10 @@ mod tests {
                 + replay as u64
                 + out.num_blocks() as u64;
             assert_eq!(delta.total(), predicted, "hybrid={hybrid}");
-            assert!(delta.partition_passes() >= 2, "both sides spilled");
+            assert!(
+                delta.writes() > out.num_blocks() as u64,
+                "hybrid={hybrid}: the join spilled"
+            );
         }
     }
 
@@ -1357,8 +1359,7 @@ mod tests {
                 (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64,
                 "hybrid={hybrid}: scan both inputs, write the output"
             );
-            let spills = (delta.partition_passes(), delta.partition_spilled_blocks());
-            assert_eq!(spills, (0, 0), "hybrid={hybrid}");
+            assert_eq!(delta.writes(), out.num_blocks() as u64, "hybrid={hybrid}");
             assert_eq!(j.budget().high_water(), residency as usize);
             let mut got = out.to_vec().unwrap();
             got.sort_unstable();
@@ -1542,7 +1543,11 @@ mod tests {
         let delta = d.stats().snapshot().since(&before);
         assert!(out.is_empty());
         let spilled: u64 = built.iter().chain(&lies).map(|n| n.div_ceil(16)).sum();
-        assert_eq!(delta.partition_spilled_blocks(), spilled);
+        assert_eq!(
+            delta.writes(),
+            spilled,
+            "the output is empty: every write is a spill"
+        );
         assert_eq!(
             delta.total(),
             (bv.num_blocks() + pv.num_blocks()) as u64

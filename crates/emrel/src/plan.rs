@@ -159,16 +159,6 @@ pub enum PlanExpr {
         /// Declared output order (the group key in output record space).
         order: Order,
     },
-    /// Adjacent-duplicate elimination; infeasible unless the input is
-    /// ordered on `key` (a total order of the full record).
-    Distinct {
-        /// Input plan.
-        input: Box<PlanExpr>,
-        /// The full-record order the input must carry.
-        key: KeyId,
-        /// Estimated distinct count.
-        out_records: u64,
-    },
     /// Hybrid hash aggregation ([`HashGroupByExec`](crate::HashGroupByExec))
     /// — no input order required, output unordered.  Priced by replaying the
     /// executor's partition recursion over the supplied key hashes
@@ -187,8 +177,8 @@ pub enum PlanExpr {
         out_records: u64,
     },
     /// Duplicate elimination by hash partitioning
-    /// ([`HashDistinctExec`](crate::HashDistinctExec)) — the unordered dual
-    /// of [`Distinct`](PlanExpr::Distinct).  Same pricing as
+    /// ([`HashDistinctExec`](crate::HashDistinctExec)) — no input order
+    /// required, output unordered.  Same pricing as
     /// [`HashGroupBy`](PlanExpr::HashGroupBy).
     HashDistinct {
         /// Input plan.
@@ -227,24 +217,6 @@ pub enum PlanExpr {
         rec_bytes: usize,
         /// Estimated join cardinality.
         out_records: u64,
-    },
-    /// The `k` smallest by `key` via a selection heap over one pass;
-    /// infeasible unless `k ≤ M`.  Output is ordered on `key`.
-    TopK {
-        /// Input plan.
-        input: Box<PlanExpr>,
-        /// Heap key (names the *output* order; input may be unordered).
-        key: KeyId,
-        /// How many records to keep.
-        k: u64,
-    },
-    /// Cut off after `n` records.  Priced as if the input is fully drained
-    /// (exact above blocking operators, pessimistic above pure scans).
-    Limit {
-        /// Input plan.
-        input: Box<PlanExpr>,
-        /// Maximum records passed through.
-        n: u64,
     },
 }
 
@@ -311,15 +283,6 @@ impl PlanExpr {
         }
     }
 
-    /// Wrap in duplicate elimination over `key`-ordered input.
-    pub fn distinct(self, key: KeyId, out_records: u64) -> Self {
-        PlanExpr::Distinct {
-            input: Box::new(self),
-            key,
-            out_records,
-        }
-    }
-
     /// Wrap in a hybrid hash aggregation with the given key-hash statistics.
     pub fn hash_group_by(
         self,
@@ -372,23 +335,6 @@ impl PlanExpr {
             out_records,
         }
     }
-
-    /// Wrap in a top-`k` selection heap by `key`.
-    pub fn top_k(self, key: KeyId, k: u64) -> Self {
-        PlanExpr::TopK {
-            input: Box::new(self),
-            key,
-            k,
-        }
-    }
-
-    /// Wrap in a limit of `n` records.
-    pub fn limit(self, n: u64) -> Self {
-        PlanExpr::Limit {
-            input: Box::new(self),
-            n,
-        }
-    }
 }
 
 /// The priced output of [`predict`] for one plan node (costs are cumulative
@@ -397,8 +343,7 @@ impl PlanExpr {
 pub struct Prediction {
     /// Predicted device transfers to stream this subtree's output once —
     /// [`f64::INFINITY`] when the plan is infeasible (order contract
-    /// violated, hash buffers or a hybrid bucket 0 over budget, heap over
-    /// budget).
+    /// violated, hash buffers or a hybrid bucket 0 over budget).
     pub transfers: f64,
     /// Estimated output cardinality.
     pub out_records: u64,
@@ -452,13 +397,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             Prediction {
                 rec_bytes: *rec_bytes,
                 order: *order,
-                ..p
-            }
-        }
-        PlanExpr::Limit { input, n } => {
-            let p = predict(input, env);
-            Prediction {
-                out_records: (*n).min(p.out_records),
                 ..p
             }
         }
@@ -526,22 +464,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 out_records: *out_records,
                 rec_bytes: *rec_bytes,
                 order: *order,
-            };
-            if p.order.matches(*key) {
-                out
-            } else {
-                out.infeasible()
-            }
-        }
-        PlanExpr::Distinct {
-            input,
-            key,
-            out_records,
-        } => {
-            let p = predict(input, env);
-            let out = Prediction {
-                out_records: (*out_records).min(p.out_records),
-                ..p
             };
             if p.order.matches(*key) {
                 out
@@ -624,19 +546,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 order: if held { p.order } else { Order::Unordered },
             };
             if *fan_out >= 2 && (*fan_out + 1) * (bpb + ppb) <= env.mem_records {
-                out
-            } else {
-                out.infeasible()
-            }
-        }
-        PlanExpr::TopK { input, key, k } => {
-            let p = predict(input, env);
-            let out = Prediction {
-                out_records: (*k).min(p.out_records),
-                order: Order::Key(*key),
-                ..p
-            };
-            if *k as usize <= env.mem_records {
                 out
             } else {
                 out.infeasible()

@@ -31,8 +31,8 @@
 //!   acknowledges a write only after the op log holds it.  Shards are
 //!   pinned to distinct lanes of an independent-disk array via
 //!   [`pdm::LaneView`], so one shard's flush never serializes a neighbour's
-//!   reads, and per-shard transfers are attributable per lane through
-//!   [`pdm::IoStats::snapshot_delta`].
+//!   reads, and per-shard transfers are attributable per lane by
+//!   subtracting [`pdm::IoSnapshot`]s ([`pdm::IoSnapshot::since`]).
 //! * [`HotCache`] — the per-tenant hot-key read path: a record-budgeted
 //!   two-segment LRU in front of each shard (a missed record is admitted on
 //!   probation, a second reference protects it, eviction takes probation

@@ -19,7 +19,7 @@
 //!
 //! Shards are pinned to distinct lanes of an independent-placement
 //! [`DiskArray`] via [`LaneView`], so per-shard transfer counts fall out of
-//! [`IoStats::snapshot_delta`](pdm::IoStats::snapshot_delta) per lane, and
+//! [`IoSnapshot::since`](pdm::IoSnapshot::since) per lane, and
 //! one shard's compaction never queues behind a neighbour's reads.
 
 use std::hash::Hash;

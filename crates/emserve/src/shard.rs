@@ -844,7 +844,7 @@ mod tests {
         );
         s.compact().unwrap();
         s.pool.flush().unwrap();
-        let d = dev.stats().snapshot_delta(&io);
+        let d = dev.stats().snapshot().since(&io);
         // Each old node was looked at once, and nothing but a tree node
         // missing from the pool was read …
         assert_eq!(looked_up(&s) - lookups, old_nodes);
@@ -920,7 +920,7 @@ mod tests {
         );
         s.compact().unwrap();
         s.pool.flush().unwrap();
-        let d = dev.stats().snapshot_delta(&io);
+        let d = dev.stats().snapshot().since(&io);
         // Tenant 1's old nodes were each looked at once, and only they were
         // read; only its new nodes were written.
         assert_eq!(looked_up(&s) - lookups, old_nodes);

@@ -30,7 +30,7 @@ impl Timer {
 ///
 /// All counters are monotone; capture before/after values and subtract to
 /// attribute activity to a measurement window (the same discipline as
-/// [`pdm::IoStats::snapshot_delta`]).
+/// [`pdm::IoSnapshot::since`]).
 ///
 /// The three timers say where a closed loop's wall-clock went without a
 /// trace: a worker is either *idle* (blocked on an empty queue), inside the

@@ -182,12 +182,8 @@ mod tests {
         while readers[1].try_next().unwrap().is_some() {}
         let snap = device.stats().snapshot();
         assert_eq!(snap.prefetch_wasted(), 0);
-        assert_eq!(
-            snap.forecast_issued(),
-            8,
-            "every block was forecast-submitted"
-        );
-        assert_eq!(snap.forecast_hits(), 8);
+        assert_eq!(snap.prefetched(), 8, "every block was forecast-submitted");
+        assert_eq!(snap.prefetch_hits(), 8);
     }
 
     #[test]
@@ -225,7 +221,7 @@ mod tests {
         assert_eq!(readers[0].in_flight(), 0);
         // Demand reads still work and count normally.
         assert_eq!(readers[0].by_ref().count(), 16);
-        assert_eq!(device.stats().snapshot().forecast_issued(), 0);
+        assert_eq!(device.stats().snapshot().prefetched(), 0);
     }
 
     #[test]
@@ -311,9 +307,7 @@ mod tests {
         drop(readers);
         let snap = device.stats().snapshot();
         assert_eq!(snap.prefetch_wasted(), 0);
-        assert_eq!(snap.forecast_issued(), 4);
-        // Per-lane split is visible in the stats.
-        assert_eq!(snap.forecast_issued_on(0), 2);
-        assert_eq!(snap.forecast_issued_on(1), 2);
+        assert_eq!(snap.prefetched(), 4);
+        assert_eq!(snap.prefetch_hits(), 4);
     }
 }

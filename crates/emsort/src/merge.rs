@@ -1256,18 +1256,22 @@ mod tests {
         let device = device_b8();
         let (input, mut data) = random_input(&device, 4000, 11);
         let cfg = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(2));
+        let less = |a: &u64, b: &u64| a < b;
+        let formed = form(&input, &cfg, true, less).unwrap();
+        // The window holds only the merge, whose prefetches (k ≥ 2, block
+        // heads present) are all the forecaster's.
         let before = device.stats().snapshot();
-        let out = merge_sort(&input, &cfg).unwrap();
+        let out = formed.into_sorted(&cfg, less).unwrap();
         let d = device.stats().snapshot().since(&before);
         data.sort_unstable();
         assert_eq!(out.to_vec().unwrap(), data);
         assert!(
-            d.forecast_issued() > 0,
+            d.prefetched() > 0,
             "forecasting should drive the merge prefetches"
         );
         assert_eq!(
-            d.forecast_hits(),
-            d.forecast_issued(),
+            d.prefetch_hits(),
+            d.prefetched(),
             "every forecast block is consumed"
         );
         assert_eq!(d.prefetch_wasted(), 0);
@@ -1518,10 +1522,14 @@ mod tests {
         // Depth 2 enters the runs mid-way through the forecaster as well.
         for depth in [0, 2] {
             let cfg = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(depth));
+            let before = device.stats().snapshot();
             let got = merge_runs_streaming(&parts, &budget, &cfg, |x, y| x < y, drain).unwrap();
+            let d = device.stats().snapshot().since(&before);
             assert_eq!(got, expect, "depth {depth}");
+            assert_eq!(d.prefetched() > 0, depth > 0, "depth {depth}");
+            assert_eq!(d.prefetch_hits(), d.prefetched(), "depth {depth}");
+            assert_eq!(d.prefetch_wasted(), 0, "depth {depth}");
         }
-        assert!(device.stats().snapshot().forecast_issued() > 0);
     }
 
     #[test]
@@ -1856,20 +1864,7 @@ mod multi_disk_tests {
                 0,
                 "sort consumes every prefetched block"
             );
-            assert!(
-                dov.forecast_issued() > 0,
-                "{placement:?}: forecasting active"
-            );
-            // Independent placement forecasts per lane: every disk issues
-            // forecast prefetches and every disk's are consumed.
-            let lanes = if placement.is_striped() { 0 } else { d };
-            for lane in 0..lanes {
-                let (issued, hits) = (dov.forecast_issued_on(lane), dov.forecast_hits_on(lane));
-                assert!(
-                    issued > 0 && hits > 0,
-                    "lane {lane}: {issued} forecast prefetches issued, {hits} hit"
-                );
-            }
+            assert!(dov.prefetched() > 0, "{placement:?}: read-ahead active");
         }
     }
 

@@ -677,39 +677,6 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
         }
     }
 
-    /// Stream all pairs with `lo ≤ key ≤ hi` through `f` in key order
-    /// without materializing them — the answer-set-sized `O(Z)` memory of
-    /// [`range`](Self::range) becomes `O(B)`.
-    pub fn for_each_range<F: FnMut(&K, &V)>(&self, lo: &K, hi: &K, mut f: F) -> Result<()> {
-        if hi < lo {
-            return Ok(());
-        }
-        let mut id = self.root;
-        while let Node::Internal { keys, children } = self.read_node(id)? {
-            let idx = keys.partition_point(|k| k <= lo);
-            id = children[idx];
-        }
-        loop {
-            let Node::Leaf { next, entries } = self.read_node(id)? else {
-                // An internal node on the leaf chain is impossible; end the
-                // scan deterministically rather than panic.
-                return Ok(());
-            };
-            for (k, v) in &entries {
-                if k > hi {
-                    return Ok(());
-                }
-                if k >= lo {
-                    f(k, v);
-                }
-            }
-            match next {
-                Some(n) => id = n,
-                None => return Ok(()),
-            }
-        }
-    }
-
     /// All pairs with `lo ≤ key ≤ hi`, in order: one root-to-leaf descent
     /// plus a walk along the leaf chain — `O(log_B N + Z/B)` I/Os.
     pub fn range(&self, lo: &K, hi: &K) -> Result<Vec<(K, V)>> {
@@ -1486,7 +1453,7 @@ mod tests {
             t.apply_sorted_batch((0..n).map(|k| (k * 2 + 1, Some(k))), |_| {})
                 .unwrap();
             t.pool().flush().unwrap();
-            let d = device.stats().snapshot_delta(&before);
+            let d = device.stats().snapshot().since(&before);
             assert_eq!(d.reads(), old_nodes, "{frames} frames");
             assert_eq!(d.writes(), t.node_count().unwrap(), "{frames} frames");
             assert_eq!(t.len(), 2 * n);
@@ -1502,7 +1469,7 @@ mod tests {
             let before = device.stats().snapshot();
             let t = BTree::bulk_load(p, (0..4000u64).map(|k| (k, k))).unwrap();
             t.pool().flush().unwrap();
-            let d = device.stats().snapshot_delta(&before);
+            let d = device.stats().snapshot().since(&before);
             assert_eq!(d.reads(), 0, "{frames} frames");
             assert_eq!(d.writes(), t.node_count().unwrap(), "{frames} frames");
             assert_eq!(device.allocated_blocks(), d.writes(), "no block but a node");
@@ -1568,25 +1535,6 @@ mod tests {
         }
         assert_eq!(t.first().unwrap(), Some((10, 20)));
         assert_eq!(t.last().unwrap(), Some((999, 999)));
-    }
-
-    #[test]
-    fn for_each_range_streams_in_order() {
-        let t = BTree::bulk_load(pool(128, 16), (0..500u64).map(|k| (k * 2, k))).unwrap();
-        let mut got = Vec::new();
-        t.for_each_range(&100, &140, |k, v| got.push((*k, *v)))
-            .unwrap();
-        assert_eq!(got, (50..=70).map(|k| (k * 2, k)).collect::<Vec<_>>());
-        // Agrees with the materializing variant everywhere.
-        let mut all = Vec::new();
-        t.for_each_range(&0, &u64::MAX, |k, v| all.push((*k, *v)))
-            .unwrap();
-        assert_eq!(all, t.range(&0, &u64::MAX).unwrap());
-        // Inverted range is a no-op.
-        let mut none = Vec::new();
-        t.for_each_range(&10, &5, |k, v| none.push((*k, *v)))
-            .unwrap();
-        assert!(none.is_empty());
     }
 
     #[test]

@@ -361,11 +361,6 @@ impl DiskArray {
         }
     }
 
-    /// The retry policy applied to transient member-disk errors.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Take the first error (if any) of a write-behind transfer whose ticket
     /// was dropped before completion (overlapped mode only).  See
     /// [`IoScheduler::take_dropped_error`].

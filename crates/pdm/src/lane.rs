@@ -150,7 +150,7 @@ mod tests {
         let mut out = vec![0u8; 16];
         view.read_block(id, &mut out).unwrap();
         assert_eq!(out, data);
-        let delta = arr.stats().snapshot_delta(&before);
+        let delta = arr.stats().snapshot().since(&before);
         assert_eq!(delta.reads_per_lane(), &[0, 1]);
         assert_eq!(delta.writes_per_lane(), &[0, 1]);
     }

@@ -401,7 +401,8 @@ mod tests {
             disk.write_block(id, &[i; 8]).unwrap();
             ids.push(id);
         }
-        disk.stats().reset();
+        // Setup only writes, so the tests' device reads count from zero
+        // (their write checks subtract snapshots).
         let pool = BufferPool::new(disk.clone() as SharedDevice, capacity, policy);
         (disk, pool, ids)
     }

@@ -791,7 +791,7 @@ mod tests {
         let mut out = block(0);
         j.read_block(id, &mut out).unwrap();
         assert_eq!(out, block(2), "reads see the redirected payload");
-        let delta = j.stats().snapshot_delta(&before);
+        let delta = j.stats().snapshot().since(&before);
         assert_eq!(delta.writes(), 2, "same write count as a bare device");
         assert_eq!(delta.reads(), 1);
         // The home block itself still holds the pre-epoch bytes (zeroes).

@@ -38,7 +38,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("emgraph/src/time_forward.rs", 5),
     ("emgraph/src/util.rs", 1),
     ("emhash/src/lib.rs", 5),
-    ("emhash/src/partition.rs", 2),
     ("emhash/src/table.rs", 2),
     ("emrel/src/hash_exec.rs", 4),
     ("emsort/src/bmmc.rs", 2),

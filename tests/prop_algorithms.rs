@@ -278,7 +278,7 @@ mod substrate {
             let cfg = EmConfig::new(64, 8);
             let device: SharedDevice = cfg.ram_disk();
             let ids: Vec<_> = (0..20).map(|_| device.allocate().unwrap()).collect();
-            device.stats().reset();
+            let before = device.stats().snapshot();
             let pool = BufferPool::new(device.clone(), capacity, EvictionPolicy::Lru);
             // Reference: a Vec in most-recently-used-first order.
             let mut cache: Vec<u64> = Vec::new();
@@ -296,7 +296,7 @@ mod substrate {
                 }
                 cache.insert(0, id);
             }
-            prop_assert_eq!(device.stats().snapshot().reads(), expected_reads);
+            prop_assert_eq!(device.stats().snapshot().since(&before).reads(), expected_reads);
         }
 
         /// read_range/write_range behave exactly like slice ops on a Vec.

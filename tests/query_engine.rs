@@ -214,11 +214,6 @@ proptest! {
                 "{:?} engine must cost exactly the hand-rolled pipeline",
                 placement);
 
-            // The partition counters attribute hash work to hash plans only.
-            prop_assert_eq!(
-                (m_fused.partition_passes(), m_fused.partition_spilled_blocks()), (0, 0),
-                "{:?} d={} a sort-based plan must not partition", placement, d);
-
             input.free().unwrap();
         }
     }
@@ -523,7 +518,7 @@ proptest! {
                 .hash_group_by(hashes.clone(), fan_out, GRP_BYTES, g_cnt);
             let pred = predict_with_sink(&plan, &env);
 
-            let (ios, mut got) = {
+            let (ios, mut got, out_writes) = {
                 let before = device.stats().snapshot();
                 let scan = ScanExec::new(&input);
                 let mut filt = FilterExec::new(scan, keep);
@@ -543,16 +538,16 @@ proptest! {
                 prop_assert!(g.budget().high_water() <= g.budget().capacity(),
                     "{:?} d={} skew={} hash group held {} of {} records",
                     placement, d, skew, g.budget().high_water(), g.budget().capacity());
-                let got = out.to_vec().unwrap();
+                let (got, out_writes) = (out.to_vec().unwrap(), out.num_blocks() as u64 * stripe);
                 out.free().unwrap();
-                (ios, got)
+                (ios, got, out_writes)
             };
             got.sort_unstable();
             prop_assert_eq!(&got, &expect, "{:?} d={} hash group output wrong", placement, d);
             prop_assert_eq!(ios.total(), pred as u64,
                 "{:?} d={} skew={} hash group measured != predicted", placement, d, skew);
             if skew && f_cnt > 0 {
-                prop_assert!(ios.partition_passes() >= 1,
+                prop_assert!(ios.writes() > out_writes,
                     "the skew tape must spill (and then fall back) rather than stay resident");
             }
 
@@ -693,7 +688,7 @@ proptest! {
                 continue;
             }
 
-            let (ios, mut got) = {
+            let (ios, mut got, out_writes) = {
                 let before = device.stats().snapshot();
                 let scan_o = ScanExec::new(&o_vec);
                 let mut build = FilterExec::new(scan_o, move |r: &Row| keep_order(r.0));
@@ -715,22 +710,21 @@ proptest! {
                 prop_assert!(join.budget().high_water() <= join.budget().capacity(),
                     "{:?} d={} hybrid={} join held {} of {} records",
                     placement, d, hybrid, join.budget().high_water(), join.budget().capacity());
-                let got = out.to_vec().unwrap();
+                let (got, out_writes) = (out.to_vec().unwrap(), out.num_blocks() as u64 * stripe);
                 out.free().unwrap();
-                (ios, got)
+                (ios, got, out_writes)
             };
             got.sort_unstable();
             prop_assert_eq!(&got, &expect, "{:?} d={} hybrid={} join output wrong",
                 placement, d, hybrid);
             prop_assert_eq!(ios.total(), pred as u64,
                 "{:?} d={} hybrid={} join measured != predicted", placement, d, hybrid);
-            // Nothing is partitioned if and only if the build side fit the
-            // residency `M − (F+1)·B`.
-            let spills = (ios.partition_passes(), ios.partition_spilled_blocks());
+            // Nothing is partitioned — the sink's blocks are the only writes —
+            // if and only if the build side fit the residency `M − (F+1)·B`.
             let residency = (m - (fan_out + 1) * rows_per_block) as u64;
-            prop_assert_eq!(spills == (0, 0), f_cnt <= residency,
-                "{:?} d={} hybrid={} build of {} vs residency {}: {:?}",
-                placement, d, hybrid, f_cnt, residency, spills);
+            prop_assert_eq!(ios.writes() == out_writes, f_cnt <= residency,
+                "{:?} d={} hybrid={} build of {} vs residency {}: {} writes, {} for the output",
+                placement, d, hybrid, f_cnt, residency, ios.writes(), out_writes);
 
             o_vec.free().unwrap();
             l_vec.free().unwrap();

@@ -246,7 +246,8 @@ fn run_case(case: &str, device: &SharedDevice, overlap: OverlapConfig) -> Outcom
                 },
                 grp_words,
             );
-            assert_eq!(o.ios.partition_passes(), 1, "skew detected after one pass");
+            // One group is one output block; every other write is a spill.
+            assert!(o.ios.writes() > 1, "the skew tape spilled");
             o
         }
         "sort group-by" => {

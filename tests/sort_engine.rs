@@ -727,7 +727,8 @@ fn a_stream_dropped_early_reads_no_more_than_a_per_record_merge() {
                 );
             } else {
                 assert_eq!(io.prefetch_wasted(), 0, "drained at depth {depth}");
-                assert!(io.forecast_issued() > 0);
+                assert!(io.prefetched() > 0);
+                assert_eq!(io.prefetch_hits(), io.prefetched());
             }
         }
         runs.into_iter().for_each(|r| r.free().unwrap());
