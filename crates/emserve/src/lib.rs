@@ -10,17 +10,19 @@
 //! * [`Shard`] — one partition of the dictionary: an [`emtree::BTree`] per
 //!   tenant (authoritative, point-read path through the shard's
 //!   [`pdm::BufferPool`]; an entry is the user's record, with no tenant
-//!   prefix) paired with an append-only op log and an in-memory,
-//!   key-ordered delta map holding the latest op per `(tenant, key)` since
-//!   the last compaction.  Nothing queries the log, so a write costs its
-//!   `Scan(N)` share, `R/B` of a block write; a periodic compaction feeds
-//!   each tenant's run of the delta — which, with the batch empty, *is* the
-//!   log's latest-op-per-key view — to that tenant's
+//!   prefix) paired with an in-memory, key-ordered delta map holding the
+//!   latest op per `(tenant, key)` since the last compaction and, on a
+//!   [`pdm::Journal`], an append-only log of those ops.  Nothing queries
+//!   the log, and it has no blocks of its own: it is a journal manifest
+//!   that each flush appends its batch to, so the one header that commits
+//!   a batch carries it.  A periodic compaction feeds each tenant's run of
+//!   the delta — which, with the batch empty, *is* the log's
+//!   latest-op-per-key view — to that tenant's
 //!   [`BTree::apply_sorted_batch`](emtree::BTree::apply_sorted_batch), one
 //!   streaming rebuild that reads each old node once and writes each new
 //!   node once, leaves the trees of tenants the delta does not touch alone,
-//!   and frees the log without reading it.  Only crash recovery reads the
-//!   log.  Each rebuild also refreshes an in-memory key filter over its
+//!   and resets the log without reading it.  Only crash recovery replays
+//!   the log.  Each rebuild also refreshes an in-memory key filter over its
 //!   tree, so a get of a key neither the delta nor the tree holds reads no
 //!   block except on a false positive.
 //! * [`Server`] — the concurrent request batcher: one bounded MPSC ingest
@@ -28,7 +30,7 @@
 //!   puts/deletes into batches flushed on *size or deadline* (throughput
 //!   batching never unbounded-delays an ack), serves gets read-your-writes
 //!   consistently by consulting the in-flight delta before the tree, and
-//!   acknowledges a write only after the op log holds it.  Shards are
+//!   acknowledges a write only after its batch's flush returned.  Shards are
 //!   pinned to distinct lanes of an independent-disk array via
 //!   [`pdm::LaneView`], so one shard's flush never serializes a neighbour's
 //!   reads, and per-shard transfers are attributable per lane by

@@ -3,17 +3,20 @@
 //! One bounded MPSC ingest queue and one drain thread per shard.  Producers
 //! route requests by deterministic hash ([`shard_of_key`]) and block when a
 //! shard's queue is full (bounded memory, natural backpressure).  Each drain
-//! thread coalesces puts/deletes into batches appended to the shard's op
-//! log on *size or deadline* — so a saturated shard amortizes the log's
-//! block writes and the flush's barrier over `batch_max` ops, while a
-//! trickle still acks within `batch_deadline` — and serves gets with
+//! thread coalesces puts/deletes into batches flushed on *size or
+//! deadline* — so a saturated shard amortizes the flush's barrier over
+//! `batch_max` ops, while a trickle still acks within `batch_deadline` —
+//! and serves gets with
 //! read-your-writes consistency by consulting the shard's delta overlay
 //! (which includes the open batch) before the tree.
 //!
 //! Durability contract: a write is acknowledged through the
-//! [`CompletionSink`] only after the op log holds it.  On a device error
+//! [`CompletionSink`] only after its batch's flush returned, past a device
+//! barrier, so a failed write-behind fails the batch instead of being acked
+//! around.  A `Server` shard has no journal, so an ack does not promise
+//! the write survives a crash.  On a device error
 //! the worker *fail-stops*: it records the first error, stops accepting
-//! data operations (never acking anything it could not log), but keeps
+//! data operations (never acking anything it could not flush), but keeps
 //! answering control messages so producers and `barrier()` callers cannot
 //! deadlock.  The error surfaces from the next control call.
 //!
@@ -61,7 +64,7 @@ pub struct Request<K, V> {
 /// Where completions go.  Implementations must be cheap and non-blocking —
 /// they run on shard drain threads.
 pub trait CompletionSink<V>: Send + Sync + 'static {
-    /// `op_id`'s write is durable in its shard's op log.
+    /// `op_id`'s write was flushed with its shard's batch.
     fn acked_write(&self, tenant: u32, op_id: u64);
     /// `op_id`'s get resolved to `value`.
     fn got(&self, tenant: u32, op_id: u64, value: Option<V>);
@@ -89,8 +92,9 @@ pub struct ServeConfig {
     pub batch_max: usize,
     /// Flush the open batch once its first op has waited this long.
     pub batch_deadline: Duration,
-    /// Compact a shard once its delta holds this many distinct keys, or its
-    /// op log this many records a later op on the same key superseded.
+    /// Compact a shard once its delta holds this many distinct keys, or this
+    /// many of the ops it flushed since its last compaction were superseded
+    /// by a later op on the same key.
     pub compact_threshold: usize,
     /// Frames in each shard's read buffer pool.
     pub pool_frames: usize,

@@ -1,19 +1,23 @@
 //! One partition of the serving dictionary.
 //!
 //! A [`Shard`] pairs the authoritative B+-tree (point reads in
-//! `O(log_B N)` through a [`BufferPool`]) with an append-only *op log*
-//! (`Scan(N)`: one block write per `B/R` ops) and an in-memory,
-//! key-ordered *delta map* holding the latest operation per key accepted
-//! since the last compaction.  The delta map is what makes reads-your-writes
-//! cheap: a get consults it before the tree, and nothing ever reads the log
-//! to answer a query.
+//! `O(log_B N)` through a [`BufferPool`]) with an in-memory, key-ordered
+//! *delta map* holding the latest operation per key accepted since the last
+//! compaction and, on a [`Journal`], a *log* of those operations.  The delta
+//! map is what makes reads-your-writes cheap: a get consults it before the
+//! tree, and nothing ever reads the log to answer a query.
 //!
 //! The invariant the rest stands on: **with the batch empty, the delta is
 //! exactly the log's latest-op-per-key view.**  The two are therefore never
 //! read for the same purpose: compaction consumes the delta (in memory, in
-//! key order) and merely frees the log's blocks; only [`Shard::recover`]
-//! reads the log, to rebuild the delta a crash lost.  The log is the shard's
-//! durable record of accepted writes, not a stage its data passes through.
+//! key order) and merely resets the log; only [`Shard::recover`] replays the
+//! log, to rebuild the delta a crash lost.  The log is the shard's durable
+//! record of accepted writes, not a stage its data passes through: the
+//! journal's `"log"` manifest, to which each flush appends its batch's
+//! 21-byte records, so the one header that commits a batch carries them and
+//! the log has no blocks of its own.  An unjournaled shard keeps no log,
+//! since nothing could ever read one, only a count of the ops flushed since
+//! the last compaction.
 //!
 //! Multi-tenancy is one tree per tenant: a tree entry is the user's own
 //! `(key, value)` record, with no tenant prefix repeated in every entry, so
@@ -25,10 +29,10 @@
 //! then resets log and delta.  A tenant the delta does not touch is neither
 //! read nor rewritten, and a tenant's tree is created by the first
 //! compaction that puts a key of it, through the same call.  Compaction
-//! runs once the delta holds `compact_threshold` keys, or once the log
-//! holds `compact_threshold` records that a later op on the same key
-//! superseded, so an overwrite stream on a few hot keys cannot grow the log
-//! past about twice the threshold.
+//! runs once the delta holds `compact_threshold` keys, or once
+//! `compact_threshold` of the ops flushed since the last one were
+//! superseded by a later op on the same key, so an overwrite stream on a
+//! few hot keys cannot grow the log past about twice the threshold.
 //!
 //! Beside each tree sits a *key filter* ([`KeyFilter`], two bytes a key),
 //! rebuilt by every compaction of that tree from the keys it writes.
@@ -40,9 +44,10 @@
 //! none until its next compaction, and reads the tree for every get the
 //! delta does not answer.
 //!
-//! A journaled shard's checkpoint records its trees as one
-//! `(tenant u32, root u64, height u64, len u64)` entry of 28 bytes each, in
-//! tenant order ([`TREE_ENTRY`]).
+//! A journaled shard's checkpoint records its trees in the `"btree"`
+//! manifest as one `(tenant u32, root u64, height u64, len u64)` entry of 28
+//! bytes each, in tenant order ([`TREE_ENTRY`]).  Only a compaction changes
+//! it, so the chained header that commits a flush leaves it out.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -54,7 +59,7 @@ use em_core::Record;
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy, Journal, PdmError, Result, SharedDevice};
 
-use crate::oplog::{Ik, Latest, OpLog};
+use crate::oplog::{self, Ik, Latest};
 
 /// Deterministic FNV-1a routing of `(tenant, key)` onto `shards` partitions.
 ///
@@ -135,7 +140,7 @@ struct PendingOp<K, V> {
     op: Option<V>,
 }
 
-/// One partition of the dictionary: a B+-tree per tenant + op log + delta.
+/// One partition of the dictionary: a B+-tree per tenant + log + delta.
 ///
 /// Single-threaded by design — the [`Server`](crate::Server) gives each
 /// shard its own drain thread and lane-pinned device, so shards never
@@ -145,7 +150,10 @@ pub struct Shard<K: Record + Ord, V: Record> {
     pool: Arc<BufferPool>,
     /// Each tenant's tree, once a compaction has put a key of it.
     trees: BTreeMap<u32, TenantTree<K, V>>,
-    log: OpLog<K, V>,
+    /// Ops flushed since the last compaction, superseded or not: with the
+    /// delta's size, what [`wants_compact`](Self::wants_compact) counts.  On
+    /// a journal, the records of the `"log"` manifest.
+    logged: usize,
     /// Every op since the last compaction (logged *or* still in-flight in
     /// `batch`): `Some(v)` put, `None` delete.  Read-your-writes overlay
     /// and, being ordered, compaction's input.
@@ -156,10 +164,10 @@ pub struct Shard<K: Record + Ord, V: Record> {
     compact_threshold: usize,
     /// Crash-recovery journal, when the shard runs on a
     /// [`Journal`]-wrapped device.  Every batch flush and compaction
-    /// commits a checkpoint (tree entries + log manifest) before any op is
-    /// acknowledged, so acked writes survive a crash.  The delta is not
-    /// checkpointed: with the batch empty it is exactly the log's
-    /// latest-op-per-key view, which [`recover`](Self::recover) reads back.
+    /// commits a checkpoint (tree entries + the log's new records) before
+    /// any op is acknowledged, so acked writes survive a crash.  The delta
+    /// is not checkpointed: with the batch empty it is exactly the log's
+    /// latest-op-per-key view, which [`recover`](Self::recover) replays.
     journal: Option<Arc<Journal>>,
 }
 
@@ -170,12 +178,11 @@ where
 {
     /// Build a shard on `device` with a `pool_frames`-frame read pool and
     /// compaction once the delta holds `compact_threshold` distinct keys
-    /// (or the log that many superseded records).
+    /// (or that many of the ops flushed since were superseded).
     ///
-    /// `_absorber_mem` is ignored.  It sized the buffer-tree absorber the op
+    /// `_absorber_mem` is ignored.  It sized the buffer-tree absorber the
     /// log replaced, and stays so that callers written against that
-    /// signature keep compiling; the log holds one block of records in
-    /// memory whatever it is.  The same holds for
+    /// signature keep compiling.  The same holds for
     /// [`with_journal`](Self::with_journal) and [`recover`](Self::recover).
     pub fn new(
         device: SharedDevice,
@@ -183,7 +190,7 @@ where
         _absorber_mem: usize,
         compact_threshold: usize,
     ) -> Result<Self> {
-        Self::build(device, None, pool_frames, compact_threshold)
+        Ok(Self::build(device, None, pool_frames, compact_threshold))
     }
 
     /// Build a journaled shard: all shard storage lives behind `journal`
@@ -198,7 +205,12 @@ where
         compact_threshold: usize,
     ) -> Result<Self> {
         let device: SharedDevice = Arc::clone(&journal) as SharedDevice;
-        Self::build(device, Some(journal), pool_frames, compact_threshold)
+        Ok(Self::build(
+            device,
+            Some(journal),
+            pool_frames,
+            compact_threshold,
+        ))
     }
 
     fn build(
@@ -206,19 +218,18 @@ where
         journal: Option<Arc<Journal>>,
         pool_frames: usize,
         compact_threshold: usize,
-    ) -> Result<Self> {
-        let pool = BufferPool::new(device.clone(), pool_frames, EvictionPolicy::Lru);
-        let log = OpLog::new(device)?;
-        Ok(Shard {
+    ) -> Self {
+        let pool = BufferPool::new(device, pool_frames, EvictionPolicy::Lru);
+        Shard {
             pool,
             trees: BTreeMap::new(),
-            log,
+            logged: 0,
             delta: BTreeMap::new(),
             batch: Vec::new(),
             batch_opened: None,
             compact_threshold: compact_threshold.max(1),
             journal,
-        })
+        }
     }
 
     /// Rebuild a shard from `journal`'s last committed checkpoint (obtained
@@ -229,16 +240,15 @@ where
     ///
     /// Each tenant's tree is reattached from its checkpoint entry, with no
     /// I/O and no key filter.  The delta overlay is rebuilt by replaying
-    /// the recovered log, newest op first: its tail from the checkpoint
-    /// manifest, then one read per log block, walking the chain back from
-    /// the newest.  Paid once here, instead of `O(δ/B)` chain writes at
-    /// every flush.
+    /// the recovered `"log"` manifest, newest op first, in memory: the
+    /// journal's recovery read it with the headers that carry it, so this
+    /// costs no transfer.
     ///
     /// # Errors
     ///
     /// [`PdmError::Corrupt`] for a malformed checkpoint: a tree manifest
     /// that is not a whole number of entries or lists a tenant twice, or a
-    /// missing or malformed log manifest.
+    /// missing log manifest or one that is not a whole number of records.
     pub fn recover(
         journal: Arc<Journal>,
         pool_frames: usize,
@@ -249,7 +259,7 @@ where
             return Self::with_journal(journal, pool_frames, 0, compact_threshold);
         };
         let device: SharedDevice = Arc::clone(&journal) as SharedDevice;
-        let pool = BufferPool::new(device.clone(), pool_frames, EvictionPolicy::Lru);
+        let pool = BufferPool::new(device, pool_frames, EvictionPolicy::Lru);
         let trees = parse_trees(&bm)?
             .into_iter()
             .map(|(tenant, root, height, len)| {
@@ -257,15 +267,14 @@ where
                 (tenant, TenantTree { tree, filter: None })
             })
             .collect();
-        let lm = journal
+        let log = journal
             .manifest("log")
-            .ok_or_else(|| PdmError::Corrupt("shard checkpoint has no op-log manifest".into()))?;
-        let (log, delta) = OpLog::reattach(device, &lm)?;
+            .ok_or_else(|| PdmError::Corrupt("shard checkpoint has no log manifest".into()))?;
         Ok(Shard {
             pool,
             trees,
-            log,
-            delta,
+            logged: log.len() / oplog::record_len::<K, V>(),
+            delta: oplog::replay(&log)?,
             batch: Vec::new(),
             batch_opened: None,
             compact_threshold: compact_threshold.max(1),
@@ -320,37 +329,46 @@ where
     /// [`barrier`](pdm::BlockDevice::barrier) runs first, so a write-behind
     /// failure surfaces as this batch's error instead of being acked around.
     ///
-    /// Cost: the log blocks the batch fills, `⌊(tail + n)/per_block⌋`
-    /// writes, plus the checkpoint — on a journal, one header write, which
-    /// carries the log's tail when it fits the header's `B − 48` inline
-    /// bytes beside the record's 80 bytes of framing and 28 bytes per tree:
-    /// at `B` = 1 KiB a shard with `T` tenant trees keeps
-    /// `⌊(896 − 28·T)/21⌋` of the 47 records a tail can hold inline (41 at
-    /// one tree, 40 at two, 32 at eight), and writes one chain block above
-    /// that.  No reads.
+    /// Cost: the checkpoint alone, and no reads.  On a journal that is one
+    /// header write carrying the batch's records: the header that commits a
+    /// flush is chained, and holds only what changed since the one before —
+    /// 21 bytes an op and 51 bytes of framing, not the log before it, and
+    /// not the tree entries, which only a compaction changes.  At `B` =
+    /// 1 KiB a batch of up to 43 ops is one write however many tenant trees,
+    /// and each 1 008 bytes more is one overflow block.  (The first flush
+    /// after a compaction is an anchor instead when the whole record fits,
+    /// up to `⌊(888 − 28·T)/21⌋` ops at `T` trees: one write either way.)
+    /// Batches under about 24 ops, half a block of records, grow the chain
+    /// faster than the log, so the journal's anchor rule rewrites the log
+    /// as an anchor each time the chain reaches twice that: at most 1.5
+    /// writes a flush, amortized.  Without a journal, a device barrier and
+    /// no transfer.
     pub fn flush_batch(&mut self, mut ack: impl FnMut(u32, u64)) -> Result<usize> {
         let batch = std::mem::take(&mut self.batch);
         self.batch_opened = None;
-        let n = batch.len();
-        let mut acks = Vec::with_capacity(n);
-        for p in batch {
-            self.log.append(&p.key, &p.op)?;
-            acks.push((p.tenant, p.op_id));
+        if batch.is_empty() {
+            return Ok(0);
         }
-        if n > 0 {
-            self.checkpoint()?;
+        if let Some(journal) = &self.journal {
+            let mut records = Vec::with_capacity(batch.len() * oplog::record_len::<K, V>());
+            for p in &batch {
+                oplog::encode(&p.key, &p.op, &mut records);
+            }
+            journal.append_manifest("log", &records);
         }
-        for (t, id) in acks {
-            ack(t, id);
+        self.logged += batch.len();
+        self.checkpoint()?;
+        for p in &batch {
+            ack(p.tenant, p.op_id);
         }
-        Ok(n)
+        Ok(batch.len())
     }
 
     /// Make all accepted state durable.  With a journal: flush the read
     /// pool's dirty frames, record one [`TreeEntry`] per tree in tenant
-    /// order and the log manifest, and commit a checkpoint.  Without one: a
-    /// device barrier, surfacing any dropped write-behind error (no extra
-    /// transfers).
+    /// order, and commit a checkpoint, which carries the log's new records
+    /// too.  Without one: a device barrier, surfacing any dropped
+    /// write-behind error (no extra transfers).
     ///
     /// Only ever runs with the batch empty: the overlay is not written, it
     /// is re-derived from the log, so an op still in the batch would be
@@ -368,7 +386,6 @@ where
             (tenant, tree.root(), u64::from(tree.height()), tree.len()).write_to(entry);
         }
         journal.set_manifest("btree", bm);
-        journal.set_manifest("log", self.log.manifest_bytes());
         journal.checkpoint()
     }
 
@@ -424,12 +441,12 @@ where
         Ok(merged.into_iter().collect())
     }
 
-    /// True when the delta has reached the compaction threshold, or the log
-    /// holds that many records a later op on the same key superseded.  Only
-    /// meaningful between batches (the open batch must be flushed first so
-    /// the log and delta agree).
+    /// True when the delta has reached the compaction threshold, or that
+    /// many of the ops flushed since the last compaction were superseded by
+    /// a later op on the same key.  Only meaningful between batches (the
+    /// open batch must be flushed first so the log and delta agree).
     pub fn wants_compact(&self) -> bool {
-        let superseded = self.log.len().saturating_sub(self.delta.len());
+        let superseded = self.logged.saturating_sub(self.delta.len());
         self.batch.is_empty() && self.delta.len().max(superseded) >= self.compact_threshold
     }
 
@@ -454,7 +471,7 @@ where
     /// `Δ·O(log_B N)` point updates.  A tenant the delta does not touch is
     /// neither read nor rewritten.  A tenant with no tree gets an empty one,
     /// which the same call rebuilds, unless its run holds deletes only.  The
-    /// log is not read: its blocks are freed, which costs nothing.
+    /// log is not read, only reset to empty.
     ///
     /// Each tenant's key filter is rebuilt from the keys its rebuild writes,
     /// at two bytes per key the new tree can hold (the old tree's plus the
@@ -513,14 +530,14 @@ where
                 .apply_sorted_batch(run, |key| filter.insert(filter_hash(tenant, key)))?;
             t.filter = Some(filter);
         }
-        self.log.clear()?;
         self.delta.clear();
+        self.logged = 0;
         // On a journaled shard the rebuilds must commit atomically: the frees
-        // of the old trees' nodes and of the log's blocks are deferred inside
-        // the journal until this checkpoint, so a crash mid-compaction
-        // rewinds every tenant to the intact pre-compaction state, log
-        // untouched.
-        if self.journal.is_some() {
+        // of the old trees' nodes are deferred inside the journal until this
+        // checkpoint, so a crash mid-compaction rewinds every tenant to the
+        // intact pre-compaction state, log untouched.
+        if let Some(journal) = self.journal.clone() {
+            journal.set_manifest("log", Vec::new());
             self.checkpoint()?;
         }
         Ok(())
@@ -811,8 +828,11 @@ mod tests {
 
     #[test]
     fn compaction_never_touches_the_log() {
-        let mut s = ram_shard(usize::MAX);
-        let dev = s.pool.device().clone();
+        use pdm::{Journal, RamDisk};
+        let journal = Journal::format(RamDisk::new(512) as SharedDevice).unwrap();
+        let mut s: Shard<u64, u64> =
+            Shard::with_journal(Arc::clone(&journal), 16, 256, usize::MAX).unwrap();
+        let dev = journal.inner().clone();
         // A tree from a first compaction, then a second overlay above it.
         for round in 0..2u64 {
             for i in 0..600u64 {
@@ -831,30 +851,44 @@ mod tests {
         s.pool.flush().unwrap();
         let old_nodes = s.tree_of(1).tree.node_count().unwrap();
         assert!(old_nodes > 16, "old tree must exceed the pool");
-        assert!(
-            dev.allocated_blocks() > old_nodes,
-            "the log must hold blocks for the test to mean anything"
+        assert_eq!(
+            journal.manifest("log").unwrap().len(),
+            600 * 21,
+            "the second round's ops are in the log"
         );
         let looked_up = |s: &Shard<u64, u64>| s.pool.stats().hits() + s.pool.stats().misses();
-        let (io, lookups, misses, writebacks) = (
+        let (io, wal, lookups, misses, writebacks) = (
             dev.stats().snapshot(),
+            journal.overhead(),
             looked_up(&s),
             s.pool.stats().misses(),
             s.pool.stats().writebacks(),
         );
         s.compact().unwrap();
-        s.pool.flush().unwrap();
         let d = dev.stats().snapshot().since(&io);
         // Each old node was looked at once, and nothing but a tree node
         // missing from the pool was read …
         assert_eq!(looked_up(&s) - lookups, old_nodes);
         assert_eq!(d.reads(), s.pool.stats().misses() - misses);
-        // … each new node was written once, and nothing else was written …
+        // … each new node was written once, and besides them only the
+        // checkpoint's header: its record, one tree entry and an empty log,
+        // fits an anchor …
         let new_nodes = s.tree_of(1).tree.node_count().unwrap();
-        assert_eq!(d.writes(), new_nodes);
-        assert_eq!(d.writes(), s.pool.stats().writebacks() - writebacks);
-        // … and the log's blocks were only freed.
-        assert_eq!(dev.allocated_blocks(), new_nodes);
+        assert_eq!(d.writes() - 1, new_nodes);
+        assert_eq!(d.writes() - 1, s.pool.stats().writebacks() - writebacks);
+        let now = journal.overhead();
+        assert_eq!(
+            (
+                now.header_writes - wal.header_writes,
+                now.chain_writes - wal.chain_writes,
+                now.shadow_writes - wal.shadow_writes,
+            ),
+            (1, 0, 0)
+        );
+        // … and the log was reset, not read.  The device holds the new tree
+        // and the journal's two anchor slots and pre-allocated block.
+        assert_eq!(journal.manifest("log"), Some(Vec::new()));
+        assert_eq!(dev.allocated_blocks(), new_nodes + 3);
         s.check_invariants().unwrap();
     }
 
@@ -938,9 +972,10 @@ mod tests {
     const TAPE_BATCHES: u64 = 80;
 
     /// Play `batches` of a seeded 2 000-op put/overwrite/delete tape (25 ops
-    /// a batch, a compaction whenever 300 keys are pending).  Before each
-    /// compaction the overlay must equal the log's own view, after it the
-    /// shard must equal the model.  On a device error returns the index of
+    /// a batch, a compaction whenever 300 keys are pending) on a journaled
+    /// shard.  Before each compaction the overlay must equal the view the
+    /// journal's `"log"` manifest replays to, after it the shard must equal
+    /// the model.  On a device error returns the index of
     /// the batch in flight, which is safe to replay: an op's effect depends
     /// only on its position in the tape.  (The two tests that play it keep
     /// the names they had when the log was a buffer-tree absorber.)
@@ -965,7 +1000,8 @@ mod tests {
             if !s.wants_compact() {
                 continue;
             }
-            let logged = s.log.latest_per_key().map_err(|_| batch)?;
+            let log = s.journal.as_ref().and_then(|j| j.manifest("log"));
+            let logged = oplog::replay(&log.expect("a journaled shard")).map_err(|_| batch)?;
             assert_eq!(s.delta, logged, "batch {batch}: overlay != log view");
             s.compact().map_err(|_| batch)?;
             compactions += 1;
@@ -980,8 +1016,9 @@ mod tests {
 
     #[test]
     fn overlay_equals_absorber_view_before_every_compaction() {
-        let dev: SharedDevice = DiskArray::new_ram(1, 512, Placement::Independent);
-        let mut s: Shard<u64, u64> = Shard::new(dev, 16, 256, 300).unwrap();
+        use pdm::{Journal, RamDisk};
+        let journal = Journal::format(RamDisk::new(512) as SharedDevice).unwrap();
+        let mut s: Shard<u64, u64> = Shard::with_journal(journal, 16, 256, 300).unwrap();
         let compactions = play_tape(&mut s, &mut BTreeMap::new(), 0..TAPE_BATCHES).unwrap();
         assert!(compactions >= 4, "only {compactions} compactions");
         s.check_invariants().unwrap();
@@ -1043,8 +1080,8 @@ mod tests {
             .collect();
         // Six kill points spread over the tape, each inside a batch whose
         // predecessor left an overlay pending — at the batch's first, second,
-        // … transfer, so the crash hits its log writes, its commit header
-        // or its compaction.
+        // … transfer, so the crash hits its overflow block, its commit
+        // header or its compaction.
         let batches: Vec<u64> = (1..=6)
             .map(|i| (i * 10..).find(|&b| !done[b as usize - 1].1).unwrap())
             .collect();
@@ -1063,9 +1100,6 @@ mod tests {
         );
     }
 
-    /// Log records a 1 KiB block holds: (1 024 − 8-byte link) / 21 bytes.
-    const PER_BLOCK: u64 = 48;
-
     #[test]
     fn checkpoint_cost_does_not_grow_with_the_overlay() {
         use pdm::{BlockDevice, Journal, RamDisk};
@@ -1076,7 +1110,6 @@ mod tests {
         let mut s: Shard<u64, u64> =
             Shard::with_journal(Arc::clone(&journal), 16, 4096, usize::MAX).unwrap();
         for round in 0..40u64 {
-            let tail = s.log.len() as u64 % PER_BLOCK;
             for i in 0..32u64 {
                 let key = round * 32 + i;
                 s.enqueue(0, key, key, Some(key));
@@ -1085,17 +1118,13 @@ mod tests {
             s.flush_batch(|_, _| {}).unwrap();
             let d = ram.stats().snapshot().since(&io);
             let now = journal.overhead();
-            // One header, which carries the log's tail of 0, 16 or 32
-            // records (≤ 80 + 672 of its 976 inline bytes: no tree yet),
-            // plus the log blocks the batch filled.  Nothing is read,
-            // nothing chained, nothing shadowed: a log block is born in the
-            // epoch that writes it, and a shard that has never compacted
-            // has no tree to write.
-            assert_eq!(
-                (d.reads(), d.writes()),
-                (0, 1 + (tail + 32) / PER_BLOCK),
-                "round {round}"
-            );
+            // One header, which carries the batch's 672 bytes of records:
+            // the first an anchor (the whole record, 752 of its 968 inline
+            // bytes), every later one a chained header (51 bytes of framing
+            // and the new records).  Nothing is read, nothing overflows,
+            // nothing is shadowed: a shard that has never compacted has no
+            // tree to write.
+            assert_eq!((d.reads(), d.writes()), (0, 1), "round {round}");
             assert_eq!(
                 (
                     now.header_writes - wal.header_writes,
@@ -1106,8 +1135,9 @@ mod tests {
                 "round {round}"
             );
         }
-        // A serialized overlay would be 1 280 × 21 bytes = 27 chain blocks
-        // by now; the log's manifest is 16 bytes and its tail.
+        // The log holds 1 280 × 21 bytes, 27 blocks' worth, and no header
+        // carried more than its own batch.
+        assert_eq!(journal.manifest("log").unwrap().len(), 40 * 32 * 21);
         assert_eq!(s.pending(), 40 * 32);
         let wal = journal.overhead();
         assert_eq!(wal.checkpoints, 40);
@@ -1115,11 +1145,12 @@ mod tests {
     }
 
     /// On a journaled shard holding `trees` tenant trees at `B` = 1 KiB, a
-    /// tail of `inline` records rides in the commit header and one more
-    /// spills one chain block: the header's 976 inline bytes hold the
-    /// record's 80 bytes of framing, 28 bytes a tree and
-    /// `⌊(896 − 28·trees)/21⌋` log records.
-    fn assert_tail_spills_past(trees: u32, inline: u64) {
+    /// flush of 43 ops costs one header write and one of 44 an overflow
+    /// block more, however long the log grows: the chained header that
+    /// commits a batch holds its 21-byte records and 51 bytes of framing in
+    /// 968 inline bytes, and leaves out the tree entries, which did not
+    /// change.
+    fn assert_batch_spills_past_43(trees: u32) {
         use pdm::{Journal, RamDisk};
         let journal = Journal::format(RamDisk::new(1024) as SharedDevice).unwrap();
         let mut s: Shard<u64, u64> =
@@ -1134,9 +1165,7 @@ mod tests {
             28 * trees as usize
         );
         let mut key = 0u64;
-        // Flush sizes, and the tail each leaves: `inline`, one more, 47,
-        // then a full block written and an empty tail.
-        for (n, chain) in [(inline, 0), (1, 1), (PER_BLOCK - 2 - inline, 1), (1, 0)] {
+        for (n, chain) in [(43, 0), (44, 1), (43, 0), (44, 1), (1, 0)] {
             for _ in 0..n {
                 s.enqueue(0, key, key, Some(key));
                 key += 1;
@@ -1150,21 +1179,48 @@ mod tests {
                     now.chain_writes - before.chain_writes
                 ),
                 (1, chain),
-                "{trees} trees, tail of {} records",
-                s.log.len() as u64 % PER_BLOCK
+                "{trees} trees, a batch of {n} after {} ops",
+                s.logged - n as usize
             );
         }
     }
 
     #[test]
-    fn a_tail_past_41_records_spills_one_chain_block() {
-        assert_tail_spills_past(1, 41);
+    fn a_batch_past_43_records_spills_one_chain_block() {
+        assert_batch_spills_past_43(1);
     }
 
-    /// Each tree's manifest entry takes 28 bytes from the tail's share.
+    /// A tree's 28-byte entry rides in anchors only, so the boundary does
+    /// not move with the number of trees.
     #[test]
-    fn with_two_trees_a_tail_past_40_records_spills_one_chain_block() {
-        assert_tail_spills_past(2, 40);
+    fn with_two_trees_a_batch_past_43_records_spills_one_chain_block() {
+        assert_batch_spills_past_43(2);
+    }
+
+    /// Batches of at least half a block of records, 24 ops at 1 KiB, grow
+    /// the full record twice as fast as the chain: every flush is one
+    /// header.  Smaller ones let the chain outgrow the log, and the anchor
+    /// rule rewrites the log as an anchor whenever the chain reaches twice
+    /// it, which adds at most half the chain's own writes.
+    #[test]
+    fn batches_under_half_a_block_pay_at_most_half_again_for_anchors() {
+        use pdm::{BlockDevice, Journal, RamDisk};
+        const FLUSHES: u64 = 400;
+        for (n, writes) in [(24u64, FLUSHES), (23, 425), (8, 572)] {
+            let ram = RamDisk::new(1024);
+            let journal = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+            let mut s: Shard<u64, u64> = Shard::with_journal(journal, 16, 0, usize::MAX).unwrap();
+            let before = ram.stats().snapshot();
+            for key in 0..FLUSHES * n {
+                s.enqueue(0, key, key, Some(key));
+                if key % n == n - 1 {
+                    s.flush_batch(|_, _| {}).unwrap();
+                }
+            }
+            let d = ram.stats().snapshot().since(&before);
+            assert_eq!((d.reads(), d.writes()), (0, writes), "{n}-op batches");
+            assert!(2 * writes <= 3 * FLUSHES, "{n}-op batches");
+        }
     }
 
     #[test]
@@ -1213,9 +1269,10 @@ mod tests {
         let journal = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
         let headers = journal.header_blocks().unwrap();
         let mut s: Shard<u64, u64> = Shard::with_journal(journal, 16, 4096, usize::MAX).unwrap();
-        // Two batches of 32 over 40 keys: ops 0..48 fill one log block, ops
-        // 48..64 overwrite keys 8..24 (op 50 deletes key 10) and exist on
-        // the medium only inside the last commit header.
+        // Two batches of 32 over 40 keys: ops 40..64 overwrite keys 0..24
+        // and op 50 deletes key 10.  No block holds a log record: the first
+        // batch's records live in an anchor, the second's in the chained
+        // header after it.
         let mut model = BTreeMap::new();
         for i in 0..64u64 {
             let op = (i != 50).then_some(i);
@@ -1229,12 +1286,14 @@ mod tests {
         // The crash: flush_batch returned, so its header has landed; the
         // process dies without running a destructor.
         std::mem::forget(s);
-        let journal = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
         let before = ram.stats().snapshot();
+        let journal = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
         let s = Shard::<u64, u64>::recover(journal, 16, 4096, usize::MAX).unwrap();
         let d = ram.stats().snapshot().since(&before);
-        assert_eq!((d.reads(), d.writes()), (1, 0), "one log block read back");
-        assert_eq!(s.log.len(), 64);
+        // Both anchor slots, the chained header and the block that ends the
+        // walk; the shard replays the log from memory.
+        assert_eq!((d.reads(), d.writes()), (2 + 1 + 1, 0));
+        assert_eq!(s.logged, 64);
         assert_eq!(s.delta, model);
         assert_eq!(
             s.get(0, &8).unwrap(),
@@ -1261,7 +1320,7 @@ mod tests {
             model.insert(i % 4, i);
             if i % 16 == 15 {
                 s.flush_batch(|_, _| {}).unwrap();
-                longest = longest.max(s.log.len());
+                longest = longest.max(s.logged);
                 assert!(s.pending() <= 4);
                 compactions += usize::from(s.maybe_compact().unwrap());
             }

@@ -44,7 +44,7 @@ pub struct ServeStats {
     gets: AtomicU64,
     /// Writes acknowledged to their [`CompletionSink`](crate::CompletionSink).
     acked_writes: AtomicU64,
-    /// Write batches flushed into the op logs (size- or deadline-trigger).
+    /// Write batches flushed (size- or deadline-trigger).
     batches: AtomicU64,
     /// Individual ops carried by those batches.
     batched_ops: AtomicU64,

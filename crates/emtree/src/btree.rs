@@ -737,7 +737,7 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     /// nodes are freed — every old node read once, every new node written
     /// once, `O((N + Δ)/B)` I/Os for a batch of Δ ops regardless of their
     /// key spread, versus `Θ(Δ·log_B N)` for per-key inserts.  This is the
-    /// ingestion path a serving shard compacts into: its op log makes a
+    /// ingestion path a serving shard compacts into: its delta makes a
     /// batch cheap to *collect*, this makes it cheap to *apply*.
     ///
     /// A delete of an absent key is a no-op.  Returns the number of live

@@ -51,57 +51,89 @@
 //!
 //! [`checkpoint`](Journal::checkpoint) then makes the epoch durable:
 //!
-//! 1. **Chain**: the redo record — every `(home, shadow, payload checksum)`
-//!    of a rewritten committed block, plus all named
-//!    [manifests](Journal::set_manifest) — is serialized.  Its first
-//!    `B − 48` bytes ride *inline* in the header block written next; only
-//!    the remainder goes into freshly allocated, checksummed *chain blocks*,
-//!    written back to front so each block's link is final.
-//! 2. **Commit**: a header block is written with the next sequence number,
-//!    the chain head and the inline bytes.  This single block write is the
-//!    commit point.  An epoch that rewrote no committed block has nothing to
-//!    redo, so its header already says `CLEAN` and the checkpoint skips to
-//!    step 5; otherwise it says `COMMITTED`.
+//! 1. **Record**: the redo record — every `(home, shadow, payload checksum)`
+//!    of a rewritten committed block, then the named
+//!    [manifests](Journal::set_manifest) — is serialized.  Its first `B − 56`
+//!    bytes ride *inline* in the header block written next; only the
+//!    remainder goes into freshly allocated *overflow blocks*, written back
+//!    to front so each block's link is final.
+//! 2. **Commit**: one header block is written with the next sequence
+//!    number.  This single block write is the commit point.  An epoch that
+//!    rewrote no committed block has nothing to redo, so its header already
+//!    says `CLEAN` and the checkpoint skips to step 5; otherwise it says
+//!    `COMMITTED`.
 //! 3. **Apply**: each shadow is copied onto its home block.
-//! 4. **Clean**: a second header, `CLEAN` with the next sequence number, is
-//!    written with the same chain head and inline bytes (recovery reads the
-//!    manifests from them).
-//! 5. **Retire**: the previous checkpoint's chain, the applied shadows and
-//!    all deferred frees are released.
+//! 4. **Clean**: a second header, `CLEAN` with the next sequence number.
+//! 5. **Retire**: the applied shadows, all deferred frees and, after an
+//!    anchor, the chain it replaced are released.
 //!
-//! Every header write goes to whichever of the two header slots does *not*
-//! hold the newest header, so a torn header write can only corrupt the
-//! header being written, and recovery falls back to the one before it —
-//! whose chain is still allocated, because a chain is retired only after the
-//! next header has landed.  A header is 48 fixed bytes (magic, sequence
-//! number, state, chain head, inline length, checksum) followed by the
-//! inline bytes, and the checksum covers both: a header whose tail did not
-//! land is rejected like one whose fields did not.  [`Journal::recover`]
-//! reads both headers, picks the newest valid one, and either rewinds (state
-//! `CLEAN`: in-memory pending set is simply gone, homes are consistent) or
-//! redoes the apply (state `COMMITTED`: every shadow is verified against its
-//! checksum and copied home again, then `CLEAN` goes to the other slot —
+//! ## Anchors and chained headers: one log
+//!
+//! The header block *is* the log.  An **anchor** goes to whichever of the
+//! two fixed anchor slots does not hold the newest anchor and carries the
+//! *full* record.  A **chained** header goes to the block the previous
+//! header pre-allocated and names, and carries only what changed since it:
+//! the redo entries, each manifest [set](Journal::set_manifest) to new
+//! bytes, and of a manifest only [appended](Journal::append_manifest) to,
+//! the new bytes; an unchanged manifest is omitted.  Every header
+//! pre-allocates and names the block for the next chained header.
+//!
+//! The **anchor rule**: a checkpoint writes an anchor when its full record
+//! fits the header block, so journals with small manifests (a tree's root,
+//! a buffer tree's or a sorting writer's directory) write anchors only.
+//! Otherwise it chains, unless the chain since the newest anchor (chained
+//! headers, their overflow, and the `CLEAN` header an apply adds) would pass
+//! `2a` blocks, `a` being an anchor of the full record; then it writes that
+//! anchor.  This is the doubling rule: a forced anchor of `a` blocks follows
+//! at least `2a` chained ones, so forced anchors add at most half the
+//! chain's own writes, and recovery walks at most `2a` chained blocks.  A
+//! log appended by more than half a block a checkpoint (a serving shard's)
+//! never forces one.  An anchor retires the chain it replaces only when its
+//! checkpoint has finished, so a torn anchor falls back to the older anchor,
+//! whose chain is still allocated.
+//!
+//! A header is 56 fixed bytes — magic, sequence number, state, overflow
+//! head, next block, inline length, checksum — and the inline bytes.  The
+//! checksum covers both and is keyed to the two anchor slot ids, so a torn
+//! header fails it, and so does another journal's header on the device.
+//!
+//! ## Recovery
+//!
+//! [`Journal::recover`] takes the newest valid anchor and walks forward,
+//! accepting the block the current header names while it verifies (magic,
+//! keyed checksum, sequence number one past the previous) and applying its
+//! changes.  The first block that does not verify ends the walk: the
+//! pre-allocated block nothing reached yet, a torn header, or a stale one of
+//! a retired chain (older sequence number) or of another journal (other
+//! key).  A `CLEAN` newest header rewinds the uncommitted epoch, since
+//! nothing reads its shadows; a `COMMITTED` one is redone, every shadow
+//! checksum-verified and copied home, then a `CLEAN` header written —
 //! idempotent, so a crash *during recovery* is recovered by recovering
-//! again).
+//! again.
 //!
 //! ## Cost accounting
 //!
 //! Mid-epoch operations cost exactly what the bare device costs, so an
 //! algorithm's transfer counts are unchanged by journaling until it
-//! checkpoints.  The checkpoint overhead — chain writes, one header write
+//! checkpoints.  The checkpoint overhead — overflow writes, one header write
 //! plus a second when something was applied, one read + one write per
 //! pending block for the apply — is tracked exactly in [`WalOverhead`], so
-//! benchmarks can assert `journaled = bare + overhead` to the transfer.  For
-//! a redo record of `r` bytes holding `p` pending blocks, a checkpoint costs
-//! `1 + [p > 0] + ⌈(r − (B − 48))⁺ / (B − 16)⌉ + 2p` transfers: what the
-//! epoch allocated and filled costs nothing extra, however much it was, and
-//! an epoch that only allocated commits in one write once its manifests fit
-//! the header block.
+//! benchmarks can assert `journaled = bare + overhead` to the transfer.  A
+//! checkpoint whose header carries an `r`-byte record (the full record for an
+//! anchor, the changes for a chained header) and which rewrote `p` committed
+//! blocks costs `1 + ⌈(r − (B − 56))⁺ / (B − 16)⌉ + [p > 0] + 2p`
+//! transfers: what the epoch allocated and filled costs nothing extra, and a
+//! log kept in an appended manifest costs each checkpoint its new bytes, not
+//! the log.  Recovery reads the two anchor slots, the newest anchor's
+//! overflow, every chained header since it with its overflow — at most `2a`
+//! blocks by the anchor rule — and one block more, the one that ends the
+//! walk.
 //!
-//! Shadow and chain blocks are allocated through the wrapped device's normal
-//! allocator, so on a multi-disk array their *lane* follows the allocation
-//! cursor, not the home block's lane; totals are preserved but per-lane
-//! attribution of a journaled workload can differ from the bare run.
+//! Shadow and overflow blocks are allocated through the wrapped device's
+//! normal allocator, so on a multi-disk array their *lane* follows the
+//! allocation cursor, not the home block's lane; totals are preserved but
+//! per-lane attribution of a journaled workload can differ from the bare
+//! run.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,39 +143,64 @@ use parking_lot::Mutex;
 
 use crate::device::{BlockDevice, BlockId, SharedDevice};
 use crate::error::{PdmError, Result};
-// FNV-1a is the payload and record checksum of the journal.
-use crate::hash::fnv1a;
+// FNV-1a is the payload, record and header checksum of the journal.
+use crate::hash::{fnv1a, fnv1a_words};
 use crate::sched::IoTicket;
 use crate::stats::IoStats;
 
-/// Journal header magic ("external-memory WAL, format 2": record inline).
-const MAGIC: u64 = 0x454D_5741_4C31_0002;
-/// Null block pointer in headers and chain links.
+/// Journal header magic ("external-memory WAL, format 3": anchors and
+/// chained headers).
+const MAGIC: u64 = 0x454D_5741_4C31_0003;
+/// Null block pointer in overflow links.
 const NONE: u64 = u64::MAX;
 const STATE_CLEAN: u64 = 0;
 const STATE_COMMITTED: u64 = 1;
-/// Bytes of a header's fixed part: magic, seq, state, chain head, inline
-/// length, checksum.  The redo record's first `B − HEADER_BYTES` bytes
-/// follow it in the same block.  Also the smallest block a journal accepts,
-/// which leaves a chain block 32 bytes of payload.
-const HEADER_BYTES: usize = 48;
+/// Bytes of a header's fixed part: magic, seq, state, overflow head, next
+/// block, inline length, checksum.  The record's first `B − HEADER_BYTES`
+/// bytes follow it in the same block.  Also the smallest block a journal
+/// accepts, which leaves an overflow block 40 bytes of payload.
+const HEADER_BYTES: usize = 56;
 /// Offset of the header checksum, the last fixed field.
-const SUM_AT: usize = 40;
-/// Per-chain-block overhead: next pointer + chunk length.
+const SUM_AT: usize = 48;
+/// Per-overflow-block overhead: next pointer + chunk length.
 const CHAIN_OVERHEAD: usize = 16;
+/// A record's manifest changes: replace the value, or extend it.
+const SET: u64 = 0;
+const APPEND: u64 = 1;
+
+/// One redo entry: home block, shadow block, payload checksum.
+type Entry = (BlockId, BlockId, u64);
+
+/// One manifest change in a record: kind ([`SET`] or [`APPEND`]), name,
+/// bytes.
+type Change<'a> = (u64, &'a str, &'a [u8]);
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+/// The little-endian word at `*pos`, advancing past it; a word that runs
+/// past the end of `bytes` is [`PdmError::Corrupt`].
 fn get_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
-    let end = pos
+    let word = pos
         .checked_add(8)
-        .filter(|&e| e <= bytes.len())
+        .and_then(|end| bytes.get(*pos..end))
         .ok_or_else(|| corrupt("truncated journal record"))?;
-    let v = u64::from_le_bytes(bytes[*pos..end].try_into().expect("8 bytes"));
-    *pos = end;
-    Ok(v)
+    let mut le = [0u8; 8];
+    le.copy_from_slice(word);
+    *pos += 8;
+    Ok(u64::from_le_bytes(le))
+}
+
+/// The length-prefixed byte string at `*pos`, advancing past it.
+fn get_bytes<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
+    let len = get_u64(bytes, pos)?;
+    let out = usize::try_from(len)
+        .ok()
+        .and_then(|len| bytes.get(*pos..pos.checked_add(len)?))
+        .ok_or_else(|| corrupt("manifest out of range"))?;
+    *pos += out.len();
+    Ok(out)
 }
 
 fn corrupt(what: &str) -> PdmError {
@@ -159,15 +216,17 @@ pub struct WalOverhead {
     /// writes the bare device would have executed (same count), so they are
     /// reported for visibility but are **not** part of [`total`](Self::total).
     pub shadow_writes: u64,
-    /// Chain (redo record) block writes at checkpoints.
+    /// Overflow block writes at checkpoints: the part of a record that does
+    /// not fit its header block.
     pub chain_writes: u64,
-    /// Chain block reads during recovery.
+    /// Overflow block reads during recovery.
     pub chain_reads: u64,
-    /// Header block writes: one at format, one per checkpoint, a second per
-    /// checkpoint that applied redo entries, one per recovery that redid
-    /// an apply.
+    /// Header block writes, anchor or chained: one at format, one per
+    /// checkpoint, a second per checkpoint that applied redo entries, one
+    /// per recovery that redid an apply.
     pub header_writes: u64,
-    /// Header block reads during recovery.
+    /// Header block reads during recovery: both anchor slots, every chained
+    /// header accepted, and the block that ends the walk.
     pub header_reads: u64,
     /// Shadow reads while applying a checkpoint or redoing one at recovery.
     pub apply_reads: u64,
@@ -197,8 +256,18 @@ struct PendingEntry {
     checksum: u64,
 }
 
+/// A named manifest and how much of it the newest header already holds.
+#[derive(Default)]
+struct Manifest {
+    bytes: Vec<u8>,
+    /// `Some(n)`: the headers written so far hold `bytes[..n]`, so the next
+    /// chained header carries `bytes[n..]`, or nothing when that is empty.
+    /// `None`: set since, so the next header carries all of it.
+    persisted: Option<usize>,
+}
+
 struct WalState {
-    /// Homes written this epoch, ordered by id (deterministic chain/apply
+    /// Homes written this epoch, ordered by id (deterministic record/apply
     /// order).
     pending: BTreeMap<BlockId, PendingEntry>,
     /// Blocks allocated through the journal this epoch.  No committed state
@@ -208,23 +277,76 @@ struct WalState {
     /// Frees deferred until the epoch commits; on rewind they never happen,
     /// which is what keeps the pre-epoch structures intact.
     deferred_frees: Vec<BlockId>,
-    /// Named recovery manifests, persisted in the chain at each checkpoint.
-    manifests: BTreeMap<String, Vec<u8>>,
+    /// Named recovery manifests, persisted by the headers.
+    manifests: BTreeMap<String, Manifest>,
     /// Sequence number of the newest header written.
     seq: u64,
-    /// Slot (0 or 1) holding the newest header; the next header write goes
+    /// Anchor slot (0 or 1) holding the newest anchor; the next anchor goes
     /// to the other one.
     newest: usize,
-    /// Chain blocks of the last committed checkpoint; retired by the next.
-    committed_chain: Vec<BlockId>,
+    /// The block the newest header pre-allocated and names: where the next
+    /// chained header goes.
+    next: BlockId,
+    /// What the next anchor retires: the newest anchor's overflow blocks,
+    /// then every chained header since it, each followed by its overflow.
+    chain: Vec<BlockId>,
+    /// Blocks of `chain` that are chained headers or their overflow.
+    chained: usize,
 }
 
-/// One valid header slot, as [`Journal::recover`] reads it.
+impl WalState {
+    /// What changed since the newest header: each manifest set since, whole,
+    /// and each one appended to, its new bytes.  Unchanged ones are omitted.
+    fn changes(&self) -> Vec<Change<'_>> {
+        self.manifests
+            .iter()
+            .filter_map(|(name, m)| match m.persisted {
+                None => Some((SET, name.as_str(), m.bytes.as_slice())),
+                Some(n) if n < m.bytes.len() => Some((APPEND, name.as_str(), &m.bytes[n..])),
+                Some(_) => None,
+            })
+            .collect()
+    }
+
+    /// Every manifest, whole: an anchor's changes.
+    fn everything(&self) -> Vec<Change<'_>> {
+        self.manifests
+            .iter()
+            .map(|(name, m)| (SET, name.as_str(), m.bytes.as_slice()))
+            .collect()
+    }
+
+    /// Bytes of the full record over `entries` redo entries, without
+    /// building it.
+    fn full_len(&self, entries: usize) -> usize {
+        if entries == 0 && self.manifests.is_empty() {
+            return 0;
+        }
+        let changes: usize = self
+            .manifests
+            .iter()
+            .map(|(name, m)| 24 + name.len() + m.bytes.len())
+            .sum();
+        8 + 24 * entries + 8 + changes + 8
+    }
+
+    /// The newest header holds every manifest as it is now.
+    fn mark_persisted(&mut self) {
+        for m in self.manifests.values_mut() {
+            m.persisted = Some(m.bytes.len());
+        }
+    }
+}
+
+/// One valid header, as [`Journal::recover`] reads it.
 struct Header {
     seq: u64,
     state: u64,
-    chain_head: u64,
-    /// The redo record's first bytes, carried in the header block itself.
+    /// First overflow block of the record, or `NONE`.
+    overflow: u64,
+    /// The block this header pre-allocated for the next chained header.
+    next: BlockId,
+    /// The record's first bytes, carried in the header block itself.
     inline: Vec<u8>,
 }
 
@@ -234,10 +356,11 @@ struct Header {
 /// The journal itself implements [`BlockDevice`], so buffer pools, trees and
 /// stream writers run on top of it unchanged; the additional surface is the
 /// control plane — [`checkpoint`](Self::checkpoint),
-/// [`set_manifest`](Self::set_manifest), [`recover`](Self::recover).
+/// [`set_manifest`](Self::set_manifest),
+/// [`append_manifest`](Self::append_manifest), [`recover`](Self::recover).
 pub struct Journal {
     inner: SharedDevice,
-    /// The two header slots; [`WalState::newest`] says which is current.
+    /// The two anchor slots; [`WalState::newest`] says which is current.
     headers: [BlockId; 2],
     state: Mutex<WalState>,
     shadow_writes: AtomicU64,
@@ -258,9 +381,11 @@ impl Journal {
             deferred_frees: Vec::new(),
             manifests: BTreeMap::new(),
             seq: 0,
-            // So that `format`'s header lands in slot 0.
+            // So that `format`'s anchor lands in slot 0.
             newest: 1,
-            committed_chain: Vec::new(),
+            next: NONE,
+            chain: Vec::new(),
+            chained: 0,
         }
     }
 
@@ -289,10 +414,11 @@ impl Journal {
         })
     }
 
-    /// Initialize a fresh journal on `inner`: allocates the two header
-    /// blocks and writes the initial `CLEAN` header.
+    /// Initialize a fresh journal on `inner`: allocates the two anchor
+    /// slots and the block the first chained header will go to, and writes
+    /// the initial `CLEAN` anchor.
     ///
-    /// The header block ids ([`header_blocks`](Self::header_blocks)) are the
+    /// The anchor slot ids ([`header_blocks`](Self::header_blocks)) are the
     /// journal's only root of trust — a later [`recover`](Self::recover)
     /// needs exactly them.  On a fresh device they are the first two
     /// allocations, hence deterministic.
@@ -300,45 +426,63 @@ impl Journal {
     /// # Errors
     ///
     /// [`PdmError::RecordTooLarge`] if a block of `inner` is smaller than a
-    /// header's 48-byte fixed part; otherwise whatever the device returns.
+    /// header's 56-byte fixed part; otherwise whatever the device returns.
     pub fn format(inner: SharedDevice) -> Result<Arc<Journal>> {
         let mut j = Self::bare(inner, [NONE; 2])?;
         j.headers = [j.inner.allocate()?, j.inner.allocate()?];
-        j.write_header(&mut j.state.lock(), STATE_CLEAN, NONE, &[])?;
-        // Slot 1 stays zeroed (invalid) until the first commit.
+        let next = j.inner.allocate()?;
+        let mut st = j.state.lock();
+        j.put_anchor(&mut st, STATE_CLEAN, NONE, next, &[])?;
+        st.next = next;
+        drop(st);
+        // Slot 1 stays zeroed (invalid) until the next anchor.
         Ok(Arc::new(j))
     }
 
     /// Reopen a journal after a crash, given the surviving medium and the
-    /// header block pair from [`header_blocks`](Self::header_blocks).
+    /// anchor slot pair from [`header_blocks`](Self::header_blocks).
     ///
-    /// Reads both headers, picks the newest valid one, and either rewinds
-    /// (newest is `CLEAN`: nothing to do — the uncommitted epoch's shadows
-    /// are simply never looked at) or redoes the committed apply (newest is
-    /// `COMMITTED`: every shadow is checksum-verified and copied onto its
-    /// home, then a `CLEAN` header is written to the other slot).  Running
-    /// recovery twice is idempotent: the second run finds the `CLEAN` header
-    /// the first one wrote.  Manifests stored at the recovered checkpoint
-    /// are available through [`manifest`](Self::manifest).
+    /// Reads both anchor slots, walks forward from the newest valid anchor
+    /// through its chain, and either rewinds (the newest header is `CLEAN`:
+    /// nothing to do — the uncommitted epoch's shadows are simply never
+    /// looked at) or redoes the committed apply (it is `COMMITTED`: every
+    /// shadow is checksum-verified and copied onto its home, then a `CLEAN`
+    /// header is written).  Running recovery twice is idempotent: the second
+    /// run finds the `CLEAN` header the first one wrote.  Manifests stored
+    /// at the recovered checkpoint are available through
+    /// [`manifest`](Self::manifest).
+    ///
+    /// Cost: two anchor reads, the newest anchor's overflow, each chained
+    /// header since it with its overflow, one read that ends the walk, and,
+    /// after a crash between commit and clean, the apply and one header.
     pub fn recover(inner: SharedDevice, headers: [BlockId; 2]) -> Result<Arc<Journal>> {
         let j = Self::bare(inner, headers)?;
         let slots = [j.read_header(headers[0])?, j.read_header(headers[1])?];
-        let Some((newest, header)) = slots
+        let Some((newest, anchor)) = slots
             .into_iter()
             .enumerate()
             .filter_map(|(slot, h)| Some((slot, h?)))
             .max_by_key(|(_, h)| h.seq)
         else {
-            return Err(corrupt("no valid header — not a formatted journal"));
+            return Err(corrupt("no valid anchor — not a formatted journal"));
         };
-        let (entries, manifests, chain) = j.read_record(&header.inline, header.chain_head)?;
         let mut st = j.state.lock();
-        st.seq = header.seq;
         st.newest = newest;
-        if header.state == STATE_COMMITTED {
+        let (mut entries, overflow) = j.read_record(&anchor, &mut st.manifests)?;
+        st.chain = overflow;
+        let (mut last, mut anchored) = (anchor, true);
+        while let Some(h) = j.read_header(last.next)?.filter(|h| h.seq == last.seq + 1) {
+            let (e, overflow) = j.read_record(&h, &mut st.manifests)?;
+            st.chained += 1 + overflow.len();
+            st.chain.push(last.next);
+            st.chain.extend(overflow);
+            (entries, last, anchored) = (e, h, false);
+        }
+        (st.seq, st.next) = (last.seq, last.next);
+        st.mark_persisted();
+        if last.state == STATE_COMMITTED {
             // Redo the interrupted apply, verifying every shadow payload.
-            let bs = j.inner.block_size();
-            let mut buf = vec![0u8; bs];
+            let mut buf = vec![0u8; j.inner.block_size()];
             for &(home, shadow, checksum) in &entries {
                 j.inner.read_block(shadow, &mut buf)?;
                 j.apply_reads.fetch_add(1, Ordering::Relaxed);
@@ -348,15 +492,17 @@ impl Journal {
                 j.inner.write_block(home, &buf)?;
                 j.apply_writes.fetch_add(1, Ordering::Relaxed);
             }
-            j.write_header(&mut st, STATE_CLEAN, header.chain_head, &header.inline)?;
+            if anchored {
+                j.put_anchor(&mut st, STATE_CLEAN, last.overflow, last.next, &last.inline)?;
+            } else {
+                j.write_chained(&mut st, STATE_CLEAN, &[])?;
+            }
         }
-        st.manifests = manifests;
-        st.committed_chain = chain;
         drop(st);
         Ok(Arc::new(j))
     }
 
-    /// The two header block ids — always `Some`; the `Option` dates from a
+    /// The two anchor slot ids — always `Some`; the `Option` dates from a
     /// journal that could be switched off.  Keep these: they are what
     /// [`recover`](Self::recover) needs after a crash.
     pub fn header_blocks(&self) -> Option<[BlockId; 2]> {
@@ -371,15 +517,35 @@ impl Journal {
     /// Store a named recovery manifest — an opaque byte string (a tree's
     /// root and height, a writer's run directory, …) persisted with the
     /// *next* [`checkpoint`](Self::checkpoint) and returned by
-    /// [`manifest`](Self::manifest) after recovery.
+    /// [`manifest`](Self::manifest) after recovery.  Setting the bytes it
+    /// already holds changes nothing, and a chained header omits it.
     pub fn set_manifest(&self, name: &str, bytes: Vec<u8>) {
-        self.state.lock().manifests.insert(name.to_string(), bytes);
+        let mut st = self.state.lock();
+        let m = st.manifests.entry(name.to_string()).or_default();
+        if m.bytes != bytes {
+            m.bytes = bytes;
+            m.persisted = None;
+        }
+    }
+
+    /// Append `bytes` to a named manifest, creating it empty first.  A
+    /// chained header persists only the bytes appended since the last
+    /// checkpoint, so a log kept in a manifest costs a checkpoint its new
+    /// records, not the whole log.
+    pub fn append_manifest(&self, name: &str, bytes: &[u8]) {
+        let mut st = self.state.lock();
+        let m = st.manifests.entry(name.to_string()).or_default();
+        m.bytes.extend_from_slice(bytes);
     }
 
     /// The current value of a named manifest (after recovery: the value at
     /// the recovered checkpoint).
     pub fn manifest(&self, name: &str) -> Option<Vec<u8>> {
-        self.state.lock().manifests.get(name).cloned()
+        self.state
+            .lock()
+            .manifests
+            .get(name)
+            .map(|m| m.bytes.clone())
     }
 
     /// Number of home blocks with uncommitted redirected writes.
@@ -402,8 +568,9 @@ impl Journal {
     }
 
     /// Commit the current epoch; see the `wal` module docs for the five
-    /// steps.  After `Ok(())` every write since the previous checkpoint has
-    /// reached its home block and the deferred frees have executed.
+    /// steps and the anchor rule.  After `Ok(())` every write since the
+    /// previous checkpoint has reached its home block and the deferred frees
+    /// have executed.
     ///
     /// The caller must have completed (waited on) its own submitted writes
     /// first — a buffer pool flush, a stream writer finish.  As a safety
@@ -413,78 +580,157 @@ impl Journal {
     pub fn checkpoint(&self) -> Result<()> {
         self.inner.barrier()?;
         let mut st = self.state.lock();
-        let entries: Vec<(BlockId, BlockId, u64)> = st
+        let entries: Vec<Entry> = st
             .pending
             .iter()
             .map(|(&home, e)| (home, e.shadow, e.checksum))
             .collect();
-        let record = build_record(&entries, &st.manifests);
-        let bs = self.inner.block_size();
-        let (inline, overflow) = record.split_at(record.len().min(bs - HEADER_BYTES));
-        let chain = self.write_chain(overflow)?;
-        let chain_head = chain.first().copied().unwrap_or(NONE);
-        if entries.is_empty() {
-            // Nothing to redo: the commit point is already clean.
-            self.write_header(&mut st, STATE_CLEAN, chain_head, inline)?;
+        let state = if entries.is_empty() {
+            STATE_CLEAN
         } else {
-            // The commit point: one header write.
-            self.write_header(&mut st, STATE_COMMITTED, chain_head, inline)?;
+            STATE_COMMITTED
+        };
+        // The anchor rule (module docs).
+        let full_len = st.full_len(entries.len());
+        let delta = build_record(&entries, st.changes());
+        let anchor = full_len <= self.inner.block_size() - HEADER_BYTES
+            || st.chained + self.blocks(delta.len()) + usize::from(!entries.is_empty())
+                > 2 * self.blocks(full_len);
+        let (record, retired) = if anchor {
+            let full = build_record(&entries, st.everything());
+            let retired = self.write_anchor(&mut st, state, &full)?;
+            (full, retired)
+        } else {
+            self.write_chained(&mut st, state, &delta)?;
+            (delta, Vec::new())
+        };
+        st.mark_persisted();
+        if !entries.is_empty() {
             // Apply shadows onto homes.
-            let mut buf = vec![0u8; bs];
+            let mut buf = vec![0u8; self.inner.block_size()];
             for &(home, shadow, _) in &entries {
                 self.inner.read_block(shadow, &mut buf)?;
                 self.apply_reads.fetch_add(1, Ordering::Relaxed);
                 self.inner.write_block(home, &buf)?;
                 self.apply_writes.fetch_add(1, Ordering::Relaxed);
             }
-            self.write_header(&mut st, STATE_CLEAN, chain_head, inline)?;
+            if anchor {
+                // The same record, clean, in the other slot.
+                let (overflow, next) = (st.chain.first().copied().unwrap_or(NONE), st.next);
+                self.put_anchor(&mut st, STATE_CLEAN, overflow, next, self.split(&record).0)?;
+            } else {
+                self.write_chained(&mut st, STATE_CLEAN, &[])?;
+            }
         }
         // Retire: the epoch is durable, nothing can rewind past it anymore.
-        for id in std::mem::take(&mut st.committed_chain) {
-            self.inner.free(id)?;
-        }
-        for &(_, shadow, _) in &entries {
-            self.inner.free(shadow)?;
-        }
-        for id in std::mem::take(&mut st.deferred_frees) {
+        let deferred = std::mem::take(&mut st.deferred_frees);
+        let shadows = entries.iter().map(|&(_, shadow, _)| shadow);
+        for id in retired.into_iter().chain(shadows).chain(deferred) {
             self.inner.free(id)?;
         }
         st.pending.clear();
         st.fresh.clear();
-        st.committed_chain = chain;
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Write the next header — sequence `st.seq + 1`, into the slot that
-    /// does not hold the newest header — and make it the newest once it has
-    /// landed.  `inline` is the redo record's head (at most `B − 48` bytes).
-    fn write_header(
+    /// Blocks a header carrying a `len`-byte record takes: itself and its
+    /// overflow.
+    fn blocks(&self, len: usize) -> usize {
+        let bs = self.inner.block_size();
+        1 + len
+            .saturating_sub(bs - HEADER_BYTES)
+            .div_ceil(bs - CHAIN_OVERHEAD)
+    }
+
+    /// Write `record` as the next anchor, pre-allocating the block the next
+    /// chained header goes to.  Returns the chain it replaces, which the
+    /// caller frees once the checkpoint is finished.
+    fn write_anchor(&self, st: &mut WalState, state: u64, record: &[u8]) -> Result<Vec<BlockId>> {
+        let (inline, rest) = self.split(record);
+        let overflow = self.write_overflow(rest)?;
+        let next = self.inner.allocate()?;
+        let head = overflow.first().copied().unwrap_or(NONE);
+        self.put_anchor(st, state, head, next, inline)?;
+        let mut retired = std::mem::replace(&mut st.chain, overflow);
+        retired.push(std::mem::replace(&mut st.next, next));
+        st.chained = 0;
+        Ok(retired)
+    }
+
+    /// Write `record` as a chained header into the block the newest header
+    /// names, pre-allocating the one after it.
+    fn write_chained(&self, st: &mut WalState, state: u64, record: &[u8]) -> Result<()> {
+        let (inline, rest) = self.split(record);
+        let overflow = self.write_overflow(rest)?;
+        let next = self.inner.allocate()?;
+        let (at, head) = (st.next, overflow.first().copied().unwrap_or(NONE));
+        self.put_header(st, at, state, head, next, inline)?;
+        st.chained += 1 + overflow.len();
+        st.chain.push(at);
+        st.chain.extend(overflow);
+        st.next = next;
+        Ok(())
+    }
+
+    /// A record's inline head and the rest, which overflows.
+    fn split<'a>(&self, record: &'a [u8]) -> (&'a [u8], &'a [u8]) {
+        record.split_at(record.len().min(self.inner.block_size() - HEADER_BYTES))
+    }
+
+    /// Write the next header into the anchor slot that does not hold the
+    /// newest anchor, and make that slot the newest once it has landed.
+    fn put_anchor(
         &self,
         st: &mut WalState,
         state: u64,
-        chain_head: u64,
+        overflow: u64,
+        next: BlockId,
         inline: &[u8],
     ) -> Result<()> {
-        let (slot, seq) = (1 - st.newest, st.seq + 1);
+        let slot = 1 - st.newest;
+        self.put_header(st, self.headers[slot], state, overflow, next, inline)?;
+        st.newest = slot;
+        Ok(())
+    }
+
+    /// Write the next header — sequence `st.seq + 1` — into block `at`, and
+    /// make it the newest once it has landed.  `inline` is the record's head
+    /// (at most `B − 56` bytes).
+    fn put_header(
+        &self,
+        st: &mut WalState,
+        at: BlockId,
+        state: u64,
+        overflow: u64,
+        next: BlockId,
+        inline: &[u8],
+    ) -> Result<()> {
+        let seq = st.seq + 1;
         let mut buf = vec![0u8; self.inner.block_size()];
-        let fields = [MAGIC, seq, state, chain_head, inline.len() as u64];
+        let fields = [MAGIC, seq, state, overflow, next, inline.len() as u64];
         for (word, v) in buf.chunks_exact_mut(8).zip(fields) {
             word.copy_from_slice(&v.to_le_bytes());
         }
         let end = HEADER_BYTES + inline.len();
         buf[HEADER_BYTES..end].copy_from_slice(inline);
-        // The checksum covers every other fixed field and the inline bytes.
-        let sum = fnv1a(&buf[..end]);
+        let sum = self.header_sum(&buf[..end]);
         buf[SUM_AT..HEADER_BYTES].copy_from_slice(&sum.to_le_bytes());
-        self.inner.write_block(self.headers[slot], &buf)?;
+        self.inner.write_block(at, &buf)?;
         self.header_writes.fetch_add(1, Ordering::Relaxed);
-        (st.newest, st.seq) = (slot, seq);
+        st.seq = seq;
         Ok(())
     }
 
-    /// Read one header slot; `None` if it does not parse as a valid header
-    /// (zeroed, torn, damaged inline bytes, or foreign bytes).
+    /// The checksum of a header with its checksum field zeroed, keyed to
+    /// this journal's anchor slots: a header another journal wrote fails it.
+    fn header_sum(&self, header: &[u8]) -> u64 {
+        fnv1a_words(&[self.headers[0], self.headers[1], fnv1a(header)])
+    }
+
+    /// Read one header block; `None` if it does not verify as a header of
+    /// this journal (zeroed, torn, damaged inline bytes, foreign bytes, or
+    /// another journal's header).
     fn read_header(&self, id: BlockId) -> Result<Option<Header>> {
         let mut buf = vec![0u8; self.inner.block_size()];
         self.inner.read_block(id, &mut buf)?;
@@ -493,7 +739,8 @@ impl Journal {
         let magic = get_u64(&buf, &mut pos)?;
         let seq = get_u64(&buf, &mut pos)?;
         let state = get_u64(&buf, &mut pos)?;
-        let chain_head = get_u64(&buf, &mut pos)?;
+        let overflow = get_u64(&buf, &mut pos)?;
+        let next = get_u64(&buf, &mut pos)?;
         let inline_len = get_u64(&buf, &mut pos)?;
         let sum = get_u64(&buf, &mut pos)?;
         let Some(end) = usize::try_from(inline_len)
@@ -504,22 +751,22 @@ impl Journal {
             return Ok(None);
         };
         buf[SUM_AT..HEADER_BYTES].fill(0);
-        if magic != MAGIC || fnv1a(&buf[..end]) != sum {
+        if magic != MAGIC || self.header_sum(&buf[..end]) != sum {
             return Ok(None);
         }
         Ok(Some(Header {
             seq,
             state,
-            chain_head,
+            overflow,
+            next,
             inline: buf[HEADER_BYTES..end].to_vec(),
         }))
     }
 
-    /// Serialize what of the record overflows the header into freshly
-    /// allocated chain blocks, written back-to-front so each block's `next`
-    /// pointer is final.  Returns the blocks head-first; no overflow writes
-    /// no blocks.
-    fn write_chain(&self, overflow: &[u8]) -> Result<Vec<BlockId>> {
+    /// Write what of a record overflows its header into freshly allocated
+    /// blocks, back-to-front so each block's `next` pointer is final.
+    /// Returns the blocks head-first; no overflow writes no blocks.
+    fn write_overflow(&self, overflow: &[u8]) -> Result<Vec<BlockId>> {
         let bs = self.inner.block_size();
         let chunks: Vec<&[u8]> = overflow.chunks(bs - CHAIN_OVERHEAD).collect();
         let ids: Vec<BlockId> = (0..chunks.len())
@@ -537,49 +784,42 @@ impl Journal {
         Ok(ids)
     }
 
-    /// Read and parse the record a header carries: its `inline` head, then
-    /// the chain starting at `head` (`NONE` = no overflow).  Returns the redo
-    /// entries, the manifests, and the chain block ids.
-    #[allow(clippy::type_complexity)]
+    /// Read the record header `h` carries — its inline head, then its
+    /// overflow — and apply its manifest changes to `manifests`.  Returns
+    /// its redo entries and its overflow block ids.
     fn read_record(
         &self,
-        inline: &[u8],
-        head: u64,
-    ) -> Result<(
-        Vec<(BlockId, BlockId, u64)>,
-        BTreeMap<String, Vec<u8>>,
-        Vec<BlockId>,
-    )> {
-        let mut bytes = inline.to_vec();
+        h: &Header,
+        manifests: &mut BTreeMap<String, Manifest>,
+    ) -> Result<(Vec<Entry>, Vec<BlockId>)> {
+        let mut bytes = h.inline.clone();
         let mut ids = Vec::new();
-        let bs = self.inner.block_size();
-        let mut next = head;
-        let mut buf = vec![0u8; bs];
+        let mut buf = vec![0u8; self.inner.block_size()];
+        let mut next = h.overflow;
         while next != NONE {
             if ids.len() > 1 << 24 {
-                return Err(corrupt("chain does not terminate"));
+                return Err(corrupt("overflow does not terminate"));
             }
             ids.push(next);
             self.inner.read_block(next, &mut buf)?;
             self.chain_reads.fetch_add(1, Ordering::Relaxed);
-            next = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-            let len = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")) as usize;
-            if len > bs - CHAIN_OVERHEAD {
-                return Err(corrupt("chain block chunk length out of range"));
-            }
-            bytes.extend_from_slice(&buf[16..16 + len]);
+            let mut pos = 0;
+            next = get_u64(&buf, &mut pos)?;
+            let len = get_u64(&buf, &mut pos)?;
+            let chunk = usize::try_from(len)
+                .ok()
+                .and_then(|len| buf.get(CHAIN_OVERHEAD..CHAIN_OVERHEAD.checked_add(len)?))
+                .ok_or_else(|| corrupt("overflow chunk length out of range"))?;
+            bytes.extend_from_slice(chunk);
         }
-        let (entries, manifests) = parse_record(&bytes)?;
-        Ok((entries, manifests, ids))
+        Ok((parse_record(&bytes, manifests)?, ids))
     }
 }
 
-/// Serialize the redo entries and manifests, with a trailing checksum.
-fn build_record(
-    entries: &[(BlockId, BlockId, u64)],
-    manifests: &BTreeMap<String, Vec<u8>>,
-) -> Vec<u8> {
-    if entries.is_empty() && manifests.is_empty() {
+/// Serialize redo entries and manifest changes, with a trailing checksum;
+/// nothing to say is the empty record.
+fn build_record(entries: &[Entry], changes: Vec<Change<'_>>) -> Vec<u8> {
+    if entries.is_empty() && changes.is_empty() {
         return Vec::new();
     }
     let mut out = Vec::new();
@@ -589,8 +829,9 @@ fn build_record(
         put_u64(&mut out, shadow);
         put_u64(&mut out, checksum);
     }
-    put_u64(&mut out, manifests.len() as u64);
-    for (name, data) in manifests {
+    put_u64(&mut out, changes.len() as u64);
+    for (kind, name, data) in changes {
+        put_u64(&mut out, kind);
         put_u64(&mut out, name.len() as u64);
         out.extend_from_slice(name.as_bytes());
         put_u64(&mut out, data.len() as u64);
@@ -601,48 +842,42 @@ fn build_record(
     out
 }
 
-#[allow(clippy::type_complexity)]
-fn parse_record(bytes: &[u8]) -> Result<(Vec<(BlockId, BlockId, u64)>, BTreeMap<String, Vec<u8>>)> {
+/// Parse a record, apply its manifest changes to `manifests`, and return
+/// its redo entries.  A record that fails its checksum or does not parse is
+/// [`PdmError::Corrupt`].
+fn parse_record(bytes: &[u8], manifests: &mut BTreeMap<String, Manifest>) -> Result<Vec<Entry>> {
     if bytes.is_empty() {
-        return Ok((Vec::new(), BTreeMap::new()));
+        return Ok(Vec::new());
     }
-    if bytes.len() < 8 {
-        return Err(corrupt("record shorter than its checksum"));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let sum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if fnv1a(body) != sum {
+    let mut pos = bytes
+        .len()
+        .checked_sub(8)
+        .ok_or_else(|| corrupt("record shorter than its checksum"))?;
+    let body = &bytes[..pos];
+    if fnv1a(body) != get_u64(bytes, &mut pos)? {
         return Err(corrupt("record fails its checksum"));
     }
     let mut pos = 0usize;
-    let n_entries = get_u64(body, &mut pos)? as usize;
-    let mut entries = Vec::with_capacity(n_entries.min(1 << 20));
+    let n_entries = get_u64(body, &mut pos)?;
+    let mut entries = Vec::new();
     for _ in 0..n_entries {
         let home = get_u64(body, &mut pos)?;
         let shadow = get_u64(body, &mut pos)?;
-        let checksum = get_u64(body, &mut pos)?;
-        entries.push((home, shadow, checksum));
+        entries.push((home, shadow, get_u64(body, &mut pos)?));
     }
-    let n_manifests = get_u64(body, &mut pos)? as usize;
-    let mut manifests = BTreeMap::new();
-    for _ in 0..n_manifests {
-        let name_len = get_u64(body, &mut pos)? as usize;
-        let end = pos
-            .checked_add(name_len)
-            .filter(|&e| e <= body.len())
-            .ok_or_else(|| corrupt("manifest name out of range"))?;
-        let name = String::from_utf8(body[pos..end].to_vec())
+    for _ in 0..get_u64(body, &mut pos)? {
+        let kind = get_u64(body, &mut pos)?;
+        let name = String::from_utf8(get_bytes(body, &mut pos)?.to_vec())
             .map_err(|_| corrupt("manifest name is not UTF-8"))?;
-        pos = end;
-        let data_len = get_u64(body, &mut pos)? as usize;
-        let end = pos
-            .checked_add(data_len)
-            .filter(|&e| e <= body.len())
-            .ok_or_else(|| corrupt("manifest data out of range"))?;
-        manifests.insert(name, body[pos..end].to_vec());
-        pos = end;
+        let data = get_bytes(body, &mut pos)?;
+        let m = manifests.entry(name).or_default();
+        match kind {
+            SET => m.bytes = data.to_vec(),
+            APPEND => m.bytes.extend_from_slice(data),
+            _ => return Err(corrupt("unknown manifest change")),
+        }
     }
-    Ok((entries, manifests))
+    Ok(entries)
 }
 
 impl BlockDevice for Journal {
@@ -815,7 +1050,7 @@ mod tests {
         assert_eq!(d.header_writes - before.header_writes, 2);
         assert_eq!(d.apply_reads - before.apply_reads, 2);
         assert_eq!(d.apply_writes - before.apply_writes, 2);
-        // Record: 8 + 2*24 + 8 + 8 = 72 bytes, 16 inline and 56 over
+        // Record: 8 + 2*24 + 8 + 8 = 72 bytes, 8 inline and 64 over
         // 48-byte chunks = 2 blocks.
         assert_eq!(d.chain_writes - before.chain_writes, 2);
         // Homes now hold the payloads.
@@ -881,12 +1116,10 @@ mod tests {
             j.write_block(id, &block(round)).unwrap();
             j.checkpoint().unwrap();
         }
-        // 2 headers + 1 home + current chain; everything else was retired.
-        let chain_now = {
-            let st = j.state.lock();
-            st.committed_chain.len() as u64
-        };
-        assert_eq!(ram.allocated_blocks(), 3 + chain_now);
+        // 2 anchor slots + 1 home + the pre-allocated block + the current
+        // chain; everything else was retired.
+        let chain_now = j.state.lock().chain.len() as u64;
+        assert_eq!(ram.allocated_blocks(), 4 + chain_now);
     }
 
     #[test]
@@ -943,18 +1176,22 @@ mod tests {
         assert_eq!(out, block(1), "rewound to the committed payload");
     }
 
-    /// Manifests that make the redo record exactly `len` bytes next to
+    /// Manifests that make the full record exactly `len` bytes next to
     /// `entries` redo entries (`len == 0`: no manifest at all).
     fn manifests_of_record(len: usize, entries: usize) -> BTreeMap<String, Vec<u8>> {
         let mut manifests = BTreeMap::new();
         if len > 0 {
-            // Entry count, entries, manifest count, name length, "m", data
-            // length, checksum.
-            let fixed = 8 + 24 * entries + 8 + 8 + 1 + 8 + 8;
+            // Entry count, entries, change count, kind, name length, "m",
+            // data length, checksum.
+            let fixed = 8 + 24 * entries + 8 + 8 + 8 + 1 + 8 + 8;
             manifests.insert("m".to_string(), vec![0x5A; len - fixed]);
         }
         let dummy: Vec<_> = (0..entries as u64).map(|i| (i, i, i)).collect();
-        assert_eq!(build_record(&dummy, &manifests).len(), len);
+        let changes = manifests
+            .iter()
+            .map(|(name, data)| (SET, name.as_str(), data.as_slice()))
+            .collect();
+        assert_eq!(build_record(&dummy, changes).len(), len);
         manifests
     }
 
@@ -981,6 +1218,7 @@ mod tests {
                 for (name, data) in &manifests {
                     j.set_manifest(name, data.clone());
                 }
+                assert_eq!(j.state.lock().full_len(pending as usize), len);
                 j.write_block(home, &vec![pending as u8; B]).unwrap();
                 let before = j.overhead();
                 j.checkpoint().unwrap();
@@ -1003,11 +1241,12 @@ mod tests {
         }
     }
 
-    /// A medium where checkpoint 1 (manifest `m` = `old`: 16 bytes inline,
-    /// one chain block) completed and checkpoint 2 (`m` = `new`, one redo
-    /// entry) crashed right after its `COMMITTED` header landed — before the
-    /// apply, so checkpoint 1's chain is still allocated.  Returns the
-    /// surviving medium, the header slots and the rewritten block.
+    /// A medium where checkpoint 1 (manifest `m` = `old`: a chained header
+    /// with two overflow blocks) completed and checkpoint 2 (`m` = `new`,
+    /// one redo entry: an anchor, since the chain would pass twice one)
+    /// crashed right after its `COMMITTED` anchor landed — before the apply,
+    /// so checkpoint 1's chain is still allocated.  Returns the surviving
+    /// medium, the anchor slots and the rewritten block.
     fn crashed_after_commit(old: &[u8], new: &[u8]) -> (Arc<RamDisk>, [BlockId; 2], BlockId) {
         let run = |crash_after: u64| {
             let ram = RamDisk::new(BS);
@@ -1045,18 +1284,20 @@ mod tests {
         r.read_block(id, &mut out).unwrap();
         assert_eq!(out, block(2));
 
-        // Format wrote slot 0, checkpoint 1 slot 1, checkpoint 2's commit
-        // slot 0.  Damage only its inline bytes; the fixed 48 stay intact.
+        // Format's anchor is in slot 0, checkpoint 1 is chained, checkpoint
+        // 2's commit is the anchor in slot 1.  Damage only its inline bytes;
+        // the fixed 56 stay intact.
         let (ram, headers, id) = crashed_after_commit(&old, &new);
         let mut header = block(0);
-        ram.read_block(headers[0], &mut header).unwrap();
+        ram.read_block(headers[1], &mut header).unwrap();
         assert_eq!(header[16..24], STATE_COMMITTED.to_le_bytes(), "state field");
         header[HEADER_BYTES..].fill(0xEE);
-        ram.write_block(headers[0], &header).unwrap();
+        ram.write_block(headers[1], &header).unwrap();
         let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
         assert_eq!(r.manifest("m"), Some(old), "rewound to checkpoint 1");
+        // Checkpoint 1's two overflow blocks read back, nothing redone.
         let wal = r.overhead();
-        assert_eq!((wal.chain_reads, wal.apply_writes), (1, 0), "{wal:?}");
+        assert_eq!((wal.chain_reads, wal.apply_writes), (2, 0), "{wal:?}");
         r.read_block(id, &mut out).unwrap();
         assert_eq!(out, block(1));
     }
@@ -1072,7 +1313,7 @@ mod tests {
             "{err}"
         );
         assert_eq!(ram.allocated_blocks(), 0, "nothing allocated");
-        // The smallest block accepted: no inline room, the record is chained.
+        // The smallest block accepted: no inline room, the record overflows.
         let ram = RamDisk::new(HEADER_BYTES);
         let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
         let headers = j.header_blocks().unwrap();
@@ -1090,7 +1331,8 @@ mod tests {
         let ram = Arc::new(RamDisk::with_stats(BS, Arc::clone(&stats), 0));
         // First boot happens on the pristine medium: format the journal and
         // allocate the two data blocks, then let the crashing device take
-        // over.  Headers land on ids 0 and 1, the data blocks on 2 and 3.
+        // over.  The anchor slots land on ids 0 and 1, the pre-allocated
+        // block on 2, the data blocks on 3 and 4.
         let j0 = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
         let headers = j0.header_blocks().unwrap();
         let ids = [j0.allocate().unwrap(), j0.allocate().unwrap()];
@@ -1156,5 +1398,320 @@ mod tests {
         }
         assert!(seen_old, "some crash point rewound to checkpoint 1");
         assert!(seen_new, "some crash point redid checkpoint 2");
+    }
+
+    /// Block size of the chained-header tests: 200 inline bytes a header,
+    /// 240 payload bytes an overflow block.
+    const B: usize = 256;
+
+    /// Recover `ram` with `j`'s anchor slots; returns the journal and its
+    /// `(header reads, overflow reads)`.
+    fn reboot(ram: &Arc<RamDisk>, j: &Journal) -> (Arc<Journal>, (u64, u64)) {
+        let r =
+            Journal::recover(Arc::clone(ram) as SharedDevice, j.header_blocks().unwrap()).unwrap();
+        let wal = r.overhead();
+        (r, (wal.header_reads, wal.chain_reads))
+    }
+
+    #[test]
+    fn a_chained_header_costs_the_bytes_it_changes_not_the_full_record() {
+        let (room, chunk) = (B - HEADER_BYTES, B - CHAIN_OVERHEAD);
+        let mut pinned = Vec::new();
+        for n in [149usize, 150, 389, 390, 630] {
+            let ram = RamDisk::new(B);
+            let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+            // A 2 000-byte manifest: an anchor of the full record would take
+            // 9 blocks or more, so what follows chains.
+            j.set_manifest("big", vec![1; 2_000]);
+            j.set_manifest("log", Vec::new());
+            j.checkpoint().unwrap();
+            let first = j.overhead();
+            assert_eq!((first.header_writes, first.chain_writes), (2, 8));
+            j.append_manifest("log", &vec![2; n]);
+            j.checkpoint().unwrap();
+            let d = j.overhead();
+            // δ: entry count, change count, kind, name length, "log", data
+            // length, the appended bytes, checksum.  The 2 000 bytes that did
+            // not change are not in it.
+            let delta = 8 + 8 + 8 + 8 + 3 + 8 + n + 8;
+            let overflow = delta.saturating_sub(room).div_ceil(chunk) as u64;
+            assert_eq!(
+                (
+                    d.header_writes - first.header_writes,
+                    d.chain_writes - first.chain_writes
+                ),
+                (1, overflow),
+                "{n} bytes appended"
+            );
+            pinned.push(overflow);
+            // Recovery reads both anchor slots, the two chained headers and
+            // the block that ends the walk, and the overflow of both.
+            let (r, reads) = reboot(&ram, &j);
+            assert_eq!(reads, (2 + 2 + 1, 8 + overflow), "{n} bytes appended");
+            assert_eq!(r.manifest("log"), Some(vec![2; n]));
+            assert_eq!(r.manifest("big"), Some(vec![1; 2_000]));
+        }
+        assert_eq!(pinned, [0, 1, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_manifest_replaced_every_checkpoint_forces_an_anchor_once_the_chain_reaches_twice_one() {
+        let ram = RamDisk::new(B);
+        let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+        // A 349-byte record: a header and one overflow block, anchor or
+        // chained alike, so a chain of two headers is twice an anchor.
+        for i in 1..=9u8 {
+            j.set_manifest("m", vec![i; 300]);
+            let before = j.overhead();
+            j.checkpoint().unwrap();
+            let d = j.overhead();
+            assert_eq!(
+                (
+                    d.header_writes - before.header_writes,
+                    d.chain_writes - before.chain_writes
+                ),
+                (1, 1),
+                "checkpoint {i}"
+            );
+            // Chained, chained, anchor: recovery never walks past two.
+            let chained = u64::from(i % 3);
+            let anchor_overflow = u64::from(i >= 3);
+            let (r, reads) = reboot(&ram, &j);
+            assert_eq!(
+                reads,
+                (2 + chained + 1, anchor_overflow + chained),
+                "checkpoint {i}"
+            );
+            assert_eq!(r.manifest("m"), Some(vec![i; 300]));
+        }
+        // Every retired chain was freed: the slots, the pre-allocated block
+        // and the newest anchor's overflow block.
+        assert_eq!(ram.allocated_blocks(), 4);
+    }
+
+    /// Epochs of [`appending_run`]: three cycles of six.
+    const EPOCHS: u64 = 18;
+
+    /// The appending journal's script on a device that dies after `kill`
+    /// transfers: each epoch rewrites a committed home block, appends 40
+    /// bytes to manifest `log` (reset to empty every sixth epoch, which is
+    /// what a compaction does to a shard's log) and sets manifest `epoch`.
+    /// Recovers the surviving medium twice, asserts both recoveries agree
+    /// and land on exactly one checkpoint, and returns whether the run
+    /// crashed, the last acked epoch and the chain's length in blocks after
+    /// each epoch.
+    fn appending_run(kill: u64) -> (bool, u64, Vec<usize>) {
+        let ram = RamDisk::new(B);
+        let j0 = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+        let headers = j0.header_blocks().unwrap();
+        let home = j0.allocate().unwrap();
+        j0.checkpoint().unwrap();
+        drop(j0);
+        let faulty = FaultDisk::wrap(
+            Arc::clone(&ram) as SharedDevice,
+            FaultPlan::new(0).with_crash_after(kill),
+        );
+        let (mut acked, mut chained) = (0, Vec::new());
+        let crashed = match Journal::recover(faulty as SharedDevice, headers) {
+            Err(_) => true,
+            Ok(j) => (|| -> Result<()> {
+                for e in 1..=EPOCHS {
+                    if (e - 1) % 6 == 0 {
+                        j.set_manifest("log", Vec::new());
+                    }
+                    j.append_manifest("log", &[e as u8; 40]);
+                    j.set_manifest("epoch", e.to_le_bytes().to_vec());
+                    j.write_block(home, &[e as u8; B])?;
+                    j.checkpoint()?;
+                    acked = e;
+                    chained.push(j.state.lock().chained);
+                }
+                Ok(())
+            })()
+            .is_err(),
+        };
+        let recovered = || {
+            let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+            let mut out = vec![0u8; B];
+            r.read_block(home, &mut out).unwrap();
+            (r.manifest("epoch"), r.manifest("log"), out)
+        };
+        let state = recovered();
+        assert_eq!(
+            state,
+            recovered(),
+            "kill at {kill}: a second recovery moved"
+        );
+        let model = |e: u64| {
+            let log = (e - (e.max(1) - 1) % 6..=e).flat_map(|x| [x as u8; 40]);
+            (
+                (e > 0).then(|| e.to_le_bytes().to_vec()),
+                (e > 0).then(|| log.collect::<Vec<u8>>()),
+                vec![e as u8; B],
+            )
+        };
+        assert!(
+            state == model(acked) || state == model(acked + 1),
+            "kill at {kill}: recovered a state no checkpoint had (last acked {acked})"
+        );
+        (crashed, acked, chained)
+    }
+
+    #[test]
+    fn every_kill_point_of_an_appending_journal_recovers_to_one_checkpoint() {
+        let (crashed, acked, chained) = appending_run(u64::MAX);
+        assert_eq!((crashed, acked), (false, EPOCHS));
+        // Per cycle: two anchors while the full record fits, two chained
+        // epochs (a header and a clean header each), an anchor forced when
+        // the chain would pass twice the full record's two blocks, one more
+        // chained epoch; then the reset anchors again.
+        assert_eq!(chained, [0, 0, 2, 4, 0, 2].repeat(3));
+        // Kill at every transfer until a run survives.
+        let (mut kill, mut mid_run) = (0, 0);
+        loop {
+            let (crashed, acked, _) = appending_run(kill);
+            if !crashed {
+                break;
+            }
+            mid_run += u64::from(acked > 0);
+            kill += 1;
+        }
+        assert!(
+            kill >= 90 && mid_run >= 80,
+            "{kill} kill points, {mid_run} mid-run"
+        );
+    }
+
+    /// `m`'s value after `steps`: `(true, n)` sets it to `n` bytes, `(false,
+    /// n)` appends `n`; step `i` writes byte `i`.
+    fn model_of(steps: &[(bool, usize)]) -> Vec<u8> {
+        let mut m = Vec::new();
+        for (i, &(set, n)) in steps.iter().enumerate() {
+            if set {
+                m.clear();
+            }
+            m.extend(std::iter::repeat_n(i as u8, n));
+        }
+        m
+    }
+
+    /// Format a journal on a device that dies after `kill` transfers and
+    /// checkpoint after each of `steps` (see [`model_of`]) on manifest `m`.
+    /// Returns the medium, the journal and whether it crashed.
+    fn scripted(kill: u64, steps: &[(bool, usize)]) -> (Arc<RamDisk>, Arc<Journal>, bool) {
+        let ram = RamDisk::new(B);
+        let dev = FaultDisk::wrap(
+            Arc::clone(&ram) as SharedDevice,
+            FaultPlan::new(0).with_crash_after(kill),
+        );
+        let j = Journal::format(dev as SharedDevice).unwrap();
+        let run = steps.iter().enumerate().try_for_each(|(i, &(set, n))| {
+            match set {
+                true => j.set_manifest("m", vec![i as u8; n]),
+                false => j.append_manifest("m", &vec![i as u8; n]),
+            }
+            j.checkpoint()
+        });
+        (ram, j, run.is_err())
+    }
+
+    /// Three chained headers after format's anchor: a 349-byte record (a
+    /// header and an overflow block), then two 59-byte appends (a header
+    /// each), five transfers with format's.
+    const CHAINED: [(bool, usize); 3] = [(true, 300), (false, 10), (false, 10)];
+
+    #[test]
+    fn a_torn_chained_header_ends_the_walk_at_the_one_before() {
+        let (ram, ..) = scripted(u64::MAX, &CHAINED);
+        assert_eq!(ram.stats().snapshot().total(), 5);
+        // The last transfer, checkpoint 3's header, is torn.
+        let (ram, j, crashed) = scripted(4, &CHAINED);
+        assert!(crashed);
+        let (r, reads) = reboot(&ram, &j);
+        assert_eq!(r.manifest("m"), Some(model_of(&CHAINED[..2])));
+        assert_eq!(reads, (2 + 2 + 1, 1));
+        // The reopened journal writes its next header over the torn one.
+        r.append_manifest("m", &[9; 10]);
+        r.checkpoint().unwrap();
+        let (r, reads) = reboot(&ram, &r);
+        let mut want = model_of(&CHAINED[..2]);
+        want.extend([9; 10]);
+        assert_eq!(r.manifest("m"), Some(want));
+        assert_eq!(reads, (2 + 3 + 1, 1));
+    }
+
+    #[test]
+    fn an_older_header_of_the_same_journal_in_the_pre_allocated_block_ends_the_walk() {
+        let (ram, j, _) = scripted(u64::MAX, &CHAINED);
+        // Checkpoint 1's header, sequence number 2, copied into the block
+        // checkpoint 4's header would go to.
+        let (first, next) = {
+            let st = j.state.lock();
+            (st.chain[0], st.next)
+        };
+        let mut stale = vec![0u8; B];
+        ram.read_block(first, &mut stale).unwrap();
+        ram.write_block(next, &stale).unwrap();
+        let valid = j.read_header(next).unwrap().expect("a valid header");
+        assert_eq!(valid.seq, 2);
+        let (r, reads) = reboot(&ram, &j);
+        assert_eq!(r.manifest("m"), Some(model_of(&CHAINED)));
+        assert_eq!(reads, (2 + 3 + 1, 1));
+    }
+
+    #[test]
+    fn a_header_of_another_journal_on_the_same_device_ends_the_walk() {
+        let ram = RamDisk::new(B);
+        let dev = || Arc::clone(&ram) as SharedDevice;
+        let (ours, theirs) = (
+            Journal::format(dev()).unwrap(),
+            Journal::format(dev()).unwrap(),
+        );
+        // Both commit checkpoint 1; theirs goes on to checkpoint 2, whose
+        // header carries the sequence number ours expects next.
+        for j in [&ours, &theirs] {
+            j.set_manifest("m", vec![1; 300]);
+            j.checkpoint().unwrap();
+        }
+        let at = theirs.state.lock().next;
+        theirs.append_manifest("m", &[2; 10]);
+        theirs.checkpoint().unwrap();
+        let mut foreign = vec![0u8; B];
+        ram.read_block(at, &mut foreign).unwrap();
+        assert_eq!(theirs.read_header(at).unwrap().map(|h| h.seq), Some(3));
+        let next = ours.state.lock().next;
+        ram.write_block(next, &foreign).unwrap();
+        assert!(
+            ours.read_header(next).unwrap().is_none(),
+            "keyed to our slots"
+        );
+        let (r, reads) = reboot(&ram, &ours);
+        assert_eq!(r.manifest("m"), Some(vec![1; 300]));
+        assert_eq!(reads, (2 + 1 + 1, 1));
+    }
+
+    #[test]
+    fn a_torn_anchor_falls_back_to_the_older_anchor_and_its_chain() {
+        // Checkpoint 4 sets `m` to 10 bytes: the full record fits, so it is
+        // an anchor in slot 1, one transfer, the run's last.
+        let steps = [CHAINED[0], CHAINED[1], CHAINED[2], (true, 10)];
+        let (ram, ..) = scripted(u64::MAX, &steps);
+        assert_eq!(ram.stats().snapshot().total(), 5 + 1);
+        let (ram, j, crashed) = scripted(5, &steps);
+        assert!(crashed);
+        // Format's anchor in slot 0 and the three chained headers after it,
+        // which the torn anchor has not retired.
+        let (r, reads) = reboot(&ram, &j);
+        assert_eq!(r.manifest("m"), Some(model_of(&CHAINED)));
+        assert_eq!(reads, (2 + 3 + 1, 1));
+        // The next anchor goes to the torn slot again, and retires the chain.
+        r.set_manifest("m", vec![7; 10]);
+        r.checkpoint().unwrap();
+        let (r, reads) = reboot(&ram, &r);
+        assert_eq!(r.manifest("m"), Some(vec![7; 10]));
+        assert_eq!(reads, (2 + 1, 0));
+        // Two slots, the next block, and the one the torn anchor
+        // pre-allocated: leaked, like any block a crashed epoch allocated.
+        assert_eq!(ram.allocated_blocks(), 4);
     }
 }

@@ -635,6 +635,62 @@ fn journal_block_lifetimes_dense_crash_sweep() {
     );
 }
 
+/// The shard's use of the journal without the shard: each epoch appends a
+/// 40-byte batch to manifest `log`, and every sixth first resets it and
+/// sets manifest `root`, as a compaction does.  So the run crosses three
+/// anchor cycles: anchors while the full record fits the header, then
+/// chained headers that carry one batch each.  Returns whether the run
+/// crashed and the last acked epoch.
+fn appended_log_crash_run(m: &Medium, k: u64) -> (bool, u64) {
+    const EPOCHS: u64 = 18;
+    let log_at = |e: u64| -> Vec<u8> {
+        (e - (e.max(1) - 1) % 6..=e)
+            .filter(|&x| x > 0)
+            .flat_map(|x| [x as u8; 40])
+            .collect()
+    };
+    let headers = m.format();
+    let (mut crashed, mut acked) = (true, 0);
+    if let Ok(j) = Journal::recover(m.crashy(k), headers) {
+        let result: Result<()> = (|| {
+            for e in 1..=EPOCHS {
+                if (e - 1) % 6 == 0 {
+                    j.set_manifest("log", Vec::new());
+                    j.set_manifest("root", e.to_le_bytes().to_vec());
+                }
+                j.append_manifest("log", &[e as u8; 40]);
+                j.checkpoint()?;
+                acked = e;
+            }
+            Ok(())
+        })();
+        crashed = result.is_err();
+    }
+    let j = m.reboot_twice(headers, "log");
+    let log = j.manifest("log").unwrap_or_default();
+    assert!(
+        log == log_at(acked) || log == log_at(acked + 1),
+        "crash at {k}: a {}-byte log is no checkpoint's (last acked epoch {acked})",
+        log.len()
+    );
+    (crashed, acked)
+}
+
+/// Crash at *every* transfer of the appending run.
+#[test]
+fn appended_log_dense_crash_sweep() {
+    let clean = Medium::new(2, Placement::Independent);
+    assert_eq!(appended_log_crash_run(&clean, u64::MAX), (false, 18));
+    let total = clean.total_transfers();
+    let mut mid_run = 0;
+    for k in 0..total {
+        let m = Medium::new(2, Placement::Independent);
+        let (crashed, acked) = appended_log_crash_run(&m, k);
+        mid_run += u64::from(crashed && acked > 0);
+    }
+    assert!(mid_run >= 17, "sweep of {total} transfers barely crashed");
+}
+
 // ---------------------------------------------------------------------------
 // Scenario 6: what the journal costs — one tape, unjournaled and journaled
 // ---------------------------------------------------------------------------
@@ -676,26 +732,27 @@ fn ledger_run(journaled: bool) -> ((u64, u64), WalOverhead) {
     ((snap.reads(), snap.writes()), wal)
 }
 
-/// A checkpoint whose redo record is `r` bytes with `p` rewritten committed
-/// blocks costs `1 + [p > 0] + ⌈(r − (B − 48))⁺ / (B − 16)⌉ + 2p` transfers
-/// (one header, a second only after an apply, the chain blocks the record
-/// overflows the header into, the apply); `format` adds one header.  This
-/// tape allocates every block it writes, so `p = 0` throughout, and the
-/// shard's manifests — its one tenant tree's 28-byte entry and the op log's
-/// 16 bytes plus a tail of at most 32 records, 108 + 672 bytes in all — fit
-/// the header's 976 inline bytes, so the journal is exactly one header per
-/// checkpoint (EXPERIMENTS.md F21).
+/// A checkpoint whose header carries an `r`-byte record with `p` rewritten
+/// committed blocks costs `1 + ⌈(r − (B − 56))⁺ / (B − 16)⌉ + [p > 0] + 2p`
+/// transfers (one header, the overflow blocks the record spills into, a
+/// second header only after an apply, the apply); `format` adds one header.
+/// This tape allocates every block it writes, so `p = 0` throughout.  A
+/// compaction's checkpoint is an anchor: its full record, the one tree's
+/// 28-byte entry and an empty log, fits the header's 968 inline bytes, and
+/// so does the next flush's, with 32 log records.  Every later flush's
+/// header is chained and carries only its batch, 51 + 672 bytes.  So the
+/// journal is exactly one header per checkpoint (EXPERIMENTS.md F21).
 ///
 /// The pins: 34 reads, all of them compactions reading the old tree's nodes
-/// (nothing reads the log); 112 unjournaled writes, 40 op-log blocks of 48
-/// records (each compaction drops the log's tail unwritten) and 72 new tree
-/// nodes, every one packed full of 16-byte records (63 a leaf).  The tree
-/// is created by the first compaction, so no empty root leaf is written.
-/// They were 44 r / 129 w while one tree held every tenant under a 20-byte
-/// `(tenant, key)` entry, 62 r / 158 w while bulk-built leaves were ¾ full
-/// and internal nodes half full, and 62 r / 174 w and 62 r / 267 w while
-/// the shard's writes went through a buffer tree, whose manifest overflowed
-/// into 24 chain blocks.
+/// (nothing reads the log); 72 unjournaled writes, the new tree nodes, every
+/// one packed full of 16-byte records (63 a leaf), and no log at all.  The
+/// tree is created by the first compaction, so no empty root leaf is
+/// written.  They were 34 r / 112 w while the log wrote a block of 48
+/// records whenever they gathered, 44 r / 129 w while one tree held every
+/// tenant under a 20-byte `(tenant, key)` entry, 62 r / 158 w while
+/// bulk-built leaves were ¾ full and internal nodes half full, and 62 r /
+/// 174 w and 62 r / 267 w while the shard's writes went through a buffer
+/// tree, whose manifest overflowed into 24 chain blocks.
 #[test]
 fn journal_costs_exactly_its_own_transfers() {
     let ((ur, uw), _) = ledger_run(false);
@@ -718,8 +775,8 @@ fn journal_costs_exactly_its_own_transfers() {
         assert_eq!(wal.apply_reads + wal.apply_writes, 0, "{wal:?}");
     }
 
-    assert_eq!((ur, uw), (34, 112));
-    assert_eq!((jr, jw), (34, 181));
+    assert_eq!((ur, uw), (34, 72));
+    assert_eq!((jr, jw), (34, 141));
     // 69 journal transfers: format's header and one per checkpoint.
     let pinned = WalOverhead {
         header_writes: 69,

@@ -120,7 +120,7 @@ fn all_four_dictionaries_converge() {
     hashed.sort_unstable();
     assert_eq!(hashed, expect, "hash state");
 
-    // Serving shard (B-tree + op log + delta overlay),
+    // Serving shard (B-tree + delta overlay),
     // driven the way the emserve drain thread drives it: batched enqueues,
     // periodic flushes, threshold compactions.  Mid-tape, range scans must
     // already agree with a prefix model — that is the delta overlay

@@ -56,7 +56,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("pdm/src/ram_disk.rs", 1),
     ("pdm/src/sched.rs", 2),
     ("pdm/src/stats.rs", 4),
-    ("pdm/src/wal.rs", 4),
 ];
 
 /// Crates under `crates/` that are not libraries the rule covers.
