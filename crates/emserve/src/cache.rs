@@ -170,6 +170,19 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
         self.protected = Segment::EMPTY;
     }
 
+    /// True when `key` is resident; unlike [`get`](Self::get), not a
+    /// reference to it.
+    pub(crate) fn contains(&self, key: &K) -> bool {
+        self.index.contains_key(key)
+    }
+
+    /// Raise the local record cap to `capacity`, which is never below what
+    /// is resident.
+    pub(crate) fn set_capacity(&mut self, capacity: usize) {
+        debug_assert!(capacity >= self.len(), "a cap below the resident records");
+        self.capacity = capacity;
+    }
+
     /// Number of cached records.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -96,7 +96,8 @@ pub struct ServeConfig {
     /// many of the ops it flushed since its last compaction were superseded
     /// by a later op on the same key.
     pub compact_threshold: usize,
-    /// Frames in each shard's read buffer pool.
+    /// Frames in each shard's buffer pool, shared by its trees' nodes and
+    /// its record cache.
     pub pool_frames: usize,
     /// Per-tenant hot-cache budget (records, shared across shards).
     pub cache_records: usize,

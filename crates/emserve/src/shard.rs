@@ -44,6 +44,19 @@
 //! none until its next compaction, and reads the tree for every get the
 //! delta does not answer.
 //!
+//! The pool's `pool_frames` frames are one memory, shared by the trees'
+//! nodes and a *record cache* (`RecordCache`) that a get asks after the
+//! filter and before the tree.  A frame is worth a leaf of records, and the
+//! records take frames from the pool one at a time as they are admitted,
+//! until the pool holds only the trees' root and internal nodes and one
+//! leaf frame; the pool then keeps those upper levels over its leaf frame,
+//! so a lookup the cache misses reads one leaf.  Between compactions the
+//! trees do not change, so a cached record is the tree's; a key written
+//! since is answered by the delta first.  A compaction empties the cache
+//! and gives the pool back every frame before it rebuilds.  Like the
+//! filters, the cache is memory only: a recovered shard has none until its
+//! next compaction.
+//!
 //! A journaled shard's checkpoint records its trees in the `"btree"`
 //! manifest as one `(tenant u32, root u64, height u64, len u64)` entry of 28
 //! bytes each, in tenant order ([`TREE_ENTRY`]).  Only a compaction changes
@@ -51,14 +64,15 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use em_core::hash::{hash_bytes, KeyFilter};
-use em_core::Record;
+use em_core::{MemBudget, Record};
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy, Journal, PdmError, Result, SharedDevice};
 
+use crate::cache::HotCache;
 use crate::oplog::{self, Ik, Latest};
 
 /// Deterministic FNV-1a routing of `(tenant, key)` onto `shards` partitions.
@@ -108,6 +122,105 @@ struct TenantTree<K: Record + Ord, V: Record> {
     /// `None` for a tree this instance has not compacted yet.  In memory
     /// only, and charged to no budget, like the delta.
     filter: Option<KeyFilter>,
+}
+
+/// Root and internal nodes of `tree`, from its length alone: every shard
+/// tree is built packed by a compaction, `⌈c/(internal_cap + 1)⌉` nodes
+/// over each level of `c`, starting from `⌈len/leaf_cap⌉` leaves.
+fn upper_nodes<K: Record + Ord, V: Record>(tree: &BTree<K, V>) -> usize {
+    let mut level = (tree.len() as usize).div_ceil(tree.leaf_capacity());
+    let mut upper = 0;
+    while level > 1 {
+        level = level.div_ceil(tree.internal_capacity() + 1);
+        upper += level;
+    }
+    upper
+}
+
+/// Hot records, held in pool frames the trees' leaves gave up.
+///
+/// A frame is worth a leaf of records ([`BTree::leaf_capacity`]).  A full
+/// cache that may still grow lowers the pool's frame limit by one before a
+/// descent; the pool releases that frame at its next miss, and the records
+/// it is worth are admitted after the descent.  So at every step the pool's
+/// resident frames plus `⌈records / leaf capacity⌉` are at most the pool's
+/// capacity.  Growth stops at `max_frames`, when the pool holds only the
+/// trees' root and internal nodes and one leaf frame; from there a record
+/// displaces a record, by the [`HotCache`]'s segmented LRU.
+struct RecordCache<K, V> {
+    /// Records keyed by the key filter's hash of `(tenant, key)`; the value
+    /// carries the key, compared on a hit.
+    records: HotCache<u64, (u32, K, V)>,
+    /// Records one frame is worth.
+    per_frame: usize,
+    /// Frames the records hold now, and the most they may.
+    frames: usize,
+    max_frames: usize,
+}
+
+impl<K: Record + Ord, V: Record> RecordCache<K, V> {
+    /// An empty cache beside `trees`, which share `pool`; `None` if there
+    /// is no tree.
+    fn new(trees: &BTreeMap<u32, TenantTree<K, V>>, pool: &BufferPool) -> Option<Self> {
+        let per_frame = trees.values().next()?.tree.leaf_capacity();
+        let floor = 1 + trees.values().map(|t| upper_nodes(&t.tree)).sum::<usize>();
+        let max_frames = pool.capacity().saturating_sub(floor);
+        Some(RecordCache {
+            records: HotCache::new(MemBudget::new(max_frames * per_frame), 0),
+            per_frame,
+            frames: 0,
+            max_frames,
+        })
+    }
+
+    /// The cached value of `(tenant, key)`, whose filter hash is `hash`.
+    fn get(&mut self, hash: u64, tenant: u32, key: &K) -> Option<V> {
+        match self.records.get(&hash)? {
+            (t, k, v) if t == tenant && k == *key => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Before a descent: if the cache is full and may grow, and the pool
+    /// has released the last frame asked of it, ask for one more.
+    fn reserve(&self, pool: &BufferPool) {
+        let full = self.records.len() >= self.frames * self.per_frame;
+        let released = pool.limit() + self.frames == pool.capacity();
+        if full && released && self.frames < self.max_frames {
+            pool.set_limit(pool.limit() - 1);
+        }
+    }
+
+    /// After a descent for `key` (filter hash `hash`) that found `found` in
+    /// `leaf`: take the frames the pool has released, admit the rest of the
+    /// leaf while slots are free, then the record found, which displaces
+    /// another once the cache is full.
+    fn admit(
+        &mut self,
+        pool: &BufferPool,
+        tenant: u32,
+        (hash, key): (u64, &K),
+        found: Option<&V>,
+        leaf: &[(K, V)],
+    ) {
+        self.frames = pool.capacity() - pool.resident().max(pool.limit());
+        let capacity = self.frames * self.per_frame;
+        self.records.set_capacity(capacity);
+        let mut free = capacity.saturating_sub(self.records.len() + usize::from(found.is_some()));
+        for (k, v) in leaf {
+            if free == 0 {
+                break;
+            }
+            let h = filter_hash(tenant, k);
+            if k != key && !self.records.contains(&h) {
+                self.records.insert(h, (tenant, k.clone(), v.clone()));
+                free -= 1;
+            }
+        }
+        if let Some(v) = found {
+            self.records.insert(hash, (tenant, key.clone(), v.clone()));
+        }
+    }
 }
 
 /// Parse a checkpoint's tree manifest into `(tenant, root, height, len)`
@@ -162,6 +275,10 @@ pub struct Shard<K: Record + Ord, V: Record> {
     batch: Vec<PendingOp<K, V>>,
     batch_opened: Option<Instant>,
     compact_threshold: usize,
+    /// Hot records in the pool frames the trees' leaves gave up; `None`
+    /// until this instance's first compaction, and during one.  Behind a
+    /// lock because a get, which takes `&self`, admits records.
+    records: Mutex<Option<RecordCache<K, V>>>,
     /// Crash-recovery journal, when the shard runs on a
     /// [`Journal`]-wrapped device.  Every batch flush and compaction
     /// commits a checkpoint (tree entries + the log's new records) before
@@ -176,9 +293,10 @@ where
     K: Record + Ord,
     V: Record,
 {
-    /// Build a shard on `device` with a `pool_frames`-frame read pool and
-    /// compaction once the delta holds `compact_threshold` distinct keys
-    /// (or that many of the ops flushed since were superseded).
+    /// Build a shard on `device` with a `pool_frames`-frame pool, which the
+    /// trees' nodes and the record cache share, and compaction once the
+    /// delta holds `compact_threshold` distinct keys (or that many of the
+    /// ops flushed since were superseded).
     ///
     /// `_absorber_mem` is ignored.  It sized the buffer-tree absorber the
     /// log replaced, and stays so that callers written against that
@@ -228,6 +346,7 @@ where
             batch: Vec::new(),
             batch_opened: None,
             compact_threshold: compact_threshold.max(1),
+            records: Mutex::new(None),
             journal,
         }
     }
@@ -278,6 +397,7 @@ where
             batch: Vec::new(),
             batch_opened: None,
             compact_threshold: compact_threshold.max(1),
+            records: Mutex::new(None),
             journal: Some(journal),
         })
     }
@@ -390,31 +510,49 @@ where
     }
 
     /// Point lookup: the delta overlay first (read-your-writes, including
-    /// the open batch), then the tenant's key filter, then the tenant's
-    /// B+-tree through the pool.
+    /// the open batch), then the tenant's key filter, then the record
+    /// cache, then the tenant's B+-tree through the pool, whose leaf the
+    /// record cache admits from.
     ///
-    /// Cost: no transfer when the delta answers, the tenant has no tree, or
-    /// the filter rejects the key, else the tree's `Search(N)` (≤ `height`
-    /// reads, fewer with the upper levels pooled).  A key the tree holds
+    /// Cost: no transfer when the delta answers, the tenant has no tree,
+    /// the filter rejects the key or the record cache holds it, else the
+    /// tree's `Search(N)`: one leaf read once the cache has taken every
+    /// frame it may, the upper levels staying pooled.  A key the tree holds
     /// always passes the filter; one it does not hold passes only as a
     /// false positive, at 8–16 bits a key about 1.4–4.9 % of the time, so an
-    /// absent key costs that share of `Search(N)`.  A recovered tree has no
-    /// filter until its next compaction, and every lookup the delta does
-    /// not answer reads it.
+    /// absent key costs that share of `Search(N)`.  A recovered shard has
+    /// no filter and no record cache until its next compaction, and every
+    /// lookup the delta does not answer reads the tree.
     pub fn get(&self, tenant: u32, key: &K) -> Result<Option<V>> {
-        match self.delta.get(&(tenant, key.clone())) {
-            Some(op) => Ok(op.clone()),
-            None => match self.trees.get(&tenant) {
-                Some(t)
-                    if t.filter
-                        .as_ref()
-                        .is_none_or(|f| f.may_contain(filter_hash(tenant, key))) =>
-                {
-                    t.tree.get(key)
-                }
-                _ => Ok(None),
-            },
+        if let Some(op) = self.delta.get(&(tenant, key.clone())) {
+            return Ok(op.clone());
         }
+        let Some(t) = self.trees.get(&tenant) else {
+            return Ok(None);
+        };
+        let hash = filter_hash(tenant, key);
+        if t.filter.as_ref().is_some_and(|f| !f.may_contain(hash)) {
+            return Ok(None);
+        }
+        let mut records = self.records.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(rc) = records.as_mut() else {
+            return t.tree.get(key);
+        };
+        if let Some(v) = rc.get(hash, tenant, key) {
+            return Ok(Some(v));
+        }
+        rc.reserve(&self.pool);
+        t.tree.get_with_leaf(key, |found, leaf| {
+            rc.admit(&self.pool, tenant, (hash, key), found, leaf);
+            found.cloned()
+        })
+    }
+
+    /// Records the record cache holds: none until this instance's first
+    /// compaction.
+    pub fn cached_records(&self) -> usize {
+        let records = self.records.lock().unwrap_or_else(PoisonError::into_inner);
+        records.as_ref().map_or(0, |rc| rc.records.len())
     }
 
     /// Tenant-scoped range scan over `[lo, hi]`, merging the tenant's tree
@@ -473,6 +611,10 @@ where
     /// which the same call rebuilds, unless its run holds deletes only.  The
     /// log is not read, only reset to empty.
     ///
+    /// The record cache is emptied and the pool given back every frame
+    /// before the rebuild, so it runs as it would with no cache; a new,
+    /// empty cache comes once the compaction has succeeded.
+    ///
     /// Each tenant's key filter is rebuilt from the keys its rebuild writes,
     /// at two bytes per key the new tree can hold (the old tree's plus the
     /// run's puts), and replaces the old one only once that rebuild
@@ -497,6 +639,11 @@ where
         if self.delta.is_empty() {
             return Ok(());
         }
+        *self
+            .records
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
+        self.pool.set_limit(self.pool.capacity());
         // (tenant, ops, puts) per tenant the delta touches, in delta order.
         let mut runs: Vec<(u32, usize, usize)> = Vec::new();
         for ((tenant, _), op) in &self.delta {
@@ -540,6 +687,10 @@ where
             journal.set_manifest("log", Vec::new());
             self.checkpoint()?;
         }
+        *self
+            .records
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = RecordCache::new(&self.trees, &self.pool);
         Ok(())
     }
 
@@ -1434,18 +1585,95 @@ mod tests {
         let s = compacted_evens();
         let spread = |i: u64| 2 * (i * 37 % 5_000);
         // Present keys first, from the pool state the compaction left: each
-        // descends the tree, and reads what it read without a filter.
+        // descends the tree unless the record cache holds it, which 4 do,
+        // admitted with a leaf read for another key.  Under plain LRU the
+        // pool re-read internal nodes too: 3 000 lookups, 1 043 reads.
         let (lookups, reads) = get_ledger(&s, (0..1_000).map(spread));
-        assert_eq!((lookups, reads), (3_000, 1_043));
+        assert_eq!((lookups, reads), (2_988, 996));
         // Absent keys between them: only the filter's false positives
-        // descend, three lookups each.  Without the filter every one did:
-        // 3 000 lookups and 1 044 reads.
+        // descend, three lookups and one leaf read each.  Without the
+        // filter every one did, as no absent key is ever cached.
         let absent = || (0..1_000).map(|i| spread(i) + 1);
         let false_positives = passes(&s, absent());
         assert_eq!(false_positives, 23);
         let (lookups, reads) = get_ledger(&s, absent());
-        assert_eq!((lookups, reads), (3 * false_positives as u64, 29));
+        let false_positives = false_positives as u64;
+        assert_eq!((lookups, reads), (3 * false_positives, false_positives));
         assert!(absent().all(|k| s.get(0, &k).unwrap().is_none()));
+    }
+
+    /// Whether `s`'s record cache holds tenant 0's `key`.
+    fn cached(s: &Shard<u64, u64>, key: u64) -> bool {
+        let records = s.records.lock().unwrap();
+        let hash = filter_hash(0, &key);
+        records
+            .as_ref()
+            .is_some_and(|rc| rc.records.contains(&hash))
+    }
+
+    /// The memory rule: the pool's resident frames and the frames the
+    /// cached records are worth never exceed the pool's frames.
+    fn assert_one_memory(s: &Shard<u64, u64>) {
+        let per_frame = s.tree_of(0).tree.leaf_capacity();
+        let frames = s.pool.resident() + s.cached_records().div_ceil(per_frame);
+        assert!(frames <= s.pool.capacity(), "{frames} frames in use");
+    }
+
+    /// The first key of leaf `j` of [`compacted_evens`]' tree.
+    fn leaf_key(j: u64) -> u64 {
+        2 * 31 * j
+    }
+
+    #[test]
+    fn a_cold_cache_takes_a_leaf_of_records_for_each_leaf_read() {
+        // The compaction left the tree's 7 upper nodes and its last 9
+        // leaves resident, all dirty.  Each get of an early leaf reads that
+        // leaf alone, and the frame it frees holds its 31 records, until
+        // the records hold the 8 frames beyond the upper levels and one
+        // leaf frame.
+        let s = compacted_evens();
+        let dev = s.pool.device().clone();
+        let io = dev.stats().snapshot();
+        let writebacks = s.pool.stats().writebacks();
+        for k in 1..=12u64 {
+            s.get(0, &leaf_key(2 * k)).unwrap();
+            let d = dev.stats().snapshot().since(&io);
+            assert_eq!(d.reads(), k, "get {k}");
+            assert_eq!(s.cached_records(), (31 * k as usize).min(8 * 31), "get {k}");
+            assert_one_memory(&s);
+            // Lowering the limit wrote nothing: every write is a dirty
+            // frame's write-back at its eviction.
+            assert_eq!(d.writes(), s.pool.stats().writebacks() - writebacks);
+        }
+        assert_eq!((s.pool.limit(), s.pool.resident()), (8, 8));
+        // From the ninth get on, the record found displaces the oldest one
+        // admitted: a leaf-mate of the first get's key.
+        assert!((1..=12).all(|k| cached(&s, leaf_key(2 * k))));
+        let first_leaf = (1..31).filter(|i| cached(&s, leaf_key(2) + 2 * i));
+        assert_eq!(first_leaf.count(), 30 - 4);
+    }
+
+    #[test]
+    fn with_a_full_record_cache_a_height_3_lookup_reads_one_block() {
+        let s = compacted_evens();
+        for j in 0..20 {
+            s.get(0, &leaf_key(j)).unwrap();
+        }
+        assert_eq!(s.cached_records(), 8 * 31);
+        // Lookups the cache misses, each in another leaf than the one
+        // before: three pool lookups and exactly one device read each,
+        // as the root and the six internal nodes stay resident.
+        let misses: Vec<u64> = (0..162u64)
+            .map(|j| leaf_key(j * 37 % 162) + 2 * (j % 31))
+            .filter(|&k| !cached(&s, k))
+            .collect();
+        assert!(misses.len() > 100);
+        for &k in &misses {
+            assert_eq!(get_ledger(&s, [k]), (3, 1), "key {k}");
+            assert_eq!(s.get(0, &k).unwrap(), Some(k / 2));
+            assert_one_memory(&s);
+        }
+        assert_eq!(s.cached_records(), 8 * 31);
     }
 
     #[test]

@@ -315,6 +315,17 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     /// Look up `key`, returning its value if present.  Costs ≤ `height`
     /// I/Os (fewer when upper levels are cached).
     pub fn get(&self, key: &K) -> Result<Option<V>> {
+        self.get_with_leaf(key, |found, _| found.cloned())
+    }
+
+    /// Look up `key` as [`get`](Self::get) does, and hand `f` the value
+    /// found and every pair of the leaf the descent read: a caller that
+    /// caches records can keep the rest of a leaf it already paid for.
+    pub fn get_with_leaf<R>(
+        &self,
+        key: &K,
+        f: impl FnOnce(Option<&V>, &[(K, V)]) -> R,
+    ) -> Result<R> {
         let mut id = self.root;
         loop {
             match self.read_node(id)? {
@@ -323,10 +334,8 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
                     id = children[idx];
                 }
                 Node::Leaf { entries, .. } => {
-                    return Ok(entries
-                        .binary_search_by(|(k, _)| k.cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1.clone()));
+                    let found = entries.binary_search_by(|(k, _)| k.cmp(key)).ok();
+                    return Ok(f(found.map(|i| &entries[i].1), &entries));
                 }
             }
         }
@@ -962,9 +971,16 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
 
     // ---- node (de)serialization ----------------------------------------
 
+    // Every frame that holds an internal node is marked so: a pool whose
+    // frame limit is lowered keeps it over the leaves.
+
     fn read_node(&self, id: BlockId) -> Result<Node<K, V>> {
         let frame = self.pool.read(id)?;
-        Ok(Self::decode(&frame))
+        let node = Self::decode(&frame);
+        if matches!(node, Node::Internal { .. }) {
+            frame.mark_internal();
+        }
+        Ok(node)
     }
 
     fn write_node(&self, id: BlockId, node: &Node<K, V>) -> Result<()> {
@@ -980,7 +996,7 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     }
 
     fn free_node(&self, id: BlockId) -> Result<()> {
-        self.pool.discard(id);
+        self.pool.discard(id)?;
         self.pool.device().free(id)
     }
 
@@ -1022,7 +1038,11 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
         }
     }
 
-    fn encode(node: &Node<K, V>, buf: &mut [u8]) {
+    fn encode(node: &Node<K, V>, frame: &mut FrameGuardMut) {
+        if matches!(node, Node::Internal { .. }) {
+            frame.mark_internal();
+        }
+        let buf: &mut [u8] = frame;
         buf.fill(0);
         match node {
             Node::Leaf { next, entries } => {

@@ -12,6 +12,15 @@
 //! access to a non-resident block fails with [`PdmError::PoolExhausted`] —
 //! an algorithm that triggers this has exceeded its declared memory budget,
 //! which is exactly the bug the pool exists to surface.
+//!
+//! Frame limit: a pool may be told to hold fewer frames than its capacity
+//! ([`BufferPool::set_limit`]), so that memory it gives up can hold
+//! something else.  Lowering the limit writes nothing by itself: frames over
+//! it leave at the pool's next miss, evicted (and written back if dirty)
+//! exactly as a full pool evicts.  While the limit is lowered, a frame
+//! marked as an index's root or internal node
+//! ([`FrameGuard::mark_internal`]) is evicted only when no unmarked frame
+//! can be, so a lookup keeps its upper levels and pays for its leaf alone.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -65,6 +74,20 @@ struct FrameCell {
     data: Arc<RwLock<Box<[u8]>>>,
     pins: AtomicU32,
     dirty: AtomicBool,
+    /// An index's root or internal node: kept over other frames while the
+    /// limit is lowered.
+    internal: AtomicBool,
+}
+
+impl FrameCell {
+    fn new(buf: Box<[u8]>) -> Arc<Self> {
+        Arc::new(FrameCell {
+            data: Arc::new(RwLock::new(buf)),
+            pins: AtomicU32::new(1),
+            dirty: AtomicBool::new(false),
+            internal: AtomicBool::new(false),
+        })
+    }
 }
 
 struct Slot {
@@ -78,6 +101,8 @@ struct Inner {
     map: HashMap<BlockId, usize>,
     slots: Vec<Option<Slot>>,
     free: Vec<usize>,
+    /// Most frames resident after a miss; `capacity` unless lowered.
+    limit: usize,
     tick: u64,
     /// Write-backs submitted to the device but not yet confirmed complete.
     /// A block with an entry here must not be re-read from the device (the
@@ -95,9 +120,9 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Create a pool holding at most `capacity` frames (must be ≥ 1).
+    /// Create a pool holding at most `capacity` frames.  A pool of no frames
+    /// answers every access with [`PdmError::PoolExhausted`].
     pub fn new(device: SharedDevice, capacity: usize, policy: EvictionPolicy) -> Arc<Self> {
-        assert!(capacity >= 1, "pool needs at least one frame");
         Arc::new(BufferPool {
             device,
             capacity,
@@ -106,6 +131,7 @@ impl BufferPool {
                 map: HashMap::with_capacity(capacity),
                 slots: (0..capacity).map(|_| None).collect(),
                 free: (0..capacity).rev().collect(),
+                limit: capacity,
                 tick: 0,
                 inflight: HashMap::new(),
             }),
@@ -116,6 +142,28 @@ impl BufferPool {
     /// Maximum number of resident frames.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Most frames resident after a miss: [`capacity`](Self::capacity)
+    /// unless [`set_limit`](Self::set_limit) lowered it.
+    pub fn limit(&self) -> usize {
+        self.inner.lock().limit
+    }
+
+    /// Hold at most `frames` frames (at least one, at most the capacity)
+    /// from the next miss on.  Writes nothing: frames over the limit leave
+    /// when that miss evicts them, and a dirty one is written back then, as
+    /// any evicted frame is.  While the limit is below the capacity, a frame
+    /// marked [`internal`](FrameGuard::mark_internal) is evicted only when
+    /// no unmarked, unpinned frame is resident.
+    pub fn set_limit(&self, frames: usize) {
+        self.inner.lock().limit = frames.max(1).min(self.capacity);
+    }
+
+    /// Frames resident now.
+    pub fn resident(&self) -> usize {
+        let inner = self.inner.lock();
+        inner.slots.len() - inner.free.len()
     }
 
     /// The underlying device.
@@ -133,7 +181,7 @@ impl BufferPool {
         let cell = self.pin(id, false)?;
         let guard = parking_lot::RwLock::read_arc(&cell.data);
         Ok(FrameGuard {
-            _pin: PinHandle { cell },
+            pin: PinHandle { cell },
             guard,
         })
     }
@@ -144,7 +192,7 @@ impl BufferPool {
         cell.dirty.store(true, Ordering::Relaxed);
         let guard = parking_lot::RwLock::write_arc(&cell.data);
         Ok(FrameGuardMut {
-            _pin: PinHandle { cell },
+            pin: PinHandle { cell },
             guard,
         })
     }
@@ -159,7 +207,7 @@ impl BufferPool {
         Ok((
             id,
             FrameGuardMut {
-                _pin: PinHandle { cell },
+                pin: PinHandle { cell },
                 guard,
             },
         ))
@@ -192,7 +240,12 @@ impl BufferPool {
 
     /// Drop block `id` from the pool without writing it back (used after
     /// freeing the block on the device).
-    pub fn discard(&self, id: BlockId) {
+    ///
+    /// # Errors
+    ///
+    /// [`PdmError::InvalidRequest`] if the block is pinned; it stays
+    /// resident.
+    pub fn discard(&self, id: BlockId) -> Result<()> {
         let mut inner = self.inner.lock();
         if let Some(ticket) = inner.inflight.remove(&id) {
             // An earlier eviction already queued a write-back; let it land
@@ -200,15 +253,21 @@ impl BufferPool {
             // the id cannot race with the stale write.
             let _ = ticket.wait();
         }
-        if let Some(idx) = inner.map.remove(&id) {
-            let slot = inner.slots[idx].take().expect("mapped slot present");
-            assert_eq!(
-                slot.cell.pins.load(Ordering::Relaxed),
-                0,
-                "discarding pinned block"
-            );
-            inner.free.push(idx);
+        let Some(&idx) = inner.map.get(&id) else {
+            return Ok(());
+        };
+        if inner.slots[idx]
+            .as_ref()
+            .is_some_and(|s| s.cell.pins.load(Ordering::Relaxed) > 0)
+        {
+            return Err(PdmError::InvalidRequest(format!(
+                "discarding pinned block {id}"
+            )));
         }
+        inner.map.remove(&id);
+        inner.slots[idx] = None;
+        inner.free.push(idx);
+        Ok(())
     }
 
     /// Wait out every in-flight write-back.  Caller holds the pool lock.
@@ -231,7 +290,11 @@ impl BufferPool {
         let tick = inner.tick;
         if let Some(&idx) = inner.map.get(&id) {
             self.stats.hits.fetch_add(1, Ordering::Relaxed);
-            let slot = inner.slots[idx].as_mut().expect("mapped slot present");
+            let Some(slot) = inner.slots[idx].as_mut() else {
+                return Err(PdmError::Corrupt(format!(
+                    "buffer pool maps block {id} to an empty slot"
+                )));
+            };
             slot.last_use = tick;
             slot.cell.pins.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(&slot.cell));
@@ -252,11 +315,7 @@ impl BufferPool {
         // race-free (single structural lock).
         let mut buf = vec![0u8; self.device.block_size()].into_boxed_slice();
         self.device.read_block(id, &mut buf)?;
-        let cell = Arc::new(FrameCell {
-            data: Arc::new(RwLock::new(buf)),
-            pins: AtomicU32::new(1),
-            dirty: AtomicBool::new(false),
-        });
+        let cell = FrameCell::new(buf);
         inner.slots[idx] = Some(Slot {
             block: id,
             cell: Arc::clone(&cell),
@@ -278,12 +337,7 @@ impl BufferPool {
             let _ = ticket.wait();
         }
         let idx = self.acquire_slot(&mut inner)?;
-        let buf = vec![0u8; self.device.block_size()].into_boxed_slice();
-        let cell = Arc::new(FrameCell {
-            data: Arc::new(RwLock::new(buf)),
-            pins: AtomicU32::new(1),
-            dirty: AtomicBool::new(false),
-        });
+        let cell = FrameCell::new(vec![0u8; self.device.block_size()].into_boxed_slice());
         inner.slots[idx] = Some(Slot {
             block: id,
             cell: Arc::clone(&cell),
@@ -294,27 +348,41 @@ impl BufferPool {
         Ok(cell)
     }
 
-    /// Find a free slot, evicting if necessary.  Caller holds the pool lock.
+    /// Find a free slot, evicting while the resident frames are at the
+    /// limit or over it.  Caller holds the pool lock.
     fn acquire_slot(&self, inner: &mut Inner) -> Result<usize> {
-        if let Some(idx) = inner.free.pop() {
-            return Ok(idx);
+        while inner.slots.len() - inner.free.len() >= inner.limit {
+            let victim = self.evict(inner)?;
+            inner.free.push(victim);
         }
+        inner.free.pop().ok_or(PdmError::PoolExhausted)
+    }
+
+    /// Evict one unpinned frame and return its slot.  Caller holds the pool
+    /// lock.
+    fn evict(&self, inner: &mut Inner) -> Result<usize> {
         // Choose an unpinned victim.  Pins only increase under the pool
         // lock, so a frame observed unpinned here cannot become pinned
         // before we remove it.
+        let lowered = inner.limit < self.capacity;
         let victim = inner
             .slots
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
             .filter(|(_, s)| s.cell.pins.load(Ordering::Relaxed) == 0)
-            .min_by_key(|(_, s)| match self.policy {
-                EvictionPolicy::Lru => s.last_use,
-                EvictionPolicy::Fifo => s.loaded_at,
+            .min_by_key(|(_, s)| {
+                let kept = lowered && s.cell.internal.load(Ordering::Relaxed);
+                match self.policy {
+                    EvictionPolicy::Lru => (kept, s.last_use),
+                    EvictionPolicy::Fifo => (kept, s.loaded_at),
+                }
             })
             .map(|(i, _)| i)
             .ok_or(PdmError::PoolExhausted)?;
-        let slot = inner.slots[victim].take().expect("victim present");
+        let Some(slot) = inner.slots[victim].take() else {
+            return Err(PdmError::Corrupt("buffer pool victim slot is empty".into()));
+        };
         inner.map.remove(&slot.block);
         self.stats.evictions.fetch_add(1, Ordering::Relaxed);
         if slot.cell.dirty.load(Ordering::Relaxed) {
@@ -354,8 +422,17 @@ impl Drop for PinHandle {
 
 /// Shared (read) access to a pinned frame.
 pub struct FrameGuard {
-    _pin: PinHandle,
+    pin: PinHandle,
     guard: parking_lot::ArcRwLockReadGuard<parking_lot::RawRwLock, Box<[u8]>>,
+}
+
+impl FrameGuard {
+    /// Mark the frame as an index's root or internal node: while the pool's
+    /// limit is lowered, it is evicted only when no unmarked frame can be.
+    /// The mark lasts while the block stays resident.
+    pub fn mark_internal(&self) {
+        self.pin.cell.internal.store(true, Ordering::Relaxed);
+    }
 }
 
 impl Deref for FrameGuard {
@@ -367,8 +444,15 @@ impl Deref for FrameGuard {
 
 /// Exclusive (write) access to a pinned frame.
 pub struct FrameGuardMut {
-    _pin: PinHandle,
+    pin: PinHandle,
     guard: parking_lot::ArcRwLockWriteGuard<parking_lot::RawRwLock, Box<[u8]>>,
+}
+
+impl FrameGuardMut {
+    /// [`FrameGuard::mark_internal`] for a frame pinned for writing.
+    pub fn mark_internal(&self) {
+        self.pin.cell.internal.store(true, Ordering::Relaxed);
+    }
 }
 
 impl Deref for FrameGuardMut {
@@ -510,7 +594,7 @@ mod tests {
             g[0] = 0xEE;
         }
         let writes_before = disk.stats().snapshot().writes();
-        pool.discard(ids[0]);
+        pool.discard(ids[0]).unwrap();
         pool.flush().unwrap();
         assert_eq!(disk.stats().snapshot().writes(), writes_before);
         let mut out = [0u8; 8];
@@ -546,6 +630,79 @@ mod tests {
             device.read_block(id, &mut out).unwrap();
             assert_eq!(out, [i as u8 ^ 49; 8]);
         }
+    }
+
+    #[test]
+    fn lowering_the_limit_writes_nothing_until_the_next_miss() {
+        let (disk, pool, ids) = setup(4, EvictionPolicy::Lru);
+        for &id in &ids[..4] {
+            pool.write(id).unwrap()[0] = 0xAA;
+        }
+        let setup_writes = disk.stats().snapshot().writes();
+        let writes = || disk.stats().snapshot().writes() - setup_writes;
+        pool.set_limit(2);
+        assert_eq!((pool.limit(), pool.resident(), writes()), (2, 4, 0));
+        // A hit changes nothing; the next miss evicts down to one frame
+        // below the limit, writing back each dirty frame it evicts, and
+        // loads its block.
+        pool.read(ids[3]).unwrap();
+        assert_eq!((pool.resident(), writes()), (4, 0));
+        pool.read(ids[4]).unwrap();
+        assert_eq!((pool.resident(), writes()), (2, 3));
+        assert_eq!(pool.stats().evictions(), 3);
+        // The limit clamps to one frame and to the capacity.
+        pool.set_limit(0);
+        assert_eq!(pool.limit(), 1);
+        pool.set_limit(9);
+        assert_eq!(pool.limit(), 4);
+    }
+
+    #[test]
+    fn a_lowered_limit_keeps_internal_frames_over_lru_order() {
+        let (disk, pool, ids) = setup(4, EvictionPolicy::Lru);
+        // Blocks 0 and 1 are an index's upper levels, touched before every
+        // leaf, so plain LRU order would have evicted them first.
+        pool.read(ids[0]).unwrap().mark_internal();
+        pool.write(ids[1]).unwrap().mark_internal();
+        pool.set_limit(3);
+        for &leaf in &ids[2..] {
+            pool.read(leaf).unwrap();
+        }
+        let reads = disk.stats().snapshot().reads();
+        pool.read(ids[0]).unwrap();
+        pool.read(ids[1]).unwrap();
+        assert_eq!(
+            disk.stats().snapshot().reads(),
+            reads,
+            "upper levels stayed"
+        );
+        assert_eq!(pool.resident(), 3);
+        // At the full limit the mark is ignored: LRU evicts block 0.
+        pool.set_limit(4);
+        pool.read(ids[2]).unwrap();
+        pool.read(ids[3]).unwrap();
+        pool.read(ids[1]).unwrap();
+        pool.read(ids[4]).unwrap();
+        pool.read(ids[5]).unwrap();
+        let reads = disk.stats().snapshot().reads();
+        pool.read(ids[0]).unwrap();
+        assert_eq!(disk.stats().snapshot().reads(), reads + 1);
+    }
+
+    #[test]
+    fn a_pool_of_no_frames_and_a_pinned_discard_are_typed_errors() {
+        let (_disk, pool, ids) = setup(0, EvictionPolicy::Lru);
+        assert!(matches!(pool.read(ids[0]), Err(PdmError::PoolExhausted)));
+        let (_disk, pool, ids) = setup(2, EvictionPolicy::Lru);
+        let g = pool.read(ids[0]).unwrap();
+        assert!(matches!(
+            pool.discard(ids[0]),
+            Err(PdmError::InvalidRequest(_))
+        ));
+        assert_eq!(pool.resident(), 1);
+        drop(g);
+        pool.discard(ids[0]).unwrap();
+        assert_eq!(pool.resident(), 0);
     }
 
     #[test]

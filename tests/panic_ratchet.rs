@@ -52,7 +52,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("pdm/src/array.rs", 11),
     ("pdm/src/fault.rs", 5),
     ("pdm/src/file_disk.rs", 1),
-    ("pdm/src/pool.rs", 5),
     ("pdm/src/ram_disk.rs", 1),
     ("pdm/src/sched.rs", 2),
     ("pdm/src/stats.rs", 4),

@@ -14,7 +14,7 @@
 //! to four and to eight records, so that its two segments promote, demote
 //! and evict within a few ops, and checks that no get is answered stale.
 
-use emserve::{CompletionSink, ReqKind, Request, ServeConfig, Server};
+use emserve::{CompletionSink, ReqKind, Request, ServeConfig, Server, Shard};
 use pdm::{DiskArray, Placement};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -382,5 +382,74 @@ fn no_stale_read_through_either_cache_segment() {
         // ⌈4/5 · 4⌉ = 4: a four-record cache never has to demote.
         assert_eq!(stats.cache_demotions() > 0, cache_records == 8);
         srv.shutdown().unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A shard whose two tenant trees outgrow its pool, against a
+    /// `BTreeMap` model.  Gets fill the record cache, which takes pool
+    /// frames until only the two roots and one leaf frame remain and then
+    /// displaces records; puts, deletes and batch flushes go on under it,
+    /// and compactions, one of them forced halfway, empty it and give the
+    /// pool its frames back.  Every get is checked against the model, and
+    /// after every step the pool's resident frames and the frames the
+    /// cached records are worth fit the pool.
+    #[test]
+    fn shard_agrees_with_a_btreemap_model_while_records_displace_frames(
+        steps in prop::collection::vec((0u8..20, 0u32..2, 0u64..700, 0u64..1_000_000), 400..800),
+    ) {
+        const FRAMES: usize = 6;
+        let device = DiskArray::new_ram(1, 512, Placement::Independent);
+        let mut shard: Shard<u64, u64> = Shard::new(device, FRAMES, 0, 400).unwrap();
+        let mut model: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+        // 31 records a leaf at 512 bytes: 2 × 10 leaves under 2 roots.
+        for key in 0..600u64 {
+            shard.enqueue((key % 2) as u32, key, key, Some(key));
+            model.insert(((key % 2) as u32, key), key);
+        }
+        shard.flush_batch(|_, _| {}).unwrap();
+        shard.compact().unwrap();
+        let (mut most_cached, mut least_limit, mut emptied) = (0, FRAMES, 0);
+        for (i, &(sel, tenant, key, val)) in steps.iter().enumerate() {
+            match sel {
+                0..=13 => {
+                    let want = model.get(&(tenant, key)).copied();
+                    prop_assert_eq!(shard.get(tenant, &key).unwrap(), want, "step {}", i);
+                }
+                14..=16 => {
+                    shard.enqueue(tenant, i as u64, key, Some(val));
+                    model.insert((tenant, key), val);
+                }
+                17 | 18 => {
+                    shard.enqueue(tenant, i as u64, key, None);
+                    model.remove(&(tenant, key));
+                }
+                _ => shard.flush_batch(|_, _| {}).map(drop).unwrap(),
+            }
+            if i == steps.len() / 2 || shard.wants_compact() {
+                shard.flush_batch(|_, _| {}).unwrap();
+                emptied += usize::from(shard.cached_records() > 0);
+                shard.compact().unwrap();
+                prop_assert_eq!(shard.cached_records(), 0);
+                prop_assert_eq!(shard.pool().limit(), FRAMES);
+            }
+            let pool = shard.pool();
+            let frames = pool.resident() + shard.cached_records().div_ceil(31);
+            prop_assert!(frames <= FRAMES, "step {}: {} frames in use", i, frames);
+            most_cached = most_cached.max(shard.cached_records());
+            least_limit = least_limit.min(pool.limit());
+        }
+        // The cache filled the three frames beyond two roots and a leaf
+        // frame, and a compaction emptied it.
+        prop_assert_eq!((most_cached, least_limit), (3 * 31, 3));
+        prop_assert!(emptied >= 1);
+        for tenant in 0..2u32 {
+            prop_assert_eq!(
+                shard.range(tenant, &0, &u64::MAX).unwrap(),
+                tenant_slice(&model, tenant)
+            );
+        }
     }
 }
