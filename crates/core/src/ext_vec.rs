@@ -22,7 +22,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use pdm::{BlockId, Result, SharedDevice};
+use pdm::{BlockId, PdmError, Result, SharedDevice};
 
 use crate::budget::MemBudget;
 use crate::record::Record;
@@ -159,7 +159,7 @@ impl<R: Record> ExtVec<R> {
     }
 
     /// Records stored in block index `bi` (the last block may be partial).
-    pub fn records_in_block(&self, bi: usize) -> usize {
+    pub(crate) fn records_in_block(&self, bi: usize) -> usize {
         let per = self.per_block() as u64;
         let start = bi as u64 * per;
         assert!(
@@ -169,13 +169,10 @@ impl<R: Record> ExtVec<R> {
         ((self.len - start).min(per)) as usize
     }
 
-    /// Random-access read of record `idx`.  Costs one I/O.
+    /// Random-access read of record `idx`.  Costs one I/O; an index past
+    /// the end is [`PdmError::InvalidRequest`], before any I/O.
     pub fn get(&self, idx: u64) -> Result<R> {
-        assert!(
-            idx < self.len,
-            "index {idx} out of range (len {})",
-            self.len
-        );
+        self.check_index(idx)?;
         let per = self.per_block() as u64;
         let (bi, off) = ((idx / per) as usize, (idx % per) as usize);
         let mut buf = self.block_buf();
@@ -184,13 +181,10 @@ impl<R: Record> ExtVec<R> {
     }
 
     /// Random-access overwrite of record `idx`.  Costs two I/Os
-    /// (read-modify-write of the containing block).
+    /// (read-modify-write of the containing block); an index past the end
+    /// is [`PdmError::InvalidRequest`], before any I/O.
     pub fn set(&self, idx: u64, value: &R) -> Result<()> {
-        assert!(
-            idx < self.len,
-            "index {idx} out of range (len {})",
-            self.len
-        );
+        self.check_index(idx)?;
         let per = self.per_block() as u64;
         let (bi, off) = ((idx / per) as usize, (idx % per) as usize);
         let mut buf = self.block_buf();
@@ -208,14 +202,17 @@ impl<R: Record> ExtVec<R> {
         Ok(())
     }
 
-    /// Overwrite block `bi` with `records` (must match
-    /// [`records_in_block`](Self::records_in_block)).  Costs one I/O.
+    /// Overwrite block `bi` with `records`, as many as the block holds (`B`,
+    /// or the rest of the array in the last block; any other count is
+    /// [`PdmError::InvalidRequest`], before any I/O).  Costs one I/O.
     pub fn write_block(&self, bi: usize, records: &[R]) -> Result<()> {
-        assert_eq!(
-            records.len(),
-            self.records_in_block(bi),
-            "wrong record count for block {bi}"
-        );
+        let want = self.records_in_block(bi);
+        if records.len() != want {
+            return Err(PdmError::InvalidRequest(format!(
+                "wrong record count for block {bi}: {} (it holds {want})",
+                records.len()
+            )));
+        }
         let mut buf = self.block_buf();
         encode_block(records, &mut buf);
         self.device.write_block(self.blocks[bi], &buf)
@@ -223,9 +220,10 @@ impl<R: Record> ExtVec<R> {
 
     /// Read `count` records starting at record `start` into `out` (cleared
     /// first).  Costs one I/O per touched block:
-    /// `⌈(start+count)/B⌉ − ⌊start/B⌋`.
+    /// `⌈(start+count)/B⌉ − ⌊start/B⌋`.  A range past the end is
+    /// [`PdmError::InvalidRequest`], before any I/O.
     pub fn read_range(&self, start: u64, count: usize, out: &mut Vec<R>) -> Result<()> {
-        assert!(start + count as u64 <= self.len, "range out of bounds");
+        self.check_range(start, count)?;
         out.clear();
         if count == 0 {
             return Ok(());
@@ -250,12 +248,10 @@ impl<R: Record> ExtVec<R> {
 
     /// Overwrite `records.len()` records starting at `start`.  Fully covered
     /// blocks are written with one I/O; partially covered edge blocks incur a
-    /// read-modify-write (one extra read each).
+    /// read-modify-write (one extra read each).  A range past the end is
+    /// [`PdmError::InvalidRequest`], before any I/O.
     pub fn write_range(&self, start: u64, records: &[R]) -> Result<()> {
-        assert!(
-            start + records.len() as u64 <= self.len,
-            "range out of bounds"
-        );
+        self.check_range(start, records.len())?;
         if records.is_empty() {
             return Ok(());
         }
@@ -355,75 +351,25 @@ impl<R: Record> ExtVec<R> {
         Ok(())
     }
 
-    /// Serialize the array's *metadata* — length, block-id table, and
-    /// forecast heads — into a self-describing byte string.  Costs no I/O:
-    /// the record data stays on the device.  Pairs with
-    /// [`from_manifest`](Self::from_manifest) to reattach the array after a
-    /// crash; layers store these bytes in a journal checkpoint manifest
-    /// (see `pdm::Journal::set_manifest`).
-    pub fn manifest_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.blocks.len() * 8 + self.heads.len() * R::BYTES);
-        out.extend_from_slice(&self.len.to_le_bytes());
-        out.extend_from_slice(&(self.blocks.len() as u64).to_le_bytes());
-        for id in &self.blocks {
-            out.extend_from_slice(&id.to_le_bytes());
+    fn check_index(&self, idx: u64) -> Result<()> {
+        if idx < self.len {
+            Ok(())
+        } else {
+            Err(PdmError::InvalidRequest(format!(
+                "index {idx} out of range (len {})",
+                self.len
+            )))
         }
-        out.extend_from_slice(&(self.heads.len() as u64).to_le_bytes());
-        let mut rec = vec![0u8; R::BYTES];
-        for h in &self.heads {
-            h.write_to(&mut rec);
-            out.extend_from_slice(&rec);
-        }
-        out
     }
 
-    /// Reattach an array on `device` from metadata produced by
-    /// [`manifest_bytes`](Self::manifest_bytes).  Costs no I/O.  Returns an
-    /// error if the bytes are malformed (truncated or with inconsistent
-    /// counts) rather than panicking, so recovery can reject a corrupt
-    /// manifest.
-    pub fn from_manifest(device: SharedDevice, bytes: &[u8]) -> Result<Self> {
-        fn corrupt() -> pdm::PdmError {
-            pdm::PdmError::Corrupt("malformed ExtVec manifest".into())
+    fn check_range(&self, start: u64, count: usize) -> Result<()> {
+        match start.checked_add(count as u64) {
+            Some(end) if end <= self.len => Ok(()),
+            _ => Err(PdmError::InvalidRequest(format!(
+                "range {start}+{count} out of bounds (len {})",
+                self.len
+            ))),
         }
-        fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
-            let end = pos.checked_add(8).ok_or_else(corrupt)?;
-            let chunk = bytes.get(*pos..end).ok_or_else(corrupt)?;
-            *pos = end;
-            Ok(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
-        }
-        let mut pos = 0;
-        let len = take_u64(bytes, &mut pos)?;
-        let n_blocks = take_u64(bytes, &mut pos)? as usize;
-        let per = Self::per_block_on(&device) as u64;
-        if n_blocks as u64 != len.div_ceil(per) && !(len == 0 && n_blocks == 0) {
-            return Err(corrupt());
-        }
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            blocks.push(take_u64(bytes, &mut pos)?);
-        }
-        let n_heads = take_u64(bytes, &mut pos)? as usize;
-        if n_heads != 0 && n_heads != n_blocks {
-            return Err(corrupt());
-        }
-        let mut heads = Vec::with_capacity(n_heads);
-        for _ in 0..n_heads {
-            let end = pos.checked_add(R::BYTES).ok_or_else(corrupt)?;
-            let chunk = bytes.get(pos..end).ok_or_else(corrupt)?;
-            heads.push(R::read_from(chunk));
-            pos = end;
-        }
-        if pos != bytes.len() {
-            return Err(corrupt());
-        }
-        Ok(ExtVec {
-            device,
-            blocks,
-            len,
-            heads,
-            _marker: PhantomData,
-        })
     }
 
     fn block_buf(&self) -> Box<[u8]> {
@@ -492,10 +438,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wrong record count")]
-    fn write_block_wrong_size_panics() {
-        let v = ExtVec::from_slice(dev(), &(0u64..16).collect::<Vec<_>>()).unwrap();
-        v.write_block(0, &[1, 2, 3]).unwrap();
+    fn write_block_of_the_wrong_size_is_a_typed_error() {
+        let device = dev();
+        let v = ExtVec::from_slice(device.clone(), &(0u64..16).collect::<Vec<_>>()).unwrap();
+        let before = device.stats().snapshot();
+        let got = v.write_block(0, &[1, 2, 3]);
+        assert!(matches!(got, Err(PdmError::InvalidRequest(_))), "{got:?}");
+        assert_eq!(device.stats().snapshot().since(&before).total(), 0);
+        assert_eq!(v.to_vec().unwrap(), (0..16).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -518,10 +468,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn get_out_of_range_panics() {
-        let v = ExtVec::from_slice(dev(), &[1u64, 2, 3]).unwrap();
-        let _ = v.get(3);
+    fn get_or_set_out_of_range_is_a_typed_error() {
+        let device = dev();
+        let v = ExtVec::from_slice(device.clone(), &[1u64, 2, 3]).unwrap();
+        let before = device.stats().snapshot();
+        let got = v.get(3);
+        assert!(matches!(got, Err(PdmError::InvalidRequest(_))), "{got:?}");
+        let set = v.set(3, &9);
+        assert!(matches!(set, Err(PdmError::InvalidRequest(_))), "{set:?}");
+        assert_eq!(device.stats().snapshot().since(&before).total(), 0);
     }
 
     #[test]
@@ -530,33 +485,6 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.num_blocks(), 0);
         assert_eq!(v.to_vec().unwrap(), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn manifest_round_trips_without_io() {
-        let device = dev();
-        let v = ExtVec::from_slice(device.clone(), &(0u64..20).collect::<Vec<_>>()).unwrap();
-        let before = device.stats().snapshot();
-        let bytes = v.manifest_bytes();
-        let r = ExtVec::<u64>::from_manifest(device.clone(), &bytes).unwrap();
-        assert_eq!(device.stats().snapshot().since(&before).total(), 0);
-        assert_eq!(r.len(), 20);
-        assert!(r.has_block_heads());
-        assert_eq!(r.block_head(2), Some(&16));
-        assert_eq!(r.to_vec().unwrap(), (0..20).collect::<Vec<_>>());
-
-        // Empty arrays and arrays without heads also round-trip.
-        let e: ExtVec<u64> = ExtVec::new(device.clone());
-        let e2 = ExtVec::<u64>::from_manifest(device.clone(), &e.manifest_bytes()).unwrap();
-        assert!(e2.is_empty());
-        let z: ExtVec<u64> = ExtVec::with_len(device.clone(), 10).unwrap();
-        let z2 = ExtVec::<u64>::from_manifest(device.clone(), &z.manifest_bytes()).unwrap();
-        assert_eq!(z2.len(), 10);
-        assert!(!z2.has_block_heads());
-
-        // Corruption is an error, not a panic.
-        assert!(ExtVec::<u64>::from_manifest(device.clone(), &bytes[..bytes.len() - 1]).is_err());
-        assert!(ExtVec::<u64>::from_manifest(device, &[1, 2, 3]).is_err());
     }
 }
 
@@ -629,10 +557,19 @@ mod range_tests {
     }
 
     #[test]
-    #[should_panic(expected = "range out of bounds")]
-    fn read_range_oob_panics() {
-        let v = ExtVec::from_slice(dev(), &[1u64, 2, 3]).unwrap();
+    fn a_range_out_of_bounds_is_a_typed_error() {
+        let device = dev();
+        let v = ExtVec::from_slice(device.clone(), &[1u64, 2, 3]).unwrap();
+        let before = device.stats().snapshot();
         let mut out = Vec::new();
-        v.read_range(2, 2, &mut out).unwrap();
+        for got in [
+            v.read_range(2, 2, &mut out),
+            v.read_range(u64::MAX, 1, &mut out),
+            v.write_range(2, &[7, 8]),
+        ] {
+            assert!(matches!(got, Err(PdmError::InvalidRequest(_))), "{got:?}");
+        }
+        assert_eq!(device.stats().snapshot().since(&before).total(), 0);
+        assert_eq!(v.to_vec().unwrap(), [1, 2, 3]);
     }
 }

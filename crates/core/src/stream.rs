@@ -147,11 +147,6 @@ impl<R: Record> ExtVecWriter<R> {
         self.per_block
     }
 
-    /// The write-behind depth actually granted by the budget.
-    pub fn write_behind_depth(&self) -> usize {
-        self.depth
-    }
-
     /// Append one record, flushing a full buffer to a fresh block.
     ///
     /// An `Err` means a block flush failed; the record itself was accepted
@@ -407,11 +402,6 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         arr(&self.vec).len() - self.consumed
     }
 
-    /// The read-ahead depth actually granted by the budget.
-    pub fn prefetch_depth(&self) -> usize {
-        self.depth
-    }
-
     /// Prefetches currently in flight (or complete but unconsumed).
     pub fn in_flight(&self) -> usize {
         self.pending.len()
@@ -663,6 +653,22 @@ impl<V: Borrow<ExtVec<R>>, R: Record> Iterator for BlockReader<V, R> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let r = self.remaining() as usize;
         (r, Some(r))
+    }
+}
+
+#[cfg(test)]
+impl<R: Record> ExtVecWriter<R> {
+    /// The write-behind depth actually granted by the budget.
+    fn write_behind_depth(&self) -> usize {
+        self.depth
+    }
+}
+
+#[cfg(test)]
+impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
+    /// The read-ahead depth actually granted by the budget.
+    fn prefetch_depth(&self) -> usize {
+        self.depth
     }
 }
 

@@ -777,7 +777,7 @@ where
     /// Keep the `k` smallest records of `child` by `key`, charging the
     /// `k`-record heap against `budget`.  `out_order` declares the output
     /// order (the id registered for `key`).
-    pub fn with_budget(
+    pub(crate) fn with_budget(
         child: S,
         k: usize,
         key: KF,

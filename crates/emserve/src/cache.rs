@@ -155,7 +155,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
     }
 
     /// Drop `key` if cached (called before every write to the key).
-    pub fn invalidate(&mut self, key: &K) {
+    pub(crate) fn invalidate(&mut self, key: &K) {
         if let Some(&i) = self.index.get(key) {
             self.remove(i);
             self.rebalance();

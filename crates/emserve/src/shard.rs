@@ -418,7 +418,7 @@ where
     }
 
     /// When the open batch received its first op, if one is open.
-    pub fn batch_opened_at(&self) -> Option<Instant> {
+    pub(crate) fn batch_opened_at(&self) -> Option<Instant> {
         self.batch_opened
     }
 

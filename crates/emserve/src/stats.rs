@@ -147,7 +147,7 @@ impl ServeStats {
 
     /// Add hot-cache segment moves: probation → protected, and back.
     /// Most cache operations move nothing, and then nothing is written.
-    pub fn record_cache_moves(&self, promotions: u64, demotions: u64) {
+    pub(crate) fn record_cache_moves(&self, promotions: u64, demotions: u64) {
         if promotions > 0 {
             self.cache_promotions
                 .fetch_add(promotions, Ordering::Relaxed);
@@ -168,7 +168,7 @@ impl ServeStats {
     }
 
     /// Record one request's wait in its shard's queue.
-    pub fn record_queue_wait(&self, d: Duration) {
+    pub(crate) fn record_queue_wait(&self, d: Duration) {
         self.queue_wait.add(d);
     }
 
@@ -178,7 +178,7 @@ impl ServeStats {
     }
 
     /// Record one cache-missing get's time to the tree's answer.
-    pub fn record_tree_time(&self, d: Duration) {
+    pub(crate) fn record_tree_time(&self, d: Duration) {
         self.tree.add(d);
     }
 
@@ -189,7 +189,7 @@ impl ServeStats {
     }
 
     /// Record one wait of `worker` on its empty queue.
-    pub fn record_idle(&self, worker: usize, d: Duration) {
+    pub(crate) fn record_idle(&self, worker: usize, d: Duration) {
         self.idle[worker].add(d);
     }
 
@@ -197,27 +197,6 @@ impl ServeStats {
     /// many times it blocked.
     pub fn idle_ns(&self, worker: usize) -> (u64, u64) {
         self.idle[worker].read()
-    }
-
-    /// Hot-cache hit rate over all gets so far (0.0 when no gets).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let h = self.cache_hits();
-        let m = self.cache_misses();
-        if h + m == 0 {
-            0.0
-        } else {
-            h as f64 / (h + m) as f64
-        }
-    }
-
-    /// Mean ops per flushed batch (0.0 when no batches).
-    pub fn mean_batch_size(&self) -> f64 {
-        let b = self.batches();
-        if b == 0 {
-            0.0
-        } else {
-            self.batched_ops() as f64 / b as f64
-        }
     }
 }
 
@@ -228,8 +207,6 @@ mod tests {
     #[test]
     fn counters_and_derived_rates() {
         let s = ServeStats::new(2);
-        assert_eq!(s.cache_hit_rate(), 0.0);
-        assert_eq!(s.mean_batch_size(), 0.0);
         s.record_put();
         s.record_put();
         s.record_delete();
@@ -252,8 +229,8 @@ mod tests {
         assert_eq!(s.acked_writes(), 1);
         assert_eq!(s.compactions(), 1);
         assert_eq!(s.cache_rejected(), 1);
-        assert!((s.cache_hit_rate() - 1.0 / 3.0).abs() < 1e-9);
-        assert!((s.mean_batch_size() - 3.0).abs() < 1e-9);
+        assert_eq!((s.cache_hits(), s.cache_misses()), (1, 2));
+        assert_eq!((s.batches(), s.batched_ops()), (1, 3));
         s.record_cache_moves(3, 1);
         s.record_queue_wait(Duration::from_nanos(40));
         s.record_queue_wait(Duration::from_nanos(2));

@@ -79,12 +79,6 @@ impl Forecaster {
         self.pool
     }
 
-    /// Cap on in-flight blocks per I/O lane.
-    #[cfg(test)]
-    pub fn per_lane(&self) -> usize {
-        self.per_lane
-    }
-
     /// Top the pool up: while capacity remains, submit the next unfetched
     /// block of the run whose leading key is smallest under `less` (ties
     /// toward the lower run index), skipping runs whose next block lands on
@@ -93,7 +87,7 @@ impl Forecaster {
     /// all lanes (striped placement) are bounded only by the global pool —
     /// every striped transfer occupies all D disks at once, so a per-lane
     /// cap would be meaningless for them.
-    pub fn pump<R, F>(&self, readers: &mut [ExtVecReader<'_, R>], less: F)
+    pub(crate) fn pump<R, F>(&self, readers: &mut [ExtVecReader<'_, R>], less: F)
     where
         R: Record,
         F: Fn(&R, &R) -> bool + Copy,
@@ -107,7 +101,7 @@ impl Forecaster {
             rd.add_in_flight_per_lane(&mut per_lane);
         }
         while in_flight < self.pool {
-            let mut best: Option<usize> = None;
+            let mut best: Option<(usize, &R)> = None;
             for (i, rd) in readers.iter().enumerate() {
                 let Some(head) = rd.next_fetch_head() else {
                     continue;
@@ -117,17 +111,11 @@ impl Forecaster {
                         continue; // this disk's queue is full; look elsewhere
                     }
                 }
-                match best {
-                    None => best = Some(i),
-                    Some(b) => {
-                        let best_head = readers[b].next_fetch_head().expect("best has a head");
-                        if less(head, best_head) {
-                            best = Some(i);
-                        }
-                    }
+                if best.is_none_or(|(_, best_head)| less(head, best_head)) {
+                    best = Some((i, head));
                 }
             }
-            let Some(i) = best else { return };
+            let Some((i, _)) = best else { return };
             let lane = readers[i].next_fetch_lane();
             if !readers[i].prefetch_one() {
                 return; // per-reader capacity exhausted; pool effectively full
@@ -238,7 +226,7 @@ mod tests {
         let budget = MemBudget::new(1000);
         let fc = Forecaster::new(&budget, 8, 2, 8, 1);
         assert_eq!(fc.pool(), 16);
-        assert_eq!(fc.per_lane(), 16, "one lane gets the global policy");
+        assert_eq!(fc.per_lane, 16, "one lane gets the global policy");
     }
 
     #[test]
@@ -246,12 +234,12 @@ mod tests {
         let budget = MemBudget::new(1000);
         let fc = Forecaster::new(&budget, 8, 2, 8, 4);
         assert_eq!(fc.pool(), 16);
-        assert_eq!(fc.per_lane(), 4, "16 blocks over 4 lanes");
+        assert_eq!(fc.per_lane, 4, "16 blocks over 4 lanes");
         // Degenerate pool still allows `depth` per disk.
         let tight = MemBudget::new(24);
         let fc2 = Forecaster::new(&tight, 8, 2, 8, 4); // 3 blocks granted
         assert_eq!(fc2.pool(), 3);
-        assert_eq!(fc2.per_lane(), 2);
+        assert_eq!(fc2.per_lane, 2);
     }
 
     /// On an independent-placement array the pump must respect the per-lane
@@ -279,7 +267,7 @@ mod tests {
         let budget = MemBudget::new(32);
         let fc = Forecaster::new(&budget, 6, 1, 8, 2);
         assert_eq!(fc.pool(), 4);
-        assert_eq!(fc.per_lane(), 2);
+        assert_eq!(fc.per_lane, 2);
         let mut readers: Vec<_> = runs
             .iter()
             .map(|v| v.reader_forecast(0, fc.pool()))

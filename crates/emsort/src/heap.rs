@@ -53,7 +53,7 @@ impl<T, F: FnMut(&T, &T) -> bool> MinHeap<T, F> {
 
     /// Replace the minimum with `item` in one sift (cheaper than pop+push).
     /// Returns the old minimum.  Panics on an empty heap.
-    pub fn replace_min(&mut self, item: T) -> T {
+    pub(crate) fn replace_min(&mut self, item: T) -> T {
         assert!(!self.items.is_empty(), "replace_min on empty heap");
         let old = std::mem::replace(&mut self.items[0], item);
         self.sift_down(0);

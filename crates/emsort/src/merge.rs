@@ -912,67 +912,9 @@ where
     }
 
     /// Runs spilled to the device so far.  Increases by one each time
-    /// [`push`](Self::push) takes a record past a full `M`-record chunk —
-    /// the moment a recovery-minded producer should checkpoint (see
-    /// [`manifest_bytes`](Self::manifest_bytes)).
+    /// [`push`](Self::push) takes a record past a full `M`-record chunk.
     pub fn runs_spilled(&self) -> usize {
         self.runs.len()
-    }
-
-    /// Records already durable in spilled runs.  After a crash, a producer
-    /// that reattaches the writer resumes feeding from this offset of its
-    /// source; records pushed since the last spill lived only in memory and
-    /// are the producer's to replay.
-    pub fn spilled_records(&self) -> u64 {
-        self.runs.iter().map(|r| r.len()).sum()
-    }
-
-    /// Serialize the spilled-run state — each run's block table and forecast
-    /// heads — for a journal checkpoint manifest (see
-    /// `pdm::Journal::set_manifest`).  Costs no I/O.  Only the durable runs
-    /// are captured: the in-memory chunk is what a crash loses, and
-    /// [`spilled_records`](Self::spilled_records) tells the producer where
-    /// to resume.
-    pub fn manifest_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.runs.len() as u64).to_le_bytes());
-        for run in &self.runs {
-            let m = run.manifest_bytes();
-            out.extend_from_slice(&(m.len() as u64).to_le_bytes());
-            out.extend_from_slice(&m);
-        }
-        out
-    }
-
-    /// Reattach a writer from metadata produced by
-    /// [`manifest_bytes`](Self::manifest_bytes): the spilled runs are
-    /// readopted, the in-memory chunk starts empty.  `cfg` and `less` must
-    /// match the original writer's.  Costs no I/O; returns an error on a
-    /// malformed manifest.
-    pub fn reattach(device: SharedDevice, cfg: &SortConfig, less: F, bytes: &[u8]) -> Result<Self> {
-        fn corrupt() -> pdm::PdmError {
-            pdm::PdmError::Corrupt("malformed SortingWriter manifest".into())
-        }
-        let mut w = Self::new(device.clone(), cfg, less);
-        let mut pos = 0usize;
-        let take_u64 = |pos: &mut usize| -> Result<u64> {
-            let end = pos.checked_add(8).ok_or_else(corrupt)?;
-            let chunk = bytes.get(*pos..end).ok_or_else(corrupt)?;
-            *pos = end;
-            Ok(u64::from_le_bytes(chunk.try_into().map_err(|_| corrupt())?))
-        };
-        let n_runs = take_u64(&mut pos)? as usize;
-        for _ in 0..n_runs {
-            let m_len = take_u64(&mut pos)? as usize;
-            let end = pos.checked_add(m_len).ok_or_else(corrupt)?;
-            let m = bytes.get(pos..end).ok_or_else(corrupt)?;
-            pos = end;
-            w.runs.push(ExtVec::from_manifest(device.clone(), m)?);
-        }
-        if pos != bytes.len() {
-            return Err(corrupt());
-        }
-        Ok(w)
     }
 
     /// Add a record; the in-memory chunk, once it holds `M` records, is
@@ -1419,38 +1361,6 @@ mod tests {
         }
         let got = sw.finish_streaming(drain).unwrap();
         assert_eq!(got, (0..40).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn sorting_writer_reattaches_spilled_runs_after_a_crash() {
-        let device = device_b8();
-        let cfg = SortConfig::new(64);
-        let mut sw = SortingWriter::new(device.clone(), &cfg, |a: &u64, b: &u64| a < b);
-        // Feed descending data; 200 records at M=64 spill 3 runs with 8 in
-        // memory.  A crash loses the in-memory 8; the producer replays from
-        // `spilled_records()`.
-        let data: Vec<u64> = (0..200u64).rev().collect();
-        for &x in &data {
-            sw.push(x).unwrap();
-        }
-        assert_eq!(sw.runs_spilled(), 3);
-        let resume_at = sw.spilled_records();
-        assert_eq!(resume_at, 192);
-        let bytes = sw.manifest_bytes();
-        std::mem::forget(sw); // crash: the runs now belong to the reattached writer
-        let mut rw =
-            SortingWriter::reattach(device.clone(), &cfg, |a: &u64, b: &u64| a < b, &bytes)
-                .unwrap();
-        assert_eq!(rw.runs_spilled(), 3);
-        for &x in &data[resume_at as usize..] {
-            rw.push(x).unwrap();
-        }
-        let sorted = rw.finish_sorted().unwrap();
-        assert_eq!(sorted.to_vec().unwrap(), (0..200).collect::<Vec<u64>>());
-        // Corruption is an error, not a panic.
-        assert!(
-            SortingWriter::<u64, _>::reattach(device, &cfg, |a, b| a < b, &bytes[..4]).is_err()
-        );
     }
 
     #[test]

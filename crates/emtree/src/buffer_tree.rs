@@ -200,12 +200,6 @@ impl<K: Record + Ord, V: Record> BufferTree<K, V> {
         }
     }
 
-    /// Records currently resting in leaves (exact after
-    /// [`flush_all`](Self::flush_all)).
-    pub fn leaf_len(&self) -> u64 {
-        self.len
-    }
-
     /// Height of the tree in levels (diagnostics).
     pub fn height(&self) -> u32 {
         self.height
@@ -658,186 +652,6 @@ impl<K: Record + Ord, V: Record> BufferTree<K, V> {
         self.nodes.len() - 1
     }
 
-    // ---- crash-recovery manifests ---------------------------------------
-
-    /// Serialize the tree's complete structural state — the node table with
-    /// routing keys, children, leaf-array and buffer block lists, the staged
-    /// events, and all counters — into a byte string suitable for a journal
-    /// checkpoint manifest (see `pdm::Journal::set_manifest`).  Costs no
-    /// I/O: record data stays on the device.  Pairs with
-    /// [`reattach`](Self::reattach).
-    pub fn manifest_bytes(&self) -> Vec<u8> {
-        fn put(out: &mut Vec<u8>, x: u64) {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        let mut out = Vec::new();
-        put(&mut out, self.next_ts);
-        put(&mut out, self.len);
-        put(&mut out, self.height as u64);
-        put(&mut out, self.root as u64);
-        let mut erec = vec![0u8; <Event<K, V>>::BYTES];
-        put(&mut out, self.staging.len() as u64);
-        for e in &self.staging {
-            e.write_to(&mut erec);
-            out.extend_from_slice(&erec);
-        }
-        let mut krec = vec![0u8; K::BYTES];
-        put(&mut out, self.nodes.len() as u64);
-        for node in &self.nodes {
-            put(&mut out, node.keys.len() as u64);
-            for k in &node.keys {
-                k.write_to(&mut krec);
-                out.extend_from_slice(&krec);
-            }
-            put(&mut out, node.buffer.blocks.len() as u64);
-            for id in &node.buffer.blocks {
-                put(&mut out, *id);
-            }
-            put(&mut out, node.buffer.len as u64);
-            match &node.kind {
-                NodeKind::Internal { children } => {
-                    out.push(0);
-                    put(&mut out, children.len() as u64);
-                    for c in children {
-                        put(&mut out, *c as u64);
-                    }
-                }
-                NodeKind::Bottom { leaves } => {
-                    out.push(1);
-                    put(&mut out, leaves.len() as u64);
-                    for leaf in leaves {
-                        let m = leaf.manifest_bytes();
-                        put(&mut out, m.len() as u64);
-                        out.extend_from_slice(&m);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Reattach a tree on `device` from metadata produced by
-    /// [`manifest_bytes`](Self::manifest_bytes), with the same memory budget
-    /// semantics as [`new`](Self::new) (`mem_records` should match the
-    /// original; a different value only re-tunes future fan-out and flush
-    /// thresholds, existing structure is preserved).  Costs no I/O.  Returns
-    /// an error on a malformed manifest rather than panicking, so recovery
-    /// can reject corrupt bytes.
-    ///
-    /// Note for in-process crash simulations: the *pre-crash* instance must
-    /// not be dropped afterwards — `Drop` frees the tree's blocks, which the
-    /// reattached tree now owns.  Leak it with `std::mem::forget` instead.
-    pub fn reattach(device: SharedDevice, mem_records: usize, bytes: &[u8]) -> Result<Self> {
-        fn corrupt() -> pdm::PdmError {
-            pdm::PdmError::Corrupt("malformed BufferTree manifest".into())
-        }
-        fn take_u64(bytes: &[u8], pos: &mut usize) -> Result<u64> {
-            let end = pos.checked_add(8).ok_or_else(corrupt)?;
-            let chunk = bytes.get(*pos..end).ok_or_else(corrupt)?;
-            *pos = end;
-            Ok(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
-        }
-        fn take_rec<R: Record>(bytes: &[u8], pos: &mut usize) -> Result<R> {
-            let end = pos.checked_add(R::BYTES).ok_or_else(corrupt)?;
-            let chunk = bytes.get(*pos..end).ok_or_else(corrupt)?;
-            *pos = end;
-            Ok(R::read_from(chunk))
-        }
-        let ev_per_block = (device.block_size() / <Event<K, V>>::BYTES).max(1);
-        assert!(
-            mem_records >= 32 * ev_per_block,
-            "buffer tree needs at least 32 blocks of memory"
-        );
-        let fanout = (mem_records / ev_per_block / 8).clamp(4, 256);
-        let threshold = mem_records / 4;
-        let leaf_cap = (device.block_size() / <(K, V)>::BYTES).max(1);
-
-        let mut pos = 0;
-        let next_ts = take_u64(bytes, &mut pos)?;
-        let len = take_u64(bytes, &mut pos)?;
-        let height = u32::try_from(take_u64(bytes, &mut pos)?).map_err(|_| corrupt())?;
-        let root = take_u64(bytes, &mut pos)? as NodeId;
-        let n_staging = take_u64(bytes, &mut pos)? as usize;
-        let mut staging = Vec::with_capacity(n_staging.max(ev_per_block));
-        for _ in 0..n_staging {
-            staging.push(take_rec::<Event<K, V>>(bytes, &mut pos)?);
-        }
-        let n_nodes = take_u64(bytes, &mut pos)? as usize;
-        if root >= n_nodes || n_nodes == 0 {
-            return Err(corrupt());
-        }
-        let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let n_keys = take_u64(bytes, &mut pos)? as usize;
-            let mut keys = Vec::with_capacity(n_keys);
-            for _ in 0..n_keys {
-                keys.push(take_rec::<K>(bytes, &mut pos)?);
-            }
-            let n_blocks = take_u64(bytes, &mut pos)? as usize;
-            let mut blocks = Vec::with_capacity(n_blocks);
-            for _ in 0..n_blocks {
-                blocks.push(take_u64(bytes, &mut pos)?);
-            }
-            let buf_len = take_u64(bytes, &mut pos)? as usize;
-            if buf_len.div_ceil(ev_per_block) != n_blocks && !(buf_len == 0 && n_blocks == 0) {
-                return Err(corrupt());
-            }
-            let buffer = DiskBuffer {
-                device: device.clone(),
-                blocks,
-                len: buf_len,
-                per_block: ev_per_block,
-                _marker: std::marker::PhantomData,
-            };
-            let tag = *bytes.get(pos).ok_or_else(corrupt)?;
-            pos += 1;
-            let kind = match tag {
-                0 => {
-                    let n_children = take_u64(bytes, &mut pos)? as usize;
-                    let mut children = Vec::with_capacity(n_children);
-                    for _ in 0..n_children {
-                        let c = take_u64(bytes, &mut pos)? as NodeId;
-                        if c >= n_nodes {
-                            return Err(corrupt());
-                        }
-                        children.push(c);
-                    }
-                    NodeKind::Internal { children }
-                }
-                1 => {
-                    let n_leaves = take_u64(bytes, &mut pos)? as usize;
-                    let mut leaves = Vec::with_capacity(n_leaves);
-                    for _ in 0..n_leaves {
-                        let m_len = take_u64(bytes, &mut pos)? as usize;
-                        let end = pos.checked_add(m_len).ok_or_else(corrupt)?;
-                        let m = bytes.get(pos..end).ok_or_else(corrupt)?;
-                        pos = end;
-                        leaves.push(ExtVec::from_manifest(device.clone(), m)?);
-                    }
-                    NodeKind::Bottom { leaves }
-                }
-                _ => return Err(corrupt()),
-            };
-            nodes.push(Node { keys, kind, buffer });
-        }
-        if pos != bytes.len() {
-            return Err(corrupt());
-        }
-        Ok(BufferTree {
-            device,
-            budget: MemBudget::new(mem_records),
-            nodes,
-            root,
-            fanout,
-            threshold,
-            leaf_cap,
-            staging,
-            next_ts,
-            len,
-            height,
-        })
-    }
-
     /// Release all external storage.
     pub fn clear(&mut self) -> Result<()> {
         for node in self.nodes.iter_mut() {
@@ -909,6 +723,15 @@ fn split_points(n: usize, group: usize) -> Vec<usize> {
         remaining -= take;
     }
     out
+}
+
+#[cfg(test)]
+impl<K: Record + Ord, V: Record> BufferTree<K, V> {
+    /// Records currently resting in leaves (exact after
+    /// [`flush_all`](Self::flush_all)).
+    fn leaf_len(&self) -> u64 {
+        self.len
+    }
 }
 
 #[cfg(test)]
@@ -1073,42 +896,6 @@ mod tests {
         assert!(device.allocated_blocks() > 0);
         t.clear().unwrap();
         assert_eq!(device.allocated_blocks(), 0);
-    }
-
-    #[test]
-    fn manifest_reattach_preserves_contents_and_pending_events() {
-        let device = device();
-        let mut t: BufferTree<u64, u64> = BufferTree::new(device.clone(), 1024);
-        for k in 0..5000u64 {
-            t.insert(k, k * 7).unwrap();
-        }
-        t.delete(123).unwrap(); // still staged or buffered at manifest time
-        let before = device.stats().snapshot();
-        let bytes = t.manifest_bytes();
-        assert_eq!(
-            device.stats().snapshot().since(&before).total(),
-            0,
-            "manifests cost no I/O"
-        );
-        // Simulate a crash: the old instance must not free its blocks (the
-        // reattached tree owns them now).
-        std::mem::forget(t);
-        let mut r: BufferTree<u64, u64> =
-            BufferTree::reattach(device.clone(), 1024, &bytes).unwrap();
-        assert_eq!(r.get(&100).unwrap(), Some(700));
-        assert_eq!(r.get(&123).unwrap(), None, "staged delete survives");
-        let sorted = r.to_sorted_ext_vec().unwrap();
-        assert_eq!(sorted.len(), 4999);
-        sorted.free().unwrap();
-        r.clear().unwrap();
-        assert_eq!(
-            device.allocated_blocks(),
-            0,
-            "the reattached tree owned exactly the original's storage"
-        );
-        // Corruption is an error, not a panic.
-        assert!(BufferTree::<u64, u64>::reattach(device.clone(), 1024, &bytes[..9]).is_err());
-        assert!(BufferTree::<u64, u64>::reattach(device, 1024, &[0u8; 48]).is_err());
     }
 
     #[test]

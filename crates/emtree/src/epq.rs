@@ -138,11 +138,6 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
         self.len == 0
     }
 
-    /// Number of external runs currently live (diagnostics).
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
-    }
-
     /// Insert a record.
     pub fn push(&mut self, r: R) -> Result<()> {
         if self.insertion.len() == self.insertion_cap {
@@ -272,6 +267,14 @@ impl<R: Record + Ord> Drop for ExtPriorityQueue<R> {
 enum MinSource {
     Insertion,
     Run(usize),
+}
+
+#[cfg(test)]
+impl<R: Record + Ord> ExtPriorityQueue<R> {
+    /// Number of external runs currently live (diagnostics).
+    fn run_count(&self) -> usize {
+        self.runs.len()
+    }
 }
 
 #[cfg(test)]

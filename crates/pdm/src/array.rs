@@ -64,8 +64,7 @@ pub enum Placement {
     /// `D·B`); every I/O touches every disk.
     Striped,
     /// One logical block = one physical block on one disk (block size `B`);
-    /// blocks are spread round-robin unless placed explicitly with
-    /// [`DiskArray::allocate_on`].
+    /// blocks are spread round-robin across the disks.
     Independent,
     /// Independent-disk geometry with randomized-cycling stream placement:
     /// each sequential stream cycles its own seeded pseudorandom permutation
@@ -352,35 +351,9 @@ impl DiskArray {
         self.placement
     }
 
-    /// The I/O execution mode of this array.
-    pub fn io_mode(&self) -> IoMode {
-        if self.sched.is_some() {
-            IoMode::Overlapped
-        } else {
-            IoMode::Synchronous
-        }
-    }
-
-    /// Take the first error (if any) of a write-behind transfer whose ticket
-    /// was dropped before completion (overlapped mode only).  See
-    /// [`IoScheduler::take_dropped_error`].
-    pub fn take_dropped_write_error(&self) -> Option<PdmError> {
-        self.sched.as_ref().and_then(|s| s.take_dropped_error())
-    }
-
-    /// Which disk an independent-mode logical block lives on.
-    ///
-    /// Panics if the array is striped (striped blocks live on every disk).
-    pub fn disk_of(&self, id: BlockId) -> usize {
-        assert!(!self.placement.is_striped());
-        (id % self.disks.len() as u64) as usize
-    }
-
-    /// Allocate an independent-mode block on a specific disk.
-    ///
-    /// Independent-disk algorithms (e.g. randomized striped merging) use this
-    /// to control data placement.  Panics if the array is striped.
-    pub fn allocate_on(&self, disk: usize) -> Result<BlockId> {
+    /// Allocate an independent-mode block on disk `disk`, the one the
+    /// allocation cursor chose.  Panics if the array is striped.
+    pub(crate) fn allocate_on(&self, disk: usize) -> Result<BlockId> {
         assert!(!self.placement.is_striped());
         let d = self.disks.len() as u64;
         let phys = self.disks[disk].allocate()?;
@@ -643,6 +616,26 @@ impl BlockDevice for DiskArray {
                 ));
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl DiskArray {
+    /// The I/O execution mode of this array.
+    fn io_mode(&self) -> IoMode {
+        if self.sched.is_some() {
+            IoMode::Overlapped
+        } else {
+            IoMode::Synchronous
+        }
+    }
+
+    /// Which disk an independent-mode logical block lives on.
+    ///
+    /// Panics if the array is striped (striped blocks live on every disk).
+    fn disk_of(&self, id: BlockId) -> usize {
+        assert!(!self.placement.is_striped());
+        (id % self.disks.len() as u64) as usize
     }
 }
 

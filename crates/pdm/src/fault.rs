@@ -137,7 +137,7 @@ impl CrashSwitch {
     }
 
     /// True once the crash point has fired.
-    pub fn is_crashed(&self) -> bool {
+    pub(crate) fn is_crashed(&self) -> bool {
         self.inner.crashed.load(Ordering::Acquire)
     }
 
@@ -251,26 +251,10 @@ impl FaultPlan {
         self
     }
 
-    /// Arm this plan with a private crash fuse firing after `k` transfers
-    /// (single-disk convenience for [`with_crash`](Self::with_crash)).
-    pub fn with_crash_after(self, k: u64) -> Self {
-        self.with_crash(CrashSwitch::after(k))
-    }
-
     /// Declare the whole device dead: every transfer fails.
     pub fn fail_lane(mut self) -> Self {
         self.lane_failed = true;
         self
-    }
-
-    /// True if this plan can never inject anything.
-    pub fn is_benign(&self) -> bool {
-        !self.lane_failed
-            && self.crash.is_none()
-            && self.transient_permille == 0
-            && self.permanent_permille == 0
-            && self.torn_permille == 0
-            && self.latency_permille == 0
     }
 
     /// Deterministic per-block decision: does the fault kind under `salt`
@@ -484,6 +468,19 @@ impl BlockDevice for FaultDisk {
 }
 
 #[cfg(test)]
+impl FaultPlan {
+    /// True if this plan can never inject anything.
+    fn is_benign(&self) -> bool {
+        !self.lane_failed
+            && self.crash.is_none()
+            && self.transient_permille == 0
+            && self.permanent_permille == 0
+            && self.torn_permille == 0
+            && self.latency_permille == 0
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::ram_disk::RamDisk;
@@ -587,7 +584,7 @@ mod tests {
 
     #[test]
     fn crash_after_k_tears_the_in_flight_write_then_fails_everything() {
-        let disk = faulty(FaultPlan::new(0).with_crash_after(2));
+        let disk = faulty(FaultPlan::new(0).with_crash(CrashSwitch::after(2)));
         let a = disk.allocate().unwrap();
         let b = disk.allocate().unwrap();
         disk.write_block(a, &[0x11u8; 16]).unwrap();
@@ -623,7 +620,7 @@ mod tests {
 
     #[test]
     fn crash_point_read_moves_no_block() {
-        let disk = faulty(FaultPlan::new(0).with_crash_after(0));
+        let disk = faulty(FaultPlan::new(0).with_crash(CrashSwitch::after(0)));
         let id = disk.allocate().unwrap();
         let mut out = [0u8; 16];
         assert!(disk.read_block(id, &mut out).is_err());

@@ -68,7 +68,7 @@ impl FileDisk {
     /// fixed interval, so a `D`-disk array genuinely serves `D` transfers at
     /// once and overlap genuinely hides I/O behind compute.  Transfer
     /// *counts* are unaffected.
-    pub fn create_with_service<P: AsRef<Path>>(
+    pub(crate) fn create_with_service<P: AsRef<Path>>(
         path: P,
         block_size: usize,
         service: Duration,

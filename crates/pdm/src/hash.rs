@@ -56,7 +56,7 @@ pub fn hash_bytes(bytes: &[u8]) -> u64 {
 /// [`hash_bytes`] with an explicit seed, for families of independent hash
 /// functions (recursive partitioning re-seeds per level).
 #[inline]
-pub fn hash_bytes_seeded(bytes: &[u8], seed: u64) -> u64 {
+pub(crate) fn hash_bytes_seeded(bytes: &[u8], seed: u64) -> u64 {
     let mut acc = seed;
     for chunk in bytes.chunks(8) {
         let mut word = [0u8; 8];

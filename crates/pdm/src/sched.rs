@@ -78,7 +78,7 @@ impl RetryPolicy {
     }
 
     /// True if this policy can ever re-attempt a transfer.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.max_attempts > 1
     }
 }
@@ -266,7 +266,7 @@ pub struct IoScheduler {
 impl IoScheduler {
     /// Spawn one worker thread per device in `devices`; lane indices follow
     /// the slice order.  Queue-depth changes are recorded into `stats`.
-    /// Transfers are not retried; see [`with_retry`](Self::with_retry).
+    /// Transfers are not retried.
     pub fn new(devices: &[Arc<dyn BlockDevice>], stats: Arc<IoStats>) -> Self {
         Self::with_retry(devices, stats, RetryPolicy::none())
     }
@@ -274,7 +274,7 @@ impl IoScheduler {
     /// Like [`new`](Self::new), but each worker runs its transfers under
     /// `retry`: transient device errors are re-attempted in-lane (FIFO order
     /// is preserved — the job simply executes again before the next one).
-    pub fn with_retry(
+    pub(crate) fn with_retry(
         devices: &[Arc<dyn BlockDevice>],
         stats: Arc<IoStats>,
         retry: RetryPolicy,
@@ -343,10 +343,9 @@ impl IoScheduler {
     }
 
     /// Take the first error (if any) of a write whose completion ticket had
-    /// already been dropped.  Callers that fire-and-forget write-behind
-    /// should poll this before declaring data durable; anything left at drop
-    /// time is logged to stderr.
-    pub fn take_dropped_error(&self) -> Option<PdmError> {
+    /// already been dropped; [`barrier`](Self::barrier) returns it.
+    /// Anything left at drop time is logged to stderr.
+    pub(crate) fn take_dropped_error(&self) -> Option<PdmError> {
         self.dropped_error.lock().take()
     }
 

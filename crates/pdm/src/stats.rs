@@ -72,26 +72,26 @@ impl IoStats {
 
     /// Record one block read on disk `disk`.
     #[inline]
-    pub fn record_read(&self, disk: usize) {
+    pub(crate) fn record_read(&self, disk: usize) {
         self.reads[disk].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one block write on disk `disk`.
     #[inline]
-    pub fn record_write(&self, disk: usize) {
+    pub(crate) fn record_write(&self, disk: usize) {
         self.writes[disk].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record a transfer entering lane `disk`'s queue (overlapped mode).
     #[inline]
-    pub fn record_submit(&self, disk: usize) {
+    pub(crate) fn record_submit(&self, disk: usize) {
         let now = self.depth[disk].fetch_add(1, Ordering::Relaxed) + 1;
         self.depth_hwm[disk].fetch_max(now, Ordering::Relaxed);
     }
 
     /// Record a transfer leaving lane `disk`'s queue (overlapped mode).
     #[inline]
-    pub fn record_complete(&self, disk: usize) {
+    pub(crate) fn record_complete(&self, disk: usize) {
         self.depth[disk].fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -116,20 +116,20 @@ impl IoStats {
     /// Record one retried transfer (a [`RetryPolicy`](crate::RetryPolicy)
     /// re-attempt after a transient error).
     #[inline]
-    pub fn record_retry(&self) {
+    pub(crate) fn record_retry(&self) {
         self.retries.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one injected fault (a [`FaultDisk`](crate::FaultDisk) made a
     /// transfer fail or corrupted a write).
     #[inline]
-    pub fn record_fault_injected(&self) {
+    pub(crate) fn record_fault_injected(&self) {
         self.faults_injected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one write error whose ticket had already been dropped.
     #[inline]
-    pub fn record_dropped_write_error(&self) {
+    pub(crate) fn record_dropped_write_error(&self) {
         self.dropped_write_errors.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -201,16 +201,6 @@ impl IoSnapshot {
     /// Writes on one specific disk.
     pub fn writes_on(&self, disk: usize) -> u64 {
         self.writes[disk]
-    }
-
-    /// Block reads per lane, indexed by disk.
-    pub fn reads_per_lane(&self) -> &[u64] {
-        &self.reads
-    }
-
-    /// Block writes per lane, indexed by disk.
-    pub fn writes_per_lane(&self) -> &[u64] {
-        &self.writes
     }
 
     /// Parallel I/O time: the maximum, over disks, of that disk's total
@@ -308,6 +298,19 @@ impl IoSnapshot {
                 .saturating_sub(earlier.dropped_write_errors),
             block_bytes: self.block_bytes,
         }
+    }
+}
+
+#[cfg(test)]
+impl IoSnapshot {
+    /// Block reads per lane, indexed by disk.
+    pub(crate) fn reads_per_lane(&self) -> &[u64] {
+        &self.reads
+    }
+
+    /// Block writes per lane, indexed by disk.
+    pub(crate) fn writes_per_lane(&self) -> &[u64] {
+        &self.writes
     }
 }
 

@@ -548,11 +548,6 @@ impl Journal {
             .map(|m| m.bytes.clone())
     }
 
-    /// Number of home blocks with uncommitted redirected writes.
-    pub fn pending_blocks(&self) -> usize {
-        self.state.lock().pending.len()
-    }
-
     /// Exact journaling overhead so far; see [`WalOverhead`].
     pub fn overhead(&self) -> WalOverhead {
         WalOverhead {
@@ -996,6 +991,14 @@ impl Journal {
 }
 
 #[cfg(test)]
+impl Journal {
+    /// Number of home blocks with uncommitted redirected writes.
+    fn pending_blocks(&self) -> usize {
+        self.state.lock().pending.len()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::{CrashSwitch, FaultDisk, FaultPlan};
@@ -1250,7 +1253,7 @@ mod tests {
     fn crashed_after_commit(old: &[u8], new: &[u8]) -> (Arc<RamDisk>, [BlockId; 2], BlockId) {
         let run = |crash_after: u64| {
             let ram = RamDisk::new(BS);
-            let plan = FaultPlan::new(0).with_crash_after(crash_after);
+            let plan = FaultPlan::new(0).with_crash(CrashSwitch::after(crash_after));
             let dev = FaultDisk::wrap(Arc::clone(&ram) as SharedDevice, plan);
             let j = Journal::format(dev as SharedDevice).unwrap();
             let id = j.allocate().unwrap();
@@ -1509,7 +1512,7 @@ mod tests {
         drop(j0);
         let faulty = FaultDisk::wrap(
             Arc::clone(&ram) as SharedDevice,
-            FaultPlan::new(0).with_crash_after(kill),
+            FaultPlan::new(0).with_crash(CrashSwitch::after(kill)),
         );
         let (mut acked, mut chained) = (0, Vec::new());
         let crashed = match Journal::recover(faulty as SharedDevice, headers) {
@@ -1602,7 +1605,7 @@ mod tests {
         let ram = RamDisk::new(B);
         let dev = FaultDisk::wrap(
             Arc::clone(&ram) as SharedDevice,
-            FaultPlan::new(0).with_crash_after(kill),
+            FaultPlan::new(0).with_crash(CrashSwitch::after(kill)),
         );
         let j = Journal::format(dev as SharedDevice).unwrap();
         let run = steps.iter().enumerate().try_for_each(|(i, &(set, n))| {

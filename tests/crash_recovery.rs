@@ -2,7 +2,16 @@
 //! [`pdm::Journal`] driven to a crash at an arbitrary transfer index, then
 //! rebooted on the surviving medium.
 //!
-//! The contract under test, for every journaled structure in the repo:
+//! The scenarios, one per journaled thing in the repo:
+//!
+//! 1. a [`BTree`] applying batches, its root in manifest `"btree"`;
+//! 2. a [`Shard`] flushing and compacting, whose `"btree"` and `"log"`
+//!    manifests are the only ones library code writes;
+//! 3. the journal alone, scripted: every block lifetime in every epoch, and
+//!    a log appended to a manifest across three anchor cycles;
+//! 4. the journal's cost: one tape run unjournaled and journaled.
+//!
+//! The contract under test:
 //!
 //! * **Recovery lands on a checkpoint.**  The rebooted structure's contents
 //!   equal the model at the last acknowledged checkpoint — or, in the narrow
@@ -23,8 +32,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use emserve::Shard;
-use emsort::{SortConfig, SortingWriter};
-use emtree::{BTree, BufferTree};
+use emtree::BTree;
 use pdm::{
     BlockDevice, BlockId, BufferPool, CrashSwitch, DiskArray, EvictionPolicy, FaultDisk, FaultPlan,
     IoMode, IoStats, Journal, Placement, RamDisk, Result, RetryPolicy, SharedDevice, WalOverhead,
@@ -243,206 +251,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 2: BufferTree flush
-// ---------------------------------------------------------------------------
-
-/// Smallest budget the buffer tree accepts: 32 blocks of `(u64, u64, u64)`
-/// event records.  Depends on the (placement-dependent) logical block size.
-fn bt_mem(dev: &SharedDevice) -> usize {
-    32 * (dev.block_size() / 24).max(1)
-}
-
-fn open_buffer_tree(j: &Arc<Journal>) -> Result<BufferTree<u64, u64>> {
-    let dev = Arc::clone(j) as SharedDevice;
-    let mem = bt_mem(&dev);
-    match j.manifest("absorber") {
-        None => Ok(BufferTree::new(dev, mem)),
-        Some(m) => BufferTree::reattach(dev, mem, &m),
-    }
-}
-
-fn buffer_tree_crash_run(m: &Medium, k: u64, rounds: &[Vec<(u64, Option<u64>)>]) -> bool {
-    let headers = m.format();
-    let mut acked: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-    let mut pending: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-    let mut crashed = true;
-    if let Ok(j) = Journal::recover(m.crashy(k), headers) {
-        if let Ok(mut bt) = open_buffer_tree(&j) {
-            let result: Result<()> = (|| {
-                for round in rounds {
-                    for (key, op) in round {
-                        pending.insert(*key, *op);
-                        match op {
-                            Some(v) => bt.insert(*key, *v)?,
-                            None => bt.delete(*key)?,
-                        }
-                    }
-                    j.set_manifest("absorber", bt.manifest_bytes());
-                    j.checkpoint()?;
-                    acked = pending.clone();
-                }
-                Ok(())
-            })();
-            crashed = result.is_err();
-            // The crashed instance must not run Drop: its destructor frees
-            // blocks the recovered instance owns.
-            std::mem::forget(bt);
-        }
-    }
-    let j = m.reboot_twice(headers, "absorber");
-    let mut bt = open_buffer_tree(&j).expect("reattach after recovery");
-    let got: BTreeMap<u64, u64> = bt
-        .to_sorted_ext_vec()
-        .expect("sorted scan of recovered buffer tree")
-        .to_vec()
-        .expect("read back sorted contents")
-        .into_iter()
-        .collect();
-    assert!(
-        got == live(&acked) || got == live(&pending),
-        "crash at {k}: recovered buffer tree matches neither checkpoint model"
-    );
-    crashed
-}
-
-fn bt_rounds(seed: u64) -> Vec<Vec<(u64, Option<u64>)>> {
-    (0..6u64)
-        .map(|r| {
-            (0..30u64)
-                .map(|i| {
-                    let x = seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(r * 1009 + i * 31);
-                    let key = x % 97;
-                    (key, (!x.is_multiple_of(5)).then_some(x >> 8))
-                })
-                .collect()
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn buffer_tree_flush_recovers_to_a_checkpoint(
-        k in 0u64..4000,
-        d_is_4 in any::<bool>(),
-        placement_tag in any::<u8>(),
-        seed in any::<u64>(),
-    ) {
-        let d = if d_is_4 { 4 } else { 1 };
-        let m = Medium::new(d, placement_from(placement_tag));
-        buffer_tree_crash_run(&m, k, &bt_rounds(seed));
-    }
-}
-
-/// Deterministic dense sweep: measure a fault-free run, then step crash
-/// points across its entire transfer range so every journal phase is hit.
-#[test]
-fn buffer_tree_dense_crash_sweep() {
-    let rounds = bt_rounds(0xB7F1);
-    let clean = Medium::new(2, Placement::Independent);
-    let crashed = buffer_tree_crash_run(&clean, u64::MAX, &rounds);
-    assert!(!crashed, "fault-free run must complete");
-    let total = clean.total_transfers();
-    let step = (total / 40).max(1);
-    let mut mid_run = 0;
-    for k in (0..total).step_by(step as usize) {
-        let m = Medium::new(2, Placement::Independent);
-        if buffer_tree_crash_run(&m, k, &rounds) {
-            mid_run += 1;
-        }
-    }
-    assert!(
-        mid_run > 10,
-        "sweep of {total} transfers barely crashed — widen it"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 3: SortingWriter spill
-// ---------------------------------------------------------------------------
-
-type U64Writer = SortingWriter<u64, fn(&u64, &u64) -> bool>;
-
-fn open_writer(j: &Arc<Journal>, cfg: &SortConfig) -> Result<U64Writer> {
-    let dev = Arc::clone(j) as SharedDevice;
-    let less: fn(&u64, &u64) -> bool = |a, b| a < b;
-    match j.manifest("sorter") {
-        None => Ok(SortingWriter::new(dev, cfg, less)),
-        Some(m) => SortingWriter::reattach(dev, cfg, less, &m),
-    }
-}
-
-fn sorting_writer_crash_run(m: &Medium, k: u64, data: &[u64]) -> bool {
-    // Four blocks of u64s: big enough for fan-in ≥ 3 at any placement's
-    // logical block size, small enough that the data spills several runs.
-    let cfg = SortConfig::new(4 * (m.bare().block_size() / 8));
-    let headers = m.format();
-    let mut crashed = true;
-    if let Ok(j) = Journal::recover(m.crashy(k), headers) {
-        if let Ok(mut w) = open_writer(&j, &cfg) {
-            let result: Result<()> = (|| {
-                for (i, &r) in data.iter().enumerate() {
-                    w.push(r)?;
-                    if (i + 1) % 32 == 0 {
-                        j.set_manifest("sorter", w.manifest_bytes());
-                        j.checkpoint()?;
-                    }
-                }
-                Ok(())
-            })();
-            crashed = result.is_err();
-            std::mem::forget(w); // runs belong to the medium now
-        }
-    }
-    // Reboot: the reattached writer owns exactly the spilled prefix of the
-    // last checkpoint; replaying the rest must land on the identical sorted
-    // output an uninterrupted run produces.
-    let j = m.reboot_twice(headers, "sorter");
-    let mut w = open_writer(&j, &cfg).expect("reattach after recovery");
-    let consumed = w.spilled_records() as usize;
-    assert!(
-        consumed <= data.len(),
-        "crash at {k}: recovered writer claims more input than exists"
-    );
-    for &r in &data[consumed..] {
-        w.push(r).expect("replay on the bare medium");
-    }
-    let got = w
-        .finish_sorted()
-        .expect("final merge on the bare medium")
-        .to_vec()
-        .expect("read back sorted output");
-    let mut expect = data.to_vec();
-    expect.sort_unstable();
-    assert_eq!(
-        got, expect,
-        "crash at {k}: recovered sort output is not byte-identical to an \
-         uninterrupted run"
-    );
-    crashed
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    #[test]
-    fn sorting_writer_spill_recovers_to_a_checkpoint(
-        k in 0u64..3000,
-        d_is_4 in any::<bool>(),
-        placement_tag in any::<u8>(),
-        data in prop::collection::vec(any::<u64>(), 200..700),
-    ) {
-        let d = if d_is_4 { 4 } else { 1 };
-        let m = Medium::new(d, placement_from(placement_tag));
-        sorting_writer_crash_run(&m, k, &data);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scenario 4: Shard compaction (op log + B-tree + delta overlay)
+// Scenario 2: Shard compaction (op log + B-tree + delta overlay)
 // ---------------------------------------------------------------------------
 
 fn shard_crash_run(m: &Medium, k: u64, seed: u64) -> bool {
@@ -526,7 +335,7 @@ fn shard_dense_crash_sweep_striped() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 5: the raw journal — every block lifetime in every epoch
+// Scenario 3: the raw journal — every block lifetime in every epoch
 // ---------------------------------------------------------------------------
 
 /// The structures above allocate what they write inside one epoch, so their
@@ -692,7 +501,7 @@ fn appended_log_dense_crash_sweep() {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario 6: what the journal costs — one tape, unjournaled and journaled
+// Scenario 4: what the journal costs — one tape, unjournaled and journaled
 // ---------------------------------------------------------------------------
 
 /// The ledger tape on a fresh D = 1 medium of 1 KiB blocks: 64 rounds of 32

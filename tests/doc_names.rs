@@ -7,6 +7,11 @@
 //! document pointing at nothing fails here.  A brace group such as
 //! `{join,group_by}_…` is expanded before the identifiers are read; fenced
 //! code blocks are not prose and are skipped.
+//!
+//! The long documents also keep a size: each one's line count must equal
+//! its row in [`SIZES`].  A document that grows past its row fails, and one
+//! that shrinks fails until its row is lowered, so a row only moves up when
+//! a review raises it.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -14,6 +19,13 @@ use std::path::{Path, PathBuf};
 const DOCS: &[&str] = &["README.md", "DESIGN.md", "EXPERIMENTS.md", "ROADMAP.md"];
 
 const CODE: &[&str] = &["crates", "tests", "benchmark/src", "examples"];
+
+/// Lines per document.
+const SIZES: &[(&str, usize)] = &[
+    ("DESIGN.md", 1541),
+    ("EXPERIMENTS.md", 786),
+    ("README.md", 558),
+];
 
 fn repo() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -115,6 +127,23 @@ fn every_long_identifier_in_the_docs_names_code() {
         "documents name code that does not exist:\n{}",
         wrong.join("\n")
     );
+}
+
+#[test]
+fn document_sizes_only_fall() {
+    let mut wrong = Vec::new();
+    for &(doc, rows) in SIZES {
+        let text = std::fs::read_to_string(repo().join(doc)).expect("readable document");
+        let lines = text.lines().count();
+        if lines > rows {
+            wrong.push(format!("{doc}: {lines} lines, SIZES allows {rows}"));
+        } else if lines < rows {
+            wrong.push(format!(
+                "{doc}: down to {lines} lines from {rows}; lower its row in SIZES"
+            ));
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 
 #[test]

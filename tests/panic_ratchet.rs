@@ -19,7 +19,7 @@ const COUNTS: &[(&str, usize)] = &[
     ("core/src/append_buffer.rs", 1),
     ("core/src/budget.rs", 1),
     ("core/src/config.rs", 3),
-    ("core/src/ext_vec.rs", 8),
+    ("core/src/ext_vec.rs", 2),
     ("core/src/lib.rs", 2),
     ("core/src/record.rs", 1),
     ("core/src/stream.rs", 3),
@@ -46,10 +46,10 @@ const COUNTS: &[(&str, usize)] = &[
     ("emsort/src/merge.rs", 3),
     ("emtext/src/lib.rs", 1),
     ("emtree/src/btree.rs", 7),
-    ("emtree/src/buffer_tree.rs", 3),
+    ("emtree/src/buffer_tree.rs", 1),
     ("emtree/src/epq.rs", 2),
     ("emtree/src/stack.rs", 1),
-    ("pdm/src/array.rs", 11),
+    ("pdm/src/array.rs", 10),
     ("pdm/src/fault.rs", 5),
     ("pdm/src/file_disk.rs", 1),
     ("pdm/src/ram_disk.rs", 1),
