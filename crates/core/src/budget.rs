@@ -131,6 +131,11 @@ impl BudgetGuard {
     pub fn records(&self) -> usize {
         self.records
     }
+
+    /// True when this charge is held against `budget`.
+    pub fn charges(&self, budget: &Arc<MemBudget>) -> bool {
+        Arc::ptr_eq(&self.budget, budget)
+    }
 }
 
 impl Drop for BudgetGuard {

@@ -1,15 +1,20 @@
-//! Hot-key read cache with per-tenant memory admission.
+//! The shard's record cache: a segmented LRU whose every record is charged
+//! to a frame slot or to its tenant's budget.
 //!
-//! One [`HotCache`] sits in front of each (shard, tenant) pair.  Entries are
-//! charged against a *shared per-tenant* [`MemBudget`], so the sum of a
-//! tenant's cached records across every shard never exceeds that tenant's
-//! grant — one tenant's hot set cannot squeeze out another's, which is the
-//! serving-layer analogue of the allocation discipline the PDM structures
-//! already follow internally.
+//! Each [`Shard`](crate::Shard) holds one [`HotCache`].  A record is charged
+//! to one of two memories: a *slot* of the pool frames the shard's trees
+//! gave up, or one record of its tenant's [`MemBudget`], which that tenant's
+//! records on every shard share.  Admission takes a free slot first, then
+//! the tenant's budget.  When neither is free, the SLRU victim's charge
+//! passes to the new record if it may hold it — a slot, or a record of the
+//! same budget — and the victim goes; otherwise the new record is refused,
+//! as evicting another tenant's record would free nothing it could use.
+//! Passing the charge on, rather than releasing it and charging anew, means
+//! another shard cannot take the freed record between the two steps.
 //!
-//! Within a cache the policy is a **two-segment LRU** (SLRU).  A record that
-//! missed is admitted to *probation*; a hit there promotes it to
-//! *protected*; protected is held to 4/5 of what is resident by demoting its
+//! The policy is a **two-segment LRU** (SLRU).  A record that missed is
+//! admitted to *probation*; a hit there promotes it to *protected*;
+//! protected is held to 4/5 of what is resident by demoting its
 //! least-recently-used entry back to probation's most-recent end; eviction
 //! takes probation's least-recently-used entry and reaches into protected
 //! only when probation is empty.  A key asked for once therefore displaces
@@ -20,12 +25,14 @@
 //! shape; the policy table is in DESIGN.md §9).
 //!
 //! Two invariants: *nothing is retained about a key that is not resident*
-//! (no ghost list, no frequency sketch — memory the tenant budget would
-//! have to be charged for), and *Σ resident ≤ tenant budget*.  Each
-//! segment's recency order is a doubly linked list threaded through one
-//! dense vector of the resident records, so get, insert, invalidate and
-//! evict are `O(1)` beside their one hash lookup, and a fixed access tape
-//! leaves a fixed resident set in a fixed order.
+//! (no ghost list, no frequency sketch — memory nothing is charged for),
+//! and *every resident record holds exactly one charge*: slot-charged
+//! records never outnumber the slots, and a tenant's budget-charged records
+//! on every shard never exceed its budget.  Each segment's recency order is
+//! a doubly linked list threaded through one dense vector of the resident
+//! records, so get, insert, invalidate and evict are `O(1)` beside their
+//! one hash lookup, and a fixed access tape leaves a fixed resident set in
+//! a fixed order.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -33,14 +40,35 @@ use std::sync::Arc;
 
 use em_core::{BudgetGuard, MemBudget};
 
+use crate::stats::ServeStats;
+
 /// Protected's share of the resident records.  The share is of `len()`, not
-/// of `capacity`: the tenant budget shared across shards, not the local cap,
-/// is what usually binds.  Any probation share from 1/16 to 1/5 scores the
+/// of the memory the cache may charge: a tenant budget shared across shards
+/// binds at no fixed size.  Any probation share from 1/16 to 1/5 scores the
 /// same on Zipf tapes, so this is a constant and not a knob.
 const PROTECTED_SHARE: (usize, usize) = (4, 5);
 
 /// "No neighbour" in a [`Node`]'s links and a [`Segment`]'s ends.
 const NIL: usize = usize::MAX;
+
+/// What a resident record is charged to.
+enum Charge {
+    /// A slot of the frames the pool gave up.
+    Slot,
+    /// One record of a tenant's budget, released when the record goes.
+    Budget(BudgetGuard),
+}
+
+impl Charge {
+    /// True when a record charged to `budget` may hold this charge: any
+    /// slot, or a record of that same budget.
+    fn serves(&self, budget: Option<&Arc<MemBudget>>) -> bool {
+        match self {
+            Charge::Slot => true,
+            Charge::Budget(guard) => budget.is_some_and(|b| guard.charges(b)),
+        }
+    }
+}
 
 struct Node<K, V> {
     key: K,
@@ -49,8 +77,7 @@ struct Node<K, V> {
     /// Neighbours in this node's segment, as indices into `HotCache::nodes`.
     older: usize,
     newer: usize,
-    /// Holds the tenant budget charge for this record; released on eviction.
-    _guard: BudgetGuard,
+    charge: Charge,
 }
 
 /// One segment's recency order: the ends of a list threaded through the
@@ -69,13 +96,14 @@ impl Segment {
     };
 }
 
-/// A record-budgeted segmented-LRU cache of positive lookups for one
-/// (shard, tenant).
+/// A segmented-LRU cache whose records are each charged to a slot or to a
+/// budget.
 ///
-/// Admission can fail (returning `false` from [`HotCache::insert`]) when the
-/// tenant's shared budget is exhausted *and* this cache holds nothing
-/// evictable — the entry is simply not cached, never silently over-admitted.
-pub struct HotCache<K, V> {
+/// Admission can fail (returning `false` from [`HotCache::insert`]) when no
+/// slot is free, the budget is exhausted *and* the victim's charge cannot
+/// pass to the new record — the entry is simply not cached, never silently
+/// over-admitted.
+pub(crate) struct HotCache<K, V> {
     /// Where each resident key's node is.
     index: HashMap<K, usize>,
     /// The resident records, dense: a removal moves the last node into the
@@ -83,60 +111,54 @@ pub struct HotCache<K, V> {
     nodes: Vec<Node<K, V>>,
     probation: Segment,
     protected: Segment,
-    budget: Arc<MemBudget>,
-    /// Local record cap for this cache, independent of the shared budget.
-    capacity: usize,
-    promotions: u64,
-    demotions: u64,
+    /// Slots, and the resident records charged to them.
+    slots: usize,
+    in_slots: usize,
+    /// Where promotions and demotions are counted.
+    stats: Arc<ServeStats>,
 }
 
 impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
-    /// A cache holding at most `capacity` records locally, each admitted
-    /// record charging one record on the tenant-wide `budget`.
-    pub fn new(budget: Arc<MemBudget>, capacity: usize) -> Self {
+    /// An empty cache with no slots, counting its segment moves in `stats`.
+    pub(crate) fn new(stats: Arc<ServeStats>) -> Self {
         HotCache {
             index: HashMap::new(),
             nodes: Vec::new(),
             probation: Segment::EMPTY,
             protected: Segment::EMPTY,
-            budget,
-            capacity,
-            promotions: 0,
-            demotions: 0,
+            slots: 0,
+            in_slots: 0,
+            stats,
         }
     }
 
     /// Cached value for `key`; a hit moves it to protected's recent end.
-    pub fn get(&mut self, key: &K) -> Option<V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
         let i = *self.index.get(key)?;
         self.touch(i);
         Some(self.nodes[i].value.clone())
     }
 
-    /// Admit `key -> value` on probation, or refresh it as a hit would.
-    /// Returns `false` when the tenant budget denied admission and nothing
-    /// local could be evicted.
-    pub fn insert(&mut self, key: K, value: V) -> bool {
+    /// Admit `key -> value` on probation, or refresh it as a hit would.  A
+    /// new record takes a free slot, else one record of `budget`, else the
+    /// victim's place if it may hold the victim's charge.  Returns `false`
+    /// when nothing could be charged.
+    pub(crate) fn insert(&mut self, key: K, value: V, budget: Option<&Arc<MemBudget>>) -> bool {
         if let Some(&i) = self.index.get(&key) {
             self.nodes[i].value = value;
             self.touch(i);
             return true;
         }
-        if self.capacity == 0 {
-            return false;
-        }
-        if self.nodes.len() >= self.capacity {
-            self.evict();
-        }
-        let guard = match self.budget.try_charge(1) {
-            Some(g) => Some(g),
-            // The tenant's budget is held elsewhere (other shards, or a
-            // scan); make room locally once, then give up gracefully.
-            None if self.evict() => self.budget.try_charge(1),
-            None => None,
-        };
-        let admitted = guard.is_some();
-        if let Some(guard) = guard {
+        let charge = self.charge(budget).or_else(|| {
+            let victim = self.victim()?;
+            self.nodes[victim]
+                .charge
+                .serves(budget)
+                .then(|| self.remove(victim))
+        });
+        let admitted = charge.is_some();
+        if let Some(charge) = charge {
+            self.in_slots += usize::from(matches!(charge, Charge::Slot));
             let i = self.nodes.len();
             self.index.insert(key.clone(), i);
             self.nodes.push(Node {
@@ -145,16 +167,23 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
                 protected: false,
                 older: NIL,
                 newer: NIL,
-                _guard: guard,
+                charge,
             });
             self.link_newest(i);
         }
-        // A denied admission may have evicted, shrinking protected's share.
         self.rebalance();
         admitted
     }
 
-    /// Drop `key` if cached (called before every write to the key).
+    /// A free slot, else one record of `budget`.
+    fn charge(&self, budget: Option<&Arc<MemBudget>>) -> Option<Charge> {
+        if self.in_slots < self.slots {
+            return Some(Charge::Slot);
+        }
+        budget?.try_charge(1).map(Charge::Budget)
+    }
+
+    /// Drop `key` if cached, releasing its charge.
     pub(crate) fn invalidate(&mut self, key: &K) {
         if let Some(&i) = self.index.get(key) {
             self.remove(i);
@@ -162,12 +191,18 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
         }
     }
 
-    /// Drop everything, releasing all budget charges.
-    pub fn clear(&mut self) {
-        self.index.clear();
-        self.nodes.clear();
-        self.probation = Segment::EMPTY;
-        self.protected = Segment::EMPTY;
+    /// Drop every slot-charged record, and the slots with them; the
+    /// budget-charged records stay.
+    pub(crate) fn release_slots(&mut self) {
+        // Back to front: a removal moves the last node, already kept, into
+        // the hole.
+        for i in (0..self.nodes.len()).rev() {
+            if matches!(self.nodes[i].charge, Charge::Slot) {
+                self.remove(i);
+            }
+        }
+        self.slots = 0;
+        self.rebalance();
     }
 
     /// True when `key` is resident; unlike [`get`](Self::get), not a
@@ -176,31 +211,26 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
         self.index.contains_key(key)
     }
 
-    /// Raise the local record cap to `capacity`, which is never below what
-    /// is resident.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        debug_assert!(capacity >= self.len(), "a cap below the resident records");
-        self.capacity = capacity;
+    /// Raise the slots to `slots`, which is never below the records they
+    /// hold.
+    pub(crate) fn set_slots(&mut self, slots: usize) {
+        debug_assert!(slots >= self.in_slots, "fewer slots than slot records");
+        self.slots = slots;
+    }
+
+    /// Slots, and the records charged to them.
+    pub(crate) fn slots(&self) -> (usize, usize) {
+        (self.slots, self.in_slots)
     }
 
     /// Number of cached records.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Probation → protected moves so far (monotone).
-    pub(crate) fn promotions(&self) -> u64 {
-        self.promotions
-    }
-
-    /// Protected → probation moves so far (monotone).
-    pub(crate) fn demotions(&self) -> u64 {
-        self.demotions
     }
 
     fn segment(&mut self, protected: bool) -> &mut Segment {
@@ -255,7 +285,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
     /// from whichever segment holds it.
     fn touch(&mut self, i: usize) {
         if !self.nodes[i].protected {
-            self.promotions += 1;
+            self.stats.record_cache_promotion();
         } else if self.nodes[i].newer == NIL {
             return;
         }
@@ -274,36 +304,33 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
             self.unlink(i);
             self.nodes[i].protected = false;
             self.link_newest(i);
-            self.demotions += 1;
+            self.stats.record_cache_demotion();
         }
     }
 
-    /// Evict probation's least recent entry, or protected's when probation
-    /// is empty; `false` if the cache was empty.
-    fn evict(&mut self) -> bool {
-        let victim = match self.probation.oldest {
-            NIL => self.protected.oldest,
-            i => i,
-        };
-        if victim != NIL {
-            self.remove(victim);
+    /// The next to go: probation's least recent entry, or protected's when
+    /// probation is empty; `None` if the cache is empty.
+    fn victim(&self) -> Option<usize> {
+        match (self.probation.oldest, self.protected.oldest) {
+            (NIL, NIL) => None,
+            (NIL, i) | (i, _) => Some(i),
         }
-        victim != NIL
     }
 
-    /// Remove node `i`, releasing its charge, and keep `nodes` dense: the
+    /// Remove node `i` and return its charge, and keep `nodes` dense: the
     /// last node moves into the hole and everything that named its old
     /// position is told the new one.
-    fn remove(&mut self, i: usize) {
+    fn remove(&mut self, i: usize) -> Charge {
         self.unlink(i);
         let gone = self.nodes.swap_remove(i);
         self.index.remove(&gone.key);
-        let Some(moved) = self.nodes.get(i) else {
-            return;
-        };
-        let (protected, older, newer) = (moved.protected, moved.older, moved.newer);
-        self.index.insert(moved.key.clone(), i);
-        self.splice(protected, older, newer, i, i);
+        self.in_slots -= usize::from(matches!(gone.charge, Charge::Slot));
+        if let Some(moved) = self.nodes.get(i) {
+            let (protected, older, newer) = (moved.protected, moved.older, moved.newer);
+            self.index.insert(moved.key.clone(), i);
+            self.splice(protected, older, newer, i, i);
+        }
+        gone.charge
     }
 
     /// `protected`'s (or probation's) keys, least recent first.
@@ -323,6 +350,13 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
         assert_eq!(keys.len(), segment.len);
         keys
     }
+
+    /// Resident records charged to `budget`.
+    #[cfg(test)]
+    pub(crate) fn charged_to(&self, budget: &Arc<MemBudget>) -> usize {
+        let of = |n: &&Node<K, V>| matches!(&n.charge, Charge::Budget(g) if g.charges(budget));
+        self.nodes.iter().filter(of).count()
+    }
 }
 
 #[cfg(test)]
@@ -330,45 +364,50 @@ mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
+    /// A cache of `slots` slots.
+    fn with_slots(slots: usize) -> HotCache<u64, u64> {
+        let mut c = HotCache::new(Arc::default());
+        c.set_slots(slots);
+        c
+    }
+
     #[test]
     fn lru_eviction_within_local_capacity() {
-        let budget = MemBudget::new(100);
-        let mut c: HotCache<u64, u64> = HotCache::new(budget.clone(), 2);
-        assert!(c.insert(1, 10));
-        assert!(c.insert(2, 20));
+        let mut c = with_slots(2);
+        assert!(c.insert(1, 10, None));
+        assert!(c.insert(2, 20, None));
         assert_eq!(c.get(&1), Some(10)); // refresh 1; 2 is now LRU
-        assert!(c.insert(3, 30));
+        assert!(c.insert(3, 30, None));
         assert_eq!(c.len(), 2);
         assert_eq!(c.get(&2), None);
         assert_eq!(c.get(&1), Some(10));
         assert_eq!(c.get(&3), Some(30));
-        assert_eq!(budget.used(), 2);
+        assert_eq!(c.slots(), (2, 2));
     }
 
     #[test]
     fn shared_budget_gates_admission_across_caches() {
         let budget = MemBudget::new(2);
-        let mut a: HotCache<u64, u64> = HotCache::new(budget.clone(), 8);
-        let mut b: HotCache<u64, u64> = HotCache::new(budget.clone(), 8);
-        assert!(a.insert(1, 1));
-        assert!(a.insert(2, 2));
+        let (mut a, mut b) = (with_slots(0), with_slots(0));
+        assert!(a.insert(1, 1, Some(&budget)));
+        assert!(a.insert(2, 2, Some(&budget)));
         // Tenant budget is fully held by cache `a`; `b` may evict locally,
         // finds nothing, and must refuse.
-        assert!(!b.insert(9, 9));
+        assert!(!b.insert(9, 9, Some(&budget)));
         assert_eq!(b.len(), 0);
         // Releasing from `a` lets `b` admit.
         a.invalidate(&1);
-        assert!(b.insert(9, 9));
+        assert!(b.insert(9, 9, Some(&budget)));
         assert_eq!(budget.used(), 2);
     }
 
     #[test]
     fn local_pressure_evicts_before_refusing() {
         let budget = MemBudget::new(1);
-        let mut c: HotCache<u64, u64> = HotCache::new(budget.clone(), 8);
-        assert!(c.insert(1, 1));
+        let mut c = with_slots(0);
+        assert!(c.insert(1, 1, Some(&budget)));
         // Budget exhausted by our own entry: evict it, admit the new one.
-        assert!(c.insert(2, 2));
+        assert!(c.insert(2, 2, Some(&budget)));
         assert_eq!(c.get(&1), None);
         assert_eq!(c.get(&2), Some(2));
         assert_eq!(budget.used(), 1);
@@ -377,9 +416,9 @@ mod tests {
     #[test]
     fn invalidate_and_overwrite() {
         let budget = MemBudget::new(4);
-        let mut c: HotCache<u64, u64> = HotCache::new(budget.clone(), 4);
-        assert!(c.insert(1, 1));
-        assert!(c.insert(1, 100)); // refresh does not double-charge
+        let mut c = with_slots(0);
+        assert!(c.insert(1, 1, Some(&budget)));
+        assert!(c.insert(1, 100, Some(&budget))); // refresh does not double-charge
         assert_eq!(budget.used(), 1);
         assert_eq!(c.get(&1), Some(100));
         c.invalidate(&1);
@@ -389,10 +428,42 @@ mod tests {
 
     #[test]
     fn zero_capacity_cache_never_admits() {
-        let budget = MemBudget::new(4);
-        let mut c: HotCache<u64, u64> = HotCache::new(budget, 0);
-        assert!(!c.insert(1, 1));
+        let mut c = with_slots(0);
+        assert!(!c.insert(1, 1, Some(&MemBudget::new(0))));
+        assert!(!c.insert(1, 1, None));
         assert!(c.is_empty());
+    }
+
+    /// Slots first, then the budget; a victim's charge passes to the record
+    /// that displaces it when that record may hold it, and the record is
+    /// refused otherwise.
+    #[test]
+    fn a_victims_charge_passes_to_the_record_that_displaces_it() {
+        let (mine, theirs) = (MemBudget::new(2), MemBudget::new(1));
+        let mut c = with_slots(1);
+        assert!(c.insert(1, 1, Some(&mine))); // the slot
+        assert!(c.insert(2, 2, Some(&mine)));
+        assert!(c.insert(3, 3, Some(&mine)));
+        assert_eq!((c.slots(), mine.used()), ((1, 1), 2));
+        // Full: victim 1's slot passes to 4, then victim 2's record of
+        // `mine` to 5.
+        assert!(c.insert(4, 4, Some(&mine)));
+        assert!(c.insert(5, 5, Some(&mine)));
+        assert_eq!((c.slots(), mine.used()), ((1, 1), 2));
+        assert_eq!(c.order(false), [3, 4, 5]);
+        // Another budget with room is charged, and nothing goes.
+        assert!(c.insert(6, 6, Some(&theirs)));
+        assert_eq!(c.order(false), [3, 4, 5, 6]);
+        // With `theirs` spent, victim 3 holds `mine`, which a record of
+        // `theirs` cannot hold: 7 is refused and 3 stays …
+        assert!(!c.insert(7, 7, Some(&theirs)));
+        assert_eq!(c.order(false), [3, 4, 5, 6]);
+        // … until a record of `mine` takes its place; then victim 4's slot
+        // serves anyone.
+        assert!(c.insert(8, 8, Some(&mine)));
+        assert!(c.insert(9, 9, Some(&theirs)));
+        assert_eq!(c.order(false), [5, 6, 8, 9]);
+        assert_eq!((c.slots(), mine.used(), theirs.used()), ((1, 1), 2, 1));
     }
 
     // ---- policy tests: a seeded Zipf tape, all in memory ----
@@ -443,10 +514,7 @@ mod tests {
     impl Rig {
         fn new() -> Self {
             let budget = MemBudget::new(BUDGET);
-            let caches = [
-                HotCache::new(budget.clone(), BUDGET),
-                HotCache::new(budget.clone(), BUDGET),
-            ];
+            let caches = [HotCache::new(Arc::default()), HotCache::new(Arc::default())];
             Rig { budget, caches }
         }
 
@@ -459,7 +527,7 @@ mod tests {
                     true
                 }
                 None => {
-                    cache.insert(key, !key);
+                    cache.insert(key, !key, Some(&self.budget));
                     false
                 }
             }
@@ -560,13 +628,12 @@ mod tests {
     #[test]
     fn one_pass_scan_evicts_no_protected_entry() {
         const CAPACITY: u64 = 100;
-        let budget = MemBudget::new(1 << 20);
-        let mut c: HotCache<u64, u64> = HotCache::new(budget, CAPACITY as usize);
+        let mut c = with_slots(CAPACITY as usize);
         for round in 0..2 {
             for k in 0..CAPACITY / 2 {
                 if c.get(&k).is_none() {
                     assert_eq!(round, 0);
-                    c.insert(k, k);
+                    c.insert(k, k, None);
                 }
             }
         }
@@ -574,7 +641,7 @@ mod tests {
         assert_eq!(hot.len(), 40, "4/5 of the 50 resident");
         for k in 0..10 * CAPACITY {
             assert_eq!(c.get(&(1_000 + k)), None);
-            c.insert(1_000 + k, k);
+            c.insert(1_000 + k, k, None);
         }
         assert_eq!(c.len(), CAPACITY as usize);
         assert_eq!(c.order(true), hot);
@@ -598,11 +665,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_releases_from_either_segment_and_clear_empties_both() {
+    fn invalidate_and_release_slots_drop_from_either_segment() {
+        // Records 0–3 take the four slots, 4 and 5 the budget.
         let budget = MemBudget::new(8);
-        let mut c: HotCache<u64, u64> = HotCache::new(budget.clone(), 8);
+        let mut c = with_slots(4);
         for k in 0..6 {
-            assert!(c.insert(k, k));
+            assert!(c.insert(k, k, Some(&budget)));
         }
         assert_eq!(c.get(&0), Some(0));
         assert_eq!(c.get(&1), Some(1));
@@ -610,12 +678,20 @@ mod tests {
             (c.order(false), c.order(true)),
             (vec![2, 3, 4, 5], vec![0, 1])
         );
-        c.invalidate(&0); // protected
-        c.invalidate(&5); // probation
+        c.invalidate(&0); // protected, a slot
+        c.invalidate(&5); // probation, the budget
         assert_eq!((c.order(false), c.order(true)), (vec![2, 3, 4], vec![1]));
-        assert_eq!((c.len(), budget.used()), (4, 4));
-        assert_eq!((c.promotions(), c.demotions()), (2, 0));
-        c.clear();
+        assert_eq!((c.len(), c.slots(), budget.used()), (4, (4, 3), 1));
+        assert_eq!(
+            (c.stats.cache_promotions(), c.stats.cache_demotions()),
+            (2, 0)
+        );
+        // The slots go with their records from either segment; the budget's
+        // record stays.
+        c.release_slots();
+        assert_eq!((c.order(false), c.order(true)), (vec![4], vec![]));
+        assert_eq!((c.slots(), budget.used()), ((0, 0), 1));
+        c.invalidate(&4);
         assert!(c.is_empty() && c.order(false).is_empty() && c.order(true).is_empty());
         assert_eq!(budget.used(), 0);
     }

@@ -35,12 +35,13 @@
 //!   [`pdm::LaneView`], so one shard's flush never serializes a neighbour's
 //!   reads, and per-shard transfers are attributable per lane by
 //!   subtracting [`pdm::IoSnapshot`]s ([`pdm::IoSnapshot::since`]).
-//! * [`HotCache`] — the per-tenant hot-key read path: a record-budgeted
-//!   two-segment LRU in front of each shard (a missed record is admitted on
+//! * The record cache — one per shard, asked after the key filter and
+//!   before the tree: a two-segment LRU (a missed record is admitted on
 //!   probation, a second reference protects it, eviction takes probation
 //!   first — so one-off keys displace each other and not the hot set) whose
-//!   admission control is a shared per-tenant [`em_core::MemBudget`], so one
-//!   tenant's scan cannot evict another tenant's working set.  It keeps
+//!   records are each charged to a slot of the pool frames the trees gave
+//!   up or, on a [`Server`], to a per-tenant [`em_core::MemBudget`] shared
+//!   across shards, so no tenant holds more than its grant.  It keeps
 //!   nothing about a key that is not resident.
 //!
 //! Determinism: shard routing is a seeded FNV-1a over the encoded
@@ -57,7 +58,6 @@ mod server;
 mod shard;
 mod stats;
 
-pub use cache::HotCache;
 pub use server::{CompletionSink, NullSink, ReqKind, Request, ServeConfig, Server};
 pub use shard::{shard_of_key, Shard};
 pub use stats::ServeStats;

@@ -34,7 +34,6 @@ use std::time::{Duration, Instant};
 use em_core::{MemBudget, Record};
 use pdm::{BufferPool, DiskArray, LaneView, PdmError, Result};
 
-use crate::cache::HotCache;
 use crate::shard::{shard_of_key, Shard};
 use crate::stats::ServeStats;
 
@@ -99,7 +98,8 @@ pub struct ServeConfig {
     /// Frames in each shard's buffer pool, shared by its trees' nodes and
     /// its record cache.
     pub pool_frames: usize,
-    /// Per-tenant hot-cache budget (records, shared across shards).
+    /// Records each tenant may hold in the shards' record caches beyond
+    /// what their pool frames hold, summed over every shard.
     pub cache_records: usize,
 }
 
@@ -120,8 +120,7 @@ impl ServeConfig {
 }
 
 enum Msg<K, V> {
-    /// A request and when `submit` took it, for the queue-wait total.
-    Req(Request<K, V>, Instant),
+    Req(Request<K, V>),
     /// Flush the open batch, then reply.  An error string is reported if the
     /// worker has fail-stopped.
     Barrier(SyncSender<Option<String>>),
@@ -176,30 +175,31 @@ where
                 cfg.shards, cfg.tenants
             )));
         }
-        let stats = Arc::new(ServeStats::new(cfg.shards));
+        let stats = Arc::new(ServeStats::default());
         let first_error = Arc::new(Mutex::new(None));
         let budgets: Vec<Arc<MemBudget>> = (0..cfg.tenants)
-            .map(|_| MemBudget::new(cfg.cache_records.max(1)))
+            .map(|_| MemBudget::new(cfg.cache_records))
             .collect();
         let mut senders = Vec::with_capacity(cfg.shards);
         let mut workers = Vec::with_capacity(cfg.shards);
         let mut pools = Vec::with_capacity(cfg.shards);
         for s in 0..cfg.shards {
             let device = LaneView::pin(array.clone(), s);
-            let shard: Shard<K, V> = Shard::new(device, cfg.pool_frames, 0, cfg.compact_threshold)?;
+            let shard: Shard<K, V> = Shard::for_server(
+                device,
+                cfg.pool_frames,
+                cfg.compact_threshold,
+                budgets.clone(),
+                stats.clone(),
+            );
             pools.push(shard.pool().clone());
             let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
             senders.push(tx);
             let worker = ShardWorker {
-                id: s,
                 shard,
                 rx,
                 sink: sink.clone(),
                 stats: stats.clone(),
-                caches: budgets
-                    .iter()
-                    .map(|b| HotCache::new(b.clone(), cfg.cache_records))
-                    .collect(),
                 cfg: cfg.clone(),
                 first_error: first_error.clone(),
                 failed: None,
@@ -245,7 +245,7 @@ where
         };
         let s = shard_of_key(req.tenant, key, self.cfg.shards);
         self.senders[s]
-            .send(Msg::Req(req, Instant::now()))
+            .send(Msg::Req(req))
             .map_err(|_| self.current_error("shard worker gone"))
     }
 
@@ -376,14 +376,10 @@ impl<K: Record + Ord + Eq + Hash, V: Record> Drop for Server<K, V> {
 }
 
 struct ShardWorker<K: Record + Ord + Eq + Hash, V: Record> {
-    /// Index of this worker's idle timer in [`ServeStats`].
-    id: usize,
     shard: Shard<K, V>,
     rx: Receiver<Msg<K, V>>,
     sink: Arc<dyn CompletionSink<V>>,
     stats: Arc<ServeStats>,
-    /// Per-tenant hot caches, budgeted against the shared tenant budgets.
-    caches: Vec<HotCache<K, V>>,
     cfg: ServeConfig,
     first_error: Arc<Mutex<Option<String>>>,
     /// Once set, the worker fail-stops: no more data ops, no more acks.
@@ -400,34 +396,21 @@ where
         // shortens the wait to exactly its remaining time.
         const IDLE: Duration = Duration::from_millis(25);
         loop {
-            // A worker with work queued is not idle and reads the clock
-            // once a message; one that has to block reads it on both sides
-            // of the wait and calls the difference idle.
-            let (msg, dequeued) = match self.rx.try_recv() {
-                Ok(msg) => (Ok(msg), Instant::now()),
-                Err(TryRecvError::Disconnected) => {
-                    (Err(RecvTimeoutError::Disconnected), Instant::now())
-                }
+            let msg = match self.rx.try_recv() {
+                Ok(msg) => Ok(msg),
+                Err(TryRecvError::Disconnected) => Err(RecvTimeoutError::Disconnected),
                 Err(TryRecvError::Empty) => {
-                    let blocked = Instant::now();
                     let wait = match self.shard.batch_opened_at() {
                         Some(t0) if self.shard.batch_len() > 0 => {
-                            (t0 + self.cfg.batch_deadline).saturating_duration_since(blocked)
+                            (t0 + self.cfg.batch_deadline).saturating_duration_since(Instant::now())
                         }
                         _ => IDLE,
                     };
-                    let msg = self.rx.recv_timeout(wait);
-                    let woke = Instant::now();
-                    self.stats.record_idle(self.id, woke - blocked);
-                    (msg, woke)
+                    self.rx.recv_timeout(wait)
                 }
             };
             match msg {
-                Ok(Msg::Req(req, submitted)) => {
-                    self.stats
-                        .record_queue_wait(dequeued.saturating_duration_since(submitted));
-                    self.handle_req(req, dequeued);
-                }
+                Ok(Msg::Req(req)) => self.handle_req(req),
                 Ok(Msg::Barrier(reply)) => {
                     self.flush_open_batch();
                     let _ = reply.send(self.failed.clone());
@@ -481,19 +464,7 @@ where
         }
     }
 
-    /// Run `f` on `tenant`'s cache and publish the segment moves it made.
-    fn with_cache<R>(&mut self, tenant: u32, f: impl FnOnce(&mut HotCache<K, V>) -> R) -> R {
-        let cache = &mut self.caches[tenant as usize];
-        let (promotions, demotions) = (cache.promotions(), cache.demotions());
-        let r = f(cache);
-        self.stats.record_cache_moves(
-            cache.promotions() - promotions,
-            cache.demotions() - demotions,
-        );
-        r
-    }
-
-    fn handle_req(&mut self, req: Request<K, V>, dequeued: Instant) {
+    fn handle_req(&mut self, req: Request<K, V>) {
         if self.failed.is_some() {
             // Fail-stop: never ack what we cannot log.  Producers keep
             // their queue slots; the error surfaces via barrier/shutdown.
@@ -515,23 +486,8 @@ where
             }
             ReqKind::Get(k) => {
                 self.stats.record_get();
-                if let Some(v) = self.with_cache(tenant, |c| c.get(&k)) {
-                    self.stats.record_cache_hit();
-                    self.sink.got(tenant, op_id, Some(v));
-                    return;
-                }
-                self.stats.record_cache_miss();
-                let found = self.shard.get(tenant, &k);
-                self.stats.record_tree_time(dequeued.elapsed());
-                match found {
-                    Ok(found) => {
-                        if let Some(v) = &found {
-                            if !self.with_cache(tenant, |c| c.insert(k, v.clone())) {
-                                self.stats.record_cache_rejected();
-                            }
-                        }
-                        self.sink.got(tenant, op_id, found);
-                    }
+                match self.shard.get(tenant, &k) {
+                    Ok(found) => self.sink.got(tenant, op_id, found),
                     Err(e) => self.fail(e),
                 }
             }
@@ -539,8 +495,6 @@ where
     }
 
     fn write(&mut self, tenant: u32, op_id: u64, k: K, op: Option<V>) {
-        // A stale cached value must never outlive the write that changed it.
-        self.with_cache(tenant, |c| c.invalidate(&k));
         self.shard.enqueue(tenant, op_id, k, op);
         if self.shard.batch_len() >= self.cfg.batch_max {
             self.flush_open_batch();
@@ -596,6 +550,7 @@ where
 mod tests {
     use super::*;
     use pdm::Placement;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     struct CountingSink {
@@ -731,7 +686,8 @@ mod tests {
             })
             .unwrap();
         }
-        srv.barrier().unwrap();
+        // Into the trees: the delta would answer every get.
+        srv.compact_all().unwrap();
         for round in 0..20u64 {
             for k in 0..8u64 {
                 srv.submit(Request {
@@ -743,10 +699,10 @@ mod tests {
             }
         }
         srv.barrier().unwrap();
-        // First touch of each key misses; the other 19 rounds hit.
+        // A shard's first lookup admits its whole leaf; every other get hits.
         let stats = srv.stats();
-        assert!(stats.cache_hits() > 9 * stats.cache_misses());
-        // A write invalidates, so the next get misses then re-admits.
+        assert_eq!((stats.cache_hits(), stats.cache_misses()), (158, 2));
+        // A written key is answered by the delta, not by its cached copy.
         let hits_before = srv.stats().cache_hits();
         srv.submit(Request {
             tenant: 0,
@@ -766,32 +722,54 @@ mod tests {
         srv.shutdown().unwrap();
     }
 
-    #[test]
-    fn idle_and_queue_wait_are_accounted() {
-        let cfg = ServeConfig::new(1, 1);
-        let srv: Server<u64, u64> = Server::new(ram_array(1), cfg, Arc::new(NullSink)).unwrap();
-        // Nothing submitted: the worker's first wait runs out its idle poll.
-        let t0 = Instant::now();
-        while srv.stats().idle_ns(0).1 == 0 {
-            assert!(t0.elapsed() < Duration::from_secs(5), "idle poll hung");
-            std::thread::sleep(Duration::from_millis(1));
+    /// Every get's value, by `op_id`.
+    struct ValueSink(Mutex<BTreeMap<u64, Option<u64>>>);
+
+    impl CompletionSink<u64> for ValueSink {
+        fn acked_write(&self, _tenant: u32, _op_id: u64) {}
+        fn got(&self, _tenant: u32, op_id: u64, value: Option<u64>) {
+            self.0.lock().unwrap().insert(op_id, value);
         }
-        assert!(srv.stats().idle_ns(0).0 >= 20_000_000, "one 25 ms poll");
-        assert_eq!(srv.stats().queue_wait_ns(), (0, 0));
-        srv.submit(Request {
-            tenant: 0,
-            op_id: 1,
-            kind: ReqKind::Get(7),
-        })
-        .unwrap();
+    }
+
+    #[test]
+    fn a_compaction_keeps_the_cached_records_its_delta_does_not_touch() {
+        // One frame: the tree's one leaf takes it, so the shard has no slot
+        // and every cached record is on the tenant's budget.
+        let sink = Arc::new(ValueSink(Mutex::new(BTreeMap::new())));
+        let mut cfg = ServeConfig::new(1, 1);
+        cfg.pool_frames = 1;
+        cfg.cache_records = 64;
+        let srv: Server<u64, u64> = Server::new(ram_array(1), cfg, sink.clone()).unwrap();
+        let send = |op_id, kind| {
+            let tenant = 0;
+            srv.submit(Request {
+                tenant,
+                op_id,
+                kind,
+            })
+            .unwrap()
+        };
+        (0..8).for_each(|k| send(k, ReqKind::Put(k, k)));
+        srv.compact_all().unwrap();
+        // Each key's first get reads the tree and admits it; the second hits.
+        (0..16).for_each(|i| send(100 + i, ReqKind::Get(i % 8)));
         srv.barrier().unwrap();
-        // The get woke a blocked worker and, the cache being empty, went
-        // on to the tree; the barrier is a control message and waits
-        // unaccounted.
-        let (queued_ns, queued) = srv.stats().queue_wait_ns();
-        assert_eq!(queued, 1);
-        assert!(queued_ns > 0);
-        assert_eq!(srv.stats().tree_ns().1, 1);
+        let stats = srv.stats();
+        assert_eq!((stats.cache_hits(), stats.cache_misses()), (8, 8));
+        // Overwrite 3 and delete 5, then compact them into the tree.
+        send(200, ReqKind::Put(3, 300));
+        send(201, ReqKind::Delete(5));
+        srv.compact_all().unwrap();
+        (0..8).for_each(|k| send(300 + k, ReqKind::Get(k)));
+        srv.barrier().unwrap();
+        // The six keys the delta did not touch still hit; 3 and 5 went to
+        // the tree, which holds their new values.
+        assert_eq!((stats.cache_hits(), stats.cache_misses()), (14, 10));
+        let got = sink.0.lock().unwrap().clone();
+        let after: Vec<Option<u64>> = (300..308).map(|op_id| got[&op_id]).collect();
+        let want = [0, 1, 2, 300, 4, 5, 6, 7].map(|v| (v != 5).then_some(v));
+        assert_eq!(after, want);
         srv.shutdown().unwrap();
     }
 

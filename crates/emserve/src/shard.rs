@@ -44,18 +44,22 @@
 //! none until its next compaction, and reads the tree for every get the
 //! delta does not answer.
 //!
-//! The pool's `pool_frames` frames are one memory, shared by the trees'
-//! nodes and a *record cache* (`RecordCache`) that a get asks after the
-//! filter and before the tree.  A frame is worth a leaf of records, and the
-//! records take frames from the pool one at a time as they are admitted,
-//! until the pool holds only the trees' root and internal nodes and one
-//! leaf frame; the pool then keeps those upper levels over its leaf frame,
-//! so a lookup the cache misses reads one leaf.  Between compactions the
-//! trees do not change, so a cached record is the tree's; a key written
-//! since is answered by the delta first.  A compaction empties the cache
-//! and gives the pool back every frame before it rebuilds.  Like the
-//! filters, the cache is memory only: a recovered shard has none until its
-//! next compaction.
+//! A get asks the shard's one *record cache* (`RecordCache`) after the
+//! filter and before the tree.  Each cached record is charged to one of two
+//! memories.  The pool's `pool_frames` frames are shared by the trees'
+//! nodes and the cache's *slots*: a frame is worth a leaf of records, and
+//! the slots take frames from the pool one at a time as they fill, until
+//! the pool holds only the trees' root and internal nodes and one leaf
+//! frame; the pool then keeps those upper levels over its leaf frame, so a
+//! lookup the cache misses reads one leaf.  A [`Server`](crate::Server)'s
+//! shard may also charge a record to its tenant's budget, which the
+//! tenant's records on every shard share.  Between compactions the trees do
+//! not change, so a cached record is the tree's; a key written since is
+//! answered by the delta first.  A compaction drops every slot's record and
+//! gives the pool back every frame before it rebuilds; a budget's record
+//! stays unless the delta touches its key, since the rebuild changes no
+//! other value.  Like the filters, the cache is memory only: a recovered
+//! shard admits nothing until its next compaction.
 //!
 //! A journaled shard's checkpoint records its trees in the `"btree"`
 //! manifest as one `(tenant u32, root u64, height u64, len u64)` entry of 28
@@ -74,6 +78,7 @@ use pdm::{BufferPool, EvictionPolicy, Journal, PdmError, Result, SharedDevice};
 
 use crate::cache::HotCache;
 use crate::oplog::{self, Ik, Latest};
+use crate::stats::ServeStats;
 
 /// Deterministic FNV-1a routing of `(tenant, key)` onto `shards` partitions.
 ///
@@ -90,22 +95,34 @@ use crate::oplog::{self, Ik, Latest};
 /// rejects such a config before routing anything.
 pub fn shard_of_key<K: Record>(tenant: u32, key: &K, shards: usize) -> usize {
     debug_assert!(shards > 0, "need at least one shard");
-    (em_core::hash::fnv1a(&record_bytes(tenant, key)) % shards as u64) as usize
+    with_record_bytes(tenant, key, |bytes| {
+        (em_core::hash::fnv1a(bytes) % shards as u64) as usize
+    })
 }
 
-/// The encoded `(tenant, key)` record: what routing hashes with FNV-1a and
-/// the shard's key filter with [`hash_bytes`]: two unrelated hash families,
-/// so the shard a key routes to says nothing about its filter bits.
-fn record_bytes<K: Record>(tenant: u32, key: &K) -> Vec<u8> {
-    let mut buf = vec![0u8; 4 + K::BYTES];
+/// Run `f` on the encoded `(tenant, key)` record: what routing hashes with
+/// FNV-1a and the shard's key filter with [`hash_bytes`]: two unrelated
+/// hash families, so the shard a key routes to says nothing about its
+/// filter bits.  A record of up to 64 bytes is encoded on the stack, so
+/// neither hash allocates for it.
+fn with_record_bytes<K: Record, R>(tenant: u32, key: &K, f: impl FnOnce(&[u8]) -> R) -> R {
+    let (mut stack, mut heap) = ([0u8; 64], Vec::new());
+    let len = 4 + K::BYTES;
+    let buf = match stack.get_mut(..len) {
+        Some(buf) => buf,
+        None => {
+            heap.resize(len, 0);
+            &mut heap[..]
+        }
+    };
     buf[..4].copy_from_slice(&tenant.to_le_bytes());
     key.write_to(&mut buf[4..]);
-    buf
+    f(buf)
 }
 
 /// The hash a shard's key filter records and tests `(tenant, key)` by.
 fn filter_hash<K: Record>(tenant: u32, key: &K) -> u64 {
-    hash_bytes(&record_bytes(tenant, key))
+    with_record_bytes(tenant, key, hash_bytes)
 }
 
 /// One tree's checkpoint entry: tenant, root, height, len.
@@ -137,88 +154,139 @@ fn upper_nodes<K: Record + Ord, V: Record>(tree: &BTree<K, V>) -> usize {
     upper
 }
 
-/// Hot records, held in pool frames the trees' leaves gave up.
+/// Frames the record cache's slots may take from `pool`, beside `trees`:
+/// all but their root and internal nodes and one leaf frame.  `None` if
+/// there is no tree.
+fn max_frames<K: Record + Ord, V: Record>(
+    trees: &BTreeMap<u32, TenantTree<K, V>>,
+    pool: &BufferPool,
+) -> Option<usize> {
+    let floor = 1 + trees.values().map(|t| upper_nodes(&t.tree)).sum::<usize>();
+    (!trees.is_empty()).then(|| pool.capacity().saturating_sub(floor))
+}
+
+/// The shard's one record cache: hot records, each charged to a slot of the
+/// pool frames the trees' leaves gave up or to its tenant's budget.
 ///
-/// A frame is worth a leaf of records ([`BTree::leaf_capacity`]).  A full
-/// cache that may still grow lowers the pool's frame limit by one before a
-/// descent; the pool releases that frame at its next miss, and the records
-/// it is worth are admitted after the descent.  So at every step the pool's
-/// resident frames plus `⌈records / leaf capacity⌉` are at most the pool's
-/// capacity.  Growth stops at `max_frames`, when the pool holds only the
-/// trees' root and internal nodes and one leaf frame; from there a record
-/// displaces a record, by the [`HotCache`]'s segmented LRU.
+/// A frame is worth a leaf of slots ([`BTree::leaf_capacity`]).  A cache
+/// whose slots are all taken and may still grow lowers the pool's frame
+/// limit by one before a descent; the pool releases that frame at its next
+/// miss, and its slots are added after the descent.  So at every step the
+/// pool's resident frames plus `⌈slot records / leaf capacity⌉` are at most
+/// the pool's capacity: the *frame rule*.  Growth stops at `max_frames`.  A
+/// record found with no slot free is charged to its tenant's budget, if the
+/// shard has one; the budget is shared with the tenant's records on every
+/// shard, so their sum never exceeds it: the *tenant rule*.  When neither
+/// is free, the record displaces another, by the [`HotCache`]'s segmented
+/// LRU.
 struct RecordCache<K, V> {
     /// Records keyed by the key filter's hash of `(tenant, key)`; the value
     /// carries the key, compared on a hit.
     records: HotCache<u64, (u32, K, V)>,
-    /// Records one frame is worth.
-    per_frame: usize,
-    /// Frames the records hold now, and the most they may.
-    frames: usize,
-    max_frames: usize,
+    /// `None` until this instance's first compaction, and during one: then
+    /// a lookup reads the tree and admits nothing.
+    max_frames: Option<usize>,
+    /// Each tenant's budget, by tenant; none outside a `Server`.
+    budgets: Vec<Arc<MemBudget>>,
+    /// Where hits and rejected admissions are counted.
+    stats: Arc<ServeStats>,
 }
 
 impl<K: Record + Ord, V: Record> RecordCache<K, V> {
-    /// An empty cache beside `trees`, which share `pool`; `None` if there
-    /// is no tree.
-    fn new(trees: &BTreeMap<u32, TenantTree<K, V>>, pool: &BufferPool) -> Option<Self> {
-        let per_frame = trees.values().next()?.tree.leaf_capacity();
-        let floor = 1 + trees.values().map(|t| upper_nodes(&t.tree)).sum::<usize>();
-        let max_frames = pool.capacity().saturating_sub(floor);
-        Some(RecordCache {
-            records: HotCache::new(MemBudget::new(max_frames * per_frame), 0),
-            per_frame,
-            frames: 0,
-            max_frames,
+    fn new(budgets: Vec<Arc<MemBudget>>, stats: Arc<ServeStats>) -> Self {
+        RecordCache {
+            records: HotCache::new(stats.clone()),
+            max_frames: None,
+            budgets,
+            stats,
+        }
+    }
+
+    /// `tenant`'s `key`, whose filter hash is `hash`: from the cache, else
+    /// from `tree` through `pool`, admitting from the leaf it reads.
+    fn lookup(
+        &mut self,
+        pool: &BufferPool,
+        tree: &BTree<K, V>,
+        tenant: u32,
+        (hash, key): (u64, &K),
+    ) -> Result<Option<V>> {
+        let Some(max_frames) = self.max_frames else {
+            return tree.get(key);
+        };
+        match self.records.get(&hash) {
+            Some((t, k, v)) if t == tenant && k == *key => {
+                self.stats.record_cache_hit();
+                return Ok(Some(v));
+            }
+            _ => {}
+        }
+        // Full slots that may grow, and the last frame asked of the pool
+        // released: ask for one more.
+        let per_frame = tree.leaf_capacity();
+        let ((slots, taken), limit) = (self.records.slots(), pool.limit());
+        let frames = slots / per_frame;
+        if taken >= slots && limit + frames == pool.capacity() && frames < max_frames {
+            pool.set_limit(limit - 1);
+        }
+        tree.get_with_leaf(key, |found, leaf| {
+            self.admit(pool, per_frame, tenant, (hash, key), found, leaf);
+            found.cloned()
         })
     }
 
-    /// The cached value of `(tenant, key)`, whose filter hash is `hash`.
-    fn get(&mut self, hash: u64, tenant: u32, key: &K) -> Option<V> {
-        match self.records.get(&hash)? {
-            (t, k, v) if t == tenant && k == *key => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Before a descent: if the cache is full and may grow, and the pool
-    /// has released the last frame asked of it, ask for one more.
-    fn reserve(&self, pool: &BufferPool) {
-        let full = self.records.len() >= self.frames * self.per_frame;
-        let released = pool.limit() + self.frames == pool.capacity();
-        if full && released && self.frames < self.max_frames {
-            pool.set_limit(pool.limit() - 1);
-        }
-    }
-
     /// After a descent for `key` (filter hash `hash`) that found `found` in
-    /// `leaf`: take the frames the pool has released, admit the rest of the
-    /// leaf while slots are free, then the record found, which displaces
-    /// another once the cache is full.
+    /// `leaf`: add the slots of the frames the pool has released, admit the
+    /// rest of the leaf while slots are free, then the record found, which
+    /// takes a slot, else its tenant's budget, else another record's place.
     fn admit(
         &mut self,
         pool: &BufferPool,
+        per_frame: usize,
         tenant: u32,
         (hash, key): (u64, &K),
         found: Option<&V>,
         leaf: &[(K, V)],
     ) {
-        self.frames = pool.capacity() - pool.resident().max(pool.limit());
-        let capacity = self.frames * self.per_frame;
-        self.records.set_capacity(capacity);
-        let mut free = capacity.saturating_sub(self.records.len() + usize::from(found.is_some()));
+        let held = pool.capacity() - pool.resident().max(pool.limit());
+        self.records.set_slots(held * per_frame);
+        let (slots, taken) = self.records.slots();
+        let mut free = (slots - taken).saturating_sub(usize::from(found.is_some()));
         for (k, v) in leaf {
             if free == 0 {
                 break;
             }
             let h = filter_hash(tenant, k);
             if k != key && !self.records.contains(&h) {
-                self.records.insert(h, (tenant, k.clone(), v.clone()));
+                self.records.insert(h, (tenant, k.clone(), v.clone()), None);
                 free -= 1;
             }
         }
         if let Some(v) = found {
-            self.records.insert(hash, (tenant, key.clone(), v.clone()));
+            let record = (tenant, key.clone(), v.clone());
+            if !self
+                .records
+                .insert(hash, record, self.budgets.get(tenant as usize))
+            {
+                self.stats.record_cache_rejected();
+            }
+        }
+    }
+
+    /// Before a compaction: give every slot back, with its record, and drop
+    /// the record of every key in `touched`, whose value the rebuild may
+    /// change.  The rest stay, as the rebuild changes no other value.
+    fn release<'a>(&mut self, touched: impl IntoIterator<Item = &'a Ik<K>>)
+    where
+        K: 'a,
+    {
+        self.max_frames = None;
+        self.records.release_slots();
+        for (tenant, key) in touched {
+            if self.records.is_empty() {
+                break;
+            }
+            self.records.invalidate(&filter_hash(*tenant, key));
         }
     }
 }
@@ -275,10 +343,10 @@ pub struct Shard<K: Record + Ord, V: Record> {
     batch: Vec<PendingOp<K, V>>,
     batch_opened: Option<Instant>,
     compact_threshold: usize,
-    /// Hot records in the pool frames the trees' leaves gave up; `None`
-    /// until this instance's first compaction, and during one.  Behind a
-    /// lock because a get, which takes `&self`, admits records.
-    records: Mutex<Option<RecordCache<K, V>>>,
+    /// Hot records, in the pool frames the trees' leaves gave up or on
+    /// their tenants' budgets.  Behind a lock because a get, which takes
+    /// `&self`, admits records.
+    records: Mutex<RecordCache<K, V>>,
     /// Crash-recovery journal, when the shard runs on a
     /// [`Journal`]-wrapped device.  Every batch flush and compaction
     /// commits a checkpoint (tree entries + the log's new records) before
@@ -308,7 +376,14 @@ where
         _absorber_mem: usize,
         compact_threshold: usize,
     ) -> Result<Self> {
-        Ok(Self::build(device, None, pool_frames, compact_threshold))
+        let records = RecordCache::new(Vec::new(), Arc::default());
+        Ok(Self::build(
+            device,
+            None,
+            pool_frames,
+            compact_threshold,
+            records,
+        ))
     }
 
     /// Build a journaled shard: all shard storage lives behind `journal`
@@ -328,7 +403,23 @@ where
             Some(journal),
             pool_frames,
             compact_threshold,
+            RecordCache::new(Vec::new(), Arc::default()),
         ))
+    }
+
+    /// A [`Server`](crate::Server)'s shard: as [`new`](Self::new), and its
+    /// record cache also charges `budgets[tenant]` for a record of `tenant`
+    /// no slot holds, and counts its hits, rejected admissions and segment
+    /// moves in `stats`.
+    pub(crate) fn for_server(
+        device: SharedDevice,
+        pool_frames: usize,
+        compact_threshold: usize,
+        budgets: Vec<Arc<MemBudget>>,
+        stats: Arc<ServeStats>,
+    ) -> Self {
+        let records = RecordCache::new(budgets, stats);
+        Self::build(device, None, pool_frames, compact_threshold, records)
     }
 
     fn build(
@@ -336,6 +427,7 @@ where
         journal: Option<Arc<Journal>>,
         pool_frames: usize,
         compact_threshold: usize,
+        records: RecordCache<K, V>,
     ) -> Self {
         let pool = BufferPool::new(device, pool_frames, EvictionPolicy::Lru);
         Shard {
@@ -346,7 +438,7 @@ where
             batch: Vec::new(),
             batch_opened: None,
             compact_threshold: compact_threshold.max(1),
-            records: Mutex::new(None),
+            records: Mutex::new(records),
             journal,
         }
     }
@@ -397,7 +489,7 @@ where
             batch: Vec::new(),
             batch_opened: None,
             compact_threshold: compact_threshold.max(1),
-            records: Mutex::new(None),
+            records: Mutex::new(RecordCache::new(Vec::new(), Arc::default())),
             journal: Some(journal),
         })
     }
@@ -512,7 +604,8 @@ where
     /// Point lookup: the delta overlay first (read-your-writes, including
     /// the open batch), then the tenant's key filter, then the record
     /// cache, then the tenant's B+-tree through the pool, whose leaf the
-    /// record cache admits from.
+    /// record cache admits from.  A get the record cache answers is a hit,
+    /// every other get a miss.
     ///
     /// Cost: no transfer when the delta answers, the tenant has no tree,
     /// the filter rejects the key or the record cache holds it, else the
@@ -535,24 +628,14 @@ where
             return Ok(None);
         }
         let mut records = self.records.lock().unwrap_or_else(PoisonError::into_inner);
-        let Some(rc) = records.as_mut() else {
-            return t.tree.get(key);
-        };
-        if let Some(v) = rc.get(hash, tenant, key) {
-            return Ok(Some(v));
-        }
-        rc.reserve(&self.pool);
-        t.tree.get_with_leaf(key, |found, leaf| {
-            rc.admit(&self.pool, tenant, (hash, key), found, leaf);
-            found.cloned()
-        })
+        records.lookup(&self.pool, &t.tree, tenant, (hash, key))
     }
 
-    /// Records the record cache holds: none until this instance's first
-    /// compaction.
+    /// Records the record cache holds, on slots and on budgets: none until
+    /// this instance's first compaction.
     pub fn cached_records(&self) -> usize {
         let records = self.records.lock().unwrap_or_else(PoisonError::into_inner);
-        records.as_ref().map_or(0, |rc| rc.records.len())
+        records.records.len()
     }
 
     /// Tenant-scoped range scan over `[lo, hi]`, merging the tenant's tree
@@ -611,9 +694,11 @@ where
     /// which the same call rebuilds, unless its run holds deletes only.  The
     /// log is not read, only reset to empty.
     ///
-    /// The record cache is emptied and the pool given back every frame
-    /// before the rebuild, so it runs as it would with no cache; a new,
-    /// empty cache comes once the compaction has succeeded.
+    /// The record cache gives the pool back every frame, dropping its slots'
+    /// records, before the rebuild, so it runs as it would with no cache;
+    /// the slots grow again once the compaction has succeeded.  Of the
+    /// records on tenant budgets, those of keys the delta touches are
+    /// dropped and the rest kept.
     ///
     /// Each tenant's key filter is rebuilt from the keys its rebuild writes,
     /// at two bytes per key the new tree can hold (the old tree's plus the
@@ -639,10 +724,10 @@ where
         if self.delta.is_empty() {
             return Ok(());
         }
-        *self
-            .records
+        self.records
             .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = None;
+            .unwrap_or_else(PoisonError::into_inner)
+            .release(self.delta.keys());
         self.pool.set_limit(self.pool.capacity());
         // (tenant, ops, puts) per tenant the delta touches, in delta order.
         let mut runs: Vec<(u32, usize, usize)> = Vec::new();
@@ -687,10 +772,10 @@ where
             journal.set_manifest("log", Vec::new());
             self.checkpoint()?;
         }
-        *self
-            .records
+        self.records
             .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = RecordCache::new(&self.trees, &self.pool);
+            .unwrap_or_else(PoisonError::into_inner)
+            .max_frames = max_frames(&self.trees, &self.pool);
         Ok(())
     }
 
@@ -1605,17 +1690,17 @@ mod tests {
     /// Whether `s`'s record cache holds tenant 0's `key`.
     fn cached(s: &Shard<u64, u64>, key: u64) -> bool {
         let records = s.records.lock().unwrap();
-        let hash = filter_hash(0, &key);
-        records
-            .as_ref()
-            .is_some_and(|rc| rc.records.contains(&hash))
+        records.records.contains(&filter_hash(0, &key))
     }
 
-    /// The memory rule: the pool's resident frames and the frames the
-    /// cached records are worth never exceed the pool's frames.
-    fn assert_one_memory(s: &Shard<u64, u64>) {
-        let per_frame = s.tree_of(0).tree.leaf_capacity();
-        let frames = s.pool.resident() + s.cached_records().div_ceil(per_frame);
+    /// The frame rule: the pool's resident frames and the frames the
+    /// slots' records are worth never exceed the pool's frames.
+    fn assert_one_memory<K: Record + Ord, V: Record>(s: &Shard<K, V>) {
+        let Some(t) = s.trees.values().next() else {
+            return;
+        };
+        let (_, taken) = s.records.lock().unwrap().records.slots();
+        let frames = s.pool.resident() + taken.div_ceil(t.tree.leaf_capacity());
         assert!(frames <= s.pool.capacity(), "{frames} frames in use");
     }
 
@@ -1674,6 +1759,105 @@ mod tests {
             assert_one_memory(&s);
         }
         assert_eq!(s.cached_records(), 8 * 31);
+    }
+
+    /// Two shards on two tenants' budgets, as a `Server` builds them,
+    /// against a `BTreeMap` model: the sibling of `serve_consistency.rs`'s
+    /// `shard_agrees_with_a_btreemap_model_while_records_displace_frames`.
+    /// Gets fill each shard's slots, then the budgets, then displace
+    /// records; puts, deletes, flushes and compactions go on under them.
+    /// After every step each shard keeps the frame rule, and each tenant's
+    /// budget records on both shards are what its budget has charged, at
+    /// most its cap: the tenant rule.
+    #[test]
+    fn two_shards_keep_the_frame_and_tenant_rules_across_compactions() {
+        use rand::prelude::*;
+        const FRAMES: usize = 6;
+        const CAP: usize = 40;
+        for seed in 0..4u64 {
+            let budgets = vec![MemBudget::new(CAP), MemBudget::new(CAP)];
+            let stats = Arc::new(ServeStats::default());
+            let mut shards: Vec<Shard<u64, u64>> = (0..2)
+                .map(|_| {
+                    let dev: SharedDevice = DiskArray::new_ram(1, 512, Placement::Independent);
+                    Shard::for_server(dev, FRAMES, 60, budgets.clone(), stats.clone())
+                })
+                .collect();
+            let route = |tenant: u32, key: u64| shard_of_key(tenant, &key, 2);
+            let mut model: BTreeMap<(u32, u64), u64> = BTreeMap::new();
+            // 1 200 keys: on each shard, two trees of ≈ 300 keys, 10 leaves
+            // of 31 under a root, so 3 of the 6 frames are slots.
+            for key in 0..1_200u64 {
+                let tenant = (key % 2) as u32;
+                shards[route(tenant, key)].enqueue(tenant, key, key, Some(key));
+                model.insert((tenant, key), key);
+            }
+            for s in &mut shards {
+                s.flush_batch(|_, _| {}).unwrap();
+                s.compact().unwrap();
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut full_slots, mut full_budgets, mut kept) = (0, [false; 2], 0);
+            for step in 0..1_500u64 {
+                // Skewed, so that hot keys are read, cached and written again.
+                let x = rng.gen_range(0..1_300u64);
+                let (tenant, key) = (rng.gen_range(0..2u32), x * x / 1_300);
+                let s = &mut shards[route(tenant, key)];
+                match rng.gen_range(0..20u32) {
+                    0..=14 => {
+                        let want = model.get(&(tenant, key)).copied();
+                        assert_eq!(s.get(tenant, &key).unwrap(), want, "step {step}");
+                    }
+                    15 | 16 => {
+                        s.enqueue(tenant, step, key, Some(step));
+                        model.insert((tenant, key), step);
+                    }
+                    17 | 18 => {
+                        s.enqueue(tenant, step, key, None);
+                        model.remove(&(tenant, key));
+                    }
+                    _ => s.flush_batch(|_, _| {}).map(drop).unwrap(),
+                }
+                if step == 750 || s.wants_compact() {
+                    s.flush_batch(|_, _| {}).unwrap();
+                    s.compact().unwrap();
+                    kept += s.cached_records();
+                }
+                for s in &shards {
+                    assert_one_memory(s);
+                    let (slots, taken) = s.records.lock().unwrap().records.slots();
+                    full_slots = full_slots.max(usize::from(slots == 3 * 31) * taken);
+                }
+                for (t, budget) in budgets.iter().enumerate() {
+                    let charged: usize = shards
+                        .iter()
+                        .map(|s| s.records.lock().unwrap().records.charged_to(budget))
+                        .sum();
+                    assert_eq!(charged, budget.used(), "step {step}, tenant {t}");
+                    assert!(charged <= CAP, "step {step}, tenant {t}");
+                    full_budgets[t] |= charged == CAP;
+                }
+            }
+            // Both memories filled, and records outlived compactions.
+            assert_eq!(
+                (full_slots, full_budgets),
+                (3 * 31, [true; 2]),
+                "seed {seed}"
+            );
+            assert!(kept > 0 && stats.cache_hits() > 0, "seed {seed}");
+            for tenant in 0..2u32 {
+                let mut all: Vec<(u64, u64)> = Vec::new();
+                for s in &shards {
+                    all.extend(s.range(tenant, &0, &u64::MAX).unwrap());
+                }
+                all.sort_unstable();
+                let want: Vec<(u64, u64)> = model
+                    .range((tenant, 0)..=(tenant, u64::MAX))
+                    .map(|(&(_, k), &v)| (k, v))
+                    .collect();
+                assert_eq!(all, want, "seed {seed}, tenant {tenant}");
+            }
+        }
     }
 
     #[test]

@@ -50,9 +50,6 @@ const TEST_SURFACE: &[(&str, &str, &str)] = &[
     ("emserve/src/shard.rs", "tree_len", "kv_structures_agree.rs counts keys"),
     ("emserve/src/stats.rs", "cache_demotions", "serve_consistency.rs checks SLRU moves"),
     ("emserve/src/stats.rs", "cache_promotions", "serve_consistency.rs checks SLRU moves"),
-    ("emserve/src/stats.rs", "idle_ns", "ServeStats timer; emserve's tests read it"),
-    ("emserve/src/stats.rs", "queue_wait_ns", "ServeStats timer; emserve's tests read it"),
-    ("emserve/src/stats.rs", "tree_ns", "ServeStats timer; emserve's tests read it"),
     ("emsort/src/bmmc.rs", "bit_reversal", "survey permutation; emsort's tests bill it"),
     ("emsort/src/bmmc.rs", "bmmc_permute", "survey algorithm; emsort's tests bill it"),
     ("emsort/src/bmmc.rs", "perfect_shuffle", "survey permutation; emsort's tests run it"),

@@ -10,7 +10,7 @@
 //! and that every acknowledged write survives into the final state both
 //! before and after forced compaction.  A state-machine test then drives
 //! every call of the surface, ranges and compactions included, against a
-//! `BTreeMap` model.  A last test shrinks the hot cache
+//! `BTreeMap` model.  A last test shrinks the record cache
 //! to four and to eight records, so that its two segments promote, demote
 //! and evict within a few ops, and checks that no get is answered stale.
 
@@ -332,26 +332,31 @@ fn replay_is_deterministic() {
     assert_eq!(a, b, "two replays of one tape diverged");
 }
 
-/// No stale read through either segment of the hot cache.  A seeded put /
-/// delete / get tape runs at `cache_records = 4`, where every resident key
-/// may be protected and eviction has to reach into that segment, and at 8,
-/// where protected overflows and demotes; both promote and evict within a
-/// few ops, and every get must still match the model — opening with a key
-/// whose cached copy sits in *protected* when the overwrite, and then the
-/// delete, arrive.
+/// No stale read through either segment of the record cache.  A seeded
+/// put / delete / get tape runs at `cache_records = 4`, where every
+/// resident key may be protected and eviction has to reach into that
+/// segment, and at 8, where protected overflows and demotes.  The shard has
+/// one pool frame, which its one-leaf tree takes, so every cached record is
+/// on the tenant's budget and survives a compaction unless the compaction's
+/// delta touches its key.  Every fourth write flushes a batch, and each
+/// flush compacts; caches promote and evict within a few ops, and every
+/// get must still match the model — opening with a key whose cached copy
+/// sits in *protected* when the overwrite, and then the delete, are
+/// compacted.
 #[test]
 fn no_stale_read_through_either_cache_segment() {
-    // Get twice: the miss admits on probation, the hit promotes.
-    let mut tape: Vec<TapeOp> = vec![
-        (0, 3, 0, 10),
-        (0, 3, 6, 0),
-        (0, 3, 6, 0),
-        (0, 3, 0, 20), // overwrite under a protected copy
-        (0, 3, 6, 0),
-        (0, 3, 6, 0),
-        (0, 3, 4, 0), // delete under a protected copy
-        (0, 3, 6, 0),
-    ];
+    // Three more writes flush and compact the put of 3; then get it twice:
+    // the miss admits on probation, the hit promotes.
+    let others = |v| [1, 2, 4].map(|k| (0, k, 0, v));
+    let mut tape: Vec<TapeOp> = vec![(0, 3, 0, 10)];
+    tape.extend(others(1));
+    tape.extend([(0, 3, 6, 0), (0, 3, 6, 0)]);
+    tape.push((0, 3, 0, 20)); // overwrite under a protected copy
+    tape.extend(others(2));
+    tape.extend([(0, 3, 6, 0), (0, 3, 6, 0)]);
+    tape.push((0, 3, 4, 0)); // delete under a protected copy
+    tape.extend(others(3));
+    tape.push((0, 3, 6, 0));
     // Then 20 % puts, 10 % deletes, 70 % gets over 16 keys, the smaller of
     // two draws so that a few keys are asked for again and again.
     tape.extend((0..3_000u64).map(|i| {
@@ -366,6 +371,8 @@ fn no_stale_read_through_either_cache_segment() {
         let sink = RecordingSink::new();
         let mut cfg = small_config(1, 4);
         cfg.cache_records = cache_records;
+        cfg.compact_threshold = 4;
+        cfg.pool_frames = 1;
         let srv: Server<u64, u64> = Server::new(array, cfg, sink.clone()).unwrap();
         let (reference, expect_gots, writes) = drive(&srv, &tape);
         srv.barrier().unwrap();
@@ -378,6 +385,7 @@ fn no_stale_read_through_either_cache_segment() {
         );
         let stats = srv.stats();
         assert!(stats.cache_hits() > 0 && stats.cache_misses() > 0);
+        assert_eq!(stats.cache_rejected(), 0);
         assert!(stats.cache_promotions() > 0, "no get hit on probation");
         // ⌈4/5 · 4⌉ = 4: a four-record cache never has to demote.
         assert_eq!(stats.cache_demotions() > 0, cache_records == 8);
