@@ -26,12 +26,13 @@
 //!   tree, so a get of a key neither the delta nor the tree holds reads no
 //!   block except on a false positive.
 //! * [`Server`] — the concurrent request batcher: one bounded MPSC ingest
-//!   queue and drain thread per shard.  The drain thread coalesces
-//!   puts/deletes into batches flushed on *size or deadline* (throughput
-//!   batching never unbounded-delays an ack), serves gets read-your-writes
-//!   consistently by consulting the in-flight delta before the tree, and
-//!   acknowledges a write only after its batch's flush returned.  Shards are
-//!   pinned to distinct lanes of an independent-disk array via
+//!   queue and drain thread per shard.  The drain thread is a step function
+//!   on a logical clock, fed the queue and the time by a thin driver; it
+//!   coalesces puts/deletes into batches flushed on *size or deadline*
+//!   (throughput batching never unbounded-delays an ack), serves gets
+//!   read-your-writes consistently by consulting the in-flight delta before
+//!   the tree, and acks a write only after its batch's flush returned.
+//!   Shards are pinned to distinct lanes of an independent-disk array via
 //!   [`pdm::LaneView`], so one shard's flush never serializes a neighbour's
 //!   reads, and per-shard transfers are attributable per lane by
 //!   subtracting [`pdm::IoSnapshot`]s ([`pdm::IoSnapshot::since`]).

@@ -69,7 +69,6 @@
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use em_core::hash::{hash_bytes, KeyFilter};
 use em_core::{MemBudget, Record};
@@ -341,7 +340,6 @@ pub struct Shard<K: Record + Ord, V: Record> {
     delta: Latest<K, V>,
     /// Ops accepted but not yet logged (the open batch).
     batch: Vec<PendingOp<K, V>>,
-    batch_opened: Option<Instant>,
     compact_threshold: usize,
     /// Hot records, in the pool frames the trees' leaves gave up or on
     /// their tenants' budgets.  Behind a lock because a get, which takes
@@ -436,7 +434,6 @@ where
             logged: 0,
             delta: BTreeMap::new(),
             batch: Vec::new(),
-            batch_opened: None,
             compact_threshold: compact_threshold.max(1),
             records: Mutex::new(records),
             journal,
@@ -487,7 +484,6 @@ where
             logged: log.len() / oplog::record_len::<K, V>(),
             delta: oplog::replay(&log)?,
             batch: Vec::new(),
-            batch_opened: None,
             compact_threshold: compact_threshold.max(1),
             records: Mutex::new(RecordCache::new(Vec::new(), Arc::default())),
             journal: Some(journal),
@@ -509,19 +505,11 @@ where
         self.batch.len()
     }
 
-    /// When the open batch received its first op, if one is open.
-    pub(crate) fn batch_opened_at(&self) -> Option<Instant> {
-        self.batch_opened
-    }
-
     /// Queue a write into the open batch.  Visible to reads
     /// immediately via the delta; acknowledged only once flushed.
     pub fn enqueue(&mut self, tenant: u32, op_id: u64, key: K, op: Option<V>) {
         let ik = (tenant, key);
         self.delta.insert(ik.clone(), op.clone());
-        if self.batch.is_empty() {
-            self.batch_opened = Some(Instant::now());
-        }
         self.batch.push(PendingOp {
             tenant,
             op_id,
@@ -557,7 +545,6 @@ where
     /// no transfer.
     pub fn flush_batch(&mut self, mut ack: impl FnMut(u32, u64)) -> Result<usize> {
         let batch = std::mem::take(&mut self.batch);
-        self.batch_opened = None;
         if batch.is_empty() {
             return Ok(0);
         }
