@@ -191,17 +191,28 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
         }
     }
 
-    /// Drop every slot-charged record, and the slots with them; the
-    /// budget-charged records stay.
-    pub(crate) fn release_slots(&mut self) {
-        // Back to front: a removal moves the last node, already kept, into
-        // the hole.
-        for i in (0..self.nodes.len()).rev() {
-            if matches!(self.nodes[i].charge, Charge::Slot) {
+    /// Lower the slots to `slots`, evicting slot-charged records in victim
+    /// order — probation's least recent first, then protected's — until no
+    /// more are left than slots; the budget-charged records stay.
+    pub(crate) fn shrink_slots(&mut self, slots: usize) {
+        let mut excess = self.in_slots.saturating_sub(slots);
+        let mut victims = Vec::with_capacity(excess);
+        for oldest in [self.probation.oldest, self.protected.oldest] {
+            let mut i = oldest;
+            while i != NIL && excess > 0 {
+                if matches!(self.nodes[i].charge, Charge::Slot) {
+                    victims.push(self.nodes[i].key.clone());
+                    excess -= 1;
+                }
+                i = self.nodes[i].newer;
+            }
+        }
+        for key in victims {
+            if let Some(i) = self.index.get(&key).copied() {
                 self.remove(i);
             }
         }
-        self.slots = 0;
+        self.slots = slots;
         self.rebalance();
     }
 
@@ -665,7 +676,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_release_slots_drop_from_either_segment() {
+    fn invalidate_and_shrink_slots_drop_from_either_segment() {
         // Records 0–3 take the four slots, 4 and 5 the budget.
         let budget = MemBudget::new(8);
         let mut c = with_slots(4);
@@ -686,9 +697,16 @@ mod tests {
             (c.stats.cache_promotions(), c.stats.cache_demotions()),
             (2, 0)
         );
-        // The slots go with their records from either segment; the budget's
-        // record stays.
-        c.release_slots();
+        // Shrinking to two slots evicts the one slot record in excess, the
+        // first victim (probation's oldest); none when they fit.
+        c.shrink_slots(2);
+        assert_eq!((c.order(false), c.order(true)), (vec![3, 4], vec![1]));
+        assert_eq!((c.slots(), budget.used()), ((2, 2), 1));
+        c.shrink_slots(3);
+        assert_eq!((c.len(), c.slots()), (3, (3, 2)));
+        // At no slots the rest go, from either segment; the budget's record
+        // stays.
+        c.shrink_slots(0);
         assert_eq!((c.order(false), c.order(true)), (vec![4], vec![]));
         assert_eq!((c.slots(), budget.used()), ((0, 0), 1));
         c.invalidate(&4);

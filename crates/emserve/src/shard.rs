@@ -55,11 +55,12 @@
 //! shard may also charge a record to its tenant's budget, which the
 //! tenant's records on every shard share.  Between compactions the trees do
 //! not change, so a cached record is the tree's; a key written since is
-//! answered by the delta first.  A compaction drops every slot's record and
-//! gives the pool back every frame before it rebuilds; a budget's record
-//! stays unless the delta touches its key, since the rebuild changes no
-//! other value.  Like the filters, the cache is memory only: a recovered
-//! shard admits nothing until its next compaction.
+//! answered by the delta first.  A compaction drops the record of every key
+//! its delta touches, on a slot or a budget, and keeps the rest, since the
+//! rebuild changes no other value; it rebuilds under the pool's current
+//! limit, then shrinks the slots to the frames the new trees leave.  Like
+//! the filters, the cache is memory only: a recovered shard admits nothing
+//! until its next compaction.
 //!
 //! A journaled shard's checkpoint records its trees in the `"btree"`
 //! manifest as one `(tenant u32, root u64, height u64, len u64)` entry of 28
@@ -182,8 +183,9 @@ struct RecordCache<K, V> {
     /// Records keyed by the key filter's hash of `(tenant, key)`; the value
     /// carries the key, compared on a hit.
     records: HotCache<u64, (u32, K, V)>,
-    /// `None` until this instance's first compaction, and during one: then
-    /// a lookup reads the tree and admits nothing.
+    /// Frames the slots may hold beside the trees; `None` until this
+    /// instance's first compaction, and then a lookup reads the tree and
+    /// admits nothing.
     max_frames: Option<usize>,
     /// Each tenant's budget, by tenant; none outside a `Server`.
     budgets: Vec<Arc<MemBudget>>,
@@ -272,20 +274,32 @@ impl<K: Record + Ord, V: Record> RecordCache<K, V> {
         }
     }
 
-    /// Before a compaction: give every slot back, with its record, and drop
-    /// the record of every key in `touched`, whose value the rebuild may
-    /// change.  The rest stay, as the rebuild changes no other value.
-    fn release<'a>(&mut self, touched: impl IntoIterator<Item = &'a Ik<K>>)
+    /// Before a compaction: drop the record of every key in `touched`, on a
+    /// slot or a budget, whose value the rebuild may change.  The rest
+    /// stay, as the rebuild changes no other value.
+    fn invalidate<'a>(&mut self, touched: impl IntoIterator<Item = &'a Ik<K>>)
     where
         K: 'a,
     {
-        self.max_frames = None;
-        self.records.release_slots();
         for (tenant, key) in touched {
             if self.records.is_empty() {
                 break;
             }
             self.records.invalidate(&filter_hash(*tenant, key));
+        }
+    }
+
+    /// After a compaction, with `max_frames` for the trees it left and
+    /// `per_frame` records a leaf: keep at most that many frames of slots,
+    /// evicting the SLRU's slot records beyond them, and give the pool back
+    /// the frames the slots no longer hold.
+    fn shrink(&mut self, pool: &BufferPool, per_frame: usize, max_frames: Option<usize>) {
+        self.max_frames = max_frames;
+        let frames = self.records.slots().0 / per_frame;
+        let keep = frames.min(max_frames.unwrap_or(0));
+        if keep < frames {
+            self.records.shrink_slots(keep * per_frame);
+            pool.set_limit(pool.capacity() - keep);
         }
     }
 }
@@ -674,18 +688,22 @@ where
     /// The delta is the log's latest-op-per-key view, in memory and ordered
     /// by tenant, then key, so each tenant's run of it feeds that tenant's
     /// `apply_sorted_batch` directly: puts become upserts, deletes become
-    /// erases, and the tree is rebuilt at its floor — each old node read
-    /// once, each new node written once, `O((N+Δ)/B)` transfers instead of
-    /// `Δ·O(log_B N)` point updates.  A tenant the delta does not touch is
+    /// erases, and the tree is rebuilt at its floor — each old node the
+    /// pool does not hold read once, each new node written once,
+    /// `O((N+Δ)/B)` transfers instead of `Δ·O(log_B N)` point updates; an
+    /// old node the pool holds is consumed in place, not evicted by the
+    /// rebuild's own writes.  A tenant the delta does not touch is
     /// neither read nor rewritten.  A tenant with no tree gets an empty one,
     /// which the same call rebuilds, unless its run holds deletes only.  The
     /// log is not read, only reset to empty.
     ///
-    /// The record cache gives the pool back every frame, dropping its slots'
-    /// records, before the rebuild, so it runs as it would with no cache;
-    /// the slots grow again once the compaction has succeeded.  Of the
-    /// records on tenant budgets, those of keys the delta touches are
-    /// dropped and the rest kept.
+    /// The record cache drops the records of the keys the delta touches,
+    /// on slots and budgets alike, and keeps the rest.  The rebuild runs
+    /// under the pool's current limit, beside the slots, so the frame rule
+    /// holds throughout; afterwards the slots shrink to the frames the new
+    /// trees leave them, evicting SLRU victims, and the pool's limit rises
+    /// by the frames they give back.  Whether or not the compaction
+    /// succeeded, the cache is warm after it.
     ///
     /// Each tenant's key filter is rebuilt from the keys its rebuild writes,
     /// at two bytes per key the new tree can hold (the old tree's plus the
@@ -714,8 +732,24 @@ where
         self.records
             .get_mut()
             .unwrap_or_else(PoisonError::into_inner)
-            .release(self.delta.keys());
-        self.pool.set_limit(self.pool.capacity());
+            .invalidate(self.delta.keys());
+        let rebuilt = self.rebuild_trees();
+        // Shrink the slots to what the trees now leave, whether or not
+        // every rebuild succeeded: the trees are whatever it left.
+        let max_frames = max_frames(&self.trees, &self.pool);
+        if let Some(t) = self.trees.values().next() {
+            let per_frame = t.tree.leaf_capacity();
+            self.records
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .shrink(&self.pool, per_frame, max_frames);
+        }
+        rebuilt
+    }
+
+    /// [`compact`](Self::compact)'s rebuilds, under the pool's current
+    /// limit, and on a journal the checkpoint that commits them.
+    fn rebuild_trees(&mut self) -> Result<()> {
         // (tenant, ops, puts) per tenant the delta touches, in delta order.
         let mut runs: Vec<(u32, usize, usize)> = Vec::new();
         for ((tenant, _), op) in &self.delta {
@@ -759,10 +793,6 @@ where
             journal.set_manifest("log", Vec::new());
             self.checkpoint()?;
         }
-        self.records
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .max_frames = max_frames(&self.trees, &self.pool);
         Ok(())
     }
 
@@ -1188,6 +1218,90 @@ mod tests {
         assert_eq!(s.tree_of(2).tree.root(), root);
         assert_eq!(dev.allocated_blocks(), new_nodes + untouched);
         assert_eq!(s.tree_lens(), [(1, 1_090), (2, 1_000)]);
+        s.check_invariants().unwrap();
+    }
+
+    /// Nodes of `t`'s packed tree, from its length: what a compaction
+    /// built, `⌈len/leaf_cap⌉` leaves (one, empty, at no keys) and the
+    /// levels above.
+    fn packed_nodes(t: &TenantTree<u64, u64>) -> u64 {
+        let leaves = t.tree.len().div_ceil(t.tree.leaf_capacity() as u64).max(1);
+        leaves + upper_nodes(&t.tree) as u64
+    }
+
+    /// `serve_write`'s shape: one journaled tenant on 1 KiB blocks, 16
+    /// frames, a compaction at 1 536 keys, rounds of 29 puts, 3 deletes and
+    /// 3 gets.  A compaction reads only the old nodes the pool does not
+    /// hold when it starts (with one tenant, every resident frame is one of
+    /// them), and writes each new node once.
+    #[test]
+    fn a_compaction_reads_only_the_old_nodes_the_pool_does_not_hold() {
+        use pdm::{Journal, RamDisk};
+        use rand::prelude::*;
+        let journal = Journal::format(RamDisk::new(1024) as SharedDevice).unwrap();
+        let dev = journal.inner().clone();
+        let mut s: Shard<u64, u64> = Shard::with_journal(journal, 16, 0, 1_536).unwrap();
+        let mut rng = StdRng::seed_from_u64(1);
+        let (mut seen, mut model) = (Vec::new(), BTreeMap::new());
+        let mut ledger = Vec::new();
+        for round in 0..220u64 {
+            let mut writes = Vec::new();
+            for _ in 0..29 {
+                let (key, value) = (rng.gen_range(0..50_000u64), rng.gen::<u64>());
+                seen.push(key);
+                writes.push((key, Some(value)));
+            }
+            for _ in 0..3 {
+                writes.push((seen[rng.gen_range(0..seen.len())], None));
+            }
+            for (i, &(key, op)) in writes.iter().enumerate() {
+                s.enqueue(0, round * 32 + i as u64, key, op);
+                match op {
+                    Some(v) => model.insert(key, v),
+                    None => model.remove(&key),
+                };
+            }
+            s.flush_batch(|_, _| {}).unwrap();
+            if s.wants_compact() {
+                let old = s.trees.get(&0).map_or(0, packed_nodes);
+                let (resident, limit) = (s.pool.resident() as u64, s.pool.limit() as u64);
+                let io = dev.stats().snapshot();
+                s.compact().unwrap();
+                let d = dev.stats().snapshot().since(&io);
+                // Each new node once, and the checkpoint's one header.
+                if old > 0 {
+                    assert_eq!(d.writes(), packed_nodes(s.tree_of(0)) + 1);
+                }
+                // Of the old nodes resident, only those past `limit − 2`
+                // may have been evicted before the walk reached them.
+                let reread = d.reads() + resident - old;
+                assert!(reread <= (resident + 2).saturating_sub(limit));
+                ledger.push((old, resident, limit, d.reads()));
+                assert_one_memory(&s);
+            }
+            for g in 0..3 {
+                let key = if g % 2 == 0 {
+                    writes[rng.gen_range(0..writes.len())].0
+                } else {
+                    rng.gen_range(0..50_000u64)
+                };
+                assert_eq!(s.get(0, &key).unwrap(), model.get(&key).copied());
+            }
+        }
+        // (old nodes, old nodes resident, pool limit, reads) a compaction.
+        // As the slots take frames the limit falls, and the rebuild's two
+        // working frames cost one or two of the resident old nodes.  While
+        // slots did not survive a compaction, each read every old node but
+        // one or two: 23, 43 and 62.
+        assert_eq!(
+            ledger,
+            [
+                (0, 0, 16, 0),
+                (24, 14, 13, 12),
+                (44, 8, 8, 37),
+                (64, 6, 6, 59)
+            ]
+        );
         s.check_invariants().unwrap();
     }
 
@@ -1748,6 +1862,51 @@ mod tests {
         assert_eq!(s.cached_records(), 8 * 31);
     }
 
+    #[test]
+    fn slot_records_outlive_a_compaction_their_keys_are_not_in() {
+        let mut s = compacted_evens();
+        for j in 0..20 {
+            s.get(0, &leaf_key(j)).unwrap();
+        }
+        let cached_keys: Vec<u64> = (0..5_000u64)
+            .map(|k| 2 * k)
+            .filter(|&k| cached(&s, k))
+            .collect();
+        assert_eq!(cached_keys.len(), 8 * 31);
+        // A delta overwriting every fourth cached key and adding odd keys
+        // elsewhere: the tree keeps its shape, so the slots keep their
+        // eight frames.
+        let touched: Vec<u64> = cached_keys.iter().copied().step_by(4).collect();
+        for &k in &touched {
+            s.enqueue(0, k, k, Some(k + 1));
+        }
+        for k in 0..40u64 {
+            s.enqueue(0, k, 4_001 + 200 * k, Some(k));
+        }
+        s.flush_batch(|_, _| {}).unwrap();
+        s.compact().unwrap();
+        assert_one_memory(&s);
+        assert_eq!(s.records.lock().unwrap().records.slots().0, 8 * 31);
+        // Every untouched record stayed, and a get of it reads nothing …
+        let untouched: Vec<u64> = cached_keys
+            .iter()
+            .copied()
+            .filter(|k| !touched.contains(k))
+            .collect();
+        assert!(untouched.iter().all(|&k| cached(&s, k)));
+        assert_eq!(s.cached_records(), untouched.len());
+        let io = s.pool.device().stats().snapshot();
+        for &k in &untouched {
+            assert_eq!(s.get(0, &k).unwrap(), Some(k / 2));
+        }
+        assert_eq!(s.pool.device().stats().snapshot().since(&io).total(), 0);
+        // … and a touched key was dropped and reads its new value.
+        assert!(touched.iter().all(|&k| !cached(&s, k)));
+        for &k in &touched {
+            assert_eq!(s.get(0, &k).unwrap(), Some(k + 1));
+        }
+    }
+
     /// Two shards on two tenants' budgets, as a `Server` builds them,
     /// against a `BTreeMap` model: the sibling of `serve_consistency.rs`'s
     /// `shard_agrees_with_a_btreemap_model_while_records_displace_frames`.
@@ -1784,7 +1943,8 @@ mod tests {
                 s.compact().unwrap();
             }
             let mut rng = StdRng::seed_from_u64(seed);
-            let (mut full_slots, mut full_budgets, mut kept) = (0, [false; 2], 0);
+            let (mut full_slots, mut full_budgets) = (0, [false; 2]);
+            let (mut kept, mut kept_in_slots) = (0, 0);
             for step in 0..1_500u64 {
                 // Skewed, so that hot keys are read, cached and written again.
                 let x = rng.gen_range(0..1_300u64);
@@ -1809,6 +1969,7 @@ mod tests {
                     s.flush_batch(|_, _| {}).unwrap();
                     s.compact().unwrap();
                     kept += s.cached_records();
+                    kept_in_slots += s.records.lock().unwrap().records.slots().1;
                 }
                 for s in &shards {
                     assert_one_memory(s);
@@ -1825,13 +1986,15 @@ mod tests {
                     full_budgets[t] |= charged == CAP;
                 }
             }
-            // Both memories filled, and records outlived compactions.
+            // Both memories filled, and records on both outlived
+            // compactions.
             assert_eq!(
                 (full_slots, full_budgets),
                 (3 * 31, [true; 2]),
                 "seed {seed}"
             );
-            assert!(kept > 0 && stats.cache_hits() > 0, "seed {seed}");
+            assert!(kept_in_slots > 0 && stats.cache_hits() > 0, "seed {seed}");
+            assert!(kept > kept_in_slots, "seed {seed}");
             for tenant in 0..2u32 {
                 let mut all: Vec<(u64, u64)> = Vec::new();
                 for s in &shards {

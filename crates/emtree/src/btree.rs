@@ -16,12 +16,20 @@
 //! non-root node at least half full.
 
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use em_core::Record;
 use pdm::{BlockId, BufferPool, FrameGuardMut, PdmError, Result};
 
 const NO_NEXT: u64 = u64::MAX;
+
+/// The owner marks of the next tree ([`BufferPool::begin_walk`]); 0 marks
+/// no owner.
+static NEXT_OWNER: AtomicU64 = AtomicU64::new(1);
+
+/// An internal node's children, numbered, as a walk visits them.
+type Children = std::iter::Zip<std::ops::RangeFrom<u32>, std::vec::IntoIter<BlockId>>;
 
 /// Result of a recursive insert: replaced value, plus split info
 /// `(separator, new right sibling)` if the child split.
@@ -62,16 +70,20 @@ pub struct BTree<K: Record + Ord, V: Record> {
     len: u64,
     leaf_cap: usize,
     internal_cap: usize, // max keys in an internal node
+    /// The mark this tree's frames carry in the pool.
+    owner: u64,
     _marker: PhantomData<fn() -> (K, V)>,
 }
 
-/// Left-to-right walk of the tree a rebuild replaces.  It reads every node
-/// exactly once — internal nodes as it descends, leaves as the merge drains
-/// them — and lists the ids in post-order for the free after the rebuild.
+/// Left-to-right walk of the tree a rebuild replaces.  It looks at every
+/// node exactly once — internal nodes as it descends, leaves as the merge
+/// drains them — and lists the ids in post-order for the free after the
+/// rebuild.  A node's *place* is the path of child indices from the root,
+/// so the walk visits places in lexicographic order.
 struct OldNodes<K, V> {
-    /// Internal nodes on the current root-to-leaf path, each with the
-    /// children not yet visited.
-    path: Vec<(BlockId, std::vec::IntoIter<BlockId>)>,
+    /// Internal nodes on the current root-to-leaf path, each with its place
+    /// and the children not yet visited.
+    path: Vec<(BlockId, Vec<u32>, Children)>,
     leaf: std::vec::IntoIter<(K, V)>,
     visited: Vec<BlockId>,
 }
@@ -142,7 +154,7 @@ impl<K: Record + Ord, V: Record> LeafFill<K, V> {
                 next: Some(id),
                 entries: prev,
             };
-            BTree::encode(&prev, &mut prev_frame);
+            tree.encode(&prev, &mut prev_frame);
         }
         Ok(())
     }
@@ -169,7 +181,7 @@ impl<K: Record + Ord, V: Record> LeafFill<K, V> {
             self.complete(tree, tail)?;
         }
         if let Some((mut frame, entries)) = self.held.take() {
-            BTree::encode(
+            tree.encode(
                 &Node::Leaf {
                     next: None,
                     entries,
@@ -214,7 +226,7 @@ fn strictly_increasing<K: Ord + Clone, T>(
 }
 
 /// What [`BTree::check_invariants`] returns for a broken `invariant` found
-/// at node `id`.
+/// at node `id`, and a read of a node that does not decode.
 fn corrupt(invariant: &str, id: BlockId) -> PdmError {
     PdmError::Corrupt(format!("B-tree node {id}: {invariant}"))
 }
@@ -252,6 +264,7 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
             len,
             leaf_cap,
             internal_cap,
+            owner: NEXT_OWNER.fetch_add(1, Ordering::Relaxed),
             _marker: PhantomData,
         }
     }
@@ -743,11 +756,20 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     /// Apply a key-sorted batch of upserts (`Some(value)`) and deletes
     /// (`None`) in one streaming rebuild: the old leaves are merged with the
     /// batch into freshly bulk-built leaves and internal levels, and the old
-    /// nodes are freed — every old node read once, every new node written
-    /// once, `O((N + Δ)/B)` I/Os for a batch of Δ ops regardless of their
-    /// key spread, versus `Θ(Δ·log_B N)` for per-key inserts.  This is the
-    /// ingestion path a serving shard compacts into: its delta makes a
-    /// batch cheap to *collect*, this makes it cheap to *apply*.
+    /// nodes are freed — every old node not resident when the rebuild starts
+    /// read once, every new node written once, `O((N + Δ)/B)` I/Os for a
+    /// batch of Δ ops regardless of their key spread, versus `Θ(Δ·log_B N)`
+    /// for per-key inserts.  This is the ingestion path a serving shard
+    /// compacts into: its delta makes a batch cheap to *collect*, this makes
+    /// it cheap to *apply*.
+    ///
+    /// The old nodes the pool holds are consumed in place, not evicted by
+    /// the rebuild's own writes: the rebuild walks the old tree as a pool
+    /// walk ([`BufferPool::begin_walk`]), so a frame of this tree resident
+    /// at the start goes only when no other unpinned frame can, the one the
+    /// walk reaches last first, and a consumed old node is the next victim.
+    /// The count above is exact while those frames leave the pool two more:
+    /// one for the leaf being built, one to read or build the next node.
     ///
     /// A delete of an absent key is a no-op.  Returns the number of live
     /// pairs after the merge (also the new [`len`](Self::len)).
@@ -759,9 +781,20 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
     ///
     /// # Errors
     /// [`PdmError::InvalidRequest`] if the batch is not strictly increasing
-    /// by key.  The new nodes built so far are freed and the tree is left as
-    /// it was.
-    pub fn apply_sorted_batch<I>(&mut self, ops: I, mut kept: impl FnMut(&K)) -> Result<u64>
+    /// by key, [`PdmError::Corrupt`] if an old node does not decode.  The
+    /// new nodes built so far are freed and the tree is left as it was.
+    pub fn apply_sorted_batch<I>(&mut self, ops: I, kept: impl FnMut(&K)) -> Result<u64>
+    where
+        I: IntoIterator<Item = (K, Option<V>)>,
+    {
+        self.pool.begin_walk(self.owner);
+        let rebuilt = self.rebuild(ops, kept);
+        self.pool.end_walk(self.owner);
+        rebuilt
+    }
+
+    /// [`apply_sorted_batch`](Self::apply_sorted_batch) inside its pool walk.
+    fn rebuild<I>(&mut self, ops: I, mut kept: impl FnMut(&K)) -> Result<u64>
     where
         I: IntoIterator<Item = (K, Option<V>)>,
     {
@@ -771,7 +804,8 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
             leaf: Vec::new().into_iter(),
             visited: Vec::new(),
         };
-        self.open_old_node(&mut old, self.root)?;
+        self.place_old(self.root, &mut Vec::new())?;
+        self.open_old_node(&mut old, self.root, Vec::new())?;
         let mut old_pending = self.next_old_pair(&mut old)?;
         let mut op_pending = pull_op()?;
         let merged = || loop {
@@ -820,11 +854,47 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
         Ok(count)
     }
 
-    /// Read old node `id` as the walk's next stop: an internal node joins
-    /// the path, a leaf becomes the current source of pairs.
-    fn open_old_node(&self, old: &mut OldNodes<K, V>, id: BlockId) -> Result<()> {
-        match self.read_node(id)? {
-            Node::Internal { children, .. } => old.path.push((id, children.into_iter())),
+    /// Tell the pool the walk reaches old node `id` at `place`, and, if its
+    /// frame is resident with a place not yet known, every resident node
+    /// below it too.  Decodes resident frames only: no I/O.
+    fn place_old(&self, id: BlockId, place: &mut Vec<u32>) -> Result<()> {
+        let Some(frame) = self.pool.place(id, place) else {
+            return Ok(());
+        };
+        if let Node::Internal { children, .. } = Self::decode(id, &frame)? {
+            drop(frame);
+            self.place_children(&children, place)?;
+        }
+        Ok(())
+    }
+
+    /// [`place_old`](Self::place_old) each of `children` of the node at
+    /// `place`.
+    fn place_children(&self, children: &[BlockId], place: &mut Vec<u32>) -> Result<()> {
+        for (i, &child) in (0..).zip(children) {
+            place.push(i);
+            self.place_old(child, place)?;
+            place.pop();
+        }
+        Ok(())
+    }
+
+    /// Read old node `id`, at `place`, as the walk's next stop, and tell the
+    /// pool it is consumed: an internal node joins the path, its children
+    /// placed, and a leaf becomes the current source of pairs.
+    fn open_old_node(
+        &self,
+        old: &mut OldNodes<K, V>,
+        id: BlockId,
+        mut place: Vec<u32>,
+    ) -> Result<()> {
+        let node = self.read_node(id)?;
+        self.pool.spend(id);
+        match node {
+            Node::Internal { children, .. } => {
+                self.place_children(&children, &mut place)?;
+                old.path.push((id, place, (0..).zip(children)));
+            }
             Node::Leaf { entries, .. } => {
                 old.visited.push(id);
                 old.leaf = entries.into_iter();
@@ -839,14 +909,18 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
             if let Some(pair) = old.leaf.next() {
                 return Ok(Some(pair));
             }
-            let Some((_, unvisited)) = old.path.last_mut() else {
+            let Some((id, place, unvisited)) = old.path.last_mut() else {
                 return Ok(None);
             };
             match unvisited.next() {
-                Some(child) => self.open_old_node(old, child)?,
+                Some((i, child)) => {
+                    let mut child_place = place.clone();
+                    child_place.push(i);
+                    self.open_old_node(old, child, child_place)?;
+                }
                 None => {
-                    let (id, _) = old.path.pop().expect("path checked non-empty");
-                    old.visited.push(id);
+                    old.visited.push(*id);
+                    old.path.pop();
                 }
             }
         }
@@ -976,7 +1050,8 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
 
     fn read_node(&self, id: BlockId) -> Result<Node<K, V>> {
         let frame = self.pool.read(id)?;
-        let node = Self::decode(&frame);
+        frame.mark_owner(self.owner);
+        let node = Self::decode(id, &frame)?;
         if matches!(node, Node::Internal { .. }) {
             frame.mark_internal();
         }
@@ -985,13 +1060,13 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
 
     fn write_node(&self, id: BlockId, node: &Node<K, V>) -> Result<()> {
         let mut frame = self.pool.write(id)?;
-        Self::encode(node, &mut frame);
+        self.encode(node, &mut frame);
         Ok(())
     }
 
     fn alloc_node(&self, node: &Node<K, V>) -> Result<BlockId> {
         let (id, mut frame) = self.pool.allocate()?;
-        Self::encode(node, &mut frame);
+        self.encode(node, &mut frame);
         Ok(id)
     }
 
@@ -1000,45 +1075,48 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
         self.pool.device().free(id)
     }
 
-    fn decode(buf: &[u8]) -> Node<K, V> {
-        let tag = buf[0];
-        let count = u16::from_le_bytes([buf[1], buf[2]]) as usize;
-        if tag == 0 {
-            let next_raw = u64::from_le_bytes(buf[3..11].try_into().expect("8 bytes"));
-            let next = if next_raw == NO_NEXT {
-                None
-            } else {
-                Some(next_raw)
-            };
-            let mut entries = Vec::with_capacity(count);
-            let mut at = 11;
-            for _ in 0..count {
-                let k = K::read_from(&buf[at..at + K::BYTES]);
-                at += K::BYTES;
-                let v = V::read_from(&buf[at..at + V::BYTES]);
-                at += V::BYTES;
-                entries.push((k, v));
+    /// Decode node `id` from `buf`.  A tag other than leaf (0) or internal
+    /// (1), or a count past what the block holds, is [`PdmError::Corrupt`]:
+    /// a torn or foreign block, or a manifest naming the wrong root.
+    fn decode(id: BlockId, buf: &[u8]) -> Result<Node<K, V>> {
+        let Some((header, body)) = buf.split_at_checked(11) else {
+            return Err(corrupt("block shorter than a node header", id));
+        };
+        let (tag, count) = (
+            header[0],
+            u16::from_le_bytes([header[1], header[2]]) as usize,
+        );
+        match tag {
+            0 if count <= body.len() / (K::BYTES + V::BYTES) => {
+                let next = Some(u64::read_from(&header[3..])).filter(|&n| n != NO_NEXT);
+                let entries = body
+                    .chunks_exact(K::BYTES + V::BYTES)
+                    .take(count)
+                    .map(|pair| {
+                        let (k, v) = pair.split_at(K::BYTES);
+                        (K::read_from(k), V::read_from(v))
+                    })
+                    .collect();
+                Ok(Node::Leaf { next, entries })
             }
-            Node::Leaf { next, entries }
-        } else {
-            let mut keys = Vec::with_capacity(count);
-            let mut at = 3;
-            for _ in 0..count {
-                keys.push(K::read_from(&buf[at..at + K::BYTES]));
-                at += K::BYTES;
+            1 if count <= body.len() / (K::BYTES + 8) => {
+                let (keys, children) = buf[3..].split_at(count * K::BYTES);
+                Ok(Node::Internal {
+                    keys: keys.chunks_exact(K::BYTES).map(K::read_from).collect(),
+                    children: children
+                        .chunks_exact(8)
+                        .take(count + 1)
+                        .map(u64::read_from)
+                        .collect(),
+                })
             }
-            let mut children = Vec::with_capacity(count + 1);
-            for _ in 0..count + 1 {
-                children.push(u64::from_le_bytes(
-                    buf[at..at + 8].try_into().expect("8 bytes"),
-                ));
-                at += 8;
-            }
-            Node::Internal { keys, children }
+            0 | 1 => Err(corrupt("count past the block's capacity", id)),
+            _ => Err(corrupt("unknown tag", id)),
         }
     }
 
-    fn encode(node: &Node<K, V>, frame: &mut FrameGuardMut) {
+    fn encode(&self, node: &Node<K, V>, frame: &mut FrameGuardMut) {
+        frame.mark_owner(self.owner);
         if matches!(node, Node::Internal { .. }) {
             frame.mark_internal();
         }
@@ -1341,6 +1419,14 @@ mod tests {
         t
     }
 
+    /// The first key of leaf `id` of `t`.
+    fn leaf_first_key(t: &BTree<u64, u64>, id: BlockId) -> u64 {
+        match t.read_node(id).unwrap() {
+            Node::Leaf { entries, .. } => entries[0].0,
+            Node::Internal { .. } => unreachable!("block {id} is a leaf"),
+        }
+    }
+
     /// `check_invariants` on a tree with one node overwritten: the error
     /// names the invariant and the node.
     fn corrupt_message(t: &BTree<u64, u64>, id: BlockId, node: Node<u64, u64>) -> String {
@@ -1479,6 +1565,156 @@ mod tests {
             assert_eq!(t.len(), 2 * n);
             t.check_invariants().unwrap();
         }
+    }
+
+    /// A tree of `n` pairs `(2k, k)` bulk-loaded through a `frames`-frame
+    /// pool and flushed, then warmed by `gets` random lookups with the pool
+    /// held to `warm_limit` frames, and the pool's full limit restored.
+    /// Returns it with the old nodes the pool holds.
+    fn warm_tree(n: u64, frames: usize, gets: u64, warm_limit: usize) -> (BTree<u64, u64>, u64) {
+        let t = BTree::bulk_load(pool(128, frames), (0..n).map(|k| (2 * k, k))).unwrap();
+        t.pool().flush().unwrap();
+        t.pool().set_limit(warm_limit);
+        let mut rng = StdRng::seed_from_u64(gets * 31 + frames as u64);
+        for _ in 0..gets {
+            let k = rng.gen_range(0..n);
+            assert_eq!(t.get(&(2 * k)).unwrap(), Some(k));
+        }
+        t.pool().set_limit(frames);
+        // Every frame the tree has marked is one of its nodes.
+        let resident = t.pool().begin_walk(t.owner);
+        t.pool().end_walk(t.owner);
+        (t, resident as u64)
+    }
+
+    /// The warm sibling of the test above: a rebuild reads only the old
+    /// nodes the pool does not hold when it starts, and writes each new
+    /// node once.  While the resident old nodes leave two frames free,
+    /// that is exact; beyond, at most the excess is evicted before the
+    /// walk reaches it and read after all.
+    #[test]
+    fn apply_sorted_batch_over_a_warm_pool_reads_only_the_old_nodes_it_does_not_hold() {
+        let n = 600u64;
+        let (mut exact, mut tight) = (0, 0);
+        for frames in [4, 6, 8, 12] {
+            for (gets, warm_limit) in [(0, frames), (3, frames), (40, frames), (40, frames - 2)] {
+                let (mut t, resident) = warm_tree(n, frames, gets, warm_limit);
+                let (lc, ic) = (t.leaf_capacity(), t.internal_capacity());
+                let old_nodes = packed_shape(n, lc, ic).0;
+                let device = t.pool().device().clone();
+                let before = device.stats().snapshot();
+                // Odd keys between the old ones, and every third old key
+                // deleted.
+                let ops = (0..2 * n).map(|k| (k, (k % 6 != 0).then_some(k / 2)));
+                let len = t.apply_sorted_batch(ops, |_| {}).unwrap();
+                t.pool().flush().unwrap();
+                let d = device.stats().snapshot().since(&before);
+                let case = format!("{frames} frames, {gets} gets at {warm_limit}");
+                assert_eq!(d.writes(), packed_shape(len, lc, ic).0, "{case}");
+                let excess = (resident + 2).saturating_sub(frames as u64);
+                let reread = d.reads() + resident - old_nodes;
+                assert!(
+                    reread <= excess,
+                    "{case}: {reread} re-read, {resident} resident"
+                );
+                if excess == 0 {
+                    exact += 1;
+                } else {
+                    tight += 1;
+                }
+                t.check_invariants().unwrap();
+                assert_eq!(t.len(), 2 * n - n.div_ceil(3));
+            }
+        }
+        assert!(exact >= 4 && tight >= 4, "{exact} exact, {tight} tight");
+    }
+
+    /// A warm rebuild killed after every transfer it makes: each run ends
+    /// in success, or in an error that leaves the old tree, reattached over
+    /// the surviving medium, equal to the model and valid.
+    #[test]
+    fn a_warm_rebuild_killed_at_any_transfer_leaves_the_old_tree() {
+        use pdm::{BlockDevice, CrashSwitch, FaultDisk, FaultPlan, RamDisk, SharedDevice};
+        let n = 300u64;
+        let model: Vec<(u64, u64)> = (0..n).map(|k| (2 * k, k)).collect();
+        // Builds and warms the tree on a device that dies after `kill`
+        // transfers, then rebuilds; returns the medium, the tree, the
+        // rebuild's result and the transfers before and after it.
+        let run = |kill: u64| {
+            let ram = RamDisk::new(128);
+            let faulty = FaultDisk::wrap(
+                Arc::clone(&ram) as SharedDevice,
+                FaultPlan::new(0).with_crash(CrashSwitch::after(kill)),
+            );
+            let p = BufferPool::new(faulty, 8, EvictionPolicy::Lru);
+            let mut t = BTree::bulk_load(p, model.iter().copied()).unwrap();
+            t.pool().flush().unwrap();
+            for k in (0..n).step_by(37) {
+                t.get(&(2 * k)).unwrap();
+            }
+            let before = ram.stats().snapshot().total();
+            let ops = (0..2 * n).map(|k| (k, (k % 6 != 0).then_some(k / 2)));
+            let rebuilt = t.apply_sorted_batch(ops, |_| {});
+            let after = ram.stats().snapshot().total();
+            (ram, t, rebuilt, before, after)
+        };
+        let (_, t, rebuilt, before, after) = run(u64::MAX);
+        assert_eq!(rebuilt.unwrap(), t.len());
+        let (mut ok, mut failed) = (0, 0);
+        for kill in before..=after {
+            let (ram, t, rebuilt, ..) = run(kill);
+            match rebuilt {
+                Ok(len) => {
+                    assert_eq!(len, 2 * n - n.div_ceil(3), "kill {kill}");
+                    ok += 1;
+                }
+                Err(e) => {
+                    assert!(matches!(e, PdmError::Io(_)), "kill {kill}: {e:?}");
+                    let cold = BufferPool::new(ram as SharedDevice, 8, EvictionPolicy::Lru);
+                    let old: BTree<u64, u64> = BTree::reattach(cold, t.root(), t.height(), t.len());
+                    assert_eq!(old.range(&0, &u64::MAX).unwrap(), model, "kill {kill}");
+                    old.check_invariants().unwrap();
+                    failed += 1;
+                }
+            }
+        }
+        assert!(ok > 0 && failed > 0, "{ok} ok, {failed} failed");
+    }
+
+    #[test]
+    fn a_node_with_a_count_past_its_block_is_corrupt_not_a_panic() {
+        let t = four_levels();
+        t.pool().flush().unwrap();
+        let device = t.pool().device().clone();
+        let (root, height, len) = (t.root(), t.height(), t.len());
+        // A leaf, then the root: each with `count = u16::MAX`, the rest of
+        // its bytes as they were.
+        let mut leaf = root;
+        while let Node::Internal { children, .. } = t.read_node(leaf).unwrap() {
+            leaf = children[children.len() / 2];
+        }
+        for (id, key) in [(leaf, leaf_first_key(&t, leaf)), (root, 0)] {
+            let mut buf = vec![0u8; device.block_size()];
+            device.read_block(id, &mut buf).unwrap();
+            buf[1..3].copy_from_slice(&u16::MAX.to_le_bytes());
+            device.write_block(id, &buf).unwrap();
+            // Through a cold pool, so the torn block is what is read.
+            let cold = BufferPool::new(device.clone(), 16, EvictionPolicy::Lru);
+            let mut torn: BTree<u64, u64> = BTree::reattach(cold, root, height, len);
+            let is_corrupt = |r: Result<_>| matches!(r, Err(PdmError::Corrupt(m)) if m.contains(&format!("node {id}:")));
+            assert!(is_corrupt(torn.get(&key).map(drop)), "block {id}");
+            assert!(is_corrupt(
+                torn.apply_sorted_batch([(1, Some(1))], |_| {}).map(drop)
+            ));
+            assert_eq!(torn.len(), len);
+            // A tag no node has is corrupt too.
+            buf[0] = 7;
+            device.write_block(id, &buf).unwrap();
+            let cold = BufferPool::new(device.clone(), 16, EvictionPolicy::Lru);
+            let torn: BTree<u64, u64> = BTree::reattach(cold, root, height, len);
+            assert!(is_corrupt(torn.get(&key).map(drop)), "block {id}");
+        }
+        drop(t);
     }
 
     #[test]

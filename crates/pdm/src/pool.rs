@@ -21,7 +21,18 @@
 //! marked as an index's root or internal node
 //! ([`FrameGuard::mark_internal`]) is evicted only when no unmarked frame
 //! can be, so a lookup keeps its upper levels and pays for its leaf alone.
+//!
+//! Walks: an index that rebuilds itself by walking its old nodes in order
+//! tags its frames with an owner ([`FrameGuard::mark_owner`]) and brackets
+//! the walk with [`BufferPool::begin_walk`] and [`BufferPool::end_walk`].
+//! In between, a frame of that owner resident when the walk began is
+//! *ahead* of the walk, and is evicted only when no other unpinned frame
+//! can be: of those, first the one the walk reaches last
+//! ([`BufferPool::place`] tells the pool where the walk will reach it).  A
+//! frame the walk has consumed ([`BufferPool::spend`]) is the next victim.
+//! Every other frame, another owner's included, is evicted as usual.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -77,6 +88,8 @@ struct FrameCell {
     /// An index's root or internal node: kept over other frames while the
     /// limit is lowered.
     internal: AtomicBool,
+    /// The index whose node the frame holds; 0 for none.
+    owner: AtomicU64,
 }
 
 impl FrameCell {
@@ -86,8 +99,21 @@ impl FrameCell {
             pins: AtomicU32::new(1),
             dirty: AtomicBool::new(false),
             internal: AtomicBool::new(false),
+            owner: AtomicU64::new(0),
         })
     }
+}
+
+/// Where a frame stands in the walk over its owner's old nodes.
+enum Walk {
+    /// Not part of a walk: evicted in policy order.
+    Off,
+    /// Resident when the walk began and not yet consumed by it: evicted
+    /// only when no other unpinned frame can be.  `Some(place)` orders the
+    /// walk's visits; `None`, a place not yet known, counts as last.
+    Ahead(Option<Vec<u32>>),
+    /// Consumed by the walk: the next victim.
+    Spent,
 }
 
 struct Slot {
@@ -95,6 +121,7 @@ struct Slot {
     cell: Arc<FrameCell>,
     loaded_at: u64,
     last_use: u64,
+    walk: Walk,
 }
 
 struct Inner {
@@ -213,6 +240,69 @@ impl BufferPool {
         ))
     }
 
+    /// Begin a walk over `owner`'s old nodes: every resident frame marked
+    /// with `owner` ([`FrameGuard::mark_owner`]) is *ahead* of the walk, at
+    /// a place not yet known, until [`spend`](Self::spend) or
+    /// [`end_walk`](Self::end_walk).  Returns how many frames that is.
+    /// Reads and writes nothing.
+    pub fn begin_walk(&self, owner: u64) -> usize {
+        let mut inner = self.inner.lock();
+        let mut ahead = 0;
+        for slot in inner.slots.iter_mut().flatten() {
+            if slot.cell.owner.load(Ordering::Relaxed) == owner {
+                slot.walk = Walk::Ahead(None);
+                ahead += 1;
+            }
+        }
+        ahead
+    }
+
+    /// Tell the pool where the walk reaches block `id`: `place` is the
+    /// path of child indices from the walk's root, and a walk visits places
+    /// in their lexicographic order.  If `id` is ahead of the walk at a
+    /// place not yet known, it is placed and its frame returned pinned, with
+    /// no I/O and no hit counted, so the caller can place what it points
+    /// to; otherwise nothing changes and `None` is returned.
+    pub fn place(self: &Arc<Self>, id: BlockId, place: &[u32]) -> Option<FrameGuard> {
+        let mut inner = self.inner.lock();
+        let idx = *inner.map.get(&id)?;
+        let slot = inner.slots[idx].as_mut()?;
+        if !matches!(slot.walk, Walk::Ahead(None)) {
+            return None;
+        }
+        slot.walk = Walk::Ahead(Some(place.to_vec()));
+        slot.cell.pins.fetch_add(1, Ordering::Relaxed);
+        let cell = Arc::clone(&slot.cell);
+        drop(inner);
+        let guard = parking_lot::RwLock::read_arc(&cell.data);
+        Some(FrameGuard {
+            pin: PinHandle { cell },
+            guard,
+        })
+    }
+
+    /// The walk has consumed block `id`: if resident, its frame is the
+    /// next victim.
+    pub fn spend(&self, id: BlockId) {
+        let mut inner = self.inner.lock();
+        if let Some(&idx) = inner.map.get(&id) {
+            if let Some(slot) = inner.slots[idx].as_mut() {
+                slot.walk = Walk::Spent;
+            }
+        }
+    }
+
+    /// End the walk over `owner`'s old nodes: its frames still resident
+    /// are evicted as usual again.
+    pub fn end_walk(&self, owner: u64) {
+        let mut inner = self.inner.lock();
+        for slot in inner.slots.iter_mut().flatten() {
+            if slot.cell.owner.load(Ordering::Relaxed) == owner {
+                slot.walk = Walk::Off;
+            }
+        }
+    }
+
     /// Write back every dirty frame (frames stay resident).
     ///
     /// Dirty frames are submitted to the device as asynchronous writes first
@@ -321,6 +411,7 @@ impl BufferPool {
             cell: Arc::clone(&cell),
             loaded_at: tick,
             last_use: tick,
+            walk: Walk::Off,
         });
         inner.map.insert(id, idx);
         Ok(cell)
@@ -343,6 +434,7 @@ impl BufferPool {
             cell: Arc::clone(&cell),
             loaded_at: tick,
             last_use: tick,
+            walk: Walk::Off,
         });
         inner.map.insert(id, idx);
         Ok(cell)
@@ -373,9 +465,17 @@ impl BufferPool {
             .filter(|(_, s)| s.cell.pins.load(Ordering::Relaxed) == 0)
             .min_by_key(|(_, s)| {
                 let kept = lowered && s.cell.internal.load(Ordering::Relaxed);
-                match self.policy {
-                    EvictionPolicy::Lru => (kept, s.last_use),
-                    EvictionPolicy::Fifo => (kept, s.loaded_at),
+                let stamp = match self.policy {
+                    EvictionPolicy::Lru => s.last_use,
+                    EvictionPolicy::Fifo => s.loaded_at,
+                };
+                // Spent frames first, then frames off any walk, then frames
+                // ahead of a walk: the one it reaches last first, a place
+                // not yet known counting as last.
+                match &s.walk {
+                    Walk::Spent => (0, false, None, stamp),
+                    Walk::Off => (1, kept, None, stamp),
+                    Walk::Ahead(place) => (2, false, place.as_ref().map(Reverse), stamp),
                 }
             })
             .map(|(i, _)| i)
@@ -433,6 +533,13 @@ impl FrameGuard {
     pub fn mark_internal(&self) {
         self.pin.cell.internal.store(true, Ordering::Relaxed);
     }
+
+    /// Mark the frame as a node of index `owner` (not 0), whose walks over
+    /// its old nodes ([`BufferPool::begin_walk`]) it then takes part in.
+    /// The mark lasts while the block stays resident.
+    pub fn mark_owner(&self, owner: u64) {
+        self.pin.cell.owner.store(owner, Ordering::Relaxed);
+    }
 }
 
 impl Deref for FrameGuard {
@@ -452,6 +559,11 @@ impl FrameGuardMut {
     /// [`FrameGuard::mark_internal`] for a frame pinned for writing.
     pub fn mark_internal(&self) {
         self.pin.cell.internal.store(true, Ordering::Relaxed);
+    }
+
+    /// [`FrameGuard::mark_owner`] for a frame pinned for writing.
+    pub fn mark_owner(&self, owner: u64) {
+        self.pin.cell.owner.store(owner, Ordering::Relaxed);
     }
 }
 
@@ -687,6 +799,48 @@ mod tests {
         let reads = disk.stats().snapshot().reads();
         pool.read(ids[0]).unwrap();
         assert_eq!(disk.stats().snapshot().reads(), reads + 1);
+    }
+
+    #[test]
+    fn a_walk_evicts_spent_frames_first_and_frames_ahead_of_it_last() {
+        let (_disk, pool, ids) = setup(4, EvictionPolicy::Lru);
+        let held = |i: usize| pool.inner.lock().map.contains_key(&ids[i]);
+        // Blocks 0–2 are owner 7's, block 3 another owner's.
+        for &id in &ids[..3] {
+            pool.read(id).unwrap().mark_owner(7);
+        }
+        pool.read(ids[3]).unwrap().mark_owner(8);
+        assert_eq!(pool.begin_walk(7), 3);
+        // The walk reaches 2 first, then 0; 1's place is not yet known.
+        assert!(pool.place(ids[2], &[0]).is_some());
+        assert!(pool.place(ids[0], &[2]).is_some());
+        assert!(pool.place(ids[0], &[1]).is_none(), "placed once");
+        assert!(pool.place(ids[3], &[1]).is_none(), "another owner's");
+        // The other owner's frame goes before every frame ahead of the
+        // walk, although it was used last.
+        pool.read(ids[4]).unwrap();
+        assert!(!held(3) && held(0) && held(1) && held(2));
+        // The walk consumes 2: it goes next, before the older frame 4.
+        pool.read(ids[2]).unwrap();
+        pool.spend(ids[2]);
+        pool.read(ids[5]).unwrap();
+        assert!(!held(2) && held(4));
+        // With 4 and 5 pinned, only frames ahead can go: first the one of
+        // unknown place, counted as reached last, then 0.
+        let _pinned = (pool.read(ids[4]).unwrap(), pool.read(ids[5]).unwrap());
+        let _three = pool.read(ids[3]).unwrap();
+        assert!(!held(1) && held(0));
+        pool.read(ids[2]).unwrap();
+        assert!(!held(0));
+        // After the walk, frames are evicted in LRU order again.
+        pool.end_walk(7);
+        assert!(pool
+            .inner
+            .lock()
+            .slots
+            .iter()
+            .flatten()
+            .all(|s| matches!(s.walk, Walk::Off)));
     }
 
     #[test]

@@ -552,11 +552,13 @@ fn ledger_run(journaled: bool) -> ((u64, u64), WalOverhead) {
 /// header is chained and carries only its batch, 51 + 672 bytes.  So the
 /// journal is exactly one header per checkpoint (EXPERIMENTS.md F21).
 ///
-/// The pins: 34 reads, all of them compactions reading the old tree's nodes
-/// (nothing reads the log); 72 unjournaled writes, the new tree nodes, every
-/// one packed full of 16-byte records (63 a leaf), and no log at all.  The
-/// tree is created by the first compaction, so no empty root leaf is
-/// written.  They were 34 r / 112 w while the log wrote a block of 48
+/// The pins: 6 reads, all of them compactions reading the old tree's nodes
+/// that the 16-frame pool does not hold (nothing reads the log); 72
+/// unjournaled writes, the new tree nodes, every one packed full of 16-byte
+/// records (63 a leaf), and no log at all.  The tree is created by the
+/// first compaction, so no empty root leaf is written.  Reads were 34 while
+/// a rebuild evicted the old nodes it was about to read with its own
+/// writes.  They were 34 r / 112 w while the log wrote a block of 48
 /// records whenever they gathered, 44 r / 129 w while one tree held every
 /// tenant under a 20-byte `(tenant, key)` entry, 62 r / 158 w while
 /// bulk-built leaves were ¾ full and internal nodes half full, and 62 r /
@@ -584,8 +586,8 @@ fn journal_costs_exactly_its_own_transfers() {
         assert_eq!(wal.apply_reads + wal.apply_writes, 0, "{wal:?}");
     }
 
-    assert_eq!((ur, uw), (34, 72));
-    assert_eq!((jr, jw), (34, 141));
+    assert_eq!((ur, uw), (6, 72));
+    assert_eq!((jr, jw), (6, 141));
     // 69 journal transfers: format's header and one per checkpoint.
     let pinned = WalOverhead {
         header_writes: 69,

@@ -402,10 +402,10 @@ proptest! {
     /// `BTreeMap` model.  Gets fill the record cache, which takes pool
     /// frames until only the two roots and one leaf frame remain and then
     /// displaces records; puts, deletes and batch flushes go on under it,
-    /// and compactions, one of them forced halfway, empty it and give the
-    /// pool its frames back.  Every get is checked against the model, and
-    /// after every step the pool's resident frames and the frames the
-    /// cached records are worth fit the pool.
+    /// and compactions, one of them forced halfway, drop the records of
+    /// the keys they apply and keep the rest.  Every get is checked against
+    /// the model, and after every step the pool's resident frames and the
+    /// frames the cached records are worth fit the pool.
     #[test]
     fn shard_agrees_with_a_btreemap_model_while_records_displace_frames(
         steps in prop::collection::vec((0u8..20, 0u32..2, 0u64..700, 0u64..1_000_000), 400..800),
@@ -421,7 +421,7 @@ proptest! {
         }
         shard.flush_batch(|_, _| {}).unwrap();
         shard.compact().unwrap();
-        let (mut most_cached, mut least_limit, mut emptied) = (0, FRAMES, 0);
+        let (mut most_cached, mut least_limit, mut kept) = (0, FRAMES, 0);
         for (i, &(sel, tenant, key, val)) in steps.iter().enumerate() {
             match sel {
                 0..=13 => {
@@ -440,10 +440,11 @@ proptest! {
             }
             if i == steps.len() / 2 || shard.wants_compact() {
                 shard.flush_batch(|_, _| {}).unwrap();
-                emptied += usize::from(shard.cached_records() > 0);
                 shard.compact().unwrap();
-                prop_assert_eq!(shard.cached_records(), 0);
-                prop_assert_eq!(shard.pool().limit(), FRAMES);
+                // The slots keep the frames the pool's limit gave up.
+                let slot_frames = FRAMES - shard.pool().limit();
+                prop_assert!(shard.cached_records() <= slot_frames * 31);
+                kept += usize::from(shard.cached_records() > 0);
             }
             let pool = shard.pool();
             let frames = pool.resident() + shard.cached_records().div_ceil(31);
@@ -452,9 +453,9 @@ proptest! {
             least_limit = least_limit.min(pool.limit());
         }
         // The cache filled the three frames beyond two roots and a leaf
-        // frame, and a compaction emptied it.
+        // frame, and records outlived a compaction.
         prop_assert_eq!((most_cached, least_limit), (3 * 31, 3));
-        prop_assert!(emptied >= 1);
+        prop_assert!(kept >= 1);
         for tenant in 0..2u32 {
             prop_assert_eq!(
                 shard.range(tenant, &0, &u64::MAX).unwrap(),
