@@ -72,11 +72,11 @@ impl MemBudget {
     /// Charge the largest multiple of `unit` records that fits, up to
     /// `max_units · unit`, or `None` if not even one unit fits.
     ///
-    /// This is the degrading charge used for block-granular pipeline
-    /// buffers: a prefetch pool that wants `k·depth` blocks shrinks to
+    /// This is the degrading charge of the streams' read-ahead and
+    /// write-behind buffers: a reader that wants `depth` blocks shrinks to
     /// whatever whole number of blocks the budget has left rather than
     /// violating the model.
-    pub fn try_charge_units(
+    pub(crate) fn try_charge_units(
         self: &Arc<Self>,
         max_units: usize,
         unit: usize,

@@ -10,14 +10,8 @@
 //! The block-id table (`⌈N/B⌉` ids) lives in internal memory.  This mirrors
 //! practice (STXXL and TPIE both keep block maps resident) and is accounted
 //! for in DESIGN.md; it is `O(N/B)` words, asymptotically below the `Ω(B)`
-//! memory the model already grants.
-//!
-//! Arrays produced by a streaming writer additionally carry **forecast
-//! metadata**: the leading (first) record of every block, recorded for free
-//! as the block is encoded.  This is the "smallest key in each run's next
-//! block" that Vitter's merge sort consults to decide which block to fetch
-//! next; like the block map it is `O(N/B)` records of resident memory, in
-//! the same accounting class.
+//! memory the model already grants.  The block ids are the only per-block
+//! metadata an array keeps.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -33,9 +27,6 @@ pub struct ExtVec<R: Record> {
     device: SharedDevice,
     blocks: Vec<BlockId>,
     len: u64,
-    /// Leading record of each block (forecast metadata); empty when the
-    /// array was not produced by a streaming writer.
-    heads: Vec<R>,
     _marker: PhantomData<fn() -> R>,
 }
 
@@ -53,7 +44,6 @@ impl<R: Record> ExtVec<R> {
             device,
             blocks: Vec::new(),
             len: 0,
-            heads: Vec::new(),
             _marker: PhantomData,
         }
     }
@@ -78,25 +68,16 @@ impl<R: Record> ExtVec<R> {
             device,
             blocks,
             len,
-            heads: Vec::new(),
             _marker: PhantomData,
         })
     }
 
-    /// (internal) Assemble from parts; used by the writer.  `heads` carries
-    /// the leading record of each block (or is empty for no metadata).
-    pub(crate) fn from_parts(
-        device: SharedDevice,
-        blocks: Vec<BlockId>,
-        len: u64,
-        heads: Vec<R>,
-    ) -> Self {
-        debug_assert!(heads.is_empty() || heads.len() == blocks.len());
+    /// (internal) Assemble from parts; used by the writer.
+    pub(crate) fn from_parts(device: SharedDevice, blocks: Vec<BlockId>, len: u64) -> Self {
         ExtVec {
             device,
             blocks,
             len,
-            heads,
             _marker: PhantomData,
         }
     }
@@ -129,19 +110,6 @@ impl<R: Record> ExtVec<R> {
     /// (internal) Device block id backing block index `bi`.
     pub(crate) fn block_id(&self, bi: usize) -> BlockId {
         self.blocks[bi]
-    }
-
-    /// Leading (first) record of block `bi`, if forecast metadata was
-    /// recorded when the array was written.  Costs no I/O.
-    pub fn block_head(&self, bi: usize) -> Option<&R> {
-        self.heads.get(bi)
-    }
-
-    /// True if every block's leading record is known without I/O (the array
-    /// was produced by a streaming writer).  Required for forecasting-driven
-    /// prefetch; an empty array vacuously qualifies.
-    pub fn has_block_heads(&self) -> bool {
-        self.heads.len() == self.blocks.len()
     }
 
     /// (internal) Decode the raw bytes of block `bi` into `out` (cleared
@@ -307,19 +275,6 @@ impl<R: Record> ExtVec<R> {
         budget: &Arc<MemBudget>,
     ) -> ExtVecReader<'_, R> {
         ExtVecReader::with_prefetch(self, start, depth, budget)
-    }
-
-    /// Externally managed prefetching reader: it never submits read-ahead on
-    /// its own — a forecaster calls
-    /// [`prefetch_one`](ExtVecReader::prefetch_one) to put up to `cap`
-    /// blocks in flight, ordered across streams by
-    /// [`next_fetch_head`](ExtVecReader::next_fetch_head).  The buffer pool
-    /// backing `cap` is the *caller's* charge (shared across readers), so no
-    /// budget is taken here.  The reads issued are still exactly those of
-    /// [`reader`](Self::reader), merely submitted early and in
-    /// forecaster-chosen order.
-    pub fn reader_forecast(&self, start: u64, cap: usize) -> ExtVecReader<'_, R> {
-        ExtVecReader::managed(self, start, cap)
     }
 
     /// Turn the array into an owning sequential reader — a reader that can

@@ -51,12 +51,11 @@ fn charge_overlap(
     depth: usize,
     per_block: usize,
 ) -> (usize, Option<BudgetGuard>) {
-    for d in (1..=depth).rev() {
-        if let Some(guard) = budget.try_charge(d * per_block) {
-            return (d, Some(guard));
-        }
-    }
-    (0, None)
+    let reserve = budget.try_charge_units(depth, per_block);
+    (
+        reserve.as_ref().map_or(0, |g| g.records() / per_block),
+        reserve,
+    )
 }
 
 /// Streaming writer: buffers one block, flushing when full.
@@ -64,8 +63,8 @@ fn charge_overlap(
 /// Costs `⌈N/B⌉` write I/Os to emit `N` records, whether or not write-behind
 /// is enabled.
 ///
-/// **Metadata follows data.**  A block's id and head record are appended to
-/// the array's metadata only once the device has confirmed the block written
+/// **Metadata follows data.**  A block's id is appended to the array's
+/// block map only once the device has confirmed the block written
 /// (synchronously, or when its write-behind ticket completes) — never
 /// before.  A failed flush therefore leaves the writer *consistent*: the
 /// buffered records are retained, and the next [`push`](Self::push) or
@@ -82,13 +81,11 @@ pub struct ExtVecWriter<R: Record> {
     /// Maximum write-behind depth; 0 = synchronous flush.
     depth: usize,
     /// Full blocks handed to the device but not yet confirmed written, with
-    /// the metadata (block id, head record) that is appended to
-    /// `blocks`/`heads` — in FIFO order — only when each write completes.
-    inflight: VecDeque<(BlockId, R, IoTicket)>,
+    /// the block id that is appended to `blocks` — in FIFO order — only when
+    /// each write completes.
+    inflight: VecDeque<(BlockId, IoTicket)>,
     /// Completed write buffers ready for reuse.
     spare: Vec<Box<[u8]>>,
-    /// Leading record of each flushed block (forecast metadata).
-    heads: Vec<R>,
     /// Block allocated for a synchronous flush that failed; reused by the
     /// retry so the rewrite repairs the torn block in place.
     retry_block: Option<BlockId>,
@@ -111,7 +108,6 @@ impl<R: Record> ExtVecWriter<R> {
             depth: 0,
             inflight: VecDeque::new(),
             spare: Vec::new(),
-            heads: Vec::new(),
             retry_block: None,
             _reserve: None,
         }
@@ -196,29 +192,21 @@ impl<R: Record> ExtVecWriter<R> {
         if !self.buf.is_empty() {
             self.flush_buf()?;
         }
-        while !self.inflight.is_empty() {
-            self.retire_oldest()?;
-        }
-        let heads = std::mem::take(&mut self.heads);
-        Ok(ExtVec::from_parts(
-            self.device,
-            std::mem::take(&mut self.blocks),
-            self.len,
-            heads,
-        ))
+        while self.retire_oldest()?.is_some() {}
+        let blocks = std::mem::take(&mut self.blocks);
+        Ok(ExtVec::from_parts(self.device, blocks, self.len))
     }
 
-    /// Wait out the oldest in-flight write; only on success does its block
-    /// enter the array's metadata.  Returns the retired transfer buffer.
-    fn retire_oldest(&mut self) -> Result<Box<[u8]>> {
-        let (id, head, ticket) = self
-            .inflight
-            .pop_front()
-            .expect("retire_oldest on an empty pipeline");
+    /// Wait out the oldest in-flight write, if any; only on success does its
+    /// block enter the array's block map.  Returns the retired transfer
+    /// buffer.
+    fn retire_oldest(&mut self) -> Result<Option<Box<[u8]>>> {
+        let Some((id, ticket)) = self.inflight.pop_front() else {
+            return Ok(None);
+        };
         let buf = ticket.wait()?;
-        self.heads.push(head);
         self.blocks.push(id);
-        Ok(buf)
+        Ok(Some(buf))
     }
 
     fn flush_buf(&mut self) -> Result<()> {
@@ -235,27 +223,25 @@ impl<R: Record> ExtVecWriter<R> {
                 return Err(e);
             }
             // Durable: only now does the block exist as far as the array's
-            // metadata is concerned.
-            self.heads.push(self.buf[0].clone());
+            // block map is concerned.
             self.blocks.push(id);
             self.buf.clear();
             return Ok(());
         }
         // Write-behind: reuse a completed buffer, grow up to `depth`
         // in-flight blocks, or wait for the oldest write to retire its
-        // buffer (recording its metadata as it completes).
-        let mut out = if let Some(buf) = self.spare.pop() {
-            buf
-        } else if self.inflight.len() < self.depth {
-            vec![0u8; self.device.block_size()].into_boxed_slice()
-        } else {
-            self.retire_oldest()?
+        // buffer (recording its block id as it completes).
+        let reused = match self.spare.pop() {
+            Some(buf) => Some(buf),
+            None if self.inflight.len() < self.depth => None,
+            None => self.retire_oldest()?,
         };
+        let mut out =
+            reused.unwrap_or_else(|| vec![0u8; self.device.block_size()].into_boxed_slice());
         let id = self.device.allocate()?;
         encode_block(&self.buf, &mut out);
-        let head = self.buf[0].clone();
         self.inflight
-            .push_back((id, head, self.device.submit_write(id, out)));
+            .push_back((id, self.device.submit_write(id, out)));
         self.buf.clear();
         Ok(())
     }
@@ -286,10 +272,6 @@ pub struct BlockReader<V: Borrow<ExtVec<R>>, R: Record> {
     next_fetch: usize,
     /// Consumed prefetch buffers ready for reuse.
     spare: Vec<Box<[u8]>>,
-    /// Externally managed (forecast) mode: the reader never tops itself up;
-    /// a forecaster calls [`prefetch_one`](Self::prefetch_one) instead, and
-    /// its buffers belong to the forecaster's shared pool.
-    managed: bool,
     /// Budget charge covering the read-ahead buffers.
     _reserve: Option<BudgetGuard>,
 }
@@ -336,7 +318,6 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
             pending: VecDeque::new(),
             next_fetch: 0,
             spare: Vec::new(),
-            managed: false,
             _reserve: None,
         }
     }
@@ -385,94 +366,9 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         arr(&self.vec)
     }
 
-    /// Externally managed (forecast-mode) reader: read-ahead capacity `cap`,
-    /// but nothing is ever submitted except through
-    /// [`prefetch_one`](Self::prefetch_one).  No budget is charged — the
-    /// managing forecaster owns the shared pool charge.
-    pub(crate) fn managed(vec: V, start: u64, cap: usize) -> Self {
-        let mut r = Self::new(vec, start);
-        r.depth = cap;
-        r.managed = true;
-        r.next_fetch = (start / arr(&r.vec).per_block() as u64) as usize;
-        r
-    }
-
     /// Records not yet returned.
     pub fn remaining(&self) -> u64 {
         arr(&self.vec).len() - self.consumed
-    }
-
-    /// Prefetches currently in flight (or complete but unconsumed).
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Leading key of the next block this reader would prefetch — the
-    /// forecast datum of Vitter's merge sort.  `None` once every block has
-    /// been submitted, or if the array carries no block-head metadata.
-    pub fn next_fetch_head(&self) -> Option<&R> {
-        if self.next_fetch < arr(&self.vec).num_blocks() {
-            arr(&self.vec).block_head(self.next_fetch)
-        } else {
-            None
-        }
-    }
-
-    /// The I/O lane that would serve the next prefetched block, or `None`
-    /// when every block has been submitted *or* the block spans all lanes
-    /// (striped placement).  Pairs with [`next_fetch_head`] so a forecaster
-    /// can cap outstanding reads per disk, not just per array.
-    ///
-    /// [`next_fetch_head`]: Self::next_fetch_head
-    pub fn next_fetch_lane(&self) -> Option<usize> {
-        if self.next_fetch < arr(&self.vec).num_blocks() {
-            arr(&self.vec)
-                .device()
-                .lane_of(arr(&self.vec).block_id(self.next_fetch))
-        } else {
-            None
-        }
-    }
-
-    /// Add this reader's in-flight prefetches to a per-lane tally.  Striped
-    /// blocks (no owning lane) count against lane 0; lane indexes are taken
-    /// modulo `counts.len()` so a short tally slice cannot panic.
-    pub fn add_in_flight_per_lane(&self, counts: &mut [usize]) {
-        if counts.is_empty() {
-            return;
-        }
-        for (bi, _) in &self.pending {
-            let lane = arr(&self.vec)
-                .device()
-                .lane_of(arr(&self.vec).block_id(*bi))
-                .unwrap_or(0);
-            counts[lane % counts.len()] += 1;
-        }
-    }
-
-    /// (Forecast mode) Submit the single next sequential block, if capacity
-    /// allows and unfetched blocks remain.  Returns whether a read was
-    /// submitted.  Only meaningful on a reader built by
-    /// [`ExtVec::reader_forecast`]; the issued read is one the plain reader
-    /// would perform anyway, merely submitted early.
-    pub fn prefetch_one(&mut self) -> bool {
-        if !self.managed
-            || self.depth == 0
-            || self.pending.len() >= self.depth
-            || self.next_fetch >= arr(&self.vec).num_blocks()
-        {
-            return false;
-        }
-        let buf = self
-            .spare
-            .pop()
-            .unwrap_or_else(|| vec![0u8; arr(&self.vec).device().block_size()].into_boxed_slice());
-        let device = arr(&self.vec).device();
-        let ticket = device.submit_read(arr(&self.vec).block_id(self.next_fetch), buf);
-        device.stats().record_prefetch();
-        self.pending.push_back((self.next_fetch, ticket));
-        self.next_fetch += 1;
-        true
     }
 
     /// Look at the next record without consuming it.  Costs an I/O only at
@@ -555,12 +451,8 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         self.consumed += n as u64;
     }
 
-    /// Keep `depth` sequential blocks in flight.  (No-op in forecast mode,
-    /// where the managing forecaster decides when to submit.)
+    /// Keep `depth` sequential blocks in flight.
     fn top_up(&mut self) {
-        if self.depth == 0 || self.managed {
-            return;
-        }
         let nblocks = arr(&self.vec).num_blocks();
         while self.pending.len() < self.depth && self.next_fetch < nblocks {
             let buf = self.spare.pop().unwrap_or_else(|| {
@@ -596,37 +488,22 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         let per = arr(&self.vec).per_block() as u64;
         let bi = (self.consumed / per) as usize;
         self.pos = (self.consumed % per) as usize;
-        // (Blocks still in flight from before a switch down to depth 0 are
-        // consumed, not re-read.)
-        if self.depth > 0 || !self.pending.is_empty() {
-            if self.pending.is_empty() && !self.managed {
-                // Nothing in flight: read-ahead was switched on after
-                // construction, or the reader was rewound.  Submit the
-                // needed block together with its successors, so even the
-                // first read of the stream keeps every lane busy.
-                self.next_fetch = bi;
-                self.top_up();
-            }
-            if matches!(self.pending.front(), Some(&(front_bi, _)) if front_bi == bi) {
-                if let Some((_, ticket)) = self.pending.pop_front() {
-                    let bytes = ticket.wait()?;
-                    arr(&self.vec).decode_block(bi, &bytes, &mut self.buf);
-                    arr(&self.vec).device().stats().record_prefetch_hit();
-                    // A forecast-mode buffer returns to the forecaster's
-                    // shared pool by being dropped (per-reader spare hoards
-                    // would let total buffers exceed the pool).
-                    if !self.managed {
-                        self.spare.push(bytes);
-                    }
-                    self.top_up();
-                    return Ok(());
-                }
-            }
-            // The needed block is not at the head of the pipeline (possible
-            // only for a forecast-mode reader the forecaster has not fed
-            // yet): read on demand and realign the pipeline.
-            self.next_fetch = self.next_fetch.max(bi + 1);
-            arr(&self.vec).read_block_into(bi, &mut self.buf)?;
+        if self.pending.is_empty() && self.depth > 0 {
+            // Nothing in flight: read-ahead was switched on after
+            // construction, or the reader was rewound.  Submit the needed
+            // block together with its successors, so even the first read of
+            // the stream keeps every lane busy.
+            self.next_fetch = bi;
+            self.top_up();
+        }
+        // Blocks go in flight in order from the one needed, so it heads the
+        // pipeline.  (Blocks still in flight from before a switch down to
+        // depth 0 are consumed, not re-read.)
+        if let Some((_, ticket)) = self.pending.pop_front_if(|(front, _)| *front == bi) {
+            let bytes = ticket.wait()?;
+            arr(&self.vec).decode_block(bi, &bytes, &mut self.buf);
+            arr(&self.vec).device().stats().record_prefetch_hit();
+            self.spare.push(bytes);
             self.top_up();
             return Ok(());
         }
@@ -916,55 +793,6 @@ mod overlap_tests {
     }
 
     #[test]
-    fn writer_records_block_heads() {
-        let device = dev();
-        let mut w = ExtVecWriter::new(device);
-        for i in 0..20u64 {
-            w.push(i).unwrap();
-        }
-        let v = w.finish().unwrap();
-        assert!(v.has_block_heads());
-        assert_eq!(v.block_head(0), Some(&0));
-        assert_eq!(v.block_head(1), Some(&8));
-        assert_eq!(
-            v.block_head(2),
-            Some(&16),
-            "partial last block still has a head"
-        );
-        assert_eq!(v.block_head(3), None);
-    }
-
-    #[test]
-    fn forecast_reader_submits_only_on_demand_from_manager() {
-        let device = dev();
-        let v = ExtVec::from_slice(device.clone(), &(0u64..40).collect::<Vec<_>>()).unwrap();
-        let before = device.stats().snapshot();
-        let mut r = v.reader_forecast(0, 2);
-        assert_eq!(r.in_flight(), 0, "nothing submitted at construction");
-        assert_eq!(r.next_fetch_head(), Some(&0));
-        assert!(r.prefetch_one());
-        assert_eq!(r.next_fetch_head(), Some(&8));
-        assert!(r.prefetch_one());
-        assert!(!r.prefetch_one(), "at capacity");
-        assert_eq!(r.in_flight(), 2);
-        let collected: Vec<u64> = std::iter::from_fn(|| r.try_next().unwrap()).collect();
-        assert_eq!(collected, (0..40).collect::<Vec<_>>());
-        let delta = device.stats().snapshot().since(&before);
-        assert_eq!(
-            delta.reads(),
-            5,
-            "forecast mode must not change read counts"
-        );
-        assert_eq!(delta.prefetched(), 2);
-        assert_eq!(
-            delta.prefetch_hits(),
-            2,
-            "both forecast blocks were consumed"
-        );
-        assert_eq!(delta.prefetch_wasted(), 0);
-    }
-
-    #[test]
     fn write_behind_metadata_follows_completion_in_stream_order() {
         let device = dev();
         let budget = MemBudget::new(64);
@@ -973,10 +801,12 @@ mod overlap_tests {
             w.push(i).unwrap();
         }
         let v = w.finish().unwrap();
-        assert_eq!(v.to_vec().unwrap(), (0..20).collect::<Vec<_>>());
-        assert_eq!(v.block_head(0), Some(&0));
-        assert_eq!(v.block_head(1), Some(&8));
-        assert_eq!(v.block_head(2), Some(&16));
+        assert_eq!(v.num_blocks(), 3);
+        let mut block = Vec::new();
+        for (bi, want) in [(0..8), (8..16), (16..20)].into_iter().enumerate() {
+            v.read_block_into(bi, &mut block).unwrap();
+            assert_eq!(block, want.collect::<Vec<u64>>(), "block {bi}");
+        }
     }
 
     #[test]
@@ -1154,15 +984,13 @@ mod bulk_move_tests {
                 mixed.read_block_into(bi, &mut a).unwrap();
                 pushed.read_block_into(bi, &mut b).unwrap();
                 assert_eq!(a, b, "block {bi}, depth {depth}");
-                assert_eq!(mixed.block_head(bi), pushed.block_head(bi));
-                assert_eq!(mixed.block_head(bi), Some(&a[0]));
             }
         }
     }
 }
 
 /// Regression tests for the metadata-before-data crash window: the writer
-/// must never describe a block (id + head) before the device has confirmed
+/// must never describe a block before the device has confirmed
 /// it written, and a failed flush must be repairable in place.
 #[cfg(test)]
 mod fault_ordering_tests {
@@ -1191,8 +1019,7 @@ mod fault_ordering_tests {
         assert_eq!(flush_errors, 2, "each block's first write tears");
         let v = w.finish().unwrap(); // retries the second block's torn flush
         assert_eq!(v.to_vec().unwrap(), (0..16).collect::<Vec<_>>());
-        assert_eq!(v.block_head(0), Some(&0), "heads stay aligned to blocks");
-        assert_eq!(v.block_head(1), Some(&8));
+        assert_eq!(v.num_blocks(), 2, "the block map stays aligned to blocks");
         assert_eq!(
             ram.allocated_blocks(),
             2,
@@ -1220,7 +1047,7 @@ mod fault_ordering_tests {
         assert_eq!(w.len(), 16);
         let v = w.finish().unwrap(); // retries the second block's torn flush
         assert_eq!(v.to_vec().unwrap(), data);
-        assert_eq!(v.block_head(1), Some(&data[8]));
+        assert_eq!(v.num_blocks(), 2);
         assert_eq!(ram.allocated_blocks(), 2, "retries repair in place");
         assert_eq!(device.stats().snapshot().writes(), 4);
     }

@@ -9,7 +9,7 @@
 //! and its relatives:
 //!
 //! * [`merge_sort`] / [`merge_sort_by`] — run formation followed by
-//!   `Θ(M/B)`-way merging with forecasting; run formation is either
+//!   `Θ(M/B)`-way merging, each run read ahead on its own; run formation is either
 //!   *load–sort–store* (runs of exactly `M` records) or *replacement
 //!   selection* (runs averaging `2M` on random input) — an ablation the
 //!   experiments measure, and the one engine choice that is kept because it
@@ -47,7 +47,6 @@
 
 mod bmmc;
 mod distribution;
-mod forecast;
 mod heap;
 mod merge;
 mod permute;

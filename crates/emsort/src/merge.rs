@@ -23,11 +23,10 @@
 //! the smallest window end is the batch's splitter, and every record at or
 //! below it — a few short sorted pieces — is merged by a branch-free
 //! two-way merge, `≈ ⌈log₂ k⌉` comparisons a record with no tournament
-//! replayed per record.  Its I/O side is scheduled by *forecasting*
-//! ([`crate::forecast`]): each run's block-head keys decide which run's next
-//! block is prefetched first.  A materialized merge is that stream drained
-//! into a write-behind writer a batch at a time; every sort entry point runs
-//! its passes through the same `merge_down` loop.
+//! replayed per record.  Its I/O side is one schedule: every run reads
+//! ahead on its own, in block order.  A materialized merge is that stream
+//! drained into a write-behind writer a batch at a time; every sort entry
+//! point runs its passes through the same `merge_down` loop.
 
 use std::collections::VecDeque;
 use std::hint::select_unpredictable;
@@ -36,7 +35,6 @@ use std::sync::Arc;
 use em_core::{bounds, BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, MemBudget, Record};
 use pdm::{PdmError, Result, SharedDevice};
 
-use crate::forecast::Forecaster;
 use crate::runs::{check_memory, form_runs_keeping, spill_sorted};
 use crate::{OverlapConfig, RunFormation, SortConfig};
 
@@ -198,15 +196,25 @@ impl<R: Record> Formed<R> {
 }
 
 /// The merge phase's budget: `M`, plus overlap headroom for read-ahead on
-/// each of the `k` input runs and write-behind on the one output stream.
-/// The writer's depth is per disk, so on an independent array it scales by
-/// `lanes` to keep every disk's queue fed, and it is at least the
-/// forecaster's pool (see [`merge_runs_with`]).  Fan-in and run sizes are
-/// computed from `mem_records` alone, so counts match the sync pipeline.
+/// each of the `k` input runs and write-behind on the one output stream
+/// ([`merge_write_behind`]).  Fan-in and run sizes are computed from
+/// `mem_records` alone, so counts match the sync pipeline.
 fn merge_budget(cfg: &SortConfig, k: usize, per_block: usize, lanes: usize) -> Arc<MemBudget> {
     let ov = cfg.overlap;
-    let write_behind = (ov.write_behind * lanes).max(k * ov.read_ahead);
+    let write_behind = merge_write_behind(ov, k, lanes);
     MemBudget::new(cfg.mem_records + (k * ov.read_ahead + write_behind) * per_block)
+}
+
+/// Write-behind depth of the output of a `k`-way merge on `lanes` stream
+/// lanes.  It is per disk: the output round-robins its blocks across an
+/// independent array's lanes, so its queue deepens by the lane count to keep
+/// every output queue nonempty.  It also mirrors the runs' read-ahead,
+/// `k·read_ahead` blocks: each output write retires behind the prefetch
+/// queue in its lane, and a shallower writer stalls on every flush waiting
+/// out that latency.  Like the read-ahead it is budget headroom taken with
+/// `try_charge`, so it degrades and never changes a transfer.
+fn merge_write_behind(ov: OverlapConfig, k: usize, lanes: usize) -> usize {
+    (ov.write_behind * lanes).max(k * ov.read_ahead)
 }
 
 /// Merge passes: replace the front `k` runs of `queue` (fewer on the last
@@ -251,10 +259,10 @@ where
 ///
 /// Exposed because other crates reuse single merges (e.g. merging delta runs
 /// in graph pipelines).  Charges `(k+1)·B` records against `budget`, plus
-/// (when overlap is on) whatever read-ahead pool the budget's headroom
-/// allows.  Costs one read of every input block and one write of every
-/// output block; like every overlap feature in this workspace, the depths
-/// move wall-clock time only.
+/// (when overlap is on) whatever read-ahead and write-behind the budget's
+/// headroom allows.  Costs one read of every input block and one write of
+/// every output block; like every overlap feature in this workspace, the
+/// depths move wall-clock time only.
 ///
 /// This is the materialized merge: a [`SortedStream`] over `runs` drained
 /// into a write-behind writer.  The overlap buffers come from `budget`
@@ -307,18 +315,7 @@ where
     let ov = cfg.overlap;
     let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
     let mut stream = SortedStream::build(&parts, tail, per_block, budget, ov, less)?;
-
-    // Write-behind depth is per disk: the output stream round-robins its
-    // blocks across an independent array's lanes, so its queue deepens by
-    // the lane count to keep all D output queues nonempty.  Under
-    // forecasting it deepens further, to the read pool's size: each output
-    // write retires behind the ~pool-deep prefetch queue in its lane, so a
-    // shallow writer would stall on every block flush waiting out that
-    // latency — mirroring the pool gives the writer exactly enough slack to
-    // ride it out.  Like the pool itself this is budget headroom via
-    // `try_charge`; it degrades gracefully and never changes a transfer.
-    let pool = stream.fc.as_ref().map_or(0, Forecaster::pool);
-    let wb = (ov.write_behind * device.stream_lanes()).max(pool);
+    let wb = merge_write_behind(ov, runs.len(), device.stream_lanes());
     let mut w = ExtVecWriter::with_write_behind(device.clone(), wb, budget);
     while let Some(batch) = stream.next_batch()? {
         w.extend_from_slice(batch)?;
@@ -367,16 +364,14 @@ where
 /// last record leaves, made no earlier — so a drained stream reads every
 /// block once and a stream dropped early reads no more than that merge.
 ///
-/// Read-ahead is one shared pool scheduled by a `Forecaster` — the run
-/// whose next block has the smallest leading key gets the next buffer —
-/// whenever read-ahead is requested, at least two runs merge, and every run
-/// carries block-head metadata; otherwise each run reads ahead on its own.
-/// The pool is pumped once per `B` records emitted.
+/// Each run reads ahead on its own: its reader keeps `read_ahead` blocks in
+/// flight, in block order, charged to the budget beside the stream's own
+/// charge (less if the budget is short).
 ///
 /// A complete sort's final merge may also hold the sorted tail of its last
 /// memory load ([`bounds::resident_tail`]): one more source, after every
-/// run, read from memory `B` records at a time.  It is not a reader and the
-/// forecaster never sees it.
+/// run, read from memory `B` records at a time.  It is not a reader and
+/// reads nothing ahead.
 ///
 /// The stream charges its budget `(k+1)·B` plus the resident records.  The
 /// batch and its merge scratch, `cap` records each, are allocated once per
@@ -394,11 +389,7 @@ pub struct SortedStream<'a, R: Record, F> {
     cap: usize,
     /// The length the windows were cut at: `1 + ⌊(cap − 1)/live⌋`.
     w: usize,
-    fc: Option<Forecaster>,
     less: F,
-    /// Records batched since the last forecaster pump (cadence: once per
-    /// block).
-    since_pump: usize,
     /// The batch is `bufs[cur][..len]`, its records from `at` on not yet
     /// handed out; the other buffer is the merge's scratch.
     bufs: [Vec<R>; 2],
@@ -470,7 +461,8 @@ where
     /// `resident` records, at `b` records a block, and read each run's first
     /// block.  Charges `(k+1)·B` plus the resident records against `budget`:
     /// one block per run, plus the output block of a materialized merge or
-    /// the consumer's working block.
+    /// the consumer's working block; each run's reader charges its own
+    /// read-ahead.
     fn build(
         parts: &[(&'a ExtVec<R>, u64)],
         resident: Vec<R>,
@@ -481,18 +473,10 @@ where
     ) -> Result<Self> {
         let k = parts.len();
         let charge = budget.charge((k + 1) * b + resident.len());
-        let fc = (ov.read_ahead > 0 && k >= 2 && parts.iter().all(|(r, _)| r.has_block_heads()))
-            .then(|| Forecaster::new(budget, k, ov.read_ahead, b, parts[0].0.device().lanes()));
-        let readers: Vec<ExtVecReader<'a, R>> = match &fc {
-            Some(fc) => parts
-                .iter()
-                .map(|(r, s)| r.reader_forecast(*s, fc.pool()))
-                .collect(),
-            None => parts
-                .iter()
-                .map(|(r, s)| r.reader_at_prefetch(*s, ov.read_ahead, budget))
-                .collect(),
-        };
+        let readers: Vec<ExtVecReader<'a, R>> = parts
+            .iter()
+            .map(|(r, s)| r.reader_at_prefetch(*s, ov.read_ahead, budget))
+            .collect();
         let per_block = b.max(1);
         let cap = per_block.max((k + 1) * per_block / 4);
         let mut src = Sources {
@@ -501,9 +485,6 @@ where
             tail_at: 0,
             per_block,
         };
-        if let Some(fc) = &fc {
-            fc.pump(&mut src.readers, less);
-        }
         // Each window stands at its source's head until the first batch
         // cuts it.
         let mut live = Vec::with_capacity(k + 1);
@@ -522,9 +503,7 @@ where
             live,
             cap,
             w: 0,
-            fc,
             less,
-            since_pump: 0,
             bufs: [Vec::with_capacity(cap), Vec::with_capacity(cap)],
             cur: 0,
             len: 0,
@@ -567,8 +546,6 @@ where
     /// Take and merge the next batch; `false` once every source is drained.
     fn take_batch(&mut self) -> Result<bool> {
         let less = self.less;
-        let b = self.src.per_block;
-        self.since_pump += self.len;
         (self.len, self.at) = (0, 0);
         if self.live.is_empty() {
             return Ok(false);
@@ -584,14 +561,6 @@ where
             win.len = w.min(view.len());
             win.end = view[win.len - 1].clone();
             win.stale = false;
-        }
-        if self.since_pump >= b {
-            // The refills above freed pool buffers.  A missed pump is only a
-            // demand read, so the cadence is not exact.
-            self.since_pump = 0;
-            if let Some(fc) = &self.fc {
-                fc.pump(&mut self.src.readers, less);
-            }
         }
 
         // The splitter: the smallest window end.  Sources come in index
@@ -773,7 +742,7 @@ fn merge_two<R: Clone, F: Fn(&R, &R) -> bool>(a: &[R], b: &[R], out: &mut [R], l
 /// still materialize, exactly as in [`merge_sort_by`]; only the last pass
 /// fuses.
 ///
-/// Forecasting and per-disk overlap apply to the streamed pass unchanged,
+/// Read-ahead and per-disk overlap apply to the streamed pass unchanged,
 /// so the record sequence is identical to the materialized sort's output
 /// for every configuration.
 ///
@@ -999,8 +968,8 @@ where
 ///
 /// `parts` pairs each run with the record offset to start merging from, so a
 /// partially-consumed run joins the merge at its current position.  Charges
-/// `(k+1)·B` records against `budget`; forecasting and overlap follow `cfg`
-/// exactly as in [`merge_runs_with`], and reading the streamed records costs
+/// `(k+1)·B` records against `budget`; read-ahead follows `cfg` exactly as
+/// in [`merge_runs_with`], and reading the streamed records costs
 /// one read of every remaining input block and **zero** writes.
 pub fn merge_runs_streaming<R, F, T, C>(
     parts: &[(&ExtVec<R>, u64)],
@@ -1193,30 +1162,36 @@ mod tests {
         assert_eq!(got, expect);
     }
 
+    /// Every merge read over runs a writer produced is some run's own
+    /// read-ahead, on every lane of an overlapped independent array, and
+    /// every block read ahead is consumed.
     #[test]
-    fn forecast_counters_light_up_with_overlap() {
-        let device = device_b8();
-        let (input, mut data) = random_input(&device, 4000, 11);
-        let cfg = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(2));
+    fn writer_produced_runs_read_ahead_on_every_lane() {
         let less = |a: &u64, b: &u64| a < b;
-        let formed = form(&input, &cfg, true, less).unwrap();
-        // The window holds only the merge, whose prefetches (k ≥ 2, block
-        // heads present) are all the forecaster's.
-        let before = device.stats().snapshot();
-        let out = formed.into_sorted(&cfg, less).unwrap();
-        let d = device.stats().snapshot().since(&before);
-        data.sort_unstable();
-        assert_eq!(out.to_vec().unwrap(), data);
-        assert!(
-            d.prefetched() > 0,
-            "forecasting should drive the merge prefetches"
-        );
-        assert_eq!(
-            d.prefetch_hits(),
-            d.prefetched(),
-            "every forecast block is consumed"
-        );
-        assert_eq!(d.prefetch_wasted(), 0);
+        for d in [2, 4] {
+            let device = independent_overlapped(d);
+            let (input, mut data) = random_input(&device, 4000, 11);
+            let cfg = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(2));
+            let formed = form(&input, &cfg, true, less).unwrap();
+            // The window holds only the merges.
+            let before = device.stats().snapshot();
+            let out = formed.into_sorted(&cfg, less).unwrap();
+            let io = device.stats().snapshot().since(&before);
+            data.sort_unstable();
+            assert_eq!(out.to_vec().unwrap(), data, "D = {d}");
+            assert!(io.prefetched() > 0, "D = {d}");
+            assert_eq!(io.prefetched(), io.reads(), "D = {d}: a demand read");
+            assert_eq!(io.prefetch_hits(), io.prefetched(), "D = {d}");
+            assert_eq!(io.prefetch_wasted(), 0, "D = {d}");
+            for lane in 0..d {
+                assert!(io.reads_on(lane) > 0, "D = {d}: lane {lane} read nothing");
+            }
+        }
+    }
+
+    fn independent_overlapped(d: usize) -> pdm::SharedDevice {
+        use pdm::{DiskArray, IoMode, Placement};
+        DiskArray::new_ram_with(d, 64, Placement::Independent, IoMode::Overlapped)
     }
 
     fn drain<R: Record, F: Fn(&R, &R) -> bool + Copy>(
@@ -1429,7 +1404,7 @@ mod tests {
         let parts = [(&a, 30u64), (&b, 0u64)];
         let mut expect: Vec<u64> = (30u64..50).chain(25..75).collect();
         expect.sort_unstable();
-        // Depth 2 enters the runs mid-way through the forecaster as well.
+        // Depth 2 enters the runs mid-way with read-ahead as well.
         for depth in [0, 2] {
             let cfg = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(depth));
             let before = device.stats().snapshot();
@@ -1493,9 +1468,53 @@ mod tests {
         }
     }
 
+    /// The same merge on an overlapped independent array of `D` disks: its
+    /// high water adds each run's read-ahead and, when it is materialized,
+    /// the writer's write-behind, which mirrors the runs' read-ahead —
+    /// `(r+1)·B + tail + (r·read_ahead + max(write_behind·D, r·read_ahead))·B`
+    /// for `r` disk runs.
+    #[test]
+    fn the_read_ahead_and_the_write_behind_mirroring_it_are_charged_to_the_merge_budget() {
+        let less = |a: &u64, b: &u64| a < b;
+        let b = 8;
+        for d in [2, 4] {
+            let device = independent_overlapped(d);
+            let (input, mut data) = random_input(&device, 300, 48);
+            data.sort_unstable();
+            let wide_writer = OverlapConfig {
+                read_ahead: 1,
+                write_behind: 3,
+            };
+            for ov in [OverlapConfig::symmetric(2), wide_writer] {
+                let cfg = SortConfig::new(64).with_overlap(ov);
+                for materialized in [true, false] {
+                    let case = format!("D = {d}, {ov:?}, materialized {materialized}");
+                    let formed = form(&input, &cfg, materialized, less).unwrap();
+                    let (r, tail) = (formed.runs.len(), formed.tail.len());
+                    assert_eq!((r, tail), (5, 16), "{case}");
+                    let budget = formed.budget.clone();
+                    let got = if materialized {
+                        let out = formed.into_sorted(&cfg, less).unwrap();
+                        out.to_vec().unwrap()
+                    } else {
+                        formed.stream(&cfg, less, drain).unwrap()
+                    };
+                    assert_eq!(got, data, "{case}");
+                    let writer = if materialized {
+                        (ov.write_behind * d).max(r * ov.read_ahead)
+                    } else {
+                        0
+                    };
+                    let want = (r + 1) * b + tail + (r * ov.read_ahead + writer) * b;
+                    assert_eq!(budget.high_water(), want, "{case}");
+                }
+            }
+        }
+    }
+
     /// Merge in-memory `runs` through a `SortedStream` over `b`-record
-    /// blocks.  Reads are synchronous: the forecaster orders block heads
-    /// with the same comparator, which is I/O scheduling, not merging.
+    /// blocks.  Reads are synchronous: read-ahead is I/O scheduling, not
+    /// merging.
     fn merge_with<T, F>(runs: &[Vec<T>], b: usize, less: F) -> Vec<T>
     where
         T: Record,
@@ -1734,7 +1753,7 @@ mod multi_disk_tests {
     #[test]
     fn overlapped_pipeline_matches_sync_output_and_per_disk_counts() {
         // The tentpole invariant: switching on worker threads, read-ahead,
-        // write-behind and forecasting moves wall-clock time only — every
+        // write-behind and per-run read-ahead moves wall-clock time only — every
         // disk performs exactly the transfers of the synchronous pipeline.
         use crate::OverlapConfig;
         use pdm::IoMode;

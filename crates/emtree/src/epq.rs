@@ -213,8 +213,8 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
     }
 
     /// Merge every run (from its current position) into a single fresh run,
-    /// via `emsort`'s streaming run merge: the batch merge with
-    /// forecasting and overlap replaces the old best-of-k front scan, and
+    /// via `emsort`'s streaming run merge: the batch merge with per-run
+    /// read-ahead and overlap replaces the old best-of-k front scan, and
     /// the merged records stream straight into the new run's writer.  The
     /// `(k+1)·B`-record working memory is charged inside the streaming
     /// merge.

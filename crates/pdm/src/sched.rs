@@ -24,10 +24,10 @@
 //! [`IoStats`] so experiments can report how much overlap they achieved.
 //!
 //! The scheduler is policy-free: lanes execute whatever order callers submit.
-//! Higher layers choose that order — e.g. `emsort`'s forecaster submits run
-//! prefetches smallest-leading-key-first (Vitter's forecasting technique),
-//! which reaches this module as nothing more than a different FIFO sequence
-//! per lane, so the count invariants above hold for any submission policy.
+//! Higher layers choose that order — e.g. each run of an `emsort` merge
+//! submits its own read-ahead in block order — which reaches this module as
+//! nothing more than a FIFO sequence per lane, so the count invariants above
+//! hold for any submission policy.
 
 use std::sync::mpsc::{channel, Receiver, SendError, Sender};
 use std::sync::Arc;

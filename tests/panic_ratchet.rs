@@ -22,7 +22,7 @@ const COUNTS: &[(&str, usize)] = &[
     ("core/src/ext_vec.rs", 2),
     ("core/src/lib.rs", 2),
     ("core/src/record.rs", 1),
-    ("core/src/stream.rs", 3),
+    ("core/src/stream.rs", 2),
     ("emgeom/src/dominance.rs", 4),
     ("emgeom/src/range_report.rs", 14),
     ("emgeom/src/segments.rs", 10),

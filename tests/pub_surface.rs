@@ -1,19 +1,21 @@
-//! The public-surface ratchet: a library's public functions are called by
-//! code, not only by tests.
+//! The public-surface ratchet: a library's public functions and types are
+//! named by code, not only by tests.
 //!
 //! A *declaration* is a line of a library crate's `src/` above the file's
 //! first `#[cfg(test)]` that, leading whitespace aside, starts with
-//! `pub fn`.  Its name must be a word of the code outside test code that can
-//! only reach it as public API: another library crate's `src/` (above each
-//! file's first `#[cfg(test)]`, doc comments included), `crates/bench/src`,
-//! `benchmark/src` or `examples/`.  `bench` and `testkit` are not library
-//! crates.  A function that fails this is deleted, narrowed to `pub(crate)`
-//! (or `#[cfg(test)]`, when only its own unit tests call it), or listed in
-//! [`TEST_SURFACE`] with the reason it stays public: an integration test or
-//! another crate's tests drive it, or it is a survey algorithm or a counter
-//! no in-repo client calls yet.  The table only shrinks: a row whose
-//! function is gone, or is now named outside its crate, fails until the row
-//! is removed.
+//! `pub fn` — or, for the type rule, `pub struct`, `pub enum`, `pub trait`
+//! or `pub type`.  Its name must be a word of the code outside test code
+//! that can only reach it as public API: another library crate's `src/`
+//! (above each file's first `#[cfg(test)]`, doc comments included),
+//! `crates/bench/src`, `benchmark/src` or `examples/`.  `bench` and
+//! `testkit` are not library crates.  A declaration that fails this is
+//! deleted, narrowed to `pub(crate)` (or `#[cfg(test)]`, when only its own
+//! unit tests name it), or listed in [`TEST_SURFACE`] (functions) or
+//! [`TEST_TYPES`] (types) with the reason it stays public: an integration
+//! test or another crate's tests drive it, or it is a survey algorithm, an
+//! operator or a counter no in-repo client names yet.  The tables only
+//! shrink: a row whose declaration is gone, or is now named outside its
+//! crate, fails until the row is removed.
 //!
 //! The rule is a text rule, so a name that is also a word of unrelated code
 //! (`new`, `len`, `get`) passes whatever calls it.
@@ -25,7 +27,6 @@ use std::path::{Path, PathBuf};
 /// (relative to `crates/`) and name, each with the reason it stays public.
 #[rustfmt::skip]
 const TEST_SURFACE: &[(&str, &str, &str)] = &[
-    ("core/src/ext_vec.rs", "block_head", "fault_injection.rs compares forecast heads"),
     ("emgeom/src/dominance.rs", "dominance_count", "survey algorithm; emgeom's tests run it"),
     ("emgeom/src/dominance.rs", "dominance_count_naive", "dominance_count's baseline"),
     ("emgraph/src/euler.rs", "euler_tour", "survey algorithm; tree_depths calls it"),
@@ -75,6 +76,34 @@ const TEST_SURFACE: &[(&str, &str, &str)] = &[
     ("pdm/src/stats.rs", "writes_on", "overlapped_io.rs counts writes per disk"),
 ];
 
+/// Public types that only tests name outside their crate, keyed like
+/// [`TEST_SURFACE`].
+#[rustfmt::skip]
+const TEST_TYPES: &[(&str, &str, &str)] = &[
+    ("emgraph/src/euler.rs", "EulerTour", "euler_tour returns it; callers never spell it"),
+    ("emhash/src/partition.rs", "Partitioned", "partition_to_fit returns it"),
+    ("emrel/src/exec.rs", "DistinctExec", "operator; emrel's distinct builds it"),
+    ("emrel/src/exec.rs", "FilterJoinKind", "FilteringJoinExec's semi/anti choice"),
+    ("emrel/src/exec.rs", "FilteringJoinExec", "operator; emrel's semi/anti joins build it"),
+    ("emrel/src/exec.rs", "KeyId", "Order::Key's argument in the executor API"),
+    ("emrel/src/exec.rs", "LimitExec", "operator; emrel's tests stop joins with it"),
+    ("emrel/src/exec.rs", "SortStreamExec", "operator; sort_scan builds it"),
+    ("emrel/src/exec.rs", "TopKExec", "operator; emrel's top_k_by builds it"),
+    ("emrel/src/plan.rs", "Prediction", "predict returns it; callers never spell it"),
+    ("emserve/src/server.rs", "NullSink", "a sink for callers that ignore completions"),
+    ("emserve/src/stats.rs", "ServeStats", "Server::stats returns it"),
+    ("emsort/src/bmmc.rs", "BmmcMatrix", "bmmc_permute's argument; bit_reversal returns it"),
+    ("pdm/src/fault.rs", "CrashSwitch", "fault injection: crash_recovery.rs"),
+    ("pdm/src/fault.rs", "FaultDisk", "fault injection: every fault suite"),
+    ("pdm/src/pool.rs", "FrameGuard", "BufferPool::read returns it"),
+    ("pdm/src/pool.rs", "PoolStats", "BufferPool::stats returns it"),
+    ("pdm/src/sched.rs", "IoScheduler", "an overlapped DiskArray's lanes; pdm's tests"),
+];
+
+/// The declarations each rule reads: `pub <kind> <name>`.
+const FN_KINDS: &[&str] = &["fn"];
+const TYPE_KINDS: &[&str] = &["struct", "enum", "trait", "type"];
+
 /// Crates under `crates/` that are not libraries the rule covers.
 const SKIPPED: &[&str] = &["bench", "testkit"];
 
@@ -99,10 +128,15 @@ fn words(text: &str) -> impl Iterator<Item = &str> {
         .filter(|w| !w.is_empty())
 }
 
-/// Names of the `pub fn`s `source` declares.
-fn declared(source: &str) -> Vec<&str> {
+/// Names of the `pub <kind>`s `source` declares, for each of `kinds`.
+fn declared<'a>(source: &'a str, kinds: &[&str]) -> Vec<&'a str> {
     live(source)
-        .filter_map(|line| line.trim_start().strip_prefix("pub fn "))
+        .filter_map(|line| line.trim_start().strip_prefix("pub "))
+        .filter_map(|rest| {
+            kinds
+                .iter()
+                .find_map(|kind| rest.strip_prefix(kind)?.strip_prefix(' '))
+        })
         .filter_map(|rest| words(rest).next())
         .collect()
 }
@@ -160,8 +194,13 @@ fn library_crates() -> Vec<Crate> {
     out
 }
 
-/// `(file, name)` of every declaration no code outside its crate names.
-fn unnamed(libs: &[Crate], clients: &BTreeSet<String>) -> BTreeSet<(String, String)> {
+/// `(file, name)` of every declaration of `kinds` no code outside its crate
+/// names.
+fn unnamed(
+    libs: &[Crate],
+    clients: &BTreeSet<String>,
+    kinds: &[&str],
+) -> BTreeSet<(String, String)> {
     let mut out = BTreeSet::new();
     for lib in libs {
         let mut outside = clients.clone();
@@ -171,7 +210,7 @@ fn unnamed(libs: &[Crate], clients: &BTreeSet<String>) -> BTreeSet<(String, Stri
             }
         }
         for (file, source) in &lib.files {
-            for name in declared(source) {
+            for name in declared(source, kinds) {
                 if !outside.contains(name) {
                     out.insert((file.clone(), name.to_string()));
                 }
@@ -194,22 +233,23 @@ fn client_words() -> BTreeSet<String> {
     words
 }
 
-#[test]
-fn every_public_function_is_named_by_code_outside_its_crate() {
+/// Everything wrong with `table` as the ratchet of the declarations of
+/// `kinds`: rows to remove, and declarations to delete, narrow or list.
+fn ratchet(table: &[(&str, &str, &str)], kinds: &[&str]) -> Vec<String> {
     let libs = library_crates();
-    let now = unnamed(&libs, &client_words());
+    let now = unnamed(&libs, &client_words(), kinds);
     let declared: BTreeSet<(String, String)> = libs
         .iter()
         .flat_map(|lib| &lib.files)
         .flat_map(|(file, source)| {
-            declared(source)
+            declared(source, kinds)
                 .into_iter()
                 .map(|name| (file.clone(), name.to_string()))
         })
         .collect();
     let mut wrong = Vec::new();
     let mut listed = BTreeSet::new();
-    for &(file, name, reason) in TEST_SURFACE {
+    for &(file, name, reason) in table {
         let key = (file.to_string(), name.to_string());
         if reason.trim().is_empty() {
             wrong.push(format!("{file}: `{name}` is listed without a reason"));
@@ -217,28 +257,43 @@ fn every_public_function_is_named_by_code_outside_its_crate() {
         if !listed.insert(key.clone()) {
             wrong.push(format!("{file}: `{name}` is listed twice"));
         } else if !declared.contains(&key) {
-            wrong.push(format!(
-                "{file}: `{name}` is gone; remove its row from TEST_SURFACE"
-            ));
+            wrong.push(format!("{file}: `{name}` is gone; remove its row"));
         } else if !now.contains(&key) {
             wrong.push(format!(
-                "{file}: `{name}` is named outside its crate now; remove its row from TEST_SURFACE"
+                "{file}: `{name}` is named outside its crate now; remove its row"
             ));
         }
     }
     for (file, name) in now.difference(&listed) {
         wrong.push(format!(
-            "{file}: `pub fn {name}` is named by no code outside its crate; delete it, \
-             make it pub(crate) or #[cfg(test)], or list it in TEST_SURFACE with a reason"
+            "{file}: `pub {} {name}` is named by no code outside its crate; delete it, \
+             make it pub(crate) or #[cfg(test)], or list it with a reason",
+            kinds.join("/")
         ));
     }
-    assert!(
-        wrong.is_empty(),
-        "{} public functions only tests name ({} listed):\n{}",
-        now.len(),
-        TEST_SURFACE.len(),
-        wrong.join("\n")
-    );
+    if !wrong.is_empty() {
+        wrong.insert(
+            0,
+            format!(
+                "{} declarations only tests name ({} listed):",
+                now.len(),
+                table.len()
+            ),
+        );
+    }
+    wrong
+}
+
+#[test]
+fn every_public_function_is_named_by_code_outside_its_crate() {
+    let wrong = ratchet(TEST_SURFACE, FN_KINDS);
+    assert!(wrong.is_empty(), "TEST_SURFACE:\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn every_public_type_is_named_by_code_outside_its_crate() {
+    let wrong = ratchet(TEST_TYPES, TYPE_KINDS);
+    assert!(wrong.is_empty(), "TEST_TYPES:\n{}", wrong.join("\n"));
 }
 
 #[test]
@@ -251,20 +306,32 @@ pub fn called() {}
     pub fn indented_method(&self) {}
 pub(crate) fn crate_private() { only_a_prefix_is_used() }
 pub fn only_a_prefix_is_used() {}
+pub struct Named;
+pub(crate) struct CratePrivate;
+    pub enum Nested { A }
+pub type Alias = Named;
+pub trait Unnamed {}
+pub structural_fn() {}
 #[cfg(test)]
 mod tests {
     pub fn in_the_tests() {}
 }
 ";
     assert_eq!(
-        declared(lib),
+        declared(lib, FN_KINDS),
         ["called", "indented_method", "only_a_prefix_is_used"]
+    );
+    assert_eq!(
+        declared(lib, TYPE_KINDS),
+        ["Named", "Nested", "Alias", "Unnamed"]
     );
     let other = "pub fn other() { thing.indented_method() }\n";
     let client = "\
 fn main() {
     called();
     only_a_prefix_is_used_twice();
+    let _: Alias = Named;
+    Nested::A;
 }
 #[cfg(test)]
 mod tests {
@@ -277,9 +344,12 @@ mod tests {
     });
     let mut clients = BTreeSet::new();
     live_words(client, &mut clients);
-    let got: Vec<String> = unnamed(&libs, &clients)
-        .into_iter()
-        .map(|(_, name)| name)
-        .collect();
-    assert_eq!(got, ["only_a_prefix_is_used", "other"]);
+    let names = |kinds| -> Vec<String> {
+        unnamed(&libs, &clients, kinds)
+            .into_iter()
+            .map(|(_, name)| name)
+            .collect()
+    };
+    assert_eq!(names(FN_KINDS), ["only_a_prefix_is_used", "other"]);
+    assert_eq!(names(TYPE_KINDS), ["Unnamed"]);
 }

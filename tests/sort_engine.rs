@@ -681,7 +681,7 @@ fn refill_points(order: &[Rec], lens: &[usize], b: usize) -> Vec<usize> {
 /// Dropped after its first batch, or just before any record whose
 /// departure makes a record-at-a-time merge read a block, a merge stream
 /// has read no block that merge would not have read by then; and drained
-/// under forecasting it wastes no prefetch.
+/// with every run reading ahead it wastes no prefetch.
 #[test]
 fn a_stream_dropped_early_reads_no_more_than_a_per_record_merge() {
     let (b, k) = (64, 31);
