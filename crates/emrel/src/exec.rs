@@ -8,19 +8,16 @@
 //!
 //! * [`ScanExec`] — the leaf; streams an [`ExtVec`] (`O(Scan(N))`).
 //! * [`FilterExec`] / [`ProjectExec`] — pure pipes, zero I/O of their own.
-//! * [`LimitExec`] / [`DistinctExec`] — pipes over (sorted, for distinct)
-//!   input.
 //! * [`GroupByExec`] — streaming fold over key-sorted input, one group in
 //!   memory at a time.
-//! * [`MergeJoinExec`] / [`FilteringJoinExec`] — sort-merge equi-/semi-/
-//!   anti-join over two key-sorted streams; the current right key group is
-//!   buffered in memory and charged to a [`MemBudget`].
+//! * [`MergeJoinExec`] — sort-merge equi-join over two key-sorted streams;
+//!   the current right key group is buffered in memory, at most `M` records
+//!   of it.
 //! * The in-memory join is [`HashJoinExec`](crate::HashJoinExec), the only
 //!   one: a build side that fits its residency is held in memory and the
 //!   probe side streams past it *unsorted* — no sort on either side — and
 //!   the output keeps the probe's order while the build side stays
 //!   resident.
-//! * [`TopKExec`] — selection heap of `k` records over one pass.
 //! * Sort — not a struct but the continuation-passing drivers
 //!   [`sort_scan`] / [`sort_pipe`]: under the hood they are
 //!   [`merge_sort_streaming`] (base relations) and [`SortingWriter`]
@@ -31,13 +28,13 @@
 //! **The drain rule** makes the pipeline's device-touching ends obey the
 //! overlap depths of [`ExecConfig`]: a consumer that will pull its child *to
 //! exhaustion* says so with [`QueryExec::drain_hint`], pure pipes forward
-//! the hint, and a [`ScanExec`] answers by reading ahead; operators that may
-//! stop early ([`LimitExec`], [`MergeJoinExec`], [`FilteringJoinExec`])
-//! swallow it, so no block is ever fetched that the synchronous pipeline
-//! would not have read and every transfer count is identical with overlap
-//! on or off.  In the other direction [`QueryExec::overlap`] reports the
-//! configured depths up the tree, which is how [`collect`] — whose
-//! signature carries no configuration — sizes its write-behind.
+//! the hint, and a [`ScanExec`] answers by reading ahead; the one operator
+//! that may stop pulling a child early, [`MergeJoinExec`], swallows it, so
+//! no block is ever fetched that the synchronous pipeline would not have
+//! read and every transfer count is identical with overlap on or off.  In
+//! the other direction [`QueryExec::overlap`] reports the configured depths
+//! up the tree, which is how [`collect`] — whose signature carries no
+//! configuration — sizes its write-behind.
 //!
 //! Sort operators borrow their final-stage runs from the sorting routine's
 //! frame (see [`SortedStream`]), so pipelines containing sorts are composed
@@ -46,9 +43,9 @@
 
 use std::sync::Arc;
 
-use em_core::{BudgetGuard, ExtVec, ExtVecReader, ExtVecWriter, MemBudget, Record};
+use em_core::{ExtVec, ExtVecReader, ExtVecWriter, MemBudget, Record};
 use emsort::{merge_sort_streaming, OverlapConfig, SortConfig, SortedStream, SortingWriter};
-use pdm::{Result, SharedDevice};
+use pdm::{PdmError, Result, SharedDevice};
 
 /// Identifier of a sort key as declared by the query author.
 ///
@@ -304,100 +301,6 @@ where
     }
 }
 
-/// Cut the stream off after `n` records.  Preserves order.
-///
-/// Stops pulling its child early, so it does **not** forward
-/// [`drain_hint`](QueryExec::drain_hint): a scan under a limit reads on
-/// demand, and no block beyond the cut is ever fetched.
-pub struct LimitExec<S> {
-    child: S,
-    remaining: u64,
-}
-
-impl<S: QueryExec> LimitExec<S> {
-    /// Pass through at most `n` records of `child`.
-    pub fn new(child: S, n: u64) -> Self {
-        LimitExec {
-            child,
-            remaining: n,
-        }
-    }
-}
-
-impl<S: QueryExec> QueryExec for LimitExec<S> {
-    type Item = S::Item;
-
-    fn try_next(&mut self) -> Result<Option<S::Item>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.child.try_next()? {
-            Some(r) => {
-                self.remaining -= 1;
-                Ok(Some(r))
-            }
-            None => Ok(None),
-        }
-    }
-
-    fn order(&self) -> Order {
-        self.child.order()
-    }
-
-    fn overlap(&self) -> OverlapConfig {
-        self.child.overlap()
-    }
-}
-
-/// Duplicate elimination over a *sorted* stream: equal records are adjacent,
-/// so one record of look-back suffices.  Preserves order.
-pub struct DistinctExec<S: QueryExec> {
-    child: S,
-    last: Option<S::Item>,
-}
-
-impl<S> DistinctExec<S>
-where
-    S: QueryExec,
-    S::Item: PartialEq,
-{
-    /// Deduplicate `child`, which must deliver equal records adjacently
-    /// (i.e. be sorted by the full record).
-    pub fn new(child: S) -> Self {
-        DistinctExec { child, last: None }
-    }
-}
-
-impl<S> QueryExec for DistinctExec<S>
-where
-    S: QueryExec,
-    S::Item: PartialEq,
-{
-    type Item = S::Item;
-
-    fn try_next(&mut self) -> Result<Option<S::Item>> {
-        while let Some(r) = self.child.try_next()? {
-            if self.last.as_ref() != Some(&r) {
-                self.last = Some(r.clone());
-                return Ok(Some(r));
-            }
-        }
-        Ok(None)
-    }
-
-    fn order(&self) -> Order {
-        self.child.order()
-    }
-
-    fn drain_hint(&mut self, overlap: OverlapConfig) {
-        self.child.drain_hint(overlap)
-    }
-
-    fn overlap(&self) -> OverlapConfig {
-        self.child.overlap()
-    }
-}
-
 /// Streaming group-by over key-sorted input: each group is folded
 /// left-to-right with one accumulator in memory, and one output record is
 /// emitted per group, in key order.
@@ -500,10 +403,10 @@ where
 }
 
 /// Sort-merge equi-join over two streams sorted on the join key: the left
-/// side streams through; the current right key group is buffered in memory
-/// and charged against a [`MemBudget`] (a group larger than `M` is a model
-/// violation and panics, the standard sort-merge-join assumption).  Output
-/// follows the left stream's order.
+/// side streams through; the current right key group is buffered in memory,
+/// at most `mem_records` of it (the standard sort-merge-join assumption — a
+/// larger group is [`PdmError::MemoryExceeded`], reported before the record
+/// past the bound is buffered).  Output follows the left stream's order.
 ///
 /// The join ends when its left side does, leaving the right side partly
 /// read, so it does **not** forward [`drain_hint`](QueryExec::drain_hint).
@@ -523,8 +426,7 @@ where
     cur_left: Option<LS::Item>,
     cur_right: Option<RS::Item>,
     primed: bool,
-    budget: Arc<MemBudget>,
-    group_charge: Option<BudgetGuard>,
+    mem_records: usize,
     _out: std::marker::PhantomData<O>,
 }
 
@@ -554,8 +456,7 @@ where
             cur_left: None,
             cur_right: None,
             primed: false,
-            budget: MemBudget::new(mem_records),
-            group_charge: None,
+            mem_records,
             _out: std::marker::PhantomData,
         }
     }
@@ -604,18 +505,16 @@ where
                 self.cur_right = self.right.try_next()?;
             }
             self.group.clear();
-            drop(self.group_charge.take());
-            while self
-                .cur_right
-                .as_ref()
-                .is_some_and(|r| (self.key_r)(r) == kl)
-            {
-                if let Some(r) = self.cur_right.take() {
-                    self.group.push(r);
+            while let Some(r) = self.cur_right.take_if(|r| (self.key_r)(r) == kl) {
+                if self.group.len() == self.mem_records {
+                    return Err(PdmError::MemoryExceeded {
+                        needed: self.mem_records + 1,
+                        available: self.mem_records,
+                    });
                 }
+                self.group.push(r);
                 self.cur_right = self.right.try_next()?;
             }
-            self.group_charge = Some(self.budget.charge(self.group.len()));
             self.group_key = Some(kl);
             self.group_at = 0;
         }
@@ -627,226 +526,6 @@ where
 
     fn overlap(&self) -> OverlapConfig {
         self.left.overlap()
-    }
-}
-
-/// Which records a [`FilteringJoinExec`] keeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterJoinKind {
-    /// Keep left records whose key appears on the right (semi-join).
-    Semi,
-    /// Keep left records whose key does **not** appear on the right
-    /// (anti-join).
-    Anti,
-}
-
-/// Semi-/anti-join over two streams sorted on the join key: emits the left
-/// records whose key does (semi) or does not (anti) appear on the right.
-/// Needs no group buffering — one right record of look-ahead suffices.
-/// Like [`MergeJoinExec`] it may leave its right side partly read and does
-/// not forward [`drain_hint`](QueryExec::drain_hint).
-pub struct FilteringJoinExec<LS, RS, K, KL, KR>
-where
-    LS: QueryExec,
-    RS: QueryExec,
-{
-    left: LS,
-    right: RS,
-    key_l: KL,
-    key_r: KR,
-    kind: FilterJoinKind,
-    cur_right: Option<RS::Item>,
-    primed: bool,
-    _k: std::marker::PhantomData<K>,
-}
-
-impl<LS, RS, K, KL, KR> FilteringJoinExec<LS, RS, K, KL, KR>
-where
-    LS: QueryExec,
-    RS: QueryExec,
-    K: Ord,
-    KL: Fn(&LS::Item) -> K,
-    KR: Fn(&RS::Item) -> K,
-{
-    /// Build a semi- or anti-join of `left` against `right` (both sorted on
-    /// the join key).
-    pub fn new(left: LS, right: RS, key_l: KL, key_r: KR, kind: FilterJoinKind) -> Self {
-        FilteringJoinExec {
-            left,
-            right,
-            key_l,
-            key_r,
-            kind,
-            cur_right: None,
-            primed: false,
-            _k: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<LS, RS, K, KL, KR> QueryExec for FilteringJoinExec<LS, RS, K, KL, KR>
-where
-    LS: QueryExec,
-    RS: QueryExec,
-    K: Ord,
-    KL: Fn(&LS::Item) -> K,
-    KR: Fn(&RS::Item) -> K,
-{
-    type Item = LS::Item;
-
-    fn try_next(&mut self) -> Result<Option<LS::Item>> {
-        if !self.primed {
-            self.cur_right = self.right.try_next()?;
-            self.primed = true;
-        }
-        while let Some(l) = self.left.try_next()? {
-            let kl = (self.key_l)(&l);
-            while self
-                .cur_right
-                .as_ref()
-                .is_some_and(|r| (self.key_r)(r) < kl)
-            {
-                self.cur_right = self.right.try_next()?;
-            }
-            let matches = self
-                .cur_right
-                .as_ref()
-                .is_some_and(|r| (self.key_r)(r) == kl);
-            if matches == (self.kind == FilterJoinKind::Semi) {
-                return Ok(Some(l));
-            }
-        }
-        Ok(None)
-    }
-
-    fn order(&self) -> Order {
-        self.left.order()
-    }
-
-    fn overlap(&self) -> OverlapConfig {
-        self.left.overlap()
-    }
-}
-
-/// The `k` smallest records by an extracted key, emitted in key order — a
-/// selection heap over one pass of the child.  Blocking: the child is
-/// drained on the first [`try_next`](QueryExec::try_next).  Ties break
-/// toward earlier input position, so the result is deterministic.
-pub struct TopKExec<S, K, KF>
-where
-    S: QueryExec,
-{
-    child: S,
-    k: usize,
-    key: KF,
-    out_order: Order,
-    built: Option<std::vec::IntoIter<S::Item>>,
-    _heap_charge: BudgetGuard,
-    _k: std::marker::PhantomData<K>,
-}
-
-struct HeapEntry<K, R> {
-    key: K,
-    seq: u64,
-    rec: R,
-}
-
-impl<K: Ord, R> PartialEq for HeapEntry<K, R> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
-    }
-}
-impl<K: Ord, R> Eq for HeapEntry<K, R> {}
-impl<K: Ord, R> PartialOrd for HeapEntry<K, R> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K: Ord, R> Ord for HeapEntry<K, R> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key).then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl<S, K, KF> TopKExec<S, K, KF>
-where
-    S: QueryExec,
-    K: Ord,
-    KF: Fn(&S::Item) -> K,
-{
-    /// Keep the `k` smallest records of `child` by `key`, charging the
-    /// `k`-record heap against `budget`.  `out_order` declares the output
-    /// order (the id registered for `key`).
-    pub(crate) fn with_budget(
-        child: S,
-        k: usize,
-        key: KF,
-        budget: &Arc<MemBudget>,
-        out_order: Order,
-    ) -> Self {
-        TopKExec {
-            child,
-            k,
-            key,
-            out_order,
-            built: None,
-            _heap_charge: budget.charge(k),
-            _k: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<S, K, KF> QueryExec for TopKExec<S, K, KF>
-where
-    S: QueryExec,
-    K: Ord,
-    KF: Fn(&S::Item) -> K,
-{
-    type Item = S::Item;
-
-    fn try_next(&mut self) -> Result<Option<S::Item>> {
-        if self.built.is_none() {
-            // Max-heap of the k best so far; a sequence number keeps the
-            // heap total-ordered and ties deterministic.
-            let mut heap: std::collections::BinaryHeap<HeapEntry<K, S::Item>> =
-                std::collections::BinaryHeap::with_capacity(self.k + 1);
-            let mut seq = 0u64;
-            while let Some(rec) = self.child.try_next()? {
-                heap.push(HeapEntry {
-                    key: (self.key)(&rec),
-                    seq,
-                    rec,
-                });
-                seq += 1;
-                if heap.len() > self.k {
-                    heap.pop(); // drop the current worst
-                }
-            }
-            let mut best: Vec<HeapEntry<K, S::Item>> = heap.into_vec();
-            best.sort_by(|a, b| a.key.cmp(&b.key).then(a.seq.cmp(&b.seq)));
-            self.built = Some(
-                best.into_iter()
-                    .map(|e| e.rec)
-                    .collect::<Vec<_>>()
-                    .into_iter(),
-            );
-        }
-        match self.built.as_mut() {
-            Some(it) => Ok(it.next()),
-            None => Ok(None),
-        }
-    }
-
-    fn order(&self) -> Order {
-        self.out_order
-    }
-
-    fn drain_hint(&mut self, overlap: OverlapConfig) {
-        self.child.drain_hint(overlap)
-    }
-
-    fn overlap(&self) -> OverlapConfig {
-        self.child.overlap()
     }
 }
 
@@ -919,12 +598,9 @@ pub struct ExecConfig {
 impl ExecConfig {
     /// A configuration with the given sort memory budget.
     pub fn new(mem_records: usize) -> Self {
-        ExecConfig::from_sort(SortConfig::new(mem_records))
-    }
-
-    /// Adopt an existing [`SortConfig`].
-    pub fn from_sort(sort: SortConfig) -> Self {
-        ExecConfig { sort }
+        ExecConfig {
+            sort: SortConfig::new(mem_records),
+        }
     }
 }
 
@@ -1087,11 +763,6 @@ mod tests {
         // (name, stops reading `v` early, pipeline)
         let pipelines: Vec<(&str, bool, Pipeline)> = vec![
             (
-                "limit over a scan",
-                true,
-                Box::new(|ov| drained(&mut LimitExec::new(ScanExec::new(&v), 20), ov)),
-            ),
-            (
                 "merge join whose left side ends first",
                 true,
                 Box::new(|ov| {
@@ -1122,20 +793,6 @@ mod tests {
                     drained(&mut j, ov)
                 }),
             ),
-            (
-                "semi-join against a short right side",
-                true,
-                Box::new(|ov| {
-                    let mut j = FilteringJoinExec::new(
-                        ScanExec::with_order(&few, Order::Key(1)),
-                        ScanExec::with_order(&v, Order::Key(1)),
-                        |l: &(u64, u64)| l.0,
-                        |r: &(u64, u64)| r.0,
-                        FilterJoinKind::Semi,
-                    );
-                    drained(&mut j, ov)
-                }),
-            ),
         ];
         for (name, stops_early, run) in &pipelines {
             let t0 = d.stats().snapshot();
@@ -1157,11 +814,9 @@ mod tests {
         let scan = ScanExec::with_order(&v, Order::Key(7));
         let filt = FilterExec::new(scan, |x: &u64| x.is_multiple_of(2));
         assert_eq!(filt.order(), Order::Key(7), "filter preserves order");
-        let proj: ProjectExec<_, _, u64> =
-            ProjectExec::new(filt, |x: &u64| Some(x * 10), Order::Key(7));
-        let mut lim = LimitExec::new(proj, 3);
-        let out = collect(&mut lim, &d).unwrap();
-        assert_eq!(out.to_vec().unwrap(), vec![0, 20, 40]);
+        let mut proj = ProjectExec::new(filt, |x: &u64| Some(x * 10), Order::Key(7));
+        let first: Vec<u64> = (0..3).map(|_| proj.try_next().unwrap().unwrap()).collect();
+        assert_eq!(first, vec![0, 20, 40]);
     }
 
     #[test]
@@ -1238,5 +893,39 @@ mod tests {
         );
         let out = collect(&mut g, &d).unwrap().to_vec().unwrap();
         assert_eq!(out, vec![(1, 5, 2), (2, 5, 1), (4, 3, 3)]);
+    }
+
+    #[test]
+    fn merge_join_right_group_over_its_memory_is_a_typed_error() {
+        let d = device();
+        let left = ExtVec::from_slice(d.clone(), &[(1u64, 0u64), (2, 0)]).unwrap();
+        // Key 1's group fits in 4 records; key 2's group of 5 does not.
+        let right: Vec<(u64, u64)> = [(1, 4), (2, 5)]
+            .into_iter()
+            .flat_map(|(k, n)| (0..n).map(move |i| (k, i)))
+            .collect();
+        let right = ExtVec::from_slice(d.clone(), &right).unwrap();
+        let mut j = MergeJoinExec::new(
+            ScanExec::with_order(&left, Order::Key(1)),
+            ScanExec::with_order(&right, Order::Key(1)),
+            |l: &(u64, u64)| l.0,
+            |r: &(u64, u64)| r.0,
+            |l: &(u64, u64), r: &(u64, u64)| (l.0, r.1),
+            4,
+        );
+        for i in 0..4 {
+            assert_eq!(j.try_next().unwrap(), Some((1, i)));
+        }
+        let err = j.try_next().err();
+        assert!(
+            matches!(
+                err,
+                Some(PdmError::MemoryExceeded {
+                    needed: 5,
+                    available: 4
+                })
+            ),
+            "{err:?}"
+        );
     }
 }

@@ -363,7 +363,9 @@ where
             None => match cur.try_next()? {
                 Some(r) => r,
                 None => {
-                    self.fb.take().unwrap().into_inner().free()?;
+                    if let Some(done) = self.fb.take() {
+                        done.into_inner().free()?;
+                    }
                     return Ok(None);
                 }
             },
@@ -373,7 +375,6 @@ where
         (self.fold)(&mut acc, &first);
         let mut n = 1u64;
         loop {
-            let cur = self.fb.as_mut().unwrap();
             match cur.try_next()? {
                 Some(r) if (self.key)(&r) == k => {
                     (self.fold)(&mut acc, &r);
@@ -389,8 +390,8 @@ where
     }
 }
 
-/// An aggregation dropped undrained (under a `LimitExec`, say) frees the
-/// spilled partitions it never consumed.
+/// An aggregation dropped undrained frees the spilled partitions it never
+/// consumed.
 impl<R, K, KF, Acc, FoldF, FinF, O> Drop for HashGroupByExec<R, K, KF, Acc, FoldF, FinF, O>
 where
     R: Record,
@@ -702,9 +703,10 @@ where
                 let h0 = hasher.hash(&k);
                 if hybrid && level_bucket(h0, 0, fan_out) == 0 {
                     if resident.len() == bucket0_cap {
-                        let (pass, ..) = spill.take().expect("opened above");
-                        for part in pass.finish()? {
-                            part.free()?;
+                        if let Some((pass, ..)) = spill.take() {
+                            for part in pass.finish()? {
+                                part.free()?;
+                            }
                         }
                         return Err(PdmError::MemoryExceeded {
                             needed: bucket0_cap + 1,
@@ -904,9 +906,10 @@ where
                 }
                 debug_assert!(pair.table.len() <= pair.chunk, "chunk past its charge");
                 if pair.table.is_empty() {
-                    let done = self.pair.take().unwrap();
-                    done.bcur.into_inner().free()?;
-                    done.pcur.into_inner().free()?;
+                    if let Some(done) = self.pair.take() {
+                        done.bcur.into_inner().free()?;
+                        done.pcur.into_inner().free()?;
+                    }
                     return Ok(());
                 }
                 pair.pcur.rewind();
@@ -1018,7 +1021,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{collect, sort_pipe, LimitExec, ScanExec};
+    use crate::exec::{collect, sort_pipe, ScanExec};
     use em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios};
     use em_core::EmConfig;
     use std::cell::Cell;
@@ -1558,11 +1561,12 @@ mod tests {
     /// `cfg` at memory `m`, with and without overlap queues.
     fn sync_and_overlapped(m: usize) -> [ExecConfig; 2] {
         let overlapped = emsort::SortConfig::new(m).with_overlap(OverlapConfig::symmetric(2));
-        [ExecConfig::new(m), ExecConfig::from_sort(overlapped)]
+        [ExecConfig::new(m), ExecConfig { sort: overlapped }]
     }
 
     #[test]
     fn join_dropped_under_a_limit_frees_its_partitions() {
+        // A consumer under a limit pulls five rows and drops the join.
         // Grace: the first match comes out of a pair loop, with the other
         // pairs still queued.  Hybrid: it comes out of resident bucket 0
         // mid-probe, with the probe pass still open.
@@ -1572,13 +1576,12 @@ mod tests {
             let pv = ExtVec::from_slice(d.clone(), &pairs(4000, 900, 0x1357_9BD1)).unwrap();
             let allocated = d.allocated_blocks();
             for cfg in sync_and_overlapped(m) {
-                let j = join_on_first(&d, &cfg, 3, hybrid, &bv, ScanExec::new(&pv)).unwrap();
-                let mut limit = LimitExec::new(j, 5);
-                let out = collect(&mut limit, &d).unwrap();
-                assert_eq!(out.len(), 5);
-                out.free().unwrap();
+                let mut j = join_on_first(&d, &cfg, 3, hybrid, &bv, ScanExec::new(&pv)).unwrap();
+                for _ in 0..5 {
+                    assert!(j.try_next().unwrap().is_some(), "hybrid={hybrid}");
+                }
                 assert!(d.allocated_blocks() > allocated, "hybrid={hybrid}");
-                drop(limit);
+                drop(j);
                 assert_eq!(d.allocated_blocks(), allocated, "hybrid={hybrid}");
             }
         }
@@ -1589,7 +1592,8 @@ mod tests {
         // The first tape leaves spilled partitions queued behind the
         // absorb table's groups; the second (two keys of one level-0
         // bucket, no absorb table at M = 4 blocks) is mid-way through a
-        // sort fallback's sorted partition when the limit cuts it off.
+        // sort fallback's sorted partition when a consumer under a limit
+        // of one group drops it.
         let same_bucket: Vec<u64> = (0..u64::MAX)
             .filter(|&k| level_bucket(key_hash(k), 0, 3) == 0)
             .take(2)
@@ -1602,7 +1606,7 @@ mod tests {
             let v = ExtVec::from_slice(d.clone(), &data).unwrap();
             let allocated = d.allocated_blocks();
             for cfg in sync_and_overlapped(m) {
-                let g = HashGroupByExec::build(
+                let mut g = HashGroupByExec::build(
                     &mut ScanExec::new(&v),
                     &d,
                     &cfg,
@@ -1613,12 +1617,9 @@ mod tests {
                     |k, acc, n| (k, acc, n),
                 )
                 .unwrap();
-                let mut limit = LimitExec::new(g, 1);
-                let out = collect(&mut limit, &d).unwrap();
-                assert_eq!(out.len(), 1);
-                out.free().unwrap();
+                assert!(g.try_next().unwrap().is_some(), "M = {mem_blocks} blocks");
                 assert!(d.allocated_blocks() > allocated, "M = {mem_blocks} blocks");
-                drop(limit);
+                drop(g);
                 assert_eq!(d.allocated_blocks(), allocated, "M = {mem_blocks} blocks");
             }
         }

@@ -18,7 +18,7 @@
 //! independent array.
 //!
 //! An array additionally carries an [`IoMode`]: in
-//! [`Overlapped`](IoMode::Overlapped) mode an [`IoScheduler`] runs one worker
+//! [`Overlapped`](IoMode::Overlapped) mode an `IoScheduler` runs one worker
 //! thread per member disk, so a striped transfer really does move its `D`
 //! physical blocks concurrently, and [`submit_read`](BlockDevice::submit_read)
 //! / [`submit_write`](BlockDevice::submit_write) give independent-mode

@@ -47,7 +47,7 @@
 //!   happened on the hardware.  In the default [`IoMode::Synchronous`] mode
 //!   every transfer runs inline on the calling thread, so a striped array's
 //!   "parallel" transfer is, in real time, `D` sequential copies.  In
-//!   [`IoMode::Overlapped`] mode an [`IoScheduler`] runs one worker thread
+//!   [`IoMode::Overlapped`] mode an `IoScheduler` runs one worker thread
 //!   per member disk: striped transfers really fan out across all `D` disks,
 //!   and asynchronous [`BlockDevice::submit_read`] /
 //!   [`BlockDevice::submit_write`] tickets let streaming layers keep several
@@ -85,6 +85,6 @@ pub use file_disk::FileDisk;
 pub use lane::LaneView;
 pub use pool::{BufferPool, EvictionPolicy, FrameGuard, FrameGuardMut, PoolStats};
 pub use ram_disk::RamDisk;
-pub use sched::{IoMode, IoScheduler, IoTicket, RetryPolicy};
+pub use sched::{IoMode, IoTicket, RetryPolicy};
 pub use stats::{IoSnapshot, IoStats};
 pub use wal::{Journal, WalOverhead};

@@ -6,7 +6,7 @@
 //! the substrate counts transfers exactly but executes them synchronously on
 //! the caller's thread; this module makes the parallelism real:
 //!
-//! * [`IoScheduler`] owns one worker thread per member disk ("lane"), fed by
+//! * `IoScheduler` owns one worker thread per member disk ("lane"), fed by
 //!   an unbounded MPSC channel.  Jobs on one lane execute strictly in FIFO
 //!   order, which is what makes read-after-write to the same block safe when
 //!   higher layers submit writes they do not immediately wait for.
@@ -253,7 +253,7 @@ impl IoTicket {
 /// The scheduler is created from the member devices of a
 /// [`DiskArray`](crate::DiskArray); lane `d` executes transfers on member
 /// disk `d`.  Jobs submitted to one lane complete in submission order.
-pub struct IoScheduler {
+pub(crate) struct IoScheduler {
     lanes: Vec<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<IoStats>,
@@ -266,14 +266,9 @@ pub struct IoScheduler {
 impl IoScheduler {
     /// Spawn one worker thread per device in `devices`; lane indices follow
     /// the slice order.  Queue-depth changes are recorded into `stats`.
-    /// Transfers are not retried.
-    pub fn new(devices: &[Arc<dyn BlockDevice>], stats: Arc<IoStats>) -> Self {
-        Self::with_retry(devices, stats, RetryPolicy::none())
-    }
-
-    /// Like [`new`](Self::new), but each worker runs its transfers under
-    /// `retry`: transient device errors are re-attempted in-lane (FIFO order
-    /// is preserved — the job simply executes again before the next one).
+    /// Each worker runs its transfers under `retry`: transient device errors
+    /// are re-attempted in-lane (FIFO order is preserved — the job simply
+    /// executes again before the next one).
     pub(crate) fn with_retry(
         devices: &[Arc<dyn BlockDevice>],
         stats: Arc<IoStats>,
@@ -374,11 +369,6 @@ impl IoScheduler {
         }
     }
 
-    /// Number of lanes (member disks).
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Queue an asynchronous read of physical block `id` on `lane` into
     /// `buf`; the filled buffer comes back through the ticket.
     pub fn submit_read(&self, lane: usize, id: BlockId, buf: Box<[u8]>) -> IoTicket {
@@ -438,6 +428,14 @@ impl Drop for IoScheduler {
         if let Some(e) = self.dropped_error.lock().take() {
             eprintln!("pdm: IoScheduler dropped at least one failed write whose ticket was never awaited: {e}");
         }
+    }
+}
+
+#[cfg(test)]
+impl IoScheduler {
+    /// A scheduler whose transfers are not retried.
+    fn new(devices: &[Arc<dyn BlockDevice>], stats: Arc<IoStats>) -> Self {
+        Self::with_retry(devices, stats, RetryPolicy::none())
     }
 }
 

@@ -40,7 +40,7 @@ pub struct IoStats {
     faults_injected: AtomicU64,
     /// Write errors whose completion ticket had already been dropped — the
     /// failure of a write-behind flush nobody was waiting on.  Surfaced again
-    /// by [`IoScheduler`](crate::IoScheduler) at shutdown.
+    /// by `IoScheduler` at shutdown.
     dropped_write_errors: AtomicU64,
     block_bytes: usize,
 }

@@ -8,7 +8,9 @@
 //! is a text rule.  `bench` and `testkit` are not library crates.  The
 //! per-file counts must equal [`COUNTS`]: a file whose count rises, or a new
 //! file with any, fails; a file whose count falls fails until its entry is
-//! lowered, so the table only ever moves down.
+//! lowered, so the table only ever moves down.  A library crate with no
+//! row carries [`ZERO_PANIC_LINTS`] in its `lib.rs`, so clippy keeps it at
+//! zero.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -39,7 +41,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("emgraph/src/util.rs", 1),
     ("emhash/src/lib.rs", 5),
     ("emhash/src/table.rs", 2),
-    ("emrel/src/hash_exec.rs", 4),
     ("emsort/src/bmmc.rs", 2),
     ("emsort/src/distribution.rs", 1),
     ("emsort/src/heap.rs", 1),
@@ -59,6 +60,11 @@ const COUNTS: &[(&str, usize)] = &[
 
 /// Crates under `crates/` that are not libraries the rule covers.
 const SKIPPED: &[&str] = &["bench", "testkit"];
+
+/// The crate attribute that keeps a library at zero panic lines: clippy's
+/// lint job rejects `unwrap`, `expect` and `panic!` outside test code.
+const ZERO_PANIC_LINTS: &str =
+    "#![cfg_attr(not(test),deny(clippy::unwrap_used,clippy::expect_used,clippy::panic))]";
 
 const PATTERNS: &[&str] = &[
     "panic!",
@@ -91,18 +97,31 @@ fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
-/// Panic lines of every library file that has any, keyed like [`COUNTS`].
-fn measured() -> BTreeMap<String, usize> {
-    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn crates_dir() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
-        .expect("the bench crate sits in crates/");
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(crates).expect("readable crates/") {
+        .expect("the bench crate sits in crates/")
+}
+
+/// The names of the library crates the rule covers.
+fn library_crates() -> Vec<String> {
+    let mut names = Vec::new();
+    for entry in std::fs::read_dir(crates_dir()).expect("readable crates/") {
         let dir = entry.expect("readable crates/ entry").path();
         let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
         if dir.join("src").is_dir() && !SKIPPED.contains(&name) {
-            rust_files(&dir.join("src"), &mut files);
+            names.push(name.to_string());
         }
+    }
+    names
+}
+
+/// Panic lines of every library file that has any, keyed like [`COUNTS`].
+fn measured() -> BTreeMap<String, usize> {
+    let crates = crates_dir();
+    let mut files = Vec::new();
+    for name in library_crates() {
+        rust_files(&crates.join(name).join("src"), &mut files);
     }
     files
         .into_iter()
@@ -160,4 +179,25 @@ fn f(x: Option<u8>) -> u8 {
 mod tests { fn g() { panic!(); } }
 ";
     assert_eq!(panic_lines(source), 3);
+}
+
+#[test]
+fn every_crate_at_zero_denies_the_panic_lints() {
+    let mut missing = Vec::new();
+    for name in library_crates() {
+        let prefix = format!("{name}/");
+        if COUNTS.iter().any(|(file, _)| file.starts_with(&prefix)) {
+            continue;
+        }
+        let lib = crates_dir().join(&name).join("src/lib.rs");
+        let source = std::fs::read_to_string(&lib).expect("readable lib.rs");
+        let compact: String = source.chars().filter(|c| !c.is_whitespace()).collect();
+        if !compact.contains(ZERO_PANIC_LINTS) {
+            missing.push(name);
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "crates with no panic lines must carry {ZERO_PANIC_LINTS} in lib.rs: {missing:?}"
+    );
 }

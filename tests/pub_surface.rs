@@ -33,15 +33,7 @@ const TEST_SURFACE: &[(&str, &str, &str)] = &[
     ("emgraph/src/gen.rs", "planted_components", "graph_pipeline.rs builds CC inputs"),
     ("emgraph/src/list_ranking.rs", "list_rank_weighted", "survey algorithm; list_rank calls it"),
     ("emgraph/src/mis.rs", "maximal_independent_set", "survey algorithm; emgraph's tests run it"),
-    ("emrel/src/exec.rs", "from_sort", "query_engine.rs configures executors"),
     ("emrel/src/exec.rs", "with_order", "query_engine.rs declares a scan's order"),
-    ("emrel/src/lib.rs", "anti_join", "relational_pipeline.rs runs it"),
-    ("emrel/src/lib.rs", "concat", "relational operator; emrel's tests run it"),
-    ("emrel/src/lib.rs", "filter_map_scan", "relational_pipeline.rs runs it"),
-    ("emrel/src/lib.rs", "group_aggregate", "relational_pipeline.rs runs it"),
-    ("emrel/src/lib.rs", "semi_join", "relational_pipeline.rs runs it"),
-    ("emrel/src/lib.rs", "sort_merge_join", "relational_pipeline.rs runs it"),
-    ("emrel/src/lib.rs", "top_k_by", "relational operator; emrel's tests run it"),
     ("emrel/src/plan.rs", "hash_distinct", "query_engine.rs prices hash DISTINCT"),
     ("emrel/src/plan.rs", "predict", "the cost model; choose calls it"),
     ("emrel/src/plan.rs", "predict_with_sink", "query_engine.rs: predicted == measured"),
@@ -82,13 +74,8 @@ const TEST_SURFACE: &[(&str, &str, &str)] = &[
 const TEST_TYPES: &[(&str, &str, &str)] = &[
     ("emgraph/src/euler.rs", "EulerTour", "euler_tour returns it; callers never spell it"),
     ("emhash/src/partition.rs", "Partitioned", "partition_to_fit returns it"),
-    ("emrel/src/exec.rs", "DistinctExec", "operator; emrel's distinct builds it"),
-    ("emrel/src/exec.rs", "FilterJoinKind", "FilteringJoinExec's semi/anti choice"),
-    ("emrel/src/exec.rs", "FilteringJoinExec", "operator; emrel's semi/anti joins build it"),
     ("emrel/src/exec.rs", "KeyId", "Order::Key's argument in the executor API"),
-    ("emrel/src/exec.rs", "LimitExec", "operator; emrel's tests stop joins with it"),
     ("emrel/src/exec.rs", "SortStreamExec", "operator; sort_scan builds it"),
-    ("emrel/src/exec.rs", "TopKExec", "operator; emrel's top_k_by builds it"),
     ("emrel/src/plan.rs", "Prediction", "predict returns it; callers never spell it"),
     ("emserve/src/server.rs", "NullSink", "a sink for callers that ignore completions"),
     ("emserve/src/stats.rs", "ServeStats", "Server::stats returns it"),
@@ -97,7 +84,6 @@ const TEST_TYPES: &[(&str, &str, &str)] = &[
     ("pdm/src/fault.rs", "FaultDisk", "fault injection: every fault suite"),
     ("pdm/src/pool.rs", "FrameGuard", "BufferPool::read returns it"),
     ("pdm/src/pool.rs", "PoolStats", "BufferPool::stats returns it"),
-    ("pdm/src/sched.rs", "IoScheduler", "an overlapped DiskArray's lanes; pdm's tests"),
 ];
 
 /// The declarations each rule reads: `pub <kind> <name>`.

@@ -188,7 +188,7 @@ proptest! {
                 .group_by(KEY, GRP_BYTES, g_cnt, Order::Key(KEY));
             let pred_fused = predict_with_sink(&plan, &env);
 
-            let cfg = ExecConfig::from_sort(sc);
+            let cfg = ExecConfig { sort: sc };
 
             let before = device.stats().snapshot();
             let out = run_q1(&device, &input, &cfg).unwrap();
@@ -505,7 +505,7 @@ proptest! {
             let m = if skew { 3 * rows_per_block } else { 4 * rows_per_block };
             let stripe = if placement.is_striped() { d as u64 } else { 1 };
             let sc = SortConfig::new(m).with_overlap(OverlapConfig::symmetric(depth));
-            let cfg = ExecConfig::from_sort(sc);
+            let cfg = ExecConfig { sort: sc };
             let device = DiskArray::new_ram_with(d, 64, placement, mode) as SharedDevice;
             let input = ExtVec::from_slice(device.clone(), &data).unwrap();
             let env = CostEnv::new(device.block_size(), m).with_stripe(stripe);
@@ -556,7 +556,7 @@ proptest! {
             let b8 = device.block_size() / 8;
             let m_d = 4 * b8;
             let sc_d = SortConfig::new(m_d).with_overlap(OverlapConfig::symmetric(depth));
-            let cfg_d = ExecConfig::from_sort(sc_d);
+            let cfg_d = ExecConfig { sort: sc_d };
             let env_d = CostEnv::new(device.block_size(), m_d).with_stripe(stripe);
             let plan_d = PlanExpr::scan(data.len() as u64, ROW_BYTES, Order::Unordered)
                 .filter(f_cnt)
@@ -653,7 +653,7 @@ proptest! {
             let m = if hybrid { 16 } else { 8 } * rows_per_block;
             let stripe = if placement.is_striped() { d as u64 } else { 1 };
             let sc = SortConfig::new(m).with_overlap(OverlapConfig::symmetric(depth));
-            let cfg = ExecConfig::from_sort(sc);
+            let cfg = ExecConfig { sort: sc };
             let device = DiskArray::new_ram_with(d, 64, placement, mode) as SharedDevice;
             let o_vec = ExtVec::from_slice(device.clone(), &orders).unwrap();
             let l_vec = ExtVec::from_slice(device.clone(), &lineitem).unwrap();

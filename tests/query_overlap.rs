@@ -50,7 +50,9 @@ fn keep(r: &Row) -> bool {
 }
 
 fn cfg(m: usize, overlap: OverlapConfig) -> ExecConfig {
-    ExecConfig::from_sort(SortConfig::new(m).with_overlap(overlap))
+    ExecConfig {
+        sort: SortConfig::new(m).with_overlap(overlap),
+    }
 }
 
 fn sum_groups(

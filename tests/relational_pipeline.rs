@@ -3,12 +3,11 @@
 //! an in-memory reference.
 
 use em_core::{EmConfig, ExtVec};
-use emrel::{anti_join, distinct, filter_map_scan, group_aggregate, semi_join, sort_merge_join};
-use emsort::SortConfig;
+use emrel::{collect, sort_pipe, sort_scan, ExecConfig, GroupByExec, KeyId, MergeJoinExec, Order};
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy};
 use rand::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Orders (order_id, customer_id, amount) joined to customers
 /// (customer_id, region), aggregated per region, indexed, and queried.
@@ -16,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 fn star_join_group_by_index() {
     let cfg = EmConfig::new(512, 16);
     let device = cfg.ram_disk();
-    let sc = SortConfig::new(cfg.mem_records::<u64>());
+    let ec = ExecConfig::new(cfg.mem_records::<u64>());
     let mut rng = StdRng::seed_from_u64(4001);
 
     let n_orders = 20_000u64;
@@ -33,32 +32,61 @@ fn star_join_group_by_index() {
     let orders_v = ExtVec::from_slice(device.clone(), &orders).unwrap();
     let customers_v = ExtVec::from_slice(device.clone(), &customers).unwrap();
 
-    // Join: (region, amount) per order.
-    let joined = sort_merge_join(
+    // Join: (region, amount) per order, sorted by region and summed per
+    // region.  Neither sorted join input nor the join's output is ever
+    // written out: each sort's final merge streams into its consumer.
+    const CUSTOMER: KeyId = 1;
+    const REGION: KeyId = 2;
+    let mut joined = 0u64;
+    let revenue = sort_scan(
         &orders_v,
-        &customers_v,
-        &sc,
-        |o| o.1,
-        |c| c.0,
-        |o, c| (c.1, o.2),
+        Order::Unordered,
+        &ec,
+        CUSTOMER,
+        |a: &(u64, u64, u64), b: &(u64, u64, u64)| a.1 < b.1,
+        |os| {
+            sort_scan(
+                &customers_v,
+                Order::Unordered,
+                &ec,
+                CUSTOMER,
+                |a: &(u64, u64), b: &(u64, u64)| a.0 < b.0,
+                |cs| {
+                    let mut join = MergeJoinExec::new(
+                        os,
+                        cs,
+                        |o: &(u64, u64, u64)| o.1,
+                        |c: &(u64, u64)| c.0,
+                        |o: &(u64, u64, u64), c: &(u64, u64)| (c.1, o.2),
+                        ec.sort.mem_records,
+                    );
+                    sort_pipe(
+                        &mut join,
+                        &device,
+                        &ec,
+                        REGION,
+                        |a: &(u64, u64), b: &(u64, u64)| a.0 < b.0,
+                        |js| {
+                            let mut g = GroupByExec::new(
+                                js,
+                                |r: &(u64, u64)| r.0,
+                                0u64,
+                                |acc, r: &(u64, u64)| *acc += r.1,
+                                |region, total, n| {
+                                    joined += n;
+                                    (region, total)
+                                },
+                                Order::Key(REGION),
+                            );
+                            collect(&mut g, &device)
+                        },
+                    )
+                },
+            )
+        },
     )
     .unwrap();
-    assert_eq!(
-        joined.len(),
-        n_orders,
-        "every order has exactly one customer"
-    );
-
-    // Group by region: total revenue.
-    let revenue = group_aggregate(
-        &joined,
-        &sc,
-        |r| r.0,
-        0u64,
-        |acc, r| *acc += r.1,
-        |region, total, _count| (region, total),
-    )
-    .unwrap();
+    assert_eq!(joined, n_orders, "every order has exactly one customer");
 
     // Reference.
     let cust_region: BTreeMap<u64, u64> = customers.iter().copied().collect();
@@ -79,40 +107,4 @@ fn star_join_group_by_index() {
         .filter(|&(r, _)| (10..=19).contains(&r))
         .collect();
     assert_eq!(band, expect_band);
-}
-
-#[test]
-fn semi_anti_distinct_pipeline() {
-    let cfg = EmConfig::new(512, 16);
-    let device = cfg.ram_disk();
-    let sc = SortConfig::new(cfg.mem_records::<u64>());
-    let mut rng = StdRng::seed_from_u64(4002);
-
-    // Events with user ids; a blocklist of users.
-    let events: Vec<(u64, u64)> = (0..15_000)
-        .map(|i| (rng.gen_range(0..2_000u64), i))
-        .collect();
-    let blocked: Vec<u64> = (0..300).map(|_| rng.gen_range(0..2_000)).collect();
-    let ev = ExtVec::from_slice(device.clone(), &events).unwrap();
-    let bl = ExtVec::from_slice(device.clone(), &blocked).unwrap();
-
-    let allowed = anti_join(&ev, &bl, &sc, |e| e.0, |&b| b).unwrap();
-    let flagged = semi_join(&ev, &bl, &sc, |e| e.0, |&b| b).unwrap();
-    assert_eq!(allowed.len() + flagged.len(), ev.len());
-
-    // Distinct active allowed users.
-    let allowed_users = filter_map_scan(&allowed, |e| Some(e.0)).unwrap();
-    let uniq = distinct(&allowed_users, &sc).unwrap().to_vec().unwrap();
-
-    // Reference.
-    let blockset: BTreeSet<u64> = blocked.into_iter().collect();
-    let mut expect: Vec<u64> = events
-        .iter()
-        .map(|e| e.0)
-        .filter(|u| !blockset.contains(u))
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    expect.sort_unstable();
-    assert_eq!(uniq, expect);
 }
