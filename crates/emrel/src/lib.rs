@@ -156,8 +156,6 @@ mod tests {
         assert_eq!(got, expect);
     }
 
-    /// Duplicate keys on both sides, and a pair of inputs with no key in
-    /// common.
     #[test]
     fn join_matches_nested_loop_reference() {
         let d = device();
@@ -166,23 +164,29 @@ mod tests {
         let right: Vec<(u64, u64)> = (0..1500)
             .map(|i| (rng.gen_range(0..300), i + 10_000))
             .collect();
-        let disjoint = (vec![(1u64, 1u64), (2, 2)], vec![(3u64, 3u64)]);
-        for (left, right) in [(left, right), disjoint] {
-            let lv = ExtVec::from_slice(d.clone(), &left).unwrap();
-            let rv = ExtVec::from_slice(d.clone(), &right).unwrap();
-            let mut got = merge_join(&lv, &rv, &cfg()).unwrap().to_vec().unwrap();
-            let mut expect = Vec::new();
-            for l in &left {
-                for r in &right {
-                    if l.0 == r.0 {
-                        expect.push((l.0, l.1, r.1));
-                    }
+        let lv = ExtVec::from_slice(d.clone(), &left).unwrap();
+        let rv = ExtVec::from_slice(d, &right).unwrap();
+        let mut got = merge_join(&lv, &rv, &cfg()).unwrap().to_vec().unwrap();
+        let mut expect = Vec::new();
+        for l in &left {
+            for r in &right {
+                if l.0 == r.0 {
+                    expect.push((l.0, l.1, r.1));
                 }
             }
-            got.sort_unstable();
-            expect.sort_unstable();
-            assert_eq!(got, expect);
         }
+        got.sort_unstable();
+        expect.sort_unstable();
+        assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn join_with_no_matches_is_empty() {
+        let d = device();
+        let lv = ExtVec::from_slice(d.clone(), &[(1u64, 1u64), (2, 2)]).unwrap();
+        let rv = ExtVec::from_slice(d, &[(3u64, 3u64)]).unwrap();
+        let got = merge_join(&lv, &rv, &cfg()).unwrap();
+        assert!(got.is_empty());
     }
 
     #[test]
