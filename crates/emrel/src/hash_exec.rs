@@ -1575,7 +1575,9 @@ mod tests {
             let bv = ExtVec::from_slice(d.clone(), &pairs(2000, 700, 0xABCD_EF13)).unwrap();
             let pv = ExtVec::from_slice(d.clone(), &pairs(4000, 900, 0x1357_9BD1)).unwrap();
             let allocated = d.allocated_blocks();
+            let mut moved = Vec::new();
             for cfg in sync_and_overlapped(m) {
+                let before = d.stats().snapshot();
                 let mut j = join_on_first(&d, &cfg, 3, hybrid, &bv, ScanExec::new(&pv)).unwrap();
                 for _ in 0..5 {
                     assert!(j.try_next().unwrap().is_some(), "hybrid={hybrid}");
@@ -1583,7 +1585,11 @@ mod tests {
                 assert!(d.allocated_blocks() > allocated, "hybrid={hybrid}");
                 drop(j);
                 assert_eq!(d.allocated_blocks(), allocated, "hybrid={hybrid}");
+                moved.push(d.stats().snapshot().since(&before).total());
             }
+            // Nobody promised to drain the join, so overlap reads nothing
+            // ahead that the stop leaves behind.
+            assert_eq!(moved[0], moved[1], "hybrid={hybrid}");
         }
     }
 

@@ -63,6 +63,6 @@ mod server;
 mod shard;
 mod stats;
 
-pub use server::{CompletionSink, NullSink, ReqKind, Request, ServeConfig, Server};
+pub use server::{CompletionSink, ReqKind, Request, ServeConfig, Server};
 pub use shard::{shard_of_key, Shard};
 pub use stats::ServeStats;

@@ -80,15 +80,6 @@ pub trait CompletionSink<V>: Send + Sync + 'static {
     fn got(&self, tenant: u32, op_id: u64, value: Option<V>);
 }
 
-/// A sink that drops every completion (fire-and-forget workloads, tests
-/// that only inspect final state).
-pub struct NullSink;
-
-impl<V> CompletionSink<V> for NullSink {
-    fn acked_write(&self, _tenant: u32, _op_id: u64) {}
-    fn got(&self, _tenant: u32, _op_id: u64, _value: Option<V>) {}
-}
-
 /// Serving-layer tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -549,6 +540,15 @@ mod tests {
     use super::*;
     use pdm::{BlockDevice, CrashSwitch, FaultPlan, IoMode, Placement, RetryPolicy};
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A sink that drops every completion, for tests that only inspect
+    /// final state.
+    struct NullSink;
+
+    impl<V> CompletionSink<V> for NullSink {
+        fn acked_write(&self, _tenant: u32, _op_id: u64) {}
+        fn got(&self, _tenant: u32, _op_id: u64, _value: Option<V>) {}
+    }
 
     struct CountingSink {
         acks: AtomicU64,

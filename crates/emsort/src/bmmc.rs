@@ -41,21 +41,31 @@ impl BmmcMatrix {
     /// Build from rows (row `i` = mask of source bits feeding target bit
     /// `i`) and a complement vector.
     ///
-    /// # Panics
-    /// If the matrix is singular over GF(2) (the map would not be a
+    /// [`PdmError::InvalidRequest`] if there are more than 64 rows, or if
+    /// the matrix is singular over GF(2) (the map would not be a
     /// permutation).
-    pub fn new(rows: Vec<u64>, complement: u64) -> Self {
-        assert!(rows.len() <= 64, "at most 64 address bits");
-        assert!(
-            Self::is_nonsingular(&rows),
-            "BMMC matrix must be nonsingular over GF(2)"
-        );
-        BmmcMatrix { rows, complement }
+    pub fn new(rows: Vec<u64>, complement: u64) -> Result<Self> {
+        if rows.len() > 64 || !Self::is_nonsingular(&rows) {
+            return Err(PdmError::InvalidRequest(format!(
+                "{} rows: a BMMC matrix has at most 64, and is nonsingular over GF(2)",
+                rows.len()
+            )));
+        }
+        Ok(BmmcMatrix { rows, complement })
+    }
+
+    /// The map sending source bit `sources[i]` to target bit `i` — a
+    /// permutation matrix, nonsingular by construction.
+    fn permuting(sources: impl Iterator<Item = u32>) -> Self {
+        BmmcMatrix {
+            rows: sources.map(|bit| 1u64 << bit).collect(),
+            complement: 0,
+        }
     }
 
     /// The identity map on `bits`-bit addresses.
     pub fn identity(bits: u32) -> Self {
-        Self::new((0..bits).map(|i| 1u64 << i).collect(), 0)
+        Self::permuting(0..bits)
     }
 
     /// Number of address bits.
@@ -95,14 +105,13 @@ impl BmmcMatrix {
 /// The bit-reversal map on `bits`-bit addresses — the FFT's data
 /// rearrangement step.
 pub fn bit_reversal(bits: u32) -> BmmcMatrix {
-    BmmcMatrix::new((0..bits).map(|i| 1u64 << (bits - 1 - i)).collect(), 0)
+    BmmcMatrix::permuting((0..bits).map(|i| bits - 1 - i))
 }
 
 /// The perfect-shuffle map (cyclic left rotation of the address bits).
 pub fn perfect_shuffle(bits: u32) -> BmmcMatrix {
     // target bit (i+1) mod bits = source bit i.
-    let rows = (0..bits).map(|i| 1u64 << ((i + bits - 1) % bits)).collect();
-    BmmcMatrix::new(rows, 0)
+    BmmcMatrix::permuting((0..bits).map(|i| (i + bits - 1) % bits))
 }
 
 /// Apply a BMMC permutation to an array of exactly `2^bits` records:
@@ -207,7 +216,7 @@ mod tests {
         let d = device();
         let data: Vec<u64> = (0..n).collect();
         let v = ExtVec::from_slice(d, &data).unwrap();
-        let m = BmmcMatrix::new((0..bits).map(|i| 1u64 << i).collect(), 0b10101);
+        let m = BmmcMatrix::new((0..bits).map(|i| 1u64 << i).collect(), 0b10101).unwrap();
         let out = bmmc_permute(&v, &m, &SortConfig::new(64))
             .unwrap()
             .to_vec()
@@ -218,10 +227,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "nonsingular")]
     fn singular_matrix_rejected() {
         // Two identical rows → singular.
-        let _ = BmmcMatrix::new(vec![0b01, 0b01], 0);
+        let got = BmmcMatrix::new(vec![0b01, 0b01], 0);
+        assert!(matches!(got, Err(PdmError::InvalidRequest(_))));
+    }
+
+    #[test]
+    fn more_than_64_address_bits_is_a_typed_error() {
+        let rows: Vec<u64> = (0..65).map(|i| 1u64 << (i % 64)).collect();
+        let got = BmmcMatrix::new(rows, 0);
+        assert!(matches!(got, Err(PdmError::InvalidRequest(_))));
     }
 
     #[test]

@@ -241,7 +241,12 @@ where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
 {
-    assert!(depth < 64, "distribution sort failed to make progress");
+    // Under a strict weak order every pivot lands in an equal zone, so each
+    // level shrinks; only a comparator that is not one (`<=`) gets here.
+    if depth >= 64 {
+        let why = "distribution sort made no progress: `less` is not a strict weak order";
+        return Err(PdmError::InvalidRequest(why.into()));
+    }
     let mut equal_iter = equal.into_iter();
     for zone in open {
         sort_owned(zone, out, ctx, less, depth)?;
@@ -397,6 +402,18 @@ mod tests {
         let before = device.allocated_blocks();
         let out = distribution_sort(&input, &SortConfig::new(64)).unwrap();
         assert_eq!(device.allocated_blocks() - before, out.num_blocks() as u64);
+    }
+
+    #[test]
+    fn a_comparator_that_is_not_a_strict_weak_order_is_a_typed_error() {
+        // Under `<=` no pivot is equal to itself, so every record of an
+        // all-equal input lands in one open zone, level after level.
+        let input = ExtVec::from_slice(device_b8(), &[7u64; 100]).unwrap();
+        let got = distribution_sort_by(&input, &SortConfig::new(64), |a, b| a <= b);
+        assert!(matches!(
+            got.map(|v| v.len()),
+            Err(PdmError::InvalidRequest(_))
+        ));
     }
 
     /// Overlap is pure scheduling for distribution sort too: with read-ahead

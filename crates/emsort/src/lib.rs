@@ -98,11 +98,6 @@ impl OverlapConfig {
         }
     }
 
-    /// True if any overlap is requested.
-    pub fn enabled(&self) -> bool {
-        self.read_ahead > 0 || self.write_behind > 0
-    }
-
     /// Interpret the configured depths as **per-disk** and return the
     /// per-array depths for a device whose sequential block stream spreads
     /// over `lanes` independent disks
@@ -125,24 +120,6 @@ impl OverlapConfig {
     }
 }
 
-/// The process-wide default overlap, read once from the `EMSORT_OVERLAP`
-/// environment variable: unset or unparsable means no overlap, `N` means
-/// [`OverlapConfig::symmetric`]`(N)`.  Lets CI run the whole test suite with
-/// the overlapped pipeline forced on without touching call sites.
-fn env_overlap() -> OverlapConfig {
-    use std::sync::OnceLock;
-    static CACHE: OnceLock<OverlapConfig> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        match std::env::var("EMSORT_OVERLAP")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            Some(d) => OverlapConfig::symmetric(d),
-            None => OverlapConfig::off(),
-        }
-    })
-}
-
 /// Parameters of one external sort.
 #[derive(Debug, Clone, Copy)]
 pub struct SortConfig {
@@ -153,20 +130,19 @@ pub struct SortConfig {
     pub fan_in: Option<usize>,
     /// How initial runs are formed.
     pub run_formation: RunFormation,
-    /// Read-ahead / write-behind depths (defaults to `EMSORT_OVERLAP`, which
-    /// itself defaults to off).
+    /// Read-ahead / write-behind depths (off unless the caller sets them).
     pub overlap: OverlapConfig,
 }
 
 impl SortConfig {
     /// A configuration with the given memory budget, maximum fan-in,
-    /// load–sort–store run formation, and the environment-default overlap.
+    /// load–sort–store run formation, and no overlap.
     pub fn new(mem_records: usize) -> Self {
         SortConfig {
             mem_records,
             fan_in: None,
             run_formation: RunFormation::LoadSort,
-            overlap: env_overlap(),
+            overlap: OverlapConfig::off(),
         }
     }
 

@@ -41,9 +41,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("emgraph/src/util.rs", 1),
     ("emhash/src/lib.rs", 5),
     ("emhash/src/table.rs", 2),
-    ("emsort/src/bmmc.rs", 2),
-    ("emsort/src/distribution.rs", 1),
-    ("emsort/src/heap.rs", 1),
     ("emsort/src/merge.rs", 3),
     ("emtext/src/lib.rs", 1),
     ("emtree/src/btree.rs", 4),

@@ -77,7 +77,6 @@ const TEST_TYPES: &[(&str, &str, &str)] = &[
     ("emrel/src/exec.rs", "KeyId", "Order::Key's argument in the executor API"),
     ("emrel/src/exec.rs", "SortStreamExec", "operator; sort_scan builds it"),
     ("emrel/src/plan.rs", "Prediction", "predict returns it; callers never spell it"),
-    ("emserve/src/server.rs", "NullSink", "a sink for callers that ignore completions"),
     ("emserve/src/stats.rs", "ServeStats", "Server::stats returns it"),
     ("emsort/src/bmmc.rs", "BmmcMatrix", "bmmc_permute's argument; bit_reversal returns it"),
     ("pdm/src/fault.rs", "CrashSwitch", "fault injection: crash_recovery.rs"),
