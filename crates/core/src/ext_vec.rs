@@ -143,8 +143,7 @@ impl<R: Record> ExtVec<R> {
         self.check_index(idx)?;
         let per = self.per_block() as u64;
         let (bi, off) = ((idx / per) as usize, (idx % per) as usize);
-        let mut buf = self.block_buf();
-        self.device.read_block(self.blocks[bi], &mut buf)?;
+        let buf = self.read(bi, self.block_buf())?;
         Ok(R::read_from(&buf[off * R::BYTES..(off + 1) * R::BYTES]))
     }
 
@@ -155,8 +154,7 @@ impl<R: Record> ExtVec<R> {
         self.check_index(idx)?;
         let per = self.per_block() as u64;
         let (bi, off) = ((idx / per) as usize, (idx % per) as usize);
-        let mut buf = self.block_buf();
-        self.device.read_block(self.blocks[bi], &mut buf)?;
+        let mut buf = self.read(bi, self.block_buf())?;
         value.write_to(&mut buf[off * R::BYTES..(off + 1) * R::BYTES]);
         self.device.write_block(self.blocks[bi], &buf)
     }
@@ -164,8 +162,7 @@ impl<R: Record> ExtVec<R> {
     /// Read the records of block `bi` into `out` (cleared first).
     /// Costs one I/O.
     pub fn read_block_into(&self, bi: usize, out: &mut Vec<R>) -> Result<()> {
-        let mut buf = self.block_buf();
-        self.device.read_block(self.blocks[bi], &mut buf)?;
+        let buf = self.read(bi, self.block_buf())?;
         self.decode_block(bi, &buf, out);
         Ok(())
     }
@@ -202,7 +199,7 @@ impl<R: Record> ExtVec<R> {
         let last_block = ((start + count as u64 - 1) / per) as usize;
         let mut buf = self.block_buf();
         for bi in first_block..=last_block {
-            self.device.read_block(self.blocks[bi], &mut buf)?;
+            buf = self.read(bi, buf)?;
             let block_start = bi as u64 * per;
             let lo = start.max(block_start) - block_start;
             let hi = (start + count as u64).min(block_start + per) - block_start;
@@ -235,7 +232,7 @@ impl<R: Record> ExtVec<R> {
             let hi = end.min(block_start + per);
             let covers_whole_block = lo == block_start && hi - block_start >= block_records;
             if !covers_whole_block {
-                self.device.read_block(self.blocks[bi], &mut buf)?;
+                buf = self.read(bi, buf)?;
             }
             for i in lo..hi {
                 let r = &records[(i - start) as usize];
@@ -325,6 +322,12 @@ impl<R: Record> ExtVec<R> {
                 self.len
             ))),
         }
+    }
+
+    /// Read block `bi` into `buf`, handed to the device and back.
+    fn read(&self, bi: usize, buf: Box<[u8]>) -> Result<Box<[u8]>> {
+        let (buf, res) = self.device.submit_read(self.blocks[bi], buf).wait();
+        res.map(|()| buf)
     }
 
     fn block_buf(&self) -> Box<[u8]> {

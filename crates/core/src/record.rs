@@ -72,6 +72,8 @@ tuple_record!(A: 0);
 tuple_record!(A: 0, B: 1);
 tuple_record!(A: 0, B: 1, C: 2);
 tuple_record!(A: 0, B: 1, C: 2, D: 3);
+tuple_record!(A: 0, B: 1, C: 2, D: 3, E: 4);
+tuple_record!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 
 #[cfg(test)]
 mod tests {
@@ -102,6 +104,8 @@ mod tests {
         round_trip((1u64, 2u64));
         round_trip((u32::MAX, -5i64, 9u8));
         round_trip((1u8, 2u16, 3u32, 4u64));
+        round_trip((1u64, -2i64, 3i64, -4i64, 5i64));
+        round_trip((-1i64, 2u8, 3u64, -4i64, 5i64, -6i64));
     }
 
     #[test]

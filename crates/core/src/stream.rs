@@ -58,57 +58,51 @@ fn charge_overlap(
     )
 }
 
-/// Streaming writer: buffers one block, flushing when full.
-///
-/// Costs `⌈N/B⌉` write I/Os to emit `N` records, whether or not write-behind
-/// is enabled.
+/// Streaming writer: buffers one block, flushing when full — encoded into a
+/// reused buffer, submitted and queued; write-behind only lets up to `depth`
+/// writes stay queued.  Costs `⌈N/B⌉` write I/Os to emit `N` records.
 ///
 /// **Metadata follows data.**  A block's id is appended to the array's
-/// block map only once the device has confirmed the block written
-/// (synchronously, or when its write-behind ticket completes) — never
-/// before.  A failed flush therefore leaves the writer *consistent*: the
-/// buffered records are retained, and the next [`push`](Self::push) or
-/// [`finish`](Self::finish) retries the flush, rewriting the identical bytes
-/// to the same already-allocated block (which is exactly the repair a torn
-/// write needs).
+/// block map only once the device has confirmed the block written — never
+/// before.  A failed write, at once or behind, keeps its id and bytes at
+/// the head of the queue and returns `Err`; the writer's next write, from
+/// [`push`](Self::push), [`extend_from_slice`](Self::extend_from_slice) or
+/// [`finish`](Self::finish), first rewrites those bytes to the same
+/// already-allocated block (which is exactly the repair a torn write needs).
 pub struct ExtVecWriter<R: Record> {
     device: SharedDevice,
     blocks: Vec<BlockId>,
     buf: Vec<R>,
-    byte_buf: Box<[u8]>,
     per_block: usize,
     len: u64,
-    /// Maximum write-behind depth; 0 = synchronous flush.
+    /// Writes that may stay queued after a flush; 0 = synchronous.
     depth: usize,
-    /// Full blocks handed to the device but not yet confirmed written, with
-    /// the block id that is appended to `blocks` — in FIFO order — only when
-    /// each write completes.
-    inflight: VecDeque<(BlockId, IoTicket)>,
-    /// Completed write buffers ready for reuse.
+    /// Block writes, oldest first, each with the block it fills.
+    queue: VecDeque<(BlockId, Write)>,
+    /// Encode buffers back from completed writes, ready for reuse.
     spare: Vec<Box<[u8]>>,
-    /// Block allocated for a synchronous flush that failed; reused by the
-    /// retry so the rewrite repairs the torn block in place.
-    retry_block: Option<BlockId>,
     /// Budget charge covering the write-behind buffers.
     _reserve: Option<BudgetGuard>,
 }
+
+/// A queued block write: `Ok` in flight, `Err` failed and holding its
+/// bytes until rewritten.
+type Write = std::result::Result<IoTicket, Box<[u8]>>;
 
 impl<R: Record> ExtVecWriter<R> {
     /// Start writing a new external array on `device`.
     pub fn new(device: SharedDevice) -> Self {
         let per_block = ExtVec::<R>::per_block_on(&device);
-        let byte_buf = vec![0u8; device.block_size()].into_boxed_slice();
+        let encode = vec![0u8; device.block_size()].into_boxed_slice();
         ExtVecWriter {
             device,
             blocks: Vec::new(),
             buf: Vec::with_capacity(per_block),
-            byte_buf,
             per_block,
             len: 0,
             depth: 0,
-            inflight: VecDeque::new(),
-            spare: Vec::new(),
-            retry_block: None,
+            queue: VecDeque::new(),
+            spare: vec![encode],
             _reserve: None,
         }
     }
@@ -145,104 +139,97 @@ impl<R: Record> ExtVecWriter<R> {
 
     /// Append one record, flushing a full buffer to a fresh block.
     ///
-    /// An `Err` means a block flush failed; the record itself was accepted
-    /// and the buffered block is retained, so the next `push` (or
-    /// [`finish`](Self::finish)) retries the flush in place.
+    /// An `Err` means a block write failed; the record itself was accepted,
+    /// and the next block write rewrites the failed block in place first.
     pub fn push(&mut self, r: R) -> Result<()> {
         if self.buf.len() >= self.per_block {
-            // A previous flush failed; retry it before accepting more.
-            self.flush_buf()?;
+            // A flush could not allocate its block; retry it first.
+            self.flush_buf(self.depth)?;
         }
         self.buf.push(r);
         self.len += 1;
         if self.buf.len() == self.per_block {
-            self.flush_buf()?;
+            self.flush_buf(self.depth)?;
         }
         Ok(())
     }
 
     /// Append `records` in order — [`push`](Self::push) for a slice already
     /// in hand, moved a block at a time: the same blocks flushed at the same
-    /// points, the same metadata-follows-data and retry-in-place behaviour.
+    /// points, the same metadata-follows-data and repair-in-place behaviour.
     ///
-    /// An `Err` means a block flush failed; [`len`](Self::len) says how many
+    /// An `Err` means a block write failed; [`len`](Self::len) says how many
     /// of `records` were accepted before it (the rest were not), and the
-    /// next `push`, `extend_from_slice` or [`finish`](Self::finish) retries
-    /// the flush in place.
+    /// next block write rewrites the failed block in place first.
     pub fn extend_from_slice(&mut self, mut records: &[R]) -> Result<()> {
         while !records.is_empty() {
             if self.buf.len() >= self.per_block {
-                // A previous flush failed; retry it before accepting more.
-                self.flush_buf()?;
+                // A flush could not allocate its block; retry it first.
+                self.flush_buf(self.depth)?;
             }
             let take = (self.per_block - self.buf.len()).min(records.len());
             self.buf.extend_from_slice(&records[..take]);
             self.len += take as u64;
             records = &records[take..];
             if self.buf.len() == self.per_block {
-                self.flush_buf()?;
+                self.flush_buf(self.depth)?;
             }
         }
         Ok(())
     }
 
-    /// Finish, flushing any partial block and waiting out all in-flight
-    /// writes, and return the completed array.
+    /// Finish, flushing any partial block and waiting out all queued
+    /// writes, and return the completed array.  A write that fails while
+    /// `finish` waits for it is submitted once more before the error is
+    /// returned.
     pub fn finish(mut self) -> Result<ExtVec<R>> {
         if !self.buf.is_empty() {
-            self.flush_buf()?;
+            self.flush_buf(usize::MAX)?; // waited on below
         }
-        while self.retire_oldest()?.is_some() {}
-        let blocks = std::mem::take(&mut self.blocks);
-        Ok(ExtVec::from_parts(self.device, blocks, self.len))
+        while !self.queue.is_empty() {
+            if self.retire(self.queue.len() - 1).is_err() {
+                self.retire(self.queue.len() - 1)?;
+            }
+        }
+        Ok(ExtVec::from_parts(self.device, self.blocks, self.len))
     }
 
-    /// Wait out the oldest in-flight write, if any; only on success does its
-    /// block enter the array's block map.  Returns the retired transfer
-    /// buffer.
-    fn retire_oldest(&mut self) -> Result<Option<Box<[u8]>>> {
-        let Some((id, ticket)) = self.inflight.pop_front() else {
-            return Ok(None);
-        };
-        let buf = ticket.wait()?;
-        self.blocks.push(id);
-        Ok(Some(buf))
+    /// Rewrite a failed write heading the queue, then encode the buffered
+    /// records into a reused buffer, submit them to a fresh block, queue the
+    /// write and retire down to `keep` queued.
+    fn flush_buf(&mut self, keep: usize) -> Result<()> {
+        if let Some((_, Err(_))) = self.queue.front() {
+            self.retire(self.queue.len() - 1)?;
+        }
+        let id = self.device.allocate()?;
+        let mut bytes = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| vec![0u8; self.device.block_size()].into_boxed_slice());
+        encode_block(&self.buf, &mut bytes);
+        self.buf.clear();
+        self.queue
+            .push_back((id, Ok(self.device.submit_write(id, bytes))));
+        self.retire(keep)
     }
 
-    fn flush_buf(&mut self) -> Result<()> {
-        if self.depth == 0 {
-            // Reuse the block from a failed attempt so the retry rewrites
-            // (repairs) it rather than leaking a torn block.
-            let id = match self.retry_block.take() {
-                Some(id) => id,
-                None => self.device.allocate()?,
+    /// Wait out the oldest writes until at most `keep` are queued, entering
+    /// each completed block in the block map; a failed write met at the head
+    /// is rewritten first.  A write that fails goes back to the head.
+    fn retire(&mut self, keep: usize) -> Result<()> {
+        while self.queue.len() > keep {
+            let Some((id, write)) = self.queue.pop_front() else {
+                break;
             };
-            encode_block(&self.buf, &mut self.byte_buf);
-            if let Err(e) = self.device.write_block(id, &self.byte_buf) {
-                self.retry_block = Some(id);
+            let ticket = write.unwrap_or_else(|bytes| self.device.submit_write(id, bytes));
+            let (bytes, res) = ticket.wait();
+            if let Err(e) = res {
+                self.queue.push_front((id, Err(bytes)));
                 return Err(e);
             }
-            // Durable: only now does the block exist as far as the array's
-            // block map is concerned.
             self.blocks.push(id);
-            self.buf.clear();
-            return Ok(());
+            self.spare.push(bytes);
         }
-        // Write-behind: reuse a completed buffer, grow up to `depth`
-        // in-flight blocks, or wait for the oldest write to retire its
-        // buffer (recording its block id as it completes).
-        let reused = match self.spare.pop() {
-            Some(buf) => Some(buf),
-            None if self.inflight.len() < self.depth => None,
-            None => self.retire_oldest()?,
-        };
-        let mut out =
-            reused.unwrap_or_else(|| vec![0u8; self.device.block_size()].into_boxed_slice());
-        let id = self.device.allocate()?;
-        encode_block(&self.buf, &mut out);
-        self.inflight
-            .push_back((id, self.device.submit_write(id, out)));
-        self.buf.clear();
         Ok(())
     }
 }
@@ -500,7 +487,8 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         // pipeline.  (Blocks still in flight from before a switch down to
         // depth 0 are consumed, not re-read.)
         if let Some((_, ticket)) = self.pending.pop_front_if(|(front, _)| *front == bi) {
-            let bytes = ticket.wait()?;
+            let (bytes, res) = ticket.wait();
+            res?;
             arr(&self.vec).decode_block(bi, &bytes, &mut self.buf);
             arr(&self.vec).device().stats().record_prefetch_hit();
             self.spare.push(bytes);
@@ -1028,6 +1016,49 @@ mod fault_ordering_tests {
         let snap = stats.snapshot();
         assert_eq!(snap.writes(), 4, "2 torn attempts + 2 repairs, all counted");
         assert_eq!(snap.faults_injected(), 2);
+    }
+
+    /// The same plan behind write-behind: each torn write keeps its bytes at
+    /// the head of the queue and is rewritten to its own block, so no block
+    /// is lost.  At depth 1 the first tear surfaces in the push that queues
+    /// a second write; at depth 2 both surface while `finish` waits them out.
+    #[test]
+    fn failed_write_behind_repairs_in_place_and_keeps_metadata_aligned() {
+        for (depth, push_errors) in [(1, 1), (2, 0)] {
+            let ram = RamDisk::new(64); // 8 u64s per block
+            let device = FaultDisk::wrap(
+                Arc::clone(&ram) as SharedDevice,
+                FaultPlan::new(3).with_torn_writes_verified(1000),
+            );
+            let budget = MemBudget::new(64);
+            let mut w = ExtVecWriter::with_write_behind(
+                Arc::clone(&device) as SharedDevice,
+                depth,
+                &budget,
+            );
+            assert_eq!(w.write_behind_depth(), depth);
+            let failed = (0..16u64).filter(|&i| w.push(i).is_err()).count();
+            assert_eq!(failed, push_errors, "depth {depth}");
+            let v = w.finish().unwrap();
+            assert_eq!(
+                v.to_vec().unwrap(),
+                (0..16).collect::<Vec<_>>(),
+                "depth {depth}"
+            );
+            assert_eq!(
+                v.num_blocks(),
+                2,
+                "the block map stays aligned (depth {depth})"
+            );
+            assert_eq!(ram.allocated_blocks(), 2, "no leaked block (depth {depth})");
+            let snap = device.stats().snapshot();
+            assert_eq!(
+                snap.writes(),
+                4,
+                "2 torn attempts + 2 repairs (depth {depth})"
+            );
+            assert_eq!(snap.faults_injected(), 2);
+        }
     }
 
     #[test]

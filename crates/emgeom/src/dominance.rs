@@ -36,21 +36,18 @@ struct Event {
 }
 
 impl Record for Event {
-    const BYTES: usize = 33;
+    const BYTES: usize = <(i64, u8, u64, i64, u64)>::BYTES;
     fn write_to(&self, buf: &mut [u8]) {
-        buf[0..8].copy_from_slice(&self.y.to_le_bytes());
-        buf[8] = self.kind;
-        buf[9..17].copy_from_slice(&self.id.to_le_bytes());
-        buf[17..25].copy_from_slice(&self.x.to_le_bytes());
-        buf[25..33].copy_from_slice(&self.acc.to_le_bytes());
+        (self.y, self.kind, self.id, self.x, self.acc).write_to(buf);
     }
     fn read_from(buf: &[u8]) -> Self {
+        let (y, kind, id, x, acc) = Record::read_from(buf);
         Event {
-            y: i64::from_le_bytes(buf[0..8].try_into().expect("8")),
-            kind: buf[8],
-            id: u64::from_le_bytes(buf[9..17].try_into().expect("8")),
-            x: i64::from_le_bytes(buf[17..25].try_into().expect("8")),
-            acc: u64::from_le_bytes(buf[25..33].try_into().expect("8")),
+            y,
+            kind,
+            id,
+            x,
+            acc,
         }
     }
 }

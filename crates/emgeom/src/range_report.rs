@@ -10,7 +10,7 @@
 
 use em_core::{AppendBuffer, ExtVec, ExtVecWriter, Record};
 use emsort::SortConfig;
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 use crate::sweep::{distribution_sweep, event_sorter, report_live, Answers, Level, Sweep};
 
@@ -26,18 +26,13 @@ pub struct Point {
 }
 
 impl Record for Point {
-    const BYTES: usize = 24;
+    const BYTES: usize = <(u64, i64, i64)>::BYTES;
     fn write_to(&self, buf: &mut [u8]) {
-        buf[0..8].copy_from_slice(&self.id.to_le_bytes());
-        buf[8..16].copy_from_slice(&self.x.to_le_bytes());
-        buf[16..24].copy_from_slice(&self.y.to_le_bytes());
+        (self.id, self.x, self.y).write_to(buf);
     }
     fn read_from(buf: &[u8]) -> Self {
-        Point {
-            id: u64::from_le_bytes(buf[0..8].try_into().expect("8")),
-            x: i64::from_le_bytes(buf[8..16].try_into().expect("8")),
-            y: i64::from_le_bytes(buf[16..24].try_into().expect("8")),
-        }
+        let (id, x, y) = Record::read_from(buf);
+        Point { id, x, y }
     }
 }
 
@@ -57,22 +52,13 @@ pub struct Rect {
 }
 
 impl Record for Rect {
-    const BYTES: usize = 40;
+    const BYTES: usize = <(u64, i64, i64, i64, i64)>::BYTES;
     fn write_to(&self, buf: &mut [u8]) {
-        buf[0..8].copy_from_slice(&self.id.to_le_bytes());
-        buf[8..16].copy_from_slice(&self.x1.to_le_bytes());
-        buf[16..24].copy_from_slice(&self.x2.to_le_bytes());
-        buf[24..32].copy_from_slice(&self.y1.to_le_bytes());
-        buf[32..40].copy_from_slice(&self.y2.to_le_bytes());
+        (self.id, self.x1, self.x2, self.y1, self.y2).write_to(buf);
     }
     fn read_from(buf: &[u8]) -> Self {
-        Rect {
-            id: u64::from_le_bytes(buf[0..8].try_into().expect("8")),
-            x1: i64::from_le_bytes(buf[8..16].try_into().expect("8")),
-            x2: i64::from_le_bytes(buf[16..24].try_into().expect("8")),
-            y1: i64::from_le_bytes(buf[24..32].try_into().expect("8")),
-            y2: i64::from_le_bytes(buf[32..40].try_into().expect("8")),
-        }
+        let (id, x1, x2, y1, y2) = Record::read_from(buf);
+        Rect { id, x1, x2, y1, y2 }
     }
 }
 
@@ -89,30 +75,27 @@ struct Event {
 }
 
 impl Record for Event {
-    const BYTES: usize = 41;
+    const BYTES: usize = <(i64, u8, u64, i64, i64, i64)>::BYTES;
     fn write_to(&self, buf: &mut [u8]) {
-        buf[0..8].copy_from_slice(&self.y.to_le_bytes());
-        buf[8] = self.kind;
-        buf[9..17].copy_from_slice(&self.id.to_le_bytes());
-        buf[17..25].copy_from_slice(&self.a.to_le_bytes());
-        buf[25..33].copy_from_slice(&self.b.to_le_bytes());
-        buf[33..41].copy_from_slice(&self.c.to_le_bytes());
+        (self.y, self.kind, self.id, self.a, self.b, self.c).write_to(buf);
     }
     fn read_from(buf: &[u8]) -> Self {
+        let (y, kind, id, a, b, c) = Record::read_from(buf);
         Event {
-            y: i64::from_le_bytes(buf[0..8].try_into().expect("8")),
-            kind: buf[8],
-            id: u64::from_le_bytes(buf[9..17].try_into().expect("8")),
-            a: i64::from_le_bytes(buf[17..25].try_into().expect("8")),
-            b: i64::from_le_bytes(buf[25..33].try_into().expect("8")),
-            c: i64::from_le_bytes(buf[33..41].try_into().expect("8")),
+            y,
+            kind,
+            id,
+            a,
+            b,
+            c,
         }
     }
 }
 
 /// Report every (rectangle id, point id) pair with the point inside the
 /// rectangle (boundaries inclusive).  `O(Sort(N+Q) + Z/B)` I/Os; output
-/// order unspecified.
+/// order unspecified.  A rectangle with `x1 > x2` or `y1 > y2` is
+/// [`PdmError::InvalidRequest`].
 pub fn batched_range_reporting(
     points: &ExtVec<Point>,
     rects: &ExtVec<Rect>,
@@ -121,7 +104,13 @@ pub fn batched_range_reporting(
     let mut events = event_sorter::<RangeReport>(points.device().clone(), cfg);
     let mut r = rects.reader();
     while let Some(q) = r.try_next()? {
-        assert!(q.x1 <= q.x2 && q.y1 <= q.y2, "malformed rectangle");
+        if q.x1 > q.x2 || q.y1 > q.y2 {
+            events.discard()?;
+            return Err(PdmError::InvalidRequest(format!(
+                "malformed rectangle {}: [{}, {}] × [{}, {}]",
+                q.id, q.x1, q.x2, q.y1, q.y2
+            )));
+        }
         events.push(Event {
             y: q.y1,
             kind: 0,
@@ -390,6 +379,31 @@ mod tests {
         assert!(
             smart * 3 < naive * 2,
             "sweep ({smart}) vs nested loops ({naive})"
+        );
+    }
+
+    /// A rectangle with `x1 > x2` is the caller's mistake: a typed error,
+    /// after the events already sorted into runs are freed.
+    #[test]
+    fn a_malformed_rectangle_is_a_typed_error_that_leaks_no_block() {
+        let d = device();
+        let (pts, qs) = random_instance(&d, 200, 600, 1_000, 17);
+        let mut rects = qs.to_vec().unwrap();
+        rects.push(Rect {
+            id: 600,
+            x1: 5,
+            x2: 4,
+            y1: 0,
+            y2: 1,
+        });
+        let qs = ExtVec::from_slice(d.clone(), &rects).unwrap();
+        let allocated = d.allocated_blocks();
+        let got = batched_range_reporting(&pts, &qs, &SortConfig::new(64));
+        assert!(matches!(got, Err(PdmError::InvalidRequest(_))));
+        assert_eq!(
+            d.allocated_blocks(),
+            allocated,
+            "the spilled runs are freed"
         );
     }
 

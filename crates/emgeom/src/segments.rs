@@ -16,7 +16,7 @@
 
 use em_core::{AppendBuffer, ExtVec, ExtVecWriter, Record};
 use emsort::SortConfig;
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 use crate::sweep::{distribution_sweep, event_sorter, report_live, Answers, Level, Sweep};
 
@@ -46,30 +46,27 @@ pub struct VSeg {
     pub y2: i64,
 }
 
-macro_rules! four_field_record {
-    ($t:ty, $f0:ident, $f1:ident, $f2:ident, $f3:ident) => {
-        impl Record for $t {
-            const BYTES: usize = 32;
-            fn write_to(&self, buf: &mut [u8]) {
-                buf[0..8].copy_from_slice(&self.$f0.to_le_bytes());
-                buf[8..16].copy_from_slice(&self.$f1.to_le_bytes());
-                buf[16..24].copy_from_slice(&self.$f2.to_le_bytes());
-                buf[24..32].copy_from_slice(&self.$f3.to_le_bytes());
-            }
-            fn read_from(buf: &[u8]) -> Self {
-                Self {
-                    $f0: u64::from_le_bytes(buf[0..8].try_into().expect("8")),
-                    $f1: i64::from_le_bytes(buf[8..16].try_into().expect("8")),
-                    $f2: i64::from_le_bytes(buf[16..24].try_into().expect("8")),
-                    $f3: i64::from_le_bytes(buf[24..32].try_into().expect("8")),
-                }
-            }
-        }
-    };
+impl Record for HSeg {
+    const BYTES: usize = <(u64, i64, i64, i64)>::BYTES;
+    fn write_to(&self, buf: &mut [u8]) {
+        (self.id, self.y, self.x1, self.x2).write_to(buf);
+    }
+    fn read_from(buf: &[u8]) -> Self {
+        let (id, y, x1, x2) = Record::read_from(buf);
+        HSeg { id, y, x1, x2 }
+    }
 }
 
-four_field_record!(HSeg, id, y, x1, x2);
-four_field_record!(VSeg, id, x, y1, y2);
+impl Record for VSeg {
+    const BYTES: usize = <(u64, i64, i64, i64)>::BYTES;
+    fn write_to(&self, buf: &mut [u8]) {
+        (self.id, self.x, self.y1, self.y2).write_to(buf);
+    }
+    fn read_from(buf: &[u8]) -> Self {
+        let (id, x, y1, y2) = Record::read_from(buf);
+        VSeg { id, x, y1, y2 }
+    }
+}
 
 /// Sweep event: vertical insertion or horizontal query, ordered by
 /// `(y, kind)` with verticals (kind 0) before horizontals (kind 1) at equal
@@ -85,28 +82,20 @@ struct Event {
 }
 
 impl Record for Event {
-    const BYTES: usize = 33;
+    const BYTES: usize = <(i64, u8, u64, i64, i64)>::BYTES;
     fn write_to(&self, buf: &mut [u8]) {
-        buf[0..8].copy_from_slice(&self.y.to_le_bytes());
-        buf[8] = self.kind;
-        buf[9..17].copy_from_slice(&self.id.to_le_bytes());
-        buf[17..25].copy_from_slice(&self.a.to_le_bytes());
-        buf[25..33].copy_from_slice(&self.b.to_le_bytes());
+        (self.y, self.kind, self.id, self.a, self.b).write_to(buf);
     }
     fn read_from(buf: &[u8]) -> Self {
-        Event {
-            y: i64::from_le_bytes(buf[0..8].try_into().expect("8")),
-            kind: buf[8],
-            id: u64::from_le_bytes(buf[9..17].try_into().expect("8")),
-            a: i64::from_le_bytes(buf[17..25].try_into().expect("8")),
-            b: i64::from_le_bytes(buf[25..33].try_into().expect("8")),
-        }
+        let (y, kind, id, a, b) = Record::read_from(buf);
+        Event { y, kind, id, a, b }
     }
 }
 
 /// Report every intersecting (horizontal id, vertical id) pair.
 ///
-/// `O(Sort(N) + Z/B)` I/Os; output order is unspecified.
+/// `O(Sort(N) + Z/B)` I/Os; output order is unspecified.  A segment with
+/// `x1 > x2` or `y1 > y2` is [`PdmError::InvalidRequest`].
 pub fn segment_intersections(
     hs: &ExtVec<HSeg>,
     vs: &ExtVec<VSeg>,
@@ -115,7 +104,13 @@ pub fn segment_intersections(
     let mut events = event_sorter::<Segments>(hs.device().clone(), cfg);
     let mut r = vs.reader();
     while let Some(v) = r.try_next()? {
-        assert!(v.y1 <= v.y2, "vertical segment with y1 > y2");
+        if v.y1 > v.y2 {
+            events.discard()?;
+            return Err(PdmError::InvalidRequest(format!(
+                "vertical segment {} has y1 {} > y2 {}",
+                v.id, v.y1, v.y2
+            )));
+        }
         events.push(Event {
             y: v.y1,
             kind: 0,
@@ -126,7 +121,13 @@ pub fn segment_intersections(
     }
     let mut r = hs.reader();
     while let Some(h) = r.try_next()? {
-        assert!(h.x1 <= h.x2, "horizontal segment with x1 > x2");
+        if h.x1 > h.x2 {
+            events.discard()?;
+            return Err(PdmError::InvalidRequest(format!(
+                "horizontal segment {} has x1 {} > x2 {}",
+                h.id, h.x1, h.x2
+            )));
+        }
         events.push(Event {
             y: h.y,
             kind: 1,
@@ -458,6 +459,49 @@ mod tests {
             smart * 3 < naive * 2,
             "sweep ({smart}) should be below nested loops ({naive})"
         );
+    }
+
+    /// Segment intersection over `hs` and `vs` must be `InvalidRequest`
+    /// and free every event run it had spilled.
+    fn rejects_without_leaking(d: &SharedDevice, hs: &[HSeg], vs: &[VSeg]) {
+        let hv = ExtVec::from_slice(d.clone(), hs).unwrap();
+        let vv = ExtVec::from_slice(d.clone(), vs).unwrap();
+        let allocated = d.allocated_blocks();
+        let got = segment_intersections(&hv, &vv, &SortConfig::new(64));
+        assert!(matches!(got, Err(PdmError::InvalidRequest(_))));
+        assert_eq!(
+            d.allocated_blocks(),
+            allocated,
+            "the spilled runs are freed"
+        );
+    }
+
+    #[test]
+    fn a_vertical_segment_upside_down_is_a_typed_error_that_leaks_no_block() {
+        let d = device();
+        let (hs, vs) = random_instance(&d, 300, 300, 1_000, 23);
+        let mut vs = vs.to_vec().unwrap();
+        vs.push(VSeg {
+            id: 300,
+            x: 0,
+            y1: 2,
+            y2: 1,
+        });
+        rejects_without_leaking(&d, &hs.to_vec().unwrap(), &vs);
+    }
+
+    #[test]
+    fn a_horizontal_segment_right_to_left_is_a_typed_error_that_leaks_no_block() {
+        let d = device();
+        let (hs, vs) = random_instance(&d, 300, 300, 1_000, 29);
+        let mut hs = hs.to_vec().unwrap();
+        hs.push(HSeg {
+            id: 300,
+            y: 0,
+            x1: 2,
+            x2: 1,
+        });
+        rejects_without_leaking(&d, &hs, &vs.to_vec().unwrap());
     }
 
     #[test]

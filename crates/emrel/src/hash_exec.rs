@@ -10,11 +10,11 @@
 //! skipped.  The join is also the engine's only in-memory join: while its
 //! build side stays resident, its output keeps the probe's order.
 //!
-//! * [`HashGroupByExec`] / [`HashDistinctExec`] — *hybrid* hash
-//!   aggregation: an in-memory table absorbs the first `M − (F+1)·B`
-//!   distinct keys in arrival order (records with resident keys fold for
-//!   free, the classic hybrid trick), everything else spills to its
-//!   level-0 bucket and is aggregated per partition.
+//! * [`HashGroupByExec`] — *hybrid* hash aggregation (keyed on the whole
+//!   record, it is duplicate elimination): an in-memory table absorbs the
+//!   first `M − (F+1)·B` distinct keys in arrival order (records with
+//!   resident keys fold for free, the classic hybrid trick), everything
+//!   else spills to its level-0 bucket and is aggregated per partition.
 //! * [`HashJoinExec`] — a hash join that spills lazily: a build side of up
 //!   to `M − (F+1)·max(B_build, B_probe)` records is held in memory and
 //!   the probe side matched against it in-stream, at zero transfers of the
@@ -443,80 +443,6 @@ where
 
     fn overlap(&self) -> OverlapConfig {
         self.cfg.sort.overlap
-    }
-}
-
-/// Whole-record deduplication by hash partitioning — no sort, no output
-/// order: [`HashGroupByExec`] with the record itself as the key and a
-/// fold that drops duplicates.  The sort-elision trade-off is the same as
-/// the group-by's; the cost replay is `hash_group_exact_ios` over the
-/// records' own hashes.
-pub struct HashDistinctExec<R>
-where
-    R: Record + Ord,
-{
-    #[allow(clippy::type_complexity)]
-    inner: HashGroupByExec<R, R, fn(&R) -> R, (), fn(&mut (), &R), fn(R, (), u64) -> R, R>,
-}
-
-impl<R> HashDistinctExec<R>
-where
-    R: Record + Ord,
-{
-    /// Deduplicate `child` by hash partitioning on `device`.
-    pub fn build(
-        child: &mut dyn QueryExec<Item = R>,
-        device: &SharedDevice,
-        cfg: &ExecConfig,
-        fan_out: usize,
-    ) -> Result<Self> {
-        fn id<R: Clone>(r: &R) -> R {
-            r.clone()
-        }
-        fn no_fold<R>(_: &mut (), _: &R) {}
-        fn emit<R>(k: R, _: (), _: u64) -> R {
-            k
-        }
-        Ok(HashDistinctExec {
-            inner: HashGroupByExec::build(
-                child,
-                device,
-                cfg,
-                fan_out,
-                id::<R> as fn(&R) -> R,
-                (),
-                no_fold::<R> as fn(&mut (), &R),
-                emit::<R> as fn(R, (), u64) -> R,
-            )?,
-        })
-    }
-
-    /// The operator's memory accounting — see [`HashGroupByExec::budget`].
-    pub fn budget(&self) -> &Arc<MemBudget> {
-        self.inner.budget()
-    }
-}
-
-impl<R> QueryExec for HashDistinctExec<R>
-where
-    R: Record + Ord,
-{
-    type Item = R;
-
-    fn try_next(&mut self) -> Result<Option<R>> {
-        self.inner.try_next()
-    }
-
-    fn order(&self) -> Order {
-        Order::Unordered
-    }
-
-    fn drain_hint(&mut self, overlap: OverlapConfig) {
-        self.inner.drain_hint(overlap)
-    }
-
-    fn overlap(&self) -> OverlapConfig {
-        self.inner.overlap()
     }
 }
 
@@ -1161,7 +1087,18 @@ mod tests {
         let v = ExtVec::from_slice(d.clone(), &data).unwrap();
         let cfg = ExecConfig::new(m);
         let mut scan = ScanExec::new(&v);
-        let mut dx = HashDistinctExec::build(&mut scan, &d, &cfg, 4).unwrap();
+        // Keyed on the whole record, a group-by is duplicate elimination.
+        let mut dx = HashGroupByExec::build(
+            &mut scan,
+            &d,
+            &cfg,
+            4,
+            |r: &(u64, u64)| *r,
+            (),
+            |_, _| {},
+            |k, (), _| k,
+        )
+        .unwrap();
         let mut got = collect(&mut dx, &d).unwrap().to_vec().unwrap();
         got.sort_unstable();
         let mut expect = data;
@@ -1642,7 +1579,7 @@ mod tests {
     }
 
     /// `(output checksum, transfers)` of a sum-and-count group-by (or, with
-    /// `distinct`, a whole-record dedup) of `data`.
+    /// `distinct`, a group-by keyed on the whole record: a dedup) of `data`.
     fn pin_group(mem_blocks: usize, fan: usize, data: &[(u64, u64)], distinct: bool) -> (u64, u64) {
         let (d, m) = device(mem_blocks);
         let v = ExtVec::from_slice(d.clone(), data).unwrap();
@@ -1650,7 +1587,17 @@ mod tests {
         let before = d.stats().snapshot();
         let mut scan = ScanExec::new(&v);
         let sum = if distinct {
-            let mut dx = HashDistinctExec::build(&mut scan, &d, &cfg, fan).unwrap();
+            let mut dx = HashGroupByExec::build(
+                &mut scan,
+                &d,
+                &cfg,
+                fan,
+                |r: &(u64, u64)| *r,
+                (),
+                |_, _| {},
+                |k, (), _| k,
+            )
+            .unwrap();
             checksum(&collect(&mut dx, &d).unwrap())
         } else {
             let mut g = HashGroupByExec::build(

@@ -9,7 +9,7 @@
 //!   composable [`QueryExec`] operators — [`ScanExec`], [`FilterExec`],
 //!   [`ProjectExec`], Sort via [`sort_scan`] / [`sort_pipe`],
 //!   [`GroupByExec`], [`MergeJoinExec`], and the hash side:
-//!   [`HashGroupByExec`] / [`HashDistinctExec`] / [`HashJoinExec`] —
+//!   [`HashGroupByExec`] / [`HashJoinExec`] —
 //!   carrying sort-order metadata, fused so no operator boundary
 //!   materializes an intermediate that is consumed once; [`collect`] is the
 //!   sink.  [`HashJoinExec`] is the only in-memory join: while its build
@@ -40,7 +40,7 @@ pub use exec::{
     collect, sort_pipe, sort_scan, ExecConfig, FilterExec, GroupByExec, KeyId, MergeJoinExec,
     Order, ProjectExec, QueryExec, ScanExec, SortStreamExec,
 };
-pub use hash_exec::{HashDistinctExec, HashGroupByExec, HashJoinExec};
+pub use hash_exec::{HashGroupByExec, HashJoinExec};
 pub use plan::{
     choose, predict, predict_with_sink, Choice, CostEnv, KeyStats, PlanExpr, Prediction,
 };
@@ -106,7 +106,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(201);
         let data: Vec<u64> = (0..5000).map(|_| rng.gen_range(0..100)).collect();
         let rel = ExtVec::from_slice(d.clone(), &data).unwrap();
-        let mut dx = HashDistinctExec::build(&mut ScanExec::new(&rel), &d, &cfg(), 4).unwrap();
+        // Keyed on the whole record, a hash group-by is duplicate elimination.
+        let mut scan = ScanExec::new(&rel);
+        let mut dx = HashGroupByExec::build(
+            &mut scan,
+            &d,
+            &cfg(),
+            4,
+            |r: &u64| *r,
+            (),
+            |_, _| {},
+            |k, (), _| k,
+        )
+        .unwrap();
         let mut got = collect(&mut dx, &d).unwrap().to_vec().unwrap();
         got.sort_unstable();
         let mut expect: Vec<u64> = data;

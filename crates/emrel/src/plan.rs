@@ -176,20 +176,6 @@ pub enum PlanExpr {
         /// Estimated group count.
         out_records: u64,
     },
-    /// Duplicate elimination by hash partitioning
-    /// ([`HashDistinctExec`](crate::HashDistinctExec)) — no input order
-    /// required, output unordered.  Same pricing as
-    /// [`HashGroupBy`](PlanExpr::HashGroupBy).
-    HashDistinct {
-        /// Input plan.
-        input: Box<PlanExpr>,
-        /// Arrival-ordered level-0 hashes of the input records.
-        hashes: KeyStats,
-        /// Partition fan-out `F`.
-        fan_out: usize,
-        /// Estimated distinct count.
-        out_records: u64,
-    },
     /// Hash equi-join ([`HashJoinExec`](crate::HashJoinExec)), the one
     /// in-memory join — neither side need be sorted.  While the build side
     /// fits the join's residency
@@ -296,16 +282,6 @@ impl PlanExpr {
             hashes,
             fan_out,
             rec_bytes,
-            out_records,
-        }
-    }
-
-    /// Wrap in hash-partitioned duplicate elimination.
-    pub fn hash_distinct(self, hashes: KeyStats, fan_out: usize, out_records: u64) -> Self {
-        PlanExpr::HashDistinct {
-            input: Box::new(self),
-            hashes,
-            fan_out,
             out_records,
         }
     }
@@ -475,20 +451,10 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             input,
             hashes,
             fan_out,
-            out_records,
-            ..
-        }
-        | PlanExpr::HashDistinct {
-            input,
-            hashes,
-            fan_out,
+            rec_bytes,
             out_records,
         } => {
             let p = predict(input, env);
-            let out_bytes = match expr {
-                PlanExpr::HashGroupBy { rec_bytes, .. } => *rec_bytes,
-                _ => p.rec_bytes,
-            };
             let per_block = env.per_block(p.rec_bytes);
             let own = bounds::hash_group_exact_ios(
                 hashes,
@@ -501,7 +467,7 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             let out = Prediction {
                 transfers: p.transfers + own,
                 out_records: (*out_records).min(p.out_records),
-                rec_bytes: out_bytes,
+                rec_bytes: *rec_bytes,
                 order: Order::Unordered,
             };
             if *fan_out >= 2 && (*fan_out + 1) * per_block <= env.mem_records {
@@ -788,17 +754,6 @@ mod tests {
         // Striped device multiplies every transfer.
         let p4 = predict(&plan, &e.with_stripe(4));
         assert_eq!(p4.transfers, 4.0 * p.transfers);
-    }
-
-    #[test]
-    fn hash_distinct_prices_like_group_at_input_width() {
-        let e = env();
-        let hashes = cycle_hashes(3_000, 400);
-        let g =
-            PlanExpr::scan(3_000, REC, Order::Unordered).hash_group_by(hashes.clone(), 4, REC, 400);
-        let d = PlanExpr::scan(3_000, REC, Order::Unordered).hash_distinct(hashes, 4, 400);
-        assert_eq!(predict(&g, &e).transfers, predict(&d, &e).transfers);
-        assert_eq!(predict(&d, &e).rec_bytes, REC);
     }
 
     #[test]

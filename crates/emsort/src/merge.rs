@@ -956,7 +956,7 @@ where
 
     /// Give up on the sort: free every spilled run (the in-memory chunk goes
     /// with the writer).
-    pub(crate) fn discard(self) -> Result<()> {
+    pub fn discard(self) -> Result<()> {
         self.runs.into_iter().try_for_each(ExtVec::free)
     }
 }

@@ -47,7 +47,7 @@ use crate::stats::IoStats;
 /// [`BlockDevice::direct_next_stream`]:
 ///
 /// * [`Independent`](Placement::Independent): stream `r` starts on lane
-///   `r mod D` and advances round-robin — PR 4's deterministic stagger.
+///   `r mod D` and advances round-robin — a deterministic stagger.
 /// * [`RandomizedCycling`](Placement::RandomizedCycling): stream `r` follows
 ///   its own pseudorandom *permutation* of the lanes, cycled — randomized
 ///   cycling à la Vitter–Hutchinson, where consecutive blocks of one stream
@@ -152,12 +152,13 @@ pub struct DiskArray {
     /// A striped array has no lane policy and holds this lock across
     /// `allocate` and `free` instead, to keep its member disks in lockstep.
     cursor: Mutex<AllocCursor>,
-    /// Present in overlapped mode.  When set, *every* transfer — including
-    /// the synchronous `read_block`/`write_block` entry points — is routed
+    /// Present in overlapped mode.  When set, *every* member transfer —
+    /// `read_block`/`write_block` are a submit waited on at once — is routed
     /// through the per-lane worker queues, so one lane's transfers always
     /// complete in submission order regardless of how they were issued.
     sched: Option<IoScheduler>,
-    /// Retry policy for transient member-disk errors.  The default
+    /// Retry policy for transient member-disk errors, applied to every
+    /// member transfer wherever it runs.  The default
     /// ([`RetryPolicy::none`]) performs no retries, leaving every
     /// model-count invariant untouched; see
     /// [`new_ram_faulty`](Self::new_ram_faulty).
@@ -376,8 +377,55 @@ impl DiskArray {
         Ok(())
     }
 
-    fn phys_buf(&self) -> Box<[u8]> {
-        vec![0u8; self.physical_block].into_boxed_slice()
+    /// Move logical block `id` — a write of `buf`, or a read into it — as
+    /// its member transfers: one per disk when striped, else one.  A
+    /// striped ticket gathers (read) or joins (write) its members' tickets.
+    fn submit(&self, write: bool, id: BlockId, buf: Box<[u8]>) -> IoTicket {
+        if let Err(e) = self.size_check(buf.len()) {
+            return IoTicket::ready(buf, Err(e));
+        }
+        if !self.placement.is_striped() {
+            let (disk, phys) = self.split_independent(id);
+            return self.member(disk, write, phys, buf);
+        }
+        let mut parts = Vec::with_capacity(self.disks.len());
+        for (disk, chunk) in buf.chunks(self.physical_block).enumerate() {
+            let part = if write {
+                chunk.into()
+            } else {
+                vec![0u8; self.physical_block].into_boxed_slice()
+            };
+            let ticket = self.member(disk, write, id, part);
+            // Only an inline transfer has failed already: it stops the rest.
+            let failed = ticket.failed();
+            parts.push(ticket);
+            if failed {
+                break;
+            }
+        }
+        IoTicket::split(parts, buf, !write)
+    }
+
+    /// The one member transfer: physical block `phys` on disk `disk`, run
+    /// under the retry policy — on the caller's thread, returning a
+    /// finished ticket, or on the disk's worker when overlapped.
+    fn member(&self, disk: usize, write: bool, phys: BlockId, mut buf: Box<[u8]>) -> IoTicket {
+        match &self.sched {
+            Some(sched) => sched.submit(disk, write, phys, buf),
+            None => {
+                let device = &*self.disks[disk];
+                let res = run_with_retry(
+                    &self.retry,
+                    &self.stats,
+                    device,
+                    disk,
+                    write,
+                    phys,
+                    &mut buf,
+                );
+                IoTicket::ready(buf, res)
+            }
+        }
     }
 }
 
@@ -431,141 +479,28 @@ impl BlockDevice for DiskArray {
     }
 
     fn read_block(&self, id: BlockId, buf: &mut [u8]) -> Result<()> {
-        self.size_check(buf.len())?;
-        match (&self.sched, self.placement.is_striped()) {
-            (None, true) => {
-                for (d, chunk) in buf.chunks_mut(self.physical_block).enumerate() {
-                    run_with_retry(&self.retry, &self.stats, d, id, || {
-                        self.disks[d].read_block(id, chunk)
-                    })?;
-                }
-                Ok(())
-            }
-            (None, false) => {
-                let (disk, phys) = self.split_independent(id);
-                run_with_retry(&self.retry, &self.stats, disk, phys, || {
-                    self.disks[disk].read_block(phys, buf)
-                })
-            }
-            (Some(sched), true) => {
-                // Fan the logical read out to all D lanes, then gather: the
-                // member transfers proceed concurrently.
-                let parts: Vec<_> = (0..self.disks.len())
-                    .map(|d| sched.submit_raw(d, false, id, self.phys_buf()))
-                    .collect();
-                for (rx, chunk) in parts.into_iter().zip(buf.chunks_mut(self.physical_block)) {
-                    let part = rx.recv().map_err(|_| {
-                        PdmError::Io(std::io::Error::other("I/O worker thread terminated"))
-                    })??;
-                    chunk.copy_from_slice(&part);
-                }
-                Ok(())
-            }
-            (Some(sched), false) => {
-                let (disk, phys) = self.split_independent(id);
-                let out = sched.submit_read(disk, phys, self.phys_buf()).wait()?;
-                buf.copy_from_slice(&out);
-                Ok(())
-            }
-        }
+        let (out, res) = self
+            .submit_read(id, vec![0u8; buf.len()].into_boxed_slice())
+            .wait();
+        res?;
+        buf.copy_from_slice(&out);
+        Ok(())
     }
 
     fn write_block(&self, id: BlockId, buf: &[u8]) -> Result<()> {
-        self.size_check(buf.len())?;
-        match (&self.sched, self.placement.is_striped()) {
-            (None, true) => {
-                for (d, chunk) in buf.chunks(self.physical_block).enumerate() {
-                    run_with_retry(&self.retry, &self.stats, d, id, || {
-                        self.disks[d].write_block(id, chunk)
-                    })?;
-                }
-                Ok(())
-            }
-            (None, false) => {
-                let (disk, phys) = self.split_independent(id);
-                run_with_retry(&self.retry, &self.stats, disk, phys, || {
-                    self.disks[disk].write_block(phys, buf)
-                })
-            }
-            (Some(sched), true) => {
-                let parts: Vec<_> = buf
-                    .chunks(self.physical_block)
-                    .enumerate()
-                    .map(|(d, chunk)| {
-                        sched.submit_raw(d, true, id, chunk.to_vec().into_boxed_slice())
-                    })
-                    .collect();
-                for rx in parts {
-                    rx.recv().map_err(|_| {
-                        PdmError::Io(std::io::Error::other("I/O worker thread terminated"))
-                    })??;
-                }
-                Ok(())
-            }
-            (Some(sched), false) => {
-                let (disk, phys) = self.split_independent(id);
-                sched
-                    .submit_write(disk, phys, buf.to_vec().into_boxed_slice())
-                    .wait()?;
-                Ok(())
-            }
-        }
+        self.submit_write(id, buf.into()).wait().1
     }
 
-    fn submit_read(&self, id: BlockId, mut buf: Box<[u8]>) -> IoTicket {
-        if let Err(e) = self.size_check(buf.len()) {
-            return IoTicket::ready(Err(e));
-        }
-        match (&self.sched, self.placement.is_striped()) {
-            (None, _) => {
-                let res = self.read_block(id, &mut buf).map(|()| buf);
-                IoTicket::ready(res)
-            }
-            (Some(sched), true) => {
-                let parts: Vec<_> = (0..self.disks.len())
-                    .map(|d| sched.submit_raw(d, false, id, self.phys_buf()))
-                    .collect();
-                IoTicket::gather(parts, buf, self.physical_block)
-            }
-            (Some(sched), false) => {
-                let (disk, phys) = self.split_independent(id);
-                sched.submit_read(disk, phys, buf)
-            }
-        }
+    fn submit_read(&self, id: BlockId, buf: Box<[u8]>) -> IoTicket {
+        self.submit(false, id, buf)
     }
 
     fn submit_write(&self, id: BlockId, buf: Box<[u8]>) -> IoTicket {
-        if let Err(e) = self.size_check(buf.len()) {
-            return IoTicket::ready(Err(e));
-        }
-        match (&self.sched, self.placement.is_striped()) {
-            (None, _) => {
-                let res = self.write_block(id, &buf).map(|()| buf);
-                IoTicket::ready(res)
-            }
-            (Some(sched), true) => {
-                let parts: Vec<_> = buf
-                    .chunks(self.physical_block)
-                    .enumerate()
-                    .map(|(d, chunk)| {
-                        sched.submit_raw(d, true, id, chunk.to_vec().into_boxed_slice())
-                    })
-                    .collect();
-                IoTicket::join(parts, buf)
-            }
-            (Some(sched), false) => {
-                let (disk, phys) = self.split_independent(id);
-                sched.submit_write(disk, phys, buf)
-            }
-        }
+        self.submit(true, id, buf)
     }
 
     fn stats(&self) -> Arc<IoStats> {
         Arc::clone(&self.stats)
-    }
-
-    fn lanes(&self) -> usize {
-        self.disks.len()
     }
 
     fn lane_of(&self, id: BlockId) -> Option<usize> {
@@ -890,7 +825,7 @@ mod overlapped_tests {
                 .map(|(i, &id)| arr.submit_write(id, vec![i as u8 + 1; bs].into_boxed_slice()))
                 .collect();
             for t in tickets {
-                t.wait().unwrap();
+                t.wait().1.unwrap();
             }
             // Queue all reads before waiting on any of them.
             let tickets: Vec<IoTicket> = ids
@@ -898,7 +833,8 @@ mod overlapped_tests {
                 .map(|&id| arr.submit_read(id, vec![0u8; bs].into_boxed_slice()))
                 .collect();
             for (i, t) in tickets.into_iter().enumerate() {
-                let buf = t.wait().unwrap();
+                let (buf, res) = t.wait();
+                res.unwrap();
                 assert_eq!(&*buf, &vec![i as u8 + 1; bs][..], "{placement:?}");
             }
             let snap = arr.stats().snapshot();
@@ -910,7 +846,10 @@ mod overlapped_tests {
     fn overlapped_submit_rejects_wrong_size() {
         let arr = DiskArray::new_ram_with(2, 16, Placement::Striped, IoMode::Overlapped);
         let id = arr.allocate().unwrap();
-        let res = arr.submit_write(id, vec![0u8; 7].into_boxed_slice()).wait();
+        let res = arr
+            .submit_write(id, vec![0u8; 7].into_boxed_slice())
+            .wait()
+            .1;
         assert!(matches!(res, Err(PdmError::SizeMismatch { .. })));
     }
 }

@@ -446,10 +446,6 @@ impl BlockDevice for FaultDisk {
         Arc::clone(&self.stats)
     }
 
-    fn lanes(&self) -> usize {
-        self.inner.lanes()
-    }
-
     fn lane_of(&self, id: BlockId) -> Option<usize> {
         self.inner.lane_of(id)
     }

@@ -91,10 +91,6 @@ impl BlockDevice for LaneView {
         self.array.stats()
     }
 
-    fn lanes(&self) -> usize {
-        self.array.lanes()
-    }
-
     fn lane_of(&self, id: BlockId) -> Option<usize> {
         self.array.lane_of(id)
     }

@@ -323,7 +323,7 @@ impl BufferPool {
             }
         }
         for t in tickets {
-            t.wait()?;
+            t.wait().1?;
         }
         Ok(())
     }
@@ -364,7 +364,7 @@ impl BufferPool {
     fn drain_all_inflight(inner: &mut Inner) -> Result<()> {
         let mut first_err = None;
         for (_, ticket) in inner.inflight.drain() {
-            if let Err(e) = ticket.wait() {
+            if let (_, Err(e)) = ticket.wait() {
                 first_err.get_or_insert(e);
             }
         }
@@ -394,7 +394,7 @@ impl BufferPool {
         // flight, the device copy may be stale: wait for the write to land
         // before re-reading.
         if let Some(ticket) = inner.inflight.remove(&id) {
-            ticket.wait()?;
+            ticket.wait().1?;
         }
         let idx = self.acquire_slot(&mut inner)?;
         debug_assert!(
@@ -403,8 +403,9 @@ impl BufferPool {
         );
         // Read outside any frame lock but under the pool lock: simple and
         // race-free (single structural lock).
-        let mut buf = vec![0u8; self.device.block_size()].into_boxed_slice();
-        self.device.read_block(id, &mut buf)?;
+        let frame = vec![0u8; self.device.block_size()].into_boxed_slice();
+        let (buf, res) = self.device.submit_read(id, frame).wait();
+        res?;
         let cell = FrameCell::new(buf);
         inner.slots[idx] = Some(Slot {
             block: id,

@@ -16,7 +16,10 @@ use crate::stats::IoStats;
 
 struct Inner {
     blocks: Vec<Option<Box<[u8]>>>,
-    free_list: Vec<BlockId>,
+    /// Freed ids with their storage, zeroed and handed out again by
+    /// `allocate`: a disk keeps its sectors, and a sort that frees and
+    /// reallocates its runs does not churn the process allocator.
+    free_list: Vec<(BlockId, Box<[u8]>)>,
     allocated: u64,
 }
 
@@ -73,8 +76,9 @@ impl BlockDevice for RamDisk {
     fn allocate(&self) -> Result<BlockId> {
         let mut inner = self.inner.lock();
         inner.allocated += 1;
-        if let Some(id) = inner.free_list.pop() {
-            inner.blocks[id as usize] = Some(vec![0u8; self.block_size].into_boxed_slice());
+        if let Some((id, mut block)) = inner.free_list.pop() {
+            block.fill(0);
+            inner.blocks[id as usize] = Some(block);
             return Ok(id);
         }
         let id = inner.blocks.len() as BlockId;
@@ -90,10 +94,10 @@ impl BlockDevice for RamDisk {
             .blocks
             .get_mut(id as usize)
             .ok_or(PdmError::InvalidBlock(id))?;
-        if slot.take().is_none() {
+        let Some(block) = slot.take() else {
             return Err(PdmError::InvalidBlock(id));
-        }
-        inner.free_list.push(id);
+        };
+        inner.free_list.push((id, block));
         inner.allocated -= 1;
         Ok(())
     }

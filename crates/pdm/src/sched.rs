@@ -13,10 +13,10 @@
 //! * [`IoTicket`] is the completion handle: `submit_read`/`submit_write`
 //!   return immediately and the ticket's [`wait`](IoTicket::wait) blocks
 //!   until the transfer has finished, yielding the buffer back to the caller.
-//! * A ticket can also be a no-op wrapper around an already-completed
-//!   synchronous transfer ([`IoTicket::ready`]); that is how devices without
-//!   a scheduler satisfy the same async interface, and it is the sequential
-//!   fallback every deterministic unit test runs on.
+//! * A ticket can also hold a transfer already run on the caller's thread
+//!   ([`IoTicket::ready`]); that is how a synchronous array and devices
+//!   without a scheduler answer the same submit, so a synchronous transfer
+//!   is a submitted ticket waited on at once.
 //!
 //! I/O **counts** are recorded by the member devices exactly as in the
 //! synchronous path, so block-transfer totals are byte-for-byte identical in
@@ -89,22 +89,35 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Run `op` under `policy`, retrying transient errors with linear backoff.
+/// Run one transfer on `device` — a write of `buf` to block `id`, or a
+/// read of it into `buf` — under `policy`, retrying transient errors with
+/// linear backoff.
 ///
-/// `disk`/`block` only label the [`PdmError::RetriesExhausted`] wrapper
+/// This is the one place a member transfer executes: inline on the caller's
+/// thread for a synchronous array, on the lane's worker for an overlapped
+/// one.  `lane`/`id` also label the [`PdmError::RetriesExhausted`] wrapper
 /// produced when an enabled policy runs out of attempts; with retries
-/// disabled the original error passes through untouched.
-pub(crate) fn run_with_retry<T>(
+/// disabled the original error passes through untouched.  Inlined, so the
+/// synchronous path costs what a direct device call does.
+#[inline]
+pub(crate) fn run_with_retry(
     policy: &RetryPolicy,
     stats: &IoStats,
-    disk: usize,
-    block: BlockId,
-    mut op: impl FnMut() -> Result<T>,
-) -> Result<T> {
+    device: &dyn BlockDevice,
+    lane: usize,
+    write: bool,
+    id: BlockId,
+    buf: &mut [u8],
+) -> Result<()> {
     let mut attempt = 1u32;
     loop {
-        match op() {
-            Ok(v) => return Ok(v),
+        let res = if write {
+            device.write_block(id, buf)
+        } else {
+            device.read_block(id, buf)
+        };
+        match res {
+            Ok(()) => return Ok(()),
             Err(e) if e.is_transient() && attempt < policy.max_attempts => {
                 stats.record_retry();
                 if !policy.backoff.is_zero() {
@@ -115,8 +128,8 @@ pub(crate) fn run_with_retry<T>(
             Err(e) => {
                 return Err(if e.is_transient() && policy.is_enabled() {
                     PdmError::RetriesExhausted {
-                        disk,
-                        block,
+                        disk: lane,
+                        block: id,
                         attempts: attempt,
                         last: Box::new(e),
                     }
@@ -143,6 +156,10 @@ pub enum IoMode {
     Overlapped,
 }
 
+/// What a finished transfer hands back: the buffer it was given (filled, for
+/// a read) and how it ended.
+type Done = (Box<[u8]>, Result<()>);
+
 /// One queued lane job: either a transfer (direction, physical block, and
 /// the buffer that supplies or receives the data) or a barrier sentinel that
 /// simply reports when the lane has drained everything queued before it.
@@ -151,7 +168,7 @@ enum Job {
         write: bool,
         id: BlockId,
         buf: Box<[u8]>,
-        reply: Sender<Result<Box<[u8]>>>,
+        reply: Sender<Done>,
     },
     Barrier {
         reply: Sender<()>,
@@ -163,22 +180,19 @@ fn worker_died() -> PdmError {
 }
 
 enum TicketInner {
-    /// Transfer already executed synchronously.
-    Ready(Result<Box<[u8]>>),
-    /// One in-flight transfer on one lane.
-    Pending(Receiver<Result<Box<[u8]>>>),
-    /// A striped logical read: `parts[d]` supplies bytes
-    /// `[d·chunk, (d+1)·chunk)` of `buf`.
-    Gather {
-        parts: Vec<Receiver<Result<Box<[u8]>>>>,
+    /// Transfer already executed on the caller's thread (or refused before
+    /// it was issued).
+    Ready(Done),
+    /// One in-flight transfer on one lane's worker.
+    Pending(Receiver<Done>),
+    /// A logical block split into member transfers: `parts[d]` moves the
+    /// `d`-th physical block of `buf`, copied in on completion when `gather`
+    /// (a read).  An inline striped transfer that failed holds only the
+    /// parts up to the failed one.
+    Split {
+        parts: Vec<IoTicket>,
         buf: Box<[u8]>,
-        chunk: usize,
-    },
-    /// A striped logical write: the logical buffer is returned once every
-    /// per-disk part has landed.
-    Join {
-        parts: Vec<Receiver<Result<Box<[u8]>>>>,
-        buf: Box<[u8]>,
+        gather: bool,
     },
 }
 
@@ -192,57 +206,56 @@ pub struct IoTicket {
 }
 
 impl IoTicket {
-    /// Wrap an already-completed transfer (the synchronous fallback).
-    pub fn ready(result: Result<Box<[u8]>>) -> Self {
+    /// Wrap a transfer that has already finished with `result` — how a
+    /// device executing inline answers a submit.
+    pub fn ready(buf: Box<[u8]>, result: Result<()>) -> Self {
         IoTicket {
-            inner: TicketInner::Ready(result),
+            inner: TicketInner::Ready((buf, result)),
         }
     }
 
-    fn pending(rx: Receiver<Result<Box<[u8]>>>) -> Self {
+    /// Join member tickets into one logical ticket over `buf`: part `d`
+    /// moves the `d`-th physical block of it, copied in on completion when
+    /// `gather` (a read).
+    pub(crate) fn split(parts: Vec<IoTicket>, buf: Box<[u8]>, gather: bool) -> Self {
         IoTicket {
-            inner: TicketInner::Pending(rx),
+            inner: TicketInner::Split { parts, buf, gather },
         }
     }
 
-    pub(crate) fn gather(
-        parts: Vec<Receiver<Result<Box<[u8]>>>>,
-        buf: Box<[u8]>,
-        chunk: usize,
-    ) -> Self {
-        IoTicket {
-            inner: TicketInner::Gather { parts, buf, chunk },
-        }
+    /// True if the transfer has already finished and failed: an inline
+    /// member transfer that must stop a striped one.
+    pub(crate) fn failed(&self) -> bool {
+        matches!(self.inner, TicketInner::Ready((_, Err(_))))
     }
 
-    pub(crate) fn join(parts: Vec<Receiver<Result<Box<[u8]>>>>, buf: Box<[u8]>) -> Self {
-        IoTicket {
-            inner: TicketInner::Join { parts, buf },
-        }
-    }
-
-    /// Block until the transfer completes, returning the buffer (filled with
-    /// the block's data for reads, unchanged for writes) or the device error.
-    pub fn wait(self) -> Result<Box<[u8]>> {
+    /// Block until the transfer completes and hand back its buffer — filled
+    /// with the block's data for a read, unchanged for a write — together
+    /// with how it ended.  The buffer comes back on failure too, so a failed
+    /// write can be resubmitted from the same bytes; only a lane whose
+    /// worker died keeps it (the buffer handed back is then empty).
+    pub fn wait(self) -> (Box<[u8]>, Result<()>) {
         match self.inner {
-            TicketInner::Ready(res) => res,
-            TicketInner::Pending(rx) => rx.recv().map_err(|_| worker_died())?,
-            TicketInner::Gather {
+            TicketInner::Ready(done) => done,
+            TicketInner::Pending(rx) => rx
+                .recv()
+                .unwrap_or_else(|_| (Box::default(), Err(worker_died()))),
+            TicketInner::Split {
                 parts,
                 mut buf,
-                chunk,
+                gather,
             } => {
-                for (d, rx) in parts.into_iter().enumerate() {
-                    let part = rx.recv().map_err(|_| worker_died())??;
-                    buf[d * chunk..(d + 1) * chunk].copy_from_slice(&part);
+                for (d, part) in parts.into_iter().enumerate() {
+                    let (bytes, res) = part.wait();
+                    if res.is_err() {
+                        return (buf, res);
+                    }
+                    if gather {
+                        let chunk = bytes.len();
+                        buf[d * chunk..(d + 1) * chunk].copy_from_slice(&bytes);
+                    }
                 }
-                Ok(buf)
-            }
-            TicketInner::Join { parts, buf } => {
-                for rx in parts {
-                    rx.recv().map_err(|_| worker_died())??;
-                }
-                Ok(buf)
+                (buf, Ok(()))
             }
         }
     }
@@ -300,16 +313,17 @@ impl IoScheduler {
                                 reply,
                             } => (write, id, buf, reply),
                         };
-                        let res = run_with_retry(&retry, &lane_stats, lane, id, || {
-                            if write {
-                                device.write_block(id, &buf)
-                            } else {
-                                device.read_block(id, &mut buf)
-                            }
-                        })
-                        .map(|()| buf);
+                        let res = run_with_retry(
+                            &retry,
+                            &lane_stats,
+                            &*device,
+                            lane,
+                            write,
+                            id,
+                            &mut buf,
+                        );
                         lane_stats.record_complete(lane);
-                        if let Err(SendError(Err(e))) = reply.send(res) {
+                        if let Err(SendError((_, Err(e)))) = reply.send((buf, res)) {
                             // The submitter dropped its ticket.  For a
                             // successful transfer that is fine (it still
                             // happened); a *failed* write would vanish
@@ -369,32 +383,9 @@ impl IoScheduler {
         }
     }
 
-    /// Queue an asynchronous read of physical block `id` on `lane` into
-    /// `buf`; the filled buffer comes back through the ticket.
-    pub fn submit_read(&self, lane: usize, id: BlockId, buf: Box<[u8]>) -> IoTicket {
-        self.submit(lane, false, id, buf)
-    }
-
-    /// Queue an asynchronous write of `buf` to physical block `id` on
-    /// `lane`; the buffer is handed back through the ticket on completion.
-    pub fn submit_write(&self, lane: usize, id: BlockId, buf: Box<[u8]>) -> IoTicket {
-        self.submit(lane, true, id, buf)
-    }
-
-    fn submit(&self, lane: usize, write: bool, id: BlockId, buf: Box<[u8]>) -> IoTicket {
-        IoTicket::pending(self.submit_raw(lane, write, id, buf))
-    }
-
-    /// Queue a transfer and expose the raw completion channel; used by
-    /// [`DiskArray`](crate::DiskArray) to build scatter/gather tickets that
-    /// span several lanes.
-    pub(crate) fn submit_raw(
-        &self,
-        lane: usize,
-        write: bool,
-        id: BlockId,
-        buf: Box<[u8]>,
-    ) -> Receiver<Result<Box<[u8]>>> {
+    /// Queue a transfer of physical block `id` on `lane` — a write of `buf`,
+    /// or a read into it; the buffer comes back through the ticket.
+    pub(crate) fn submit(&self, lane: usize, write: bool, id: BlockId, buf: Box<[u8]>) -> IoTicket {
         self.stats.record_submit(lane);
         let (reply, rx) = channel();
         let sent = self.lanes[lane].send(Job::Transfer {
@@ -410,7 +401,9 @@ impl IoScheduler {
             // submit so the lane's queue depth stays balanced.
             self.stats.record_complete(lane);
         }
-        rx
+        IoTicket {
+            inner: TicketInner::Pending(rx),
+        }
     }
 }
 
@@ -457,8 +450,10 @@ mod tests {
 
     #[test]
     fn ready_ticket_round_trips() {
-        let t = IoTicket::ready(Ok(vec![7u8; 4].into_boxed_slice()));
-        assert_eq!(&*t.wait().unwrap(), &[7u8; 4]);
+        let t = IoTicket::ready(vec![7u8; 4].into_boxed_slice(), Ok(()));
+        let (buf, res) = t.wait();
+        res.unwrap();
+        assert_eq!(&*buf, &[7u8; 4]);
     }
 
     #[test]
@@ -468,11 +463,11 @@ mod tests {
         let id = devices[1].allocate().unwrap();
         // Never wait on the write; the read is queued behind it on the same
         // lane and must observe its data.
-        let _w = sched.submit_write(1, id, vec![0xCD; 16].into_boxed_slice());
-        let out = sched
-            .submit_read(1, id, vec![0u8; 16].into_boxed_slice())
-            .wait()
-            .unwrap();
+        let _w = sched.submit(1, true, id, vec![0xCD; 16].into_boxed_slice());
+        let (out, res) = sched
+            .submit(1, false, id, vec![0u8; 16].into_boxed_slice())
+            .wait();
+        res.unwrap();
         assert_eq!(&*out, &[0xCDu8; 16]);
         let snap = stats.snapshot();
         assert_eq!(snap.reads_on(1), 1);
@@ -486,8 +481,9 @@ mod tests {
         let sched = IoScheduler::new(&devices, stats);
         // Block 99 was never allocated.
         let res = sched
-            .submit_read(0, 99, vec![0u8; 16].into_boxed_slice())
-            .wait();
+            .submit(0, false, 99, vec![0u8; 16].into_boxed_slice())
+            .wait()
+            .1;
         assert!(matches!(res, Err(PdmError::InvalidBlock(99))));
     }
 
@@ -535,14 +531,14 @@ mod tests {
         let sched = IoScheduler::new(&gated, Arc::clone(&stats));
 
         let tickets: Vec<IoTicket> = (0..4)
-            .map(|_| sched.submit_read(0, id, vec![0u8; 8].into_boxed_slice()))
+            .map(|_| sched.submit(0, false, id, vec![0u8; 8].into_boxed_slice()))
             .collect();
         assert_eq!(stats.snapshot().queue_depth_hwm(0), 4);
         for _ in 0..4 {
             open.send(()).unwrap();
         }
         for t in tickets {
-            t.wait().unwrap();
+            t.wait().1.unwrap();
         }
         assert_eq!(stats.snapshot().reads_on(0), 4);
     }
@@ -553,7 +549,7 @@ mod tests {
         let id = devices[0].allocate().unwrap();
         {
             let sched = IoScheduler::new(&devices, stats);
-            let _ = sched.submit_write(0, id, vec![0x5A; 8].into_boxed_slice());
+            let _ = sched.submit(0, true, id, vec![0x5A; 8].into_boxed_slice());
             // Scheduler dropped with the write possibly still queued.
         }
         let mut out = [0u8; 8];
@@ -575,10 +571,10 @@ mod tests {
             Arc::clone(&stats),
             RetryPolicy::new(3, Duration::ZERO),
         );
-        let out = sched
-            .submit_read(0, id, vec![0u8; 16].into_boxed_slice())
-            .wait()
-            .unwrap();
+        let (out, res) = sched
+            .submit(0, false, id, vec![0u8; 16].into_boxed_slice())
+            .wait();
+        res.unwrap();
         assert_eq!(&*out, &[0xABu8; 16]);
         let snap = stats.snapshot();
         assert_eq!(snap.retries(), 2, "two failed attempts were retried");
@@ -600,8 +596,9 @@ mod tests {
             RetryPolicy::new(2, Duration::ZERO),
         );
         let res = sched
-            .submit_read(0, id, vec![0u8; 16].into_boxed_slice())
-            .wait();
+            .submit(0, false, id, vec![0u8; 16].into_boxed_slice())
+            .wait()
+            .1;
         match res {
             Err(PdmError::RetriesExhausted {
                 disk,
@@ -663,14 +660,14 @@ mod tests {
         }) as Arc<dyn BlockDevice>];
         let sched = IoScheduler::new(&devices, Arc::clone(&stats));
 
-        let ticket = sched.submit_write(0, id, vec![9u8; 8].into_boxed_slice());
+        let ticket = sched.submit(0, true, id, vec![9u8; 8].into_boxed_slice());
         drop(ticket); // nobody will hear about the failure...
         open.send(()).unwrap();
         // A read queued behind the write proves the lane drained it.
-        let out = sched
-            .submit_read(0, id, vec![0u8; 8].into_boxed_slice())
-            .wait()
-            .unwrap();
+        let (out, res) = sched
+            .submit(0, false, id, vec![0u8; 8].into_boxed_slice())
+            .wait();
+        res.unwrap();
         assert_eq!(&*out, &[3u8; 8]);
         assert_eq!(stats.snapshot().dropped_write_errors(), 1);
         let e = sched.take_dropped_error().expect("error was kept");
@@ -721,7 +718,7 @@ mod tests {
         }) as Arc<dyn BlockDevice>];
         let sched = IoScheduler::new(&devices, Arc::clone(&stats));
 
-        drop(sched.submit_write(0, id, vec![9u8; 8].into_boxed_slice()));
+        drop(sched.submit(0, true, id, vec![9u8; 8].into_boxed_slice()));
         open.send(()).unwrap();
         let err = sched
             .barrier()
@@ -736,7 +733,7 @@ mod tests {
         let (devices, stats) = lanes(1, 8);
         let id = devices[0].allocate().unwrap();
         let sched = IoScheduler::new(&devices, Arc::clone(&stats));
-        drop(sched.submit_write(0, id, vec![1u8; 8].into_boxed_slice()));
+        drop(sched.submit(0, true, id, vec![1u8; 8].into_boxed_slice()));
         drop(sched); // drains the lane
         assert_eq!(stats.snapshot().dropped_write_errors(), 0);
     }

@@ -79,8 +79,8 @@
 //! pre-allocates and names the block for the next chained header.
 //!
 //! The **anchor rule**: a checkpoint writes an anchor when its full record
-//! fits the header block, so journals with small manifests (a tree's root,
-//! a buffer tree's or a sorting writer's directory) write anchors only.
+//! fits the header block, so journals with small manifests (a tree's root)
+//! write anchors only.
 //! Otherwise it chains, unless the chain since the newest anchor (chained
 //! headers, their overflow, and the `CLEAN` header an apply adds) would pass
 //! `2a` blocks, `a` being an anchor of the full record; then it writes that
@@ -919,10 +919,6 @@ impl BlockDevice for Journal {
         self.inner.stats()
     }
 
-    fn lanes(&self) -> usize {
-        self.inner.lanes()
-    }
-
     fn lane_of(&self, id: BlockId) -> Option<usize> {
         // Reported for the *home* block; a pending block's transfers land on
         // its shadow's lane until the checkpoint applies it.
@@ -944,7 +940,7 @@ impl BlockDevice for Journal {
     fn submit_write(&self, id: BlockId, buf: Box<[u8]>) -> IoTicket {
         match self.redirect_write(id, &buf) {
             Ok(target) => self.inner.submit_write(target, buf),
-            Err(e) => IoTicket::ready(Err(e)),
+            Err(e) => IoTicket::ready(buf, Err(e)),
         }
     }
 
@@ -1080,6 +1076,7 @@ mod tests {
         j.write_block(a, &block(0xAB)).unwrap();
         j.submit_write(b, block(0xBB).into_boxed_slice())
             .wait()
+            .1
             .unwrap();
         j.write_block(c, &block(0xCC)).unwrap();
         // Straight home: the medium already holds the bytes, nothing pends.

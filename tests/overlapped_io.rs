@@ -98,14 +98,16 @@ fn async_submission_from_many_threads_round_trips() {
                     })
                     .collect();
                 for t in writes {
-                    t.wait().unwrap();
+                    t.wait().1.unwrap();
                 }
                 let reads: Vec<_> = ids
                     .iter()
                     .map(|&id| arr.submit_read(id, vec![0u8; 32].into_boxed_slice()))
                     .collect();
                 for (&id, t) in ids.iter().zip(reads) {
-                    assert_eq!(t.wait().unwrap().as_ref(), &pattern(32, id, 7)[..]);
+                    let (buf, res) = t.wait();
+                    res.unwrap();
+                    assert_eq!(buf.as_ref(), &pattern(32, id, 7)[..]);
                 }
             })
         })

@@ -25,10 +25,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("core/src/lib.rs", 2),
     ("core/src/record.rs", 1),
     ("core/src/stream.rs", 2),
-    ("emgeom/src/dominance.rs", 4),
-    ("emgeom/src/range_report.rs", 14),
-    ("emgeom/src/segments.rs", 10),
-    ("emgeom/src/sweep.rs", 1),
     ("emgraph/src/bfs.rs", 2),
     ("emgraph/src/cc.rs", 2),
     ("emgraph/src/euler.rs", 8),

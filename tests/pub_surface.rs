@@ -34,7 +34,6 @@ const TEST_SURFACE: &[(&str, &str, &str)] = &[
     ("emgraph/src/list_ranking.rs", "list_rank_weighted", "survey algorithm; list_rank calls it"),
     ("emgraph/src/mis.rs", "maximal_independent_set", "survey algorithm; emgraph's tests run it"),
     ("emrel/src/exec.rs", "with_order", "query_engine.rs declares a scan's order"),
-    ("emrel/src/plan.rs", "hash_distinct", "query_engine.rs prices hash DISTINCT"),
     ("emrel/src/plan.rs", "predict", "the cost model; choose calls it"),
     ("emrel/src/plan.rs", "predict_with_sink", "query_engine.rs: predicted == measured"),
     ("emrel/src/plan.rs", "with_stripe", "query_engine.rs prices striped arrays"),

@@ -26,8 +26,8 @@ use std::time::Duration;
 use em_core::{bounds, EmConfig, ExtVec, ExtVecWriter};
 use emrel::{
     choose, collect, predict_with_sink, sort_pipe, sort_scan, CostEnv, ExecConfig, FilterExec,
-    GroupByExec, HashDistinctExec, HashGroupByExec, HashJoinExec, KeyStats, MergeJoinExec, Order,
-    PlanExpr, ProjectExec, QueryExec, ScanExec,
+    GroupByExec, HashGroupByExec, HashJoinExec, KeyStats, MergeJoinExec, Order, PlanExpr,
+    ProjectExec, QueryExec, ScanExec,
 };
 use emsort::{OverlapConfig, RunFormation, SortConfig, SortingWriter};
 use pdm::{DiskArray, FaultPlan, IoMode, Placement, RetryPolicy, SharedDevice};
@@ -561,7 +561,7 @@ proptest! {
             let plan_d = PlanExpr::scan(data.len() as u64, ROW_BYTES, Order::Unordered)
                 .filter(f_cnt)
                 .project(8, Order::Unordered)
-                .hash_distinct(hashes.clone(), fan_out, g_cnt);
+                .hash_group_by(hashes.clone(), fan_out, 8, g_cnt);
             let pred_d = predict_with_sink(&plan_d, &env_d);
 
             let (ios, mut got) = {
@@ -570,8 +570,11 @@ proptest! {
                 let filt = FilterExec::new(scan, keep);
                 let mut proj: ProjectExec<_, _, u64> =
                     ProjectExec::new(filt, |r: &Row| Some(r.0), Order::Unordered);
-                let mut dist =
-                    HashDistinctExec::build(&mut proj, &device, &cfg_d, fan_out).unwrap();
+                // Keyed on the whole record, a group-by is distinct.
+                let mut dist = HashGroupByExec::build(
+                    &mut proj, &device, &cfg_d, fan_out, |k: &u64| *k, (), |_, _| {}, |k, (), _| k,
+                )
+                .unwrap();
                 let out = collect(&mut dist, &device).unwrap();
                 let ios = device.stats().snapshot().since(&before);
                 prop_assert!(dist.budget().high_water() <= dist.budget().capacity(),

@@ -17,8 +17,8 @@ use std::time::{Duration, Instant};
 use em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios};
 use em_core::ExtVec;
 use emrel::{
-    collect, sort_pipe, sort_scan, ExecConfig, FilterExec, GroupByExec, HashDistinctExec,
-    HashGroupByExec, HashJoinExec, MergeJoinExec, Order, ProjectExec, QueryExec, ScanExec,
+    collect, sort_pipe, sort_scan, ExecConfig, FilterExec, GroupByExec, HashGroupByExec,
+    HashJoinExec, MergeJoinExec, Order, ProjectExec, QueryExec, ScanExec,
 };
 use emsort::{OverlapConfig, SortConfig};
 use pdm::{DiskArray, IoMode, IoSnapshot, Placement, SharedDevice};
@@ -156,7 +156,17 @@ fn run_case(case: &str, device: &SharedDevice, overlap: OverlapConfig) -> Outcom
                 || {
                     let mut keys: ProjectExec<_, _, u64> =
                         ProjectExec::new(ScanExec::new(&v), |r: &Row| Some(r.0), Order::Unordered);
-                    let mut d = HashDistinctExec::build(&mut keys, device, &c, fan)?;
+                    // Keyed on the whole record, a group-by is distinct.
+                    let mut d = HashGroupByExec::build(
+                        &mut keys,
+                        device,
+                        &c,
+                        fan,
+                        |k: &u64| *k,
+                        (),
+                        |_, _| {},
+                        |k, (), _| k,
+                    )?;
                     Ok((collect(&mut d, device)?, Some(replay)))
                 },
                 |k: &u64| vec![*k],
