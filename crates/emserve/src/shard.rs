@@ -399,7 +399,7 @@ where
     }
 
     /// Build a journaled shard: all shard storage lives behind `journal`
-    /// (shadow-block writes, checkpoint-and-rewind), and every
+    /// (copy-on-write epochs, checkpoint-and-rewind), and every
     /// [`flush_batch`](Self::flush_batch) commits a checkpoint *before*
     /// acknowledging, so a crash never loses an acked write.  Pair with
     /// [`recover`](Self::recover) after a crash.
@@ -546,12 +546,12 @@ where
     /// Cost: the checkpoint alone, and no reads.  On a journal that is one
     /// header write carrying the batch's records: the header that commits a
     /// flush is chained, and holds only what changed since the one before —
-    /// 21 bytes an op and 51 bytes of framing, not the log before it, and
+    /// 21 bytes an op and 43 bytes of framing, not the log before it, and
     /// not the tree entries, which only a compaction changes.  At `B` =
-    /// 1 KiB a batch of up to 43 ops is one write however many tenant trees,
+    /// 1 KiB a batch of up to 44 ops is one write however many tenant trees,
     /// and each 1 008 bytes more is one overflow block.  (The first flush
     /// after a compaction is an anchor instead when the whole record fits,
-    /// up to `⌊(888 − 28·T)/21⌋` ops at `T` trees: one write either way.)
+    /// up to `⌊(904 − 28·T)/21⌋` ops at `T` trees: one write either way.)
     /// Batches under about 24 ops, half a block of records, grow the chain
     /// faster than the log, so the journal's anchor rule rewrites the log
     /// as an anchor each time the chain reaches twice that: at most 1.5
@@ -1456,8 +1456,8 @@ mod tests {
             let d = ram.stats().snapshot().since(&io);
             let now = journal.overhead();
             // One header, which carries the batch's 672 bytes of records:
-            // the first an anchor (the whole record, 752 of its 968 inline
-            // bytes), every later one a chained header (51 bytes of framing
+            // the first an anchor (the whole record, 744 of its 976 inline
+            // bytes), every later one a chained header (43 bytes of framing
             // and the new records).  Nothing is read, nothing overflows,
             // nothing is shadowed: a shard that has never compacted has no
             // tree to write.
@@ -1482,12 +1482,13 @@ mod tests {
     }
 
     /// On a journaled shard holding `trees` tenant trees at `B` = 1 KiB, a
-    /// flush of 43 ops costs one header write and one of 44 an overflow
+    /// flush of 44 ops costs one header write and one of 45 an overflow
     /// block more, however long the log grows: the chained header that
-    /// commits a batch holds its 21-byte records and 51 bytes of framing in
-    /// 968 inline bytes, and leaves out the tree entries, which did not
-    /// change.
-    fn assert_batch_spills_past_43(trees: u32) {
+    /// commits a batch holds its 21-byte records and 43 bytes of framing in
+    /// 976 inline bytes, and leaves out the tree entries, which did not
+    /// change.  (The tests keep the names they had under a 56-byte header
+    /// and 51 bytes of framing, when the boundary was 43 ops.)
+    fn assert_batch_spills_past_44(trees: u32) {
         use pdm::{Journal, RamDisk};
         let journal = Journal::format(RamDisk::new(1024) as SharedDevice).unwrap();
         let mut s: Shard<u64, u64> =
@@ -1502,7 +1503,7 @@ mod tests {
             28 * trees as usize
         );
         let mut key = 0u64;
-        for (n, chain) in [(43, 0), (44, 1), (43, 0), (44, 1), (1, 0)] {
+        for (n, chain) in [(44, 0), (45, 1), (44, 0), (45, 1), (1, 0)] {
             for _ in 0..n {
                 s.enqueue(0, key, key, Some(key));
                 key += 1;
@@ -1524,14 +1525,14 @@ mod tests {
 
     #[test]
     fn a_batch_past_43_records_spills_one_chain_block() {
-        assert_batch_spills_past_43(1);
+        assert_batch_spills_past_44(1);
     }
 
     /// A tree's 28-byte entry rides in anchors only, so the boundary does
     /// not move with the number of trees.
     #[test]
     fn with_two_trees_a_batch_past_43_records_spills_one_chain_block() {
-        assert_batch_spills_past_43(2);
+        assert_batch_spills_past_44(2);
     }
 
     /// Batches of at least half a block of records, 24 ops at 1 KiB, grow

@@ -80,15 +80,6 @@ impl Placement {
     pub fn is_striped(self) -> bool {
         matches!(self, Placement::Striped)
     }
-
-    /// Stable lowercase label for benchmark tables and JSON rows.
-    pub fn label(self) -> &'static str {
-        match self {
-            Placement::Striped => "striped",
-            Placement::Independent => "independent",
-            Placement::RandomizedCycling { .. } => "randomized_cycling",
-        }
-    }
 }
 
 /// One SplitMix64 step: decorrelates `(seed, stream)` pairs into lane
@@ -173,14 +164,17 @@ impl DiskArray {
     }
 
     /// Create an array of `d` RAM disks with an explicit [`IoMode`].
+    ///
+    /// # Panics
+    ///
+    /// If `d` or `physical_block` is zero ([`IoStats::new`] and
+    /// [`RamDisk::with_stats`] check them).
     pub fn new_ram_with(
         d: usize,
         physical_block: usize,
         placement: Placement,
         mode: IoMode,
     ) -> Arc<Self> {
-        assert!(d >= 1, "need at least one disk");
-        assert!(physical_block > 0);
         let stats = IoStats::new(d, physical_block);
         let disks: Vec<Arc<dyn BlockDevice>> = (0..d)
             .map(|lane| {
@@ -209,6 +203,12 @@ impl DiskArray {
     /// exactly like [`new_ram_with`](Self::new_ram_with) wherever the plans
     /// are benign, and with `retry` set to [`RetryPolicy::none`] the
     /// fault-free transfer counts are byte-for-byte unchanged.
+    ///
+    /// # Panics
+    ///
+    /// If `d` or `physical_block` is zero, as
+    /// [`new_ram_with`](Self::new_ram_with), or `plans` does not hold one
+    /// plan per disk.
     pub fn new_ram_faulty(
         d: usize,
         physical_block: usize,
@@ -217,8 +217,6 @@ impl DiskArray {
         plans: &[FaultPlan],
         retry: RetryPolicy,
     ) -> Arc<Self> {
-        assert!(d >= 1, "need at least one disk");
-        assert!(physical_block > 0);
         assert_eq!(plans.len(), d, "one fault plan per member disk");
         let stats = IoStats::new(d, physical_block);
         let disks: Vec<Arc<dyn BlockDevice>> = (0..d)
@@ -252,6 +250,12 @@ impl DiskArray {
     /// resource, so `D`-disk parallelism and overlapped I/O recover real
     /// time exactly where the model says they should.  Transfer counts are
     /// identical to a zero-service array.
+    ///
+    /// # Errors
+    ///
+    /// [`PdmError::InvalidRequest`] if `d` or `physical_block` is zero,
+    /// before anything is created; otherwise whatever the file system
+    /// returns.
     pub fn new_file_with_service(
         dir: &std::path::Path,
         d: usize,
@@ -260,8 +264,11 @@ impl DiskArray {
         mode: IoMode,
         service: std::time::Duration,
     ) -> Result<Arc<Self>> {
-        assert!(d >= 1, "need at least one disk");
-        assert!(physical_block > 0);
+        if d == 0 || physical_block == 0 {
+            return Err(PdmError::InvalidRequest(format!(
+                "a disk array needs a disk and a block: {d} disks of {physical_block} bytes"
+            )));
+        }
         std::fs::create_dir_all(dir)?;
         let stats = IoStats::new(d, physical_block);
         let mut disks: Vec<Arc<dyn BlockDevice>> = Vec::with_capacity(d);
@@ -294,6 +301,10 @@ impl DiskArray {
     /// intact.  All members must share one [`IoStats`] handle with one lane
     /// per member, each member recording into its own lane — exactly what
     /// [`RamDisk::with_stats`] builds.
+    ///
+    /// # Panics
+    ///
+    /// If `disks` is empty or its members do not share such a handle.
     pub fn from_devices(
         disks: Vec<Arc<dyn BlockDevice>>,
         placement: Placement,
@@ -342,20 +353,11 @@ impl DiskArray {
         }
     }
 
-    /// Number of member disks.
-    pub fn disks(&self) -> usize {
-        self.disks.len()
-    }
-
-    /// The placement mode of this array.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
     /// Allocate an independent-mode block on disk `disk`, the one the
-    /// allocation cursor chose.  Panics if the array is striped.
+    /// allocation cursor chose; only a [`LaneView`](crate::LaneView) of an
+    /// independent array calls it.
     pub(crate) fn allocate_on(&self, disk: usize) -> Result<BlockId> {
-        assert!(!self.placement.is_striped());
+        debug_assert!(!self.placement.is_striped());
         let d = self.disks.len() as u64;
         let phys = self.disks[disk].allocate()?;
         Ok(phys * d + disk as u64)
@@ -1030,6 +1032,27 @@ mod file_array_tests {
     ) -> Arc<DiskArray> {
         let zero = std::time::Duration::ZERO;
         DiskArray::new_file_with_service(dir, d, 16, placement, mode, zero).unwrap()
+    }
+
+    #[test]
+    fn a_file_array_without_disks_or_block_bytes_is_an_invalid_request() {
+        let dir = tmpdir("empty");
+        let zero = std::time::Duration::ZERO;
+        for (d, bytes) in [(0, 16), (2, 0)] {
+            let res = DiskArray::new_file_with_service(
+                &dir,
+                d,
+                bytes,
+                Placement::Independent,
+                IoMode::Synchronous,
+                zero,
+            );
+            assert!(
+                matches!(res, Err(PdmError::InvalidRequest(_))),
+                "{d} disks of {bytes} bytes"
+            );
+            assert!(!dir.exists(), "nothing created");
+        }
     }
 
     #[test]

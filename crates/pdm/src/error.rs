@@ -52,7 +52,7 @@ pub enum PdmError {
         /// Records its memory budget had room for.
         available: usize,
     },
-    /// Persisted bytes — a journal header, chain or redo record, or a
+    /// Persisted bytes — a journal header or record, or a
     /// structure's recovery manifest — do not parse or fail their checksum.
     /// Unlike [`Io`](Self::Io) this is a fact about what the medium holds,
     /// not about one transfer: reading it again returns the same bytes.

@@ -50,16 +50,6 @@ impl LaneView {
             })
         }
     }
-
-    /// The member disk this view allocates on.
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
-    /// The underlying array.
-    pub fn array(&self) -> &Arc<DiskArray> {
-        &self.array
-    }
 }
 
 impl BlockDevice for LaneView {
@@ -96,7 +86,7 @@ impl BlockDevice for LaneView {
     }
 
     /// One: a sequential stream allocated through this view sits entirely on
-    /// [`lane`](Self::lane), so deepening its queue buys no lane-parallelism.
+    /// its lane, so deepening its queue buys no lane-parallelism.
     fn stream_lanes(&self) -> usize {
         1
     }

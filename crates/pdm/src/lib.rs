@@ -28,6 +28,9 @@
 //!   or spike latency on a seed-driven schedule, and a [`RetryPolicy`]
 //!   (default off) recovers the transient cases with exact accounting in
 //!   [`IoStats`] (`retries`, `faults_injected`, `dropped_write_errors`).
+//! * [`Journal`] — crash recovery for any device: between checkpoints only
+//!   blocks allocated since the last one may be written, one header write
+//!   commits an epoch, and [`Journal::recover`] rewinds to the last commit.
 //!
 //! The crate is deliberately free of any algorithmic content; everything
 //! above it (sorting, trees, graphs, geometry, hashing) lives in the other

@@ -37,7 +37,6 @@ impl RamDisk {
     /// Create a RAM disk with the given block size in bytes and its own
     /// single-lane statistics handle.
     pub fn new(block_size: usize) -> Arc<Self> {
-        assert!(block_size > 0, "block size must be positive");
         let stats = IoStats::new(1, block_size);
         Arc::new(Self::with_stats(block_size, stats, 0))
     }
@@ -50,7 +49,12 @@ impl RamDisk {
     /// is the "surviving medium" a rebooted array
     /// ([`DiskArray::from_devices`](crate::DiskArray::from_devices)) is
     /// reassembled over.
+    ///
+    /// # Panics
+    ///
+    /// If `block_size` is zero.
     pub fn with_stats(block_size: usize, stats: Arc<IoStats>, lane: usize) -> Self {
+        assert!(block_size > 0, "block size must be positive");
         RamDisk {
             block_size,
             inner: Mutex::new(Inner {

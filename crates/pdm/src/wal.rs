@@ -3,17 +3,14 @@
 //! The fault substrate ([`FaultDisk`](crate::FaultDisk)) made device
 //! misbehaviour *detectable*; this module makes it *survivable*.  A
 //! [`Journal`] wraps any [`BlockDevice`] and turns the wrapped device into a
-//! transactional store: between checkpoints every write to a block the last
-//! checkpoint committed is redirected to a private *shadow block*, so the
-//! committed "home" blocks are never touched mid-epoch.  A crash — power
-//! loss, a torn write the caller could not repair, a dead machine — therefore
-//! leaves the last checkpoint's state fully intact on the medium, and
-//! recovery either *rewinds* to it (crash before commit) or *redoes* the
-//! committed shadow set on top of it (crash after commit, before the apply
-//! finished).  This is the trail/checkpoint discipline of Vitter's survey
-//! adapted to blocks: checkpointing makes online structures restartable, and
-//! the write-ahead rule (log the redo record before moving a home block)
-//! makes the apply idempotent from any interruption point.
+//! transactional store by enforcing copy-on-write: between checkpoints only
+//! blocks born since the last checkpoint may be written, so the blocks it
+//! committed are never touched mid-epoch.  A crash — power loss, a torn write
+//! the caller could not repair, a dead machine — therefore leaves the last
+//! checkpoint's state fully intact on the medium, and recovery *rewinds* to
+//! it.  An epoch commits with one header write, so it is all-or-nothing.
+//! This is the trail/checkpoint discipline of Vitter's survey adapted to
+//! blocks: checkpointing makes online structures restartable.
 //!
 //! ## Protocol
 //!
@@ -24,7 +21,7 @@
 //! free at that checkpoint, and committed blocks freed since are only
 //! released *after* the next commit, so the allocator cannot hand out an id
 //! the committed state still uses).  That is the **born-this-epoch rule**:
-//! such a block needs no shadow, because a rewind cannot see it.
+//! a rewind cannot see such a block, so it may be written in place.
 //!
 //! * `allocate` passes through and remembers the id as born this epoch
 //!   (forgotten at the next checkpoint; nothing is born after `recover`
@@ -32,40 +29,32 @@
 //!   that ends in a rewind are leaked (bounded by the epoch's footprint);
 //!   the simulation's media are free-list allocators, so a leak costs
 //!   capacity, never correctness.
-//! * `write_block(id)` of a born-this-epoch block goes **straight home**: no
-//!   shadow, no redo entry, nothing to apply.  A rewind leaves the bytes in a
-//!   block no recovered structure points at — the allocation leak above,
-//!   with a payload.  The checkpoint's `barrier()` orders every such write
-//!   before the commit header, so a *committed* epoch never references a
-//!   born block whose write was lost.
-//! * `write_block(home)` of a committed block allocates (once per home) a
-//!   shadow block, writes the payload there, and remembers
-//!   `home → (shadow, checksum)` in memory.  Rewrites reuse the same shadow.
-//!   One transfer either way — exactly what the bare device would have cost.
-//! * `read_block(home)` of a pending block is redirected to its shadow; other
-//!   reads pass through.  One transfer either way.
+//! * `write_block(id)` or `submit_write(id)` of a born-this-epoch block goes
+//!   **straight home**.  A rewind leaves the bytes in a block no recovered
+//!   structure points at — the allocation leak above, with a payload.  The
+//!   checkpoint's `barrier()` orders every such write before the commit
+//!   header, so a *committed* epoch never references a born block whose
+//!   write was lost.
+//! * A write to any other block is [`PdmError::InvalidRequest`] and moves
+//!   nothing: a committed block is part of the state a rewind restores.  A
+//!   structure replaces it by a born block and frees it instead.
+//! * Reads pass through.
 //! * `free(id)` of a born-this-epoch block releases it **at once** (its id
-//!   may be born again in the same epoch).  `free(home)` of a committed
+//!   may be born again in the same epoch).  `free(id)` of a committed
 //!   block is **deferred** to the end of the next checkpoint: the block
 //!   being freed is part of the state a rewind must restore.
 //!
 //! [`checkpoint`](Journal::checkpoint) then makes the epoch durable:
 //!
-//! 1. **Record**: the redo record — every `(home, shadow, payload checksum)`
-//!    of a rewritten committed block, then the named
-//!    [manifests](Journal::set_manifest) — is serialized.  Its first `B − 56`
-//!    bytes ride *inline* in the header block written next; only the
-//!    remainder goes into freshly allocated *overflow blocks*, written back
-//!    to front so each block's link is final.
+//! 1. **Record**: the named [manifests](Journal::set_manifest) are
+//!    serialized.  The record's first `B − 48` bytes ride *inline* in the
+//!    header block written next; only the remainder goes into freshly
+//!    allocated *overflow blocks*, written back to front so each block's
+//!    link is final.
 //! 2. **Commit**: one header block is written with the next sequence
-//!    number.  This single block write is the commit point.  An epoch that
-//!    rewrote no committed block has nothing to redo, so its header already
-//!    says `CLEAN` and the checkpoint skips to step 5; otherwise it says
-//!    `COMMITTED`.
-//! 3. **Apply**: each shadow is copied onto its home block.
-//! 4. **Clean**: a second header, `CLEAN` with the next sequence number.
-//! 5. **Retire**: the applied shadows, all deferred frees and, after an
-//!    anchor, the chain it replaced are released.
+//!    number.  This single block write is the commit point.
+//! 3. **Retire**: all deferred frees and, after an anchor, the chain it
+//!    replaced are released.
 //!
 //! ## Anchors and chained headers: one log
 //!
@@ -73,66 +62,63 @@
 //! two fixed anchor slots does not hold the newest anchor and carries the
 //! *full* record.  A **chained** header goes to the block the previous
 //! header pre-allocated and names, and carries only what changed since it:
-//! the redo entries, each manifest [set](Journal::set_manifest) to new
-//! bytes, and of a manifest only [appended](Journal::append_manifest) to,
-//! the new bytes; an unchanged manifest is omitted.  Every header
-//! pre-allocates and names the block for the next chained header.
+//! each manifest [set](Journal::set_manifest) to new bytes, and of a
+//! manifest only [appended](Journal::append_manifest) to, the new bytes; an
+//! unchanged manifest is omitted.  Every header pre-allocates and names the
+//! block for the next chained header.
 //!
 //! The **anchor rule**: a checkpoint writes an anchor when its full record
 //! fits the header block, so journals with small manifests (a tree's root)
 //! write anchors only.
 //! Otherwise it chains, unless the chain since the newest anchor (chained
-//! headers, their overflow, and the `CLEAN` header an apply adds) would pass
-//! `2a` blocks, `a` being an anchor of the full record; then it writes that
-//! anchor.  This is the doubling rule: a forced anchor of `a` blocks follows
-//! at least `2a` chained ones, so forced anchors add at most half the
-//! chain's own writes, and recovery walks at most `2a` chained blocks.  A
-//! log appended by more than half a block a checkpoint (a serving shard's)
-//! never forces one.  An anchor retires the chain it replaces only when its
-//! checkpoint has finished, so a torn anchor falls back to the older anchor,
-//! whose chain is still allocated.
+//! headers and their overflow) would pass `2a` blocks, `a` being an anchor
+//! of the full record; then it writes that anchor.  This is the doubling
+//! rule: a forced anchor of `a` blocks follows at least `2a` chained ones,
+//! so forced anchors add at most half the chain's own writes, and recovery
+//! walks at most `2a` chained blocks.  A log appended by more than half a
+//! block a checkpoint (a serving shard's) never forces one.  An anchor
+//! retires the chain it replaces only when its checkpoint has finished, so
+//! a torn anchor falls back to the older anchor, whose chain is still
+//! allocated.
 //!
-//! A header is 56 fixed bytes — magic, sequence number, state, overflow
-//! head, next block, inline length, checksum — and the inline bytes.  The
-//! checksum covers both and is keyed to the two anchor slot ids, so a torn
-//! header fails it, and so does another journal's header on the device.
+//! A header is 48 fixed bytes — magic, sequence number, overflow head, next
+//! block, inline length, checksum — and the inline bytes.  The checksum
+//! covers both and is keyed to the two anchor slot ids, so a torn header
+//! fails it, and so does another journal's header on the device.
 //!
 //! ## Recovery
 //!
 //! [`Journal::recover`] takes the newest valid anchor and walks forward,
 //! accepting the block the current header names while it verifies (magic,
 //! keyed checksum, sequence number one past the previous) and applying its
-//! changes.  The first block that does not verify ends the walk: the
-//! pre-allocated block nothing reached yet, a torn header, or a stale one of
-//! a retired chain (older sequence number) or of another journal (other
-//! key).  A `CLEAN` newest header rewinds the uncommitted epoch, since
-//! nothing reads its shadows; a `COMMITTED` one is redone, every shadow
-//! checksum-verified and copied home, then a `CLEAN` header written —
-//! idempotent, so a crash *during recovery* is recovered by recovering
-//! again.
+//! manifest changes.  The first block that does not verify ends the walk:
+//! the pre-allocated block nothing reached yet, a torn header, or a stale
+//! one of a retired chain (older sequence number) or of another journal
+//! (other key).  The last header accepted is the recovered checkpoint, and
+//! the epoch after it is rewound: nothing it wrote is reachable from the
+//! recovered manifests.  Recovery writes nothing, so a crash *during
+//! recovery* is recovered by recovering again.
 //!
 //! ## Cost accounting
 //!
 //! Mid-epoch operations cost exactly what the bare device costs, so an
 //! algorithm's transfer counts are unchanged by journaling until it
-//! checkpoints.  The checkpoint overhead — overflow writes, one header write
-//! plus a second when something was applied, one read + one write per
-//! pending block for the apply — is tracked exactly in [`WalOverhead`], so
+//! checkpoints.  The checkpoint overhead — one header write and the
+//! record's overflow writes — is tracked exactly in [`WalOverhead`], so
 //! benchmarks can assert `journaled = bare + overhead` to the transfer.  A
 //! checkpoint whose header carries an `r`-byte record (the full record for an
-//! anchor, the changes for a chained header) and which rewrote `p` committed
-//! blocks costs `1 + ⌈(r − (B − 56))⁺ / (B − 16)⌉ + [p > 0] + 2p`
-//! transfers: what the epoch allocated and filled costs nothing extra, and a
-//! log kept in an appended manifest costs each checkpoint its new bytes, not
-//! the log.  Recovery reads the two anchor slots, the newest anchor's
-//! overflow, every chained header since it with its overflow — at most `2a`
-//! blocks by the anchor rule — and one block more, the one that ends the
-//! walk.
+//! anchor, the changes for a chained header) costs
+//! `1 + ⌈(r − (B − 48))⁺ / (B − 16)⌉` transfers: what the epoch allocated
+//! and filled costs nothing extra, and a log kept in an appended manifest
+//! costs each checkpoint its new bytes, not the log.  Recovery reads the
+//! two anchor slots, the newest anchor's overflow, every chained header
+//! since it with its overflow — at most `2a` blocks by the anchor rule —
+//! and one block more, the one that ends the walk.
 //!
-//! Shadow and overflow blocks are allocated through the wrapped device's
-//! normal allocator, so on a multi-disk array their *lane* follows the
-//! allocation cursor, not the home block's lane; totals are preserved but
-//! per-lane attribution of a journaled workload can differ from the bare
+//! Header and overflow blocks are allocated through the wrapped device's
+//! normal allocator, so on a multi-disk array they take turns in the
+//! allocation cursor with the structure's own blocks; totals are preserved
+//! but per-lane attribution of a journaled workload can differ from the bare
 //! run.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -143,33 +129,28 @@ use parking_lot::Mutex;
 
 use crate::device::{BlockDevice, BlockId, SharedDevice};
 use crate::error::{PdmError, Result};
-// FNV-1a is the payload, record and header checksum of the journal.
+// FNV-1a is the record and header checksum of the journal.
 use crate::hash::{fnv1a, fnv1a_words};
 use crate::sched::IoTicket;
 use crate::stats::IoStats;
 
-/// Journal header magic ("external-memory WAL, format 3": anchors and
-/// chained headers).
-const MAGIC: u64 = 0x454D_5741_4C31_0003;
+/// Journal header magic ("external-memory WAL, format 4": anchors and
+/// chained headers, manifests only).
+const MAGIC: u64 = 0x454D_5741_4C31_0004;
 /// Null block pointer in overflow links.
 const NONE: u64 = u64::MAX;
-const STATE_CLEAN: u64 = 0;
-const STATE_COMMITTED: u64 = 1;
-/// Bytes of a header's fixed part: magic, seq, state, overflow head, next
-/// block, inline length, checksum.  The record's first `B − HEADER_BYTES`
-/// bytes follow it in the same block.  Also the smallest block a journal
-/// accepts, which leaves an overflow block 40 bytes of payload.
-const HEADER_BYTES: usize = 56;
+/// Bytes of a header's fixed part: magic, seq, overflow head, next block,
+/// inline length, checksum.  The record's first `B − HEADER_BYTES` bytes
+/// follow it in the same block.  Also the smallest block a journal accepts,
+/// which leaves an overflow block 32 bytes of payload.
+const HEADER_BYTES: usize = 48;
 /// Offset of the header checksum, the last fixed field.
-const SUM_AT: usize = 48;
+const SUM_AT: usize = 40;
 /// Per-overflow-block overhead: next pointer + chunk length.
 const CHAIN_OVERHEAD: usize = 16;
 /// A record's manifest changes: replace the value, or extend it.
 const SET: u64 = 0;
 const APPEND: u64 = 1;
-
-/// One redo entry: home block, shadow block, payload checksum.
-type Entry = (BlockId, BlockId, u64);
 
 /// One manifest change in a record: kind ([`SET`] or [`APPEND`]), name,
 /// bytes.
@@ -212,25 +193,25 @@ fn corrupt(what: &str) -> PdmError {
 /// instance; subtract snapshots to attribute one phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalOverhead {
-    /// Epoch writes redirected into shadow blocks.  These *replace* the
-    /// writes the bare device would have executed (same count), so they are
-    /// reported for visibility but are **not** part of [`total`](Self::total).
+    /// Always 0: the journal refuses a write to a committed block instead
+    /// of redirecting it to a shadow block.  Kept because the benchmark's
+    /// `serve_write` still reports it.
     pub shadow_writes: u64,
     /// Overflow block writes at checkpoints: the part of a record that does
     /// not fit its header block.
     pub chain_writes: u64,
     /// Overflow block reads during recovery.
     pub chain_reads: u64,
-    /// Header block writes, anchor or chained: one at format, one per
-    /// checkpoint, a second per checkpoint that applied redo entries, one
-    /// per recovery that redid an apply.
+    /// Header block writes, anchor or chained: one at format and one per
+    /// checkpoint.
     pub header_writes: u64,
     /// Header block reads during recovery: both anchor slots, every chained
     /// header accepted, and the block that ends the walk.
     pub header_reads: u64,
-    /// Shadow reads while applying a checkpoint or redoing one at recovery.
+    /// Always 0: a checkpoint copies no block.  Kept because the
+    /// benchmark's `serve_write` still reports it.
     pub apply_reads: u64,
-    /// Home writes while applying a checkpoint or redoing one at recovery.
+    /// Always 0, like [`apply_reads`](Self::apply_reads).
     pub apply_writes: u64,
     /// Checkpoints completed.
     pub checkpoints: u64,
@@ -240,20 +221,8 @@ impl WalOverhead {
     /// Transfers the journal added beyond what the bare device would have
     /// executed for the same workload.
     pub fn total(&self) -> u64 {
-        self.chain_writes
-            + self.chain_reads
-            + self.header_writes
-            + self.header_reads
-            + self.apply_reads
-            + self.apply_writes
+        self.chain_writes + self.chain_reads + self.header_writes + self.header_reads
     }
-}
-
-/// One redirected home block: where its current payload lives and what that
-/// payload hashes to.
-struct PendingEntry {
-    shadow: BlockId,
-    checksum: u64,
 }
 
 /// A named manifest and how much of it the newest header already holds.
@@ -267,12 +236,9 @@ struct Manifest {
 }
 
 struct WalState {
-    /// Homes written this epoch, ordered by id (deterministic record/apply
-    /// order).
-    pending: BTreeMap<BlockId, PendingEntry>,
-    /// Blocks allocated through the journal this epoch.  No committed state
-    /// can reference them, so their writes go straight home and their frees
-    /// happen at once; cleared by every checkpoint, empty after recovery.
+    /// Blocks allocated through the journal this epoch: the only ones it
+    /// lets a caller write, and freed at once; cleared by every checkpoint,
+    /// empty after recovery.
     fresh: BTreeSet<BlockId>,
     /// Frees deferred until the epoch commits; on rewind they never happen,
     /// which is what keeps the pre-epoch structures intact.
@@ -316,10 +282,9 @@ impl WalState {
             .collect()
     }
 
-    /// Bytes of the full record over `entries` redo entries, without
-    /// building it.
-    fn full_len(&self, entries: usize) -> usize {
-        if entries == 0 && self.manifests.is_empty() {
+    /// Bytes of the full record, without building it.
+    fn full_len(&self) -> usize {
+        if self.manifests.is_empty() {
             return 0;
         }
         let changes: usize = self
@@ -327,7 +292,7 @@ impl WalState {
             .iter()
             .map(|(name, m)| 24 + name.len() + m.bytes.len())
             .sum();
-        8 + 24 * entries + 8 + changes + 8
+        8 + changes + 8
     }
 
     /// The newest header holds every manifest as it is now.
@@ -341,7 +306,6 @@ impl WalState {
 /// One valid header, as [`Journal::recover`] reads it.
 struct Header {
     seq: u64,
-    state: u64,
     /// First overflow block of the record, or `NONE`.
     overflow: u64,
     /// The block this header pre-allocated for the next chained header.
@@ -354,8 +318,9 @@ struct Header {
 /// `wal` module docs for the protocol.
 ///
 /// The journal itself implements [`BlockDevice`], so buffer pools, trees and
-/// stream writers run on top of it unchanged; the additional surface is the
-/// control plane — [`checkpoint`](Self::checkpoint),
+/// stream writers run on top of it unchanged, as long as they write only
+/// blocks they allocated since the last checkpoint; the additional surface
+/// is the control plane — [`checkpoint`](Self::checkpoint),
 /// [`set_manifest`](Self::set_manifest),
 /// [`append_manifest`](Self::append_manifest), [`recover`](Self::recover).
 pub struct Journal {
@@ -363,20 +328,16 @@ pub struct Journal {
     /// The two anchor slots; [`WalState::newest`] says which is current.
     headers: [BlockId; 2],
     state: Mutex<WalState>,
-    shadow_writes: AtomicU64,
     chain_writes: AtomicU64,
     chain_reads: AtomicU64,
     header_writes: AtomicU64,
     header_reads: AtomicU64,
-    apply_reads: AtomicU64,
-    apply_writes: AtomicU64,
     checkpoints: AtomicU64,
 }
 
 impl Journal {
     fn empty_state() -> WalState {
         WalState {
-            pending: BTreeMap::new(),
             fresh: BTreeSet::new(),
             deferred_frees: Vec::new(),
             manifests: BTreeMap::new(),
@@ -403,20 +364,17 @@ impl Journal {
             inner,
             headers,
             state: Mutex::new(Self::empty_state()),
-            shadow_writes: AtomicU64::new(0),
             chain_writes: AtomicU64::new(0),
             chain_reads: AtomicU64::new(0),
             header_writes: AtomicU64::new(0),
             header_reads: AtomicU64::new(0),
-            apply_reads: AtomicU64::new(0),
-            apply_writes: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
         })
     }
 
     /// Initialize a fresh journal on `inner`: allocates the two anchor
     /// slots and the block the first chained header will go to, and writes
-    /// the initial `CLEAN` anchor.
+    /// the initial anchor.
     ///
     /// The anchor slot ids ([`header_blocks`](Self::header_blocks)) are the
     /// journal's only root of trust — a later [`recover`](Self::recover)
@@ -426,13 +384,13 @@ impl Journal {
     /// # Errors
     ///
     /// [`PdmError::RecordTooLarge`] if a block of `inner` is smaller than a
-    /// header's 56-byte fixed part; otherwise whatever the device returns.
+    /// header's 48-byte fixed part; otherwise whatever the device returns.
     pub fn format(inner: SharedDevice) -> Result<Arc<Journal>> {
         let mut j = Self::bare(inner, [NONE; 2])?;
         j.headers = [j.inner.allocate()?, j.inner.allocate()?];
         let next = j.inner.allocate()?;
         let mut st = j.state.lock();
-        j.put_anchor(&mut st, STATE_CLEAN, NONE, next, &[])?;
+        j.put_anchor(&mut st, NONE, next, &[])?;
         st.next = next;
         drop(st);
         // Slot 1 stays zeroed (invalid) until the next anchor.
@@ -442,19 +400,15 @@ impl Journal {
     /// Reopen a journal after a crash, given the surviving medium and the
     /// anchor slot pair from [`header_blocks`](Self::header_blocks).
     ///
-    /// Reads both anchor slots, walks forward from the newest valid anchor
-    /// through its chain, and either rewinds (the newest header is `CLEAN`:
-    /// nothing to do — the uncommitted epoch's shadows are simply never
-    /// looked at) or redoes the committed apply (it is `COMMITTED`: every
-    /// shadow is checksum-verified and copied onto its home, then a `CLEAN`
-    /// header is written).  Running recovery twice is idempotent: the second
-    /// run finds the `CLEAN` header the first one wrote.  Manifests stored
-    /// at the recovered checkpoint are available through
-    /// [`manifest`](Self::manifest).
+    /// Reads both anchor slots and walks forward from the newest valid
+    /// anchor through its chain; the epoch after the last header it accepts
+    /// is rewound, since nothing it wrote is reachable from the manifests
+    /// stored at that checkpoint, which [`manifest`](Self::manifest)
+    /// returns.  Recovery writes nothing, so running it twice gives the same
+    /// state.
     ///
     /// Cost: two anchor reads, the newest anchor's overflow, each chained
-    /// header since it with its overflow, one read that ends the walk, and,
-    /// after a crash between commit and clean, the apply and one header.
+    /// header since it with its overflow, and one read that ends the walk.
     pub fn recover(inner: SharedDevice, headers: [BlockId; 2]) -> Result<Arc<Journal>> {
         let j = Self::bare(inner, headers)?;
         let slots = [j.read_header(headers[0])?, j.read_header(headers[1])?];
@@ -468,36 +422,17 @@ impl Journal {
         };
         let mut st = j.state.lock();
         st.newest = newest;
-        let (mut entries, overflow) = j.read_record(&anchor, &mut st.manifests)?;
-        st.chain = overflow;
-        let (mut last, mut anchored) = (anchor, true);
+        st.chain = j.read_record(&anchor, &mut st.manifests)?;
+        let mut last = anchor;
         while let Some(h) = j.read_header(last.next)?.filter(|h| h.seq == last.seq + 1) {
-            let (e, overflow) = j.read_record(&h, &mut st.manifests)?;
+            let overflow = j.read_record(&h, &mut st.manifests)?;
             st.chained += 1 + overflow.len();
             st.chain.push(last.next);
             st.chain.extend(overflow);
-            (entries, last, anchored) = (e, h, false);
+            last = h;
         }
         (st.seq, st.next) = (last.seq, last.next);
         st.mark_persisted();
-        if last.state == STATE_COMMITTED {
-            // Redo the interrupted apply, verifying every shadow payload.
-            let mut buf = vec![0u8; j.inner.block_size()];
-            for &(home, shadow, checksum) in &entries {
-                j.inner.read_block(shadow, &mut buf)?;
-                j.apply_reads.fetch_add(1, Ordering::Relaxed);
-                if fnv1a(&buf) != checksum {
-                    return Err(corrupt("committed shadow block fails its checksum"));
-                }
-                j.inner.write_block(home, &buf)?;
-                j.apply_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            if anchored {
-                j.put_anchor(&mut st, STATE_CLEAN, last.overflow, last.next, &last.inline)?;
-            } else {
-                j.write_chained(&mut st, STATE_CLEAN, &[])?;
-            }
-        }
         drop(st);
         Ok(Arc::new(j))
     }
@@ -551,21 +486,19 @@ impl Journal {
     /// Exact journaling overhead so far; see [`WalOverhead`].
     pub fn overhead(&self) -> WalOverhead {
         WalOverhead {
-            shadow_writes: self.shadow_writes.load(Ordering::Relaxed),
             chain_writes: self.chain_writes.load(Ordering::Relaxed),
             chain_reads: self.chain_reads.load(Ordering::Relaxed),
             header_writes: self.header_writes.load(Ordering::Relaxed),
             header_reads: self.header_reads.load(Ordering::Relaxed),
-            apply_reads: self.apply_reads.load(Ordering::Relaxed),
-            apply_writes: self.apply_writes.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
+            ..WalOverhead::default()
         }
     }
 
-    /// Commit the current epoch; see the `wal` module docs for the five
-    /// steps and the anchor rule.  After `Ok(())` every write since the
-    /// previous checkpoint has reached its home block and the deferred frees
-    /// have executed.
+    /// Commit the current epoch; see the `wal` module docs for the three
+    /// steps and the anchor rule.  After `Ok(())` the epoch's manifests are
+    /// durable, its blocks are committed, and the deferred frees have
+    /// executed.
     ///
     /// The caller must have completed (waited on) its own submitted writes
     /// first — a buffer pool flush, a stream writer finish.  As a safety
@@ -575,55 +508,24 @@ impl Journal {
     pub fn checkpoint(&self) -> Result<()> {
         self.inner.barrier()?;
         let mut st = self.state.lock();
-        let entries: Vec<Entry> = st
-            .pending
-            .iter()
-            .map(|(&home, e)| (home, e.shadow, e.checksum))
-            .collect();
-        let state = if entries.is_empty() {
-            STATE_CLEAN
-        } else {
-            STATE_COMMITTED
-        };
         // The anchor rule (module docs).
-        let full_len = st.full_len(entries.len());
-        let delta = build_record(&entries, st.changes());
+        let full_len = st.full_len();
+        let delta = build_record(st.changes());
         let anchor = full_len <= self.inner.block_size() - HEADER_BYTES
-            || st.chained + self.blocks(delta.len()) + usize::from(!entries.is_empty())
-                > 2 * self.blocks(full_len);
-        let (record, retired) = if anchor {
-            let full = build_record(&entries, st.everything());
-            let retired = self.write_anchor(&mut st, state, &full)?;
-            (full, retired)
+            || st.chained + self.blocks(delta.len()) > 2 * self.blocks(full_len);
+        let retired = if anchor {
+            let full = build_record(st.everything());
+            self.write_anchor(&mut st, &full)?
         } else {
-            self.write_chained(&mut st, state, &delta)?;
-            (delta, Vec::new())
+            self.write_chained(&mut st, &delta)?;
+            Vec::new()
         };
         st.mark_persisted();
-        if !entries.is_empty() {
-            // Apply shadows onto homes.
-            let mut buf = vec![0u8; self.inner.block_size()];
-            for &(home, shadow, _) in &entries {
-                self.inner.read_block(shadow, &mut buf)?;
-                self.apply_reads.fetch_add(1, Ordering::Relaxed);
-                self.inner.write_block(home, &buf)?;
-                self.apply_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            if anchor {
-                // The same record, clean, in the other slot.
-                let (overflow, next) = (st.chain.first().copied().unwrap_or(NONE), st.next);
-                self.put_anchor(&mut st, STATE_CLEAN, overflow, next, self.split(&record).0)?;
-            } else {
-                self.write_chained(&mut st, STATE_CLEAN, &[])?;
-            }
-        }
         // Retire: the epoch is durable, nothing can rewind past it anymore.
         let deferred = std::mem::take(&mut st.deferred_frees);
-        let shadows = entries.iter().map(|&(_, shadow, _)| shadow);
-        for id in retired.into_iter().chain(shadows).chain(deferred) {
+        for id in retired.into_iter().chain(deferred) {
             self.inner.free(id)?;
         }
-        st.pending.clear();
         st.fresh.clear();
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -641,12 +543,12 @@ impl Journal {
     /// Write `record` as the next anchor, pre-allocating the block the next
     /// chained header goes to.  Returns the chain it replaces, which the
     /// caller frees once the checkpoint is finished.
-    fn write_anchor(&self, st: &mut WalState, state: u64, record: &[u8]) -> Result<Vec<BlockId>> {
+    fn write_anchor(&self, st: &mut WalState, record: &[u8]) -> Result<Vec<BlockId>> {
         let (inline, rest) = self.split(record);
         let overflow = self.write_overflow(rest)?;
         let next = self.inner.allocate()?;
         let head = overflow.first().copied().unwrap_or(NONE);
-        self.put_anchor(st, state, head, next, inline)?;
+        self.put_anchor(st, head, next, inline)?;
         let mut retired = std::mem::replace(&mut st.chain, overflow);
         retired.push(std::mem::replace(&mut st.next, next));
         st.chained = 0;
@@ -655,12 +557,12 @@ impl Journal {
 
     /// Write `record` as a chained header into the block the newest header
     /// names, pre-allocating the one after it.
-    fn write_chained(&self, st: &mut WalState, state: u64, record: &[u8]) -> Result<()> {
+    fn write_chained(&self, st: &mut WalState, record: &[u8]) -> Result<()> {
         let (inline, rest) = self.split(record);
         let overflow = self.write_overflow(rest)?;
         let next = self.inner.allocate()?;
         let (at, head) = (st.next, overflow.first().copied().unwrap_or(NONE));
-        self.put_header(st, at, state, head, next, inline)?;
+        self.put_header(st, at, head, next, inline)?;
         st.chained += 1 + overflow.len();
         st.chain.push(at);
         st.chain.extend(overflow);
@@ -678,32 +580,30 @@ impl Journal {
     fn put_anchor(
         &self,
         st: &mut WalState,
-        state: u64,
         overflow: u64,
         next: BlockId,
         inline: &[u8],
     ) -> Result<()> {
         let slot = 1 - st.newest;
-        self.put_header(st, self.headers[slot], state, overflow, next, inline)?;
+        self.put_header(st, self.headers[slot], overflow, next, inline)?;
         st.newest = slot;
         Ok(())
     }
 
     /// Write the next header — sequence `st.seq + 1` — into block `at`, and
     /// make it the newest once it has landed.  `inline` is the record's head
-    /// (at most `B − 56` bytes).
+    /// (at most `B − 48` bytes).
     fn put_header(
         &self,
         st: &mut WalState,
         at: BlockId,
-        state: u64,
         overflow: u64,
         next: BlockId,
         inline: &[u8],
     ) -> Result<()> {
         let seq = st.seq + 1;
         let mut buf = vec![0u8; self.inner.block_size()];
-        let fields = [MAGIC, seq, state, overflow, next, inline.len() as u64];
+        let fields = [MAGIC, seq, overflow, next, inline.len() as u64];
         for (word, v) in buf.chunks_exact_mut(8).zip(fields) {
             word.copy_from_slice(&v.to_le_bytes());
         }
@@ -733,7 +633,6 @@ impl Journal {
         let mut pos = 0usize;
         let magic = get_u64(&buf, &mut pos)?;
         let seq = get_u64(&buf, &mut pos)?;
-        let state = get_u64(&buf, &mut pos)?;
         let overflow = get_u64(&buf, &mut pos)?;
         let next = get_u64(&buf, &mut pos)?;
         let inline_len = get_u64(&buf, &mut pos)?;
@@ -751,7 +650,6 @@ impl Journal {
         }
         Ok(Some(Header {
             seq,
-            state,
             overflow,
             next,
             inline: buf[HEADER_BYTES..end].to_vec(),
@@ -781,12 +679,12 @@ impl Journal {
 
     /// Read the record header `h` carries — its inline head, then its
     /// overflow — and apply its manifest changes to `manifests`.  Returns
-    /// its redo entries and its overflow block ids.
+    /// its overflow block ids.
     fn read_record(
         &self,
         h: &Header,
         manifests: &mut BTreeMap<String, Manifest>,
-    ) -> Result<(Vec<Entry>, Vec<BlockId>)> {
+    ) -> Result<Vec<BlockId>> {
         let mut bytes = h.inline.clone();
         let mut ids = Vec::new();
         let mut buf = vec![0u8; self.inner.block_size()];
@@ -807,23 +705,30 @@ impl Journal {
                 .ok_or_else(|| corrupt("overflow chunk length out of range"))?;
             bytes.extend_from_slice(chunk);
         }
-        Ok((parse_record(&bytes, manifests)?, ids))
+        parse_record(&bytes, manifests)?;
+        Ok(ids)
+    }
+
+    /// Whether `id` may be written: only a block born this epoch may, since
+    /// a committed one is part of the state a rewind restores.
+    fn check_born(&self, id: BlockId) -> Result<()> {
+        if self.state.lock().fresh.contains(&id) {
+            return Ok(());
+        }
+        Err(PdmError::InvalidRequest(format!(
+            "journal: block {id} was not allocated since the last checkpoint; \
+             replace a committed block with a new one instead of rewriting it"
+        )))
     }
 }
 
-/// Serialize redo entries and manifest changes, with a trailing checksum;
-/// nothing to say is the empty record.
-fn build_record(entries: &[Entry], changes: Vec<Change<'_>>) -> Vec<u8> {
-    if entries.is_empty() && changes.is_empty() {
+/// Serialize manifest changes, with a trailing checksum; nothing to say is
+/// the empty record.
+fn build_record(changes: Vec<Change<'_>>) -> Vec<u8> {
+    if changes.is_empty() {
         return Vec::new();
     }
     let mut out = Vec::new();
-    put_u64(&mut out, entries.len() as u64);
-    for &(home, shadow, checksum) in entries {
-        put_u64(&mut out, home);
-        put_u64(&mut out, shadow);
-        put_u64(&mut out, checksum);
-    }
     put_u64(&mut out, changes.len() as u64);
     for (kind, name, data) in changes {
         put_u64(&mut out, kind);
@@ -837,12 +742,11 @@ fn build_record(entries: &[Entry], changes: Vec<Change<'_>>) -> Vec<u8> {
     out
 }
 
-/// Parse a record, apply its manifest changes to `manifests`, and return
-/// its redo entries.  A record that fails its checksum or does not parse is
-/// [`PdmError::Corrupt`].
-fn parse_record(bytes: &[u8], manifests: &mut BTreeMap<String, Manifest>) -> Result<Vec<Entry>> {
+/// Parse a record and apply its manifest changes to `manifests`.  A record
+/// that fails its checksum or does not parse is [`PdmError::Corrupt`].
+fn parse_record(bytes: &[u8], manifests: &mut BTreeMap<String, Manifest>) -> Result<()> {
     if bytes.is_empty() {
-        return Ok(Vec::new());
+        return Ok(());
     }
     let mut pos = bytes
         .len()
@@ -853,13 +757,6 @@ fn parse_record(bytes: &[u8], manifests: &mut BTreeMap<String, Manifest>) -> Res
         return Err(corrupt("record fails its checksum"));
     }
     let mut pos = 0usize;
-    let n_entries = get_u64(body, &mut pos)?;
-    let mut entries = Vec::new();
-    for _ in 0..n_entries {
-        let home = get_u64(body, &mut pos)?;
-        let shadow = get_u64(body, &mut pos)?;
-        entries.push((home, shadow, get_u64(body, &mut pos)?));
-    }
     for _ in 0..get_u64(body, &mut pos)? {
         let kind = get_u64(body, &mut pos)?;
         let name = String::from_utf8(get_bytes(body, &mut pos)?.to_vec())
@@ -872,7 +769,7 @@ fn parse_record(bytes: &[u8], manifests: &mut BTreeMap<String, Manifest>) -> Res
             _ => return Err(corrupt("unknown manifest change")),
         }
     }
-    Ok(entries)
+    Ok(())
 }
 
 impl BlockDevice for Journal {
@@ -896,23 +793,19 @@ impl BlockDevice for Journal {
             // Born and freed inside one epoch: no checkpoint ever saw it.
             return self.inner.free(id);
         }
-        if let Some(entry) = st.pending.remove(&id) {
-            // The shadow was never committed; nobody can reach it anymore.
-            self.inner.free(entry.shadow)?;
-        }
-        // The home block is part of the state a rewind restores: keep it
-        // until the next checkpoint commits.
+        // The block is part of the state a rewind restores: keep it until
+        // the next checkpoint commits.
         st.deferred_frees.push(id);
         Ok(())
     }
 
     fn read_block(&self, id: BlockId, buf: &mut [u8]) -> Result<()> {
-        self.inner.read_block(self.read_target(id), buf)
+        self.inner.read_block(id, buf)
     }
 
     fn write_block(&self, id: BlockId, buf: &[u8]) -> Result<()> {
-        let target = self.redirect_write(id, buf)?;
-        self.inner.write_block(target, buf)
+        self.check_born(id)?;
+        self.inner.write_block(id, buf)
     }
 
     fn stats(&self) -> Arc<IoStats> {
@@ -920,8 +813,6 @@ impl BlockDevice for Journal {
     }
 
     fn lane_of(&self, id: BlockId) -> Option<usize> {
-        // Reported for the *home* block; a pending block's transfers land on
-        // its shadow's lane until the checkpoint applies it.
         self.inner.lane_of(id)
     }
 
@@ -934,63 +825,18 @@ impl BlockDevice for Journal {
     }
 
     fn submit_read(&self, id: BlockId, buf: Box<[u8]>) -> IoTicket {
-        self.inner.submit_read(self.read_target(id), buf)
+        self.inner.submit_read(id, buf)
     }
 
     fn submit_write(&self, id: BlockId, buf: Box<[u8]>) -> IoTicket {
-        match self.redirect_write(id, &buf) {
-            Ok(target) => self.inner.submit_write(target, buf),
+        match self.check_born(id) {
+            Ok(()) => self.inner.submit_write(id, buf),
             Err(e) => IoTicket::ready(buf, Err(e)),
         }
     }
 
     fn barrier(&self) -> Result<()> {
         self.inner.barrier()
-    }
-}
-
-impl Journal {
-    /// Where `id`'s current contents live: its shadow while a write to it is
-    /// pending, else the block itself.
-    fn read_target(&self, id: BlockId) -> BlockId {
-        self.state.lock().pending.get(&id).map_or(id, |e| e.shadow)
-    }
-
-    /// Where a write to `id` must land.  A block born this epoch is its own
-    /// target; a committed home gets (or keeps) its shadow, whose payload
-    /// checksum is updated.
-    fn redirect_write(&self, id: BlockId, buf: &[u8]) -> Result<BlockId> {
-        let mut st = self.state.lock();
-        if st.fresh.contains(&id) {
-            return Ok(id);
-        }
-        let shadow = match st.pending.get_mut(&id) {
-            Some(entry) => {
-                entry.checksum = fnv1a(buf);
-                entry.shadow
-            }
-            None => {
-                let shadow = self.inner.allocate()?;
-                st.pending.insert(
-                    id,
-                    PendingEntry {
-                        shadow,
-                        checksum: fnv1a(buf),
-                    },
-                );
-                shadow
-            }
-        };
-        self.shadow_writes.fetch_add(1, Ordering::Relaxed);
-        Ok(shadow)
-    }
-}
-
-#[cfg(test)]
-impl Journal {
-    /// Number of home blocks with uncommitted redirected writes.
-    fn pending_blocks(&self) -> usize {
-        self.state.lock().pending.len()
     }
 }
 
@@ -1006,59 +852,59 @@ mod tests {
         vec![fill; BS]
     }
 
-    /// A journal with `n` zeroed blocks the last checkpoint committed.
-    fn with_committed(n: usize) -> (Arc<RamDisk>, Arc<Journal>, Vec<BlockId>) {
+    /// Block ids as manifest bytes, and back.
+    fn ids_bytes(ids: &[BlockId]) -> Vec<u8> {
+        ids.iter().flat_map(|id| id.to_le_bytes()).collect()
+    }
+
+    fn bytes_ids(bytes: &[u8]) -> Vec<BlockId> {
+        bytes
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn a_write_to_a_committed_block_is_refused_and_moves_nothing() {
         let ram = RamDisk::new(BS);
         let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
-        let ids = (0..n).map(|_| j.allocate().unwrap()).collect();
-        j.checkpoint().unwrap();
-        (ram, j, ids)
-    }
-
-    #[test]
-    fn epoch_writes_are_redirected_and_cost_one_transfer_each() {
-        let (ram, j, ids) = with_committed(1);
-        let id = ids[0];
-        let before = j.stats().snapshot();
+        let headers = j.header_blocks().unwrap();
+        let id = j.allocate().unwrap();
         j.write_block(id, &block(1)).unwrap();
-        j.write_block(id, &block(2)).unwrap();
-        let mut out = block(0);
-        j.read_block(id, &mut out).unwrap();
-        assert_eq!(out, block(2), "reads see the redirected payload");
-        let delta = j.stats().snapshot().since(&before);
-        assert_eq!(delta.writes(), 2, "same write count as a bare device");
-        assert_eq!(delta.reads(), 1);
-        // The home block itself still holds the pre-epoch bytes (zeroes).
-        let mut home = block(0xFF);
-        ram.read_block(id, &mut home).unwrap();
-        assert_eq!(home, block(0), "home untouched before checkpoint");
-        assert_eq!(j.pending_blocks(), 1);
-        assert_eq!(j.overhead().shadow_writes, 2);
-    }
-
-    #[test]
-    fn checkpoint_applies_with_exact_overhead() {
-        let (ram, j, ids) = with_committed(2);
-        let (a, b) = (ids[0], ids[1]);
-        j.write_block(a, &block(0xAA)).unwrap();
-        j.write_block(b, &block(0xBB)).unwrap();
-        let before = j.overhead();
+        j.set_manifest("m", ids_bytes(&[id]));
         j.checkpoint().unwrap();
-        let d = j.overhead();
-        assert_eq!(d.checkpoints - before.checkpoints, 1);
-        assert_eq!(d.header_writes - before.header_writes, 2);
-        assert_eq!(d.apply_reads - before.apply_reads, 2);
-        assert_eq!(d.apply_writes - before.apply_writes, 2);
-        // Record: 8 + 2*24 + 8 + 8 = 72 bytes, 8 inline and 64 over
-        // 48-byte chunks = 2 blocks.
-        assert_eq!(d.chain_writes - before.chain_writes, 2);
-        // Homes now hold the payloads.
+        let refused = |j: &Journal, id: BlockId, fill: u8| {
+            let (io, wal) = (ram.stats().snapshot(), j.overhead());
+            let err = j.write_block(id, &block(fill)).unwrap_err();
+            assert!(matches!(err, PdmError::InvalidRequest(_)), "{err}");
+            let (buf, res) = j.submit_write(id, block(fill).into_boxed_slice()).wait();
+            assert!(matches!(res, Err(PdmError::InvalidRequest(_))), "{res:?}");
+            assert_eq!(buf[..], block(fill)[..], "the buffer comes back");
+            assert_eq!(ram.stats().snapshot().since(&io).total(), 0, "no transfer");
+            assert_eq!(j.overhead(), wal);
+        };
+        refused(&j, id, 2);
         let mut out = block(0);
-        ram.read_block(a, &mut out).unwrap();
-        assert_eq!(out, block(0xAA));
-        ram.read_block(b, &mut out).unwrap();
-        assert_eq!(out, block(0xBB));
-        assert_eq!(j.pending_blocks(), 0);
+        ram.read_block(id, &mut out).unwrap();
+        assert_eq!(out, block(1), "the committed payload is intact");
+        // The epoch still checkpoints: the block is replaced, not rewritten.
+        let next = j.allocate().unwrap();
+        j.write_block(next, &block(2)).unwrap();
+        j.free(id).unwrap();
+        j.set_manifest("m", ids_bytes(&[next]));
+        j.checkpoint().unwrap();
+        // The next epoch is refused its rewrite too, and rewinds.
+        refused(&j, next, 3);
+        let scratch = j.allocate().unwrap();
+        j.write_block(scratch, &block(3)).unwrap();
+        j.set_manifest("m", ids_bytes(&[scratch]));
+        drop(j);
+        let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+        assert_eq!(r.manifest("m"), Some(ids_bytes(&[next])));
+        r.read_block(next, &mut out).unwrap();
+        assert_eq!(out, block(2), "rewound to the last checkpoint");
+        // Nothing is born after a recovery until the journal allocates.
+        refused(&r, next, 4);
     }
 
     #[test]
@@ -1079,12 +925,11 @@ mod tests {
             .1
             .unwrap();
         j.write_block(c, &block(0xCC)).unwrap();
-        // Straight home: the medium already holds the bytes, nothing pends.
+        // Straight home: the medium already holds the bytes.
         let mut out = block(0);
         ram.read_block(a, &mut out).unwrap();
         assert_eq!(out, block(0xAB));
-        assert_eq!(j.pending_blocks(), 0);
-        assert_eq!(ram.allocated_blocks(), allocated + 3, "no shadow blocks");
+        assert_eq!(ram.allocated_blocks(), allocated + 3, "no extra blocks");
         // Freed at once, not at the checkpoint.
         j.free(c).unwrap();
         assert_eq!(ram.allocated_blocks(), allocated + 2);
@@ -1092,34 +937,22 @@ mod tests {
         let d = j.overhead();
         assert_eq!(d.shadow_writes, before.shadow_writes);
         assert_eq!(d.apply_reads + d.apply_writes, 0);
-        assert_eq!(d.chain_writes, before.chain_writes, "empty redo record");
+        assert_eq!(d.chain_writes, before.chain_writes, "empty record");
         assert_eq!(
             d.header_writes - before.header_writes,
             1,
-            "nothing to clean"
+            "one header a checkpoint"
         );
-        // The checkpoint made them committed homes: the next write shadows.
-        j.write_block(a, &block(0xA0)).unwrap();
-        assert_eq!(j.pending_blocks(), 1);
+        // The checkpoint made them committed blocks: the next write is
+        // refused.
+        assert!(matches!(
+            j.write_block(a, &block(0xA0)),
+            Err(PdmError::InvalidRequest(_))
+        ));
         ram.read_block(a, &mut out).unwrap();
-        assert_eq!(out, block(0xAB), "home untouched before checkpoint");
+        assert_eq!(out, block(0xAB), "home untouched");
         j.read_block(b, &mut out).unwrap();
         assert_eq!(out, block(0xBB));
-    }
-
-    #[test]
-    fn shadows_and_retired_chains_are_reclaimed() {
-        let ram = RamDisk::new(BS);
-        let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
-        let id = j.allocate().unwrap();
-        for round in 0..5u8 {
-            j.write_block(id, &block(round)).unwrap();
-            j.checkpoint().unwrap();
-        }
-        // 2 anchor slots + 1 home + the pre-allocated block + the current
-        // chain; everything else was retired.
-        let chain_now = j.state.lock().chain.len() as u64;
-        assert_eq!(ram.allocated_blocks(), 4 + chain_now);
     }
 
     #[test]
@@ -1165,33 +998,35 @@ mod tests {
         let headers = j.header_blocks().unwrap();
         let id = j.allocate().unwrap();
         j.write_block(id, &block(1)).unwrap();
+        j.set_manifest("m", ids_bytes(&[id]));
         j.checkpoint().unwrap();
-        // Uncommitted epoch: a rewrite and a free.
-        j.write_block(id, &block(2)).unwrap();
+        // Uncommitted epoch: a replacement and a free.
+        let next = j.allocate().unwrap();
+        j.write_block(next, &block(2)).unwrap();
         j.free(id).unwrap();
+        j.set_manifest("m", ids_bytes(&[next]));
         drop(j);
         let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+        assert_eq!(r.manifest("m"), Some(ids_bytes(&[id])));
         let mut out = block(0);
         r.read_block(id, &mut out).unwrap();
         assert_eq!(out, block(1), "rewound to the committed payload");
     }
 
-    /// Manifests that make the full record exactly `len` bytes next to
-    /// `entries` redo entries (`len == 0`: no manifest at all).
-    fn manifests_of_record(len: usize, entries: usize) -> BTreeMap<String, Vec<u8>> {
+    /// A manifest `m` of `fill` bytes that makes the full record exactly
+    /// `len` bytes (`len == 0`: no manifest at all).
+    fn manifests_of_record(len: usize, fill: u8) -> BTreeMap<String, Vec<u8>> {
         let mut manifests = BTreeMap::new();
         if len > 0 {
-            // Entry count, entries, change count, kind, name length, "m",
-            // data length, checksum.
-            let fixed = 8 + 24 * entries + 8 + 8 + 8 + 1 + 8 + 8;
-            manifests.insert("m".to_string(), vec![0x5A; len - fixed]);
+            // Change count, kind, name length, "m", data length, checksum.
+            let fixed = 8 + 8 + 8 + 1 + 8 + 8;
+            manifests.insert("m".to_string(), vec![fill; len - fixed]);
         }
-        let dummy: Vec<_> = (0..entries as u64).map(|i| (i, i, i)).collect();
         let changes = manifests
             .iter()
             .map(|(name, data)| (SET, name.as_str(), data.as_slice()))
             .collect();
-        assert_eq!(build_record(&dummy, changes).len(), len);
+        assert_eq!(build_record(changes).len(), len);
         manifests
     }
 
@@ -1208,97 +1043,91 @@ mod tests {
             let ram = RamDisk::new(B);
             let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
             let headers = j.header_blocks().unwrap();
-            let home = j.allocate().unwrap();
-            // An entry-free checkpoint (`home` is born in it), then — where
-            // the record has room for a redo entry — one that applies a
-            // rewrite of `home`.
-            let pendings: &[u64] = if len == 0 { &[0] } else { &[0, 1] };
-            for &pending in pendings {
-                let manifests = manifests_of_record(len, pending as usize);
+            let mut home = j.allocate().unwrap();
+            // Two checkpoints: the first commits `home`, born in it; the
+            // second replaces it by a block born in the second.
+            for step in 0..2u8 {
+                if step > 0 {
+                    let next = j.allocate().unwrap();
+                    j.free(home).unwrap();
+                    home = next;
+                }
+                let manifests = manifests_of_record(len, step);
                 for (name, data) in &manifests {
                     j.set_manifest(name, data.clone());
                 }
-                assert_eq!(j.state.lock().full_len(pending as usize), len);
-                j.write_block(home, &vec![pending as u8; B]).unwrap();
+                assert_eq!(j.state.lock().full_len(), len);
+                j.write_block(home, &vec![step; B]).unwrap();
                 let before = j.overhead();
                 j.checkpoint().unwrap();
                 let d = j.overhead();
-                let what = format!("{len}-byte record, {pending} redo entries");
+                let what = format!("{len}-byte record, checkpoint {step}");
                 assert_eq!(d.chain_writes - before.chain_writes, chain_blocks, "{what}");
-                assert_eq!(
-                    d.header_writes - before.header_writes,
-                    1 + pending,
-                    "{what}"
-                );
-                assert_eq!(d.apply_writes - before.apply_writes, pending, "{what}");
+                assert_eq!(d.header_writes - before.header_writes, 1, "{what}");
+                assert_eq!(d.apply_writes - before.apply_writes, 0, "{what}");
                 let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
                 assert_eq!(r.manifest("m"), manifests.get("m").cloned(), "{what}");
-                assert_eq!(r.overhead().chain_reads, chain_blocks, "{what}");
+                // A record that overflows is chained both times, so
+                // recovery reads the overflow of every checkpoint so far.
+                let chain_reads = (u64::from(step) + 1) * chain_blocks;
+                assert_eq!(r.overhead().chain_reads, chain_reads, "{what}");
                 let mut out = vec![0u8; B];
                 r.read_block(home, &mut out).unwrap();
-                assert_eq!(out, vec![pending as u8; B], "{what}");
+                assert_eq!(out, vec![step; B], "{what}");
             }
         }
     }
 
-    /// A medium where checkpoint 1 (manifest `m` = `old`: a chained header
-    /// with two overflow blocks) completed and checkpoint 2 (`m` = `new`,
-    /// one redo entry: an anchor, since the chain would pass twice one)
-    /// crashed right after its `COMMITTED` anchor landed — before the apply,
-    /// so checkpoint 1's chain is still allocated.  Returns the surviving
-    /// medium, the anchor slots and the rewritten block.
-    fn crashed_after_commit(old: &[u8], new: &[u8]) -> (Arc<RamDisk>, [BlockId; 2], BlockId) {
-        let run = |crash_after: u64| {
-            let ram = RamDisk::new(BS);
-            let plan = FaultPlan::new(0).with_crash(CrashSwitch::after(crash_after));
-            let dev = FaultDisk::wrap(Arc::clone(&ram) as SharedDevice, plan);
-            let j = Journal::format(dev as SharedDevice).unwrap();
-            let id = j.allocate().unwrap();
-            let script = || -> Result<()> {
-                j.write_block(id, &block(1))?;
-                j.set_manifest("m", old.to_vec());
-                j.checkpoint()?;
-                j.write_block(id, &block(2))?;
-                j.set_manifest("m", new.to_vec());
-                j.checkpoint()
-            };
-            let crashed = script().is_err();
-            (ram, j.header_blocks().unwrap(), id, crashed)
-        };
-        let (clean, ..) = run(u64::MAX);
-        // Checkpoint 2 ends with apply read, apply write, clean header.
-        let (ram, headers, id, crashed) = run(clean.stats().snapshot().total() - 3);
-        assert!(crashed);
-        (ram, headers, id)
+    /// A medium where checkpoint 1 (manifest `m` = `old`, block `ids[0]`
+    /// born and written) and checkpoint 2 (`m` = `new`, `ids[1]` born and
+    /// written) completed, both chained headers.  Returns the medium, the
+    /// anchor slots, the block checkpoint 2's header went to and the two
+    /// data blocks.
+    fn two_checkpoints(
+        old: &[u8],
+        new: &[u8],
+    ) -> (Arc<RamDisk>, [BlockId; 2], BlockId, [BlockId; 2]) {
+        let ram = RamDisk::new(BS);
+        let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
+        let mut ids = [0; 2];
+        for (i, m) in [old, new].into_iter().enumerate() {
+            ids[i] = j.allocate().unwrap();
+            j.write_block(ids[i], &block(i as u8 + 1)).unwrap();
+            j.set_manifest("m", m.to_vec());
+            j.checkpoint().unwrap();
+        }
+        let at = j.state.lock().chain[3];
+        (ram, j.header_blocks().unwrap(), at, ids)
     }
 
     #[test]
     fn a_header_with_a_damaged_tail_falls_back_to_the_previous_checkpoint() {
-        let (old, new) = (b"old-root".to_vec(), b"new-root".to_vec());
-        // Intact, the newest header is the commit, and recovery redoes it.
-        let (ram, headers, id) = crashed_after_commit(&old, &new);
+        // 73-byte records: 16 bytes inline and two overflow blocks each.
+        let (old, new) = (b"old-root".repeat(4), b"new-root".repeat(4));
+        // Intact, the newest header is checkpoint 2's, and recovery lands
+        // on it.
+        let (ram, headers, _, ids) = two_checkpoints(&old, &new);
         let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
         assert_eq!(r.manifest("m"), Some(new.clone()));
-        assert_eq!(r.overhead().apply_writes, 1);
+        assert_eq!(r.overhead().chain_reads, 4);
         let mut out = block(0);
-        r.read_block(id, &mut out).unwrap();
+        r.read_block(ids[1], &mut out).unwrap();
         assert_eq!(out, block(2));
 
-        // Format's anchor is in slot 0, checkpoint 1 is chained, checkpoint
-        // 2's commit is the anchor in slot 1.  Damage only its inline bytes;
-        // the fixed 56 stay intact.
-        let (ram, headers, id) = crashed_after_commit(&old, &new);
+        // Format's anchor is in slot 0, checkpoints 1 and 2 are chained.
+        // Damage only checkpoint 2's inline bytes; the fixed 48 stay intact.
+        let (ram, headers, at, ids) = two_checkpoints(&old, &new);
         let mut header = block(0);
-        ram.read_block(headers[1], &mut header).unwrap();
-        assert_eq!(header[16..24], STATE_COMMITTED.to_le_bytes(), "state field");
+        ram.read_block(at, &mut header).unwrap();
+        assert_eq!(header[8..16], 3u64.to_le_bytes(), "sequence field");
         header[HEADER_BYTES..].fill(0xEE);
-        ram.write_block(headers[1], &header).unwrap();
+        ram.write_block(at, &header).unwrap();
         let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
         assert_eq!(r.manifest("m"), Some(old), "rewound to checkpoint 1");
-        // Checkpoint 1's two overflow blocks read back, nothing redone.
+        // Checkpoint 1's two overflow blocks read back, nothing written.
         let wal = r.overhead();
-        assert_eq!((wal.chain_reads, wal.apply_writes), (2, 0), "{wal:?}");
-        r.read_block(id, &mut out).unwrap();
+        assert_eq!((wal.chain_reads, wal.header_writes), (2, 0), "{wal:?}");
+        r.read_block(ids[0], &mut out).unwrap();
         assert_eq!(out, block(1));
     }
 
@@ -1325,46 +1154,59 @@ mod tests {
 
     /// Run a scripted workload through a journal on a crashing device,
     /// recover on the surviving RAM disk, and return the recovered payloads
-    /// of the two data blocks.
+    /// of the two data blocks manifest `ids` names (zeroed when it names
+    /// none).
     fn crash_at(k: u64) -> (Vec<u8>, Vec<u8>, bool) {
         let stats = IoStats::new(1, BS);
         let ram = Arc::new(RamDisk::with_stats(BS, Arc::clone(&stats), 0));
-        // First boot happens on the pristine medium: format the journal and
-        // allocate the two data blocks, then let the crashing device take
-        // over.  The anchor slots land on ids 0 and 1, the pre-allocated
-        // block on 2, the data blocks on 3 and 4.
-        let j0 = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
-        let headers = j0.header_blocks().unwrap();
-        let ids = [j0.allocate().unwrap(), j0.allocate().unwrap()];
-        drop(j0);
+        // First boot happens on the pristine medium: format the journal,
+        // then let the crashing device take over.  The anchor slots land on
+        // ids 0 and 1, the pre-allocated block on 2.
+        let headers = Journal::format(Arc::clone(&ram) as SharedDevice)
+            .unwrap()
+            .header_blocks()
+            .unwrap();
         let switch = CrashSwitch::after(k);
         let faulty = FaultDisk::wrap(
             Arc::clone(&ram) as SharedDevice,
             FaultPlan::new(0).with_crash(switch),
         );
+        // Each epoch replaces both data blocks by born ones; the third
+        // never commits.
         let script = |j: &Journal| -> Result<()> {
-            j.write_block(ids[0], &block(1))?;
-            j.write_block(ids[1], &block(2))?;
-            j.checkpoint()?;
-            j.write_block(ids[0], &block(3))?;
-            j.write_block(ids[1], &block(4))?;
-            j.checkpoint()?;
+            let mut ids: Vec<BlockId> = Vec::new();
+            for (epoch, fills) in [(1, [1, 2]), (2, [3, 4]), (3, [5, 6])] {
+                let born = [j.allocate()?, j.allocate()?];
+                for (&id, fill) in born.iter().zip(fills) {
+                    j.write_block(id, &block(fill))?;
+                }
+                for id in ids.drain(..) {
+                    j.free(id)?;
+                }
+                ids.extend(born);
+                j.set_manifest("ids", ids_bytes(&ids));
+                if epoch < 3 {
+                    j.checkpoint()?;
+                }
+            }
             Ok(())
         };
         let crashed = match Journal::recover(faulty as SharedDevice, headers) {
             Ok(j) => script(&j).is_err(),
             Err(_) => true, // crashed reading the headers at boot
         };
-        let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
-        let mut a_out = block(0);
-        let mut b_out = block(0);
-        r.read_block(ids[0], &mut a_out).unwrap();
-        r.read_block(ids[1], &mut b_out).unwrap();
+        let recovered = || {
+            let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+            let ids = r.manifest("ids").map_or_else(Vec::new, |m| bytes_ids(&m));
+            let mut out = [block(0), block(0)];
+            for (&id, out) in ids.iter().zip(&mut out) {
+                r.read_block(id, out).unwrap();
+            }
+            out
+        };
+        let [a_out, b_out] = recovered();
         // A second recovery must land in the identical state.
-        drop(r);
-        let r2 = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
-        let mut a2 = block(0);
-        r2.read_block(ids[0], &mut a2).unwrap();
+        let [a2, _] = recovered();
         assert_eq!(a2, a_out, "second recovery is idempotent");
         (a_out, b_out, crashed)
     }
@@ -1397,10 +1239,13 @@ mod tests {
             seen_new |= state == second;
         }
         assert!(seen_old, "some crash point rewound to checkpoint 1");
-        assert!(seen_new, "some crash point redid checkpoint 2");
+        assert!(
+            seen_new,
+            "some crash point in the uncommitted third epoch rewound to checkpoint 2"
+        );
     }
 
-    /// Block size of the chained-header tests: 200 inline bytes a header,
+    /// Block size of the chained-header tests: 208 inline bytes a header,
     /// 240 payload bytes an overflow block.
     const B: usize = 256;
 
@@ -1417,7 +1262,7 @@ mod tests {
     fn a_chained_header_costs_the_bytes_it_changes_not_the_full_record() {
         let (room, chunk) = (B - HEADER_BYTES, B - CHAIN_OVERHEAD);
         let mut pinned = Vec::new();
-        for n in [149usize, 150, 389, 390, 630] {
+        for n in [165usize, 166, 405, 406, 646] {
             let ram = RamDisk::new(B);
             let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
             // A 2 000-byte manifest: an anchor of the full record would take
@@ -1430,10 +1275,10 @@ mod tests {
             j.append_manifest("log", &vec![2; n]);
             j.checkpoint().unwrap();
             let d = j.overhead();
-            // δ: entry count, change count, kind, name length, "log", data
-            // length, the appended bytes, checksum.  The 2 000 bytes that did
-            // not change are not in it.
-            let delta = 8 + 8 + 8 + 8 + 3 + 8 + n + 8;
+            // δ: change count, kind, name length, "log", data length, the
+            // appended bytes, checksum.  The 2 000 bytes that did not change
+            // are not in it.
+            let delta = 8 + 8 + 8 + 3 + 8 + n + 8;
             let overflow = delta.saturating_sub(room).div_ceil(chunk) as u64;
             assert_eq!(
                 (
@@ -1458,7 +1303,7 @@ mod tests {
     fn a_manifest_replaced_every_checkpoint_forces_an_anchor_once_the_chain_reaches_twice_one() {
         let ram = RamDisk::new(B);
         let j = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
-        // A 349-byte record: a header and one overflow block, anchor or
+        // A 341-byte record: a header and one overflow block, anchor or
         // chained alike, so a chain of two headers is twice an anchor.
         for i in 1..=9u8 {
             j.set_manifest("m", vec![i; 300]);
@@ -1489,22 +1334,25 @@ mod tests {
         assert_eq!(ram.allocated_blocks(), 4);
     }
 
-    /// Epochs of [`appending_run`]: three cycles of six.
-    const EPOCHS: u64 = 18;
+    /// Epochs of [`appending_run`]'s cycle: the log is reset at its start.
+    const CYCLE: u64 = 8;
+    /// Epochs of [`appending_run`]: three cycles.
+    const EPOCHS: u64 = 3 * CYCLE;
 
     /// The appending journal's script on a device that dies after `kill`
-    /// transfers: each epoch rewrites a committed home block, appends 40
-    /// bytes to manifest `log` (reset to empty every sixth epoch, which is
-    /// what a compaction does to a shard's log) and sets manifest `epoch`.
-    /// Recovers the surviving medium twice, asserts both recoveries agree
-    /// and land on exactly one checkpoint, and returns whether the run
-    /// crashed, the last acked epoch and the chain's length in blocks after
-    /// each epoch.
+    /// transfers: each epoch replaces the home block by a born one, appends
+    /// 40 bytes to manifest `log` (reset to empty every eighth epoch, which
+    /// is what a compaction does to a shard's log) and sets manifest `epoch`
+    /// to the epoch and its home.  Recovers the surviving medium twice,
+    /// asserts both recoveries agree and land on exactly one checkpoint, and
+    /// returns whether the run crashed, the last acked epoch and the chain's
+    /// length in blocks after each epoch.
     fn appending_run(kill: u64) -> (bool, u64, Vec<usize>) {
         let ram = RamDisk::new(B);
         let j0 = Journal::format(Arc::clone(&ram) as SharedDevice).unwrap();
         let headers = j0.header_blocks().unwrap();
-        let home = j0.allocate().unwrap();
+        let mut home = j0.allocate().unwrap();
+        j0.set_manifest("epoch", ids_bytes(&[0, home]));
         j0.checkpoint().unwrap();
         drop(j0);
         let faulty = FaultDisk::wrap(
@@ -1516,12 +1364,15 @@ mod tests {
             Err(_) => true,
             Ok(j) => (|| -> Result<()> {
                 for e in 1..=EPOCHS {
-                    if (e - 1) % 6 == 0 {
+                    if (e - 1) % CYCLE == 0 {
                         j.set_manifest("log", Vec::new());
                     }
                     j.append_manifest("log", &[e as u8; 40]);
-                    j.set_manifest("epoch", e.to_le_bytes().to_vec());
-                    j.write_block(home, &[e as u8; B])?;
+                    let next = j.allocate()?;
+                    j.write_block(next, &[e as u8; B])?;
+                    j.free(home)?;
+                    home = next;
+                    j.set_manifest("epoch", ids_bytes(&[e, home]));
                     j.checkpoint()?;
                     acked = e;
                     chained.push(j.state.lock().chained);
@@ -1532,9 +1383,12 @@ mod tests {
         };
         let recovered = || {
             let r = Journal::recover(Arc::clone(&ram) as SharedDevice, headers).unwrap();
+            let [e, home] = bytes_ids(&r.manifest("epoch").unwrap())[..] else {
+                panic!("kill at {kill}: manifest `epoch` is two words");
+            };
             let mut out = vec![0u8; B];
             r.read_block(home, &mut out).unwrap();
-            (r.manifest("epoch"), r.manifest("log"), out)
+            (e, r.manifest("log"), out)
         };
         let state = recovered();
         assert_eq!(
@@ -1543,9 +1397,9 @@ mod tests {
             "kill at {kill}: a second recovery moved"
         );
         let model = |e: u64| {
-            let log = (e - (e.max(1) - 1) % 6..=e).flat_map(|x| [x as u8; 40]);
+            let log = (e - (e.max(1) - 1) % CYCLE..=e).flat_map(|x| [x as u8; 40]);
             (
-                (e > 0).then(|| e.to_le_bytes().to_vec()),
+                e,
                 (e > 0).then(|| log.collect::<Vec<u8>>()),
                 vec![e as u8; B],
             )
@@ -1561,11 +1415,11 @@ mod tests {
     fn every_kill_point_of_an_appending_journal_recovers_to_one_checkpoint() {
         let (crashed, acked, chained) = appending_run(u64::MAX);
         assert_eq!((crashed, acked), (false, EPOCHS));
-        // Per cycle: two anchors while the full record fits, two chained
-        // epochs (a header and a clean header each), an anchor forced when
-        // the chain would pass twice the full record's two blocks, one more
-        // chained epoch; then the reset anchors again.
-        assert_eq!(chained, [0, 0, 2, 4, 0, 2].repeat(3));
+        // Per cycle: three anchors while the full record fits, four chained
+        // epochs of one header each, then an anchor forced when the chain
+        // would pass twice the full record's two blocks; then the reset
+        // anchors again.
+        assert_eq!(chained, [0, 0, 0, 1, 2, 3, 4, 0].repeat(3));
         // Kill at every transfer until a run survives.
         let (mut kill, mut mid_run) = (0, 0);
         loop {
@@ -1577,7 +1431,7 @@ mod tests {
             kill += 1;
         }
         assert!(
-            kill >= 90 && mid_run >= 80,
+            kill >= 54 && mid_run >= 49,
             "{kill} kill points, {mid_run} mid-run"
         );
     }
@@ -1615,8 +1469,8 @@ mod tests {
         (ram, j, run.is_err())
     }
 
-    /// Three chained headers after format's anchor: a 349-byte record (a
-    /// header and an overflow block), then two 59-byte appends (a header
+    /// Three chained headers after format's anchor: a 341-byte record (a
+    /// header and an overflow block), then two 51-byte appends (a header
     /// each), five transfers with format's.
     const CHAINED: [(bool, usize); 3] = [(true, 300), (false, 10), (false, 10)];
 

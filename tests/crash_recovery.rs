@@ -22,8 +22,8 @@
 //!   manifests and the same contents as running it once.
 //! * **The sweep is exhaustive in spirit.**  Crash points are drawn across
 //!   the whole run (proptest) and stepped densely (deterministic sweeps), so
-//!   every phase — epoch writes, chain writes, the commit header, redo
-//!   application — gets hit.
+//!   every phase — epoch writes, chain writes, the commit header — gets
+//!   hit.
 //! * **Durability costs exactly the journal's own transfers.**  The same
 //!   write tape run unjournaled and journaled on identical media differs by
 //!   [`Journal::overhead`] and by nothing else — counts, so they are pinned.
@@ -35,7 +35,8 @@ use emserve::Shard;
 use emtree::BTree;
 use pdm::{
     BlockDevice, BlockId, BufferPool, CrashSwitch, DiskArray, EvictionPolicy, FaultDisk, FaultPlan,
-    IoMode, IoStats, Journal, Placement, RamDisk, Result, RetryPolicy, SharedDevice, WalOverhead,
+    IoMode, IoStats, Journal, PdmError, Placement, RamDisk, Result, RetryPolicy, SharedDevice,
+    WalOverhead,
 };
 use proptest::prelude::*;
 
@@ -338,16 +339,17 @@ fn shard_dense_crash_sweep_striped() {
 // Scenario 3: the raw journal — every block lifetime in every epoch
 // ---------------------------------------------------------------------------
 
-/// The structures above allocate what they write inside one epoch, so their
-/// sweeps mostly exercise the journal's born-this-epoch path.  This script
-/// keeps the redo path under the same sweep: every epoch rewrites a committed
-/// home (shadow → chain → commit → apply), writes and frees a block born in
-/// the epoch (straight home, freed at once), and replaces a committed block
-/// by a born one (deferred free).  The manifest names the two live blocks
-/// and the epoch; both must hold exactly that epoch's payload.
+/// The structures above allocate what they write inside one epoch; this
+/// script puts every block lifetime the journal knows under the same sweep.
+/// Every epoch writes and frees a block born in the epoch (straight home,
+/// freed at once), replaces a committed block by a born one (deferred
+/// free), and tries to rewrite a committed home in place, which the journal
+/// refuses without a transfer.  The manifest names the two live blocks and
+/// the epoch: the side block must hold exactly that epoch's payload, and
+/// the home block the payload it was committed with.
 ///
-/// Returns whether the run crashed and how many home blocks the reboot redid.
-fn journal_lifetimes_crash_run(m: &Medium, k: u64) -> (bool, u64) {
+/// Returns whether the run crashed.
+fn journal_lifetimes_crash_run(m: &Medium, k: u64) -> bool {
     const EPOCHS: u64 = 6;
     let bs = m.bare().block_size();
     let payload = |epoch: u64, tag: u8| -> Vec<u8> {
@@ -379,7 +381,13 @@ fn journal_lifetimes_crash_run(m: &Medium, k: u64) -> (bool, u64) {
         let result: Result<()> = (|| {
             let mut side = side0;
             for epoch in 1..=EPOCHS {
-                j.write_block(home, &payload(epoch, b'h'))?;
+                let before = m.total_transfers();
+                let refused = j.write_block(home, &payload(epoch, b'h'));
+                assert!(
+                    matches!(refused, Err(PdmError::InvalidRequest(_))),
+                    "crash at {k}: an in-place rewrite of a committed block was not refused"
+                );
+                assert_eq!(m.total_transfers(), before, "a refused write moved a block");
                 let scratch = j.allocate()?;
                 j.write_block(scratch, &payload(epoch, b'x'))?;
                 j.free(scratch)?;
@@ -396,14 +404,11 @@ fn journal_lifetimes_crash_run(m: &Medium, k: u64) -> (bool, u64) {
         crashed = result.is_err();
     }
 
-    let j1 = Journal::recover(m.bare(), headers).expect("first recovery must succeed");
-    let redone = j1.overhead().apply_writes;
-    drop(j1);
     let j = m.reboot_twice(headers, "slots");
     assert_eq!(
-        j.overhead().apply_writes,
+        j.overhead().header_writes,
         0,
-        "crash at {k}: a finished recovery left nothing to redo"
+        "crash at {k}: recovery wrote a header"
     );
     let s = j.manifest("slots").expect("slots manifest");
     let word = |i: usize| u64::from_le_bytes(s[i * 8..(i + 1) * 8].try_into().unwrap());
@@ -415,33 +420,27 @@ fn journal_lifetimes_crash_run(m: &Medium, k: u64) -> (bool, u64) {
     );
     let mut buf = vec![0u8; bs];
     j.read_block(r_home, &mut buf).expect("read home");
-    assert_eq!(buf, payload(epoch, b'h'), "crash at {k}: home is torn");
+    assert_eq!(buf, payload(0, b'h'), "crash at {k}: home was rewritten");
     j.read_block(r_side, &mut buf).expect("read side");
     assert_eq!(buf, payload(epoch, b's'), "crash at {k}: side is torn");
-    (crashed, redone)
+    crashed
 }
 
 /// Crash at *every* transfer of the scripted run.
 #[test]
 fn journal_block_lifetimes_dense_crash_sweep() {
     let clean = Medium::new(2, Placement::Independent);
-    let (crashed, redone) = journal_lifetimes_crash_run(&clean, u64::MAX);
-    assert!(!crashed, "fault-free run must complete");
-    assert_eq!(redone, 0, "a clean shutdown leaves nothing to redo");
+    assert!(
+        !journal_lifetimes_crash_run(&clean, u64::MAX),
+        "fault-free run must complete"
+    );
     let total = clean.total_transfers();
-    let (mut mid_run, mut redos) = (0, 0);
+    let mut mid_run = 0;
     for k in 0..total {
         let m = Medium::new(2, Placement::Independent);
-        let (crashed, redone) = journal_lifetimes_crash_run(&m, k);
-        mid_run += u64::from(crashed);
-        redos += u64::from(redone > 0);
+        mid_run += u64::from(journal_lifetimes_crash_run(&m, k));
     }
     assert!(mid_run > 20, "sweep of {total} transfers barely crashed");
-    assert!(
-        redos >= 1,
-        "no crash point fell between a commit and its clean header: the \
-         redo path went untested"
-    );
 }
 
 /// The shard's use of the journal without the shard: each epoch appends a
@@ -541,15 +540,13 @@ fn ledger_run(journaled: bool) -> ((u64, u64), WalOverhead) {
     ((snap.reads(), snap.writes()), wal)
 }
 
-/// A checkpoint whose header carries an `r`-byte record with `p` rewritten
-/// committed blocks costs `1 + ⌈(r − (B − 56))⁺ / (B − 16)⌉ + [p > 0] + 2p`
-/// transfers (one header, the overflow blocks the record spills into, a
-/// second header only after an apply, the apply); `format` adds one header.
-/// This tape allocates every block it writes, so `p = 0` throughout.  A
+/// A checkpoint whose header carries an `r`-byte record costs
+/// `1 + ⌈(r − (B − 48))⁺ / (B − 16)⌉` transfers (one header and the
+/// overflow blocks the record spills into); `format` adds one header.  A
 /// compaction's checkpoint is an anchor: its full record, the one tree's
-/// 28-byte entry and an empty log, fits the header's 968 inline bytes, and
+/// 28-byte entry and an empty log, fits the header's 976 inline bytes, and
 /// so does the next flush's, with 32 log records.  Every later flush's
-/// header is chained and carries only its batch, 51 + 672 bytes.  So the
+/// header is chained and carries only its batch, 43 + 672 bytes.  So the
 /// journal is exactly one header per checkpoint (EXPERIMENTS.md F21).
 ///
 /// The pins: 6 reads, all of them compactions reading the old tree's nodes
@@ -581,10 +578,12 @@ fn journal_costs_exactly_its_own_transfers() {
         wal.total() as f64 <= 2.0 * wal.checkpoints as f64,
         "more than its header write and the manifests' chain blocks per checkpoint: {wal:?}"
     );
-    // A tape that rewrote no committed block has nothing to copy home.
-    if wal.shadow_writes == 0 {
-        assert_eq!(wal.apply_reads + wal.apply_writes, 0, "{wal:?}");
-    }
+    // Nothing is redirected and nothing is copied home.
+    assert_eq!(
+        (wal.shadow_writes, wal.apply_reads, wal.apply_writes),
+        (0, 0, 0),
+        "{wal:?}"
+    );
 
     assert_eq!((ur, uw), (6, 72));
     assert_eq!((jr, jw), (6, 141));

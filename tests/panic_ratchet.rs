@@ -43,7 +43,7 @@ const COUNTS: &[(&str, usize)] = &[
     ("emtree/src/buffer_tree.rs", 1),
     ("emtree/src/epq.rs", 2),
     ("emtree/src/stack.rs", 1),
-    ("pdm/src/array.rs", 10),
+    ("pdm/src/array.rs", 3),
     ("pdm/src/fault.rs", 5),
     ("pdm/src/file_disk.rs", 1),
     ("pdm/src/ram_disk.rs", 1),
