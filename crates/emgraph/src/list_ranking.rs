@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use em_core::{ExtVec, ExtVecWriter};
 use emsort::{merge_sort_by, merge_sort_streaming, SortConfig, SortingWriter};
 use pdm::hash::splitmix;
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 /// "No successor" sentinel for list tails.
 pub const NIL: u64 = u64::MAX;
@@ -58,6 +58,10 @@ pub fn list_rank(
 /// Weighted list ranking: input records `(node, successor, weight)` sorted
 /// by node id; `rank(head) = 0` and `rank(succ(v)) = rank(v) + weight(v)`.
 /// Returns `(node, rank)` sorted by node id.  `O(Sort(N))` I/Os.
+///
+/// Records that are not one list from `head` — a successor or head that is
+/// not a node, a cycle, or nodes no contraction can splice — are
+/// [`PdmError::InvalidRequest`].
 pub fn list_rank_weighted(
     nodes: &ExtVec<(u64, u64, i64)>,
     head: u64,
@@ -70,11 +74,10 @@ fn rank_rec(
     nodes: &ExtVec<(u64, u64, i64)>,
     head: u64,
     cfg: &SortConfig,
-    level: u64,
+    mut level: u64,
 ) -> Result<ExtVec<(u64, i64)>> {
     let device = nodes.device().clone();
     let n = nodes.len();
-    assert!(level < 256, "list ranking failed to make progress");
 
     // Base case: rank in memory.
     if n as usize <= cfg.mem_records {
@@ -87,68 +90,77 @@ fn rank_rec(
         let mut cur = head;
         let mut acc = 0i64;
         for _ in 0..all.len() {
-            let (s, w) = *map.get(&cur).expect("chain stays inside the list");
+            let Some(&(s, w)) = map.get(&cur) else {
+                return Err(invalid("the chain from the head leaves the list"));
+            };
             ranks.push((cur, acc));
             acc += w;
             cur = s;
         }
-        assert_eq!(cur, NIL, "list does not terminate after N hops");
+        if cur != NIL {
+            return Err(invalid("the list does not end after N hops"));
+        }
         ranks.sort_unstable_by_key(|&(id, _)| id);
         return ExtVec::from_slice(device, &ranks);
     }
 
-    // Predecessor pairs (succ, node), sorted by target: produced by one scan
-    // and consumed once by the removal scan, so both ends of the sort fuse.
-    let preds = {
-        let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64), b| a.0 < b.0);
-        let mut r = nodes.reader();
-        while let Some((id, s, _)) = r.try_next()? {
-            if s != NIL {
-                w.push((s, id))?;
-            }
+    // Remove an independent set, retrying with fresh coins while the
+    // coins remove nothing.
+    let (splices, saved, survivors) = loop {
+        if level >= 256 {
+            return Err(invalid("list ranking failed to make progress"));
         }
-        w
-    };
+        // Predecessor pairs (succ, node), sorted by target: produced by one scan
+        // and consumed once by the removal scan, so both ends of the sort fuse.
+        let preds = {
+            let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64), b| a.0 < b.0);
+            let mut r = nodes.reader();
+            while let Some((id, s, _)) = r.try_next()? {
+                if s != NIL {
+                    w.push((s, id))?;
+                }
+            }
+            w
+        };
 
-    // Decide removals and emit splices / saves / survivors.
-    let mut splices: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(device.clone()); // (pred, new_succ, w_removed)
-    let mut saved: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone()); // (pred, removed)
-    let mut survivors: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(device.clone());
-    let mut removed_count = 0u64;
-    preds.finish_streaming(|rp| {
-        let mut rn = nodes.reader();
-        let mut cur_pred: Option<(u64, u64)> = rp.try_next()?;
-        while let Some((id, s, w)) = rn.try_next()? {
-            while cur_pred.is_some_and(|(t, _)| t < id) {
-                cur_pred = rp.try_next()?;
+        // Decide removals and emit splices / saves / survivors.
+        let mut splices: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(device.clone()); // (pred, new_succ, w_removed)
+        let mut saved: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone()); // (pred, removed)
+        let mut survivors: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(device.clone());
+        let mut removed_count = 0u64;
+        preds.finish_streaming(|rp| {
+            let mut rn = nodes.reader();
+            let mut cur_pred: Option<(u64, u64)> = rp.try_next()?;
+            while let Some((id, s, w)) = rn.try_next()? {
+                while cur_pred.is_some_and(|(t, _)| t < id) {
+                    cur_pred = rp.try_next()?;
+                }
+                let pred = match cur_pred {
+                    Some((t, p)) if t == id => Some(p),
+                    _ => None,
+                };
+                let removable = id != head && coin(level, id);
+                if let Some(p) = pred.filter(|&p| removable && !coin(level, p)) {
+                    splices.push((p, s, w))?;
+                    saved.push((p, id))?;
+                    removed_count += 1;
+                } else {
+                    survivors.push((id, s, w))?;
+                }
             }
-            let pred = match cur_pred {
-                Some((t, p)) if t == id => Some(p),
-                _ => None,
-            };
-            let removable = id != head && coin(level, id) && pred.is_some_and(|p| !coin(level, p));
-            if removable {
-                let p = pred.expect("removable implies pred");
-                splices.push((p, s, w))?;
-                saved.push((p, id))?;
-                removed_count += 1;
-            } else {
-                survivors.push((id, s, w))?;
-            }
+            Ok(())
+        })?;
+        let splices = splices.finish()?;
+        let saved = saved.finish()?;
+        let survivors = survivors.finish()?;
+        if removed_count > 0 {
+            break (splices, saved, survivors);
         }
-        Ok(())
-    })?;
-    let splices = splices.finish()?;
-    let saved = saved.finish()?;
-    let survivors = survivors.finish()?;
-
-    if removed_count == 0 {
-        // Unlucky coins: retry with a fresh seed.
         splices.free()?;
         saved.free()?;
         survivors.free()?;
-        return rank_rec(nodes, head, cfg, level + 1);
-    }
+        level += 1;
+    };
 
     // Apply splices to survivors, remembering each spliced predecessor's
     // *old* weight (needed to reintegrate its removed successor).  The
@@ -199,10 +211,10 @@ fn rank_rec(
             let mut cur_w: Option<(u64, i64)> = rw.try_next()?;
             while let Some((id, rank)) = rr.try_next()? {
                 all_ranks.push((id, rank))?;
-                if cur_saved.is_some_and(|(p, _)| p == id) {
-                    let (_, removed) = cur_saved.expect("checked");
-                    let (_, w_old) = cur_w.expect("old weight recorded for every spliced pred");
-                    debug_assert_eq!(cur_w.expect("checked").0, id);
+                if let Some((_, removed)) = cur_saved.filter(|&(p, _)| p == id) {
+                    // Every spliced predecessor recorded its old weight.
+                    debug_assert_eq!(cur_w.map(|(p, _)| p), Some(id));
+                    let w_old = cur_w.map_or(0, |(_, w)| w);
                     all_ranks.push((removed, rank + w_old))?;
                     cur_saved = rs.try_next()?;
                     cur_w = rw.try_next()?;
@@ -222,7 +234,8 @@ fn rank_rec(
 
 /// Baseline: chase the successor pointers one node at a time — `Θ(N)`
 /// random I/Os.  Requires dense node ids `0..N` (the pairs array is indexed
-/// directly).  Returns `(node, rank)` sorted by node id.
+/// directly).  Returns `(node, rank)` sorted by node id; a chain longer
+/// than the list — a cycle — is [`PdmError::InvalidRequest`].
 pub fn list_rank_naive(
     succ: &ExtVec<(u64, u64)>,
     head: u64,
@@ -239,9 +252,16 @@ pub fn list_rank_naive(
         out.push((cur, rank))?;
         rank += 1;
         cur = s;
-        assert!(rank <= succ.len(), "cycle detected");
+        if rank > succ.len() {
+            out.discard()?;
+            return Err(invalid("cycle detected"));
+        }
     }
     out.finish_sorted()
+}
+
+fn invalid(what: &str) -> PdmError {
+    PdmError::InvalidRequest(format!("list ranking: {what}"))
 }
 
 /// Deterministic per-(level, id) coin flip.
@@ -392,6 +412,54 @@ mod tests {
         // the survey itself notes list ranking's constants are substantial.
         let bound = bounds::sort(n, 8192, 256);
         assert!((smart as f64) < 80.0 * bound, "smart={smart} bound={bound}");
+    }
+
+    fn assert_invalid<T>(got: Result<T>, what: &str) {
+        match got.map(|_| ()) {
+            Err(PdmError::InvalidRequest(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("expected InvalidRequest({what}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nodes_no_contraction_can_splice_are_an_error_not_a_panic() {
+        // 200 one-node lists: past M no node has a predecessor to splice
+        // into, at any level.
+        let d = device();
+        let singletons: Vec<(u64, u64, i64)> = (0..200).map(|i| (i, NIL, 1)).collect();
+        let nodes = ExtVec::from_slice(d, &singletons).unwrap();
+        let got = list_rank_weighted(&nodes, 0, &SortConfig::new(128));
+        assert_invalid(got, "failed to make progress");
+    }
+
+    #[test]
+    fn a_chain_leaving_the_list_is_an_error_not_a_panic() {
+        let d = device();
+        let broken = ExtVec::from_slice(d.clone(), &[(0u64, 7u64), (1, NIL)]).unwrap();
+        assert_invalid(
+            list_rank(&broken, 0, &SortConfig::new(128)),
+            "leaves the list",
+        );
+        let list = ExtVec::from_slice(d, &[(0u64, 1u64), (1, NIL)]).unwrap();
+        assert_invalid(
+            list_rank(&list, 5, &SortConfig::new(128)),
+            "leaves the list",
+        );
+    }
+
+    #[test]
+    fn a_cycle_is_an_error_not_a_panic() {
+        let d = device();
+        let cycle = ExtVec::from_slice(d.clone(), &[(0u64, 1u64), (1, 2), (2, 0)]).unwrap();
+        let cfg = SortConfig::new(128);
+        assert_invalid(list_rank(&cycle, 0, &cfg), "does not end");
+        let before = d.allocated_blocks();
+        assert_invalid(list_rank_naive(&cycle, 0, &cfg), "cycle detected");
+        assert_eq!(
+            d.allocated_blocks(),
+            before,
+            "the chase's sort is discarded"
+        );
     }
 
     #[test]

@@ -29,6 +29,8 @@
 //! the benchmark uses (DESIGN.md §3).  The stable sort's `n/2`-record
 //! scratch is not charged against `M` (it never was: the parallel pieces
 //! allocated the same between them).
+//! Both strategies' streams keep the overlap depths of the sort's widest
+//! merge ([`crate::merge::allowance`]), so no lane idles behind a shallow queue.
 
 use std::sync::Arc;
 
@@ -36,6 +38,7 @@ use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
 use pdm::{PdmError, Result, SharedDevice};
 
 use crate::heap::MinHeap;
+use crate::merge::allowance;
 use crate::{OverlapConfig, SortConfig};
 
 /// Strategy for the run-formation pass.
@@ -54,7 +57,8 @@ pub enum RunFormation {
 /// same device as the input.  The concatenation of the runs is a permutation
 /// of the input.  Costs one read and one write of every block
 /// (`2·⌈N/B⌉` I/Os) — with or without overlap; `cfg.overlap` only changes
-/// *when* transfers are issued, never how many.
+/// *when* transfers are issued, never how many.  The streams are as deep as
+/// the merge a sort of `input` would make next, and charged no more than it.
 ///
 /// Memory too small for the strategy — under two blocks for load–sort–store,
 /// under four for replacement selection — is
@@ -103,29 +107,32 @@ pub(crate) fn form_runs_keeping<R, F>(
     cfg: &SortConfig,
     keep: usize,
     less: F,
-) -> Result<(Vec<ExtVec<R>>, Vec<R>)>
+) -> Result<Formation<R>>
 where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy + Send,
 {
-    // Overlap depths are per disk: on an independent-placement array the
-    // one input stream and one output stream each deepen their queues by the
-    // lane count, so every member disk keeps `read_ahead`/`write_behind`
-    // transfers in flight rather than the array sharing that depth.
-    let ov = cfg.overlap.for_lanes(input.device().stream_lanes());
-    // The overlap buffers (one input stream, one output stream) live in
-    // budget headroom beyond the algorithm's M working records; they shrink
-    // to fit whatever is actually available.
-    let reserve = (ov.read_ahead + ov.write_behind) * input.per_block();
-    let budget = MemBudget::new(cfg.mem_records + reserve);
-    match cfg.run_formation {
-        RunFormation::LoadSort => load_sort_runs(input, &budget, cfg.mem_records, ov, keep, less),
-        RunFormation::ReplacementSelection => Ok((
-            replacement_selection_runs(input, &budget, cfg.mem_records, ov, less)?,
-            Vec::new(),
-        )),
-    }
+    use RunFormation::{LoadSort, ReplacementSelection};
+    // The widest merge takes the runs N records form at the strategy's
+    // average run length, up to the fan-in; a single run is not merged.
+    let (m, b) = (cfg.mem_records, input.per_block());
+    let run_len = match cfg.run_formation {
+        LoadSort => m,
+        ReplacementSelection => 2 * m,
+    };
+    let runs = input.len().div_ceil(run_len as u64) as usize;
+    let k = runs.min(cfg.effective_fan_in(b)) * usize::from(runs > 1);
+    let (_, reserve, ov) = allowance(cfg.overlap, k, input.device().stream_lanes());
+    let budget = MemBudget::new(m + reserve * b);
+    let (runs, tail) = match cfg.run_formation {
+        LoadSort => load_sort_runs(input, &budget, m, ov, keep, less)?,
+        ReplacementSelection => replacement_selection_runs(input, &budget, m, ov, less)?,
+    };
+    Ok((runs, tail, budget))
 }
+
+/// The runs, the resident tail, and the budget they formed under.
+type Formation<R> = (Vec<ExtVec<R>>, Vec<R>, Arc<MemBudget>);
 
 fn load_sort_runs<R, F>(
     input: &ExtVec<R>,
@@ -205,7 +212,7 @@ fn replacement_selection_runs<R, F>(
     m: usize,
     ov: OverlapConfig,
     less: F,
-) -> Result<Vec<ExtVec<R>>>
+) -> Result<(Vec<ExtVec<R>>, Vec<R>)>
 where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
@@ -233,7 +240,7 @@ where
 
     let mut runs = Vec::new();
     if heap.is_empty() {
-        return Ok(runs);
+        return Ok((runs, Vec::new()));
     }
 
     let mut current_run = 0u64;
@@ -282,7 +289,7 @@ where
         writer.push(rec)?;
     }
     runs.push(writer.finish()?);
-    Ok(runs)
+    Ok((runs, Vec::new()))
 }
 
 /// Turn a strict-less predicate into a total `Ordering` (equal when neither

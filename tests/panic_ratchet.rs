@@ -29,7 +29,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("emgraph/src/cc.rs", 2),
     ("emgraph/src/euler.rs", 8),
     ("emgraph/src/gen.rs", 3),
-    ("emgraph/src/list_ranking.rs", 7),
     ("emgraph/src/mis.rs", 1),
     ("emgraph/src/mst.rs", 2),
     ("emgraph/src/sssp.rs", 1),
