@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use em_core::{ExtVec, ExtVecWriter};
+use em_core::{ExtVec, ExtVecWriter, Record};
 use emsort::{merge_sort_by, merge_sort_streaming, SortConfig, SortingWriter};
 use pdm::hash::splitmix;
 use pdm::{PdmError, Result};
@@ -41,8 +41,7 @@ pub fn list_rank(
         w.push((id, s, 1))?;
     }
     let nodes = w.finish()?;
-    let ranks = list_rank_weighted(&nodes, head, cfg)?;
-    nodes.free()?;
+    let ranks = then_free(list_rank_weighted(&nodes, head, cfg), nodes)?;
     // Unit ranks are nonnegative; convert to u64.
     let mut out: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(succ.device().clone());
     let mut r = ranks.reader();
@@ -162,12 +161,15 @@ fn rank_rec(
         level += 1;
     };
 
+    // From here on every error frees this frame's arrays: a malformed list
+    // found deeper down returns through this frame.
+    //
     // Apply splices to survivors, remembering each spliced predecessor's
     // *old* weight (needed to reintegrate its removed successor).  The
     // sorted splices are consumed once, so the final merge streams in.
     let mut contracted: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(device.clone());
     let mut old_weights: ExtVecWriter<(u64, i64)> = ExtVecWriter::new(device.clone()); // (pred, w_old)
-    merge_sort_streaming(
+    let applied = merge_sort_streaming(
         &splices,
         cfg,
         |a, b| a.0 < b.0,
@@ -187,20 +189,32 @@ fn rank_rec(
             debug_assert!(cur.is_none(), "splice targeted a non-survivor");
             Ok(())
         },
-    )?;
-    survivors.free()?;
-    splices.free()?;
-    let contracted = contracted.finish()?;
-    let old_weights = old_weights.finish()?; // sorted by pred (survivor order)
+    );
+    let applied = then_free(then_free(applied, survivors), splices);
+    // `old_weights` is sorted by pred (survivor order).
+    let finished = applied.and_then(|()| Ok((contracted.finish()?, old_weights.finish()?)));
+    let (contracted, old_weights) = match finished {
+        Ok(arrays) => arrays,
+        Err(e) => {
+            let _ = saved.free();
+            return Err(e);
+        }
+    };
 
     // Recurse.
-    let sub_ranks = rank_rec(&contracted, head, cfg, level + 1)?;
-    contracted.free()?;
+    let sub_ranks = match then_free(rank_rec(&contracted, head, cfg, level + 1), contracted) {
+        Ok(sub_ranks) => sub_ranks,
+        Err(e) => {
+            let _ = saved.free();
+            let _ = old_weights.free();
+            return Err(e);
+        }
+    };
 
     // Reintegrate: rank(removed) = rank(pred) + old_weight(pred).  The
     // sorted saved pairs are consumed once, so the final merge streams in.
     let mut all_ranks: ExtVecWriter<(u64, i64)> = ExtVecWriter::new(device.clone());
-    merge_sort_streaming(
+    let merged = merge_sort_streaming(
         &saved,
         cfg,
         |a, b| a.0 < b.0,
@@ -222,14 +236,10 @@ fn rank_rec(
             }
             Ok(())
         },
-    )?;
-    sub_ranks.free()?;
-    saved.free()?;
-    old_weights.free()?;
-    let all_ranks = all_ranks.finish()?;
-    let result = merge_sort_by(&all_ranks, cfg, |a, b| a.0 < b.0)?;
-    all_ranks.free()?;
-    Ok(result)
+    );
+    let merged = then_free(then_free(then_free(merged, sub_ranks), saved), old_weights);
+    let all_ranks = merged.and_then(|()| all_ranks.finish())?;
+    then_free(merge_sort_by(&all_ranks, cfg, |a, b| a.0 < b.0), all_ranks)
 }
 
 /// Baseline: chase the successor pointers one node at a time — `Θ(N)`
@@ -258,6 +268,14 @@ pub fn list_rank_naive(
         }
     }
     out.finish_sorted()
+}
+
+/// `result` once `vec` is freed, whether or not `result` is an error; its
+/// error comes first.
+fn then_free<T, R: Record>(result: Result<T>, vec: ExtVec<R>) -> Result<T> {
+    let freed = vec.free();
+    let value = result?;
+    freed.map(|()| value)
 }
 
 fn invalid(what: &str) -> PdmError {
@@ -460,6 +478,41 @@ mod tests {
             before,
             "the chase's sort is discarded"
         );
+    }
+
+    /// Malformed lists of 300 nodes under `M = 128` that only the base case
+    /// or a deeper level finds: each is an error that returns every block
+    /// the outer levels allocated.
+    #[test]
+    fn a_malformed_list_found_below_the_top_level_frees_every_level() {
+        let d = device();
+        let cfg = SortConfig::new(128);
+        let chain =
+            |n: u64, last: u64| (0..n).map(move |i| (i, if i + 1 < n { i + 1 } else { last }));
+        let cycle: Vec<(u64, u64)> = chain(300, 0).collect();
+        let dangling: Vec<(u64, u64)> = chain(300, NIL)
+            .map(|(v, s)| (v, if v == 150 { 1_000 } else { s }))
+            .collect();
+        // A 100-node list beside 200 one-node lists: the list contracts,
+        // then no level can splice the 200.
+        let stuck: Vec<(u64, u64)> = chain(100, NIL)
+            .chain((100..300).map(|i| (i, NIL)))
+            .collect();
+        for (pairs, what) in [
+            (cycle, "does not end"),
+            (dangling, "leaves the list"),
+            (stuck, "failed to make progress"),
+        ] {
+            let list = ExtVec::from_slice(d.clone(), &pairs).unwrap();
+            let before = d.allocated_blocks();
+            assert_invalid(list_rank(&list, 0, &cfg), what);
+            assert_eq!(d.allocated_blocks(), before, "{what}");
+            let weighted: Vec<(u64, u64, i64)> = pairs.iter().map(|&(v, s)| (v, s, 1)).collect();
+            let nodes = ExtVec::from_slice(d.clone(), &weighted).unwrap();
+            let before = d.allocated_blocks();
+            assert_invalid(list_rank_weighted(&nodes, 0, &cfg), what);
+            assert_eq!(d.allocated_blocks(), before, "{what}, weighted");
+        }
     }
 
     #[test]

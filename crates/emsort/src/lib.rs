@@ -67,13 +67,15 @@ pub use transpose::{transpose_blocked, transpose_naive};
 
 /// Read-ahead / write-behind depths for the sort's streaming I/O.
 ///
-/// With nonzero depths every stream keeps extra blocks in flight on
-/// asynchronous device tickets, so on an overlapped [`pdm::DiskArray`] the
-/// disks work while the CPU sorts and merges; a sort's run formation keeps
-/// the depths of its widest merge.  The buffers are charged to the sort's
-/// [`em_core::MemBudget`] on top of [`SortConfig::mem_records`]' `M` and
-/// degrade to zero if that slack is short.  Overlap never changes which
-/// block transfers happen: I/O counts are identical with it on or off.
+/// With nonzero depths, run formation and merging keep that many extra
+/// blocks in flight per stream (issued via asynchronous device tickets), so
+/// on an overlapped [`pdm::DiskArray`] the disks
+/// work while the CPU merges.  The overlap buffers are charged against the
+/// sort's [`em_core::MemBudget`] *in addition to* the `M` records of
+/// [`SortConfig::mem_records`] — they are pipeline slack, not working
+/// memory — and degrade to zero if even that slack is unavailable.  Overlap
+/// never changes which block transfers happen, so I/O counts are identical
+/// with it on or off.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverlapConfig {
     /// Blocks of read-ahead per input stream (0 = demand reads).
@@ -96,12 +98,19 @@ impl OverlapConfig {
         }
     }
 
-    /// The per-array depths of these **per-disk** depths on a device whose
-    /// sequential stream spreads over `lanes` independent disks
-    /// ([`BlockDevice::stream_lanes`](pdm::BlockDevice::stream_lanes)):
-    /// consecutive blocks land on consecutive disks, so `read_ahead` in
-    /// flight per disk is `read_ahead · D` per array, or D−depth lanes idle.
-    /// The identity on one disk or a striped array (`lanes == 1`).
+    /// Interpret the configured depths as **per-disk** and return the
+    /// per-array depths for a device whose sequential block stream spreads
+    /// over `lanes` independent disks
+    /// ([`BlockDevice::stream_lanes`](pdm::BlockDevice::stream_lanes)).
+    ///
+    /// A sequential stream on an independent-placement array lands
+    /// consecutive blocks on consecutive disks, so keeping `read_ahead`
+    /// transfers outstanding *per disk* requires `read_ahead · D` outstanding
+    /// per array — otherwise D−depth lanes idle and the striping penalty
+    /// reappears as serialization.  On a single disk or a striped array
+    /// (`lanes == 1`, every logical transfer occupies all D disks) this is
+    /// the identity.  Depth is pure scheduling either way: it never changes
+    /// which transfers happen.
     pub fn for_lanes(self, lanes: usize) -> OverlapConfig {
         let l = lanes.max(1);
         OverlapConfig {

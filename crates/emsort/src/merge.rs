@@ -67,9 +67,6 @@ pub fn merge_sort<R: Record + Ord>(input: &ExtVec<R>, cfg: &SortConfig) -> Resul
 /// Memory under what run formation needs, or — when more than one load
 /// forms — under the `(k+1)·B` records one merge charges, is
 /// [`PdmError::MemoryExceeded`], returned before anything is written.
-///
-/// Its phases are [`pdm::Scope`]s `emsort.form_runs` and `emsort.merge`
-/// ([`pdm::IoStats::scopes`] reads them back as [`pdm::ScopeNode`]s).
 pub fn merge_sort_by<R, F>(input: &ExtVec<R>, cfg: &SortConfig, less: F) -> Result<ExtVec<R>>
 where
     R: Record,
@@ -78,12 +75,7 @@ where
     if input.is_empty() {
         return Ok(ExtVec::new(input.device().clone()));
     }
-    let formed = {
-        let _phase = input.device().stats().scope("emsort.form_runs");
-        form(input, cfg, true, less)?
-    };
-    let _phase = input.device().stats().scope("emsort.merge");
-    formed.into_sorted(cfg, less)
+    form(input, cfg, true, less)?.into_sorted(cfg, less)
 }
 
 /// Run formation for a complete sort of the nonempty `input`: the memory
@@ -108,7 +100,7 @@ where
         ),
         RunFormation::ReplacementSelection => 0,
     };
-    let (runs, tail, _) = form_runs_keeping(input, cfg, keep, less)?;
+    let (runs, tail) = form_runs_keeping(input, cfg, keep, less)?;
     Ok(Formed::new(runs, tail, input.device().clone(), b, cfg))
 }
 
@@ -204,35 +196,36 @@ impl<R: Record> Formed<R> {
     }
 }
 
-/// Write-behind depth of a `k`-way merge's output on `lanes` stream lanes.
-/// It is per disk, since the output round-robins its blocks across an
-/// independent array's lanes, and it mirrors the runs' `k·read_ahead`: each
-/// output write retires behind the prefetch queue in its lane, and a
-/// shallower writer stalls on every flush.  Like the read-ahead it is budget
-/// headroom taken with `try_charge`: it degrades and never moves a transfer.
+/// Write-behind depth of the output of a `k`-way merge on `lanes` stream
+/// lanes.  It is per disk: the output round-robins its blocks across an
+/// independent array's lanes, so its queue deepens by the lane count to keep
+/// every output queue nonempty.  It also mirrors the runs' read-ahead,
+/// `k·read_ahead` blocks: each output write retires behind the prefetch
+/// queue in its lane, and a shallower writer stalls on every flush waiting
+/// out that latency.  Like the read-ahead it is budget headroom taken with
+/// `try_charge`, so it degrades and never changes a transfer.  Run
+/// formation's writer keeps the same depth ([`allowance`]).
 fn merge_write_behind(ov: OverlapConfig, k: usize, lanes: usize) -> usize {
     (ov.write_behind * lanes).max(k * ov.read_ahead)
 }
 
 /// The sort's one overlap allowance, for a widest merge of `k` runs on `d`
-/// stream lanes: `(merge, formation, streams)` blocks.  That merge
-/// charges `merge`, `k·read_ahead` for its runs and [`merge_write_behind`]
-/// for its writer, and its budget declares exactly that.  Run formation's
-/// `streams` keep the same depths, each at least its per-disk one, inside
-/// `formation`: `merge`, or the per-disk pair `(read_ahead + write_behind)·D`
-/// where that is larger — never more than the merge unless it was before.
+/// stream lanes (`k = 0`: no merge): `(merge, formation, streams)` blocks.
+/// That merge charges `merge`, `k·read_ahead` for its runs and
+/// [`merge_write_behind`] for its writer, and its budget declares exactly
+/// that.  Run formation's `streams` keep the same depths, each at least its
+/// per-disk one, inside `formation`: `merge`, or the per-disk pair
+/// `(read_ahead + write_behind)·D` where that is larger — never more than
+/// the merge unless it was before.
 pub(crate) fn allowance(ov: OverlapConfig, k: usize, d: usize) -> (usize, usize, OverlapConfig) {
     let write_behind = merge_write_behind(ov, k, d);
     let merge = k * ov.read_ahead + write_behind;
+    let pair = (ov.read_ahead + ov.write_behind) * d;
     let streams = OverlapConfig {
         read_ahead: (ov.read_ahead * d).max(k * ov.read_ahead),
         write_behind,
     };
-    (
-        merge,
-        merge.max((ov.read_ahead + ov.write_behind) * d),
-        streams,
-    )
+    (merge, merge.max(pair), streams)
 }
 
 /// Merge passes: replace the front `k` runs of `queue` (fewer on the last
@@ -276,12 +269,16 @@ where
 /// `cfg`'s overlap depths.
 ///
 /// Exposed because other crates reuse single merges (e.g. merging delta runs
-/// in graph pipelines).  This is the materialized merge: a [`SortedStream`]
-/// over `runs` drained into a write-behind writer.  It charges `(k+1)·B`
-/// records against `budget`, plus whatever read-ahead and write-behind the
-/// budget's headroom allows (`try_charge`: a tight budget degrades to the
-/// synchronous merge).  Costs one read of every input block and one write
-/// of every output block; the depths move wall-clock time only.
+/// in graph pipelines).  Charges `(k+1)·B` records against `budget`, plus
+/// (when overlap is on) whatever read-ahead and write-behind the budget's
+/// headroom allows.  Costs one read of every input block and one write of
+/// every output block; like every overlap feature in this workspace, the
+/// depths move wall-clock time only.
+///
+/// This is the materialized merge: a [`SortedStream`] over `runs` drained
+/// into a write-behind writer.  The overlap buffers come from `budget`
+/// headroom via `try_charge`, so a tight budget silently degrades to the
+/// synchronous merge; the transfers performed are identical either way.
 ///
 /// No runs at all is [`PdmError::InvalidRequest`]: there is no device to
 /// put the output on.
@@ -746,13 +743,19 @@ fn merge_two<R: Clone, F: Fn(&R, &R) -> bool>(a: &[R], b: &[R], out: &mut [R], l
 /// stream instead of writing an output array — pipeline fusion in the PODS
 /// 1998 cost model.
 ///
-/// Versus [`merge_sort_by`] and a scan of its output, this saves the
-/// output's write and re-read (`2·⌈N/B⌉` transfers) whenever the final stage
-/// merges.  Up to `M − B` records stream from memory unwritten; a larger
-/// input that fits one load writes and re-reads only the prefix its
-/// resident tail cannot hold ([`bounds::resident_tail`]).  Earlier passes
-/// materialize as in [`merge_sort_by`], and the record sequence is its
-/// output's under every overlap configuration.
+/// Versus [`merge_sort_by`] followed by a scan of the result, this saves
+/// exactly one output-write pass plus one re-read pass (`2·⌈N/B⌉` transfers)
+/// whenever the final stage actually merges (two or more runs reach it).
+/// An input that fits one load is streamed from memory: at most `M − B`
+/// records are never written, and a larger one writes and re-reads only
+/// the prefix its resident tail cannot hold ([`bounds::resident_tail`]).
+/// Intermediate merge passes (when the run count exceeds the fan-in `k`)
+/// still materialize, exactly as in [`merge_sort_by`]; only the last pass
+/// fuses.
+///
+/// Read-ahead and per-disk overlap apply to the streamed pass unchanged,
+/// so the record sequence is identical to the materialized sort's output
+/// for every configuration.
 ///
 /// ```
 /// use em_core::{EmConfig, ExtVec};
@@ -799,21 +802,28 @@ where
 /// from pushed records, then merges them — skipping the unsorted
 /// materialization that a "write it out, then sort it" pipeline pays.
 ///
-/// A conventional stage writes the unsorted array (1 scan), forms runs
-/// (2), merges (2) and re-reads the output (1).  `SortingWriter` sorts and
-/// writes each `M`-record chunk as a run when it fills and hands the final
-/// merge to the consumer as a pull stream
-/// ([`SortingWriter::finish_streaming`]): 2 scans when the runs fit one
-/// merge, both ends of the sort fused.  [`SortingWriter::finish_sorted`]
-/// materializes the result instead; only the producer side fuses then.
+/// A conventional pipeline stage costs, per `⌈N/B⌉`-block payload: write
+/// the unsorted array (1 scan), run formation (2 scans), final merge
+/// (2 scans), and the consumer's re-read (1 scan).  `SortingWriter` keeps
+/// the current chunk of `M` records in memory, sorts and writes each chunk
+/// as a run the moment it fills, and hands the final merge to the consumer
+/// as a pull stream ([`SortingWriter::finish_streaming`]) — 2 scans total
+/// when run formation's output fits one merge stage.  Both ends of the sort
+/// are fused: the unsorted write + re-read *and* the sorted write + re-read
+/// disappear.
 ///
-/// The record sequence, ties under a partial key included, is the unfused
-/// [`merge_sort_by`]'s: the stable sort of the push sequence whenever the
-/// loads fit one merge.  Chunks are taken in push order (`N` is unknown, so
-/// the short chunk comes last); a chunk is spilled when the next record
-/// arrives, so the last one is still in memory at `finish_*`, and when the
-/// spilled runs fit one merge its sorted tail is merged from memory
-/// ([`bounds::resident_tail`]).
+/// [`SortingWriter::finish_sorted`] materializes the result instead, for
+/// callers that keep the sorted array; only the producer side fuses then.
+///
+/// The record sequence — including the order of ties under a partial key —
+/// is identical to the unfused pipeline's [`merge_sort_by`], the stable
+/// sort of the push sequence whenever the loads fit one merge.  Chunks are
+/// taken in push order (the
+/// writer cannot know `N` up front, so its short chunk comes last, where
+/// [`merge_sort_by`] loads it first); a chunk is spilled when the next
+/// record arrives, so the last one is always still in memory at `finish_*`,
+/// and when the spilled runs fit one merge its sorted tail is merged from
+/// memory ([`bounds::resident_tail`]).
 ///
 /// Memory too small to merge — under the `(k+1)·B` records one merge
 /// charges — is [`PdmError::MemoryExceeded`] from the [`push`](Self::push)
@@ -1509,117 +1519,11 @@ mod tests {
                     };
                     let want = (r + 1) * b + tail + (r * ov.read_ahead + writer) * b;
                     assert_eq!(budget.high_water(), want, "{case}");
+                    // Declared at this widest merge's overlap, not the fan-in's.
+                    let declared = 64 + (r * ov.read_ahead + merge_write_behind(ov, r, d)) * b;
+                    assert_eq!(budget.capacity(), declared, "{case}");
                 }
             }
-        }
-    }
-
-    /// Run formation draws the sort's one overlap allowance.  On an
-    /// overlapped independent array of `D` disks its peak charge is
-    /// `M + max((R+W)·D, k·R + max(W·D, k·R))·B` for `k` = ⌈300/64⌉ = 5
-    /// loads (load–sort–store) or ⌈300/128⌉ = 3 (replacement selection, whose
-    /// runs average `2M`).  It never exceeds the merge budget — except where
-    /// the streams' own per-disk pair `(R+W)·D` is larger — and that budget
-    /// declares exactly the overlap the sort's widest merge charges.
-    #[test]
-    fn run_formation_draws_the_overlap_allowance_of_the_widest_merge() {
-        let less = |a: &u64, b: &u64| a < b;
-        let (m, b) = (64, 8);
-        let wide_writer = OverlapConfig {
-            read_ahead: 1,
-            write_behind: 3,
-        };
-        let (ls, rs) = (RunFormation::LoadSort, RunFormation::ReplacementSelection);
-        // (D, overlap, strategy, disk runs, run formation's high water)
-        let pins = [
-            (2, OverlapConfig::symmetric(2), ls, 5, 224),
-            (2, OverlapConfig::symmetric(2), rs, 4, 160),
-            (2, wide_writer, ls, 5, 152),
-            (2, wide_writer, rs, 4, 136),
-            (4, OverlapConfig::symmetric(2), ls, 5, 224),
-            (4, OverlapConfig::symmetric(2), rs, 4, 192),
-            (4, wide_writer, ls, 5, 200),
-            (4, wide_writer, rs, 4, 192),
-        ];
-        for (d, ov, rf, runs, high_water) in pins {
-            let case = format!("D = {d}, {ov:?}, {rf:?}");
-            let device = independent_overlapped(d);
-            let (input, mut data) = random_input(&device, 300, 48);
-            data.sort_unstable();
-            let cfg = SortConfig::new(m).with_overlap(ov).with_run_formation(rf);
-            let formed = form(&input, &cfg, true, less).unwrap();
-            let (r, tail) = (formed.runs.len(), formed.tail.len());
-            assert_eq!(r, runs, "{case}");
-            let (again, _, formation) = form_runs_keeping(&input, &cfg, tail, less).unwrap();
-            for run in again {
-                run.free().unwrap();
-            }
-            assert_eq!(formation.high_water(), high_water, "{case}");
-            let pair = (ov.read_ahead + ov.write_behind) * d * b;
-            let merge = formed.budget.clone();
-            assert!(
-                high_water <= merge.capacity().max(m + pair),
-                "{case}: {high_water} over {}",
-                merge.capacity()
-            );
-            let out = formed.into_sorted(&cfg, less).unwrap();
-            assert_eq!(out.to_vec().unwrap(), data, "{case}");
-            // Beyond its one block a run and its output block (and the
-            // tail), the merge charged overlap only: as much as declared.
-            let overlap = merge.high_water() - (r + 1) * b - tail;
-            assert_eq!(merge.capacity(), m + overlap, "{case}");
-        }
-    }
-
-    /// `merge_sort_by` attributes its transfers to its two phases.  On a
-    /// device whose every transfer happens inside a scope, each lane's
-    /// reads and writes of the phases sum to the sort's scope, those of the
-    /// top-level scopes to the root, and the root is the device's counters
-    /// — with overlap off and on.
-    #[test]
-    fn the_sorts_phase_scopes_sum_to_the_sort_and_the_root_to_the_counters() {
-        let on = SortConfig::new(64).with_overlap(OverlapConfig::symmetric(2));
-        for (device, cfg) in [
-            (device_b8(), SortConfig::new(64)),
-            (independent_overlapped(2), on),
-            (independent_overlapped(4), on),
-        ] {
-            let stats = device.stats();
-            let (input, mut data) = {
-                let _load = stats.scope("test.load");
-                random_input(&device, 4000, 12)
-            };
-            let out = {
-                let _sort = stats.scope("test.sort");
-                merge_sort_by(&input, &cfg, |a, b| a < b).unwrap()
-            };
-            let tree = stats.scopes();
-            let shape: Vec<(&str, usize)> = tree.iter().map(|n| (n.name, n.parent)).collect();
-            assert_eq!(
-                shape,
-                [
-                    ("", 0),
-                    ("test.load", 0),
-                    ("test.sort", 0),
-                    ("emsort.form_runs", 2),
-                    ("emsort.merge", 2),
-                ]
-            );
-            assert_eq!(tree[0].io, Some(stats.snapshot()));
-            let io = |i: usize| tree[i].io.clone().unwrap();
-            assert_eq!(io(3).reads(), input.num_blocks() as u64, "one scan");
-            for (parent, children) in [(0, [1, 2]), (2, [3, 4])] {
-                for lane in 0..stats.disks() {
-                    let (p, c) = (io(parent), children.map(io));
-                    assert_eq!(p.reads_on(lane), c[0].reads_on(lane) + c[1].reads_on(lane));
-                    assert_eq!(
-                        p.writes_on(lane),
-                        c[0].writes_on(lane) + c[1].writes_on(lane)
-                    );
-                }
-            }
-            data.sort_unstable();
-            assert_eq!(out.to_vec().unwrap(), data);
         }
     }
 

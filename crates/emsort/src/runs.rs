@@ -29,8 +29,9 @@
 //! the benchmark uses (DESIGN.md §3).  The stable sort's `n/2`-record
 //! scratch is not charged against `M` (it never was: the parallel pieces
 //! allocated the same between them).
-//! Both strategies' streams keep the overlap depths of the sort's widest
-//! merge ([`crate::merge::allowance`]), so no lane idles behind a shallow queue.
+//! Load–sort–store's streams keep the overlap depths of the sort's widest
+//! merge ([`crate::merge::allowance`]), so no lane idles behind a shallow
+//! queue; replacement selection's keep their per-disk depths.
 
 use std::sync::Arc;
 
@@ -57,8 +58,9 @@ pub enum RunFormation {
 /// same device as the input.  The concatenation of the runs is a permutation
 /// of the input.  Costs one read and one write of every block
 /// (`2·⌈N/B⌉` I/Os) — with or without overlap; `cfg.overlap` only changes
-/// *when* transfers are issued, never how many.  The streams are as deep as
-/// the merge a sort of `input` would make next, and charged no more than it.
+/// *when* transfers are issued, never how many.  Under load–sort–store the
+/// streams are as deep as the merge a sort of `input` would make next, and
+/// charged no more than it.
 ///
 /// Memory too small for the strategy — under two blocks for load–sort–store,
 /// under four for replacement selection — is
@@ -107,32 +109,39 @@ pub(crate) fn form_runs_keeping<R, F>(
     cfg: &SortConfig,
     keep: usize,
     less: F,
-) -> Result<Formation<R>>
+) -> Result<(Vec<ExtVec<R>>, Vec<R>)>
 where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy + Send,
 {
-    use RunFormation::{LoadSort, ReplacementSelection};
-    // The widest merge takes the runs N records form at the strategy's
-    // average run length, up to the fan-in; a single run is not merged.
-    let (m, b) = (cfg.mem_records, input.per_block());
-    let run_len = match cfg.run_formation {
-        LoadSort => m,
-        ReplacementSelection => 2 * m,
-    };
-    let runs = input.len().div_ceil(run_len as u64) as usize;
-    let k = runs.min(cfg.effective_fan_in(b)) * usize::from(runs > 1);
-    let (_, reserve, ov) = allowance(cfg.overlap, k, input.device().stream_lanes());
-    let budget = MemBudget::new(m + reserve * b);
-    let (runs, tail) = match cfg.run_formation {
-        LoadSort => load_sort_runs(input, &budget, m, ov, keep, less)?,
-        ReplacementSelection => replacement_selection_runs(input, &budget, m, ov, less)?,
-    };
-    Ok((runs, tail, budget))
+    let (budget, ov) = formation_budget(input, cfg);
+    match cfg.run_formation {
+        RunFormation::LoadSort => load_sort_runs(input, &budget, cfg.mem_records, ov, keep, less),
+        RunFormation::ReplacementSelection => Ok((
+            replacement_selection_runs(input, &budget, cfg.mem_records, ov, less)?,
+            Vec::new(),
+        )),
+    }
 }
 
-/// The runs, the resident tail, and the budget they formed under.
-type Formation<R> = (Vec<ExtVec<R>>, Vec<R>, Arc<MemBudget>);
+/// Run formation's budget, `M` plus its overlap [`allowance`], and its
+/// streams' depths.  Load–sort–store's widest merge takes its `⌈N/M⌉`
+/// loads, up to the fan-in, and one load is not merged.  Replacement
+/// selection's run count depends on the input, so it assumes no merge and
+/// its streams keep their per-disk depths.
+fn formation_budget<R: Record>(
+    input: &ExtVec<R>,
+    cfg: &SortConfig,
+) -> (Arc<MemBudget>, OverlapConfig) {
+    let (m, b) = (cfg.mem_records, input.per_block());
+    let loads = input.len().div_ceil(m as u64) as usize;
+    let k = match cfg.run_formation {
+        RunFormation::LoadSort if loads > 1 => loads.min(cfg.effective_fan_in(b)),
+        _ => 0,
+    };
+    let (_, reserve, ov) = allowance(cfg.overlap, k, input.device().stream_lanes());
+    (MemBudget::new(m + reserve * b), ov)
+}
 
 fn load_sort_runs<R, F>(
     input: &ExtVec<R>,
@@ -212,7 +221,7 @@ fn replacement_selection_runs<R, F>(
     m: usize,
     ov: OverlapConfig,
     less: F,
-) -> Result<(Vec<ExtVec<R>>, Vec<R>)>
+) -> Result<Vec<ExtVec<R>>>
 where
     R: Record,
     F: Fn(&R, &R) -> bool + Copy,
@@ -240,7 +249,7 @@ where
 
     let mut runs = Vec::new();
     if heap.is_empty() {
-        return Ok((runs, Vec::new()));
+        return Ok(runs);
     }
 
     let mut current_run = 0u64;
@@ -289,7 +298,7 @@ where
         writer.push(rec)?;
     }
     runs.push(writer.finish()?);
-    Ok((runs, Vec::new()))
+    Ok(runs)
 }
 
 /// Turn a strict-less predicate into a total `Ordering` (equal when neither
@@ -319,6 +328,67 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(42);
         let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1_000_000)).collect();
         (ExtVec::from_slice(device, &data).unwrap(), data)
+    }
+
+    /// Run formation draws the sort's one overlap allowance.  On an
+    /// overlapped independent array of `D` disks, load–sort–store's peak
+    /// charge is `M + (k·R + max(W·D, k·R))·B` for its `k` = ⌈300/64⌉ = 5
+    /// loads, the charge of the merge that follows (or `(R+W)·D` blocks where
+    /// that is larger).  Replacement selection keeps the per-disk `(R+W)·D`,
+    /// on random input and on sorted input that forms a single run.
+    #[test]
+    fn load_sort_streams_keep_the_depths_of_the_widest_merge() {
+        use pdm::{DiskArray, IoMode, Placement};
+        let less = |a: &u64, b: &u64| a < b;
+        let (m, b) = (64, 8);
+        let wide_writer = OverlapConfig {
+            read_ahead: 1,
+            write_behind: 3,
+        };
+        let (ls, rs) = (RunFormation::LoadSort, RunFormation::ReplacementSelection);
+        // (D, overlap, strategy, sorted input, runs, run formation's high water)
+        let pins = [
+            (2, OverlapConfig::symmetric(2), ls, false, 5, 224),
+            (2, OverlapConfig::symmetric(2), rs, false, 4, 128),
+            (2, OverlapConfig::symmetric(2), rs, true, 1, 128),
+            (2, wide_writer, ls, false, 5, 152),
+            (2, wide_writer, rs, false, 4, 128),
+            (4, OverlapConfig::symmetric(2), ls, false, 5, 224),
+            (4, OverlapConfig::symmetric(2), rs, false, 4, 192),
+            (4, wide_writer, ls, false, 5, 200),
+            (4, wide_writer, rs, false, 4, 192),
+        ];
+        for (d, ov, rf, sorted, runs, high_water) in pins {
+            let case = format!("D = {d}, {ov:?}, {rf:?}, sorted {sorted}");
+            let device = DiskArray::new_ram_with(d, 64, Placement::Independent, IoMode::Overlapped);
+            let mut rng = StdRng::seed_from_u64(48);
+            let mut data: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
+            if sorted {
+                data.sort_unstable();
+            }
+            let input = ExtVec::from_slice(device, &data).unwrap();
+            let cfg = SortConfig::new(m).with_overlap(ov).with_run_formation(rf);
+            let (budget, streams) = formation_budget(&input, &cfg);
+            let formed = match rf {
+                RunFormation::LoadSort => load_sort_runs(&input, &budget, m, streams, 0, less),
+                RunFormation::ReplacementSelection => {
+                    replacement_selection_runs(&input, &budget, m, streams, less)
+                        .map(|r| (r, vec![]))
+                }
+            };
+            let (formed, _) = formed.unwrap();
+            check_runs(&formed, &data);
+            assert_eq!(formed.len(), runs, "{case}");
+            assert_eq!(budget.high_water(), high_water, "{case}");
+            // The merge of these runs declares `M + merge·B`.
+            let k = runs.min(cfg.effective_fan_in(b));
+            let (merge, ..) = crate::merge::allowance(ov, k, d);
+            let pair = (ov.read_ahead + ov.write_behind) * d;
+            assert!(high_water <= m + merge.max(pair) * b, "{case}");
+            for run in formed {
+                run.free().unwrap();
+            }
+        }
     }
 
     fn check_runs(runs: &[ExtVec<u64>], original: &[u64]) {

@@ -14,8 +14,7 @@
 //!   harness) and [`FileDisk`] (one backing file, used by the wall-time
 //!   benchmarks).
 //! * [`IoStats`] — per-disk read/write counters shared by every device; the
-//!   experiment harness reads these to regenerate the survey's tables, and
-//!   [`IoStats::scope`] attributes them to a tree of named phases.
+//!   experiment harness reads these to regenerate the survey's tables.
 //! * [`DiskArray`] — `D` devices exposed either *striped* (the classic
 //!   disk-striping trick: one logical device with block size `D·B`) or
 //!   *independent* (each logical block lives on one disk), so the survey's
@@ -90,5 +89,5 @@ pub use lane::LaneView;
 pub use pool::{BufferPool, EvictionPolicy, FrameGuard, FrameGuardMut, PoolStats};
 pub use ram_disk::RamDisk;
 pub use sched::{IoMode, IoTicket, RetryPolicy};
-pub use stats::{IoSnapshot, IoStats, Scope, ScopeNode};
+pub use stats::{IoSnapshot, IoStats};
 pub use wal::{Journal, WalOverhead};

@@ -5,16 +5,9 @@
 //! [`IoSnapshot`] before and after running an algorithm and subtracts; since
 //! the simulator is deterministic the resulting counts are exact, which is
 //! what lets the survey's asymptotic tables be regenerated as real numbers.
-//!
-//! [`IoStats::scope`] attributes those counts: a named scope checkpoints the
-//! counters when it opens and adds what moved to its node of a tree when it
-//! closes, so a caller can ask which phase of an algorithm spent them
-//! ([`IoStats::scopes`]).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Per-disk read/write counters.
 ///
@@ -50,8 +43,6 @@ pub struct IoStats {
     /// by `IoScheduler` at shutdown.
     dropped_write_errors: AtomicU64,
     block_bytes: usize,
-    /// The scope tree and the innermost open scope.
-    scopes: Mutex<Scopes>,
 }
 
 impl IoStats {
@@ -71,7 +62,6 @@ impl IoStats {
             faults_injected: AtomicU64::new(0),
             dropped_write_errors: AtomicU64::new(0),
             block_bytes,
-            scopes: Mutex::default(),
         })
     }
 
@@ -168,110 +158,6 @@ impl IoStats {
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             dropped_write_errors: self.dropped_write_errors.load(Ordering::Relaxed),
             block_bytes: self.block_bytes,
-        }
-    }
-
-    /// Open the scope `name` inside the innermost scope open on these
-    /// counters (at the root when none is).  The guard's drop adds the
-    /// counters' movement and the time since the call to the node `name`
-    /// names under that parent — one node however often the scope opens.
-    /// Opening and closing a scope take O(D) copies of the counters and
-    /// one hash lookup, and move no count.
-    ///
-    /// Scopes must close in the order they opened.  The counters are the
-    /// device's, so a transfer another thread makes while a scope is open
-    /// counts to that scope too.
-    pub fn scope(self: &Arc<Self>, name: &'static str) -> Scope {
-        let mut tree = self.lock_scopes();
-        let outer = tree.current;
-        let next = tree.nodes.len() + 1;
-        let node = *tree.index.entry((outer, name)).or_insert(next);
-        if node == next {
-            tree.nodes.push(ScopeNode {
-                name,
-                parent: outer,
-                io: None,
-                wall: Duration::ZERO,
-            });
-        }
-        tree.current = node;
-        drop(tree);
-        Scope {
-            stats: Arc::clone(self),
-            node,
-            outer,
-            start: self.snapshot(),
-            opened: Instant::now(),
-        }
-    }
-
-    /// The scope tree: node 0 is the root — every transfer these counters
-    /// hold, and no wall time — and every other node is a scope name under
-    /// its parent, in the order first opened, with what its scopes moved,
-    /// children included.
-    pub fn scopes(&self) -> Vec<ScopeNode> {
-        let root = ScopeNode {
-            name: "",
-            parent: 0,
-            io: Some(self.snapshot()),
-            wall: Duration::ZERO,
-        };
-        let tree = self.lock_scopes();
-        std::iter::once(root)
-            .chain(tree.nodes.iter().cloned())
-            .collect()
-    }
-
-    fn lock_scopes(&self) -> std::sync::MutexGuard<'_, Scopes> {
-        self.scopes.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The nodes under the root (node `i + 1` is `nodes[i]`), each found by
-/// `(parent, name)`, and the innermost open scope (0: none).
-#[derive(Debug, Default)]
-struct Scopes {
-    nodes: Vec<ScopeNode>,
-    index: HashMap<(usize, &'static str), usize>,
-    current: usize,
-}
-
-/// One node of the scope tree ([`IoStats::scopes`]).
-#[derive(Debug, Clone)]
-pub struct ScopeNode {
-    /// The scope's name; the root's is empty.
-    pub name: &'static str,
-    /// The parent node's index (the root is its own parent).
-    pub parent: usize,
-    /// What the node's scopes moved, summed over every time one closed;
-    /// `None` until one has.  Queue-depth marks are the counters' own.
-    pub io: Option<IoSnapshot>,
-    /// Wall time its scopes were open.
-    pub wall: Duration,
-}
-
-/// An open scope ([`IoStats::scope`]); dropping it closes it.
-#[must_use = "a scope attributes what moves while it is held"]
-pub struct Scope {
-    stats: Arc<IoStats>,
-    node: usize,
-    outer: usize,
-    start: IoSnapshot,
-    opened: Instant,
-}
-
-impl Drop for Scope {
-    fn drop(&mut self) {
-        let moved = self.stats.snapshot().since(&self.start);
-        let wall = self.opened.elapsed();
-        let mut tree = self.stats.lock_scopes();
-        tree.current = self.outer;
-        if let Some(n) = tree.nodes.get_mut(self.node - 1) {
-            n.io = Some(match n.io.take() {
-                Some(sum) => sum.plus(&moved),
-                None => moved,
-            });
-            n.wall += wall;
         }
     }
 }
@@ -413,26 +299,6 @@ impl IoSnapshot {
             block_bytes: self.block_bytes,
         }
     }
-
-    /// Element-wise sum of two deltas of the same counters; queue-depth
-    /// marks take the larger.
-    fn plus(&self, other: &IoSnapshot) -> IoSnapshot {
-        let add = |a: &[u64], b: &[u64]| a.iter().zip(b).map(|(x, y)| x + y).collect();
-        IoSnapshot {
-            reads: add(&self.reads, &other.reads),
-            writes: add(&self.writes, &other.writes),
-            depth_hwm: (self.depth_hwm.iter().zip(&other.depth_hwm))
-                .map(|(x, y)| *x.max(y))
-                .collect(),
-            prefetched: self.prefetched + other.prefetched,
-            prefetch_hits: self.prefetch_hits + other.prefetch_hits,
-            prefetch_wasted: self.prefetch_wasted + other.prefetch_wasted,
-            retries: self.retries + other.retries,
-            faults_injected: self.faults_injected + other.faults_injected,
-            dropped_write_errors: self.dropped_write_errors + other.dropped_write_errors,
-            block_bytes: self.block_bytes,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -553,55 +419,6 @@ mod tests {
         assert_eq!(delta.reads_on(1), 2);
         assert_eq!(delta.writes_on(2), 1);
         assert_eq!(delta.total(), 4);
-    }
-
-    /// Per-lane totals of a scope node.
-    fn lanes(node: &ScopeNode) -> (Vec<u64>, Vec<u64>) {
-        let io = node.io.as_ref().expect("the scope closed");
-        (io.reads_per_lane().to_vec(), io.writes_per_lane().to_vec())
-    }
-
-    #[test]
-    fn scopes_nest_into_one_node_per_name_under_each_parent() {
-        let stats = IoStats::new(2, 64);
-        stats.record_write(0);
-        for _ in 0..2 {
-            let _outer = stats.scope("outer");
-            {
-                let _a = stats.scope("a");
-                stats.record_read(0);
-                stats.record_read(1);
-            }
-            let _b = stats.scope("b");
-            stats.record_write(1);
-        }
-        {
-            // The same name at the root is a different node from `outer/a`.
-            let _a = stats.scope("a");
-            stats.record_read(1);
-        }
-        let tree = stats.scopes();
-        let names: Vec<(&str, usize)> = tree.iter().map(|n| (n.name, n.parent)).collect();
-        assert_eq!(names, [("", 0), ("outer", 0), ("a", 1), ("b", 1), ("a", 0)]);
-        assert_eq!(lanes(&tree[1]), (vec![2, 2], vec![0, 2]));
-        assert_eq!(lanes(&tree[2]), (vec![2, 2], vec![0, 0]));
-        assert_eq!(lanes(&tree[3]), (vec![0, 0], vec![0, 2]));
-        assert_eq!(lanes(&tree[4]), (vec![0, 1], vec![0, 0]));
-        assert_eq!(tree[1].io.as_ref().unwrap().parallel_time(), 4);
-        assert!(tree[1].wall >= tree[2].wall + tree[3].wall);
-        // The root is every transfer, scoped or not.
-        assert_eq!(tree[0].io, Some(stats.snapshot()));
-        assert_eq!(lanes(&tree[0]), (vec![2, 3], vec![1, 2]));
-    }
-
-    #[test]
-    fn a_scope_that_never_closed_has_moved_nothing_yet() {
-        let stats = IoStats::new(1, 64);
-        let open = stats.scope("open");
-        stats.record_read(0);
-        assert!(stats.scopes()[1].io.is_none());
-        drop(open);
-        assert_eq!(stats.scopes()[1].io.as_ref().unwrap().reads(), 1);
     }
 
     #[test]
