@@ -12,6 +12,13 @@
 //! for in DESIGN.md; it is `O(N/B)` words, asymptotically below the `Ω(B)`
 //! memory the model already grants.  The block ids are the only per-block
 //! metadata an array keeps.
+//!
+//! An array owns its blocks: it has no `Clone`, only a finished
+//! [`ExtVecWriter`] makes one from written blocks, and dropping it frees
+//! them.  So whatever holds arrays — a sort's runs, a pass's partitions, an
+//! operator's state — frees them on every path, errors included, by being
+//! dropped.  [`free`](ExtVec::free) is the same release for a caller that
+//! wants a failed free reported.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -275,8 +282,9 @@ impl<R: Record> ExtVec<R> {
     }
 
     /// Turn the array into an owning sequential reader — a reader that can
-    /// be stored in operator state, [`rewind`](ExtVecCursor::rewind), and
-    /// give the array back with [`into_inner`](ExtVecCursor::into_inner).
+    /// be stored in operator state and [`rewind`](ExtVecCursor::rewind).
+    /// It owns the blocks now: dropping the cursor frees them, and
+    /// [`into_inner`](ExtVecCursor::into_inner) gives the array back.
     /// Demand reads only until
     /// [`set_read_ahead`](ExtVecCursor::set_read_ahead) says otherwise.
     pub fn into_cursor(self) -> ExtVecCursor<R> {
@@ -295,12 +303,17 @@ impl<R: Record> ExtVec<R> {
         Ok(out)
     }
 
-    /// Release all backing blocks.
-    pub fn free(self) -> Result<()> {
-        for id in &self.blocks {
-            self.device.free(*id)?;
-        }
-        Ok(())
+    /// Release all backing blocks now and report a failed free — what
+    /// dropping the array does, for a caller that wants the error.
+    pub fn free(mut self) -> Result<()> {
+        self.release()
+    }
+
+    /// Free the blocks, moved out first so that nothing is freed twice.
+    fn release(&mut self) -> Result<()> {
+        std::mem::take(&mut self.blocks)
+            .into_iter()
+            .try_for_each(|id| self.device.free(id))
     }
 
     fn check_index(&self, idx: u64) -> Result<()> {
@@ -332,6 +345,14 @@ impl<R: Record> ExtVec<R> {
 
     fn block_buf(&self) -> Box<[u8]> {
         vec![0u8; self.device.block_size()].into_boxed_slice()
+    }
+}
+
+/// Dropping an array frees its blocks; a `Drop` has nowhere to report a
+/// failed free, so a caller that wants the error calls [`ExtVec::free`].
+impl<R: Record> Drop for ExtVec<R> {
+    fn drop(&mut self) {
+        let _ = self.release();
     }
 }
 

@@ -21,8 +21,8 @@
 //!
 //! There is one reader implementation, [`BlockReader`], generic over how it
 //! holds its array: [`ExtVecReader`] borrows it, [`ExtVecCursor`] owns it
-//! (and can therefore live inside an operator's state across calls, rewind,
-//! and hand the array back to be freed).
+//! (and can therefore live inside an operator's state across calls and
+//! rewind; dropping it frees the array).
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -179,9 +179,10 @@ impl<R: Record> ExtVecWriter<R> {
     }
 
     /// Finish, flushing any partial block and waiting out all queued
-    /// writes, and return the completed array.  A write that fails while
-    /// `finish` waits for it is submitted once more before the error is
-    /// returned.
+    /// writes, and return the completed array, which takes over every
+    /// block.  A write that fails while `finish` waits for it is submitted
+    /// once more before the error is returned; the writer, dropped with
+    /// the error, frees its blocks.
     pub fn finish(mut self) -> Result<ExtVec<R>> {
         if !self.buf.is_empty() {
             self.flush_buf(usize::MAX)?; // waited on below
@@ -191,7 +192,8 @@ impl<R: Record> ExtVecWriter<R> {
                 self.retire(self.queue.len() - 1)?;
             }
         }
-        Ok(ExtVec::from_parts(self.device, self.blocks, self.len))
+        let blocks = std::mem::take(&mut self.blocks);
+        Ok(ExtVec::from_parts(self.device.clone(), blocks, self.len))
     }
 
     /// Rewrite a failed write heading the queue, then encode the buffered
@@ -231,6 +233,24 @@ impl<R: Record> ExtVecWriter<R> {
             self.spare.push(bytes);
         }
         Ok(())
+    }
+}
+
+/// A writer dropped unfinished frees every block it allocated: the ones in
+/// its block map, and the queued ones once their writes have completed — a
+/// dropped ticket does not cancel its write, which could otherwise land in
+/// the id's next owner.
+impl<R: Record> Drop for ExtVecWriter<R> {
+    fn drop(&mut self) {
+        for (id, write) in self.queue.drain(..) {
+            if let Ok(ticket) = write {
+                let _ = ticket.wait();
+            }
+            self.blocks.push(id);
+        }
+        for id in self.blocks.drain(..) {
+            let _ = self.device.free(id);
+        }
     }
 }
 
@@ -279,7 +299,7 @@ pub type ExtVecReader<'a, R> = BlockReader<&'a ExtVec<R>, R>;
 /// read path for operator state that must outlive one call.
 /// [`rewind`](BlockReader::rewind) restarts the scan (paying the reads
 /// again — that re-read *is* a block-nested loop's cost) and
-/// [`into_inner`](BlockReader::into_inner) hands the array back to be freed.
+/// [`into_inner`](BlockReader::into_inner) hands the array back.
 pub type ExtVecCursor<R> = BlockReader<ExtVec<R>, R>;
 
 impl<R: Record> ExtVecCursor<R> {
@@ -795,6 +815,47 @@ mod overlap_tests {
             v.read_block_into(bi, &mut block).unwrap();
             assert_eq!(block, want.collect::<Vec<u64>>(), "block {bi}");
         }
+    }
+
+    /// A writer dropped with writes still queued waits them out and then
+    /// frees every block: none leaks, none is written after its free, and
+    /// the next array to get those ids reads back what it wrote.  Every
+    /// transfer takes 2 ms, so the queued writes are still in flight when
+    /// the writer drops.
+    #[test]
+    fn a_writer_dropped_unfinished_frees_its_blocks_after_their_writes() {
+        let slow = pdm::FaultPlan::new(0).with_latency(1000, std::time::Duration::from_millis(2));
+        let device: SharedDevice = pdm::DiskArray::new_ram_faulty(
+            2,
+            64,
+            pdm::Placement::Independent,
+            pdm::IoMode::Overlapped,
+            &[slow.clone(), slow],
+            pdm::RetryPolicy::none(),
+        );
+        let budget = MemBudget::new(64);
+        let baseline = device.allocated_blocks();
+        let mut w = ExtVecWriter::with_write_behind(device.clone(), 4, &budget);
+        assert_eq!(w.write_behind_depth(), 4);
+        // Seven full blocks flushed (up to four still queued), four records
+        // buffered.
+        for i in 0..60u64 {
+            w.push(i).unwrap();
+        }
+        assert_eq!(device.allocated_blocks(), baseline + 7);
+        drop(w);
+        assert_eq!(device.allocated_blocks(), baseline, "no block leaked");
+        let data: Vec<u64> = (0..60).map(|i| i * 3 + 1).collect();
+        let v = ExtVec::from_slice(device.clone(), &data).unwrap();
+        assert_eq!(
+            v.to_vec().unwrap(),
+            data,
+            "the reused ids read back exactly"
+        );
+        assert_eq!(device.stats().snapshot().dropped_write_errors(), 0);
+        drop(v);
+        assert_eq!(device.allocated_blocks(), baseline);
+        assert_eq!(budget.used(), 0);
     }
 
     #[test]

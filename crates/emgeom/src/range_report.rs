@@ -105,7 +105,6 @@ pub fn batched_range_reporting(
     let mut r = rects.reader();
     while let Some(q) = r.try_next()? {
         if q.x1 > q.x2 || q.y1 > q.y2 {
-            events.discard()?;
             return Err(PdmError::InvalidRequest(format!(
                 "malformed rectangle {}: [{}, {}] × [{}, {}]",
                 q.id, q.x1, q.x2, q.y1, q.y2
@@ -383,7 +382,7 @@ mod tests {
     }
 
     /// A rectangle with `x1 > x2` is the caller's mistake: a typed error,
-    /// after the events already sorted into runs are freed.
+    /// and the events already sorted into runs go with the sort.
     #[test]
     fn a_malformed_rectangle_is_a_typed_error_that_leaks_no_block() {
         let d = device();

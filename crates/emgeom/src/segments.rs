@@ -105,7 +105,6 @@ pub fn segment_intersections(
     let mut r = vs.reader();
     while let Some(v) = r.try_next()? {
         if v.y1 > v.y2 {
-            events.discard()?;
             return Err(PdmError::InvalidRequest(format!(
                 "vertical segment {} has y1 {} > y2 {}",
                 v.id, v.y1, v.y2
@@ -122,7 +121,6 @@ pub fn segment_intersections(
     let mut r = hs.reader();
     while let Some(h) = r.try_next()? {
         if h.x1 > h.x2 {
-            events.discard()?;
             return Err(PdmError::InvalidRequest(format!(
                 "horizontal segment {} has x1 {} > x2 {}",
                 h.id, h.x1, h.x2

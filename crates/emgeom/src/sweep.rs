@@ -136,13 +136,8 @@ pub(crate) fn distribution_sweep<P: Sweep>(
 ) -> Result<ExtVec<(u64, u64)>> {
     let events = events.finish_sorted()?;
     let mut out: Answers = ExtVecWriter::new(events.device().clone());
-    match sweep::<P>(events, cfg, &mut out, 0) {
-        Ok(()) => out.finish(),
-        Err(e) => {
-            out.finish()?.free()?;
-            Err(e)
-        }
-    }
+    sweep::<P>(events, cfg, &mut out, 0)?;
+    out.finish()
 }
 
 /// Recursive distribution sweep over a `y`-sorted event array (consumed).
@@ -166,7 +161,6 @@ fn sweep<P: Sweep>(
     if pivots.is_empty() {
         // Every sampled x coincides, so no boundary separates the events
         // and the sub-problem can be neither split nor loaded.
-        events.free()?;
         return Err(PdmError::MemoryExceeded {
             needed: n,
             available: cfg.mem_records,
@@ -195,16 +189,12 @@ fn sweep<P: Sweep>(
         .into_iter()
         .map(ExtVecWriter::finish)
         .collect::<Result<Vec<_>>>()?;
-    // After a failure the remaining sub-problems are only given back.
-    let mut swept = Ok(());
     for sub in subs {
-        if sub.is_empty() || swept.is_err() {
-            sub.free()?;
-        } else {
-            swept = sweep::<P>(sub, cfg, out, depth + 1);
+        if !sub.is_empty() {
+            sweep::<P>(sub, cfg, out, depth + 1)?;
         }
     }
-    swept
+    Ok(())
 }
 
 /// Up to `want` evenly-spaced distinct x pivots from a systematic sample

@@ -14,7 +14,7 @@
 
 use em_core::{ExtVec, ExtVecWriter};
 use emsort::{merge_sort_by, merge_sort_streaming, SortConfig, SortingWriter};
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 use crate::list_ranking::{list_rank, list_rank_weighted, NIL};
 
@@ -30,7 +30,8 @@ pub struct EulerTour {
 }
 
 impl EulerTour {
-    /// Release all external storage.
+    /// Release all external storage now, reporting a failed free; a
+    /// dropped tour releases it too.
     pub fn free(self) -> Result<()> {
         self.arcs.free()?;
         self.succ.free()
@@ -38,10 +39,13 @@ impl EulerTour {
 }
 
 /// Build the Euler tour of the tree given by undirected `edges`, rooted at
-/// `root`.  `O(Sort(N))` I/Os.
+/// `root`.  `O(Sort(N))` I/Os.  No edges, a self loop or a root with no
+/// incident edge is [`PdmError::InvalidRequest`].
 pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Result<EulerTour> {
     let device = edges.device().clone();
-    assert!(!edges.is_empty(), "tree must have at least one edge");
+    if edges.is_empty() {
+        return Err(invalid("the edge list is empty"));
+    }
 
     // 1. Symmetrize and sort: arcs ordered by (src, dst); id = position.
     //    The symmetrizing scan feeds the sort directly.
@@ -49,7 +53,9 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
         let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64), b| a < b);
         let mut r = edges.reader();
         while let Some((u, v)) = r.try_next()? {
-            assert_ne!(u, v, "self loop in tree");
+            if u == v {
+                return Err(invalid("the edge list has a self loop"));
+            }
             w.push((u, v))?;
             w.push((v, u))?;
         }
@@ -95,7 +101,9 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
         }
         w
     };
-    let head = head.expect("root has no incident edge");
+    let Some(head) = head else {
+        return Err(invalid("the root has no incident edge"));
+    };
 
     // 3. Zip: `rel` sorted by (x, v) runs parallel to `arcs` sorted by
     //    (src, dst); position i in `arcs` is arc id i.  Break the cycle at
@@ -106,7 +114,9 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
         let mut ra = arcs.reader();
         let mut idx = 0u64;
         while let Some((src, dst)) = ra.try_next()? {
-            let (x, v, next) = rr.try_next()?.expect("one relation record per arc");
+            let Some((x, v, next)) = rr.try_next()? else {
+                return Err(invalid("an arc has no relation record"));
+            };
             debug_assert_eq!((x, v), (src, dst), "relation misaligned with arcs");
             w.push((idx, if next == head { NIL } else { next }))?;
             idx += 1;
@@ -119,7 +129,8 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
 
 /// Depth of every vertex of the tree `edges` rooted at `root`, via Euler
 /// tour + weighted list ranking: `O(Sort(N))` I/Os.  Returns
-/// `(vertex, depth)` sorted by vertex id, with `depth(root) = 0`.
+/// `(vertex, depth)` sorted by vertex id, with `depth(root) = 0`.  Edges
+/// that are not a tree containing `root` are [`PdmError::InvalidRequest`].
 pub fn tree_depths(
     edges: &ExtVec<(u64, u64)>,
     root: u64,
@@ -145,7 +156,9 @@ pub fn tree_depths(
         let mut rr = unit_ranks.reader();
         let mut idx = 0u64;
         while let Some((u, v)) = ra.try_next()? {
-            let (aid, pos) = rr.try_next()?.expect("rank for every arc");
+            let Some((aid, pos)) = rr.try_next()? else {
+                return Err(invalid("an arc has no rank"));
+            };
             debug_assert_eq!(aid, idx);
             let (lo, hi) = (u.min(v), u.max(v));
             w.push((lo, hi, pos, idx))?;
@@ -163,12 +176,9 @@ pub fn tree_depths(
     let mut fwd_w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone()); // (forward_arc_id, child vertex)
     tagged.finish_streaming(|rt| {
         while let Some(first) = rt.try_next()? {
-            let second = rt.try_next()?.expect("arcs come in twin pairs");
-            debug_assert_eq!(
-                (first.0, first.1),
-                (second.0, second.1),
-                "twin pairing broken"
-            );
+            let Some(second) = rt.try_next()?.filter(|s| (s.0, s.1) == (first.0, first.1)) else {
+                return Err(invalid("the arcs do not come in twin pairs"));
+            };
             // first.2 < second.2 (sorted by position): first is forward.
             let fwd_arc = first.3;
             let back_arc = second.3;
@@ -196,8 +206,8 @@ pub fn tree_depths(
         |rw| {
             let mut w: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(device.clone());
             let mut rs = tour.succ.reader();
-            while let Some((aid, s)) = rs.try_next()? {
-                let (wid, weight) = rw.try_next()?.expect("weight for every arc");
+            // Both are in arc-id order, one record per arc.
+            while let (Some((aid, s)), Some((wid, weight))) = (rs.try_next()?, rw.try_next()?) {
                 debug_assert_eq!(wid, aid);
                 w.push((aid, s, weight))?;
             }
@@ -223,7 +233,9 @@ pub fn tree_depths(
             let mut cur_fwd: Option<(u64, u64)> = rf.try_next()?;
             let mut idx = 0u64;
             while let Some((_src, dst)) = ra.try_next()? {
-                let (aid, wrank) = rr.try_next()?.expect("rank for every arc");
+                let Some((aid, wrank)) = rr.try_next()? else {
+                    return Err(invalid("an arc has no rank"));
+                };
                 debug_assert_eq!(aid, idx);
                 if cur_fwd.is_some_and(|(f, _)| f == idx) {
                     depths_w.push((dst, (wrank + 1) as u64))?;
@@ -241,6 +253,10 @@ pub fn tree_depths(
     let sorted = merge_sort_by(&unsorted, cfg, |a, b| a.0 < b.0)?;
     unsorted.free()?;
     Ok(sorted)
+}
+
+fn invalid(what: &str) -> PdmError {
+    PdmError::InvalidRequest(format!("Euler tour: {what}"))
 }
 
 #[cfg(test)]

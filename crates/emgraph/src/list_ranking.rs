@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 
-use em_core::{ExtVec, ExtVecWriter, Record};
+use em_core::{ExtVec, ExtVecWriter};
 use emsort::{merge_sort_by, merge_sort_streaming, SortConfig, SortingWriter};
 use pdm::hash::splitmix;
 use pdm::{PdmError, Result};
@@ -41,7 +41,8 @@ pub fn list_rank(
         w.push((id, s, 1))?;
     }
     let nodes = w.finish()?;
-    let ranks = then_free(list_rank_weighted(&nodes, head, cfg), nodes)?;
+    let ranks = list_rank_weighted(&nodes, head, cfg)?;
+    nodes.free()?;
     // Unit ranks are nonnegative; convert to u64.
     let mut out: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(succ.device().clone());
     let mut r = ranks.reader();
@@ -161,15 +162,12 @@ fn rank_rec(
         level += 1;
     };
 
-    // From here on every error frees this frame's arrays: a malformed list
-    // found deeper down returns through this frame.
-    //
     // Apply splices to survivors, remembering each spliced predecessor's
     // *old* weight (needed to reintegrate its removed successor).  The
     // sorted splices are consumed once, so the final merge streams in.
     let mut contracted: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(device.clone());
     let mut old_weights: ExtVecWriter<(u64, i64)> = ExtVecWriter::new(device.clone()); // (pred, w_old)
-    let applied = merge_sort_streaming(
+    merge_sort_streaming(
         &splices,
         cfg,
         |a, b| a.0 < b.0,
@@ -189,32 +187,21 @@ fn rank_rec(
             debug_assert!(cur.is_none(), "splice targeted a non-survivor");
             Ok(())
         },
-    );
-    let applied = then_free(then_free(applied, survivors), splices);
+    )?;
+    survivors.free()?;
+    splices.free()?;
     // `old_weights` is sorted by pred (survivor order).
-    let finished = applied.and_then(|()| Ok((contracted.finish()?, old_weights.finish()?)));
-    let (contracted, old_weights) = match finished {
-        Ok(arrays) => arrays,
-        Err(e) => {
-            let _ = saved.free();
-            return Err(e);
-        }
-    };
+    let contracted = contracted.finish()?;
+    let old_weights = old_weights.finish()?;
 
     // Recurse.
-    let sub_ranks = match then_free(rank_rec(&contracted, head, cfg, level + 1), contracted) {
-        Ok(sub_ranks) => sub_ranks,
-        Err(e) => {
-            let _ = saved.free();
-            let _ = old_weights.free();
-            return Err(e);
-        }
-    };
+    let sub_ranks = rank_rec(&contracted, head, cfg, level + 1)?;
+    contracted.free()?;
 
     // Reintegrate: rank(removed) = rank(pred) + old_weight(pred).  The
     // sorted saved pairs are consumed once, so the final merge streams in.
     let mut all_ranks: ExtVecWriter<(u64, i64)> = ExtVecWriter::new(device.clone());
-    let merged = merge_sort_streaming(
+    merge_sort_streaming(
         &saved,
         cfg,
         |a, b| a.0 < b.0,
@@ -236,10 +223,14 @@ fn rank_rec(
             }
             Ok(())
         },
-    );
-    let merged = then_free(then_free(then_free(merged, sub_ranks), saved), old_weights);
-    let all_ranks = merged.and_then(|()| all_ranks.finish())?;
-    then_free(merge_sort_by(&all_ranks, cfg, |a, b| a.0 < b.0), all_ranks)
+    )?;
+    sub_ranks.free()?;
+    saved.free()?;
+    old_weights.free()?;
+    let all_ranks = all_ranks.finish()?;
+    let sorted = merge_sort_by(&all_ranks, cfg, |a, b| a.0 < b.0)?;
+    all_ranks.free()?;
+    Ok(sorted)
 }
 
 /// Baseline: chase the successor pointers one node at a time — `Θ(N)`
@@ -263,19 +254,10 @@ pub fn list_rank_naive(
         rank += 1;
         cur = s;
         if rank > succ.len() {
-            out.discard()?;
             return Err(invalid("cycle detected"));
         }
     }
     out.finish_sorted()
-}
-
-/// `result` once `vec` is freed, whether or not `result` is an error; its
-/// error comes first.
-fn then_free<T, R: Record>(result: Result<T>, vec: ExtVec<R>) -> Result<T> {
-    let freed = vec.free();
-    let value = result?;
-    freed.map(|()| value)
 }
 
 fn invalid(what: &str) -> PdmError {

@@ -130,7 +130,7 @@ impl<R: Record> PartitionPass<R> {
 /// Outcome of [`partition_to_fit`] for one leaf of the recursion tree.
 pub enum Partitioned<R: Record> {
     /// At most `mem_records` records: the consumer can load it and finish
-    /// in memory.  The array is the consumer's to free.
+    /// in memory.  The consumer owns the array: dropping it frees it.
     Resident(ExtVec<R>),
     /// Stopped shrinking (equal-hash skew) or hit [`HASH_MAX_LEVELS`]:
     /// hashing cannot split it further — consume it by the sort path.
@@ -145,7 +145,7 @@ impl<R: Record> Partitioned<R> {
         }
     }
 
-    /// Take ownership of the partition's records (to consume or free).
+    /// Take ownership of the partition's records.
     pub fn into_records(self) -> ExtVec<R> {
         match self {
             Partitioned::Resident(v) | Partitioned::Skewed(v) => v,

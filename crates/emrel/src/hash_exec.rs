@@ -93,14 +93,6 @@ fn check_fan_out(fan_out: usize, block_records: usize, m: usize) -> Result<()> {
     Ok(())
 }
 
-/// Best-effort release of the arrays an operator dropped before it was
-/// drained still owns; a `Drop` has nowhere to report a failed free.
-fn free_all<R: Record>(vecs: impl IntoIterator<Item = ExtVec<R>>) {
-    for vec in vecs {
-        let _ = vec.free();
-    }
-}
-
 /// Hybrid hash aggregation: group `child` by an extracted key with a
 /// streaming fold, *without* sorting.  Blocking: the child is drained by
 /// [`build`](Self::build).  Output carries no order — resident-table
@@ -390,19 +382,6 @@ where
     }
 }
 
-/// An aggregation dropped undrained frees the spilled partitions it never
-/// consumed.
-impl<R, K, KF, Acc, FoldF, FinF, O> Drop for HashGroupByExec<R, K, KF, Acc, FoldF, FinF, O>
-where
-    R: Record,
-    K: Ord,
-{
-    fn drop(&mut self) {
-        free_all(self.queue.drain(..).map(|(part, ..)| part));
-        free_all(self.fb.take().map(ExtVecCursor::into_inner));
-    }
-}
-
 impl<R, K, KF, Acc, FoldF, FinF, O> QueryExec for HashGroupByExec<R, K, KF, Acc, FoldF, FinF, O>
 where
     R: Record,
@@ -572,8 +551,7 @@ where
     /// [`PdmError::InvalidRequest`], before anything is read or allocated,
     /// unless `fan_out ≥ 2` and `(fan_out + 1)·(B_build + B_probe) ≤ M`.  A
     /// spilled hybrid whose bucket 0 outgrows its `M − (F+1)·(B_build +
-    /// B_probe)` share is [`PdmError::MemoryExceeded`]; the partitions
-    /// spilled so far are freed before returning.
+    /// B_probe)` share is [`PdmError::MemoryExceeded`].
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         build: &mut dyn QueryExec<Item = BR>,
@@ -629,11 +607,6 @@ where
                 let h0 = hasher.hash(&k);
                 if hybrid && level_bucket(h0, 0, fan_out) == 0 {
                     if resident.len() == bucket0_cap {
-                        if let Some((pass, ..)) = spill.take() {
-                            for part in pass.finish()? {
-                                part.free()?;
-                            }
-                        }
                         return Err(PdmError::MemoryExceeded {
                             needed: bucket0_cap + 1,
                             available: bucket0_cap,
@@ -861,30 +834,6 @@ where
                     }
                 }
             }
-        }
-    }
-}
-
-/// A join dropped undrained frees every partition it still owns, on either
-/// side, at any level.
-impl<PS, K, BR, KB, KP, MK, O> Drop for HashJoinExec<PS, K, BR, KB, KP, MK, O>
-where
-    PS: QueryExec,
-    BR: Record,
-    K: Ord,
-{
-    fn drop(&mut self) {
-        if let Some(spilled) = self.spilled.take() {
-            free_all(spilled.build_parts);
-            free_all(spilled.probe_pass.finish().unwrap_or_default());
-        }
-        for (bv, pv, ..) in self.pairs.drain(..) {
-            free_all([bv]);
-            free_all([pv]);
-        }
-        if let Some(pair) = self.pair.take() {
-            free_all([pair.bcur.into_inner()]);
-            free_all([pair.pcur.into_inner()]);
         }
     }
 }
@@ -1347,7 +1296,7 @@ mod tests {
                     );
                 }
             }
-            free_all(plain);
+            drop(plain);
             let compared = d.stats().snapshot().since(&comparing).total();
             let out = collect(&mut j, &d).unwrap();
             let delta = d.stats().snapshot().since(&before);

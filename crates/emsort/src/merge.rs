@@ -965,12 +965,6 @@ where
     pub fn finish_sorted(mut self) -> Result<ExtVec<R>> {
         self.formed(true)?.into_sorted(&self.cfg, self.less)
     }
-
-    /// Give up on the sort: free every spilled run (the in-memory chunk goes
-    /// with the writer).
-    pub fn discard(self) -> Result<()> {
-        self.runs.into_iter().try_for_each(ExtVec::free)
-    }
 }
 
 /// Stream one k-way merge of already-sorted runs to `consume` instead of

@@ -32,8 +32,7 @@ use crate::{SortConfig, SortingWriter};
 /// `2N` random I/Os (read-modify-write per record).
 ///
 /// Lengths that differ are [`PdmError::InvalidRequest`] before anything is
-/// allocated; so is a destination `≥ N`, found mid-scan, after the output
-/// is freed.
+/// allocated; so is a destination `≥ N`, found mid-scan.
 pub fn permute_naive<R: Record>(input: &ExtVec<R>, dest: &ExtVec<u64>) -> Result<ExtVec<R>> {
     check_lengths(input, dest)?;
     let out = ExtVec::with_len(input.device().clone(), input.len())?;
@@ -41,7 +40,6 @@ pub fn permute_naive<R: Record>(input: &ExtVec<R>, dest: &ExtVec<u64>) -> Result
     let mut dests = dest.reader();
     while let (Some(r), Some(d)) = (records.try_next()?, dests.try_next()?) {
         if d >= input.len() {
-            out.free()?;
             return Err(out_of_range(d, input.len()));
         }
         out.set(d, &r)?;
@@ -57,8 +55,7 @@ pub fn permute_naive<R: Record>(input: &ExtVec<R>, dest: &ExtVec<u64>) -> Result
 /// byte budget identical.
 ///
 /// Lengths that differ are [`PdmError::InvalidRequest`] before anything is
-/// allocated; so is a destination `≥ N`, found mid-scan, after the runs
-/// spilled so far are freed.
+/// allocated; so is a destination `≥ N`, found mid-scan.
 pub fn permute_by_sort<R: Record>(
     input: &ExtVec<R>,
     dest: &ExtVec<u64>,
@@ -114,8 +111,7 @@ pub fn invert_permutation(perm: &ExtVec<u64>, cfg: &SortConfig) -> Result<ExtVec
 /// The one tag → sort → strip: pull `(destination, record)` pairs from
 /// `next_tagged` until it returns `None`, sort them by destination in a
 /// [`SortingWriter`] whose budget is `cfg`'s bytes counted in pairs, and
-/// write the records as the final merge delivers them.  An error from
-/// `next_tagged` frees the runs spilled so far before it is returned.
+/// write the records as the final merge delivers them.
 pub(crate) fn place_by_destination<R: Record>(
     device: SharedDevice,
     cfg: &SortConfig,
@@ -126,15 +122,8 @@ pub(crate) fn place_by_destination<R: Record>(
         ..*cfg
     };
     let mut tagged = SortingWriter::new(device.clone(), &pair_cfg, |a: &(u64, R), b| a.0 < b.0);
-    loop {
-        match next_tagged() {
-            Ok(Some(pair)) => tagged.push(pair)?,
-            Ok(None) => break,
-            Err(e) => {
-                tagged.discard()?;
-                return Err(e);
-            }
-        }
+    while let Some(pair) = next_tagged()? {
+        tagged.push(pair)?;
     }
     tagged.finish_streaming(|sorted| {
         let mut out: ExtVecWriter<R> = ExtVecWriter::new(device);

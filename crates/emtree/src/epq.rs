@@ -258,12 +258,6 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
     }
 }
 
-impl<R: Record + Ord> Drop for ExtPriorityQueue<R> {
-    fn drop(&mut self) {
-        let _ = self.clear();
-    }
-}
-
 enum MinSource {
     Insertion,
     Run(usize),

@@ -27,7 +27,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("core/src/stream.rs", 2),
     ("emgraph/src/bfs.rs", 2),
     ("emgraph/src/cc.rs", 2),
-    ("emgraph/src/euler.rs", 8),
     ("emgraph/src/gen.rs", 3),
     ("emgraph/src/mis.rs", 1),
     ("emgraph/src/mst.rs", 2),
