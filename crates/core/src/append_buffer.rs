@@ -10,37 +10,35 @@
 //!
 //! The amortized analysis of distribution sweeping hinges on `retain`:
 //! every scanned record either produces output or is dropped forever.
+//!
+//! Each spilled block is a one-block [`ExtVec`], so the buffer owns its
+//! blocks the way an array does: dropping it, or a block it has read back,
+//! frees them, on error paths too.
 
-use pdm::{BlockId, Result, SharedDevice};
+use pdm::{Result, SharedDevice};
 
+use crate::ext_vec::ExtVec;
 use crate::record::Record;
 
 /// Unordered external buffer with buffered appends and filtered rescans.
 pub struct AppendBuffer<R: Record> {
     device: SharedDevice,
-    /// Full spilled blocks.
-    blocks: Vec<BlockId>,
+    /// Full spilled blocks, one array each.
+    blocks: Vec<ExtVec<R>>,
     /// In-memory tail (< one block).
     tail: Vec<R>,
     per_block: usize,
-    byte_buf: Box<[u8]>,
 }
 
 impl<R: Record> AppendBuffer<R> {
     /// Create an empty buffer on `device`.
     pub fn new(device: SharedDevice) -> Self {
-        let per_block = (device.block_size() / R::BYTES).max(1);
-        assert!(
-            device.block_size() / R::BYTES >= 1,
-            "record larger than block"
-        );
-        let byte_buf = vec![0u8; device.block_size()].into_boxed_slice();
+        let per_block = ExtVec::<R>::per_block_on(&device);
         AppendBuffer {
             device,
             blocks: Vec::new(),
             tail: Vec::with_capacity(per_block),
             per_block,
-            byte_buf,
         }
     }
 
@@ -58,12 +56,8 @@ impl<R: Record> AppendBuffer<R> {
     pub fn push(&mut self, r: R) -> Result<()> {
         self.tail.push(r);
         if self.tail.len() == self.per_block {
-            for (i, rec) in self.tail.iter().enumerate() {
-                rec.write_to(&mut self.byte_buf[i * R::BYTES..(i + 1) * R::BYTES]);
-            }
-            let id = self.device.allocate()?;
-            self.device.write_block(id, &self.byte_buf)?;
-            self.blocks.push(id);
+            self.blocks
+                .push(ExtVec::from_slice(self.device.clone(), &self.tail)?);
             self.tail.clear();
         }
         Ok(())
@@ -71,19 +65,16 @@ impl<R: Record> AppendBuffer<R> {
 
     /// Stream every record through `visit`; records for which it returns
     /// `false` are removed.  Costs one read of every old block plus one
-    /// write per surviving block.
+    /// write per surviving block.  Each old block is freed once read, before
+    /// its survivors are pushed; an error frees the blocks not yet read.
     pub fn retain<F: FnMut(&R) -> bool>(&mut self, mut visit: F) -> Result<()> {
         let old_blocks = std::mem::take(&mut self.blocks);
-        let old_tail = std::mem::take(&mut self.tail);
-        self.tail = Vec::with_capacity(self.per_block);
-        for id in old_blocks {
-            self.device.read_block(id, &mut self.byte_buf)?;
-            // Decode before reusing byte_buf for writes.
-            let records: Vec<R> = (0..self.per_block)
-                .map(|i| R::read_from(&self.byte_buf[i * R::BYTES..(i + 1) * R::BYTES]))
-                .collect();
-            self.device.free(id)?;
-            for r in records {
+        let old_tail = std::mem::replace(&mut self.tail, Vec::with_capacity(self.per_block));
+        let mut records = Vec::with_capacity(self.per_block);
+        for block in old_blocks {
+            block.read_block_into(0, &mut records)?;
+            drop(block);
+            for r in records.drain(..) {
                 if visit(&r) {
                     self.push(r)?;
                 }
@@ -96,35 +87,6 @@ impl<R: Record> AppendBuffer<R> {
         }
         Ok(())
     }
-
-    /// Load everything into memory (test helper; ignores the budget).
-    pub fn to_vec(&self) -> Result<Vec<R>> {
-        let mut out = Vec::with_capacity(self.len() as usize);
-        let mut buf = vec![0u8; self.byte_buf.len()].into_boxed_slice();
-        for id in &self.blocks {
-            self.device.read_block(*id, &mut buf)?;
-            for i in 0..self.per_block {
-                out.push(R::read_from(&buf[i * R::BYTES..(i + 1) * R::BYTES]));
-            }
-        }
-        out.extend(self.tail.iter().cloned());
-        Ok(out)
-    }
-
-    /// Release all blocks.
-    pub fn clear(&mut self) -> Result<()> {
-        for id in self.blocks.drain(..) {
-            self.device.free(id)?;
-        }
-        self.tail.clear();
-        Ok(())
-    }
-}
-
-impl<R: Record> Drop for AppendBuffer<R> {
-    fn drop(&mut self) {
-        let _ = self.clear();
-    }
 }
 
 #[cfg(test)]
@@ -136,6 +98,18 @@ mod tests {
         EmConfig::new(64, 8).ram_disk() // 8 u64s per block
     }
 
+    /// Every record held, sorted, read through a `retain` that keeps all.
+    fn contents(b: &mut AppendBuffer<u64>) -> Vec<u64> {
+        let mut v = Vec::new();
+        b.retain(|&x| {
+            v.push(x);
+            true
+        })
+        .unwrap();
+        v.sort_unstable();
+        v
+    }
+
     #[test]
     fn push_and_read_back() {
         let mut b = AppendBuffer::new(device());
@@ -143,9 +117,8 @@ mod tests {
             b.push(i).unwrap();
         }
         assert_eq!(b.len(), 100);
-        let mut v = b.to_vec().unwrap();
-        v.sort_unstable();
-        assert_eq!(v, (0..100).collect::<Vec<_>>());
+        assert_eq!(contents(&mut b), (0..100).collect::<Vec<_>>());
+        assert_eq!(b.len(), 100);
     }
 
     #[test]
@@ -162,9 +135,7 @@ mod tests {
         .unwrap();
         assert_eq!(seen, 50);
         assert_eq!(b.len(), 25);
-        let mut v = b.to_vec().unwrap();
-        v.sort_unstable();
-        assert_eq!(v, (0..50).step_by(2).collect::<Vec<_>>());
+        assert_eq!(contents(&mut b), (0..50).step_by(2).collect::<Vec<_>>());
         // Buffer stays usable after retain.
         b.push(999).unwrap();
         assert_eq!(b.len(), 26);

@@ -46,8 +46,6 @@ pub(crate) trait SlabState: Sized {
     const BLOCKS: usize;
     /// The state before any event.
     fn new(device: &SharedDevice) -> Self;
-    /// Give back whatever the state holds on the device.
-    fn release(self) -> Result<()>;
 }
 
 /// An active list: one tail block per slab, so fan-out `(m − 2) / 2`.
@@ -56,9 +54,6 @@ impl<R: Record> SlabState for AppendBuffer<R> {
     fn new(device: &SharedDevice) -> Self {
         AppendBuffer::new(device.clone())
     }
-    fn release(mut self) -> Result<()> {
-        self.clear()
-    }
 }
 
 /// A counter: nothing on the device, so fan-out `m − 2`.
@@ -66,9 +61,6 @@ impl SlabState for u64 {
     const BLOCKS: usize = 0;
     fn new(_: &SharedDevice) -> Self {
         0
-    }
-    fn release(self) -> Result<()> {
-        Ok(())
     }
 }
 
@@ -181,9 +173,8 @@ fn sweep<P: Sweep>(
         }
     }
     events.free()?;
-    for s in level.state {
-        s.release()?;
-    }
+    // The slabs' states free their blocks before the recursion runs.
+    drop(level.state);
     let subs = level
         .down
         .into_iter()

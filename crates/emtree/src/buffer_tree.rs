@@ -24,6 +24,10 @@
 //! [`BufferTree::flush_all`] pushes every pending event to the leaves, after
 //! which lookups and ordered iteration are exact.  Timestamps resolve
 //! insert/delete races: the latest event for a key wins.
+//!
+//! Every block the tree holds is an [`ExtVec`]: a leaf is a one-block array
+//! and so is each block of an event buffer.  Dropping the tree, a flushed
+//! buffer or a rebuilt leaf frees its blocks, on error paths too.
 
 use std::sync::Arc;
 
@@ -37,98 +41,58 @@ fn is_delete<K, V>(e: &Event<K, V>) -> bool {
     e.0 & 1 == 1
 }
 
-/// Append-only on-disk event buffer.
+/// Append-only on-disk event buffer: a list of one-block arrays, every one
+/// full but the last, so dropping the buffer frees its blocks.
 struct DiskBuffer<E: Record> {
     device: SharedDevice,
-    blocks: Vec<pdm::BlockId>,
-    len: usize,
-    per_block: usize,
-    _marker: std::marker::PhantomData<fn() -> E>,
+    blocks: Vec<ExtVec<E>>,
 }
 
 impl<E: Record> DiskBuffer<E> {
     fn new(device: SharedDevice) -> Self {
-        let per_block = (device.block_size() / E::BYTES).max(1);
         DiskBuffer {
             device,
             blocks: Vec::new(),
-            len: 0,
-            per_block,
-            _marker: std::marker::PhantomData,
         }
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.blocks.iter().map(|b| b.len() as usize).sum()
     }
 
-    /// Append `events`: one read-modify-write of the partial tail block,
-    /// then whole-block writes — `O(len/B + 1)` I/Os.
-    fn append(&mut self, events: &[E]) -> Result<()> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        let bs = self.device.block_size();
-        let mut buf = vec![0u8; bs].into_boxed_slice();
-        let mut i = 0;
-        let tail_used = self.len % self.per_block;
-        if tail_used != 0 {
-            // A partial tail implies at least one block; if the invariant is
-            // broken, degrade to whole-block appends instead of panicking.
-            if let Some(&id) = self.blocks.last() {
-                self.device.read_block(id, &mut buf)?;
-                let take = (self.per_block - tail_used).min(events.len());
-                for (j, e) in events[..take].iter().enumerate() {
-                    let off = (tail_used + j) * E::BYTES;
-                    e.write_to(&mut buf[off..off + E::BYTES]);
-                }
-                self.device.write_block(id, &buf)?;
-                i = take;
+    /// Append `events`: a partial tail block is read, and rewritten with
+    /// the first events to a fresh block that replaces it; the rest go to
+    /// whole new blocks — `O(len/B + 1)` I/Os.
+    fn append(&mut self, mut events: &[E]) -> Result<()> {
+        let per_block = ExtVec::<E>::per_block_on(&self.device);
+        if let Some(tail) = self.blocks.last_mut() {
+            if !events.is_empty() && (tail.len() as usize) < per_block {
+                let mut records = Vec::with_capacity(per_block);
+                tail.read_block_into(0, &mut records)?;
+                let take = (per_block - records.len()).min(events.len());
+                records.extend_from_slice(&events[..take]);
+                *tail = ExtVec::from_slice(self.device.clone(), &records)?;
+                events = &events[take..];
             }
         }
-        while i < events.len() {
-            let take = self.per_block.min(events.len() - i);
-            buf.fill(0);
-            for (j, e) in events[i..i + take].iter().enumerate() {
-                e.write_to(&mut buf[j * E::BYTES..(j + 1) * E::BYTES]);
-            }
-            let id = self.device.allocate()?;
-            self.device.write_block(id, &buf)?;
-            self.blocks.push(id);
-            i += take;
+        for chunk in events.chunks(per_block) {
+            self.blocks
+                .push(ExtVec::from_slice(self.device.clone(), chunk)?);
         }
-        self.len += events.len();
         Ok(())
     }
 
-    /// Read every event, in append order — one read per block, no write.
-    fn load(&self) -> Result<Vec<E>> {
-        let bs = self.device.block_size();
-        let mut buf = vec![0u8; bs].into_boxed_slice();
-        let mut out = Vec::with_capacity(self.len);
-        for (bi, id) in self.blocks.iter().enumerate() {
-            self.device.read_block(*id, &mut buf)?;
-            let count = (self.len - bi * self.per_block).min(self.per_block);
-            for j in 0..count {
-                out.push(E::read_from(&buf[j * E::BYTES..(j + 1) * E::BYTES]));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Load every event and release the buffer's blocks.
+    /// Read every event, in append order, then drop the blocks — one read
+    /// per block, no write.  A failed read keeps them.
     fn drain(&mut self) -> Result<Vec<E>> {
-        let out = self.load()?;
-        self.free()?;
-        Ok(out)
-    }
-
-    fn free(&mut self) -> Result<()> {
-        for id in self.blocks.drain(..) {
-            self.device.free(id)?;
+        let mut out = Vec::with_capacity(self.len());
+        let mut records = Vec::new();
+        for block in &self.blocks {
+            block.read_block_into(0, &mut records)?;
+            out.append(&mut records);
         }
-        self.len = 0;
-        Ok(())
+        self.blocks.clear();
+        Ok(out)
     }
 }
 
@@ -651,36 +615,6 @@ impl<K: Record + Ord, V: Record> BufferTree<K, V> {
         self.nodes.push(node);
         self.nodes.len() - 1
     }
-
-    /// Release all external storage.
-    pub fn clear(&mut self) -> Result<()> {
-        for node in self.nodes.iter_mut() {
-            node.buffer.free()?;
-            if let NodeKind::Bottom { leaves } = &mut node.kind {
-                for leaf in leaves.drain(..) {
-                    leaf.free()?;
-                }
-            }
-        }
-        self.nodes.clear();
-        let root = Node {
-            keys: Vec::new(),
-            kind: NodeKind::Bottom { leaves: Vec::new() },
-            buffer: DiskBuffer::new(self.device.clone()),
-        };
-        self.nodes.push(root);
-        self.root = 0;
-        self.height = 1;
-        self.len = 0;
-        self.staging.clear();
-        Ok(())
-    }
-}
-
-impl<K: Record + Ord, V: Record> Drop for BufferTree<K, V> {
-    fn drop(&mut self) {
-        let _ = self.clear();
-    }
 }
 
 /// Sequential record stream over a run of leaves, one block buffered at a
@@ -886,7 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_releases_all_blocks() {
+    fn drop_releases_all_blocks() {
         let device = device();
         let mut t: BufferTree<u64, u64> = BufferTree::new(device.clone(), 1024);
         for k in 0..10_000u64 {
@@ -894,7 +828,7 @@ mod tests {
         }
         t.flush_all().unwrap();
         assert!(device.allocated_blocks() > 0);
-        t.clear().unwrap();
+        drop(t);
         assert_eq!(device.allocated_blocks(), 0);
     }
 

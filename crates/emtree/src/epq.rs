@@ -246,16 +246,6 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
         }
         Ok(())
     }
-
-    /// Release all external storage.
-    pub fn clear(&mut self) -> Result<()> {
-        for run in self.runs.drain(..) {
-            run.data.free()?;
-        }
-        self.insertion.clear();
-        self.len = 0;
-        Ok(())
-    }
 }
 
 enum MinSource {

@@ -4,25 +4,27 @@
 //! tail (for pushes) — plus a chain of full blocks on disk between them.
 //! Every record is written at most once and read at most once, so any
 //! sequence of `S` operations costs `O(S/B)` I/Os (experiment F8).
+//!
+//! Each block of the chain is a one-block [`ExtVec`]: a refill of the head
+//! reads it and then drops it, which frees it, and dropping the queue frees
+//! the rest.
 
 use std::collections::VecDeque;
 
-use em_core::Record;
-use pdm::{BlockId, PdmError, Result, SharedDevice};
+use em_core::{ExtVec, Record};
+use pdm::{PdmError, Result, SharedDevice};
 
 /// An unbounded FIFO queue of records on a block device, holding at most
 /// two blocks of records in memory.
 pub struct ExtQueue<R: Record> {
     device: SharedDevice,
     /// Full spilled blocks, front of the queue first.
-    blocks: VecDeque<BlockId>,
+    blocks: VecDeque<ExtVec<R>>,
     /// Records ready to pop (front of queue).
     head: VecDeque<R>,
     /// Records recently pushed (back of queue).
     tail: Vec<R>,
     per_block: usize,
-    len: u64,
-    byte_buf: Box<[u8]>,
 }
 
 impl<R: Record> ExtQueue<R> {
@@ -38,40 +40,32 @@ impl<R: Record> ExtQueue<R> {
                 block: device.block_size(),
             });
         }
-        let byte_buf = vec![0u8; device.block_size()].into_boxed_slice();
         Ok(ExtQueue {
             device,
             blocks: VecDeque::new(),
             head: VecDeque::new(),
             tail: Vec::with_capacity(per_block),
             per_block,
-            len: 0,
-            byte_buf,
         })
     }
 
     /// Number of records in the queue.
     pub fn len(&self) -> u64 {
-        self.len
+        (self.blocks.len() * self.per_block + self.head.len() + self.tail.len()) as u64
     }
 
     /// True if the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Append a record at the back.
     pub fn push(&mut self, r: R) -> Result<()> {
         self.tail.push(r);
-        self.len += 1;
         if self.tail.len() == self.per_block {
             // Spill the tail buffer as one full block.
-            for (i, rec) in self.tail.iter().enumerate() {
-                rec.write_to(&mut self.byte_buf[i * R::BYTES..(i + 1) * R::BYTES]);
-            }
-            let id = self.device.allocate()?;
-            self.device.write_block(id, &self.byte_buf)?;
-            self.blocks.push_back(id);
+            self.blocks
+                .push_back(ExtVec::from_slice(self.device.clone(), &self.tail)?);
             self.tail.clear();
         }
         Ok(())
@@ -80,11 +74,7 @@ impl<R: Record> ExtQueue<R> {
     /// Remove and return the front record.
     pub fn pop(&mut self) -> Result<Option<R>> {
         self.refill_head()?;
-        let r = self.head.pop_front();
-        if r.is_some() {
-            self.len -= 1;
-        }
-        Ok(r)
+        Ok(self.head.pop_front())
     }
 
     /// Peek at the front record.
@@ -93,40 +83,22 @@ impl<R: Record> ExtQueue<R> {
         Ok(self.head.front())
     }
 
+    /// With the head empty, reload the front block and then drop it (a
+    /// failed read keeps the block), or with no block left take the tail.
     fn refill_head(&mut self) -> Result<()> {
         if !self.head.is_empty() {
             return Ok(());
         }
-        if let Some(id) = self.blocks.pop_front() {
-            self.device.read_block(id, &mut self.byte_buf)?;
-            self.device.free(id)?;
-            for i in 0..self.per_block {
-                self.head.push_back(R::read_from(
-                    &self.byte_buf[i * R::BYTES..(i + 1) * R::BYTES],
-                ));
-            }
+        if let Some(block) = self.blocks.front() {
+            let mut records = Vec::with_capacity(self.per_block);
+            block.read_block_into(0, &mut records)?;
+            self.head = records.into();
+            self.blocks.pop_front();
         } else if !self.tail.is_empty() {
             // No full blocks between head and tail: drain the tail directly.
             self.head.extend(self.tail.drain(..));
         }
         Ok(())
-    }
-
-    /// Release all spilled blocks.
-    pub fn clear(&mut self) -> Result<()> {
-        for id in self.blocks.drain(..) {
-            self.device.free(id)?;
-        }
-        self.head.clear();
-        self.tail.clear();
-        self.len = 0;
-        Ok(())
-    }
-}
-
-impl<R: Record> Drop for ExtQueue<R> {
-    fn drop(&mut self) {
-        let _ = self.clear();
     }
 }
 

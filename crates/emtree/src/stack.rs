@@ -5,21 +5,22 @@
 //! pop underflows, reload the most recent block.  Each block is written once
 //! and read once per "direction change", so any sequence of `S` operations
 //! costs `O(S/B)` I/Os — measured by experiment F8.
+//!
+//! Each spilled block is a one-block [`ExtVec`]: a reload reads it and then
+//! drops it, which frees it, and dropping the stack frees the rest.
 
-use em_core::Record;
-use pdm::{BlockId, PdmError, Result, SharedDevice};
+use em_core::{ExtVec, Record};
+use pdm::{PdmError, Result, SharedDevice};
 
 /// An unbounded LIFO stack of records on a block device, holding at most
 /// two blocks of records in memory.
 pub struct ExtStack<R: Record> {
     device: SharedDevice,
     /// Spilled blocks, oldest first; each holds exactly `B` records.
-    blocks: Vec<BlockId>,
+    blocks: Vec<ExtVec<R>>,
     /// In-memory tail of the stack (top is the last element), ≤ 2B records.
     buf: Vec<R>,
     per_block: usize,
-    len: u64,
-    byte_buf: Box<[u8]>,
 }
 
 impl<R: Record> ExtStack<R> {
@@ -35,98 +36,59 @@ impl<R: Record> ExtStack<R> {
                 block: device.block_size(),
             });
         }
-        let byte_buf = vec![0u8; device.block_size()].into_boxed_slice();
         Ok(ExtStack {
             device,
             blocks: Vec::new(),
             buf: Vec::with_capacity(2 * per_block),
             per_block,
-            len: 0,
-            byte_buf,
         })
     }
 
     /// Number of records on the stack.
     pub fn len(&self) -> u64 {
-        self.len
+        (self.blocks.len() * self.per_block + self.buf.len()) as u64
     }
 
     /// True if the stack is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.blocks.is_empty() && self.buf.is_empty()
     }
 
     /// Push a record.
     pub fn push(&mut self, r: R) -> Result<()> {
         if self.buf.len() == 2 * self.per_block {
             // Spill the bottom half.
-            for (i, rec) in self.buf[..self.per_block].iter().enumerate() {
-                rec.write_to(&mut self.byte_buf[i * R::BYTES..(i + 1) * R::BYTES]);
-            }
-            let id = self.device.allocate()?;
-            self.device.write_block(id, &self.byte_buf)?;
-            self.blocks.push(id);
+            let bottom = &self.buf[..self.per_block];
+            self.blocks
+                .push(ExtVec::from_slice(self.device.clone(), bottom)?);
             self.buf.drain(..self.per_block);
         }
         self.buf.push(r);
-        self.len += 1;
         Ok(())
     }
 
     /// Pop the most recently pushed record.
     pub fn pop(&mut self) -> Result<Option<R>> {
-        if self.buf.is_empty() {
-            let Some(id) = self.blocks.pop() else {
-                return Ok(None);
-            };
-            self.device.read_block(id, &mut self.byte_buf)?;
-            self.device.free(id)?;
-            for i in 0..self.per_block {
-                self.buf.push(R::read_from(
-                    &self.byte_buf[i * R::BYTES..(i + 1) * R::BYTES],
-                ));
-            }
-        }
-        let r = self.buf.pop();
-        if r.is_some() {
-            self.len -= 1;
-        }
-        Ok(r)
+        self.refill()?;
+        Ok(self.buf.pop())
     }
 
     /// Peek at the top record.
     pub fn peek(&mut self) -> Result<Option<&R>> {
-        if self.buf.is_empty() && self.blocks.is_empty() {
-            return Ok(None);
-        }
-        if self.buf.is_empty() {
-            // Reload a block without popping.
-            let id = self.blocks.pop().expect("checked nonempty");
-            self.device.read_block(id, &mut self.byte_buf)?;
-            self.device.free(id)?;
-            for i in 0..self.per_block {
-                self.buf.push(R::read_from(
-                    &self.byte_buf[i * R::BYTES..(i + 1) * R::BYTES],
-                ));
-            }
-        }
+        self.refill()?;
         Ok(self.buf.last())
     }
 
-    /// Release all spilled blocks.
-    pub fn clear(&mut self) -> Result<()> {
-        for id in self.blocks.drain(..) {
-            self.device.free(id)?;
+    /// With the buffer empty, reload the most recent block and then drop
+    /// it; a failed read keeps the block.
+    fn refill(&mut self) -> Result<()> {
+        if self.buf.is_empty() {
+            if let Some(block) = self.blocks.last() {
+                block.read_block_into(0, &mut self.buf)?;
+                self.blocks.pop();
+            }
         }
-        self.buf.clear();
-        self.len = 0;
         Ok(())
-    }
-}
-
-impl<R: Record> Drop for ExtStack<R> {
-    fn drop(&mut self) {
-        let _ = self.clear();
     }
 }
 

@@ -258,10 +258,13 @@ impl FaultPlan {
     }
 
     /// Deterministic per-block decision: does the fault kind under `salt`
-    /// afflict `block` at `permille` rate?
+    /// afflict `block` at `permille` rate?  Seed and salt are hashed before
+    /// the block is mixed in, so two seeds (or two kinds) pick their blocks
+    /// independently rather than as XOR-translates of one set.
     fn afflicts(&self, salt: u64, block: BlockId, permille: u64) -> bool {
         permille > 0
-            && splitmix64(self.seed ^ salt.wrapping_mul(0x9E6C_63D0) ^ block) % SCALE < permille
+            && splitmix64(splitmix64(self.seed ^ salt.wrapping_mul(0x9E6C_63D0)) ^ block) % SCALE
+                < permille
     }
 }
 
@@ -654,6 +657,37 @@ mod tests {
             before,
             "a repair mismatch is a caller bug, not an injected fault"
         );
+    }
+
+    #[test]
+    fn seeds_and_kinds_pick_their_blocks_independently() {
+        // The blocks among 0..4096 that `salt` afflicts under `seed`.
+        let picked = |seed: u64, salt: u64| -> Vec<BlockId> {
+            let plan = FaultPlan::new(seed);
+            (0..4096).filter(|&b| plan.afflicts(salt, b, 50)).collect()
+        };
+        // True if some `t` maps `a` onto `b` by `x ↦ x ^ t`; such a `t`
+        // takes `a[0]` to some member of `b`.
+        let translates = |a: &[BlockId], b: &[BlockId]| {
+            b.iter().map(|y| a[0] ^ y).any(|t| {
+                let mut moved: Vec<BlockId> = a.iter().map(|x| x ^ t).collect();
+                moved.sort_unstable();
+                moved == b
+            })
+        };
+        for seed in 0..8 {
+            let here = picked(seed, SALT_PERMANENT);
+            assert!(!here.is_empty());
+            assert!(
+                !translates(&here, &picked(seed + 1, SALT_PERMANENT)),
+                "seeds {seed} and {} pick one set, translated",
+                seed + 1
+            );
+            assert!(
+                !translates(&here, &picked(seed, SALT_TRANSIENT_WRITE)),
+                "two kinds under seed {seed} pick one set, translated"
+            );
+        }
     }
 
     #[test]

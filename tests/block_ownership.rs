@@ -7,16 +7,21 @@
 //! write-behind).  Every call either returns its output or an error.  After
 //! an error the device must hold exactly the blocks it held before the
 //! call; after a success it must too, once the output is dropped.  No call
-//! site frees anything by hand on its error paths: the owners do.
+//! site frees anything by hand on its error paths: the owners do.  The
+//! containers (stack, queue, append buffer, buffer tree, and the active
+//! lists of the distribution sweeps) hold their spilled blocks as one-block
+//! arrays, so they are swept the same way.
 
 use std::collections::BTreeMap;
 
 use em_core::hash::hash_bytes;
-use em_core::ExtVec;
+use em_core::{AppendBuffer, ExtVec};
+use emgeom::{batched_range_reporting, segment_intersections, HSeg, Point, Rect, VSeg};
 use emgraph::{euler_tour, list_rank, tree_depths};
 use emhash::partition::partition_to_fit;
 use emrel::{collect, ExecConfig, HashGroupByExec, HashJoinExec, QueryExec, ScanExec};
 use emsort::{distribution_sort, merge_sort_by, merge_sort_streaming, OverlapConfig, SortConfig};
+use emtree::{BufferTree, ExtQueue, ExtStack};
 use pdm::{DiskArray, FaultPlan, IoMode, PdmError, Placement, Result, RetryPolicy, SharedDevice};
 
 /// Records in each input of the sorts and the hash operators.
@@ -24,6 +29,15 @@ const N: u64 = 3_000;
 /// Nodes of the ranked list, and vertices of the tree.
 const LIST: u64 = 1_000;
 const TREE: u64 = 500;
+/// Records through each container: enough blocks that some seeds meet a
+/// bad one and some do not.
+const CONTAINED: u64 = 12_000;
+/// Operations on the buffer tree, and the memory it gets, in events.
+const TREE_OPS: u64 = 6_000;
+const TREE_MEM: usize = 1_024;
+/// Segments, points and rectangles of the sweeps, on a `SPAN`-square grid.
+const SHAPES: u64 = 400;
+const SPAN: u64 = 4_096;
 /// Memory in records, for every record type.
 const M: usize = 256;
 /// Bytes per block on each disk: 32 `u64`s, 16 pairs.
@@ -107,9 +121,8 @@ impl Sweep {
 }
 
 /// A two-disk array whose disks each fail `PERMANENT_PERMILLE` of their
-/// blocks for good, with no retry.  A plan picks its bad blocks by its seed
-/// XOR the block id, so the seeds are mixed: consecutive raw seeds would
-/// all fail ids near the same few.
+/// blocks for good, with no retry.  Each disk's plan gets its own mixed
+/// seed, distinct from the seed the inputs are drawn from.
 fn faulty_array(seed: u64, mode: IoMode) -> SharedDevice {
     let plans: Vec<FaultPlan> = (0..2)
         .map(|d| FaultPlan::new(mix(seed * 2 + d)).with_permanent_blocks(PERMANENT_PERMILLE))
@@ -143,6 +156,38 @@ fn shuffled_list(seed: u64) -> (Vec<Pair>, u64) {
 /// A random tree on `0..n`, rooted at 0: vertex `v` hangs off a smaller one.
 fn tree(n: u64, seed: u64) -> Vec<Pair> {
     (1..n).map(|v| (mix(v ^ seed) % v, v)).collect()
+}
+
+/// Segments and rectangles up to an eighth of the span long, so that some
+/// cross several slabs and some stick into one, and points.
+fn shapes(seed: u64) -> (Vec<HSeg>, Vec<VSeg>, Vec<Point>, Vec<Rect>) {
+    let coord = |id: u64, k: u64| (mix(seed ^ (id * 8 + k)) % SPAN) as i64;
+    let len = |id: u64, k: u64| coord(id, k) / 8;
+    let hs = (0..SHAPES).map(|id| HSeg {
+        id,
+        y: coord(id, 0),
+        x1: coord(id, 1),
+        x2: coord(id, 1) + len(id, 2),
+    });
+    let vs = (0..SHAPES).map(|id| VSeg {
+        id,
+        x: coord(id, 3),
+        y1: coord(id, 4),
+        y2: coord(id, 4) + len(id, 5),
+    });
+    let pts = (0..SHAPES).map(|id| Point {
+        id,
+        x: coord(id, 6),
+        y: coord(id, 7),
+    });
+    let rects = (0..SHAPES / 3).map(|id| Rect {
+        id,
+        x1: coord(id, 0),
+        x2: coord(id, 0) + len(id, 1),
+        y1: coord(id, 2),
+        y2: coord(id, 2) + len(id, 3),
+    });
+    (hs.collect(), vs.collect(), pts.collect(), rects.collect())
 }
 
 #[test]
@@ -264,6 +309,78 @@ fn no_call_leaks_a_block_on_any_path() {
                 });
             }
             assert_eq!(d.allocated_blocks(), 0, "a dropped input leaked");
+
+            // The sweeps' active lists and the containers, each on a fresh
+            // array: a call that met a bad block left it first on the free
+            // list, where the next call's first write would meet it again.
+            let (hs, vs, pts, rects) = shapes(seed);
+            let d = faulty_array(seed, mode);
+            let segments = sweep.input(&d, || {
+                Ok((
+                    ExtVec::from_slice(d.clone(), &hs)?,
+                    ExtVec::from_slice(d.clone(), &vs)?,
+                ))
+            });
+            if let Some((hs, vs)) = segments {
+                sweep.owned(&d, "segment_intersections", || {
+                    segment_intersections(&hs, &vs, &cfg)
+                });
+            }
+            let d = faulty_array(seed, mode);
+            let ranges = sweep.input(&d, || {
+                Ok((
+                    ExtVec::from_slice(d.clone(), &pts)?,
+                    ExtVec::from_slice(d.clone(), &rects)?,
+                ))
+            });
+            if let Some((pts, rects)) = ranges {
+                sweep.owned(&d, "batched_range_reporting", || {
+                    batched_range_reporting(&pts, &rects, &cfg)
+                });
+            }
+
+            let d = faulty_array(seed, mode);
+            sweep.owned(&d, "ExtStack", || {
+                let mut stack = ExtStack::new(d.clone())?;
+                for i in 0..CONTAINED {
+                    stack.push(i)?;
+                }
+                while stack.pop()?.is_some() {}
+                Ok(stack)
+            });
+            let d = faulty_array(seed, mode);
+            sweep.owned(&d, "ExtQueue", || {
+                let mut queue = ExtQueue::new(d.clone())?;
+                for i in 0..CONTAINED {
+                    queue.push(i)?;
+                }
+                while queue.pop()?.is_some() {}
+                Ok(queue)
+            });
+            let d = faulty_array(seed, mode);
+            sweep.owned(&d, "AppendBuffer", || {
+                let mut buffer = AppendBuffer::new(d.clone());
+                for i in 0..CONTAINED {
+                    buffer.push(i)?;
+                }
+                buffer.retain(|&i| i % 2 == 0)?;
+                buffer.retain(|&i| i % 3 == 0)?;
+                Ok(buffer)
+            });
+            let d = faulty_array(seed, mode);
+            sweep.owned(&d, "BufferTree", || {
+                let mut tree = BufferTree::new(d.clone(), TREE_MEM);
+                for i in 0..TREE_OPS {
+                    let key = mix(i ^ seed) % (TREE_OPS / 2);
+                    if i % 3 == 2 {
+                        tree.delete(key)?;
+                    } else {
+                        tree.insert(key, i)?;
+                    }
+                }
+                tree.flush_all()?;
+                Ok(tree)
+            });
         }
     }
     // The sweep reached both paths of every call that can succeed, and the

@@ -337,11 +337,11 @@ fn bulk_append_survives_one_transient_write_failure() {
     let clean = ExtVec::from_slice(RamDisk::new(64) as SharedDevice, &data).unwrap();
 
     let ram = RamDisk::new(64);
-    // Seed 9 afflicts, of the two blocks written, only the second (and no
+    // Seed 0 afflicts, of the two blocks written, only the second (and no
     // read): exactly one fault, asserted below.
     let device = FaultDisk::wrap(
         ram.clone() as SharedDevice,
-        FaultPlan::new(9).with_transient(300, 1),
+        FaultPlan::new(0).with_transient(300, 1),
     );
     let mut w = ExtVecWriter::new(device.clone() as SharedDevice);
     w.push(data[0]).unwrap();
