@@ -53,13 +53,26 @@ impl<R: Record> AppendBuffer<R> {
     }
 
     /// Append a record; spills a full tail block (`O(1/B)` amortized).
+    ///
+    /// An `Err` means the spill failed: the tail stays full, and the next
+    /// push retries the spill before it takes its record.  Whether this
+    /// push took its record, [`len`](Self::len) tells.
     pub fn push(&mut self, r: R) -> Result<()> {
+        if self.tail.len() >= self.per_block {
+            self.spill()?;
+        }
         self.tail.push(r);
         if self.tail.len() == self.per_block {
-            self.blocks
-                .push(ExtVec::from_slice(self.device.clone(), &self.tail)?);
-            self.tail.clear();
+            self.spill()?;
         }
+        Ok(())
+    }
+
+    /// Write the full tail as one block.
+    fn spill(&mut self) -> Result<()> {
+        self.blocks
+            .push(ExtVec::from_slice(self.device.clone(), &self.tail)?);
+        self.tail.clear();
         Ok(())
     }
 
@@ -164,6 +177,35 @@ mod tests {
         }
         let ios = d.stats().snapshot().since(&before).total();
         assert_eq!(ios, 100, "one write per full block");
+    }
+
+    /// Every block's first two writes and reads fail.  A spill that fails
+    /// leaves the tail at one block — the push that filled it took its
+    /// record, a push that retried it did not, as `len` tells — and the next
+    /// push retries it.  Every record is held once.
+    #[test]
+    fn a_failed_spill_keeps_the_tail_at_one_block_and_is_retried() {
+        use pdm::{FaultDisk, FaultPlan, RamDisk};
+        let plan = FaultPlan::new(5).with_transient(1000, 2);
+        let d = FaultDisk::wrap(RamDisk::new(64) as SharedDevice, plan) as SharedDevice;
+        let mut b = AppendBuffer::new(d.clone());
+        let (mut next, mut failed) = (0u64, 0);
+        while next < 100 {
+            let len = b.len();
+            failed += usize::from(b.push(next).is_err());
+            assert!(b.tail.len() <= b.per_block, "tail {}", b.tail.len());
+            next += b.len() - len;
+        }
+        assert_eq!(b.len(), 100);
+        assert_eq!(failed, 2 * 12, "each of 12 spills fails twice");
+        let mut held = b.tail.clone();
+        for block in &b.blocks {
+            held.extend((0..3).find_map(|_| block.to_vec().ok()).unwrap());
+        }
+        held.sort_unstable();
+        assert_eq!(held, (0..100).collect::<Vec<_>>());
+        drop(b);
+        assert_eq!(d.allocated_blocks(), 0);
     }
 
     #[test]

@@ -119,13 +119,12 @@ impl<R: Record> ExtVec<R> {
         self.blocks[bi]
     }
 
-    /// (internal) Decode the raw bytes of block `bi` into `out` (cleared
-    /// first) — the one decode loop, whether the bytes came from
-    /// [`read_block_into`](Self::read_block_into)'s synchronous read or from
-    /// the prefetching reader's asynchronous ticket.
+    /// (internal) Decode the raw bytes of block `bi`, appending its records
+    /// to `out` — the one decode loop, whether the bytes came from
+    /// [`read_block_into`](Self::read_block_into) or from a reader, which
+    /// appends after the records it still holds.
     pub(crate) fn decode_block(&self, bi: usize, bytes: &[u8], out: &mut Vec<R>) {
         let count = self.records_in_block(bi);
-        out.clear();
         out.extend(
             bytes[..count * R::BYTES]
                 .chunks_exact(R::BYTES)
@@ -170,6 +169,7 @@ impl<R: Record> ExtVec<R> {
     /// Costs one I/O.
     pub fn read_block_into(&self, bi: usize, out: &mut Vec<R>) -> Result<()> {
         let buf = self.read(bi, self.block_buf())?;
+        out.clear();
         self.decode_block(bi, &buf, out);
         Ok(())
     }

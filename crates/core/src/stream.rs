@@ -1,9 +1,11 @@
 //! Buffered sequential streams over external arrays.
 //!
-//! A reader or writer holds exactly **one block** of records in memory, so a
+//! A reader or writer holds **one block** of records in memory, so a
 //! `k`-way merge with one output stream holds `(k+1)·B` records — the
 //! accounting that gives merge sort its `Θ(M/B)` fan-in.  Callers charge
-//! these buffers against their [`MemBudget`](crate::MemBudget).
+//! these buffers against their [`MemBudget`](crate::MemBudget).  (A reader
+//! asked to run across a block's end also keeps the previous block's last
+//! few records; the caller that asks accounts for them.)
 //!
 //! Both streams optionally *overlap* their I/O with the caller's
 //! computation: a reader built with
@@ -60,7 +62,9 @@ fn charge_overlap(
 
 /// Streaming writer: buffers one block, flushing when full — encoded into a
 /// reused buffer, submitted and queued; write-behind only lets up to `depth`
-/// writes stay queued.  Costs `⌈N/B⌉` write I/Os to emit `N` records.
+/// writes stay queued.  A whole block handed over in a slice while the
+/// buffer is empty is encoded from the slice itself.  Costs `⌈N/B⌉` write
+/// I/Os to emit `N` records.
 ///
 /// **Metadata follows data.**  A block's id is appended to the array's
 /// block map only once the device has confirmed the block written — never
@@ -141,6 +145,9 @@ impl<R: Record> ExtVecWriter<R> {
     ///
     /// An `Err` means a block write failed; the record itself was accepted,
     /// and the next block write rewrites the failed block in place first.
+    /// The one exception is a buffer still full from a flush that could not
+    /// allocate its block: it is flushed before the record is taken, and if
+    /// that fails again the record is not ([`len`](Self::len) tells).
     pub fn push(&mut self, r: R) -> Result<()> {
         if self.buf.len() >= self.per_block {
             // A flush could not allocate its block; retry it first.
@@ -157,15 +164,28 @@ impl<R: Record> ExtVecWriter<R> {
     /// Append `records` in order — [`push`](Self::push) for a slice already
     /// in hand, moved a block at a time: the same blocks flushed at the same
     /// points, the same metadata-follows-data and repair-in-place behaviour.
+    /// A whole block of `records` met with the buffer empty is encoded
+    /// straight from the slice, never copied into the buffer.
     ///
     /// An `Err` means a block write failed; [`len`](Self::len) says how many
     /// of `records` were accepted before it (the rest were not), and the
-    /// next block write rewrites the failed block in place first.
+    /// next block write rewrites the failed block in place first.  A block
+    /// that could not be allocated accepts none of its records; one whose
+    /// write failed accepts them all.
     pub fn extend_from_slice(&mut self, mut records: &[R]) -> Result<()> {
         while !records.is_empty() {
             if self.buf.len() >= self.per_block {
                 // A flush could not allocate its block; retry it first.
                 self.flush_buf(self.depth)?;
+            }
+            if self.buf.is_empty() && records.len() >= self.per_block {
+                let (block, rest) = records.split_at(self.per_block);
+                let (id, mut bytes) = self.next_block()?;
+                encode_block(block, &mut bytes);
+                self.len += block.len() as u64;
+                records = rest;
+                self.submit(id, bytes, self.depth)?;
+                continue;
             }
             let take = (self.per_block - self.buf.len()).min(records.len());
             self.buf.extend_from_slice(&records[..take]);
@@ -196,20 +216,32 @@ impl<R: Record> ExtVecWriter<R> {
         Ok(ExtVec::from_parts(self.device.clone(), blocks, self.len))
     }
 
-    /// Rewrite a failed write heading the queue, then encode the buffered
-    /// records into a reused buffer, submit them to a fresh block, queue the
-    /// write and retire down to `keep` queued.
+    /// Encode the buffered records into the next block and submit it,
+    /// retiring down to `keep` queued writes.
     fn flush_buf(&mut self, keep: usize) -> Result<()> {
+        let (id, mut bytes) = self.next_block()?;
+        encode_block(&self.buf, &mut bytes);
+        self.buf.clear();
+        self.submit(id, bytes, keep)
+    }
+
+    /// Rewrite a failed write heading the queue, then allocate a fresh block
+    /// and take a reused buffer to encode it in.
+    fn next_block(&mut self) -> Result<(BlockId, Box<[u8]>)> {
         if let Some((_, Err(_))) = self.queue.front() {
             self.retire(self.queue.len() - 1)?;
         }
         let id = self.device.allocate()?;
-        let mut bytes = self
+        let bytes = self
             .spare
             .pop()
             .unwrap_or_else(|| vec![0u8; self.device.block_size()].into_boxed_slice());
-        encode_block(&self.buf, &mut bytes);
-        self.buf.clear();
+        Ok((id, bytes))
+    }
+
+    /// Queue the write of the encoded block `id` and retire down to `keep`
+    /// queued.
+    fn submit(&mut self, id: BlockId, bytes: Box<[u8]>, keep: usize) -> Result<()> {
         self.queue
             .push_back((id, Ok(self.device.submit_write(id, bytes))));
         self.retire(keep)
@@ -254,7 +286,9 @@ impl<R: Record> Drop for ExtVecWriter<R> {
     }
 }
 
-/// Streaming reader: buffers one block, refilling as it advances.
+/// Streaming reader: buffers one block, refilling as it advances — or, for
+/// a caller that asks ([`buffered_at_least`](Self::buffered_at_least)),
+/// the records left of one block in front of the next.
 ///
 /// Costs `⌈N/B⌉` read I/Os to consume `N` records.  With read-ahead (see
 /// [`ExtVec::reader_prefetch`](crate::ExtVec::reader_prefetch) and
@@ -378,19 +412,6 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         arr(&self.vec).len() - self.consumed
     }
 
-    /// Look at the next record without consuming it.  Costs an I/O only at
-    /// block boundaries.
-    #[inline]
-    pub fn peek(&mut self) -> Result<Option<&R>> {
-        if self.pos >= self.buf.len() {
-            if self.remaining() == 0 {
-                return Ok(None);
-            }
-            self.fill()?;
-        }
-        Ok(Some(&self.buf[self.pos]))
-    }
-
     /// Consume and return the next record.
     #[inline]
     pub fn try_next(&mut self) -> Result<Option<R>> {
@@ -411,16 +432,26 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
     /// Consume up to `max` records, appending them to `out`; returns how many
     /// (fewer than `max` only at the end of the array).  This is
     /// [`try_next`](Self::try_next) in a loop, moved a block at a time: what
-    /// is left of the buffered block, then whole blocks through the same
-    /// block-boundary path — the same reads in the same order, with the same
+    /// is left of the buffered block, then whole blocks decoded straight
+    /// into `out` — the same reads in the same order, with the same
     /// read-ahead top-ups.  On `Err`, the records read before the failed
     /// block are in `out` and consumed.
     pub fn read_into(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
+        let per = arr(&self.vec).per_block() as u64;
         let mut taken = 0;
         while taken < max {
             if self.pos >= self.buf.len() {
                 if self.remaining() == 0 {
                     break;
+                }
+                let bi = (self.consumed / per) as usize;
+                let whole = arr(&self.vec).records_in_block(bi);
+                if self.consumed.is_multiple_of(per) && whole <= max - taken {
+                    // The caller takes the whole block: decode it into `out`.
+                    self.fetch(bi, |r, bytes| arr(&r.vec).decode_block(bi, bytes, out))?;
+                    self.consumed += whole as u64;
+                    taken += whole;
+                    continue;
                 }
                 self.fill()?;
             }
@@ -433,24 +464,28 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         Ok(taken)
     }
 
-    /// The buffered block's records not yet consumed, loading the next
-    /// block first when they are spent — the read [`try_next`](Self::try_next)
-    /// would make there, with the same read-ahead top-up.  Empty only at the
-    /// end of the array.  Pairs with [`consume`](Self::consume), for callers
-    /// that take records a slice at a time.
+    /// The buffered records not yet consumed, reading the next block first
+    /// when fewer than `n` are left and the array has more: the records
+    /// left stay in front of it, so with `n > 1` the slice can run across a
+    /// block's end.  One block is appended at most.  With `n = 1` this is
+    /// the read [`try_next`](Self::try_next) makes when the block is spent,
+    /// with the same read-ahead top-up; a larger `n` makes that read
+    /// earlier, and a caller that consumes the whole array reads every
+    /// block once, in order.  Empty only at the end of the array.  Pairs
+    /// with [`consume`](Self::consume), for callers that take records a
+    /// slice at a time.
     #[inline]
-    pub fn buffered(&mut self) -> Result<&[R]> {
-        if self.pos >= self.buf.len() {
-            if self.remaining() == 0 {
-                return Ok(&[]);
-            }
+    pub fn buffered_at_least(&mut self, n: usize) -> Result<&[R]> {
+        let held = self.buf.len() - self.pos;
+        if held < n && self.remaining() > held as u64 {
             self.fill()?;
         }
         Ok(&self.buf[self.pos..])
     }
 
-    /// Consume the first `n` records of the [`buffered`](Self::buffered)
-    /// slice (at most all of it: a larger `n` is clamped).  Costs no I/O.
+    /// Consume the first `n` records of the
+    /// [`buffered_at_least`](Self::buffered_at_least) slice (at most all of
+    /// it: a larger `n` is clamped).  Costs no I/O.
     #[inline]
     pub fn consume(&mut self, n: usize) {
         let n = n.min(self.buf.len().saturating_sub(self.pos));
@@ -462,9 +497,7 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
     fn top_up(&mut self) {
         let nblocks = arr(&self.vec).num_blocks();
         while self.pending.len() < self.depth && self.next_fetch < nblocks {
-            let buf = self.spare.pop().unwrap_or_else(|| {
-                vec![0u8; arr(&self.vec).device().block_size()].into_boxed_slice()
-            });
+            let buf = self.spare_buf();
             let ticket = arr(&self.vec)
                 .device()
                 .submit_read(arr(&self.vec).block_id(self.next_fetch), buf);
@@ -487,14 +520,28 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         }
     }
 
-    /// The block-boundary slow path, kept out of line so `try_next` / `peek`
-    /// stay small enough to inline into merge loops.
+    /// The block-boundary slow path, kept out of line so `try_next` stays
+    /// small enough to inline into merge loops: read the block after the
+    /// buffered records and append it, keeping the unconsumed ones in
+    /// front.  Those are none unless a caller asked for more
+    /// ([`buffered_at_least`](Self::buffered_at_least)), and then they end
+    /// on a block boundary.
     #[inline(never)]
     fn fill(&mut self) -> Result<()> {
-        // `consumed` points at the record we need; load its block.
         let per = arr(&self.vec).per_block() as u64;
-        let bi = (self.consumed / per) as usize;
-        self.pos = (self.consumed % per) as usize;
+        let at = self.consumed + (self.buf.len() - self.pos) as u64;
+        let bi = (at / per) as usize;
+        self.fetch(bi, |r, bytes| {
+            r.buf.drain(..r.pos);
+            r.pos = (at % per) as usize;
+            arr(&r.vec).decode_block(bi, bytes, &mut r.buf);
+        })
+    }
+
+    /// Read block `bi` — the read-ahead heading the pipeline, or a demand
+    /// read — and hand its bytes to `decode`, then top the read-ahead up.
+    /// A failed read decodes nothing, so a retry reads the same block.
+    fn fetch(&mut self, bi: usize, decode: impl FnOnce(&mut Self, &[u8])) -> Result<()> {
         if self.pending.is_empty() && self.depth > 0 {
             // Nothing in flight: read-ahead was switched on after
             // construction, or the reader was rewound.  Submit the needed
@@ -506,16 +553,30 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
         // Blocks go in flight in order from the one needed, so it heads the
         // pipeline.  (Blocks still in flight from before a switch down to
         // depth 0 are consumed, not re-read.)
-        if let Some((_, ticket)) = self.pending.pop_front_if(|(front, _)| *front == bi) {
-            let (bytes, res) = ticket.wait();
-            res?;
-            arr(&self.vec).decode_block(bi, &bytes, &mut self.buf);
+        let (ticket, prefetched) = match self.pending.pop_front_if(|(front, _)| *front == bi) {
+            Some((_, ticket)) => (ticket, true),
+            None => {
+                let bytes = self.spare_buf();
+                let id = arr(&self.vec).block_id(bi);
+                (arr(&self.vec).device().submit_read(id, bytes), false)
+            }
+        };
+        let (bytes, res) = ticket.wait();
+        res?;
+        decode(self, &bytes);
+        self.spare.push(bytes);
+        if prefetched {
             arr(&self.vec).device().stats().record_prefetch_hit();
-            self.spare.push(bytes);
             self.top_up();
-            return Ok(());
         }
-        arr(&self.vec).read_block_into(bi, &mut self.buf)
+        Ok(())
+    }
+
+    /// A block buffer back from an earlier read, or a new one.
+    fn spare_buf(&mut self) -> Box<[u8]> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| vec![0u8; arr(&self.vec).device().block_size()].into_boxed_slice())
     }
 }
 
@@ -554,6 +615,12 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
     /// The read-ahead depth actually granted by the budget.
     fn prefetch_depth(&self) -> usize {
         self.depth
+    }
+
+    /// Look at the next record without consuming it.  Costs an I/O only at
+    /// block boundaries.
+    fn peek(&mut self) -> Result<Option<&R>> {
+        Ok(self.buffered_at_least(1)?.first())
     }
 }
 
@@ -932,9 +999,9 @@ mod bulk_move_tests {
         }
     }
 
-    /// `buffered` + `consume` is `try_next` a slice at a time: the slice is
-    /// the rest of one block, never past it, and pulling it in any step
-    /// moves the same reads and read-ahead.
+    /// `buffered_at_least(1)` + `consume` is `try_next` a slice at a time:
+    /// the slice is the rest of one block, never past it, and pulling it in
+    /// any step moves the same reads and read-ahead.
     #[test]
     fn buffered_slices_are_try_next_a_block_at_a_time() {
         let v = ExtVec::from_slice(dev(), &(0u64..30).collect::<Vec<_>>()).unwrap();
@@ -948,7 +1015,7 @@ mod bulk_move_tests {
                     let mut r = v.reader_at_prefetch(start, depth, &budget);
                     let mut got = Vec::new();
                     loop {
-                        let slice = r.buffered().unwrap();
+                        let slice = r.buffered_at_least(1).unwrap();
                         let at = start + got.len() as u64;
                         let block_end = ((at / 8 + 1) * 8).min(30);
                         assert_eq!(slice.len() as u64, block_end - at.min(block_end), "{case}");
@@ -964,6 +1031,64 @@ mod bulk_move_tests {
                     assert_eq!(io.reads(), one_by_one.reads(), "{case}");
                     assert_eq!(io.prefetched(), one_by_one.prefetched(), "{case}");
                     assert_eq!(io.prefetch_hits(), one_by_one.prefetch_hits(), "{case}");
+                    assert_eq!(io.prefetch_wasted(), 0, "{case}");
+                }
+            }
+        }
+    }
+
+    /// `buffered_at_least(n)` keeps the records left in front of the next
+    /// block once fewer than `n` are: the slice runs across block ends, ends
+    /// on one (or the array's end), grows by one block exactly when fewer
+    /// than `n` are left and the array has more, and pulling it in any
+    /// step is `try_next`'s sequence — every block read once, in order, no
+    /// earlier than the slice reaches it, and every prefetch consumed.
+    #[test]
+    fn buffered_at_least_spans_block_ends_and_reads_each_block_once() {
+        let v = ExtVec::from_slice(dev(), &(0u64..30).collect::<Vec<_>>()).unwrap();
+        for depth in [0, 2] {
+            for start in [0, 13, 16, 30] {
+                let (expect, one_by_one) = pull(&v, start, depth, None);
+                for (n, step) in [(1, 3), (3, 1), (8, 5), (11, 3), (20, 100)] {
+                    let case = format!("start {start}, depth {depth}, n {n}, step {step}");
+                    let budget = MemBudget::new(64);
+                    let before = v.device().stats().snapshot();
+                    let mut r = v.reader_at_prefetch(start, depth, &budget);
+                    let (mut got, mut held) = (Vec::new(), 0);
+                    loop {
+                        let at = start + got.len() as u64;
+                        let slice = r.buffered_at_least(n).unwrap();
+                        let end = at + slice.len() as u64;
+                        assert_eq!(slice, &(at..end).collect::<Vec<_>>()[..], "{case}");
+                        assert!(end.is_multiple_of(8) || end == 30, "{case}: ends at {end}");
+                        if held >= n || at + held as u64 == 30 {
+                            assert_eq!(slice.len(), held, "{case}: at {at}, no read");
+                        } else {
+                            let appended = slice.len() - held;
+                            assert!((1..=8).contains(&appended), "{case}: at {at}, one block");
+                        }
+                        if depth == 0 {
+                            let read = if end > start {
+                                end.div_ceil(8) - start / 8
+                            } else {
+                                0
+                            };
+                            let io = v.device().stats().snapshot().since(&before);
+                            assert_eq!(io.reads(), read, "{case}: at {at}");
+                        }
+                        if slice.is_empty() {
+                            break;
+                        }
+                        got.extend_from_slice(&slice[..step.min(slice.len())]);
+                        held = slice.len().saturating_sub(step);
+                        r.consume(step);
+                    }
+                    drop(r);
+                    let io = v.device().stats().snapshot().since(&before);
+                    assert_eq!(got, expect, "{case}");
+                    assert_eq!(io.reads(), one_by_one.reads(), "{case}");
+                    assert_eq!(io.prefetched(), one_by_one.prefetched(), "{case}");
+                    assert_eq!(io.prefetch_hits(), io.prefetched(), "{case}");
                     assert_eq!(io.prefetch_wasted(), 0, "{case}");
                 }
             }
@@ -1017,6 +1142,36 @@ mod bulk_move_tests {
         }
         let v = w.finish().unwrap();
         (v, device.stats().snapshot().writes())
+    }
+
+    /// Whole blocks met with the buffer empty are encoded from the slice:
+    /// after every number of pushes, one slice of the rest writes the
+    /// blocks, bytes and transfers that pushing it would.
+    #[test]
+    fn extend_from_slice_writes_the_same_blocks_direct_or_buffered() {
+        let data: Vec<u64> = (0..45).map(|i| i * 3 + 1).collect();
+        let written = |pushes: usize| {
+            let device = dev();
+            let mut w = ExtVecWriter::new(device.clone());
+            data[..pushes].iter().for_each(|&x| w.push(x).unwrap());
+            w.extend_from_slice(&data[pushes..]).unwrap();
+            assert_eq!(w.len(), 45);
+            let v = w.finish().unwrap();
+            let writes = device.stats().snapshot().writes();
+            let blocks: Vec<Vec<u64>> = (0..v.num_blocks())
+                .map(|bi| {
+                    let mut block = Vec::new();
+                    v.read_block_into(bi, &mut block).unwrap();
+                    block
+                })
+                .collect();
+            (blocks, writes)
+        };
+        let pushed = written(45);
+        assert_eq!(pushed.1, 6);
+        for pushes in [0, 1, 7, 8, 9, 16, 40, 44] {
+            assert_eq!(written(pushes), pushed, "after {pushes} pushes");
+        }
     }
 
     #[test]
@@ -1142,5 +1297,103 @@ mod fault_ordering_tests {
         assert_eq!(v.num_blocks(), 2);
         assert_eq!(ram.allocated_blocks(), 2, "retries repair in place");
         assert_eq!(device.stats().snapshot().writes(), 4);
+    }
+
+    /// Every block's first read fails once, demanded or read ahead.  The
+    /// reader keeps what it held, so retrying `try_next` reads the same
+    /// block again: every record comes out once, in order, at one failed
+    /// read a block.
+    #[test]
+    fn a_failed_read_is_retried_not_skipped() {
+        let ram = RamDisk::new(64); // 8 u64s per block
+        let device = FaultDisk::wrap(
+            Arc::clone(&ram) as SharedDevice,
+            FaultPlan::new(9).with_transient(1000, 1),
+        );
+        let data: Vec<u64> = (0..30).map(|i| i * 3 + 2).collect();
+        // One array a depth, both written before either is read.
+        let arrays: Vec<ExtVec<u64>> = (0..2)
+            .map(|_| {
+                let mut w = ExtVecWriter::new(Arc::clone(&device) as SharedDevice);
+                for &x in &data {
+                    let _ = w.push(x); // a failed write is rewritten by the next flush
+                }
+                w.finish().unwrap()
+            })
+            .collect();
+        for (v, depth) in arrays.iter().zip([0, 2]) {
+            let budget = MemBudget::new(64);
+            let mut r = v.reader_prefetch(depth, &budget);
+            let (mut got, mut failed) = (Vec::new(), 0);
+            while failed <= 2 * v.num_blocks() {
+                match r.try_next() {
+                    Ok(Some(x)) => got.push(x),
+                    Ok(None) => break,
+                    Err(_) => failed += 1,
+                }
+            }
+            assert_eq!(got, data, "depth {depth}");
+            assert_eq!(failed, v.num_blocks(), "depth {depth}");
+        }
+    }
+
+    /// A RAM disk that allocates `left` more blocks, then is out of space.
+    struct Capped {
+        ram: Arc<RamDisk>,
+        left: std::sync::atomic::AtomicUsize,
+    }
+
+    impl BlockDevice for Capped {
+        fn block_size(&self) -> usize {
+            self.ram.block_size()
+        }
+        fn allocated_blocks(&self) -> u64 {
+            self.ram.allocated_blocks()
+        }
+        fn allocate(&self) -> Result<BlockId> {
+            use std::sync::atomic::Ordering::Relaxed;
+            match self
+                .left
+                .fetch_update(Relaxed, Relaxed, |n| n.checked_sub(1))
+            {
+                Ok(_) => self.ram.allocate(),
+                Err(_) => Err(pdm::PdmError::OutOfSpace),
+            }
+        }
+        fn free(&self, id: BlockId) -> Result<()> {
+            self.ram.free(id)
+        }
+        fn read_block(&self, id: BlockId, buf: &mut [u8]) -> Result<()> {
+            self.ram.read_block(id, buf)
+        }
+        fn write_block(&self, id: BlockId, buf: &[u8]) -> Result<()> {
+            self.ram.write_block(id, buf)
+        }
+        fn stats(&self) -> Arc<pdm::IoStats> {
+            self.ram.stats()
+        }
+    }
+
+    /// A block of the slice that cannot be allocated accepts none of its
+    /// records, and the caller resumes from `len()`.
+    #[test]
+    fn a_slice_block_that_cannot_be_allocated_accepts_nothing() {
+        let capped = Arc::new(Capped {
+            ram: RamDisk::new(64), // 8 u64s per block
+            left: 1.into(),
+        });
+        let data: Vec<u64> = (0..20).map(|i| i * 5 + 1).collect();
+        let mut w = ExtVecWriter::new(Arc::clone(&capped) as SharedDevice);
+        assert!(matches!(
+            w.extend_from_slice(&data),
+            Err(pdm::PdmError::OutOfSpace)
+        ));
+        assert_eq!(w.len(), 8, "the first block was accepted, nothing after it");
+        capped.left.store(2, std::sync::atomic::Ordering::Relaxed);
+        w.extend_from_slice(&data[8..]).unwrap();
+        let v = w.finish().unwrap();
+        assert_eq!(v.to_vec().unwrap(), data);
+        assert_eq!(v.num_blocks(), 3);
+        assert_eq!(capped.ram.stats().snapshot().writes(), 3);
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! There is one merge: [`SortedStream`], which takes the merge a *batch* at
 //! a time.  The records already buffered in memory bound what can be emitted
-//! without another read: every run offers a window of its buffered block,
+//! without another read: every run offers a window of its buffered records,
 //! the smallest window end is the batch's splitter, and every record at or
 //! below it — a few short sorted pieces — is merged by a branch-free
 //! two-way merge, `≈ ⌈log₂ k⌉` comparisons a record with no tournament
@@ -185,8 +185,8 @@ impl<R: Record> Formed<R> {
         merge_down(&mut self.runs, self.k, self.k, budget, cfg, less)?;
         let runs: Vec<ExtVec<R>> = self.runs.into();
         let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
-        let mut stream =
-            SortedStream::build(&parts, self.tail, self.per_block, budget, cfg.overlap, less)?;
+        let (tail, b, ov) = (self.tail, self.per_block, cfg.overlap);
+        let mut stream = SortedStream::build(&parts, tail, b, budget, ov, false, less)?;
         let out = consume(&mut stream)?;
         drop(stream);
         for run in runs {
@@ -325,7 +325,7 @@ where
 {
     let ov = cfg.overlap;
     let parts: Vec<(&ExtVec<R>, u64)> = runs.iter().map(|r| (r, 0)).collect();
-    let mut stream = SortedStream::build(&parts, tail, per_block, budget, ov, less)?;
+    let mut stream = SortedStream::build(&parts, tail, per_block, budget, ov, true, less)?;
     let wb = merge_write_behind(ov, runs.len(), device.stream_lanes());
     let mut w = ExtVecWriter::with_write_behind(device.clone(), wb, budget);
     while let Some(batch) = stream.next_batch()? {
@@ -348,11 +348,14 @@ where
 ///
 /// Records are handed out of a *batch*: the next stretch of that stable
 /// merge, taken from what is already in memory.  A batch holds at most
-/// `cap = max(B, (k+1)·B/4)` records.
+/// `cap = max(B, (k+1)·B/4)` records, or `max(B, (k+1)·B/6)` when the
+/// stream is drained whole, as every materialized merge is.
 ///
 /// * Every live source — each run's reader, then the resident tail — offers
-///   a *window*: the next `w = 1 + ⌊(cap − 1)/live⌋` records of its buffered
-///   block, never past the block's end.
+///   a *window*: its next `w = 1 + ⌊(cap − 1)/live⌋` buffered records.  A
+///   drained stream cuts it across the block's end (the run reads its next
+///   block once it holds fewer than `w`); one handed to a consumer, never
+///   past the block's end.
 /// * The *splitter* `s` is the smallest window end in `(key, source)` order.
 ///   `s`'s source gives its whole window; every other source gives the
 ///   records of its window that precede `s` in that order, one search
@@ -369,11 +372,12 @@ where
 /// exactly the next stretch of the stable merge.  A batch costs `live − 1`
 /// comparisons for the splitter, one galloping search per other source,
 /// the gallop's check (one comparison unless it pays), and about `⌈log₂ p⌉`
-/// comparisons a record to merge `p` nonempty pieces.  A source whose
-/// buffered block is spent reads its next block before the next splitter
-/// is computed — the read a record-at-a-time merge makes when that block's
-/// last record leaves, made no earlier — so a drained stream reads every
-/// block once and a stream dropped early reads no more than that merge.
+/// comparisons a record to merge `p` nonempty pieces.  In a consumer's
+/// stream a source whose buffered block is spent reads its next block
+/// before the next splitter is computed — the read a record-at-a-time merge
+/// makes when that block's last record leaves, made no earlier — so a
+/// stream dropped early reads no more than that merge.  Either way every
+/// block is read once, in order.
 ///
 /// Each run reads ahead on its own: its reader keeps `read_ahead` blocks in
 /// flight, in block order, charged to the budget beside the stream's own
@@ -381,13 +385,13 @@ where
 ///
 /// A complete sort's final merge may also hold the sorted tail of its last
 /// memory load ([`bounds::resident_tail`]): one more source, after every
-/// run, read from memory `B` records at a time.  It is not a reader and
-/// reads nothing ahead.
+/// run, read from memory.  It is not a reader and reads nothing ahead.
 ///
 /// The stream charges its budget `(k+1)·B` plus the resident records.  The
-/// batch and its merge scratch, `cap` records each, are allocated once per
-/// stream and not charged: at most half the charge from `k = 3` on, like
-/// run formation's sort scratch of half a load.
+/// batch and its merge scratch, `cap` records each, and a drained stream's
+/// records carried across block ends, fewer than `w` a source, are not
+/// charged: at most half the charge from `k = 5` on, like run formation's
+/// sort scratch of half a load.
 ///
 /// The stream borrows the final-stage runs, which live in the sorting
 /// function's frame; that is why the consumer is a closure rather than the
@@ -396,10 +400,14 @@ pub struct SortedStream<'a, R: Record, F> {
     src: Sources<'a, R>,
     /// The sources with records left, in index order, with their windows.
     live: Vec<Window<R>>,
-    /// The most records a batch holds: `max(B, (k+1)·B/4)`.
+    /// The most records a batch holds: `max(B, (k+1)·B/4)`, or
+    /// `max(B, (k+1)·B/6)` if `span`.
     cap: usize,
     /// The length the windows were cut at: `1 + ⌊(cap − 1)/live⌋`.
     w: usize,
+    /// Whether windows run across their block's end: the stream is drained
+    /// whole, so every read it makes early is made anyway.
+    span: bool,
     less: F,
     /// The batch is `bufs[cur][..len]`, its records from `at` on not yet
     /// handed out; the other buffer is the merge's scratch.
@@ -423,26 +431,22 @@ struct Window<R> {
 }
 
 /// A merge's inputs in tie order: the runs' readers, then the resident tail,
-/// read from memory `B` records at a time as if it were one more run.
+/// read from memory as if it were one more run.
 struct Sources<'a, R: Record> {
     readers: Vec<ExtVecReader<'a, R>>,
     tail: Vec<R>,
     /// The tail's records before this one are consumed.
     tail_at: usize,
-    per_block: usize,
 }
 
 impl<R: Record> Sources<'_, R> {
-    /// Source `i`'s buffered records, loading a run's next block when its
-    /// last one is spent (see `BlockReader::buffered`).  Empty only once the
-    /// source is drained.
-    fn view(&mut self, i: usize) -> Result<&[R]> {
+    /// Source `i`'s buffered records, reading a run's next block once fewer
+    /// than `n` are left (see `BlockReader::buffered_at_least`); the tail's
+    /// whole rest.  Empty only once the source is drained.
+    fn view(&mut self, i: usize, n: usize) -> Result<&[R]> {
         match self.readers.get_mut(i) {
-            Some(rd) => rd.buffered(),
-            None => {
-                let end = self.tail.len().min(self.tail_at + self.per_block);
-                Ok(&self.tail[self.tail_at..end])
-            }
+            Some(rd) => rd.buffered_at_least(n),
+            None => Ok(&self.tail[self.tail_at..]),
         }
     }
 
@@ -470,9 +474,10 @@ where
 {
     /// Build a stream over `(run, start offset)` pairs and the sorted
     /// `resident` records, at `b` records a block, and read each run's first
-    /// block.  Charges `(k+1)·B` plus the resident records against `budget`:
-    /// one block per run, plus the output block of a materialized merge or
-    /// the consumer's working block; each run's reader charges its own
+    /// block; a stream that will be drained whole `span`s block ends.
+    /// Charges `(k+1)·B` plus the resident records against `budget`: one
+    /// block per run, plus the output block of a materialized merge or the
+    /// consumer's working block; each run's reader charges its own
     /// read-ahead.
     fn build(
         parts: &[(&'a ExtVec<R>, u64)],
@@ -480,6 +485,7 @@ where
         b: usize,
         budget: &Arc<MemBudget>,
         ov: OverlapConfig,
+        span: bool,
         less: F,
     ) -> Result<Self> {
         let k = parts.len();
@@ -489,18 +495,17 @@ where
             .map(|(r, s)| r.reader_at_prefetch(*s, ov.read_ahead, budget))
             .collect();
         let per_block = b.max(1);
-        let cap = per_block.max((k + 1) * per_block / 4);
+        let cap = per_block.max((k + 1) * per_block / if span { 6 } else { 4 });
         let mut src = Sources {
             readers,
             tail: resident,
             tail_at: 0,
-            per_block,
         };
         // Each window stands at its source's head until the first batch
         // cuts it.
         let mut live = Vec::with_capacity(k + 1);
         for i in 0..=k {
-            if let Some(head) = src.view(i)?.first() {
+            if let Some(head) = src.view(i, 1)?.first() {
                 live.push(Window {
                     src: i,
                     len: 1,
@@ -514,6 +519,7 @@ where
             live,
             cap,
             w: 0,
+            span,
             less,
             bufs: [Vec::with_capacity(cap), Vec::with_capacity(cap)],
             cur: 0,
@@ -534,14 +540,6 @@ where
         let r = self.bufs[self.cur][self.at].clone();
         self.at += 1;
         Ok(Some(r))
-    }
-
-    /// Peek at the next record without consuming it.
-    pub fn peek(&mut self) -> Result<Option<&R>> {
-        if self.at == self.len && !self.take_batch()? {
-            return Ok(None);
-        }
-        Ok(self.bufs[self.cur].get(self.at))
     }
 
     /// Every record of the current batch not yet handed out — or of the next
@@ -566,9 +564,10 @@ where
         let recut = std::mem::replace(&mut self.w, w) != w;
 
         // Cut the windows that moved, reading the next block of a source
-        // whose block is spent.
+        // whose block is spent — or, spanning, holds fewer than `w`.
+        let fill = if self.span { w } else { 1 };
         for win in self.live.iter_mut().filter(|win| win.stale || recut) {
-            let view = self.src.view(win.src)?;
+            let view = self.src.view(win.src, fill)?;
             win.len = w.min(view.len());
             win.end = view[win.len - 1].clone();
             win.stale = false;
@@ -593,7 +592,7 @@ where
         let mut gallop = false;
         let mut drained = false;
         for win in self.live.iter_mut() {
-            let view = self.src.view(win.src)?;
+            let view = self.src.view(win.src, 1)?;
             let p = if win.src == si {
                 gallop = view.len() > win.len;
                 win.len
@@ -614,7 +613,7 @@ where
             // Every record after the splitter in its own source exceeds every
             // piece, so a gallop is appended after the merge, not merged.
             let more = self.gallop(si, cap - in_pieces)?;
-            self.bufs[0].extend_from_slice(&self.src.view(si)?[..more]);
+            self.bufs[0].extend_from_slice(&self.src.view(si, 1)?[..more]);
             self.src.consume(si, more);
             drained |= self.src.drained(si);
         }
@@ -643,10 +642,10 @@ where
     /// passes — this costs a comparison or two, not one per source.
     fn gallop(&mut self, si: usize, room: usize) -> Result<usize> {
         let less = self.less;
-        let x = self.src.view(si)?[0].clone();
+        let x = self.src.view(si, 1)?[0].clone();
         let mut head: Option<(usize, R)> = None;
         for win in self.live.iter().filter(|win| win.src != si) {
-            let Some(next) = self.src.view(win.src)?.first() else {
+            let Some(next) = self.src.view(win.src, 1)?.first() else {
                 continue;
             };
             if !precedes(less, &x, si, next, win.src) {
@@ -656,7 +655,7 @@ where
                 head = Some((win.src, next.clone()));
             }
         }
-        let view = self.src.view(si)?;
+        let view = self.src.view(si, 1)?;
         let rest = &view[1..room.min(view.len())];
         Ok(1 + match &head {
             Some((hi, h)) => prefix_len(rest, |y| precedes(less, y, si, h, *hi)),
@@ -990,8 +989,19 @@ where
     C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
 {
     let b = parts.first().map_or(1, |(r, _)| r.per_block());
-    let mut stream = SortedStream::build(parts, Vec::new(), b, budget, cfg.overlap, less)?;
+    let mut stream = SortedStream::build(parts, Vec::new(), b, budget, cfg.overlap, false, less)?;
     consume(&mut stream)
+}
+
+#[cfg(test)]
+impl<R: Record, F: Fn(&R, &R) -> bool + Copy> SortedStream<'_, R, F> {
+    /// Peek at the next record without consuming it.
+    fn peek(&mut self) -> Result<Option<&R>> {
+        if self.at == self.len && !self.take_batch()? {
+            return Ok(None);
+        }
+        Ok(self.bufs[self.cur].get(self.at))
+    }
 }
 
 #[cfg(test)]
@@ -1677,6 +1687,63 @@ mod tests {
     #[test]
     fn sorted_stream_comparator_calls_per_record() {
         assert_comparator_calls_per_record(512, [6.0, 1.1, 2.0]);
+    }
+
+    /// A drained merge's windows run across block ends.  At `sort_cpu`'s
+    /// shape — 31 random runs of 16 Ki records at `B` = 512 — `cap` is
+    /// `32·512/6` = 2 730 and a window 86 records: 261 batches of 1 946
+    /// records (1 067 of 476, at `cap` = 4 096, while windows stopped at
+    /// their block's end), so the splitter and searches, `2·(live − 1)`
+    /// calls a batch, nearly vanish beside the `⌈log₂ 31⌉` = 5 merge levels:
+    /// 5.12 calls a record (5.32).  Every block is read and written once.
+    #[test]
+    fn a_drained_merge_takes_batches_across_block_ends() {
+        let (k, b) = (31, 512);
+        let mut rng = StdRng::seed_from_u64(20);
+        let device = EmConfig::new(b * 8, 4).ram_disk();
+        let runs: Vec<ExtVec<u64>> = (0..k)
+            .map(|_| {
+                let mut run: Vec<u64> = (0..32 * b).map(|_| rng.gen()).collect();
+                run.sort_unstable();
+                ExtVec::from_slice(device.clone(), &run).unwrap()
+            })
+            .collect();
+        let n = (k * 32 * b) as f64;
+        let cfg = SortConfig::new((k + 1) * b).with_overlap(OverlapConfig::off());
+        let budget = MemBudget::new((k + 1) * b);
+        let parts: Vec<(&ExtVec<u64>, u64)> = runs.iter().map(|r| (r, 0)).collect();
+        let less = |x: &u64, y: &u64| x < y;
+        let mut stream =
+            SortedStream::build(&parts, Vec::new(), b, &budget, cfg.overlap, true, less).unwrap();
+        let cap = stream.cap;
+        assert_eq!(cap, (k + 1) * b / 6);
+        let mut batches = 0;
+        while stream.next_batch().unwrap().is_some() {
+            batches += 1;
+        }
+        drop(stream);
+        let mean = n / batches as f64;
+        assert!(
+            mean >= cap as f64 / 2.0,
+            "{batches} batches of {mean:.0} records, cap {cap}"
+        );
+
+        let calls = std::cell::Cell::new(0u64);
+        let before = device.stats().snapshot();
+        let out = merge_runs_with(&runs, &budget, &cfg, |x: &u64, y: &u64| {
+            calls.set(calls.get() + 1);
+            x < y
+        })
+        .unwrap();
+        let io = device.stats().snapshot().since(&before);
+        assert_eq!((io.reads(), io.writes()), (32 * k as u64, 32 * k as u64));
+        let merged = out.to_vec().unwrap();
+        assert!(merged.is_sorted() && merged.len() == n as usize);
+        let per_record = calls.get() as f64 / n;
+        assert!(
+            per_record <= 5.25,
+            "{per_record:.3} `less` calls per record"
+        );
     }
 
     /// The short-block regime, `k ≈ B`: at `B` = 8 with 31 runs, `cap` = 64

@@ -59,15 +59,28 @@ impl<R: Record> ExtQueue<R> {
         self.len() == 0
     }
 
-    /// Append a record at the back.
+    /// Append a record at the back, spilling the tail buffer once it holds
+    /// a full block.
+    ///
+    /// An `Err` means the spill failed: the tail stays full, and the next
+    /// push retries the spill before it takes its record.  Whether this
+    /// push took its record, [`len`](Self::len) tells.
     pub fn push(&mut self, r: R) -> Result<()> {
+        if self.tail.len() >= self.per_block {
+            self.spill()?;
+        }
         self.tail.push(r);
         if self.tail.len() == self.per_block {
-            // Spill the tail buffer as one full block.
-            self.blocks
-                .push_back(ExtVec::from_slice(self.device.clone(), &self.tail)?);
-            self.tail.clear();
+            self.spill()?;
         }
+        Ok(())
+    }
+
+    /// Write the full tail buffer as one block.
+    fn spill(&mut self) -> Result<()> {
+        self.blocks
+            .push_back(ExtVec::from_slice(self.device.clone(), &self.tail)?);
+        self.tail.clear();
         Ok(())
     }
 
@@ -159,6 +172,33 @@ mod tests {
         }
         let d = device.stats().snapshot().since(&before);
         assert!(d.total() <= 2 * n / 8 + 4, "queue used {} I/Os", d.total());
+    }
+
+    /// Every block's first two writes and reads fail.  A spill that fails
+    /// leaves the tail at one block — the push that filled it took its
+    /// record, a push that retried it did not, as `len` tells — and the next
+    /// push retries it.  Every record comes out once, in order.
+    #[test]
+    fn a_failed_spill_keeps_the_tail_at_one_block_and_is_retried() {
+        use pdm::{FaultDisk, FaultPlan, RamDisk};
+        let plan = FaultPlan::new(5).with_transient(1000, 2);
+        let device = FaultDisk::wrap(RamDisk::new(64) as SharedDevice, plan) as SharedDevice;
+        let mut q = ExtQueue::new(device.clone()).unwrap();
+        let (mut next, mut failed) = (0u64, 0);
+        while next < 100 {
+            let len = q.len();
+            failed += usize::from(q.push(next).is_err());
+            assert!(q.tail.len() <= q.per_block, "tail {}", q.tail.len());
+            next += q.len() - len;
+        }
+        assert_eq!(q.len(), 100);
+        assert_eq!(failed, 2 * 12, "each of 12 spills fails twice");
+        for expect in 0..100u64 {
+            let got = (0..3).find_map(|_| q.pop().ok()).flatten();
+            assert_eq!(got, Some(expect));
+        }
+        assert_eq!(q.pop().unwrap(), None);
+        assert_eq!(device.allocated_blocks(), 0);
     }
 
     #[test]

@@ -200,47 +200,62 @@ fn no_call_leaks_a_block_on_any_path() {
         let cfg = SortConfig::new(M).with_overlap(overlap);
         let exec = ExecConfig { sort: cfg };
         for seed in 0..SEEDS {
-            let d = faulty_array(seed, mode);
             let keys: Vec<u64> = (0..N).map(|i| mix(i ^ seed) % 10_000).collect();
             let pairs: Vec<Pair> = keys.iter().map(|&k| (k % 700, k)).collect();
             let (succ, head) = shuffled_list(seed);
             let edges = tree(TREE, seed);
 
-            // Each input is built right before its calls, so one failed
-            // input costs only the calls on it; a failed build is itself a
-            // writer dropped unfinished.
-            if let Some(input) = sweep.input(&d, || ExtVec::from_slice(d.clone(), &keys)) {
-                sweep.owned(&d, "merge_sort_by", || {
-                    merge_sort_by(&input, &cfg, |a, b| a < b)
-                });
-                sweep.refused(&d, "merge_sort_streaming", || {
-                    merge_sort_streaming(
-                        &input,
-                        &cfg,
-                        |a, b| a < b,
-                        |sorted| {
-                            for _ in 0..100 {
-                                sorted.try_next()?;
-                            }
-                            Err::<(), _>(PdmError::InvalidRequest("the consumer stops".into()))
-                        },
-                    )
-                });
-                sweep.owned(&d, "distribution_sort", || distribution_sort(&input, &cfg));
-                sweep.owned(&d, "partition_to_fit", || {
-                    partition_to_fit(&input, |r| mix(*r), M, 4, overlap)
-                });
+            // Each call runs on an array of its own, its input built right
+            // before it: a call that met a bad block left it first on the
+            // free list, where the next call's first write would meet it
+            // again.  A failed build is itself a writer dropped unfinished.
+            for call in 0..4 {
+                let d = faulty_array(seed, mode);
+                let Some(input) = sweep.input(&d, || ExtVec::from_slice(d.clone(), &keys)) else {
+                    continue;
+                };
+                match call {
+                    0 => sweep.owned(&d, "merge_sort_by", || {
+                        merge_sort_by(&input, &cfg, |a, b| a < b)
+                    }),
+                    1 => sweep.refused(&d, "merge_sort_streaming", || {
+                        merge_sort_streaming(
+                            &input,
+                            &cfg,
+                            |a, b| a < b,
+                            |sorted| {
+                                for _ in 0..100 {
+                                    sorted.try_next()?;
+                                }
+                                Err::<(), _>(PdmError::InvalidRequest("the consumer stops".into()))
+                            },
+                        )
+                    }),
+                    2 => sweep.owned(&d, "distribution_sort", || distribution_sort(&input, &cfg)),
+                    _ => sweep.owned(&d, "partition_to_fit", || {
+                        partition_to_fit(&input, |r| mix(*r), M, 4, overlap)
+                    }),
+                }
+                drop(input);
+                assert_eq!(d.allocated_blocks(), 0, "a dropped input leaked");
             }
 
-            let sides = sweep.input(&d, || {
-                let build = ExtVec::from_slice(d.clone(), &pairs)?;
-                Ok((
-                    build,
-                    ExtVec::from_slice(d.clone(), &pairs[..N as usize / 2])?,
-                ))
-            });
-            if let Some((build, probe)) = sides {
-                for undrained in [false, true] {
+            // A group-by, a join and a hybrid join, each drained and each
+            // dropped after its first row.
+            for call in 0..6 {
+                let d = faulty_array(seed, mode);
+                let sides = sweep.input(&d, || {
+                    let build = ExtVec::from_slice(d.clone(), &pairs)?;
+                    Ok((
+                        build,
+                        ExtVec::from_slice(d.clone(), &pairs[..N as usize / 2])?,
+                    ))
+                });
+                let Some((build, probe)) = sides else {
+                    continue;
+                };
+                let undrained = call % 2 == 1;
+                if call < 2 {
                     sweep.owned(&d, "HashGroupByExec", || {
                         let mut g = HashGroupByExec::build(
                             &mut ScanExec::new(&build),
@@ -258,61 +273,65 @@ fn no_call_leaks_a_block_on_any_path() {
                         }
                         collect(&mut g, &d).map(Some)
                     });
-                    for hybrid in [false, true] {
-                        sweep.owned(&d, "HashJoinExec", || {
-                            let mut j = HashJoinExec::build(
-                                &mut ScanExec::new(&build),
-                                ScanExec::new(&probe),
-                                &d,
-                                &exec,
-                                3,
-                                hybrid,
-                                |r: &Pair| r.0,
-                                |r: &Pair| r.0,
-                                |b: &Pair, p: &Pair| (b.0, b.1, p.1),
-                            )?;
-                            if undrained {
-                                j.try_next()?;
-                                return Ok(None);
-                            }
-                            collect(&mut j, &d).map(Some)
-                        });
-                    }
+                } else {
+                    sweep.owned(&d, "HashJoinExec", || {
+                        let mut j = HashJoinExec::build(
+                            &mut ScanExec::new(&build),
+                            ScanExec::new(&probe),
+                            &d,
+                            &exec,
+                            3,
+                            call >= 4,
+                            |r: &Pair| r.0,
+                            |r: &Pair| r.0,
+                            |b: &Pair, p: &Pair| (b.0, b.1, p.1),
+                        )?;
+                        if undrained {
+                            j.try_next()?;
+                            return Ok(None);
+                        }
+                        collect(&mut j, &d).map(Some)
+                    });
                 }
+                drop((build, probe));
+                assert_eq!(d.allocated_blocks(), 0, "a dropped input leaked");
             }
 
+            let d = faulty_array(seed, mode);
             if let Some(list) = sweep.input(&d, || ExtVec::from_slice(d.clone(), &succ)) {
                 sweep.owned(&d, "list_rank", || list_rank(&list, head, &cfg));
             }
-
-            let forest: Vec<Pair> = edges.iter().chain(&[(TREE, TREE + 1)]).copied().collect();
-            let looped: Vec<Pair> = edges.iter().chain(&[(7, 7)]).copied().collect();
-            let trees = sweep.input(&d, || {
-                Ok((
-                    ExtVec::from_slice(d.clone(), &edges)?,
-                    ExtVec::from_slice(d.clone(), &forest)?,
-                    ExtVec::from_slice(d.clone(), &looped)?,
-                ))
-            });
-            if let Some((tree, forest, looped)) = trees {
-                sweep.owned(&d, "euler_tour", || euler_tour(&tree, 0, &cfg));
-                // Malformed trees: a root no edge touches, a second tree the
-                // tour from the root never reaches, a self loop.
-                sweep.refused(&d, "tree_depths (malformed)", || {
-                    tree_depths(&tree, TREE, &cfg)
-                });
-                sweep.refused(&d, "tree_depths (malformed)", || {
-                    tree_depths(&forest, 0, &cfg)
-                });
-                sweep.refused(&d, "tree_depths (malformed)", || {
-                    tree_depths(&looped, 0, &cfg)
-                });
-            }
             assert_eq!(d.allocated_blocks(), 0, "a dropped input leaked");
 
+            // Malformed trees: a root no edge touches, a second tree the
+            // tour from the root never reaches, a self loop.
+            let forest: Vec<Pair> = edges.iter().chain(&[(TREE, TREE + 1)]).copied().collect();
+            let looped: Vec<Pair> = edges.iter().chain(&[(7, 7)]).copied().collect();
+            for call in 0..4 {
+                let d = faulty_array(seed, mode);
+                let input = match call {
+                    0 | 1 => &edges,
+                    2 => &forest,
+                    _ => &looped,
+                };
+                let Some(tree) = sweep.input(&d, || ExtVec::from_slice(d.clone(), input)) else {
+                    continue;
+                };
+                match call {
+                    0 => sweep.owned(&d, "euler_tour", || euler_tour(&tree, 0, &cfg)),
+                    1 => sweep.refused(&d, "tree_depths (malformed)", || {
+                        tree_depths(&tree, TREE, &cfg)
+                    }),
+                    _ => sweep.refused(&d, "tree_depths (malformed)", || {
+                        tree_depths(&tree, 0, &cfg)
+                    }),
+                }
+                drop(tree);
+                assert_eq!(d.allocated_blocks(), 0, "a dropped input leaked");
+            }
+
             // The sweeps' active lists and the containers, each on a fresh
-            // array: a call that met a bad block left it first on the free
-            // list, where the next call's first write would meet it again.
+            // array too.
             let (hs, vs, pts, rects) = shapes(seed);
             let d = faulty_array(seed, mode);
             let segments = sweep.input(&d, || {
@@ -386,6 +405,7 @@ fn no_call_leaks_a_block_on_any_path() {
     // The sweep reached both paths of every call that can succeed, and the
     // error path of every call.
     for (what, &(ok, err)) in &sweep.0 {
+        eprintln!("{what}: {ok} ok, {err} err");
         assert!(err > 0, "{what} never failed");
         let always_fails = what.ends_with("(malformed)") || *what == "merge_sort_streaming";
         assert!(always_fails || ok > 0, "{what} never succeeded");

@@ -525,7 +525,7 @@ fn no_stream_moves_fewer_blocks_than_a_scan() {
                 let (taken, (reads, _)) = metered(&device, || {
                     let (mut r, mut taken) = (extended.reader(), 0);
                     loop {
-                        let len = r.buffered().unwrap().len();
+                        let len = r.buffered_at_least(1).unwrap().len();
                         if len == 0 {
                             break taken;
                         }
