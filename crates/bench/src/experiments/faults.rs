@@ -10,7 +10,6 @@ use em_core::ExtVec;
 use emsort::{merge_sort, SortConfig};
 use pdm::{DiskArray, FaultPlan, IoMode, Placement, RetryPolicy, SharedDevice};
 use rand::prelude::*;
-use std::time::Duration;
 
 use crate::table;
 
@@ -56,7 +55,7 @@ pub fn f16_fault_sweep() {
     let mut rows = Vec::new();
     let mut baseline: Option<(u64, u64)> = None;
     for &permille in &[0u64, 10, 50, 100, 250] {
-        let retry = RetryPolicy::new(2, Duration::ZERO);
+        let retry = RetryPolicy::new(2);
         let (out, snap) = sort_under(permille, retry, &data);
         let ok = matches!(&out, Ok(v) if *v == expect);
         assert!(ok, "cured transient faults must not change the output");

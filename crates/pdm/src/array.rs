@@ -32,7 +32,6 @@ use parking_lot::Mutex;
 use crate::device::{BlockDevice, BlockId};
 use crate::error::{PdmError, Result};
 use crate::fault::{FaultDisk, FaultPlan};
-use crate::file_disk::FileDisk;
 use crate::ram_disk::RamDisk;
 use crate::sched::{run_with_retry, IoMode, IoScheduler, IoTicket, RetryPolicy};
 use crate::stats::IoStats;
@@ -237,59 +236,6 @@ impl DiskArray {
             mode,
             retry,
         ))
-    }
-
-    /// Create an array of `d` file-backed disks under `dir` (one file per
-    /// disk — the real parallel-disk layout) whose every block transfer
-    /// additionally occupies its disk for `service` of wall-clock time.
-    ///
-    /// This is the wall-clock grounding of the PDM cost model: with the OS
-    /// page cache absorbing small benchmark files, raw file transfers are
-    /// nearly free and every configuration looks compute-bound.  A per-
-    /// transfer service time makes each member disk a genuine serial
-    /// resource, so `D`-disk parallelism and overlapped I/O recover real
-    /// time exactly where the model says they should.  Transfer counts are
-    /// identical to a zero-service array.
-    ///
-    /// # Errors
-    ///
-    /// [`PdmError::InvalidRequest`] if `d` or `physical_block` is zero,
-    /// before anything is created; otherwise whatever the file system
-    /// returns.
-    pub fn new_file_with_service(
-        dir: &std::path::Path,
-        d: usize,
-        physical_block: usize,
-        placement: Placement,
-        mode: IoMode,
-        service: std::time::Duration,
-    ) -> Result<Arc<Self>> {
-        if d == 0 || physical_block == 0 {
-            return Err(PdmError::InvalidRequest(format!(
-                "a disk array needs a disk and a block: {d} disks of {physical_block} bytes"
-            )));
-        }
-        std::fs::create_dir_all(dir)?;
-        let stats = IoStats::new(d, physical_block);
-        let mut disks: Vec<Arc<dyn BlockDevice>> = Vec::with_capacity(d);
-        for lane in 0..d {
-            let path = dir.join(format!("disk{lane}.bin"));
-            disks.push(Arc::new(FileDisk::create_with_stats(
-                path,
-                physical_block,
-                Arc::clone(&stats),
-                lane,
-                service,
-            )?));
-        }
-        Ok(Arc::new(Self::assemble(
-            disks,
-            placement,
-            physical_block,
-            stats,
-            mode,
-            RetryPolicy::none(),
-        )))
     }
 
     /// Assemble an array over caller-supplied member devices.
@@ -859,6 +805,7 @@ mod overlapped_tests {
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use crate::file_disk::FileDisk;
 
     /// Allocate, write, and read back `n` blocks; return the contents read.
     fn workload(arr: &Arc<DiskArray>, n: usize) -> Result<Vec<Vec<u8>>> {
@@ -910,14 +857,8 @@ mod fault_tests {
                 let plans: Vec<FaultPlan> = (0..2)
                     .map(|i| FaultPlan::new(100 + i as u64).with_transient(400, 1))
                     .collect();
-                let faulty = DiskArray::new_ram_faulty(
-                    2,
-                    16,
-                    placement,
-                    mode,
-                    &plans,
-                    RetryPolicy::new(3, std::time::Duration::ZERO),
-                );
+                let faulty =
+                    DiskArray::new_ram_faulty(2, 16, placement, mode, &plans, RetryPolicy::new(3));
                 let a = workload(&plain, 12).unwrap();
                 let b = workload(&faulty, 12).unwrap();
                 assert_eq!(a, b, "retry must reproduce fault-free contents");
@@ -956,7 +897,7 @@ mod fault_tests {
     fn dead_lane_with_retry_reports_retries_exhausted() {
         let plans = vec![
             FaultPlan::new(0),
-            FaultPlan::new(1).fail_lane(),
+            FaultPlan::new(1).with_permanent_blocks(1000),
             FaultPlan::new(2),
         ];
         let arr = DiskArray::new_ram_faulty(
@@ -965,7 +906,7 @@ mod fault_tests {
             Placement::Independent,
             IoMode::Synchronous,
             &plans,
-            RetryPolicy::new(2, std::time::Duration::ZERO),
+            RetryPolicy::new(2),
         );
         let id = arr.allocate_on(1).unwrap();
         match arr.write_block(id, &[5u8; 16]) {
@@ -994,8 +935,7 @@ mod fault_tests {
             .enumerate()
             .map(|(lane, plan)| {
                 let path = dir.join(format!("disk{lane}.bin"));
-                let zero = std::time::Duration::ZERO;
-                let file = FileDisk::create_with_stats(path, 16, Arc::clone(&stats), lane, zero);
+                let file = FileDisk::create_with_stats(path, 16, Arc::clone(&stats), lane);
                 FaultDisk::wrap(Arc::new(file.unwrap()), plan.clone()) as Arc<dyn BlockDevice>
             })
             .collect();
@@ -1003,7 +943,7 @@ mod fault_tests {
             disks,
             Placement::Independent,
             IoMode::Synchronous,
-            RetryPolicy::new(3, std::time::Duration::ZERO),
+            RetryPolicy::new(3),
         );
         let out = workload(&arr, 10).unwrap();
         assert_eq!(out.len(), 10);
@@ -1017,6 +957,7 @@ mod fault_tests {
 #[cfg(test)]
 mod file_array_tests {
     use super::*;
+    use crate::file_disk::FileDisk;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -1024,35 +965,23 @@ mod file_array_tests {
         p
     }
 
+    /// `d` file-backed disks under `dir`, one file per disk.
     fn file_array(
         dir: &std::path::Path,
         d: usize,
         placement: Placement,
         mode: IoMode,
     ) -> Arc<DiskArray> {
-        let zero = std::time::Duration::ZERO;
-        DiskArray::new_file_with_service(dir, d, 16, placement, mode, zero).unwrap()
-    }
-
-    #[test]
-    fn a_file_array_without_disks_or_block_bytes_is_an_invalid_request() {
-        let dir = tmpdir("empty");
-        let zero = std::time::Duration::ZERO;
-        for (d, bytes) in [(0, 16), (2, 0)] {
-            let res = DiskArray::new_file_with_service(
-                &dir,
-                d,
-                bytes,
-                Placement::Independent,
-                IoMode::Synchronous,
-                zero,
-            );
-            assert!(
-                matches!(res, Err(PdmError::InvalidRequest(_))),
-                "{d} disks of {bytes} bytes"
-            );
-            assert!(!dir.exists(), "nothing created");
-        }
+        std::fs::create_dir_all(dir).unwrap();
+        let stats = IoStats::new(d, 16);
+        let disks = (0..d)
+            .map(|lane| {
+                let path = dir.join(format!("disk{lane}.bin"));
+                let file = FileDisk::create_with_stats(path, 16, Arc::clone(&stats), lane);
+                Arc::new(file.unwrap()) as Arc<dyn BlockDevice>
+            })
+            .collect();
+        DiskArray::from_devices(disks, placement, mode, RetryPolicy::none())
     }
 
     #[test]

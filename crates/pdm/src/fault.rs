@@ -28,11 +28,13 @@
 //!   returns an error; a retry overwrites the torn block with the correct
 //!   bytes.  This is the classic partial-sector failure mode: the danger is
 //!   a caller that ignores the error and later reads garbage.
-//! * **Latency spikes** — afflicted transfers sleep before executing.  No
-//!   error is produced and no fault is counted; these exist to shake out
-//!   ordering assumptions in overlapped pipelines.
+//! * **Latency** — afflicted transfers sleep before executing.  No error is
+//!   produced and no fault is counted.  Spikes shake out ordering
+//!   assumptions in overlapped pipelines; at a rate of 1000 every transfer
+//!   takes the delay, which is the slow device of the tests that time
+//!   overlap.  This is the one place the substrate sleeps.
 //!
-//! A whole lane can also be declared dead ([`FaultPlan::fail_lane`]),
+//! A permanent rate of 1000 afflicts every block: the lane is dead,
 //! modelling the loss of one member disk of a [`DiskArray`](crate::DiskArray).
 //!
 //! For whole-machine failure there is the [`CrashSwitch`]: a shared fuse that
@@ -175,7 +177,6 @@ pub struct FaultPlan {
     torn_permille: u64,
     latency_permille: u64,
     latency: Duration,
-    lane_failed: bool,
     /// Shared whole-machine crash fuse; see [`CrashSwitch`].
     crash: Option<CrashSwitch>,
     /// Verify that a repair of a torn block rewrites the originally
@@ -223,6 +224,10 @@ impl FaultPlan {
 
     /// Delay `permille`/1000 of transfers by `latency` before executing
     /// them.  No error is produced.
+    ///
+    /// At `permille = 1000` this is tier-1's slow device: each lane of an
+    /// overlapped [`DiskArray`](crate::DiskArray) sleeps on its own worker,
+    /// so the lanes' delays overlap as busy disks' would.
     pub fn with_latency(mut self, permille: u64, latency: Duration) -> Self {
         assert!(permille <= SCALE, "rate is per-mille");
         self.latency_permille = permille;
@@ -248,12 +253,6 @@ impl FaultPlan {
     /// plan holding a clone of `switch`; see [`CrashSwitch`].
     pub fn with_crash(mut self, switch: CrashSwitch) -> Self {
         self.crash = Some(switch);
-        self
-    }
-
-    /// Declare the whole device dead: every transfer fails.
-    pub fn fail_lane(mut self) -> Self {
-        self.lane_failed = true;
         self
     }
 
@@ -316,9 +315,6 @@ impl FaultDisk {
     /// Faults common to both directions; returns an error if the transfer
     /// must fail before reaching the device.
     fn gate_common(&self, id: BlockId) -> Result<()> {
-        if self.plan.lane_failed {
-            return Err(self.injected("dead-lane", id));
-        }
         if self
             .plan
             .afflicts(SALT_PERMANENT, id, self.plan.permanent_permille)
@@ -470,8 +466,7 @@ impl BlockDevice for FaultDisk {
 impl FaultPlan {
     /// True if this plan can never inject anything.
     fn is_benign(&self) -> bool {
-        !self.lane_failed
-            && self.crash.is_none()
+        self.crash.is_none()
             && self.transient_permille == 0
             && self.permanent_permille == 0
             && self.torn_permille == 0
@@ -572,7 +567,7 @@ mod tests {
 
     #[test]
     fn dead_lane_fails_everything_but_metadata() {
-        let disk = faulty(FaultPlan::new(0).fail_lane());
+        let disk = faulty(FaultPlan::new(0).with_permanent_blocks(1000));
         let id = disk.allocate().unwrap();
         assert!(disk.write_block(id, &[0u8; 16]).is_err());
         let mut out = [0u8; 16];

@@ -1,10 +1,8 @@
 //! A file-backed block device.
 //!
 //! `FileDisk` stores blocks in a single backing file at offset
-//! `id * block_size`.  It is used by the wall-time benchmark (`embench`) to
-//! ground the I/O-count results in real time measurements; the model-level
-//! behaviour (counting, allocation) is identical to
-//! [`RamDisk`](crate::RamDisk).
+//! `id * block_size`.  The model-level behaviour (counting, allocation) is
+//! identical to [`RamDisk`](crate::RamDisk); only the medium differs.
 //!
 //! Transfers use *positioned* I/O (`pread`/`pwrite` via
 //! [`std::os::unix::fs::FileExt`]): each call carries its own offset instead
@@ -17,7 +15,6 @@
 use std::fs::{File, OpenOptions};
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -42,9 +39,6 @@ pub struct FileDisk {
     /// Which lane of `stats` this disk records into (disk-array members use
     /// their own lane; standalone disks use lane 0).
     lane: usize,
-    /// Simulated per-transfer device service time (seek + rotation +
-    /// transfer), added to every counted block read/write.  Zero by default.
-    service: Duration,
     zero: Box<[u8]>,
     /// Non-unix fallback: serializes seek-then-transfer pairs.
     #[cfg(not(unix))]
@@ -54,41 +48,31 @@ pub struct FileDisk {
 impl FileDisk {
     /// Create (truncating) a file-backed disk at `path` with the given block
     /// size in bytes.
-    pub fn create<P: AsRef<Path>>(path: P, block_size: usize) -> Result<Arc<Self>> {
-        Self::create_with_service(path, block_size, Duration::ZERO)
-    }
-
-    /// Create a file-backed disk whose every counted transfer additionally
-    /// takes `service` of wall-clock time.
     ///
-    /// The OS page cache makes small benchmark files essentially free to
-    /// read and write, which hides the *structure* of an external-memory
-    /// algorithm's I/O.  A nonzero service time restores the PDM cost model
-    /// in wall-clock terms — each block transfer occupies its disk for a
-    /// fixed interval, so a `D`-disk array genuinely serves `D` transfers at
-    /// once and overlap genuinely hides I/O behind compute.  Transfer
-    /// *counts* are unaffected.
-    pub(crate) fn create_with_service<P: AsRef<Path>>(
-        path: P,
-        block_size: usize,
-        service: Duration,
-    ) -> Result<Arc<Self>> {
+    /// # Errors
+    ///
+    /// [`PdmError::InvalidRequest`] if `block_size` is zero, before any file
+    /// is created; otherwise whatever the file system returns.
+    pub fn create<P: AsRef<Path>>(path: P, block_size: usize) -> Result<Arc<Self>> {
         let stats = IoStats::new(1, block_size);
         Ok(Arc::new(Self::create_with_stats(
-            path, block_size, stats, 0, service,
+            path, block_size, stats, 0,
         )?))
     }
 
     /// Create a file disk recording into lane `lane` of an existing
-    /// statistics handle (used by disk arrays).
+    /// statistics handle, as a member of a disk array does.
     pub(crate) fn create_with_stats<P: AsRef<Path>>(
         path: P,
         block_size: usize,
         stats: Arc<IoStats>,
         lane: usize,
-        service: Duration,
     ) -> Result<Self> {
-        assert!(block_size > 0, "block size must be positive");
+        if block_size == 0 {
+            return Err(PdmError::InvalidRequest(
+                "a file disk needs a positive block size".into(),
+            ));
+        }
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -105,7 +89,6 @@ impl FileDisk {
             }),
             stats,
             lane,
-            service,
             zero: vec![0u8; block_size].into_boxed_slice(),
             #[cfg(not(unix))]
             cursor: Mutex::new(()),
@@ -197,9 +180,6 @@ impl BlockDevice for FileDisk {
         }
         self.check_in_range(id)?;
         self.read_at(buf, self.offset(id))?;
-        if !self.service.is_zero() {
-            std::thread::sleep(self.service);
-        }
         self.stats.record_read(self.lane);
         Ok(())
     }
@@ -213,9 +193,6 @@ impl BlockDevice for FileDisk {
         }
         self.check_in_range(id)?;
         self.write_at(buf, self.offset(id))?;
-        if !self.service.is_zero() {
-            std::thread::sleep(self.service);
-        }
         self.stats.record_write(self.lane);
         Ok(())
     }
@@ -278,24 +255,11 @@ mod tests {
     }
 
     #[test]
-    fn service_time_delays_transfers_without_changing_counts() {
-        let path = tmp("svc");
-        let disk = FileDisk::create_with_service(&path, 32, Duration::from_millis(2)).unwrap();
-        let a = disk.allocate().unwrap();
-        let start = std::time::Instant::now();
-        let mut out = [0u8; 32];
-        disk.write_block(a, &[1u8; 32]).unwrap();
-        disk.read_block(a, &mut out).unwrap();
-        assert!(
-            start.elapsed() >= Duration::from_millis(4),
-            "2 transfers × 2ms service"
-        );
-        assert_eq!(
-            disk.stats().snapshot().total(),
-            2,
-            "service time never changes counts"
-        );
-        std::fs::remove_file(path).ok();
+    fn a_disk_without_block_bytes_is_an_invalid_request() {
+        let path = tmp("empty");
+        let res = FileDisk::create(&path, 0);
+        assert!(matches!(res, Err(PdmError::InvalidRequest(_))));
+        assert!(!path.exists(), "nothing created");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`BlockDevice`] — the disk abstraction: fixed-size blocks addressed by
 //!   [`BlockId`], with allocate/free/read/write.  Two implementations are
 //!   provided: [`RamDisk`] (deterministic, used by tests and the experiment
-//!   harness) and [`FileDisk`] (one backing file, used by the wall-time
-//!   benchmarks).
+//!   harness) and [`FileDisk`] (one backing file, as the `log_analytics`
+//!   example keeps its data).
 //! * [`IoStats`] — per-disk read/write counters shared by every device; the
 //!   experiment harness reads these to regenerate the survey's tables.
 //! * [`DiskArray`] — `D` devices exposed either *striped* (the classic
@@ -46,7 +46,7 @@
 //!   (transfers_d)` — it *assumes* the `D` disks work concurrently, and is
 //!   identical whether transfers actually overlapped or not.  Every table the
 //!   experiment harness regenerates from the survey is stated in these.
-//! * **Wall-clock measurements** (the `bench` crate) reflect what really
+//! * **Wall-clock measurements** (`embench`) reflect what really
 //!   happened on the hardware.  In the default [`IoMode::Synchronous`] mode
 //!   every transfer runs inline on the calling thread, so a striped array's
 //!   "parallel" transfer is, in real time, `D` sequential copies.  In

@@ -32,7 +32,6 @@
 use std::sync::mpsc::{channel, Receiver, SendError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -40,7 +39,7 @@ use crate::device::{BlockDevice, BlockId};
 use crate::error::{PdmError, Result};
 use crate::stats::IoStats;
 
-/// Bounded retry with deterministic backoff for transient device errors.
+/// Bounded, immediate retry for transient device errors.
 ///
 /// The default policy ([`none`](Self::none)) performs no retries, so every
 /// model-count invariant of the substrate is untouched unless a caller
@@ -53,28 +52,18 @@ use crate::stats::IoStats;
 pub struct RetryPolicy {
     /// Total attempts allowed, including the first; `1` disables retries.
     pub max_attempts: u32,
-    /// Base backoff slept before re-attempt `n` is `backoff · n`
-    /// (deterministic linear backoff; `ZERO` retries immediately).
-    pub backoff: Duration,
 }
 
 impl RetryPolicy {
     /// No retries: every device error surfaces on the first attempt.
     pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            backoff: Duration::ZERO,
-        }
+        RetryPolicy { max_attempts: 1 }
     }
 
-    /// Retry transient errors up to `max_attempts` total attempts with
-    /// linear `backoff` between them.
-    pub fn new(max_attempts: u32, backoff: Duration) -> Self {
+    /// Retry transient errors at once, up to `max_attempts` total attempts.
+    pub fn new(max_attempts: u32) -> Self {
         assert!(max_attempts >= 1, "at least the first attempt");
-        RetryPolicy {
-            max_attempts,
-            backoff,
-        }
+        RetryPolicy { max_attempts }
     }
 
     /// True if this policy can ever re-attempt a transfer.
@@ -90,8 +79,8 @@ impl Default for RetryPolicy {
 }
 
 /// Run one transfer on `device` — a write of `buf` to block `id`, or a
-/// read of it into `buf` — under `policy`, retrying transient errors with
-/// linear backoff.
+/// read of it into `buf` — under `policy`, retrying transient errors at
+/// once.
 ///
 /// This is the one place a member transfer executes: inline on the caller's
 /// thread for a synchronous array, on the lane's worker for an overlapped
@@ -120,9 +109,6 @@ pub(crate) fn run_with_retry(
             Ok(()) => return Ok(()),
             Err(e) if e.is_transient() && attempt < policy.max_attempts => {
                 stats.record_retry();
-                if !policy.backoff.is_zero() {
-                    std::thread::sleep(policy.backoff * attempt);
-                }
                 attempt += 1;
             }
             Err(e) => {
@@ -566,11 +552,7 @@ mod tests {
         ram.write_block(id, &[0xABu8; 16]).unwrap();
         let faulty = FaultDisk::wrap(ram, FaultPlan::new(11).with_transient(1000, 2));
         let devices = vec![faulty as Arc<dyn BlockDevice>];
-        let sched = IoScheduler::with_retry(
-            &devices,
-            Arc::clone(&stats),
-            RetryPolicy::new(3, Duration::ZERO),
-        );
+        let sched = IoScheduler::with_retry(&devices, Arc::clone(&stats), RetryPolicy::new(3));
         let (out, res) = sched
             .submit(0, false, id, vec![0u8; 16].into_boxed_slice())
             .wait();
@@ -590,11 +572,7 @@ mod tests {
         let id = ram.allocate().unwrap();
         let faulty = FaultDisk::wrap(ram, FaultPlan::new(13).with_transient(1000, 10));
         let devices = vec![faulty as Arc<dyn BlockDevice>];
-        let sched = IoScheduler::with_retry(
-            &devices,
-            Arc::clone(&stats),
-            RetryPolicy::new(2, Duration::ZERO),
-        );
+        let sched = IoScheduler::with_retry(&devices, Arc::clone(&stats), RetryPolicy::new(2));
         let res = sched
             .submit(0, false, id, vec![0u8; 16].into_boxed_slice())
             .wait()

@@ -88,7 +88,7 @@ proptest! {
 
         let plans = mk_plans(2, seed, permille as u64, fail_attempts as u32, 0, 0,
                              latency_permille as u64);
-        let retry = RetryPolicy::new(fail_attempts as u32 + 1, Duration::ZERO);
+        let retry = RetryPolicy::new(fail_attempts as u32 + 1);
         let faulty = DiskArray::new_ram_faulty(2, 64, Placement::Independent, mode, &plans, retry)
             as SharedDevice;
         let got = try_sort(&faulty, &data, &cfg).unwrap();
@@ -123,7 +123,7 @@ proptest! {
 
         let plans = mk_plans(2, seed, transient as u64, 2, torn as u64, permanent as u64, 0);
         let retry = if attempts > 0 {
-            RetryPolicy::new(attempts as u32, Duration::ZERO)
+            RetryPolicy::new(attempts as u32)
         } else {
             RetryPolicy::none()
         };
@@ -152,7 +152,7 @@ proptest! {
         let torn = if cured { 0 } else { torn };
         let plans = mk_plans(1, seed, transient as u64, 1, torn as u64, 0, 0);
         let retry = if cured {
-            RetryPolicy::new(2, Duration::ZERO)
+            RetryPolicy::new(2)
         } else {
             RetryPolicy::none()
         };
@@ -233,7 +233,7 @@ proptest! {
     ) {
         let plans = mk_plans(1, seed, transient as u64, 1, 0, 0, 0);
         let retry = if cured {
-            RetryPolicy::new(2, Duration::ZERO)
+            RetryPolicy::new(2)
         } else {
             RetryPolicy::none()
         };
@@ -289,7 +289,7 @@ fn torn_writes_are_repaired_by_retry() {
         Placement::Independent,
         IoMode::Synchronous,
         &plans,
-        RetryPolicy::new(2, Duration::ZERO),
+        RetryPolicy::new(2),
     ) as SharedDevice;
     let data: Vec<u64> = (0..500).map(|i| i * 3 + 1).collect();
     let vec = ExtVec::from_slice(device.clone(), &data).unwrap();
@@ -311,14 +311,14 @@ fn torn_writes_are_repaired_by_retry() {
 /// of attempts and surface `RetriesExhausted` — never spin forever.
 #[test]
 fn dead_lane_surfaces_retries_exhausted_not_a_hang() {
-    let plans = vec![FaultPlan::new(9).fail_lane()];
+    let plans = vec![FaultPlan::new(9).with_permanent_blocks(1000)];
     let device = DiskArray::new_ram_faulty(
         1,
         64,
         Placement::Independent,
         IoMode::Synchronous,
         &plans,
-        RetryPolicy::new(3, Duration::ZERO),
+        RetryPolicy::new(3),
     ) as SharedDevice;
     match ExtVec::from_slice(device.clone(), &[1u64, 2, 3]) {
         Err(pdm::PdmError::RetriesExhausted { attempts, .. }) => assert_eq!(attempts, 3),

@@ -210,7 +210,7 @@ fn serving_shard_agrees_under_cured_faults() {
         Placement::Independent,
         IoMode::Synchronous,
         &plans,
-        RetryPolicy::new(4, std::time::Duration::from_micros(50)),
+        RetryPolicy::new(4),
     );
     let mut shard: Shard<u64, u64> = Shard::new(array.clone(), 16, 2048, 512).unwrap();
     let acked = replay_on_shard(&mut shard, &tape, 64);
@@ -257,7 +257,7 @@ proptest! {
             Placement::Independent,
             IoMode::Synchronous,
             &plans,
-            RetryPolicy::new(3, std::time::Duration::ZERO),
+            RetryPolicy::new(3),
         );
         let pool = BufferPool::new(array.clone() as SharedDevice, 16, EvictionPolicy::Lru);
         let mut eh: ExtendibleHash<u64, u64> = ExtendibleHash::new(pool).unwrap();

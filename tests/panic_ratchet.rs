@@ -41,7 +41,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("emtree/src/epq.rs", 2),
     ("pdm/src/array.rs", 3),
     ("pdm/src/fault.rs", 5),
-    ("pdm/src/file_disk.rs", 1),
     ("pdm/src/ram_disk.rs", 1),
     ("pdm/src/sched.rs", 2),
     ("pdm/src/stats.rs", 4),

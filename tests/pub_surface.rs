@@ -55,9 +55,8 @@ const TEST_SURFACE: &[(&str, &str, &str)] = &[
     ("pdm/src/array.rs", "is_striped", "query_engine.rs sizes blocks by placement"),
     ("pdm/src/array.rs", "new_ram_with", "overlapped_io.rs builds overlapped arrays"),
     ("pdm/src/error.rs", "is_transient", "emrel's tests: no retry of MemoryExceeded"),
-    ("pdm/src/fault.rs", "fail_lane", "fault injection: fault_injection.rs"),
     ("pdm/src/fault.rs", "with_crash", "fault injection: crash_recovery.rs"),
-    ("pdm/src/fault.rs", "with_latency", "fault injection: fault_injection.rs"),
+    ("pdm/src/fault.rs", "with_latency", "the slow device: query_overlap.rs"),
     ("pdm/src/fault.rs", "with_permanent_blocks", "fault injection: fault_injection.rs"),
     ("pdm/src/fault.rs", "with_torn_writes", "fault injection: fault_injection.rs"),
     ("pdm/src/fault.rs", "with_torn_writes_verified", "fault injection: em-core's tests"),

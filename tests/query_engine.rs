@@ -21,7 +21,6 @@
 //!   never silently wrong output.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use em_core::{bounds, EmConfig, ExtVec, ExtVecWriter};
 use emrel::{
@@ -443,7 +442,7 @@ proptest! {
         };
         let plans = mk_plans(2, seed, permille as u64, 2);
         let retry = if attempts > 0 {
-            RetryPolicy::new(attempts as u32, Duration::ZERO)
+            RetryPolicy::new(attempts as u32)
         } else {
             RetryPolicy::none()
         };
@@ -750,7 +749,7 @@ proptest! {
     ) {
         let plans = mk_plans(2, seed, permille as u64, 2);
         let retry = if attempts > 0 {
-            RetryPolicy::new(attempts as u32, Duration::ZERO)
+            RetryPolicy::new(attempts as u32)
         } else {
             RetryPolicy::none()
         };

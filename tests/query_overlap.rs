@@ -7,8 +7,8 @@
 //!   depth ∈ {0, 1, 2}: output byte-identical to the depth-0 run, reads and
 //!   writes equal, not one prefetched block wasted, and the
 //!   `bounds::hash_*_exact_ios` replay still exact.
-//! * **It really overlaps, inside its memory.**  On two disks with a real
-//!   service time the hash pipelines keep both lanes' queues full, finish
+//! * **It really overlaps, inside its memory.**  On two disks whose every
+//!   transfer sleeps a fixed delay the hash pipelines keep both lanes' queues full, finish
 //!   well ahead of the synchronous run at the same transfer counts, and
 //!   never hold more than `M` plus the declared overlap headroom.
 
@@ -21,7 +21,7 @@ use emrel::{
     HashJoinExec, MergeJoinExec, Order, ProjectExec, QueryExec, ScanExec,
 };
 use emsort::{OverlapConfig, SortConfig};
-use pdm::{DiskArray, IoMode, IoSnapshot, Placement, SharedDevice};
+use pdm::{DiskArray, FaultPlan, IoMode, IoSnapshot, Placement, RetryPolicy, SharedDevice};
 
 type Row = (u64, u64);
 type Grp = (u64, u64, u64);
@@ -360,14 +360,20 @@ fn overlap_depth_mode_and_disks_never_move_an_output_or_a_count() {
     }
 }
 
-/// Two file-backed disks that take `SERVICE` per transfer.
-fn timed_array(name: &str, mode: IoMode) -> (SharedDevice, std::path::PathBuf) {
-    let dir = std::env::temp_dir().join(format!("emrel-overlap-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let device =
-        DiskArray::new_file_with_service(&dir, 2, 1024, Placement::Independent, mode, SERVICE)
-            .unwrap();
-    (device as SharedDevice, dir)
+/// Two RAM disks whose every transfer sleeps `SERVICE` first, on its
+/// lane's worker when overlapped.
+fn timed_array(mode: IoMode) -> SharedDevice {
+    let slow = FaultPlan::new(0).with_latency(1000, SERVICE);
+    let plans = [slow.clone(), slow];
+    let device = DiskArray::new_ram_faulty(
+        2,
+        1024,
+        Placement::Independent,
+        mode,
+        &plans,
+        RetryPolicy::none(),
+    );
+    device as SharedDevice
 }
 
 const SERVICE: Duration = Duration::from_millis(1);
@@ -385,7 +391,7 @@ struct Timed {
 /// Q1-hash shape, spilling: `Filter(Scan) → HashGroupBy → collect` with
 /// more groups than the resident table holds.
 fn timed_q1_hash(mode: IoMode) -> Timed {
-    let (device, dir) = timed_array("q1", mode);
+    let device = timed_array(mode);
     let data = rows(16_000, 6_000, 0x1234_5679);
     let v = ExtVec::from_slice(device.clone(), &data).unwrap();
     let (m, fan) = (16 * B_TIMED, 7);
@@ -423,14 +429,13 @@ fn timed_q1_hash(mode: IoMode) -> Timed {
     assert_eq!(budget.used(), 0, "everything released once drained");
     let words = out.to_vec().unwrap().iter().flat_map(grp_words).collect();
     drop(g);
-    let _ = std::fs::remove_dir_all(dir);
     Timed { wall, ios, words }
 }
 
 /// Q3u-grace shape: `Project(HashJoin(Filter(Scan), Scan)) → collect`, the
 /// build side partitioned once, every pair resident.
 fn timed_q3u_grace(mode: IoMode) -> Timed {
-    let (device, dir) = timed_array("q3u", mode);
+    let device = timed_array(mode);
     let orders = rows(3_000, 1 << 40, 0xABCD_EF13)
         .into_iter()
         .enumerate()
@@ -473,7 +478,6 @@ fn timed_q3u_grace(mode: IoMode) -> Timed {
     );
     assert_eq!(budget.used(), 0, "everything released once drained");
     let words = out.to_vec().unwrap().iter().flat_map(grp_words).collect();
-    let _ = std::fs::remove_dir_all(dir);
     Timed { wall, ios, words }
 }
 

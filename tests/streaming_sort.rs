@@ -18,8 +18,6 @@
 //!   policy that runs dry, specifically [`PdmError::RetriesExhausted`] —
 //!   never a panic or silently wrong output.
 
-use std::time::Duration;
-
 use em_core::{bounds, ExtVec};
 use emsort::{merge_sort_by, merge_sort_streaming, OverlapConfig, RunFormation, SortConfig};
 use pdm::{DiskArray, FaultPlan, IoMode, PdmError, Placement, RetryPolicy, SharedDevice};
@@ -168,7 +166,7 @@ proptest! {
         };
         let plans = mk_plans(2, seed, permille as u64, 2);
         let retry = if attempts > 0 {
-            RetryPolicy::new(attempts as u32, Duration::ZERO)
+            RetryPolicy::new(attempts as u32)
         } else {
             RetryPolicy::none()
         };
@@ -200,7 +198,7 @@ fn retries_exhausted_propagates_through_consumer_path() {
         // Every faulted op fails 3 attempts; the policy allows only 2, so a
         // fault deterministically becomes RetriesExhausted.
         let plans = mk_plans(2, seed, 3, 3);
-        let retry = RetryPolicy::new(2, Duration::ZERO);
+        let retry = RetryPolicy::new(2);
         let device = DiskArray::new_ram_faulty(
             2,
             64,
