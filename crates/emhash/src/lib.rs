@@ -20,7 +20,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use em_core::Record;
-use pdm::{BlockId, BufferPool, Result};
+use pdm::{BlockId, BufferPool, PdmError, Result};
 
 // FNV-seeded splitmix mixing over the key's encoded bytes — the canonical
 // copy lives in `em_core::hash` (directory layouts persist this hash, so it
@@ -62,10 +62,17 @@ const HDR: usize = 3;
 
 impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
     /// Create an empty table (one bucket, global depth 0) cached by `pool`.
+    ///
+    /// [`PdmError::InvalidRequest`], before anything is allocated, unless a
+    /// block holds a bucket of at least two pairs.
     pub fn new(pool: Arc<BufferPool>) -> Result<Self> {
         let bs = pool.device().block_size();
-        let bucket_cap = (bs - HDR) / (K::BYTES + V::BYTES);
-        assert!(bucket_cap >= 2, "block too small for this key/value size");
+        let bucket_cap = bs.saturating_sub(HDR) / (K::BYTES + V::BYTES);
+        if bucket_cap < 2 {
+            return Err(PdmError::InvalidRequest(format!(
+                "a {bs}-byte block holds {bucket_cap} of these key/value pairs, a bucket needs 2"
+            )));
+        }
         let (first, mut frame) = pool.allocate()?;
         frame[0] = 0; // local depth
         frame[1..3].copy_from_slice(&0u16.to_le_bytes());
@@ -143,7 +150,7 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
     }
 
     fn write_bucket(&self, id: BlockId, depth: u8, entries: &[(K, V)]) -> Result<()> {
-        assert!(entries.len() <= self.bucket_cap);
+        debug_assert!(entries.len() <= self.bucket_cap, "bucket past its capacity");
         let mut frame = self.pool.write(id)?;
         frame.fill(0);
         frame[0] = depth;
@@ -217,7 +224,17 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
     /// directory first if `depth == global_depth`.
     fn split_bucket(&mut self, id: BlockId, depth: u8, entries: Vec<(K, V)>) -> Result<()> {
         if u32::from(depth) == self.global_depth {
-            assert!(self.global_depth < 48, "directory growth out of control");
+            // Caller-reachable, not an invariant: more than a bucket's worth
+            // of keys whose hashes agree in their low bits double the
+            // directory on every split.  The insert fails before anything
+            // changes (though a directory of 2^48 ids outgrows any heap
+            // first).
+            if self.global_depth >= 48 {
+                return Err(PdmError::InvalidRequest(
+                    "extendible hash directory past depth 48: too many keys share their hash bits"
+                        .into(),
+                ));
+            }
             let old = std::mem::take(&mut self.directory);
             self.directory = old.iter().chain(old.iter()).copied().collect();
             self.global_depth += 1;
@@ -275,6 +292,21 @@ mod tests {
     fn pool(block_bytes: usize, frames: usize) -> Arc<BufferPool> {
         let device = EmConfig::new(block_bytes, frames.max(4)).ram_disk();
         BufferPool::new(device, frames, EvictionPolicy::Lru)
+    }
+
+    #[test]
+    fn a_block_too_small_for_two_pairs_is_an_invalid_request() {
+        // Past the 3-byte header, 34 bytes hold one (u64, u64) pair, 35 two.
+        let small = pool(34, 8);
+        let device = small.device().clone();
+        let err = ExtendibleHash::<u64, u64>::new(small).err();
+        assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+        assert_eq!(device.allocated_blocks(), 0);
+        let mut h = ExtendibleHash::<u64, u64>::new(pool(35, 8)).unwrap();
+        for k in 0..20 {
+            h.insert(k, k).unwrap();
+        }
+        assert_eq!(h.get(&7).unwrap(), Some(7));
     }
 
     #[test]

@@ -66,6 +66,42 @@ impl KeyHasher {
     }
 }
 
+/// [`PdmError::InvalidRequest`] unless `fan_out ≥ 2` and `fan_out + 1`
+/// partition buffers of `block_records` records each fit in `mem_records`:
+/// one pass reads one block and writes `fan_out`.  The planner prices a
+/// fan-out this check rejects at ∞.
+pub fn check_fan_out(fan_out: usize, block_records: usize, mem_records: usize) -> Result<()> {
+    let needed = (fan_out + 1) * block_records;
+    if fan_out < 2 || needed > mem_records {
+        return Err(PdmError::InvalidRequest(format!(
+            "fan-out {fan_out} must be ≥ 2 and needs {needed} records of memory, have {mem_records}"
+        )));
+    }
+    Ok(())
+}
+
+/// The budget of an operator that spills `fan_out` ways in blocks of
+/// `block_records` records: capacity `M` plus one pass's overlap queues,
+/// `(read_ahead + fan_out·write_behind)·block_records` at `overlap`'s
+/// per-lane depths on `device`.  The queues are headroom beyond `M`: every
+/// sizing decision comes from `mem_records` alone, so the partition tree,
+/// and with it every transfer count, is the same with overlap on or off.
+/// Passes never overlap, so one pass's queues are the whole reserve.
+///
+/// [`check_fan_out`]'s error, before anything is allocated.
+pub fn operator_budget(
+    device: &SharedDevice,
+    fan_out: usize,
+    block_records: usize,
+    mem_records: usize,
+    overlap: OverlapConfig,
+) -> Result<Arc<MemBudget>> {
+    check_fan_out(fan_out, block_records, mem_records)?;
+    let ov = overlap.for_lanes(device.stream_lanes());
+    let reserve = (ov.read_ahead + fan_out * ov.write_behind) * block_records;
+    Ok(MemBudget::new(mem_records + reserve))
+}
+
 /// One fan-out spill pass: `fan_out` open partition writers at a recursion
 /// level.
 ///
@@ -75,6 +111,7 @@ impl KeyHasher {
 /// the caller's to charge — the pass charges only write-behind depths,
 /// matching the distribution-sort idiom where sizing decisions come from
 /// the configured `M`, never the budget's overlap headroom.
+/// [`spill_array`](Self::spill_array) is the whole pass over an array.
 pub struct PartitionPass<R: Record> {
     writers: Vec<ExtVecWriter<R>>,
     level: usize,
@@ -86,7 +123,8 @@ impl<R: Record> PartitionPass<R> {
     /// Announces `level` as the device's next block stream (lane
     /// staggering) and configures per-writer write-behind of
     /// `overlap.for_lanes(device.stream_lanes())` blocks, charged to
-    /// `budget`.  `fan_out` must be ≥ 2; callers check it first.
+    /// `budget`.  `fan_out` must pass [`check_fan_out`]; callers check it
+    /// first.
     pub fn new(
         device: &SharedDevice,
         fan_out: usize,
@@ -103,14 +141,29 @@ impl<R: Record> PartitionPass<R> {
         PartitionPass { writers, level }
     }
 
-    /// The recursion level this pass spills at.
-    pub fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Number of spill partitions.
-    pub fn fan_out(&self) -> usize {
-        self.writers.len()
+    /// Spill all of `input` at recursion `level`: open the pass, charge its
+    /// `(fan_out + 1)·B` buffers to `budget`, read `input` ahead at
+    /// `overlap`'s per-disk depth, hand each record to `route` (which
+    /// [`push`](Self::push)es, keeps or drops it), and return the
+    /// partitions.  `input` is left alone.
+    pub fn spill_array(
+        input: &ExtVec<R>,
+        fan_out: usize,
+        level: usize,
+        overlap: OverlapConfig,
+        budget: &Arc<MemBudget>,
+        mut route: impl FnMut(&mut Self, R) -> Result<()>,
+    ) -> Result<Vec<ExtVec<R>>> {
+        let b = input.per_block();
+        let read_ahead = overlap.for_lanes(input.device().stream_lanes()).read_ahead;
+        let mut pass = PartitionPass::new(input.device(), fan_out, level, overlap, budget);
+        let _charge = budget.charge((fan_out + 1) * b);
+        let mut reader = input.reader_at_prefetch(0, read_ahead, budget);
+        while let Some(r) = reader.try_next()? {
+            route(&mut pass, r)?;
+        }
+        drop(reader);
+        pass.finish()
     }
 
     /// Route one record to the bucket its level-0 hash selects at this
@@ -165,8 +218,7 @@ impl<R: Record> Partitioned<R> {
 /// level it passes through — exactly what
 /// `em_core::bounds::hash_partition_exact_ios` replays.
 ///
-/// [`PdmError::InvalidRequest`], before anything is allocated, unless
-/// `fan_out ≥ 2` and `fan_out + 1` blocks fit in `mem_records`.
+/// [`check_fan_out`]'s error, before anything is allocated.
 pub fn partition_to_fit<R, H>(
     input: &ExtVec<R>,
     hash: H,
@@ -179,17 +231,7 @@ where
     H: Fn(&R) -> u64,
 {
     let b = input.per_block();
-    let m_blocks = mem_records / b.max(1);
-    if fan_out < 2 || fan_out >= m_blocks {
-        return Err(PdmError::InvalidRequest(format!(
-            "fan-out {fan_out} must be ≥ 2 and needs {} blocks of memory, have {m_blocks}",
-            fan_out + 1
-        )));
-    }
-    let ov = overlap.for_lanes(input.device().stream_lanes());
-    // One reader + fan_out writers are live per pass; passes never overlap.
-    let reserve = (ov.read_ahead + fan_out * ov.write_behind) * b;
-    let budget = MemBudget::new(mem_records + reserve);
+    let budget = operator_budget(input.device(), fan_out, b, mem_records, overlap)?;
     let mut out = Vec::new();
     if input.len() as usize <= mem_records {
         // Nothing to do — but the consumer still owns a leaf, so hand back
@@ -208,60 +250,31 @@ where
         out.push(Partitioned::Resident(w.finish()?));
         return Ok(out);
     }
-    go(
-        Part::Borrowed(input),
-        0,
-        &hash,
-        mem_records,
-        fan_out,
-        overlap,
-        &budget,
-        &mut out,
-    )?;
+    let spill = |v: &ExtVec<R>, level| {
+        PartitionPass::spill_array(v, fan_out, level, overlap, &budget, |pass, r| {
+            pass.push(hash(&r), r)
+        })
+    };
+    let children = spill(input, 0)?;
+    go(children, input.len(), 0, mem_records, &spill, &mut out)?;
     Ok(out)
 }
 
-/// A partition the recursion either borrows (the root input) or owns (a
-/// spill it will free after re-partitioning).
-enum Part<'a, R: Record> {
-    Borrowed(&'a ExtVec<R>),
-    Owned(ExtVec<R>),
-}
-
-#[allow(clippy::too_many_arguments)]
-fn go<R, H>(
-    part: Part<'_, R>,
+/// Classify the `children` a pass at `level` spilled from `fed` records as
+/// leaves, re-partitioning (and then freeing) each child that is neither
+/// resident nor skewed, depth first.
+fn go<R, S>(
+    children: Vec<ExtVec<R>>,
+    fed: u64,
     level: usize,
-    hash: &H,
     mem_records: usize,
-    fan_out: usize,
-    overlap: OverlapConfig,
-    budget: &Arc<MemBudget>,
+    spill: &S,
     out: &mut Vec<Partitioned<R>>,
 ) -> Result<()>
 where
     R: Record,
-    H: Fn(&R) -> u64,
+    S: Fn(&ExtVec<R>, usize) -> Result<Vec<ExtVec<R>>>,
 {
-    let vec = match &part {
-        Part::Borrowed(v) => *v,
-        Part::Owned(v) => v,
-    };
-    let fed = vec.len();
-    let b = vec.per_block();
-    let ov = overlap.for_lanes(vec.device().stream_lanes());
-    let children = {
-        let mut pass = PartitionPass::new(vec.device(), fan_out, level, overlap, budget);
-        let _charge = budget.charge((fan_out + 1) * b);
-        let mut reader = vec.reader_at_prefetch(0, ov.read_ahead, budget);
-        while let Some(r) = reader.try_next()? {
-            pass.push(hash(&r), r)?;
-        }
-        pass.finish()?
-    };
-    if let Part::Owned(v) = part {
-        v.free()?;
-    }
     for child in children {
         if child.is_empty() {
             child.free()?;
@@ -274,16 +287,10 @@ where
         } else if level + 1 >= HASH_MAX_LEVELS {
             out.push(Partitioned::Skewed(child));
         } else {
-            go(
-                Part::Owned(child),
-                level + 1,
-                hash,
-                mem_records,
-                fan_out,
-                overlap,
-                budget,
-                out,
-            )?;
+            let grandchildren = spill(&child, level + 1)?;
+            let len = child.len();
+            child.free()?;
+            go(grandchildren, len, level + 1, mem_records, spill, out)?;
         }
     }
     Ok(())

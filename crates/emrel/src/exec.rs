@@ -301,6 +301,66 @@ where
     }
 }
 
+/// The streaming fold over key-sorted records, the one both group-bys run
+/// ([`GroupByExec`] over its child, [`HashGroupByExec`](crate::HashGroupByExec)
+/// over a skewed partition it sorted): each group is folded left to right
+/// with one accumulator in memory, and the record that ends it is held for
+/// the next group.
+pub(crate) struct GroupFold<R> {
+    pending: Option<R>,
+    primed: bool,
+}
+
+impl<R> GroupFold<R> {
+    pub(crate) fn new() -> Self {
+        GroupFold {
+            pending: None,
+            primed: false,
+        }
+    }
+
+    /// Fold the next group of the records `pull` delivers and `fin` it into
+    /// `(key, accumulator, group size)`'s output, or `None` once `pull` is
+    /// drained.
+    pub(crate) fn next_group<K, Acc, O>(
+        &mut self,
+        mut pull: impl FnMut() -> Result<Option<R>>,
+        key: &impl Fn(&R) -> K,
+        init: &Acc,
+        fold: &mut impl FnMut(&mut Acc, &R),
+        fin: &mut impl FnMut(K, Acc, u64) -> O,
+    ) -> Result<Option<O>>
+    where
+        K: PartialEq,
+        Acc: Clone,
+    {
+        if !self.primed {
+            self.pending = pull()?;
+            self.primed = true;
+        }
+        let Some(first) = self.pending.take() else {
+            return Ok(None);
+        };
+        let k = key(&first);
+        let mut acc = init.clone();
+        fold(&mut acc, &first);
+        let mut count = 1u64;
+        loop {
+            match pull()? {
+                Some(r) if key(&r) == k => {
+                    fold(&mut acc, &r);
+                    count += 1;
+                }
+                other => {
+                    self.pending = other;
+                    break;
+                }
+            }
+        }
+        Ok(Some(fin(k, acc, count)))
+    }
+}
+
 /// Streaming group-by over key-sorted input: each group is folded
 /// left-to-right with one accumulator in memory, and one output record is
 /// emitted per group, in key order.
@@ -313,8 +373,7 @@ where
     init: Acc,
     fold: FoldF,
     fin: FinF,
-    pending: Option<S::Item>,
-    primed: bool,
+    groups: GroupFold<S::Item>,
     out_order: Order,
     _k: std::marker::PhantomData<K>,
     _out: std::marker::PhantomData<O>,
@@ -341,8 +400,7 @@ where
             init,
             fold,
             fin,
-            pending: None,
-            primed: false,
+            groups: GroupFold::new(),
             out_order,
             _k: std::marker::PhantomData,
             _out: std::marker::PhantomData,
@@ -363,30 +421,14 @@ where
     type Item = O;
 
     fn try_next(&mut self) -> Result<Option<O>> {
-        if !self.primed {
-            self.pending = self.child.try_next()?;
-            self.primed = true;
-        }
-        let Some(first) = self.pending.take() else {
-            return Ok(None);
-        };
-        let k = (self.key)(&first);
-        let mut acc = self.init.clone();
-        (self.fold)(&mut acc, &first);
-        let mut count = 1u64;
-        loop {
-            match self.child.try_next()? {
-                Some(r) if (self.key)(&r) == k => {
-                    (self.fold)(&mut acc, &r);
-                    count += 1;
-                }
-                other => {
-                    self.pending = other;
-                    break;
-                }
-            }
-        }
-        Ok(Some((self.fin)(k, acc, count)))
+        let child = &mut self.child;
+        self.groups.next_group(
+            || child.try_next(),
+            &self.key,
+            &self.init,
+            &mut self.fold,
+            &mut self.fin,
+        )
     }
 
     fn order(&self) -> Order {

@@ -41,12 +41,11 @@
 //! counts them (the join's filter is charged the records whose bytes it
 //! occupies); the tables' slot arrays are uncharged index overhead.
 //!
-//! Overlap never enters those decisions.  Each operator's [`MemBudget`] is
-//! `M` plus `(read_ahead + F·write_behind)·B` of declared headroom; the
-//! partition writers, the partition readers and — once the operator itself
-//! has been promised a full drain ([`QueryExec::drain_hint`]) — the
-//! [`ExtVecCursor`]s it reads across calls all draw their queues from that
-//! headroom, never from `M`.
+//! Every spill is [`emhash::partition`]'s step, under its fan-out check and
+//! in a budget from its [`operator_budget`].  Once an operator has been
+//! promised a full drain ([`QueryExec::drain_hint`]), the [`ExtVecCursor`]s
+//! it reads across calls also draw their read-ahead from that budget's
+//! overlap headroom, never from `M`.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -55,12 +54,12 @@ use std::sync::Arc;
 use em_core::bounds::{hash_join_residency, HASH_MAX_LEVELS};
 use em_core::hash::{level_bucket, KeyFilter};
 use em_core::{BudgetGuard, ExtVec, ExtVecCursor, MemBudget, Record};
-use emhash::partition::{KeyHasher, PartitionPass};
+use emhash::partition::{operator_budget, KeyHasher, PartitionPass};
 use emhash::table::{ResidentMultimap, ResidentTable};
 use emsort::{merge_sort_by, OverlapConfig};
 use pdm::{PdmError, Result, SharedDevice};
 
-use crate::exec::{ExecConfig, Order, QueryExec};
+use crate::exec::{ExecConfig, GroupFold, Order, QueryExec};
 
 /// Open `vec` for reading across `try_next` calls.  A drained operator
 /// reads it ahead at `overlap`'s per-disk depth out of `budget`'s headroom
@@ -78,19 +77,6 @@ fn open_cursor<R: Record>(
         cursor.set_read_ahead(overlap.for_lanes(lanes).read_ahead, budget);
     }
     cursor
-}
-
-/// [`PdmError::InvalidRequest`] unless `fan_out ≥ 2` and `fan_out + 1`
-/// partition buffers of `block_records` records each fit in `m` — the
-/// geometry the planner prices at ∞.
-fn check_fan_out(fan_out: usize, block_records: usize, m: usize) -> Result<()> {
-    let needed = (fan_out + 1) * block_records;
-    if fan_out < 2 || needed > m {
-        return Err(PdmError::InvalidRequest(format!(
-            "fan-out {fan_out} must be ≥ 2 and needs {needed} records of memory, have {m}"
-        )));
-    }
-    Ok(())
 }
 
 /// Hybrid hash aggregation: group `child` by an extracted key with a
@@ -117,11 +103,13 @@ where
     R: Record,
     K: Ord,
 {
-    device: SharedDevice,
     cfg: ExecConfig,
     m: usize,
     b: usize,
     fan_out: usize,
+    /// The distinct keys a pass's table absorbs: `M − (F+1)·B`, what the
+    /// pass's buffers leave of `M`.
+    cap: usize,
     key: KF,
     init: Acc,
     fold: FoldF,
@@ -134,10 +122,9 @@ where
     /// popped LIFO (children are pushed reversed, so consumption is
     /// bucket-DFS order — the order the cost replay walks).
     queue: Vec<(ExtVec<R>, usize, bool)>,
-    /// Active sort-fallback stream: the sorted partition plus one record
-    /// of look-ahead for the group boundary.
-    fb: Option<ExtVecCursor<R>>,
-    fb_pending: Option<R>,
+    /// Active sort fallback: the sorted partition and the streaming fold
+    /// over it.
+    fb: Option<(ExtVecCursor<R>, GroupFold<R>)>,
     /// The consumer promised to drain this operator.
     drained: bool,
     _k: PhantomData<K>,
@@ -159,8 +146,8 @@ where
     /// on to `child` with the promise to drain it), and the skew fallback's
     /// sort parameters.
     ///
-    /// [`PdmError::InvalidRequest`], before anything is read or allocated,
-    /// unless `fan_out ≥ 2` and `(fan_out + 1)·B ≤ M`.
+    /// [`check_fan_out`](emhash::partition::check_fan_out)'s error for
+    /// blocks of `B` records, before anything is read or allocated.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         child: &mut dyn QueryExec<Item = R>,
@@ -174,19 +161,13 @@ where
     ) -> Result<Self> {
         let b = ExtVec::<R>::per_block_on(device);
         let m = cfg.sort.mem_records;
-        check_fan_out(fan_out, b, m)?;
-        let ov = cfg.sort.overlap.for_lanes(device.stream_lanes());
-        // Overlap queues are headroom beyond M: sizing decisions above came
-        // from the configured M alone, so the partition tree — and with it
-        // every transfer count — is identical with overlap on or off.
-        let reserve = (ov.read_ahead + fan_out * ov.write_behind) * b;
-        let budget = MemBudget::new(m + reserve);
+        let budget = operator_budget(device, fan_out, b, m, cfg.sort.overlap)?;
         let mut this = HashGroupByExec {
-            device: device.clone(),
             cfg: *cfg,
             m,
             b,
             fan_out,
+            cap: m - (fan_out + 1) * b,
             key,
             init,
             fold,
@@ -196,37 +177,29 @@ where
             ready: VecDeque::new(),
             queue: Vec::new(),
             fb: None,
-            fb_pending: None,
             drained: false,
             _k: PhantomData,
         };
         child.drain_hint(cfg.sort.overlap);
-        let cap = m - (fan_out + 1) * b;
+        let budget = this.budget.clone();
         let mut table = ResidentTable::new();
         let mut fed = 0u64;
         let children = {
-            let mut pass = PartitionPass::new(
-                &this.device,
-                fan_out,
-                0,
-                this.cfg.sort.overlap,
-                &this.budget,
-            );
-            let _charge = this.budget.charge(cap + (fan_out + 1) * b);
+            let mut pass = PartitionPass::new(device, fan_out, 0, cfg.sort.overlap, &budget);
+            let _charge = budget.charge(this.cap + (fan_out + 1) * b);
             while let Some(r) = child.try_next()? {
                 fed += 1;
-                this.absorb_or_spill(&mut table, &mut pass, cap, r)?;
+                this.absorb_or_spill(&mut table, &mut pass, r)?;
             }
             pass.finish()?
         };
-        this.enqueue_children(children, 1, fed)?;
-        this.emit_table(table);
+        this.end_pass(table, children, 0, fed)?;
         Ok(this)
     }
 
-    /// The operator's memory accounting: capacity `M + (read_ahead +
-    /// F·write_behind)·B`, with [`high_water`](MemBudget::high_water) the
-    /// most it ever held — the number a memory audit reads.
+    /// The operator's memory accounting: an [`operator_budget`] for blocks
+    /// of `B` records, with [`high_water`](MemBudget::high_water) the most
+    /// it ever held — the number a memory audit reads.
     pub fn budget(&self) -> &Arc<MemBudget> {
         &self.budget
     }
@@ -238,9 +211,9 @@ where
         &mut self,
         table: &mut ResidentTable<K, (Acc, u64)>,
         pass: &mut PartitionPass<R>,
-        cap: usize,
         r: R,
     ) -> Result<()> {
+        let cap = self.cap;
         let k = (self.key)(&r);
         let h0 = self.hasher.hash(&k);
         if let Some((acc, n)) = table.get_mut(h0, &k) {
@@ -257,18 +230,26 @@ where
         Ok(())
     }
 
-    /// Queue a pass's spill partitions for consumption at `level` (pushed
-    /// reversed so the LIFO queue pops them in bucket order); `fed` is the
-    /// record count of the pass that produced them — the no-shrink test.
-    fn enqueue_children(&mut self, children: Vec<ExtVec<R>>, level: usize, fed: u64) -> Result<()> {
+    /// End an absorbing pass at `level`: queue its spill partitions for
+    /// consumption a level down (pushed reversed so the LIFO queue pops them
+    /// in bucket order) and emit its table.  `fed` is the record count of
+    /// the pass — the no-shrink test.
+    fn end_pass(
+        &mut self,
+        table: ResidentTable<K, (Acc, u64)>,
+        children: Vec<ExtVec<R>>,
+        level: usize,
+        fed: u64,
+    ) -> Result<()> {
         for child in children.into_iter().rev() {
             if child.is_empty() {
                 child.free()?;
                 continue;
             }
             let skewed = child.len() == fed;
-            self.queue.push((child, level, skewed));
+            self.queue.push((child, level + 1, skewed));
         }
+        self.emit_table(table);
         Ok(())
     }
 
@@ -285,8 +266,9 @@ where
     /// fits needs no sort), exactly as the cost replay does.
     fn consume_partition(&mut self, part: ExtVec<R>, level: usize, skewed: bool) -> Result<()> {
         let len = part.len();
-        let ov = self.cfg.sort.overlap.for_lanes(self.device.stream_lanes());
         if len as usize <= self.m - self.b {
+            let lanes = part.device().stream_lanes();
+            let ov = self.cfg.sort.overlap.for_lanes(lanes);
             let budget = self.budget.clone();
             let _charge = budget.charge(len as usize + self.b);
             let mut table = ResidentTable::new();
@@ -310,75 +292,21 @@ where
             let kf = &self.key;
             let sorted = merge_sort_by(&part, &self.cfg.sort, move |a, b| kf(a) < kf(b))?;
             part.free()?;
-            self.fb = Some(open_cursor(
-                sorted,
-                self.drained,
-                self.cfg.sort.overlap,
-                &self.budget,
-            ));
-            self.fb_pending = None;
+            let cursor = open_cursor(sorted, self.drained, self.cfg.sort.overlap, &self.budget);
+            self.fb = Some((cursor, GroupFold::new()));
             return Ok(());
         }
-        let cap = self.m - (self.fan_out + 1) * self.b;
+        let budget = self.budget.clone();
         let mut table = ResidentTable::new();
         let children = {
-            let budget = self.budget.clone();
-            let mut pass = PartitionPass::new(
-                &self.device,
-                self.fan_out,
-                level,
-                self.cfg.sort.overlap,
-                &budget,
-            );
-            let _charge = budget.charge(cap + (self.fan_out + 1) * self.b);
-            let mut reader = part.reader_at_prefetch(0, ov.read_ahead, &budget);
-            while let Some(r) = reader.try_next()? {
-                self.absorb_or_spill(&mut table, &mut pass, cap, r)?;
-            }
-            drop(reader);
-            pass.finish()?
+            let _charge = budget.charge(self.cap);
+            let (fan_out, overlap) = (self.fan_out, self.cfg.sort.overlap);
+            PartitionPass::spill_array(&part, fan_out, level, overlap, &budget, |pass, r| {
+                self.absorb_or_spill(&mut table, pass, r)
+            })?
         };
         part.free()?;
-        self.enqueue_children(children, level + 1, len)?;
-        self.emit_table(table);
-        Ok(())
-    }
-
-    /// Emit the next group of the active sort-fallback stream, or `None`
-    /// once it is drained (the sorted partition is freed).
-    fn next_fallback_group(&mut self) -> Result<Option<O>> {
-        let Some(cur) = self.fb.as_mut() else {
-            return Ok(None);
-        };
-        let first = match self.fb_pending.take() {
-            Some(r) => r,
-            None => match cur.try_next()? {
-                Some(r) => r,
-                None => {
-                    if let Some(done) = self.fb.take() {
-                        done.into_inner().free()?;
-                    }
-                    return Ok(None);
-                }
-            },
-        };
-        let k = (self.key)(&first);
-        let mut acc = self.init.clone();
-        (self.fold)(&mut acc, &first);
-        let mut n = 1u64;
-        loop {
-            match cur.try_next()? {
-                Some(r) if (self.key)(&r) == k => {
-                    (self.fold)(&mut acc, &r);
-                    n += 1;
-                }
-                other => {
-                    self.fb_pending = other;
-                    break;
-                }
-            }
-        }
-        Ok(Some((self.fin)(k, acc, n)))
+        self.end_pass(table, children, level, len)
     }
 }
 
@@ -399,10 +327,18 @@ where
             if let Some(o) = self.ready.pop_front() {
                 return Ok(Some(o));
             }
-            if self.fb.is_some() {
-                match self.next_fallback_group()? {
+            if let Some((cursor, groups)) = self.fb.as_mut() {
+                let (key, init) = (&self.key, &self.init);
+                let (fold, fin) = (&mut self.fold, &mut self.fin);
+                match groups.next_group(|| cursor.try_next(), key, init, fold, fin)? {
                     Some(o) => return Ok(Some(o)),
-                    None => continue, // fallback drained; back to the queue
+                    None => {
+                        // Fallback drained; free it and go back to the queue.
+                        if let Some((done, _)) = self.fb.take() {
+                            done.into_inner().free()?;
+                        }
+                        continue;
+                    }
                 }
             }
             let Some((part, level, skewed)) = self.queue.pop() else {
@@ -499,7 +435,6 @@ where
     key_b: KB,
     key_p: KP,
     make: MK,
-    device: SharedDevice,
     overlap: OverlapConfig,
     m: usize,
     b_build: usize,
@@ -548,10 +483,10 @@ where
     /// promise to drain it; `probe` is drained only as far as the join is,
     /// so it gets the hint when the join does).
     ///
-    /// [`PdmError::InvalidRequest`], before anything is read or allocated,
-    /// unless `fan_out ≥ 2` and `(fan_out + 1)·(B_build + B_probe) ≤ M`.  A
-    /// spilled hybrid whose bucket 0 outgrows its `M − (F+1)·(B_build +
-    /// B_probe)` share is [`PdmError::MemoryExceeded`].
+    /// [`check_fan_out`](emhash::partition::check_fan_out)'s error for
+    /// buffers of `B_build + B_probe` records, before anything is read or
+    /// allocated.  A spilled hybrid whose bucket 0 outgrows its
+    /// `M − (F+1)·(B_build + B_probe)` share is [`PdmError::MemoryExceeded`].
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         build: &mut dyn QueryExec<Item = BR>,
@@ -568,11 +503,8 @@ where
         let b_probe = ExtVec::<PS::Item>::per_block_on(device);
         let m = cfg.sort.mem_records;
         let both = b_build + b_probe;
-        check_fan_out(fan_out, both, m)?;
         let overlap = cfg.sort.overlap;
-        let ov = overlap.for_lanes(device.stream_lanes());
-        let reserve = (ov.read_ahead + fan_out * ov.write_behind) * both;
-        let budget = MemBudget::new(m + reserve);
+        let budget = operator_budget(device, fan_out, both, m, overlap)?;
         let residency = hash_join_residency(m, b_build, b_probe, fan_out);
         let bucket0_cap = if hybrid { m - (fan_out + 1) * both } else { 0 };
         let residency_charge = budget.charge(residency);
@@ -637,7 +569,6 @@ where
             key_b,
             key_p,
             make,
-            device: device.clone(),
             overlap,
             m,
             b_build,
@@ -658,8 +589,8 @@ where
         })
     }
 
-    /// The operator's memory accounting: capacity `M + (read_ahead +
-    /// F·write_behind)·(B_build + B_probe)`, with
+    /// The operator's memory accounting: an [`operator_budget`] for
+    /// buffers of `B_build + B_probe` records, with
     /// [`high_water`](MemBudget::high_water) the most it ever held — the
     /// number a memory audit reads.
     pub fn budget(&self) -> &Arc<MemBudget> {
@@ -743,34 +674,19 @@ where
             });
             return Ok(());
         }
-        let ov = self.overlap.for_lanes(self.device.stream_lanes());
-        let budget = self.budget.clone();
-        let bkids = {
-            let mut pass =
-                PartitionPass::new(&self.device, self.fan_out, level, self.overlap, &budget);
-            let _g = budget.charge((self.fan_out + 1) * self.b_build);
-            let mut reader = bv.reader_at_prefetch(0, ov.read_ahead, &budget);
-            while let Some(r) = reader.try_next()? {
-                let h0 = self.hasher.hash(&(self.key_b)(&r));
-                pass.push(h0, r)?;
+        let (fan_out, overlap, budget) = (self.fan_out, self.overlap, &self.budget);
+        let (hasher, key_b, key_p) = (&mut self.hasher, &self.key_b, &self.key_p);
+        let bkids = PartitionPass::spill_array(&bv, fan_out, level, overlap, budget, |pass, r| {
+            pass.push(hasher.hash(&key_b(&r)), r)
+        })?;
+        // A probe record whose build bucket is empty matches nothing.
+        let pkids = PartitionPass::spill_array(&pv, fan_out, level, overlap, budget, |pass, r| {
+            let h0 = hasher.hash(&key_p(&r));
+            if bkids[level_bucket(h0, level, fan_out)].is_empty() {
+                return Ok(());
             }
-            drop(reader);
-            pass.finish()?
-        };
-        let pkids = {
-            let mut pass =
-                PartitionPass::new(&self.device, self.fan_out, level, self.overlap, &budget);
-            let _g = budget.charge((self.fan_out + 1) * self.b_probe);
-            let mut reader = pv.reader_at_prefetch(0, ov.read_ahead, &budget);
-            while let Some(r) = reader.try_next()? {
-                let h0 = self.hasher.hash(&(self.key_p)(&r));
-                if !bkids[level_bucket(h0, level, self.fan_out)].is_empty() {
-                    pass.push(h0, r)?;
-                }
-            }
-            drop(reader);
-            pass.finish()?
-        };
+            pass.push(h0, r)
+        })?;
         bv.free()?;
         pv.free()?;
         let mut staged: Vec<_> = bkids.into_iter().zip(pkids).collect();
@@ -899,6 +815,7 @@ mod tests {
     use crate::exec::{collect, sort_pipe, ScanExec};
     use em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios};
     use em_core::EmConfig;
+    use emhash::partition::partition_to_fit;
     use std::cell::Cell;
     use std::cmp::Ordering;
     use std::collections::BTreeMap;
@@ -1368,32 +1285,47 @@ mod tests {
 
     #[test]
     fn fan_out_over_memory_is_a_typed_error() {
-        // M = 64 with 16 rows a block: the join's F = 2 needs 3·32 = 96
-        // records, the group-by's F = 4 needs 5·16 = 80, and F = 1 is
-        // never a partition.
-        let (d, m) = device(4);
-        let cfg = ExecConfig::new(m);
+        // Blocks of 16 rows; a join's partition buffers hold a block of
+        // each side, 32 rows.  F = 3 fits memory of exactly 4 buffers,
+        // not one record less, and F = 1 is never a partition.  All three
+        // entry points answer with the one check's error and allocate
+        // nothing.
+        let (d, _) = device(16);
         let v = ExtVec::from_slice(d.clone(), &pairs(100, 10, 0x9E37_79B9)).unwrap();
-        let allocated = d.allocated_blocks();
-        for fan in [1, 2] {
-            let err = join_on_first(&d, &cfg, fan, false, &v, ScanExec::new(&v)).err();
-            assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
-            assert_eq!(d.allocated_blocks(), allocated);
-        }
-        for fan in [1, 4] {
-            let err = HashGroupByExec::build(
+        let partition = |fan, m| -> Result<()> {
+            let hash = |r: &Pair| key_hash(r.0);
+            partition_to_fit(&v, hash, m, fan, OverlapConfig::off()).map(drop)
+        };
+        let group = |fan, m| -> Result<()> {
+            let mut g = HashGroupByExec::build(
                 &mut ScanExec::new(&v),
                 &d,
-                &cfg,
+                &ExecConfig::new(m),
                 fan,
                 |r: &Pair| r.0,
                 0u64,
                 |acc, r| *acc += r.1,
                 |k, acc, n| (k, acc, n),
-            )
-            .err();
-            assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+            )?;
+            collect(&mut g, &d).map(drop)
+        };
+        let join = |fan, m| -> Result<()> {
+            let mut j = join_on_first(&d, &ExecConfig::new(m), fan, false, &v, ScanExec::new(&v))?;
+            collect(&mut j, &d).map(drop)
+        };
+        type Entry<'a> = &'a dyn Fn(usize, usize) -> Result<()>;
+        let entries: [(Entry, usize); 3] = [(&partition, 16), (&group, 16), (&join, 32)];
+        for (run, buffer) in entries {
+            let allocated = d.allocated_blocks();
+            run(3, 4 * buffer).unwrap();
             assert_eq!(d.allocated_blocks(), allocated);
+            for (fan, m) in [(3, 4 * buffer - 1), (1, 4 * buffer)] {
+                let want = emhash::partition::check_fan_out(fan, buffer, m).err();
+                let err = run(fan, m).err();
+                assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+                assert_eq!(err.map(|e| e.to_string()), want.map(|e| e.to_string()));
+                assert_eq!(d.allocated_blocks(), allocated);
+            }
         }
     }
 

@@ -32,6 +32,7 @@
 
 use crate::exec::{KeyId, Order};
 use em_core::bounds;
+use emhash::partition::check_fan_out;
 
 /// Arrival-ordered level-0 key hashes of a stream — the statistic the hash
 /// operators' exact cost replays consume (`hash_group_exact_ios` /
@@ -470,7 +471,7 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 rec_bytes: *rec_bytes,
                 order: Order::Unordered,
             };
-            if *fan_out >= 2 && (*fan_out + 1) * per_block <= env.mem_records {
+            if check_fan_out(*fan_out, per_block, env.mem_records).is_ok() {
                 out
             } else {
                 out.infeasible()
@@ -511,7 +512,7 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 rec_bytes: *rec_bytes,
                 order: if held { p.order } else { Order::Unordered },
             };
-            if *fan_out >= 2 && (*fan_out + 1) * (bpb + ppb) <= env.mem_records {
+            if check_fan_out(*fan_out, bpb + ppb, env.mem_records).is_ok() {
                 out
             } else {
                 out.infeasible()

@@ -150,14 +150,18 @@ impl BlockDevice for FileDisk {
 
     fn allocate(&self) -> Result<BlockId> {
         let mut meta = self.meta.lock();
+        let id = match meta.free_list.pop() {
+            Some(id) => id,
+            None => {
+                // Extend the file with a zero block so reads of fresh blocks
+                // succeed; the block exists only once that write has.
+                let id = meta.len_blocks;
+                self.write_at(&self.zero, self.offset(id))?;
+                meta.len_blocks += 1;
+                id
+            }
+        };
         meta.allocated += 1;
-        if let Some(id) = meta.free_list.pop() {
-            return Ok(id);
-        }
-        let id = meta.len_blocks;
-        meta.len_blocks += 1;
-        // Extend the file with a zero block so reads of fresh blocks succeed.
-        self.write_at(&self.zero, self.offset(id))?;
         Ok(id)
     }
 
@@ -252,6 +256,23 @@ mod tests {
         let b = disk.allocate().unwrap();
         assert_eq!(a, b);
         std::fs::remove_file(path).ok();
+    }
+
+    /// `/dev/full` opens, and every write to it fails with `ENOSPC`: an
+    /// allocation that cannot extend the file holds no block.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_allocation_whose_write_fails_holds_no_block() {
+        let disk = FileDisk::create("/dev/full", 32).unwrap();
+        for _ in 0..2 {
+            assert!(disk.allocate().is_err());
+            assert_eq!(disk.allocated_blocks(), 0);
+        }
+        let mut out = [0u8; 32];
+        assert!(matches!(
+            disk.read_block(0, &mut out),
+            Err(PdmError::InvalidBlock(0))
+        ));
     }
 
     #[test]
