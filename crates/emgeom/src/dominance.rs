@@ -20,7 +20,7 @@ use em_core::{ExtVec, ExtVecWriter, Record};
 use emsort::{merge_sort_by, SortConfig};
 use pdm::Result;
 
-use crate::sweep::{distribution_sweep, event_sorter, Answers, Level, Sweep};
+use crate::sweep::{distribution_sweep, event_sorter, Answers, Down, Level, Sweep};
 use crate::Point;
 
 /// Sweep event: point deposit or query, ordered by `(y, kind)` with points
@@ -98,7 +98,7 @@ impl Sweep for Dominance {
         xs.push(e.x);
     }
 
-    fn visit(mut e: Event, level: &mut Level<Self>, _: &mut Answers) -> Result<()> {
+    fn visit(mut e: Event, level: &mut Level<Self>, down: &mut Down<Self>) -> Result<()> {
         let s = level.slab_of(e.x);
         if e.kind == 0 {
             level.state[s] += 1;
@@ -107,7 +107,7 @@ impl Sweep for Dominance {
             // (and smaller y, since they were swept earlier).
             e.acc += level.state[..s].iter().sum::<u64>();
         }
-        level.down[s].push(e)
+        down.push(s, e)
     }
 
     fn solve_in_memory(events: Vec<Event>, out: &mut Answers) -> Result<()> {

@@ -12,7 +12,7 @@ use em_core::{AppendBuffer, ExtVec, ExtVecWriter, Record};
 use emsort::SortConfig;
 use pdm::{PdmError, Result};
 
-use crate::sweep::{distribution_sweep, event_sorter, report_live, Answers, Level, Sweep};
+use crate::sweep::{distribution_sweep, event_sorter, report_live, Answers, Down, Level, Sweep};
 
 /// A point with an identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,17 +154,17 @@ impl Sweep for RangeReport {
         }
     }
 
-    fn visit(e: Event, level: &mut Level<Self>, out: &mut Answers) -> Result<()> {
+    fn visit(e: Event, level: &mut Level<Self>, down: &mut Down<Self>) -> Result<()> {
         if e.kind == 1 {
             let s = level.slab_of(e.a);
-            report_live(&mut level.state[s], e.y, out, |r_id| (r_id, e.id))?;
+            report_live(&mut level.state[s], e.y, level.out, |r_id| (r_id, e.id))?;
             // The rectangle stubs clipped into this slab are matched below.
-            return level.down[s].push(e);
+            return down.push(s, e);
         }
         for s in level.slab_of(e.a)..=level.slab_of(e.b) {
             match level.clip(s, e.a, e.b) {
                 None => level.state[s].push((e.id, e.c))?,
-                Some((a, b)) => level.down[s].push(Event { a, b, ..e })?,
+                Some((a, b)) => down.push(s, Event { a, b, ..e })?,
             }
         }
         Ok(())

@@ -18,7 +18,7 @@ use em_core::{AppendBuffer, ExtVec, ExtVecWriter, Record};
 use emsort::SortConfig;
 use pdm::{PdmError, Result};
 
-use crate::sweep::{distribution_sweep, event_sorter, report_live, Answers, Level, Sweep};
+use crate::sweep::{distribution_sweep, event_sorter, report_live, Answers, Down, Level, Sweep};
 
 /// A horizontal segment `[x1, x2] × {y}` (inclusive endpoints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,17 +157,17 @@ impl Sweep for Segments {
         }
     }
 
-    fn visit(e: Event, level: &mut Level<Self>, out: &mut Answers) -> Result<()> {
+    fn visit(e: Event, level: &mut Level<Self>, down: &mut Down<Self>) -> Result<()> {
         if e.kind == 0 {
             let s = level.slab_of(e.a);
             level.state[s].push((e.id, e.b))?;
-            return level.down[s].push(e);
+            return down.push(s, e);
         }
         for s in level.slab_of(e.a)..=level.slab_of(e.b) {
             match level.clip(s, e.a, e.b) {
                 // Spanned completely: every live vertical here intersects.
-                None => report_live(&mut level.state[s], e.y, out, |v_id| (e.id, v_id))?,
-                Some((a, b)) => level.down[s].push(Event { a, b, ..e })?,
+                None => report_live(&mut level.state[s], e.y, level.out, |v_id| (e.id, v_id))?,
+                Some((a, b)) => down.push(s, Event { a, b, ..e })?,
             }
         }
         Ok(())

@@ -8,9 +8,13 @@
 //! A problem ([`Sweep`]) supplies only its event record, what a slab
 //! remembers ([`SlabState`]), what an event does at a [`Level`], and its
 //! in-memory base case.
+//! A level is one [`PartitionPass`], a writer per slab, whose route closure
+//! owns the [`Level`]; the sweep runs in one [`operator_budget`].
 
-use em_core::{AppendBuffer, ExtVec, ExtVecWriter, Record};
-use emsort::{SortConfig, SortingWriter};
+use std::sync::Arc;
+
+use em_core::{AppendBuffer, BudgetGuard, ExtVec, ExtVecWriter, MemBudget, Record};
+use emsort::{operator_budget, PartitionPass, SortConfig, SortingWriter};
 use pdm::{PdmError, Result, SharedDevice};
 
 /// Where every sweep reports: `(id, id)` or `(id, count)` pairs.
@@ -33,8 +37,8 @@ pub(crate) trait Sweep: Sized {
     /// Append the x coordinates of `e` that may serve as slab boundaries.
     fn sample_xs(e: &Self::Event, xs: &mut Vec<i64>);
     /// Apply `e` to the slabs of `level`: update their state, report what
-    /// is decided at this level, and push what is not into `level.down`.
-    fn visit(e: Self::Event, level: &mut Level<Self>, out: &mut Answers) -> Result<()>;
+    /// is decided at this level, and push what is not into `down`, by slab.
+    fn visit(e: Self::Event, level: &mut Level<Self>, down: &mut Down<Self>) -> Result<()>;
     /// Solve a `y`-sorted sub-problem of at most `M` events directly.
     fn solve_in_memory(events: Vec<Self::Event>, out: &mut Answers) -> Result<()>;
 }
@@ -64,17 +68,21 @@ impl SlabState for u64 {
     }
 }
 
+/// A level's pass: the writers collecting each slab's sub-problem.
+pub(crate) type Down<P> = PartitionPass<<P as Sweep>::Event>;
+
 /// One recursion level: the slabs `(-∞, p₀)`, `[p₀, p₁)`, …, `[pₖ, +∞)`,
-/// each with its state and the writer collecting its sub-problem.
-pub(crate) struct Level<P: Sweep> {
+/// each with its state, and where the level reports.
+pub(crate) struct Level<'a, P: Sweep> {
     pivots: Vec<i64>,
     /// State of slab `i`.
     pub(crate) state: Vec<P::Slab>,
-    /// Events recursing into slab `i`.
-    pub(crate) down: Vec<ExtVecWriter<P::Event>>,
+    pub(crate) out: &'a mut Answers,
+    /// The states' `F·BLOCKS·B` records, charged while they live.
+    _charge: BudgetGuard,
 }
 
-impl<P: Sweep> Level<P> {
+impl<P: Sweep> Level<'_, P> {
     /// The slab containing `x`.
     pub(crate) fn slab_of(&self, x: i64) -> usize {
         self.pivots.partition_point(|&p| p <= x)
@@ -121,35 +129,45 @@ pub(crate) fn event_sorter<P: Sweep>(device: SharedDevice, cfg: &SortConfig) -> 
     SortingWriter::new(device, cfg, |a, b| P::order(a) < P::order(b))
 }
 
-/// Sweep the pushed events; returns the answers in the order found.
+/// Sweep the pushed events; returns the answers in the order found, or
+/// [`check_fan_out`](emsort::check_fan_out)'s error if `M` holds no level.
 pub(crate) fn distribution_sweep<P: Sweep>(
     events: EventSorter<P>,
     cfg: &SortConfig,
 ) -> Result<ExtVec<(u64, u64)>> {
     let events = events.finish_sorted()?;
-    let mut out: Answers = ExtVecWriter::new(events.device().clone());
-    sweep::<P>(events, cfg, &mut out, 0)?;
+    let (device, b, m) = (events.device().clone(), events.per_block(), cfg.mem_records);
+    let budget = operator_budget(&device, slabs::<P>(b, m), b, m, cfg.overlap)?;
+    let mut out: Answers = ExtVecWriter::new(device);
+    sweep::<P>(events, cfg, &budget, &mut out, 0)?;
     out.finish()
+}
+
+/// The slabs a level may open: each holds its writer's block and `BLOCKS`
+/// more, and the reader and the answers take a block each — at most 64.
+fn slabs<P: Sweep>(b: usize, m: usize) -> usize {
+    ((m / b).saturating_sub(2) / (1 + P::Slab::BLOCKS)).min(64)
 }
 
 /// Recursive distribution sweep over a `y`-sorted event array (consumed).
 fn sweep<P: Sweep>(
     events: ExtVec<P::Event>,
     cfg: &SortConfig,
+    budget: &Arc<MemBudget>,
     out: &mut Answers,
-    depth: u32,
+    depth: usize,
 ) -> Result<()> {
     debug_assert!(depth < 64, "distribution sweep failed to make progress");
     let device = events.device().clone();
     let n = events.len() as usize;
     if n <= cfg.mem_records {
+        let _charge = budget.charge(n);
         P::solve_in_memory(events.to_vec()?, out)?;
         return events.free();
     }
 
-    let m_blocks = (cfg.mem_records / events.per_block()).max(6);
-    let k = ((m_blocks - 2) / (1 + P::Slab::BLOCKS)).clamp(2, 64);
-    let pivots = sample_pivots::<P>(&events, k - 1)?;
+    let b = events.per_block();
+    let pivots = sample_pivots::<P>(&events, slabs::<P>(b, cfg.mem_records) - 1)?;
     if pivots.is_empty() {
         // Every sampled x coincides, so no boundary separates the events
         // and the sub-problem can be neither split nor loaded.
@@ -162,27 +180,15 @@ fn sweep<P: Sweep>(
     let mut level: Level<P> = Level {
         pivots,
         state: (0..nslabs).map(|_| P::Slab::new(&device)).collect(),
-        down: (0..nslabs)
-            .map(|_| ExtVecWriter::new(device.clone()))
-            .collect(),
+        out: &mut *out,
+        _charge: budget.charge(nslabs * P::Slab::BLOCKS * b),
     };
-    {
-        let mut r = events.reader();
-        while let Some(e) = r.try_next()? {
-            P::visit(e, &mut level, out)?;
-        }
-    }
+    let route = move |down: &mut Down<P>, e| P::visit(e, &mut level, down);
+    let subs = PartitionPass::spill_array(&events, nslabs, depth, cfg.overlap, budget, route)?;
     events.free()?;
-    // The slabs' states free their blocks before the recursion runs.
-    drop(level.state);
-    let subs = level
-        .down
-        .into_iter()
-        .map(ExtVecWriter::finish)
-        .collect::<Result<Vec<_>>>()?;
     for sub in subs {
         if !sub.is_empty() {
-            sweep::<P>(sub, cfg, out, depth + 1)?;
+            sweep::<P>(sub, cfg, budget, out, depth + 1)?;
         }
     }
     Ok(())
@@ -218,12 +224,136 @@ fn sample_pivots<P: Sweep>(events: &ExtVec<P::Event>, want: usize) -> Result<Vec
 
 #[cfg(test)]
 mod tests {
-    use crate::{
-        batched_range_reporting, dominance_count, segment_intersections, HSeg, Point, Rect, VSeg,
-    };
-    use em_core::{EmConfig, ExtVec};
-    use emsort::SortConfig;
-    use pdm::PdmError;
+    use super::*;
+    use crate::{batched_range_reporting, dominance_count, segment_intersections};
+    use crate::{HSeg, Point, Rect, VSeg};
+    use em_core::EmConfig;
+    use emsort::OverlapConfig;
+    use pdm::{DiskArray, IoMode, Placement};
+    use rand::prelude::*;
+
+    /// Events `(y, x)` whose slabs keep a one-block active list each.
+    struct Stripes;
+
+    impl Sweep for Stripes {
+        type Event = (i64, i64);
+        type Slab = AppendBuffer<(u64, i64)>;
+        fn order(e: &(i64, i64)) -> (i64, u8) {
+            (e.0, 0)
+        }
+        fn sample_xs(e: &(i64, i64), xs: &mut Vec<i64>) {
+            xs.push(e.1);
+        }
+        fn visit(e: (i64, i64), level: &mut Level<Self>, down: &mut Down<Self>) -> Result<()> {
+            let s = level.slab_of(e.1);
+            level.state[s].push((0, e.0))?;
+            down.push(s, e)
+        }
+        fn solve_in_memory(_: Vec<(i64, i64)>, _: &mut Answers) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The sweep lives inside its budget: its high water holds at least
+    /// the top level's pass, `(F+1)·B`, and its slab states, `F·B`, and
+    /// never passes the capacity.
+    #[test]
+    fn a_sweep_stays_inside_its_budget() {
+        let d = EmConfig::new(256, 16).ram_disk();
+        let cfg = SortConfig::new(256).with_overlap(OverlapConfig::symmetric(2));
+        let events: Vec<(i64, i64)> = (0..3000).map(|i| (i, (i * 7919) % 1000)).collect();
+        let events = ExtVec::from_slice(d.clone(), &events).unwrap();
+        let (b, m) = (events.per_block(), cfg.mem_records);
+        let k = slabs::<Stripes>(b, m);
+        let budget = operator_budget(&d, k, b, m, cfg.overlap).unwrap();
+        let mut out = ExtVecWriter::new(d.clone());
+        sweep::<Stripes>(events, &cfg, &budget, &mut out, 0).unwrap();
+        assert!(
+            budget.high_water() >= (2 * k + 1) * b,
+            "{}",
+            budget.high_water()
+        );
+        assert!(budget.high_water() <= budget.capacity());
+    }
+
+    /// `M` too small for two slabs is the pass's fan-out error, and the
+    /// sorted events are freed.
+    #[test]
+    fn memory_for_under_two_slabs_is_a_typed_error() {
+        let d = EmConfig::new(256, 16).ram_disk();
+        let cfg = SortConfig::new(21); // three blocks of every sweep's events
+        let pts: Vec<Point> = (0..100)
+            .map(|id| Point {
+                id,
+                x: id as i64,
+                y: 0,
+            })
+            .collect();
+        let pts = ExtVec::from_slice(d.clone(), &pts).unwrap();
+        let held = d.allocated_blocks();
+        let got = dominance_count(&pts, &pts, &cfg).map(|v| v.len());
+        assert!(matches!(got, Err(PdmError::InvalidRequest(_))), "{got:?}");
+        assert_eq!(d.allocated_blocks(), held);
+    }
+
+    /// On two independent lanes the sweep reads ahead and writes behind,
+    /// and that changes no answer and no transfer, on any lane.
+    #[test]
+    fn overlap_on_two_lanes_moves_no_transfer() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut seg = || {
+            let (x, y, len) = (rng.gen_range(0..500i64), rng.gen_range(0..500i64), 40);
+            (x, y, len)
+        };
+        let hs: Vec<HSeg> = (0..600)
+            .map(|id| {
+                let (x, y, len) = seg();
+                HSeg {
+                    id,
+                    y,
+                    x1: x,
+                    x2: x + len,
+                }
+            })
+            .collect();
+        let vs: Vec<VSeg> = (0..600)
+            .map(|id| {
+                let (x, y, len) = seg();
+                VSeg {
+                    id,
+                    x,
+                    y1: y,
+                    y2: y + len,
+                }
+            })
+            .collect();
+        let pts: Vec<Point> = (0..1200)
+            .map(|id| {
+                let (x, y, _) = seg();
+                Point { id, x, y }
+            })
+            .collect();
+        let run = |overlap: OverlapConfig| {
+            let placement = Placement::Independent;
+            let d: SharedDevice = DiskArray::new_ram_with(2, 256, placement, IoMode::Overlapped);
+            let cfg = SortConfig::new(128).with_overlap(overlap);
+            let hs = ExtVec::from_slice(d.clone(), &hs).unwrap();
+            let vs = ExtVec::from_slice(d.clone(), &vs).unwrap();
+            let pts = ExtVec::from_slice(d.clone(), &pts).unwrap();
+            let before = d.stats().snapshot();
+            let crossings = segment_intersections(&hs, &vs, &cfg).unwrap();
+            let counts = dominance_count(&pts, &pts, &cfg).unwrap();
+            let io = d.stats().snapshot().since(&before);
+            let lanes: Vec<(u64, u64)> =
+                (0..2).map(|l| (io.reads_on(l), io.writes_on(l))).collect();
+            let mut crossings = crossings.to_vec().unwrap();
+            crossings.sort_unstable();
+            (crossings, counts.to_vec().unwrap(), lanes)
+        };
+        let sync = run(OverlapConfig::off());
+        assert!(!sync.0.is_empty());
+        assert_eq!(sync, run(OverlapConfig::symmetric(2)));
+    }
 
     #[test]
     fn unsplittable_subproblem_is_a_typed_error_and_frees_its_blocks() {

@@ -23,6 +23,8 @@ use crate::util::clustered_adjacency;
 /// Munagala–Ranade BFS over the undirected graph `edges` (vertex ids dense
 /// in `0..n`).  Returns `(vertex, distance)` for every vertex reachable from
 /// `source`, sorted by vertex id.
+///
+/// An edge naming a vertex `≥ n` is [`InvalidRequest`](pdm::PdmError::InvalidRequest).
 pub fn bfs_mr(
     edges: &ExtVec<(u64, u64)>,
     n: u64,

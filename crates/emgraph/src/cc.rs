@@ -19,11 +19,13 @@ use emsort::{SortConfig, SortingWriter};
 use pdm::Result;
 
 use crate::contract::{compress, relabel, through, Labels, ROOT};
-use crate::util::join_left_stream;
+use crate::util::{check_vertex, join_left_stream};
 
 /// Component label of every vertex of the undirected graph `edges` (dense
 /// vertex ids `0..n`): `(vertex, label)` sorted by vertex, where the label
 /// is the minimum vertex id of the component.
+///
+/// An edge naming a vertex `≥ n` is [`InvalidRequest`](pdm::PdmError::InvalidRequest).
 pub fn connected_components(
     edges: &ExtVec<(u64, u64)>,
     n: u64,
@@ -44,7 +46,7 @@ pub fn connected_components(
         let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
         let mut r = edges.reader();
         while let Some((u, v)) = r.try_next()? {
-            assert!(u < n && v < n, "vertex id out of range");
+            check_vertex(u.max(v), n)?;
             if u != v {
                 w.push((u, v))?;
             }

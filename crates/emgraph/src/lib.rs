@@ -89,4 +89,32 @@ mod overlap_tests {
             want_cc
         );
     }
+
+    /// An edge naming vertex `n` is a typed error from every algorithm that
+    /// reads an edge list, and it frees whatever the scan had written.
+    #[test]
+    fn a_vertex_id_out_of_range_is_invalid_request() {
+        let n = 600u64;
+        let d = EmConfig::new(256, 16).ram_disk();
+        let cfg = SortConfig::new(256);
+        let mut pairs: Vec<(u64, u64)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+        pairs.insert(400, (7, n));
+        let triples: Vec<(u64, u64, u64)> = pairs.iter().map(|&(u, v)| (u, v, u + v)).collect();
+        let g = em_core::ExtVec::from_slice(d.clone(), &pairs).unwrap();
+        let w = em_core::ExtVec::from_slice(d.clone(), &triples).unwrap();
+        let held = d.allocated_blocks();
+        for (what, got) in [
+            ("bfs_mr", bfs_mr(&g, n, 0, &cfg).map(|_| ())),
+            ("sssp", sssp(&w, n, 0, &cfg).map(|_| ())),
+            ("cc", connected_components(&g, n, &cfg).map(|_| ())),
+            ("mis", maximal_independent_set(&g, n, &cfg).map(|_| ())),
+            ("msf", minimum_spanning_forest(&w, n, &cfg).map(|_| ())),
+        ] {
+            assert!(
+                matches!(got, Err(pdm::PdmError::InvalidRequest(_))),
+                "{what}: {got:?}"
+            );
+            assert_eq!(d.allocated_blocks(), held, "{what} leaked");
+        }
+    }
 }

@@ -29,6 +29,10 @@ pub const NIL: u64 = u64::MAX;
 /// Rank the list `succ` (pairs `(node, successor)`, sorted by node id, tail
 /// successor = `NIL`) from `head` with unit weights: the head gets rank 0,
 /// its successor 1, and so on.  Returns `(node, rank)` sorted by node id.
+///
+/// Node ids that do not strictly increase are [`PdmError::InvalidRequest`],
+/// found by the one scan that attaches the weights; otherwise as
+/// [`list_rank_weighted`].
 pub fn list_rank(
     succ: &ExtVec<(u64, u64)>,
     head: u64,
@@ -37,7 +41,14 @@ pub fn list_rank(
     // Attach unit weights.
     let mut w: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(succ.device().clone());
     let mut r = succ.reader();
+    let mut prev = None;
     while let Some((id, s)) = r.try_next()? {
+        if let Some(prev) = prev.filter(|&prev| id <= prev) {
+            return Err(PdmError::InvalidRequest(format!(
+                "list node {id} follows node {prev}: nodes must be sorted by id"
+            )));
+        }
+        prev = Some(id);
         w.push((id, s, 1))?;
     }
     let nodes = w.finish()?;
@@ -495,6 +506,27 @@ mod tests {
             assert_invalid(list_rank_weighted(&nodes, 0, &cfg), what);
             assert_eq!(d.allocated_blocks(), before, "{what}, weighted");
         }
+    }
+
+    /// A list whose node ids are not sorted — one swapped pair halfway —
+    /// fails in the scan that attaches unit weights, before any
+    /// contraction round, and leaks no block.
+    #[test]
+    fn an_unsorted_list_fails_in_its_first_scan() {
+        let d = EmConfig::new(512, 4).ram_disk();
+        let n = 20_000u64;
+        let (list, head) = random_list(d.clone(), n, 91).unwrap();
+        let mut pairs = list.to_vec().unwrap();
+        pairs.swap(n as usize / 2, n as usize / 2 + 1);
+        let list = ExtVec::from_slice(d.clone(), &pairs).unwrap();
+        let (held, before) = (d.allocated_blocks(), d.stats().snapshot());
+        assert_invalid(
+            list_rank(&list, head, &SortConfig::new(2048)),
+            "must be sorted by id",
+        );
+        let spent = d.stats().snapshot().since(&before).total();
+        assert!(spent <= 2 * list.num_blocks() as u64, "{spent} transfers");
+        assert_eq!(d.allocated_blocks(), held);
     }
 
     #[test]

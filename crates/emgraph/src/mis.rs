@@ -11,11 +11,14 @@ use emsort::SortConfig;
 use pdm::Result;
 
 use crate::time_forward;
+use crate::util::check_vertex;
 
 /// Compute the lexicographically-first maximal independent set of the
 /// undirected graph `edges` (dense vertex ids `0..n`).  Returns
 /// `(vertex, in_set)` with `in_set ∈ {0, 1}`, sorted by vertex id.
 /// `O(Sort(E))` I/Os.
+///
+/// An edge naming a vertex `≥ n` is [`InvalidRequest`](pdm::PdmError::InvalidRequest).
 pub fn maximal_independent_set(
     edges: &ExtVec<(u64, u64)>,
     n: u64,
@@ -28,7 +31,7 @@ pub fn maximal_independent_set(
         let mut w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
         let mut r = edges.reader();
         while let Some((u, v)) = r.try_next()? {
-            assert!(u < n && v < n, "vertex id out of range");
+            check_vertex(u.max(v), n)?;
             if u != v {
                 w.push((u.min(v), u.max(v)))?;
             }

@@ -24,11 +24,13 @@ use emsort::{merge_sort_streaming, SortConfig, SortingWriter};
 use pdm::Result;
 
 use crate::contract::{compress, relabel, Labels, ROOT};
-use crate::util::join_left_stream;
+use crate::util::{check_vertex, join_left_stream};
 
 /// Compute a minimum spanning forest of the undirected weighted graph
 /// `edges` (`(u, v, w)`, dense vertex ids `0..n`).  Returns the forest's
 /// edges as `(u, v, w)` in input order.  `O(Sort(E)·log V)` I/Os.
+///
+/// An edge naming a vertex `≥ n` is [`InvalidRequest`](pdm::PdmError::InvalidRequest).
 pub fn minimum_spanning_forest(
     edges: &ExtVec<(u64, u64, u64)>,
     n: u64,
@@ -42,7 +44,7 @@ pub fn minimum_spanning_forest(
         let mut r = edges.reader();
         let mut id = 0u64;
         while let Some((a, b, wt)) = r.try_next()? {
-            assert!(a < n && b < n, "vertex id out of range");
+            check_vertex(a.max(b), n)?;
             if a != b {
                 w.push((a, b, wt, id))?;
             }

@@ -27,6 +27,8 @@ use crate::util::clustered_adjacency;
 /// Shortest-path distances from `source` in the undirected, non-negatively
 /// weighted graph `edges` (`(u, v, w)`, dense vertex ids `0..n`).  Returns
 /// `(vertex, distance)` for every reachable vertex, sorted by vertex id.
+///
+/// An edge naming a vertex `≥ n` is [`InvalidRequest`](pdm::PdmError::InvalidRequest).
 pub fn sssp(
     edges: &ExtVec<(u64, u64, u64)>,
     n: u64,

@@ -8,7 +8,18 @@
 
 use em_core::{ExtVec, ExtVecWriter, Record};
 use emsort::{SortConfig, SortedStream, SortingWriter};
-use pdm::Result;
+use pdm::{PdmError, Result};
+
+/// [`PdmError::InvalidRequest`] unless `v` names one of the vertices
+/// `0..n` — every edge list is checked as it is first read.
+pub(crate) fn check_vertex(v: u64, n: u64) -> Result<()> {
+    if v >= n {
+        return Err(PdmError::InvalidRequest(format!(
+            "vertex id {v} out of range for {n} vertices"
+        )));
+    }
+    Ok(())
+}
 
 /// Vertex `v`'s slice of a clustered arc array, as `(start, degree)` at
 /// index `v`.
@@ -30,7 +41,7 @@ pub(crate) fn clustered_adjacency<E: Record, A: Record>(
     let mut r = edges.reader();
     while let Some(e) = r.try_next()? {
         for arc in arcs_of(e) {
-            assert!(ends(&arc).0 < n, "vertex id out of range");
+            check_vertex(ends(&arc).0, n)?;
             arcs.push(arc)?;
         }
     }

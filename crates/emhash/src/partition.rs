@@ -2,8 +2,9 @@
 //! sort's runs, and the engine primitive behind hash join and hash
 //! aggregation.
 //!
-//! A **pass** fans a record stream into up to `M/B − 1` spill partitions by
-//! the level-salted bucket hash ([`em_core::hash::level_bucket`]): every
+//! A level is one [`PartitionPass`], `emsort`'s distribution pass, that fans
+//! a record stream into up to `M/B − 1` spill partitions by the
+//! level-salted bucket hash ([`em_core::hash::level_bucket`]): every
 //! record's key is hashed **once** ([`KeyHasher`]), and deeper recursion
 //! levels remix that one 64-bit hash instead of rehashing the key.  The
 //! remix makes levels independent (records that collide at level *l* spread
@@ -11,15 +12,6 @@
 //! (`em_core::bounds::hash_*_exact_ios`) reproduce the entire recursion
 //! tree from the level-0 hashes alone — the same no-over-counting
 //! philosophy as `merge_sort_exact_ios`.
-//!
-//! Each partition streams out through the device's per-lane write-behind:
-//! the pass announces its recursion level via
-//! [`direct_next_stream`](pdm::BlockDevice::direct_next_stream) so seeded
-//! lane policies decorrelate consecutive levels, writers deepen their
-//! queues by [`stream_lanes`](pdm::BlockDevice::stream_lanes)
-//! ([`OverlapConfig::for_lanes`]), and all depths are charged to the
-//! caller's [`MemBudget`] as headroom beyond `M` — the partition tree, and
-//! with it every transfer count, is identical with overlap on or off.
 //!
 //! Recursion ([`partition_to_fit`]) stops three ways, mirrored exactly by
 //! the cost model:
@@ -33,13 +25,11 @@
 //! * [`HASH_MAX_LEVELS`] recursion levels is a backstop for adversarially
 //!   slow shrinkage, with the same sort fallback.
 
-use std::sync::Arc;
-
 use em_core::bounds::HASH_MAX_LEVELS;
 use em_core::hash::level_bucket;
-use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
-use emsort::OverlapConfig;
-use pdm::{PdmError, Result, SharedDevice};
+use em_core::{ExtVec, ExtVecWriter, Record};
+use emsort::{copy_blocks, operator_budget, OverlapConfig, PartitionPass};
+use pdm::Result;
 
 /// Hashes record keys through one reusable scratch buffer.
 ///
@@ -63,120 +53,6 @@ impl KeyHasher {
         self.buf.resize(K::BYTES, 0);
         key.write_to(&mut self.buf);
         em_core::hash::hash_bytes(&self.buf)
-    }
-}
-
-/// [`PdmError::InvalidRequest`] unless `fan_out ≥ 2` and `fan_out + 1`
-/// partition buffers of `block_records` records each fit in `mem_records`:
-/// one pass reads one block and writes `fan_out`.  The planner prices a
-/// fan-out this check rejects at ∞.
-pub fn check_fan_out(fan_out: usize, block_records: usize, mem_records: usize) -> Result<()> {
-    let needed = (fan_out + 1) * block_records;
-    if fan_out < 2 || needed > mem_records {
-        return Err(PdmError::InvalidRequest(format!(
-            "fan-out {fan_out} must be ≥ 2 and needs {needed} records of memory, have {mem_records}"
-        )));
-    }
-    Ok(())
-}
-
-/// The budget of an operator that spills `fan_out` ways in blocks of
-/// `block_records` records: capacity `M` plus one pass's overlap queues,
-/// `(read_ahead + fan_out·write_behind)·block_records` at `overlap`'s
-/// per-lane depths on `device`.  The queues are headroom beyond `M`: every
-/// sizing decision comes from `mem_records` alone, so the partition tree,
-/// and with it every transfer count, is the same with overlap on or off.
-/// Passes never overlap, so one pass's queues are the whole reserve.
-///
-/// [`check_fan_out`]'s error, before anything is allocated.
-pub fn operator_budget(
-    device: &SharedDevice,
-    fan_out: usize,
-    block_records: usize,
-    mem_records: usize,
-    overlap: OverlapConfig,
-) -> Result<Arc<MemBudget>> {
-    check_fan_out(fan_out, block_records, mem_records)?;
-    let ov = overlap.for_lanes(device.stream_lanes());
-    let reserve = (ov.read_ahead + fan_out * ov.write_behind) * block_records;
-    Ok(MemBudget::new(mem_records + reserve))
-}
-
-/// One fan-out spill pass: `fan_out` open partition writers at a recursion
-/// level.
-///
-/// The caller streams `(h0, record)` pairs in and [`finish`](Self::finish)
-/// returns the partitions as external arrays (empty buckets come back as
-/// zero-block arrays).  Writer *buffer* blocks (`fan_out · B` records) are
-/// the caller's to charge — the pass charges only write-behind depths,
-/// matching the distribution-sort idiom where sizing decisions come from
-/// the configured `M`, never the budget's overlap headroom.
-/// [`spill_array`](Self::spill_array) is the whole pass over an array.
-pub struct PartitionPass<R: Record> {
-    writers: Vec<ExtVecWriter<R>>,
-    level: usize,
-}
-
-impl<R: Record> PartitionPass<R> {
-    /// Open `fan_out` spill writers at recursion `level` on `device`.
-    ///
-    /// Announces `level` as the device's next block stream (lane
-    /// staggering) and configures per-writer write-behind of
-    /// `overlap.for_lanes(device.stream_lanes())` blocks, charged to
-    /// `budget`.  `fan_out` must pass [`check_fan_out`]; callers check it
-    /// first.
-    pub fn new(
-        device: &SharedDevice,
-        fan_out: usize,
-        level: usize,
-        overlap: OverlapConfig,
-        budget: &Arc<MemBudget>,
-    ) -> Self {
-        debug_assert!(fan_out >= 2, "hash partitioning needs fan-out >= 2");
-        let ov = overlap.for_lanes(device.stream_lanes());
-        device.direct_next_stream(level);
-        let writers = (0..fan_out)
-            .map(|_| ExtVecWriter::with_write_behind(device.clone(), ov.write_behind, budget))
-            .collect();
-        PartitionPass { writers, level }
-    }
-
-    /// Spill all of `input` at recursion `level`: open the pass, charge its
-    /// `(fan_out + 1)·B` buffers to `budget`, read `input` ahead at
-    /// `overlap`'s per-disk depth, hand each record to `route` (which
-    /// [`push`](Self::push)es, keeps or drops it), and return the
-    /// partitions.  `input` is left alone.
-    pub fn spill_array(
-        input: &ExtVec<R>,
-        fan_out: usize,
-        level: usize,
-        overlap: OverlapConfig,
-        budget: &Arc<MemBudget>,
-        mut route: impl FnMut(&mut Self, R) -> Result<()>,
-    ) -> Result<Vec<ExtVec<R>>> {
-        let b = input.per_block();
-        let read_ahead = overlap.for_lanes(input.device().stream_lanes()).read_ahead;
-        let mut pass = PartitionPass::new(input.device(), fan_out, level, overlap, budget);
-        let _charge = budget.charge((fan_out + 1) * b);
-        let mut reader = input.reader_at_prefetch(0, read_ahead, budget);
-        while let Some(r) = reader.try_next()? {
-            route(&mut pass, r)?;
-        }
-        drop(reader);
-        pass.finish()
-    }
-
-    /// Route one record to the bucket its level-0 hash selects at this
-    /// pass's level.
-    #[inline]
-    pub fn push(&mut self, h0: u64, r: R) -> Result<()> {
-        let bi = level_bucket(h0, self.level, self.writers.len());
-        self.writers[bi].push(r)
-    }
-
-    /// Close every writer and return the spill partitions, bucket order.
-    pub fn finish(self) -> Result<Vec<ExtVec<R>>> {
-        self.writers.into_iter().map(|w| w.finish()).collect()
     }
 }
 
@@ -218,7 +94,8 @@ impl<R: Record> Partitioned<R> {
 /// level it passes through — exactly what
 /// `em_core::bounds::hash_partition_exact_ios` replays.
 ///
-/// [`check_fan_out`]'s error, before anything is allocated.
+/// [`check_fan_out`](emsort::check_fan_out)'s error, before anything is
+/// allocated.
 pub fn partition_to_fit<R, H>(
     input: &ExtVec<R>,
     hash: H,
@@ -234,25 +111,17 @@ where
     let budget = operator_budget(input.device(), fan_out, b, mem_records, overlap)?;
     let mut out = Vec::new();
     if input.len() as usize <= mem_records {
-        // Nothing to do — but the consumer still owns a leaf, so hand back
-        // a copy-free view: re-partitioning zero levels means the caller's
-        // array IS the leaf.  We cannot move out of a borrow, so stream it
-        // into a fresh array only in this degenerate case.
-        let mut w = ExtVecWriter::with_write_behind(input.device().clone(), 0, &budget);
-        // Reader, copy and writer buffers (fan_out ≥ 2 guarantees M ≥ 3B).
-        let _charge = budget.charge(3 * b);
-        let mut reader = input.reader_at_prefetch(0, 0, &budget);
-        let mut block = Vec::with_capacity(b);
-        while reader.read_into(&mut block, b)? > 0 {
-            w.extend_from_slice(&block)?;
-            block.clear();
-        }
+        // Nothing to do — but the consumer owns its leaves and we cannot
+        // move out of a borrow, so the one leaf is a copy (`fan_out ≥ 2`
+        // guarantees the copy's `3·B` fit in `M`).
+        let mut w = ExtVecWriter::new(input.device().clone());
+        copy_blocks(input, &mut w, 0, &budget)?;
         out.push(Partitioned::Resident(w.finish()?));
         return Ok(out);
     }
     let spill = |v: &ExtVec<R>, level| {
         PartitionPass::spill_array(v, fan_out, level, overlap, &budget, |pass, r| {
-            pass.push(hash(&r), r)
+            pass.push(level_bucket(hash(&r), level, fan_out), r)
         })
     };
     let children = spill(input, 0)?;
@@ -280,11 +149,10 @@ where
             child.free()?;
         } else if child.len() as usize <= mem_records {
             out.push(Partitioned::Resident(child));
-        } else if child.len() == fed {
-            // Every spilled record shares a bucket at this level — equal
-            // hashes; further levels would route them identically.
-            out.push(Partitioned::Skewed(child));
-        } else if level + 1 >= HASH_MAX_LEVELS {
+        } else if child.len() == fed || level + 1 >= HASH_MAX_LEVELS {
+            // Every spilled record shares a bucket at this level (equal
+            // hashes, which further levels would route identically), or the
+            // depth backstop.
             out.push(Partitioned::Skewed(child));
         } else {
             let grandchildren = spill(&child, level + 1)?;
@@ -300,6 +168,7 @@ where
 mod tests {
     use super::*;
     use em_core::EmConfig;
+    use pdm::{PdmError, SharedDevice};
 
     fn hash_u64(r: &u64) -> u64 {
         em_core::hash::hash_bytes(&r.to_le_bytes())

@@ -41,11 +41,11 @@
 //! counts them (the join's filter is charged the records whose bytes it
 //! occupies); the tables' slot arrays are uncharged index overhead.
 //!
-//! Every spill is [`emhash::partition`]'s step, under its fan-out check and
-//! in a budget from its [`operator_budget`].  Once an operator has been
-//! promised a full drain ([`QueryExec::drain_hint`]), the [`ExtVecCursor`]s
-//! it reads across calls also draw their read-ahead from that budget's
-//! overlap headroom, never from `M`.
+//! Every spill is `emsort`'s distribution pass ([`PartitionPass`]), under
+//! its fan-out check and in an [`operator_budget`].  Once an operator has
+//! been promised a full drain ([`QueryExec::drain_hint`]), the
+//! [`ExtVecCursor`]s it reads across calls also draw their read-ahead from
+//! that budget's overlap headroom, never from `M`.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -54,9 +54,9 @@ use std::sync::Arc;
 use em_core::bounds::{hash_join_residency, HASH_MAX_LEVELS};
 use em_core::hash::{level_bucket, KeyFilter};
 use em_core::{BudgetGuard, ExtVec, ExtVecCursor, MemBudget, Record};
-use emhash::partition::{operator_budget, KeyHasher, PartitionPass};
+use emhash::partition::KeyHasher;
 use emhash::table::{ResidentMultimap, ResidentTable};
-use emsort::{merge_sort_by, OverlapConfig};
+use emsort::{merge_sort_by, operator_budget, OverlapConfig, PartitionPass};
 use pdm::{PdmError, Result, SharedDevice};
 
 use crate::exec::{ExecConfig, GroupFold, Order, QueryExec};
@@ -146,7 +146,7 @@ where
     /// on to `child` with the promise to drain it), and the skew fallback's
     /// sort parameters.
     ///
-    /// [`check_fan_out`](emhash::partition::check_fan_out)'s error for
+    /// [`check_fan_out`](emsort::check_fan_out)'s error for
     /// blocks of `B` records, before anything is read or allocated.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
@@ -189,7 +189,7 @@ where
             let _charge = budget.charge(this.cap + (fan_out + 1) * b);
             while let Some(r) = child.try_next()? {
                 fed += 1;
-                this.absorb_or_spill(&mut table, &mut pass, r)?;
+                this.absorb_or_spill(&mut table, &mut pass, 0, r)?;
             }
             pass.finish()?
         };
@@ -204,13 +204,14 @@ where
         &self.budget
     }
 
-    /// The hybrid routing step shared by every pass level: fold if the key
-    /// is resident, admit it if the table still has room, spill otherwise.
+    /// The hybrid routing step of a pass at `level`: fold if the key is
+    /// resident, admit it if the table still has room, spill otherwise.
     /// The key is hashed once; the table lookup and the spill both use it.
     fn absorb_or_spill(
         &mut self,
         table: &mut ResidentTable<K, (Acc, u64)>,
         pass: &mut PartitionPass<R>,
+        level: usize,
         r: R,
     ) -> Result<()> {
         let cap = self.cap;
@@ -224,7 +225,7 @@ where
             (self.fold)(acc, &r);
             *n += 1;
         } else {
-            pass.push(h0, r)?;
+            pass.push(level_bucket(h0, level, self.fan_out), r)?;
         }
         debug_assert!(table.len() <= cap, "absorbed past the charged records");
         Ok(())
@@ -302,7 +303,7 @@ where
             let _charge = budget.charge(self.cap);
             let (fan_out, overlap) = (self.fan_out, self.cfg.sort.overlap);
             PartitionPass::spill_array(&part, fan_out, level, overlap, &budget, |pass, r| {
-                self.absorb_or_spill(&mut table, pass, r)
+                self.absorb_or_spill(&mut table, pass, level, r)
             })?
         };
         part.free()?;
@@ -483,7 +484,7 @@ where
     /// promise to drain it; `probe` is drained only as far as the join is,
     /// so it gets the hint when the join does).
     ///
-    /// [`check_fan_out`](emhash::partition::check_fan_out)'s error for
+    /// [`check_fan_out`](emsort::check_fan_out)'s error for
     /// buffers of `B_build + B_probe` records, before anything is read or
     /// allocated.  A spilled hybrid whose bucket 0 outgrows its
     /// `M − (F+1)·(B_build + B_probe)` share is [`PdmError::MemoryExceeded`].
@@ -537,7 +538,8 @@ where
             for r in held.into_iter().flatten().chain([r]) {
                 let k = key_b(&r);
                 let h0 = hasher.hash(&k);
-                if hybrid && level_bucket(h0, 0, fan_out) == 0 {
+                let bucket = level_bucket(h0, 0, fan_out);
+                if hybrid && bucket == 0 {
                     if resident.len() == bucket0_cap {
                         return Err(PdmError::MemoryExceeded {
                             needed: bucket0_cap + 1,
@@ -547,7 +549,7 @@ where
                     resident.insert(h0, k, r);
                 } else {
                     filter.insert(h0);
-                    pass.push(h0, r)?;
+                    pass.push(bucket, r)?;
                 }
             }
         }
@@ -636,8 +638,11 @@ where
         // bucket is empty, matches nothing and is dropped before it costs a
         // spill write.  The filter is asked first: it turns most unmatched
         // records away for less than the bucket's division costs.
-        if spilled.filter.may_contain(h0) && !spilled.build_parts[bucket(h0)].is_empty() {
-            spilled.probe_pass.push(h0, r)?;
+        if spilled.filter.may_contain(h0) {
+            let bi = bucket(h0);
+            if !spilled.build_parts[bi].is_empty() {
+                spilled.probe_pass.push(bi, r)?;
+            }
         }
         Ok(())
     }
@@ -676,16 +681,17 @@ where
         }
         let (fan_out, overlap, budget) = (self.fan_out, self.overlap, &self.budget);
         let (hasher, key_b, key_p) = (&mut self.hasher, &self.key_b, &self.key_p);
+        let bucket = |h0| level_bucket(h0, level, fan_out);
         let bkids = PartitionPass::spill_array(&bv, fan_out, level, overlap, budget, |pass, r| {
-            pass.push(hasher.hash(&key_b(&r)), r)
+            pass.push(bucket(hasher.hash(&key_b(&r))), r)
         })?;
         // A probe record whose build bucket is empty matches nothing.
         let pkids = PartitionPass::spill_array(&pv, fan_out, level, overlap, budget, |pass, r| {
-            let h0 = hasher.hash(&key_p(&r));
-            if bkids[level_bucket(h0, level, fan_out)].is_empty() {
+            let bi = bucket(hasher.hash(&key_p(&r)));
+            if bkids[bi].is_empty() {
                 return Ok(());
             }
-            pass.push(h0, r)
+            pass.push(bi, r)
         })?;
         bv.free()?;
         pv.free()?;
@@ -1197,7 +1203,7 @@ mod tests {
             let comparing = d.stats().snapshot();
             let mut pass = PartitionPass::new(&d, fan, 0, OverlapConfig::off(), j.budget());
             for (r, &h0) in all.iter().zip(&bh) {
-                pass.push(h0, *r).unwrap();
+                pass.push(level_bucket(h0, 0, fan), *r).unwrap();
             }
             let plain = pass.finish().unwrap();
             let spilled = j.spilled.as_ref().expect("R + 1 records overflow");
@@ -1320,7 +1326,7 @@ mod tests {
             run(3, 4 * buffer).unwrap();
             assert_eq!(d.allocated_blocks(), allocated);
             for (fan, m) in [(3, 4 * buffer - 1), (1, 4 * buffer)] {
-                let want = emhash::partition::check_fan_out(fan, buffer, m).err();
+                let want = emsort::check_fan_out(fan, buffer, m).err();
                 let err = run(fan, m).err();
                 assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
                 assert_eq!(err.map(|e| e.to_string()), want.map(|e| e.to_string()));

@@ -32,7 +32,7 @@
 
 use crate::exec::{KeyId, Order};
 use em_core::bounds;
-use emhash::partition::check_fan_out;
+use emsort::check_fan_out;
 
 /// Arrival-ordered level-0 key hashes of a stream — the statistic the hash
 /// operators' exact cost replays consume (`hash_group_exact_ios` /

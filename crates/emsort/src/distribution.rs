@@ -13,6 +13,10 @@
 //! verbatim.  Since every pivot is drawn from the bucket, each equal zone is
 //! non-empty and every recursive zone is strictly smaller than its parent —
 //! progress is guaranteed even on duplicate-heavy inputs.
+//!
+//! A level's partition is one [`PartitionPass`] over `2P + 1` zones, the
+//! `P + 1` open zones first and the `P` equal zones after, routed by a
+//! pivot search; an equal zone is copied out by [`copy_blocks`].
 
 use std::sync::Arc;
 
@@ -20,6 +24,7 @@ use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
 use pdm::{PdmError, Result};
 use rand::prelude::*;
 
+use crate::pass::{copy_blocks, pass_budget, PartitionPass};
 use crate::runs::cmp_from_less;
 use crate::SortConfig;
 
@@ -47,9 +52,10 @@ pub fn distribution_sort<R: Record + Ord>(
 /// [`DiskArray`](pdm::DiskArray), bucket blocks round-robin across lanes as
 /// they are allocated, so zone writes stay D-parallel.
 ///
-/// An input larger than `M` is partitioned, and partitioning needs six
-/// blocks of memory (the reader's block and the five zone writers of a
-/// two-pivot split): with fewer the sort returns
+/// A level takes `P = (k − 1) / 2` pivots, at least one, for the fan-in `k`
+/// of [`SortConfig::effective_fan_in`].  An input larger than `M` is partitioned, and
+/// partitioning needs six blocks of memory (the reader's block and the five
+/// zone writers of a two-pivot split): with fewer the sort returns
 /// [`PdmError::MemoryExceeded`] before anything is written.  An input that
 /// fits in `M` never partitions and sorts at any budget.
 pub fn distribution_sort_by<R, F>(input: &ExtVec<R>, cfg: &SortConfig, less: F) -> Result<ExtVec<R>>
@@ -58,32 +64,20 @@ where
     F: Fn(&R, &R) -> bool + Copy,
 {
     let b = input.per_block();
-    // Overlap depths are per disk: streams on an independent-placement
-    // array deepen their queues by the lane count (see
-    // [`OverlapConfig::for_lanes`](crate::OverlapConfig::for_lanes)) so the
-    // partition reader and zone writers keep every member disk busy.
-    let ov = cfg.overlap.for_lanes(input.device().stream_lanes());
-    let cfg = &cfg.with_overlap(ov);
-    // Overlap headroom beyond M: read-ahead for the one partition reader
-    // plus write-behind for every zone writer a level can hold (2P+1 zones
-    // and the output stream).  Partition math below is computed from
-    // `mem_records` alone, never from the inflated budget capacity, so the
-    // bucket tree — and with it every transfer — is identical with overlap
-    // on or off.
-    let p_bound = cfg
-        .fan_in
-        .map(|k| k.saturating_sub(1) / 2)
-        .unwrap_or((cfg.mem_records / b).saturating_sub(2) / 2)
-        .max(1);
-    let reserve = (ov.read_ahead + (2 * p_bound + 2) * ov.write_behind) * b;
+    let device = input.device();
+    let p = ((cfg.effective_fan_in(b) - 1) / 2).max(1);
+    // A level holds its 2P+1 zone writers and the output stream open.
+    let budget = pass_budget(device, 2 * p + 2, b, cfg.mem_records, cfg.overlap);
+    let ov = cfg.overlap.for_lanes(device.stream_lanes());
     let ctx = Ctx {
-        budget: MemBudget::new(cfg.mem_records + reserve),
+        budget,
         cfg: *cfg,
+        p,
+        read_ahead: ov.read_ahead,
         rng: std::cell::RefCell::new(StdRng::seed_from_u64(0xD157_0507)),
         levels: std::cell::Cell::new(0),
     };
-    let mut out =
-        ExtVecWriter::with_write_behind(input.device().clone(), ov.write_behind, &ctx.budget);
+    let mut out = ExtVecWriter::with_write_behind(device.clone(), ov.write_behind, &ctx.budget);
     if input.len() as usize <= cfg.mem_records {
         emit_sorted_in_memory(input, &mut out, &ctx, less)?;
     } else {
@@ -96,10 +90,13 @@ where
 struct Ctx {
     budget: Arc<MemBudget>,
     cfg: SortConfig,
+    /// Pivots a level takes.
+    p: usize,
+    /// `cfg`'s read-ahead on this device's lanes.
+    read_ahead: usize,
     rng: std::cell::RefCell<StdRng>,
-    /// Partition calls so far — the stream token announced to the device's
-    /// lane policy before each level's zone writers allocate (see
-    /// [`BlockDevice::direct_next_stream`](pdm::BlockDevice::direct_next_stream)).
+    /// Partition calls so far — the stream token each level's pass
+    /// announces to the device's lane policy.
     levels: std::cell::Cell<usize>,
 }
 
@@ -136,30 +133,22 @@ where
     // I/O overlap is enabled.
     let m = ctx.cfg.mem_records;
     let b = bucket.per_block();
-    let m_blocks = m / b;
-    if m_blocks < 6 {
+    if m / b < 6 {
         return Err(PdmError::MemoryExceeded {
             needed: 6 * b,
             available: m,
         });
     }
-    // 2P+1 zone writers + 1 reader block must fit in M.
-    let p = ctx
-        .cfg
-        .fan_in
-        .map(|k| k.saturating_sub(1) / 2)
-        .unwrap_or((m_blocks - 2) / 2)
-        .max(1);
+    let p = ctx.p;
 
     // Pass 1: reservoir-sample pivot candidates.
-    let ov = ctx.cfg.overlap;
     let sample_target = (p * 4).min(m / 2).max(p.min(m / 2)).max(1);
     let mut sample: Vec<R> = Vec::with_capacity(sample_target);
     {
         let _charge = ctx.budget.charge(sample_target + b);
         let mut rng = ctx.rng.borrow_mut();
         let mut seen = 0u64;
-        let mut reader = bucket.reader_at_prefetch(0, ov.read_ahead, &ctx.budget);
+        let mut reader = bucket.reader_at_prefetch(0, ctx.read_ahead, &ctx.budget);
         while let Some(r) = reader.try_next()? {
             seen += 1;
             if sample.len() < sample_target {
@@ -184,47 +173,21 @@ where
     }
     let np = pivots.len();
 
-    // Pass 2: distribute.  On independent-geometry arrays the level's zone
-    // writers interleave their allocations through the device's one lane
-    // cursor, so the bucket writes of one level keep all D lanes busy.
-    // Announcing the level as a stream lets the seeded lane policies (SRM /
-    // randomized cycling) decorrelate where each level's allocation
-    // sequence starts and in what order it cycles — the recursion is
-    // deterministic, so the token sequence (and hence the block layout) is
-    // reproducible run to run.
+    // Pass 2: distribute.  The recursion is deterministic, so the level
+    // tokens — and hence the block layout — are reproducible run to run.
     let level = ctx.levels.get();
     ctx.levels.set(level + 1);
-    bucket.device().direct_next_stream(level);
-    let mut open: Vec<ExtVecWriter<R>> = (0..=np)
-        .map(|_| {
-            ExtVecWriter::with_write_behind(bucket.device().clone(), ov.write_behind, &ctx.budget)
-        })
-        .collect();
-    let mut equal: Vec<ExtVecWriter<R>> = (0..np)
-        .map(|_| {
-            ExtVecWriter::with_write_behind(bucket.device().clone(), ov.write_behind, &ctx.budget)
-        })
-        .collect();
-    {
-        let _charge = ctx.budget.charge((2 * np + 2) * b);
-        let mut reader = bucket.reader_at_prefetch(0, ov.read_ahead, &ctx.budget);
-        while let Some(r) = reader.try_next()? {
+    let (overlap, budget) = (ctx.cfg.overlap, &ctx.budget);
+    let mut open =
+        PartitionPass::spill_array(bucket, 2 * np + 1, level, overlap, budget, |pass, r| {
             let lo = pivots.partition_point(|pv| less(pv, &r));
             if lo < np && !less(&r, &pivots[lo]) {
-                equal[lo].push(r)?;
+                pass.push(np + 1 + lo, r)
             } else {
-                open[lo].push(r)?;
+                pass.push(lo, r)
             }
-        }
-    }
-    let open = open
-        .into_iter()
-        .map(|w| w.finish())
-        .collect::<Result<Vec<_>>>()?;
-    let equal = equal
-        .into_iter()
-        .map(|w| w.finish())
-        .collect::<Result<Vec<_>>>()?;
+        })?;
+    let equal = open.split_off(np + 1);
     Ok((open, equal))
 }
 
@@ -251,17 +214,8 @@ where
     for zone in open {
         sort_owned(zone, out, ctx, less, depth)?;
         if let Some(eq) = equal_iter.next() {
-            // Records equivalent to the pivot need no further sorting: copy
-            // them a block at a time (reader, copy and writer buffers).
-            let b = eq.per_block();
-            let _charge = ctx.budget.charge(3 * b);
-            let mut reader = eq.reader_at_prefetch(0, ctx.cfg.overlap.read_ahead, &ctx.budget);
-            let mut block = Vec::with_capacity(b);
-            while reader.read_into(&mut block, b)? > 0 {
-                out.extend_from_slice(&block)?;
-                block.clear();
-            }
-            drop(reader);
+            // Records equivalent to the pivot need no further sorting.
+            copy_blocks(&eq, out, ctx.read_ahead, &ctx.budget)?;
             eq.free()?;
         }
     }
@@ -445,6 +399,28 @@ mod tests {
         let mut expect = data.clone();
         expect.sort_unstable();
         assert_eq!(sync_out, expect);
+    }
+
+    /// A fan-in override larger than `M/B` allows is clamped as merge sort
+    /// clamps it: `with_fan_in(31)` in eight blocks sorts exactly as
+    /// `with_fan_in(7)` does.
+    #[test]
+    fn an_oversized_fan_in_override_is_clamped_to_memory() {
+        let mut rng = StdRng::seed_from_u64(18);
+        let data: Vec<u64> = (0..2000).map(|_| rng.gen()).collect();
+        let run = |k: usize| {
+            let device = device_b8();
+            let input = ExtVec::from_slice(device.clone(), &data).unwrap();
+            let before = device.stats().snapshot();
+            let out = distribution_sort(&input, &SortConfig::new(64).with_fan_in(k)).unwrap();
+            let delta = device.stats().snapshot().since(&before);
+            (out.to_vec().unwrap(), delta.reads(), delta.writes())
+        };
+        let (wide, clamped) = (run(31), run(7));
+        assert_eq!(wide, clamped);
+        let mut expect = data.clone();
+        expect.sort_unstable();
+        assert_eq!(wide.0, expect);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   [`SortingWriter`] are the same engine with the final merge handed to
 //!   the consumer, or the runs formed straight from a producer.
 //! * [`distribution_sort`] / [`distribution_sort_by`] — the dual approach:
-//!   sample pivots, partition into `Θ(M/B)` buckets, recurse.
+//!   sample pivots, partition into `Θ(M/B)` buckets, recurse.  A level is
+//!   one [`PartitionPass`], as in hashing and the distribution sweep.
 //! * [`permute_naive`] / [`permute_by_sort`] — both sides of the permutation
 //!   bound `Permute(N) = Θ(min(N, Sort(N)))`.
 //! * [`bmmc_permute`] — the survey's structured-permutation class (bit
@@ -49,6 +50,7 @@ mod bmmc;
 mod distribution;
 mod heap;
 mod merge;
+mod pass;
 mod permute;
 mod runs;
 mod select;
@@ -60,6 +62,7 @@ pub use merge::{
     merge_runs_streaming, merge_runs_with, merge_sort, merge_sort_by, merge_sort_streaming,
     SortedStream, SortingWriter,
 };
+pub use pass::{check_fan_out, copy_blocks, operator_budget, PartitionPass};
 pub use permute::{invert_permutation, permute_by_sort, permute_naive};
 pub use runs::{form_runs, RunFormation};
 pub use select::{median, select, select_by};
