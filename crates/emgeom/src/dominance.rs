@@ -173,6 +173,28 @@ mod tests {
         ExtVec::from_slice(d.clone(), &v).unwrap()
     }
 
+    /// Every 30th point on `x = 0`, the rest on `x = i`: a sample taken at
+    /// a stride of 30 points would see only `x = 0` and find no slab
+    /// boundary, though 3 017 distinct x values split easily.
+    #[test]
+    fn a_periodic_x_is_split_and_answered() {
+        let d = EmConfig::new(4096, 16).ram_disk();
+        let data: Vec<(u64, i64, i64)> = (0..3120)
+            .map(|i| (i, if i % 30 == 0 { 0 } else { i as i64 }, i as i64))
+            .collect();
+        let points = pts(&d, &data);
+        let got = dominance_count(&points, &points, &SortConfig::new(1984)).unwrap();
+        let mut got = got.to_vec().unwrap();
+        let mut want = dominance_count_naive(&points, &points)
+            .unwrap()
+            .to_vec()
+            .unwrap();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got.len(), 3120);
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn tiny_example() {
         let d = device();

@@ -8,13 +8,16 @@
 //! A problem ([`Sweep`]) supplies only its event record, what a slab
 //! remembers ([`SlabState`]), what an event does at a [`Level`], and its
 //! in-memory base case.
-//! A level is one [`PartitionPass`], a writer per slab, whose route closure
-//! owns the [`Level`]; the sweep runs in one [`operator_budget`].
+//! A level's slab boundaries come from the one sampler,
+//! [`sample_pivots`], over the events' [`Sweep::sample_xs`]; the level is
+//! one [`PartitionPass`], a writer per slab, whose route closure owns the
+//! [`Level`]; the sweep runs in one [`operator_budget`], which also pays
+//! for the sample.
 
 use std::sync::Arc;
 
 use em_core::{AppendBuffer, BudgetGuard, ExtVec, ExtVecWriter, MemBudget, Record};
-use emsort::{operator_budget, PartitionPass, SortConfig, SortingWriter};
+use emsort::{operator_budget, sample_pivots, PartitionPass, SortConfig, SortingWriter};
 use pdm::{PdmError, Result, SharedDevice};
 
 /// Where every sweep reports: `(id, id)` or `(id, count)` pairs.
@@ -167,10 +170,13 @@ fn sweep<P: Sweep>(
     }
 
     let b = events.per_block();
-    let pivots = sample_pivots::<P>(&events, slabs::<P>(b, cfg.mem_records) - 1)?;
-    if pivots.is_empty() {
-        // Every sampled x coincides, so no boundary separates the events
-        // and the sub-problem can be neither split nor loaded.
+    let want = slabs::<P>(b, cfg.mem_records) - 1;
+    let sample_xs = |xs: &mut Vec<i64>, e| P::sample_xs(&e, xs);
+    let (pivots, distinct) = sample_pivots(&events, want, depth, cfg, budget, sample_xs, i64::lt)?;
+    if distinct < 2 {
+        // Every sampled x coincides, so no half-open slab boundary
+        // separates the events and the sub-problem can be neither split
+        // nor loaded.
         return Err(PdmError::MemoryExceeded {
             needed: n,
             available: cfg.mem_records,
@@ -192,34 +198,6 @@ fn sweep<P: Sweep>(
         }
     }
     Ok(())
-}
-
-/// Up to `want` evenly-spaced distinct x pivots from a systematic sample
-/// (every `⌈n/(8·want)⌉`-th event) taken in one scan.
-fn sample_pivots<P: Sweep>(events: &ExtVec<P::Event>, want: usize) -> Result<Vec<i64>> {
-    let stride = (events.len() as usize / (8 * want.max(1))).max(1);
-    let mut xs: Vec<i64> = Vec::new();
-    let mut r = events.reader();
-    let mut i = 0usize;
-    while let Some(e) = r.try_next()? {
-        if i.is_multiple_of(stride) {
-            P::sample_xs(&e, &mut xs);
-        }
-        i += 1;
-    }
-    xs.sort_unstable();
-    xs.dedup();
-    if xs.len() <= 1 {
-        return Ok(Vec::new());
-    }
-    let mut pivots = Vec::with_capacity(want);
-    for j in 1..=want {
-        let cand = xs[(j * xs.len() / (want + 1)).min(xs.len() - 1)];
-        if pivots.last() != Some(&cand) {
-            pivots.push(cand);
-        }
-    }
-    Ok(pivots)
 }
 
 #[cfg(test)]

@@ -18,20 +18,21 @@ use em_core::{ExtVec, ExtVecWriter};
 use emsort::{SortConfig, SortingWriter};
 use pdm::Result;
 
-use crate::util::clustered_adjacency;
+use crate::util::{check_vertex, clustered_adjacency};
 
 /// Munagala–Ranade BFS over the undirected graph `edges` (vertex ids dense
 /// in `0..n`).  Returns `(vertex, distance)` for every vertex reachable from
 /// `source`, sorted by vertex id.
 ///
-/// An edge naming a vertex `≥ n` is [`InvalidRequest`](pdm::PdmError::InvalidRequest).
+/// A `source` or an edge naming a vertex `≥ n` is
+/// [`InvalidRequest`](pdm::PdmError::InvalidRequest).
 pub fn bfs_mr(
     edges: &ExtVec<(u64, u64)>,
     n: u64,
     source: u64,
     cfg: &SortConfig,
 ) -> Result<ExtVec<(u64, u64)>> {
-    assert!(source < n);
+    check_vertex(source, n)?;
     let device = edges.device().clone();
 
     // Preprocess: clustered adjacency (arcs sorted by (src, dst)) plus a
@@ -120,20 +121,22 @@ pub fn bfs_mr(
 /// edge endpoints of each vertex are fetched with one random I/O apiece, so
 /// the total cost is `Θ(E)` I/Os.  (The visited set and queue are held in
 /// memory, which only helps the baseline.)  Returns `(vertex, distance)`
-/// sorted by vertex id.
+/// sorted by vertex id.  A `source` or an edge naming a vertex `≥ n` is
+/// [`InvalidRequest`](pdm::PdmError::InvalidRequest).
 pub fn bfs_naive(
     edges: &ExtVec<(u64, u64)>,
     n: u64,
     source: u64,
     cfg: &SortConfig,
 ) -> Result<ExtVec<(u64, u64)>> {
-    assert!(source < n);
+    check_vertex(source, n)?;
     // In-memory index of *positions* into the unclustered edge array.
     let mut incidence: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
     {
         let mut r = edges.reader();
         let mut i = 0u64;
         while let Some((u, v)) = r.try_next()? {
+            check_vertex(u.max(v), n)?;
             incidence[u as usize].push(i);
             incidence[v as usize].push(i);
             i += 1;

@@ -91,21 +91,30 @@ mod overlap_tests {
     }
 
     /// An edge naming vertex `n` is a typed error from every algorithm that
-    /// reads an edge list, and it frees whatever the scan had written.
+    /// reads an edge list, and so is a source `n` on a valid graph; each
+    /// frees whatever its scan had written.
     #[test]
     fn a_vertex_id_out_of_range_is_invalid_request() {
         let n = 600u64;
         let d = EmConfig::new(256, 16).ram_disk();
         let cfg = SortConfig::new(256);
+        let weigh = |pairs: &[(u64, u64)]| -> Vec<(u64, u64, u64)> {
+            pairs.iter().map(|&(u, v)| (u, v, u + v)).collect()
+        };
         let mut pairs: Vec<(u64, u64)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+        let path = em_core::ExtVec::from_slice(d.clone(), &pairs).unwrap();
+        let path_w = em_core::ExtVec::from_slice(d.clone(), &weigh(&pairs)).unwrap();
         pairs.insert(400, (7, n));
-        let triples: Vec<(u64, u64, u64)> = pairs.iter().map(|&(u, v)| (u, v, u + v)).collect();
         let g = em_core::ExtVec::from_slice(d.clone(), &pairs).unwrap();
-        let w = em_core::ExtVec::from_slice(d.clone(), &triples).unwrap();
+        let w = em_core::ExtVec::from_slice(d.clone(), &weigh(&pairs)).unwrap();
         let held = d.allocated_blocks();
         for (what, got) in [
             ("bfs_mr", bfs_mr(&g, n, 0, &cfg).map(|_| ())),
+            ("bfs_naive", bfs_naive(&g, n, 0, &cfg).map(|_| ())),
             ("sssp", sssp(&w, n, 0, &cfg).map(|_| ())),
+            ("bfs_mr source", bfs_mr(&path, n, n, &cfg).map(|_| ())),
+            ("bfs_naive source", bfs_naive(&path, n, n, &cfg).map(|_| ())),
+            ("sssp source", sssp(&path_w, n, n, &cfg).map(|_| ())),
             ("cc", connected_components(&g, n, &cfg).map(|_| ())),
             ("mis", maximal_independent_set(&g, n, &cfg).map(|_| ())),
             ("msf", minimum_spanning_forest(&w, n, &cfg).map(|_| ())),

@@ -31,8 +31,8 @@ pub const NIL: u64 = u64::MAX;
 /// its successor 1, and so on.  Returns `(node, rank)` sorted by node id.
 ///
 /// Node ids that do not strictly increase are [`PdmError::InvalidRequest`],
-/// found by the one scan that attaches the weights; otherwise as
-/// [`list_rank_weighted`].
+/// found by the one scan that attaches the weights, before anything is
+/// ranked; otherwise as [`list_rank_weighted`].
 pub fn list_rank(
     succ: &ExtVec<(u64, u64)>,
     head: u64,
@@ -43,12 +43,7 @@ pub fn list_rank(
     let mut r = succ.reader();
     let mut prev = None;
     while let Some((id, s)) = r.try_next()? {
-        if let Some(prev) = prev.filter(|&prev| id <= prev) {
-            return Err(PdmError::InvalidRequest(format!(
-                "list node {id} follows node {prev}: nodes must be sorted by id"
-            )));
-        }
-        prev = Some(id);
+        check_sorted(&mut prev, id)?;
         w.push((id, s, 1))?;
     }
     let nodes = w.finish()?;
@@ -70,9 +65,11 @@ pub fn list_rank(
 /// by node id; `rank(head) = 0` and `rank(succ(v)) = rank(v) + weight(v)`.
 /// Returns `(node, rank)` sorted by node id.  `O(Sort(N))` I/Os.
 ///
-/// Records that are not one list from `head` — a successor or head that is
-/// not a node, a cycle, or nodes no contraction can splice — are
-/// [`PdmError::InvalidRequest`].
+/// Records that are not one list from `head` sorted by node id — node ids
+/// that do not strictly increase, a successor or head that is not a node, a
+/// cycle, or nodes no contraction can splice — are
+/// [`PdmError::InvalidRequest`].  Unsorted ids are found by the first scan,
+/// the one that lists each node's predecessor.
 pub fn list_rank_weighted(
     nodes: &ExtVec<(u64, u64, i64)>,
     head: u64,
@@ -94,8 +91,10 @@ fn rank_rec(
     if n as usize <= cfg.mem_records {
         let all = nodes.to_vec()?;
         let mut map: HashMap<u64, (u64, i64)> = HashMap::with_capacity(all.len());
-        for (id, s, w) in &all {
-            map.insert(*id, (*s, *w));
+        let mut prev = None;
+        for &(id, s, w) in &all {
+            check_sorted(&mut prev, id)?;
+            map.insert(id, (s, w));
         }
         let mut ranks: Vec<(u64, i64)> = Vec::with_capacity(all.len());
         let mut cur = head;
@@ -126,7 +125,9 @@ fn rank_rec(
         let preds = {
             let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64), b| a.0 < b.0);
             let mut r = nodes.reader();
+            let mut prev = None;
             while let Some((id, s, _)) = r.try_next()? {
+                check_sorted(&mut prev, id)?;
                 if s != NIL {
                     w.push((s, id))?;
                 }
@@ -273,6 +274,18 @@ pub fn list_rank_naive(
 
 fn invalid(what: &str) -> PdmError {
     PdmError::InvalidRequest(format!("list ranking: {what}"))
+}
+
+/// [`PdmError::InvalidRequest`] unless node `id` follows `prev`, the node
+/// before it, in increasing order; then `id` becomes `prev`.
+fn check_sorted(prev: &mut Option<u64>, id: u64) -> Result<()> {
+    if let Some(p) = prev.filter(|&p| id <= p) {
+        return Err(PdmError::InvalidRequest(format!(
+            "list node {id} follows node {p}: nodes must be sorted by id"
+        )));
+    }
+    *prev = Some(id);
+    Ok(())
 }
 
 /// Deterministic per-(level, id) coin flip.
@@ -509,8 +522,9 @@ mod tests {
     }
 
     /// A list whose node ids are not sorted — one swapped pair halfway —
-    /// fails in the scan that attaches unit weights, before any
-    /// contraction round, and leaks no block.
+    /// fails in the first scan of `list_rank` (the one that attaches unit
+    /// weights) and of `list_rank_weighted` (the one that lists the
+    /// predecessors), before any contraction round, and leaks no block.
     #[test]
     fn an_unsorted_list_fails_in_its_first_scan() {
         let d = EmConfig::new(512, 4).ram_disk();
@@ -518,15 +532,21 @@ mod tests {
         let (list, head) = random_list(d.clone(), n, 91).unwrap();
         let mut pairs = list.to_vec().unwrap();
         pairs.swap(n as usize / 2, n as usize / 2 + 1);
+        let weighted: Vec<_> = pairs.iter().map(|&(id, s)| (id, s, 1i64)).collect();
         let list = ExtVec::from_slice(d.clone(), &pairs).unwrap();
-        let (held, before) = (d.allocated_blocks(), d.stats().snapshot());
-        assert_invalid(
-            list_rank(&list, head, &SortConfig::new(2048)),
-            "must be sorted by id",
-        );
-        let spent = d.stats().snapshot().since(&before).total();
-        assert!(spent <= 2 * list.num_blocks() as u64, "{spent} transfers");
-        assert_eq!(d.allocated_blocks(), held);
+        let nodes = ExtVec::from_slice(d.clone(), &weighted).unwrap();
+        let cfg = SortConfig::new(2048);
+        let unit = || list_rank(&list, head, &cfg).map(|_| ());
+        let weighted = || list_rank_weighted(&nodes, head, &cfg).map(|_| ());
+        let ranks: [(&dyn Fn() -> Result<()>, usize); 2] =
+            [(&unit, list.num_blocks()), (&weighted, nodes.num_blocks())];
+        for (rank, blocks) in ranks {
+            let (held, before) = (d.allocated_blocks(), d.stats().snapshot());
+            assert_invalid(rank(), "must be sorted by id");
+            let spent = d.stats().snapshot().since(&before).total();
+            assert!(spent <= 2 * blocks as u64, "{spent} transfers");
+            assert_eq!(d.allocated_blocks(), held);
+        }
     }
 
     #[test]

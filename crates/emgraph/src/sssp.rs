@@ -22,20 +22,21 @@ use emsort::{merge_sort_by, SortConfig};
 use emtree::ExtPriorityQueue;
 use pdm::Result;
 
-use crate::util::clustered_adjacency;
+use crate::util::{check_vertex, clustered_adjacency};
 
 /// Shortest-path distances from `source` in the undirected, non-negatively
 /// weighted graph `edges` (`(u, v, w)`, dense vertex ids `0..n`).  Returns
 /// `(vertex, distance)` for every reachable vertex, sorted by vertex id.
 ///
-/// An edge naming a vertex `≥ n` is [`InvalidRequest`](pdm::PdmError::InvalidRequest).
+/// A `source` or an edge naming a vertex `≥ n` is
+/// [`InvalidRequest`](pdm::PdmError::InvalidRequest).
 pub fn sssp(
     edges: &ExtVec<(u64, u64, u64)>,
     n: u64,
     source: u64,
     cfg: &SortConfig,
 ) -> Result<ExtVec<(u64, u64)>> {
-    assert!(source < n);
+    check_vertex(source, n)?;
     let device = edges.device().clone();
 
     // Clustered adjacency: arcs (src, dst, w) sorted by (src, dst), plus a

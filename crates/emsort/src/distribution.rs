@@ -14,17 +14,19 @@
 //! non-empty and every recursive zone is strictly smaller than its parent —
 //! progress is guaranteed even on duplicate-heavy inputs.
 //!
-//! A level's partition is one [`PartitionPass`] over `2P + 1` zones, the
-//! `P + 1` open zones first and the `P` equal zones after, routed by a
-//! pivot search; an equal zone is copied out by [`copy_blocks`].
+//! A level's pivots come from the one sampler, [`sample_pivots`], and its
+//! partition is one [`PartitionPass`] over `2P + 1` zones, the `P + 1` open
+//! zones first and the `P` equal zones after, routed by a pivot search; an
+//! equal zone is copied out by [`copy_blocks`].  A sample of one distinct
+//! key yields that key as the only pivot, so the level still makes its
+//! equal zone.
 
 use std::sync::Arc;
 
 use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
 use pdm::{PdmError, Result};
-use rand::prelude::*;
 
-use crate::pass::{copy_blocks, pass_budget, PartitionPass};
+use crate::pass::{copy_blocks, pass_budget, sample_pivots, PartitionPass};
 use crate::runs::cmp_from_less;
 use crate::SortConfig;
 
@@ -39,8 +41,8 @@ pub fn distribution_sort<R: Record + Ord>(
 /// Sort `input` by a strict-less predicate using distribution sort.
 ///
 /// The input is left untouched; the result is a new array on the same
-/// device.  Pivot sampling is deterministic (fixed seed) so experiment runs
-/// are reproducible.  Intermediate buckets are freed as soon as they have
+/// device.  Pivot sampling is deterministic (seeded per level) so experiment
+/// runs are reproducible.  Intermediate buckets are freed as soon as they have
 /// been partitioned, so peak disk usage stays `O(N/B)` blocks beyond the
 /// input.
 ///
@@ -74,7 +76,6 @@ where
         cfg: *cfg,
         p,
         read_ahead: ov.read_ahead,
-        rng: std::cell::RefCell::new(StdRng::seed_from_u64(0xD157_0507)),
         levels: std::cell::Cell::new(0),
     };
     let mut out = ExtVecWriter::with_write_behind(device.clone(), ov.write_behind, &ctx.budget);
@@ -94,9 +95,8 @@ struct Ctx {
     p: usize,
     /// `cfg`'s read-ahead on this device's lanes.
     read_ahead: usize,
-    rng: std::cell::RefCell<StdRng>,
     /// Partition calls so far — the stream token each level's pass
-    /// announces to the device's lane policy.
+    /// announces to the device's lane policy, and its sample's seed.
     levels: std::cell::Cell<usize>,
 }
 
@@ -139,45 +139,17 @@ where
             available: m,
         });
     }
-    let p = ctx.p;
-
-    // Pass 1: reservoir-sample pivot candidates.
-    let sample_target = (p * 4).min(m / 2).max(p.min(m / 2)).max(1);
-    let mut sample: Vec<R> = Vec::with_capacity(sample_target);
-    {
-        let _charge = ctx.budget.charge(sample_target + b);
-        let mut rng = ctx.rng.borrow_mut();
-        let mut seen = 0u64;
-        let mut reader = bucket.reader_at_prefetch(0, ctx.read_ahead, &ctx.budget);
-        while let Some(r) = reader.try_next()? {
-            seen += 1;
-            if sample.len() < sample_target {
-                sample.push(r);
-            } else {
-                let j = rng.gen_range(0..seen);
-                if (j as usize) < sample_target {
-                    sample[j as usize] = r;
-                }
-            }
-        }
-    }
-    sample.sort_by(|x, y| cmp_from_less(less, x, y));
-    // P evenly spaced pivots, equivalents dropped.
-    let mut pivots: Vec<R> = Vec::with_capacity(p);
-    for i in 1..=p {
-        let idx = (i * sample.len()) / (p + 1);
-        let cand = sample[idx.min(sample.len() - 1)].clone();
-        if pivots.last().is_none_or(|last| less(last, &cand)) {
-            pivots.push(cand);
-        }
-    }
-    let np = pivots.len();
-
-    // Pass 2: distribute.  The recursion is deterministic, so the level
-    // tokens — and hence the block layout — are reproducible run to run.
+    // The recursion is deterministic, so the level tokens — and hence the
+    // samples and the block layout — are reproducible run to run.
     let level = ctx.levels.get();
     ctx.levels.set(level + 1);
     let (overlap, budget) = (ctx.cfg.overlap, &ctx.budget);
+
+    // Pass 1: sample up to P pivots.
+    let (pivots, _) = sample_pivots(bucket, ctx.p, level, &ctx.cfg, budget, Vec::push, less)?;
+    let np = pivots.len();
+
+    // Pass 2: distribute.
     let mut open =
         PartitionPass::spill_array(bucket, 2 * np + 1, level, overlap, budget, |pass, r| {
             let lo = pivots.partition_point(|pv| less(pv, &r));
@@ -250,6 +222,7 @@ where
 mod tests {
     use super::*;
     use em_core::{bounds, EmConfig};
+    use rand::prelude::*;
 
     fn device_b8() -> pdm::SharedDevice {
         EmConfig::new(64, 8).ram_disk()
@@ -299,6 +272,19 @@ mod tests {
         assert_eq!(device.allocated_blocks(), blocks);
         assert!(distribution_sort(&input, &SortConfig::new(6 * 8)).is_ok());
         check_sort((0..40).rev().collect(), 5 * 8);
+    }
+
+    /// A value that repeats every 333 records: a sample taken at a fixed
+    /// stride could meet it in step and see one key per level.
+    #[test]
+    fn a_periodic_input_sorts() {
+        let device = EmConfig::new(1024, 32).ram_disk();
+        let data: Vec<u64> = (0..40_000).map(|i| i % 333).collect();
+        let input = ExtVec::from_slice(device, &data).unwrap();
+        let out = distribution_sort(&input, &SortConfig::new(32 * 128)).unwrap();
+        let mut expect = data;
+        expect.sort_unstable();
+        assert_eq!(out.to_vec().unwrap(), expect);
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub use merge::{
     merge_runs_streaming, merge_runs_with, merge_sort, merge_sort_by, merge_sort_streaming,
     SortedStream, SortingWriter,
 };
-pub use pass::{check_fan_out, copy_blocks, operator_budget, PartitionPass};
+pub use pass::{check_fan_out, copy_blocks, operator_budget, sample_pivots, PartitionPass};
 pub use permute::{invert_permutation, permute_by_sort, permute_naive};
 pub use runs::{form_runs, RunFormation};
 pub use select::{median, select, select_by};

@@ -8,13 +8,19 @@
 //! by slab.  Its write-behind and read-ahead come out of the budget's
 //! headroom beyond `M`, and every sizing decision from `M` alone, so every
 //! transfer count is the same with overlap on or off.
+//!
+//! Distribution sort and the distribution sweep draw their splitters from
+//! the one sampler beside it, [`sample_pivots`]: a seeded reservoir sample,
+//! sorted, deduplicated and cut at evenly spaced ranks.
 
 use std::sync::Arc;
 
 use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
+use pdm::hash::splitmix;
 use pdm::{PdmError, Result, SharedDevice};
 
-use crate::OverlapConfig;
+use crate::runs::cmp_from_less;
+use crate::{OverlapConfig, SortConfig};
 
 /// [`PdmError::InvalidRequest`] unless `fan_out ≥ 2` and `fan_out + 1`
 /// partition buffers of `block_records` records each fit in `mem_records`:
@@ -157,4 +163,90 @@ pub fn copy_blocks<R: Record>(
         block.clear();
     }
     Ok(())
+}
+
+/// Up to `want` strictly increasing pivot keys of `input`, and how many
+/// distinct keys the sample held.
+///
+/// One scan at `cfg`'s read-ahead keeps a reservoir of `min(4·want, M/2)`
+/// records, charged with the reader's block to `budget`.  Its draws are the
+/// splitmix64 stream seeded by the pass's `level`, so a pass samples the
+/// same records run to run and a stride in the input cannot align with
+/// them.  `keys` appends each sampled record's candidate keys; they
+/// are sorted by `less`, deduplicated, and cut at `want` evenly spaced
+/// ranks.  A sample of one distinct key yields that key alone, and what
+/// that means is the caller's to decide.
+pub fn sample_pivots<R: Record, K: Clone>(
+    input: &ExtVec<R>,
+    want: usize,
+    level: usize,
+    cfg: &SortConfig,
+    budget: &Arc<MemBudget>,
+    mut keys: impl FnMut(&mut Vec<K>, R),
+    less: impl Fn(&K, &K) -> bool,
+) -> Result<(Vec<K>, usize)> {
+    let size = (4 * want).min(cfg.mem_records / 2).max(1);
+    let seed = splitmix(0xD157_0507 ^ level as u64);
+    let ov = cfg.overlap.for_lanes(input.device().stream_lanes());
+    let _charge = budget.charge(size + input.per_block());
+    let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
+    let (mut sample, mut seen) = (Vec::with_capacity(size), 0u64);
+    while let Some(r) = reader.try_next()? {
+        if sample.len() < size {
+            sample.push(r);
+        } else {
+            let draw = splitmix(seed.wrapping_add(seen.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+            if let Some(slot) = sample.get_mut((draw % (seen + 1)) as usize) {
+                *slot = r;
+            }
+        }
+        seen += 1;
+    }
+    drop(reader);
+    let mut ks = Vec::with_capacity(size);
+    for r in sample {
+        keys(&mut ks, r);
+    }
+    ks.sort_by(|x, y| cmp_from_less(&less, x, y));
+    ks.dedup_by(|x, kept| !less(kept, x));
+    let mut ranks: Vec<usize> = (1..=want).map(|j| j * ks.len() / (want + 1)).collect();
+    ranks.dedup();
+    let pivots = ranks.iter().filter_map(|&i| ks.get(i).cloned()).collect();
+    Ok((pivots, ks.len()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use em_core::EmConfig;
+
+    /// The sampler is a function of its input and level: it returns at most
+    /// `want` strictly increasing keys, the same ones on a second call, and
+    /// charges exactly its reservoir and reader block.
+    #[test]
+    fn a_sample_is_deterministic_sorted_and_inside_its_charge() {
+        let d = EmConfig::new(64, 8).ram_disk();
+        let data: Vec<u64> = (0..5000u64).map(|i| (i * 7919) % 1009).collect();
+        let input = ExtVec::from_slice(d, &data).unwrap();
+        let (want, cfg) = (7, SortConfig::new(64));
+        let charge = 4 * want + input.per_block();
+        let sample = |level| {
+            let budget = MemBudget::new(charge);
+            let got = sample_pivots(&input, want, level, &cfg, &budget, Vec::push, u64::lt);
+            assert_eq!(budget.high_water(), charge);
+            assert_eq!(budget.used(), 0);
+            got.unwrap()
+        };
+        let (pivots, distinct) = sample(3);
+        assert!(!pivots.is_empty() && pivots.len() <= want, "{pivots:?}");
+        assert!(pivots.windows(2).all(|w| w[0] < w[1]), "{pivots:?}");
+        assert!(distinct >= pivots.len() && distinct <= 4 * want);
+        assert_eq!(sample(3), (pivots.clone(), distinct));
+        assert_ne!(sample(4).0, pivots, "levels draw the same sample");
+
+        let same = ExtVec::from_slice(input.device().clone(), &[7u64; 500]).unwrap();
+        let budget = MemBudget::new(charge);
+        let got = sample_pivots(&same, want, 0, &cfg, &budget, Vec::push, u64::lt).unwrap();
+        assert_eq!(got, (vec![7], 1));
+    }
 }

@@ -2,15 +2,20 @@
 //! I/Os.
 //!
 //! One of the survey's batched problems that is strictly *easier* than
-//! sorting: like internal quickselect, partition around a sampled pivot and
+//! sorting: like internal quickselect, partition around a random pivot and
 //! recurse into one side only, so the geometric series of scans sums to
-//! `O(N/B)` expected.  The three-way (less / equal / greater) partition
-//! guarantees progress on duplicate-heavy inputs.
+//! `O(N/B)` expected.  A level is one two-way [`PartitionPass`] whose route
+//! closure counts the records equal to the pivot instead of writing them,
+//! which guarantees progress on duplicate-heavy inputs.  The pivot is one
+//! record at a splitmix-drawn index: a single pivot needs no sample, so
+//! selection does not call the sampler distribution sort and the sweep
+//! share.
 
-use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
+use em_core::{ExtVec, Record};
+use pdm::hash::splitmix;
 use pdm::{PdmError, Result};
-use rand::prelude::*;
 
+use crate::pass::{pass_budget, PartitionPass};
 use crate::runs::cmp_from_less;
 use crate::SortConfig;
 
@@ -22,6 +27,10 @@ pub fn select<R: Record + Ord>(input: &ExtVec<R>, k: u64, cfg: &SortConfig) -> R
 
 /// Return the `k`-th smallest record by a strict-less predicate.  A rank
 /// `k ≥ N` is [`PdmError::InvalidRequest`], before anything is allocated.
+///
+/// Candidates that fit in `M` are sorted in memory; larger ones are split
+/// around a pivot, reading ahead and writing behind at `cfg`'s overlap out
+/// of the budget's headroom, so transfer counts do not depend on it.
 pub fn select_by<R, F>(input: &ExtVec<R>, k: u64, cfg: &SortConfig, less: F) -> Result<R>
 where
     R: Record,
@@ -33,89 +42,56 @@ where
             input.len()
         )));
     }
-    let budget = MemBudget::new(cfg.mem_records);
-    let mut rng = StdRng::seed_from_u64(0x005E_1EC7);
-
-    // First level reads from the borrowed input; afterwards we own the
-    // shrinking candidate array.
-    let (mut current, mut k) = {
-        match select_level(input, k, &budget, less, &mut rng)? {
-            Outcome::Found(r) => return Ok(r),
-            Outcome::Recurse(next, k2) => (next, k2),
-        }
-    };
+    let (b, m) = (input.per_block(), cfg.mem_records);
+    let budget = pass_budget(input.device(), 2, b, m, cfg.overlap);
+    // The first level reads the borrowed input; later ones own the
+    // shrinking candidate array, freed as soon as it is split.
+    let (mut owned, mut k, mut level) = (None::<ExtVec<R>>, k, 0);
     loop {
-        if current.len() as usize <= budget.capacity() {
-            let _charge = budget.charge(current.len() as usize);
-            let mut v = current.to_vec()?;
-            v.sort_by(|a, b| cmp_from_less(less, a, b));
-            let answer = v[k as usize].clone();
-            current.free()?;
-            return Ok(answer);
+        let data = owned.as_ref().unwrap_or(input);
+        if data.len() as usize <= m {
+            let _charge = budget.charge(data.len() as usize);
+            let mut v = data.to_vec()?;
+            let (_, kth, _) =
+                v.select_nth_unstable_by(k as usize, |a, b| cmp_from_less(less, a, b));
+            return Ok(kth.clone());
         }
-        match select_level(&current, k, &budget, less, &mut rng)? {
-            Outcome::Found(r) => {
-                current.free()?;
-                return Ok(r);
-            }
-            Outcome::Recurse(next, k2) => {
-                current.free()?;
-                current = next;
-                k = k2;
-            }
-        }
-    }
-}
-
-enum Outcome<R: Record> {
-    Found(R),
-    Recurse(ExtVec<R>, u64),
-}
-
-/// One partition level: pick a random pivot (one random access), then split
-/// `data` into less / greater around it in a single scan, counting equals.
-fn select_level<R, F>(
-    data: &ExtVec<R>,
-    k: u64,
-    budget: &std::sync::Arc<MemBudget>,
-    less: F,
-    rng: &mut StdRng,
-) -> Result<Outcome<R>>
-where
-    R: Record,
-    F: Fn(&R, &R) -> bool + Copy,
-{
-    let pivot = data.get(rng.gen_range(0..data.len()))?;
-    let device = data.device().clone();
-    let mut lo: ExtVecWriter<R> = ExtVecWriter::new(device.clone());
-    let mut hi: ExtVecWriter<R> = ExtVecWriter::new(device);
-    let mut eq = 0u64;
-    {
-        let _charge = budget.charge(3 * data.per_block());
-        let mut r = data.reader();
-        while let Some(x) = r.try_next()? {
+        let pivot = data.get(splitmix(0x005E_1EC7 ^ level as u64) % data.len())?;
+        let mut eq = 0u64;
+        let route = |pass: &mut PartitionPass<R>, x: R| {
             if less(&x, &pivot) {
-                lo.push(x)?;
+                pass.push(0, x)
             } else if less(&pivot, &x) {
-                hi.push(x)?;
+                pass.push(1, x)
             } else {
                 eq += 1;
+                Ok(())
+            }
+        };
+        let sides = PartitionPass::spill_array(data, 2, level, cfg.overlap, &budget, route)?;
+        let n_lo = sides.first().map_or(0, ExtVec::len);
+        let keep = if k < n_lo {
+            Some(0)
+        } else if k < n_lo + eq {
+            None
+        } else {
+            k -= n_lo + eq;
+            Some(1)
+        };
+        if let Some(split) = owned.take() {
+            split.free()?;
+        }
+        for (side, bucket) in sides.into_iter().enumerate() {
+            if keep == Some(side) {
+                owned = Some(bucket);
+            } else {
+                bucket.free()?;
             }
         }
-    }
-    let lo = lo.finish()?;
-    let hi = hi.finish()?;
-    let n_lo = lo.len();
-    if k < n_lo {
-        hi.free()?;
-        Ok(Outcome::Recurse(lo, k))
-    } else if k < n_lo + eq {
-        lo.free()?;
-        hi.free()?;
-        Ok(Outcome::Found(pivot))
-    } else {
-        lo.free()?;
-        Ok(Outcome::Recurse(hi, k - n_lo - eq))
+        if keep.is_none() {
+            return Ok(pivot);
+        }
+        level += 1;
     }
 }
 
@@ -129,6 +105,7 @@ pub fn median<R: Record + Ord>(input: &ExtVec<R>, cfg: &SortConfig) -> Result<R>
 mod tests {
     use super::*;
     use em_core::{bounds, EmConfig};
+    use rand::prelude::*;
 
     fn device() -> pdm::SharedDevice {
         EmConfig::new(128, 8).ram_disk()
