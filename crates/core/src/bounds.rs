@@ -407,19 +407,13 @@ pub fn hash_join_residency(m: usize, b_build: usize, b_probe: usize, fan_out: us
 ///   spilled: the probe side is matched against it in-stream and the
 ///   join's own transfers are **zero**;
 /// * a larger build side is partitioned `F` ways at level 0, all of it (the
-///   records held so far are flushed in arrival order).  With `hybrid`,
-///   bucket 0 is kept resident (never spilled) — if it exceeds its
-///   residency `M − (F+1)·(B_build + B_probe)` the regime is infeasible and
-///   the cost is **∞** (the planner then never picks it; the executor
-///   returns `PdmError::MemoryExceeded`);
+///   records held so far are flushed in arrival order);
 /// * every spilled build key is recorded in a [`KeyFilter`] over the
-///   residency the held records gave up (`R` records' bytes, less hybrid
-///   bucket 0's share);
-/// * the probe side partitions with the same salts; hybrid bucket-0 probes
-///   match against the resident table in-stream, and a probe record whose
-///   build bucket is empty or whose key hash the filter rejects is dropped
-///   unspilled — the filter's false positives are spilled, and counted
-///   here, like any other record;
+///   residency the held records gave up (`R` records' bytes);
+/// * the probe side partitions with the same salts, and a probe record
+///   whose build bucket is empty or whose key hash the filter rejects is
+///   dropped unspilled — the filter's false positives are spilled, and
+///   counted here, like any other record;
 /// * a pair whose build partition is ≤ `M − B_build − B_probe` records is
 ///   consumed directly: read the build into a table, stream the probe;
 /// * an oversized pair is re-partitioned pairwise at the next level; a
@@ -439,30 +433,14 @@ pub fn hash_join_exact_ios(
     b_probe: usize,
     build_rec_bytes: usize,
     fan_out: usize,
-    hybrid: bool,
-) -> f64 {
+) -> u64 {
     let residency = hash_join_residency(m, b_build, b_probe, fan_out);
     if build_hashes.len() <= residency {
-        return 0.0;
+        return 0;
     }
-    // Hybrid bucket 0 keeps its share of the residency; the filter gets
-    // the rest.
-    let cap = if hybrid {
-        m.saturating_sub((fan_out + 1) * (b_build + b_probe))
-    } else {
-        0
-    };
-    let mut filter = KeyFilter::with_bytes((residency - cap) * build_rec_bytes);
-    let mut bucket0 = 0;
+    let mut filter = KeyFilter::with_bytes(residency * build_rec_bytes);
     for &h in build_hashes {
-        if hybrid && pdm::hash::level_bucket(h, 0, fan_out) == 0 {
-            bucket0 += 1;
-        } else {
-            filter.insert(h);
-        }
-    }
-    if bucket0 > cap {
-        return f64::INFINITY;
+        filter.insert(h);
     }
     let geometry = JoinGeometry {
         chunk: m.saturating_sub(b_build + b_probe) as u64,
@@ -470,7 +448,7 @@ pub fn hash_join_exact_ios(
         b_probe,
         fan_out,
     };
-    geometry.pass(build_hashes, probe_hashes, 0, Some((&filter, hybrid))) as f64
+    geometry.pass(build_hashes, probe_hashes, 0, Some(&filter))
 }
 
 /// What every level of a hash join's partition recursion shares.
@@ -485,9 +463,8 @@ struct JoinGeometry {
 impl JoinGeometry {
     /// Transfers of one pairwise partition pass at `level` — both sides'
     /// spill writes — and of consuming every pair it produced.  `top` is
-    /// the level-0 pass's build-key filter and whether bucket 0 stays
-    /// resident; deeper passes have neither.
-    fn pass(&self, bh: &[u64], ph: &[u64], level: usize, top: Option<(&KeyFilter, bool)>) -> u64 {
+    /// the level-0 pass's build-key filter; deeper passes have none.
+    fn pass(&self, bh: &[u64], ph: &[u64], level: usize, top: Option<&KeyFilter>) -> u64 {
         let fed = bh.len() as u64;
         let bucket = |h| pdm::hash::level_bucket(h, level, self.fan_out);
         let mut bkids: Vec<Vec<u64>> = vec![Vec::new(); self.fan_out];
@@ -503,7 +480,7 @@ impl JoinGeometry {
             // Dropped unspilled, for it can match nothing: a key the filter
             // never saw (asked first — it turns most probes away for less
             // than the bucket's division costs), or an empty build bucket.
-            if top.is_some_and(|(filter, _)| !filter.may_contain(h)) {
+            if top.is_some_and(|filter| !filter.may_contain(h)) {
                 continue;
             }
             let i = bucket(h);
@@ -515,9 +492,8 @@ impl JoinGeometry {
                 pkids[i].push(h);
             }
         }
-        let resident = usize::from(top.is_some_and(|(_, hybrid)| hybrid));
         let mut t = 0;
-        for i in resident..self.fan_out {
+        for i in 0..self.fan_out {
             let (bn, pn) = (bkids[i].len() as u64, pcounts[i]);
             let (bblocks, pblocks) = (blocks(bn, self.b_build), blocks(pn, self.b_probe));
             t += bblocks + pblocks; // spill writes
@@ -647,19 +623,16 @@ mod tests {
     #[test]
     fn hash_join_empty_sides() {
         // Empty build: nothing to hold or spill, no probe record matches.
-        assert_eq!(
-            hash_join_exact_ios(&[], &[1, 2, 3], 64, 8, 8, 16, 4, false),
-            0.0
-        );
+        assert_eq!(hash_join_exact_ios(&[], &[1, 2, 3], 64, 8, 8, 16, 4), 0);
         // The residency is 64 − (4+1)·8 = 24 records: a build side that
         // fits it is held and never spilled, whatever probes it.
         let h = |i: u64| pdm::hash::hash_bytes(&i.to_le_bytes());
         let build: Vec<u64> = (0..25).map(h).collect();
         let probe: Vec<u64> = (0..900).map(h).collect();
-        for hybrid in [false, true] {
-            let cost = hash_join_exact_ios(&build[..24], &probe, 64, 8, 8, 16, 4, hybrid);
-            assert_eq!(cost, 0.0);
-        }
+        assert_eq!(
+            hash_join_exact_ios(&build[..24], &probe, 64, 8, 8, 16, 4),
+            0
+        );
         // One more and all 25 spill; with an empty probe side that is the
         // whole cost — the pairs are freed unread.
         let mut counts = [0u64; 4];
@@ -667,10 +640,7 @@ mod tests {
             counts[pdm::hash::level_bucket(h, 0, 4)] += 1;
         }
         let spill: u64 = counts.iter().map(|&c| blocks(c, 8)).sum();
-        assert_eq!(
-            hash_join_exact_ios(&build, &[], 64, 8, 8, 16, 4, false),
-            spill as f64
-        );
+        assert_eq!(hash_join_exact_ios(&build, &[], 64, 8, 8, 16, 4), spill);
     }
 
     #[test]
@@ -699,22 +669,7 @@ mod tests {
         let expect: u64 = (0..4)
             .map(|i| 2 * (blocks(bcounts[i], 8) + blocks(passed[i], 8)))
             .sum();
-        assert_eq!(
-            hash_join_exact_ios(&build, &probe, 64, 8, 8, 16, 4, false),
-            expect as f64
-        );
-    }
-
-    #[test]
-    fn hash_join_hybrid_overflow_is_infinite() {
-        // Everything in build bucket 0 at level 0, far over any residency.
-        let h = (0..64u64)
-            .map(|i| pdm::hash::hash_bytes(&i.to_le_bytes()))
-            .find(|&h| pdm::hash::level_bucket(h, 0, 4) == 0)
-            .unwrap();
-        let build = vec![h; 500];
-        let cost = hash_join_exact_ios(&build, &[h], 64, 8, 8, 16, 4, true);
-        assert!(cost.is_infinite());
+        assert_eq!(hash_join_exact_ios(&build, &probe, 64, 8, 8, 16, 4), expect);
     }
 
     #[test]

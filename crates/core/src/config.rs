@@ -31,11 +31,6 @@ impl EmConfig {
         }
     }
 
-    /// Internal memory capacity in bytes.
-    pub fn mem_bytes(&self) -> usize {
-        self.block_bytes * self.mem_blocks
-    }
-
     /// `B` for record type `R`: records per block.
     pub fn block_records<R: Record>(&self) -> usize {
         let b = self.block_bytes / R::BYTES;
@@ -69,7 +64,6 @@ mod tests {
         assert_eq!(cfg.block_records::<u64>(), 512);
         assert_eq!(cfg.mem_records::<u64>(), 512 * 16);
         assert_eq!(cfg.block_records::<(u64, u64)>(), 256);
-        assert_eq!(cfg.mem_bytes(), 65536);
     }
 
     #[test]

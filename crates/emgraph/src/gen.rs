@@ -4,18 +4,47 @@
 //! generators return external arrays on the caller's device.
 
 use em_core::{ExtVec, ExtVecWriter};
-use pdm::{Result, SharedDevice};
-use rand::prelude::*;
+use pdm::hash::splitmix;
+use pdm::{PdmError, Result, SharedDevice};
+
+/// The splitmix64 stream every generator draws from: each draw adds the
+/// golden-ratio step to the state, then mixes it.
+struct Draws(u64);
+
+impl Draws {
+    /// A draw in `0..n` (`n ≥ 1`).
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        splitmix(self.0) % n
+    }
+
+    /// Fisher–Yates, from the back.
+    fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i as u64 + 1) as usize);
+        }
+    }
+}
+
+/// [`PdmError::InvalidRequest`] unless `n ≥ least`.
+fn at_least(n: u64, least: u64) -> Result<()> {
+    if n < least {
+        return Err(PdmError::InvalidRequest(format!(
+            "{n} vertices; the generator needs at least {least}"
+        )));
+    }
+    Ok(())
+}
 
 /// A random singly-linked list over nodes `0..n` as `(node, successor)`
 /// pairs sorted by node id; returns `(pairs, head)`.  The tail's successor
-/// is `u64::MAX`.
+/// is `u64::MAX`.  `n = 0` is [`PdmError::InvalidRequest`].
 pub fn random_list(device: SharedDevice, n: u64, seed: u64) -> Result<(ExtVec<(u64, u64)>, u64)> {
-    assert!(n >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    at_least(n, 1)?;
+    let mut rng = Draws(seed);
     // Random order of the node ids = positions along the list.
     let mut order: Vec<u64> = (0..n).collect();
-    order.shuffle(&mut rng);
+    rng.shuffle(&mut order);
     let head = order[0];
     let mut succ: Vec<(u64, u64)> = (0..n).map(|i| (i, u64::MAX)).collect();
     for w in order.windows(2) {
@@ -27,13 +56,13 @@ pub fn random_list(device: SharedDevice, n: u64, seed: u64) -> Result<(ExtVec<(u
 
 /// A uniformly random rooted tree on vertices `0..n` (root 0), returned as
 /// undirected edges `(parent, child)`.  Every vertex `v > 0` picks a random
-/// parent among `0..v`.
+/// parent among `0..v`.  `n = 0` is [`PdmError::InvalidRequest`].
 pub fn random_tree(device: SharedDevice, n: u64, seed: u64) -> Result<ExtVec<(u64, u64)>> {
-    assert!(n >= 1);
-    let mut rng = StdRng::seed_from_u64(seed);
+    at_least(n, 1)?;
+    let mut rng = Draws(seed);
     let mut w = ExtVecWriter::new(device);
     for v in 1..n {
-        let p = rng.gen_range(0..v);
+        let p = rng.below(v);
         w.push((p, v))?;
     }
     w.finish()
@@ -41,19 +70,20 @@ pub fn random_tree(device: SharedDevice, n: u64, seed: u64) -> Result<ExtVec<(u6
 
 /// A random sparse undirected graph on `n` vertices with ~`avg_degree·n/2`
 /// distinct edges (no loops, no duplicates), as `(u, v)` with `u < v`.
+/// `n < 2` is [`PdmError::InvalidRequest`].
 pub fn random_graph(
     device: SharedDevice,
     n: u64,
     avg_degree: f64,
     seed: u64,
 ) -> Result<ExtVec<(u64, u64)>> {
-    assert!(n >= 2);
-    let mut rng = StdRng::seed_from_u64(seed);
+    at_least(n, 2)?;
+    let mut rng = Draws(seed);
     let target = ((n as f64 * avg_degree) / 2.0) as usize;
     let mut edges = std::collections::BTreeSet::new();
     while edges.len() < target {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
+        let a = rng.below(n);
+        let b = rng.below(n);
         if a != b {
             edges.insert((a.min(b), a.max(b)));
         }
@@ -63,22 +93,26 @@ pub fn random_graph(
 }
 
 /// A connected random graph: a random tree plus extra random edges.
+/// Extra edges on fewer than two vertices are [`PdmError::InvalidRequest`].
 pub fn random_connected_graph(
     device: SharedDevice,
     n: u64,
     extra_edges: u64,
     seed: u64,
 ) -> Result<ExtVec<(u64, u64)>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    if extra_edges > 0 {
+        at_least(n, 2)?;
+    }
+    let mut rng = Draws(seed);
     let mut edges = std::collections::BTreeSet::new();
     for v in 1..n {
-        let p = rng.gen_range(0..v);
+        let p = rng.below(v);
         edges.insert((p.min(v), p.max(v)));
     }
     let mut added = 0;
     while added < extra_edges {
-        let a = rng.gen_range(0..n);
-        let b = rng.gen_range(0..n);
+        let a = rng.below(n);
+        let b = rng.below(n);
         if a != b && edges.insert((a.min(b), a.max(b))) {
             added += 1;
         }
@@ -114,18 +148,18 @@ pub fn planted_components(
     n_each: u64,
     seed: u64,
 ) -> Result<ExtVec<(u64, u64)>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Draws(seed);
     let mut w = ExtVecWriter::new(device);
     for c in 0..k {
         let base = c * n_each;
         for v in 1..n_each {
-            let p = rng.gen_range(0..v);
+            let p = rng.below(v);
             w.push((base + p, base + v))?;
         }
         // A few extra intra-component edges.
         for _ in 0..n_each / 4 {
-            let a = rng.gen_range(0..n_each);
-            let b = rng.gen_range(0..n_each);
+            let a = rng.below(n_each);
+            let b = rng.below(n_each);
             if a != b {
                 w.push((base + a.min(b), base + a.max(b)))?;
             }
@@ -143,11 +177,11 @@ pub fn random_dag(
     deg_in: u64,
     seed: u64,
 ) -> Result<ExtVec<(u64, u64)>> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Draws(seed);
     let mut edges = std::collections::BTreeSet::new();
     for v in 1..n {
         for _ in 0..deg_in {
-            let u = rng.gen_range(0..v);
+            let u = rng.below(v);
             edges.insert((u, v));
         }
     }

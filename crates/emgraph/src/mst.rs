@@ -58,7 +58,9 @@ pub fn minimum_spanning_forest(
     let mut chosen: ExtVecWriter<u64> = ExtVecWriter::new(device.clone());
 
     for round in 0.. {
-        assert!(round < 64, "Borůvka failed to converge");
+        // Components at least halve a round: 64 rounds cover any `u64`
+        // vertex count.
+        debug_assert!(round < 64, "Borůvka failed to converge");
         if work.is_empty() {
             break;
         }

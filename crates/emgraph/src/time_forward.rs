@@ -16,7 +16,11 @@
 use em_core::{ExtVec, ExtVecWriter};
 use emsort::{merge_sort_streaming, SortConfig};
 use emtree::ExtPriorityQueue;
-use pdm::Result;
+use pdm::{PdmError, Result};
+
+fn malformed(what: &str) -> PdmError {
+    PdmError::InvalidRequest(format!("malformed DAG: {what}"))
+}
 
 /// Evaluate a topologically-numbered DAG.
 ///
@@ -25,7 +29,9 @@ use pdm::Result;
 /// * `f(vertex, label, incoming)` — the local update; `incoming` holds the
 ///   values of all in-neighbours, sorted by source vertex id.
 ///
-/// Returns `(vertex, value)` sorted by vertex id.
+/// Returns `(vertex, value)` sorted by vertex id.  An edge with
+/// `dst ≤ src`, or whose source is not in `labels`, is
+/// [`InvalidRequest`](PdmError::InvalidRequest).
 pub fn time_forward<F>(
     labels: &ExtVec<(u64, u64)>,
     edges: &ExtVec<(u64, u64)>,
@@ -57,29 +63,31 @@ where
                 // Collect incoming values (sorted by src because the EPQ orders
                 // by (dst, src, value)).
                 incoming.clear();
-                while pq.peek()?.is_some_and(|(d, _, _)| d == v) {
-                    let (_, _, value) = pq.pop()?.expect("peeked");
+                while let Some((d, _, value)) = pq.peek()? {
+                    if d != v {
+                        break;
+                    }
+                    pq.pop()?;
                     incoming.push(value);
                 }
                 let value = f(v, label, &incoming);
                 out.push((v, value))?;
                 // Forward the value along out-edges.
-                while pending_edge.is_some_and(|(s, _)| s == v) {
-                    let (s, d) = pending_edge.expect("checked");
-                    assert!(d > s, "edge does not respect topological numbering");
+                while let Some((s, d)) = pending_edge.filter(|&(s, _)| s == v) {
+                    if d <= s {
+                        return Err(malformed("edge does not respect topological numbering"));
+                    }
                     pq.push((d, s, value))?;
                     pending_edge = stream.try_next()?;
                 }
-                // Edges from vertices we already passed would be malformed input.
-                assert!(
-                    pending_edge.is_none_or(|(s, _)| s >= v),
-                    "edge source out of topological order"
-                );
+                // An edge from a vertex already passed names no label.
+                if pending_edge.is_some_and(|(s, _)| s < v) {
+                    return Err(malformed("edge source out of topological order"));
+                }
             }
-            assert!(
-                pending_edge.is_none(),
-                "edge references vertex beyond the label array"
-            );
+            if pending_edge.is_some() {
+                return Err(malformed("edge references vertex beyond the label array"));
+            }
             Ok(())
         },
     )?;
@@ -182,13 +190,46 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "topological")]
-    fn backward_edge_rejected() {
+    /// `time_forward` over `labels` and `edges` is `InvalidRequest`, and
+    /// leaves the device with the blocks it found.
+    fn assert_malformed(labels: &[(u64, u64)], edges: &[(u64, u64)], what: &str) {
         let d = device();
-        let labels = vertex_labels(&d, 3, |_| 0);
-        let dag = ExtVec::from_slice(d, &[(2u64, 1u64)]).unwrap();
-        let _ = time_forward(&labels, &dag, &SortConfig::new(128), |_, l, _| l);
+        let labels = ExtVec::from_slice(d.clone(), labels).unwrap();
+        // Enough edges that the sort spills runs before the sweep meets
+        // the bad one.
+        let dag = ExtVec::from_slice(d.clone(), edges).unwrap();
+        let allocated = d.allocated_blocks();
+        let got = time_forward(&labels, &dag, &SortConfig::new(128), |_, l, _| l);
+        match got {
+            Err(PdmError::InvalidRequest(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!(
+                "expected InvalidRequest({what}), got {:?}",
+                other.map(|v| v.len())
+            ),
+        }
+        assert_eq!(d.allocated_blocks(), allocated, "{what}: leaked");
+    }
+
+    #[test]
+    fn backward_edge_rejected() {
+        let chain: Vec<(u64, u64)> = (0..999).map(|v| (v, v + 1)).collect();
+        let labels: Vec<(u64, u64)> = (0..1000).map(|v| (v, 0)).collect();
+        for bad in [(700, 300), (500, 500)] {
+            let edges: Vec<(u64, u64)> = chain.iter().copied().chain([bad]).collect();
+            assert_malformed(&labels, &edges, "topological numbering");
+        }
+    }
+
+    #[test]
+    fn an_edge_from_an_unlabelled_vertex_is_rejected() {
+        let chain: Vec<(u64, u64)> = (0..999).map(|v| (v, v + 1)).collect();
+        // Vertex 600 has no label: its out-edge is met after the sweep
+        // passed it.
+        let gap: Vec<(u64, u64)> = (0..1000).filter(|&v| v != 600).map(|v| (v, 0)).collect();
+        assert_malformed(&gap, &chain, "out of topological order");
+        // Labels stop at 800: the edges from 800 on are never reached.
+        let short: Vec<(u64, u64)> = (0..800).map(|v| (v, 0)).collect();
+        assert_malformed(&short, &chain, "beyond the label array");
     }
 
     #[test]

@@ -19,13 +19,12 @@
 //!   to `M − (F+1)·max(B_build, B_probe)` records is held in memory and
 //!   the probe side matched against it in-stream, at zero transfers of the
 //!   join's own.  Only the record that overflows that residency turns it
-//!   into a Grace join (optionally hybrid: bucket 0 stays resident), and
-//!   the memory the held records vacate becomes a build-key filter
-//!   ([`KeyFilter`]) that stops unmatched probe records at the partition
-//!   writers.  Oversized partition pairs re-partition pairwise; a build
-//!   partition that stops shrinking (equal keys — no hash *or* sort-merge
-//!   could handle it within `M`) falls back to a block-nested-loop round
-//!   over just that pair.
+//!   into a Grace join, and the memory the held records vacate becomes a
+//!   build-key filter ([`KeyFilter`]) that stops unmatched probe records
+//!   at the partition writers.  Oversized partition pairs re-partition
+//!   pairwise; a build partition that stops shrinking (equal keys — no
+//!   hash *or* sort-merge could handle it within `M`) falls back to a
+//!   block-nested-loop round over just that pair.
 //!
 //! Every schedule decision (hold, absorb, spill, filter, recurse, fall
 //! back) is a pure function of the records' level-0 key hashes and arrival
@@ -57,7 +56,7 @@ use em_core::{BudgetGuard, ExtVec, ExtVecCursor, MemBudget, Record};
 use emhash::partition::KeyHasher;
 use emhash::table::{ResidentMultimap, ResidentTable};
 use emsort::{merge_sort_by, operator_budget, OverlapConfig, PartitionPass};
-use pdm::{PdmError, Result, SharedDevice};
+use pdm::{Result, SharedDevice};
 
 use crate::exec::{ExecConfig, GroupFold, Order, QueryExec};
 
@@ -412,13 +411,6 @@ struct Spilled<BR: Record, PR: Record> {
 /// — can match nothing and is dropped before it costs a partition write; a
 /// false positive costs the spill every probe record used to.
 ///
-/// With `hybrid`, build bucket 0 of an overflowed build side skips the
-/// spill and stays in memory (the filter gets the residency less bucket
-/// 0's share); bucket-0 probe records match against it in-stream.  The
-/// planner prices a hybrid whose bucket 0 exceeds `M − (F+1)·(B_build +
-/// B_probe)` at **∞**; executing one anyway is a model violation and
-/// [`build`](Self::build) returns [`PdmError::MemoryExceeded`].
-///
 /// Oversized pairs re-partition pairwise at the next remix level; a build
 /// partition that stopped shrinking (equal keys) or hit
 /// [`HASH_MAX_LEVELS`] is consumed by `PairLoop`'s block-nested rounds —
@@ -441,14 +433,13 @@ where
     b_build: usize,
     b_probe: usize,
     fan_out: usize,
-    hybrid: bool,
     hasher: KeyHasher,
     budget: Arc<MemBudget>,
-    /// Build records matched in-stream: all of them while the build side
-    /// fits the residency, hybrid bucket 0 once it has spilled.
+    /// Build records matched in-stream while the build side fits the
+    /// residency; empty once it has spilled.
     resident: ResidentMultimap<K, BR>,
     /// The residency `R`, charged from the first build record to the last
-    /// probe record — held records, then the filter and hybrid bucket 0.
+    /// probe record — held records, then the filter.
     residency: Option<BudgetGuard>,
     /// `None` while the whole build side is resident.
     spilled: Option<Spilled<BR, PS::Item>>,
@@ -477,17 +468,17 @@ where
     MK: FnMut(&BR, &PS::Item) -> O,
 {
     /// Drain `build`, holding it in memory while it fits the residency and
-    /// spilling all of it `fan_out` ways on `device` once it does not
-    /// (bucket 0 resident when `hybrid`), ready to stream `probe` past it.
+    /// spilling all of it `fan_out` ways on `device` once it does not,
+    /// ready to stream `probe` past it.
     /// `make(b, p)` is emitted for every key-equal pair; `cfg.sort`
     /// supplies `M` and the overlap depths (handed on to `build` with the
     /// promise to drain it; `probe` is drained only as far as the join is,
     /// so it gets the hint when the join does).
     ///
-    /// [`check_fan_out`](emsort::check_fan_out)'s error for
+    /// Fails with [`check_fan_out`](emsort::check_fan_out)'s error for
     /// buffers of `B_build + B_probe` records, before anything is read or
-    /// allocated.  A spilled hybrid whose bucket 0 outgrows its
-    /// `M − (F+1)·(B_build + B_probe)` share is [`PdmError::MemoryExceeded`].
+    /// allocated.  `_hybrid` is ignored: every join that spills is a
+    /// Grace join.
     #[allow(clippy::too_many_arguments)]
     pub fn build(
         build: &mut dyn QueryExec<Item = BR>,
@@ -495,7 +486,7 @@ where
         device: &SharedDevice,
         cfg: &ExecConfig,
         fan_out: usize,
-        hybrid: bool,
+        _hybrid: bool,
         key_b: KB,
         key_p: KP,
         make: MK,
@@ -503,11 +494,9 @@ where
         let b_build = ExtVec::<BR>::per_block_on(device);
         let b_probe = ExtVec::<PS::Item>::per_block_on(device);
         let m = cfg.sort.mem_records;
-        let both = b_build + b_probe;
         let overlap = cfg.sort.overlap;
-        let budget = operator_budget(device, fan_out, both, m, overlap)?;
+        let budget = operator_budget(device, fan_out, b_build + b_probe, m, overlap)?;
         let residency = hash_join_residency(m, b_build, b_probe, fan_out);
-        let bucket0_cap = if hybrid { m - (fan_out + 1) * both } else { 0 };
         let residency_charge = budget.charge(residency);
         let mut hasher = KeyHasher::new();
         let mut resident = ResidentMultimap::new();
@@ -531,26 +520,14 @@ where
             let (pass, filter, _) = spill.get_or_insert_with(|| {
                 (
                     PartitionPass::new(device, fan_out, 0, overlap, &budget),
-                    KeyFilter::with_bytes((residency - bucket0_cap) * BR::BYTES),
+                    KeyFilter::with_bytes(residency * BR::BYTES),
                     budget.charge((fan_out + 1) * b_build),
                 )
             });
             for r in held.into_iter().flatten().chain([r]) {
-                let k = key_b(&r);
-                let h0 = hasher.hash(&k);
-                let bucket = level_bucket(h0, 0, fan_out);
-                if hybrid && bucket == 0 {
-                    if resident.len() == bucket0_cap {
-                        return Err(PdmError::MemoryExceeded {
-                            needed: bucket0_cap + 1,
-                            available: bucket0_cap,
-                        });
-                    }
-                    resident.insert(h0, k, r);
-                } else {
-                    filter.insert(h0);
-                    pass.push(bucket, r)?;
-                }
+                let h0 = hasher.hash(&key_b(&r));
+                filter.insert(h0);
+                pass.push(level_bucket(h0, 0, fan_out), r)?;
             }
         }
         let spilled = match spill {
@@ -576,7 +553,6 @@ where
             b_build,
             b_probe,
             fan_out,
-            hybrid,
             hasher,
             budget,
             resident,
@@ -610,9 +586,8 @@ where
                 return Ok(()); // the build side never left memory
             };
             let probe_parts = spilled.probe_pass.finish()?;
-            let spill_from = usize::from(self.hybrid);
-            for (i, (bv, pv)) in spilled.build_parts.into_iter().zip(probe_parts).enumerate() {
-                if i < spill_from || bv.is_empty() {
+            for (bv, pv) in spilled.build_parts.into_iter().zip(probe_parts) {
+                if bv.is_empty() {
                     bv.free()?;
                     pv.free()?; // nothing was spilled for it either
                 } else {
@@ -624,22 +599,18 @@ where
         };
         let k = (self.key_p)(&r);
         let h0 = self.hasher.hash(&k);
-        let bucket = |h0| level_bucket(h0, 0, self.fan_out);
-        let spilled = match self.spilled.as_mut() {
-            Some(spilled) if !(self.hybrid && bucket(h0) == 0) => spilled,
-            _ => {
-                for b in self.resident.get(h0, &k) {
-                    self.out.push_back((self.make)(b, &r));
-                }
-                return Ok(());
+        let Some(spilled) = self.spilled.as_mut() else {
+            for b in self.resident.get(h0, &k) {
+                self.out.push_back((self.make)(b, &r));
             }
+            return Ok(());
         };
         // A probe record whose key the filter never saw, or whose build
         // bucket is empty, matches nothing and is dropped before it costs a
         // spill write.  The filter is asked first: it turns most unmatched
         // records away for less than the bucket's division costs.
         if spilled.filter.may_contain(h0) {
-            let bi = bucket(h0);
+            let bi = level_bucket(h0, 0, self.fan_out);
             if !spilled.build_parts[bi].is_empty() {
                 spilled.probe_pass.push(bi, r)?;
             }
@@ -822,6 +793,7 @@ mod tests {
     use em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios};
     use em_core::EmConfig;
     use emhash::partition::partition_to_fit;
+    use pdm::PdmError;
     use std::cell::Cell;
     use std::cmp::Ordering;
     use std::collections::BTreeMap;
@@ -981,8 +953,8 @@ mod tests {
 
     #[test]
     fn grace_join_matches_nested_loop_reference() {
-        // Hybrid keeps build bucket 0 resident, so it needs the larger M.
-        for (hybrid, mem_blocks) in [(false, 16), (true, 64)] {
+        // Both memories spill the 1 500-record build side.
+        for mem_blocks in [16, 64] {
             let (d, m) = device(mem_blocks);
             let build = pairs(1500, 400, 0xABCD_EF12);
             let probe = pairs(4000, 400, 0x1357_9BDF);
@@ -998,7 +970,7 @@ mod tests {
                     &d,
                     &cfg,
                     4,
-                    hybrid,
+                    false,
                     |b: &(u64, u64)| b.0,
                     |p: &(u64, u64)| p.0,
                     |b, p| (b.0, b.1, p.1),
@@ -1016,15 +988,15 @@ mod tests {
                 }
             }
             expect.sort_unstable();
-            assert_eq!(got, expect, "hybrid={hybrid}");
+            assert_eq!(got, expect, "M={m}");
         }
     }
 
     #[test]
     fn grace_join_transfers_match_replay_exactly() {
-        // Non-hybrid at M=256 records forces level-1 re-partitioning;
-        // hybrid at M=1024 keeps its bucket 0 within the residency budget.
-        for (hybrid, mem_blocks) in [(false, 16), (true, 64)] {
+        // M = 256 records forces level-1 re-partitioning; at M = 1 024
+        // every level-0 pair fits one chunk.
+        for mem_blocks in [16, 64] {
             let (d, m) = device(mem_blocks);
             let build = pairs(2000, 5000, 0xABCD_EF13);
             let probe = pairs(6000, 5000, 0x1357_9BD1);
@@ -1034,8 +1006,7 @@ mod tests {
             let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
             let cfg = ExecConfig::new(m);
             let b = bv.per_block();
-            let replay = hash_join_exact_ios(&bh, &ph, m, b, b, 16, 4, hybrid);
-            assert!(replay.is_finite(), "hybrid={hybrid} must be feasible here");
+            let replay = hash_join_exact_ios(&bh, &ph, m, b, b, 16, 4);
             let before = d.stats().snapshot();
             let mut bscan = ScanExec::new(&bv);
             let pscan = ScanExec::new(&pv);
@@ -1046,7 +1017,7 @@ mod tests {
                     &d,
                     &cfg,
                     4,
-                    hybrid,
+                    false,
                     |r: &(u64, u64)| r.0,
                     |r: &(u64, u64)| r.0,
                     |b, p| (b.0, b.1, p.1),
@@ -1054,14 +1025,12 @@ mod tests {
                 .unwrap();
             let out = collect(&mut j, &d).unwrap();
             let delta = d.stats().snapshot().since(&before);
-            let predicted = bv.num_blocks() as u64
-                + pv.num_blocks() as u64
-                + replay as u64
-                + out.num_blocks() as u64;
-            assert_eq!(delta.total(), predicted, "hybrid={hybrid}");
+            let predicted =
+                bv.num_blocks() as u64 + pv.num_blocks() as u64 + replay + out.num_blocks() as u64;
+            assert_eq!(delta.total(), predicted, "M={m}");
             assert!(
                 delta.writes() > out.num_blocks() as u64,
-                "hybrid={hybrid}: the join spilled"
+                "M={m}: the join spilled"
             );
         }
     }
@@ -1103,7 +1072,7 @@ mod tests {
         assert_eq!(out.len(), 500 * 300);
         let predicted = bv.num_blocks() as u64
             + pv.num_blocks() as u64
-            + hash_join_exact_ios(&bh, &ph, m, b, b, 16, 3, false) as u64
+            + hash_join_exact_ios(&bh, &ph, m, b, b, 16, 3)
             + out.num_blocks() as u64;
         assert_eq!(delta.total(), predicted);
     }
@@ -1125,7 +1094,6 @@ mod tests {
         d: &SharedDevice,
         cfg: &ExecConfig,
         fan: usize,
-        hybrid: bool,
         bv: &ExtVec<Pair>,
         probe: ScanExec<'a, Pair>,
     ) -> Result<PairJoin<'a>> {
@@ -1141,7 +1109,7 @@ mod tests {
             d,
             cfg,
             fan,
-            hybrid,
+            false,
             first as fn(&Pair) -> u64,
             first as fn(&Pair) -> u64,
             triple as fn(&Pair, &Pair) -> Triple,
@@ -1154,82 +1122,73 @@ mod tests {
         let (residency, fan) = (944, 4);
         let all = pairs(residency + 1, 5000, 0xABCD_EF13);
         let probe = pairs(6000, 5000, 0x1357_9BD1);
-        for hybrid in [false, true] {
-            // Exactly R build records: held, matched in-stream, and the
-            // join itself moves nothing.
-            let (d, m) = device(64);
-            let cfg = ExecConfig::new(m);
-            let build = &all[..residency as usize];
-            let bv = ExtVec::from_slice(d.clone(), build).unwrap();
-            let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
-            let before = d.stats().snapshot();
-            let mut j = join_on_first(&d, &cfg, fan, hybrid, &bv, ScanExec::new(&pv)).unwrap();
-            let out = collect(&mut j, &d).unwrap();
-            let delta = d.stats().snapshot().since(&before);
-            assert_eq!(
-                delta.total(),
-                (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64,
-                "hybrid={hybrid}: scan both inputs, write the output"
-            );
-            assert_eq!(delta.writes(), out.num_blocks() as u64, "hybrid={hybrid}");
-            assert_eq!(j.budget().high_water(), residency as usize);
-            let mut got = out.to_vec().unwrap();
-            got.sort_unstable();
-            let mut by_key: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-            for b in build {
-                by_key.entry(b.0).or_default().push(b.1);
-            }
-            let mut expect: Vec<Triple> = probe
-                .iter()
-                .flat_map(|p| {
-                    by_key
-                        .get(&p.0)
-                        .into_iter()
-                        .flatten()
-                        .map(|&x| (p.0, x, p.1))
-                })
-                .collect();
-            expect.sort_unstable();
-            assert_eq!(got, expect, "hybrid={hybrid}");
+        // Exactly R build records: held, matched in-stream, and the join
+        // itself moves nothing.
+        let (d, m) = device(64);
+        let cfg = ExecConfig::new(m);
+        let build = &all[..residency as usize];
+        let bv = ExtVec::from_slice(d.clone(), build).unwrap();
+        let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
+        let before = d.stats().snapshot();
+        let mut j = join_on_first(&d, &cfg, fan, &bv, ScanExec::new(&pv)).unwrap();
+        let out = collect(&mut j, &d).unwrap();
+        let delta = d.stats().snapshot().since(&before);
+        assert_eq!(
+            delta.total(),
+            (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64,
+            "scan both inputs, write the output"
+        );
+        assert_eq!(delta.writes(), out.num_blocks() as u64);
+        assert_eq!(j.budget().high_water(), residency as usize);
+        let mut got = out.to_vec().unwrap();
+        got.sort_unstable();
+        let mut by_key: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+        for b in build {
+            by_key.entry(b.0).or_default().push(b.1);
+        }
+        let mut expect: Vec<Triple> = probe
+            .iter()
+            .flat_map(|p| {
+                by_key
+                    .get(&p.0)
+                    .into_iter()
+                    .flatten()
+                    .map(|&x| (p.0, x, p.1))
+            })
+            .collect();
+        expect.sort_unstable();
+        assert_eq!(got, expect);
 
-            // One record more: every build record is partitioned, exactly
-            // as a plain level-0 pass over the arrival order writes them
-            // (hybrid: less bucket 0, which stays in memory).
-            let bv = ExtVec::from_slice(d.clone(), &all).unwrap();
-            let bh: Vec<u64> = all.iter().map(|r| key_hash(r.0)).collect();
-            let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
-            let before = d.stats().snapshot();
-            let mut j = join_on_first(&d, &cfg, fan, hybrid, &bv, ScanExec::new(&pv)).unwrap();
-            let comparing = d.stats().snapshot();
-            let mut pass = PartitionPass::new(&d, fan, 0, OverlapConfig::off(), j.budget());
-            for (r, &h0) in all.iter().zip(&bh) {
-                pass.push(level_bucket(h0, 0, fan), *r).unwrap();
-            }
-            let plain = pass.finish().unwrap();
-            let spilled = j.spilled.as_ref().expect("R + 1 records overflow");
-            for (i, (mine, plain)) in spilled.build_parts.iter().zip(&plain).enumerate() {
-                if hybrid && i == 0 {
-                    assert!(mine.is_empty());
-                    assert_eq!(j.resident.len() as u64, plain.len());
-                } else {
-                    assert_eq!(
-                        mine.to_vec().unwrap(),
-                        plain.to_vec().unwrap(),
-                        "bucket {i}"
-                    );
-                }
-            }
-            drop(plain);
-            let compared = d.stats().snapshot().since(&comparing).total();
-            let out = collect(&mut j, &d).unwrap();
-            let delta = d.stats().snapshot().since(&before);
-            let replay = hash_join_exact_ios(&bh, &ph, m, 16, 16, 16, fan, hybrid);
+        // One record more: every build record is partitioned, exactly as a
+        // plain level-0 pass over the arrival order writes them.
+        let bv = ExtVec::from_slice(d.clone(), &all).unwrap();
+        let bh: Vec<u64> = all.iter().map(|r| key_hash(r.0)).collect();
+        let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
+        let before = d.stats().snapshot();
+        let mut j = join_on_first(&d, &cfg, fan, &bv, ScanExec::new(&pv)).unwrap();
+        let comparing = d.stats().snapshot();
+        let mut pass = PartitionPass::new(&d, fan, 0, OverlapConfig::off(), j.budget());
+        for (r, &h0) in all.iter().zip(&bh) {
+            pass.push(level_bucket(h0, 0, fan), *r).unwrap();
+        }
+        let plain = pass.finish().unwrap();
+        let spilled = j.spilled.as_ref().expect("R + 1 records overflow");
+        for (i, (mine, plain)) in spilled.build_parts.iter().zip(&plain).enumerate() {
             assert_eq!(
-                delta.total() - compared,
-                (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64 + replay as u64,
-                "hybrid={hybrid}"
+                mine.to_vec().unwrap(),
+                plain.to_vec().unwrap(),
+                "bucket {i}"
             );
         }
+        drop(plain);
+        let compared = d.stats().snapshot().since(&comparing).total();
+        let out = collect(&mut j, &d).unwrap();
+        let delta = d.stats().snapshot().since(&before);
+        let replay = hash_join_exact_ios(&bh, &ph, m, 16, 16, 16, fan);
+        assert_eq!(
+            delta.total() - compared,
+            (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64 + replay
+        );
     }
 
     #[test]
@@ -1247,15 +1206,8 @@ mod tests {
         let build: Vec<Pair> = (0..100).map(|i| (i % 50, i)).collect();
         let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
         let before = d.stats().snapshot();
-        let mut j = join_on_first(
-            &d,
-            &cfg,
-            4,
-            false,
-            &bv,
-            ScanExec::with_order(&pv, Order::Key(3)),
-        )
-        .unwrap();
+        let mut j =
+            join_on_first(&d, &cfg, 4, &bv, ScanExec::with_order(&pv, Order::Key(3))).unwrap();
         assert_eq!(j.order(), Order::Key(3), "before the first pull");
         let out = sort_pipe(&mut j, &d, &cfg, 3, |a, b| a.0 < b.0, |s| collect(s, &d)).unwrap();
         assert_eq!(j.order(), Order::Key(3), "after exhaustion");
@@ -1274,15 +1226,8 @@ mod tests {
         // R + 1 build rows: spilled, unordered throughout.
         let build: Vec<Pair> = (0..residency as u64 + 1).map(|i| (i % 50, i)).collect();
         let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
-        let mut j = join_on_first(
-            &d,
-            &cfg,
-            4,
-            false,
-            &bv,
-            ScanExec::with_order(&pv, Order::Key(3)),
-        )
-        .unwrap();
+        let mut j =
+            join_on_first(&d, &cfg, 4, &bv, ScanExec::with_order(&pv, Order::Key(3))).unwrap();
         assert!(j.spilled.is_some());
         assert_eq!(j.order(), Order::Unordered, "before the first pull");
         collect(&mut j, &d).unwrap();
@@ -1316,7 +1261,7 @@ mod tests {
             collect(&mut g, &d).map(drop)
         };
         let join = |fan, m| -> Result<()> {
-            let mut j = join_on_first(&d, &ExecConfig::new(m), fan, false, &v, ScanExec::new(&v))?;
+            let mut j = join_on_first(&d, &ExecConfig::new(m), fan, &v, ScanExec::new(&v))?;
             collect(&mut j, &d).map(drop)
         };
         type Entry<'a> = &'a dyn Fn(usize, usize) -> Result<()>;
@@ -1364,8 +1309,7 @@ mod tests {
             "{false_positives} of 6 000 (expected ≈ 0.4 %)"
         );
         let before = d.stats().snapshot();
-        let mut j =
-            join_on_first(&d, &ExecConfig::new(m), 4, false, &bv, ScanExec::new(&pv)).unwrap();
+        let mut j = join_on_first(&d, &ExecConfig::new(m), 4, &bv, ScanExec::new(&pv)).unwrap();
         let out = collect(&mut j, &d).unwrap();
         let delta = d.stats().snapshot().since(&before);
         assert!(out.is_empty());
@@ -1378,7 +1322,7 @@ mod tests {
         assert_eq!(
             delta.total(),
             (bv.num_blocks() + pv.num_blocks()) as u64
-                + hash_join_exact_ios(&bh, &ph, m, 16, 16, 16, 4, false) as u64
+                + hash_join_exact_ios(&bh, &ph, m, 16, 16, 16, 4)
         );
     }
 
@@ -1391,10 +1335,9 @@ mod tests {
     #[test]
     fn join_dropped_under_a_limit_frees_its_partitions() {
         // A consumer under a limit pulls five rows and drops the join.
-        // Grace: the first match comes out of a pair loop, with the other
-        // pairs still queued.  Hybrid: it comes out of resident bucket 0
-        // mid-probe, with the probe pass still open.
-        for (hybrid, mem_blocks) in [(false, 16), (true, 64)] {
+        // The first match comes out of a pair loop, with the other pairs
+        // still queued.
+        for mem_blocks in [16, 64] {
             let (d, m) = device(mem_blocks);
             let bv = ExtVec::from_slice(d.clone(), &pairs(2000, 700, 0xABCD_EF13)).unwrap();
             let pv = ExtVec::from_slice(d.clone(), &pairs(4000, 900, 0x1357_9BD1)).unwrap();
@@ -1402,18 +1345,18 @@ mod tests {
             let mut moved = Vec::new();
             for cfg in sync_and_overlapped(m) {
                 let before = d.stats().snapshot();
-                let mut j = join_on_first(&d, &cfg, 3, hybrid, &bv, ScanExec::new(&pv)).unwrap();
+                let mut j = join_on_first(&d, &cfg, 3, &bv, ScanExec::new(&pv)).unwrap();
                 for _ in 0..5 {
-                    assert!(j.try_next().unwrap().is_some(), "hybrid={hybrid}");
+                    assert!(j.try_next().unwrap().is_some(), "M={m}");
                 }
-                assert!(d.allocated_blocks() > allocated, "hybrid={hybrid}");
+                assert!(d.allocated_blocks() > allocated, "M={m}");
                 drop(j);
-                assert_eq!(d.allocated_blocks(), allocated, "hybrid={hybrid}");
+                assert_eq!(d.allocated_blocks(), allocated, "M={m}");
                 moved.push(d.stats().snapshot().since(&before).total());
             }
             // Nobody promised to drain the join, so overlap reads nothing
             // ahead that the stop leaves behind.
-            assert_eq!(moved[0], moved[1], "hybrid={hybrid}");
+            assert_eq!(moved[0], moved[1], "M={m}");
         }
     }
 
@@ -1507,7 +1450,6 @@ mod tests {
     fn pin_join(
         mem_blocks: usize,
         fan: usize,
-        hybrid: bool,
         build: &[(u64, u64)],
         probe: &[(u64, u64)],
     ) -> (u64, u64) {
@@ -1515,15 +1457,7 @@ mod tests {
         let bv = ExtVec::from_slice(d.clone(), build).unwrap();
         let pv = ExtVec::from_slice(d.clone(), probe).unwrap();
         let before = d.stats().snapshot();
-        let mut j = join_on_first(
-            &d,
-            &ExecConfig::new(m),
-            fan,
-            hybrid,
-            &bv,
-            ScanExec::new(&pv),
-        )
-        .unwrap();
+        let mut j = join_on_first(&d, &ExecConfig::new(m), fan, &bv, ScanExec::new(&pv)).unwrap();
         let sum = checksum(&collect(&mut j, &d).unwrap());
         (sum, d.stats().snapshot().since(&before).total())
     }
@@ -1536,8 +1470,9 @@ mod tests {
         // build-arrival order) on the same absorb/spill/recurse schedule.
         // Every join here overflows its residency, so the build-key filter
         // changed no output and no order — only how many unmatched probe
-        // records the four multi-key joins write and read back (they were
-        // 4 754, 3 848, 3 020 and 1 754 transfers before it).
+        // records the multi-key joins write and read back (the two at
+        // M = 256 were 4 754 and 3 020 transfers before it).  The two at
+        // M = 1 024 spill bucket 0 like every other bucket.
         let skew: Vec<(u64, u64)> = (0..3000).map(|i| (7, i)).collect();
         let few: Vec<(u64, u64)> = pairs(5000, 40, 0xDEAD_BEF1)
             .into_iter()
@@ -1545,8 +1480,7 @@ mod tests {
             .collect();
         // 400 keys: chains of several build records a key.
         let (dup_b, dup_p) = (pairs(1500, 400, 0xABCD_EF12), pairs(4000, 400, 0x1357_9BDF));
-        // 5 000 keys: multi-level grace at M = 256, a resident bucket 0 at
-        // M = 1 024.
+        // 5 000 keys: multi-level grace at M = 256, one level at M = 1 024.
         let (wide_b, wide_p) = (
             pairs(2000, 5000, 0xABCD_EF13),
             pairs(6000, 5000, 0x1357_9BD1),
@@ -1561,11 +1495,11 @@ mod tests {
             // all-equal keys, zero-key absorb table: the sort fallback
             pin_group(4, 3, &skew, false),
             pin_group(16, 4, &few, true),
-            pin_join(16, 4, false, &dup_b, &dup_p),
-            pin_join(64, 4, true, &dup_b, &dup_p),
-            pin_join(16, 4, false, &wide_b, &wide_p),
-            pin_join(64, 4, true, &wide_b, &wide_p),
-            pin_join(8, 3, false, &one_b, &one_p),
+            pin_join(16, 4, &dup_b, &dup_p),
+            pin_join(64, 4, &dup_b, &dup_p),
+            pin_join(16, 4, &wide_b, &wide_p),
+            pin_join(64, 4, &wide_b, &wide_p),
+            pin_join(8, 3, &one_b, &one_p),
         ];
         let pinned: [(u64, u64); 9] = [
             (0x8A3D_05D3_19FE_8781, 1965),
@@ -1573,9 +1507,9 @@ mod tests {
             (0x7F8B_DCC2_0F05_CF7B, 2310),
             (0x4F9E_1AA4_C8D0_1B25, 399),
             (0x64A6_0581_07C2_CF73, 4744),
-            (0xB0ED_7315_C22A_CA9F, 3844),
+            (0xB0ED_7315_C22A_CA9F, 4026),
             (0xBFA4_F654_2A50_538A, 2068),
-            (0x4B5D_84A2_BBA8_EC16, 1398),
+            (0x4B5D_84A2_BBA8_EC16, 1498),
             (0xDC24_3B7C_0DE5_AF65, 30248),
         ];
         assert_eq!(got, pinned, "(checksum, transfers) per case: {got:#X?}");
@@ -1670,7 +1604,7 @@ mod tests {
     fn hash_join_never_orders_its_keys() {
         // Build, probe, re-partition and pair loops: zero `Ord::cmp`, and
         // at most one `==` per record (a chain append or a probe hit).
-        for (hybrid, mem_blocks) in [(false, 16), (true, 64)] {
+        for mem_blocks in [16, 64] {
             let (d, m) = device(mem_blocks);
             let build = pairs(2000, 700, 0xABCD_EF13);
             let probe = pairs(6000, 900, 0x1357_9BD1);
@@ -1686,7 +1620,7 @@ mod tests {
                     &d,
                     &cfg,
                     4,
-                    hybrid,
+                    false,
                     |b: &(u64, u64)| Counted(b.0),
                     |p: &(u64, u64)| Counted(p.0),
                     |b, p| (b.0, b.1, p.1),
@@ -1697,59 +1631,10 @@ mod tests {
                 .iter()
                 .map(|p| build.iter().filter(|b| b.0 == p.0).count() as u64)
                 .sum::<u64>();
-            assert_eq!(out.len(), matches, "hybrid={hybrid}");
-            assert_eq!(CMPS.with(Cell::get) - cmps, 0, "hybrid={hybrid}");
+            assert_eq!(out.len(), matches, "M={m}");
+            assert_eq!(CMPS.with(Cell::get) - cmps, 0, "M={m}");
             let eqs = EQS.with(Cell::get) - eqs;
-            assert!(
-                eqs <= 8000,
-                "hybrid={hybrid}: {eqs} `==` calls for 8 000 records"
-            );
+            assert!(eqs <= 8000, "M={m}: {eqs} `==` calls for 8 000 records");
         }
-    }
-
-    #[test]
-    fn infeasible_hybrid_is_a_typed_error_and_frees_its_spills() {
-        // M = 8 blocks leaves a zero-record hybrid residency budget, so the
-        // first bucket-0 build record is already a model violation.  It
-        // arrives after 600 records of another bucket have spilled.
-        let cfg = EmConfig::new(256, 8);
-        let d = cfg.ram_disk();
-        let m = cfg.mem_records::<(u64, u64)>();
-        // level_bucket(·, 0, F) is deterministic: search for one key that
-        // routes to hybrid bucket 0 and one that does not.
-        let routes_to_0 = |k: &u64| level_bucket(key_hash(*k), 0, 3) == 0;
-        let resident_key = (0..u64::MAX).find(routes_to_0).unwrap();
-        let spilled_key = (0..u64::MAX).find(|k| !routes_to_0(k)).unwrap();
-        let build: Vec<(u64, u64)> = (0..600)
-            .map(|i| (spilled_key, i))
-            .chain((0..10).map(|i| (resident_key, i)))
-            .collect();
-        let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
-        let pv = ExtVec::from_slice(d.clone(), &[(resident_key, 1u64)]).unwrap();
-        let ecfg = ExecConfig::new(m);
-        let allocated = d.allocated_blocks();
-        let mut bscan = ScanExec::new(&bv);
-        let pscan = ScanExec::new(&pv);
-        #[allow(clippy::type_complexity)]
-        let j: Result<HashJoinExec<_, u64, (u64, u64), _, _, _, (u64, u64, u64)>> =
-            HashJoinExec::build(
-                &mut bscan,
-                pscan,
-                &d,
-                &ecfg,
-                3,
-                true,
-                |r: &(u64, u64)| r.0,
-                |r: &(u64, u64)| r.0,
-                |b, p| (b.0, b.1, p.1),
-            );
-        match j.err().expect("an infeasible hybrid must not build") {
-            e @ PdmError::MemoryExceeded { needed, available } => {
-                assert_eq!((needed, available), (1, 0));
-                assert!(!e.is_transient());
-            }
-            other => panic!("expected MemoryExceeded, got {other}"),
-        }
-        assert_eq!(d.allocated_blocks(), allocated, "spilled partitions freed");
     }
 }

@@ -183,10 +183,8 @@ pub enum PlanExpr {
     /// ([`em_core::bounds::hash_join_residency`]) it costs zero transfers of
     /// its own and the output keeps the probe's order; otherwise the output
     /// is unordered and priced at the exact cost of the filtered Grace join
-    /// it falls into ([`em_core::bounds::hash_join_exact_ios`]) — ∞ when
-    /// `hybrid` and bucket 0 of a spilled build side overflows its resident
-    /// share.  Additionally infeasible unless `(fan_out + 1)` block pairs
-    /// fit in memory.
+    /// it falls into ([`em_core::bounds::hash_join_exact_ios`]).
+    /// Infeasible unless `(fan_out + 1)` block pairs fit in memory.
     HashJoin {
         /// Build input, drained first: held if it fits, else partitioned.
         build: Box<PlanExpr>,
@@ -198,8 +196,6 @@ pub enum PlanExpr {
         probe_hashes: KeyStats,
         /// Partition fan-out `F`.
         fan_out: usize,
-        /// Keep build bucket 0 resident instead of spilling it.
-        hybrid: bool,
         /// Output record width in bytes.
         rec_bytes: usize,
         /// Estimated join cardinality.
@@ -289,7 +285,8 @@ impl PlanExpr {
 
     /// Hash join with `build` drained first (held, or partitioned once it
     /// stops fitting) and `self` as the streamed probe side, whose order
-    /// the output keeps while the build side is held.
+    /// the output keeps while the build side is held.  `_hybrid` is
+    /// ignored: every join that spills is a Grace join.
     #[allow(clippy::too_many_arguments)]
     pub fn hash_join(
         self,
@@ -297,7 +294,7 @@ impl PlanExpr {
         build_hashes: KeyStats,
         probe_hashes: KeyStats,
         fan_out: usize,
-        hybrid: bool,
+        _hybrid: bool,
         rec_bytes: usize,
         out_records: u64,
     ) -> Self {
@@ -307,7 +304,6 @@ impl PlanExpr {
             build_hashes,
             probe_hashes,
             fan_out,
-            hybrid,
             rec_bytes,
             out_records,
         }
@@ -320,7 +316,7 @@ impl PlanExpr {
 pub struct Prediction {
     /// Predicted device transfers to stream this subtree's output once —
     /// [`f64::INFINITY`] when the plan is infeasible (order contract
-    /// violated, hash buffers or a hybrid bucket 0 over budget).
+    /// violated, hash buffers over budget).
     pub transfers: f64,
     /// Estimated output cardinality.
     pub out_records: u64,
@@ -483,7 +479,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             build_hashes,
             probe_hashes,
             fan_out,
-            hybrid,
             rec_bytes,
             out_records,
         } => {
@@ -491,8 +486,6 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
             let p = predict(probe, env);
             let bpb = env.per_block(b.rec_bytes);
             let ppb = env.per_block(p.rec_bytes);
-            // `hash_join_exact_ios` is already ∞ when the hybrid resident
-            // bucket overflows memory — the planner inherits that verdict.
             let own = bounds::hash_join_exact_ios(
                 build_hashes,
                 probe_hashes,
@@ -501,8 +494,8 @@ pub fn predict(expr: &PlanExpr, env: &CostEnv) -> Prediction {
                 ppb,
                 b.rec_bytes,
                 *fan_out,
-                *hybrid,
-            ) * env.stripe as f64;
+            ) as f64
+                * env.stripe as f64;
             // A held build side is matched in-stream: probe order survives.
             let held = build_hashes.len()
                 <= bounds::hash_join_residency(env.mem_records, bpb, ppb, *fan_out);
@@ -645,16 +638,9 @@ mod tests {
         assert_eq!(held.order, Order::Key(1));
         assert_eq!(held.transfers, scans(r));
         // R + 1: spilled, unordered, priced at the exact Grace cost.
-        let grace = bounds::hash_join_exact_ios(
-            &cycle_hashes(r + 1, r + 1),
-            &ph,
-            64,
-            8,
-            8,
-            REC,
-            fan,
-            false,
-        );
+        let grace =
+            bounds::hash_join_exact_ios(&cycle_hashes(r + 1, r + 1), &ph, 64, 8, 8, REC, fan)
+                as f64;
         assert!(grace > 0.0);
         let spilled = predict(&join(r + 1), &e);
         assert_eq!(spilled.order, Order::Unordered);
@@ -816,33 +802,6 @@ mod tests {
             choice.predicted
         );
         assert!(choice.predicted[0] < choice.predicted[1]);
-    }
-
-    #[test]
-    fn infeasible_hybrid_prices_at_infinity_but_grace_stays_finite() {
-        let e = env(); // M = 64 records → hybrid resident cap 64 − 4·16 = 0
-        let bn = 500u64;
-        let bh = cycle_hashes(bn, 50);
-        let ph = cycle_hashes(2_000, 50);
-        let mk = |hybrid| {
-            PlanExpr::scan(2_000, REC, Order::Unordered).hash_join(
-                PlanExpr::scan(bn, REC, Order::Unordered),
-                bh.clone(),
-                ph.clone(),
-                3,
-                hybrid,
-                16,
-                20_000,
-            )
-        };
-        assert!(!predict(&mk(true), &e).feasible());
-        assert!(predict(&mk(false), &e).feasible());
-        // With plenty of memory the hybrid's resident bucket folds free and
-        // it can only be cheaper than spilling every bucket.
-        let big = CostEnv::new(B, 4096);
-        let hy = predict(&mk(true), &big);
-        assert!(hy.feasible());
-        assert!(hy.transfers <= predict(&mk(false), &big).transfers);
     }
 
     #[test]

@@ -225,12 +225,6 @@ where
         })
     }
 
-    /// The shard (and queue) a key routes to — exposed so tests and benches
-    /// can reason about placement.
-    pub fn shard_of(&self, tenant: u32, key: &K) -> usize {
-        shard_of_key(tenant, key, self.cfg.shards)
-    }
-
     /// Enqueue a request, blocking while the target shard's queue is full.
     ///
     /// # Errors
@@ -315,11 +309,6 @@ where
             m += p.stats().misses();
         }
         (h, m)
-    }
-
-    /// The configuration this server was built with.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
     }
 
     /// Drain queues, flush every open batch (acking), stop all workers, and
@@ -987,7 +976,9 @@ mod tests {
             })
             .unwrap()
         };
-        let healthy: Vec<u64> = (0..KEYS).filter(|k| srv.shard_of(0, k) == 0).collect();
+        let healthy: Vec<u64> = (0..KEYS)
+            .filter(|k| shard_of_key(0, k, cfg.shards) == 0)
+            .collect();
         (0..KEYS).for_each(|k| send(KEYS + k, ReqKind::Get(k)));
         let err = srv.barrier().unwrap_err().to_string();
         let gots = sink.gots.lock().unwrap().clone();
@@ -1040,16 +1031,6 @@ mod tests {
         // The server is unharmed and still serves the tenants it has.
         srv.submit(put(1)).unwrap();
         assert_eq!(srv.range(1, 0, 9).unwrap(), vec![(1, 1)]);
-        srv.shutdown().unwrap();
-    }
-
-    #[test]
-    fn shard_of_matches_routing_fn() {
-        let cfg = ServeConfig::new(5, 1);
-        let srv: Server<u64, u64> = Server::new(ram_array(1), cfg, Arc::new(NullSink)).unwrap();
-        for k in 0..32u64 {
-            assert_eq!(srv.shard_of(0, &k), shard_of_key(0, &k, 5));
-        }
         srv.shutdown().unwrap();
     }
 }

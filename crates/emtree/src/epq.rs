@@ -20,55 +20,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
+use em_core::{ExtVec, ExtVecCursor, ExtVecWriter, MemBudget, Record};
 use emsort::{merge_runs_streaming, SortConfig};
 use pdm::{PdmError, Result, SharedDevice};
-
-/// One external sorted run with a one-block read buffer.
-struct Run<R: Record> {
-    data: ExtVec<R>,
-    /// Index of the next unconsumed record.
-    pos: u64,
-    /// Buffered records `[buf_start, buf_start + buf.len())`.
-    buf: Vec<R>,
-    buf_start: u64,
-}
-
-impl<R: Record + Ord> Run<R> {
-    fn new(data: ExtVec<R>) -> Self {
-        Run {
-            data,
-            pos: 0,
-            buf: Vec::new(),
-            buf_start: 0,
-        }
-    }
-
-    fn remaining(&self) -> u64 {
-        self.data.len() - self.pos
-    }
-
-    fn front(&mut self) -> Result<Option<&R>> {
-        if self.remaining() == 0 {
-            return Ok(None);
-        }
-        let idx = (self.pos - self.buf_start) as usize;
-        if self.buf.is_empty() || idx >= self.buf.len() {
-            let per = self.data.per_block() as u64;
-            let bi = (self.pos / per) as usize;
-            self.data.read_block_into(bi, &mut self.buf)?;
-            self.buf_start = bi as u64 * per;
-        }
-        // The refill above puts `pos` inside `buf` whenever records remain;
-        // a short block (impossible-invariant) degrades to run-exhausted
-        // instead of an index panic.
-        Ok(self.buf.get((self.pos - self.buf_start) as usize))
-    }
-
-    fn advance(&mut self) {
-        self.pos += 1;
-    }
-}
 
 /// An unbounded external min-priority queue over `Ord` records.
 ///
@@ -91,8 +45,8 @@ pub struct ExtPriorityQueue<R: Record + Ord> {
     /// In-memory insertion heap, capacity `M/2`.
     insertion: BinaryHeap<Reverse<R>>,
     insertion_cap: usize,
-    /// External sorted runs.
-    runs: Vec<Run<R>>,
+    /// External sorted runs, each read a block at a time on demand.
+    runs: Vec<ExtVecCursor<R>>,
     /// Maximum live runs before a full merge: `M/(2B) − 1`.
     max_runs: usize,
     len: u64,
@@ -156,11 +110,9 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
             Some(MinSource::Insertion) => self.insertion.pop().map(|Reverse(r)| r),
             Some(MinSource::Run(i)) => {
                 let run = &mut self.runs[i];
-                let r = run.front()?.cloned();
-                run.advance();
+                let r = run.try_next()?;
                 if run.remaining() == 0 {
-                    let run = self.runs.swap_remove(i);
-                    run.data.free()?;
+                    self.runs.swap_remove(i).into_inner().free()?;
                 }
                 r
             }
@@ -176,7 +128,7 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
         Ok(match self.min_source()? {
             None => None,
             Some(MinSource::Insertion) => self.insertion.peek().map(|Reverse(r)| r.clone()),
-            Some(MinSource::Run(i)) => self.runs[i].front()?.cloned(),
+            Some(MinSource::Run(i)) => self.runs[i].buffered_at_least(1)?.first().cloned(),
         })
     }
 
@@ -186,7 +138,7 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
             .peek()
             .map(|Reverse(r)| (r.clone(), MinSource::Insertion));
         for i in 0..self.runs.len() {
-            if let Some(front) = self.runs[i].front()? {
+            if let Some(front) = self.runs[i].buffered_at_least(1)?.first() {
                 if best.as_ref().is_none_or(|(b, _)| front < b) {
                     best = Some((front.clone(), MinSource::Run(i)));
                 }
@@ -205,7 +157,7 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
         }
         let mut w = ExtVecWriter::new(self.device.clone());
         w.extend_from_slice(&sorted)?;
-        self.runs.push(Run::new(w.finish()?));
+        self.runs.push(w.finish()?.into_cursor());
         if self.runs.len() >= self.max_runs {
             self.merge_all_runs()?;
         }
@@ -220,7 +172,10 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
     /// merge.
     fn merge_all_runs(&mut self) -> Result<()> {
         let old = std::mem::take(&mut self.runs);
-        let parts: Vec<(&ExtVec<R>, u64)> = old.iter().map(|run| (&run.data, run.pos)).collect();
+        let parts: Vec<(&ExtVec<R>, u64)> = old
+            .iter()
+            .map(|run| (run.source(), run.source().len() - run.remaining()))
+            .collect();
         let cfg = SortConfig::new(self.budget.capacity());
         let device = self.device.clone();
         let merged = merge_runs_streaming(
@@ -237,10 +192,10 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
             },
         )?;
         for run in old {
-            run.data.free()?;
+            run.into_inner().free()?;
         }
         if !merged.is_empty() {
-            self.runs.push(Run::new(merged));
+            self.runs.push(merged.into_cursor());
         } else {
             merged.free()?;
         }

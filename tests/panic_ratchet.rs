@@ -24,10 +24,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("core/src/lib.rs", 2),
     ("core/src/record.rs", 1),
     ("core/src/stream.rs", 2),
-    ("emgraph/src/cc.rs", 1),
-    ("emgraph/src/gen.rs", 3),
-    ("emgraph/src/mst.rs", 1),
-    ("emgraph/src/time_forward.rs", 5),
     ("emhash/src/lib.rs", 2),
     ("emhash/src/table.rs", 2),
     ("emsort/src/merge.rs", 3),

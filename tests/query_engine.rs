@@ -597,17 +597,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Hash join over shuffled inputs across placement × mode × D, at a
-    /// budget of eight blocks, so the cases land in every regime: a build
-    /// side that fits the five-block residency and is never partitioned, a
+    /// budget of eight or sixteen blocks, so the cases land in every regime:
+    /// a build side that fits the residency and is never partitioned, a
     /// filtered Grace join, level-0 build buckets that overflow the pair
-    /// loop and re-partition, a `heavy` key whose partition stops shrinking
-    /// and falls back to block-nested rounds, and hybrid.  The output must
+    /// loop and re-partition, and a `heavy` key whose partition stops
+    /// shrinking and falls back to block-nested rounds.  The output must
     /// match the nested-loop reference as a multiset, measured must equal
-    /// predicted exactly, the operator must stay inside `M` plus its
-    /// declared headroom, and a hybrid whose resident bucket cannot fit must
-    /// be *priced* infeasible — the executor treats running such a plan as a
-    /// model violation, so an ∞ prediction is the planner refusing to go
-    /// there.
+    /// predicted exactly, and the operator must stay inside `M` plus its
+    /// declared headroom.
     #[test]
     fn hash_join_matches_reference_and_cost_model(
         line_counts in prop::collection::vec(0usize..5, 8..120),
@@ -616,7 +613,7 @@ proptest! {
         seed in any::<u64>(),
         sync in any::<bool>(),
         depth in 0usize..=2,
-        hybrid in any::<bool>(),
+        wide in any::<bool>(),
     ) {
         let n_orders = line_counts.len() as u64;
         let keep_order = move |k: u64| {
@@ -650,9 +647,8 @@ proptest! {
             let rows_per_block = if placement.is_striped() { d * 4 } else { 4 };
             // Eight blocks of memory: the grace pair loop gets a six-block
             // chunk, so builds past ~24·D records recurse at least once.
-            // Hybrid gets sixteen, or no build side would both overflow the
-            // residency and keep half of itself in bucket 0's share.
-            let m = if hybrid { 16 } else { 8 } * rows_per_block;
+            // Sixteen hold builds of up to 13 blocks and spill larger ones.
+            let m = if wide { 16 } else { 8 } * rows_per_block;
             let stripe = if placement.is_striped() { d as u64 } else { 1 };
             let sc = SortConfig::new(m).with_overlap(OverlapConfig::symmetric(depth));
             let cfg = ExecConfig { sort: sc };
@@ -676,19 +672,12 @@ proptest! {
                     bh,
                     ph,
                     fan_out,
-                    hybrid,
+                    false,
                     ROW_BYTES,
                     j_cnt,
                 );
             let pred = predict_with_sink(&plan, &env);
-            if !pred.is_finite() {
-                // Only a hybrid whose level-0 resident bucket overflows its
-                // table is ever priced out at this geometry.
-                prop_assert!(hybrid, "{:?} d={} grace must always be feasible", placement, d);
-                o_vec.free().unwrap();
-                l_vec.free().unwrap();
-                continue;
-            }
+            prop_assert!(pred.is_finite(), "{:?} d={} grace must always be feasible", placement, d);
 
             let (ios, mut got, out_writes) = {
                 let before = device.stats().snapshot();
@@ -701,7 +690,7 @@ proptest! {
                     &device,
                     &cfg,
                     fan_out,
-                    hybrid,
+                    false,
                     |b: &Row| b.0,
                     |p: &Row| p.0,
                     |_b: &Row, p: &Row| (p.0, p.1),
@@ -710,23 +699,23 @@ proptest! {
                 let out = collect(&mut join, &device).unwrap();
                 let ios = device.stats().snapshot().since(&before);
                 prop_assert!(join.budget().high_water() <= join.budget().capacity(),
-                    "{:?} d={} hybrid={} join held {} of {} records",
-                    placement, d, hybrid, join.budget().high_water(), join.budget().capacity());
+                    "{:?} d={} M={} join held {} of {} records",
+                    placement, d, m, join.budget().high_water(), join.budget().capacity());
                 let (got, out_writes) = (out.to_vec().unwrap(), out.num_blocks() as u64 * stripe);
                 out.free().unwrap();
                 (ios, got, out_writes)
             };
             got.sort_unstable();
-            prop_assert_eq!(&got, &expect, "{:?} d={} hybrid={} join output wrong",
-                placement, d, hybrid);
+            prop_assert_eq!(&got, &expect, "{:?} d={} M={} join output wrong",
+                placement, d, m);
             prop_assert_eq!(ios.total(), pred as u64,
-                "{:?} d={} hybrid={} join measured != predicted", placement, d, hybrid);
+                "{:?} d={} M={} join measured != predicted", placement, d, m);
             // Nothing is partitioned — the sink's blocks are the only writes —
             // if and only if the build side fit the residency `M − (F+1)·B`.
             let residency = (m - (fan_out + 1) * rows_per_block) as u64;
             prop_assert_eq!(ios.writes() == out_writes, f_cnt <= residency,
-                "{:?} d={} hybrid={} build of {} vs residency {}: {} writes, {} for the output",
-                placement, d, hybrid, f_cnt, residency, ios.writes(), out_writes);
+                "{:?} d={} M={} build of {} vs residency {}: {} writes, {} for the output",
+                placement, d, m, f_cnt, residency, ios.writes(), out_writes);
 
             o_vec.free().unwrap();
             l_vec.free().unwrap();
