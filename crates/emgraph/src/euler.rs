@@ -5,8 +5,9 @@
 //! adjacency order.  That list is exactly an Euler tour of the tree, and
 //! tree statistics reduce to list ranking over it:
 //!
-//! * depth: weight forward arcs `+1` and back arcs `−1`; the weighted rank
-//!   at the forward arc into `v` is `depth(v) − 1`.
+//! * depth: walk the arcs in tour order with a running depth, `+1` on a
+//!   forward arc and `−1` on a back arc; the running depth just after the
+//!   forward arc into `v` is `depth(v)`.  One list ranking gives the order.
 //! * subtree size, pre/post-order numbers, … follow the same pattern.
 //!
 //! All construction steps are sorts and scans — `O(Sort(N))` I/Os total —
@@ -16,7 +17,7 @@ use em_core::{ExtVec, ExtVecWriter};
 use emsort::{merge_sort_by, merge_sort_streaming, SortConfig, SortingWriter};
 use pdm::{PdmError, Result};
 
-use crate::list_ranking::{list_rank, list_rank_weighted, NIL};
+use crate::list_ranking::{list_rank, NIL};
 
 /// An Euler tour of a tree, as a linked list of arcs.
 pub struct EulerTour {
@@ -127,8 +128,8 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
     Ok(EulerTour { arcs, succ, head })
 }
 
-/// Depth of every vertex of the tree `edges` rooted at `root`, via Euler
-/// tour + weighted list ranking: `O(Sort(N))` I/Os.  Returns
+/// Depth of every vertex of the tree `edges` rooted at `root`, via the
+/// Euler tour and one list ranking: `O(Sort(N))` I/Os.  Returns
 /// `(vertex, depth)` sorted by vertex id, with `depth(root) = 0`.  Edges
 /// that are not a tree containing `root` are [`PdmError::InvalidRequest`].
 pub fn tree_depths(
@@ -143,112 +144,71 @@ pub fn tree_depths(
     let tour = euler_tour(edges, root, cfg)?;
 
     // Unit ranks order the arcs along the tour.
-    let unit_ranks = list_rank(&tour.succ, tour.head, cfg)?; // (arc_id, position), sorted by arc id
+    let positions = list_rank(&tour.succ, tour.head, cfg)?; // (arc_id, position), sorted by arc id
 
-    // Pair twin arcs by normalized endpoints to classify direction:
-    // records (min, max, position, arc_id), sorted by (min, max, position).
-    let tagged = {
+    // Pair twin arcs by normalized endpoints: records (min, max, position,
+    // dst), sorted by (min, max, position).
+    let twins = {
         let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64, u64, u64), b| {
             (a.0, a.1, a.2) < (b.0, b.1, b.2)
         });
-        // arcs and unit_ranks are both in arc-id order; zip them.
+        // arcs and positions are both in arc-id order; zip them.
         let mut ra = tour.arcs.reader();
-        let mut rr = unit_ranks.reader();
-        let mut idx = 0u64;
+        let mut rp = positions.reader();
         while let Some((u, v)) = ra.try_next()? {
-            let Some((aid, pos)) = rr.try_next()? else {
+            let Some((_, pos)) = rp.try_next()? else {
                 return Err(invalid("an arc has no rank"));
             };
-            debug_assert_eq!(aid, idx);
-            let (lo, hi) = (u.min(v), u.max(v));
-            w.push((lo, hi, pos, idx))?;
-            idx += 1;
+            w.push((u.min(v), u.max(v), pos, v))?;
         }
         w
     };
-    unit_ranks.free()?;
+    positions.free()?;
+    tour.free()?;
 
-    // Each consecutive pair in sorted `tagged` shares (lo, hi): the arc with
-    // the smaller position is the forward (descending) arc.  Emit per-arc
-    // weights and remember the forward arc's destination vertex.  The pairs
+    // Each consecutive pair in sorted `twins` shares (lo, hi): the arc with
+    // the smaller position is the forward arc, and its dst is the child.
+    // One step per arc, keyed by position with the low bit set on a back
+    // arc: `(2·position, child)` and `(2·position + 1, child)`.  The pairs
     // are produced by one scan and consumed by one: both ends fused.
-    let mut weights_w: ExtVecWriter<(u64, i64)> = ExtVecWriter::new(device.clone()); // (arc_id, ±1)
-    let mut fwd_w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone()); // (forward_arc_id, child vertex)
-    tagged.finish_streaming(|rt| {
-        while let Some(first) = rt.try_next()? {
-            let Some(second) = rt.try_next()?.filter(|s| (s.0, s.1) == (first.0, first.1)) else {
+    let mut steps_w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
+    twins.finish_streaming(|rt| {
+        while let Some((lo, hi, pos, child)) = rt.try_next()? {
+            let Some(back) = rt.try_next()?.filter(|s| (s.0, s.1) == (lo, hi)) else {
                 return Err(invalid("the arcs do not come in twin pairs"));
             };
-            // first.2 < second.2 (sorted by position): first is forward.
-            let fwd_arc = first.3;
-            let back_arc = second.3;
-            weights_w.push((fwd_arc, 1))?;
-            weights_w.push((back_arc, -1))?;
-            // The forward arc descends from parent to child; we need its
-            // dst.  Recover it: the forward arc is (parent, child) and the
-            // twin (child, parent); the shared endpoints are {lo, hi}.  The
-            // child is the dst of the forward arc — we did not store dst,
-            // but arcs are sorted by (src, dst) and arc ids are positions,
-            // so we can join against `arcs` afterwards instead.
-            fwd_w.push((fwd_arc, 0))?;
+            steps_w.push((2 * pos, child))?;
+            steps_w.push((2 * back.2 + 1, child))?;
         }
         Ok(())
     })?;
-    let weights = weights_w.finish()?;
-    let fwd = fwd_w.finish()?;
+    let steps = steps_w.finish()?;
 
-    // Weighted list over arcs: (arc_id, succ, weight).  Sorted weights are
-    // consumed once by the zip, so the final merge streams into it.
-    let nodes = merge_sort_streaming(
-        &weights,
-        cfg,
-        |a, b| a.0 < b.0,
-        |rw| {
-            let mut w: ExtVecWriter<(u64, u64, i64)> = ExtVecWriter::new(device.clone());
-            let mut rs = tour.succ.reader();
-            // Both are in arc-id order, one record per arc.
-            while let (Some((aid, s)), Some((wid, weight))) = (rs.try_next()?, rw.try_next()?) {
-                debug_assert_eq!(wid, aid);
-                w.push((aid, s, weight))?;
-            }
-            w.finish()
-        },
-    )?;
-    weights.free()?;
-    let wranks = list_rank_weighted(&nodes, tour.head, cfg)?; // (arc_id, weighted rank)
-    nodes.free()?;
-
-    // depth(child of forward arc a) = wrank(a) + 1.  Join forward arcs with
-    // their dst (via `arcs`, arc-id order) and with wranks (arc-id order);
-    // the sorted forward-arc list is consumed once, so it streams too.
+    // Walk the steps in tour order with a running depth: a forward arc
+    // enters its child one level deeper, a back arc climbs one level.  The
+    // sorted steps are consumed once, so the final merge streams into it.
     let mut depths_w: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
     depths_w.push((root, 0))?;
     merge_sort_streaming(
-        &fwd,
+        &steps,
         cfg,
         |a, b| a.0 < b.0,
-        |rf| {
-            let mut ra = tour.arcs.reader();
-            let mut rr = wranks.reader();
-            let mut cur_fwd: Option<(u64, u64)> = rf.try_next()?;
-            let mut idx = 0u64;
-            while let Some((_src, dst)) = ra.try_next()? {
-                let Some((aid, wrank)) = rr.try_next()? else {
-                    return Err(invalid("an arc has no rank"));
-                };
-                debug_assert_eq!(aid, idx);
-                if cur_fwd.is_some_and(|(f, _)| f == idx) {
-                    depths_w.push((dst, (wrank + 1) as u64))?;
-                    cur_fwd = rf.try_next()?;
+        |rs| {
+            let mut depth = 0u64;
+            while let Some((key, child)) = rs.try_next()? {
+                if key & 1 == 1 {
+                    depth = depth
+                        .checked_sub(1)
+                        .ok_or_else(|| invalid("the tour climbs above the root"))?;
+                } else {
+                    depth += 1;
+                    depths_w.push((child, depth))?;
                 }
-                idx += 1;
             }
             Ok(())
         },
     )?;
-    wranks.free()?;
-    fwd.free()?;
-    tour.free()?;
+    steps.free()?;
     let unsorted = depths_w.finish()?;
     let sorted = merge_sort_by(&unsorted, cfg, |a, b| a.0 < b.0)?;
     unsorted.free()?;
@@ -361,6 +321,48 @@ mod tests {
                 "n={n}"
             );
         }
+    }
+
+    /// `tree_depths` pays for one Euler tour and one ranking of it, and
+    /// then at most `8 · Sort(2(N−1))` for the rest: the twin-pairing sort
+    /// of double-width records, the sort of the steps by position and the
+    /// final sort of `N` depths, each a read and a write a pass, plus their
+    /// scans.  A second ranking of the tour costs more than the whole rest.
+    #[test]
+    fn tree_depths_ranks_its_tour_once() {
+        for (n, seed, m) in [(1000u64, 3u64, 128usize), (2500, 95, 200)] {
+            let d = device();
+            let edges = random_tree(d.clone(), n, seed).unwrap();
+            let cfg = SortConfig::new(m);
+            let cost = |run: &mut dyn FnMut()| {
+                let before = d.stats().snapshot();
+                run();
+                d.stats().snapshot().since(&before).total()
+            };
+            let mut tour = None;
+            let tour_cost = cost(&mut || tour = Some(euler_tour(&edges, 0, &cfg).unwrap()));
+            let tour = tour.unwrap();
+            let rank_cost = cost(&mut || drop(list_rank(&tour.succ, tour.head, &cfg).unwrap()));
+            drop(tour);
+            let depths_cost = cost(&mut || drop(tree_depths(&edges, 0, &cfg).unwrap()));
+            let b = d.block_size() / 16;
+            let rest = 8.0 * em_core::bounds::sort(2 * (n - 1), m, b);
+            assert!(
+                depths_cost as f64 <= (tour_cost + rank_cost) as f64 + rest,
+                "n = {n}: {depths_cost} > {tour_cost} + {rank_cost} + {rest:.0}"
+            );
+        }
+    }
+
+    /// Vertex ids are any `u64`: `NIL` names only the end of a list.
+    #[test]
+    fn a_vertex_named_nil_has_a_depth() {
+        let d = device();
+        let edges = ExtVec::from_slice(d, &[(0u64, 1u64), (1, NIL)]).unwrap();
+        let depths = tree_depths(&edges, 0, &SortConfig::new(128)).unwrap();
+        assert_eq!(depths.to_vec().unwrap(), vec![(0, 0), (1, 1), (NIL, 2)]);
+        let depths = tree_depths(&edges, NIL, &SortConfig::new(128)).unwrap();
+        assert_eq!(depths.to_vec().unwrap(), vec![(0, 2), (1, 1), (NIL, 0)]);
     }
 
     #[test]

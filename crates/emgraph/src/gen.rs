@@ -36,6 +36,18 @@ fn at_least(n: u64, least: u64) -> Result<()> {
     Ok(())
 }
 
+/// [`PdmError::InvalidRequest`] unless `edges` distinct edges fit among
+/// the `n·(n−1)/2` pairs of `n` vertices, so a rejection loop ends.
+fn within_pairs(n: u64, edges: u128) -> Result<()> {
+    let pairs = u128::from(n) * u128::from(n.saturating_sub(1)) / 2;
+    if edges > pairs {
+        return Err(PdmError::InvalidRequest(format!(
+            "{edges} distinct edges; {n} vertices have {pairs} pairs"
+        )));
+    }
+    Ok(())
+}
+
 /// A random singly-linked list over nodes `0..n` as `(node, successor)`
 /// pairs sorted by node id; returns `(pairs, head)`.  The tail's successor
 /// is `u64::MAX`.  `n = 0` is [`PdmError::InvalidRequest`].
@@ -70,7 +82,8 @@ pub fn random_tree(device: SharedDevice, n: u64, seed: u64) -> Result<ExtVec<(u6
 
 /// A random sparse undirected graph on `n` vertices with ~`avg_degree·n/2`
 /// distinct edges (no loops, no duplicates), as `(u, v)` with `u < v`.
-/// `n < 2` is [`PdmError::InvalidRequest`].
+/// `n < 2`, or more edges than the `n·(n−1)/2` pairs, is
+/// [`PdmError::InvalidRequest`].
 pub fn random_graph(
     device: SharedDevice,
     n: u64,
@@ -80,6 +93,7 @@ pub fn random_graph(
     at_least(n, 2)?;
     let mut rng = Draws(seed);
     let target = ((n as f64 * avg_degree) / 2.0) as usize;
+    within_pairs(n, target as u128)?;
     let mut edges = std::collections::BTreeSet::new();
     while edges.len() < target {
         let a = rng.below(n);
@@ -92,17 +106,16 @@ pub fn random_graph(
     ExtVec::from_slice(device, &flat)
 }
 
-/// A connected random graph: a random tree plus extra random edges.
-/// Extra edges on fewer than two vertices are [`PdmError::InvalidRequest`].
+/// A connected random graph: a random tree plus extra random edges.  More
+/// edges in all than the `n·(n−1)/2` pairs (extra edges on fewer than two
+/// vertices among them) are [`PdmError::InvalidRequest`].
 pub fn random_connected_graph(
     device: SharedDevice,
     n: u64,
     extra_edges: u64,
     seed: u64,
 ) -> Result<ExtVec<(u64, u64)>> {
-    if extra_edges > 0 {
-        at_least(n, 2)?;
-    }
+    within_pairs(n, u128::from(n.saturating_sub(1)) + u128::from(extra_edges))?;
     let mut rng = Draws(seed);
     let mut edges = std::collections::BTreeSet::new();
     for v in 1..n {
@@ -240,6 +253,24 @@ mod tests {
         let set: std::collections::BTreeSet<_> = edges.iter().collect();
         assert_eq!(set.len(), edges.len());
         assert!(edges.iter().all(|(a, b)| a < b));
+    }
+
+    /// Asking for more distinct edges than there are pairs is refused
+    /// before the rejection loop, which would never end; exactly as many
+    /// builds the complete graph.
+    #[test]
+    fn more_edges_than_pairs_is_refused() {
+        let complete = random_connected_graph(device(), 3, 1, 17).unwrap();
+        assert_eq!(complete.to_vec().unwrap(), vec![(0, 1), (0, 2), (1, 2)]);
+        assert_eq!(random_graph(device(), 3, 2.0, 17).unwrap().len(), 3);
+        for got in [
+            random_connected_graph(device(), 3, 2, 17),
+            random_connected_graph(device(), 1, 1, 17),
+            random_graph(device(), 2, 4.0, 17),
+            random_graph(device(), 4, 3.5, 17),
+        ] {
+            assert!(matches!(got, Err(PdmError::InvalidRequest(_))));
+        }
     }
 
     #[test]

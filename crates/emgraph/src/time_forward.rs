@@ -30,7 +30,7 @@ fn malformed(what: &str) -> PdmError {
 ///   values of all in-neighbours, sorted by source vertex id.
 ///
 /// Returns `(vertex, value)` sorted by vertex id.  An edge with
-/// `dst ≤ src`, or whose source is not in `labels`, is
+/// `dst ≤ src`, or whose source or destination is not in `labels`, is
 /// [`InvalidRequest`](PdmError::InvalidRequest).
 pub fn time_forward<F>(
     labels: &ExtVec<(u64, u64)>,
@@ -60,11 +60,19 @@ where
 
             let mut lr = labels.reader();
             while let Some((v, label)) = lr.try_next()? {
+                // An edge from a vertex the sweep passed names no label.
+                if pending_edge.is_some_and(|(s, _)| s < v) {
+                    return Err(malformed("edge source out of topological order"));
+                }
                 // Collect incoming values (sorted by src because the EPQ orders
-                // by (dst, src, value)).
+                // by (dst, src, value)).  A message for a vertex the sweep
+                // passed was sent along an edge into a vertex with no label.
                 incoming.clear();
                 while let Some((d, _, value)) = pq.peek()? {
-                    if d != v {
+                    if d < v {
+                        return Err(malformed("edge into a vertex with no label"));
+                    }
+                    if d > v {
                         break;
                     }
                     pq.pop()?;
@@ -80,13 +88,12 @@ where
                     pq.push((d, s, value))?;
                     pending_edge = stream.try_next()?;
                 }
-                // An edge from a vertex already passed names no label.
-                if pending_edge.is_some_and(|(s, _)| s < v) {
-                    return Err(malformed("edge source out of topological order"));
-                }
             }
             if pending_edge.is_some() {
                 return Err(malformed("edge references vertex beyond the label array"));
+            }
+            if pq.peek()?.is_some() {
+                return Err(malformed("edge into a vertex with no label"));
             }
             Ok(())
         },
@@ -230,6 +237,25 @@ mod tests {
         // Labels stop at 800: the edges from 800 on are never reached.
         let short: Vec<(u64, u64)> = (0..800).map(|v| (v, 0)).collect();
         assert_malformed(&short, &chain, "beyond the label array");
+    }
+
+    #[test]
+    fn an_edge_into_an_unlabelled_vertex_is_rejected() {
+        // Vertex 1 has no label: its message is still queued when the
+        // sweep reaches vertex 2.
+        assert_malformed(
+            &[(0, 1), (2, 10), (3, 100)],
+            &[(0, 1), (0, 2), (2, 3)],
+            "no label",
+        );
+        let chain: Vec<(u64, u64)> = (0..999).map(|v| (v, v + 1)).collect();
+        let gap: Vec<(u64, u64)> = (0..1000).filter(|&v| v != 600).map(|v| (v, 0)).collect();
+        let edges: Vec<(u64, u64)> = chain.iter().copied().filter(|&(s, _)| s != 600).collect();
+        assert_malformed(&gap, &edges, "no label");
+        // Labels stop at 800, and vertex 799's edge points past them.
+        let short: Vec<(u64, u64)> = (0..800).map(|v| (v, 0)).collect();
+        let edges: Vec<(u64, u64)> = chain.iter().copied().filter(|&(s, _)| s < 800).collect();
+        assert_malformed(&short, &edges, "no label");
     }
 
     #[test]

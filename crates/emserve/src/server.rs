@@ -87,8 +87,6 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Number of tenant namespaces.
     pub tenants: usize,
-    /// Bound of each shard's ingest queue (requests).
-    pub queue_depth: usize,
     /// Flush the open batch once it holds this many writes.
     pub batch_max: usize,
     /// Flush the open batch once its first op has waited this long.  A
@@ -113,7 +111,6 @@ impl ServeConfig {
         ServeConfig {
             shards,
             tenants,
-            queue_depth: 1024,
             batch_max: 256,
             batch_deadline: Duration::from_millis(2),
             compact_threshold: 8192,
@@ -122,6 +119,10 @@ impl ServeConfig {
         }
     }
 }
+
+/// Bound of each shard's ingest queue (requests): a full queue blocks the
+/// submitting client.
+const QUEUE_DEPTH: usize = 1024;
 
 /// A control message's answer, or the error its worker fail-stopped on.
 type Reply<T> = SyncSender<std::result::Result<T, String>>;
@@ -198,7 +199,7 @@ where
                 stats.clone(),
             );
             pools.push(shard.pool().clone());
-            let (tx, rx) = mpsc::sync_channel(cfg.queue_depth.max(1));
+            let (tx, rx) = mpsc::sync_channel(QUEUE_DEPTH);
             senders.push(tx);
             let worker = ShardWorker {
                 shard,

@@ -25,9 +25,17 @@ use crate::stats::IoStats;
 /// Allocation metadata; the backing file itself is accessed lock-free via
 /// positioned reads/writes.
 struct Meta {
-    len_blocks: u64,
+    /// Whether each block of the file is allocated, indexed by id; its
+    /// length is the file's length in blocks.
+    live: Vec<bool>,
     free_list: Vec<BlockId>,
     allocated: u64,
+}
+
+impl Meta {
+    fn is_live(&self, id: BlockId) -> bool {
+        self.live.get(id as usize).copied().unwrap_or(false)
+    }
 }
 
 /// [`BlockDevice`] backed by a single file.
@@ -83,7 +91,7 @@ impl FileDisk {
             block_size,
             file,
             meta: Mutex::new(Meta {
-                len_blocks: 0,
+                live: Vec::new(),
                 free_list: Vec::new(),
                 allocated: 0,
             }),
@@ -99,8 +107,8 @@ impl FileDisk {
         id * self.block_size as u64
     }
 
-    fn check_in_range(&self, id: BlockId) -> Result<()> {
-        if id >= self.meta.lock().len_blocks {
+    fn check_live(&self, id: BlockId) -> Result<()> {
+        if !self.meta.lock().is_live(id) {
             return Err(PdmError::InvalidBlock(id));
         }
         Ok(())
@@ -150,26 +158,29 @@ impl BlockDevice for FileDisk {
 
     fn allocate(&self) -> Result<BlockId> {
         let mut meta = self.meta.lock();
-        let id = match meta.free_list.pop() {
-            Some(id) => id,
-            None => {
-                // Extend the file with a zero block so reads of fresh blocks
-                // succeed; the block exists only once that write has.
-                let id = meta.len_blocks;
-                self.write_at(&self.zero, self.offset(id))?;
-                meta.len_blocks += 1;
-                id
-            }
-        };
+        // Zero a reused block, or extend the file with a zero block, so an
+        // allocated block reads as zeros, as on a RAM disk.  The write is
+        // not a transfer of the model, and the id is handed out only once
+        // it has succeeded.
+        let fresh = meta.live.len() as BlockId;
+        let id = meta.free_list.last().copied().unwrap_or(fresh);
+        self.write_at(&self.zero, self.offset(id))?;
+        if id == fresh {
+            meta.live.push(true);
+        } else {
+            meta.free_list.pop();
+            meta.live[id as usize] = true;
+        }
         meta.allocated += 1;
         Ok(id)
     }
 
     fn free(&self, id: BlockId) -> Result<()> {
         let mut meta = self.meta.lock();
-        if id >= meta.len_blocks || meta.free_list.contains(&id) {
+        if !meta.is_live(id) {
             return Err(PdmError::InvalidBlock(id));
         }
+        meta.live[id as usize] = false;
         meta.free_list.push(id);
         meta.allocated -= 1;
         Ok(())
@@ -182,7 +193,7 @@ impl BlockDevice for FileDisk {
                 actual: buf.len(),
             });
         }
-        self.check_in_range(id)?;
+        self.check_live(id)?;
         self.read_at(buf, self.offset(id))?;
         self.stats.record_read(self.lane);
         Ok(())
@@ -195,7 +206,7 @@ impl BlockDevice for FileDisk {
                 actual: buf.len(),
             });
         }
-        self.check_in_range(id)?;
+        self.check_live(id)?;
         self.write_at(buf, self.offset(id))?;
         self.stats.record_write(self.lane);
         Ok(())
@@ -213,6 +224,7 @@ impl BlockDevice for FileDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RamDisk, SharedDevice};
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -234,6 +246,34 @@ mod tests {
         disk.read_block(b, &mut out).unwrap();
         assert_eq!(out, [3u8; 32]);
         assert_eq!(disk.stats().snapshot().total(), 4);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// The `BlockDevice` contract on a freed block, on both devices: a
+    /// read, a write and a second free of it are `InvalidBlock` and move
+    /// nothing, and the next allocation hands it back zeroed.
+    #[test]
+    fn a_freed_block_is_dead_until_allocated_again() {
+        let path = tmp("contract");
+        let devices: [(&str, SharedDevice); 2] = [
+            ("ram", RamDisk::new(32)),
+            ("file", FileDisk::create(&path, 32).unwrap()),
+        ];
+        for (name, disk) in devices {
+            let a = disk.allocate().unwrap();
+            disk.write_block(a, &[7u8; 32]).unwrap();
+            disk.free(a).unwrap();
+            let mut out = [1u8; 32];
+            let dead = |got: Result<()>| matches!(got, Err(PdmError::InvalidBlock(id)) if id == a);
+            assert!(dead(disk.read_block(a, &mut out)), "{name}: read");
+            assert!(dead(disk.write_block(a, &[9u8; 32])), "{name}: write");
+            assert!(dead(disk.free(a)), "{name}: double free");
+            assert_eq!(disk.allocated_blocks(), 0, "{name}");
+            assert_eq!(disk.allocate().unwrap(), a, "{name}: reuse");
+            disk.read_block(a, &mut out).unwrap();
+            assert_eq!(out, [0u8; 32], "{name}: a reused block reads as zeros");
+            assert_eq!(disk.stats().snapshot().total(), 2, "{name}: transfers");
+        }
         std::fs::remove_file(path).ok();
     }
 

@@ -257,6 +257,11 @@ fn graph_rounds_keep_their_counts_across_io_modes() {
             // seeded reservoir sampler instead of every ⌈n/(8·want)⌉-th
             // event: segments (2225, 1933), range reporting (1575, 1171)
             // and dominance (2142, 1507) before.
+            //
+            // tree_depths then ranked its tour once, reading depth off the
+            // positions as a running sum over the arcs in tour order
+            // instead of ranking ±1 weights a second time: (11099, 8911)
+            // before.
             let counts = sync.map(|(_, c)| c);
             assert_eq!(
                 counts,
@@ -269,7 +274,7 @@ fn graph_rounds_keep_their_counts_across_io_modes() {
                     (1579, 1175),
                     (2144, 1509),
                     (6231, 2651),
-                    (11099, 8911),
+                    (6245, 5151),
                 ]
             );
         }
