@@ -236,10 +236,10 @@ pub const HASH_MAX_LEVELS: usize = 32;
 /// fits in `M`, stops shrinking (equal-hash skew), or hits
 /// [`HASH_MAX_LEVELS`].  Leaves are returned unread (their consumption is
 /// the consumer's cost).  `hashes` are the records' level-0 key hashes
-/// ([`hash_bytes`](pdm::hash::hash_bytes) of the key bytes) in arrival
-/// order; the replay reproduces the recursion tree exactly because deeper
-/// levels *remix* those hashes ([`level_bucket`](pdm::hash::level_bucket))
-/// rather than rehashing the keys.
+/// ([`key_hash`](crate::key_hash)) in arrival order; the replay
+/// reproduces the recursion tree exactly because deeper levels *remix*
+/// those hashes ([`level_bucket`](pdm::hash::level_bucket)) rather than
+/// rehashing the keys.
 pub fn hash_partition_exact_ios(hashes: &[u64], m: usize, b: usize, fan_out: usize) -> u64 {
     let n = hashes.len() as u64;
     if n == 0 {
@@ -316,6 +316,27 @@ pub fn hash_group_exact_ios(
     t
 }
 
+/// Hashes a level-0 hash as itself, rotated: the hashes of a partition
+/// share their residue `mod F`, which must not pick the set's slots.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl std::hash::Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+}
+
 /// One hybrid absorb-and-spill pass: returns (spill-write transfers,
 /// per-bucket spilled hashes).  `level` selects the bucket salt.
 fn hash_group_pass(
@@ -326,7 +347,8 @@ fn hash_group_pass(
     fan_out: usize,
 ) -> (u64, Vec<Vec<u64>>) {
     let cap = m.saturating_sub((fan_out + 1) * b);
-    let mut table = std::collections::HashSet::new();
+    let mut table: std::collections::HashSet<u64, std::hash::BuildHasherDefault<PassThrough>> =
+        Default::default();
     let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); fan_out];
     for &h in hashes {
         if table.contains(&h) {
@@ -603,9 +625,7 @@ mod tests {
         // 100 distinct keys, table cap = 64 − (4+1)·4 = 44... make cap
         // large: m=512, b=8, F=4 → cap = 512 − 40 = 472 ≥ distinct keys →
         // everything absorbs, zero operator transfers.
-        let hashes: Vec<u64> = (0..5000u64)
-            .map(|i| pdm::hash::hash_bytes(&(i % 100).to_le_bytes()))
-            .collect();
+        let hashes: Vec<u64> = (0..5000u64).map(|i| crate::key_hash(&(i % 100))).collect();
         assert_eq!(hash_group_exact_ios(&hashes, 512, 8, 4, 8), 0);
     }
 
@@ -614,7 +634,7 @@ mod tests {
         // cap = 0 (m = (F+1)·b): every record spills to one bucket, which
         // never shrinks → spill write + sort fallback.
         let (m, b, f, k) = (40usize, 8usize, 4usize, 4usize);
-        let hashes = vec![pdm::hash::hash_bytes(&7u64.to_le_bytes()); 1000];
+        let hashes = vec![crate::key_hash(&7u64); 1000];
         let spill = blocks(1000, b);
         let expect = spill + group_fallback(1000, m, b, k);
         assert_eq!(hash_group_exact_ios(&hashes, m, b, f, k), expect);
@@ -626,7 +646,7 @@ mod tests {
         assert_eq!(hash_join_exact_ios(&[], &[1, 2, 3], 64, 8, 8, 16, 4), 0);
         // The residency is 64 − (4+1)·8 = 24 records: a build side that
         // fits it is held and never spilled, whatever probes it.
-        let h = |i: u64| pdm::hash::hash_bytes(&i.to_le_bytes());
+        let h = |i: u64| crate::key_hash(&i);
         let build: Vec<u64> = (0..25).map(h).collect();
         let probe: Vec<u64> = (0..900).map(h).collect();
         assert_eq!(
@@ -649,7 +669,7 @@ mod tests {
         // make a 2 048-bit filter.  Of 10 000 probes of foreign keys only
         // the filter's false positives are written, and each pair reads
         // back what its bucket got.
-        let h = |i: u64| pdm::hash::hash_bytes(&i.to_le_bytes());
+        let h = |i: u64| crate::key_hash(&i);
         let build: Vec<u64> = (0..160).map(h).collect();
         let probe: Vec<u64> = (1000..11_000).map(h).collect();
         let mut filter = KeyFilter::with_bytes(24 * 16);

@@ -61,7 +61,7 @@ pub use append_buffer::AppendBuffer;
 pub use budget::{BudgetGuard, MemBudget};
 pub use config::EmConfig;
 pub use ext_vec::ExtVec;
-pub use record::Record;
+pub use record::{key_hash, route_hash, Record};
 pub use stream::{BlockReader, ExtVecCursor, ExtVecReader, ExtVecWriter};
 
 // Re-export the substrate so dependents need only one import path.

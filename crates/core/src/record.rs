@@ -4,7 +4,10 @@
 //! record must be explicit and fixed.  [`Record`] is implemented for the
 //! primitive integer types and small tuples here; domain crates implement it
 //! for their own structs (edges, events, hash entries, …).  All encodings are
-//! little-endian.
+//! little-endian.  Keys are hashed over their encoding only by [`key_hash`]
+//! and [`route_hash`].
+
+use crate::hash::{fnv1a, hash_bytes};
 
 /// A value with a fixed-size binary encoding.
 ///
@@ -75,6 +78,35 @@ tuple_record!(A: 0, B: 1, C: 2, D: 3);
 tuple_record!(A: 0, B: 1, C: 2, D: 3, E: 4);
 tuple_record!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 
+/// Records up to this many bytes are encoded on the stack.
+const STACK_BYTES: usize = 64;
+
+/// `f` of `record`'s encoding: a slice of constant length, on the stack up
+/// to [`STACK_BYTES`].
+#[inline]
+fn with_encoding<R: Record, T>(record: &R, f: impl FnOnce(&[u8]) -> T) -> T {
+    if R::BYTES <= STACK_BYTES {
+        let mut stack = [0u8; STACK_BYTES];
+        let buf = &mut stack[..R::BYTES];
+        record.write_to(buf);
+        f(buf)
+    } else {
+        let mut heap = vec![0u8; R::BYTES];
+        record.write_to(&mut heap);
+        f(&heap)
+    }
+}
+
+/// The level-0 key hash, [`hash_bytes`] of `key`'s encoding.
+pub fn key_hash<R: Record>(key: &R) -> u64 {
+    with_encoding(key, hash_bytes)
+}
+
+/// The shard-routing hash, [`fnv1a`] of `key`'s encoding.
+pub fn route_hash<R: Record>(key: &R) -> u64 {
+    with_encoding(key, fnv1a)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +145,40 @@ mod tests {
         assert_eq!(<(u64, u64)>::BYTES, 16);
         assert_eq!(<(u32, i64, u8)>::BYTES, 13);
         assert_eq!(<(u8, u16, u32, u64)>::BYTES, 15);
+    }
+
+    /// `hash(r)` equals `reference` over `r`'s `write_to` bytes.
+    fn hashes_its_encoding<R: Record>(r: R, hash: fn(&R) -> u64, reference: fn(&[u8]) -> u64) {
+        let mut buf = vec![0u8; R::BYTES];
+        r.write_to(&mut buf);
+        assert_eq!(hash(&r), reference(&buf));
+    }
+
+    #[test]
+    fn key_and_route_hashes_are_the_hashes_of_the_encoding() {
+        hashes_its_encoding(0xDEAD_BEEFu64, key_hash, hash_bytes);
+        hashes_its_encoding(0xDEAD_BEEFu64, route_hash, fnv1a);
+        hashes_its_encoding((7u32, u64::MAX), key_hash, hash_bytes);
+        hashes_its_encoding((7u32, u64::MAX), route_hash, fnv1a);
+        hashes_its_encoding((1u64, 2u64, 3u64), key_hash, hash_bytes);
+        hashes_its_encoding((1u64, 2u64, 3u64), route_hash, fnv1a);
+        // 72 bytes: past the stack buffer, encoded on the heap.
+        type Wide = ((u64, u64, u64), (u64, u64, u64), (u64, u64, u64));
+        const { assert!(Wide::BYTES > STACK_BYTES) };
+        let wide: Wide = ((1, 2, 3), (4, 5, 6), (7, 8, u64::MAX));
+        hashes_its_encoding(wide, key_hash, hash_bytes);
+        hashes_its_encoding(wide, route_hash, fnv1a);
+    }
+
+    #[test]
+    fn key_and_route_hashes_are_pinned() {
+        // Extendible-hash directories, key filters and shard routing are
+        // persisted or routed state: these values never change.
+        assert_eq!(key_hash(&0u64), 0xA1B6_1148_46AB_5086);
+        assert_eq!(key_hash(&42u64), 0x1A3B_62E0_19A2_35DA);
+        assert_eq!(key_hash(&(7u32, 42u64)), 0x54F4_9D68_2EBD_41CD);
+        assert_eq!(key_hash(&(1u64, 2u64, 3u64)), 0x4D50_3589_65DB_1C7C);
+        assert_eq!(route_hash(&(0u32, 42u64)), 0xAADA_9613_2C80_05BF);
     }
 
     #[test]

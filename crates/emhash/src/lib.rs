@@ -12,6 +12,15 @@
 //! Compare with the B-tree's `Θ(log_B N)` per lookup — this is the
 //! `Search(N)`-versus-hashing trade-off of experiment F13: hashing wins on
 //! point lookups but supports no range queries.
+//!
+//! **Directory growth is bounded.**  A full bucket splits on the lowest
+//! hash bit its keys and the new key differ in.  If they share all 64, or
+//! that bit lies past depth `⌈(1 + 1/c)·bits(n)⌉ + 8` (`c` pairs a bucket,
+//! `n` with the new one), the insert is [`PdmError::InvalidRequest`] before
+//! anything changes.  Some `c + 1` of `n` uniform hashes share that many
+//! low bits with probability under `2^(−8c)/(c+1)!` (3·10⁻⁶ at `c = 2`); a
+//! directory at the bound has `≤ 2^9·(2n)^(1+1/c)` entries, as uniform
+//! hashing's own growth.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,13 +28,8 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use em_core::Record;
+use em_core::{key_hash, Record};
 use pdm::{BlockId, BufferPool, PdmError, Result};
-
-// FNV-seeded splitmix mixing over the key's encoded bytes — the canonical
-// copy lives in `em_core::hash` (directory layouts persist this hash, so it
-// must stay bit-identical across crates).
-use em_core::hash::hash_bytes;
 
 pub mod partition;
 pub mod table;
@@ -123,12 +127,6 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
         self.len as f64 / (unique.len() * self.bucket_cap) as f64
     }
 
-    fn hash(&self, key: &K) -> u64 {
-        let mut buf = vec![0u8; K::BYTES];
-        key.write_to(&mut buf);
-        hash_bytes(&buf)
-    }
-
     fn dir_index(&self, h: u64) -> usize {
         (h as usize) & (self.directory.len() - 1)
     }
@@ -167,7 +165,7 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
 
     /// Look up `key`: exactly one bucket I/O (through the pool).
     pub fn get(&self, key: &K) -> Result<Option<V>> {
-        let h = self.hash(key);
+        let h = key_hash(key);
         let id = self.directory[self.dir_index(h)];
         let (_, entries) = self.read_bucket(id)?;
         Ok(entries
@@ -184,7 +182,7 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
     /// Insert or replace; returns the previous value if present.
     pub fn insert(&mut self, key: K, value: V) -> Result<Option<V>> {
         loop {
-            let h = self.hash(&key);
+            let h = key_hash(&key);
             let id = self.directory[self.dir_index(h)];
             let (depth, mut entries) = self.read_bucket(id)?;
             if let Some(slot) = entries.iter_mut().find(|(k, _)| *k == key) {
@@ -200,7 +198,7 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
             }
             // Bucket full: split (may require doubling the directory), then
             // retry the insert against the refined directory.
-            self.split_bucket(id, depth, entries)?;
+            self.split_bucket(id, depth, entries, h)?;
         }
     }
 
@@ -208,7 +206,7 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
     /// merged on underflow — the classic implementation trade-off; space is
     /// reclaimed only by rebuilding.)
     pub fn remove(&mut self, key: &K) -> Result<Option<V>> {
-        let h = self.hash(key);
+        let h = key_hash(key);
         let id = self.directory[self.dir_index(h)];
         let (depth, mut entries) = self.read_bucket(id)?;
         if let Some(pos) = entries.iter().position(|(k, _)| k == key) {
@@ -220,21 +218,29 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
         Ok(None)
     }
 
-    /// Split the full bucket `id` (local depth `depth`), doubling the
-    /// directory first if `depth == global_depth`.
-    fn split_bucket(&mut self, id: BlockId, depth: u8, entries: Vec<(K, V)>) -> Result<()> {
+    /// The deepest directory an insert may grow to (module doc).
+    fn max_depth(&self) -> u32 {
+        let bits = u64::BITS - (self.len + 1).leading_zeros();
+        let c = self.bucket_cap as u32;
+        (bits * (c + 1)).div_ceil(c) + 8
+    }
+
+    /// Split the full bucket `id` (local depth `depth`) a key of hash `h`
+    /// did not fit, doubling the directory first if `depth == global_depth`
+    /// — unless no split within [`max_depth`](Self::max_depth) separates them.
+    fn split_bucket(&mut self, id: BlockId, depth: u8, entries: Vec<(K, V)>, h: u64) -> Result<()> {
+        // The lowest bit an entry's hash differs from `h` in splits them.
+        let differ = entries.iter().fold(0, |d, (k, _)| d | (key_hash(k) ^ h));
+        let need = differ.trailing_zeros() + 1;
+        if differ == 0 || need > self.global_depth.max(self.max_depth()) {
+            return Err(PdmError::InvalidRequest(format!(
+                "{} extendible hash keys share their low {} hash bits, past depth {}",
+                entries.len() + 1,
+                need - 1,
+                self.max_depth()
+            )));
+        }
         if u32::from(depth) == self.global_depth {
-            // Caller-reachable, not an invariant: more than a bucket's worth
-            // of keys whose hashes agree in their low bits double the
-            // directory on every split.  The insert fails before anything
-            // changes (though a directory of 2^48 ids outgrows any heap
-            // first).
-            if self.global_depth >= 48 {
-                return Err(PdmError::InvalidRequest(
-                    "extendible hash directory past depth 48: too many keys share their hash bits"
-                        .into(),
-                ));
-            }
             let old = std::mem::take(&mut self.directory);
             self.directory = old.iter().chain(old.iter()).copied().collect();
             self.global_depth += 1;
@@ -246,7 +252,7 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
         let mut zero_side = Vec::new();
         let mut one_side = Vec::new();
         for (k, v) in entries {
-            let h = self.hash(&k);
+            let h = key_hash(&k);
             if h & bit == 0 {
                 zero_side.push((k, v));
             } else {
@@ -284,6 +290,7 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::splitmix;
     use em_core::EmConfig;
     use pdm::EvictionPolicy;
     use rand::prelude::*;
@@ -420,6 +427,54 @@ mod tests {
         }
         assert!(h.splits() > 100);
         assert!(h.doublings() >= 5);
+    }
+
+    /// splitmix's finalizer inverted: each xorshift and odd multiply undone.
+    fn unsplitmix(x: u64) -> u64 {
+        let unshift = |y: u64, s: u32| (0..64 / s).fold(y, |x, _| y ^ (x >> s));
+        // Newton's iteration doubles the correct low bits of an odd
+        // number's inverse: 3, 6, …, 96.
+        let inverse = |c: u64| {
+            (0..5).fold(c, |i, _| {
+                i.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(i)))
+            })
+        };
+        let x = unshift(x, 31).wrapping_mul(inverse(0x94D0_49BB_1331_11EB));
+        let x = unshift(x, 27).wrapping_mul(inverse(0xBF58_476D_1CE4_E5B9));
+        unshift(x, 30)
+    }
+
+    #[test]
+    fn keys_no_split_can_separate_fail_before_the_directory_grows() {
+        // A `(u64, u64)` key's hash chains one splitmix a word from the seed
+        // `FNV offset ^ 16`, so its second word steers it to any value `t`.
+        let seed = 0xCBF2_9CE4_8422_2325 ^ 16;
+        let key = |a: u64, t: u64| (a, splitmix(seed ^ a) ^ unsplitmix(t));
+        // All 64 hash bits equal, then the low 40 only.
+        for spread in [None, Some(40)] {
+            let mut h = ExtendibleHash::<(u64, u64), u64>::new(pool(128, 8)).unwrap();
+            let cap = h.bucket_cap as u64;
+            let keys: Vec<(u64, u64)> = (0..=cap)
+                .map(|i| key(i, 0x0123_4567_89AB_CDEF ^ spread.map_or(0, |s| i << s)))
+                .collect();
+            let hashes: Vec<u64> = keys.iter().map(key_hash).collect();
+            assert!(hashes.iter().all(|&x| (x ^ hashes[0]) << 24 == 0));
+            assert_eq!(hashes.iter().all(|&x| x == hashes[0]), spread.is_none());
+            for (i, &k) in keys[..cap as usize].iter().enumerate() {
+                h.insert(k, i as u64).unwrap();
+            }
+            let err = h.insert(keys[cap as usize], cap).err();
+            assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+            assert!(h.max_depth() < 24, "bound {}", h.max_depth());
+            assert_eq!(h.directory_size(), 1, "failed before any doubling");
+            // Nothing changed, and a key of another hash still goes in.
+            assert_eq!(h.len(), cap);
+            for (i, k) in keys[..cap as usize].iter().enumerate() {
+                assert_eq!(h.get(k).unwrap(), Some(i as u64));
+            }
+            h.insert((u64::MAX, 0), 7).unwrap();
+            assert_eq!(h.get(&(u64::MAX, 0)).unwrap(), Some(7));
+        }
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! A level is one [`PartitionPass`], `emsort`'s distribution pass, that fans
 //! a record stream into up to `M/B − 1` spill partitions by the
 //! level-salted bucket hash ([`em_core::hash::level_bucket`]): every
-//! record's key is hashed **once** ([`KeyHasher`]), and deeper recursion
-//! levels remix that one 64-bit hash instead of rehashing the key.  The
-//! remix makes levels independent (records that collide at level *l* spread
-//! at level *l+1*) while letting the planner's exact cost replay
+//! record's key is hashed **once** ([`em_core::key_hash`]), and deeper
+//! recursion levels remix that one 64-bit hash instead of rehashing the
+//! key.  The remix makes levels independent (records that collide at level
+//! *l* spread at level *l+1*) while letting the planner's exact cost replay
 //! (`em_core::bounds::hash_*_exact_ios`) reproduce the entire recursion
 //! tree from the level-0 hashes alone — the same no-over-counting
 //! philosophy as `merge_sort_exact_ios`.
@@ -30,31 +30,6 @@ use em_core::hash::level_bucket;
 use em_core::{ExtVec, ExtVecWriter, Record};
 use emsort::{copy_blocks, operator_budget, OverlapConfig, PartitionPass};
 use pdm::Result;
-
-/// Hashes record keys through one reusable scratch buffer.
-///
-/// The level-0 hash of a key is [`em_core::hash::hash_bytes`] over its
-/// [`Record`] encoding — computed once per record; all recursion levels
-/// derive their buckets from it via [`level_bucket`].
-#[derive(Default)]
-pub struct KeyHasher {
-    buf: Vec<u8>,
-}
-
-impl KeyHasher {
-    /// A hasher with an empty scratch buffer.
-    pub fn new() -> Self {
-        KeyHasher::default()
-    }
-
-    /// The level-0 hash of `key`'s encoded bytes.
-    #[inline]
-    pub fn hash<K: Record>(&mut self, key: &K) -> u64 {
-        self.buf.resize(K::BYTES, 0);
-        key.write_to(&mut self.buf);
-        em_core::hash::hash_bytes(&self.buf)
-    }
-}
 
 /// Outcome of [`partition_to_fit`] for one leaf of the recursion tree.
 pub enum Partitioned<R: Record> {
@@ -87,9 +62,9 @@ impl<R: Record> Partitioned<R> {
 /// deterministic bucket-DFS order.
 ///
 /// `hash` must return the **level-0** hash of a record's key (use
-/// [`KeyHasher`]); all levels are derived from it.  `input` itself is left
-/// alone; intermediate partitions are freed as soon as they have been
-/// re-partitioned, so peak disk stays `O(N/B)` blocks beyond the input.
+/// [`em_core::key_hash`]); all levels are derived from it.  `input` itself
+/// is left alone; intermediate partitions are freed as soon as they have
+/// been re-partitioned, so peak disk stays `O(N/B)` blocks beyond the input.
 /// The recursion reads each spilled record once and writes it once per
 /// level it passes through — exactly what
 /// `em_core::bounds::hash_partition_exact_ios` replays.
@@ -167,12 +142,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_core::EmConfig;
+    use em_core::{key_hash, EmConfig};
     use pdm::{PdmError, SharedDevice};
-
-    fn hash_u64(r: &u64) -> u64 {
-        em_core::hash::hash_bytes(&r.to_le_bytes())
-    }
 
     /// 64-byte blocks (8 u64 records), `mem_blocks` blocks of memory.
     fn setup(n: u64, mem_blocks: usize) -> (SharedDevice, ExtVec<u64>, usize) {
@@ -187,7 +158,7 @@ mod tests {
     fn leaves_fit_and_preserve_the_multiset() {
         let (device, v, m) = setup(2000, 8);
         let before = device.stats().snapshot();
-        let leaves = partition_to_fit(&v, hash_u64, m, 4, OverlapConfig::off()).unwrap();
+        let leaves = partition_to_fit(&v, key_hash, m, 4, OverlapConfig::off()).unwrap();
         let delta = device.stats().snapshot().since(&before);
         let mut got = Vec::new();
         let mut leaf_blocks = 0;
@@ -216,7 +187,7 @@ mod tests {
         let m = cfg.mem_records::<u64>();
         assert!(500 > m);
         let before = device.stats().snapshot();
-        let leaves = partition_to_fit(&v, hash_u64, m, 4, OverlapConfig::off()).unwrap();
+        let leaves = partition_to_fit(&v, key_hash, m, 4, OverlapConfig::off()).unwrap();
         let delta = device.stats().snapshot().since(&before);
         assert_eq!(leaves.len(), 1);
         assert!(matches!(leaves[0], Partitioned::Skewed(_)));
@@ -232,7 +203,7 @@ mod tests {
         let (device, v, m) = setup(2000, 8);
         let allocated = device.allocated_blocks();
         for fan in [1, 8] {
-            let err = partition_to_fit(&v, hash_u64, m, fan, OverlapConfig::off()).err();
+            let err = partition_to_fit(&v, key_hash, m, fan, OverlapConfig::off()).err();
             assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
             assert_eq!(device.allocated_blocks(), allocated);
         }
@@ -242,9 +213,9 @@ mod tests {
     fn replay_matches_measured_transfers_exactly() {
         for (n, mem_blocks, fan) in [(2000u64, 8usize, 4usize), (5000, 8, 6), (300, 8, 2)] {
             let (device, v, m) = setup(n, mem_blocks);
-            let hashes: Vec<u64> = v.to_vec().unwrap().iter().map(hash_u64).collect();
+            let hashes: Vec<u64> = v.to_vec().unwrap().iter().map(key_hash).collect();
             let before = device.stats().snapshot();
-            let leaves = partition_to_fit(&v, hash_u64, m, fan, OverlapConfig::off()).unwrap();
+            let leaves = partition_to_fit(&v, key_hash, m, fan, OverlapConfig::off()).unwrap();
             let delta = device.stats().snapshot().since(&before);
             let predicted =
                 em_core::bounds::hash_partition_exact_ios(&hashes, m, v.per_block(), fan);
@@ -262,7 +233,7 @@ mod tests {
             let (device, v, m) = setup(3000, 8);
             let before = device.stats().snapshot();
             let leaves =
-                partition_to_fit(&v, hash_u64, m, 4, OverlapConfig::symmetric(depth)).unwrap();
+                partition_to_fit(&v, key_hash, m, 4, OverlapConfig::symmetric(depth)).unwrap();
             let delta = device.stats().snapshot().since(&before);
             let leaf_lens: Vec<u64> = leaves.iter().map(|l| l.records().len()).collect();
             shapes.push((leaf_lens, delta.total(), delta.writes()));

@@ -5,9 +5,8 @@
 //! back.  [`ResidentTable`] is open addressing (linear probing) over a
 //! power-of-two array of `u32` slots pointing into one entry arena, keyed by
 //! the **level-0 hash the partitioner already computed**
-//! ([`KeyHasher`](crate::partition::KeyHasher)) plus key equality: a lookup
-//! is one multiply, one or two slot reads and — only where the stored hash
-//! matches — one `==`.  No `Ord`, no `Hash`, no rehash of the key.
+//! ([`em_core::key_hash`]) plus key equality: a lookup is one multiply, one
+//! or two slot reads and — only where the stored hash matches — one `==`.  No `Ord`, no `Hash`, no rehash of the key.
 //!
 //! The slot comes from the *top* bits of a multiplicative remix of `h0`,
 //! not from `h0`'s own low bits: a partition holds exactly the records whose
@@ -268,14 +267,13 @@ impl<K: Eq, R> ResidentMultimap<K, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::KeyHasher;
     use em_core::hash::{level_bucket, splitmix};
     use std::cell::Cell;
     use std::cmp::Ordering;
     use std::collections::BTreeMap;
 
     fn h(k: u64) -> u64 {
-        KeyHasher::new().hash(&k)
+        em_core::key_hash(&k)
     }
 
     #[test]

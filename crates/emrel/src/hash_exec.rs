@@ -52,8 +52,7 @@ use std::sync::Arc;
 
 use em_core::bounds::{hash_join_residency, HASH_MAX_LEVELS};
 use em_core::hash::{level_bucket, KeyFilter};
-use em_core::{BudgetGuard, ExtVec, ExtVecCursor, MemBudget, Record};
-use emhash::partition::KeyHasher;
+use em_core::{key_hash, BudgetGuard, ExtVec, ExtVecCursor, MemBudget, Record};
 use emhash::table::{ResidentMultimap, ResidentTable};
 use emsort::{merge_sort_by, operator_budget, OverlapConfig, PartitionPass};
 use pdm::{Result, SharedDevice};
@@ -113,7 +112,6 @@ where
     init: Acc,
     fold: FoldF,
     fin: FinF,
-    hasher: KeyHasher,
     budget: Arc<MemBudget>,
     /// Finished output records awaiting emission.
     ready: VecDeque<O>,
@@ -171,7 +169,6 @@ where
             init,
             fold,
             fin,
-            hasher: KeyHasher::new(),
             budget,
             ready: VecDeque::new(),
             queue: Vec::new(),
@@ -215,7 +212,7 @@ where
     ) -> Result<()> {
         let cap = self.cap;
         let k = (self.key)(&r);
-        let h0 = self.hasher.hash(&k);
+        let h0 = key_hash(&k);
         if let Some((acc, n)) = table.get_mut(h0, &k) {
             (self.fold)(acc, &r);
             *n += 1;
@@ -275,7 +272,7 @@ where
             let mut reader = part.reader_at_prefetch(0, ov.read_ahead, &budget);
             while let Some(r) = reader.try_next()? {
                 let k = (self.key)(&r);
-                let h0 = self.hasher.hash(&k);
+                let h0 = key_hash(&k);
                 let (acc, n) = table.get_or_insert_with(h0, k, || (self.init.clone(), 0));
                 (self.fold)(acc, &r);
                 *n += 1;
@@ -433,7 +430,6 @@ where
     b_build: usize,
     b_probe: usize,
     fan_out: usize,
-    hasher: KeyHasher,
     budget: Arc<MemBudget>,
     /// Build records matched in-stream while the build side fits the
     /// residency; empty once it has spilled.
@@ -498,7 +494,6 @@ where
         let budget = operator_budget(device, fan_out, b_build + b_probe, m, overlap)?;
         let residency = hash_join_residency(m, b_build, b_probe, fan_out);
         let residency_charge = budget.charge(residency);
-        let mut hasher = KeyHasher::new();
         let mut resident = ResidentMultimap::new();
         // The level-0 pass, its filter and its writers' buffers — opened by
         // the first record the residency cannot hold.
@@ -509,7 +504,7 @@ where
             total += 1;
             if spill.is_none() && resident.len() < residency {
                 let k = key_b(&r);
-                resident.insert(hasher.hash(&k), k, r);
+                resident.insert(key_hash(&k), k, r);
                 continue;
             }
             // Overflow: the held records go first, in arrival order, so the
@@ -525,7 +520,7 @@ where
                 )
             });
             for r in held.into_iter().flatten().chain([r]) {
-                let h0 = hasher.hash(&key_b(&r));
+                let h0 = key_hash(&key_b(&r));
                 filter.insert(h0);
                 pass.push(level_bucket(h0, 0, fan_out), r)?;
             }
@@ -553,7 +548,6 @@ where
             b_build,
             b_probe,
             fan_out,
-            hasher,
             budget,
             resident,
             residency: Some(residency_charge),
@@ -598,7 +592,7 @@ where
             return Ok(());
         };
         let k = (self.key_p)(&r);
-        let h0 = self.hasher.hash(&k);
+        let h0 = key_hash(&k);
         let Some(spilled) = self.spilled.as_mut() else {
             for b in self.resident.get(h0, &k) {
                 self.out.push_back((self.make)(b, &r));
@@ -651,14 +645,13 @@ where
             return Ok(());
         }
         let (fan_out, overlap, budget) = (self.fan_out, self.overlap, &self.budget);
-        let (hasher, key_b, key_p) = (&mut self.hasher, &self.key_b, &self.key_p);
         let bucket = |h0| level_bucket(h0, level, fan_out);
         let bkids = PartitionPass::spill_array(&bv, fan_out, level, overlap, budget, |pass, r| {
-            pass.push(bucket(hasher.hash(&key_b(&r))), r)
+            pass.push(bucket(key_hash(&(self.key_b)(&r))), r)
         })?;
         // A probe record whose build bucket is empty matches nothing.
         let pkids = PartitionPass::spill_array(&pv, fan_out, level, overlap, budget, |pass, r| {
-            let bi = bucket(hasher.hash(&key_p(&r)));
+            let bi = bucket(key_hash(&(self.key_p)(&r)));
             if bkids[bi].is_empty() {
                 return Ok(());
             }
@@ -693,7 +686,7 @@ where
                         break;
                     };
                     let k = (self.key_b)(&r);
-                    let h0 = self.hasher.hash(&k);
+                    let h0 = key_hash(&k);
                     pair.table.insert(h0, k, r);
                 }
                 debug_assert!(pair.table.len() <= pair.chunk, "chunk past its charge");
@@ -711,7 +704,7 @@ where
                 match pair.pcur.try_next()? {
                     Some(p) => {
                         let k = (self.key_p)(&p);
-                        let h0 = self.hasher.hash(&k);
+                        let h0 = key_hash(&k);
                         let mut matched = false;
                         for b in pair.table.get(h0, &k) {
                             self.out.push_back((self.make)(b, &p));
@@ -798,10 +791,6 @@ mod tests {
     use std::cmp::Ordering;
     use std::collections::BTreeMap;
 
-    fn key_hash(k: u64) -> u64 {
-        em_core::hash::hash_bytes(&k.to_le_bytes())
-    }
-
     /// 256-byte blocks (16 `(u64, u64)` records), `mem_blocks` blocks.
     fn device(mem_blocks: usize) -> (SharedDevice, usize) {
         let cfg = EmConfig::new(256, mem_blocks);
@@ -853,7 +842,7 @@ mod tests {
             let (d, m) = device(16);
             let data = pairs(n, keys, 0x1234_5679);
             let v = ExtVec::from_slice(d.clone(), &data).unwrap();
-            let hashes: Vec<u64> = data.iter().map(|r| key_hash(r.0)).collect();
+            let hashes: Vec<u64> = data.iter().map(|r| key_hash(&r.0)).collect();
             let cfg = ExecConfig::new(m);
             let b = v.per_block();
             let fan_in = cfg.sort.effective_fan_in(b);
@@ -896,7 +885,7 @@ mod tests {
         let ecfg = ExecConfig::new(m);
         let b = v.per_block();
         let fan_in = ecfg.sort.effective_fan_in(b);
-        let hashes: Vec<u64> = data.iter().map(|r| key_hash(r.0)).collect();
+        let hashes: Vec<u64> = data.iter().map(|r| key_hash(&r.0)).collect();
         let before = d.stats().snapshot();
         let mut scan = ScanExec::new(&v);
         let mut g = HashGroupByExec::build(
@@ -1002,8 +991,8 @@ mod tests {
             let probe = pairs(6000, 5000, 0x1357_9BD1);
             let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
             let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
-            let bh: Vec<u64> = build.iter().map(|r| key_hash(r.0)).collect();
-            let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
+            let bh: Vec<u64> = build.iter().map(|r| key_hash(&r.0)).collect();
+            let ph: Vec<u64> = probe.iter().map(|r| key_hash(&r.0)).collect();
             let cfg = ExecConfig::new(m);
             let b = bv.per_block();
             let replay = hash_join_exact_ios(&bh, &ph, m, b, b, 16, 4);
@@ -1047,8 +1036,8 @@ mod tests {
         let probe: Vec<(u64, u64)> = (0..300).map(|i| (3u64, i + 1000)).collect();
         let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
         let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
-        let bh: Vec<u64> = build.iter().map(|r| key_hash(r.0)).collect();
-        let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
+        let bh: Vec<u64> = build.iter().map(|r| key_hash(&r.0)).collect();
+        let ph: Vec<u64> = probe.iter().map(|r| key_hash(&r.0)).collect();
         let ecfg = ExecConfig::new(m);
         let b = bv.per_block();
         let before = d.stats().snapshot();
@@ -1162,8 +1151,8 @@ mod tests {
         // One record more: every build record is partitioned, exactly as a
         // plain level-0 pass over the arrival order writes them.
         let bv = ExtVec::from_slice(d.clone(), &all).unwrap();
-        let bh: Vec<u64> = all.iter().map(|r| key_hash(r.0)).collect();
-        let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
+        let bh: Vec<u64> = all.iter().map(|r| key_hash(&r.0)).collect();
+        let ph: Vec<u64> = probe.iter().map(|r| key_hash(&r.0)).collect();
         let before = d.stats().snapshot();
         let mut j = join_on_first(&d, &cfg, fan, &bv, ScanExec::new(&pv)).unwrap();
         let comparing = d.stats().snapshot();
@@ -1244,7 +1233,7 @@ mod tests {
         let (d, _) = device(16);
         let v = ExtVec::from_slice(d.clone(), &pairs(100, 10, 0x9E37_79B9)).unwrap();
         let partition = |fan, m| -> Result<()> {
-            let hash = |r: &Pair| key_hash(r.0);
+            let hash = |r: &Pair| key_hash(&r.0);
             partition_to_fit(&v, hash, m, fan, OverlapConfig::off()).map(drop)
         };
         let group = |fan, m| -> Result<()> {
@@ -1291,8 +1280,8 @@ mod tests {
         let probe: Vec<Pair> = (0..6000).map(|i| (2 * i + 1, i)).collect();
         let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
         let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
-        let bh: Vec<u64> = build.iter().map(|r| key_hash(r.0)).collect();
-        let ph: Vec<u64> = probe.iter().map(|r| key_hash(r.0)).collect();
+        let bh: Vec<u64> = build.iter().map(|r| key_hash(&r.0)).collect();
+        let ph: Vec<u64> = probe.iter().map(|r| key_hash(&r.0)).collect();
         let mut filter = KeyFilter::with_bytes(944 * 16);
         assert_eq!(filter.bits(), 1 << 16);
         bh.iter().for_each(|&h| filter.insert(h));
@@ -1368,7 +1357,7 @@ mod tests {
         // sort fallback's sorted partition when a consumer under a limit
         // of one group drops it.
         let same_bucket: Vec<u64> = (0..u64::MAX)
-            .filter(|&k| level_bucket(key_hash(k), 0, 3) == 0)
+            .filter(|&k| level_bucket(key_hash(&k), 0, 3) == 0)
             .take(2)
             .collect();
         let skew: Vec<Pair> = (0..3000)

@@ -679,11 +679,7 @@ mod tests {
     /// Level-0 key hashes for `n` records cycling over `keys` distinct keys,
     /// hashed the way the executors hash `u64` keys.
     fn cycle_hashes(n: u64, keys: u64) -> KeyStats {
-        std::sync::Arc::new(
-            (0..n)
-                .map(|i| em_core::hash::hash_bytes(&(i % keys).to_le_bytes()))
-                .collect(),
-        )
+        std::sync::Arc::new((0..n).map(|i| em_core::key_hash(&(i % keys))).collect())
     }
 
     #[test]

@@ -71,8 +71,8 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use em_core::hash::{hash_bytes, KeyFilter};
-use em_core::{MemBudget, Record};
+use em_core::hash::KeyFilter;
+use em_core::{key_hash, route_hash, MemBudget, Record};
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy, Journal, PdmError, Result, SharedDevice};
 
@@ -84,8 +84,8 @@ use crate::stats::ServeStats;
 ///
 /// `std`'s default hasher is seeded per process, which would make shard
 /// placement — and therefore lane placement and every I/O trace — differ
-/// between runs.  FNV-1a over the *encoded record bytes*
-/// ([`em_core::hash::fnv1a`]) gives the same routing on every run and every
+/// between runs.  FNV-1a over the *encoded `(tenant, key)` record*
+/// ([`em_core::route_hash`]) gives the same routing on every run and every
 /// platform; routing is persisted-state-affecting, so the golden test below
 /// pins the exact placements.
 ///
@@ -95,34 +95,13 @@ use crate::stats::ServeStats;
 /// rejects such a config before routing anything.
 pub fn shard_of_key<K: Record>(tenant: u32, key: &K, shards: usize) -> usize {
     debug_assert!(shards > 0, "need at least one shard");
-    with_record_bytes(tenant, key, |bytes| {
-        (em_core::hash::fnv1a(bytes) % shards as u64) as usize
-    })
+    (route_hash(&(tenant, key.clone())) % shards as u64) as usize
 }
 
-/// Run `f` on the encoded `(tenant, key)` record: what routing hashes with
-/// FNV-1a and the shard's key filter with [`hash_bytes`]: two unrelated
-/// hash families, so the shard a key routes to says nothing about its
-/// filter bits.  A record of up to 64 bytes is encoded on the stack, so
-/// neither hash allocates for it.
-fn with_record_bytes<K: Record, R>(tenant: u32, key: &K, f: impl FnOnce(&[u8]) -> R) -> R {
-    let (mut stack, mut heap) = ([0u8; 64], Vec::new());
-    let len = 4 + K::BYTES;
-    let buf = match stack.get_mut(..len) {
-        Some(buf) => buf,
-        None => {
-            heap.resize(len, 0);
-            &mut heap[..]
-        }
-    };
-    buf[..4].copy_from_slice(&tenant.to_le_bytes());
-    key.write_to(&mut buf[4..]);
-    f(buf)
-}
-
-/// The hash a shard's key filter records and tests `(tenant, key)` by.
+/// The key filter's hash of `(tenant, key)`: [`key_hash`] of the record that
+/// routing hashes with FNV-1a, so a key's shard says nothing of its filter bits.
 fn filter_hash<K: Record>(tenant: u32, key: &K) -> u64 {
-    with_record_bytes(tenant, key, hash_bytes)
+    key_hash(&(tenant, key.clone()))
 }
 
 /// One tree's checkpoint entry: tenant, root, height, len.
@@ -853,6 +832,17 @@ mod tests {
         assert_eq!(got, [5, 4, 7, 2, 3, 4, 5, 6, 7, 2, 7, 6, 5, 4, 1]);
         let five: Vec<usize> = (0u64..10).map(|k| shard_of_key(0, &k, 5)).collect();
         assert_eq!(five, [0, 1, 3, 4, 0, 1, 2, 4, 1, 2]);
+    }
+
+    #[test]
+    fn route_and_filter_hashes_are_pinned() {
+        // Over `usize::MAX` shards a route is the whole 64-bit FNV-1a hash;
+        // the filter hash sets the key filters' bits and keys the cache.
+        assert_eq!(
+            shard_of_key(3, &42u64, usize::MAX) as u64,
+            0xE2E4_BFD2_1763_9E2C
+        );
+        assert_eq!(filter_hash(3, &42u64), 0x1211_EA19_9BFF_2409);
     }
 
     #[test]

@@ -50,14 +50,7 @@ pub fn splitmix(mut x: u64) -> u64 {
 /// avalanche than plain FNV-1a for the price of one multiply per word.
 #[inline]
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    hash_bytes_seeded(bytes, FNV_OFFSET ^ bytes.len() as u64)
-}
-
-/// [`hash_bytes`] with an explicit seed, for families of independent hash
-/// functions (recursive partitioning re-seeds per level).
-#[inline]
-pub(crate) fn hash_bytes_seeded(bytes: &[u8], seed: u64) -> u64 {
-    let mut acc = seed;
+    let mut acc = FNV_OFFSET ^ bytes.len() as u64;
     for chunk in bytes.chunks(8) {
         let mut word = [0u8; 8];
         word[..chunk.len()].copy_from_slice(chunk);
@@ -191,12 +184,16 @@ mod tests {
     }
 
     #[test]
-    fn hash_bytes_seeded_default_seed_is_hash_bytes() {
-        for input in [&b""[..], b"k", b"12345678", b"123456789abcdef01"] {
-            assert_eq!(
-                hash_bytes(input),
-                hash_bytes_seeded(input, FNV_OFFSET ^ input.len() as u64)
-            );
+    fn hash_bytes_matches_pinned_values() {
+        // Empty, a partial word, one word, two words and a partial one.
+        let pins = [
+            (&b""[..], 0xCBF2_9CE4_8422_2325),
+            (b"k", 0xDD82_BDB2_2760_66A1),
+            (b"12345678", 0xA2DC_C1A5_749D_32F6),
+            (b"123456789abcdef01", 0x15C8_D066_F9B7_A3DD),
+        ];
+        for (input, pin) in pins {
+            assert_eq!(hash_bytes(input), pin, "{input:?}");
         }
     }
 

@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use em_core::hash::hash_bytes;
 use em_core::{AppendBuffer, ExtVec};
 use emgeom::{batched_range_reporting, segment_intersections, HSeg, Point, Rect, VSeg};
 use emgraph::{euler_tour, list_rank, tree_depths};
@@ -138,7 +137,7 @@ fn faulty_array(seed: u64, mode: IoMode) -> SharedDevice {
 }
 
 fn mix(x: u64) -> u64 {
-    hash_bytes(&x.to_le_bytes())
+    em_core::key_hash(&x)
 }
 
 /// The list `0..LIST` in a shuffled order, as `(node, successor)` sorted by

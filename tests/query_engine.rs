@@ -129,7 +129,7 @@ fn run_q1_handrolled(
 /// [`KeyStats`] must be built with the same function for the replay to be
 /// exact.
 fn key_hash(k: u64) -> u64 {
-    em_core::hash::hash_bytes(&k.to_le_bytes())
+    em_core::key_hash(&k)
 }
 
 /// One plan per disk, all derived from `seed` but decorrelated per member.

@@ -32,7 +32,7 @@ const BLOCK: usize = 256;
 const B: usize = BLOCK / 16;
 
 fn key_hash(k: u64) -> u64 {
-    em_core::hash::hash_bytes(&k.to_le_bytes())
+    em_core::key_hash(&k)
 }
 
 fn rows(n: u64, keys: u64, seed: u64) -> Vec<Row> {
