@@ -15,6 +15,7 @@
 //! Transpose  = (N/B) · log_m min(M, p, q, N/M)          (p×q matrix, N = pq)
 //! ```
 
+use crate::PassThrough;
 use pdm::hash::KeyFilter;
 
 /// `Scan(N) = ⌈N/B⌉` — touch every record once.
@@ -314,27 +315,6 @@ pub fn hash_group_exact_ios(
         t += hash_group_rec(child, 1, skewed, m, b, fan_out, fan_in);
     }
     t
-}
-
-/// Hashes a level-0 hash as itself, rotated: the hashes of a partition
-/// share their residue `mod F`, which must not pick the set's slots.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl std::hash::Hasher for PassThrough {
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(32)
-    }
-
-    fn write_u64(&mut self, h: u64) {
-        self.0 = h;
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        self.0 = bytes
-            .iter()
-            .fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
-    }
 }
 
 /// One hybrid absorb-and-spill pass: returns (spill-write transfers,

@@ -107,6 +107,28 @@ pub fn route_hash<R: Record>(key: &R) -> u64 {
     with_encoding(key, fnv1a)
 }
 
+/// Hashes a `u64` that is already a hash, such as a [`key_hash`], as
+/// itself, rotated: the hashes of a partition share their residue `mod F`,
+/// which must not pick a table's slots.
+#[derive(Default)]
+pub struct PassThrough(u64);
+
+impl std::hash::Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

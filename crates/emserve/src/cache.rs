@@ -35,10 +35,10 @@
 //! a fixed order.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-use em_core::{BudgetGuard, MemBudget};
+use em_core::{BudgetGuard, MemBudget, PassThrough};
 
 use crate::stats::ServeStats;
 
@@ -70,8 +70,8 @@ impl Charge {
     }
 }
 
-struct Node<K, V> {
-    key: K,
+struct Node<V> {
+    key: u64,
     value: V,
     protected: bool,
     /// Neighbours in this node's segment, as indices into `HotCache::nodes`.
@@ -103,12 +103,13 @@ impl Segment {
 /// slot is free, the budget is exhausted *and* the victim's charge cannot
 /// pass to the new record — the entry is simply not cached, never silently
 /// over-admitted.
-pub(crate) struct HotCache<K, V> {
-    /// Where each resident key's node is.
-    index: HashMap<K, usize>,
+pub(crate) struct HotCache<V> {
+    /// Where each resident key's node is.  A key is a filter hash, so it
+    /// indexes as itself.
+    index: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
     /// The resident records, dense: a removal moves the last node into the
     /// hole.
-    nodes: Vec<Node<K, V>>,
+    nodes: Vec<Node<V>>,
     probation: Segment,
     protected: Segment,
     /// Slots, and the resident records charged to them.
@@ -118,11 +119,11 @@ pub(crate) struct HotCache<K, V> {
     stats: Arc<ServeStats>,
 }
 
-impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
+impl<V: Clone> HotCache<V> {
     /// An empty cache with no slots, counting its segment moves in `stats`.
     pub(crate) fn new(stats: Arc<ServeStats>) -> Self {
         HotCache {
-            index: HashMap::new(),
+            index: HashMap::default(),
             nodes: Vec::new(),
             probation: Segment::EMPTY,
             protected: Segment::EMPTY,
@@ -133,8 +134,8 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
     }
 
     /// Cached value for `key`; a hit moves it to protected's recent end.
-    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
-        let i = *self.index.get(key)?;
+    pub(crate) fn get(&mut self, key: u64) -> Option<V> {
+        let i = *self.index.get(&key)?;
         self.touch(i);
         Some(self.nodes[i].value.clone())
     }
@@ -143,7 +144,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
     /// new record takes a free slot, else one record of `budget`, else the
     /// victim's place if it may hold the victim's charge.  Returns `false`
     /// when nothing could be charged.
-    pub(crate) fn insert(&mut self, key: K, value: V, budget: Option<&Arc<MemBudget>>) -> bool {
+    pub(crate) fn insert(&mut self, key: u64, value: V, budget: Option<&Arc<MemBudget>>) -> bool {
         if let Some(&i) = self.index.get(&key) {
             self.nodes[i].value = value;
             self.touch(i);
@@ -160,7 +161,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
         if let Some(charge) = charge {
             self.in_slots += usize::from(matches!(charge, Charge::Slot));
             let i = self.nodes.len();
-            self.index.insert(key.clone(), i);
+            self.index.insert(key, i);
             self.nodes.push(Node {
                 key,
                 value,
@@ -184,8 +185,8 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
     }
 
     /// Drop `key` if cached, releasing its charge.
-    pub(crate) fn invalidate(&mut self, key: &K) {
-        if let Some(&i) = self.index.get(key) {
+    pub(crate) fn invalidate(&mut self, key: u64) {
+        if let Some(&i) = self.index.get(&key) {
             self.remove(i);
             self.rebalance();
         }
@@ -201,7 +202,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
             let mut i = oldest;
             while i != NIL && excess > 0 {
                 if matches!(self.nodes[i].charge, Charge::Slot) {
-                    victims.push(self.nodes[i].key.clone());
+                    victims.push(self.nodes[i].key);
                     excess -= 1;
                 }
                 i = self.nodes[i].newer;
@@ -218,8 +219,8 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
 
     /// True when `key` is resident; unlike [`get`](Self::get), not a
     /// reference to it.
-    pub(crate) fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
+    pub(crate) fn contains(&self, key: u64) -> bool {
+        self.index.contains_key(&key)
     }
 
     /// Raise the slots to `slots`, which is never below the records they
@@ -338,7 +339,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
         self.in_slots -= usize::from(matches!(gone.charge, Charge::Slot));
         if let Some(moved) = self.nodes.get(i) {
             let (protected, older, newer) = (moved.protected, moved.older, moved.newer);
-            self.index.insert(moved.key.clone(), i);
+            self.index.insert(moved.key, i);
             self.splice(protected, older, newer, i, i);
         }
         gone.charge
@@ -346,7 +347,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
 
     /// `protected`'s (or probation's) keys, least recent first.
     #[cfg(test)]
-    fn order(&self, protected: bool) -> Vec<K> {
+    fn order(&self, protected: bool) -> Vec<u64> {
         let segment = if protected {
             &self.protected
         } else {
@@ -355,7 +356,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
         let mut keys = Vec::with_capacity(segment.len);
         let mut i = segment.oldest;
         while i != NIL {
-            keys.push(self.nodes[i].key.clone());
+            keys.push(self.nodes[i].key);
             i = self.nodes[i].newer;
         }
         assert_eq!(keys.len(), segment.len);
@@ -365,7 +366,7 @@ impl<K: Clone + Eq + Hash, V: Clone> HotCache<K, V> {
     /// Resident records charged to `budget`.
     #[cfg(test)]
     pub(crate) fn charged_to(&self, budget: &Arc<MemBudget>) -> usize {
-        let of = |n: &&Node<K, V>| matches!(&n.charge, Charge::Budget(g) if g.charges(budget));
+        let of = |n: &&Node<V>| matches!(&n.charge, Charge::Budget(g) if g.charges(budget));
         self.nodes.iter().filter(of).count()
     }
 }
@@ -376,7 +377,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     /// A cache of `slots` slots.
-    fn with_slots(slots: usize) -> HotCache<u64, u64> {
+    fn with_slots(slots: usize) -> HotCache<u64> {
         let mut c = HotCache::new(Arc::default());
         c.set_slots(slots);
         c
@@ -387,12 +388,12 @@ mod tests {
         let mut c = with_slots(2);
         assert!(c.insert(1, 10, None));
         assert!(c.insert(2, 20, None));
-        assert_eq!(c.get(&1), Some(10)); // refresh 1; 2 is now LRU
+        assert_eq!(c.get(1), Some(10)); // refresh 1; 2 is now LRU
         assert!(c.insert(3, 30, None));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get(&2), None);
-        assert_eq!(c.get(&1), Some(10));
-        assert_eq!(c.get(&3), Some(30));
+        assert_eq!(c.get(2), None);
+        assert_eq!(c.get(1), Some(10));
+        assert_eq!(c.get(3), Some(30));
         assert_eq!(c.slots(), (2, 2));
     }
 
@@ -407,7 +408,7 @@ mod tests {
         assert!(!b.insert(9, 9, Some(&budget)));
         assert_eq!(b.len(), 0);
         // Releasing from `a` lets `b` admit.
-        a.invalidate(&1);
+        a.invalidate(1);
         assert!(b.insert(9, 9, Some(&budget)));
         assert_eq!(budget.used(), 2);
     }
@@ -419,8 +420,8 @@ mod tests {
         assert!(c.insert(1, 1, Some(&budget)));
         // Budget exhausted by our own entry: evict it, admit the new one.
         assert!(c.insert(2, 2, Some(&budget)));
-        assert_eq!(c.get(&1), None);
-        assert_eq!(c.get(&2), Some(2));
+        assert_eq!(c.get(1), None);
+        assert_eq!(c.get(2), Some(2));
         assert_eq!(budget.used(), 1);
     }
 
@@ -431,8 +432,8 @@ mod tests {
         assert!(c.insert(1, 1, Some(&budget)));
         assert!(c.insert(1, 100, Some(&budget))); // refresh does not double-charge
         assert_eq!(budget.used(), 1);
-        assert_eq!(c.get(&1), Some(100));
-        c.invalidate(&1);
+        assert_eq!(c.get(1), Some(100));
+        c.invalidate(1);
         assert!(c.is_empty());
         assert_eq!(budget.used(), 0);
     }
@@ -519,7 +520,7 @@ mod tests {
     /// Two caches sharing one tenant budget, as two shards of a `Server` do.
     struct Rig {
         budget: Arc<MemBudget>,
-        caches: [HotCache<u64, u64>; 2],
+        caches: [HotCache<u64>; 2],
     }
 
     impl Rig {
@@ -532,7 +533,7 @@ mod tests {
         /// One get with insert-on-miss; `true` on a hit.
         fn get(&mut self, key: u64) -> bool {
             let cache = &mut self.caches[(key % 2) as usize];
-            match cache.get(&key) {
+            match cache.get(key) {
                 Some(v) => {
                     assert_eq!(v, !key, "cached value of {key}");
                     true
@@ -642,7 +643,7 @@ mod tests {
         let mut c = with_slots(CAPACITY as usize);
         for round in 0..2 {
             for k in 0..CAPACITY / 2 {
-                if c.get(&k).is_none() {
+                if c.get(k).is_none() {
                     assert_eq!(round, 0);
                     c.insert(k, k, None);
                 }
@@ -651,7 +652,7 @@ mod tests {
         let hot = c.order(true);
         assert_eq!(hot.len(), 40, "4/5 of the 50 resident");
         for k in 0..10 * CAPACITY {
-            assert_eq!(c.get(&(1_000 + k)), None);
+            assert_eq!(c.get(1_000 + k), None);
             c.insert(1_000 + k, k, None);
         }
         assert_eq!(c.len(), CAPACITY as usize);
@@ -683,14 +684,14 @@ mod tests {
         for k in 0..6 {
             assert!(c.insert(k, k, Some(&budget)));
         }
-        assert_eq!(c.get(&0), Some(0));
-        assert_eq!(c.get(&1), Some(1));
+        assert_eq!(c.get(0), Some(0));
+        assert_eq!(c.get(1), Some(1));
         assert_eq!(
             (c.order(false), c.order(true)),
             (vec![2, 3, 4, 5], vec![0, 1])
         );
-        c.invalidate(&0); // protected, a slot
-        c.invalidate(&5); // probation, the budget
+        c.invalidate(0); // protected, a slot
+        c.invalidate(5); // probation, the budget
         assert_eq!((c.order(false), c.order(true)), (vec![2, 3, 4], vec![1]));
         assert_eq!((c.len(), c.slots(), budget.used()), (4, (4, 3), 1));
         assert_eq!(
@@ -709,7 +710,7 @@ mod tests {
         c.shrink_slots(0);
         assert_eq!((c.order(false), c.order(true)), (vec![4], vec![]));
         assert_eq!((c.slots(), budget.used()), ((0, 0), 1));
-        c.invalidate(&4);
+        c.invalidate(4);
         assert!(c.is_empty() && c.order(false).is_empty() && c.order(true).is_empty());
         assert_eq!(budget.used(), 0);
     }

@@ -161,7 +161,7 @@ fn max_frames<K: Record + Ord, V: Record>(
 struct RecordCache<K, V> {
     /// Records keyed by the key filter's hash of `(tenant, key)`; the value
     /// carries the key, compared on a hit.
-    records: HotCache<u64, (u32, K, V)>,
+    records: HotCache<(u32, K, V)>,
     /// Frames the slots may hold beside the trees; `None` until this
     /// instance's first compaction, and then a lookup reads the tree and
     /// admits nothing.
@@ -194,7 +194,7 @@ impl<K: Record + Ord, V: Record> RecordCache<K, V> {
         let Some(max_frames) = self.max_frames else {
             return tree.get(key);
         };
-        match self.records.get(&hash) {
+        match self.records.get(hash) {
             Some((t, k, v)) if t == tenant && k == *key => {
                 self.stats.record_cache_hit();
                 return Ok(Some(v));
@@ -237,7 +237,7 @@ impl<K: Record + Ord, V: Record> RecordCache<K, V> {
                 break;
             }
             let h = filter_hash(tenant, k);
-            if k != key && !self.records.contains(&h) {
+            if k != key && !self.records.contains(h) {
                 self.records.insert(h, (tenant, k.clone(), v.clone()), None);
                 free -= 1;
             }
@@ -264,7 +264,7 @@ impl<K: Record + Ord, V: Record> RecordCache<K, V> {
             if self.records.is_empty() {
                 break;
             }
-            self.records.invalidate(&filter_hash(*tenant, key));
+            self.records.invalidate(filter_hash(*tenant, key));
         }
     }
 
@@ -1782,7 +1782,7 @@ mod tests {
     /// Whether `s`'s record cache holds tenant 0's `key`.
     fn cached(s: &Shard<u64, u64>, key: u64) -> bool {
         let records = s.records.lock().unwrap();
-        records.records.contains(&filter_hash(0, &key))
+        records.records.contains(filter_hash(0, &key))
     }
 
     /// The frame rule: the pool's resident frames and the frames the

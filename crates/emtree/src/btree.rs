@@ -100,20 +100,20 @@ struct OldNodes<K, V> {
 /// held entries instead of a node read back.  Two frames are pinned at
 /// most: the held leaf's and, while the two are being linked, its
 /// successor's.
-struct LeafFill<K, V> {
+struct LeafFill<'a, K, V> {
     current: Vec<(K, V)>,
-    held: Option<(FrameGuardMut, Vec<(K, V)>)>,
+    held: Option<(FrameGuardMut<'a>, Vec<(K, V)>)>,
     /// `(first key, block id)` of every completed leaf, the held one included.
     leaves: Vec<(K, BlockId)>,
     count: u64,
 }
 
-impl<K: Record + Ord, V: Record> LeafFill<K, V> {
+impl<'a, K: Record + Ord, V: Record> LeafFill<'a, K, V> {
     /// Pack the pairs `next` yields into a chain of new leaves and return
     /// the leaves with the pair count.  If `next` or the device fails, every
     /// block allocated so far is freed before the error is returned.
     fn build(
-        tree: &BTree<K, V>,
+        tree: &'a BTree<K, V>,
         mut next: impl FnMut() -> Result<Option<(K, V)>>,
     ) -> Result<(Vec<(K, BlockId)>, u64)> {
         let mut fill = LeafFill {
@@ -134,7 +134,7 @@ impl<K: Record + Ord, V: Record> LeafFill<K, V> {
         }
     }
 
-    fn push(&mut self, tree: &BTree<K, V>, pair: (K, V)) -> Result<()> {
+    fn push(&mut self, tree: &'a BTree<K, V>, pair: (K, V)) -> Result<()> {
         self.current.push(pair);
         self.count += 1;
         if self.current.len() == tree.leaf_cap {
@@ -146,7 +146,7 @@ impl<K: Record + Ord, V: Record> LeafFill<K, V> {
 
     /// Allocate the block of the non-empty leaf `entries`, write the held
     /// leaf out pointing at it, and hold `entries` in its place.
-    fn complete(&mut self, tree: &BTree<K, V>, entries: Vec<(K, V)>) -> Result<()> {
+    fn complete(&mut self, tree: &'a BTree<K, V>, entries: Vec<(K, V)>) -> Result<()> {
         let (id, frame) = tree.pool.allocate()?;
         self.leaves.push((entries[0].0.clone(), id));
         if let Some((mut prev_frame, prev)) = self.held.replace((frame, entries)) {
@@ -166,7 +166,7 @@ impl<K: Record + Ord, V: Record> LeafFill<K, V> {
     /// `remove` rebalance threshold (`⌈cap/2⌉ − 1`): a looser bound leaves
     /// tail leaves that a subsequent remove would treat as already
     /// rebalanced while the checker rejects them.
-    fn finish(mut self, tree: &BTree<K, V>) -> Result<(Vec<(K, BlockId)>, u64)> {
+    fn finish(mut self, tree: &'a BTree<K, V>) -> Result<(Vec<(K, BlockId)>, u64)> {
         let mut tail = std::mem::take(&mut self.current);
         let min_leaf = tree.leaf_cap.div_ceil(2).max(1) - 1;
         if !tail.is_empty() && tail.len() < min_leaf {

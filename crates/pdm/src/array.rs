@@ -25,13 +25,12 @@
 //! callers queue depth > 1 per disk.  Transfer *counts* are identical in both
 //! modes — only wall-clock time and the queue-depth statistics differ.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::device::{BlockDevice, BlockId};
 use crate::error::{PdmError, Result};
 use crate::fault::{FaultDisk, FaultPlan};
+use crate::lock;
 use crate::ram_disk::RamDisk;
 use crate::sched::{run_with_retry, IoMode, IoScheduler, IoTicket, RetryPolicy};
 use crate::stats::IoStats;
@@ -400,7 +399,7 @@ impl BlockDevice for DiskArray {
             // physical id on every disk.  That holds only while every disk
             // sees the same sequence of allocations and frees, so concurrent
             // callers take turns (striping has no cursor; its lock is free).
-            let _lockstep = self.cursor.lock();
+            let _lockstep = lock(&self.cursor);
             let first = self.disks[0].allocate()?;
             for disk in &self.disks[1..] {
                 let id = disk.allocate()?;
@@ -408,14 +407,14 @@ impl BlockDevice for DiskArray {
             }
             Ok(first)
         } else {
-            let disk = self.cursor.lock().next();
+            let disk = lock(&self.cursor).next();
             self.allocate_on(disk)
         }
     }
 
     fn free(&self, id: BlockId) -> Result<()> {
         if self.placement.is_striped() {
-            let _lockstep = self.cursor.lock();
+            let _lockstep = lock(&self.cursor);
             for disk in &self.disks {
                 disk.free(id)?;
             }
@@ -489,12 +488,12 @@ impl BlockDevice for DiskArray {
             // logical block spans all D disks.
             Placement::Striped => {}
             Placement::Independent => {
-                let mut cur = self.cursor.lock();
+                let mut cur = lock(&self.cursor);
                 cur.reset_identity();
                 cur.pos = stream % self.disks.len();
             }
             Placement::RandomizedCycling { seed } => {
-                self.cursor.lock().install_permutation(mix64(
+                lock(&self.cursor).install_permutation(mix64(
                     seed ^ (stream as u64).wrapping_mul(0xA24B_AED4_963E_E407),
                 ));
             }

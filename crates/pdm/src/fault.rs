@@ -48,13 +48,12 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::device::{BlockDevice, BlockId};
 use crate::error::{PdmError, Result};
+use crate::lock;
 use crate::stats::IoStats;
 
 /// Per-mille denominator for fault rates: a rate of 1000 afflicts every
@@ -334,7 +333,7 @@ impl FaultDisk {
     /// True while the transient-failure budget for `(id, ctr)` has not been
     /// spent; each call consumes one failing attempt.
     fn transient_fires(&self, id: BlockId, ctr: u8) -> bool {
-        let mut attempts = self.attempts.lock();
+        let mut attempts = lock(&self.attempts);
         let n = attempts.entry((id, ctr)).or_insert(0);
         if *n < self.plan.transient_attempts {
             *n += 1;
@@ -346,7 +345,7 @@ impl FaultDisk {
 
     /// True exactly once per block: the first write tears, retries don't.
     fn torn_fires(&self, id: BlockId) -> bool {
-        let mut attempts = self.attempts.lock();
+        let mut attempts = lock(&self.attempts);
         let n = attempts.entry((id, CTR_TORN)).or_insert(0);
         if *n == 0 {
             *n = 1;
@@ -407,7 +406,7 @@ impl BlockDevice for FaultDisk {
         }
         self.gate_common(id)?;
         if self.plan.torn_verify {
-            let mut expected = self.torn_expected.lock();
+            let mut expected = lock(&self.torn_expected);
             if let Some(&fp) = expected.get(&id) {
                 if fp != fingerprint(buf) {
                     // Not an injected fault: the *caller* is repairing the
@@ -426,7 +425,7 @@ impl BlockDevice for FaultDisk {
             // bit-flipped, the tail never lands.  The transfer really
             // happened (and is counted); only then does the error surface.
             if self.plan.torn_verify {
-                self.torn_expected.lock().insert(id, fingerprint(buf));
+                lock(&self.torn_expected).insert(id, fingerprint(buf));
             }
             self.inner.write_block(id, &torn_copy(buf))?;
             return Err(self.injected("torn write", id));

@@ -14,12 +14,11 @@
 
 use std::fs::{File, OpenOptions};
 use std::path::Path;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::device::{BlockDevice, BlockId};
 use crate::error::{PdmError, Result};
+use crate::lock;
 use crate::stats::IoStats;
 
 /// Allocation metadata; the backing file itself is accessed lock-free via
@@ -108,7 +107,7 @@ impl FileDisk {
     }
 
     fn check_live(&self, id: BlockId) -> Result<()> {
-        if !self.meta.lock().is_live(id) {
+        if !lock(&self.meta).is_live(id) {
             return Err(PdmError::InvalidBlock(id));
         }
         Ok(())
@@ -131,7 +130,7 @@ impl FileDisk {
     #[cfg(not(unix))]
     fn read_at(&self, buf: &mut [u8], off: u64) -> Result<()> {
         use std::io::{Read, Seek, SeekFrom};
-        let _cursor = self.cursor.lock();
+        let _cursor = lock(&self.cursor);
         (&self.file).seek(SeekFrom::Start(off))?;
         (&self.file).read_exact(buf)?;
         Ok(())
@@ -140,7 +139,7 @@ impl FileDisk {
     #[cfg(not(unix))]
     fn write_at(&self, buf: &[u8], off: u64) -> Result<()> {
         use std::io::{Seek, SeekFrom, Write};
-        let _cursor = self.cursor.lock();
+        let _cursor = lock(&self.cursor);
         (&self.file).seek(SeekFrom::Start(off))?;
         (&self.file).write_all(buf)?;
         Ok(())
@@ -153,11 +152,11 @@ impl BlockDevice for FileDisk {
     }
 
     fn allocated_blocks(&self) -> u64 {
-        self.meta.lock().allocated
+        lock(&self.meta).allocated
     }
 
     fn allocate(&self) -> Result<BlockId> {
-        let mut meta = self.meta.lock();
+        let mut meta = lock(&self.meta);
         // Zero a reused block, or extend the file with a zero block, so an
         // allocated block reads as zeros, as on a RAM disk.  The write is
         // not a transfer of the model, and the id is handed out only once
@@ -176,7 +175,7 @@ impl BlockDevice for FileDisk {
     }
 
     fn free(&self, id: BlockId) -> Result<()> {
-        let mut meta = self.meta.lock();
+        let mut meta = lock(&self.meta);
         if !meta.is_live(id) {
             return Err(PdmError::InvalidBlock(id));
         }

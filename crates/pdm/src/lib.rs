@@ -80,6 +80,8 @@ mod sched;
 mod stats;
 mod wal;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use array::{DiskArray, Placement};
 pub use device::{BlockDevice, BlockId, SharedDevice};
 pub use error::{PdmError, Result};
@@ -91,3 +93,10 @@ pub use ram_disk::RamDisk;
 pub use sched::{IoMode, IoTicket, RetryPolicy};
 pub use stats::{IoSnapshot, IoStats};
 pub use wal::{Journal, WalOverhead};
+
+/// Lock `m` even if a thread panicked holding it: that thread reports its
+/// own panic, and the next holder sees the data as it was left instead of
+/// panicking too.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

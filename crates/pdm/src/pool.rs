@@ -7,11 +7,14 @@
 //! evicts (writing back dirty frames) when full.  Cache hits and misses are
 //! tracked separately from device I/O so experiments can report both.
 //!
-//! Pinning: a [`FrameGuard`]/[`FrameGuardMut`] pins its frame for its
-//! lifetime; pinned frames are never evicted.  If every frame is pinned an
-//! access to a non-resident block fails with [`PdmError::PoolExhausted`] —
-//! an algorithm that triggers this has exceeded its declared memory budget,
-//! which is exactly the bug the pool exists to surface.
+//! Frames: the pool keeps its `capacity` frames in one fixed array,
+//! allocated once each and reused by every block loaded into them, so an
+//! access never allocates a frame.  A [`FrameGuard`]/[`FrameGuardMut`]
+//! borrows the pool: it locks its frame and pins it for its lifetime, and
+//! pinned frames are never evicted.  If every frame is pinned an access to a
+//! non-resident block fails with [`PdmError::PoolExhausted`] — an algorithm
+//! that triggers this has exceeded its declared memory budget, which is
+//! exactly the bug the pool exists to surface.
 //!
 //! Frame limit: a pool may be told to hold fewer frames than its capacity
 //! ([`BufferPool::set_limit`]), so that memory it gives up can hold
@@ -36,12 +39,11 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::device::{BlockId, SharedDevice};
 use crate::error::{PdmError, Result};
+use crate::lock;
 use crate::sched::IoTicket;
 
 /// Which unpinned frame to evict when the pool is full.
@@ -81,8 +83,11 @@ impl PoolStats {
     }
 }
 
-struct FrameCell {
-    data: Arc<RwLock<Box<[u8]>>>,
+/// One frame: its buffer (empty until its first load) and the marks of the
+/// block it holds, reset by each load.
+#[derive(Default)]
+struct Frame {
+    data: RwLock<Box<[u8]>>,
     pins: AtomicU32,
     dirty: AtomicBool,
     /// An index's root or internal node: kept over other frames while the
@@ -92,15 +97,31 @@ struct FrameCell {
     owner: AtomicU64,
 }
 
-impl FrameCell {
-    fn new(buf: Box<[u8]>) -> Arc<Self> {
-        Arc::new(FrameCell {
-            data: Arc::new(RwLock::new(buf)),
-            pins: AtomicU32::new(1),
-            dirty: AtomicBool::new(false),
-            internal: AtomicBool::new(false),
-            owner: AtomicU64::new(0),
-        })
+impl Frame {
+    /// Lock the pinned frame for reading; the guard takes over the pin.
+    fn read(&self) -> FrameGuard<'_> {
+        FrameGuard {
+            data: self.data.read().unwrap_or_else(PoisonError::into_inner),
+            pin: Pin(self),
+        }
+    }
+
+    /// Mark the pinned frame dirty and lock it for writing; the guard takes
+    /// over the pin.
+    fn write(&self) -> FrameGuardMut<'_> {
+        self.dirty.store(true, Ordering::Relaxed);
+        FrameGuardMut {
+            data: self.data.write().unwrap_or_else(PoisonError::into_inner),
+            pin: Pin(self),
+        }
+    }
+
+    /// A copy of the frame's bytes, for a write-back.
+    fn copy(&self) -> Box<[u8]> {
+        self.data
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
@@ -116,9 +137,9 @@ enum Walk {
     Spent,
 }
 
+/// The block frame `i` holds, for `slots[i]`.
 struct Slot {
     block: BlockId,
-    cell: Arc<FrameCell>,
     loaded_at: u64,
     last_use: u64,
     walk: Walk,
@@ -140,9 +161,10 @@ struct Inner {
 /// A bounded cache of block frames over a [`SharedDevice`].
 pub struct BufferPool {
     device: SharedDevice,
-    capacity: usize,
     policy: EvictionPolicy,
     inner: Mutex<Inner>,
+    /// Frame `i` holds the block of `inner.slots[i]`, if any.
+    frames: Box<[Frame]>,
     stats: PoolStats,
 }
 
@@ -152,7 +174,6 @@ impl BufferPool {
     pub fn new(device: SharedDevice, capacity: usize, policy: EvictionPolicy) -> Arc<Self> {
         Arc::new(BufferPool {
             device,
-            capacity,
             policy,
             inner: Mutex::new(Inner {
                 map: HashMap::with_capacity(capacity),
@@ -162,19 +183,20 @@ impl BufferPool {
                 tick: 0,
                 inflight: HashMap::new(),
             }),
+            frames: (0..capacity).map(|_| Frame::default()).collect(),
             stats: PoolStats::default(),
         })
     }
 
     /// Maximum number of resident frames.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.frames.len()
     }
 
     /// Most frames resident after a miss: [`capacity`](Self::capacity)
     /// unless [`set_limit`](Self::set_limit) lowered it.
     pub fn limit(&self) -> usize {
-        self.inner.lock().limit
+        lock(&self.inner).limit
     }
 
     /// Hold at most `frames` frames (at least one, at most the capacity)
@@ -184,12 +206,12 @@ impl BufferPool {
     /// marked [`internal`](FrameGuard::mark_internal) is evicted only when
     /// no unmarked, unpinned frame is resident.
     pub fn set_limit(&self, frames: usize) {
-        self.inner.lock().limit = frames.max(1).min(self.capacity);
+        lock(&self.inner).limit = frames.max(1).min(self.capacity());
     }
 
     /// Frames resident now.
     pub fn resident(&self) -> usize {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         inner.slots.len() - inner.free.len()
     }
 
@@ -204,40 +226,24 @@ impl BufferPool {
     }
 
     /// Pin block `id` for reading.
-    pub fn read(self: &Arc<Self>, id: BlockId) -> Result<FrameGuard> {
-        let cell = self.pin(id, false)?;
-        let guard = parking_lot::RwLock::read_arc(&cell.data);
-        Ok(FrameGuard {
-            pin: PinHandle { cell },
-            guard,
-        })
+    pub fn read(&self, id: BlockId) -> Result<FrameGuard<'_>> {
+        Ok(self.pin(id)?.read())
     }
 
     /// Pin block `id` for writing; the frame is marked dirty.
-    pub fn write(self: &Arc<Self>, id: BlockId) -> Result<FrameGuardMut> {
-        let cell = self.pin(id, true)?;
-        cell.dirty.store(true, Ordering::Relaxed);
-        let guard = parking_lot::RwLock::write_arc(&cell.data);
-        Ok(FrameGuardMut {
-            pin: PinHandle { cell },
-            guard,
-        })
+    pub fn write(&self, id: BlockId) -> Result<FrameGuardMut<'_>> {
+        Ok(self.pin(id)?.write())
     }
 
     /// Allocate a fresh zeroed block on the device and pin it for writing
-    /// *without* reading it back (the frame starts zeroed in memory).
-    pub fn allocate(self: &Arc<Self>) -> Result<(BlockId, FrameGuardMut)> {
+    /// *without* reading it back (the frame starts zeroed in memory).  If
+    /// no frame can take it, the block is freed again.
+    pub fn allocate(&self) -> Result<(BlockId, FrameGuardMut<'_>)> {
         let id = self.device.allocate()?;
-        let cell = self.install_fresh(id)?;
-        cell.dirty.store(true, Ordering::Relaxed);
-        let guard = parking_lot::RwLock::write_arc(&cell.data);
-        Ok((
-            id,
-            FrameGuardMut {
-                pin: PinHandle { cell },
-                guard,
-            },
-        ))
+        let frame = self
+            .install_fresh(id)
+            .or_else(|e| self.device.free(id).and(Err(e)))?;
+        Ok((id, frame.write()))
     }
 
     /// Begin a walk over `owner`'s old nodes: every resident frame marked
@@ -246,13 +252,11 @@ impl BufferPool {
     /// [`end_walk`](Self::end_walk).  Returns how many frames that is.
     /// Reads and writes nothing.
     pub fn begin_walk(&self, owner: u64) -> usize {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let mut ahead = 0;
-        for slot in inner.slots.iter_mut().flatten() {
-            if slot.cell.owner.load(Ordering::Relaxed) == owner {
-                slot.walk = Walk::Ahead(None);
-                ahead += 1;
-            }
+        for slot in self.owned(&mut inner, owner) {
+            slot.walk = Walk::Ahead(None);
+            ahead += 1;
         }
         ahead
     }
@@ -263,28 +267,24 @@ impl BufferPool {
     /// place not yet known, it is placed and its frame returned pinned, with
     /// no I/O and no hit counted, so the caller can place what it points
     /// to; otherwise nothing changes and `None` is returned.
-    pub fn place(self: &Arc<Self>, id: BlockId, place: &[u32]) -> Option<FrameGuard> {
-        let mut inner = self.inner.lock();
+    pub fn place(&self, id: BlockId, place: &[u32]) -> Option<FrameGuard<'_>> {
+        let mut inner = lock(&self.inner);
         let idx = *inner.map.get(&id)?;
         let slot = inner.slots[idx].as_mut()?;
         if !matches!(slot.walk, Walk::Ahead(None)) {
             return None;
         }
         slot.walk = Walk::Ahead(Some(place.to_vec()));
-        slot.cell.pins.fetch_add(1, Ordering::Relaxed);
-        let cell = Arc::clone(&slot.cell);
+        let frame = &self.frames[idx];
+        frame.pins.fetch_add(1, Ordering::Relaxed);
         drop(inner);
-        let guard = parking_lot::RwLock::read_arc(&cell.data);
-        Some(FrameGuard {
-            pin: PinHandle { cell },
-            guard,
-        })
+        Some(frame.read())
     }
 
     /// The walk has consumed block `id`: if resident, its frame is the
     /// next victim.
     pub fn spend(&self, id: BlockId) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if let Some(&idx) = inner.map.get(&id) {
             if let Some(slot) = inner.slots[idx].as_mut() {
                 slot.walk = Walk::Spent;
@@ -295,12 +295,20 @@ impl BufferPool {
     /// End the walk over `owner`'s old nodes: its frames still resident
     /// are evicted as usual again.
     pub fn end_walk(&self, owner: u64) {
-        let mut inner = self.inner.lock();
-        for slot in inner.slots.iter_mut().flatten() {
-            if slot.cell.owner.load(Ordering::Relaxed) == owner {
-                slot.walk = Walk::Off;
-            }
+        let mut inner = lock(&self.inner);
+        for slot in self.owned(&mut inner, owner) {
+            slot.walk = Walk::Off;
         }
+    }
+
+    /// The resident blocks whose frames are marked with `owner`.
+    fn owned<'a>(&'a self, inner: &'a mut Inner, owner: u64) -> impl Iterator<Item = &'a mut Slot> {
+        inner
+            .slots
+            .iter_mut()
+            .zip(self.frames.iter())
+            .filter(move |(_, f)| f.owner.load(Ordering::Relaxed) == owner)
+            .filter_map(|(slot, _)| slot.as_mut())
     }
 
     /// Write back every dirty frame (frames stay resident).
@@ -310,15 +318,13 @@ impl BufferPool {
     /// [`DiskArray`](crate::DiskArray) a flush drives all member disks
     /// concurrently.
     pub fn flush(&self) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         Self::drain_all_inflight(&mut inner)?;
         let mut tickets = Vec::new();
-        for slot in inner.slots.iter().flatten() {
-            if slot.cell.dirty.swap(false, Ordering::Relaxed) {
-                let data = slot.cell.data.read();
-                let buf: Box<[u8]> = data.clone();
-                drop(data);
-                tickets.push(self.device.submit_write(slot.block, buf));
+        for (slot, frame) in inner.slots.iter().zip(&self.frames) {
+            let Some(slot) = slot else { continue };
+            if frame.dirty.swap(false, Ordering::Relaxed) {
+                tickets.push(self.device.submit_write(slot.block, frame.copy()));
                 self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -336,7 +342,7 @@ impl BufferPool {
     /// [`PdmError::InvalidRequest`] if the block is pinned; it stays
     /// resident.
     pub fn discard(&self, id: BlockId) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if let Some(ticket) = inner.inflight.remove(&id) {
             // An earlier eviction already queued a write-back; let it land
             // (the block's contents no longer matter) so a later reuse of
@@ -346,10 +352,7 @@ impl BufferPool {
         let Some(&idx) = inner.map.get(&id) else {
             return Ok(());
         };
-        if inner.slots[idx]
-            .as_ref()
-            .is_some_and(|s| s.cell.pins.load(Ordering::Relaxed) > 0)
-        {
+        if self.frames[idx].pins.load(Ordering::Relaxed) > 0 {
             return Err(PdmError::InvalidRequest(format!(
                 "discarding pinned block {id}"
             )));
@@ -374,8 +377,8 @@ impl BufferPool {
         }
     }
 
-    fn pin(&self, id: BlockId, _write: bool) -> Result<Arc<FrameCell>> {
-        let mut inner = self.inner.lock();
+    fn pin(&self, id: BlockId) -> Result<&Frame> {
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(&idx) = inner.map.get(&id) {
@@ -386,8 +389,8 @@ impl BufferPool {
                 )));
             };
             slot.last_use = tick;
-            slot.cell.pins.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(&slot.cell));
+            self.frames[idx].pins.fetch_add(1, Ordering::Relaxed);
+            return Ok(&self.frames[idx]);
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         // If this block was evicted dirty and its write-back is still in
@@ -396,59 +399,73 @@ impl BufferPool {
         if let Some(ticket) = inner.inflight.remove(&id) {
             ticket.wait().1?;
         }
-        let idx = self.acquire_slot(&mut inner)?;
-        debug_assert!(
-            !inner.inflight.contains_key(&id),
-            "frame handed out while its write-back is in flight"
-        );
-        // Read outside any frame lock but under the pool lock: simple and
-        // race-free (single structural lock).
-        let frame = vec![0u8; self.device.block_size()].into_boxed_slice();
-        let (buf, res) = self.device.submit_read(id, frame).wait();
-        res?;
-        let cell = FrameCell::new(buf);
-        inner.slots[idx] = Some(Slot {
-            block: id,
-            cell: Arc::clone(&cell),
-            loaded_at: tick,
-            last_use: tick,
-            walk: Walk::Off,
-        });
-        inner.map.insert(id, idx);
-        Ok(cell)
+        self.load(&mut inner, id, true)
     }
 
-    fn install_fresh(&self, id: BlockId) -> Result<Arc<FrameCell>> {
-        let mut inner = self.inner.lock();
+    fn install_fresh(&self, id: BlockId) -> Result<&Frame> {
+        let mut inner = lock(&self.inner);
         inner.tick += 1;
-        let tick = inner.tick;
         // A freshly allocated id can only collide with an in-flight
         // write-back if the caller freed the block without `discard`ing it;
         // wait the stale write out rather than let it clobber the new data.
         if let Some(ticket) = inner.inflight.remove(&id) {
             let _ = ticket.wait();
         }
-        let idx = self.acquire_slot(&mut inner)?;
-        let cell = FrameCell::new(vec![0u8; self.device.block_size()].into_boxed_slice());
-        inner.slots[idx] = Some(Slot {
-            block: id,
-            cell: Arc::clone(&cell),
-            loaded_at: tick,
-            last_use: tick,
-            walk: Walk::Off,
-        });
-        inner.map.insert(id, idx);
-        Ok(cell)
+        self.load(&mut inner, id, false)
     }
 
-    /// Find a free slot, evicting while the resident frames are at the
-    /// limit or over it.  Caller holds the pool lock.
-    fn acquire_slot(&self, inner: &mut Inner) -> Result<usize> {
+    /// Load block `id` into a free frame, evicting while the resident
+    /// frames are at the limit or over it: read from the device if `read`,
+    /// zeroed otherwise.  The frame comes back pinned, clean and unmarked;
+    /// if the read fails, its slot goes back on the free list.  Caller holds
+    /// the pool lock.
+    fn load(&self, inner: &mut Inner, id: BlockId, read: bool) -> Result<&Frame> {
         while inner.slots.len() - inner.free.len() >= inner.limit {
             let victim = self.evict(inner)?;
             inner.free.push(victim);
         }
-        inner.free.pop().ok_or(PdmError::PoolExhausted)
+        let idx = inner.free.pop().ok_or(PdmError::PoolExhausted)?;
+        debug_assert!(
+            !inner.inflight.contains_key(&id),
+            "frame handed out while its write-back is in flight"
+        );
+        let frame = &self.frames[idx];
+        // Read into the frame under the pool lock: simple and race-free
+        // (single structural lock).  Its lock is free, since a guard unlocks
+        // its frame before unpinning it and only the pool lock's holder
+        // pins one.
+        let mut data = frame.data.write().unwrap_or_else(PoisonError::into_inner);
+        // A frame's first load sizes its buffer, as does a load after a
+        // failed read whose lane kept it.
+        if data.len() != self.device.block_size() {
+            *data = vec![0; self.device.block_size()].into_boxed_slice();
+        }
+        if read {
+            let (buf, res) = self
+                .device
+                .submit_read(id, std::mem::take(&mut *data))
+                .wait();
+            *data = buf;
+            if let Err(e) = res {
+                inner.free.push(idx);
+                return Err(e);
+            }
+        } else {
+            data.fill(0);
+        }
+        drop(data);
+        frame.pins.store(1, Ordering::Relaxed);
+        frame.dirty.store(false, Ordering::Relaxed);
+        frame.internal.store(false, Ordering::Relaxed);
+        frame.owner.store(0, Ordering::Relaxed);
+        inner.slots[idx] = Some(Slot {
+            block: id,
+            loaded_at: inner.tick,
+            last_use: inner.tick,
+            walk: Walk::Off,
+        });
+        inner.map.insert(id, idx);
+        Ok(frame)
     }
 
     /// Evict one unpinned frame and return its slot.  Caller holds the pool
@@ -457,15 +474,16 @@ impl BufferPool {
         // Choose an unpinned victim.  Pins only increase under the pool
         // lock, so a frame observed unpinned here cannot become pinned
         // before we remove it.
-        let lowered = inner.limit < self.capacity;
+        let lowered = inner.limit < self.capacity();
         let victim = inner
             .slots
             .iter()
+            .zip(&self.frames)
             .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|s| (i, s)))
-            .filter(|(_, s)| s.cell.pins.load(Ordering::Relaxed) == 0)
-            .min_by_key(|(_, s)| {
-                let kept = lowered && s.cell.internal.load(Ordering::Relaxed);
+            .filter_map(|(i, (s, f))| s.as_ref().map(|s| (i, s, f)))
+            .filter(|(_, _, f)| f.pins.load(Ordering::Relaxed) == 0)
+            .min_by_key(|(_, s, f)| {
+                let kept = lowered && f.internal.load(Ordering::Relaxed);
                 let stamp = match self.policy {
                     EvictionPolicy::Lru => s.last_use,
                     EvictionPolicy::Fifo => s.loaded_at,
@@ -479,22 +497,20 @@ impl BufferPool {
                     Walk::Ahead(place) => (2, false, place.as_ref().map(Reverse), stamp),
                 }
             })
-            .map(|(i, _)| i)
+            .map(|(i, _, _)| i)
             .ok_or(PdmError::PoolExhausted)?;
         let Some(slot) = inner.slots[victim].take() else {
             return Err(PdmError::Corrupt("buffer pool victim slot is empty".into()));
         };
         inner.map.remove(&slot.block);
         self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        if slot.cell.dirty.load(Ordering::Relaxed) {
+        let frame = &self.frames[victim];
+        if frame.dirty.load(Ordering::Relaxed) {
             // Submit the write-back asynchronously and remember the ticket:
             // on an overlapped device the eviction overlaps with the caller's
             // demand read, and `pin` refuses to re-serve this block from the
             // device until the ticket has been waited on.
-            let data = slot.cell.data.read();
-            let buf: Box<[u8]> = data.clone();
-            drop(data);
-            let ticket = self.device.submit_write(slot.block, buf);
+            let ticket = self.device.submit_write(slot.block, frame.copy());
             let prev = inner.inflight.insert(slot.block, ticket);
             debug_assert!(prev.is_none(), "double in-flight write-back for one block");
             self.stats.writebacks.fetch_add(1, Ordering::Relaxed);
@@ -510,74 +526,75 @@ impl Drop for BufferPool {
     }
 }
 
-/// Decrements the frame pin count on drop.
-struct PinHandle {
-    cell: Arc<FrameCell>,
-}
+/// Unpins its frame on drop.
+struct Pin<'a>(&'a Frame);
 
-impl Drop for PinHandle {
+impl Drop for Pin<'_> {
     fn drop(&mut self) {
-        self.cell.pins.fetch_sub(1, Ordering::Relaxed);
+        self.0.pins.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// Shared (read) access to a pinned frame.
-pub struct FrameGuard {
-    pin: PinHandle,
-    guard: parking_lot::ArcRwLockReadGuard<parking_lot::RawRwLock, Box<[u8]>>,
+/// Shared (read) access to a pinned frame.  The lock is declared before
+/// the pin, so it is released first: a frame is unlocked before it can be
+/// evicted.
+pub struct FrameGuard<'a> {
+    data: RwLockReadGuard<'a, Box<[u8]>>,
+    pin: Pin<'a>,
 }
 
-impl FrameGuard {
+impl FrameGuard<'_> {
     /// Mark the frame as an index's root or internal node: while the pool's
     /// limit is lowered, it is evicted only when no unmarked frame can be.
     /// The mark lasts while the block stays resident.
     pub fn mark_internal(&self) {
-        self.pin.cell.internal.store(true, Ordering::Relaxed);
+        self.pin.0.internal.store(true, Ordering::Relaxed);
     }
 
     /// Mark the frame as a node of index `owner` (not 0), whose walks over
     /// its old nodes ([`BufferPool::begin_walk`]) it then takes part in.
     /// The mark lasts while the block stays resident.
     pub fn mark_owner(&self, owner: u64) {
-        self.pin.cell.owner.store(owner, Ordering::Relaxed);
+        self.pin.0.owner.store(owner, Ordering::Relaxed);
     }
 }
 
-impl Deref for FrameGuard {
+impl Deref for FrameGuard<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.guard
+        &self.data
     }
 }
 
-/// Exclusive (write) access to a pinned frame.
-pub struct FrameGuardMut {
-    pin: PinHandle,
-    guard: parking_lot::ArcRwLockWriteGuard<parking_lot::RawRwLock, Box<[u8]>>,
+/// Exclusive (write) access to a pinned frame; its lock, too, is released
+/// before its pin.
+pub struct FrameGuardMut<'a> {
+    data: RwLockWriteGuard<'a, Box<[u8]>>,
+    pin: Pin<'a>,
 }
 
-impl FrameGuardMut {
+impl FrameGuardMut<'_> {
     /// [`FrameGuard::mark_internal`] for a frame pinned for writing.
     pub fn mark_internal(&self) {
-        self.pin.cell.internal.store(true, Ordering::Relaxed);
+        self.pin.0.internal.store(true, Ordering::Relaxed);
     }
 
     /// [`FrameGuard::mark_owner`] for a frame pinned for writing.
     pub fn mark_owner(&self, owner: u64) {
-        self.pin.cell.owner.store(owner, Ordering::Relaxed);
+        self.pin.0.owner.store(owner, Ordering::Relaxed);
     }
 }
 
-impl Deref for FrameGuardMut {
+impl Deref for FrameGuardMut<'_> {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.guard
+        &self.data
     }
 }
 
-impl DerefMut for FrameGuardMut {
+impl DerefMut for FrameGuardMut<'_> {
     fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.guard
+        &mut self.data
     }
 }
 
@@ -805,7 +822,7 @@ mod tests {
     #[test]
     fn a_walk_evicts_spent_frames_first_and_frames_ahead_of_it_last() {
         let (_disk, pool, ids) = setup(4, EvictionPolicy::Lru);
-        let held = |i: usize| pool.inner.lock().map.contains_key(&ids[i]);
+        let held = |i: usize| lock(&pool.inner).map.contains_key(&ids[i]);
         // Blocks 0–2 are owner 7's, block 3 another owner's.
         for &id in &ids[..3] {
             pool.read(id).unwrap().mark_owner(7);
@@ -835,9 +852,7 @@ mod tests {
         assert!(!held(0));
         // After the walk, frames are evicted in LRU order again.
         pool.end_walk(7);
-        assert!(pool
-            .inner
-            .lock()
+        assert!(lock(&pool.inner)
             .slots
             .iter()
             .flatten()
@@ -858,6 +873,64 @@ mod tests {
         drop(g);
         pool.discard(ids[0]).unwrap();
         assert_eq!(pool.resident(), 0);
+    }
+
+    #[test]
+    fn a_failed_read_gives_its_frame_back() {
+        use crate::fault::{FaultDisk, FaultPlan};
+        let (disk, _, ids) = setup(0, EvictionPolicy::Lru);
+        // Every block's first read fails, its second succeeds.
+        let plan = FaultPlan::new(3).with_transient(1000, 1);
+        let faulty = FaultDisk::wrap(disk, plan) as SharedDevice;
+        let pool = BufferPool::new(faulty, 4, EvictionPolicy::Lru);
+        for &id in &ids[..4] {
+            assert!(pool.read(id).is_err());
+        }
+        assert_eq!(pool.resident(), 0, "no frame holds a block");
+        for (i, &id) in (0u8..).zip(&ids[..4]) {
+            assert_eq!(&*pool.read(id).unwrap(), &[i; 8]);
+        }
+        assert_eq!(pool.resident(), 4);
+    }
+
+    #[test]
+    fn allocate_frees_the_block_it_cannot_place() {
+        let (disk, pool, ids) = setup(1, EvictionPolicy::Lru);
+        let _pinned = pool.read(ids[0]).unwrap();
+        let blocks = disk.allocated_blocks();
+        assert!(matches!(pool.allocate(), Err(PdmError::PoolExhausted)));
+        assert_eq!(disk.allocated_blocks(), blocks, "no block left unheld");
+    }
+
+    #[test]
+    fn a_reused_frame_starts_clean() {
+        let (disk, pool, ids) = setup(3, EvictionPolicy::Lru);
+        let frame_of = |i: usize| lock(&pool.inner).map.get(&ids[i]).copied();
+        {
+            let g = pool.write(ids[0]).unwrap();
+            g.mark_internal();
+            g.mark_owner(7);
+        }
+        let frame = frame_of(0);
+        pool.read(ids[1]).unwrap();
+        pool.read(ids[2]).unwrap();
+        // Block 3 evicts block 0, the least recently used, and takes its
+        // frame without its marks.
+        pool.read(ids[3]).unwrap();
+        assert_eq!((frame_of(0), frame_of(3)), (None, frame));
+        let writes = disk.stats().snapshot().writes();
+        assert_eq!(pool.begin_walk(7), 0, "block 3 is no node of owner 7");
+        pool.end_walk(7);
+        pool.flush().unwrap();
+        assert_eq!(disk.stats().snapshot().writes(), writes, "block 3 is clean");
+        // Under a lowered limit block 3, not internal, leaves in LRU order:
+        // first, then block 1.
+        pool.read(ids[1]).unwrap();
+        pool.read(ids[2]).unwrap();
+        pool.set_limit(2);
+        pool.read(ids[4]).unwrap();
+        assert!(frame_of(3).is_none() && frame_of(1).is_none());
+        assert!(frame_of(2).is_some() && frame_of(4).is_some());
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! for 1998-era hardware is sound because every claim the survey makes is a
 //! claim about *block-transfer counts*, which this device reports exactly.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::device::{BlockDevice, BlockId};
 use crate::error::{PdmError, Result};
+use crate::lock;
 use crate::stats::IoStats;
 
 struct Inner {
@@ -74,11 +73,11 @@ impl BlockDevice for RamDisk {
     }
 
     fn allocated_blocks(&self) -> u64 {
-        self.inner.lock().allocated
+        lock(&self.inner).allocated
     }
 
     fn allocate(&self) -> Result<BlockId> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.allocated += 1;
         if let Some((id, mut block)) = inner.free_list.pop() {
             block.fill(0);
@@ -93,7 +92,7 @@ impl BlockDevice for RamDisk {
     }
 
     fn free(&self, id: BlockId) -> Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let slot = inner
             .blocks
             .get_mut(id as usize)
@@ -113,7 +112,7 @@ impl BlockDevice for RamDisk {
                 actual: buf.len(),
             });
         }
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         let block = inner
             .blocks
             .get(id as usize)
@@ -131,7 +130,7 @@ impl BlockDevice for RamDisk {
                 actual: buf.len(),
             });
         }
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let block = inner
             .blocks
             .get_mut(id as usize)

@@ -30,13 +30,12 @@
 //! hold for any submission policy.
 
 use std::sync::mpsc::{channel, Receiver, SendError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-
-use parking_lot::Mutex;
 
 use crate::device::{BlockDevice, BlockId};
 use crate::error::{PdmError, Result};
+use crate::lock;
 use crate::stats::IoStats;
 
 /// Bounded, immediate retry for transient device errors.
@@ -317,7 +316,7 @@ impl IoScheduler {
                             // error for shutdown reporting.
                             if write {
                                 lane_stats.record_dropped_write_error();
-                                let mut slot = dropped.lock();
+                                let mut slot = lock(&dropped);
                                 if slot.is_none() {
                                     *slot = Some(e);
                                 }
@@ -341,7 +340,7 @@ impl IoScheduler {
     /// already been dropped; [`barrier`](Self::barrier) returns it.
     /// Anything left at drop time is logged to stderr.
     pub(crate) fn take_dropped_error(&self) -> Option<PdmError> {
-        self.dropped_error.lock().take()
+        lock(&self.dropped_error).take()
     }
 
     /// Drain every lane, then surface the first dropped-ticket write error
@@ -404,7 +403,7 @@ impl Drop for IoScheduler {
         // A failed write-behind flush whose ticket was dropped must not
         // vanish: it is in `IoStats::dropped_write_errors`, and the first
         // one is reported here for anyone not watching the counter.
-        if let Some(e) = self.dropped_error.lock().take() {
+        if let Some(e) = lock(&self.dropped_error).take() {
             eprintln!("pdm: IoScheduler dropped at least one failed write whose ticket was never awaited: {e}");
         }
     }

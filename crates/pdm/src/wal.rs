@@ -123,12 +123,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::device::{BlockDevice, BlockId, SharedDevice};
 use crate::error::{PdmError, Result};
+use crate::lock;
 // FNV-1a is the record and header checksum of the journal.
 use crate::hash::{fnv1a, fnv1a_words};
 use crate::sched::IoTicket;
@@ -389,7 +388,7 @@ impl Journal {
         let mut j = Self::bare(inner, [NONE; 2])?;
         j.headers = [j.inner.allocate()?, j.inner.allocate()?];
         let next = j.inner.allocate()?;
-        let mut st = j.state.lock();
+        let mut st = lock(&j.state);
         j.put_anchor(&mut st, NONE, next, &[])?;
         st.next = next;
         drop(st);
@@ -420,7 +419,7 @@ impl Journal {
         else {
             return Err(corrupt("no valid anchor — not a formatted journal"));
         };
-        let mut st = j.state.lock();
+        let mut st = lock(&j.state);
         st.newest = newest;
         st.chain = j.read_record(&anchor, &mut st.manifests)?;
         let mut last = anchor;
@@ -455,7 +454,7 @@ impl Journal {
     /// [`manifest`](Self::manifest) after recovery.  Setting the bytes it
     /// already holds changes nothing, and a chained header omits it.
     pub fn set_manifest(&self, name: &str, bytes: Vec<u8>) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let m = st.manifests.entry(name.to_string()).or_default();
         if m.bytes != bytes {
             m.bytes = bytes;
@@ -468,7 +467,7 @@ impl Journal {
     /// checkpoint, so a log kept in a manifest costs a checkpoint its new
     /// records, not the whole log.
     pub fn append_manifest(&self, name: &str, bytes: &[u8]) {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         let m = st.manifests.entry(name.to_string()).or_default();
         m.bytes.extend_from_slice(bytes);
     }
@@ -476,8 +475,7 @@ impl Journal {
     /// The current value of a named manifest (after recovery: the value at
     /// the recovered checkpoint).
     pub fn manifest(&self, name: &str) -> Option<Vec<u8>> {
-        self.state
-            .lock()
+        lock(&self.state)
             .manifests
             .get(name)
             .map(|m| m.bytes.clone())
@@ -507,7 +505,7 @@ impl Journal {
     /// committed around.
     pub fn checkpoint(&self) -> Result<()> {
         self.inner.barrier()?;
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         // The anchor rule (module docs).
         let full_len = st.full_len();
         let delta = build_record(st.changes());
@@ -712,7 +710,7 @@ impl Journal {
     /// Whether `id` may be written: only a block born this epoch may, since
     /// a committed one is part of the state a rewind restores.
     fn check_born(&self, id: BlockId) -> Result<()> {
-        if self.state.lock().fresh.contains(&id) {
+        if lock(&self.state).fresh.contains(&id) {
             return Ok(());
         }
         Err(PdmError::InvalidRequest(format!(
@@ -783,12 +781,12 @@ impl BlockDevice for Journal {
 
     fn allocate(&self) -> Result<BlockId> {
         let id = self.inner.allocate()?;
-        self.state.lock().fresh.insert(id);
+        lock(&self.state).fresh.insert(id);
         Ok(id)
     }
 
     fn free(&self, id: BlockId) -> Result<()> {
-        let mut st = self.state.lock();
+        let mut st = lock(&self.state);
         if st.fresh.remove(&id) {
             // Born and freed inside one epoch: no checkpoint ever saw it.
             return self.inner.free(id);
@@ -1056,7 +1054,7 @@ mod tests {
                 for (name, data) in &manifests {
                     j.set_manifest(name, data.clone());
                 }
-                assert_eq!(j.state.lock().full_len(), len);
+                assert_eq!(lock(&j.state).full_len(), len);
                 j.write_block(home, &vec![step; B]).unwrap();
                 let before = j.overhead();
                 j.checkpoint().unwrap();
@@ -1096,7 +1094,7 @@ mod tests {
             j.set_manifest("m", m.to_vec());
             j.checkpoint().unwrap();
         }
-        let at = j.state.lock().chain[3];
+        let at = lock(&j.state).chain[3];
         (ram, j.header_blocks().unwrap(), at, ids)
     }
 
@@ -1375,7 +1373,7 @@ mod tests {
                     j.set_manifest("epoch", ids_bytes(&[e, home]));
                     j.checkpoint()?;
                     acked = e;
-                    chained.push(j.state.lock().chained);
+                    chained.push(lock(&j.state).chained);
                 }
                 Ok(())
             })()
@@ -1500,7 +1498,7 @@ mod tests {
         // Checkpoint 1's header, sequence number 2, copied into the block
         // checkpoint 4's header would go to.
         let (first, next) = {
-            let st = j.state.lock();
+            let st = lock(&j.state);
             (st.chain[0], st.next)
         };
         let mut stale = vec![0u8; B];
@@ -1527,13 +1525,13 @@ mod tests {
             j.set_manifest("m", vec![1; 300]);
             j.checkpoint().unwrap();
         }
-        let at = theirs.state.lock().next;
+        let at = lock(&theirs.state).next;
         theirs.append_manifest("m", &[2; 10]);
         theirs.checkpoint().unwrap();
         let mut foreign = vec![0u8; B];
         ram.read_block(at, &mut foreign).unwrap();
         assert_eq!(theirs.read_header(at).unwrap().map(|h| h.seq), Some(3));
-        let next = ours.state.lock().next;
+        let next = lock(&ours.state).next;
         ram.write_block(next, &foreign).unwrap();
         assert!(
             ours.read_header(next).unwrap().is_none(),

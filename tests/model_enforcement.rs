@@ -90,7 +90,7 @@ fn pool_refuses_to_exceed_frame_capacity() {
         Err(PdmError::PoolExhausted) => {}
         Err(e) => panic!("expected PoolExhausted, got {e}"),
         Ok(_) => panic!("expected PoolExhausted, got a frame"),
-    }
+    };
 }
 
 #[test]
