@@ -203,6 +203,9 @@ where
     /// The hybrid routing step of a pass at `level`: fold if the key is
     /// resident, admit it if the table still has room, spill otherwise.
     /// The key is hashed once; the table lookup and the spill both use it.
+    /// Forced inline into both loops that call it: left to the compiler,
+    /// one of them kept a call a record.
+    #[inline(always)]
     fn absorb_or_spill(
         &mut self,
         table: &mut ResidentTable<K, (Acc, u64)>,
@@ -569,32 +572,18 @@ where
         &self.budget
     }
 
-    /// Route one probe record, or — on exhaustion — close the probe pass
-    /// and stage the spilled pairs.
+    /// Route one probe record while the build side is resident.  Once it
+    /// spilled, the join emits nothing before its probe ends, so the whole
+    /// probe side is routed in one loop.  Either way the first `None`
+    /// closes the probe pass and stages the spilled pairs; the probe is
+    /// never pulled again after it.
     fn step_probe(&mut self) -> Result<()> {
-        let Some(r) = self.probe.try_next()? else {
-            self.probing = false;
-            self.resident = ResidentMultimap::new();
-            drop(self.residency.take());
-            let Some(spilled) = self.spilled.take() else {
-                return Ok(()); // the build side never left memory
-            };
-            let probe_parts = spilled.probe_pass.finish()?;
-            for (bv, pv) in spilled.build_parts.into_iter().zip(probe_parts) {
-                if bv.is_empty() {
-                    bv.free()?;
-                    pv.free()?; // nothing was spilled for it either
-                } else {
-                    self.pairs.push((bv, pv, 1, self.build_total));
-                }
-            }
-            self.pairs.reverse(); // LIFO queue → bucket order
-            return Ok(());
-        };
-        let k = (self.key_p)(&r);
-        let h0 = key_hash(&k);
         let Some(spilled) = self.spilled.as_mut() else {
-            for b in self.resident.get(h0, &k) {
+            let Some(r) = self.probe.try_next()? else {
+                return self.end_probe();
+            };
+            let k = (self.key_p)(&r);
+            for b in self.resident.get(key_hash(&k), &k) {
                 self.out.push_back((self.make)(b, &r));
             }
             return Ok(());
@@ -603,12 +592,37 @@ where
         // bucket is empty, matches nothing and is dropped before it costs a
         // spill write.  The filter is asked first: it turns most unmatched
         // records away for less than the bucket's division costs.
-        if spilled.filter.may_contain(h0) {
-            let bi = level_bucket(h0, 0, self.fan_out);
-            if !spilled.build_parts[bi].is_empty() {
-                spilled.probe_pass.push(bi, r)?;
+        while let Some(r) = self.probe.try_next()? {
+            let h0 = key_hash(&(self.key_p)(&r));
+            if spilled.filter.may_contain(h0) {
+                let bi = level_bucket(h0, 0, self.fan_out);
+                if !spilled.build_parts[bi].is_empty() {
+                    spilled.probe_pass.push(bi, r)?;
+                }
             }
         }
+        self.end_probe()
+    }
+
+    /// The probe side is exhausted: release the residency, close the probe
+    /// pass and stage the spilled pairs.
+    fn end_probe(&mut self) -> Result<()> {
+        self.probing = false;
+        self.resident = ResidentMultimap::new();
+        drop(self.residency.take());
+        let Some(spilled) = self.spilled.take() else {
+            return Ok(()); // the build side never left memory
+        };
+        let probe_parts = spilled.probe_pass.finish()?;
+        for (bv, pv) in spilled.build_parts.into_iter().zip(probe_parts) {
+            if bv.is_empty() {
+                bv.free()?;
+                pv.free()?; // nothing was spilled for it either
+            } else {
+                self.pairs.push((bv, pv, 1, self.build_total));
+            }
+        }
+        self.pairs.reverse(); // LIFO queue → bucket order
         Ok(())
     }
 
@@ -1313,6 +1327,71 @@ mod tests {
             (bv.num_blocks() + pv.num_blocks()) as u64
                 + hash_join_exact_ios(&bh, &ph, m, 16, 16, 16, 4)
         );
+    }
+
+    /// A probe stream that counts its pulls.
+    struct CountingProbe<'a> {
+        scan: ScanExec<'a, Pair>,
+        pulls: u64,
+    }
+
+    impl QueryExec for CountingProbe<'_> {
+        type Item = Pair;
+
+        fn try_next(&mut self) -> Result<Option<Pair>> {
+            self.pulls += 1;
+            self.scan.try_next()
+        }
+
+        fn order(&self) -> Order {
+            self.scan.order()
+        }
+    }
+
+    #[test]
+    fn the_probe_is_never_pulled_past_its_end() {
+        // A stream need not be fused, so the join pulls its probe until
+        // the first `None` and never again: `rows + 1` pulls whether the
+        // 944-record residency holds the build side or a Grace join routes
+        // the whole probe in one call.
+        let (d, m) = device(64);
+        let probe = pairs(6000, 5000, 0x1357_9BD1);
+        let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
+        let ph: Vec<u64> = probe.iter().map(|r| key_hash(&r.0)).collect();
+        for (rows, spills) in [(944u64, false), (2000, true)] {
+            let build = pairs(rows, 5000, 0xABCD_EF13);
+            let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
+            let bh: Vec<u64> = build.iter().map(|r| key_hash(&r.0)).collect();
+            let before = d.stats().snapshot();
+            let counting = CountingProbe {
+                scan: ScanExec::new(&pv),
+                pulls: 0,
+            };
+            let mut j: HashJoinExec<_, u64, Pair, _, _, _, Triple> = HashJoinExec::build(
+                &mut ScanExec::new(&bv),
+                counting,
+                &d,
+                &ExecConfig::new(m),
+                4,
+                false,
+                |r: &Pair| r.0,
+                |r: &Pair| r.0,
+                |b, p| (b.0, b.1, p.1),
+            )
+            .unwrap();
+            assert_eq!(j.spilled.is_some(), spills, "{rows} build rows");
+            let out = collect(&mut j, &d).unwrap();
+            assert_eq!(j.try_next().unwrap(), None);
+            assert_eq!(j.probe.pulls, probe.len() as u64 + 1, "{rows} build rows");
+            let delta = d.stats().snapshot().since(&before);
+            let replay = hash_join_exact_ios(&bh, &ph, m, 16, 16, 16, 4);
+            assert_eq!(replay > 0, spills, "{rows} build rows");
+            assert_eq!(
+                delta.total(),
+                (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64 + replay,
+                "{rows} build rows"
+            );
+        }
     }
 
     /// `cfg` at memory `m`, with and without overlap queues.

@@ -133,13 +133,16 @@ impl KeyFilter {
     }
 
     /// False only if no key with level-0 hash `h0` was inserted.
+    ///
+    /// Both bits are read and ANDed, without a short-circuit: one branch
+    /// on the answer instead of one a position.
     #[inline]
     pub fn may_contain(&self, h0: u64) -> bool {
-        self.words.is_empty()
-            || self
-                .positions(h0)
-                .iter()
-                .all(|p| self.words[p / 64] & (1 << (p % 64)) != 0)
+        if self.words.is_empty() {
+            return true;
+        }
+        let [a, b] = self.positions(h0);
+        (self.words[a / 64] >> (a % 64)) & (self.words[b / 64] >> (b % 64)) & 1 != 0
     }
 }
 
@@ -163,6 +166,45 @@ mod tests {
         let mut none = KeyFilter::with_bytes(7);
         none.insert(h(1));
         assert!(none.bits() == 0 && none.may_contain(h(2)));
+    }
+
+    #[test]
+    fn key_filter_keeps_its_bits() {
+        // The join's cost replay rebuilds the filter from level-0 hashes,
+        // so its positions are a persisted format: pinned literally, and
+        // `insert` / `may_contain` checked against a bit array written
+        // from the definition — one splitmix of `h0 ^ 0xD6E8…FD93`, its
+        // low and high 32-bit halves masked to the filter's bits.
+        let big = KeyFilter::with_bytes(1024 * 8);
+        assert_eq!(big.positions(0), [31_347, 36_768]);
+        assert_eq!(big.positions(0xDEAD_BEEF), [53_243, 55]);
+        let one = KeyFilter::with_bytes(8);
+        assert_eq!(one.positions(0), [51, 32]);
+        assert_eq!(one.positions(0xDEAD_BEEF), [59, 55]);
+        let hashes: Vec<u64> = (0..100_000u64).map(|k| splitmix(k ^ 0x5EED)).collect();
+        for words in [0usize, 1, 64, 1024] {
+            let mut f = KeyFilter::with_bytes(words * 8);
+            let mut bits = vec![false; words * 64];
+            let reference = |h0: u64| {
+                let x = splitmix(h0 ^ 0xD6E8_FEB8_6659_FD93);
+                let mask = (words * 64).wrapping_sub(1) as u64;
+                [(x & mask) as usize, ((x >> 32) & mask) as usize]
+            };
+            // A quarter of the bits set at most: both answers occur.
+            for &h0 in &hashes[..words * 8] {
+                f.insert(h0);
+                reference(h0).iter().for_each(|&p| bits[p] = true);
+            }
+            let passed = hashes
+                .iter()
+                .filter(|&&h0| {
+                    let want = words == 0 || reference(h0).iter().all(|&p| bits[p]);
+                    assert_eq!(f.may_contain(h0), want, "{words} words, h0 {h0:#x}");
+                    want
+                })
+                .count();
+            assert!(words == 0 || passed < hashes.len() / 4, "{words} words");
+        }
     }
 
     #[test]
