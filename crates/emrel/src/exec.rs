@@ -136,8 +136,6 @@ pub struct ScanExec<'a, R: Record> {
     order: Order,
     /// The drain hint's depths; off until a consumer promises to drain.
     overlap: OverlapConfig,
-    /// Holds exactly the read-ahead buffers the hint declared.
-    budget: Option<Arc<MemBudget>>,
 }
 
 impl<'a, R: Record> ScanExec<'a, R> {
@@ -155,15 +153,7 @@ impl<'a, R: Record> ScanExec<'a, R> {
             reader: input.reader(),
             order,
             overlap: OverlapConfig::off(),
-            budget: None,
         }
-    }
-
-    /// The scan's read-ahead accounting — `None` until a consumer promised
-    /// to drain it, then a budget whose capacity is exactly the declared
-    /// `read_ahead` blocks per disk.
-    pub fn budget(&self) -> Option<&Arc<MemBudget>> {
-        self.budget.as_ref()
     }
 }
 
@@ -184,9 +174,9 @@ impl<R: Record> QueryExec for ScanExec<'_, R> {
         }
         let input = self.reader.source();
         let blocks = overlap.for_lanes(input.device().stream_lanes()).read_ahead;
-        let budget = MemBudget::new(blocks * input.per_block());
-        self.reader.set_read_ahead(blocks, &budget);
-        self.budget = Some(budget);
+        // The reader's read-ahead charge keeps the budget alive.
+        self.reader
+            .set_read_ahead(blocks, &MemBudget::new(blocks * input.per_block()));
         self.overlap = overlap;
     }
 
@@ -768,14 +758,21 @@ mod tests {
             write_behind: 3,
         };
         let before = d.stats().snapshot();
-        let mut scan = ScanExec::new(&v);
-        assert!(scan.budget().is_none(), "no hint, no read-ahead");
+        // The sink's budget is a root of its own; the scan's, built when the
+        // hint reaches it, is a child of `leaf`.
         let sink = sink_budget::<u64>(&d, overlap);
-        let out = drain_into(&mut scan, &d, overlap, &sink).unwrap();
+        let leaf = MemBudget::new(usize::MAX);
+        let (scan, out) = {
+            let _in = leaf.enter();
+            let mut scan = ScanExec::new(&v);
+            assert_eq!(leaf.high_water(), 0, "no hint, no read-ahead");
+            let out = drain_into(&mut scan, &d, overlap, &sink).unwrap();
+            (scan, out)
+        };
         assert_eq!(scan.overlap(), overlap, "the sink's hint reached the leaf");
-        let leaf = scan.budget().expect("hinted");
-        assert_eq!(leaf.capacity(), 2 * lanes * b);
         assert_eq!(leaf.high_water(), 2 * lanes * b);
+        drop(scan);
+        assert_eq!(leaf.used(), 0, "released with the scan");
         assert_eq!(sink.capacity(), 3 * lanes * b);
         assert_eq!(sink.high_water(), 3 * lanes * b);
         assert_eq!(sink.used(), 0, "released when the sink finished");

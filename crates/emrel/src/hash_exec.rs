@@ -193,13 +193,6 @@ where
         Ok(this)
     }
 
-    /// The operator's memory accounting: an [`operator_budget`] for blocks
-    /// of `B` records, with [`high_water`](MemBudget::high_water) the most
-    /// it ever held — the number a memory audit reads.
-    pub fn budget(&self) -> &Arc<MemBudget> {
-        &self.budget
-    }
-
     /// The hybrid routing step of a pass at `level`: fold if the key is
     /// resident, admit it if the table still has room, spill otherwise.
     /// The key is hashed once; the table lookup and the spill both use it.
@@ -562,14 +555,6 @@ where
             pair: None,
             out: VecDeque::new(),
         })
-    }
-
-    /// The operator's memory accounting: an [`operator_budget`] for
-    /// buffers of `B_build + B_probe` records, with
-    /// [`high_water`](MemBudget::high_water) the most it ever held — the
-    /// number a memory audit reads.
-    pub fn budget(&self) -> &Arc<MemBudget> {
-        &self.budget
     }
 
     /// Route one probe record while the build side is resident.  Once it
@@ -1142,7 +1127,7 @@ mod tests {
             "scan both inputs, write the output"
         );
         assert_eq!(delta.writes(), out.num_blocks() as u64);
-        assert_eq!(j.budget().high_water(), residency as usize);
+        assert_eq!(j.budget.high_water(), residency as usize);
         let mut got = out.to_vec().unwrap();
         got.sort_unstable();
         let mut by_key: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
@@ -1170,7 +1155,7 @@ mod tests {
         let before = d.stats().snapshot();
         let mut j = join_on_first(&d, &cfg, fan, &bv, ScanExec::new(&pv)).unwrap();
         let comparing = d.stats().snapshot();
-        let mut pass = PartitionPass::new(&d, fan, 0, OverlapConfig::off(), j.budget());
+        let mut pass = PartitionPass::new(&d, fan, 0, OverlapConfig::off(), &j.budget);
         for (r, &h0) in all.iter().zip(&bh) {
             pass.push(level_bucket(h0, 0, fan), *r).unwrap();
         }
@@ -1398,6 +1383,45 @@ mod tests {
     fn sync_and_overlapped(m: usize) -> [ExecConfig; 2] {
         let overlapped = emsort::SortConfig::new(m).with_overlap(OverlapConfig::symmetric(2));
         [ExecConfig::new(m), ExecConfig { sort: overlapped }]
+    }
+
+    #[test]
+    fn operators_hold_m_plus_one_pass_of_queues() {
+        // Two overlapped lanes at depth 2: the budget is `M` plus one
+        // reader's read-ahead and F writers' write-behind, each two blocks
+        // a lane, and the queues are charged beyond `M`.
+        let d = pdm::DiskArray::new_ram_with(
+            2,
+            256,
+            pdm::Placement::Independent,
+            pdm::IoMode::Overlapped,
+        ) as SharedDevice;
+        let (m, fan, lanes, b) = (16 * 16, 4, 2, 16);
+        let cfg = sync_and_overlapped(m)[1];
+        let reserve = (2 * lanes + fan * 2 * lanes) * b;
+        let v = ExtVec::from_slice(d.clone(), &pairs(6000, 3000, 0x9E37_79B9)).unwrap();
+        let mut g = HashGroupByExec::build(
+            &mut ScanExec::new(&v),
+            &d,
+            &cfg,
+            fan,
+            |r: &(u64, u64)| r.0,
+            0u64,
+            |acc, r| *acc += r.1,
+            |k, acc, n| (k, acc, n),
+        )
+        .unwrap();
+        collect(&mut g, &d).unwrap();
+        assert_eq!(g.budget.capacity(), m + reserve);
+        assert!(g.budget.high_water() > m, "overlap queues were charged");
+        assert_eq!(g.budget.used(), 0, "everything released once drained");
+
+        let bv = ExtVec::from_slice(d.clone(), &pairs(2000, 700, 0xABCD_EF13)).unwrap();
+        let mut j = join_on_first(&d, &cfg, fan, &bv, ScanExec::new(&v)).unwrap();
+        collect(&mut j, &d).unwrap();
+        assert_eq!(j.budget.capacity(), m + reserve * 2, "B_build + B_probe");
+        assert!(j.budget.high_water() > m, "overlap queues were charged");
+        assert_eq!(j.budget.used(), 0, "everything released once drained");
     }
 
     #[test]

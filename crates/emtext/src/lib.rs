@@ -22,10 +22,14 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use em_core::{ExtVec, ExtVecWriter};
 use emsort::{merge_sort_by, merge_sort_streaming, SortConfig, SortingWriter};
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 /// Rank sentinel for "past the end of the text".
 const NONE: u64 = u64::MAX;
@@ -147,9 +151,18 @@ fn cmp_pattern(text: &ExtVec<u8>, pos: u64, pattern: &[u8]) -> Result<std::cmp::
 /// All positions where `pattern` occurs in `text`, in increasing order,
 /// found by binary search over the suffix array:
 /// `O(log₂ N · ⌈P/B⌉ + Z/B)` I/Os.
+///
+/// # Errors
+///
+/// [`PdmError::InvalidRequest`] for an empty pattern, which matches
+/// everywhere, before any transfer.
 pub fn find_occurrences(text: &ExtVec<u8>, sa: &ExtVec<u64>, pattern: &[u8]) -> Result<Vec<u64>> {
     use std::cmp::Ordering;
-    assert!(!pattern.is_empty(), "empty pattern matches everywhere");
+    if pattern.is_empty() {
+        return Err(PdmError::InvalidRequest(
+            "an empty pattern matches everywhere".into(),
+        ));
+    }
     let n = sa.len();
     if n == 0 {
         return Ok(Vec::new());
@@ -261,6 +274,19 @@ mod tests {
             Vec::<u64>::new()
         );
         assert_eq!(find_occurrences(&tv, &sa, b".").unwrap(), vec![52]);
+    }
+
+    #[test]
+    fn an_empty_pattern_is_a_typed_error_before_any_transfer() {
+        let d = device();
+        let tv = ExtVec::from_slice(d.clone(), b"abracadabra").unwrap();
+        let sa = suffix_array(&tv, &SortConfig::new(512)).unwrap();
+        let before = d.stats().snapshot();
+        assert!(matches!(
+            find_occurrences(&tv, &sa, b""),
+            Err(PdmError::InvalidRequest(_))
+        ));
+        assert_eq!(d.stats().snapshot().since(&before).total(), 0);
     }
 
     #[test]

@@ -12,8 +12,12 @@
 //! row carries [`ZERO_PANIC_LINTS`] in its `lib.rs`, so clippy keeps it at
 //! zero.
 
+#[path = "support/sources.rs"]
+mod sources;
+
 use std::collections::BTreeMap;
-use std::path::Path;
+
+use sources::{crates_dir, library_crates, library_files, library_lines};
 
 /// Panic lines per library file, relative to `crates/`; a file not listed
 /// has none.
@@ -27,7 +31,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("emhash/src/lib.rs", 2),
     ("emhash/src/table.rs", 2),
     ("emsort/src/merge.rs", 3),
-    ("emtext/src/lib.rs", 1),
     ("emtree/src/btree.rs", 4),
     ("emtree/src/buffer_tree.rs", 1),
     ("emtree/src/epq.rs", 2),
@@ -37,9 +40,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("pdm/src/sched.rs", 2),
     ("pdm/src/stats.rs", 4),
 ];
-
-/// Crates under `crates/` that are not libraries the rule covers.
-const SKIPPED: &[&str] = &["bench", "testkit"];
 
 /// The crate attribute that keeps a library at zero panic lines: clippy's
 /// lint job rejects `unwrap`, `expect` and `panic!` outside test code.
@@ -57,59 +57,19 @@ const PATTERNS: &[&str] = &[
 ];
 
 fn panic_lines(source: &str) -> usize {
-    source
-        .lines()
-        .take_while(|line| !line.contains("#[cfg(test)]"))
+    library_lines(source)
         .filter(|line| !line.contains("debug_assert"))
         .filter(|line| PATTERNS.iter().any(|p| line.contains(p)))
         .count()
 }
 
-/// Every `.rs` file under `dir`, recursively.
-fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-    for entry in std::fs::read_dir(dir).expect("readable source directory") {
-        let path = entry.expect("readable directory entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
-
-fn crates_dir() -> &'static Path {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .expect("the bench crate sits in crates/")
-}
-
-/// The names of the library crates the rule covers.
-fn library_crates() -> Vec<String> {
-    let mut names = Vec::new();
-    for entry in std::fs::read_dir(crates_dir()).expect("readable crates/") {
-        let dir = entry.expect("readable crates/ entry").path();
-        let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if dir.join("src").is_dir() && !SKIPPED.contains(&name) {
-            names.push(name.to_string());
-        }
-    }
-    names
-}
-
 /// Panic lines of every library file that has any, keyed like [`COUNTS`].
 fn measured() -> BTreeMap<String, usize> {
-    let crates = crates_dir();
-    let mut files = Vec::new();
-    for name in library_crates() {
-        rust_files(&crates.join(name).join("src"), &mut files);
-    }
-    files
+    library_files()
         .into_iter()
-        .filter_map(|path| {
-            let source = std::fs::read_to_string(&path).expect("readable source file");
+        .filter_map(|(key, source)| {
             let n = panic_lines(&source);
-            let key = path.strip_prefix(crates).expect("under crates/");
-            (n > 0).then(|| (key.to_string_lossy().replace('\\', "/"), n))
+            (n > 0).then_some((key, n))
         })
         .collect()
 }

@@ -27,6 +27,8 @@ use std::path::{Path, PathBuf};
 /// (relative to `crates/`) and name, each with the reason it stays public.
 #[rustfmt::skip]
 const TEST_SURFACE: &[(&str, &str, &str)] = &[
+    ("core/src/budget.rs", "enter", "model_enforcement.rs roots a sort, plan or Server"),
+    ("core/src/budget.rs", "high_water", "model_enforcement.rs reads each root's peak"),
     ("emgeom/src/dominance.rs", "dominance_count", "survey algorithm; emgeom's tests run it"),
     ("emgeom/src/dominance.rs", "dominance_count_naive", "dominance_count's baseline"),
     ("emgraph/src/euler.rs", "euler_tour", "survey algorithm; tree_depths calls it"),
@@ -70,6 +72,7 @@ const TEST_SURFACE: &[(&str, &str, &str)] = &[
 /// [`TEST_SURFACE`].
 #[rustfmt::skip]
 const TEST_TYPES: &[(&str, &str, &str)] = &[
+    ("core/src/budget.rs", "Entered", "MemBudget::enter returns it"),
     ("emgraph/src/euler.rs", "EulerTour", "euler_tour returns it; callers never spell it"),
     ("emhash/src/partition.rs", "Partitioned", "partition_to_fit returns it"),
     ("emrel/src/exec.rs", "KeyId", "Order::Key's argument in the executor API"),

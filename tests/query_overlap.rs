@@ -15,7 +15,7 @@
 use std::time::{Duration, Instant};
 
 use em_core::bounds::{hash_group_exact_ios, hash_join_exact_ios};
-use em_core::ExtVec;
+use em_core::{ExtVec, MemBudget};
 use emrel::{
     collect, sort_pipe, sort_scan, ExecConfig, FilterExec, GroupByExec, HashGroupByExec,
     HashJoinExec, MergeJoinExec, Order, ProjectExec, QueryExec, ScanExec,
@@ -392,6 +392,8 @@ fn timed_q1_hash(mode: IoMode) -> Timed {
     let v = ExtVec::from_slice(device.clone(), &data).unwrap();
     let (m, fan) = (16 * B_TIMED, 7);
     let c = cfg(m, OverlapConfig::symmetric(DEPTH));
+    let root = MemBudget::new(usize::MAX);
+    let entered = root.enter();
     let before = device.stats().snapshot();
     let t0 = Instant::now();
     let mut filt = FilterExec::new(ScanExec::new(&v), keep);
@@ -409,22 +411,15 @@ fn timed_q1_hash(mode: IoMode) -> Timed {
     let out = collect(&mut g, &device).unwrap();
     let wall = t0.elapsed();
     let ios = device.stats().snapshot().since(&before);
-    // M plus the declared headroom — one reader's read-ahead and F writers'
-    // write-behind, each `DEPTH` blocks per disk — through every phase.
+    drop((entered, g, filt));
+    // M plus the declared headroom through every phase: the scan's
+    // read-ahead, one pass's queues (a reader's read-ahead and F writers'
+    // write-behind) and the sink's write-behind, each `DEPTH` blocks a disk.
     let lanes = device.stream_lanes();
-    let budget = g.budget();
-    assert_eq!(
-        budget.capacity(),
-        m + (DEPTH * lanes + fan * DEPTH * lanes) * B_TIMED
-    );
-    assert!(budget.high_water() <= budget.capacity());
-    assert!(
-        budget.high_water() > m,
-        "{mode:?}: overlap queues were charged"
-    );
-    assert_eq!(budget.used(), 0, "everything released once drained");
+    let headroom = (DEPTH * lanes * (2 + fan)) * B_TIMED + DEPTH * lanes * (1024 / 24);
+    assert_eq!(root.high_water(), m + headroom, "{mode:?}");
+    assert_eq!(root.used(), 0, "everything released once drained");
     let words = out.to_vec().unwrap().iter().flat_map(grp_words).collect();
-    drop(g);
     Timed { wall, ios, words }
 }
 
@@ -442,6 +437,8 @@ fn timed_q3u_grace(mode: IoMode) -> Timed {
     let lv = ExtVec::from_slice(device.clone(), &lines).unwrap();
     let (m, fan) = (16 * B_TIMED, 7);
     let c = cfg(m, OverlapConfig::symmetric(DEPTH));
+    let root = MemBudget::new(usize::MAX);
+    let entered = root.enter();
     let before = device.stats().snapshot();
     let t0 = Instant::now();
     let mut build = FilterExec::new(ScanExec::new(&ov), keep);
@@ -457,22 +454,23 @@ fn timed_q3u_grace(mode: IoMode) -> Timed {
         |_b: &Row, p: &Row| (p.0, p.1),
     )
     .unwrap();
-    let lanes = device.stream_lanes();
-    let capacity = m + (DEPTH * lanes + fan * DEPTH * lanes) * 2 * B_TIMED;
-    assert_eq!(join.budget().capacity(), capacity);
-    assert!(join.budget().high_water() <= capacity, "build phase");
-    let budget = join.budget().clone();
-    let mut out: ProjectExec<_, _, Grp> =
+    let mut rows: ProjectExec<_, _, Grp> =
         ProjectExec::new(join, |r: &Row| Some((r.0, r.1, 0)), Order::Unordered);
-    let out = collect(&mut out, &device).unwrap();
+    let out = collect(&mut rows, &device).unwrap();
     let wall = t0.elapsed();
     let ios = device.stats().snapshot().since(&before);
-    assert!(budget.high_water() <= capacity, "probe and pair phases");
+    drop((entered, build, rows));
+    // M plus the declared headroom: the two scans' read-ahead, one pass's
+    // queues in blocks of `B_build + B_probe` records, and the sink's
+    // write-behind, each `DEPTH` blocks a disk.
+    let lanes = device.stream_lanes();
+    let headroom = DEPTH * lanes * ((2 + 2 * (1 + fan)) * B_TIMED + 1024 / 24);
     assert!(
-        budget.high_water() > m,
+        root.high_water() > m,
         "{mode:?}: overlap queues were charged"
     );
-    assert_eq!(budget.used(), 0, "everything released once drained");
+    assert!(root.high_water() <= m + headroom, "{mode:?}");
+    assert_eq!(root.used(), 0, "everything released once drained");
     let words = out.to_vec().unwrap().iter().flat_map(grp_words).collect();
     Timed { wall, ios, words }
 }
