@@ -256,9 +256,12 @@ impl<R: Record> ExtVec<R> {
         ExtVecReader::new(self, 0)
     }
 
-    /// Sequential reader starting at record `start`.
-    pub fn reader_at(&self, start: u64) -> ExtVecReader<'_, R> {
-        ExtVecReader::new(self, start)
+    /// Sequential reader starting at record `start` (at most
+    /// [`len`](Self::len), where it reads nothing).  A `start` past the end
+    /// is [`PdmError::InvalidRequest`], before any I/O.
+    pub fn reader_at(&self, start: u64) -> Result<ExtVecReader<'_, R>> {
+        self.check_range(start, 0)?;
+        Ok(ExtVecReader::new(self, start))
     }
 
     /// Sequential reader that keeps up to `depth` blocks of read-ahead in
@@ -271,14 +274,16 @@ impl<R: Record> ExtVec<R> {
     }
 
     /// Prefetching reader starting at record `start`; see
-    /// [`reader_prefetch`](Self::reader_prefetch).
+    /// [`reader_prefetch`](Self::reader_prefetch).  A `start` past the end
+    /// is [`PdmError::InvalidRequest`], before any I/O or charge.
     pub fn reader_at_prefetch(
         &self,
         start: u64,
         depth: usize,
         budget: &Arc<MemBudget>,
-    ) -> ExtVecReader<'_, R> {
-        ExtVecReader::with_prefetch(self, start, depth, budget)
+    ) -> Result<ExtVecReader<'_, R>> {
+        self.check_range(start, 0)?;
+        Ok(ExtVecReader::with_prefetch(self, start, depth, budget))
     }
 
     /// Turn the array into an owning sequential reader — a reader that can

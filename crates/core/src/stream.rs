@@ -346,8 +346,10 @@ impl<R: Record> ExtVecCursor<R> {
 }
 
 impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
+    /// A reader from record `start`, which its callers have checked is at
+    /// most the array's length.
     pub(crate) fn new(vec: V, start: u64) -> Self {
-        assert!(start <= arr(&vec).len(), "start beyond end");
+        debug_assert!(start <= arr(&vec).len(), "start beyond end");
         // The buffer starts empty; `fill` lazily loads the block that
         // `consumed` points into on first access.
         BlockReader {
@@ -683,13 +685,21 @@ mod tests {
     #[test]
     fn reader_at_offset() {
         let v = ExtVec::from_slice(dev(), &(0u64..30).collect::<Vec<_>>()).unwrap();
-        let collected: Vec<u64> = v.reader_at(13).collect();
+        let collected: Vec<u64> = v.reader_at(13).unwrap().collect();
         assert_eq!(collected, (13..30).collect::<Vec<_>>());
         // Starting exactly at a block boundary.
-        let collected: Vec<u64> = v.reader_at(16).collect();
+        let collected: Vec<u64> = v.reader_at(16).unwrap().collect();
         assert_eq!(collected, (16..30).collect::<Vec<_>>());
         // Starting at the end yields nothing.
-        assert_eq!(v.reader_at(30).count(), 0);
+        assert_eq!(v.reader_at(30).unwrap().count(), 0);
+        // Past the end is a typed error, before any read.
+        let before = v.device().stats().snapshot();
+        let err = v.reader_at(31).err();
+        assert!(
+            matches!(err, Some(pdm::PdmError::InvalidRequest(_))),
+            "{err:?}"
+        );
+        assert_eq!(v.device().stats().snapshot().since(&before).total(), 0);
     }
 
     #[test]
@@ -741,7 +751,7 @@ mod overlap_tests {
     fn prefetching_reader_at_offset() {
         let v = ExtVec::from_slice(dev(), &(0u64..50).collect::<Vec<_>>()).unwrap();
         let budget = MemBudget::new(64);
-        let collected: Vec<u64> = v.reader_at_prefetch(19, 2, &budget).collect();
+        let collected: Vec<u64> = v.reader_at_prefetch(19, 2, &budget).unwrap().collect();
         assert_eq!(collected, (19..50).collect::<Vec<_>>());
     }
 
@@ -959,7 +969,7 @@ mod bulk_move_tests {
     ) -> (Vec<u64>, pdm::IoSnapshot) {
         let budget = MemBudget::new(64);
         let before = v.device().stats().snapshot();
-        let mut r = v.reader_at_prefetch(start, depth, &budget);
+        let mut r = v.reader_at_prefetch(start, depth, &budget).unwrap();
         assert_eq!(r.prefetch_depth(), depth);
         let mut out = Vec::new();
         match max {
@@ -1012,7 +1022,7 @@ mod bulk_move_tests {
                     let case = format!("start {start}, depth {depth}, step {step}");
                     let budget = MemBudget::new(64);
                     let before = v.device().stats().snapshot();
-                    let mut r = v.reader_at_prefetch(start, depth, &budget);
+                    let mut r = v.reader_at_prefetch(start, depth, &budget).unwrap();
                     let mut got = Vec::new();
                     loop {
                         let slice = r.buffered_at_least(1).unwrap();
@@ -1053,7 +1063,7 @@ mod bulk_move_tests {
                     let case = format!("start {start}, depth {depth}, n {n}, step {step}");
                     let budget = MemBudget::new(64);
                     let before = v.device().stats().snapshot();
-                    let mut r = v.reader_at_prefetch(start, depth, &budget);
+                    let mut r = v.reader_at_prefetch(start, depth, &budget).unwrap();
                     let (mut got, mut held) = (Vec::new(), 0);
                     loop {
                         let at = start + got.len() as u64;

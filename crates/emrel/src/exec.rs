@@ -34,7 +34,10 @@
 //! read and every transfer count is identical with overlap on or off.  In
 //! the other direction [`QueryExec::overlap`] reports the configured depths
 //! up the tree, which is how [`collect`] — whose signature carries no
-//! configuration — sizes its write-behind.
+//! configuration — sizes its write-behind.  A consumer that drains pulls a
+//! block of records at a time ([`QueryExec::next_batch`]): a scan decodes
+//! whole blocks into the batch and a filter compacts it in place, so the
+//! per-record calls of a drained scan and filter are gone.
 //!
 //! Sort operators borrow their final-stage runs from the sorting routine's
 //! frame (see [`SortedStream`]), so pipelines containing sorts are composed
@@ -75,6 +78,14 @@ impl Order {
 /// A pull-based query operator — the Volcano iterator protocol shaped like
 /// [`SortedStream`]: `try_next` pulls one record and `order` reports the
 /// stream's sort order so downstream sorts can be elided.
+///
+/// **The batch contract.**  Only a consumer that pulls a stream to its end
+/// (the promise [`drain_hint`](Self::drain_hint) makes) calls
+/// [`next_batch`](Self::next_batch), a block of records at a time: a batch
+/// shorter than it asked for is the end of the stream, which it then never
+/// pulls again, and the reads are exactly `try_next`'s, in the same order.
+/// `try_next` stays the one per-record path; an operator overrides
+/// `next_batch` only where a batch is cheaper than a loop of it.
 pub trait QueryExec {
     /// The record type this operator produces.
     type Item: Record;
@@ -82,6 +93,22 @@ pub trait QueryExec {
     /// The next record, or `None` once the stream is drained.  Device
     /// errors from any operator below propagate here via `?`.
     fn try_next(&mut self) -> Result<Option<Self::Item>>;
+
+    /// Append up to `max` records to `out` and return how many: fewer than
+    /// `max` only once the stream has ended.  By definition this is
+    /// [`try_next`](Self::try_next) in a loop — same records, same reads —
+    /// and on `Err` the records pulled before the failure are in `out`.
+    fn next_batch(&mut self, out: &mut Vec<Self::Item>, max: usize) -> Result<usize> {
+        let mut n = 0;
+        while n < max {
+            let Some(r) = self.try_next()? else {
+                break;
+            };
+            out.push(r);
+            n += 1;
+        }
+        Ok(n)
+    }
 
     /// The sort order of the records this stream delivers.
     fn order(&self) -> Order;
@@ -109,6 +136,10 @@ impl<T: QueryExec + ?Sized> QueryExec for &mut T {
 
     fn try_next(&mut self) -> Result<Option<Self::Item>> {
         (**self).try_next()
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<Self::Item>, max: usize) -> Result<usize> {
+        (**self).next_batch(out, max)
     }
 
     fn order(&self) -> Order {
@@ -164,6 +195,11 @@ impl<R: Record> QueryExec for ScanExec<'_, R> {
         self.reader.try_next()
     }
 
+    /// Whole blocks decoded straight into `out` ([`ExtVecReader::read_into`]).
+    fn next_batch(&mut self, out: &mut Vec<R>, max: usize) -> Result<usize> {
+        self.reader.read_into(out, max)
+    }
+
     fn order(&self) -> Order {
         self.order
     }
@@ -217,6 +253,32 @@ where
             }
         }
         Ok(None)
+    }
+
+    /// The child's batches, compacted in place with no branch on the
+    /// predicate: each record is copied to the write position, which
+    /// advances by `pred(&r) as usize`.  On `Err`, the records the child
+    /// delivered are filtered before the error returns.
+    fn next_batch(&mut self, out: &mut Vec<S::Item>, max: usize) -> Result<usize> {
+        let start = out.len();
+        loop {
+            let (at, want) = (out.len(), max - (out.len() - start));
+            let pulled = self.child.next_batch(out, want);
+            let batch = &mut out[at..];
+            let mut kept = 0;
+            for i in 0..batch.len() {
+                let r = batch[i].clone();
+                let keep = (self.pred)(&r);
+                batch[kept] = r;
+                kept += keep as usize;
+            }
+            let ended = batch.len() < want;
+            out.truncate(at + kept);
+            pulled?;
+            if ended || out.len() - start == max {
+                return Ok(out.len() - start);
+            }
+        }
     }
 
     fn order(&self) -> Order {
@@ -684,9 +746,10 @@ where
     }
     let mut w = SortingWriter::new(device.clone(), &cfg.sort, less);
     child.drain_hint(cfg.sort.overlap);
-    while let Some(r) = child.try_next()? {
-        w.push(r)?;
-    }
+    let b = ExtVec::<R>::per_block_on(device);
+    drain_batches(child, b, |batch| {
+        batch.drain(..).try_for_each(|r| w.push(r))
+    })?;
     w.finish_streaming(|s| {
         consume(&mut SortStreamExec::new(s, Order::Key(key)).with_overlap(cfg.sort.overlap))
     })
@@ -726,10 +789,30 @@ fn drain_into<R: Record>(
     let depth = budget.available() / ExtVec::<R>::per_block_on(device);
     let mut w: ExtVecWriter<R> = ExtVecWriter::with_write_behind(device.clone(), depth, budget);
     exec.drain_hint(overlap);
-    while let Some(r) = exec.try_next()? {
-        w.push(r)?;
-    }
+    let b = ExtVec::<R>::per_block_on(device);
+    drain_batches(exec, b, |batch| w.extend_from_slice(batch))?;
     w.finish()
+}
+
+/// Pull `exec` to its end `max` records at a time (one block of them, for
+/// every caller), handing each batch to `each` — the loop of every consumer
+/// that has promised a full drain.  The stream is never pulled after its
+/// first short batch.  The batch is scratch beside the caller's buffers:
+/// one block of records, uncharged, like the merge's batch.
+pub(crate) fn drain_batches<S: QueryExec + ?Sized>(
+    exec: &mut S,
+    max: usize,
+    mut each: impl FnMut(&mut Vec<S::Item>) -> Result<()>,
+) -> Result<()> {
+    let mut batch = Vec::with_capacity(max);
+    loop {
+        let n = exec.next_batch(&mut batch, max)?;
+        each(&mut batch)?;
+        if n < max {
+            return Ok(());
+        }
+        batch.clear();
+    }
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ use emhash::table::{ResidentMultimap, ResidentTable};
 use emsort::{merge_sort_by, operator_budget, OverlapConfig, PartitionPass};
 use pdm::{Result, SharedDevice};
 
-use crate::exec::{ExecConfig, GroupFold, Order, QueryExec};
+use crate::exec::{drain_batches, ExecConfig, GroupFold, Order, QueryExec};
 
 /// Open `vec` for reading across `try_next` calls.  A drained operator
 /// reads it ahead at `overlap`'s per-disk depth out of `budget`'s headroom
@@ -183,10 +183,12 @@ where
         let children = {
             let mut pass = PartitionPass::new(device, fan_out, 0, cfg.sort.overlap, &budget);
             let _charge = budget.charge(this.cap + (fan_out + 1) * b);
-            while let Some(r) = child.try_next()? {
-                fed += 1;
-                this.absorb_or_spill(&mut table, &mut pass, 0, r)?;
-            }
+            drain_batches(child, b, |batch| {
+                fed += batch.len() as u64;
+                batch
+                    .drain(..)
+                    .try_for_each(|r| this.absorb_or_spill(&mut table, &mut pass, 0, r))
+            })?;
             pass.finish()?
         };
         this.end_pass(table, children, 0, fed)?;
@@ -265,7 +267,7 @@ where
             let budget = self.budget.clone();
             let _charge = budget.charge(len as usize + self.b);
             let mut table = ResidentTable::new();
-            let mut reader = part.reader_at_prefetch(0, ov.read_ahead, &budget);
+            let mut reader = part.reader_prefetch(ov.read_ahead, &budget);
             while let Some(r) = reader.try_next()? {
                 let k = (self.key)(&r);
                 let h0 = key_hash(&k);
@@ -496,12 +498,12 @@ where
         let mut spill: Option<(PartitionPass<BR>, KeyFilter, BudgetGuard)> = None;
         let mut total = 0u64;
         build.drain_hint(overlap);
-        while let Some(r) = build.try_next()? {
+        let mut admit = |r: BR| -> Result<()> {
             total += 1;
             if spill.is_none() && resident.len() < residency {
                 let k = key_b(&r);
                 resident.insert(key_hash(&k), k, r);
-                continue;
+                return Ok(());
             }
             // Overflow: the held records go first, in arrival order, so the
             // partitions are those of a join that never held anything.
@@ -520,7 +522,11 @@ where
                 filter.insert(h0);
                 pass.push(level_bucket(h0, 0, fan_out), r)?;
             }
-        }
+            Ok(())
+        };
+        drain_batches(build, b_build, |batch| {
+            batch.drain(..).try_for_each(&mut admit)
+        })?;
         let spilled = match spill {
             Some((pass, filter, build_buffers)) => {
                 let build_parts = pass.finish()?;
@@ -577,15 +583,19 @@ where
         // bucket is empty, matches nothing and is dropped before it costs a
         // spill write.  The filter is asked first: it turns most unmatched
         // records away for less than the bucket's division costs.
-        while let Some(r) = self.probe.try_next()? {
-            let h0 = key_hash(&(self.key_p)(&r));
-            if spilled.filter.may_contain(h0) {
-                let bi = level_bucket(h0, 0, self.fan_out);
-                if !spilled.build_parts[bi].is_empty() {
-                    spilled.probe_pass.push(bi, r)?;
+        let (key_p, fan_out) = (&self.key_p, self.fan_out);
+        drain_batches(&mut self.probe, self.b_probe, |batch| {
+            batch.drain(..).try_for_each(|r| {
+                let h0 = key_hash(&key_p(&r));
+                if spilled.filter.may_contain(h0) {
+                    let bi = level_bucket(h0, 0, fan_out);
+                    if !spilled.build_parts[bi].is_empty() {
+                        spilled.probe_pass.push(bi, r)?;
+                    }
                 }
-            }
-        }
+                Ok(())
+            })
+        })?;
         self.end_probe()
     }
 

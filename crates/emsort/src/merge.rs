@@ -493,7 +493,7 @@ where
         let readers: Vec<ExtVecReader<'a, R>> = parts
             .iter()
             .map(|(r, s)| r.reader_at_prefetch(*s, ov.read_ahead, budget))
-            .collect();
+            .collect::<Result<_>>()?;
         let per_block = b.max(1);
         let cap = per_block.max((k + 1) * per_block / if span { 6 } else { 4 });
         let mut src = Sources {
@@ -857,8 +857,9 @@ pub struct SortingWriter<R: Record, F> {
     runs: Vec<ExtVec<R>>,
     budget: Arc<MemBudget>,
     write_behind: usize,
-    /// Holds the chunk's `M` records against `budget` for the writer's
-    /// lifetime, mirroring run formation's charge.
+    /// Holds the chunk's `M` records against `budget` until the last chunk
+    /// is formed, mirroring run formation's charge; the merge charges what
+    /// stays resident of it.
     _charge: BudgetGuard,
 }
 
@@ -956,13 +957,17 @@ where
     where
         C: FnOnce(&mut SortedStream<'_, R, F>) -> Result<T>,
     {
-        self.formed(false)?.stream(&self.cfg, self.less, consume)
+        let formed = self.formed(false)?;
+        drop(self._charge);
+        formed.stream(&self.cfg, self.less, consume)
     }
 
     /// Merge the spilled runs into one materialized sorted array — producer
     /// fusion only, for callers that keep the result.
     pub fn finish_sorted(mut self) -> Result<ExtVec<R>> {
-        self.formed(true)?.into_sorted(&self.cfg, self.less)
+        let formed = self.formed(true)?;
+        drop(self._charge);
+        formed.into_sorted(&self.cfg, self.less)
     }
 }
 

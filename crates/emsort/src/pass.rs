@@ -123,7 +123,7 @@ impl<R: Record> PartitionPass<R> {
         let read_ahead = overlap.for_lanes(input.device().stream_lanes()).read_ahead;
         let mut pass = PartitionPass::new(input.device(), fan_out, level, overlap, budget);
         let _charge = budget.charge((fan_out + 1) * b);
-        let mut reader = input.reader_at_prefetch(0, read_ahead, budget);
+        let mut reader = input.reader_prefetch(read_ahead, budget);
         while let Some(r) = reader.try_next()? {
             route(&mut pass, r)?;
         }
@@ -156,7 +156,7 @@ pub fn copy_blocks<R: Record>(
 ) -> Result<()> {
     let b = input.per_block();
     let _charge = budget.charge(3 * b);
-    let mut reader = input.reader_at_prefetch(0, read_ahead, budget);
+    let mut reader = input.reader_prefetch(read_ahead, budget);
     let mut block = Vec::with_capacity(b);
     while reader.read_into(&mut block, b)? > 0 {
         out.extend_from_slice(&block)?;
@@ -189,7 +189,7 @@ pub fn sample_pivots<R: Record, K: Clone>(
     let seed = splitmix(0xD157_0507 ^ level as u64);
     let ov = cfg.overlap.for_lanes(input.device().stream_lanes());
     let _charge = budget.charge(size + input.per_block());
-    let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
+    let mut reader = input.reader_prefetch(ov.read_ahead, budget);
     let (mut sample, mut seen) = (Vec::with_capacity(size), 0u64);
     while let Some(r) = reader.try_next()? {
         if sample.len() < size {

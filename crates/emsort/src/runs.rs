@@ -159,7 +159,7 @@ where
     let mut runs = Vec::new();
     let mut left = input.len();
     let mut chunk: Vec<R> = Vec::with_capacity(m.min(left as usize));
-    let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
+    let mut reader = input.reader_prefetch(ov.read_ahead, budget);
     // The short load goes first when a tail stays, so the load that keeps
     // it is a full M.
     let mut load = match keep {
@@ -239,7 +239,7 @@ where
             a.0 < b.0 || (a.0 == b.0 && less(&a.1, &b.1))
         });
 
-    let mut reader = input.reader_at_prefetch(0, ov.read_ahead, budget);
+    let mut reader = input.reader_prefetch(ov.read_ahead, budget);
     while heap.len() < heap_cap {
         match reader.try_next()? {
             Some(r) => heap.push((0, r)),

@@ -71,7 +71,7 @@ pub fn suffix_array(text: &ExtVec<u8>, cfg: &SortConfig) -> Result<ExtVec<u64>> 
         let mut triples = SortingWriter::new(device.clone(), cfg, move |a, b| key(a) < key(b));
         {
             let mut cur = ranks.reader();
-            let mut ahead = ranks.reader_at(h.min(n));
+            let mut ahead = ranks.reader_at(h.min(n))?;
             while let Some((pos, r1)) = cur.try_next()? {
                 // A suffix shorter than h has no second half.
                 let r2 = ahead.try_next()?.map_or(NONE, |(_, r)| r);

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use em_core::{AppendBuffer, ExtVec};
+use em_core::{AppendBuffer, ExtVec, MemBudget};
 use emgeom::{batched_range_reporting, segment_intersections, HSeg, Point, Rect, VSeg};
 use emgraph::{euler_tour, list_rank, tree_depths};
 use emhash::partition::partition_to_fit;
@@ -235,6 +235,16 @@ fn no_call_leaks_a_block_on_any_path() {
                         partition_to_fit(&input, |r| mix(*r), M, 4, overlap)
                     }),
                 }
+                if call == 0 {
+                    let past = input.len() + 1;
+                    sweep.refused(&d, "reader_at (malformed)", || {
+                        input.reader_at(past).map(drop)
+                    });
+                    sweep.refused(&d, "reader_at_prefetch (malformed)", || {
+                        let budget = MemBudget::new(2 * M);
+                        input.reader_at_prefetch(past, 2, &budget).map(drop)
+                    });
+                }
                 drop(input);
                 assert_eq!(d.allocated_blocks(), 0, "a dropped input leaked");
             }
@@ -408,5 +418,31 @@ fn no_call_leaks_a_block_on_any_path() {
         assert!(err > 0, "{what} never failed");
         let always_fails = what.ends_with("(malformed)") || *what == "merge_sort_streaming";
         assert!(always_fails || ok > 0, "{what} never succeeded");
+    }
+}
+
+/// A reader asked to start past its array's end is `InvalidRequest`, with
+/// no transfer and no charge; one started at the end reads nothing.
+#[test]
+fn a_reader_started_past_the_end_is_refused_before_any_io() {
+    for mode in [IoMode::Synchronous, IoMode::Overlapped] {
+        let d = DiskArray::new_ram_with(2, BLOCK, Placement::Independent, mode) as SharedDevice;
+        let v = ExtVec::from_slice(d.clone(), &(0..N).collect::<Vec<u64>>()).unwrap();
+        let budget = MemBudget::new(2 * M);
+        let before = d.stats().snapshot();
+        for start in [N + 1, u64::MAX] {
+            let refused = [
+                v.reader_at(start).err(),
+                v.reader_at_prefetch(start, 2, &budget).err(),
+            ];
+            for err in refused {
+                assert!(matches!(err, Some(PdmError::InvalidRequest(_))), "{err:?}");
+            }
+        }
+        assert_eq!(d.stats().snapshot().since(&before).total(), 0);
+        assert_eq!(budget.high_water(), 0, "nothing charged");
+        let at_end = v.reader_at_prefetch(N, 2, &budget).unwrap();
+        assert_eq!(at_end.count(), 0);
+        assert_eq!(d.stats().snapshot().since(&before).total(), 0);
     }
 }

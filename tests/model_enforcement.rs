@@ -347,20 +347,20 @@ fn report_server() -> (usize, usize) {
 
 /// Root high-water of each case, `(case, M, records)`.  The rows above `M`
 /// are DESIGN.md's listed exceptions: overlap queues are headroom declared
-/// beyond `M`; a `SortingWriter` holds its chunk's `M` through its final
-/// merge, which charges an `M` of its own (so does Q1's sort, which sorts
-/// through one); and a sort-merge join's lineitem merge stays open while
-/// the orders sort.
+/// beyond `M`, and a sort-merge join's lineitem merge stays open while the
+/// orders sort.  A `SortingWriter` releases its chunk's `M` once the last
+/// chunk is formed, so its final merge (and Q1's sort, which sorts through
+/// one) holds what `merge_sort_by`'s does.
 const ROOT_HIGH_WATER: &[(&str, usize, usize)] = &[
     ("sync merge_sort_by", 512, 512),
-    ("sync SortingWriter", 512, 1024),
-    ("sync Q1 sort", 256, 512),
+    ("sync SortingWriter", 512, 512),
+    ("sync Q1 sort", 256, 256),
     ("sync Q1 hash", 256, 256),
-    ("sync Q3u merge", 256, 383),
+    ("sync Q3u merge", 256, 320),
     ("sync Q3u grace", 256, 256),
     ("overlapped merge_sort_by", 512, 2432),
-    ("overlapped SortingWriter", 512, 2944),
-    ("overlapped Q1 sort", 256, 1536),
+    ("overlapped SortingWriter", 512, 2432),
+    ("overlapped Q1 sort", 256, 1280),
     ("overlapped Q1 hash", 256, 680),
     ("overlapped Q3u merge", 256, 1216),
     ("overlapped Q3u grace", 256, 680),
@@ -395,8 +395,7 @@ fn every_root_high_water_is_reported_against_m() {
         .collect();
     assert_eq!(rows, pinned);
     for (name, m, hw) in &rows {
-        let exception = name.starts_with("overlapped")
-            || ["sync SortingWriter", "sync Q1 sort", "sync Q3u merge"].contains(&name.as_str());
+        let exception = name.starts_with("overlapped") || name == "sync Q3u merge";
         assert_eq!(hw > m, exception, "{name}: {hw} records against M = {m}");
     }
 }

@@ -19,6 +19,9 @@
 //! * **Clean failure.**  A pipeline over a faulty device either completes
 //!   with the correct answer or surfaces a clean `Err` — never a panic,
 //!   never silently wrong output.
+//! * **Batches are rows.**  Every `QueryExec::next_batch` override delivers
+//!   `try_next`'s records with its transfers, and no consumer that drains
+//!   by batches pulls a stream past its first short batch.
 
 use std::sync::Arc;
 
@@ -806,5 +809,303 @@ proptest! {
             expect.sort_unstable();
             prop_assert_eq!(got, expect, "a completed hash join must be correct");
         }
+    }
+}
+
+/// Bytes per block of the batch tests: `B` = 16 rows.
+const BATCH_BLOCK: usize = 256;
+const BATCH_B: usize = BATCH_BLOCK / ROW_BYTES;
+
+/// A stream that forwards to `inner` and records how it was pulled: the
+/// batches asked for, and whether anything pulled it after its end (a
+/// `None` or a short batch).
+struct Watched<S> {
+    inner: S,
+    batches: u64,
+    ended: bool,
+    pulled_past_end: bool,
+}
+
+impl<S: QueryExec> Watched<S> {
+    fn new(inner: S) -> Self {
+        Watched {
+            inner,
+            batches: 0,
+            ended: false,
+            pulled_past_end: false,
+        }
+    }
+
+    /// Drained to its end, by batches only, and never pulled past it.
+    fn assert_drained_by_batches(&self, what: &str) {
+        assert!(self.ended, "{what}: not drained");
+        assert!(self.batches > 0, "{what}: not pulled by batches");
+        assert!(!self.pulled_past_end, "{what}: pulled after its end");
+    }
+}
+
+impl<S: QueryExec> QueryExec for Watched<S> {
+    type Item = S::Item;
+
+    fn try_next(&mut self) -> pdm::Result<Option<S::Item>> {
+        self.pulled_past_end |= self.ended;
+        let r = self.inner.try_next()?;
+        self.ended |= r.is_none();
+        Ok(r)
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<S::Item>, max: usize) -> pdm::Result<usize> {
+        self.pulled_past_end |= self.ended;
+        self.batches += 1;
+        let n = self.inner.next_batch(out, max)?;
+        self.ended |= n < max;
+        Ok(n)
+    }
+
+    fn order(&self) -> Order {
+        self.inner.order()
+    }
+
+    fn drain_hint(&mut self, overlap: OverlapConfig) {
+        self.inner.drain_hint(overlap)
+    }
+
+    fn overlap(&self) -> OverlapConfig {
+        self.inner.overlap()
+    }
+}
+
+/// `n` rows, a quarter of them failing [`keep`].
+fn batch_rows(n: u64) -> Vec<Row> {
+    (0..n)
+        .map(|i| (key_hash(i) % 97, key_hash(i ^ 0x5555)))
+        .collect()
+}
+
+/// `stream` drained at `overlap`: by `try_next` (`max = None`) or by
+/// `next_batch(max)` until its first short batch.  The records, and the
+/// transfers the drain cost.
+fn drain_by(
+    stream: &mut dyn QueryExec<Item = Row>,
+    device: &SharedDevice,
+    overlap: OverlapConfig,
+    max: Option<usize>,
+) -> (Vec<Row>, pdm::IoSnapshot) {
+    let before = device.stats().snapshot();
+    stream.drain_hint(overlap);
+    let mut out = Vec::new();
+    match max {
+        None => {
+            while let Some(r) = stream.try_next().unwrap() {
+                out.push(r);
+            }
+        }
+        Some(max) => while stream.next_batch(&mut out, max).unwrap() == max {},
+    }
+    (out, device.stats().snapshot().since(&before))
+}
+
+/// Every `next_batch` override is `try_next` in a loop: at batch sizes
+/// `1..=2B`, on a synchronous one-disk array and on two overlapped disks
+/// reading ahead, a scan, a filter over one, and either behind `&mut`
+/// deliver `try_next`'s records in order with its reads and writes, and
+/// leave no read-ahead unconsumed.
+#[test]
+fn next_batch_is_try_next_a_block_at_a_time() {
+    let rows = batch_rows(1000); // 62 full blocks and a partial one
+    let arrays = [
+        (1, IoMode::Synchronous, OverlapConfig::off()),
+        (2, IoMode::Overlapped, OverlapConfig::symmetric(2)),
+    ];
+    for (d, mode, overlap) in arrays {
+        let device =
+            DiskArray::new_ram_with(d, BATCH_BLOCK, Placement::Independent, mode) as SharedDevice;
+        let input = ExtVec::from_slice(device.clone(), &rows).unwrap();
+        type Make<'a> = Box<dyn Fn(Option<usize>) -> (Vec<Row>, pdm::IoSnapshot) + 'a>;
+        let drained = |s: &mut dyn QueryExec<Item = Row>, max| drain_by(s, &device, overlap, max);
+        let streams: [(&str, Make); 4] = [
+            (
+                "scan",
+                Box::new(|max| drained(&mut ScanExec::new(&input), max)),
+            ),
+            (
+                "filter",
+                Box::new(|max| drained(&mut FilterExec::new(ScanExec::new(&input), keep), max)),
+            ),
+            (
+                "&mut scan",
+                Box::new(|max| drained(&mut &mut ScanExec::new(&input), max)),
+            ),
+            (
+                "&mut filter",
+                Box::new(|max| {
+                    let mut filter = FilterExec::new(ScanExec::new(&input), keep);
+                    drained(&mut &mut filter, max)
+                }),
+            ),
+        ];
+        for (name, drain) in &streams {
+            let (expect, by_row) = drain(None);
+            let kept: Vec<Row> = rows.iter().copied().filter(keep).collect();
+            assert_eq!(&expect, if name.ends_with("scan") { &rows } else { &kept });
+            assert_eq!(by_row.reads(), input.num_blocks() as u64, "{name}");
+            for max in 1..=2 * BATCH_B {
+                let case = format!("{name}, D = {d}, max {max}");
+                let (got, by_batch) = drain(Some(max));
+                assert_eq!(got, expect, "{case}");
+                assert_eq!(
+                    (by_batch.reads(), by_batch.writes()),
+                    (by_row.reads(), by_row.writes()),
+                    "{case}"
+                );
+                assert_eq!(by_batch.prefetched(), by_row.prefetched(), "{case}");
+                assert_eq!(by_batch.prefetch_wasted(), 0, "{case}");
+            }
+        }
+    }
+}
+
+/// A read that fails mid-scan is an `Err` from `next_batch`, with the
+/// records of the blocks before it delivered — filtered, behind a filter —
+/// exactly as `try_next` delivers them before its `Err`.
+#[test]
+fn next_batch_keeps_the_blocks_before_a_read_error() {
+    let rows = batch_rows(200);
+    let blocks = rows.len().div_ceil(BATCH_B) as u64;
+    let good = 3; // blocks read before the crash
+                  // The input's writes burn the fuse too: the read of block `good` fails.
+    let device = || {
+        let plan = FaultPlan::new(1).with_crash(pdm::CrashSwitch::after(blocks + good));
+        let d = DiskArray::new_ram_faulty(
+            1,
+            BATCH_BLOCK,
+            Placement::Independent,
+            IoMode::Synchronous,
+            &[plan],
+            RetryPolicy::none(),
+        ) as SharedDevice;
+        let input = ExtVec::from_slice(d.clone(), &rows).unwrap();
+        (d, input)
+    };
+    let earlier = &rows[..good as usize * BATCH_B];
+    for filtered in [false, true] {
+        let expect: Vec<Row> = earlier
+            .iter()
+            .copied()
+            .filter(|r| !filtered || keep(r))
+            .collect();
+        let pull = |s: &mut dyn QueryExec<Item = Row>, max: Option<usize>| {
+            let mut out = Vec::new();
+            let err = match max {
+                None => loop {
+                    match s.try_next() {
+                        Ok(Some(r)) => out.push(r),
+                        Ok(None) => break None,
+                        Err(e) => break Some(e),
+                    }
+                },
+                Some(max) => loop {
+                    match s.next_batch(&mut out, max) {
+                        Ok(n) if n == max => {}
+                        Ok(_) => break None,
+                        Err(e) => break Some(e),
+                    }
+                },
+            };
+            (out, err)
+        };
+        for max in [None, Some(BATCH_B), Some(2 * BATCH_B + 5), Some(rows.len())] {
+            let (_d, input) = device();
+            let (got, err) = if filtered {
+                pull(&mut FilterExec::new(ScanExec::new(&input), keep), max)
+            } else {
+                pull(&mut ScanExec::new(&input), max)
+            };
+            let case = format!("filtered {filtered}, max {max:?}");
+            assert!(err.is_some(), "{case}: the failed read must surface");
+            assert_eq!(got, expect, "{case}");
+        }
+    }
+}
+
+/// Every consumer that drains by batches stops at the first short one: a
+/// hash join's build side, a hash group-by's child, a pushed sort's input
+/// and `collect`'s root are each drained whole, by batches, and never
+/// pulled again.  (`the_probe_is_never_pulled_past_its_end`, in `emrel`,
+/// checks the probe side.)
+#[test]
+fn no_drained_stream_is_pulled_past_its_first_short_batch() {
+    let rows = batch_rows(3000);
+    let kept: Vec<Row> = rows.iter().copied().filter(keep).collect();
+    for (mode, overlap) in [
+        (IoMode::Synchronous, OverlapConfig::off()),
+        (IoMode::Overlapped, OverlapConfig::symmetric(2)),
+    ] {
+        let device =
+            DiskArray::new_ram_with(2, BATCH_BLOCK, Placement::Independent, mode) as SharedDevice;
+        let input = ExtVec::from_slice(device.clone(), &rows).unwrap();
+        let cfg = ExecConfig {
+            sort: SortConfig::new(16 * BATCH_B).with_overlap(overlap),
+        };
+        let watched = || Watched::new(FilterExec::new(ScanExec::new(&input), keep));
+        let before = device.stats().snapshot();
+
+        let mut root = watched();
+        let out = collect(&mut root, &device).unwrap();
+        root.assert_drained_by_batches("collect");
+        assert_eq!(out.to_vec().unwrap(), kept);
+
+        let mut child = watched();
+        let mut g = HashGroupByExec::build(
+            &mut child,
+            &device,
+            &cfg,
+            4,
+            |r: &Row| r.0,
+            0u64,
+            |acc: &mut u64, r: &Row| *acc = acc.wrapping_add(r.1),
+            |k, acc, n| (k, acc, n),
+        )
+        .unwrap();
+        child.assert_drained_by_batches("hash group-by");
+        let mut groups = collect(&mut g, &device).unwrap().to_vec().unwrap();
+        groups.sort_unstable();
+        assert_eq!(groups, q1_reference(&rows));
+
+        let mut sorted_input = watched();
+        let sorted = sort_pipe(&mut sorted_input, &device, &cfg, KEY, less, |s| {
+            collect(s, &device)?.to_vec()
+        })
+        .unwrap();
+        sorted_input.assert_drained_by_batches("sort_pipe");
+        let mut expect = kept.clone();
+        expect.sort_by_key(|r| r.0);
+        assert_eq!(sorted, expect);
+
+        // A build side past the residency spills; one within it does not.
+        for build_rows in [rows.len(), 200] {
+            let build_side = ExtVec::from_slice(device.clone(), &rows[..build_rows]).unwrap();
+            let mut build = Watched::new(FilterExec::new(ScanExec::new(&build_side), keep));
+            let mut j = HashJoinExec::build(
+                &mut build,
+                ScanExec::new(&input),
+                &device,
+                &cfg,
+                4,
+                false,
+                |b: &Row| b.1,
+                |p: &Row| p.1,
+                |_: &Row, p: &Row| *p,
+            )
+            .unwrap();
+            build.assert_drained_by_batches("hash join build side");
+            let mut joined = collect(&mut j, &device).unwrap().to_vec().unwrap();
+            joined.sort_unstable();
+            let mut expect: Vec<Row> = rows[..build_rows].iter().copied().filter(keep).collect();
+            expect.sort_unstable();
+            assert_eq!(joined, expect, "{build_rows} build rows");
+        }
+        let io = device.stats().snapshot().since(&before);
+        assert_eq!(io.prefetch_wasted(), 0);
     }
 }
