@@ -6,10 +6,10 @@
 //! because a rejected attempt never touches the device.  A final row runs
 //! the same plan with retry disabled to show the clean-error path.
 
+use em_core::hash::Draws;
 use em_core::ExtVec;
 use emsort::{merge_sort, SortConfig};
 use pdm::{DiskArray, FaultPlan, IoMode, Placement, RetryPolicy, SharedDevice};
-use rand::prelude::*;
 
 use crate::table;
 
@@ -47,8 +47,8 @@ fn sort_under(
 /// F16 — fault rate vs completion, retries, and (invariant) transfer counts.
 pub fn f16_fault_sweep() {
     let n = 200_000u64;
-    let mut rng = StdRng::seed_from_u64(0xFA);
-    let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+    let mut rng = Draws::new(0xFA);
+    let data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
     let mut expect = data.clone();
     expect.sort_unstable();
 

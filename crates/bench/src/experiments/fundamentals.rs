@@ -6,11 +6,11 @@
 //! scan+write round trips, ≈4–6 for sorting's read+write passes), uniform
 //! across machine shapes — that uniformity is the table's claim.
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVec};
 use emsort::{merge_sort, SortConfig};
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy};
-use rand::prelude::*;
 
 use crate::{fmt, measure, table};
 
@@ -25,8 +25,8 @@ pub fn t1_fundamental_bounds() {
         let cfg = EmConfig::new(bb, mb);
         let b = cfg.block_records::<u64>();
         let m = cfg.mem_records::<u64>();
-        let mut rng = StdRng::seed_from_u64(1);
-        let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(1);
+        let data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
 
         // Scan.
         let device = cfg.ram_disk();
@@ -52,11 +52,11 @@ pub fn t1_fundamental_bounds() {
         let pool_device = cfg.ram_disk();
         let pool = BufferPool::new(pool_device.clone(), 4, EvictionPolicy::Lru);
         let tree = BTree::bulk_load(pool, (0..n).map(|k| (k, k))).unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Draws::new(2);
         let trials = 50;
         let mut total = 0u64;
         for _ in 0..trials {
-            let k = rng.gen_range(0..n);
+            let k = rng.below(n);
             let (_, d) = measure(&pool_device, || tree.get(&k).unwrap());
             total += d.reads();
         }

@@ -1,12 +1,12 @@
 //! F12 — distribution sweeping: `O(Sort(N) + Z/B)` batched geometry.
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVec};
 use emgeom::{
     batched_range_reporting, batched_range_reporting_naive, segment_intersections,
     segment_intersections_naive, HSeg, Point, Rect, VSeg,
 };
 use emsort::SortConfig;
-use rand::prelude::*;
 
 use crate::{fmt, measure, table};
 
@@ -19,26 +19,26 @@ pub fn f12_distribution_sweeping() {
     for &n in &[5_000u64, 10_000, 20_000] {
         let device = cfg.ram_disk();
         let span = 200 * n as i64; // keeps Z small relative to N²
-        let mut rng = StdRng::seed_from_u64(120 + n);
+        let mut rng = Draws::new(120 + n);
         let hs: Vec<HSeg> = (0..n)
             .map(|id| {
-                let x = rng.gen_range(-span..span);
+                let x = -span + rng.below(2 * span as u64) as i64;
                 HSeg {
                     id,
-                    y: rng.gen_range(-span..span),
+                    y: -span + rng.below(2 * span as u64) as i64,
                     x1: x,
-                    x2: x + rng.gen_range(0..span / 2),
+                    x2: x + rng.below((span / 2) as u64) as i64,
                 }
             })
             .collect();
         let vs: Vec<VSeg> = (0..n)
             .map(|id| {
-                let y = rng.gen_range(-span..span);
+                let y = -span + rng.below(2 * span as u64) as i64;
                 VSeg {
                     id,
-                    x: rng.gen_range(-span..span),
+                    x: -span + rng.below(2 * span as u64) as i64,
                     y1: y,
-                    y2: y + rng.gen_range(0..span / 2),
+                    y2: y + rng.below((span / 2) as u64) as i64,
                 }
             })
             .collect();
@@ -75,20 +75,20 @@ pub fn f12_distribution_sweeping() {
     for &size_div in &[64i64, 16, 4] {
         let device = cfg.ram_disk();
         let span = 100_000i64;
-        let mut rng = StdRng::seed_from_u64(121);
+        let mut rng = Draws::new(121);
         let pts: Vec<Point> = (0..n)
             .map(|id| Point {
                 id,
-                x: rng.gen_range(-span..span),
-                y: rng.gen_range(-span..span),
+                x: -span + rng.below(2 * span as u64) as i64,
+                y: -span + rng.below(2 * span as u64) as i64,
             })
             .collect();
         let qs: Vec<Rect> = (0..n / 4)
             .map(|id| {
-                let x = rng.gen_range(-span..span);
-                let y = rng.gen_range(-span..span);
-                let w = rng.gen_range(0..span / size_div);
-                let h = rng.gen_range(0..span / size_div);
+                let x = -span + rng.below(2 * span as u64) as i64;
+                let y = -span + rng.below(2 * span as u64) as i64;
+                let w = rng.below((span / size_div) as u64) as i64;
+                let h = rng.below((span / size_div) as u64) as i64;
                 Rect {
                     id,
                     x1: x,

@@ -76,13 +76,13 @@ pub fn f10_bfs() {
         let g = gen::random_connected_graph(device.clone(), n, 3 * n, 94).unwrap();
         // Attach weights.
         let weighted = {
+            use em_core::hash::Draws;
             use em_core::ExtVecWriter;
-            use rand::prelude::*;
-            let mut rng = StdRng::seed_from_u64(95);
+            let mut rng = Draws::new(95);
             let mut w: ExtVecWriter<(u64, u64, u64)> = ExtVecWriter::new(device.clone());
             let mut r = g.reader();
             while let Some((a, b)) = r.try_next().unwrap() {
-                w.push((a, b, rng.gen_range(1..1000))).unwrap();
+                w.push((a, b, 1 + rng.below(999))).unwrap();
             }
             w.finish().unwrap()
         };
@@ -152,14 +152,14 @@ pub fn f11_connected_components() {
     for &n in &[20_000u64, 80_000] {
         let device = cfg.ram_disk();
         let weighted = {
+            use em_core::hash::Draws;
             use em_core::ExtVecWriter;
-            use rand::prelude::*;
             let g = gen::random_connected_graph(device.clone(), n, 2 * n, 96).unwrap();
-            let mut rng = StdRng::seed_from_u64(97);
+            let mut rng = Draws::new(97);
             let mut w: ExtVecWriter<(u64, u64, u64)> = ExtVecWriter::new(device.clone());
             let mut r = g.reader();
             while let Some((a, b)) = r.try_next().unwrap() {
-                w.push((a, b, rng.gen_range(1..1_000_000))).unwrap();
+                w.push((a, b, 1 + rng.below(999_999))).unwrap();
             }
             w.finish().unwrap()
         };

@@ -1,10 +1,10 @@
 //! F13 — extendible hashing: O(1) I/Os per op vs the B-tree's log_B N.
 
+use em_core::hash::Draws;
 use em_core::EmConfig;
 use emhash::ExtendibleHash;
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy};
-use rand::prelude::*;
 
 use crate::{fmt, measure, table};
 
@@ -60,12 +60,12 @@ pub fn f13_extendible_hashing() {
         let pool_t = BufferPool::new(device_t.clone(), 4, EvictionPolicy::Lru);
         let tree: BTree<u64, u64> = BTree::bulk_load(pool_t, (0..n).map(|k| (k, k))).unwrap();
 
-        let mut rng = StdRng::seed_from_u64(131);
+        let mut rng = Draws::new(131);
         let trials = 300;
         let mut hash_reads = 0u64;
         let mut tree_reads = 0u64;
         for _ in 0..trials {
-            let k = rng.gen_range(0..n);
+            let k = rng.below(n);
             let (_, d) = measure(&device_h, || h.get(&k).unwrap());
             hash_reads += d.reads();
             let (_, d) = measure(&device_t, || tree.get(&k).unwrap());

@@ -6,9 +6,9 @@
 //! size.  Sweeping `B` exposes the crossover: for tiny blocks the naive
 //! method wins, and the advantage flips as `B` grows.
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVec};
 use emsort::{permute_by_sort, permute_naive, SortConfig};
-use rand::prelude::*;
 
 use crate::{fmt, measure, table};
 
@@ -22,7 +22,7 @@ pub fn f3_permute_crossover() {
         let device = cfg.ram_disk();
         let data: Vec<u64> = (0..n).collect();
         let mut perm: Vec<u64> = (0..n).collect();
-        perm.shuffle(&mut StdRng::seed_from_u64(33));
+        Draws::new(33).shuffle(&mut perm);
         let input = ExtVec::from_slice(device.clone(), &data).unwrap();
         let dest = ExtVec::from_slice(device.clone(), &perm).unwrap();
 

@@ -1,15 +1,15 @@
 //! F1 / F2 / F5 — external sorting experiments.
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVec};
 use emsort::{distribution_sort, merge_sort, RunFormation, SortConfig};
 use pdm::{BlockDevice, Placement};
-use rand::prelude::*;
 
 use crate::{fmt, measure, table};
 
 fn random_input(device: &pdm::SharedDevice, n: u64, seed: u64) -> ExtVec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+    let mut rng = Draws::new(seed);
+    let data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
     ExtVec::from_slice(device.clone(), &data).unwrap()
 }
 

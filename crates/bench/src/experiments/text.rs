@@ -1,9 +1,9 @@
 //! F15 — (extension) external suffix-array construction and search.
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVec};
 use emsort::SortConfig;
 use emtext::{find_occurrences, suffix_array};
-use rand::prelude::*;
 
 use crate::{fmt, measure, table};
 
@@ -14,8 +14,8 @@ pub fn f15_suffix_array() {
     let mut rows = Vec::new();
     for &n in &[50_000usize, 200_000, 800_000] {
         let device = cfg.ram_disk();
-        let mut rng = StdRng::seed_from_u64(150 + n as u64);
-        let text: Vec<u8> = (0..n).map(|_| rng.gen_range(b'a'..=b'f')).collect();
+        let mut rng = Draws::new(150 + n as u64);
+        let text: Vec<u8> = (0..n).map(|_| b'a' + rng.below(6) as u8).collect();
         let tv = ExtVec::from_slice(device.clone(), &text).unwrap();
         let sc = SortConfig::new(m);
         let (sa, d) = measure(&device, || suffix_array(&tv, &sc).unwrap());

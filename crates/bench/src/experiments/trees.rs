@@ -1,9 +1,9 @@
 //! T2 / F6 / F7 / F8 — external data-structure experiments.
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig};
 use emtree::{BTree, BufferTree, ExtPriorityQueue, ExtQueue, ExtStack};
 use pdm::{BufferPool, EvictionPolicy};
-use rand::prelude::*;
 
 use crate::{fmt, measure, table};
 
@@ -22,12 +22,12 @@ pub fn t2_btree_search() {
         let pool = BufferPool::new(device.clone(), 4, EvictionPolicy::Lru); // cold-ish
         let tree: BTree<u64, u64> = BTree::bulk_load(pool, (0..n).map(|k| (k, k))).unwrap();
         let eff_b = tree.leaf_capacity();
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Draws::new(42);
         let mut worst = 0u64;
         let mut total = 0u64;
         let trials = 200;
         for _ in 0..trials {
-            let k = rng.gen_range(0..n);
+            let k = rng.below(n);
             let (v, d) = measure(&device, || tree.get(&k).unwrap());
             assert_eq!(v, Some(k));
             worst = worst.max(d.reads());
@@ -61,14 +61,14 @@ pub fn t2_btree_search() {
         let device = cfg.ram_disk();
         let pool = BufferPool::new(device.clone(), 16, policy);
         let tree: BTree<u64, u64> = BTree::bulk_load(pool.clone(), (0..n).map(|k| (k, k))).unwrap();
-        let mut rng = StdRng::seed_from_u64(43);
+        let mut rng = Draws::new(43);
         let before = device.stats().snapshot();
         for _ in 0..5000 {
             // 90% of lookups in a hot 1% key range.
-            let k = if rng.gen_bool(0.9) {
-                rng.gen_range(0..n / 100)
+            let k = if rng.unit() < 0.9 {
+                rng.below(n / 100)
             } else {
-                rng.gen_range(0..n)
+                rng.below(n)
             };
             tree.get(&k).unwrap();
         }
@@ -98,10 +98,10 @@ pub fn f6_buffer_tree_amortization() {
         let device = cfg.ram_disk();
         let pool = BufferPool::new(device.clone(), 8, EvictionPolicy::Lru);
         let mut bt: BTree<u64, u64> = BTree::new(pool).unwrap();
-        let mut rng = StdRng::seed_from_u64(61);
+        let mut rng = Draws::new(61);
         let (_, d_bt) = measure(&device, || {
             for _ in 0..n {
-                bt.insert(rng.gen(), 0).unwrap();
+                bt.insert(rng.next_u64(), 0).unwrap();
             }
         });
 
@@ -110,10 +110,10 @@ pub fn f6_buffer_tree_amortization() {
         let ev_per_block = bb / 24;
         let m_events = ev_per_block * 64;
         let mut bft: BufferTree<u64, u64> = BufferTree::new(device2.clone(), m_events);
-        let mut rng = StdRng::seed_from_u64(61);
+        let mut rng = Draws::new(61);
         let (_, d_bf) = measure(&device2, || {
             for _ in 0..n {
-                bft.insert(rng.gen(), 0).unwrap();
+                bft.insert(rng.next_u64(), 0).unwrap();
             }
             bft.flush_all().unwrap();
         });
@@ -150,10 +150,10 @@ pub fn f7_priority_queue() {
     for &n in &[50_000u64, 200_000, 800_000] {
         let device = cfg.ram_disk();
         let mut pq: ExtPriorityQueue<u64> = ExtPriorityQueue::new(device.clone(), m).expect("pq");
-        let mut rng = StdRng::seed_from_u64(71);
+        let mut rng = Draws::new(71);
         let (_, d) = measure(&device, || {
             for _ in 0..n {
-                pq.push(rng.gen()).unwrap();
+                pq.push(rng.next_u64()).unwrap();
             }
             for _ in 0..n {
                 pq.pop().unwrap().unwrap();

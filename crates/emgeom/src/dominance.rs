@@ -160,9 +160,9 @@ pub fn dominance_count_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
     use pdm::SharedDevice;
-    use rand::prelude::*;
 
     fn device() -> SharedDevice {
         EmConfig::new(256, 16).ram_disk()
@@ -218,13 +218,10 @@ mod tests {
     #[test]
     fn random_matches_naive() {
         let d = device();
-        let mut rng = StdRng::seed_from_u64(301);
-        let points: Vec<(u64, i64, i64)> = (0..1200)
-            .map(|id| (id, rng.gen_range(-500..500), rng.gen_range(-500..500)))
-            .collect();
-        let queries: Vec<(u64, i64, i64)> = (0..800)
-            .map(|id| (id, rng.gen_range(-500..500), rng.gen_range(-500..500)))
-            .collect();
+        let mut rng = Draws::new(301);
+        let mut coord = || rng.below(1000) as i64 - 500;
+        let points: Vec<(u64, i64, i64)> = (0..1200).map(|id| (id, coord(), coord())).collect();
+        let queries: Vec<(u64, i64, i64)> = (0..800).map(|id| (id, coord(), coord())).collect();
         let pv = pts(&d, &points);
         let qv = pts(&d, &queries);
         let smart = dominance_count(&pv, &qv, &SortConfig::new(96))
@@ -239,13 +236,13 @@ mod tests {
     fn counting_is_output_insensitive() {
         // Unlike reporting, huge answer totals cost nothing extra.
         let d = EmConfig::new(4096, 16).ram_disk();
-        let mut rng = StdRng::seed_from_u64(302);
+        let mut rng = Draws::new(302);
         let n = 50_000u64;
         let points: Vec<Point> = (0..n)
             .map(|id| Point {
                 id,
-                x: rng.gen_range(-1000..1000),
-                y: rng.gen_range(-1000..1000),
+                x: rng.below(2000) as i64 - 1000,
+                y: rng.below(2000) as i64 - 1000,
             })
             .collect();
         // Queries in the top-right corner: each dominates ~all points.

@@ -219,9 +219,9 @@ pub fn batched_range_reporting_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
     use pdm::SharedDevice;
-    use rand::prelude::*;
 
     fn device() -> SharedDevice {
         EmConfig::new(256, 16).ram_disk()
@@ -234,19 +234,22 @@ mod tests {
         span: i64,
         seed: u64,
     ) -> (ExtVec<Point>, ExtVec<Rect>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Draws::new(seed);
         let pts: Vec<Point> = (0..np)
             .map(|id| Point {
                 id,
-                x: rng.gen_range(-span..span),
-                y: rng.gen_range(-span..span),
+                x: -span + rng.below(2 * span as u64) as i64,
+                y: -span + rng.below(2 * span as u64) as i64,
             })
             .collect();
         let qs: Vec<Rect> = (0..nq)
             .map(|id| {
-                let x = rng.gen_range(-span..span);
-                let y = rng.gen_range(-span..span);
-                let (w, h) = (rng.gen_range(0..span / 4), rng.gen_range(0..span / 4));
+                let x = -span + rng.below(2 * span as u64) as i64;
+                let y = -span + rng.below(2 * span as u64) as i64;
+                let (w, h) = (
+                    rng.below((span / 4) as u64) as i64,
+                    rng.below((span / 4) as u64) as i64,
+                );
                 Rect {
                     id,
                     x1: x,

@@ -224,9 +224,9 @@ pub fn segment_intersections_naive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
     use pdm::SharedDevice;
-    use rand::prelude::*;
 
     fn device() -> SharedDevice {
         EmConfig::new(256, 16).ram_disk()
@@ -239,14 +239,14 @@ mod tests {
         span: i64,
         seed: u64,
     ) -> (ExtVec<HSeg>, ExtVec<VSeg>) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Draws::new(seed);
         let hs: Vec<HSeg> = (0..nh)
             .map(|id| {
-                let x = rng.gen_range(-span..span);
-                let len = rng.gen_range(0..span / 2);
+                let x = -span + rng.below(2 * span as u64) as i64;
+                let len = rng.below((span / 2) as u64) as i64;
                 HSeg {
                     id,
-                    y: rng.gen_range(-span..span),
+                    y: -span + rng.below(2 * span as u64) as i64,
                     x1: x,
                     x2: x + len,
                 }
@@ -254,11 +254,11 @@ mod tests {
             .collect();
         let vs: Vec<VSeg> = (0..nv)
             .map(|id| {
-                let y = rng.gen_range(-span..span);
-                let len = rng.gen_range(0..span / 2);
+                let y = -span + rng.below(2 * span as u64) as i64;
+                let len = rng.below((span / 2) as u64) as i64;
                 VSeg {
                     id,
-                    x: rng.gen_range(-span..span),
+                    x: -span + rng.below(2 * span as u64) as i64,
                     y1: y,
                     y2: y + len,
                 }

@@ -205,10 +205,10 @@ mod tests {
     use super::*;
     use crate::{batched_range_reporting, dominance_count, segment_intersections};
     use crate::{HSeg, Point, Rect, VSeg};
+    use em_core::hash::Draws;
     use em_core::EmConfig;
     use emsort::OverlapConfig;
     use pdm::{DiskArray, IoMode, Placement};
-    use rand::prelude::*;
 
     /// Events `(y, x)` whose slabs keep a one-block active list each.
     struct Stripes;
@@ -278,9 +278,9 @@ mod tests {
     /// and that changes no answer and no transfer, on any lane.
     #[test]
     fn overlap_on_two_lanes_moves_no_transfer() {
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Draws::new(5);
         let mut seg = || {
-            let (x, y, len) = (rng.gen_range(0..500i64), rng.gen_range(0..500i64), 40);
+            let (x, y, len) = (rng.below(500) as i64, rng.below(500) as i64, 40);
             (x, y, len)
         };
         let hs: Vec<HSeg> = (0..600)

@@ -40,8 +40,9 @@ impl EulerTour {
 }
 
 /// Build the Euler tour of the tree given by undirected `edges`, rooted at
-/// `root`.  `O(Sort(N))` I/Os.  No edges, a self loop or a root with no
-/// incident edge is [`PdmError::InvalidRequest`].
+/// `root`.  `O(Sort(N))` I/Os.  No edges, a self loop, an edge listed
+/// twice (either way round) or a root with no incident edge is
+/// [`PdmError::InvalidRequest`].
 pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Result<EulerTour> {
     let device = edges.device().clone();
     if edges.is_empty() {
@@ -66,7 +67,8 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
     // 2. Per source group, link the circular order: the successor of arc
     //    (x_i, v) is v's next out-arc after (v, x_i).  Emit keyed by the
     //    *predecessor twin* (x_i, v): records (x_i, v, succ_arc_id).
-    //    Also note the root's first out-arc (the tour head).
+    //    Also note the root's first out-arc (the tour head).  An edge
+    //    listed twice is two equal adjacent arcs in one group.
     let mut head: Option<u64> = None;
     let rel = {
         let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64, u64), b| {
@@ -78,6 +80,9 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
         while let Some((src, dst)) = r.try_next()? {
             match &mut group {
                 Some((gsrc, _first_id, prev_dst)) if *gsrc == src => {
+                    if dst == *prev_dst {
+                        return Err(invalid("the edge list has a duplicated edge"));
+                    }
                     // The arc after (src, prev_dst) in src's circular order
                     // is this one, so it is the tour successor of the twin
                     // arc (prev_dst, src).
@@ -374,6 +379,26 @@ mod tests {
             depths.to_vec().unwrap(),
             vec![(0, 2), (1, 1), (2, 0), (3, 1)]
         );
+    }
+
+    /// An edge listed twice, either way round, fails the tour's linking
+    /// scan (before any list ranking) and frees every block it wrote.
+    #[test]
+    fn a_duplicated_edge_is_refused() {
+        fn refused<T>(r: Result<T>) -> bool {
+            matches!(r, Err(PdmError::InvalidRequest(m)) if m.contains("duplicated edge"))
+        }
+        for twin in [(1u64, 2u64), (2, 1)] {
+            let d = device();
+            let edges =
+                ExtVec::from_slice(d.clone(), &[(0u64, 1u64), (1, 2), twin, (2, 3)]).unwrap();
+            let cfg = SortConfig::new(128);
+            let baseline = d.allocated_blocks();
+            assert!(refused(euler_tour(&edges, 0, &cfg)), "{twin:?}: tour");
+            assert_eq!(d.allocated_blocks(), baseline, "{twin:?}: tour leaked");
+            assert!(refused(tree_depths(&edges, 0, &cfg)), "{twin:?}: depths");
+            assert_eq!(d.allocated_blocks(), baseline, "{twin:?}: depths leaked");
+        }
     }
 
     #[test]

@@ -1,30 +1,14 @@
 //! Deterministic workload generators for lists, trees and graphs.
 //!
-//! Everything is seeded, so tests and experiments are reproducible.  All
-//! generators return external arrays on the caller's device.
+//! Everything is seeded: each generator draws from the workspace's one
+//! splitmix64 stream, [`Draws`], the stream the tests, examples and
+//! experiments draw their own inputs from, so a seed names one input
+//! everywhere.  All generators return external arrays on the caller's
+//! device.
 
 use em_core::{ExtVec, ExtVecWriter};
-use pdm::hash::splitmix;
+use pdm::hash::Draws;
 use pdm::{PdmError, Result, SharedDevice};
-
-/// The splitmix64 stream every generator draws from: each draw adds the
-/// golden-ratio step to the state, then mixes it.
-struct Draws(u64);
-
-impl Draws {
-    /// A draw in `0..n` (`n ≥ 1`).
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        splitmix(self.0) % n
-    }
-
-    /// Fisher–Yates, from the back.
-    fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            items.swap(i, self.below(i as u64 + 1) as usize);
-        }
-    }
-}
 
 /// [`PdmError::InvalidRequest`] unless `n ≥ least`.
 fn at_least(n: u64, least: u64) -> Result<()> {
@@ -53,7 +37,7 @@ fn within_pairs(n: u64, edges: u128) -> Result<()> {
 /// is `u64::MAX`.  `n = 0` is [`PdmError::InvalidRequest`].
 pub fn random_list(device: SharedDevice, n: u64, seed: u64) -> Result<(ExtVec<(u64, u64)>, u64)> {
     at_least(n, 1)?;
-    let mut rng = Draws(seed);
+    let mut rng = Draws::new(seed);
     // Random order of the node ids = positions along the list.
     let mut order: Vec<u64> = (0..n).collect();
     rng.shuffle(&mut order);
@@ -71,7 +55,7 @@ pub fn random_list(device: SharedDevice, n: u64, seed: u64) -> Result<(ExtVec<(u
 /// parent among `0..v`.  `n = 0` is [`PdmError::InvalidRequest`].
 pub fn random_tree(device: SharedDevice, n: u64, seed: u64) -> Result<ExtVec<(u64, u64)>> {
     at_least(n, 1)?;
-    let mut rng = Draws(seed);
+    let mut rng = Draws::new(seed);
     let mut w = ExtVecWriter::new(device);
     for v in 1..n {
         let p = rng.below(v);
@@ -91,7 +75,7 @@ pub fn random_graph(
     seed: u64,
 ) -> Result<ExtVec<(u64, u64)>> {
     at_least(n, 2)?;
-    let mut rng = Draws(seed);
+    let mut rng = Draws::new(seed);
     let target = ((n as f64 * avg_degree) / 2.0) as usize;
     within_pairs(n, target as u128)?;
     let mut edges = std::collections::BTreeSet::new();
@@ -116,7 +100,7 @@ pub fn random_connected_graph(
     seed: u64,
 ) -> Result<ExtVec<(u64, u64)>> {
     within_pairs(n, u128::from(n.saturating_sub(1)) + u128::from(extra_edges))?;
-    let mut rng = Draws(seed);
+    let mut rng = Draws::new(seed);
     let mut edges = std::collections::BTreeSet::new();
     for v in 1..n {
         let p = rng.below(v);
@@ -161,7 +145,7 @@ pub fn planted_components(
     n_each: u64,
     seed: u64,
 ) -> Result<ExtVec<(u64, u64)>> {
-    let mut rng = Draws(seed);
+    let mut rng = Draws::new(seed);
     let mut w = ExtVecWriter::new(device);
     for c in 0..k {
         let base = c * n_each;
@@ -190,7 +174,7 @@ pub fn random_dag(
     deg_in: u64,
     seed: u64,
 ) -> Result<ExtVec<(u64, u64)>> {
-    let mut rng = Draws(seed);
+    let mut rng = Draws::new(seed);
     let mut edges = std::collections::BTreeSet::new();
     for v in 1..n {
         for _ in 0..deg_in {

@@ -189,9 +189,9 @@ fn in_memory_msf(work: &ExtVec<(u64, u64, u64, u64)>) -> Result<Vec<u64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
     use pdm::SharedDevice;
-    use rand::prelude::*;
 
     fn device() -> SharedDevice {
         EmConfig::new(256, 16).ram_disk()
@@ -265,16 +265,16 @@ mod tests {
         let d = device();
         for seed in [171u64, 172, 173] {
             let n = 600u64;
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Draws::new(seed);
             let mut edges = Vec::new();
             for v in 1..n {
-                edges.push((rng.gen_range(0..v), v, rng.gen_range(1..1000)));
+                edges.push((rng.below(v), v, 1 + rng.below(999)));
             }
             for _ in 0..1200 {
-                let a = rng.gen_range(0..n);
-                let b = rng.gen_range(0..n);
+                let a = rng.below(n);
+                let b = rng.below(n);
                 if a != b {
-                    edges.push((a.min(b), a.max(b), rng.gen_range(1..1000)));
+                    edges.push((a.min(b), a.max(b), 1 + rng.below(999)));
                 }
             }
             let g = ExtVec::from_slice(d.clone(), &edges).unwrap();
@@ -298,15 +298,15 @@ mod tests {
     #[test]
     fn duplicate_weights_handled_by_id_tiebreak() {
         let d = device();
-        let mut rng = StdRng::seed_from_u64(174);
+        let mut rng = Draws::new(174);
         let n = 400u64;
         let mut edges = Vec::new();
         for v in 1..n {
-            edges.push((rng.gen_range(0..v), v, 1u64)); // all weights equal
+            edges.push((rng.below(v), v, 1u64)); // all weights equal
         }
         for _ in 0..800 {
-            let a = rng.gen_range(0..n);
-            let b = rng.gen_range(0..n);
+            let a = rng.below(n);
+            let b = rng.below(n);
             if a != b {
                 edges.push((a.min(b), a.max(b), 1));
             }

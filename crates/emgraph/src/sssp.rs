@@ -83,9 +83,9 @@ pub fn sssp(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
     use pdm::SharedDevice;
-    use rand::prelude::*;
 
     fn device() -> SharedDevice {
         EmConfig::new(256, 16).ram_disk()
@@ -120,17 +120,17 @@ mod tests {
     }
 
     fn random_weighted(d: &SharedDevice, n: u64, extra: u64, seed: u64) -> ExtVec<(u64, u64, u64)> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Draws::new(seed);
         let mut edges = Vec::new();
         for v in 1..n {
-            let p = rng.gen_range(0..v);
-            edges.push((p, v, rng.gen_range(1..100)));
+            let p = rng.below(v);
+            edges.push((p, v, 1 + rng.below(99)));
         }
         for _ in 0..extra {
-            let a = rng.gen_range(0..n);
-            let b = rng.gen_range(0..n);
+            let a = rng.below(n);
+            let b = rng.below(n);
             if a != b {
-                edges.push((a.min(b), a.max(b), rng.gen_range(1..100)));
+                edges.push((a.min(b), a.max(b), 1 + rng.below(99)));
             }
         }
         ExtVec::from_slice(d.clone(), &edges).unwrap()

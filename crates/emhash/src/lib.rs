@@ -291,9 +291,9 @@ impl<K: Record + Eq, V: Record> ExtendibleHash<K, V> {
 mod tests {
     use super::*;
     use em_core::hash::splitmix;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
     use pdm::EvictionPolicy;
-    use rand::prelude::*;
     use std::collections::HashMap;
 
     fn pool(block_bytes: usize, frames: usize) -> Arc<BufferPool> {
@@ -332,10 +332,10 @@ mod tests {
     fn grows_and_matches_hashmap() {
         let mut h: ExtendibleHash<u64, u64> = ExtendibleHash::new(pool(128, 32)).unwrap();
         let mut model = HashMap::new();
-        let mut rng = StdRng::seed_from_u64(151);
+        let mut rng = Draws::new(151);
         for _ in 0..20_000 {
-            let k = rng.gen_range(0..5000u64);
-            let v = rng.gen();
+            let k = rng.below(5000);
+            let v = rng.next_u64();
             assert_eq!(h.insert(k, v).unwrap(), model.insert(k, v));
         }
         assert_eq!(h.len() as usize, model.len());
@@ -354,11 +354,11 @@ mod tests {
     fn mixed_inserts_and_removes_match_model() {
         let mut h: ExtendibleHash<u64, u64> = ExtendibleHash::new(pool(128, 32)).unwrap();
         let mut model = HashMap::new();
-        let mut rng = StdRng::seed_from_u64(153);
+        let mut rng = Draws::new(153);
         for _ in 0..30_000 {
-            let k = rng.gen_range(0..2000u64);
-            if rng.gen_bool(0.65) {
-                let v = rng.gen();
+            let k = rng.below(2000);
+            if rng.unit() < 0.65 {
+                let v = rng.next_u64();
                 assert_eq!(h.insert(k, v).unwrap(), model.insert(k, v));
             } else {
                 assert_eq!(h.remove(&k).unwrap(), model.remove(&k));
@@ -377,9 +377,9 @@ mod tests {
         for k in 0..5000u64 {
             h.insert(k, k).unwrap();
         }
-        let mut rng = StdRng::seed_from_u64(155);
+        let mut rng = Draws::new(155);
         for _ in 0..100 {
-            let k = rng.gen_range(0..5000u64);
+            let k = rng.below(5000);
             let before = device.stats().snapshot();
             assert_eq!(h.get(&k).unwrap(), Some(k));
             let d = device.stats().snapshot().since(&before);

@@ -50,9 +50,9 @@ mod tests {
     //! The relational API end to end, through the crate root's re-exports:
     //! each query is a pipeline of the operators the planner prices.
     use super::*;
+    use em_core::hash::Draws;
     use em_core::{EmConfig, ExtVec};
     use pdm::{Result, SharedDevice};
-    use rand::prelude::*;
 
     fn device() -> SharedDevice {
         EmConfig::new(256, 16).ram_disk()
@@ -103,8 +103,8 @@ mod tests {
     #[test]
     fn distinct_removes_duplicates() {
         let d = device();
-        let mut rng = StdRng::seed_from_u64(201);
-        let data: Vec<u64> = (0..5000).map(|_| rng.gen_range(0..100)).collect();
+        let mut rng = Draws::new(201);
+        let data: Vec<u64> = (0..5000).map(|_| rng.below(100)).collect();
         let rel = ExtVec::from_slice(d.clone(), &data).unwrap();
         // Keyed on the whole record, a hash group-by is duplicate elimination.
         let mut scan = ScanExec::new(&rel);
@@ -130,10 +130,8 @@ mod tests {
     #[test]
     fn group_aggregate_sums() {
         let d = device();
-        let mut rng = StdRng::seed_from_u64(202);
-        let data: Vec<(u64, u64)> = (0..8000)
-            .map(|_| (rng.gen_range(0..50), rng.gen_range(0..10)))
-            .collect();
+        let mut rng = Draws::new(202);
+        let data: Vec<(u64, u64)> = (0..8000).map(|_| (rng.below(50), rng.below(10))).collect();
         let rel = ExtVec::from_slice(d.clone(), &data).unwrap();
         // (key, sum, count) per group, in key order.
         let got = sort_scan(
@@ -171,11 +169,9 @@ mod tests {
     #[test]
     fn join_matches_nested_loop_reference() {
         let d = device();
-        let mut rng = StdRng::seed_from_u64(203);
-        let left: Vec<(u64, u64)> = (0..2000).map(|i| (rng.gen_range(0..300), i)).collect();
-        let right: Vec<(u64, u64)> = (0..1500)
-            .map(|i| (rng.gen_range(0..300), i + 10_000))
-            .collect();
+        let mut rng = Draws::new(203);
+        let left: Vec<(u64, u64)> = (0..2000).map(|i| (rng.below(300), i)).collect();
+        let right: Vec<(u64, u64)> = (0..1500).map(|i| (rng.below(300), i + 10_000)).collect();
         let lv = ExtVec::from_slice(d.clone(), &left).unwrap();
         let rv = ExtVec::from_slice(d, &right).unwrap();
         let mut got = merge_join(&lv, &rv, &cfg()).unwrap().to_vec().unwrap();
@@ -204,10 +200,10 @@ mod tests {
     #[test]
     fn join_io_is_sort_bound_not_quadratic() {
         let d = EmConfig::new(4096, 16).ram_disk();
-        let mut rng = StdRng::seed_from_u64(205);
+        let mut rng = Draws::new(205);
         let n = 50_000u64;
-        let left: Vec<(u64, u64)> = (0..n).map(|i| (rng.gen_range(0..n), i)).collect();
-        let right: Vec<(u64, u64)> = (0..n).map(|i| (rng.gen_range(0..n), i)).collect();
+        let left: Vec<(u64, u64)> = (0..n).map(|i| (rng.below(n), i)).collect();
+        let right: Vec<(u64, u64)> = (0..n).map(|i| (rng.below(n), i)).collect();
         let lv = ExtVec::from_slice(d.clone(), &left).unwrap();
         let rv = ExtVec::from_slice(d.clone(), &right).unwrap();
         let before = d.stats().snapshot();

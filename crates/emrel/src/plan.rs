@@ -32,7 +32,7 @@
 
 use crate::exec::{KeyId, Order};
 use em_core::bounds;
-use emsort::check_fan_out;
+use emsort::{check_fan_out, SortConfig};
 
 /// Arrival-ordered level-0 key hashes of a stream — the statistic the hash
 /// operators' exact cost replays consume (`hash_group_exact_ios` /
@@ -84,13 +84,11 @@ impl CostEnv {
         records.div_ceil(self.per_block(rec_bytes) as u64) * self.stripe
     }
 
-    /// The merge fan-in a sort of `rec_bytes`-byte records uses — the same
-    /// arithmetic as
-    /// [`SortConfig::effective_fan_in`](emsort::SortConfig::effective_fan_in).
+    /// The merge fan-in a sort of `rec_bytes`-byte records uses: the
+    /// executor's own rule, [`SortConfig::effective_fan_in`], so the
+    /// planner and the executor cannot drift apart.
     pub fn fan_in(&self, rec_bytes: usize) -> usize {
-        (self.mem_records / self.per_block(rec_bytes))
-            .saturating_sub(1)
-            .max(2)
+        SortConfig::new(self.mem_records).effective_fan_in(self.per_block(rec_bytes))
     }
 }
 

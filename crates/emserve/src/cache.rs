@@ -374,6 +374,7 @@ impl<V: Clone> HotCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use std::collections::BTreeMap;
 
     /// A cache of `slots` slots.
@@ -485,10 +486,10 @@ mod tests {
     const WARMUP: usize = 2_000;
     const GETS: usize = 20_000;
 
-    /// Zipf(0.99) popularity ranks from a seeded splitmix stream.
+    /// Zipf(0.99) popularity ranks from a seeded stream.
     struct Zipf {
         cdf: Vec<f64>,
-        state: u64,
+        draws: Draws,
     }
 
     impl Zipf {
@@ -500,12 +501,14 @@ mod tests {
                 cdf.push(acc);
             }
             cdf.iter_mut().for_each(|c| *c /= acc);
-            Zipf { cdf, state: seed }
+            Zipf {
+                cdf,
+                draws: Draws::new(seed),
+            }
         }
 
         fn rank(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let u = (pdm::hash::splitmix(self.state) >> 11) as f64 / (1u64 << 53) as f64;
+            let u = self.draws.unit();
             (self.cdf.partition_point(|&c| c <= u) as u64).min(KEYS - 1)
         }
     }

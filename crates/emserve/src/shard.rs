@@ -1226,23 +1226,23 @@ mod tests {
     /// them), and writes each new node once.
     #[test]
     fn a_compaction_reads_only_the_old_nodes_the_pool_does_not_hold() {
+        use em_core::hash::Draws;
         use pdm::{Journal, RamDisk};
-        use rand::prelude::*;
         let journal = Journal::format(RamDisk::new(1024) as SharedDevice).unwrap();
         let dev = journal.inner().clone();
         let mut s: Shard<u64, u64> = Shard::with_journal(journal, 16, 0, 1_536).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Draws::new(1);
         let (mut seen, mut model) = (Vec::new(), BTreeMap::new());
         let mut ledger = Vec::new();
         for round in 0..220u64 {
             let mut writes = Vec::new();
             for _ in 0..29 {
-                let (key, value) = (rng.gen_range(0..50_000u64), rng.gen::<u64>());
+                let (key, value) = (rng.below(50_000), rng.next_u64());
                 seen.push(key);
                 writes.push((key, Some(value)));
             }
             for _ in 0..3 {
-                writes.push((seen[rng.gen_range(0..seen.len())], None));
+                writes.push((seen[rng.below(seen.len() as u64) as usize], None));
             }
             for (i, &(key, op)) in writes.iter().enumerate() {
                 s.enqueue(0, round * 32 + i as u64, key, op);
@@ -1271,9 +1271,9 @@ mod tests {
             }
             for g in 0..3 {
                 let key = if g % 2 == 0 {
-                    writes[rng.gen_range(0..writes.len())].0
+                    writes[rng.below(writes.len() as u64) as usize].0
                 } else {
-                    rng.gen_range(0..50_000u64)
+                    rng.below(50_000)
                 };
                 assert_eq!(s.get(0, &key).unwrap(), model.get(&key).copied());
             }
@@ -1688,8 +1688,8 @@ mod tests {
 
     #[test]
     fn gets_agree_with_a_model_across_compactions_and_a_recovery() {
+        use em_core::hash::Draws;
         use pdm::{Journal, RamDisk};
-        use rand::prelude::*;
         // Writes draw keys from 0..1 000 and gets from 0..2 000, so at
         // least half the gets ask for a key the shard does not hold.
         const KEYS: u64 = 1_000;
@@ -1698,7 +1698,7 @@ mod tests {
         let headers = journal.header_blocks().unwrap();
         let mut s: Shard<u64, u64> = Shard::with_journal(journal, 16, 0, 200).unwrap();
         let mut model = BTreeMap::new();
-        let mut rng = StdRng::seed_from_u64(31);
+        let mut rng = Draws::new(31);
         let (mut compactions, mut gets, mut absent) = ([0usize; 2], 0, 0);
         for round in 0..120u64 {
             if round == 60 {
@@ -1710,8 +1710,8 @@ mod tests {
                 assert!(s.tree_of(0).filter.is_none());
             }
             for i in 0..20 {
-                let key = rng.gen_range(0..KEYS);
-                let op = rng.gen_bool(0.7).then_some(round * 100 + i);
+                let key = rng.below(KEYS);
+                let op = (rng.unit() < 0.7).then_some(round * 100 + i);
                 s.enqueue(0, round * 100 + i, key, op);
                 match op {
                     Some(v) => model.insert(key, v),
@@ -1721,7 +1721,7 @@ mod tests {
             s.flush_batch(|_, _| {}).unwrap();
             compactions[usize::from(round >= 60)] += usize::from(s.maybe_compact().unwrap());
             for _ in 0..20 {
-                let key = rng.gen_range(0..2 * KEYS);
+                let key = rng.below(2 * KEYS);
                 let want = model.get(&key).copied();
                 absent += usize::from(want.is_none());
                 gets += 1;
@@ -1908,7 +1908,7 @@ mod tests {
     /// most its cap: the tenant rule.
     #[test]
     fn two_shards_keep_the_frame_and_tenant_rules_across_compactions() {
-        use rand::prelude::*;
+        use em_core::hash::Draws;
         const FRAMES: usize = 6;
         const CAP: usize = 40;
         for seed in 0..4u64 {
@@ -1933,15 +1933,15 @@ mod tests {
                 s.flush_batch(|_, _| {}).unwrap();
                 s.compact().unwrap();
             }
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Draws::new(seed);
             let (mut full_slots, mut full_budgets) = (0, [false; 2]);
             let (mut kept, mut kept_in_slots) = (0, 0);
             for step in 0..1_500u64 {
                 // Skewed, so that hot keys are read, cached and written again.
-                let x = rng.gen_range(0..1_300u64);
-                let (tenant, key) = (rng.gen_range(0..2u32), x * x / 1_300);
+                let x = rng.below(1_300);
+                let (tenant, key) = (rng.below(2) as u32, x * x / 1_300);
                 let s = &mut shards[route(tenant, key)];
-                match rng.gen_range(0..20u32) {
+                match rng.below(20) {
                     0..=14 => {
                         let want = model.get(&(tenant, key)).copied();
                         assert_eq!(s.get(tenant, &key).unwrap(), want, "step {step}");

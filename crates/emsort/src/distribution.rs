@@ -221,8 +221,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::{bounds, EmConfig};
-    use rand::prelude::*;
 
     fn device_b8() -> pdm::SharedDevice {
         EmConfig::new(64, 8).ram_disk()
@@ -239,8 +239,8 @@ mod tests {
 
     #[test]
     fn sorts_random_input() {
-        let mut rng = StdRng::seed_from_u64(11);
-        check_sort((0..5000).map(|_| rng.gen()).collect(), 64);
+        let mut rng = Draws::new(11);
+        check_sort((0..5000).map(|_| rng.next_u64()).collect(), 64);
     }
 
     #[test]
@@ -251,8 +251,8 @@ mod tests {
 
     #[test]
     fn duplicate_heavy_terminates() {
-        let mut rng = StdRng::seed_from_u64(12);
-        check_sort((0..4000).map(|_| rng.gen_range(0..3)).collect(), 64);
+        let mut rng = Draws::new(12);
+        check_sort((0..4000).map(|_| rng.below(3)).collect(), 64);
     }
 
     /// Five blocks of memory cannot partition: a typed error, nothing
@@ -302,8 +302,8 @@ mod tests {
     #[test]
     fn custom_comparator() {
         let device = device_b8();
-        let mut rng = StdRng::seed_from_u64(13);
-        let data: Vec<u64> = (0..2000).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(13);
+        let data: Vec<u64> = (0..2000).map(|_| rng.next_u64()).collect();
         let input = ExtVec::from_slice(device, &data).unwrap();
         let out = distribution_sort_by(&input, &SortConfig::new(64), |a, b| a > b).unwrap();
         let mut expect = data;
@@ -314,11 +314,11 @@ mod tests {
     #[test]
     fn io_within_constant_of_sort_bound() {
         let device = device_b8();
-        let mut rng = StdRng::seed_from_u64(14);
+        let mut rng = Draws::new(14);
         let n = 20_000u64;
         let m = 128usize;
         let b = 8usize;
-        let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+        let data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
         let input = ExtVec::from_slice(device.clone(), &data).unwrap();
         let before = device.stats().snapshot();
         let out = distribution_sort(&input, &SortConfig::new(m)).unwrap();
@@ -336,8 +336,8 @@ mod tests {
     #[test]
     fn temporaries_are_freed() {
         let device = device_b8();
-        let mut rng = StdRng::seed_from_u64(15);
-        let data: Vec<u64> = (0..5000).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(15);
+        let data: Vec<u64> = (0..5000).map(|_| rng.next_u64()).collect();
         let input = ExtVec::from_slice(device.clone(), &data).unwrap();
         let before = device.allocated_blocks();
         let out = distribution_sort(&input, &SortConfig::new(64)).unwrap();
@@ -363,8 +363,8 @@ mod tests {
     fn overlap_preserves_output_and_transfer_counts() {
         use crate::OverlapConfig;
 
-        let mut rng = StdRng::seed_from_u64(17);
-        let data: Vec<u64> = (0..6000).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(17);
+        let data: Vec<u64> = (0..6000).map(|_| rng.next_u64()).collect();
 
         let run = |ov: OverlapConfig| {
             let device = device_b8();
@@ -392,8 +392,8 @@ mod tests {
     /// `with_fan_in(7)` does.
     #[test]
     fn an_oversized_fan_in_override_is_clamped_to_memory() {
-        let mut rng = StdRng::seed_from_u64(18);
-        let data: Vec<u64> = (0..2000).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(18);
+        let data: Vec<u64> = (0..2000).map(|_| rng.next_u64()).collect();
         let run = |k: usize| {
             let device = device_b8();
             let input = ExtVec::from_slice(device.clone(), &data).unwrap();
@@ -413,8 +413,8 @@ mod tests {
     fn fan_in_override_narrows_partitions() {
         // With fan_in 3 → P = 1 pivot per level; still sorts correctly.
         let device = device_b8();
-        let mut rng = StdRng::seed_from_u64(16);
-        let data: Vec<u64> = (0..3000).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(16);
+        let data: Vec<u64> = (0..3000).map(|_| rng.next_u64()).collect();
         let input = ExtVec::from_slice(device, &data).unwrap();
         let out = distribution_sort_by(&input, &SortConfig::new(64).with_fan_in(3), |a, b| a < b)
             .unwrap();

@@ -96,7 +96,7 @@ impl<T, F: FnMut(&T, &T) -> bool> MinHeap<T, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::prelude::*;
+    use em_core::hash::Draws;
 
     #[test]
     fn drains_in_order() {
@@ -137,9 +137,9 @@ mod tests {
 
     #[test]
     fn randomized_against_sorted_vec() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Draws::new(7);
         for _ in 0..20 {
-            let mut v: Vec<u32> = (0..200).map(|_| rng.gen_range(0..1000)).collect();
+            let mut v: Vec<u32> = (0..200).map(|_| rng.below(1000) as u32).collect();
             let mut h = MinHeap::with_capacity(v.len(), |a: &u32, b: &u32| a < b);
             for &x in &v {
                 h.push(x);

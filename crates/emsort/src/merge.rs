@@ -1013,16 +1013,16 @@ impl<R: Record, F: Fn(&R, &R) -> bool + Copy> SortedStream<'_, R, F> {
 mod tests {
     use super::*;
     use crate::RunFormation;
+    use em_core::hash::Draws;
     use em_core::{bounds, EmConfig};
-    use rand::prelude::*;
 
     fn device_b8() -> pdm::SharedDevice {
         EmConfig::new(64, 8).ram_disk() // B = 8 u64 records per block
     }
 
     fn random_input(device: &pdm::SharedDevice, n: u64, seed: u64) -> (ExtVec<u64>, Vec<u64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(seed);
+        let data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
         (ExtVec::from_slice(device.clone(), &data).unwrap(), data)
     }
 
@@ -1063,8 +1063,8 @@ mod tests {
     #[test]
     fn duplicate_heavy_input() {
         let device = device_b8();
-        let mut rng = StdRng::seed_from_u64(3);
-        let data: Vec<u64> = (0..3000).map(|_| rng.gen_range(0..4)).collect();
+        let mut rng = Draws::new(3);
+        let data: Vec<u64> = (0..3000).map(|_| rng.below(4)).collect();
         let input = ExtVec::from_slice(device, &data).unwrap();
         let out = merge_sort(&input, &SortConfig::new(48)).unwrap();
         let mut expect = data.clone();
@@ -1166,10 +1166,8 @@ mod tests {
     #[test]
     fn sorts_tuples_by_key() {
         let device = EmConfig::new(64, 8).ram_disk();
-        let mut rng = StdRng::seed_from_u64(8);
-        let data: Vec<(u64, u64)> = (0..1000u64)
-            .map(|i| (rng.gen_range(0..100u64), i))
-            .collect();
+        let mut rng = Draws::new(8);
+        let data: Vec<(u64, u64)> = (0..1000u64).map(|i| (rng.below(100), i)).collect();
         let input = ExtVec::from_slice(device, &data).unwrap();
         let out = merge_sort_by(&input, &SortConfig::new(64), |a, b| a.0 < b.0).unwrap();
         let v = out.to_vec().unwrap();
@@ -1272,8 +1270,8 @@ mod tests {
         // Key-only comparator over (key, seq) pairs: the fused writer must
         // order ties exactly as the materialize-then-sort pipeline does.
         let device = device_b8();
-        let mut rng = StdRng::seed_from_u64(46);
-        let data: Vec<(u64, u64)> = (0..3000u64).map(|i| (rng.gen_range(0..8u64), i)).collect();
+        let mut rng = Draws::new(46);
+        let data: Vec<(u64, u64)> = (0..3000u64).map(|i| (rng.below(8), i)).collect();
         let less = |a: &(u64, u64), b: &(u64, u64)| a.0 < b.0;
         let cfg = SortConfig::new(64);
         let mut fused = SortingWriter::new(device.clone(), &cfg, less);
@@ -1291,8 +1289,8 @@ mod tests {
     #[test]
     fn sorting_writer_fuses_both_ends_of_the_sort() {
         let device = device_b8();
-        let mut rng = StdRng::seed_from_u64(47);
-        let data: Vec<u64> = (0..6000u64).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(47);
+        let data: Vec<u64> = (0..6000u64).map(|_| rng.next_u64()).collect();
         let mut expect = data.clone();
         expect.sort_unstable();
         let cfg = SortConfig::new(64);
@@ -1626,13 +1624,13 @@ mod tests {
 
     #[test]
     fn random_runs_match_sorted_reference() {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Draws::new(11);
         for trial in 0..50 {
-            let k: usize = rng.gen_range(1..10);
+            let k: usize = 1 + rng.below(9) as usize;
             let runs: Vec<Vec<u32>> = (0..k)
                 .map(|_| {
-                    let len = rng.gen_range(0..40);
-                    let mut v: Vec<u32> = (0..len).map(|_| rng.gen_range(0..100)).collect();
+                    let len = rng.below(40);
+                    let mut v: Vec<u32> = (0..len).map(|_| rng.below(100) as u32).collect();
                     v.sort_unstable();
                     v
                 })
@@ -1649,11 +1647,11 @@ mod tests {
     /// holds every batch's records), and two interleaved runs (every record
     /// changes run).
     fn assert_comparator_calls_per_record(b: usize, ceilings: [f64; 3]) {
-        let mut rng = StdRng::seed_from_u64(16);
+        let mut rng = Draws::new(16);
         let len = (64 << 10) / 31;
         let random = (0..31)
             .map(|_| {
-                let mut run: Vec<u64> = (0..len).map(|_| rng.gen()).collect();
+                let mut run: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
                 run.sort_unstable();
                 run
             })
@@ -1704,11 +1702,11 @@ mod tests {
     #[test]
     fn a_drained_merge_takes_batches_across_block_ends() {
         let (k, b) = (31, 512);
-        let mut rng = StdRng::seed_from_u64(20);
+        let mut rng = Draws::new(20);
         let device = EmConfig::new(b * 8, 4).ram_disk();
         let runs: Vec<ExtVec<u64>> = (0..k)
             .map(|_| {
-                let mut run: Vec<u64> = (0..32 * b).map(|_| rng.gen()).collect();
+                let mut run: Vec<u64> = (0..32 * b).map(|_| rng.next_u64()).collect();
                 run.sort_unstable();
                 ExtVec::from_slice(device.clone(), &run).unwrap()
             })
@@ -1770,12 +1768,12 @@ mod tests {
 mod multi_disk_tests {
     use super::*;
     use crate::SortConfig;
+    use em_core::hash::Draws;
     use pdm::{BlockDevice, DiskArray, FileDisk, Placement, SharedDevice};
-    use rand::prelude::*;
 
     fn random_input(device: &SharedDevice, n: u64, seed: u64) -> (ExtVec<u64>, Vec<u64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(seed);
+        let data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
         (ExtVec::from_slice(device.clone(), &data).unwrap(), data)
     }
 

@@ -137,17 +137,17 @@ pub(crate) fn place_by_destination<R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::{bounds, EmConfig};
-    use rand::prelude::*;
 
     fn device_b8() -> pdm::SharedDevice {
         EmConfig::new(64, 8).ram_disk()
     }
 
     fn random_perm(n: u64, seed: u64) -> Vec<u64> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Draws::new(seed);
         let mut p: Vec<u64> = (0..n).collect();
-        p.shuffle(&mut rng);
+        rng.shuffle(&mut p);
         p
     }
 

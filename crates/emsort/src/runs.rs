@@ -319,14 +319,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
-    use rand::prelude::*;
 
     fn setup(n: u64) -> (ExtVec<u64>, Vec<u64>) {
         let cfg = EmConfig::new(64, 8); // B = 8 u64s
         let device = cfg.ram_disk();
-        let mut rng = StdRng::seed_from_u64(42);
-        let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1_000_000)).collect();
+        let mut rng = Draws::new(42);
+        let data: Vec<u64> = (0..n).map(|_| rng.below(1_000_000)).collect();
         (ExtVec::from_slice(device, &data).unwrap(), data)
     }
 
@@ -361,8 +361,8 @@ mod tests {
         for (d, ov, rf, sorted, runs, high_water) in pins {
             let case = format!("D = {d}, {ov:?}, {rf:?}, sorted {sorted}");
             let device = DiskArray::new_ram_with(d, 64, Placement::Independent, IoMode::Overlapped);
-            let mut rng = StdRng::seed_from_u64(48);
-            let mut data: Vec<u64> = (0..300).map(|_| rng.gen()).collect();
+            let mut rng = Draws::new(48);
+            let mut data: Vec<u64> = (0..300).map(|_| rng.next_u64()).collect();
             if sorted {
                 data.sort_unstable();
             }
@@ -662,10 +662,10 @@ mod tests {
     fn sorted_chunk_comparator_calls_per_record() {
         let device = EmConfig::new(64, 8).ram_disk();
         let n = 16 * 1024u64;
-        let mut rng = StdRng::seed_from_u64(19);
+        let mut rng = Draws::new(19);
         let shapes: [(&str, Vec<u64>, f64); 3] = [
             // 2·⌈log₂ n⌉: a merge sort's comparisons, both ways round.
-            ("random", (0..n).map(|_| rng.gen()).collect(), 28.0),
+            ("random", (0..n).map(|_| rng.next_u64()).collect(), 28.0),
             // One run-detection comparison per record, two calls each.
             ("presorted", (0..n).collect(), 2.1),
             ("reverse-sorted", (0..n).rev().collect(), 2.1),

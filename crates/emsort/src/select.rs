@@ -104,8 +104,8 @@ pub fn median<R: Record + Ord>(input: &ExtVec<R>, cfg: &SortConfig) -> Result<R>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::{bounds, EmConfig};
-    use rand::prelude::*;
 
     fn device() -> pdm::SharedDevice {
         EmConfig::new(128, 8).ram_disk()
@@ -131,8 +131,8 @@ mod tests {
     #[test]
     fn selects_on_large_random_input() {
         let d = device();
-        let mut rng = StdRng::seed_from_u64(9);
-        let data: Vec<u64> = (0..20_000).map(|_| rng.gen_range(0..1_000_000)).collect();
+        let mut rng = Draws::new(9);
+        let data: Vec<u64> = (0..20_000).map(|_| rng.below(1_000_000)).collect();
         let input = ExtVec::from_slice(d, &data).unwrap();
         let mut sorted = data.clone();
         sorted.sort_unstable();
@@ -160,9 +160,9 @@ mod tests {
     #[test]
     fn median_of_shuffled_range() {
         let d = device();
-        let mut rng = StdRng::seed_from_u64(10);
+        let mut rng = Draws::new(10);
         let mut data: Vec<u64> = (0..5001).collect();
-        data.shuffle(&mut rng);
+        rng.shuffle(&mut data);
         let input = ExtVec::from_slice(d, &data).unwrap();
         assert_eq!(median(&input, &SortConfig::new(64)).unwrap(), 2500);
     }
@@ -182,9 +182,9 @@ mod tests {
     #[test]
     fn io_is_linear_not_sort() {
         let d = EmConfig::new(4096, 16).ram_disk();
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Draws::new(11);
         let n = 200_000u64;
-        let data: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+        let data: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
         let input = ExtVec::from_slice(d.clone(), &data).unwrap();
         let cfg = SortConfig::new(8192);
         let before = d.stats().snapshot();
@@ -204,8 +204,8 @@ mod tests {
     #[test]
     fn temporaries_freed() {
         let d = device();
-        let mut rng = StdRng::seed_from_u64(12);
-        let data: Vec<u64> = (0..5000).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(12);
+        let data: Vec<u64> = (0..5000).map(|_| rng.next_u64()).collect();
         let input = ExtVec::from_slice(d.clone(), &data).unwrap();
         let before = d.allocated_blocks();
         select(&input, 2500, &SortConfig::new(64)).unwrap();

@@ -201,9 +201,9 @@ pub fn find_occurrences(text: &ExtVec<u8>, sa: &ExtVec<u64>, pattern: &[u8]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
     use pdm::SharedDevice;
-    use rand::prelude::*;
 
     fn device() -> SharedDevice {
         EmConfig::new(256, 16).ram_disk()
@@ -247,17 +247,17 @@ mod tests {
 
     #[test]
     fn random_texts_small_alphabet() {
-        let mut rng = StdRng::seed_from_u64(191);
+        let mut rng = Draws::new(191);
         for len in [50usize, 500, 3000] {
-            let text: Vec<u8> = (0..len).map(|_| rng.gen_range(b'a'..=b'd')).collect();
+            let text: Vec<u8> = (0..len).map(|_| b'a' + rng.below(4) as u8).collect();
             check(&text);
         }
     }
 
     #[test]
     fn random_binary_data() {
-        let mut rng = StdRng::seed_from_u64(192);
-        let text: Vec<u8> = (0..2000).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(192);
+        let text: Vec<u8> = (0..2000).map(|_| rng.next_u64() as u8).collect();
         check(&text);
     }
 
@@ -292,12 +292,12 @@ mod tests {
     #[test]
     fn search_matches_naive_scan_on_random_text() {
         let d = device();
-        let mut rng = StdRng::seed_from_u64(193);
-        let text: Vec<u8> = (0..4000).map(|_| rng.gen_range(b'a'..=b'c')).collect();
+        let mut rng = Draws::new(193);
+        let text: Vec<u8> = (0..4000).map(|_| b'a' + rng.below(3) as u8).collect();
         let tv = ExtVec::from_slice(d, &text).unwrap();
         let sa = suffix_array(&tv, &SortConfig::new(512)).unwrap();
         for plen in [1usize, 2, 4, 7] {
-            let start = rng.gen_range(0..text.len() - plen);
+            let start = rng.below((text.len() - plen) as u64) as usize;
             let pattern = &text[start..start + plen];
             let got = find_occurrences(&tv, &sa, pattern).unwrap();
             let expect: Vec<u64> = (0..=text.len() - plen)
@@ -325,9 +325,9 @@ mod tests {
     #[test]
     fn io_scales_with_sort_log() {
         let d = EmConfig::new(4096, 16).ram_disk();
-        let mut rng = StdRng::seed_from_u64(194);
+        let mut rng = Draws::new(194);
         let n = 100_000usize;
-        let text: Vec<u8> = (0..n).map(|_| rng.gen_range(b'a'..=b'z')).collect();
+        let text: Vec<u8> = (0..n).map(|_| b'a' + rng.below(26) as u8).collect();
         let tv = ExtVec::from_slice(d.clone(), &text).unwrap();
         let before = d.stats().snapshot();
         let sa = suffix_array(&tv, &SortConfig::new(16_384)).unwrap();

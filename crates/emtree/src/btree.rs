@@ -1156,9 +1156,9 @@ impl<K: Record + Ord, V: Record> BTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
     use pdm::EvictionPolicy;
-    use rand::prelude::*;
     use std::collections::BTreeMap;
 
     fn pool(block_bytes: usize, frames: usize) -> Arc<BufferPool> {
@@ -1186,10 +1186,10 @@ mod tests {
     fn many_inserts_match_model() {
         let mut t: BTree<u64, u64> = BTree::new(pool(128, 16)).unwrap();
         let mut model = BTreeMap::new();
-        let mut rng = StdRng::seed_from_u64(41);
+        let mut rng = Draws::new(41);
         for _ in 0..3000 {
-            let k = rng.gen_range(0..1000u64);
-            let v = rng.gen();
+            let k = rng.below(1000);
+            let v = rng.next_u64();
             assert_eq!(t.insert(k, v).unwrap(), model.insert(k, v));
         }
         t.check_invariants().unwrap();
@@ -1203,15 +1203,15 @@ mod tests {
     fn deletes_match_model_with_rebalancing() {
         let mut t: BTree<u64, u64> = BTree::new(pool(128, 16)).unwrap();
         let mut model = BTreeMap::new();
-        let mut rng = StdRng::seed_from_u64(43);
+        let mut rng = Draws::new(43);
         for _ in 0..2000 {
-            let k = rng.gen_range(0..500u64);
-            let v = rng.gen();
+            let k = rng.below(500);
+            let v = rng.next_u64();
             t.insert(k, v).unwrap();
             model.insert(k, v);
         }
         for _ in 0..3000 {
-            let k = rng.gen_range(0..500u64);
+            let k = rng.below(500);
             assert_eq!(t.remove(&k).unwrap(), model.remove(&k), "remove {k}");
         }
         t.check_invariants().unwrap();
@@ -1298,12 +1298,12 @@ mod tests {
         let mut t = BTree::bulk_load(pool(128, 16), model.iter().map(|(&k, &v)| (k, v))).unwrap();
         // A batch mixing overwrites, fresh inserts, real deletes, and
         // deletes of absent keys.
-        let mut rng = StdRng::seed_from_u64(77);
+        let mut rng = Draws::new(77);
         let mut batch: BTreeMap<u64, Option<u64>> = BTreeMap::new();
         for _ in 0..800 {
-            let k = rng.gen_range(0..5000u64);
-            if rng.gen_bool(0.6) {
-                batch.insert(k, Some(rng.gen()));
+            let k = rng.below(5000);
+            if rng.unit() < 0.6 {
+                batch.insert(k, Some(rng.next_u64()));
             } else {
                 batch.insert(k, None);
             }
@@ -1506,7 +1506,7 @@ mod tests {
     /// checked after each removal.
     #[test]
     fn packed_builds_keep_every_node_above_removes_bound() {
-        let mut rng = StdRng::seed_from_u64(27);
+        let mut rng = Draws::new(27);
         for leaves in 1..=72u64 {
             let n = (leaves - 1) * 7 + 1 + leaves % 7;
             let bulk = BTree::bulk_load(pool(128, 16), (0..n).map(|k| (k * 2, k))).unwrap();
@@ -1530,7 +1530,7 @@ mod tests {
                     .iter()
                     .map(|p| p.0)
                     .collect();
-                keys.shuffle(&mut rng);
+                rng.shuffle(&mut keys);
                 for k in keys {
                     assert!(t.remove(&k).unwrap().is_some());
                     t.check_invariants().unwrap();
@@ -1575,9 +1575,9 @@ mod tests {
         let t = BTree::bulk_load(pool(128, frames), (0..n).map(|k| (2 * k, k))).unwrap();
         t.pool().flush().unwrap();
         t.pool().set_limit(warm_limit);
-        let mut rng = StdRng::seed_from_u64(gets * 31 + frames as u64);
+        let mut rng = Draws::new(gets * 31 + frames as u64);
         for _ in 0..gets {
-            let k = rng.gen_range(0..n);
+            let k = rng.below(n);
             assert_eq!(t.get(&(2 * k)).unwrap(), Some(k));
         }
         t.pool().set_limit(frames);
@@ -1747,10 +1747,10 @@ mod tests {
         let height = t.height();
         // 7 pairs a leaf, 8 children a node: 7 143 leaves under 5 levels.
         assert_eq!(height, 6);
-        let mut rng = StdRng::seed_from_u64(44);
+        let mut rng = Draws::new(44);
         let mut worst = 0;
         for _ in 0..50 {
-            let k = rng.gen_range(0..50_000u64);
+            let k = rng.below(50_000);
             let before = device.stats().snapshot();
             assert_eq!(t.get(&k).unwrap(), Some(k));
             let ios = device.stats().snapshot().since(&before).reads();

@@ -671,8 +671,8 @@ impl<K: Record + Ord, V: Record> BufferTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::{bounds, EmConfig};
-    use rand::prelude::*;
     use std::collections::BTreeMap;
 
     fn device() -> SharedDevice {
@@ -682,11 +682,11 @@ mod tests {
     #[test]
     fn insert_then_read_back_sorted() {
         let mut t: BufferTree<u64, u64> = BufferTree::new(device(), 2048);
-        let mut rng = StdRng::seed_from_u64(61);
+        let mut rng = Draws::new(61);
         let mut model = BTreeMap::new();
         for _ in 0..20_000 {
-            let k = rng.gen_range(0..5000u64);
-            let v = rng.gen();
+            let k = rng.below(5000);
+            let v = rng.next_u64();
             t.insert(k, v).unwrap();
             model.insert(k, v);
         }
@@ -701,11 +701,11 @@ mod tests {
     fn deletes_and_reinserts_match_model() {
         let mut t: BufferTree<u64, u64> = BufferTree::new(device(), 1024);
         let mut model = BTreeMap::new();
-        let mut rng = StdRng::seed_from_u64(62);
+        let mut rng = Draws::new(62);
         for _ in 0..30_000 {
-            let k = rng.gen_range(0..2000u64);
-            if rng.gen_bool(0.6) {
-                let v = rng.gen();
+            let k = rng.below(2000);
+            if rng.unit() < 0.6 {
+                let v = rng.next_u64();
                 t.insert(k, v).unwrap();
                 model.insert(k, v);
             } else {

@@ -219,8 +219,8 @@ impl<R: Record + Ord> ExtPriorityQueue<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::{bounds, EmConfig};
-    use rand::prelude::*;
 
     fn device() -> SharedDevice {
         EmConfig::new(64, 16).ram_disk() // B = 8 u64s
@@ -229,8 +229,8 @@ mod tests {
     #[test]
     fn drains_in_sorted_order() {
         let mut pq = ExtPriorityQueue::new(device(), 64).unwrap();
-        let mut rng = StdRng::seed_from_u64(51);
-        let mut data: Vec<u64> = (0..5000).map(|_| rng.gen_range(0..10_000)).collect();
+        let mut rng = Draws::new(51);
+        let mut data: Vec<u64> = (0..5000).map(|_| rng.below(10_000)).collect();
         for &x in &data {
             pq.push(x).unwrap();
         }
@@ -245,10 +245,10 @@ mod tests {
     fn interleaved_against_binary_heap() {
         let mut pq = ExtPriorityQueue::new(device(), 64).unwrap();
         let mut model: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
-        let mut rng = StdRng::seed_from_u64(52);
+        let mut rng = Draws::new(52);
         for _ in 0..10_000 {
-            if rng.gen_bool(0.6) || model.is_empty() {
-                let x = rng.gen_range(0..100_000u64);
+            if rng.unit() < 0.6 || model.is_empty() {
+                let x = rng.below(100_000);
                 pq.push(x).unwrap();
                 model.push(Reverse(x));
             } else {
@@ -275,7 +275,7 @@ mod tests {
         // Priorities pop in nondecreasing order while new ones arrive
         // slightly above the current minimum — the graph-algorithm pattern.
         let mut pq = ExtPriorityQueue::new(device(), 64).unwrap();
-        let mut rng = StdRng::seed_from_u64(53);
+        let mut rng = Draws::new(53);
         for seed in 0..100u64 {
             pq.push(seed).unwrap();
         }
@@ -287,7 +287,7 @@ mod tests {
             popped += 1;
             if popped < 5000 {
                 for _ in 0..2 {
-                    pq.push(x + 1 + rng.gen_range(0..50u64)).unwrap();
+                    pq.push(x + 1 + rng.below(50)).unwrap();
                 }
             }
         }
@@ -297,9 +297,9 @@ mod tests {
     #[test]
     fn run_count_stays_bounded() {
         let mut pq: ExtPriorityQueue<u64> = ExtPriorityQueue::new(device(), 64).unwrap(); // max_runs = 3
-        let mut rng = StdRng::seed_from_u64(54);
+        let mut rng = Draws::new(54);
         for _ in 0..20_000u64 {
-            pq.push(rng.gen()).unwrap();
+            pq.push(rng.next_u64()).unwrap();
         }
         assert!(pq.run_count() <= 4, "runs: {}", pq.run_count());
     }
@@ -311,10 +311,10 @@ mod tests {
         let m = 256usize;
         let b = 8usize;
         let mut pq = ExtPriorityQueue::new(device.clone(), m).unwrap();
-        let mut rng = StdRng::seed_from_u64(55);
+        let mut rng = Draws::new(55);
         let before = device.stats().snapshot();
         for _ in 0..n {
-            pq.push(rng.gen::<u64>()).unwrap();
+            pq.push(rng.next_u64()).unwrap();
         }
         for _ in 0..n {
             pq.pop().unwrap().unwrap();
@@ -360,8 +360,8 @@ mod tests {
     fn tiny_budget_is_raised_to_the_floor() {
         // B = 8 u64s → floor is 64 records; a budget of 1 must still work.
         let mut pq: ExtPriorityQueue<u64> = ExtPriorityQueue::new(device(), 1).unwrap();
-        let mut rng = StdRng::seed_from_u64(56);
-        let mut data: Vec<u64> = (0..3000).map(|_| rng.gen()).collect();
+        let mut rng = Draws::new(56);
+        let mut data: Vec<u64> = (0..3000).map(|_| rng.next_u64()).collect();
         for &x in &data {
             pq.push(x).unwrap();
         }

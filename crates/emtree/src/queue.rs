@@ -118,8 +118,8 @@ impl<R: Record> ExtQueue<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_core::hash::Draws;
     use em_core::EmConfig;
-    use rand::prelude::*;
 
     fn device() -> SharedDevice {
         EmConfig::new(64, 8).ram_disk() // B = 8 u64s
@@ -139,12 +139,12 @@ mod tests {
 
     #[test]
     fn randomized_against_vecdeque() {
-        let mut rng = StdRng::seed_from_u64(31);
+        let mut rng = Draws::new(31);
         let mut q = ExtQueue::new(device()).unwrap();
         let mut model: VecDeque<u64> = VecDeque::new();
         let mut next = 0u64;
         for _ in 0..5000 {
-            if rng.gen_bool(0.55) || model.is_empty() {
+            if rng.unit() < 0.55 || model.is_empty() {
                 q.push(next).unwrap();
                 model.push_back(next);
                 next += 1;

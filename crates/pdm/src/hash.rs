@@ -45,6 +45,43 @@ pub fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The workspace's one seeded stream, splitmix64: each draw adds the
+/// golden-ratio step to the state, then mixes it with [`splitmix`].  The
+/// generators, tests, examples and experiments all draw from it, so a seed
+/// names the same input everywhere.
+#[derive(Debug)]
+pub struct Draws(u64);
+
+impl Draws {
+    /// The stream whose state starts at `seed`.
+    pub fn new(seed: u64) -> Self {
+        Draws(seed)
+    }
+
+    /// The next word of the stream.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        splitmix(self.0)
+    }
+
+    /// A draw in `0..n` (`n ≥ 1`), one word modulo `n`.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// A draw in `[0, 1)`: the top 53 bits of one word over 2⁵³.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Fisher–Yates, from the back.
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, self.below(i as u64 + 1) as usize);
+        }
+    }
+}
+
 /// The bucket hash of `emhash`: FNV offset xor length as the seed, then one
 /// splitmix round per 8-byte (or trailing partial) chunk.  Stronger
 /// avalanche than plain FNV-1a for the price of one multiply per word.
@@ -256,5 +293,61 @@ mod tests {
     #[test]
     fn level_zero_is_plain_modulo() {
         assert_eq!(level_bucket(17, 0, 5), 2);
+    }
+
+    #[test]
+    fn draws_keep_their_stream() {
+        // Every seeded input in the tests, examples and experiments is this
+        // stream, so it is pinned: per seed, three words, `below(10)`,
+        // `unit()` and a shuffle of `0..8`, drawn in that order.
+        type Pin = (u64, [u64; 3], u64, u64, [u32; 8]);
+        let pins: [Pin; 3] = [
+            (
+                0,
+                [
+                    0xE220_A839_7B1D_CDAF,
+                    0x6E78_9E6A_A1B9_65F4,
+                    0x06C4_5D18_8009_454F,
+                ],
+                4,
+                0x3FBB_3989_6A51_A870,
+                [3, 0, 6, 5, 4, 7, 1, 2],
+            ),
+            (
+                1,
+                [
+                    0x910A_2DEC_8902_5CC1,
+                    0xBEEB_8DA1_658E_EC67,
+                    0xF893_A2EE_FB32_555E,
+                ],
+                5,
+                0x3FDC_6ED5_3634_406C,
+                [1, 5, 4, 2, 6, 3, 7, 0],
+            ),
+            (
+                42,
+                [
+                    0xBDD7_3226_2FEB_6E95,
+                    0x28EF_E333_B266_F103,
+                    0x4752_6757_130F_9F52,
+                ],
+                4,
+                0x3FA3_78B0_B448_9040,
+                [1, 4, 3, 5, 0, 7, 2, 6],
+            ),
+        ];
+        for (seed, words, below, unit_bits, shuffled) in pins {
+            let mut d = Draws::new(seed);
+            assert_eq!(
+                [d.next_u64(), d.next_u64(), d.next_u64()],
+                words,
+                "seed {seed}"
+            );
+            assert_eq!(d.below(10), below, "seed {seed}");
+            assert_eq!(d.unit().to_bits(), unit_bits, "seed {seed}");
+            let mut v: Vec<u32> = (0..8).collect();
+            d.shuffle(&mut v);
+            assert_eq!(v, shuffled, "seed {seed}");
+        }
     }
 }

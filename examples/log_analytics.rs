@@ -11,11 +11,11 @@
 //! cargo run --release -p bench --example log_analytics
 //! ```
 
+use em_core::hash::Draws;
 use em_core::{bounds, ExtVecWriter, Record};
 use emsort::{merge_sort_by, SortConfig};
 use emtree::ExtPriorityQueue;
 use pdm::{FileDisk, SharedDevice};
-use rand::prelude::*;
 
 /// One access-log record.
 #[derive(Debug, Clone, Copy)]
@@ -58,13 +58,13 @@ fn main() {
     );
 
     // Generate in timestamp order with a Zipf-ish user distribution.
-    let mut rng = StdRng::seed_from_u64(404);
+    let mut rng = Draws::new(404);
     let mut w: ExtVecWriter<LogRec> = ExtVecWriter::new(device.clone());
     for ts in 0..n {
         // Squaring a uniform skews toward small ids — a crude Zipf.
-        let u = rng.gen_range(0.0f64..1.0);
+        let u = rng.unit();
         let user = ((u * u) * users as f64) as u64;
-        let bytes = rng.gen_range(200..50_000);
+        let bytes = 200 + rng.below(49_800);
         w.push(LogRec { ts, user, bytes }).unwrap();
     }
     let log = w.finish().unwrap();

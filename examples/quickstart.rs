@@ -9,11 +9,11 @@
 //! cargo run --release -p bench --example quickstart
 //! ```
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVec};
 use emsort::{merge_sort, SortConfig};
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy};
-use rand::prelude::*;
 
 fn main() {
     // The machine: 4 KiB blocks, 32 blocks of memory.
@@ -26,8 +26,8 @@ fn main() {
     let device = cfg.ram_disk();
 
     // 1. Write the dataset (sequential: Scan(N) write I/Os).
-    let mut rng = StdRng::seed_from_u64(2026);
-    let data: Vec<u64> = (0..n).map(|_| rng.gen_range(0..1_000_000_000)).collect();
+    let mut rng = Draws::new(2026);
+    let data: Vec<u64> = (0..n).map(|_| rng.below(1_000_000_000)).collect();
     let before = device.stats().snapshot();
     let input = ExtVec::from_slice(device.clone(), &data).unwrap();
     let d = device.stats().snapshot().since(&before);

@@ -9,10 +9,10 @@
 //! cargo run --release -p bench --example road_network
 //! ```
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVecWriter};
 use emgraph::{bfs_mr, connected_components, gen, tree_depths};
 use emsort::SortConfig;
-use rand::prelude::*;
 
 fn main() {
     let cfg = EmConfig::new(4096, 16);
@@ -39,12 +39,12 @@ fn main() {
     );
 
     // 2. Storm closes 30% of the roads — how many disconnected districts?
-    let mut rng = StdRng::seed_from_u64(7);
+    let mut rng = Draws::new(7);
     let mut wtr: ExtVecWriter<(u64, u64)> = ExtVecWriter::new(device.clone());
     {
         let mut r = roads.reader();
         while let Some(e) = r.try_next().unwrap() {
-            if rng.gen_bool(0.7) {
+            if rng.unit() < 0.7 {
                 wtr.push(e).unwrap();
             }
         }

@@ -9,10 +9,10 @@
 //! cargo run --release -p bench --example terrain_queries
 //! ```
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVec};
 use emgeom::{batched_range_reporting, segment_intersections, HSeg, Point, Rect, VSeg};
 use emsort::SortConfig;
-use rand::prelude::*;
 
 fn main() {
     let cfg = EmConfig::new(4096, 16);
@@ -20,15 +20,15 @@ fn main() {
     let m = 16_384usize;
     let sc = SortConfig::new(m);
     let span = 1_000_000i64;
-    let mut rng = StdRng::seed_from_u64(1234);
+    let mut rng = Draws::new(1234);
 
     // Survey points.
     let n_pts = 200_000u64;
     let pts: Vec<Point> = (0..n_pts)
         .map(|id| Point {
             id,
-            x: rng.gen_range(-span..span),
-            y: rng.gen_range(-span..span),
+            x: -span + rng.below(2 * span as u64) as i64,
+            y: -span + rng.below(2 * span as u64) as i64,
         })
         .collect();
     let points = ExtVec::from_slice(device.clone(), &pts).unwrap();
@@ -37,14 +37,14 @@ fn main() {
     let n_q = 20_000u64;
     let qs: Vec<Rect> = (0..n_q)
         .map(|id| {
-            let x = rng.gen_range(-span..span);
-            let y = rng.gen_range(-span..span);
+            let x = -span + rng.below(2 * span as u64) as i64;
+            let y = -span + rng.below(2 * span as u64) as i64;
             Rect {
                 id,
                 x1: x,
-                x2: x + rng.gen_range(100..20_000i64),
+                x2: x + 100 + rng.below(19_900) as i64,
                 y1: y,
-                y2: y + rng.gen_range(100..20_000i64),
+                y2: y + 100 + rng.below(19_900) as i64,
             }
         })
         .collect();
@@ -66,23 +66,23 @@ fn main() {
     let n_lines = 50_000u64;
     let mains: Vec<HSeg> = (0..n_lines)
         .map(|id| {
-            let x = rng.gen_range(-span..span);
+            let x = -span + rng.below(2 * span as u64) as i64;
             HSeg {
                 id,
-                y: rng.gen_range(-span..span),
+                y: -span + rng.below(2 * span as u64) as i64,
                 x1: x,
-                x2: x + rng.gen_range(1000..100_000i64),
+                x2: x + 1000 + rng.below(99_000) as i64,
             }
         })
         .collect();
     let lines: Vec<VSeg> = (0..n_lines)
         .map(|id| {
-            let y = rng.gen_range(-span..span);
+            let y = -span + rng.below(2 * span as u64) as i64;
             VSeg {
                 id,
-                x: rng.gen_range(-span..span),
+                x: -span + rng.below(2 * span as u64) as i64,
                 y1: y,
-                y2: y + rng.gen_range(1000..100_000i64),
+                y2: y + 1000 + rng.below(99_000) as i64,
             }
         })
         .collect();

@@ -9,10 +9,10 @@
 //! cargo run --release -p bench --example text_search
 //! ```
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVec};
 use emsort::SortConfig;
 use emtext::{find_occurrences, suffix_array};
-use rand::prelude::*;
 
 fn main() {
     let cfg = EmConfig::new(4096, 16);
@@ -37,11 +37,11 @@ fn main() {
         "array",
         "model",
     ];
-    let mut rng = StdRng::seed_from_u64(2718);
+    let mut rng = Draws::new(2718);
     let mut corpus = String::new();
     while corpus.len() < 500_000 {
-        corpus.push_str(words[rng.gen_range(0..words.len())]);
-        corpus.push(if rng.gen_bool(0.12) { '.' } else { ' ' });
+        corpus.push_str(words[rng.below(words.len() as u64) as usize]);
+        corpus.push(if rng.unit() < 0.12 { '.' } else { ' ' });
     }
     let bytes = corpus.as_bytes();
     let text = ExtVec::from_slice(device.clone(), bytes).unwrap();

@@ -3,6 +3,7 @@
 //! two) replay the same randomized operation tape and must end in identical
 //! states — and match `std::collections` models.
 
+use em_core::hash::Draws;
 use em_core::EmConfig;
 use emhash::ExtendibleHash;
 use emserve::Shard;
@@ -12,7 +13,6 @@ use pdm::{
     BlockDevice, BufferPool, DiskArray, EvictionPolicy, FaultPlan, IoMode, Placement, RetryPolicy,
 };
 use proptest::prelude::*;
-use rand::prelude::*;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy)]
@@ -22,12 +22,12 @@ enum Op {
 }
 
 fn random_tape(len: usize, key_space: u64, seed: u64) -> Vec<Op> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Draws::new(seed);
     (0..len)
         .map(|_| {
-            let k = rng.gen_range(0..key_space);
-            if rng.gen_bool(0.7) {
-                Op::Insert(k, rng.gen())
+            let k = rng.below(key_space);
+            if rng.unit() < 0.7 {
+                Op::Insert(k, rng.next_u64())
             } else {
                 Op::Delete(k)
             }
@@ -163,9 +163,9 @@ fn all_four_dictionaries_converge() {
     );
 
     // Spot point lookups across all four.
-    let mut rng = StdRng::seed_from_u64(3002);
+    let mut rng = Draws::new(3002);
     for _ in 0..200 {
-        let k = rng.gen_range(0..3_000u64);
+        let k = rng.below(3_000);
         let want = model.get(&k).copied();
         assert_eq!(bt.get(&k).unwrap(), want);
         assert_eq!(bft.get(&k).unwrap(), want);

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use em_core::hash::Draws;
 use em_core::{EmConfig, ExtVec, MemBudget};
 use emrel::{
     collect, sort_pipe, sort_scan, ExecConfig, FilterExec, GroupByExec, HashGroupByExec,
@@ -14,7 +15,6 @@ use emsort::{
     merge_sort, merge_sort_by, merge_sort_streaming, OverlapConfig, SortConfig, SortingWriter,
 };
 use pdm::{BufferPool, DiskArray, EvictionPolicy, IoMode, PdmError, Placement, SharedDevice};
-use rand::prelude::*;
 
 #[test]
 #[should_panic(expected = "memory budget exceeded")]
@@ -31,8 +31,8 @@ fn sorts_respect_their_declared_budget() {
     let cfg = EmConfig::new(256, 16);
     let device = cfg.ram_disk();
     let m = cfg.mem_records::<u64>();
-    let mut rng = StdRng::seed_from_u64(2001);
-    let data: Vec<u64> = (0..50_000).map(|_| rng.gen()).collect();
+    let mut rng = Draws::new(2001);
+    let data: Vec<u64> = (0..50_000).map(|_| rng.next_u64()).collect();
     let input = ExtVec::from_slice(device, &data).unwrap();
     let out = merge_sort(&input, &SortConfig::new(m)).unwrap();
     assert_eq!(out.len(), 50_000);
@@ -166,8 +166,8 @@ fn report_sorts(overlapped: bool) -> [(usize, usize); 2] {
     let (device, overlap) = report_device(overlapped);
     let m = 16 * 32;
     let cfg = SortConfig::new(m).with_overlap(overlap);
-    let mut rng = StdRng::seed_from_u64(58);
-    let data: Vec<u64> = (0..20_000).map(|_| rng.gen()).collect();
+    let mut rng = Draws::new(58);
+    let data: Vec<u64> = (0..20_000).map(|_| rng.next_u64()).collect();
     let input = ExtVec::from_slice(device.clone(), &data).unwrap();
     let mut expect = data.clone();
     expect.sort_unstable();
@@ -192,18 +192,18 @@ fn report_plans(overlapped: bool) -> [(usize, usize); 4] {
     let cfg = ExecConfig {
         sort: SortConfig::new(m).with_overlap(overlap),
     };
-    let mut rng = StdRng::seed_from_u64(1998);
+    let mut rng = Draws::new(1998);
     let q1: Vec<Row> = (0..20_000)
-        .map(|_| (rng.gen_range(0..2_000u64), rng.gen()))
+        .map(|_| (rng.below(2_000), rng.next_u64()))
         .collect();
     let q1 = ExtVec::from_slice(device.clone(), &q1).unwrap();
     let keep = |r: &Row| !r.1.is_multiple_of(4);
     let mut orders: Vec<Row> = (0..2_000u64).map(|k| (k, k * 7)).collect();
-    orders.shuffle(&mut rng);
+    rng.shuffle(&mut orders);
     let mut lineitem: Vec<Row> = (0..2_000u64)
         .flat_map(|k| (0..k % 16).map(move |j| (k, k * 1000 + j)))
         .collect();
-    lineitem.shuffle(&mut rng);
+    rng.shuffle(&mut lineitem);
     let (orders, lineitem) = (
         ExtVec::from_slice(device.clone(), &orders).unwrap(),
         ExtVec::from_slice(device.clone(), &lineitem).unwrap(),

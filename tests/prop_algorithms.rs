@@ -74,12 +74,12 @@ proptest! {
         n in 1u64..1500,
         seed in any::<u64>(),
     ) {
-        use rand::prelude::*;
+        use em_core::hash::Draws;
         let device = cfg.ram_disk();
         let m = cfg.mem_records::<u64>();
         let data: Vec<u64> = (0..n).map(|i| i * 3).collect();
         let mut perm: Vec<u64> = (0..n).collect();
-        perm.shuffle(&mut StdRng::seed_from_u64(seed));
+        Draws::new(seed).shuffle(&mut perm);
         let input = ExtVec::from_slice(device.clone(), &data).unwrap();
         let dest = ExtVec::from_slice(device, &perm).unwrap();
         let a = permute_naive(&input, &dest).unwrap().to_vec().unwrap();

@@ -2,11 +2,11 @@
 //! indexed by emtree — an end-to-end "mini warehouse" query checked against
 //! an in-memory reference.
 
+use em_core::hash::Draws;
 use em_core::{EmConfig, ExtVec};
 use emrel::{collect, sort_pipe, sort_scan, ExecConfig, GroupByExec, KeyId, MergeJoinExec, Order};
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy};
-use rand::prelude::*;
 use std::collections::BTreeMap;
 
 /// Orders (order_id, customer_id, amount) joined to customers
@@ -16,17 +16,17 @@ fn star_join_group_by_index() {
     let cfg = EmConfig::new(512, 16);
     let device = cfg.ram_disk();
     let ec = ExecConfig::new(cfg.mem_records::<u64>());
-    let mut rng = StdRng::seed_from_u64(4001);
+    let mut rng = Draws::new(4001);
 
     let n_orders = 20_000u64;
     let n_customers = 1_000u64;
     let n_regions = 50u64;
 
     let orders: Vec<(u64, u64, u64)> = (0..n_orders)
-        .map(|id| (id, rng.gen_range(0..n_customers), rng.gen_range(1..1000)))
+        .map(|id| (id, rng.below(n_customers), 1 + rng.below(999)))
         .collect();
     let customers: Vec<(u64, u64)> = (0..n_customers)
-        .map(|id| (id, rng.gen_range(0..n_regions)))
+        .map(|id| (id, rng.below(n_regions)))
         .collect();
 
     let orders_v = ExtVec::from_slice(device.clone(), &orders).unwrap();

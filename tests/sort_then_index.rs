@@ -1,11 +1,11 @@
 //! Cross-crate pipeline: generate → external sort → B-tree bulk load →
 //! range scans, with every stage verified against an in-memory reference.
 
+use em_core::hash::Draws;
 use em_core::{bounds, EmConfig, ExtVec, Record};
 use emsort::{distribution_sort, merge_sort, RunFormation, SortConfig};
 use emtree::BTree;
 use pdm::{BufferPool, EvictionPolicy};
-use rand::prelude::*;
 use std::collections::BTreeMap;
 
 #[test]
@@ -15,10 +15,10 @@ fn sort_index_scan_pipeline() {
     let m = cfg.mem_records::<u64>();
     let n = 30_000u64;
 
-    let mut rng = StdRng::seed_from_u64(1001);
+    let mut rng = Draws::new(1001);
     // Distinct keys so the B-tree bulk load (strictly increasing) applies.
     let mut keys: Vec<u64> = (0..n).map(|i| i * 7 + 1).collect();
-    keys.shuffle(&mut rng);
+    rng.shuffle(&mut keys);
 
     let input = ExtVec::from_slice(device.clone(), &keys).unwrap();
     let sorted = merge_sort(&input, &SortConfig::new(m)).unwrap();
@@ -43,10 +43,10 @@ fn sort_index_scan_pipeline() {
         .enumerate()
         .map(|(i, &k)| (k, i as u64))
         .collect();
-    let mut rng = StdRng::seed_from_u64(1002);
+    let mut rng = Draws::new(1002);
     for _ in 0..20 {
-        let lo = rng.gen_range(0..n * 7);
-        let hi = lo + rng.gen_range(0..n);
+        let lo = rng.below(n * 7);
+        let hi = lo + rng.below(n);
         let got = tree.range(&lo, &hi).unwrap();
         let expect: Vec<(u64, u64)> = model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
         assert_eq!(got, expect, "range [{lo}, {hi}]");
@@ -67,7 +67,7 @@ fn cold_lookups_read_at_least_a_search_path() {
             let sort_cfg = SortConfig::new(cfg.mem_records::<u64>());
             for n in [1u64, b as u64, (b * b) as u64 + 1, 5_000] {
                 let mut keys: Vec<u64> = (0..n).map(|i| i * 3 + 1).collect();
-                keys.shuffle(&mut StdRng::seed_from_u64(n));
+                Draws::new(n).shuffle(&mut keys);
                 let input = ExtVec::from_slice(device.clone(), &keys).unwrap();
                 let sorted = merge_sort(&input, &sort_cfg).unwrap();
                 let pool = BufferPool::new(device.clone(), 16, EvictionPolicy::Lru);
@@ -100,8 +100,8 @@ fn both_sorts_and_all_run_formations_agree() {
     let cfg = EmConfig::new(256, 16);
     let device = cfg.ram_disk();
     let m = cfg.mem_records::<u64>();
-    let mut rng = StdRng::seed_from_u64(1003);
-    let data: Vec<u64> = (0..20_000).map(|_| rng.gen_range(0..1000)).collect();
+    let mut rng = Draws::new(1003);
+    let data: Vec<u64> = (0..20_000).map(|_| rng.below(1000)).collect();
     let input = ExtVec::from_slice(device, &data).unwrap();
 
     let a = merge_sort(&input, &SortConfig::new(m))
@@ -136,10 +136,8 @@ fn sorted_data_feeds_buffer_tree_and_btree_identically() {
     let cfg = EmConfig::new(512, 64);
     let device = cfg.ram_disk();
     let n = 10_000u64;
-    let mut rng = StdRng::seed_from_u64(1004);
-    let pairs: Vec<(u64, u64)> = (0..n)
-        .map(|_| (rng.gen_range(0..5000), rng.gen()))
-        .collect();
+    let mut rng = Draws::new(1004);
+    let pairs: Vec<(u64, u64)> = (0..n).map(|_| (rng.below(5000), rng.next_u64())).collect();
 
     // Through a B-tree.
     let pool = BufferPool::new(cfg.ram_disk(), 16, EvictionPolicy::Lru);
