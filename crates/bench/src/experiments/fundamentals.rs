@@ -31,7 +31,10 @@ pub fn t1_fundamental_bounds() {
         // Scan.
         let device = cfg.ram_disk();
         let input = ExtVec::from_slice(device.clone(), &data).unwrap();
-        let (_, d) = measure(&device, || input.reader().count());
+        let (_, d) = measure(&device, || {
+            let mut reader = input.reader();
+            while reader.try_next().unwrap().is_some() {}
+        });
         rows.push(vec![
             format!("Scan, B={b}, M={m}, N={n}"),
             fmt(d.total() as f64),

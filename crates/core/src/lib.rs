@@ -39,7 +39,10 @@
 //! // An external array; every access is counted by the device.
 //! let v = ExtVec::from_slice(device.clone(), &(0u64..10_000).collect::<Vec<_>>())?;
 //! let before = device.stats().snapshot();
-//! let sum: u64 = v.reader().sum();
+//! let (mut reader, mut sum) = (v.reader(), 0u64);
+//! while let Some(x) = reader.try_next()? {
+//!     sum += x;
+//! }
 //! let ios = device.stats().snapshot().since(&before).reads();
 //! assert_eq!(sum, 10_000 * 9_999 / 2);
 //! assert_eq!(ios, v.num_blocks() as u64); // exactly one read per block

@@ -588,22 +588,6 @@ impl<V: Borrow<ExtVec<R>>, R: Record> Drop for BlockReader<V, R> {
     }
 }
 
-impl<V: Borrow<ExtVec<R>>, R: Record> Iterator for BlockReader<V, R> {
-    type Item = R;
-
-    /// Iterator convenience; panics on device error (which, for a correctly
-    /// used simulator device, indicates a bug).  Use
-    /// [`try_next`](Self::try_next) to handle errors.
-    fn next(&mut self) -> Option<R> {
-        self.try_next().expect("device read failed")
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let r = self.remaining() as usize;
-        (r, Some(r))
-    }
-}
-
 #[cfg(test)]
 impl<R: Record> ExtVecWriter<R> {
     /// The write-behind depth actually granted by the budget.
@@ -624,6 +608,15 @@ impl<V: Borrow<ExtVec<R>>, R: Record> BlockReader<V, R> {
     fn peek(&mut self) -> Result<Option<&R>> {
         Ok(self.buffered_at_least(1)?.first())
     }
+
+    /// Every record left, read with `try_next`.
+    fn read_rest(mut self) -> Result<Vec<R>> {
+        let mut out = Vec::new();
+        while let Some(r) = self.try_next()? {
+            out.push(r);
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
@@ -643,7 +636,7 @@ mod tests {
             w.push(i).unwrap();
         }
         let v = w.finish().unwrap();
-        let collected: Vec<u64> = v.reader().collect();
+        let collected = v.reader().read_rest().unwrap();
         assert_eq!(collected, (0..1000).collect::<Vec<_>>());
     }
 
@@ -652,7 +645,7 @@ mod tests {
         let device = dev();
         let v = ExtVec::from_slice(device.clone(), &(0u64..80).collect::<Vec<_>>()).unwrap();
         let before = device.stats().snapshot();
-        let _: Vec<u64> = v.reader().collect();
+        v.reader().read_rest().unwrap();
         let delta = device.stats().snapshot().since(&before);
         assert_eq!(delta.reads(), 10); // 80 records / 8 per block
         assert_eq!(delta.writes(), 0);
@@ -685,13 +678,13 @@ mod tests {
     #[test]
     fn reader_at_offset() {
         let v = ExtVec::from_slice(dev(), &(0u64..30).collect::<Vec<_>>()).unwrap();
-        let collected: Vec<u64> = v.reader_at(13).unwrap().collect();
+        let collected = v.reader_at(13).unwrap().read_rest().unwrap();
         assert_eq!(collected, (13..30).collect::<Vec<_>>());
         // Starting exactly at a block boundary.
-        let collected: Vec<u64> = v.reader_at(16).unwrap().collect();
+        let collected = v.reader_at(16).unwrap().read_rest().unwrap();
         assert_eq!(collected, (16..30).collect::<Vec<_>>());
         // Starting at the end yields nothing.
-        assert_eq!(v.reader_at(30).unwrap().count(), 0);
+        assert!(v.reader_at(30).unwrap().read_rest().unwrap().is_empty());
         // Past the end is a typed error, before any read.
         let before = v.device().stats().snapshot();
         let err = v.reader_at(31).err();
@@ -711,12 +704,12 @@ mod tests {
     }
 
     #[test]
-    fn size_hint_exact() {
+    fn remaining_counts_down() {
         let v = ExtVec::from_slice(dev(), &(0u64..5).collect::<Vec<_>>()).unwrap();
         let mut r = v.reader();
-        assert_eq!(r.size_hint(), (5, Some(5)));
-        r.next();
-        assert_eq!(r.size_hint(), (4, Some(4)));
+        assert_eq!(r.remaining(), 5);
+        r.try_next().unwrap();
+        assert_eq!(r.remaining(), 4);
     }
 }
 
@@ -737,7 +730,7 @@ mod overlap_tests {
         let before = device.stats().snapshot();
         let r = v.reader_prefetch(3, &budget);
         assert_eq!(r.prefetch_depth(), 3);
-        let collected: Vec<u64> = r.collect();
+        let collected = r.read_rest().unwrap();
         assert_eq!(collected, (0..100).collect::<Vec<_>>());
         let delta = device.stats().snapshot().since(&before);
         assert_eq!(delta.reads(), 13, "prefetch must not change read counts");
@@ -751,7 +744,11 @@ mod overlap_tests {
     fn prefetching_reader_at_offset() {
         let v = ExtVec::from_slice(dev(), &(0u64..50).collect::<Vec<_>>()).unwrap();
         let budget = MemBudget::new(64);
-        let collected: Vec<u64> = v.reader_at_prefetch(19, 2, &budget).unwrap().collect();
+        let collected = v
+            .reader_at_prefetch(19, 2, &budget)
+            .unwrap()
+            .read_rest()
+            .unwrap();
         assert_eq!(collected, (19..50).collect::<Vec<_>>());
     }
 
@@ -763,7 +760,7 @@ mod overlap_tests {
         let before = device.stats().snapshot();
         let r = v.reader_prefetch(3, &budget);
         assert_eq!(r.prefetch_depth(), 0, "no budget, no read-ahead");
-        let collected: Vec<u64> = r.collect();
+        let collected = r.read_rest().unwrap();
         assert_eq!(collected, (0..40).collect::<Vec<_>>());
         let delta = device.stats().snapshot().since(&before);
         assert_eq!(delta.reads(), 5);

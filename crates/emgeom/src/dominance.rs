@@ -252,7 +252,11 @@ mod tests {
         let before = d.stats().snapshot();
         let got = dominance_count(&pv, &qv, &SortConfig::new(16_384)).unwrap();
         let ios = d.stats().snapshot().since(&before).total();
-        let total: u64 = got.reader().map(|(_, c)| c).sum();
+        let mut reader = got.reader();
+        let mut total = 0;
+        while let Some((_, c)) = reader.try_next().unwrap() {
+            total += c;
+        }
         assert!(
             total > (n / 5) * (n / 2),
             "answers should be enormous: {total}"

@@ -41,8 +41,12 @@ impl EulerTour {
 
 /// Build the Euler tour of the tree given by undirected `edges`, rooted at
 /// `root`.  `O(Sort(N))` I/Os.  No edges, a self loop, an edge listed
-/// twice (either way round) or a root with no incident edge is
-/// [`PdmError::InvalidRequest`].
+/// twice (either way round), a root with no incident edge, or edges that
+/// do not number one less than the vertices they touch is
+/// [`PdmError::InvalidRequest`], all found by the scan that links the
+/// tour.  A forest beside a cycle with exactly that count (`0–1` beside the
+/// triangle `2–3–4`) passes the scan: its tour misses arcs, which only a
+/// later ranking finds.
 pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Result<EulerTour> {
     let device = edges.device().clone();
     if edges.is_empty() {
@@ -68,8 +72,10 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
     //    (x_i, v) is v's next out-arc after (v, x_i).  Emit keyed by the
     //    *predecessor twin* (x_i, v): records (x_i, v, succ_arc_id).
     //    Also note the root's first out-arc (the tour head).  An edge
-    //    listed twice is two equal adjacent arcs in one group.
+    //    listed twice is two equal adjacent arcs in one group; a tree on
+    //    `V` vertices (one group each) has `2(V − 1)` arcs.
     let mut head: Option<u64> = None;
+    let mut vertices = 0u64;
     let rel = {
         let mut w = SortingWriter::new(device.clone(), cfg, |a: &(u64, u64, u64), b| {
             (a.0, a.1) < (b.0, b.1)
@@ -98,12 +104,16 @@ pub fn euler_tour(edges: &ExtVec<(u64, u64)>, root: u64, cfg: &SortConfig) -> Re
                         head = Some(idx);
                     }
                     group = Some((src, idx, dst));
+                    vertices += 1;
                 }
             }
             idx += 1;
         }
         if let Some((gsrc, first_id, prev_dst)) = group {
             w.push((prev_dst, gsrc, first_id))?;
+        }
+        if idx != 2 * (vertices - 1) {
+            return Err(invalid("the edges do not number V − 1 for V vertices"));
         }
         w
     };
@@ -398,6 +408,28 @@ mod tests {
             assert_eq!(d.allocated_blocks(), baseline, "{twin:?}: tour leaked");
             assert!(refused(tree_depths(&edges, 0, &cfg)), "{twin:?}: depths");
             assert_eq!(d.allocated_blocks(), baseline, "{twin:?}: depths leaked");
+        }
+    }
+
+    /// Edges that do not number one less than their vertices, a cycle
+    /// beside a leaf or two separate edges, fail the tour's linking scan
+    /// after one sort, before any list ranking, and free every block.
+    #[test]
+    fn a_non_tree_edge_count_is_refused() {
+        fn refused<T>(r: Result<T>) -> bool {
+            matches!(r, Err(PdmError::InvalidRequest(m)) if m.contains("V − 1"))
+        }
+        let cycle: &[(u64, u64)] = &[(0, 1), (1, 2), (2, 0), (2, 3)];
+        let forest: &[(u64, u64)] = &[(0, 1), (2, 3)];
+        for shape in [cycle, forest] {
+            let d = device();
+            let edges = ExtVec::from_slice(d.clone(), shape).unwrap();
+            let cfg = SortConfig::new(128);
+            let baseline = d.allocated_blocks();
+            assert!(refused(euler_tour(&edges, 0, &cfg)), "{shape:?}: tour");
+            assert_eq!(d.allocated_blocks(), baseline, "{shape:?}: tour leaked");
+            assert!(refused(tree_depths(&edges, 0, &cfg)), "{shape:?}: depths");
+            assert_eq!(d.allocated_blocks(), baseline, "{shape:?}: depths leaked");
         }
     }
 

@@ -95,8 +95,8 @@ mod overlap_tests {
     }
 
     /// An edge naming vertex `n` is a typed error from every algorithm that
-    /// reads an edge list, and so is a source `n` on a valid graph; each
-    /// frees whatever its scan had written.
+    /// reads an edge list, and so is a source `n` on a valid graph and a
+    /// self loop given to the MIS; each frees whatever its scan had written.
     #[test]
     fn a_vertex_id_out_of_range_is_invalid_request() {
         let n = 600u64;
@@ -111,6 +111,7 @@ mod overlap_tests {
         pairs.insert(400, (7, n));
         let g = em_core::ExtVec::from_slice(d.clone(), &pairs).unwrap();
         let w = em_core::ExtVec::from_slice(d.clone(), &weigh(&pairs)).unwrap();
+        let looped = em_core::ExtVec::from_slice(d.clone(), &[(0, 1), (1, 1), (1, 2)]).unwrap();
         let held = d.allocated_blocks();
         for (what, got) in [
             ("bfs_mr", bfs_mr(&g, n, 0, &cfg).map(|_| ())),
@@ -121,6 +122,10 @@ mod overlap_tests {
             ("sssp source", sssp(&path_w, n, n, &cfg).map(|_| ())),
             ("cc", connected_components(&g, n, &cfg).map(|_| ())),
             ("mis", maximal_independent_set(&g, n, &cfg).map(|_| ())),
+            (
+                "mis self loop",
+                maximal_independent_set(&looped, n, &cfg).map(|_| ()),
+            ),
             ("msf", minimum_spanning_forest(&w, n, &cfg).map(|_| ())),
         ] {
             assert!(

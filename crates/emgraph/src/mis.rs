@@ -8,7 +8,7 @@
 
 use em_core::{ExtVec, ExtVecWriter};
 use emsort::SortConfig;
-use pdm::Result;
+use pdm::{PdmError, Result};
 
 use crate::time_forward;
 use crate::util::check_vertex;
@@ -18,7 +18,9 @@ use crate::util::check_vertex;
 /// `(vertex, in_set)` with `in_set ∈ {0, 1}`, sorted by vertex id.
 /// `O(Sort(E))` I/Os.
 ///
-/// An edge naming a vertex `≥ n` is [`InvalidRequest`](pdm::PdmError::InvalidRequest).
+/// An edge naming a vertex `≥ n`, or a self loop `(v, v)` — which would
+/// leave no independent set holding `v` — is
+/// [`InvalidRequest`](pdm::PdmError::InvalidRequest).
 pub fn maximal_independent_set(
     edges: &ExtVec<(u64, u64)>,
     n: u64,
@@ -32,9 +34,12 @@ pub fn maximal_independent_set(
         let mut r = edges.reader();
         while let Some((u, v)) = r.try_next()? {
             check_vertex(u.max(v), n)?;
-            if u != v {
-                w.push((u.min(v), u.max(v)))?;
+            if u == v {
+                return Err(PdmError::InvalidRequest(format!(
+                    "maximal independent set: vertex {v} has a self loop"
+                )));
             }
+            w.push((u.min(v), u.max(v)))?;
         }
         w.finish()?
     };

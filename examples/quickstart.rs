@@ -52,12 +52,11 @@ fn main() {
     let pool = BufferPool::new(device.clone(), 8, EvictionPolicy::Lru);
     let before = device.stats().snapshot();
     // Make keys strictly increasing (k is nondecreasing, so k + i works).
+    let mut reader = sorted.reader();
+    let keys = std::iter::from_fn(move || reader.try_next().unwrap());
     let tree: BTree<u64, u64> = BTree::bulk_load(
         pool,
-        sorted
-            .reader()
-            .enumerate()
-            .map(|(i, k)| (k + i as u64, i as u64)),
+        keys.enumerate().map(|(i, k)| (k + i as u64, i as u64)),
     )
     .unwrap();
     let d = device.stats().snapshot().since(&before);

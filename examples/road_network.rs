@@ -30,7 +30,7 @@ fn main() {
     let before = device.stats().snapshot();
     let dist = bfs_mr(&roads, n, 0, &sc).unwrap();
     let d = device.stats().snapshot().since(&before);
-    let max_d = dist.reader().map(|(_, dd)| dd).max().unwrap();
+    let max_d = dist.to_vec().unwrap().iter().map(|e| e.1).max().unwrap();
     println!(
         "BFS from depot: {} I/Os, {} reachable, eccentricity {max_d} (Θ V + Sort(E) ≈ {:.0})",
         d.total(),
@@ -53,7 +53,7 @@ fn main() {
     let before = device.stats().snapshot();
     let labels = connected_components(&damaged, n, &sc).unwrap();
     let d = device.stats().snapshot().since(&before);
-    let mut comps: Vec<u64> = labels.reader().map(|(_, l)| l).collect();
+    let mut comps: Vec<u64> = labels.to_vec().unwrap().iter().map(|e| e.1).collect();
     comps.sort_unstable();
     comps.dedup();
     println!(
@@ -67,7 +67,7 @@ fn main() {
     let before = device.stats().snapshot();
     let depths = tree_depths(&tree, 0, &sc).unwrap();
     let d = device.stats().snapshot().since(&before);
-    let max_depth = depths.reader().map(|(_, dd)| dd).max().unwrap();
+    let max_depth = depths.to_vec().unwrap().iter().map(|e| e.1).max().unwrap();
     println!(
         "service-tree depths (Euler tour + list ranking): {} I/Os, max depth {max_depth}",
         d.total()

@@ -4,15 +4,16 @@
 //! trace wraps each member disk, so the arrays' counts are the untraced
 //! ones.
 //!
-//! Distribution sort and list ranking read some lifetimes twice (a sample,
-//! then the route; a table scanned in two passes), so they are not here.
+//! Distribution sort reads every bucket it partitions twice, a sample and
+//! then the route; its twice-read lifetimes are pinned.  List ranking reads
+//! some tables in two passes, so it is not here.
 
 #[path = "support/lifetimes.rs"]
 mod lifetimes;
 
 use em_core::{key_hash, ExtVec};
 use emhash::partition::partition_to_fit;
-use emsort::{merge_sort_by, OverlapConfig, SortConfig};
+use emsort::{distribution_sort, merge_sort_by, OverlapConfig, SortConfig};
 use lifetimes::{traced_array, Ledger, Lifetimes};
 use pdm::IoMode;
 
@@ -99,5 +100,33 @@ fn a_hash_partitioning_writes_each_block_once_and_reads_it_at_most_once() {
             assert_eq!(n as u64, input.len());
         });
         assert_each_block_once(&format!("D = {d} {mode:?}"), &ledger);
+    }
+}
+
+/// Distribution sort at `M` = 32 blocks recurses one level: 15 pivots
+/// split the input into 16 buckets of about 1 900 keys, and each bucket
+/// over `M` splits once more into buckets that fit.  Every lifetime is
+/// written once; a bucket that partitions is read twice (the sample's
+/// scan, then the route), every other lifetime at most once.  The twice
+/// read are the input's 938 blocks and 864 of the first level's: a sample
+/// that rode along the route would leave none.
+#[test]
+fn a_distribution_sort_reads_a_partitioned_bucket_twice_and_nothing_more() {
+    for (d, mode, depth) in ARRAYS {
+        let cfg = SortConfig::new(32 * B).with_overlap(OverlapConfig::symmetric(depth));
+        let ledger = traced(d, mode, |input| {
+            let sorted = distribution_sort(input, &cfg).unwrap();
+            let got = sorted.to_vec().unwrap();
+            assert!(got.len() as u64 == input.len() && got.windows(2).all(|w| w[0] <= w[1]));
+        });
+        let what = format!("D = {d} {mode:?}");
+        assert!(ledger.bad.is_empty(), "{what}: {:?}", ledger.bad);
+        assert_eq!(ledger.written_once, ledger.lifetimes, "{what}: {ledger:?}");
+        assert_eq!(
+            ledger.read_at_most_once + ledger.read_twice,
+            ledger.lifetimes,
+            "{what}: {ledger:?}"
+        );
+        assert_eq!(ledger.read_twice, 938 + 864, "{what}: {ledger:?}");
     }
 }

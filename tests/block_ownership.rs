@@ -441,8 +441,8 @@ fn a_reader_started_past_the_end_is_refused_before_any_io() {
         }
         assert_eq!(d.stats().snapshot().since(&before).total(), 0);
         assert_eq!(budget.high_water(), 0, "nothing charged");
-        let at_end = v.reader_at_prefetch(N, 2, &budget).unwrap();
-        assert_eq!(at_end.count(), 0);
+        let mut at_end = v.reader_at_prefetch(N, 2, &budget).unwrap();
+        assert_eq!(at_end.try_next().unwrap(), None);
         assert_eq!(d.stats().snapshot().since(&before).total(), 0);
     }
 }

@@ -27,7 +27,6 @@ const COUNTS: &[(&str, usize)] = &[
     ("core/src/ext_vec.rs", 2),
     ("core/src/lib.rs", 2),
     ("core/src/record.rs", 1),
-    ("core/src/stream.rs", 1),
     ("emhash/src/lib.rs", 2),
     ("emhash/src/table.rs", 2),
     ("emsort/src/merge.rs", 3),

@@ -99,7 +99,9 @@ fn star_join_group_by_index() {
 
     // Index the aggregate in a B-tree and query a band of regions.
     let pool = BufferPool::new(device, 8, EvictionPolicy::Lru);
-    let tree: BTree<u64, u64> = BTree::bulk_load(pool, revenue.reader()).unwrap();
+    let mut reader = revenue.reader();
+    let rows = std::iter::from_fn(move || reader.try_next().unwrap());
+    let tree: BTree<u64, u64> = BTree::bulk_load(pool, rows).unwrap();
     let band = tree.range(&10, &19).unwrap();
     let expect_band: Vec<(u64, u64)> = expect
         .iter()

@@ -29,11 +29,10 @@ fn sort_index_scan_pipeline() {
 
     // Index the sorted keys (key → rank).
     let pool = BufferPool::new(device.clone(), 16, EvictionPolicy::Lru);
-    let tree: BTree<u64, u64> = BTree::bulk_load(
-        pool,
-        sorted.reader().enumerate().map(|(i, k)| (k, i as u64)),
-    )
-    .unwrap();
+    let mut reader = sorted.reader();
+    let keys = std::iter::from_fn(move || reader.try_next().unwrap());
+    let tree: BTree<u64, u64> =
+        BTree::bulk_load(pool, keys.enumerate().map(|(i, k)| (k, i as u64))).unwrap();
     tree.check_invariants().unwrap();
     assert_eq!(tree.len(), n);
 
@@ -71,8 +70,9 @@ fn cold_lookups_read_at_least_a_search_path() {
                 let input = ExtVec::from_slice(device.clone(), &keys).unwrap();
                 let sorted = merge_sort(&input, &sort_cfg).unwrap();
                 let pool = BufferPool::new(device.clone(), 16, EvictionPolicy::Lru);
-                let tree: BTree<u64, u64> =
-                    BTree::bulk_load(pool, sorted.reader().map(|k| (k, k))).unwrap();
+                let mut reader = sorted.reader();
+                let keys = std::iter::from_fn(move || reader.try_next().unwrap());
+                let tree: BTree<u64, u64> = BTree::bulk_load(pool, keys.map(|k| (k, k))).unwrap();
                 tree.pool().flush().unwrap();
                 let floor = bounds::search(n, b);
                 for probe in [0, 1, n / 2 * 3 + 1, n * 3, n * 3 + 1] {

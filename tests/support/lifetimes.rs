@@ -36,6 +36,8 @@ pub struct Ledger {
     pub written_once: u64,
     /// Lifetimes read at most once.
     pub read_at_most_once: u64,
+    /// Lifetimes read exactly twice.
+    pub read_twice: u64,
     pub reads: u64,
     pub writes: u64,
     pub bad: Vec<String>,
@@ -59,6 +61,7 @@ impl Lifetimes {
             lifetimes: all.len() as u64,
             written_once: all.iter().filter(|l| l.0 == 1).count() as u64,
             read_at_most_once: all.iter().filter(|l| l.1 <= 1).count() as u64,
+            read_twice: all.iter().filter(|l| l.1 == 2).count() as u64,
             reads: all.iter().map(|l| l.1).sum(),
             writes: all.iter().map(|l| l.0).sum(),
             bad,
