@@ -450,7 +450,7 @@ pub fn hash_join_exact_ios(
         b_probe,
         fan_out,
     };
-    geometry.pass(build_hashes, probe_hashes, 0, Some(&filter))
+    geometry.pass(build_hashes, probe_hashes, 0, &filter)
 }
 
 /// What every level of a hash join's partition recursion shares.
@@ -464,9 +464,10 @@ struct JoinGeometry {
 
 impl JoinGeometry {
     /// Transfers of one pairwise partition pass at `level` — both sides'
-    /// spill writes — and of consuming every pair it produced.  `top` is
-    /// the level-0 pass's build-key filter; deeper passes have none.
-    fn pass(&self, bh: &[u64], ph: &[u64], level: usize, top: Option<&KeyFilter>) -> u64 {
+    /// spill writes — and of consuming every pair it produced.  `filter` is
+    /// the level-0 pass's build-key filter; deeper passes have none and get
+    /// a zero-word one, which accepts every key.
+    fn pass(&self, bh: &[u64], ph: &[u64], level: usize, filter: &KeyFilter) -> u64 {
         let fed = bh.len() as u64;
         let bucket = |h| pdm::hash::level_bucket(h, level, self.fan_out);
         let mut bkids: Vec<Vec<u64>> = vec![Vec::new(); self.fan_out];
@@ -478,20 +479,27 @@ impl JoinGeometry {
         let splits = |bn: u64| bn > self.chunk && bn != fed && level + 1 < HASH_MAX_LEVELS;
         let mut pcounts = vec![0u64; self.fan_out];
         let mut pkids: Vec<Vec<u64>> = vec![Vec::new(); self.fan_out];
-        for &h in ph {
-            // Dropped unspilled, for it can match nothing: a key the filter
-            // never saw (asked first — it turns most probes away for less
-            // than the bucket's division costs), or an empty build bucket.
-            if top.is_some_and(|filter| !filter.may_contain(h)) {
-                continue;
+        // Dropped unspilled, for it can match nothing: a key the filter
+        // never saw, or an empty build bucket.  As in the executor, the
+        // filter compacts the hashes first, with no branch on its verdict
+        // (each is copied to the write slot, which advances by the verdict),
+        // and only its survivors pay for a bucket.
+        let mut kept = [0u64; 512];
+        for chunk in ph.chunks(kept.len()) {
+            let mut n = 0;
+            for &h in chunk {
+                kept[n] = h;
+                n += filter.may_contain(h) as usize;
             }
-            let i = bucket(h);
-            if bkids[i].is_empty() {
-                continue;
-            }
-            pcounts[i] += 1;
-            if splits(bkids[i].len() as u64) {
-                pkids[i].push(h);
+            for &h in &kept[..n] {
+                let i = bucket(h);
+                if bkids[i].is_empty() {
+                    continue;
+                }
+                pcounts[i] += 1;
+                if splits(bkids[i].len() as u64) {
+                    pkids[i].push(h);
+                }
             }
         }
         let mut t = 0;
@@ -506,7 +514,7 @@ impl JoinGeometry {
             t += if bn <= self.chunk {
                 pblocks // build table + probe stream
             } else if splits(bn) {
-                pblocks + self.pass(&bkids[i], &pkids[i], level + 1, None)
+                pblocks + self.pass(&bkids[i], &pkids[i], level + 1, &KeyFilter::with_bytes(0))
             } else {
                 // Block-nested loop: one probe scan per build chunk.
                 bn.div_ceil(self.chunk.max(1)) * pblocks

@@ -256,23 +256,15 @@ where
     }
 
     /// The child's batches, compacted in place with no branch on the
-    /// predicate: each record is copied to the write position, which
-    /// advances by `pred(&r) as usize`.  On `Err`, the records the child
-    /// delivered are filtered before the error returns.
+    /// predicate (`compact`).  On `Err`, the records the child delivered are
+    /// filtered before the error returns.
     fn next_batch(&mut self, out: &mut Vec<S::Item>, max: usize) -> Result<usize> {
         let start = out.len();
         loop {
             let (at, want) = (out.len(), max - (out.len() - start));
             let pulled = self.child.next_batch(out, want);
-            let batch = &mut out[at..];
-            let mut kept = 0;
-            for i in 0..batch.len() {
-                let r = batch[i].clone();
-                let keep = (self.pred)(&r);
-                batch[kept] = r;
-                kept += keep as usize;
-            }
-            let ended = batch.len() < want;
+            let kept = compact(&mut out[at..], &mut self.pred);
+            let ended = out.len() - at < want;
             out.truncate(at + kept);
             pulled?;
             if ended || out.len() - start == max {
@@ -792,6 +784,23 @@ fn drain_into<R: Record>(
     let b = ExtVec::<R>::per_block_on(device);
     drain_batches(exec, b, |batch| w.extend_from_slice(batch))?;
     w.finish()
+}
+
+/// Move the records of `batch` that `keep` accepts to its front, in order,
+/// and return how many there are.  No branch on the verdict: each record
+/// is copied to the write slot, which then advances by `keep as usize`, so
+/// a predicate that passes rows at random costs no mispredictions.  The
+/// slots past the count hold stale copies for the caller to truncate (a
+/// copy measured 1.7 ns a row, a swap 5.7).
+pub(crate) fn compact<T: Clone>(batch: &mut [T], mut keep: impl FnMut(&T) -> bool) -> usize {
+    let mut kept = 0;
+    for i in 0..batch.len() {
+        let r = batch[i].clone();
+        let k = keep(&r);
+        batch[kept] = r;
+        kept += k as usize;
+    }
+    kept
 }
 
 /// Pull `exec` to its end `max` records at a time (one block of them, for

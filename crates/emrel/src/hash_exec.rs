@@ -57,7 +57,7 @@ use emhash::table::{ResidentMultimap, ResidentTable};
 use emsort::{merge_sort_by, operator_budget, OverlapConfig, PartitionPass};
 use pdm::{Result, SharedDevice};
 
-use crate::exec::{drain_batches, ExecConfig, GroupFold, Order, QueryExec};
+use crate::exec::{compact, drain_batches, ExecConfig, GroupFold, Order, QueryExec};
 
 /// Open `vec` for reading across `try_next` calls.  A drained operator
 /// reads it ahead at `overlap`'s per-disk depth out of `budget`'s headroom
@@ -404,7 +404,10 @@ struct Spilled<BR: Record, PR: Record> {
 /// residency they gave up becomes a [`KeyFilter`] over every spilled build
 /// key.  A probe record the filter rejects — or whose build bucket is empty
 /// — can match nothing and is dropped before it costs a partition write; a
-/// false positive costs the spill every probe record used to.
+/// false positive costs the spill every probe record used to.  The probe
+/// side is routed a block of records at a time, in two steps: the filter
+/// compacts the batch in place with no branch on its verdict, then only the
+/// records it kept are bucketed and pushed, in arrival order.
 ///
 /// Oversized pairs re-partition pairwise at the next remix level; a build
 /// partition that stopped shrinking (equal keys) or hit
@@ -565,9 +568,13 @@ where
 
     /// Route one probe record while the build side is resident.  Once it
     /// spilled, the join emits nothing before its probe ends, so the whole
-    /// probe side is routed in one loop.  Either way the first `None`
-    /// closes the probe pass and stages the spilled pairs; the probe is
-    /// never pulled again after it.
+    /// probe side is routed in one loop, a block of records at a time in two
+    /// steps: the batch is [`compact`]ed by the filter, then each record it
+    /// kept goes to its level-0 bucket unless the build side left that
+    /// bucket empty.  A batch whose read failed is not routed; a failed
+    /// push returns at once.  Either way the first `None` closes the probe
+    /// pass and stages the spilled pairs; the probe is never pulled again
+    /// after it.
     fn step_probe(&mut self) -> Result<()> {
         let Some(spilled) = self.spilled.as_mut() else {
             let Some(r) = self.probe.try_next()? else {
@@ -581,19 +588,20 @@ where
         };
         // A probe record whose key the filter never saw, or whose build
         // bucket is empty, matches nothing and is dropped before it costs a
-        // spill write.  The filter is asked first: it turns most unmatched
-        // records away for less than the bucket's division costs.
+        // spill write.  The filter passes rows at random, so it must not be
+        // a branch.  A kept record's key is hashed again: keeping the hashes
+        // in a scratch beside the batch measured no faster.
         let (key_p, fan_out) = (&self.key_p, self.fan_out);
+        let h0 = |r: &PS::Item| key_hash(&key_p(r));
         drain_batches(&mut self.probe, self.b_probe, |batch| {
+            let kept = compact(batch, |r| spilled.filter.may_contain(h0(r)));
+            batch.truncate(kept);
             batch.drain(..).try_for_each(|r| {
-                let h0 = key_hash(&key_p(&r));
-                if spilled.filter.may_contain(h0) {
-                    let bi = level_bucket(h0, 0, fan_out);
-                    if !spilled.build_parts[bi].is_empty() {
-                        spilled.probe_pass.push(bi, r)?;
-                    }
+                let bi = level_bucket(h0(&r), 0, fan_out);
+                if spilled.build_parts[bi].is_empty() {
+                    return Ok(());
                 }
-                Ok(())
+                spilled.probe_pass.push(bi, r)
             })
         })?;
         self.end_probe()
@@ -1386,6 +1394,184 @@ mod tests {
                 (bv.num_blocks() + pv.num_blocks() + out.num_blocks()) as u64 + replay,
                 "{rows} build rows"
             );
+        }
+    }
+
+    /// What a spilled join's level-0 probe pass must write: the probe rows
+    /// whose hash the filter over `bh` (`filter_bytes` of it) keeps and
+    /// whose build bucket is non-empty, in arrival order, one list per
+    /// non-empty build bucket in bucket order — and how many rows the
+    /// filter kept that an empty bucket then dropped.
+    fn routed_probe(
+        bh: &[u64],
+        filter_bytes: usize,
+        probe: &[Pair],
+        fan: usize,
+    ) -> (Vec<Vec<Pair>>, usize) {
+        let mut filter = KeyFilter::with_bytes(filter_bytes);
+        let mut built = vec![false; fan];
+        for &h in bh {
+            filter.insert(h);
+            built[level_bucket(h, 0, fan)] = true;
+        }
+        let mut parts = vec![Vec::new(); fan];
+        let mut bucket_drops = 0;
+        for p in probe {
+            let h = key_hash(&p.0);
+            let i = level_bucket(h, 0, fan);
+            if filter.may_contain(h) {
+                if built[i] {
+                    parts[i].push(*p);
+                } else {
+                    bucket_drops += 1;
+                }
+            }
+        }
+        let parts = parts
+            .into_iter()
+            .zip(built)
+            .filter_map(|(p, b)| b.then_some(p));
+        (parts.collect(), bucket_drops)
+    }
+
+    /// The probe partitions a join staged when its probe pass closed, in
+    /// bucket order (the queue pops them last to first).
+    fn staged_probe<PS, BR, KB, KP, MK>(
+        j: &HashJoinExec<PS, u64, BR, KB, KP, MK, Triple>,
+    ) -> Vec<Vec<Pair>>
+    where
+        PS: QueryExec<Item = Pair>,
+        BR: Record,
+    {
+        assert!(j.pairs.iter().all(|&(_, _, level, _)| level == 1));
+        j.pairs
+            .iter()
+            .rev()
+            .map(|(_, pv, ..)| pv.to_vec().unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn spilled_probe_partitions_hold_exactly_the_routed_rows() {
+        // M = 256, F = 4: a 2¹⁴-bit filter over ≈ 1 500 build rows, none
+        // of them in bucket 3, so some probe rows pass the filter and meet
+        // an empty bucket.  5 990 probe rows end on a short batch.
+        let (d, m) = device(16);
+        let fan = 4;
+        let build: Vec<Pair> = pairs(2000, 5000, 0xABCD_EF13)
+            .into_iter()
+            .filter(|b| level_bucket(key_hash(&b.0), 0, fan) != 3)
+            .collect();
+        let probe = pairs(5990, 5000, 0x1357_9BD1);
+        let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
+        let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
+        let bh: Vec<u64> = build.iter().map(|r| key_hash(&r.0)).collect();
+        let residency = hash_join_residency(m, 16, 16, fan);
+        let (expect, bucket_drops) = routed_probe(&bh, residency * 16, &probe, fan);
+        assert_eq!(expect.len(), 3, "bucket 3 has no build row");
+        assert!(
+            bucket_drops > 0,
+            "the filter kept a row an empty bucket drops"
+        );
+        let kept: usize = expect.iter().map(Vec::len).sum();
+        assert!((1..probe.len() / 2).contains(&kept), "{kept} rows kept");
+
+        let allocated = d.allocated_blocks();
+        let mut j = join_on_first(&d, &ExecConfig::new(m), fan, &bv, ScanExec::new(&pv)).unwrap();
+        j.step_probe().unwrap();
+        assert!(!j.probing);
+        assert_eq!(staged_probe(&j), expect);
+        drop(j);
+        assert_eq!(d.allocated_blocks(), allocated);
+    }
+
+    #[test]
+    fn a_zero_word_filter_routes_by_bucket_emptiness_alone() {
+        // One-byte build rows in 16-byte blocks beside one-block probe
+        // rows: at F = 2 and M = 3·(16 + 1) the residency is 51 − 3·16 = 3
+        // records, 3 bytes of filter, which is no word — it accepts every
+        // key.  Every build key lies in bucket 0, so bucket 0 gets every
+        // probe row of its bucket, matching or not, and bucket 1 none.
+        let (fan, m) = (2, 51);
+        let d = EmConfig::new(16, 4).ram_disk();
+        let keys: Vec<u8> = (0..=255u8)
+            .filter(|&k| level_bucket(key_hash(&u64::from(k)), 0, fan) == 0)
+            .collect();
+        let build: Vec<u8> = keys.iter().cycle().take(40).copied().collect();
+        let probe: Vec<Pair> = (0..300u64).map(|i| (i * 7 % 512, i)).collect();
+        let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
+        let pv = ExtVec::from_slice(d.clone(), &probe).unwrap();
+        let bh: Vec<u64> = build.iter().map(|&b| key_hash(&u64::from(b))).collect();
+        assert_eq!(hash_join_residency(m, 16, 1, fan), 3);
+        let (expect, bucket_drops) = routed_probe(&bh, 3, &probe, fan);
+        let bucket0 = |p: &&Pair| level_bucket(key_hash(&p.0), 0, fan) == 0;
+        let every_row_of_bucket_0: Vec<Pair> = probe.iter().filter(bucket0).copied().collect();
+        assert_eq!(expect, vec![every_row_of_bucket_0]);
+        assert_eq!(bucket_drops, probe.len() - expect[0].len());
+        assert!(
+            expect[0].iter().any(|p| p.0 > 255),
+            "rows no build key matches"
+        );
+
+        let allocated = d.allocated_blocks();
+        let mut j: HashJoinExec<_, u64, u8, _, _, _, Triple> = HashJoinExec::build(
+            &mut ScanExec::new(&bv),
+            ScanExec::new(&pv),
+            &d,
+            &ExecConfig::new(m),
+            fan,
+            false,
+            |b: &u8| u64::from(*b),
+            |p: &Pair| p.0,
+            |b, p| (u64::from(*b), p.0, p.1),
+        )
+        .unwrap();
+        assert_eq!(j.spilled.as_ref().map(|s| s.filter.bits()), Some(0));
+        j.step_probe().unwrap();
+        assert_eq!(staged_probe(&j), expect);
+        drop(j);
+        assert_eq!(d.allocated_blocks(), allocated);
+    }
+
+    #[test]
+    fn a_probe_read_error_routes_only_the_blocks_before_it() {
+        // The probe lives on a device of its own whose crash switch fails
+        // the read of block `good`; the join spills to a healthy one.  The
+        // batch that failed is never routed, the error returns, and the
+        // join dropped then frees every block it wrote.  Closing the probe
+        // pass by hand shows what was routed: exactly the oracle's rows of
+        // the first `good` blocks.
+        let (d, m) = device(16);
+        let fan = 4;
+        let build = pairs(2000, 5000, 0xABCD_EF13);
+        let probe = pairs(6000, 5000, 0x1357_9BD1);
+        let bv = ExtVec::from_slice(d.clone(), &build).unwrap();
+        let bh: Vec<u64> = build.iter().map(|r| key_hash(&r.0)).collect();
+        let residency = hash_join_residency(m, 16, 16, fan);
+        let good = 100u64;
+        let (expect, _) = routed_probe(&bh, residency * 16, &probe[..good as usize * 16], fan);
+        let blocks = probe.len().div_ceil(16) as u64;
+        for close in [false, true] {
+            let plan = pdm::FaultPlan::new(1).with_crash(pdm::CrashSwitch::after(blocks + good));
+            let pd = pdm::DiskArray::new_ram_faulty(
+                1,
+                256,
+                pdm::Placement::Independent,
+                pdm::IoMode::Synchronous,
+                &[plan],
+                pdm::RetryPolicy::none(),
+            ) as SharedDevice;
+            let pv = ExtVec::from_slice(pd, &probe).unwrap();
+            let allocated = d.allocated_blocks();
+            let cfg = ExecConfig::new(m);
+            let mut j = join_on_first(&d, &cfg, fan, &bv, ScanExec::new(&pv)).unwrap();
+            assert!(j.step_probe().is_err(), "the failed read must surface");
+            if close {
+                j.end_probe().unwrap();
+                assert_eq!(staged_probe(&j), expect);
+            }
+            drop(j);
+            assert_eq!(d.allocated_blocks(), allocated, "closed: {close}");
         }
     }
 
