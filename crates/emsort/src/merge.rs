@@ -736,7 +736,7 @@ fn merge_pieces<R: Clone, F: Fn(&R, &R) -> bool + Copy>(
 /// from either input, so it tests no end, and the two ends are independent
 /// chains the CPU overlaps.  The few records left in the middle merge
 /// front to back.
-fn merge_two<R: Clone, F: Fn(&R, &R) -> bool>(a: &[R], b: &[R], out: &mut [R], less: F) {
+pub(crate) fn merge_two<R: Clone, F: Fn(&R, &R) -> bool>(a: &[R], b: &[R], out: &mut [R], less: F) {
     let (mut i, mut j, mut ia, mut jb) = (0, 0, a.len(), b.len());
     loop {
         let s = (ia - i).min(jb - j) / 2;
@@ -882,7 +882,8 @@ pub struct SortingWriter<R: Record, F> {
     device: SharedDevice,
     cfg: SortConfig,
     less: F,
-    buf: Vec<R>,
+    /// The chunk being filled and `spill_sorted`'s merge scratch.
+    bufs: [Vec<R>; 2],
     runs: Vec<ExtVec<R>>,
     budget: Arc<MemBudget>,
     write_behind: usize,
@@ -914,7 +915,7 @@ where
             device,
             cfg,
             less,
-            buf: Vec::new(),
+            bufs: Default::default(),
             runs: Vec::new(),
             budget,
             write_behind: ov.write_behind,
@@ -931,12 +932,12 @@ where
     /// Add a record; the in-memory chunk, once it holds `M` records, is
     /// sorted and spilled as a run when the next record arrives.
     pub fn push(&mut self, r: R) -> Result<()> {
-        if self.buf.len() >= self.cfg.mem_records {
+        if self.bufs[0].len() >= self.cfg.mem_records {
             // More than one load: the sort will merge.
             check_memory(&self.cfg, self.per_block(), true)?;
             self.spill(0)?;
         }
-        self.buf.push(r);
+        self.bufs[0].push(r);
         Ok(())
     }
 
@@ -947,7 +948,7 @@ where
     /// Sort the chunk and spill all of it but its last `keep` records.
     fn spill(&mut self, keep: usize) -> Result<()> {
         spill_sorted(
-            &mut self.buf,
+            &mut self.bufs,
             keep,
             self.less,
             &self.device,
@@ -961,19 +962,21 @@ where
     /// streamed) sort of these runs can hold.
     fn formed(&mut self, materialized: bool) -> Result<Formed<R>> {
         let per_block = self.per_block();
-        let loads = self.runs.len() as u64 + u64::from(!self.buf.is_empty());
+        let loads = self.runs.len() as u64 + u64::from(!self.bufs[0].is_empty());
         let keep = bounds::resident_tail(
             loads,
-            self.buf.len(),
+            self.bufs[0].len(),
             self.cfg.mem_records,
             per_block,
             self.cfg.effective_fan_in(per_block),
             materialized,
         );
         self.spill(keep)?;
+        // The merge scratch is freed here, not held through the merge.
+        let [tail, _] = std::mem::take(&mut self.bufs);
         Ok(Formed::new(
             std::mem::take(&mut self.runs),
-            std::mem::take(&mut self.buf),
+            tail,
             self.device.clone(),
             per_block,
             &self.cfg,

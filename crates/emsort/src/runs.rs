@@ -19,16 +19,20 @@
 //!
 //! Load–sort–store is two block moves around one sort: the load is filled
 //! from the input reader a block at a time
-//! ([`BlockReader::read_into`](em_core::BlockReader::read_into)), sorted with
-//! one stable `sort_by`, and drained into the run writer a block at a time
-//! ([`ExtVecWriter::extend_from_slice`]).  One thread, on purpose: a stable
-//! sort of a 16 Ki-record load costs ≈ 16 ns a record, so sorting two halves
-//! in parallel can save at most half of that, and what it needs — a pair of
-//! worker spawns per load and a sequential merge of the sorted pieces into
-//! the writer — was measured to cost more than it saves at every load size
-//! the benchmark uses (DESIGN.md §3).  The stable sort's `n/2`-record
-//! scratch is not charged against `M` (it never was: the parallel pieces
-//! allocated the same between them).
+//! ([`BlockReader::read_into`](em_core::BlockReader::read_into)), sorted,
+//! and drained into the run writer a block at a time
+//! ([`ExtVecWriter::extend_from_slice`]).  The sort takes two cores: a
+//! scoped worker sorts the load's back half with a stable `sort_by` while
+//! the calling thread sorts the front, and the merge kernel's two-way
+//! `merge_two` joins the halves, the front winning ties — unless one `less`
+//! call finds them already in order.  At a 16 Ki-record load on a 2-core
+//! x86 host that is ≈ 16 ns a record of run formation against ≈ 21 on one
+//! thread (DESIGN.md §3).  Below `SPLIT_MIN` records a spawn costs more than it saves, so
+//! both halves sort on the caller and merge the same way.  The worker only
+//! sorts memory: it moves no block and charges no budget.  Neither the
+//! sorts' scratch (`sort_by` allocates as many records as it sorts, so the
+//! halves `n` between them) nor the merge's `n`-record scratch, kept from
+//! load to load, is charged against `M`.
 //! Load–sort–store's streams keep the overlap depths of the sort's widest
 //! merge ([`crate::merge::allowance`]), so no lane idles behind a shallow
 //! queue; replacement selection's keep their per-disk depths.
@@ -39,7 +43,7 @@ use em_core::{ExtVec, ExtVecWriter, MemBudget, Record};
 use pdm::{PdmError, Result, SharedDevice};
 
 use crate::heap::MinHeap;
-use crate::merge::allowance;
+use crate::merge::{allowance, merge_two};
 use crate::{OverlapConfig, SortConfig};
 
 /// Strategy for the run-formation pass.
@@ -153,12 +157,12 @@ fn load_sort_runs<R, F>(
 ) -> Result<(Vec<ExtVec<R>>, Vec<R>)>
 where
     R: Record,
-    F: Fn(&R, &R) -> bool + Copy,
+    F: Fn(&R, &R) -> bool + Copy + Send,
 {
     let _charge = budget.charge(m);
     let mut runs = Vec::new();
     let mut left = input.len();
-    let mut chunk: Vec<R> = Vec::with_capacity(m.min(left as usize));
+    let mut bufs = [Vec::with_capacity(m.min(left as usize)), Vec::new()];
     let mut reader = input.reader_prefetch(ov.read_ahead, budget);
     // The short load goes first when a tail stays, so the load that keeps
     // it is a full M.
@@ -166,11 +170,11 @@ where
         0 => m,
         _ => ((left - 1) % m as u64) as usize + 1,
     };
-    while reader.read_into(&mut chunk, load)? > 0 {
-        left -= chunk.len() as u64;
+    while reader.read_into(&mut bufs[0], load)? > 0 {
+        left -= bufs[0].len() as u64;
         let kept = if left == 0 { keep } else { 0 };
         spill_sorted(
-            &mut chunk,
+            &mut bufs,
             kept,
             less,
             input.device(),
@@ -180,18 +184,25 @@ where
         )?;
         load = m;
     }
+    let [chunk, _] = bufs;
     Ok((runs, chunk))
 }
 
-/// Stably sort `chunk` and write all of it but its last `keep` records as
-/// the next run of `runs`, leaving those `keep` in `chunk` — the in-memory
-/// half of load–sort–store, shared by [`form_runs`] and
-/// [`SortingWriter`](crate::SortingWriter)'s spills.  Nothing is written
-/// when `keep` covers the chunk.  Each run's start lane is staggered by its
-/// index, so runs of exactly `M/B` blocks do not all place block `j` on the
-/// same disk (see `BlockDevice::direct_next_stream`).
+/// Loads shorter than this sort both halves on the calling thread: a
+/// scoped spawn costs ≈ 30–40 µs, about what sorting a 2 Ki-record half
+/// takes at ≈ 17 ns a record, so below it the worker saves nothing.
+const SPLIT_MIN: usize = 4 * 1024;
+
+/// Stably sort the load `bufs[0]` and write all of it but its last `keep`
+/// records as the next run of `runs`, leaving those `keep` in `bufs[0]` —
+/// the in-memory half of load–sort–store, shared by [`form_runs`] and
+/// [`SortingWriter`](crate::SortingWriter)'s spills.  `bufs[1]` is the
+/// merge's scratch, kept between loads.  Nothing is written when `keep`
+/// covers the load.  Each run's start lane is staggered by its index, so
+/// runs of exactly `M/B` blocks do not all place block `j` on the same
+/// disk (see `BlockDevice::direct_next_stream`).
 pub(crate) fn spill_sorted<R, F>(
-    chunk: &mut Vec<R>,
+    bufs: &mut [Vec<R>; 2],
     keep: usize,
     less: F,
     device: &SharedDevice,
@@ -201,9 +212,10 @@ pub(crate) fn spill_sorted<R, F>(
 ) -> Result<()>
 where
     R: Record,
-    F: Fn(&R, &R) -> bool + Copy,
+    F: Fn(&R, &R) -> bool + Copy + Send,
 {
-    chunk.sort_by(|a, b| cmp_from_less(less, a, b));
+    sort_halves(bufs, less);
+    let chunk = &mut bufs[0];
     let spill = chunk.len().saturating_sub(keep);
     if spill > 0 {
         device.direct_next_stream(runs.len());
@@ -213,6 +225,37 @@ where
     }
     chunk.drain(..spill);
     Ok(())
+}
+
+/// Stably sort `bufs[0]` as two halves, the back one on a scoped worker
+/// from [`SPLIT_MIN`] records up, then merge them with `merge_two` into
+/// `bufs[1]`, the front winning ties, and swap the two.  Halves that one
+/// `less` call finds already in order are not merged.
+fn sort_halves<R, F>(bufs: &mut [Vec<R>; 2], less: F)
+where
+    R: Record,
+    F: Fn(&R, &R) -> bool + Copy + Send,
+{
+    let [chunk, scratch] = bufs;
+    let (n, h) = (chunk.len(), chunk.len() / 2);
+    let (front, back) = chunk.split_at_mut(h);
+    let sort = move |v: &mut [R]| v.sort_by(|a, b| cmp_from_less(less, a, b));
+    if n < SPLIT_MIN {
+        sort(back);
+        sort(front);
+    } else {
+        std::thread::scope(|s| {
+            let back = &mut *back;
+            s.spawn(move || sort(back));
+            sort(front);
+        });
+    }
+    if h == 0 || !less(&back[0], &front[h - 1]) {
+        return;
+    }
+    scratch.resize(n, back[0].clone());
+    merge_two(front, back, scratch, less);
+    std::mem::swap(chunk, scratch);
 }
 
 fn replacement_selection_runs<R, F>(
@@ -655,11 +698,15 @@ mod tests {
         }
     }
 
-    /// `less` calls per record through `spill_sorted`: one stable sort
-    /// (each of its comparisons is at most two `less` calls) and nothing
-    /// else — no second pass over the sorted load compares anything.
+    /// `less` calls per record through `spill_sorted`: the stable sorts of
+    /// the two halves (each comparison at most two `less` calls), one call
+    /// to see whether the halves are already in order, and — when they are
+    /// not — the merge of the halves, at most one call a record.  A sorted
+    /// load is never merged, and a reversed one's halves merge at one call
+    /// a record on top of the one its run detection makes.
     #[test]
     fn sorted_chunk_comparator_calls_per_record() {
+        use std::sync::atomic::{AtomicU64, Ordering};
         let device = EmConfig::new(64, 8).ram_disk();
         let n = 16 * 1024u64;
         let mut rng = Draws::new(19);
@@ -668,27 +715,147 @@ mod tests {
             ("random", (0..n).map(|_| rng.next_u64()).collect(), 28.0),
             // One run-detection comparison per record, two calls each.
             ("presorted", (0..n).collect(), 2.1),
+            // One call a record to detect each half's run, one to merge.
             ("reverse-sorted", (0..n).rev().collect(), 2.1),
         ];
         for (shape, load, ceiling) in shapes {
             let mut expect = load.clone();
             expect.sort_unstable();
-            let calls = std::cell::Cell::new(0u64);
+            let calls = AtomicU64::new(0);
             let less = |a: &u64, b: &u64| {
-                calls.set(calls.get() + 1);
+                calls.fetch_add(1, Ordering::Relaxed);
                 a < b
             };
-            let mut chunk = load;
+            let mut bufs = [load, Vec::new()];
             let mut runs = Vec::new();
             let budget = MemBudget::new(0);
-            spill_sorted(&mut chunk, 0, less, &device, 0, &budget, &mut runs).unwrap();
-            assert!(chunk.is_empty(), "{shape}: the load is left empty");
+            spill_sorted(&mut bufs, 0, less, &device, 0, &budget, &mut runs).unwrap();
+            assert!(bufs[0].is_empty(), "{shape}: the load is left empty");
             assert_eq!(runs[0].to_vec().unwrap(), expect, "{shape}");
-            let per_record = calls.get() as f64 / n as f64;
+            let per_record = calls.load(Ordering::Relaxed) as f64 / n as f64;
             assert!(
                 per_record <= ceiling,
                 "{shape}: {per_record:.3} `less` calls per record, ceiling {ceiling}"
             );
         }
+    }
+
+    /// Loads on both sides of [`SPLIT_MIN`], an odd one that splits
+    /// unevenly, and `sort_cpu`'s 16 Ki, through every load–sort–store
+    /// entry point: a `(key, seq)` tape with 64 keys comes out as a stable
+    /// sort puts it, ties in input order, at the transfers of the exact
+    /// replays in `em_core::bounds`, and `less` is called off the calling
+    /// thread exactly when a load reaches `SPLIT_MIN`.
+    #[test]
+    fn ties_and_transfers_hold_at_the_split() {
+        use em_core::bounds;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let device = EmConfig::new(512, 8).ram_disk(); // B = 32 records
+        let b = 32;
+        let caller = std::thread::current().id();
+        let off_caller = AtomicBool::new(false);
+        let less = |a: &(u64, u64), b: &(u64, u64)| {
+            if std::thread::current().id() != caller {
+                off_caller.store(true, Ordering::Relaxed);
+            }
+            a.0 < b.0
+        };
+        let on_worker = || off_caller.swap(false, Ordering::Relaxed);
+        for m in [SPLIT_MIN - 1, SPLIT_MIN, 2 * SPLIT_MIN + 1, 16 * 1024] {
+            // Two full loads and a short one.
+            let n = (2 * m + m / 2 + 3) as u64;
+            let tape: Vec<(u64, u64)> = (0..n)
+                .map(|i| (em_core::hash::splitmix(i ^ m as u64) % 64, i))
+                .collect();
+            let stable = |v: &[(u64, u64)]| {
+                let mut v = v.to_vec();
+                v.sort_by(|x, y| cmp_from_less(less, x, y));
+                v
+            };
+            let sorted = stable(&tape);
+            let cfg = SortConfig::new(m);
+            let k = cfg.effective_fan_in(b);
+            let input = ExtVec::from_slice(device.clone(), &tape).unwrap();
+
+            let before = device.stats().snapshot();
+            let runs = form_runs(&input, &cfg, less).unwrap();
+            let formed = device.stats().snapshot().since(&before);
+            let loads: Vec<&[(u64, u64)]> = tape.chunks(m).collect();
+            assert_eq!(runs.len(), loads.len(), "M = {m}");
+            for (run, load) in runs.iter().zip(&loads) {
+                assert_eq!(run.to_vec().unwrap(), stable(load), "M = {m}");
+            }
+            let written: u64 = loads.iter().map(|l| l.len().div_ceil(b) as u64).sum();
+            let read = bounds::scan(n, b) as u64;
+            assert_eq!(
+                (formed.reads(), formed.writes()),
+                (read, written),
+                "M = {m}"
+            );
+            assert_eq!(on_worker(), m >= SPLIT_MIN, "form_runs, M = {m}");
+            for run in runs {
+                run.free().unwrap();
+            }
+
+            let before = device.stats().snapshot();
+            let out = crate::merge_sort_by(&input, &cfg, less).unwrap();
+            let moved = device.stats().snapshot().since(&before);
+            assert_eq!(out.to_vec().unwrap(), sorted, "merge_sort_by, M = {m}");
+            let exact = bounds::merge_sort_exact_ios(n, m, b, k);
+            assert_eq!(moved.total(), exact, "merge_sort_by, M = {m}");
+            assert_eq!(on_worker(), m >= SPLIT_MIN, "merge_sort_by, M = {m}");
+            out.free().unwrap();
+
+            let before = device.stats().snapshot();
+            let mut w = crate::SortingWriter::new(device.clone(), &cfg, less);
+            for r in &tape {
+                w.push(*r).unwrap();
+            }
+            let out = w
+                .finish_streaming(|s| {
+                    let mut out = Vec::new();
+                    while let Some(r) = s.try_next()? {
+                        out.push(r);
+                    }
+                    Ok(out)
+                })
+                .unwrap();
+            let moved = device.stats().snapshot().since(&before);
+            assert_eq!(out, sorted, "SortingWriter, M = {m}");
+            let exact = bounds::sorting_writer_streamed_ios(n, m, b, k);
+            assert_eq!(moved.total(), exact, "SortingWriter, M = {m}");
+            assert_eq!(on_worker(), m >= SPLIT_MIN, "SortingWriter, M = {m}");
+            input.free().unwrap();
+        }
+    }
+
+    /// A `less` that panics on a record only the back half of the second
+    /// load holds panics on the worker, after the first load's run is
+    /// written; `merge_sort_by` passes the panic to its caller, and every
+    /// block it had allocated is free again.
+    #[test]
+    fn a_panic_on_the_worker_reaches_the_caller() {
+        const POISON: u64 = u64::MAX;
+        let device = EmConfig::new(512, 8).ram_disk(); // B = 64 records
+        let m = SPLIT_MIN;
+        let mut data: Vec<u64> = (0..2 * m as u64).rev().collect();
+        data[2 * m - 1] = POISON;
+        let input = ExtVec::from_slice(device.clone(), &data).unwrap();
+        let blocks = device.allocated_blocks();
+        let panicked_on = std::sync::Mutex::new(None);
+        let less = |a: &u64, b: &u64| {
+            if *a == POISON || *b == POISON {
+                *panicked_on.lock().unwrap() = Some(std::thread::current().id());
+                panic!("compared the poisoned record");
+            }
+            a < b
+        };
+        let sorted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            crate::merge_sort_by(&input, &SortConfig::new(m), less)
+        }));
+        assert!(sorted.is_err(), "the worker's panic reaches the caller");
+        let on = panicked_on.lock().unwrap().expect("`less` saw the poison");
+        assert_ne!(on, std::thread::current().id(), "the worker panicked");
+        assert_eq!(device.allocated_blocks(), blocks);
     }
 }
